@@ -774,6 +774,23 @@ fn report_of(programs: &[CompiledProgram], analysis: &SharingAnalysis) -> Sharin
     }
 }
 
+/// The `(program, query)` whose live store holds each of program `pos`'s
+/// `n` queries' truth at a poll: the query itself, or — resolved in one
+/// pass over the alias table — the owner a deduplicated alias redirects to.
+fn store_sources(
+    aliases: &[((usize, usize), (usize, usize))],
+    pos: usize,
+    n: usize,
+) -> Vec<(usize, usize)> {
+    let mut sources: Vec<(usize, usize)> = (0..n).map(|q| (pos, q)).collect();
+    for ((ap, aq), owner) in aliases {
+        if *ap == pos {
+            sources[*aq] = *owner;
+        }
+    }
+    sources
+}
+
 /// Substitute every alias query's (never-updated) store with a clone of its
 /// owner's finished store, so collection reads what a private store would
 /// have held. All runtimes must be finished.
@@ -1570,17 +1587,15 @@ impl MultiRuntime {
     pub fn poll(&self, id: u64) -> Option<ResultSet> {
         let pos = self.ids.iter().position(|i| *i == id)?;
         let rt = &self.runtimes[pos];
-        let stores: Vec<Option<Vec<(&Runtime, usize)>>> = (0..rt.compiled().stores.len())
-            .map(|q| {
+        // A deduplicated alias never updates its own store; its live truth
+        // is the owner's store (same redirection the drain applies via
+        // `substitute_stores`, read-only here).
+        let sources = store_sources(&self.aliases, pos, rt.compiled().stores.len());
+        let stores: Vec<Option<Vec<(&Runtime, usize)>>> = sources
+            .iter()
+            .enumerate()
+            .map(|(q, &(src_p, src_q))| {
                 rt.compiled().stores[q].as_ref()?;
-                // A deduplicated alias never updates its own store; its
-                // live truth is the owner's store (same redirection the
-                // drain applies via `substitute_stores`, read-only here).
-                let (src_p, src_q) = self
-                    .aliases
-                    .iter()
-                    .find(|((ap, aq), _)| (*ap, *aq) == (pos, q))
-                    .map_or((pos, q), |(_, (op, oq))| (*op, *oq));
                 Some(vec![(&self.runtimes[src_p], src_q)])
             })
             .collect();
@@ -2226,18 +2241,15 @@ impl MultiSharded {
             &paused[involved.binary_search(&i).expect("paused above")].1
         };
         let shard_refs: Vec<&Runtime> = workers_of(pos).iter().collect();
-        let stores: Vec<Option<Vec<(&Runtime, usize)>>> =
-            (0..self.programs[pos].stores.len())
-                .map(|q| {
-                    self.programs[pos].stores[q].as_ref()?;
-                    let (src_p, src_q) = self
-                        .aliases
-                        .iter()
-                        .find(|((ap, aq), _)| (*ap, *aq) == (pos, q))
-                        .map_or((pos, q), |(_, (op, oq))| (*op, *oq));
-                    Some(workers_of(src_p).iter().map(|rt| (rt, src_q)).collect())
-                })
-                .collect();
+        let sources = store_sources(&self.aliases, pos, self.programs[pos].stores.len());
+        let stores: Vec<Option<Vec<(&Runtime, usize)>>> = sources
+            .iter()
+            .enumerate()
+            .map(|(q, &(src_p, src_q))| {
+                self.programs[pos].stores[q].as_ref()?;
+                Some(workers_of(src_p).iter().map(|rt| (rt, src_q)).collect())
+            })
+            .collect();
         let results = crate::runtime::poll_collect(&shard_refs, &stores);
         for (i, workers) in paused {
             self.sharded[i].resume(workers);
@@ -2801,5 +2813,99 @@ mod tests {
             y.sort();
         }
         assert_eq!(got_sh, got_single);
+    }
+
+    /// The backing table iterates in arena order (insertion order, with a
+    /// removal swapping the last record into the hole); every GROUPBY table
+    /// must come out sorted ascending by key words regardless — from
+    /// `collect()`, `poll_results()` and `MultiRuntime::poll()` alike.
+    #[test]
+    fn groupby_tables_stay_sorted_by_key_words_after_removals() {
+        use crate::result::{value_key, ResultRow};
+        use perfq_lang::ResolvedKind;
+
+        let small = |src: &str| {
+            let opts = CompileOptions {
+                cache_pairs: 8,
+                ways: 2,
+                ..Default::default()
+            };
+            compile_query(src, &fig2::default_params(), opts).unwrap()
+        };
+        // Remove every third standing record of every store: each removal
+        // moves the arena's tail record, scrambling iteration order.
+        let punch = |rt: &mut Runtime| {
+            for idx in 0..rt.compiled().stores.len() {
+                if rt.compiled().stores[idx].is_none() {
+                    continue;
+                }
+                let mut store = rt.clone_store(idx);
+                let doomed: Vec<InlineKey> = store
+                    .backing()
+                    .iter()
+                    .step_by(3)
+                    .map(|(k, _)| k.clone())
+                    .collect();
+                assert!(!doomed.is_empty(), "the small cache must have evicted");
+                for key in &doomed {
+                    store.remove_key(key);
+                }
+                rt.set_store(idx, store);
+            }
+        };
+        let assert_sorted = |set: &ResultSet, program: &CompiledProgram, what: &str| {
+            let mut checked = 0;
+            for (q, table) in program.program.queries.iter().zip(&set.tables) {
+                let ResolvedKind::GroupBy(g) = &q.kind else {
+                    continue;
+                };
+                let key = |row: &ResultRow| -> Vec<i64> {
+                    row.values[..g.key_cols.len()]
+                        .iter()
+                        .map(value_key)
+                        .collect()
+                };
+                assert!(
+                    table.rows.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+                    "{what}: table {} is not sorted by key words",
+                    table.name
+                );
+                checked += table.rows.len();
+            }
+            assert!(checked > 100, "{what}: only {checked} GROUPBY rows checked");
+        };
+
+        let sources = [
+            fig2::PER_FLOW_COUNTERS.source,
+            fig2::LATENCY_EWMA.source,
+            fig2::TCP_NON_MONOTONIC.source,
+        ];
+        let mut net = Network::new(NetworkConfig::default());
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(31)).take(6_000));
+        let (head, tail) = records.split_at(3_000);
+
+        let mut multi = MultiRuntime::new(sources.iter().map(|s| small(s)).collect());
+        let mut singles: Vec<Runtime> = sources.iter().map(|s| Runtime::new(small(s))).collect();
+        for part in [head, tail] {
+            multi.process_batch(part);
+            multi.runtimes.iter_mut().for_each(punch);
+            for rt in &mut singles {
+                rt.process_batch(part);
+                punch(rt);
+                assert_sorted(&rt.poll_results(), rt.compiled(), "Runtime::poll_results");
+            }
+            for (id, rt) in multi.ids().to_vec().into_iter().zip(multi.runtimes()) {
+                let polled = multi.poll(id).expect("installed program");
+                assert_sorted(&polled, rt.compiled(), "MultiRuntime::poll");
+            }
+        }
+        multi.finish();
+        for (set, rt) in multi.collect().iter().zip(multi.runtimes()) {
+            assert_sorted(set, rt.compiled(), "MultiRuntime::collect");
+        }
+        for rt in &mut singles {
+            rt.finish();
+            assert_sorted(&rt.collect(), rt.compiled(), "Runtime::collect");
+        }
     }
 }

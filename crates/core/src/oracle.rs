@@ -14,7 +14,7 @@
 
 use crate::compiler::CompiledProgram;
 use crate::result::{value_key, ResultSet};
-use crate::runtime::{collect_results, Capture};
+use crate::runtime::{collect_results, Capture, GroupRows};
 use perfq_lang::ir::eval;
 use perfq_lang::resolve::GroupOutput;
 use perfq_lang::{QueryInput, ResolvedKind, Value};
@@ -137,20 +137,19 @@ impl Oracle {
     /// Exact final tables.
     #[must_use]
     pub fn collect(&self) -> ResultSet {
-        let mut group_finals: Vec<Option<Vec<(Vec<i64>, Vec<Value>, bool)>>> = Vec::new();
-        for state in &self.states {
-            match state {
-                Some(map) => {
-                    let mut rows: Vec<(Vec<i64>, Vec<Value>, bool)> = map
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.clone(), true))
-                        .collect();
-                    rows.sort_by(|a, b| a.0.cmp(&b.0));
-                    group_finals.push(Some(rows));
-                }
-                None => group_finals.push(None),
-            }
-        }
+        let group_finals: Vec<Option<GroupRows<'_>>> = self
+            .states
+            .iter()
+            .map(|state| {
+                let mut rows: GroupRows<'_> = state
+                    .as_ref()?
+                    .iter()
+                    .map(|(k, v)| (k.as_slice(), v.as_slice(), true))
+                    .collect();
+                rows.sort_unstable_by_key(|row| row.0);
+                Some(rows)
+            })
+            .collect();
         collect_results(
             &self.compiled.program,
             &group_finals,

@@ -252,8 +252,8 @@ pub fn diff_tables(a: &ResultTable, b: &ResultTable, tol: f64) -> Option<String>
             b.rows.len()
         ));
     }
-    let mut ra = a.rows.clone();
-    let mut rb = b.rows.clone();
+    let mut ra: Vec<&ResultRow> = a.rows.iter().collect();
+    let mut rb: Vec<&ResultRow> = b.rows.iter().collect();
     ra.sort_by(|x, y| cmp_values(&x.values, &y.values));
     rb.sort_by(|x, y| cmp_values(&x.values, &y.values));
     for (i, (x, y)) in ra.iter().zip(&rb).enumerate() {

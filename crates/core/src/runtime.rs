@@ -926,13 +926,11 @@ impl Runtime {
     #[must_use]
     pub fn collect(&self) -> ResultSet {
         assert!(self.finished, "collect() requires finish()");
-        let mut group_finals: Vec<Option<Vec<(Vec<i64>, Vec<Value>, bool)>>> = Vec::new();
-        for store in &self.stores {
-            match store {
-                Some(s) => group_finals.push(Some(group_rows(s.backing()))),
-                None => group_finals.push(None),
-            }
-        }
+        let group_finals: Vec<Option<GroupRows<'_>>> = self
+            .stores
+            .iter()
+            .map(|store| store.as_ref().map(|s| group_rows(s.backing())))
+            .collect();
         collect_results(
             &self.compiled.program,
             &group_finals,
@@ -951,17 +949,17 @@ impl Runtime {
     /// Each store's consistent frame lands in a pooled
     /// [`StoreSnapshot`] reused across polls
     /// ([`SplitStore::snapshot_into`]), so a warmed poll refreshes its
-    /// frames allocation-free; only the result-row materialization below
-    /// them allocates, exactly as `collect` does.
+    /// frames allocation-free; above them only the result rows allocate —
+    /// one sorted vector of borrowed `(key, state)` slices per table and
+    /// the one `values` vector each [`ResultRow`] owns — exactly as
+    /// `collect` does.
     pub fn poll_results(&mut self) -> ResultSet {
         self.refresh_poll_frames();
-        let mut group_finals: Vec<Option<Vec<(Vec<i64>, Vec<Value>, bool)>>> = Vec::new();
-        for frame in &self.poll_frames {
-            match frame {
-                Some(f) => group_finals.push(Some(group_rows(f.backing()))),
-                None => group_finals.push(None),
-            }
-        }
+        let group_finals: Vec<Option<GroupRows<'_>>> = self
+            .poll_frames
+            .iter()
+            .map(|frame| frame.as_ref().map(|f| group_rows(f.backing())))
+            .collect();
         collect_results(
             &self.compiled.program,
             &group_finals,
@@ -1164,15 +1162,21 @@ impl Runtime {
     }
 }
 
-/// Sorted `(key, state, valid)` rows of one aggregation's combined results —
-/// the single construction [`Runtime::collect`] and the poll paths share,
-/// so the drained and polled views of a store can never diverge.
-fn group_rows(backing: &BackingStore<InlineKey, FoldState>) -> Vec<(Vec<i64>, Vec<Value>, bool)> {
-    let mut rows: Vec<(Vec<i64>, Vec<Value>, bool)> = backing
+/// One aggregation's `(key words, state variables, valid)` rows, sorted by
+/// key words and borrowed from the store, frame or oracle map they describe.
+pub(crate) type GroupRows<'a> = Vec<(&'a [i64], &'a [Value], bool)>;
+
+/// Sorted rows of one aggregation's combined results — the single
+/// construction [`Runtime::collect`] and the poll paths share, so the
+/// drained and polled views of a store can never diverge. Keys are unique,
+/// so the unstable sort is deterministic; it is also what makes result
+/// order independent of the table's (insertion) order.
+fn group_rows(backing: &BackingStore<InlineKey, FoldState>) -> GroupRows<'_> {
+    let mut rows: GroupRows<'_> = backing
         .iter()
-        .map(|(k, entry)| (k.to_vec(), entry.latest().vars.to_vec(), entry.is_valid()))
+        .map(|(k, entry)| (k.as_slice(), &*entry.latest().vars, entry.is_valid()))
         .collect();
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    rows.sort_unstable_by_key(|row| row.0);
     rows
 }
 
@@ -1195,27 +1199,26 @@ pub(crate) fn poll_collect(
     stores: &[Option<Vec<(&Runtime, usize)>>],
 ) -> ResultSet {
     let lead = capture_shards[0];
-    let mut group_finals: Vec<Option<Vec<(Vec<i64>, Vec<Value>, bool)>>> =
-        Vec::with_capacity(stores.len());
-    for src in stores {
-        match src {
-            Some(list) => {
-                let (rt0, q0) = list[0];
-                let store0 = rt0.stores[q0]
+    // The frames outlive the rows borrowed from them.
+    let frames: Vec<Option<StoreSnapshot<InlineKey, FoldState>>> = stores
+        .iter()
+        .map(|src| {
+            let mut sources = src.as_ref()?.iter().map(|&(rt, q)| {
+                rt.stores[q]
                     .as_ref()
-                    .expect("poll sources are aggregation stores");
-                let mut snap = store0.snapshot();
-                for &(rt, q) in &list[1..] {
-                    rt.stores[q]
-                        .as_ref()
-                        .expect("poll sources are aggregation stores")
-                        .snapshot_merge_into(&mut snap);
-                }
-                group_finals.push(Some(group_rows(snap.backing())));
+                    .expect("poll sources are aggregation stores")
+            });
+            let mut snap = sources.next().expect("≥1 source per store").snapshot();
+            for store in sources {
+                store.snapshot_merge_into(&mut snap);
             }
-            None => group_finals.push(None),
-        }
-    }
+            Some(snap)
+        })
+        .collect();
+    let group_finals: Vec<Option<GroupRows<'_>>> = frames
+        .iter()
+        .map(|frame| frame.as_ref().map(|f| group_rows(f.backing())))
+        .collect();
     let captures: Vec<Option<Capture>> = if capture_shards.len() == 1 {
         lead.captures.clone()
     } else {
@@ -1276,7 +1279,7 @@ fn key_to_value(word: i64, ty: ValueType) -> Value {
 /// Build the final tables shared by the runtime and the oracle.
 pub(crate) fn collect_results(
     program: &ResolvedProgram,
-    group_finals: &[Option<Vec<(Vec<i64>, Vec<Value>, bool)>>],
+    group_finals: &[Option<GroupRows<'_>>],
     captures: &[Option<Capture>],
     params: &[Value],
 ) -> ResultSet {

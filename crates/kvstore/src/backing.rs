@@ -12,18 +12,26 @@
 //!   epoch; keys with more than one epoch are *invalid* because no merge
 //!   function can reconcile them (§3.2, "Operations that are not linear in
 //!   state"). Fig. 6's accuracy metric is the fraction of valid keys.
-
-//! The table itself is an open-addressing map (seeded SplitMix hash, linear
-//! probe, tombstone-free backward-shift delete) rather than
-//! `std::collections::HashMap`: absorbing an eviction or a shard drain
-//! touches one contiguous probe run instead of SipHash plus a
-//! control-byte/bucket indirection, which keeps the epoch-absorb and
-//! `absorb_entry` merge paths cache-friendly under the sharded drain — and,
-//! once a key has been seen, re-absorbing it allocates nothing.
+//!
+//! The table is a **dense entry arena behind a compact index**. Records
+//! live in a `Vec` in insertion order; a power-of-two `Vec<u64>` of index
+//! words (`low 32 bits of the key's seeded SplitMix hash << 32 | arena
+//! index`, `u64::MAX` = empty) is linear-probed at ≤ 7/8 load. A probe walks
+//! 8-byte words — eight per cache line — and touches the arena only on a
+//! 32-bit tag match; growth rebuilds the index from its own words (a word
+//! carries its home position) and never moves a record. Deletion is
+//! tombstone-free: a backward shift over index words, then `swap_remove` on
+//! the arena and one re-point of the moved record's word — so iteration is
+//! insertion order until a removal moves the last record into the hole.
+//! Result order never depends on it (results are sorted by key words).
+//! The first epoch of every record is stored inline ([`EpochList`]), so
+//! absorbing a first-seen key allocates nothing beyond amortized arena and
+//! index growth. At most `u32::MAX − 1` records fit one table.
 
 use crate::hash::hash_key;
 use perfq_packet::Nanos;
 use std::hash::Hash;
+use std::ops::{Deref, DerefMut};
 
 /// How evicted values are absorbed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,17 +55,106 @@ pub struct Epoch<V> {
     pub last_seen: Nanos,
 }
 
+/// A record's per-residency values: never empty, the first epoch stored
+/// inline, a `Vec` only once a [`MergeMode::Epochs`] key has a second
+/// residency. Derefs to `[Epoch<V>]` and compares by contents (a spilled
+/// list rewritten to one epoch keeps its allocation for the next refill).
+#[derive(Debug, Clone)]
+pub struct EpochList<V>(Repr<V>);
+
+#[derive(Debug, Clone)]
+enum Repr<V> {
+    One(Epoch<V>),
+    Many(Vec<Epoch<V>>),
+}
+
+impl<V> EpochList<V> {
+    /// A list holding exactly `epoch`.
+    #[must_use]
+    pub fn one(epoch: Epoch<V>) -> Self {
+        EpochList(Repr::One(epoch))
+    }
+
+    /// Append a later residency.
+    pub fn push(&mut self, epoch: Epoch<V>) {
+        if let Repr::Many(v) = &mut self.0 {
+            return v.push(epoch);
+        }
+        let Repr::One(first) = std::mem::replace(&mut self.0, Repr::Many(Vec::new())) else {
+            unreachable!("the spilled case returned above")
+        };
+        self.0 = Repr::Many(vec![first, epoch]);
+    }
+
+    /// Rewrite the list to `src`'s epochs (at least one), reusing a spilled
+    /// list's allocation.
+    fn refill(&mut self, mut src: impl ExactSizeIterator<Item = Epoch<V>>) {
+        debug_assert!(src.len() > 0, "records have ≥1 epoch");
+        match &mut self.0 {
+            Repr::Many(v) => {
+                v.clear();
+                v.extend(src);
+            }
+            Repr::One(e) if src.len() == 1 => *e = src.next().expect("length checked"),
+            Repr::One(_) => self.0 = Repr::Many(src.collect()),
+        }
+    }
+
+    /// Consume the epochs in order, without the `Vec` a by-value iterator
+    /// over the inline case would need.
+    fn for_each(self, mut f: impl FnMut(Epoch<V>)) {
+        match self.0 {
+            Repr::One(e) => f(e),
+            Repr::Many(v) => v.into_iter().for_each(f),
+        }
+    }
+}
+
+impl<V> Deref for EpochList<V> {
+    type Target = [Epoch<V>];
+
+    fn deref(&self) -> &[Epoch<V>] {
+        match &self.0 {
+            Repr::One(e) => std::slice::from_ref(e),
+            Repr::Many(v) => v,
+        }
+    }
+}
+
+impl<V> DerefMut for EpochList<V> {
+    fn deref_mut(&mut self) -> &mut [Epoch<V>] {
+        match &mut self.0 {
+            Repr::One(e) => std::slice::from_mut(e),
+            Repr::Many(v) => v,
+        }
+    }
+}
+
+impl<V: PartialEq> PartialEq for EpochList<V> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
 /// A key's standing record in the backing store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackingEntry<V> {
     /// Per-residency values. In `Merge`/`Overwrite` modes this always has
     /// exactly one element; in `Epochs` mode it grows per eviction.
-    pub epochs: Vec<Epoch<V>>,
+    pub epochs: EpochList<V>,
     /// Number of times this key was written back.
     pub writes: u32,
 }
 
 impl<V> BackingEntry<V> {
+    /// The record a key's first write-back creates.
+    fn first(epoch: Epoch<V>) -> Self {
+        BackingEntry {
+            epochs: EpochList::one(epoch),
+            writes: 1,
+        }
+    }
+
     /// A key is valid when a single correct value can be produced for it —
     /// always true for merged/overwritten keys, and true for non-linear keys
     /// with exactly one epoch.
@@ -90,11 +187,33 @@ impl<V> BackingEntry<V> {
 /// needs no per-store seed).
 const PROBE_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// One occupied open-addressing slot.
+/// The empty index word (no record has arena index `u32::MAX`).
+const EMPTY: u64 = u64::MAX;
+
+/// The index word of arena slot `i` for a key hashing to `hash`: the low 32
+/// hash bits (tag *and* home position) above the arena index.
+#[inline]
+fn index_word(hash: u64, i: usize) -> u64 {
+    hash << 32 | i as u64
+}
+
+/// The low 32 hash bits an index word carries.
+#[inline]
+fn tag(word: u64) -> u32 {
+    (word >> 32) as u32
+}
+
+/// Index capacity for `keys` records at ≤ 7/8 load (0 for an empty table).
+fn index_capacity(keys: usize) -> usize {
+    if keys == 0 {
+        return 0;
+    }
+    (keys * 8).div_ceil(7).next_power_of_two().max(16)
+}
+
+/// One arena record.
 #[derive(Debug, Clone)]
 struct TableSlot<K, V> {
-    /// Cached key hash (probe restarts and growth rehash never re-hash keys).
-    hash: u64,
     key: K,
     entry: BackingEntry<V>,
 }
@@ -106,9 +225,12 @@ struct TableSlot<K, V> {
 /// and the evaluation consumes the write **rate**, tracked by `StoreStats`.
 #[derive(Debug, Clone)]
 pub struct BackingStore<K, V> {
-    /// Power-of-two slot array (empty until the first absorb).
-    slots: Vec<Option<TableSlot<K, V>>>,
-    len: usize,
+    /// The records, densely, in insertion order (until a removal swaps the
+    /// last one into the hole).
+    entries: Vec<TableSlot<K, V>>,
+    /// Power-of-two linear-probe index of [`index_word`]s over `entries`
+    /// (empty until the first absorb).
+    index: Vec<u64>,
     mode: MergeMode,
 }
 
@@ -116,9 +238,14 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
     /// Create an empty store with the given absorption mode.
     #[must_use]
     pub fn new(mode: MergeMode) -> Self {
+        Self::with_capacity(mode, 0)
+    }
+
+    /// An empty store sized to take `keys` records without growing.
+    pub(crate) fn with_capacity(mode: MergeMode, keys: usize) -> Self {
         BackingStore {
-            slots: Vec::new(),
-            len: 0,
+            entries: Vec::with_capacity(keys),
+            index: vec![EMPTY; index_capacity(keys)],
             mode,
         }
     }
@@ -132,57 +259,83 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
     /// Number of distinct keys ever written back.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True when nothing has been written back.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
+    /// Home position of an index word (or a hash) under the current mask.
     #[inline]
-    fn mask(&self) -> u64 {
-        debug_assert!(self.slots.len().is_power_of_two());
-        self.slots.len() as u64 - 1
+    fn home(&self, tag: u32) -> usize {
+        debug_assert!(self.index.len().is_power_of_two());
+        tag as usize & (self.index.len() - 1)
     }
 
-    /// Locate `key`: `Ok(index)` of its slot, or `Err(index)` of the empty
-    /// slot that terminates its probe run (the insertion point). Requires a
-    /// non-empty table.
+    /// Locate `key`: `Ok((index position, arena index))` of its record, or
+    /// `Err(index position)` of the empty word that terminates its probe run
+    /// (the insertion point). Requires a non-empty index.
     #[inline]
-    fn find_slot(&self, hash: u64, key: &K) -> Result<usize, usize> {
-        let mask = self.mask();
-        let mut i = (hash & mask) as usize;
+    fn find(&self, hash: u64, key: &K) -> Result<(usize, usize), usize> {
+        let mask = self.index.len() - 1;
+        let mut pos = self.home(hash as u32);
         loop {
-            match &self.slots[i] {
-                None => return Err(i),
-                Some(s) if s.hash == hash && s.key == *key => return Ok(i),
-                Some(_) => i = (i + 1) & mask as usize,
+            let word = self.index[pos];
+            if word == EMPTY {
+                return Err(pos);
             }
+            let i = word as u32 as usize;
+            if tag(word) == hash as u32 && self.entries[i].key == *key {
+                return Ok((pos, i));
+            }
+            pos = (pos + 1) & mask;
         }
     }
 
-    /// Ensure room for one more occupied slot at ≤ 7/8 load, growing (and
-    /// re-placing every slot by its cached hash) when needed.
-    fn reserve_one(&mut self) {
-        if self.slots.is_empty() {
-            self.slots = (0..16).map(|_| None).collect();
-            return;
-        }
-        if (self.len + 1) * 8 <= self.slots.len() * 7 {
-            return;
-        }
-        let new_cap = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| None).collect());
-        let mask = new_cap as u64 - 1;
-        for slot in old.into_iter().flatten() {
-            let mut i = (slot.hash & mask) as usize;
-            while self.slots[i].is_some() {
-                i = (i + 1) & mask as usize;
+    /// [`BackingStore::find`] for the upsert paths: one probe, and only a
+    /// vacant key that would push the index past 7/8 load grows it and
+    /// probes again (an existing key's merge never changes the population,
+    /// so it never triggers a rehash).
+    #[inline]
+    fn probe(&mut self, hash: u64, key: &K) -> Result<(usize, usize), usize> {
+        if !self.index.is_empty() {
+            match self.find(hash, key) {
+                Err(_) if (self.entries.len() + 1) * 8 > self.index.len() * 7 => {}
+                found => return found,
             }
-            self.slots[i] = Some(slot);
         }
+        self.grow();
+        self.find(hash, key)
+    }
+
+    /// Double the index, re-placing every word by the home position it
+    /// carries — the arena is not touched.
+    fn grow(&mut self) {
+        let new_cap = (self.index.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.index, vec![EMPTY; new_cap]);
+        for word in old.into_iter().filter(|w| *w != EMPTY) {
+            let mut pos = self.home(tag(word));
+            while self.index[pos] != EMPTY {
+                pos = (pos + 1) & (new_cap - 1);
+            }
+            self.index[pos] = word;
+        }
+    }
+
+    /// Append a record to the arena and point the vacant index word `pos`
+    /// (from [`BackingStore::probe`]) at it.
+    #[inline]
+    fn insert_at(&mut self, pos: usize, hash: u64, key: K, entry: BackingEntry<V>) {
+        let i = self.entries.len();
+        assert!(
+            i < (u32::MAX - 1) as usize,
+            "a backing table holds at most u32::MAX - 1 records (32-bit arena indices)"
+        );
+        self.index[pos] = index_word(hash, i);
+        self.entries.push(TableSlot { key, entry });
     }
 
     /// Absorb an evicted value. `merge_fn` reconciles the evicted value with
@@ -202,31 +355,11 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
             last_seen,
         };
         let mode = self.mode;
-        if self.slots.is_empty() {
-            self.reserve_one();
-        }
         let hash = hash_key(PROBE_SEED, &key);
-        match self.find_slot(hash, &key) {
-            Err(_) => {
-                // Grow only on the vacant-insert path (an existing key's
-                // merge never changes the population, so it must never
-                // trigger a rehash), then re-probe: growth moves slots.
-                self.reserve_one();
-                let i = self
-                    .find_slot(hash, &key)
-                    .expect_err("key was vacant before growth");
-                self.slots[i] = Some(TableSlot {
-                    hash,
-                    key,
-                    entry: BackingEntry {
-                        epochs: vec![epoch],
-                        writes: 1,
-                    },
-                });
-                self.len += 1;
-            }
-            Ok(i) => {
-                let existing = &mut self.slots[i].as_mut().expect("found slot").entry;
+        match self.probe(hash, &key) {
+            Err(pos) => self.insert_at(pos, hash, key, BackingEntry::first(epoch)),
+            Ok((_, i)) => {
+                let existing = &mut self.entries[i].entry;
                 existing.writes += 1;
                 match mode {
                     MergeMode::Merge => {
@@ -264,39 +397,22 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
     /// * **epochs** — epoch lists concatenate and re-sort by interval, so a
     ///   key split across shards is marked invalid (≥ 2 epochs) exactly
     ///   like a key with two cache residencies — no merge function exists.
-    pub fn absorb_entry(
-        &mut self,
-        key: K,
-        entry: BackingEntry<V>,
-        merge_fn: impl Fn(&mut V, V),
-    ) {
+    pub fn absorb_entry(&mut self, key: K, entry: BackingEntry<V>, merge_fn: impl Fn(&mut V, V)) {
         let mode = self.mode;
-        if self.slots.is_empty() {
-            self.reserve_one();
-        }
         let hash = hash_key(PROBE_SEED, &key);
-        match self.find_slot(hash, &key) {
-            Err(_) => {
-                // As in absorb(): grow on vacant inserts only, then
-                // re-probe against the regrown table.
-                self.reserve_one();
-                let i = self
-                    .find_slot(hash, &key)
-                    .expect_err("key was vacant before growth");
-                self.slots[i] = Some(TableSlot { hash, key, entry });
-                self.len += 1;
-            }
-            Ok(i) => {
-                let existing = &mut self.slots[i].as_mut().expect("found slot").entry;
+        match self.probe(hash, &key) {
+            Err(pos) => self.insert_at(pos, hash, key, entry),
+            Ok((_, i)) => {
+                let existing = &mut self.entries[i].entry;
                 existing.writes += entry.writes;
                 match mode {
                     MergeMode::Merge => {
                         let standing = existing.epochs.last_mut().expect("≥1 epoch");
-                        for epoch in entry.epochs {
+                        entry.epochs.for_each(|epoch| {
                             merge_fn(&mut standing.value, epoch.value);
                             standing.first_seen = standing.first_seen.min(epoch.first_seen);
                             standing.last_seen = standing.last_seen.max(epoch.last_seen);
-                        }
+                        });
                     }
                     MergeMode::Overwrite => {
                         let standing = existing.epochs.last_mut().expect("≥1 epoch");
@@ -304,19 +420,17 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
                         // the ones whose (stale) values are skipped —
                         // matching absorb()'s unconditional min.
                         let mut first = standing.first_seen;
-                        for epoch in entry.epochs {
+                        entry.epochs.for_each(|epoch| {
                             first = first.min(epoch.first_seen);
                             if epoch.last_seen > standing.last_seen {
                                 *standing = epoch;
                             }
-                        }
+                        });
                         standing.first_seen = first;
                     }
                     MergeMode::Epochs => {
-                        existing.epochs.extend(entry.epochs);
-                        existing
-                            .epochs
-                            .sort_by_key(|e| (e.first_seen, e.last_seen));
+                        entry.epochs.for_each(|epoch| existing.epochs.push(epoch));
+                        existing.epochs.sort_by_key(|e| (e.first_seen, e.last_seen));
                     }
                 }
             }
@@ -329,7 +443,7 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
     /// latest-residency / sorted epochs), so the drain is deterministic.
     pub fn merge_from(&mut self, other: BackingStore<K, V>, merge_fn: impl Fn(&mut V, V)) {
         debug_assert_eq!(self.mode, other.mode, "stores must share a merge mode");
-        for slot in other.slots.into_iter().flatten() {
+        for slot in other.entries {
             self.absorb_entry(slot.key, slot.entry, &merge_fn);
         }
     }
@@ -342,9 +456,19 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
     /// folded to, and re-merging the two composites would double-count.
     pub fn replace_from(&mut self, other: BackingStore<K, V>) {
         debug_assert_eq!(self.mode, other.mode, "stores must share a merge mode");
-        for slot in other.slots.into_iter().flatten() {
-            self.remove(&slot.key);
-            self.absorb_entry(slot.key, slot.entry, |_, _| {});
+        for slot in other.entries {
+            self.replace_entry(slot.key, slot.entry);
+        }
+    }
+
+    /// By-value upsert with supersession semantics: `entry` becomes the
+    /// standing record for `key`, whatever stood there before
+    /// ([`BackingStore::replace_from`], snapshot frames at replay).
+    pub(crate) fn replace_entry(&mut self, key: K, entry: BackingEntry<V>) {
+        let hash = hash_key(PROBE_SEED, &key);
+        match self.probe(hash, &key) {
+            Err(pos) => self.insert_at(pos, hash, key, entry),
+            Ok((_, i)) => self.entries[i].entry = entry,
         }
     }
 
@@ -359,29 +483,13 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
         K: Clone,
         V: Clone,
     {
-        if self.slots.is_empty() {
-            self.reserve_one();
-        }
         let hash = hash_key(PROBE_SEED, key);
-        match self.find_slot(hash, key) {
-            Err(_) => {
-                // As in absorb(): grow on vacant inserts only, then re-probe.
-                self.reserve_one();
-                let i = self
-                    .find_slot(hash, key)
-                    .expect_err("key was vacant before growth");
-                self.slots[i] = Some(TableSlot {
-                    hash,
-                    key: key.clone(),
-                    entry: entry.clone(),
-                });
-                self.len += 1;
-            }
-            Ok(i) => {
-                let existing = &mut self.slots[i].as_mut().expect("found slot").entry;
+        match self.probe(hash, key) {
+            Err(pos) => self.insert_at(pos, hash, key.clone(), entry.clone()),
+            Ok((_, i)) => {
+                let existing = &mut self.entries[i].entry;
                 existing.writes = entry.writes;
-                existing.epochs.clear();
-                existing.epochs.extend(entry.epochs.iter().cloned());
+                existing.epochs.refill(entry.epochs.iter().cloned());
             }
         }
     }
@@ -396,39 +504,18 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
         K: Clone,
         V: Clone,
     {
-        if self.slots.is_empty() {
-            self.reserve_one();
-        }
+        let epoch = Epoch {
+            value: value.clone(),
+            first_seen,
+            last_seen,
+        };
         let hash = hash_key(PROBE_SEED, key);
-        match self.find_slot(hash, key) {
-            Err(_) => {
-                self.reserve_one();
-                let i = self
-                    .find_slot(hash, key)
-                    .expect_err("key was vacant before growth");
-                self.slots[i] = Some(TableSlot {
-                    hash,
-                    key: key.clone(),
-                    entry: BackingEntry {
-                        epochs: vec![Epoch {
-                            value: value.clone(),
-                            first_seen,
-                            last_seen,
-                        }],
-                        writes: 1,
-                    },
-                });
-                self.len += 1;
-            }
-            Ok(i) => {
-                let existing = &mut self.slots[i].as_mut().expect("found slot").entry;
+        match self.probe(hash, key) {
+            Err(pos) => self.insert_at(pos, hash, key.clone(), BackingEntry::first(epoch)),
+            Ok((_, i)) => {
+                let existing = &mut self.entries[i].entry;
                 existing.writes = 1;
-                existing.epochs.clear();
-                existing.epochs.push(Epoch {
-                    value: value.clone(),
-                    first_seen,
-                    last_seen,
-                });
+                existing.epochs.refill(std::iter::once(epoch));
             }
         }
     }
@@ -436,49 +523,57 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
     /// Look up a key's standing record.
     #[must_use]
     pub fn get(&self, key: &K) -> Option<&BackingEntry<V>> {
-        if self.len == 0 {
+        if self.entries.is_empty() {
             return None;
         }
-        let hash = hash_key(PROBE_SEED, key);
-        let i = self.find_slot(hash, key).ok()?;
-        Some(&self.slots[i].as_ref().expect("found slot").entry)
+        let (_, i) = self.find(hash_key(PROBE_SEED, key), key).ok()?;
+        Some(&self.entries[i].entry)
     }
 
     /// Remove a key's standing record. Deletion is tombstone-free: the probe
-    /// run past the hole is backward-shifted (each displaced slot moves into
-    /// the hole when its home position permits), so later probes stay short
-    /// no matter how many keys have come and gone.
+    /// run past the hole is backward-shifted over index words (each
+    /// displaced word moves into the hole when the home position it carries
+    /// permits), so later probes stay short no matter how many keys have
+    /// come and gone; the arena stays dense by swapping its last record into
+    /// the freed slot and re-pointing that record's index word.
     pub fn remove(&mut self, key: &K) -> Option<BackingEntry<V>> {
-        if self.len == 0 {
+        if self.entries.is_empty() {
             return None;
         }
-        let hash = hash_key(PROBE_SEED, key);
-        let removed_at = self.find_slot(hash, key).ok()?;
-        let removed = self.slots[removed_at].take().expect("found slot");
-        self.len -= 1;
-        let mask = self.mask() as usize;
+        let (removed_at, i) = self.find(hash_key(PROBE_SEED, key), key).ok()?;
+        let mask = self.index.len() - 1;
         let mut hole = removed_at;
-        let mut i = (removed_at + 1) & mask;
-        while let Some(s) = &self.slots[i] {
-            let home = (s.hash as usize) & mask;
-            // Shift back unless the slot already sits within [home, i)'s
+        let mut pos = (removed_at + 1) & mask;
+        while self.index[pos] != EMPTY {
+            let home = self.home(tag(self.index[pos]));
+            // Shift back unless the word already sits within [home, pos)'s
             // probe run without passing the hole (cyclic distance test).
-            let dist_from_home = i.wrapping_sub(home) & mask;
-            let dist_from_hole = i.wrapping_sub(hole) & mask;
+            let dist_from_home = pos.wrapping_sub(home) & mask;
+            let dist_from_hole = pos.wrapping_sub(hole) & mask;
             if dist_from_home >= dist_from_hole {
-                self.slots[hole] = self.slots[i].take();
-                hole = i;
+                self.index[hole] = self.index[pos];
+                hole = pos;
             }
-            i = (i + 1) & mask;
+            pos = (pos + 1) & mask;
+        }
+        self.index[hole] = EMPTY;
+        let removed = self.entries.swap_remove(i);
+        if let Some(moved) = self.entries.get(i) {
+            // The former last record now lives at `i`: find the word that
+            // still names its old arena index and re-point it.
+            let was = self.entries.len();
+            let mut pos = self.home(hash_key(PROBE_SEED, &moved.key) as u32);
+            while self.index[pos] as u32 as usize != was {
+                pos = (pos + 1) & mask;
+            }
+            self.index[pos] = index_word(tag(self.index[pos]).into(), i);
         }
         Some(removed.entry)
     }
 
     /// Iterate over all records.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &BackingEntry<V>)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|s| (&s.key, &s.entry)))
+        self.entries.iter().map(|s| (&s.key, &s.entry))
     }
 
     /// Count of valid keys (Fig. 6's numerator).
@@ -491,20 +586,18 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
     /// empty store (no keys ⇒ nothing is wrong).
     #[must_use]
     pub fn accuracy(&self) -> f64 {
-        if self.len == 0 {
+        if self.is_empty() {
             1.0
         } else {
-            self.valid_keys() as f64 / self.len as f64
+            self.valid_keys() as f64 / self.len() as f64
         }
     }
 
-    /// Drop all records (start of a new measurement window). Keeps the slot
-    /// array's capacity so a reused store re-fills allocation-free.
+    /// Drop all records (start of a new measurement window). Keeps the arena
+    /// and index capacity so a reused store re-fills allocation-free.
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
-        self.len = 0;
+        self.index.fill(EMPTY);
+        self.entries.clear();
     }
 }
 
@@ -616,7 +709,10 @@ mod tests {
         b.absorb(1, 9, Nanos(0), Nanos(5), add);
         a.merge_from(b, add);
         let e = a.get(&1).unwrap();
-        assert!(!e.is_valid(), "a key split across stores has no single value");
+        assert!(
+            !e.is_valid(),
+            "a key split across stores has no single value"
+        );
         assert_eq!(e.epochs.len(), 2);
         assert_eq!(e.epochs[0].value, 9, "epochs sorted by interval");
         assert_eq!(e.epochs[1].value, 5);
@@ -629,5 +725,302 @@ mod tests {
         b.clear();
         assert!(b.is_empty());
         assert!(b.get(&1).is_none());
+    }
+}
+
+/// Model-based test of the arena + index table: random operation sequences
+/// against a `HashMap` reference that shares none of the table's code, with
+/// the index's structural invariants checked after every step.
+#[cfg(test)]
+mod model {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    type RefEpochs = Vec<(u64, Nanos, Nanos)>;
+
+    /// The reference record: plain vectors, semantics restated from the
+    /// method docs.
+    #[derive(Debug, Clone, PartialEq)]
+    struct RefEntry {
+        epochs: RefEpochs,
+        writes: u32,
+    }
+
+    struct Model {
+        mode: MergeMode,
+        map: HashMap<u64, RefEntry>,
+    }
+
+    impl Model {
+        fn absorb_entry(&mut self, key: u64, entry: RefEntry) {
+            let Some(existing) = self.map.get_mut(&key) else {
+                self.map.insert(key, entry);
+                return;
+            };
+            existing.writes += entry.writes;
+            match self.mode {
+                MergeMode::Merge => {
+                    let standing = existing.epochs.last_mut().unwrap();
+                    for (v, first, last) in entry.epochs {
+                        standing.0 += v;
+                        standing.1 = standing.1.min(first);
+                        standing.2 = standing.2.max(last);
+                    }
+                }
+                MergeMode::Overwrite => {
+                    let standing = existing.epochs.last_mut().unwrap();
+                    let first = entry
+                        .epochs
+                        .iter()
+                        .map(|e| e.1)
+                        .min()
+                        .unwrap()
+                        .min(standing.1);
+                    for e in entry.epochs {
+                        if e.2 > standing.2 {
+                            *standing = e;
+                        }
+                    }
+                    standing.1 = first;
+                }
+                MergeMode::Epochs => {
+                    existing.epochs.extend(entry.epochs);
+                    existing.epochs.sort_by_key(|e| (e.1, e.2));
+                }
+            }
+        }
+
+        /// `absorb` differs from a one-epoch `absorb_entry` only in trusting
+        /// temporal order: the evicted residency's `last_seen` is taken as is
+        /// and the value always replaces in overwrite mode.
+        fn absorb(&mut self, key: u64, epoch: (u64, Nanos, Nanos)) {
+            let mode = self.mode;
+            match self.map.get_mut(&key) {
+                Some(existing) if mode != MergeMode::Epochs => {
+                    existing.writes += 1;
+                    let standing = existing.epochs.last_mut().unwrap();
+                    let first = standing.1.min(epoch.1);
+                    let value = match mode {
+                        MergeMode::Merge => standing.0 + epoch.0,
+                        _ => epoch.0,
+                    };
+                    *standing = (value, first, epoch.2);
+                }
+                _ => self.absorb_entry(
+                    key,
+                    RefEntry {
+                        epochs: vec![epoch],
+                        writes: 1,
+                    },
+                ),
+            }
+        }
+    }
+
+    fn as_ref_entry(e: &BackingEntry<u64>) -> RefEntry {
+        RefEntry {
+            epochs: e
+                .epochs
+                .iter()
+                .map(|ep| (ep.value, ep.first_seen, ep.last_seen))
+                .collect(),
+            writes: e.writes,
+        }
+    }
+
+    fn as_entry(e: &RefEntry) -> BackingEntry<u64> {
+        let mut epochs = e
+            .epochs
+            .iter()
+            .map(|&(value, first_seen, last_seen)| Epoch {
+                value,
+                first_seen,
+                last_seen,
+            });
+        let mut list = EpochList::one(epochs.next().expect("≥1 epoch"));
+        epochs.for_each(|ep| list.push(ep));
+        BackingEntry {
+            epochs: list,
+            writes: e.writes,
+        }
+    }
+
+    /// Every index word names the arena record whose hash it carries, every
+    /// record is named exactly once, and the load stays ≤ 7/8.
+    fn check_index(t: &BackingStore<u64, u64>) {
+        assert!(t.index.is_empty() || t.index.len().is_power_of_two());
+        assert!(t.entries.len() * 8 <= t.index.len() * 7, "load factor");
+        let mut named = vec![false; t.entries.len()];
+        for &word in t.index.iter().filter(|w| **w != EMPTY) {
+            let i = word as u32 as usize;
+            assert!(
+                i < t.entries.len(),
+                "word names arena slot {i} past the end"
+            );
+            assert!(
+                !std::mem::replace(&mut named[i], true),
+                "slot {i} named twice"
+            );
+            let hash = hash_key(PROBE_SEED, &t.entries[i].key);
+            assert_eq!(tag(word), hash as u32, "word carries another key's hash");
+        }
+        assert!(named.iter().all(|n| *n), "a record lost its index word");
+    }
+
+    /// `len`, `get` over the whole key domain (present and absent keys) and
+    /// the `iter()` set agree with the reference.
+    fn check_against(t: &BackingStore<u64, u64>, m: &Model, domain: u64) {
+        check_index(t);
+        assert_eq!(t.len(), m.map.len());
+        assert_eq!(t.is_empty(), m.map.is_empty());
+        for k in 0..domain {
+            assert_eq!(
+                t.get(&k).map(as_ref_entry).as_ref(),
+                m.map.get(&k),
+                "get({k})"
+            );
+        }
+        let mut seen: Vec<(u64, RefEntry)> = t.iter().map(|(k, e)| (*k, as_ref_entry(e))).collect();
+        seen.sort_by_key(|(k, _)| *k);
+        let mut want: Vec<(u64, RefEntry)> = m.map.iter().map(|(k, e)| (*k, e.clone())).collect();
+        want.sort_by_key(|(k, _)| *k);
+        assert_eq!(seen, want, "iter() set");
+    }
+
+    fn add(standing: &mut u64, evicted: u64) {
+        *standing += evicted;
+    }
+
+    const MODES: [MergeMode; 3] = [MergeMode::Merge, MergeMode::Overwrite, MergeMode::Epochs];
+    /// Wide enough to cross the 16 → 32 → 64 index growths.
+    const DOMAIN: u64 = 48;
+
+    /// A small side table for the `merge_from` / `replace_from` steps,
+    /// built identically on both sides.
+    fn side_tables(mode: MergeMode, seed: u64, t0: u64) -> (BackingStore<u64, u64>, Model) {
+        let mut t = BackingStore::new(mode);
+        let mut m = Model {
+            mode,
+            map: HashMap::new(),
+        };
+        for j in 0..(seed % 7) {
+            let key = (seed * 7 + j * 5) % DOMAIN;
+            let (first, last) = (Nanos(t0 + j), Nanos(t0 + j + seed % 3));
+            t.absorb(key, seed + j, first, last, add);
+            m.absorb(key, (seed + j, first, last));
+        }
+        (t, m)
+    }
+
+    proptest! {
+        #[test]
+        fn random_ops_match_hashmap_reference(
+            ops in prop::collection::vec((0u8..20, 0u64..DOMAIN, 0u64..1000, 0u64..40), 1..400),
+            mode_sel in 0usize..3,
+        ) {
+            let mode = MODES[mode_sel];
+            let mut t: BackingStore<u64, u64> = BackingStore::new(mode);
+            let mut m = Model { mode, map: HashMap::new() };
+            let mut now = 0u64;
+            for (op, key, value, dt) in ops {
+                now += 1 + dt;
+                let (first, last) = (Nanos(now), Nanos(now + dt));
+                match op {
+                    0..=6 => {
+                        t.absorb(key, value, first, last, add);
+                        m.absorb(key, (value, first, last));
+                    }
+                    7..=8 => {
+                        // A two-residency entry from "another shard", its
+                        // interval interleaved with what stands here.
+                        let early = Nanos(now.saturating_sub(2 * dt));
+                        let entry = RefEntry {
+                            epochs: vec![(value, early, first), (value + 1, first, last)],
+                            writes: 2,
+                        };
+                        let entry = if mode == MergeMode::Epochs { entry } else {
+                            RefEntry { epochs: vec![entry.epochs[0]], writes: 1 }
+                        };
+                        t.absorb_entry(key, as_entry(&entry), add);
+                        m.absorb_entry(key, entry);
+                    }
+                    9..=10 => {
+                        let entry = RefEntry { epochs: vec![(value, first, last)], writes: 3 };
+                        t.copy_entry(&key, &as_entry(&entry));
+                        m.map.insert(key, entry);
+                    }
+                    11 => {
+                        t.set_single_epoch(&key, &value, first, last);
+                        m.map.insert(key, RefEntry { epochs: vec![(value, first, last)], writes: 1 });
+                    }
+                    12..=16 => {
+                        let got = t.remove(&key).as_ref().map(as_ref_entry);
+                        prop_assert_eq!(got, m.map.remove(&key), "remove({})", key);
+                    }
+                    17 => {
+                        let (other, other_m) = side_tables(mode, value, now);
+                        t.merge_from(other, add);
+                        for (k, e) in other_m.map {
+                            m.absorb_entry(k, e);
+                        }
+                    }
+                    18 => {
+                        let (other, other_m) = side_tables(mode, value, now);
+                        t.replace_from(other);
+                        m.map.extend(other_m.map);
+                    }
+                    _ => {
+                        if value % 8 == 0 {
+                            t.clear();
+                            m.map.clear();
+                        }
+                    }
+                }
+                check_against(&t, &m, DOMAIN);
+            }
+        }
+    }
+
+    /// The `swap_remove` re-point, forced: remove the first, the last and
+    /// the only record, at populations on both sides of every growth
+    /// boundary of a small table.
+    #[test]
+    fn removing_first_last_and_only_record_repoints_the_moved_word() {
+        for n in [1u64, 2, 13, 14, 15, 16, 28, 29, 30] {
+            for victim in [0, n - 1, n / 2] {
+                let mut t: BackingStore<u64, u64> = BackingStore::new(MergeMode::Merge);
+                let mut m = Model {
+                    mode: MergeMode::Merge,
+                    map: HashMap::new(),
+                };
+                for k in 0..n {
+                    t.absorb(k, k, Nanos(k), Nanos(k), add);
+                    m.absorb(k, (k, Nanos(k), Nanos(k)));
+                }
+                // Arena order is insertion order: key `victim` is record `victim`.
+                assert_eq!(t.iter().nth(victim as usize).map(|(k, _)| *k), Some(victim));
+                assert_eq!(
+                    t.remove(&victim).as_ref().map(as_ref_entry),
+                    m.map.remove(&victim)
+                );
+                check_against(&t, &m, n + 1);
+                // Drain the rest front to back: every removal but the last
+                // moves the tail record.
+                for k in (0..n).filter(|k| *k != victim) {
+                    assert!(
+                        t.remove(&k).is_some(),
+                        "key {k} lost (n {n}, victim {victim})"
+                    );
+                    m.map.remove(&k);
+                    check_against(&t, &m, n + 1);
+                }
+                assert!(t.is_empty() && t.remove(&victim).is_none());
+                // A drained table re-fills in place.
+                t.absorb(victim, 1, Nanos(0), Nanos(0), add);
+                m.absorb(victim, (1, Nanos(0), Nanos(0)));
+                check_against(&t, &m, n + 1);
+            }
+        }
     }
 }

@@ -74,11 +74,13 @@
 //!   compares and (for wide keys) ~one key confirm; eviction moves the
 //!   victim out by `mem::replace`. See [`cache`]'s module docs for the
 //!   diagram.
-//! * **Backing store — open addressing.** Evictions land in a seeded
-//!   SplitMix linear-probe table (tombstone-free backward-shift deletes),
-//!   so absorbing an eviction or a sharded drain walks one contiguous probe
-//!   run instead of hashing into `std`'s SipHash buckets — and re-absorbing
-//!   a known key allocates nothing.
+//! * **Backing store — dense arena behind a compact index.** Evictions
+//!   land in a `Vec` of records addressed through a seeded SplitMix
+//!   linear-probe index of 8-byte words (tombstone-free backward-shift
+//!   deletes), so a probe, a delete or a growth walks index words instead
+//!   of record-sized slots, drains and checkpoints walk the records
+//!   densely — and absorbing a key, known or first-seen, allocates nothing
+//!   beyond amortized table growth.
 //!
 //! The layout is behaviorally invisible — `tests/store_differential.rs`
 //! pins hit/miss/eviction streams and Fig. 5 hit rates byte-identical to
@@ -152,8 +154,11 @@
 //! file vs. another's) reaches the same merged record the live store would
 //! have held. Non-commutative linear folds (EWMA's `merge` is
 //! order-sensitive) are covered by two invariants. *Tier confinement*: a
-//! victim spills only when its key has no in-RAM record, so a disk-confined
-//! key's entry frames are temporally ordered on disk and fold exactly.
+//! victim spills only when its key has no in-RAM record — and, once the
+//! tier holds frames, *every* such victim spills until the tier is folded
+//! back (a latch, not a per-victim size test) — so a disk-confined key's
+//! entry frames are temporally ordered on disk, fold exactly, and are never
+//! shadowed by a later RAM record of the same key.
 //! *Snapshot supersession*: a standing RAM record is already a composite,
 //! and a fold-state merge is only exact when the incoming operand is a
 //! fresh cache residency — so checkpoints dump RAM records as SNAPSHOT
@@ -215,7 +220,7 @@ pub mod wal;
 pub use area::{
     AreaPlan, CachePlanner, PlanError, QueryAllocation, QueryDemand, StoreAllocation, StoreDemand,
 };
-pub use backing::{BackingEntry, BackingStore, Epoch, MergeMode};
+pub use backing::{BackingEntry, BackingStore, Epoch, EpochList, MergeMode};
 pub use cache::{CacheEntry, CacheSlotRef, SlotHandle, SlotKey, SramCache};
 pub use geometry::CacheGeometry;
 pub use key::{InlineKey, INLINE_KEY_WORDS};

@@ -12,11 +12,18 @@
 //!   ([`BackingStore::absorb_entry`]) of every WAL frame up to the last
 //!   checkpoint, republished atomically with a bumped generation number.
 //!
-//! **Tier confinement invariant.** A victim is routed to the WAL only when
-//! its key has no standing in-RAM record *and* the RAM table is at the
-//! high-water mark; a key with an in-RAM record always merges there. Hence
-//! a disk-confined key's entry frames are written in temporal order and
-//! fold exactly, fresh residency by fresh residency.
+//! **Tier confinement invariant.** A key with a standing in-RAM record
+//! always merges there. A victim whose key has none is routed to the WAL
+//! when the RAM table is at the high-water mark — and from then on the
+//! decision is a *latch*: while the tier holds frames
+//! ([`SpillTier::is_dirty`]), every victim without a RAM record spills,
+//! also after [`crate::SplitStore::remove_key`] shrank the table below the
+//! mark, until a final materialization folds the disk back and retires the
+//! tier. Hence entry frames on disk ⇒ no RAM record for that key: a
+//! disk-confined key's frames are written in temporal order and fold
+//! exactly, fresh residency by fresh residency, and a RAM record never
+//! shadows older entry frames of its own key (`tests/durability_property.rs`
+//! pins the table-shrink case).
 //!
 //! **Snapshot supersession invariant.** Checkpoints
 //! ([`crate::SplitStore::persist`]) dump standing RAM records as
@@ -31,7 +38,7 @@
 //! See the crate docs ("Durability & recovery") for the full frame format
 //! and the recovery-equals-absorb argument.
 
-use crate::backing::{BackingEntry, BackingStore, Epoch, MergeMode};
+use crate::backing::{BackingEntry, BackingStore, Epoch, EpochList, MergeMode};
 use crate::wal::{
     begin_frame, end_frame, put_header, read_header, ByteReader, ByteWriter as _, FrameScanner,
     Persist, SharedBackend, HEADER_LEN, TAG_CHECKPOINT, TAG_ENTRY, TAG_SNAPSHOT, TAG_TOMBSTONE,
@@ -109,6 +116,9 @@ pub struct SpillTier<K, V> {
     /// Set once the tier's durable truth has been folded back into RAM by a
     /// final materialization — further reads must not re-apply it.
     retired: bool,
+    /// Keys the last compaction folded into the segment — the next one's
+    /// table is presized from it.
+    segment_keys: usize,
     stats: SpillStats,
     enc_key: fn(&K, &mut Vec<u8>),
     dec_key: fn(&mut ByteReader<'_>) -> Option<K>,
@@ -136,6 +146,7 @@ impl<K: Persist, V: Persist> SpillTier<K, V> {
             buf: Vec::with_capacity(cfg.group_commit_bytes + 1024),
             dirty: false,
             retired: false,
+            segment_keys: 0,
             stats: SpillStats::default(),
             enc_key: encode_of::<K>,
             dec_key: decode_of::<K>,
@@ -219,7 +230,7 @@ impl<K, V> SpillTier<K, V> {
         (self.enc_key)(key, &mut self.buf);
         self.buf.put_u32(entry.writes);
         self.buf.put_u32(entry.epochs.len() as u32);
-        for e in &entry.epochs {
+        for e in entry.epochs.iter() {
             self.buf.put_u64(e.first_seen.0);
             self.buf.put_u64(e.last_seen.0);
             (self.enc_val)(&e.value, &mut self.buf);
@@ -336,8 +347,7 @@ impl<K, V> SpillTier<K, V> {
                     let Some((key, entry)) = self.decode_entry(&mut r) else {
                         break;
                     };
-                    out.remove(&key);
-                    out.absorb_entry(key, entry, merge);
+                    out.replace_entry(key, entry);
                 }
                 Some(TAG_TOMBSTONE) => {
                     let Some(key) = (self.dec_key)(&mut r) else {
@@ -354,17 +364,23 @@ impl<K, V> SpillTier<K, V> {
     fn decode_entry(&self, r: &mut ByteReader<'_>) -> Option<(K, BackingEntry<V>)> {
         let key = (self.dec_key)(r)?;
         let writes = r.u32()?;
-        let n = r.u32()? as usize;
-        let mut epochs = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
+        let n = r.u32()?;
+        if n == 0 {
+            return None; // a record has ≥ 1 epoch: the frame is garbage
+        }
+        let mut epoch = || {
             let first_seen = Nanos(r.u64()?);
             let last_seen = Nanos(r.u64()?);
             let value = (self.dec_val)(r)?;
-            epochs.push(Epoch {
+            Some(Epoch {
                 value,
                 first_seen,
                 last_seen,
-            });
+            })
+        };
+        let mut epochs = EpochList::one(epoch()?);
+        for _ in 1..n {
+            epochs.push(epoch()?);
         }
         Some((key, BackingEntry { epochs, writes }))
     }
@@ -384,8 +400,9 @@ impl<K, V> SpillTier<K, V> {
         K: Eq + Hash,
     {
         self.commit()?;
-        let mut truth = BackingStore::new(self.mode);
+        let mut truth = BackingStore::with_capacity(self.mode, self.segment_keys);
         self.materialize_into(&mut truth, &merge)?;
+        self.segment_keys = truth.len();
         let next_gen = self.generation + 1;
         let mut seg = Vec::new();
         put_header(&mut seg, next_gen);
@@ -395,7 +412,7 @@ impl<K, V> SpillTier<K, V> {
             (self.enc_key)(key, &mut seg);
             seg.put_u32(entry.writes);
             seg.put_u32(entry.epochs.len() as u32);
-            for e in &entry.epochs {
+            for e in entry.epochs.iter() {
                 seg.put_u64(e.first_seen.0);
                 seg.put_u64(e.last_seen.0);
                 (self.enc_val)(&e.value, &mut seg);

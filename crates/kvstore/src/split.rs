@@ -325,7 +325,11 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// [`SplitStore::snapshot_into`] instead.
     #[must_use]
     pub fn snapshot(&self) -> StoreSnapshot<K, O::Value> {
-        let mut snap = StoreSnapshot::new(self.ops.merge_mode());
+        let keys = self.backing.len() + self.cache.len();
+        let mut snap = StoreSnapshot {
+            backing: BackingStore::with_capacity(self.ops.merge_mode(), keys),
+            stats: StoreStats::default(),
+        };
         self.snapshot_into(&mut snap);
         snap
     }
@@ -555,7 +559,7 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
         if !tier.is_dirty() {
             return Ok(());
         }
-        let mut disk = BackingStore::new(ops.merge_mode());
+        let mut disk = BackingStore::with_capacity(ops.merge_mode(), backing.len());
         tier.materialize_into(&mut disk, |standing, evicted| {
             ops.merge(standing, evicted);
         })?;
@@ -715,8 +719,10 @@ impl<K: Eq + Hash, V> Default for StoreSnapshot<K, V> {
 // idle-sweep paths — some of which hold other borrows of the store — share
 // one implementation. Tier confinement: a victim whose key has a standing
 // in-RAM record always merges there (keeping each key's durable frames
-// temporally ordered and older than any RAM record); only a new key past
-// the high-water mark spills.
+// temporally ordered and older than any RAM record); a new key spills past
+// the high-water mark and — the latch — for as long as the tier holds
+// frames, so a table shrunk by `remove_key` can never grow a RAM record
+// that would shadow the key's own entry frames at `replace_from`.
 fn route_entry<K: Eq + Hash, O: ValueOps>(
     backing: &mut BackingStore<K, O::Value>,
     spill: &mut Option<SpillTier<K, O::Value>>,
@@ -725,8 +731,8 @@ fn route_entry<K: Eq + Hash, O: ValueOps>(
 ) {
     if let Some(tier) = spill {
         if !tier.is_retired()
+            && (backing.len() >= tier.high_water() || tier.is_dirty())
             && backing.get(&entry.key).is_none()
-            && backing.len() >= tier.high_water()
         {
             tier.offer_victim(&entry.key, &entry.value, entry.first_seen, entry.last_seen);
             return;

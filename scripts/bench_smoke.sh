@@ -41,8 +41,9 @@ echo "== equivalence gate: engines + store layout vs references =="
 # the steady-state path allocation-free, and the durable tier
 # crash-equivalent (recovered state ≡ a never-crashed durable run at every
 # I/O boundary, WAL corruption cut at frame granularity) before timing
-# anything.
-cargo test --release -q \
+# anything. --no-fail-fast: one red target must not hide the ones ordered
+# after it.
+cargo test --release -q --no-fail-fast \
     --test batch_equivalence \
     --test shard_equivalence \
     --test shard_property \

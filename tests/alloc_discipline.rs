@@ -15,7 +15,8 @@
 
 use perfq_core::{compile_query, Durability, MultiRuntime, Runtime};
 use perfq_kvstore::{
-    CacheGeometry, CounterOps, EvictionPolicy, MemBackend, SharedBackend, SpillConfig, SplitStore,
+    BackingStore, CacheGeometry, CounterOps, EvictionPolicy, MemBackend, MergeMode, SharedBackend,
+    SpillConfig, SplitStore,
 };
 use perfq_lang::fig2;
 use perfq_packet::Nanos;
@@ -436,5 +437,59 @@ fn steady_state_batched_replay_allocates_nothing() {
                 "drain absorbed every shard record"
             );
         }
+    }
+
+    // The read path. `Runtime::collect()` sorts rows *borrowed* from the
+    // backing arena, so an N-key table costs the one `values` vector each
+    // `ResultRow` owns plus a constant (the row vectors, the table's name
+    // and schema) — not the three vectors per row (key words, state
+    // variables, values) it used to.
+    {
+        let compiled = compile_query(
+            fig2::PER_FLOW_COUNTERS.source,
+            &fig2::default_params(),
+            Default::default(),
+        )
+        .unwrap();
+        let mut rt = Runtime::new(compiled);
+        rt.process_batch(&recs);
+        rt.finish();
+        let before = allocs();
+        let results = rt.collect();
+        let after = allocs();
+        let rows = results.tables[0].rows.len() as u64;
+        assert!(
+            rows > 200,
+            "the pin needs a table worth counting: {rows} rows"
+        );
+        assert!(
+            after - before <= rows + 32,
+            "collect() of {rows} rows allocated {} times",
+            after - before,
+        );
+    }
+
+    // The write path. A first-seen key's record — key, first epoch, write
+    // count — lives inline in the backing arena, so absorbing N new keys in
+    // merge mode allocates only when the arena or its index doubles:
+    // O(log N) times, not N.
+    {
+        const KEYS: u64 = 10_000;
+        let mut table: BackingStore<u64, u64> = BackingStore::new(MergeMode::Merge);
+        let before = allocs();
+        for k in 0..KEYS {
+            table.absorb(k, 1, Nanos(k), Nanos(k), |standing, evicted| {
+                *standing += evicted
+            });
+        }
+        let after = allocs();
+        assert_eq!(table.len() as u64, KEYS);
+        // Two growth sequences (arena, index) of at most log2(N) + 1 steps.
+        let bound = 2 * (u64::from(KEYS.ilog2()) + 2);
+        assert!(
+            after - before <= bound,
+            "absorbing {KEYS} first-seen keys allocated {} times (bound {bound})",
+            after - before,
+        );
     }
 }

@@ -17,7 +17,14 @@
 //! * **remove vs. resurrection** — a removed key stays dead across
 //!   compaction and materialization (the tombstone regression: removing
 //!   only the RAM record would let older WAL/segment frames resurrect the
-//!   key).
+//!   key);
+//! * **tier confinement is a latch** — once the tier holds frames, a key
+//!   without a RAM record keeps spilling even after `remove_key` shrank
+//!   the table below the high-water mark, so no RAM record ever shadows
+//!   its own key's entry frames at materialization;
+//! * **file counts** — a `persist` → `compact` → `recover` round trip over
+//!   a fixed input writes exactly the frames and bytes the fat-slot table
+//!   wrote (arena iteration changes frame order, never frame counts).
 
 use perfq::prelude::*;
 use perfq_core::diff_tables;
@@ -424,4 +431,163 @@ fn removed_key_stays_dead_across_compaction() {
     for i in [0u128, 1, 2, 4, 5] {
         assert!(store.backing().get(&i).is_some(), "unrelated key {i} lost");
     }
+}
+
+/// The tier-confinement regression (ROADMAP "tier-1 is red"): the spill
+/// decision used to re-test `backing.len() >= high_water` per victim, so
+/// after `remove_key` shrank the table a disk-confined key got a fresh RAM
+/// record, and `materialize_spill`'s `replace_from` — whose premise is
+/// "a RAM record is the complete truth for its key" — threw its older
+/// entry frames away.
+#[test]
+fn disk_confined_key_survives_table_shrink() {
+    let (_, backend) = mem_pair();
+    let mut s: SplitStore<u64, CounterOps> = SplitStore::new(
+        CacheGeometry::fully_associative(1),
+        EvictionPolicy::Lru,
+        1,
+        CounterOps,
+    );
+    let cfg = SpillConfig {
+        high_water: 2,
+        group_commit_bytes: 16,
+    };
+    s.enable_spill(backend, "t_", cfg).expect("enable spill");
+    // Fill backing to the high-water mark (2 keys), then spill key 3.
+    s.observe(1, &(), Nanos(0));
+    s.observe(2, &(), Nanos(1)); // evicts 1 -> RAM
+    s.observe(3, &(), Nanos(2)); // evicts 2 -> RAM (len 2 = HW)
+    s.observe(4, &(), Nanos(3)); // evicts 3 -> spilled to WAL (count 1)
+    s.observe(5, &(), Nanos(4)); // evicts 4 -> spilled
+
+    // Shrink the RAM table below the high-water mark.
+    s.remove_key(&1);
+    s.remove_key(&2);
+    // Key 3 returns and is evicted again: the latch keeps it on disk.
+    s.observe(3, &(), Nanos(5));
+    s.observe(6, &(), Nanos(6)); // evicts 3 (count 1)
+    assert!(
+        s.backing().get(&3).is_none(),
+        "a RAM record would shadow key 3's frames"
+    );
+    s.materialize_spill().expect("drain");
+    s.flush();
+    // Truth: key 3 observed twice.
+    assert_eq!(
+        *s.result(&3).expect("key 3").value().expect("valid"),
+        2,
+        "key 3 count"
+    );
+    for gone in [1u64, 2] {
+        assert!(s.result(&gone).is_none(), "removed key {gone} resurrected");
+    }
+}
+
+/// The parent commit's counts for the fixed input below: `(spilled_frames,
+/// commits, checkpoints, compactions)` and `(file bytes, frames)`.
+const PARENT_STATS: (u64, u64, u64, u64) = (1637, 820, 2, 1);
+const PARENT_WAL_1: (usize, usize) = (40013, 817);
+const PARENT_SEG_1: (usize, usize) = (3148, 64);
+const PARENT_WAL_2: (usize, usize) = (40258, 822);
+const PARENT_SEG_2: (usize, usize) = (3148, 64);
+
+/// File-count pin for the arena table: records now iterate in insertion
+/// order, so frame *order* inside the WAL and the segment may differ from
+/// the fat-slot table's — but a `persist` → `compact` → `recover` round
+/// trip must write exactly as many frames and bytes as before. The counts
+/// are the parent commit's (PR 13) for this fixed input.
+#[test]
+fn persist_compact_recover_writes_the_same_frames_and_bytes() {
+    let cfg = SpillConfig {
+        high_water: 8,
+        group_commit_bytes: 64,
+    };
+    let fresh = || -> SplitStore<u64, CounterOps> {
+        SplitStore::new(
+            CacheGeometry::set_associative(4, 2),
+            EvictionPolicy::Lru,
+            0xfeed,
+            CounterOps,
+        )
+    };
+    // 64 keys, LCG-ordered: the table passes the high-water mark long
+    // before the first checkpoint, so victims spill throughout.
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut feed = |s: &mut SplitStore<u64, CounterOps>, from: u64, to: u64| {
+        for i in from..to {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            s.observe((x >> 33) % 64, &(), Nanos(i));
+        }
+    };
+    // (file bytes, frames) of one durable file.
+    let shape = |h: &Arc<Mutex<MemBackend>>, name: &str| -> (usize, usize) {
+        let be = h.lock().expect("mem mutex");
+        let bytes = be.bytes(name).expect("file exists");
+        (
+            bytes.len(),
+            perfq_kvstore::wal::FrameScanner::new(bytes).count(),
+        )
+    };
+
+    let (handle, backend) = mem_pair();
+    let mut s = fresh();
+    s.enable_spill(backend, "t_", cfg).expect("enable spill");
+    feed(&mut s, 0, 1000);
+    s.persist(1000).expect("checkpoint 1");
+    let wal_before_compact = shape(&handle, "t_wal");
+    s.compact_spill().expect("compact 1");
+    feed(&mut s, 1000, 2000);
+    s.persist(2000).expect("checkpoint 2");
+    let stats = s.spill_stats().expect("tier enabled");
+    assert_eq!(
+        (
+            stats.spilled_frames,
+            stats.commits,
+            stats.checkpoints,
+            stats.compactions
+        ),
+        PARENT_STATS,
+        "frames / commits / checkpoints / compactions"
+    );
+    assert_eq!(
+        wal_before_compact, PARENT_WAL_1,
+        "WAL (bytes, frames) at checkpoint 1"
+    );
+    assert_eq!(
+        shape(&handle, "t_seg"),
+        PARENT_SEG_1,
+        "segment (bytes, frames) after compaction 1"
+    );
+    assert_eq!(
+        shape(&handle, "t_wal"),
+        PARENT_WAL_2,
+        "WAL (bytes, frames) at checkpoint 2"
+    );
+
+    // Crash here; recover on a fork, finish the stream, checkpoint again.
+    let (forked, fb) = fork(&handle);
+    let mut r = fresh();
+    r.recover_spill(fb, "t_", cfg, Some(2000)).expect("recover");
+    assert_eq!(r.backing().len(), 64, "every key recovered into RAM");
+    feed(&mut r, 2000, 2500);
+    r.persist(2500).expect("checkpoint 3");
+    r.compact_spill().expect("compact 2");
+    assert_eq!(
+        shape(&forked, "t_seg"),
+        PARENT_SEG_2,
+        "segment (bytes, frames) after recovery"
+    );
+    assert_eq!(
+        shape(&forked, "t_wal"),
+        (12, 0),
+        "compaction leaves an empty WAL"
+    );
+    r.materialize_spill().expect("drain");
+    r.flush();
+    let total: u64 = (0..64)
+        .map(|k| *r.result(&k).expect("key").value().expect("valid"))
+        .sum();
+    assert_eq!(total, 2500, "every observation counted once");
 }
