@@ -11,7 +11,7 @@ use perfq_packet::Nanos;
 fn key_stream(n: usize) -> Vec<u128> {
     let mut keys = Vec::with_capacity(n);
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    for i in 0..n {
+    for _ in 0..n {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
@@ -21,7 +21,7 @@ fn key_stream(n: usize) -> Vec<u128> {
         } else {
             u128::from(x % 4_000_000) | (1u128 << 80)
         };
-        keys.push(k | ((i as u128) << 96) * 0); // keep type inference happy
+        keys.push(k);
     }
     keys
 }

@@ -145,10 +145,10 @@ fn main() {
     // victim/LRU bookkeeping in `upsert_slot`) from the fold (the value
     // write through the held handle); the difference against the key-build
     // baseline isolates each. "Handoff" is the third hot-path component the
-    // sharded dataplane adds on top: a record crossing the lock-free SPSC
-    // ring (13-word encode, padded atomic cursors, batch publication),
-    // measured single-threaded in 256-record batches so the number is the
-    // per-record protocol cost, not cross-core cache traffic.
+    // sharded dataplane adds on top: a record crossing the bounded SPSC
+    // queue (moved into and out of a mutex-guarded ring, one lock per
+    // batch), measured single-threaded in 256-record batches so the number
+    // is the per-record protocol cost, not cross-core cache traffic.
     section("store decomposition (probe vs fold vs handoff):");
     let mut cache: perfq_kvstore::SramCache<InlineKey, u64> = perfq_kvstore::SramCache::new(
         CacheGeometry::set_associative(1 << 16, 8),
@@ -187,7 +187,7 @@ fn main() {
         let (tx, rx) = channel::<QueueRecord>(512);
         let mut batch: Vec<QueueRecord> = Vec::with_capacity(256);
         let mut out: Vec<QueueRecord> = Vec::with_capacity(256);
-        time("store: ring handoff (13-word spsc)", n, || {
+        time("store: ring handoff (mutex spsc)", n, || {
             let mut acc = 0u64;
             for part in records.chunks(256) {
                 batch.extend_from_slice(part);

@@ -94,13 +94,13 @@
 //!   + key build      row + group-key build + hash            62  (cum.)
 //!   store probe      SramCache::upsert_slot                  37
 //!   fold             += through the SlotHandle                4
-//!   ring handoff     SPSC encode + publish + decode          47  (sharded only)
+//!   queue handoff    SPSC send_all + recv_many, by move      66  (sharded only; benchmark)
 //!   ────────────────────────────────────────────────────────────────
 //!   whole pipeline   per-flow counters                      164  (6.1 M rec/s)
 //!   whole pipeline   latency EWMA                           210  (4.8 M rec/s)
 //! ```
 //!
-//! Three consequences shape the engine. **The probe dominates the store**
+//! Two consequences shape the engine. **The probe dominates the store**
 //! (37 ns probe vs 4 ns fold), which is why the vectorized GroupBy sweep
 //! coalesces equal-key *runs* — one `observe_run_first` probe per run,
 //! `observe_run_next`/`observe_run_folded` through the already-resolved
@@ -111,11 +111,16 @@
 //! traffic (run ≈ 1.4) the run tracker costs nothing measurable.
 //! **Key build rivals the probe** (~40 ns of the 62), bounding what any
 //! store-side work can save — the multi-query CSE that builds each unique
-//! key once per record attacks this term, not the store. **The ring
-//! handoff is priced like a second probe** (47 ns), so the sharded
-//! dataplane only pays it when a second core can absorb it — see
-//! *Sharded execution* below and the `sharded_note` in
-//! `BENCH_pipeline.json` for the single-core caveat.
+//! key once per record attacks this term, not the store.
+//!
+//! The queue handoff row is from another instrument: the repo benchmark
+//! (`benchmark/`, workload `sharded_handoff`, `--trace 1`, seed 42, 2-core
+//! box) reads `switch.ring_ns_per_record` 66 ns — a batch of 256 crossing
+//! the mutex queue into a thread that only counts — while inside the real
+//! pass the feeder spends `switch.feed_cpu_ns_per_record` 107 ns of CPU per
+//! record on switch loop + route + stage + send. The worker's fold overlaps
+//! the feeder on a second core; with one core the handoff is pure overhead
+//! (`sharded_note` in `BENCH_pipeline.json`).
 //!
 //! # Vectorized execution
 //!
@@ -169,9 +174,9 @@
 //!
 //! [`ShardedRuntime`] scales the engine past one core by key-hash
 //! partitioning the record stream: each of N worker shards owns a private
-//! flat plan and its own kvstore shard, fed over fixed-capacity **lock-free**
-//! SPSC rings — word-encoded records in atomic slots, batch publication,
-//! a spin/yield/park backoff ladder, no mutex anywhere on the data path
+//! flat plan and its own kvstore shard, fed over fixed-capacity SPSC
+//! queues — a `Mutex` + `Condvar` ring that records cross by move, one lock
+//! per batch of 256, blocking when a shard falls behind
 //! (`perfq_switch::spsc`; `Network::run_sharded` is the producer half) — and
 //! the drain merges per-shard fold state through the §3.2 merge machinery —
 //! the same algebra that reconciles one flow observed at many switches

@@ -101,7 +101,7 @@ use crate::durable::{read_retired, write_retired, Durability};
 use crate::plan::{lane_mask, ExecPlan, Filter, NodeKind, RowSource, CHUNK, LANES};
 use crate::result::ResultSet;
 use crate::runtime::Runtime;
-use crate::sharded::{ShardSpec, ShardedRuntime, DEFAULT_BATCH, DEFAULT_QUEUE_CAPACITY};
+use crate::sharded::{ShardSpec, ShardedRuntime};
 use perfq_kvstore::{
     read_manifest, write_manifest, AreaPlan, CacheGeometry, CachePlanner, InlineKey, PlanError,
     QueryAllocation, QueryDemand, StoreDemand,
@@ -1744,11 +1744,7 @@ impl MultiSharded {
             } else {
                 vec![p.clone(); shards]
             };
-            sharded.push(ShardedRuntime::with_worker_programs(
-                workers,
-                DEFAULT_QUEUE_CAPACITY,
-                DEFAULT_BATCH,
-            ));
+            sharded.push(ShardedRuntime::with_worker_programs(workers));
         }
         let n = programs.len();
         Ok((
@@ -2019,11 +2015,8 @@ impl MultiSharded {
                 w.deduped_queries.push(*aq);
             }
         }
-        self.sharded.push(ShardedRuntime::with_worker_programs(
-            workers,
-            DEFAULT_QUEUE_CAPACITY,
-            DEFAULT_BATCH,
-        ));
+        self.sharded
+            .push(ShardedRuntime::with_worker_programs(workers));
         self.programs = programs;
         self.aliases.extend(candidates);
         let id = self.next_id;

@@ -71,10 +71,10 @@ use perfq_lang::ir::FoldClass;
 use perfq_switch::{spsc, QueueRecord};
 use std::thread::JoinHandle;
 
-/// Default capacity (records) of each shard's SPSC queue.
+/// Capacity (records) of each shard's SPSC queue.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 8_192;
-/// Default producer-side batch: records staged per shard before one
-/// lock-and-push hand-off.
+/// Producer-side batch: records staged per shard before one
+/// lock-and-push hand-off (and the worker's receive batch).
 pub const DEFAULT_BATCH: usize = 256;
 
 /// How records map to shards for one compiled program: the base-schema
@@ -254,10 +254,6 @@ pub struct ShardedRuntime {
     senders: Option<Vec<spsc::Sender<QueueRecord>>>,
     /// Producer-side staging, one buffer per shard.
     buffers: Vec<Vec<QueueRecord>>,
-    batch: usize,
-    /// Per-shard SPSC queue capacity, kept so [`ShardedRuntime::resume`]
-    /// can rebuild identical transport after a pause.
-    queue_capacity: usize,
     workers: Vec<JoinHandle<Runtime>>,
     routed: Vec<u64>,
     /// Durable-tier configuration ([`ShardedRuntime::enable_durability`]);
@@ -272,32 +268,31 @@ pub struct ShardedRuntime {
     record_base: u64,
 }
 
-/// Spawn one worker thread: drain the queue in batches into the runtime,
-/// return the runtime (un-finished) when the producer closes the channel —
-/// which is what lets a paused dataplane resume exactly where it stopped.
-fn spawn_worker(
-    mut rt: Runtime,
-    rx: spsc::Receiver<QueueRecord>,
-    batch: usize,
-) -> JoinHandle<Runtime> {
-    std::thread::spawn(move || {
-        let mut buf: Vec<QueueRecord> = Vec::with_capacity(batch);
+/// Spawn one worker thread behind a fresh queue: drain it in batches into
+/// the runtime, return the runtime (un-finished) when the producer closes
+/// the channel — which is what lets a paused dataplane resume exactly where
+/// it stopped.
+fn spawn_worker(mut rt: Runtime) -> (spsc::Sender<QueueRecord>, JoinHandle<Runtime>) {
+    let (tx, rx) = spsc::channel::<QueueRecord>(DEFAULT_QUEUE_CAPACITY);
+    let handle = std::thread::spawn(move || {
+        let mut buf: Vec<QueueRecord> = Vec::with_capacity(DEFAULT_BATCH);
         loop {
             buf.clear();
-            if rx.recv_many(&mut buf, batch) == 0 {
+            if rx.recv_many(&mut buf, DEFAULT_BATCH) == 0 {
                 break;
             }
             rt.process_batch(&buf);
         }
         rt
-    })
+    });
+    (tx, handle)
 }
 
 /// Join a worker thread, re-raising its panic payload on the draining
 /// thread instead of masking it behind a generic "worker panicked"
-/// message. Pairs with the SPSC channel's poisoning: a dying worker drops
-/// its receiver, which closes the channel and unparks a blocked producer,
-/// so the drain reaches this join instead of hanging.
+/// message. Pairs with the SPSC channel's peer-death handling: a dying
+/// worker drops its receiver, which closes the channel and wakes a blocked
+/// producer, so the drain reaches this join instead of hanging.
 fn join_worker(handle: JoinHandle<Runtime>) -> Runtime {
     match handle.join() {
         Ok(rt) => rt,
@@ -306,24 +301,12 @@ fn join_worker(handle: JoinHandle<Runtime>) -> Runtime {
 }
 
 impl ShardedRuntime {
-    /// Spawn `shards` worker runtimes with default queue capacity and
-    /// batch ([`DEFAULT_QUEUE_CAPACITY`], [`DEFAULT_BATCH`]).
+    /// Spawn `shards` worker runtimes, each behind a queue of
+    /// [`DEFAULT_QUEUE_CAPACITY`] records fed in batches of
+    /// [`DEFAULT_BATCH`].
     #[must_use]
     pub fn new(compiled: CompiledProgram, shards: usize) -> Self {
-        Self::with_config(compiled, shards, DEFAULT_QUEUE_CAPACITY, DEFAULT_BATCH)
-    }
-
-    /// Spawn with explicit per-shard queue capacity and producer batch.
-    #[must_use]
-    pub fn with_config(
-        compiled: CompiledProgram,
-        shards: usize,
-        queue_capacity: usize,
-        batch: usize,
-    ) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let programs = vec![compiled; shards];
-        Self::with_worker_programs(programs, queue_capacity, batch)
+        Self::with_worker_programs(vec![compiled; shards])
     }
 
     /// Spawn one worker per element of `programs` — all compiled from the
@@ -336,36 +319,27 @@ impl ShardedRuntime {
     ///
     /// # Panics
     ///
-    /// Panics on an empty program list, mismatched query shapes, or
-    /// `batch`/`queue_capacity` out of range.
+    /// Panics on an empty program list or mismatched query shapes.
     #[must_use]
-    pub fn with_worker_programs(
-        programs: Vec<CompiledProgram>,
-        queue_capacity: usize,
-        batch: usize,
-    ) -> Self {
+    pub fn with_worker_programs(programs: Vec<CompiledProgram>) -> Self {
         let shards = programs.len();
         assert!(shards > 0, "need at least one shard");
-        assert!(batch > 0 && batch <= queue_capacity, "0 < batch ≤ capacity");
         assert!(
             programs.iter().all(|p| p.program == programs[0].program),
             "all shard workers must run the same resolved program \
              (only physical store geometries may differ)"
         );
         let spec = ShardSpec::from_compiled(&programs[0]);
-        let mut senders = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for compiled in programs {
-            let (tx, rx) = spsc::channel::<QueueRecord>(queue_capacity);
-            workers.push(spawn_worker(Runtime::new(compiled), rx, batch));
-            senders.push(tx);
-        }
+        let (senders, workers) = programs
+            .into_iter()
+            .map(|compiled| spawn_worker(Runtime::new(compiled)))
+            .unzip();
         ShardedRuntime {
             router: ShardRouter::new(spec, shards),
             senders: Some(senders),
-            buffers: (0..shards).map(|_| Vec::with_capacity(batch)).collect(),
-            batch,
-            queue_capacity,
+            buffers: (0..shards)
+                .map(|_| Vec::with_capacity(DEFAULT_BATCH))
+                .collect(),
             workers,
             routed: vec![0; shards],
             durability: None,
@@ -406,7 +380,7 @@ impl ShardedRuntime {
     /// Dynamic lifecycle: restart a paused dataplane with the given worker
     /// runtimes (shard order; normally the vector [`ShardedRuntime::pause`]
     /// returned, possibly with migrated stores or promoted aliases). Fresh
-    /// SPSC queues are built at the original capacity; routing is unchanged.
+    /// SPSC queues are built; routing is unchanged.
     ///
     /// # Panics
     ///
@@ -417,13 +391,23 @@ impl ShardedRuntime {
             "resume requires a paused dataplane"
         );
         assert_eq!(runtimes.len(), self.buffers.len(), "one runtime per shard");
-        let mut senders = Vec::with_capacity(runtimes.len());
-        for rt in runtimes {
-            let (tx, rx) = spsc::channel::<QueueRecord>(self.queue_capacity);
-            self.workers.push(spawn_worker(rt, rx, self.batch));
-            senders.push(tx);
-        }
+        let (senders, workers) = runtimes.into_iter().map(spawn_worker).unzip();
         self.senders = Some(senders);
+        self.workers = workers;
+    }
+
+    /// Run `f` over the quiesced worker runtimes (shard order) and resume
+    /// ingestion whatever it returns: a failed durable-tier call must leave
+    /// the plane running with its in-RAM state intact, not drop the workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`ShardedRuntime::pause`]'s conditions.
+    fn quiesced<R>(&mut self, f: impl FnOnce(&mut [Runtime]) -> R) -> R {
+        let mut workers = self.pause();
+        let out = f(&mut workers);
+        self.resume(workers);
+        out
     }
 
     /// Number of worker shards.
@@ -460,7 +444,7 @@ impl ShardedRuntime {
         let s = self.router.route(rec);
         self.routed[s] += 1;
         self.buffers[s].push(rec.clone());
-        if self.buffers[s].len() >= self.batch {
+        if self.buffers[s].len() >= DEFAULT_BATCH {
             let disconnected = {
                 let senders = self.senders.as_ref().expect("checked above");
                 senders[s].send_all(&mut self.buffers[s]).is_err()
@@ -504,19 +488,18 @@ impl ShardedRuntime {
     /// worker died.
     #[must_use]
     pub fn poll_results(&mut self) -> ResultSet {
-        let workers = self.pause();
-        let refs: Vec<&Runtime> = workers.iter().collect();
-        let lead = refs[0];
-        let stores: Vec<Option<Vec<(&Runtime, usize)>>> = (0..lead.compiled().stores.len())
-            .map(|q| {
-                lead.compiled().stores[q]
-                    .as_ref()
-                    .map(|_| refs.iter().map(|rt| (*rt, q)).collect())
-            })
-            .collect();
-        let results = crate::runtime::poll_collect(&refs, &stores);
-        self.resume(workers);
-        results
+        self.quiesced(|workers| {
+            let refs: Vec<&Runtime> = workers.iter().collect();
+            let lead = refs[0];
+            let stores: Vec<Option<Vec<(&Runtime, usize)>>> = (0..lead.compiled().stores.len())
+                .map(|q| {
+                    lead.compiled().stores[q]
+                        .as_ref()
+                        .map(|_| refs.iter().map(|rt| (*rt, q)).collect())
+                })
+                .collect();
+            crate::runtime::poll_collect(&refs, &stores)
+        })
     }
 
     /// Hand the producer side — the router and the per-shard queue senders
@@ -551,11 +534,12 @@ impl ShardedRuntime {
     /// Panics under the same conditions as a poll (producer side taken, or
     /// a worker died).
     pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
-        let mut workers = self.pause();
-        for (i, rt) in workers.iter_mut().enumerate() {
-            rt.enable_durability_prefixed(&d, &format!("s{i}_"))?;
-        }
-        self.resume(workers);
+        self.quiesced(|workers| {
+            workers
+                .iter_mut()
+                .enumerate()
+                .try_for_each(|(i, rt)| rt.enable_durability_prefixed(&d, &format!("s{i}_")))
+        })?;
         self.durability = Some(d);
         Ok(())
     }
@@ -576,18 +560,22 @@ impl ShardedRuntime {
             .clone()
             .expect("persist requires enable_durability");
         let at = self.record_base + self.routed.iter().sum::<u64>();
-        let mut workers = self.pause();
-        for (i, rt) in workers.iter_mut().enumerate() {
-            rt.persist_stores(at, &d, &format!("s{i}_"))?;
-        }
-        write_manifest(d.backend(), &d.manifest_name(), at)?;
-        let stale = self.persisted_at.filter(|&old| old != at);
-        self.persisted_at = Some(at);
-        for (i, rt) in workers.iter_mut().enumerate() {
-            rt.compact_stores(&d, &format!("s{i}_"), stale)?;
-        }
-        self.resume(workers);
-        Ok(())
+        // A local copy: the closure cannot reach `self` while it is paused.
+        let mut persisted_at = self.persisted_at;
+        let outcome = self.quiesced(|workers| {
+            for (i, rt) in workers.iter_mut().enumerate() {
+                rt.persist_stores(at, &d, &format!("s{i}_"))?;
+            }
+            write_manifest(d.backend(), &d.manifest_name(), at)?;
+            let stale = persisted_at.filter(|&old| old != at);
+            persisted_at = Some(at);
+            for (i, rt) in workers.iter_mut().enumerate() {
+                rt.compact_stores(&d, &format!("s{i}_"), stale)?;
+            }
+            Ok(())
+        });
+        self.persisted_at = persisted_at;
+        outcome
     }
 
     /// Recover a crashed sharded deployment: rebuild the plane at the same
@@ -603,11 +591,12 @@ impl ShardedRuntime {
     ) -> std::io::Result<(Self, u64)> {
         let mut plane = Self::new(compiled, shards);
         let resume = read_manifest(d.backend(), &d.manifest_name())?;
-        let mut workers = plane.pause();
-        for (i, rt) in workers.iter_mut().enumerate() {
-            rt.recover_stores(&d, &format!("s{i}_"), resume)?;
-        }
-        plane.resume(workers);
+        plane.quiesced(|workers| {
+            workers
+                .iter_mut()
+                .enumerate()
+                .try_for_each(|(i, rt)| rt.recover_stores(&d, &format!("s{i}_"), resume))
+        })?;
         let at = resume.unwrap_or(0);
         plane.record_base = at;
         plane.persisted_at = resume;

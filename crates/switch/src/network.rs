@@ -330,12 +330,9 @@ impl Network {
     /// consumer half).
     ///
     /// `shard_of` maps a record to a shard index (a pure function of the
-    /// record's group key, so one key never lands on two shards); records
-    /// are staged in per-shard buffers of `batch` and pushed with one lock
-    /// per batch. When a shard's queue is full the producer blocks
-    /// (backpressure), mirroring a hardware collection path with bounded
-    /// per-core rings. All senders are dropped on return, closing the
-    /// streams.
+    /// record's group key, so one key never lands on two shards). This is
+    /// [`Network::run_multi_sharded`] with one consumer: staging,
+    /// backpressure and stream close are described there.
     ///
     /// Returns the number of records routed to each shard.
     ///
@@ -350,29 +347,9 @@ impl Network {
         senders: Vec<spsc::Sender<QueueRecord>>,
         batch: usize,
     ) -> Vec<u64> {
-        assert!(batch > 0, "batch size must be positive");
-        assert!(!senders.is_empty(), "need at least one shard");
-        let shards = senders.len();
-        let mut buffers: Vec<Vec<QueueRecord>> =
-            (0..shards).map(|_| Vec::with_capacity(batch)).collect();
-        let mut routed = vec![0u64; shards];
-        self.run(packets, |r| {
-            let s = shard_of(&r);
-            assert!(s < shards, "shard_of returned {s} for {shards} shards");
-            routed[s] += 1;
-            buffers[s].push(r);
-            if buffers[s].len() == batch {
-                senders[s]
-                    .send_all(&mut buffers[s])
-                    .expect("shard worker disconnected");
-            }
-        });
-        for (buf, tx) in buffers.iter_mut().zip(&senders) {
-            if !buf.is_empty() {
-                tx.send_all(buf).expect("shard worker disconnected");
-            }
-        }
-        routed
+        self.run_multi_sharded(packets, |_, r| shard_of(r), vec![senders], batch)
+            .pop()
+            .expect("one consumer in, one routed-count vector out")
     }
 
     /// Run a packet stream once, fanning every queue record out to several
@@ -382,8 +359,10 @@ impl Network {
     ///
     /// `shard_of(k, record)` maps a record to consumer `k`'s shard (each
     /// program routes by its own group key); `senders[k]` holds consumer
-    /// `k`'s per-shard queues. Staging and backpressure behave exactly as
-    /// in [`Network::run_sharded`], per consumer. All senders are dropped
+    /// `k`'s per-shard queues. Records are staged in per-shard buffers of
+    /// `batch` and pushed with one lock per batch; when a shard's queue is
+    /// full the producer blocks (backpressure), mirroring a hardware
+    /// collection path with bounded per-core rings. All senders are dropped
     /// on return, closing every stream.
     ///
     /// Returns per-consumer, per-shard routed counts.

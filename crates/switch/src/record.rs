@@ -254,121 +254,6 @@ impl QueueRecord {
     }
 }
 
-/// [`crate::spsc::RingItem`]: a [`QueueRecord`] crosses the sharded
-/// dataplane's lock-free ring as 13 fixed `u64` words. The packing is an
-/// exact bijection over every reachable record (all header fields, packet
-/// metadata, and queue observations round-trip bit-identically — pinned by
-/// the tests below), so the worker shard folds exactly the record the
-/// network produced.
-impl crate::spsc::RingItem for QueueRecord {
-    const WORDS: usize = 13;
-
-    fn encode(&self, out: &mut [u64]) {
-        use perfq_packet::{L4Header, MacAddr};
-        fn mac_word(m: &MacAddr) -> u64 {
-            m.0.iter()
-                .enumerate()
-                .fold(0u64, |w, (i, b)| w | u64::from(*b) << (8 * i))
-        }
-        let h = &self.packet.headers;
-        let (l4_tag, w4, w5) = match &h.l4 {
-            L4Header::Opaque => (0u64, 0, 0),
-            L4Header::Tcp(t) => (
-                1,
-                u64::from(t.src_port) | u64::from(t.dst_port) << 16 | u64::from(t.seq) << 32,
-                u64::from(t.ack) | u64::from(t.flags.0) << 32 | u64::from(t.window) << 40,
-            ),
-            L4Header::Udp(u) => (
-                2,
-                u64::from(u.src_port) | u64::from(u.dst_port) << 16 | u64::from(u.length) << 32,
-                0,
-            ),
-        };
-        out[0] = mac_word(&h.eth.dst) | u64::from(h.eth.ethertype.to_u16()) << 48;
-        out[1] = mac_word(&h.eth.src)
-            | u64::from(h.ipv4.dscp_ecn) << 48
-            | u64::from(h.ipv4.ttl) << 56;
-        out[2] = u64::from(h.ipv4.total_len)
-            | u64::from(h.ipv4.ident) << 16
-            | u64::from(h.ipv4.flags_frag) << 32
-            | u64::from(h.ipv4.proto.to_u8()) << 48
-            | l4_tag << 56;
-        out[3] = u64::from(u32::from(h.ipv4.src)) | u64::from(u32::from(h.ipv4.dst)) << 32;
-        out[4] = w4;
-        out[5] = w5;
-        out[6] = self.packet.uniq;
-        out[7] = self.packet.arrival.0;
-        out[8] = self.tin.0;
-        out[9] = self.tout.0;
-        out[10] = u64::from(self.qid) | u64::from(self.qsize) << 32;
-        out[11] = u64::from(self.qout) | u64::from(self.packet.wire_len) << 32;
-        out[12] = self.path;
-    }
-
-    fn decode(w: &[u64]) -> Self {
-        use perfq_packet::{
-            EtherType, EthernetHeader, IpProto, Ipv4Header, L4Header, MacAddr, Packet,
-            PacketHeaders, TcpFlags, TcpHeader, UdpHeader,
-        };
-        use std::net::Ipv4Addr;
-        fn word_mac(w: u64) -> MacAddr {
-            let mut m = [0u8; 6];
-            for (i, b) in m.iter_mut().enumerate() {
-                *b = (w >> (8 * i)) as u8;
-            }
-            MacAddr(m)
-        }
-        let l4 = match w[2] >> 56 {
-            0 => L4Header::Opaque,
-            1 => L4Header::Tcp(TcpHeader {
-                src_port: w[4] as u16,
-                dst_port: (w[4] >> 16) as u16,
-                seq: (w[4] >> 32) as u32,
-                ack: w[5] as u32,
-                flags: TcpFlags((w[5] >> 32) as u8),
-                window: (w[5] >> 40) as u16,
-            }),
-            2 => L4Header::Udp(UdpHeader {
-                src_port: w[4] as u16,
-                dst_port: (w[4] >> 16) as u16,
-                length: (w[4] >> 32) as u16,
-            }),
-            tag => unreachable!("invalid L4 tag {tag} in ring word"),
-        };
-        QueueRecord {
-            packet: Packet {
-                headers: PacketHeaders {
-                    eth: EthernetHeader {
-                        dst: word_mac(w[0]),
-                        src: word_mac(w[1]),
-                        ethertype: EtherType::from_u16((w[0] >> 48) as u16),
-                    },
-                    ipv4: Ipv4Header {
-                        dscp_ecn: (w[1] >> 48) as u8,
-                        total_len: w[2] as u16,
-                        ident: (w[2] >> 16) as u16,
-                        flags_frag: (w[2] >> 32) as u16,
-                        ttl: (w[1] >> 56) as u8,
-                        proto: IpProto::from_u8((w[2] >> 48) as u8),
-                        src: Ipv4Addr::from(w[3] as u32),
-                        dst: Ipv4Addr::from((w[3] >> 32) as u32),
-                    },
-                    l4,
-                },
-                wire_len: (w[11] >> 32) as u16,
-                uniq: w[6],
-                arrival: Nanos(w[7]),
-            },
-            qid: w[10] as u32,
-            tin: Nanos(w[8]),
-            tout: Nanos(w[9]),
-            qsize: (w[10] >> 32) as u32,
-            qout: w[11] as u32,
-            path: w[12],
-        }
-    }
-}
-
 /// Clamp a simulation timestamp into the query layer's integer domain,
 /// mapping the drop sentinel onto `infinity`.
 #[must_use]
@@ -501,31 +386,6 @@ mod tests {
     #[test]
     fn delay_is_tout_minus_tin() {
         assert_eq!(record().delay(), Nanos(150));
-    }
-
-    #[test]
-    fn ring_encoding_round_trips_exactly() {
-        use crate::spsc::RingItem;
-        let tcp = record();
-        let udp = QueueRecord {
-            packet: PacketBuilder::udp()
-                .src(Ipv4Addr::new(10, 0, 0, 9), 53)
-                .dst(Ipv4Addr::new(10, 0, 0, 8), 5353)
-                .payload_len(77)
-                .uniq(11)
-                .build(),
-            ..record()
-        };
-        let drop = QueueRecord {
-            tout: Nanos::INFINITY,
-            qout: 0,
-            ..record()
-        };
-        for r in [tcp, udp, drop] {
-            let mut words = [0u64; QueueRecord::WORDS];
-            r.encode(&mut words);
-            assert_eq!(QueueRecord::decode(&words), r, "ring round-trip");
-        }
     }
 
     #[test]

@@ -8,59 +8,30 @@
 //! blocks rather than buffering unboundedly (§3.2's eviction-rate argument
 //! assumes the collection path keeps up on average, not at every instant).
 //!
-//! # A lock-free ring without `unsafe`
+//! # Design
 //!
-//! The implementation is a cache-line-padded atomic head/tail ring — the
-//! classic Lamport SPSC queue with batched publication — built entirely
-//! from safe primitives. The workspace forbids `unsafe`, which rules out
-//! the textbook `UnsafeCell<MaybeUninit<T>>` slot array; instead, elements
-//! are **word-encoded**: [`RingItem`] fixes each `T` at a constant number
-//! of `u64` words, and the ring is one flat `Box<[AtomicU64]>`. Slot words
-//! are written and read with `Relaxed` ordering; the *only* synchronization
-//! is one `Release` store of the producer's `tail` per published batch and
-//! one `Release` store of the consumer's `head` per consumed batch, each
-//! `Acquire`-loaded by the peer. That pair of edges makes every slot write
-//! happen-before the read that consumes it, and every read happen-before
-//! the overwrite that recycles the slot.
+//! One `Mutex` around a `VecDeque` that is allocated at `capacity` and
+//! never grows, plus two `Condvar`s: the producer waits on `not_full`, the
+//! consumer on `not_empty`. Records cross by move. Both sides work in
+//! batches ([`Sender::send_all`], [`Receiver::recv_many`]), so the lock is
+//! taken once per few hundred records. Each half's `Drop` lowers its alive
+//! flag under the lock and notifies the peer: a dropped [`Sender`] is
+//! end-of-stream once the queue drains, a dropped [`Receiver`] fails
+//! further sends with [`SendError`]. `Drop` runs during a panic unwind too,
+//! so a worker that dies mid-run wakes a blocked producer into that error
+//! instead of a deadlock; liveness rests on a flag read under the mutex.
 //!
-//! Per-record cost beyond the copy itself is therefore `O(1/batch_len)`
-//! shared-line traffic: both sides keep a **cached copy of the peer's
-//! index** and only touch the shared counter when the ring looks full
-//! (producer) or empty (consumer). Waiting sides climb a three-tier
-//! ladder: `spin_loop` with exponential backoff (cheapest when the peer
-//! runs on another core), then `yield_now`, then **park** — the waiter
-//! registers its thread handle and calls `thread::park_timeout`, and the
-//! peer unparks it right after the publication store. The park tier is
-//! what keeps an oversubscribed box honest: with more shards than cores, a
-//! yielding waiter stays runnable and the scheduler round-robins through
-//! spinners, while a parked waiter donates its entire slice to the thread
-//! that can actually make progress. Lost wakeups are ruled out by a
-//! Dekker-style `SeqCst` fence pair (commit-to-park re-checks the
-//! condition after raising its flag; the publisher fences before reading
-//! it), with the park timeout as defense in depth. There is no lock on
-//! the data path — the one `Mutex` guards only the parked thread handle
-//! and is touched exclusively on the cold park/unpark edges.
-//!
-//! Indices are monotonically increasing (wrapping) record counts; the
-//! physical slot is `index & mask` over a power-of-two slot array, while
-//! occupancy is capped at the exact user-requested `capacity`, preserving
-//! precise backpressure for non-power-of-two capacities.
-//!
-//! Dropping the [`Sender`] closes the channel: the consumer drains what
-//! remains and then observes end-of-stream. Dropping the [`Receiver`] makes
-//! further sends fail fast with [`SendError`], so a crashed worker
-//! backpressures into an error instead of a deadlock. Either drop also
-//! **permanently closes the peer's parking slot** — the `Drop` impls run
-//! during a panic unwind too, so a worker that dies mid-run unparks a
-//! blocked producer immediately and bars it from ever parking again;
-//! liveness after a peer death rests on this closed flag, not on the park
-//! timeout.
+//! A lock-free word-encoded ring held this place from PR 8 to PR 14. The
+//! interleaved A/B on the benchmark's `sharded_handoff` workload that
+//! retired it (10 pairs on each of two seeds, 2 cores; CHANGES.md, PR 15):
+//! `replay_rps` 3.70 → 3.75 M and 3.85 → 3.93 M records/s, `drain_ms`
+//! 59.9 → 61.2 and 59.1 → 59.4, each within the lock-free ring's own
+//! quartiles or better. In isolation the queue is the slower transport
+//! (66 vs 48 ns per record into a consumer that only counts); end to end
+//! that bought nothing, so the design with a third of the code stayed.
 
-use std::cell::Cell;
-use std::marker::PhantomData;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Error returned when sending into a channel whose receiver is gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,315 +45,90 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// Upper bound on [`RingItem::WORDS`] — sizes the stack encode/decode
-/// buffer (stable Rust cannot yet size it by the associated const).
-pub const MAX_RING_WORDS: usize = 16;
-
-/// A fixed-width element of the lock-free ring: encoded to and decoded
-/// from a constant number of `u64` words.
-///
-/// `decode(encode(x))` must reproduce `x` exactly — the sharded dataplane
-/// depends on records crossing the ring bit-identically (pinned by the
-/// round-trip tests in `record.rs`).
-pub trait RingItem: Sized {
-    /// Encoded width in `u64` words (`1..=MAX_RING_WORDS`).
-    const WORDS: usize;
-
-    /// Write `self` into exactly [`Self::WORDS`] words.
-    fn encode(&self, out: &mut [u64]);
-
-    /// Reconstruct from exactly [`Self::WORDS`] words.
-    fn decode(words: &[u64]) -> Self;
-}
-
-impl RingItem for u64 {
-    const WORDS: usize = 1;
-
-    fn encode(&self, out: &mut [u64]) {
-        out[0] = *self;
-    }
-
-    fn decode(words: &[u64]) -> Self {
-        words[0]
-    }
-}
-
-/// One shared counter on its own cache line, so producer and consumer
-/// publication stores never false-share.
 #[derive(Debug)]
-#[repr(align(64))]
-struct CachePadded(AtomicUsize);
-
-/// Insurance against a wakeup lost to a scenario the fences don't cover
-/// (there should be none): a parked side re-checks its condition at least
-/// this often regardless. Long enough that an idle parked worker does not
-/// meaningfully poll, short enough to bound the damage of a hypothetical
-/// missed wakeup.
-const PARK_TIMEOUT: Duration = Duration::from_millis(10);
-
-/// One side's parking slot. The flag is the Dekker variable; the handle is
-/// only ever touched while committing to park or delivering a wakeup.
-#[derive(Debug, Default)]
-struct Waiter {
-    /// True from commit-to-park until the owner wakes (or the peer claims
-    /// the wakeup).
-    parked: AtomicBool,
-    /// Permanently true once the peer half is gone (its `Drop` ran —
-    /// normally or mid-panic-unwind). The owner checks it in the
-    /// park/backoff loop and never parks again: liveness after a peer
-    /// death is guaranteed by this flag, not by the park timeout.
-    closed: AtomicBool,
-    /// The parked thread's handle, for `Thread::unpark`.
-    thread: Mutex<Option<std::thread::Thread>>,
-}
-
-impl Waiter {
-    /// Whether the peer half is gone (no wakeups will ever arrive again).
-    fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
-    /// Commit-to-park: register the current thread, raise the flag, then
-    /// re-verify the wait condition under a `SeqCst` fence — if `not_ready`
-    /// still holds, park (bounded by [`PARK_TIMEOUT`]). The fence pairs
-    /// with the one in [`Waiter::wake`]: either this side observes the
-    /// peer's publication, or the peer observes the raised flag. A closed
-    /// waiter never parks: its peer can no longer deliver a wakeup, so
-    /// the caller's loop must re-check its exit condition instead.
-    fn park_if(&self, not_ready: impl FnOnce() -> bool) {
-        if self.is_closed() {
-            return;
-        }
-        *self.thread.lock().expect("waiter handle lock") = Some(std::thread::current());
-        self.parked.store(true, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        if not_ready() && !self.is_closed() {
-            std::thread::park_timeout(PARK_TIMEOUT);
-        }
-        self.parked.store(false, Ordering::Relaxed);
-    }
-
-    /// Close the slot on behalf of a dying peer: raise the permanent flag,
-    /// then deliver one final wakeup so an already-parked owner re-checks
-    /// immediately. Called from the `Drop` impls (which also run during a
-    /// panic unwind — a crashed shard worker closes its producer's slot on
-    /// the way down instead of leaving it parked).
-    fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.wake();
-    }
-
-    /// Deliver a wakeup if the peer is parked (called by the publishing
-    /// side right after its `Release` store, and by the `Drop` impls after
-    /// lowering an alive flag). The fast path is one relaxed load of a
-    /// line that is quiescent unless the peer actually parked.
-    fn wake(&self) {
-        fence(Ordering::SeqCst);
-        if !self.parked.load(Ordering::Relaxed) {
-            return;
-        }
-        if self.parked.swap(false, Ordering::SeqCst) {
-            if let Some(t) = self.thread.lock().expect("waiter handle lock").take() {
-                t.unpark();
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Shared {
-    /// The slot array: `slot_count * words` words, slot `i` at
-    /// `(i & mask) * words`.
-    slots: Box<[AtomicU64]>,
-    /// `slot_count − 1` (slot count is a power of two; the words-per-element
-    /// factor is monomorphized into the sender/receiver via
-    /// [`RingItem::WORDS`]).
-    mask: usize,
-    /// Maximum occupancy — the exact user-requested capacity, which may be
-    /// smaller than the power-of-two slot count.
+struct State<T> {
+    /// Allocated at `capacity`; occupancy never exceeds it, so it never
+    /// reallocates.
+    ring: VecDeque<T>,
     capacity: usize,
-    /// Consumer position: the next index to read. Written only by the
-    /// receiver (`Release` after a consumed batch).
-    head: CachePadded,
-    /// Producer position: the next index to write. Written only by the
-    /// sender (`Release` after a published batch).
-    tail: CachePadded,
-    sender_alive: AtomicBool,
-    receiver_alive: AtomicBool,
-    /// Parking slot for a producer blocked on a full ring (woken by the
-    /// consumer's head publication).
-    tx_waiter: Waiter,
-    /// Parking slot for a consumer blocked on an empty ring (woken by the
-    /// producer's tail publication).
-    rx_waiter: Waiter,
+    sender_alive: bool,
+    receiver_alive: bool,
+}
+
+#[derive(Debug)]
+struct Shared<T> {
+    state: Mutex<State<T>>,
+    /// The producer waits here while the ring is full.
+    not_full: Condvar,
+    /// The consumer waits here while the ring is empty.
+    not_empty: Condvar,
+}
+
+impl<T> Shared<T> {
+    /// Lock the state. Poison is ignored: no caller code runs under the
+    /// lock and every update leaves the state valid, so a peer's panic
+    /// says nothing about the queue — and `Drop` must not panic.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The producing half of a bounded SPSC channel.
 #[derive(Debug)]
-pub struct Sender<T: RingItem> {
-    shared: Arc<Shared>,
-    /// Local tail — this side is its only writer, so it never re-reads the
-    /// shared counter.
-    tail: Cell<usize>,
-    /// Cached consumer head, refreshed only when the ring looks full.
-    head_cache: Cell<usize>,
-    _marker: PhantomData<fn(T) -> T>,
+pub struct Sender<T> {
+    shared: Arc<Shared<T>>,
 }
 
 /// The consuming half of a bounded SPSC channel.
 #[derive(Debug)]
-pub struct Receiver<T: RingItem> {
-    shared: Arc<Shared>,
-    /// Local head — this side is its only writer.
-    head: Cell<usize>,
-    /// Cached producer tail, refreshed only when the ring looks empty.
-    tail_cache: Cell<usize>,
-    _marker: PhantomData<fn(T) -> T>,
+pub struct Receiver<T> {
+    shared: Arc<Shared<T>>,
 }
 
 /// Create a bounded SPSC channel holding at most `capacity` elements.
 #[must_use]
-pub fn channel<T: RingItem>(capacity: usize) -> (Sender<T>, Receiver<T>) {
+pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     assert!(capacity > 0, "spsc capacity must be positive");
-    assert!(
-        T::WORDS > 0 && T::WORDS <= MAX_RING_WORDS,
-        "RingItem::WORDS must be in 1..=MAX_RING_WORDS"
-    );
-    let slot_count = capacity.next_power_of_two();
-    let mut slots = Vec::new();
-    slots.resize_with(slot_count * T::WORDS, || AtomicU64::new(0));
     let shared = Arc::new(Shared {
-        slots: slots.into_boxed_slice(),
-        mask: slot_count - 1,
-        capacity,
-        head: CachePadded(AtomicUsize::new(0)),
-        tail: CachePadded(AtomicUsize::new(0)),
-        sender_alive: AtomicBool::new(true),
-        receiver_alive: AtomicBool::new(true),
-        tx_waiter: Waiter::default(),
-        rx_waiter: Waiter::default(),
+        state: Mutex::new(State {
+            ring: VecDeque::with_capacity(capacity),
+            capacity,
+            sender_alive: true,
+            receiver_alive: true,
+        }),
+        not_full: Condvar::new(),
+        not_empty: Condvar::new(),
     });
     (
         Sender {
             shared: Arc::clone(&shared),
-            tail: Cell::new(0),
-            head_cache: Cell::new(0),
-            _marker: PhantomData,
         },
-        Receiver {
-            shared,
-            head: Cell::new(0),
-            tail_cache: Cell::new(0),
-            _marker: PhantomData,
-        },
+        Receiver { shared },
     )
 }
 
-/// Whether the box exposes exactly one CPU (checked once): with a single
-/// core the peer can never be running *while we wait*, so every spin cycle
-/// is burnt and the ladder should reach the scheduler almost immediately.
-fn single_core() -> bool {
-    static ONE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ONE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() == 1))
-}
-
-/// One rung of the wait ladder: spin briefly with exponential backoff,
-/// then yield a few times, then tell the caller to park (`true`). The box
-/// may have fewer cores than shards, so an unbounded spin could starve
-/// the very thread being waited on — and an unbounded *yield* loop merely
-/// round-robins the scheduler through every other waiter, which is why
-/// the ladder ends at `park` instead. On a single-core box the spin tier
-/// is skipped entirely and one yield (which usually schedules the peer
-/// directly) precedes the park.
-fn backoff(spins: &mut u32) -> bool {
-    let (spin_rounds, yield_rounds) = if single_core() { (0, 8) } else { (6, 8) };
-    if *spins < spin_rounds {
-        for _ in 0..(1u32 << *spins) {
-            std::hint::spin_loop();
+impl<T> Sender<T> {
+    /// Block until the ring has a free slot; `Err` once the receiver is
+    /// gone.
+    fn wait_free(&self) -> Result<MutexGuard<'_, State<T>>, SendError> {
+        let state = self
+            .shared
+            .not_full
+            .wait_while(self.shared.lock(), |s| {
+                s.receiver_alive && s.ring.len() == s.capacity
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        if state.receiver_alive {
+            Ok(state)
+        } else {
+            Err(SendError)
         }
-        *spins += 1;
-        false
-    } else if *spins < spin_rounds + yield_rounds {
-        std::thread::yield_now();
-        *spins += 1;
-        false
-    } else {
-        true
-    }
-}
-
-impl<T: RingItem> Sender<T> {
-    /// Encode `item` into slot `idx`'s words (`Relaxed` — the batch's
-    /// `Release` tail store publishes them).
-    #[inline]
-    fn write_slot(&self, idx: usize, item: &T) {
-        let mut buf = [0u64; MAX_RING_WORDS];
-        item.encode(&mut buf[..T::WORDS]);
-        let base = (idx & self.shared.mask) * T::WORDS;
-        for (slot, word) in self.shared.slots[base..base + T::WORDS]
-            .iter()
-            .zip(&buf[..T::WORDS])
-        {
-            slot.store(*word, Ordering::Relaxed);
-        }
-    }
-
-    /// Free slots under the cached head, refreshing the cache (one shared
-    /// load) only when the cached view says full.
-    #[inline]
-    fn free_slots(&self) -> usize {
-        let used = self.tail.get().wrapping_sub(self.head_cache.get());
-        if used < self.shared.capacity {
-            return self.shared.capacity - used;
-        }
-        self.head_cache
-            .set(self.shared.head.0.load(Ordering::Acquire));
-        self.shared.capacity - self.tail.get().wrapping_sub(self.head_cache.get())
-    }
-
-    /// Publish the local tail (one `Release` store per batch).
-    #[inline]
-    fn publish(&self, new_tail: usize) {
-        debug_assert!(
-            new_tail.wrapping_sub(self.tail.get()) <= self.shared.capacity,
-            "publish advances tail monotonically by at most capacity"
-        );
-        debug_assert!(
-            new_tail.wrapping_sub(self.shared.head.0.load(Ordering::Relaxed))
-                <= self.shared.capacity,
-            "ring occupancy never exceeds capacity"
-        );
-        self.tail.set(new_tail);
-        self.shared.tail.0.store(new_tail, Ordering::Release);
-        self.shared.rx_waiter.wake();
-    }
-
-    /// Park until the consumer frees a slot (or dies). `free_slots` always
-    /// re-reads the shared head while the ring looks full, so the re-check
-    /// inside the commit window is fresh.
-    fn park_until_free(&self) {
-        self.shared.tx_waiter.park_if(|| {
-            self.free_slots() == 0 && self.shared.receiver_alive.load(Ordering::Acquire)
-        });
     }
 
     /// Send one element, blocking while the ring is full.
     pub fn send(&self, item: T) -> Result<(), SendError> {
-        if !self.shared.receiver_alive.load(Ordering::Acquire) {
-            return Err(SendError);
-        }
-        let mut spins = 0u32;
-        while self.free_slots() == 0 {
-            if !self.shared.receiver_alive.load(Ordering::Acquire) {
-                return Err(SendError);
-            }
-            if backoff(&mut spins) {
-                self.park_until_free();
-            }
-        }
-        let tail = self.tail.get();
-        self.write_slot(tail, &item);
-        self.publish(tail.wrapping_add(1));
+        self.wait_free()?.ring.push_back(item);
+        self.shared.not_empty.notify_one();
         Ok(())
     }
 
@@ -390,110 +136,35 @@ impl<T: RingItem> Sender<T> {
     /// is emptied on success (elements are moved out in order); on a
     /// disconnected receiver the unsent remainder stays in `batch`.
     ///
-    /// As many elements as fit are written and then published with a single
-    /// `Release` store, so the per-record synchronization cost is
-    /// `O(1/batch_len)` shared-line transfers.
+    /// One lock acquisition moves as many elements as fit, so the
+    /// per-record synchronization cost is `O(1/batch_len)` locks.
     pub fn send_all(&self, batch: &mut Vec<T>) -> Result<(), SendError> {
-        if !self.shared.receiver_alive.load(Ordering::Acquire) {
-            return Err(SendError);
-        }
-        let mut spins = 0u32;
         while !batch.is_empty() {
-            let free = self.free_slots();
-            if free == 0 {
-                if !self.shared.receiver_alive.load(Ordering::Acquire) {
-                    return Err(SendError);
-                }
-                if backoff(&mut spins) {
-                    self.park_until_free();
-                }
-                continue;
-            }
-            spins = 0;
-            let tail = self.tail.get();
-            let take = free.min(batch.len());
-            for (off, item) in batch.drain(..take).enumerate() {
-                self.write_slot(tail.wrapping_add(off), &item);
-            }
-            self.publish(tail.wrapping_add(take));
+            let mut state = self.wait_free()?;
+            let take = (state.capacity - state.ring.len()).min(batch.len());
+            state.ring.extend(batch.drain(..take));
+            drop(state);
+            self.shared.not_empty.notify_one();
         }
         Ok(())
     }
 }
 
-impl<T: RingItem> Drop for Sender<T> {
+impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        // `Release` so the consumer's `Acquire` load of the flag also sees
-        // the final published tail. Closing the consumer's waiter both
-        // wakes it now and prevents any future park — no wakeup can ever
-        // arrive again from this side.
-        self.shared.sender_alive.store(false, Ordering::Release);
-        self.shared.rx_waiter.close();
+        self.shared.lock().sender_alive = false;
+        self.shared.not_empty.notify_one();
     }
 }
 
-impl<T: RingItem> Receiver<T> {
-    /// Decode slot `idx` (`Relaxed` word loads — the `Acquire` tail load
-    /// that made the slot visible provides the ordering).
-    #[inline]
-    fn read_slot(&self, idx: usize) -> T {
-        let mut buf = [0u64; MAX_RING_WORDS];
-        let base = (idx & self.shared.mask) * T::WORDS;
-        for (word, slot) in buf[..T::WORDS]
-            .iter_mut()
-            .zip(&self.shared.slots[base..base + T::WORDS])
-        {
-            *word = slot.load(Ordering::Relaxed);
-        }
-        T::decode(&buf[..T::WORDS])
-    }
-
-    /// Block until at least one element is visible; `0` means the channel
-    /// is closed *and* drained (end-of-stream).
-    fn wait_available(&self) -> usize {
-        let head = self.head.get();
-        let cached = self.tail_cache.get().wrapping_sub(head);
-        if cached != 0 {
-            return cached;
-        }
-        let mut spins = 0u32;
-        loop {
-            self.tail_cache
-                .set(self.shared.tail.0.load(Ordering::Acquire));
-            let avail = self.tail_cache.get().wrapping_sub(head);
-            if avail != 0 {
-                return avail;
-            }
-            if !self.shared.sender_alive.load(Ordering::Acquire) {
-                // The flag is stored after the final publish; one re-load
-                // of tail under the flag's `Acquire` edge catches a batch
-                // that landed between our tail load and the flag check.
-                self.tail_cache
-                    .set(self.shared.tail.0.load(Ordering::Acquire));
-                return self.tail_cache.get().wrapping_sub(head);
-            }
-            if backoff(&mut spins) {
-                self.shared.rx_waiter.park_if(|| {
-                    self.shared.tail.0.load(Ordering::Acquire).wrapping_sub(head) == 0
-                        && self.shared.sender_alive.load(Ordering::Acquire)
-                });
-            }
-        }
-    }
-
-    /// Consume `take` elements from the local head and publish the new head
-    /// (one `Release` store per batch) so the producer can recycle slots.
-    #[inline]
-    fn advance(&self, take: usize) {
-        let new_head = self.head.get().wrapping_add(take);
-        debug_assert!(
-            self.shared.tail.0.load(Ordering::Relaxed).wrapping_sub(new_head)
-                < usize::MAX / 2,
-            "head never overtakes tail"
-        );
-        self.head.set(new_head);
-        self.shared.head.0.store(new_head, Ordering::Release);
-        self.shared.tx_waiter.wake();
+impl<T> Receiver<T> {
+    /// Block until the ring holds an element or the sender is gone (an
+    /// empty ring on return means end-of-stream).
+    fn wait_available(&self) -> MutexGuard<'_, State<T>> {
+        self.shared
+            .not_empty
+            .wait_while(self.shared.lock(), |s| s.sender_alive && s.ring.is_empty())
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Receive up to `max` elements into `out` (appended), blocking until at
@@ -503,38 +174,26 @@ impl<T: RingItem> Receiver<T> {
     /// end-of-stream to the caller).
     pub fn recv_many(&self, out: &mut Vec<T>, max: usize) -> usize {
         assert!(max > 0, "recv_many needs a positive max");
-        let avail = self.wait_available();
-        if avail == 0 {
-            return 0;
-        }
-        let head = self.head.get();
-        let take = avail.min(max);
-        for off in 0..take {
-            out.push(self.read_slot(head.wrapping_add(off)));
-        }
-        self.advance(take);
+        let mut state = self.wait_available();
+        let take = max.min(state.ring.len());
+        out.extend(state.ring.drain(..take));
+        drop(state);
+        self.shared.not_full.notify_one();
         take
     }
 
     /// Receive one element, or `None` at end-of-stream.
     pub fn recv(&self) -> Option<T> {
-        if self.wait_available() == 0 {
-            return None;
-        }
-        let item = self.read_slot(self.head.get());
-        self.advance(1);
+        let item = self.wait_available().ring.pop_front()?;
+        self.shared.not_full.notify_one();
         Some(item)
     }
 }
 
-impl<T: RingItem> Drop for Receiver<T> {
+impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.shared.receiver_alive.store(false, Ordering::Release);
-        // A producer parked on a full ring must wake to observe the death —
-        // including a death by panic (this `Drop` runs during the worker's
-        // unwind). Closing rather than waking also bars any future park,
-        // so the producer's error path never re-blocks on a dead consumer.
-        self.shared.tx_waiter.close();
+        self.shared.lock().receiver_alive = false;
+        self.shared.not_full.notify_one();
     }
 }
 
@@ -618,7 +277,7 @@ mod tests {
 
     #[test]
     fn non_power_of_two_capacity_is_exact() {
-        // Slot array rounds up to 8, but occupancy must cap at 5.
+        // The allocation may round up, but occupancy must cap at 5.
         let (tx, rx) = channel::<u64>(5);
         for i in 0..5 {
             tx.send(i).unwrap();

@@ -80,6 +80,14 @@ fn durable_buffered(backend: &SharedBackend) -> Durability {
     })
 }
 
+/// Default spill config for the failed-call test: a high-water mark far
+/// above this trace's key count, so every key keeps its standing in-RAM
+/// record (checkpoints only add snapshot frames, which that record
+/// supersedes) and no row can be stranded on a backend that failed.
+fn durable_resident(backend: &SharedBackend) -> Durability {
+    Durability::new(backend.clone())
+}
+
 fn sorted(mut rs: ResultSet) -> ResultSet {
     rs.sort();
     rs
@@ -359,5 +367,66 @@ fn crashed_recovery_recovers() {
             });
             assert_eq!(got, reference, "fail_at={fail_at} second={second}");
         }
+    }
+}
+
+/// A failed durable-tier call on the sharded plane is a typed error, not the
+/// end of the plane: `enable_durability` and `persist` quiesce the workers,
+/// and an `Err` from the backend must still resume them with every in-RAM
+/// row intact. After the injected failure the plane ingests, polls and
+/// drains normally, and the drain equals a never-durable single-stream run
+/// (a linear query, so durable, sharded and plain executions agree exactly;
+/// [`durable_resident`], so the in-RAM state is the whole truth). What a
+/// later `persist` on the healed backend returns is the spill tier's
+/// business; it only must not panic.
+#[test]
+fn sharded_plane_survives_a_failed_durable_call() {
+    let recs = records(TOTAL);
+    let q = fig2::PER_FLOW_COUNTERS;
+    let mut plain = Runtime::new(compiled(q.source));
+    plain.process_batch(&recs);
+    plain.finish();
+    let want = sorted(plain.collect());
+    let mid = PERSIST_AT[0];
+
+    // The rest of the schedule after the healed failure.
+    let carry_on = |mut plane: ShardedRuntime, what: &str| {
+        plane.process_batch(&recs[mid..PERSIST_AT[1]]);
+        let polled = plane.poll_results();
+        assert!(!polled.tables[0].rows.is_empty(), "{what}: poll sees the ingested rows");
+        plane.process_batch(&recs[PERSIST_AT[1]..]);
+        assert_eq!(sorted(plane.finish().collect()), want, "{what}");
+    };
+
+    // Fault on the first backend operation of `enable_durability`.
+    let (h, b) = fault_pair();
+    let mut plane = ShardedRuntime::new(compiled(q.source), 2);
+    plane.process_batch(&recs[..mid]);
+    h.lock().expect("fault mutex").arm(0, 0);
+    assert!(plane.enable_durability(durable_resident(&b)).is_err());
+    assert!(h.lock().expect("fault mutex").died(), "the fault fired");
+    h.lock().expect("fault mutex").heal();
+    carry_on(plane, "failed enable_durability");
+
+    // Fault on every backend operation of the first `persist`.
+    let (h, b) = fault_pair();
+    let mut healthy = ShardedRuntime::new(compiled(q.source), 2);
+    healthy.enable_durability(durable_resident(&b)).expect("enable");
+    healthy.process_batch(&recs[..mid]);
+    let before = h.lock().expect("fault mutex").ops();
+    healthy.persist().expect("healthy persist");
+    let after = h.lock().expect("fault mutex").ops();
+    drop(healthy);
+    assert!(after > before, "persist touches the backend");
+    for fail_at in before..after {
+        let (h, b) = fault_pair();
+        let mut plane = ShardedRuntime::new(compiled(q.source), 2);
+        plane.enable_durability(durable_resident(&b)).expect("enable");
+        plane.process_batch(&recs[..mid]);
+        h.lock().expect("fault mutex").arm(fail_at, fail_at as usize % 23);
+        assert!(plane.persist().is_err(), "fail_at={fail_at}");
+        h.lock().expect("fault mutex").heal();
+        let _ = plane.persist();
+        carry_on(plane, &format!("failed persist, fail_at={fail_at}"));
     }
 }

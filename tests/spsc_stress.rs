@@ -1,11 +1,7 @@
-//! Two-thread stress tests for the lock-free SPSC ring
+//! Two-thread stress tests for the bounded SPSC queue
 //! (`perfq_switch::spsc`): FIFO integrity and exactly-once delivery under
-//! randomized batch sizes, yield injection, and full/empty boundary races.
-//!
-//! The ring's own `debug_assert!`s (head/tail monotonicity, occupancy ≤
-//! capacity) are armed here too — `cargo test` builds with debug
-//! assertions — so a violated publication invariant fails loudly instead
-//! of corrupting a record.
+//! randomized batch sizes, yield injection, and full/empty boundary races,
+//! exact backpressure (occupancy ≤ capacity), and peer-death liveness.
 
 use perfq_packet::{Nanos, PacketBuilder};
 use perfq_switch::spsc::{channel, SendError};
@@ -34,7 +30,9 @@ impl Rng {
 /// One randomized producer/consumer round over a `u64` ring: `total`
 /// sequential items cross a ring of `capacity` slots in random batch
 /// sizes with random yields on both sides; the consumer must observe
-/// exactly `0..total` in order.
+/// exactly `0..total` in order, and an unbounded receive must never find
+/// more than `capacity` items queued — `send_all` backpressures exactly,
+/// non-power-of-two capacities included.
 fn hammer(seed: u64, capacity: usize, total: u64) {
     let (tx, rx) = channel::<u64>(capacity);
     let consumer = thread::spawn(move || {
@@ -44,7 +42,14 @@ fn hammer(seed: u64, capacity: usize, total: u64) {
             if rng.next() % 7 == 0 {
                 thread::yield_now();
             }
-            if rx.recv_many(&mut got, rng.batch(64)) == 0 {
+            let max = if rng.batch(5) == 1 {
+                usize::MAX
+            } else {
+                rng.batch(64)
+            };
+            let n = rx.recv_many(&mut got, max);
+            assert!(n <= capacity, "{n} items queued in a ring of {capacity}");
+            if n == 0 {
                 break;
             }
         }
@@ -125,8 +130,8 @@ fn receiver_death_mid_stream_errors_instead_of_deadlocking() {
         drop(rx);
         got
     });
-    // Keep sending until the dead receiver surfaces as an error; a mutex
-    // ring would deadlock here once the ring filled.
+    // Keep sending until the dead receiver surfaces as an error; a queue
+    // that missed the death would deadlock here once the ring filled.
     let mut i = 0u64;
     let err = loop {
         match tx.send(i) {
@@ -142,10 +147,9 @@ fn receiver_death_mid_stream_errors_instead_of_deadlocking() {
 #[test]
 fn consumer_panic_unparks_a_blocked_producer() {
     // Regression: a shard worker that panics mid-run drops its Receiver
-    // during the unwind. A producer blocked on the full ring — all the way
-    // down the spin → yield → park ladder — must wake *because the waiter
-    // was closed*, not because a park timeout happened to expire, and then
-    // surface the death as SendError.
+    // during the unwind. A producer blocked on the full ring must wake
+    // *because that drop notified it* and then surface the death as
+    // SendError.
     let (tx, rx) = channel::<u64>(1);
     let worker = thread::spawn(move || {
         let mut got = Vec::new();
@@ -167,7 +171,7 @@ fn consumer_panic_unparks_a_blocked_producer() {
 
 #[test]
 fn consumer_panic_unblocks_a_parked_send_all() {
-    // Same liveness property through the batch path: send_all parked on a
+    // Same liveness property through the batch path: send_all blocked on a
     // full ring must error out (leaving the remainder staged) when the
     // consumer dies, never hang.
     let (tx, rx) = channel::<u64>(2);
@@ -190,24 +194,24 @@ fn consumer_panic_unblocks_a_parked_send_all() {
 
 #[test]
 fn producer_panic_wakes_a_waiting_consumer_as_end_of_stream() {
-    // The mirror image: a consumer parked on the empty ring must observe
+    // The mirror image: a consumer blocked on the empty ring must observe
     // end-of-stream when the producer's unwind drops the Sender.
     let (tx, rx) = channel::<u64>(8);
     let producer = thread::spawn(move || {
         tx.send(7).unwrap();
-        // Let the consumer drain and commit to parking on the empty ring.
+        // Let the consumer drain and block on the empty ring.
         thread::sleep(std::time::Duration::from_millis(50));
         panic!("producer died");
     });
     assert_eq!(rx.recv(), Some(7));
-    assert_eq!(rx.recv(), None, "closed waiter surfaces end-of-stream");
+    assert_eq!(rx.recv(), None, "dropped sender surfaces end-of-stream");
     assert!(producer.join().is_err());
 }
 
 #[test]
 fn queue_records_cross_the_ring_bit_identically() {
-    // Full QueueRecords (13 ring words each) under batch races: every
-    // record must arrive exactly as sent — the sharded dataplane's
+    // Full QueueRecords under batch races: every record must arrive
+    // exactly as sent — the sharded dataplane's
     // correctness rests on this.
     let make = |i: u64| -> QueueRecord {
         let packet = if i % 3 == 0 {
