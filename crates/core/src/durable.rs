@@ -16,19 +16,23 @@
 //!   <prefix>retired_<id>             an uninstalled program's final results
 //! ```
 //!
-//! The checkpoint/resume protocol lives here conceptually (the mechanics
-//! are in `perfq-kvstore`): `persist()` flushes and spills every store,
-//! writes per-store checkpoint frames, *then* atomically advances the
-//! single manifest — so the manifest always names a record index every
-//! store has durably folded. After a crash, `recover` repairs each store's
-//! files against the manifest and returns the resume index; the caller
-//! re-ingests the stream from that record on, and the deployment's reads
-//! are byte-identical to a never-crashed deployment that persisted at the
-//! same indices (`tests/durability_crash.rs`).
+//! The checkpoint/resume protocol lives here, once, for every plane (the
+//! mechanics are in `perfq-kvstore`): `persist` flushes and spills every
+//! store of every worker runtime the plane hands it, writes per-store
+//! checkpoint frames, *then* atomically advances the single manifest — so
+//! the manifest always names a record index every store has durably
+//! folded. After a crash, `recover` repairs each store's files against
+//! the manifest and returns the resume index; the caller re-ingests the
+//! stream from that record on, and the deployment's reads are
+//! byte-identical to a never-crashed deployment that persisted at the same
+//! indices (`tests/durability_crash.rs`). A plane's own `persist` /
+//! `recover` only name its workers (`""`, `s<i>_`, `p<id>_`) and keep the
+//! record index.
 
 use crate::result::{ResultRow, ResultSet, ResultTable};
+use crate::runtime::Runtime;
 use perfq_kvstore::wal::{ByteReader, ByteWriter as _};
-use perfq_kvstore::{SharedBackend, SpillConfig};
+use perfq_kvstore::{read_manifest, write_manifest, SharedBackend, SpillConfig};
 use perfq_lang::{Schema, Value, ValueType};
 use std::io;
 
@@ -96,6 +100,45 @@ impl Durability {
     pub fn retired_name(&self, id: u64) -> String {
         format!("{}retired_{id}", self.prefix)
     }
+}
+
+/// Durably checkpoint a deployment at record index `at` — the one routine
+/// behind every plane's `persist`. `workers` lists the plane's runtimes
+/// with their file-name components: every worker's stores checkpoint,
+/// *then* the single manifest advances atomically, then the WALs compact
+/// and the capture files of the previous checkpoint (`persisted_at`) drop.
+/// `persisted_at` advances as soon as the manifest lands, so a failed
+/// compaction does not orphan the capture files the next checkpoint cleans.
+pub(crate) fn persist(
+    d: &Durability,
+    at: u64,
+    persisted_at: &mut Option<u64>,
+    workers: &mut [(String, &mut Runtime)],
+) -> io::Result<()> {
+    for (sub, rt) in workers.iter_mut() {
+        rt.persist_stores(at, d, sub)?;
+    }
+    write_manifest(d.backend(), &d.manifest_name(), at)?;
+    let stale = persisted_at.filter(|&old| old != at);
+    *persisted_at = Some(at);
+    for (sub, rt) in workers.iter_mut() {
+        rt.compact_stores(d, sub, stale)?;
+    }
+    Ok(())
+}
+
+/// [`persist`]'s twin: read the deployment manifest and repair every
+/// worker's durable files against it. Returns the manifested record index
+/// (`None` when no checkpoint was ever manifested — resume from 0).
+pub(crate) fn recover(
+    d: &Durability,
+    workers: &mut [(String, &mut Runtime)],
+) -> io::Result<Option<u64>> {
+    let resume = read_manifest(d.backend(), &d.manifest_name())?;
+    for (sub, rt) in workers.iter_mut() {
+        rt.recover_stores(d, sub, resume)?;
+    }
+    Ok(resume)
 }
 
 fn put_str(s: &str, out: &mut Vec<u8>) {

@@ -197,19 +197,26 @@
 //!
 //! The paper's §3.3 prices **one** fixed slice of switch SRAM that every
 //! concurrently-installed query shares — so concurrent queries are the
-//! normal case, not K independent deployments. [`MultiRuntime`] installs
-//! several compiled programs behind a single ingest pass: each record's
-//! base row materializes **once**, with the union of the programs' pruned
-//! column masks, and is dispatched to every program's flat plan — K
-//! concurrent Fig. 2 queries cost one trip through the network event loop
-//! instead of K full replays (the `multi_query` bench group guards the
-//! speedup). On the provisioning side, [`provision`] runs
+//! normal case, not K independent deployments. The multi-program plane has
+//! two front ends over **one** lifecycle core (see *Dynamic lifecycle*
+//! below), differing only in where a program's worker runtimes live:
+//!
+//! * [`MultiRuntime`] — one worker per program, on the caller's thread.
+//!   Each record's base row materializes **once**, with the union of the
+//!   programs' pruned column masks, and is dispatched to every program's
+//!   flat plan — K concurrent Fig. 2 queries cost one trip through the
+//!   network event loop instead of K full replays (the `multi_query` bench
+//!   group guards the speedup).
+//! * [`MultiSharded`] — N workers per program behind SPSC queues (one
+//!   [`ShardedRuntime`] each); every record is routed once per program.
+//!
+//! On the provisioning side, [`provision`] runs
 //! `perfq_kvstore::CachePlanner` over the programs' reported key/state
 //! widths and rewrites every store's geometry to its slice of the budget;
-//! [`MultiSharded`] extends both to the sharded dataplane, sizing each
-//! shard's cache at `1/N` of its program's slice so total area stays
-//! constant as the dataplane scales out. Execution is byte-identical to K
-//! independent sequential replays with the same geometries
+//! a worker runs its stores at the whole slice on [`MultiRuntime`] and at
+//! `1/N` of it on [`MultiSharded`], so total area stays constant as the
+//! dataplane scales out. Execution is byte-identical to K independent
+//! sequential replays with the same geometries
 //! (`tests/multi_query_equivalence.rs` pins single-stream, batched and
 //! 1/2/4/8-shard paths; `tests/area_plan.rs` fuzzes the planner's
 //! never-over-budget invariant).
@@ -263,15 +270,31 @@
 //! # Dynamic lifecycle
 //!
 //! The paper's queries "are installed at run time" — so the deployment is
-//! mutable while records flow. [`MultiRuntime::install`] admits one more
-//! compiled program into a live deployment and [`MultiRuntime::uninstall`]
-//! retires one by its stable install id, returning its final results
-//! (the sharded twins [`MultiSharded::install`] /
-//! [`MultiSharded::uninstall`] pause only the touched workers, drain their
-//! queues, and resume). Under a budget both re-run the
-//! `perfq_kvstore::CachePlanner` over the surviving set and **live-migrate**
-//! every resident store to its new slice between batches
-//! (`SplitStore::migrate_geometry`: rehash cache-resident pairs,
+//! mutable while records flow. `install` admits one more compiled program
+//! into a live deployment and `uninstall` retires one by its stable install
+//! id, returning its final results. There is **one** implementation of
+//! both (and of poll source resolution): a private lifecycle core in
+//! [`multi`] that owns the bookkeeping — installed programs, ids, install
+//! epochs, budget, settled dedup pairs — and works on each program's
+//! *quiesced worker runtimes in shard order*. [`MultiRuntime::install`] /
+//! [`MultiRuntime::uninstall`] lend it one-element groups;
+//! [`MultiSharded::install`] / [`MultiSharded::uninstall`] pause the
+//! worker groups the core says it will touch (queues drain first), hand
+//! them over, and resume. The plane's shape changes exactly four things —
+//! the **worker count** of a group, whether reaching it needs a
+//! **quiesce**, the **geometry divisor** (a worker's share of its
+//! program's slice: all of it, or `1/N`), and the **candidate gate** (the
+//! sharded plane dedups only across programs that partition exactly and
+//! route identically) — and nothing else; the single-stream plane
+//! additionally re-annotates its shared filter/key prefix after an event.
+//!
+//! An install is a dry run, then a commit. The dry run nominates the
+//! arrival's dedup candidates, runs the `perfq_kvstore::CachePlanner`
+//! **once** over the grown deployment, resolves every worker geometry and
+//! (under durability) attaches the arrival's spill tiers; any failure
+//! returns a typed [`InstallError`] with the deployment untouched. The
+//! commit **live-migrates** every resident store to its new slice between
+//! batches (`SplitStore::migrate_geometry`: rehash cache-resident pairs,
 //! timestamps intact, overflow absorbed through the normal merge path) —
 //! residents shrink to admit a newcomer and regrow when one leaves, with
 //! the backing store (the truth, §3.2) untouched throughout. The sharing
@@ -281,13 +304,20 @@
 //! holds exactly the state the newcomer's private store would — while
 //! cross-epoch twins stay private; uninstalling a store's owner promotes
 //! the first surviving alias to owner (the physical store's state moves
-//! with it), and a composed alias pair whose chains a replan pulls apart
-//! is *repaired* by cloning the shared state back into the alias. The
-//! contract, pinned by `tests/query_lifecycle.rs` differentially against
-//! restart-from-scratch deployments at every install event (and by
+//! with it, worker by worker), and a composed alias pair whose chains a
+//! replan pulls apart is *repaired* by cloning the shared state back into
+//! the alias. The contract, pinned by `tests/query_lifecycle.rs`
+//! differentially against restart-from-scratch deployments at every
+//! install event on all four plane shapes (and by
 //! `tests/store_migration.rs` property-testing the migration itself): any
 //! interleaving of installs and uninstalls is byte-identical to a fresh
-//! deployment observing the suffix each installed query actually saw.
+//! deployment observing the suffix each installed query actually saw, and
+//! a rejected install leaves no trace.
+//!
+//! The durable tier has the same shape: one checkpoint routine
+//! ([`durable`]) serves [`Runtime::persist`], [`ShardedRuntime::persist`]
+//! and [`MultiRuntime::persist`] — each plane only names its workers'
+//! files. [`MultiSharded`] has no durable tier yet.
 //!
 //! # Example
 //!
@@ -329,8 +359,8 @@ pub use compiler::{compile_program, CompileError, CompileOptions, CompiledProgra
 pub use durable::{decode_results, encode_results, read_retired, write_retired, Durability};
 pub use foldops::{FoldOps, FoldState};
 pub use multi::{
-    demand_of, provision, shard_programs, MultiRuntime, MultiSharded, SharedSlot, SharedStore,
-    SharingReport,
+    demand_of, provision, shard_programs, InstallError, MultiRuntime, MultiSharded, SharedSlot,
+    SharedStore, SharingReport,
 };
 pub use oracle::Oracle;
 pub use result::{diff_tables, DeltaCursor, DeltaRow, ResultRow, ResultSet, ResultTable};

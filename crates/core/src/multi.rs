@@ -19,10 +19,15 @@
 //!   dispatched to every program's flat plan — so K concurrent Fig. 2
 //!   queries cost one trip through the network event loop and one row
 //!   materialization instead of K full replays.
-//! * **Cross-query execution sharing** (this PR's layer; see below): work
-//!   that several installed programs would repeat — identical `WHERE`
-//!   predicates, identical `GROUPBY` key extractions, and entire
-//!   structurally-identical stores — executes **once**.
+//! * **Cross-query execution sharing** (see below): work that several
+//!   installed programs would repeat — identical `WHERE` predicates,
+//!   identical `GROUPBY` key extractions, and entire structurally-identical
+//!   stores — executes **once**.
+//! * **One lifecycle** (see below): [`MultiRuntime`] (one worker per
+//!   program, on the caller) and [`MultiSharded`] (N workers per program,
+//!   behind queues) are two front ends over one private core that
+//!   implements install, uninstall, replan → migrate → repair and poll
+//!   source resolution exactly once.
 //!
 //! ```text
 //!                                             ┌─▶ ExecPlan(program 0) ─▶ stores₀ (slice₀)
@@ -31,6 +36,43 @@
 //!                                              once)               (deduped aggregations: skipped,
 //!                                                                   one physical store serves all readers)
 //! ```
+//!
+//! # One lifecycle, two front ends
+//!
+//! Nothing in the paper's contract — queries "are installed at run time"
+//! against one fixed SRAM slice (§3.3), one merge algebra serves every
+//! placement of the fold state (§3.2) — distinguishes "K programs on the
+//! caller's thread" from "K programs × N worker shards". The module
+//! therefore keeps one `Roster`: the installed programs at their
+//! whole-slice geometries, their stable ids and install epochs, the
+//! budget, the settled dedup pairs, the sharing report. It owns no runtime;
+//! every mutating step works on program *p*'s **quiesced worker runtimes in
+//! shard order**, which the front end hands over for the duration:
+//!
+//! ```text
+//!   install(program)                         uninstall(id)
+//!   ── dry run (nothing mutated) ──          promote departing owners' stores
+//!   nominate alias candidates  ◀─ gate       snapshot owners of departing aliases
+//!   CachePlanner, once                       drain the departing group → results
+//!   worker geometries          ◀─ divisor    re-index bookkeeping
+//!   confirm candidates (strict rule)         replan ─▶ migrate ─▶ repair
+//!   ── commit ──
+//!   snapshot diverged owners ─▶ migrate ─▶ repair ─▶ adopt the arrival
+//! ```
+//!
+//! The plane's shape is one value (`shards: Option<usize>`) read at the two
+//! marked points and nowhere else in the core: the **gate** (the sharded
+//! plane dedups only across programs that partition exactly and route
+//! identically) and the **divisor** (a worker runs its stores at the whole
+//! slice, or at `1/N` of it). The rest of the difference lives in the front
+//! ends and is not control flow of the lifecycle: how many workers a group
+//! has; that [`MultiSharded`] must pause a group to reach its workers and
+//! resume it afterwards (only the groups the dry run says the commit
+//! touches — none at all without a budget); and that [`MultiRuntime`]
+//! re-annotates its shared filter/key prefix after an event. Every
+//! [`PlanError`] — including a `1/N` slice too small for one pair — and,
+//! under durability, a failed spill-tier attach surface from the dry run as
+//! an [`InstallError`] with the deployment untouched.
 //!
 //! # Cross-query sharing
 //!
@@ -73,7 +115,7 @@
 //! and the reclaimed bits grow every physical cache
 //! ([`StoreDemand::dedup`](perfq_kvstore::StoreDemand)).
 //!
-//! [`MultiSharded`] extends the same discipline across cores: each program
+//! [`MultiSharded`] runs the same discipline across cores: each program
 //! runs its own [`ShardedRuntime`], and under a plan every shard's cache is
 //! sized at `1/N` of the program's slice
 //! ([`StoreAllocation::shard_geometry`](perfq_kvstore::StoreAllocation::shard_geometry))
@@ -103,8 +145,8 @@ use crate::result::ResultSet;
 use crate::runtime::Runtime;
 use crate::sharded::{ShardSpec, ShardedRuntime};
 use perfq_kvstore::{
-    read_manifest, write_manifest, AreaPlan, CacheGeometry, CachePlanner, InlineKey, PlanError,
-    QueryAllocation, QueryDemand, StoreDemand,
+    AreaPlan, CacheGeometry, CachePlanner, InlineKey, PlanError, QueryAllocation, QueryDemand,
+    StoreDemand,
 };
 use perfq_lang::bytecode::EvalStack;
 use perfq_lang::{fingerprint, QueryInput, Value};
@@ -193,7 +235,7 @@ fn provision_with(
 fn lifecycle_demands(
     programs: &[CompiledProgram],
     ids: &[u64],
-    aliases: &[((usize, usize), (usize, usize))],
+    aliases: &[Pair],
 ) -> (Vec<usize>, Vec<QueryDemand>) {
     // A dedup group is named by its owner's (program, query) coordinates.
     let group_token = |p: usize, q: usize| ((p as u64) << 32) | q as u64;
@@ -243,30 +285,36 @@ fn lifecycle_demands(
 /// [`PlanError::SliceTooSmall`] (a
 /// [`StoreAllocation::shard_geometry`](perfq_kvstore::StoreAllocation::shard_geometry)
 /// call does not know its owner).
-fn name_slice_error(e: PlanError, name: &str) -> PlanError {
-    match e {
-        PlanError::SliceTooSmall {
-            slice_bits,
-            pair_bits,
-            ..
-        } => PlanError::SliceTooSmall {
-            query: name.to_string(),
-            slice_bits,
-            pair_bits,
-        },
-        other => other,
+fn name_slice_error(mut e: PlanError, name: &str) -> PlanError {
+    if let PlanError::SliceTooSmall { query, .. } = &mut e {
+        *query = name.to_string();
     }
+    e
 }
 
 /// Write an allocation's geometries into a compiled program's store plans.
 fn apply_allocation(compiled: &mut CompiledProgram, alloc: &QueryAllocation) {
-    let mut allocs = alloc.stores.iter();
+    debug_assert!(
+        (compiled.stores.iter().flatten().map(StorePlan::pair_bits))
+            .eq(alloc.stores.iter().map(|a| a.pair_bits)),
+        "allocation order matches"
+    );
+    set_geometries(compiled, alloc.stores.iter().map(|a| a.geometry));
+}
+
+/// Write one geometry per aggregation store, in query order.
+fn set_geometries(
+    compiled: &mut CompiledProgram,
+    geometries: impl IntoIterator<Item = CacheGeometry>,
+) {
+    let mut geometries = geometries.into_iter();
     for s in compiled.stores.iter_mut().flatten() {
-        let a = allocs.next().expect("allocation covers every store");
-        debug_assert_eq!(a.pair_bits, s.pair_bits(), "allocation order matches");
-        s.geometry = a.geometry;
+        s.geometry = geometries.next().expect("a geometry per store");
     }
-    assert!(allocs.next().is_none(), "allocation covers exactly the stores");
+    assert!(
+        geometries.next().is_none(),
+        "geometries cover exactly the stores"
+    );
 }
 
 /// The per-worker programs of a sharded deployment under an allocation:
@@ -278,25 +326,10 @@ pub fn shard_programs(
     shards: usize,
 ) -> Result<Vec<CompiledProgram>, PlanError> {
     assert!(shards > 0, "need at least one shard");
-    // Resolve the shard geometries once (they are identical per shard).
-    let geoms: Vec<CacheGeometry> = alloc
-        .stores
-        .iter()
-        .map(|s| {
-            s.shard_geometry(shards)
-                .map_err(|e| name_slice_error(e, &alloc.name))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok((0..shards)
-        .map(|_| {
-            let mut p = compiled.clone();
-            let mut it = geoms.iter();
-            for s in p.stores.iter_mut().flatten() {
-                s.geometry = *it.next().expect("geometry per store");
-            }
-            p
-        })
-        .collect())
+    // The shard geometries are identical per shard.
+    let mut worker = compiled.clone();
+    set_geometries(&mut worker, worker_geometries(Some(shards), alloc)?);
+    Ok(vec![worker; shards])
 }
 
 // ---------------------------------------------------------------------------
@@ -317,6 +350,14 @@ pub(crate) enum KeyGate {
     AnyOf(Vec<u32>),
 }
 
+/// One store-dedup pair: `(alias (program, query), owner (program, query))`.
+type Pair = ((usize, usize), (usize, usize));
+/// One shared-prefix filter slot: the predicate and its `(program, query)` users.
+type SharedFilter = (Filter, Vec<(usize, usize)>);
+/// One shared-prefix key slot: the key columns, the construction gate and
+/// the `(program, query)` users.
+type SharedKey = (Vec<usize>, KeyGate, Vec<(usize, usize)>);
+
 /// What the install-time sharing pass decided (crate-private form; the
 /// user-facing summary is [`SharingReport`]).
 #[derive(Debug, Clone, Default)]
@@ -324,20 +365,28 @@ pub(crate) struct SharingAnalysis {
     /// `(alias (program, query)) → (owner (program, query))`. The owner
     /// precedes its aliases in (program, query) order and is never itself
     /// an alias.
-    pub aliases: Vec<((usize, usize), (usize, usize))>,
+    pub aliases: Vec<Pair>,
     /// Unique base-table filters evaluated once per record, each with its
     /// ≥ 2 users.
-    pub filters: Vec<(Filter, Vec<(usize, usize)>)>,
+    pub filters: Vec<SharedFilter>,
     /// Unique base-table `GROUPBY` key tuples built once per record, each
     /// with its construction gate and its ≥ 2 annotated users.
-    pub keys: Vec<(Vec<usize>, KeyGate, Vec<(usize, usize)>)>,
+    pub keys: Vec<SharedKey>,
 }
 
 /// Physical store-plan identity: the non-structural half of the dedup
 /// legality rule (the structural half is
 /// [`perfq_lang::fingerprint::store_equivalent`]).
-fn phys_eq(a: &StorePlan, b: &StorePlan) -> bool {
-    a.geometry == b.geometry
+///
+/// `geometry: false` drops the geometry comparison — the nomination form
+/// used by the dynamic lifecycle. A freshly-compiled program carries
+/// compile-default geometries while the live deployment carries
+/// provisioned ones, so geometry equality at nomination time would reject
+/// every candidate the replan is about to *make* equal. The planner forces
+/// base-rooted groups onto one geometry; composed candidates are
+/// re-checked with the strict [`stores_dedupable`] after the plan lands.
+fn phys_eq(a: &StorePlan, b: &StorePlan, geometry: bool) -> bool {
+    (!geometry || a.geometry == b.geometry)
         && a.policy == b.policy
         && a.hash_seed == b.hash_seed
         && a.key_bits == b.key_bits
@@ -353,75 +402,42 @@ fn upstream_phys_identical(
     ai: usize,
     b: &CompiledProgram,
     bi: usize,
+    geometry: bool,
 ) -> bool {
     match (&a.program.queries[ai].input, &b.program.queries[bi].input) {
         (QueryInput::Base, QueryInput::Base) => true,
         (QueryInput::Table(x), QueryInput::Table(y)) => {
             let stores_match = match (&a.stores[*x], &b.stores[*y]) {
-                (Some(p), Some(q)) => phys_eq(p, q),
+                (Some(p), Some(q)) => phys_eq(p, q, geometry),
                 (None, None) => true,
                 _ => false,
             };
-            stores_match && upstream_phys_identical(a, *x, b, *y)
+            stores_match && upstream_phys_identical(a, *x, b, *y, geometry)
         }
         _ => false,
     }
 }
 
-/// The full store-dedup legality check for one candidate pair.
-fn stores_dedupable(a: &CompiledProgram, ai: usize, b: &CompiledProgram, bi: usize) -> bool {
-    let (Some(x), Some(y)) = (&a.stores[ai], &b.stores[bi]) else {
-        return false;
-    };
-    phys_eq(x, y)
-        && upstream_phys_identical(a, ai, b, bi)
-        && fingerprint::store_equivalent(&a.program, ai, &b.program, bi)
-}
-
-/// [`phys_eq`] with the geometry comparison dropped — the nomination form
-/// used by the dynamic lifecycle. A freshly-compiled program carries
-/// compile-default geometries while the live deployment carries
-/// provisioned ones, so geometry equality at nomination time would reject
-/// every candidate the replan is about to *make* equal. The planner forces
-/// base-rooted groups onto one geometry; composed candidates are
-/// re-checked with the strict [`stores_dedupable`] after the plan lands.
-fn phys_relaxed(a: &StorePlan, b: &StorePlan) -> bool {
-    a.policy == b.policy
-        && a.hash_seed == b.hash_seed
-        && a.key_bits == b.key_bits
-        && a.value_bits == b.value_bits
-        && a.ops.dataplane_identical(&b.ops)
-}
-
-/// [`upstream_phys_identical`] under the relaxed (geometry-free) rule.
-fn upstream_phys_relaxed(a: &CompiledProgram, ai: usize, b: &CompiledProgram, bi: usize) -> bool {
-    match (&a.program.queries[ai].input, &b.program.queries[bi].input) {
-        (QueryInput::Base, QueryInput::Base) => true,
-        (QueryInput::Table(x), QueryInput::Table(y)) => {
-            let stores_match = match (&a.stores[*x], &b.stores[*y]) {
-                (Some(p), Some(q)) => phys_relaxed(p, q),
-                (None, None) => true,
-                _ => false,
-            };
-            stores_match && upstream_phys_relaxed(a, *x, b, *y)
-        }
-        _ => false,
-    }
-}
-
-/// [`stores_dedupable`] under the relaxed (geometry-free) rule.
-fn stores_dedupable_relaxed(
+/// The store-dedup legality check for one candidate pair, with or without
+/// the geometry comparison (see [`phys_eq`]).
+fn dedupable(
     a: &CompiledProgram,
     ai: usize,
     b: &CompiledProgram,
     bi: usize,
+    geometry: bool,
 ) -> bool {
     let (Some(x), Some(y)) = (&a.stores[ai], &b.stores[bi]) else {
         return false;
     };
-    phys_relaxed(x, y)
-        && upstream_phys_relaxed(a, ai, b, bi)
+    phys_eq(x, y, geometry)
+        && upstream_phys_identical(a, ai, b, bi, geometry)
         && fingerprint::store_equivalent(&a.program, ai, &b.program, bi)
+}
+
+/// The full (strict) store-dedup legality check for one candidate pair.
+fn stores_dedupable(a: &CompiledProgram, ai: usize, b: &CompiledProgram, bi: usize) -> bool {
+    dedupable(a, ai, b, bi, true)
 }
 
 /// Nominate store-dedup pairs for a freshly-installed program (index
@@ -442,21 +458,21 @@ fn stores_dedupable_relaxed(
 ///   installed and are carried in the deployment's settled alias list.)
 ///
 /// Candidates are nominated with the relaxed geometry-free rule (see
-/// [`phys_relaxed`]) and must be confirmed with the strict
+/// [`phys_eq`]) and must be confirmed with the strict
 /// [`stores_dedupable`] against post-plan geometries before any store is
 /// elided.
 fn lifecycle_alias_candidates(
     programs: &[CompiledProgram],
     epochs: &[u64],
-    prev: &[((usize, usize), (usize, usize))],
+    prev: &[Pair],
     new_idx: usize,
-) -> Vec<((usize, usize), (usize, usize))> {
+) -> Vec<Pair> {
     let fps: Vec<Vec<perfq_lang::SubplanFp>> = programs
         .iter()
         .map(|p| p.program.subplan_fingerprints())
         .collect();
     let new_plan = ExecPlan::build(&programs[new_idx].program);
-    let mut out: Vec<((usize, usize), (usize, usize))> = Vec::new();
+    let mut out: Vec<Pair> = Vec::new();
     for (qi, node) in new_plan.nodes.iter().enumerate() {
         if programs[new_idx].stores[qi].is_none() || node.emits {
             continue;
@@ -474,7 +490,7 @@ fn lifecycle_alias_candidates(
             } else {
                 programs[op].stores.len()
             };
-            for oq in 0..limit {
+            for (oq, owner_fp) in fps[op].iter().enumerate().take(limit) {
                 if programs[op].stores[oq].is_none() {
                     continue;
                 }
@@ -486,10 +502,10 @@ fn lifecycle_alias_candidates(
                 {
                     continue;
                 }
-                if fps[op][oq].store != Some(store_fp) {
+                if owner_fp.store != Some(store_fp) {
                     continue;
                 }
-                if !stores_dedupable_relaxed(&programs[new_idx], qi, &programs[op], oq) {
+                if !dedupable(&programs[new_idx], qi, &programs[op], oq, false) {
                     continue;
                 }
                 out.push(((new_idx, qi), (op, oq)));
@@ -519,10 +535,6 @@ pub(crate) fn analyze_sharing(programs: &[CompiledProgram]) -> SharingAnalysis {
     // emitting aggregation feeds downstream queries its per-record running
     // values and cannot leave the streaming pass.)
     let mut aliases = Vec::new();
-    let mut aliased: Vec<Vec<bool>> = plans
-        .iter()
-        .map(|p| vec![false; p.nodes.len()])
-        .collect();
     let mut owners: Vec<(u64, (usize, usize))> = Vec::new();
     for (pi, prog) in programs.iter().enumerate() {
         for (qi, node) in plans[pi].nodes.iter().enumerate() {
@@ -541,16 +553,13 @@ pub(crate) fn analyze_sharing(programs: &[CompiledProgram]) -> SharingAnalysis {
                 .flatten()
                 .map(|(_, owner)| *owner);
             match alias_of {
-                Some(owner) => {
-                    aliases.push(((pi, qi), owner));
-                    aliased[pi][qi] = true;
-                }
+                Some(owner) => aliases.push(((pi, qi), owner)),
                 None => owners.push((store_fp, (pi, qi))),
             }
         }
     }
 
-    let (filters, keys) = analyze_prefix_sharing(&plans, &aliased);
+    let (filters, keys) = analyze_prefix_sharing(&plans, &aliases);
     SharingAnalysis {
         aliases,
         filters,
@@ -566,13 +575,14 @@ pub(crate) fn analyze_sharing(programs: &[CompiledProgram]) -> SharingAnalysis {
 #[allow(clippy::type_complexity)]
 fn analyze_prefix_sharing(
     plans: &[ExecPlan],
-    aliased: &[Vec<bool>],
-) -> (
-    Vec<(Filter, Vec<(usize, usize)>)>,
-    Vec<(Vec<usize>, KeyGate, Vec<(usize, usize)>)>,
-) {
+    aliases: &[Pair],
+) -> (Vec<SharedFilter>, Vec<SharedKey>) {
+    let mut aliased: Vec<Vec<bool>> = plans.iter().map(|p| vec![false; p.nodes.len()]).collect();
+    for ((ap, aq), _) in aliases {
+        aliased[*ap][*aq] = true;
+    }
     // Filters first: their retained slot indices gate the key slots below.
-    let mut filters: Vec<(Filter, Vec<(usize, usize)>)> = Vec::new();
+    let mut filters: Vec<SharedFilter> = Vec::new();
     for (pi, plan) in plans.iter().enumerate() {
         for (qi, node) in plan.nodes.iter().enumerate() {
             if !node.active || aliased[pi][qi] || node.source != RowSource::Base {
@@ -722,11 +732,15 @@ impl SharingReport {
     }
 }
 
-fn report_of(programs: &[CompiledProgram], analysis: &SharingAnalysis) -> SharingReport {
+fn report_of(
+    programs: &[CompiledProgram],
+    aliases: &[Pair],
+    filters: &[SharedFilter],
+    keys: &[SharedKey],
+) -> SharingReport {
     let schema = perfq_lang::base_schema();
     let named = |p: usize, q: usize| (p, programs[p].program.queries[q].name.clone());
-    let filters = analysis
-        .filters
+    let filters = filters
         .iter()
         .map(|(_, users)| {
             let (p, q) = users[0];
@@ -747,8 +761,7 @@ fn report_of(programs: &[CompiledProgram], analysis: &SharingAnalysis) -> Sharin
             }
         })
         .collect();
-    let keys = analysis
-        .keys
+    let keys = keys
         .iter()
         .map(|(cols, _, users)| SharedSlot {
             desc: cols
@@ -759,8 +772,7 @@ fn report_of(programs: &[CompiledProgram], analysis: &SharingAnalysis) -> Sharin
             users: users.iter().map(|(p, q)| named(*p, *q)).collect(),
         })
         .collect();
-    let stores = analysis
-        .aliases
+    let stores = aliases
         .iter()
         .map(|((ap, aq), (op, oq))| SharedStore {
             owner: named(*op, *oq),
@@ -774,27 +786,10 @@ fn report_of(programs: &[CompiledProgram], analysis: &SharingAnalysis) -> Sharin
     }
 }
 
-/// The `(program, query)` whose live store holds each of program `pos`'s
-/// `n` queries' truth at a poll: the query itself, or — resolved in one
-/// pass over the alias table — the owner a deduplicated alias redirects to.
-fn store_sources(
-    aliases: &[((usize, usize), (usize, usize))],
-    pos: usize,
-    n: usize,
-) -> Vec<(usize, usize)> {
-    let mut sources: Vec<(usize, usize)> = (0..n).map(|q| (pos, q)).collect();
-    for ((ap, aq), owner) in aliases {
-        if *ap == pos {
-            sources[*aq] = *owner;
-        }
-    }
-    sources
-}
-
 /// Substitute every alias query's (never-updated) store with a clone of its
 /// owner's finished store, so collection reads what a private store would
 /// have held. All runtimes must be finished.
-fn substitute_stores(runtimes: &mut [Runtime], aliases: &[((usize, usize), (usize, usize))]) {
+fn substitute_stores(runtimes: &mut [Runtime], aliases: &[Pair]) {
     for ((ap, aq), (op, oq)) in aliases {
         if ap == op {
             runtimes[*ap].adopt_store_within(*aq, *oq);
@@ -803,6 +798,549 @@ fn substitute_stores(runtimes: &mut [Runtime], aliases: &[((usize, usize), (usiz
             let (left, right) = runtimes.split_at_mut(*ap);
             right[0].adopt_store(*aq, &left[*op], *oq);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The lifecycle core
+// ---------------------------------------------------------------------------
+
+/// Why an `install` was refused. Either way nothing was committed: the
+/// resident programs, their stores, ids and sharing are exactly as before
+/// the call.
+#[derive(Debug)]
+pub enum InstallError {
+    /// The replan rejected the grown deployment (the budget cannot hold one
+    /// more program, or a worker's `1/N` slice cannot hold a single pair).
+    Plan(PlanError),
+    /// Attaching the arrival's durable spill tier failed. The install id it
+    /// would have taken is burnt, so a retry never re-opens half-written
+    /// `p<id>_` files.
+    Io(std::io::Error),
+}
+
+impl From<PlanError> for InstallError {
+    fn from(e: PlanError) -> Self {
+        InstallError::Plan(e)
+    }
+}
+
+impl std::fmt::Display for InstallError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InstallError::Plan(e) => write!(f, "install replan rejected: {e}"),
+            InstallError::Io(e) => write!(f, "durable-tier attach on install failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for InstallError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            InstallError::Plan(e) => Some(e),
+            InstallError::Io(e) => Some(e),
+        }
+    }
+}
+
+/// Program `p`'s **quiesced** worker runtimes, in shard order — the only
+/// form in which the lifecycle core touches a runtime. The inline plane
+/// lends each program's runtime as a one-element group; the sharded plane
+/// hands over what [`ShardedRuntime::pause`] returned, and leaves `None`
+/// for a group it kept running (the core reports beforehand which groups
+/// it will touch, [`Roster::touched`]).
+type Group = Option<Vec<Runtime>>;
+
+fn quiesced(groups: &mut [Group], p: usize) -> &mut Vec<Runtime> {
+    groups[p]
+        .as_mut()
+        .expect("the lifecycle only touches groups it asked to quiesce")
+}
+
+/// The plane shape's first consultation point — the candidate gate: the
+/// sharded plane keeps only alias pairs whose programs partition exactly
+/// and route identically ([`retain_shard_exact`]); the inline plane keeps
+/// every pair.
+fn gate(shards: Option<usize>, analysis: &mut SharingAnalysis, programs: &[CompiledProgram]) {
+    if shards.is_some() {
+        retain_shard_exact(analysis, programs);
+    }
+}
+
+/// The plane shape's second consultation point — the geometry divisor: the
+/// geometry each of a program's workers runs its stores at under `alloc`.
+/// The inline plane's one worker takes the whole slice; each of a sharded
+/// program's `N` workers takes `1/N` of it (constant total area).
+fn worker_geometries(
+    shards: Option<usize>,
+    alloc: &QueryAllocation,
+) -> Result<Vec<CacheGeometry>, PlanError> {
+    alloc
+        .stores
+        .iter()
+        .map(|s| match shards {
+            None => Ok(s.geometry),
+            Some(n) => s
+                .shard_geometry(n)
+                .map_err(|e| name_slice_error(e, &alloc.name)),
+        })
+        .collect()
+}
+
+/// One validated planner run over a program set, not yet applied.
+struct Replan {
+    /// The program set at its planned whole-slice geometries.
+    programs: Vec<CompiledProgram>,
+    /// Per store-bearing program: its index and each store's per-worker
+    /// geometry ([`worker_geometries`]).
+    migrations: Vec<(usize, Vec<CacheGeometry>)>,
+    /// Settled alias pairs (indices into [`Roster::aliases`]) whose chains
+    /// the planned geometries pull apart.
+    broken: Vec<usize>,
+}
+
+/// A validated install ([`Roster::stage_install`]); nothing is mutated
+/// until [`Roster::commit_install`].
+struct StagedInstall {
+    /// The grown deployment's replan; `migrations` covers residents only.
+    replan: Replan,
+    /// The arrival's confirmed alias pairs.
+    candidates: Vec<Pair>,
+}
+
+/// The lifecycle core both front ends own: which programs are installed
+/// under which ids and budget, which stores are deduplicated — and the one
+/// implementation of install, uninstall, replan → migrate → repair, and
+/// poll source resolution over that bookkeeping.
+///
+/// The core owns no runtime and starts no thread. [`MultiRuntime`] keeps
+/// one [`Runtime`] per program on the caller's thread, [`MultiSharded`]
+/// keeps one [`ShardedRuntime`] (N workers behind queues) per program; for
+/// a lifecycle event each hands its runtimes over as [`Group`]s and takes
+/// them back afterwards. What the plane's shape changes is exactly: how
+/// many workers a group has, whether reaching them needs a pause/resume
+/// (the front end's business), and — inside the core — the two functions
+/// that read `shards`: [`gate`] and [`worker_geometries`].
+#[derive(Debug)]
+struct Roster {
+    /// The installed programs at their **whole-slice** geometries, in
+    /// program order (worker runtimes carry the per-worker geometries).
+    /// Lifecycle analysis and replanning run at this level.
+    programs: Vec<CompiledProgram>,
+    /// Settled store-dedup pairs; substitutions apply on drain.
+    aliases: Vec<Pair>,
+    /// What the sharing pass found.
+    report: SharingReport,
+    /// Stable install ids, parallel to `programs` — program indices shift
+    /// on uninstall, ids never do.
+    ids: Vec<u64>,
+    /// Next install id to hand out.
+    next_id: u64,
+    /// Deployment record count at each program's install — the store-dedup
+    /// epoch gate ([`lifecycle_alias_candidates`]).
+    epochs: Vec<u64>,
+    /// The SRAM budget the deployment was provisioned under, if any;
+    /// lifecycle events replan it.
+    budget: Option<u64>,
+    /// Records the deployment has processed (programs installed later have
+    /// seen only a suffix).
+    records: u64,
+    /// Whether the cross-query sharing pass is enabled.
+    share: bool,
+    /// The plane's shape: `None` for the inline plane (one worker per
+    /// program, on the caller), `Some(N)` for N worker shards per program.
+    shards: Option<usize>,
+}
+
+impl Roster {
+    /// The constructors' shared half: run (and gate) the sharing pass over
+    /// the initial program set. Returns the analysis alongside for the
+    /// inline plane's shared prefix.
+    fn new(
+        programs: Vec<CompiledProgram>,
+        share: bool,
+        shards: Option<usize>,
+    ) -> (Self, SharingAnalysis) {
+        assert!(!programs.is_empty(), "need at least one program");
+        let mut analysis = SharingAnalysis::default();
+        if share {
+            analysis = analyze_sharing(&programs);
+            gate(shards, &mut analysis, &programs);
+        }
+        let n = programs.len();
+        let mut roster = Roster {
+            programs,
+            aliases: analysis.aliases.clone(),
+            report: SharingReport::default(),
+            ids: (0..n as u64).collect(),
+            next_id: n as u64,
+            epochs: vec![0; n],
+            budget: None,
+            records: 0,
+            share,
+            shards,
+        };
+        roster.refresh_report(&analysis.filters, &analysis.keys);
+        (roster, analysis)
+    }
+
+    /// [`Roster::new`] under a shared SRAM budget. One (gated) sharing
+    /// analysis tags the dedup groups the planner charges once
+    /// ([`provision_with`]); the analysis then re-runs at the provisioned
+    /// geometries, so no store is elided unless the strict rule holds at
+    /// the geometries the dataplane actually runs. Returns each program's
+    /// per-worker program ([`worker_geometries`]) and the plan alongside.
+    fn provisioned(
+        mut programs: Vec<CompiledProgram>,
+        budget_bits: u64,
+        shards: Option<usize>,
+    ) -> Result<(Self, SharingAnalysis, Vec<CompiledProgram>, AreaPlan), PlanError> {
+        let mut analysis = analyze_sharing(&programs);
+        gate(shards, &mut analysis, &programs);
+        let plan = provision_with(&mut programs, budget_bits, &analysis)?;
+        let (mut roster, analysis) = Roster::new(programs, true, shards);
+        roster.budget = Some(budget_bits);
+        // `provision_with` named the i-th program's demand `q{i}`; look the
+        // allocation up **by name** — programs without stores place no
+        // demand, so positional iteration would misalign every later
+        // program's geometry with its neighbour's.
+        let mut workers = roster.worker_programs();
+        for (i, worker) in workers.iter_mut().enumerate() {
+            if let Some(alloc) = plan.query(&format!("q{i}")) {
+                set_geometries(worker, worker_geometries(shards, alloc)?);
+            }
+        }
+        Ok((roster, analysis, workers, plan))
+    }
+
+    /// The program each installed program's workers start from: its
+    /// whole-slice program with every alias query marked as externally
+    /// provided ([`CompiledProgram::deduped_queries`]), so the worker
+    /// runtime leaves it out of its streaming pass.
+    fn worker_programs(&self) -> Vec<CompiledProgram> {
+        let mut workers = self.programs.clone();
+        for ((ap, aq), _) in &self.aliases {
+            workers[*ap].deduped_queries.push(*aq);
+        }
+        workers
+    }
+
+    /// Program index of install id `id`, if it is live.
+    fn position(&self, id: u64) -> Option<usize> {
+        self.ids.iter().position(|x| *x == id)
+    }
+
+    /// Rebuild the sharing report over the current programs and settled
+    /// aliases, with the shared-prefix slots the inline plane runs (none on
+    /// the sharded plane: the prefix does not cross the queues).
+    fn refresh_report(
+        &mut self,
+        filters: &[SharedFilter],
+        keys: &[SharedKey],
+    ) {
+        self.report = report_of(&self.programs, &self.aliases, filters, keys);
+    }
+
+    /// Run the planner **once** over `programs` (named by `ids`, dedup
+    /// groups from `aliases`) under the deployment's budget: whole-slice
+    /// geometries written into `programs`, per-worker geometries resolved,
+    /// diverging settled pairs detected — every [`PlanError`] surfaces
+    /// here, before anything live is touched. Without a budget (or without
+    /// any store) geometries never change and the replan is empty.
+    fn replan(
+        &self,
+        programs: Vec<CompiledProgram>,
+        ids: &[u64],
+        aliases: &[Pair],
+    ) -> Result<Replan, PlanError> {
+        let mut replan = Replan {
+            programs,
+            migrations: Vec::new(),
+            broken: Vec::new(),
+        };
+        let Some(budget) = self.budget else {
+            return Ok(replan);
+        };
+        let (idxs, demands) = lifecycle_demands(&replan.programs, ids, aliases);
+        if demands.is_empty() {
+            return Ok(replan);
+        }
+        let plan = CachePlanner::new(budget).plan(&demands)?;
+        for (pi, alloc) in idxs.into_iter().zip(&plan.queries) {
+            apply_allocation(&mut replan.programs[pi], alloc);
+            replan
+                .migrations
+                .push((pi, worker_geometries(self.shards, alloc)?));
+        }
+        replan.broken = (0..self.aliases.len())
+            .filter(|&i| {
+                let ((ap, aq), (op, oq)) = self.aliases[i];
+                !stores_dedupable(&replan.programs[ap], aq, &replan.programs[op], oq)
+            })
+            .collect();
+        Ok(replan)
+    }
+
+    /// Apply a validated replan to the quiesced groups: every store
+    /// live-migrates to its planned per-worker geometry, and every composed
+    /// alias pair the new geometries diverge is **repaired** (privatized) —
+    /// the shared store's pre-migration state, exactly what the alias's
+    /// private store would hold, is cloned worker by worker, migrated to
+    /// the alias's new geometry, and handed to the reactivated alias query.
+    fn apply(&mut self, replan: Replan, groups: &mut [Group]) {
+        // Snapshot diverging pairs' owners *before* any migration.
+        let repairs: Vec<_> = replan
+            .broken
+            .iter()
+            .map(|&i| {
+                let (_, (op, oq)) = self.aliases[i];
+                let snaps: Vec<_> = quiesced(groups, op)
+                    .iter()
+                    .map(|w| w.clone_store(oq))
+                    .collect();
+                (i, snaps)
+            })
+            .collect();
+        // Live-migrate every resident store (dormant alias stores too —
+        // their compiled geometries must track the plan).
+        for (pi, geoms) in &replan.migrations {
+            for w in quiesced(groups, *pi).iter_mut() {
+                let mut it = geoms.iter();
+                for (qi, store) in replan.programs[*pi].stores.iter().enumerate() {
+                    if store.is_some() {
+                        w.migrate_store(qi, *it.next().expect("a geometry per store"));
+                    }
+                }
+            }
+        }
+        // Materialize the repairs at each worker's new private geometry.
+        for (i, snaps) in repairs.into_iter().rev() {
+            let ((ap, aq), _) = self.aliases.remove(i);
+            for (w, mut snap) in quiesced(groups, ap).iter_mut().zip(snaps) {
+                let geom = w.compiled().stores[aq]
+                    .as_ref()
+                    .expect("alias stores exist")
+                    .geometry;
+                snap.migrate_geometry(geom);
+                w.set_store(aq, snap);
+                w.reactivate_query(aq);
+            }
+        }
+        self.programs = replan.programs;
+    }
+
+    /// The dry run of an install: nominate the arrival's alias candidates
+    /// (gated by the plane's shape), replan the grown deployment, confirm
+    /// the candidates at the planned geometries, and build the arrival's
+    /// per-worker program. Nothing is mutated, so an `Err` leaves the
+    /// deployment untouched.
+    fn stage_install(
+        &self,
+        program: CompiledProgram,
+    ) -> Result<(StagedInstall, CompiledProgram), PlanError> {
+        let new_idx = self.programs.len();
+        let mut programs = self.programs.clone();
+        programs.push(program);
+        let mut epochs = self.epochs.clone();
+        epochs.push(self.records);
+        let mut nominated = SharingAnalysis::default();
+        if self.share {
+            nominated.aliases =
+                lifecycle_alias_candidates(&programs, &epochs, &self.aliases, new_idx);
+            gate(self.shards, &mut nominated, &programs);
+        }
+        let mut candidates = nominated.aliases;
+
+        // Candidate pairs are kept only when the strict dedup rule holds at
+        // the geometries the plan installs. The demand set is identical
+        // with or without the candidates dropped below (only base-rooted
+        // pairs are planner-tagged, and those always confirm — the planner
+        // mirrors the group geometry), so this one plan is the one to
+        // commit.
+        let mut ids = self.ids.clone();
+        ids.push(self.next_id);
+        let combined: Vec<Pair> = self.aliases.iter().chain(&candidates).copied().collect();
+        let mut replan = self.replan(programs, &ids, &combined)?;
+        candidates.retain(|((ap, aq), (op, oq))| {
+            stores_dedupable(&replan.programs[*ap], *aq, &replan.programs[*op], *oq)
+        });
+
+        // The arrival starts at its planned per-worker geometries with its
+        // alias queries out of the streaming pass; the residents migrate to
+        // theirs at commit.
+        let mut worker = replan.programs[new_idx].clone();
+        for ((ap, aq), _) in &candidates {
+            debug_assert_eq!(*ap, new_idx, "only the new program takes the alias side");
+            worker.deduped_queries.push(*aq);
+        }
+        if let Some(at) = replan.migrations.iter().position(|(pi, _)| *pi == new_idx) {
+            set_geometries(&mut worker, replan.migrations.remove(at).1);
+        }
+        Ok((StagedInstall { replan, candidates }, worker))
+    }
+
+    /// Which resident groups committing `staged` touches — the ones whose
+    /// stores migrate or that own or alias a diverged pair. An install
+    /// under no budget touches none.
+    fn touched(&self, staged: &StagedInstall) -> Vec<bool> {
+        let mut need = vec![false; self.programs.len()];
+        for (pi, _) in &staged.replan.migrations {
+            need[*pi] = true;
+        }
+        for i in &staged.replan.broken {
+            let ((ap, _), (op, _)) = self.aliases[*i];
+            need[ap] = true;
+            need[op] = true;
+        }
+        need
+    }
+
+    /// Commit a staged install over the touched residents' quiesced groups
+    /// and adopt the arrival under a fresh install id (returned). The front
+    /// end starts the arrival's workers from the program
+    /// [`Roster::stage_install`] handed it.
+    fn commit_install(&mut self, staged: StagedInstall, groups: &mut [Group]) -> u64 {
+        self.apply(staged.replan, groups);
+        self.aliases.extend(staged.candidates);
+        let id = self.next_id;
+        self.next_id += 1;
+        self.ids.push(id);
+        self.epochs.push(self.records);
+        self.refresh_report(&[], &[]);
+        id
+    }
+
+    /// Uninstall program `pos` from the (entirely quiesced) deployment and
+    /// return its final results; its group leaves `groups`.
+    ///
+    /// A departing *owner*'s shared store is **promoted** worker by worker
+    /// into its first surviving alias (dedup implies identical routing, so
+    /// worker `w`'s states are interchangeable; the live state moves —
+    /// stream continuity preserved) and further aliases re-parent onto the
+    /// promoted owner; a departing *alias* collects from a flushed
+    /// cross-worker merge of its owner's (still running) store. The
+    /// departing workers drain into one finished [`Runtime`], and under a
+    /// budget the survivors replan onto the reclaimed area, live-migrate
+    /// and repair.
+    fn uninstall(&mut self, pos: usize, groups: &mut Vec<Group>) -> ResultSet {
+        let mut promoted: Vec<Pair> = Vec::new();
+        for i in 0..self.aliases.len() {
+            let ((ap, aq), (op, oq)) = self.aliases[i];
+            if op != pos || ap == pos {
+                continue;
+            }
+            match promoted.iter().find(|(old, _)| *old == (op, oq)) {
+                Some((_, new_owner)) => self.aliases[i].1 = *new_owner,
+                None => {
+                    let stores: Vec<_> = quiesced(groups, op)
+                        .iter()
+                        .map(|w| w.clone_store(oq))
+                        .collect();
+                    for (w, store) in quiesced(groups, ap).iter_mut().zip(stores) {
+                        w.set_store(aq, store);
+                        w.reactivate_query(aq);
+                    }
+                    promoted.push(((op, oq), (ap, aq)));
+                }
+            }
+        }
+
+        // The departing program's aliased queries: cross-program ones read
+        // a frozen copy of their owner's store — merged across the owner's
+        // workers in shard order, flushed; within-program pairs adopt as
+        // usual.
+        let mut snaps = Vec::new();
+        let mut within = Vec::new();
+        for ((ap, aq), (op, oq)) in &self.aliases {
+            if *ap != pos {
+                continue;
+            }
+            if *op == pos {
+                within.push((*aq, *oq));
+            } else {
+                let mut owners = quiesced(groups, *op).iter();
+                let mut merged = owners.next().expect("at least one worker").clone_store(*oq);
+                merged.flush();
+                for w in owners {
+                    merged.absorb_store(w.clone_store(*oq));
+                }
+                snaps.push((*aq, merged));
+            }
+        }
+
+        // Drain the departing workers into one finished runtime.
+        let mut departing = groups
+            .remove(pos)
+            .expect("uninstall quiesces every group")
+            .into_iter();
+        let mut rt = departing.next().expect("at least one worker");
+        rt.finish();
+        for mut w in departing {
+            w.finish();
+            rt.absorb_finished(w);
+        }
+        for (aq, snap) in &snaps {
+            rt.adopt_store_snapshot(*aq, snap);
+        }
+        for (aq, oq) in &within {
+            rt.adopt_store_within(*aq, *oq);
+        }
+        let results = rt.collect();
+
+        // Bookkeeping: drop every pair touching the departing program,
+        // shift indices past it down by one.
+        self.aliases
+            .retain(|((ap, _), (op, _))| *ap != pos && *op != pos);
+        for ((ap, _), (op, _)) in &mut self.aliases {
+            if *ap > pos {
+                *ap -= 1;
+            }
+            if *op > pos {
+                *op -= 1;
+            }
+        }
+        self.ids.remove(pos);
+        self.epochs.remove(pos);
+        self.programs.remove(pos);
+
+        let survivors = std::mem::take(&mut self.programs); // `apply` puts them back
+        let replan = self
+            .replan(survivors, &self.ids, &self.aliases)
+            .expect("surviving slices only grow on uninstall");
+        self.apply(replan, groups);
+        self.refresh_report(&[], &[]);
+        results
+    }
+
+    /// The `(program, query)` whose live store holds each of program
+    /// `pos`'s queries' truth at a poll — the query itself, or the owner a
+    /// deduplicated alias redirects to (the same redirection the drain
+    /// applies via [`substitute_stores`], read-only here); `None` for
+    /// storeless queries.
+    fn poll_sources(&self, pos: usize) -> Vec<Option<(usize, usize)>> {
+        let mut sources: Vec<_> = self.programs[pos]
+            .stores
+            .iter()
+            .enumerate()
+            .map(|(q, store)| store.as_ref().map(|_| (pos, q)))
+            .collect();
+        for ((ap, aq), owner) in &self.aliases {
+            if *ap == pos {
+                sources[*aq] = Some(*owner);
+            }
+        }
+        sources
+    }
+
+    /// Poll program `pos` over the (read-only) worker runtimes
+    /// `workers_of(p)` lends for every program [`Roster::poll_sources`]
+    /// names: per-worker frames merge through the same normalization the
+    /// drain uses.
+    fn poll<'a>(&self, pos: usize, workers_of: impl Fn(usize) -> &'a [Runtime]) -> ResultSet {
+        let stores: Vec<_> = (self.poll_sources(pos).into_iter())
+            .map(|src| src.map(|(p, q)| (workers_of(p), q)))
+            .collect();
+        crate::runtime::poll_collect(workers_of(pos), &stores)
     }
 }
 
@@ -835,7 +1373,10 @@ fn substitute_stores(runtimes: &mut [Runtime], aliases: &[((usize, usize), (usiz
 /// ```
 #[derive(Debug)]
 pub struct MultiRuntime {
+    /// One runtime per installed program, on the caller's thread.
     runtimes: Vec<Runtime>,
+    /// Who is installed, and the one lifecycle over them.
+    roster: Roster,
     /// Union of the programs' pruned base-column masks.
     union_cols: u64,
     /// Shared row buffer, materialized once per record
@@ -857,8 +1398,6 @@ pub struct MultiRuntime {
     shared_keys: Vec<(Vec<usize>, KeyGate)>,
     /// Reusable scratch for wider-than-inline shared keys.
     key_spill: Vec<i64>,
-    /// Store-dedup substitutions applied at [`MultiRuntime::finish`].
-    aliases: Vec<((usize, usize), (usize, usize))>,
     /// Per-record shared filter verdicts ([`MultiRuntime::process_record`]).
     pass_buf: Vec<bool>,
     /// Vectorized path: per-slot survivor bitmasks for the current chunk
@@ -869,26 +1408,6 @@ pub struct MultiRuntime {
     key_buf: Vec<InlineKey>,
     /// Bytecode stack for shared filter evaluation.
     stack: EvalStack,
-    /// What the install-time sharing pass found.
-    report: SharingReport,
-    /// Stable install ids, parallel to `runtimes` — program indices shift
-    /// on [`MultiRuntime::uninstall`], ids never do.
-    ids: Vec<u64>,
-    /// Next install id to hand out.
-    next_id: u64,
-    /// Deployment record count at each program's install, parallel to
-    /// `runtimes` — the store-dedup epoch gate
-    /// ([`lifecycle_alias_candidates`]).
-    epochs: Vec<u64>,
-    /// The SRAM budget this deployment was provisioned under, if any;
-    /// lifecycle events replan it.
-    budget: Option<u64>,
-    /// Records the deployment has processed (programs installed later have
-    /// seen only a suffix).
-    records: u64,
-    /// Whether the cross-query sharing pass is enabled (lifecycle events
-    /// re-run it).
-    share: bool,
     /// Durable-tier configuration ([`MultiRuntime::enable_durability`]).
     /// Program `id` persists under the `p<id>_` name component; uninstall
     /// additionally publishes the departing program's final results as a
@@ -955,65 +1474,43 @@ impl MultiRuntime {
     }
 
     fn with_sharing(programs: Vec<CompiledProgram>, share: bool) -> Self {
-        assert!(!programs.is_empty(), "need at least one program");
-        let analysis = if share {
-            analyze_sharing(&programs)
-        } else {
-            SharingAnalysis::default()
-        };
-        let report = report_of(&programs, &analysis);
-        let mut runtimes: Vec<Runtime> = programs.into_iter().map(Runtime::new).collect();
-        for ((ap, aq), _) in &analysis.aliases {
-            runtimes[*ap].deactivate_query(*aq);
-        }
-        for (slot, (_, users)) in analysis.filters.iter().enumerate() {
-            for (p, q) in users {
-                runtimes[*p].set_shared_slots(*q, Some(slot as u32), None);
-            }
-        }
-        for (slot, (_, _, users)) in analysis.keys.iter().enumerate() {
-            for (p, q) in users {
-                runtimes[*p].set_shared_slots(*q, None, Some(slot as u32));
-            }
-        }
-        let union_cols = runtimes.iter().fold(0u64, |m, rt| m | rt.base_cols());
-        let n = runtimes.len();
-        MultiRuntime {
-            runtimes,
-            union_cols,
+        let (roster, analysis) = Roster::new(programs, share, None);
+        let workers = roster.worker_programs();
+        Self::build(roster, analysis, workers)
+    }
+
+    /// Start one runtime per worker program and annotate the shared prefix
+    /// the sharing pass found.
+    fn build(roster: Roster, analysis: SharingAnalysis, workers: Vec<CompiledProgram>) -> Self {
+        let mut multi = MultiRuntime {
+            runtimes: workers.into_iter().map(Runtime::new).collect(),
+            roster,
+            union_cols: 0,
             row_buf: Vec::new(),
             rows: Vec::new(),
             nows: Vec::new(),
-            shared_filters: analysis.filters.into_iter().map(|(f, _)| f).collect(),
-            shared_keys: analysis.keys.into_iter().map(|(k, g, _)| (k, g)).collect(),
+            shared_filters: Vec::new(),
+            shared_keys: Vec::new(),
             key_spill: Vec::new(),
-            aliases: analysis.aliases,
             pass_buf: Vec::new(),
             pass_masks: Vec::new(),
             key_buf: Vec::new(),
             stack: EvalStack::new(),
-            report,
-            ids: (0..n as u64).collect(),
-            next_id: n as u64,
-            epochs: vec![0; n],
-            budget: None,
-            records: 0,
-            share,
             durability: None,
             persisted_at: None,
-        }
+        };
+        multi.annotate(analysis.filters, analysis.keys);
+        multi
     }
 
     /// Install programs under a shared SRAM budget: [`provision`] the
     /// geometries first, then build the runtime. Returns the plan alongside.
     pub fn provisioned(
-        mut programs: Vec<CompiledProgram>,
+        programs: Vec<CompiledProgram>,
         budget_bits: u64,
     ) -> Result<(Self, AreaPlan), PlanError> {
-        let plan = provision(&mut programs, budget_bits)?;
-        let mut multi = Self::new(programs);
-        multi.budget = Some(budget_bits);
-        Ok((multi, plan))
+        let (roster, analysis, workers, plan) = Roster::provisioned(programs, budget_bits, None)?;
+        Ok((Self::build(roster, analysis, workers), plan))
     }
 
     /// Number of installed programs.
@@ -1038,13 +1535,13 @@ impl MultiRuntime {
     /// The stable install ids, parallel to [`MultiRuntime::runtimes`].
     #[must_use]
     pub fn ids(&self) -> &[u64] {
-        &self.ids
+        &self.roster.ids
     }
 
     /// What the install-time sharing pass shared across the programs.
     #[must_use]
     pub fn sharing(&self) -> &SharingReport {
-        &self.report
+        &self.roster.report
     }
 
     /// Records the deployment has processed. A program installed mid-stream
@@ -1052,7 +1549,16 @@ impl MultiRuntime {
     /// install on.
     #[must_use]
     pub fn records(&self) -> u64 {
-        self.records
+        self.roster.records
+    }
+
+    /// The installed runtimes with their durable file-name components
+    /// (`p<id>_` — stable across the index shifts of install/uninstall).
+    fn program_named(&mut self) -> Vec<(String, &mut Runtime)> {
+        let ids = self.roster.ids.iter();
+        ids.zip(&mut self.runtimes)
+            .map(|(id, rt)| (format!("p{id}_"), rt))
+            .collect()
     }
 
     /// Attach a durable spill tier to every installed program's stores
@@ -1062,13 +1568,12 @@ impl MultiRuntime {
     /// ([`MultiRuntime::install`]) join the durable tier on arrival.
     /// Uninstall additionally publishes the departing program's final
     /// results as a retired file ([`MultiRuntime::retired`]). The sharded
-    /// frontend ([`MultiSharded`]) does not take a durable tier — persist
-    /// from the single-threaded plane, or use [`ShardedRuntime`] for a
-    /// durable sharded single program.
+    /// frontend ([`MultiSharded`]) does not take a durable tier yet —
+    /// persist from the single-threaded plane, or use [`ShardedRuntime`]
+    /// for a durable sharded single program.
     pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
-        for (i, rt) in self.runtimes.iter_mut().enumerate() {
-            let id = self.ids[i];
-            rt.enable_durability_prefixed(&d, &format!("p{id}_"))?;
+        for (sub, rt) in self.program_named() {
+            rt.enable_durability_prefixed(&d, &sub)?;
         }
         self.durability = Some(d);
         Ok(())
@@ -1087,19 +1592,10 @@ impl MultiRuntime {
             .durability
             .clone()
             .expect("persist requires enable_durability");
-        let at = self.records;
-        for (i, rt) in self.runtimes.iter_mut().enumerate() {
-            let id = self.ids[i];
-            rt.persist_stores(at, &d, &format!("p{id}_"))?;
-        }
-        write_manifest(d.backend(), &d.manifest_name(), at)?;
-        let stale = self.persisted_at.filter(|&old| old != at);
-        self.persisted_at = Some(at);
-        for (i, rt) in self.runtimes.iter_mut().enumerate() {
-            let id = self.ids[i];
-            rt.compact_stores(&d, &format!("p{id}_"), stale)?;
-        }
-        Ok(())
+        let (at, mut persisted_at) = (self.roster.records, self.persisted_at);
+        let outcome = crate::durable::persist(&d, at, &mut persisted_at, &mut self.program_named());
+        self.persisted_at = persisted_at;
+        outcome
     }
 
     /// Recover a crashed multi-query deployment that had **no mid-stream
@@ -1115,13 +1611,9 @@ impl MultiRuntime {
         d: Durability,
     ) -> std::io::Result<(Self, u64)> {
         let mut multi = Self::new(programs);
-        let resume = read_manifest(d.backend(), &d.manifest_name())?;
-        for (i, rt) in multi.runtimes.iter_mut().enumerate() {
-            let id = multi.ids[i];
-            rt.recover_stores(&d, &format!("p{id}_"), resume)?;
-        }
+        let resume = crate::durable::recover(&d, &mut multi.program_named())?;
         let at = resume.unwrap_or(0);
-        multi.records = at;
+        multi.roster.records = at;
         multi.persisted_at = resume;
         multi.durability = Some(d);
         Ok((multi, at))
@@ -1141,6 +1633,18 @@ impl MultiRuntime {
         read_retired(d, id)
     }
 
+    /// Lend every program's runtime to the lifecycle core as a one-worker
+    /// quiesced group (nothing runs between two calls on this plane), and
+    /// take them back.
+    fn lend(&mut self) -> Vec<Group> {
+        let runtimes = std::mem::take(&mut self.runtimes);
+        runtimes.into_iter().map(|rt| Some(vec![rt])).collect()
+    }
+
+    fn take_back(&mut self, groups: Vec<Group>) {
+        self.runtimes = groups.into_iter().flatten().flatten().collect();
+    }
+
     /// Install one more compiled program into the **live** deployment —
     /// the dynamic half of the paper's "queries are installed at run time"
     /// contract (§3.3 prices the SRAM budget precisely so operators can
@@ -1154,8 +1658,8 @@ impl MultiRuntime {
     /// carries over byte-identically.
     ///
     /// Under a budget ([`MultiRuntime::provisioned`]) the planner re-runs
-    /// over the grown deployment and every resident store **live-migrates**
-    /// to its new (smaller) slice without stopping ingest
+    /// once over the grown deployment and every resident store
+    /// **live-migrates** to its new (smaller) slice without stopping ingest
     /// ([`perfq_kvstore::SplitStore::migrate_geometry`] — rehash
     /// cache-resident pairs, spill what no longer fits, timestamps
     /// preserved). The sharing analysis re-runs incrementally: the new
@@ -1163,79 +1667,29 @@ impl MultiRuntime {
     /// epochs only — see `lifecycle_alias_candidates`) or join the
     /// shared filter/key prefix; a live composed alias pair whose chains
     /// the replan diverges is **repaired** — the shared store's state is
-    /// cloned into the alias as its private store again.
+    /// cloned into the alias as its private store again. Under durability
+    /// the arrival's spill tiers attach (`p<id>_` files) before anything is
+    /// committed.
     ///
     /// # Errors
     ///
-    /// Whatever the replan rejects ([`PlanError`]); the deployment is
-    /// untouched on error.
-    pub fn install(&mut self, program: CompiledProgram) -> Result<u64, PlanError> {
-        let new_idx = self.runtimes.len();
-        let mut programs: Vec<CompiledProgram> = self
-            .runtimes
-            .iter()
-            .map(|rt| rt.compiled().clone())
-            .collect();
-        programs.push(program);
-        let mut epochs = self.epochs.clone();
-        epochs.push(self.records);
-        let mut candidates = if self.share {
-            lifecycle_alias_candidates(&programs, &epochs, &self.aliases, new_idx)
-        } else {
-            Vec::new()
-        };
-
-        // Dry-run the replan: errors must leave the deployment untouched,
-        // and candidate pairs are kept only when the strict dedup rule
-        // holds at the geometries the plan will actually install. The
-        // demand set is identical with or without the candidates that get
-        // dropped below (only base-rooted pairs are planner-tagged, and
-        // those always confirm — the planner mirrors the group geometry),
-        // so the commit-time replan reproduces this exact plan.
-        if let Some(budget) = self.budget {
-            let mut ids = self.ids.clone();
-            ids.push(self.next_id);
-            let combined: Vec<_> = self
-                .aliases
-                .iter()
-                .chain(candidates.iter())
-                .copied()
-                .collect();
-            let (idxs, demands) = lifecycle_demands(&programs, &ids, &combined);
-            if !demands.is_empty() {
-                let plan = CachePlanner::new(budget).plan(&demands)?;
-                for (slot, pi) in idxs.iter().enumerate() {
-                    apply_allocation(&mut programs[*pi], &plan.queries[slot]);
-                }
+    /// [`InstallError::Plan`] for whatever the replan rejects,
+    /// [`InstallError::Io`] when the durable-tier attach fails; the
+    /// deployment is untouched on error.
+    pub fn install(&mut self, program: CompiledProgram) -> Result<u64, InstallError> {
+        let (staged, worker) = self.roster.stage_install(program)?;
+        let mut rt = Runtime::new(worker);
+        if let Some(d) = &self.durability {
+            let sub = format!("p{}_", self.roster.next_id);
+            if let Err(e) = rt.enable_durability_prefixed(d, &sub) {
+                self.roster.next_id += 1;
+                return Err(InstallError::Io(e));
             }
         }
-        candidates.retain(|((ap, aq), (op, oq))| {
-            stores_dedupable(&programs[*ap], *aq, &programs[*op], *oq)
-        });
-
-        // Commit. The new runtime starts at its planned geometries; the
-        // residents live-migrate to theirs in `replan_and_migrate`.
-        let mut rt = Runtime::new(programs.pop().expect("the new program is last"));
-        for ((ap, aq), _) in &candidates {
-            debug_assert_eq!(*ap, new_idx, "only the new program takes the alias side");
-            rt.deactivate_query(*aq);
-        }
+        let mut groups = self.lend();
+        let id = self.roster.commit_install(staged, &mut groups);
+        self.take_back(groups);
         self.runtimes.push(rt);
-        self.aliases.extend(candidates);
-        let id = self.next_id;
-        self.ids.push(id);
-        self.epochs.push(self.records);
-        self.next_id += 1;
-        if let Some(d) = self.durability.clone() {
-            self.runtimes
-                .last_mut()
-                .expect("the new runtime was just pushed")
-                .enable_durability_prefixed(&d, &format!("p{id}_"))
-                .expect("durable-tier attach on install");
-        }
-        if let Some(budget) = self.budget {
-            self.replan_and_migrate(budget);
-        }
         self.reannotate();
         Ok(id)
     }
@@ -1252,168 +1706,55 @@ impl MultiRuntime {
     /// alias (the live state moves — stream continuity preserved), further
     /// aliases re-parent onto the promoted owner, and a departing *alias*
     /// collects from a flushed snapshot of its owner's store.
+    ///
+    /// # Panics
+    ///
+    /// Under durability, panics when publishing the retired results fails
+    /// (ROADMAP direction 4).
     pub fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
-        let pos = self.ids.iter().position(|x| *x == id)?;
-
-        // Promote departing shared stores into their first surviving
-        // alias; re-parent the rest onto the promoted owner.
-        let mut promoted: Vec<((usize, usize), (usize, usize))> = Vec::new();
-        for i in 0..self.aliases.len() {
-            let ((ap, aq), (op, oq)) = self.aliases[i];
-            if op != pos || ap == pos {
-                continue;
-            }
-            match promoted.iter().find(|(old, _)| *old == (op, oq)) {
-                Some((_, new_owner)) => self.aliases[i].1 = *new_owner,
-                None => {
-                    let store = self.runtimes[op].clone_store(oq);
-                    self.runtimes[ap].set_store(aq, store);
-                    self.runtimes[ap].reactivate_query(aq);
-                    promoted.push(((op, oq), (ap, aq)));
-                }
-            }
-        }
-
-        // Collect the departing program: cross-program aliased queries
-        // read a flushed snapshot of their owner's (still running) store;
-        // within-program pairs adopt as usual.
-        let mut snaps = Vec::new();
-        let mut within = Vec::new();
-        for ((ap, aq), (op, oq)) in &self.aliases {
-            if *ap != pos {
-                continue;
-            }
-            if *op == pos {
-                within.push((*aq, *oq));
-            } else {
-                let mut snap = self.runtimes[*op].clone_store(*oq);
-                snap.flush();
-                snaps.push((*aq, snap));
-            }
-        }
-        let mut rt = self.runtimes.remove(pos);
-        rt.finish();
-        for (aq, snap) in &snaps {
-            rt.adopt_store_snapshot(*aq, snap);
-        }
-        for (aq, oq) in &within {
-            rt.adopt_store_within(*aq, *oq);
-        }
-        let results = rt.collect();
-        // The drain above read through the durable tier ([`Runtime::finish`]
+        let pos = self.roster.position(id)?;
+        let mut groups = self.lend();
+        let results = self.roster.uninstall(pos, &mut groups);
+        self.take_back(groups);
+        // The drain read through the durable tier ([`Runtime::finish`]
         // materializes every spilled pair); publish the retired results so
         // they outlive the deployment.
         if let Some(d) = &self.durability {
             write_retired(d, id, &results).expect("retired-results publish");
         }
-
-        // Bookkeeping: drop every pair touching the departing program,
-        // shift indices past it down by one.
-        self.aliases
-            .retain(|((ap, _), (op, _))| *ap != pos && *op != pos);
-        for ((ap, _), (op, _)) in &mut self.aliases {
-            if *ap > pos {
-                *ap -= 1;
-            }
-            if *op > pos {
-                *op -= 1;
-            }
-        }
-        self.ids.remove(pos);
-        self.epochs.remove(pos);
-
-        if let Some(budget) = self.budget {
-            self.replan_and_migrate(budget);
-        }
         self.reannotate();
         Some(results)
     }
 
-    /// Replan the budget over the current resident set and live-migrate
-    /// every store to its planned geometry, repairing (privatizing) any
-    /// composed alias pair the new geometries diverge: the shared store's
-    /// pre-migration state — exactly what the alias's private store would
-    /// hold — is cloned, migrated to the alias's new geometry, and handed
-    /// back to the reactivated alias query.
-    ///
-    /// Cannot fail: on install the identical plan was just validated
-    /// ([`MultiRuntime::install`]'s dry run), and on uninstall every
-    /// surviving slice only grows.
-    fn replan_and_migrate(&mut self, budget: u64) {
-        let mut programs: Vec<CompiledProgram> = self
-            .runtimes
-            .iter()
-            .map(|rt| rt.compiled().clone())
-            .collect();
-        let (idxs, demands) = lifecycle_demands(&programs, &self.ids, &self.aliases);
-        if demands.is_empty() {
-            return;
-        }
-        let plan = CachePlanner::new(budget)
-            .plan(&demands)
-            .expect("lifecycle replan was validated at install / slices only grow on uninstall");
-        for (slot, pi) in idxs.iter().enumerate() {
-            apply_allocation(&mut programs[*pi], &plan.queries[slot]);
-        }
-        // Snapshot diverging pairs' owners *before* any migration.
-        let mut repairs = Vec::new();
-        for (i, ((ap, aq), (op, oq))) in self.aliases.iter().enumerate() {
-            if !stores_dedupable(&programs[*ap], *aq, &programs[*op], *oq) {
-                repairs.push((i, self.runtimes[*op].clone_store(*oq)));
-            }
-        }
-        // Live-migrate every resident store (dormant alias stores too —
-        // their compiled geometries must track the plan).
-        for (slot, pi) in idxs.iter().enumerate() {
-            let rt = &mut self.runtimes[*pi];
-            let mut it = plan.queries[slot].stores.iter();
-            for qi in 0..programs[*pi].stores.len() {
-                if programs[*pi].stores[qi].is_some() {
-                    let a = it.next().expect("allocation covers every store");
-                    rt.migrate_store(qi, a.geometry);
-                }
-            }
-        }
-        // Materialize the repairs at the alias's new private geometry.
-        for (i, mut snap) in repairs.into_iter().rev() {
-            let ((ap, aq), _) = self.aliases.remove(i);
-            let geom = programs[ap].stores[aq]
-                .as_ref()
-                .expect("alias stores exist")
-                .geometry;
-            snap.migrate_geometry(geom);
-            self.runtimes[ap].set_store(aq, snap);
-            self.runtimes[ap].reactivate_query(aq);
-        }
-    }
-
-    /// Rebuild the shared-prefix annotation, sharing report and union
-    /// column mask over the current resident set after a lifecycle event.
-    /// Slot numbering is recomputed from scratch (every runtime's stale
-    /// annotations are cleared first); the settled alias list is kept
-    /// as-is — store dedup legality is an install-time decision, never
-    /// re-nominated between long-lived programs
-    /// ([`lifecycle_alias_candidates`]' freshness rule).
+    /// Rebuild the shared-prefix annotation over the current resident set
+    /// after a lifecycle event — the one step only this plane takes (the
+    /// per-record prefix does not cross the sharded plane's queues). The
+    /// settled alias list is kept as-is: store dedup legality is an
+    /// install-time decision, never re-nominated between long-lived
+    /// programs ([`lifecycle_alias_candidates`]' freshness rule).
     fn reannotate(&mut self) {
-        let programs: Vec<CompiledProgram> = self
-            .runtimes
-            .iter()
-            .map(|rt| rt.compiled().clone())
-            .collect();
-        let (filters, keys) = if self.share {
-            let plans: Vec<ExecPlan> = programs
+        let (filters, keys) = if self.roster.share {
+            let plans: Vec<ExecPlan> = self
+                .roster
+                .programs
                 .iter()
                 .map(|p| ExecPlan::build(&p.program))
                 .collect();
-            let mut aliased: Vec<Vec<bool>> =
-                plans.iter().map(|p| vec![false; p.nodes.len()]).collect();
-            for ((ap, aq), _) in &self.aliases {
-                aliased[*ap][*aq] = true;
-            }
-            analyze_prefix_sharing(&plans, &aliased)
+            analyze_prefix_sharing(&plans, &self.roster.aliases)
         } else {
             (Vec::new(), Vec::new())
         };
+        self.annotate(filters, keys);
+    }
+
+    /// Number the shared-prefix slots from scratch (every runtime's stale
+    /// annotations are cleared first) and refresh the sharing report and
+    /// the union column mask to match.
+    fn annotate(
+        &mut self,
+        filters: Vec<SharedFilter>,
+        keys: Vec<SharedKey>,
+    ) {
         for rt in &mut self.runtimes {
             rt.clear_shared_slots();
         }
@@ -1427,14 +1768,7 @@ impl MultiRuntime {
                 self.runtimes[*p].set_shared_slots(*q, None, Some(slot as u32));
             }
         }
-        self.report = report_of(
-            &programs,
-            &SharingAnalysis {
-                aliases: self.aliases.clone(),
-                filters: filters.clone(),
-                keys: keys.clone(),
-            },
-        );
+        self.roster.refresh_report(&filters, &keys);
         self.shared_filters = filters.into_iter().map(|(f, _)| f).collect();
         self.shared_keys = keys.into_iter().map(|(k, g, _)| (k, g)).collect();
         self.union_cols = self.runtimes.iter().fold(0u64, |m, rt| m | rt.base_cols());
@@ -1444,7 +1778,7 @@ impl MultiRuntime {
     /// evaluate the shared prefix once, and dispatch to every program's
     /// plan.
     pub fn process_record(&mut self, rec: &QueueRecord) {
-        self.records += 1;
+        self.roster.records += 1;
         let now = rec.observed_at();
         let mut row = std::mem::take(&mut self.row_buf);
         rec.write_row_masked(&mut row, self.union_cols);
@@ -1478,7 +1812,7 @@ impl MultiRuntime {
     /// programs are independent, so per-program stream order — the order
     /// that matters — is preserved.
     pub fn process_batch(&mut self, recs: &[QueueRecord]) {
-        self.records += recs.len() as u64;
+        self.roster.records += recs.len() as u64;
         let mask = self.union_cols;
         let nk = self.shared_keys.len();
         let width = QueueRecord::row_width();
@@ -1562,7 +1896,7 @@ impl MultiRuntime {
         for rt in &mut self.runtimes {
             rt.finish();
         }
-        substitute_stores(&mut self.runtimes, &self.aliases);
+        substitute_stores(&mut self.runtimes, &self.roster.aliases);
     }
 
     /// Collect every program's final tables, in program order. Call after
@@ -1585,21 +1919,11 @@ impl MultiRuntime {
     /// [`crate::DeltaCursor`].
     #[must_use]
     pub fn poll(&self, id: u64) -> Option<ResultSet> {
-        let pos = self.ids.iter().position(|i| *i == id)?;
-        let rt = &self.runtimes[pos];
-        // A deduplicated alias never updates its own store; its live truth
-        // is the owner's store (same redirection the drain applies via
-        // `substitute_stores`, read-only here).
-        let sources = store_sources(&self.aliases, pos, rt.compiled().stores.len());
-        let stores: Vec<Option<Vec<(&Runtime, usize)>>> = sources
-            .iter()
-            .enumerate()
-            .map(|(q, &(src_p, src_q))| {
-                rt.compiled().stores[q].as_ref()?;
-                Some(vec![(&self.runtimes[src_p], src_q)])
-            })
-            .collect();
-        Some(crate::runtime::poll_collect(&[rt], &stores))
+        let pos = self.roster.position(id)?;
+        Some(
+            self.roster
+                .poll(pos, |p| std::slice::from_ref(&self.runtimes[p])),
+        )
     }
 
     /// Tear down into the per-program runtimes.
@@ -1616,33 +1940,15 @@ impl MultiRuntime {
 /// deployment still fits the single fixed budget. Duplicate stores across
 /// programs are deduplicated exactly as in [`MultiRuntime`] (see the module
 /// docs): alias aggregations leave every worker's streaming pass, and the
-/// drain substitutes the owning program's merged store.
+/// drain substitutes the owning program's merged store. Install, uninstall
+/// and poll are [`MultiRuntime`]'s, run over worker groups this plane
+/// pauses and resumes around them.
 #[derive(Debug)]
 pub struct MultiSharded {
+    /// One worker group per installed program.
     sharded: Vec<ShardedRuntime>,
-    /// Store-dedup substitutions applied on drain.
-    aliases: Vec<((usize, usize), (usize, usize))>,
-    report: SharingReport,
-    /// Program-level compiled programs, parallel to `sharded` (each
-    /// carrying its **whole-slice** provisioned geometry; the worker
-    /// programs inside `sharded` carry the `1/N` shard geometries).
-    /// Lifecycle analysis and replanning run at program level.
-    programs: Vec<CompiledProgram>,
-    /// Stable install ids, parallel to `sharded`.
-    ids: Vec<u64>,
-    /// Next install id to hand out.
-    next_id: u64,
-    /// Deployment record count at each program's install (dedup epoch
-    /// gate).
-    epochs: Vec<u64>,
-    /// The SRAM budget the deployment was provisioned under, if any.
-    budget: Option<u64>,
-    /// Records routed into the deployment.
-    records: u64,
-    /// Whether store dedup is enabled for lifecycle events.
-    share: bool,
-    /// Worker shards per program.
-    shards: usize,
+    /// Who is installed, and the one lifecycle over them.
+    roster: Roster,
 }
 
 impl MultiSharded {
@@ -1665,104 +1971,40 @@ impl MultiSharded {
         Self::with_sharing(programs, shards, false)
     }
 
-    fn with_sharing(mut programs: Vec<CompiledProgram>, shards: usize, share: bool) -> Self {
-        assert!(!programs.is_empty(), "need at least one program");
-        let (aliases, report) = if share {
-            let mut analysis = analyze_sharing(&programs);
-            retain_shard_exact(&mut analysis, &programs);
-            let report = report_of(&programs, &analysis);
-            for ((ap, aq), _) in &analysis.aliases {
-                programs[*ap].deduped_queries.push(*aq);
-            }
-            (analysis.aliases, report)
-        } else {
-            (Vec::new(), SharingReport::default())
-        };
-        let n = programs.len();
+    fn with_sharing(programs: Vec<CompiledProgram>, shards: usize, share: bool) -> Self {
+        let (roster, _) = Roster::new(programs, share, Some(shards));
+        let workers = roster.worker_programs();
+        Self::build(roster, workers)
+    }
+
+    /// Spawn one worker group per worker program.
+    fn build(roster: Roster, workers: Vec<CompiledProgram>) -> Self {
+        let shards = roster.shards.expect("a sharded roster");
         MultiSharded {
-            sharded: programs
-                .iter()
-                .cloned()
-                .map(|p| ShardedRuntime::new(p, shards))
+            sharded: workers
+                .into_iter()
+                .map(|w| ShardedRuntime::new(w, shards))
                 .collect(),
-            aliases,
-            report,
-            programs,
-            ids: (0..n as u64).collect(),
-            next_id: n as u64,
-            epochs: vec![0; n],
-            budget: None,
-            records: 0,
-            share,
-            shards,
+            roster,
         }
     }
 
     /// Spawn under a shared SRAM budget: the budget divides across programs
     /// ([`provision`], store dedup included — deduplicated stores are
     /// charged once), and each program's slice divides across its `shards`
-    /// workers ([`shard_programs`]) — constant total area at any scale.
+    /// workers — constant total area at any scale.
     ///
-    /// One sharing analysis drives both the plan and the workers: it is
-    /// computed once, gated on shard exactness, handed to the planner, and
-    /// re-validated against the provisioned geometries before any store is
-    /// elided — the plan can never charge a store once that the dataplane
-    /// ends up building twice.
+    /// The sharing analysis that tags the planner's dedup groups is gated
+    /// on shard exactness, and re-run against the provisioned geometries
+    /// before any store is elided — the dataplane never elides a store the
+    /// strict rule does not cover at the geometries it actually runs.
     pub fn provisioned(
-        mut programs: Vec<CompiledProgram>,
+        programs: Vec<CompiledProgram>,
         budget_bits: u64,
         shards: usize,
     ) -> Result<(Self, AreaPlan), PlanError> {
-        let mut analysis = analyze_sharing(&programs);
-        retain_shard_exact(&mut analysis, &programs);
-        let plan = provision_with(&mut programs, budget_bits, &analysis)?;
-        // Provisioning re-sized the caches: base-rooted aliases are intact
-        // by construction (the planner forced the group onto one geometry);
-        // composed aliases survive only when their upstream chains were
-        // re-sized identically (they were charged separately either way).
-        analysis
-            .aliases
-            .retain(|((ap, aq), (op, oq))| stores_dedupable(&programs[*ap], *aq, &programs[*op], *oq));
-        let report = report_of(&programs, &analysis);
-
-        let mut sharded = Vec::with_capacity(programs.len());
-        for (i, p) in programs.iter_mut().enumerate() {
-            for ((ap, aq), _) in &analysis.aliases {
-                if *ap == i {
-                    p.deduped_queries.push(*aq);
-                }
-            }
-            // `provision` named the i-th program's demand `q{i}`; look the
-            // allocation up **by name** — programs without stores place no
-            // demand, so positional iteration would silently misalign every
-            // later program's geometry with its neighbour's.
-            let workers = if p.stores.iter().any(Option::is_some) {
-                let alloc = plan
-                    .query(&format!("q{i}"))
-                    .expect("plan covers every store-bearing program");
-                shard_programs(p, alloc, shards)?
-            } else {
-                vec![p.clone(); shards]
-            };
-            sharded.push(ShardedRuntime::with_worker_programs(workers));
-        }
-        let n = programs.len();
-        Ok((
-            MultiSharded {
-                sharded,
-                aliases: analysis.aliases,
-                report,
-                programs,
-                ids: (0..n as u64).collect(),
-                next_id: n as u64,
-                epochs: vec![0; n],
-                budget: Some(budget_bits),
-                records: 0,
-                share: true,
-                shards,
-            },
-            plan,
-        ))
+        let (roster, _, workers, plan) = Roster::provisioned(programs, budget_bits, Some(shards))?;
+        Ok((Self::build(roster, workers), plan))
     }
 
     /// Number of installed programs.
@@ -1781,30 +2023,30 @@ impl MultiSharded {
     /// Worker shards per program.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.shards
+        self.roster.shards.expect("a sharded roster")
     }
 
     /// The stable install ids, in program order.
     #[must_use]
     pub fn ids(&self) -> &[u64] {
-        &self.ids
+        &self.roster.ids
     }
 
     /// Records routed into the deployment so far.
     #[must_use]
     pub fn records(&self) -> u64 {
-        self.records
+        self.roster.records
     }
 
     /// What the install-time sharing pass shared across the programs.
     #[must_use]
     pub fn sharing(&self) -> &SharingReport {
-        &self.report
+        &self.roster.report
     }
 
     /// Route one record to its shard in **every** program's dataplane.
     pub fn process_record(&mut self, rec: &QueueRecord) {
-        self.records += 1;
+        self.roster.records += 1;
         for sh in &mut self.sharded {
             sh.process_record(rec);
         }
@@ -1840,196 +2082,56 @@ impl MultiSharded {
             .unzip();
         let counts = net.run_multi_sharded(packets, |i, r| routers[i].route(r), senders, batch);
         if let Some(first) = counts.first() {
-            self.records += first.iter().sum::<u64>();
+            self.roster.records += first.iter().sum::<u64>();
         }
         counts
     }
 
+    /// Quiesce the worker groups `need` marks (index order keeps pause and
+    /// resume deterministic): in-flight queue records drain to the stores,
+    /// the workers hand back their runtimes with caches resident.
+    fn pause(&mut self, need: &[bool]) -> Vec<Group> {
+        let groups = self.sharded.iter_mut().zip(need);
+        groups.map(|(sh, n)| n.then(|| sh.pause())).collect()
+    }
+
+    /// Restart every group [`MultiSharded::pause`] quiesced.
+    fn resume(&mut self, groups: Vec<Group>) {
+        for (sh, workers) in self.sharded.iter_mut().zip(groups) {
+            if let Some(workers) = workers {
+                sh.resume(workers);
+            }
+        }
+    }
+
     /// Install one more compiled program into the live sharded deployment
-    /// — [`MultiRuntime::install`] semantics, across cores. Returns the
-    /// program's stable install id.
+    /// — [`MultiRuntime::install`] semantics and implementation, across
+    /// cores. Returns the program's stable install id.
     ///
     /// The new program gets its own [`ShardedRuntime`] (fresh workers and
     /// queues); under a budget every resident program's workers **pause**
     /// (in-flight queue records drain to the stores first), live-migrate
-    /// their caches to the replanned `1/N` shard geometries, and resume.
-    /// Store dedup follows the single-stream rule plus the shard gates
-    /// (exactness + identical routing, `retain_shard_exact`) and the
-    /// lifecycle epoch/freshness gates (`lifecycle_alias_candidates`).
+    /// their caches to the replanned `1/N` shard geometries, and resume —
+    /// without a budget no resident group is disturbed. Store dedup follows
+    /// the single-stream rule plus the shard gates (exactness + identical
+    /// routing, `retain_shard_exact`) and the lifecycle epoch/freshness
+    /// gates (`lifecycle_alias_candidates`).
     ///
     /// Not supported after [`MultiSharded::run_network`] (the queue
     /// producers were handed away).
     ///
     /// # Errors
     ///
-    /// Whatever the replan rejects ([`PlanError`]); the deployment is
+    /// [`InstallError::Plan`] for whatever the replan rejects — including a
+    /// `1/N` shard slice too small for one pair; the deployment is
     /// untouched on error.
-    pub fn install(&mut self, program: CompiledProgram) -> Result<u64, PlanError> {
-        let new_idx = self.programs.len();
-        let mut programs = self.programs.clone();
-        programs.push(program);
-        let mut epochs = self.epochs.clone();
-        epochs.push(self.records);
-        let mut candidates = if self.share {
-            let mut analysis = SharingAnalysis {
-                aliases: lifecycle_alias_candidates(&programs, &epochs, &self.aliases, new_idx),
-                ..SharingAnalysis::default()
-            };
-            retain_shard_exact(&mut analysis, &programs);
-            analysis.aliases
-        } else {
-            Vec::new()
-        };
-
-        // Dry-run the replan and resolve every shard geometry up front:
-        // errors must leave the deployment untouched.
-        let mut planned: Option<(Vec<usize>, AreaPlan)> = None;
-        if let Some(budget) = self.budget {
-            let mut ids = self.ids.clone();
-            ids.push(self.next_id);
-            let combined: Vec<_> = self
-                .aliases
-                .iter()
-                .chain(candidates.iter())
-                .copied()
-                .collect();
-            let (idxs, demands) = lifecycle_demands(&programs, &ids, &combined);
-            if !demands.is_empty() {
-                let plan = CachePlanner::new(budget).plan(&demands)?;
-                for (slot, pi) in idxs.iter().enumerate() {
-                    apply_allocation(&mut programs[*pi], &plan.queries[slot]);
-                }
-                planned = Some((idxs, plan));
-            }
-        }
-        candidates.retain(|((ap, aq), (op, oq))| {
-            stores_dedupable(&programs[*ap], *aq, &programs[*op], *oq)
-        });
-
-        // Per-worker programs for the arrival, and every resident store's
-        // new shard geometry — still before any mutation.
-        let mut workers = if programs[new_idx].stores.iter().any(Option::is_some) {
-            if let Some((idxs, plan)) = &planned {
-                let slot = idxs
-                    .iter()
-                    .position(|pi| *pi == new_idx)
-                    .expect("the new program has stores");
-                shard_programs(&programs[new_idx], &plan.queries[slot], self.shards)?
-            } else {
-                vec![programs[new_idx].clone(); self.shards]
-            }
-        } else {
-            vec![programs[new_idx].clone(); self.shards]
-        };
-        let mut migrations: Vec<(usize, Vec<CacheGeometry>)> = Vec::new();
-        if let Some((idxs, plan)) = &planned {
-            for (slot, pi) in idxs.iter().enumerate() {
-                if *pi == new_idx {
-                    continue;
-                }
-                let alloc = &plan.queries[slot];
-                let geoms = alloc
-                    .stores
-                    .iter()
-                    .map(|s| {
-                        s.shard_geometry(self.shards)
-                            .map_err(|e| name_slice_error(e, &alloc.name))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                migrations.push((*pi, geoms));
-            }
-        }
-
-        // -- commit -----------------------------------------------------
-        // Detect live pairs the replan diverges (composed chains), pause
-        // every touched dataplane, snapshot diverging owners per worker
-        // *before* migrating, migrate, repair, resume.
-        let mut broken = Vec::new();
-        for (i, ((ap, aq), (op, oq))) in self.aliases.iter().enumerate() {
-            if !stores_dedupable(&programs[*ap], *aq, &programs[*op], *oq) {
-                broken.push(i);
-            }
-        }
-        let mut paused: Vec<Option<Vec<Runtime>>> =
-            (0..self.sharded.len()).map(|_| None).collect();
-        let mut need = vec![false; self.sharded.len()];
-        for (pi, _) in &migrations {
-            need[*pi] = true;
-        }
-        for i in &broken {
-            let ((ap, _), (op, _)) = self.aliases[*i];
-            need[ap] = true;
-            need[op] = true;
-        }
-        for (pi, n) in need.iter().enumerate() {
-            if *n {
-                paused[pi] = Some(self.sharded[pi].pause());
-            }
-        }
-        let mut repairs = Vec::new();
-        for i in &broken {
-            let (_, (op, oq)) = self.aliases[*i];
-            let snaps: Vec<_> = paused[op]
-                .as_ref()
-                .expect("diverged owners are paused")
-                .iter()
-                .map(|w| w.clone_store(oq))
-                .collect();
-            repairs.push((*i, snaps));
-        }
-        for (pi, geoms) in &migrations {
-            for w in paused[*pi].as_mut().expect("migrating programs are paused") {
-                let mut it = geoms.iter();
-                for qi in 0..programs[*pi].stores.len() {
-                    if programs[*pi].stores[qi].is_some() {
-                        let g = it.next().expect("geometry per store");
-                        w.migrate_store(qi, *g);
-                    }
-                }
-            }
-        }
-        for (i, snaps) in repairs.into_iter().rev() {
-            let ((ap, aq), _) = self.aliases.remove(i);
-            let workers = paused[ap].as_mut().expect("diverged aliases are paused");
-            for (w, mut snap) in workers.iter_mut().zip(snaps) {
-                let geom = w.compiled().stores[aq]
-                    .as_ref()
-                    .expect("alias stores exist")
-                    .geometry;
-                snap.migrate_geometry(geom);
-                w.set_store(aq, snap);
-                w.reactivate_query(aq);
-            }
-        }
-        for (pi, p) in paused.into_iter().enumerate() {
-            if let Some(workers) = p {
-                self.sharded[pi].resume(workers);
-            }
-        }
-
-        // Adopt the arrival.
-        for ((ap, aq), _) in &candidates {
-            debug_assert_eq!(*ap, new_idx, "only the new program takes the alias side");
-            programs[new_idx].deduped_queries.push(*aq);
-            for w in &mut workers {
-                w.deduped_queries.push(*aq);
-            }
-        }
-        self.sharded
-            .push(ShardedRuntime::with_worker_programs(workers));
-        self.programs = programs;
-        self.aliases.extend(candidates);
-        let id = self.next_id;
-        self.ids.push(id);
-        self.epochs.push(self.records);
-        self.next_id += 1;
-        self.report = report_of(
-            &self.programs,
-            &SharingAnalysis {
-                aliases: self.aliases.clone(),
-                ..SharingAnalysis::default()
-            },
-        );
+    pub fn install(&mut self, program: CompiledProgram) -> Result<u64, InstallError> {
+        let (staged, worker) = self.roster.stage_install(program)?;
+        let mut groups = self.pause(&self.roster.touched(&staged));
+        let id = self.roster.commit_install(staged, &mut groups);
+        self.resume(groups);
+        let shards = self.shards();
+        self.sharded.push(ShardedRuntime::new(worker, shards));
         Ok(id)
     }
 
@@ -2038,160 +2140,21 @@ impl MultiSharded {
     /// [`ShardedRuntime::finish`] + collect would report for a private
     /// deployment stopped now. `None` for an unknown id.
     ///
-    /// Mirrors [`MultiRuntime::uninstall`]: departing owners' shared
+    /// [`MultiRuntime::uninstall`] over paused worker groups: every
+    /// dataplane quiesces (promotions, snapshots and the survivors'
+    /// migrations all need the worker runtimes), departing owners' shared
     /// stores are promoted **worker by worker** into their first surviving
-    /// alias (dedup requires identical routing, so worker `w`'s states are
-    /// interchangeable), departing aliases collect from flushed cross-shard
-    /// merges of their owner's stores, and under a budget the survivors
-    /// replan onto the reclaimed area and live-migrate.
+    /// alias, departing aliases collect from flushed cross-shard merges of
+    /// their owner's stores, and under a budget the survivors replan onto
+    /// the reclaimed area and live-migrate before everything resumes.
     ///
     /// Not supported after [`MultiSharded::run_network`].
     pub fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
-        let pos = self.ids.iter().position(|x| *x == id)?;
-        // Pause everything: promotions, snapshots and the survivors'
-        // migrations all need direct access to the worker runtimes.
-        let mut paused: Vec<Vec<Runtime>> =
-            self.sharded.iter_mut().map(ShardedRuntime::pause).collect();
-
-        let mut promoted: Vec<((usize, usize), (usize, usize))> = Vec::new();
-        for i in 0..self.aliases.len() {
-            let ((ap, aq), (op, oq)) = self.aliases[i];
-            if op != pos || ap == pos {
-                continue;
-            }
-            match promoted.iter().find(|(old, _)| *old == (op, oq)) {
-                Some((_, new_owner)) => self.aliases[i].1 = *new_owner,
-                None => {
-                    for w in 0..self.shards {
-                        let store = paused[op][w].clone_store(oq);
-                        paused[ap][w].set_store(aq, store);
-                        paused[ap][w].reactivate_query(aq);
-                    }
-                    promoted.push(((op, oq), (ap, aq)));
-                }
-            }
-        }
-
-        // Snapshot owners of the departing program's aliased queries:
-        // merged across the owner's workers (identical routing — shard
-        // order), flushed, frozen.
-        let mut snaps = Vec::new();
-        let mut within = Vec::new();
-        for ((ap, aq), (op, oq)) in &self.aliases {
-            if *ap != pos {
-                continue;
-            }
-            if *op == pos {
-                within.push((*aq, *oq));
-            } else {
-                let mut merged = paused[*op][0].clone_store(*oq);
-                merged.flush();
-                for w in &paused[*op][1..] {
-                    merged.absorb_store(w.clone_store(*oq));
-                }
-                snaps.push((*aq, merged));
-            }
-        }
-
-        // Drain the departing program's workers into one finished runtime.
-        let removed = paused.remove(pos);
+        let pos = self.roster.position(id)?;
+        let mut groups = self.pause(&vec![true; self.sharded.len()]);
         drop(self.sharded.remove(pos));
-        let mut it = removed.into_iter();
-        let mut rt = it.next().expect("at least one shard");
-        rt.finish();
-        for mut w in it {
-            w.finish();
-            rt.absorb_finished(w);
-        }
-        for (aq, snap) in &snaps {
-            rt.adopt_store_snapshot(*aq, snap);
-        }
-        for (aq, oq) in &within {
-            rt.adopt_store_within(*aq, *oq);
-        }
-        let results = rt.collect();
-
-        // Bookkeeping.
-        self.aliases
-            .retain(|((ap, _), (op, _))| *ap != pos && *op != pos);
-        for ((ap, _), (op, _)) in &mut self.aliases {
-            if *ap > pos {
-                *ap -= 1;
-            }
-            if *op > pos {
-                *op -= 1;
-            }
-        }
-        self.ids.remove(pos);
-        self.epochs.remove(pos);
-        self.programs.remove(pos);
-
-        // Replan the survivors onto the reclaimed area and live-migrate
-        // (slices only grow — failures would be programming errors).
-        if let Some(budget) = self.budget {
-            let (idxs, demands) = lifecycle_demands(&self.programs, &self.ids, &self.aliases);
-            if !demands.is_empty() {
-                let plan = CachePlanner::new(budget)
-                    .plan(&demands)
-                    .expect("surviving slices only grow");
-                let mut post = self.programs.clone();
-                for (slot, pi) in idxs.iter().enumerate() {
-                    apply_allocation(&mut post[*pi], &plan.queries[slot]);
-                }
-                let mut broken = Vec::new();
-                for (i, ((ap, aq), (op, oq))) in self.aliases.iter().enumerate() {
-                    if !stores_dedupable(&post[*ap], *aq, &post[*op], *oq) {
-                        broken.push(i);
-                    }
-                }
-                let mut repairs = Vec::new();
-                for i in &broken {
-                    let (_, (op, oq)) = self.aliases[*i];
-                    let s: Vec<_> = paused[op].iter().map(|w| w.clone_store(oq)).collect();
-                    repairs.push((*i, s));
-                }
-                for (slot, pi) in idxs.iter().enumerate() {
-                    let geoms: Vec<CacheGeometry> = plan.queries[slot]
-                        .stores
-                        .iter()
-                        .map(|s| s.shard_geometry(self.shards).expect("shard slices only grow"))
-                        .collect();
-                    for w in &mut paused[*pi] {
-                        let mut itg = geoms.iter();
-                        for qi in 0..post[*pi].stores.len() {
-                            if post[*pi].stores[qi].is_some() {
-                                let g = itg.next().expect("geometry per store");
-                                w.migrate_store(qi, *g);
-                            }
-                        }
-                    }
-                }
-                for (i, s) in repairs.into_iter().rev() {
-                    let ((ap, aq), _) = self.aliases.remove(i);
-                    for (w, mut snap) in paused[ap].iter_mut().zip(s) {
-                        let geom = w.compiled().stores[aq]
-                            .as_ref()
-                            .expect("alias stores exist")
-                            .geometry;
-                        snap.migrate_geometry(geom);
-                        w.set_store(aq, snap);
-                        w.reactivate_query(aq);
-                    }
-                }
-                self.programs = post;
-            }
-        }
-
-        for (sh, workers) in self.sharded.iter_mut().zip(paused) {
-            sh.resume(workers);
-        }
-        self.report = report_of(
-            &self.programs,
-            &SharingAnalysis {
-                aliases: self.aliases.clone(),
-                ..SharingAnalysis::default()
-            },
-        );
+        let results = self.roster.uninstall(pos, &mut groups);
+        self.resume(groups);
         Some(results)
     }
 
@@ -2213,40 +2176,17 @@ impl MultiSharded {
     /// Panics if a worker of an involved program died.
     #[must_use]
     pub fn poll(&mut self, id: u64) -> Option<ResultSet> {
-        let pos = self.ids.iter().position(|i| *i == id)?;
-        // Pause the polled program and every distinct owner its aliases
-        // redirect to (index order keeps pause/resume deterministic).
-        let mut involved: Vec<usize> = std::iter::once(pos)
-            .chain(
-                self.aliases
-                    .iter()
-                    .filter(|((ap, _), _)| *ap == pos)
-                    .map(|(_, (op, _))| *op),
-            )
-            .collect();
-        involved.sort_unstable();
-        involved.dedup();
-        let paused: Vec<(usize, Vec<Runtime>)> = involved
-            .iter()
-            .map(|&i| (i, self.sharded[i].pause()))
-            .collect();
-        let workers_of = |i: usize| {
-            &paused[involved.binary_search(&i).expect("paused above")].1
-        };
-        let shard_refs: Vec<&Runtime> = workers_of(pos).iter().collect();
-        let sources = store_sources(&self.aliases, pos, self.programs[pos].stores.len());
-        let stores: Vec<Option<Vec<(&Runtime, usize)>>> = sources
-            .iter()
-            .enumerate()
-            .map(|(q, &(src_p, src_q))| {
-                self.programs[pos].stores[q].as_ref()?;
-                Some(workers_of(src_p).iter().map(|rt| (rt, src_q)).collect())
-            })
-            .collect();
-        let results = crate::runtime::poll_collect(&shard_refs, &stores);
-        for (i, workers) in paused {
-            self.sharded[i].resume(workers);
+        let pos = self.roster.position(id)?;
+        let mut involved = vec![false; self.sharded.len()];
+        involved[pos] = true;
+        for (owner, _) in self.roster.poll_sources(pos).into_iter().flatten() {
+            involved[owner] = true;
         }
+        let groups = self.pause(&involved);
+        let results = self.roster.poll(pos, |p| {
+            groups[p].as_deref().expect("involved groups are paused")
+        });
+        self.resume(groups);
         Some(results)
     }
 
@@ -2260,7 +2200,7 @@ impl MultiSharded {
             .into_iter()
             .map(ShardedRuntime::finish)
             .collect();
-        substitute_stores(&mut runtimes, &self.aliases);
+        substitute_stores(&mut runtimes, &self.roster.aliases);
         runtimes
     }
 
@@ -2593,7 +2533,7 @@ mod tests {
         let counter_geom = programs[0].stores[0].as_ref().unwrap().geometry;
         let r1_geom = programs[1].stores[0].as_ref().unwrap().geometry;
         assert_eq!(counter_geom, r1_geom);
-        let mut unshared = vec![
+        let mut unshared = [
             compiled("SELECT COUNT GROUPBY 5tuple"),
             compiled(fig2::PER_FLOW_LOSS_RATE.source),
         ];

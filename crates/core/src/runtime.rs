@@ -30,8 +30,7 @@ use crate::foldops::{FoldOps, FoldState};
 use crate::plan::{lane_mask, ExecPlan, NodeKind, RowSource, CHUNK, LANES};
 use crate::result::{value_key, DeltaCursor, DeltaRow, ResultRow, ResultSet, ResultTable};
 use perfq_kvstore::{
-    read_manifest, write_manifest, BackingStore, CacheGeometry, InlineKey, SplitStore,
-    StoreSnapshot, StoreStats,
+    BackingStore, CacheGeometry, InlineKey, SplitStore, StoreSnapshot, StoreStats,
 };
 use perfq_lang::bytecode::EvalStack;
 use perfq_lang::ir::eval;
@@ -245,20 +244,6 @@ impl Runtime {
         self.plan.base_cols
     }
 
-    /// Cross-query store dedup: turn query `idx` off in the streaming pass.
-    /// Legal only for non-emitting aggregations (nothing downstream reads
-    /// them); their store is substituted from the owning runtime at finish
-    /// time ([`Runtime::adopt_store`]).
-    pub(crate) fn deactivate_query(&mut self, idx: usize) {
-        let node = &mut self.plan.nodes[idx];
-        assert!(
-            !node.emits,
-            "only non-emitting aggregations may be deduplicated"
-        );
-        node.active = false;
-        self.plan.recompute_base_cols(&self.compiled.program);
-    }
-
     /// Cross-query CSE: annotate query `idx` to read its filter verdict
     /// and/or group key from the shared per-record scratch.
     pub(crate) fn set_shared_slots(
@@ -307,13 +292,15 @@ impl Runtime {
         }
     }
 
-    /// Dynamic lifecycle, inverse of [`Runtime::deactivate_query`]: bring a
-    /// previously-deduplicated aggregation back into the streaming pass.
-    /// Used when an alias is promoted to owner (its owner was uninstalled)
-    /// or when re-provisioning diverges an alias pair's geometries. The
-    /// node's filter bytecode was compiled at plan-build time, before any
+    /// Dynamic lifecycle: bring a deduplicated aggregation (one
+    /// [`Runtime::new`] left out of the streaming pass,
+    /// `CompiledProgram::deduped_queries`) back into it. Used when an alias
+    /// is promoted to owner (its owner was uninstalled) or when
+    /// re-provisioning diverges an alias pair's geometries. The node's
+    /// filter bytecode was compiled at plan-build time, before any
     /// deactivation, so reactivation restores exactly the original node.
     pub(crate) fn reactivate_query(&mut self, idx: usize) {
+        self.compiled.deduped_queries.retain(|q| *q != idx);
         self.plan.nodes[idx].active = true;
         self.plan.recompute_base_cols(&self.compiled.program);
     }
@@ -609,6 +596,7 @@ impl Runtime {
     /// record (per-lane buffers are only read at lanes the upstream's live
     /// mask covers). Warm chunks allocate nothing: lane buffers, masks and
     /// the shared stack are all reused across calls.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn process_lanes_shared(
         &mut self,
         rows: &[Value],
@@ -1116,12 +1104,15 @@ impl Runtime {
             .durability
             .clone()
             .expect("persist requires enable_durability");
-        let at = self.records;
-        self.persist_stores(at, &d, "")?;
-        write_manifest(d.backend(), &d.manifest_name(), at)?;
-        let stale = self.persisted_at.filter(|&old| old != at);
-        self.persisted_at = Some(at);
-        self.compact_stores(&d, "", stale)
+        let (at, mut persisted_at) = (self.records, self.persisted_at);
+        let outcome = crate::durable::persist(
+            &d,
+            at,
+            &mut persisted_at,
+            &mut [(String::new(), &mut *self)],
+        );
+        self.persisted_at = persisted_at;
+        outcome
     }
 
     /// Recover a crashed deployment from its durable tier: read the
@@ -1133,8 +1124,7 @@ impl Runtime {
     /// persisted at the same indices (`tests/durability_crash.rs`).
     pub fn recover(compiled: CompiledProgram, d: Durability) -> std::io::Result<(Runtime, u64)> {
         let mut rt = Runtime::new(compiled);
-        let resume = read_manifest(d.backend(), &d.manifest_name())?;
-        rt.recover_stores(&d, "", resume)?;
+        let resume = crate::durable::recover(&d, &mut [(String::new(), &mut rt)])?;
         let at = resume.unwrap_or(0);
         rt.records = at;
         rt.persisted_at = resume;
@@ -1184,26 +1174,27 @@ fn group_rows(backing: &BackingStore<InlineKey, FoldState>) -> GroupRows<'_> {
 /// shared engine behind [`crate::MultiRuntime::poll`],
 /// [`crate::MultiSharded::poll`] and [`crate::ShardedRuntime::poll_results`].
 ///
-/// `capture_shards` lists the program's runtimes in shard order (a single
-/// element for unsharded planes): their capture buffers combine exactly as
-/// [`Runtime::absorb_finished`] combines them (prefix-then-suffix under the
-/// shared limit; totals always sum), and the first element donates the
-/// program, parameters and table schemas. `stores[q]` names, per query, the
-/// `(runtime, store index)` sources whose frames merge into that query's
-/// result — several for sharded planes, a redirected owner for deduped
-/// alias queries, `None` for storeless queries. Sources are only read:
-/// every live runtime keeps its caches resident and keeps ingesting after
-/// the poll.
+/// `capture_shards` lists the program's worker runtimes in shard order (a
+/// single element for unsharded planes): their capture buffers combine
+/// exactly as [`Runtime::absorb_finished`] combines them
+/// (prefix-then-suffix under the shared limit; totals always sum), and the
+/// first element donates the program, parameters and table schemas.
+/// `stores[q]` names, per query, the worker group and store index whose
+/// per-worker frames merge into that query's result — the program's own
+/// workers, or a redirected owner's for deduped alias queries; `None` for
+/// storeless queries. Sources are only read: every live runtime keeps its
+/// caches resident and keeps ingesting after the poll.
 pub(crate) fn poll_collect(
-    capture_shards: &[&Runtime],
-    stores: &[Option<Vec<(&Runtime, usize)>>],
+    capture_shards: &[Runtime],
+    stores: &[Option<(&[Runtime], usize)>],
 ) -> ResultSet {
-    let lead = capture_shards[0];
+    let lead = &capture_shards[0];
     // The frames outlive the rows borrowed from them.
     let frames: Vec<Option<StoreSnapshot<InlineKey, FoldState>>> = stores
         .iter()
         .map(|src| {
-            let mut sources = src.as_ref()?.iter().map(|&(rt, q)| {
+            let (workers, q) = (*src)?;
+            let mut sources = workers.iter().map(|rt| {
                 rt.stores[q]
                     .as_ref()
                     .expect("poll sources are aggregation stores")

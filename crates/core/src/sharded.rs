@@ -65,7 +65,6 @@ use crate::compiler::CompiledProgram;
 use crate::durable::Durability;
 use crate::result::{value_key, ResultSet};
 use crate::runtime::Runtime;
-use perfq_kvstore::{read_manifest, write_manifest};
 use perfq_lang::{QueryInput, ResolvedKind, Value};
 use perfq_lang::ir::FoldClass;
 use perfq_switch::{spsc, QueueRecord};
@@ -300,6 +299,15 @@ fn join_worker(handle: JoinHandle<Runtime>) -> Runtime {
     }
 }
 
+/// The quiesced workers with their durable file-name components (`s<i>_`).
+fn shard_named(workers: &mut [Runtime]) -> Vec<(String, &mut Runtime)> {
+    workers
+        .iter_mut()
+        .enumerate()
+        .map(|(i, rt)| (format!("s{i}_"), rt))
+        .collect()
+}
+
 impl ShardedRuntime {
     /// Spawn `shards` worker runtimes, each behind a queue of
     /// [`DEFAULT_QUEUE_CAPACITY`] records fed in batches of
@@ -489,16 +497,11 @@ impl ShardedRuntime {
     #[must_use]
     pub fn poll_results(&mut self) -> ResultSet {
         self.quiesced(|workers| {
-            let refs: Vec<&Runtime> = workers.iter().collect();
-            let lead = refs[0];
-            let stores: Vec<Option<Vec<(&Runtime, usize)>>> = (0..lead.compiled().stores.len())
-                .map(|q| {
-                    lead.compiled().stores[q]
-                        .as_ref()
-                        .map(|_| refs.iter().map(|rt| (*rt, q)).collect())
-                })
+            let workers = &*workers;
+            let stores: Vec<_> = (workers[0].compiled().stores.iter().enumerate())
+                .map(|(q, store)| store.as_ref().map(|_| (workers, q)))
                 .collect();
-            crate::runtime::poll_collect(&refs, &stores)
+            crate::runtime::poll_collect(workers, &stores)
         })
     }
 
@@ -535,10 +538,9 @@ impl ShardedRuntime {
     /// a worker died).
     pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
         self.quiesced(|workers| {
-            workers
-                .iter_mut()
-                .enumerate()
-                .try_for_each(|(i, rt)| rt.enable_durability_prefixed(&d, &format!("s{i}_")))
+            shard_named(workers)
+                .into_iter()
+                .try_for_each(|(sub, rt)| rt.enable_durability_prefixed(&d, &sub))
         })?;
         self.durability = Some(d);
         Ok(())
@@ -563,16 +565,7 @@ impl ShardedRuntime {
         // A local copy: the closure cannot reach `self` while it is paused.
         let mut persisted_at = self.persisted_at;
         let outcome = self.quiesced(|workers| {
-            for (i, rt) in workers.iter_mut().enumerate() {
-                rt.persist_stores(at, &d, &format!("s{i}_"))?;
-            }
-            write_manifest(d.backend(), &d.manifest_name(), at)?;
-            let stale = persisted_at.filter(|&old| old != at);
-            persisted_at = Some(at);
-            for (i, rt) in workers.iter_mut().enumerate() {
-                rt.compact_stores(&d, &format!("s{i}_"), stale)?;
-            }
-            Ok(())
+            crate::durable::persist(&d, at, &mut persisted_at, &mut shard_named(workers))
         });
         self.persisted_at = persisted_at;
         outcome
@@ -590,13 +583,8 @@ impl ShardedRuntime {
         d: Durability,
     ) -> std::io::Result<(Self, u64)> {
         let mut plane = Self::new(compiled, shards);
-        let resume = read_manifest(d.backend(), &d.manifest_name())?;
-        plane.quiesced(|workers| {
-            workers
-                .iter_mut()
-                .enumerate()
-                .try_for_each(|(i, rt)| rt.recover_stores(&d, &format!("s{i}_"), resume))
-        })?;
+        let resume =
+            plane.quiesced(|workers| crate::durable::recover(&d, &mut shard_named(workers)))?;
         let at = resume.unwrap_or(0);
         plane.record_base = at;
         plane.persisted_at = resume;

@@ -15,9 +15,12 @@
 //! different prefix of its payload before dying.
 //!
 //! Covered planes: the single-stream [`Runtime`] (small group-commit
-//! threshold, so crashes also land mid-ingest inside group commits) and
-//! the [`ShardedRuntime`] dataplane (deterministic key routing makes the
-//! resumed re-ingest reproduce each shard's exact sub-stream). A torn-tail
+//! threshold, so crashes also land mid-ingest inside group commits), the
+//! [`ShardedRuntime`] dataplane (deterministic key routing makes the
+//! resumed re-ingest reproduce each shard's exact sub-stream), and the
+//! multi-program [`MultiRuntime`] (two programs sharing one deduplicated
+//! store; the sharing analysis is deterministic, so the recovered plane
+//! reproduces aliases and `p<id>_` file names). A torn-tail
 //! suite chops every suffix off a live WAL, and a double-crash suite
 //! injects a second fault *during recovery itself* — repair is repair-only
 //! and idempotent, so recovering again after a crashed recovery must still
@@ -170,16 +173,61 @@ fn recover_sharded(
     Ok(sorted(plane.finish().collect()))
 }
 
+/// The multi-program deployment under test: the §4 counter and the
+/// loss-rate program, whose `R1` is that counter verbatim — K = 2 with one
+/// deduplicated alias store.
+fn multi_programs() -> Vec<CompiledProgram> {
+    vec![
+        compiled("SELECT COUNT GROUPBY 5tuple\n"),
+        compiled(fig2::PER_FLOW_LOSS_RATE.source),
+    ]
+}
+
+/// The same schedule on the multi-program plane (no mid-stream lifecycle
+/// events — [`MultiRuntime::recover`]'s documented scope).
+fn run_multi(recs: &[QueueRecord], backend: &SharedBackend) -> std::io::Result<Vec<ResultSet>> {
+    let mut multi = MultiRuntime::new(multi_programs());
+    assert_eq!(multi.sharing().stores.len(), 1, "R1 aliases the counter");
+    multi.enable_durability(durable_small(backend))?;
+    let mut fed = 0;
+    for &p in &PERSIST_AT {
+        multi.process_batch(&recs[fed..p]);
+        fed = p;
+        multi.persist()?;
+    }
+    multi.process_batch(&recs[fed..]);
+    multi.finish();
+    Ok(multi.collect())
+}
+
+fn recover_multi(
+    recs: &[QueueRecord],
+    backend: &SharedBackend,
+) -> std::io::Result<Vec<ResultSet>> {
+    let (mut multi, resume) = MultiRuntime::recover(multi_programs(), durable_small(backend))?;
+    let mut fed = resume as usize;
+    for &p in &PERSIST_AT {
+        if p > fed {
+            multi.process_batch(&recs[fed..p]);
+            fed = p;
+            multi.persist()?;
+        }
+    }
+    multi.process_batch(&recs[fed..]);
+    multi.finish();
+    Ok(multi.collect())
+}
+
 /// Run `schedule` with a fault armed at operation `fail_at`; report
 /// whether the injected fault actually fired. Faults inside ingest-time
 /// group commits surface as panics (the dataplane treats a dead durable
 /// tier as fatal), faults inside `persist` as `Err` — both count.
-fn crash_at(
+fn crash_at<T>(
     handle: &Arc<Mutex<FaultBackend>>,
     fail_at: u64,
     torn_bytes: usize,
-    schedule: impl FnOnce() -> std::io::Result<ResultSet>,
-) -> Option<ResultSet> {
+    schedule: impl FnOnce() -> std::io::Result<T>,
+) -> Option<T> {
     handle.lock().expect("fault mutex").arm(fail_at, torn_bytes);
     let hook = panic::take_hook();
     panic::set_hook(Box::new(|_| {}));
@@ -274,6 +322,61 @@ fn sharded_recovers_at_every_io_boundary() {
             assert_eq!(got, reference, "{} fail_at={fail_at}", q.name);
         }
     }
+}
+
+/// Multi-program sweep: same contract on [`MultiRuntime`] — every program's
+/// `p<id>_` stores behind the one deployment manifest, the deduplicated
+/// alias reading its owner's recovered store. The durable reference also
+/// equals a never-durable run (both programs are linear).
+#[test]
+fn multi_program_recovers_at_every_io_boundary() {
+    let recs = records(TOTAL);
+    let mut plain = MultiRuntime::new(multi_programs());
+    plain.process_batch(&recs);
+    plain.finish();
+
+    let (handle, backend) = fault_pair();
+    let reference = run_multi(&recs, &backend).expect("healthy run");
+    assert_eq!(plain.collect(), reference, "durability must be transparent");
+    let total_ops = handle.lock().expect("fault mutex").ops();
+    assert!(total_ops > 0, "schedule never touched the backend");
+
+    for fail_at in 0..total_ops {
+        let (h, b) = fault_pair();
+        let survived = crash_at(&h, fail_at, fail_at as usize % 23, || run_multi(&recs, &b));
+        if let Some(rs) = survived {
+            assert_eq!(rs, reference, "fail_at={fail_at}: uncrashed");
+            continue;
+        }
+        let got = recover_multi(&recs, &b)
+            .unwrap_or_else(|e| panic!("fail_at={fail_at}: recovery failed: {e}"));
+        assert_eq!(got, reference, "fail_at={fail_at}");
+    }
+}
+
+/// An uninstall under durability publishes the departing program's final
+/// results: `retired(id)` reads back byte-for-byte what `uninstall`
+/// returned — for the owner of a shared store and, after the handoff, for
+/// its promoted alias — and knows nothing of ids that never left.
+#[test]
+fn retired_results_read_back_what_uninstall_returned() {
+    let recs = records(TOTAL);
+    let (_, backend) = fault_pair();
+    let mut multi = MultiRuntime::new(multi_programs());
+    multi.enable_durability(durable_small(&backend)).expect("enable");
+    for (id, upto) in [(0u64, PERSIST_AT[0]), (1, PERSIST_AT[1])] {
+        multi.process_batch(&recs[upto - PERSIST_AT[0]..upto]);
+        assert!(multi.retired(id).expect("read").is_none(), "id {id} is still live");
+        let left = multi.uninstall(id).expect("id is live");
+        assert!(left.tables.iter().any(|t| !t.rows.is_empty()), "id {id} saw records");
+        let back = multi.retired(id).expect("read").expect("published on uninstall");
+        assert_eq!(
+            perfq_core::encode_results(&back),
+            perfq_core::encode_results(&left),
+            "retired({id})"
+        );
+    }
+    assert!(multi.retired(7).expect("read").is_none(), "id 7 never existed");
 }
 
 /// Torn tail: stop a deployment between checkpoints (live WAL frames past

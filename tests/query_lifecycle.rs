@@ -25,7 +25,10 @@
 //! pinned separately by the in-crate test
 //! `cross_epoch_duplicates_stay_private_and_exact`.
 
+use perfq::kvstore::PlanError;
 use perfq::prelude::*;
+use perfq_core::InstallError;
+use std::sync::{Arc, Mutex};
 
 const MBIT: u64 = 1024 * 1024;
 
@@ -72,6 +75,7 @@ enum Op {
 use Op::{Chunk, Install, Uninstall};
 
 /// A deployment under test: the single-stream plane or a sharded one.
+#[allow(clippy::large_enum_variant)] // a handful live per test; size is irrelevant
 enum Plane {
     Single(MultiRuntime),
     Sharded(MultiSharded),
@@ -92,9 +96,22 @@ impl Plane {
     }
 
     fn install(&mut self, p: CompiledProgram) -> u64 {
+        self.try_install(p).expect("install replans")
+    }
+
+    fn try_install(&mut self, p: CompiledProgram) -> Result<u64, InstallError> {
         match self {
-            Plane::Single(m) => m.install(p).expect("install replans"),
-            Plane::Sharded(m) => m.install(p).expect("install replans"),
+            Plane::Single(m) => m.install(p),
+            Plane::Sharded(m) => m.install(p),
+        }
+    }
+
+    /// Everything a rejected install must leave exactly as it was: the
+    /// install ids, the program count and the sharing report.
+    fn shape(&self) -> (Vec<u64>, usize, String) {
+        match self {
+            Plane::Single(m) => (m.ids().to_vec(), m.len(), format!("{:?}", m.sharing())),
+            Plane::Sharded(m) => (m.ids().to_vec(), m.len(), format!("{:?}", m.sharing())),
         }
     }
 
@@ -439,4 +456,149 @@ fn replans_that_diverge_a_composed_alias_repair_it_exactly() {
         repaired > 0,
         "no budget in the sweep exercised the repair path ({formed} pairs formed)"
     );
+}
+
+/// Whether `budget` bits provision `srcs` with every store's `1/shards`
+/// worker slice still holding one pair — the condition under which the
+/// plane's provisioned constructor (and an install's replan) succeeds.
+fn fits(srcs: &[&'static str], budget: u64, shards: usize) -> bool {
+    let mut programs: Vec<_> = srcs.iter().map(|s| compiled(s)).collect();
+    perfq_core::provision(&mut programs, budget).is_ok_and(|plan| {
+        let mut stores = plan.queries.iter().flat_map(|q| &q.stores);
+        stores.all(|s| s.shard_geometry(shards).is_ok())
+    })
+}
+
+/// The smallest budget (bits) under which `srcs` fit at `shards` workers.
+fn smallest_fit(srcs: &[&'static str], shards: usize) -> u64 {
+    let mut hi = 1u64;
+    while !fits(srcs, hi, shards) {
+        hi *= 2;
+    }
+    let mut lo = hi / 2;
+    while lo + 1 < hi {
+        let mid = (lo + hi) / 2;
+        if fits(srcs, mid, shards) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
+/// "The deployment is untouched on error", attacked: `live` attempts (and
+/// is refused) an install of `arrival` after 600 records, `control` never
+/// tries. The refused install must leave ids, program count and sharing as
+/// they were, and ingest must continue (600 more records); the caller
+/// classifies the returned error and holds the two drains equal.
+fn refused_install_leaves_no_trace(
+    live: &mut Plane,
+    control: &mut Plane,
+    arrival: &'static str,
+    what: &str,
+) -> InstallError {
+    let recs = records(1200);
+    live.chunk(&recs[..600]);
+    control.chunk(&recs[..600]);
+    let before = live.shape();
+    let err = live
+        .try_install(compiled(arrival))
+        .expect_err("the install must be refused");
+    assert_eq!(live.shape(), before, "{what}: a refused install left a trace");
+    assert_eq!(live.shape(), control.shape(), "{what}");
+    live.chunk(&recs[600..1200]);
+    control.chunk(&recs[600..1200]);
+    err
+}
+
+/// The live deployment's final drain equals the never-attempted one's.
+fn drains_agree(live: Plane, control: Plane, sort: bool, what: &str) {
+    let (got, want) = (live.done(), control.done());
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (g, w) in got.into_iter().zip(want) {
+        assert_eq!(canon(g, sort), canon(w, sort), "{what}: drain diverged");
+    }
+}
+
+/// The store-dedup pair in the resident set makes "sharing unchanged" a
+/// real assertion rather than a comparison of two empty reports.
+const RESIDENTS: [&str; 2] = [FIVE_TUPLE_COUNTER, fig2::PER_FLOW_LOSS_RATE.source];
+
+#[test]
+fn an_install_the_budget_cannot_hold_is_refused_without_a_trace() {
+    for shards in [None, Some(1usize), Some(2), Some(4)] {
+        let n = shards.unwrap_or(1);
+        let budget = smallest_fit(&RESIDENTS, n);
+        let grown = [RESIDENTS[0], RESIDENTS[1], fig2::LATENCY_EWMA.source];
+        assert!(!fits(&grown, budget, n), "the scenario needs a full budget");
+        let what = format!("budget {budget}, shards {shards:?}");
+        let spawn = || Plane::spawn(RESIDENTS.map(compiled).to_vec(), Some(budget), shards);
+        let (mut live, mut control) = (spawn(), spawn());
+        let err = refused_install_leaves_no_trace(&mut live, &mut control, grown[2], &what);
+        assert!(matches!(err, InstallError::Plan(_)), "{what}: {err}");
+        drains_agree(live, control, shards.is_some(), &what);
+    }
+}
+
+#[test]
+fn an_install_whose_shard_slice_is_too_small_is_refused_without_a_trace() {
+    for shards in [2usize, 4] {
+        let grown = [RESIDENTS[0], RESIDENTS[1], fig2::LATENCY_EWMA.source];
+        // The residents fit sharded and the grown set fits as whole slices,
+        // but one of its `1/shards` worker slices cannot hold a pair.
+        let budget = (smallest_fit(&RESIDENTS, shards)..)
+            .step_by(64)
+            .take(1 << 14)
+            .find(|&b| fits(&grown, b, 1) && !fits(&grown, b, shards))
+            .expect("a budget between the whole-slice and the shard-slice fit");
+        let what = format!("budget {budget}, shards {shards}");
+        let spawn = || Plane::spawn(RESIDENTS.map(compiled).to_vec(), Some(budget), Some(shards));
+        let (mut live, mut control) = (spawn(), spawn());
+        let err = refused_install_leaves_no_trace(&mut live, &mut control, grown[2], &what);
+        match &err {
+            InstallError::Plan(PlanError::SliceTooSmall { query, .. }) => {
+                assert!(!query.is_empty(), "{what}: the error names its query");
+            }
+            other => panic!("{what}: expected a too-small shard slice, got {other}"),
+        }
+        drains_agree(live, control, true, &what);
+    }
+}
+
+#[test]
+fn a_failed_durable_attach_refuses_the_install_and_burns_its_id() {
+    // The default spill config never spills this trace, so the only backend
+    // traffic is the attach itself — the fault lands on its first operation.
+    let durable = |backend: &SharedBackend| Durability::new(backend.clone());
+    let spawn = |backend: &SharedBackend| {
+        let mut m = MultiRuntime::new(RESIDENTS.map(compiled).to_vec());
+        m.enable_durability(durable(backend)).expect("healthy attach");
+        m
+    };
+    let handle = Arc::new(Mutex::new(FaultBackend::new()));
+    let faulty: SharedBackend = handle.clone();
+    let healthy: SharedBackend = shared(MemBackend::new());
+    let mut live = Plane::Single(spawn(&faulty));
+    let mut control = Plane::Single(spawn(&healthy));
+    {
+        let mut h = handle.lock().expect("fault mutex");
+        let next_op = h.ops();
+        h.arm(next_op, 0);
+    }
+    let arrival = fig2::LATENCY_EWMA.source;
+    let err = refused_install_leaves_no_trace(&mut live, &mut control, arrival, "failed attach");
+    assert!(matches!(err, InstallError::Io(_)), "{err}");
+    assert!(handle.lock().expect("fault mutex").died(), "the fault fired");
+
+    // Restart the backend; the retry takes a fresh id — the failed attempt's
+    // half-written `p2_` files are never reopened.
+    handle.lock().expect("fault mutex").heal();
+    let retried = live.install(compiled(arrival));
+    let fresh = control.install(compiled(arrival));
+    assert_eq!((fresh, retried), (2, 3), "the refused install burnt id 2");
+    let tail = &records(1500)[1200..];
+    live.chunk(tail);
+    control.chunk(tail);
+    drains_agree(live, control, false, "after the retried install");
 }
