@@ -104,7 +104,7 @@ fn bench_runtime(c: &mut Criterion) {
 /// is sorted by flow, producing equal-key runs of ~5 records on this trace
 /// (2.4k flows over 20k records) — the shape interface batching, GRO, and
 /// per-port mirroring produce in practice. Per query, the coalesced run
-/// (one fused probe per run, additive folds pre-reduced to one slot write)
+/// (one fused probe per run, the rest folded through the held slot)
 /// interleaves immediately with its uncoalesced twin
 /// (`set_run_coalescing(false)`: one probe per row, the PR 6 engine's
 /// store discipline, on the same stream), so the BENCH ratio guard

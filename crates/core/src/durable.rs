@@ -181,6 +181,24 @@ fn get_value(r: &mut ByteReader<'_>) -> Option<Value> {
     }
 }
 
+/// The one `[len u32][value]*` row codec: result rows, capture rows and the
+/// `FoldState` spill frames all go through it.
+pub(crate) fn put_values(vals: &[Value], out: &mut Vec<u8>) {
+    out.put_u32(vals.len() as u32);
+    for v in vals {
+        put_value(v, out);
+    }
+}
+
+pub(crate) fn get_values(r: &mut ByteReader<'_>) -> Option<Vec<Value>> {
+    let n = r.u32()? as usize;
+    let mut vals = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        vals.push(get_value(r)?);
+    }
+    Some(vals)
+}
+
 /// Serialize a [`ResultSet`] for the durable tier (float columns persist
 /// as bit patterns, so a read-back compares byte-identical).
 #[must_use]
@@ -202,10 +220,7 @@ pub fn encode_results(rs: &ResultSet) -> Vec<u8> {
         out.put_u32(t.rows.len() as u32);
         for row in &t.rows {
             out.put_u8(u8::from(row.valid));
-            out.put_u32(row.values.len() as u32);
-            for v in &row.values {
-                put_value(v, &mut out);
-            }
+            put_values(&row.values, &mut out);
         }
     }
     out
@@ -237,11 +252,7 @@ pub fn decode_results(bytes: &[u8]) -> Option<ResultSet> {
         let mut rows = Vec::with_capacity(n_rows.min(4096));
         for _ in 0..n_rows {
             let valid = r.u8()? != 0;
-            let n_vals = r.u32()? as usize;
-            let mut values = Vec::with_capacity(n_vals.min(1024));
-            for _ in 0..n_vals {
-                values.push(get_value(&mut r)?);
-            }
+            let values = get_values(&mut r)?;
             rows.push(ResultRow { values, valid });
         }
         tables.push(ResultTable {
@@ -262,10 +273,7 @@ pub(crate) fn encode_capture(rows: &[Vec<Value>], total: u64) -> Vec<u8> {
     out.put_u64(total);
     out.put_u32(rows.len() as u32);
     for row in rows {
-        out.put_u32(row.len() as u32);
-        for v in row {
-            put_value(v, &mut out);
-        }
+        put_values(row, &mut out);
     }
     out
 }
@@ -278,12 +286,7 @@ pub(crate) fn decode_capture(bytes: &[u8]) -> Option<(Vec<Vec<Value>>, u64)> {
     let n = r.u32()? as usize;
     let mut rows = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
-        let k = r.u32()? as usize;
-        let mut row = Vec::with_capacity(k.min(1024));
-        for _ in 0..k {
-            row.push(get_value(&mut r)?);
-        }
-        rows.push(row);
+        rows.push(get_values(&mut r)?);
     }
     Some((rows, total))
 }

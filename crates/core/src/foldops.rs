@@ -21,13 +21,32 @@
 //! * **Pure-window folds** — the evicted value alone is correct; overwrite.
 //! * **Non-linear folds** — per-epoch values, invalid on re-eviction.
 //!
-//! The per-packet `A` matrix is extracted numerically: with the window
-//! variables pinned at their actual values, the update restricted to the
-//! linear variables is affine, so evaluating the body at the zero vector and
-//! at each basis vector yields `B` and the columns of `A`. Folds whose every
-//! update is *additive* in state (`A = I`, e.g. COUNT/SUM and guarded
-//! counters) skip extraction entirely — `ΠA` stays the identity.
+//! A linear fold merges one of **three** ways, chosen structurally in
+//! [`FoldOps::new`] (the first that fits wins):
+//!
+//! 1. **Constant-A kernel** (`ConstAKernel`) — one windowless state
+//!    variable updated by a single `[c·]s [± B]` with a constant `c`
+//!    (EWMA, plain counters): closed-form update, and the merge needs only
+//!    the packet count, `ΠA = aⁿ`, kept inline in [`FoldState::packets`].
+//! 2. **Additive** — every linear variable has `A = I` (COUNT/SUM, guarded
+//!    counters): `ΠA` stays the identity, the correction is
+//!    `standing − init`, and windowless folds carry no aux box at all.
+//! 3. **General** — everything else: the per-packet `A` matrix is extracted
+//!    numerically (with the window variables pinned at their actual values
+//!    the update restricted to the linear variables is affine, so
+//!    evaluating the body at the zero vector and at each basis vector
+//!    yields `B` and the columns of `A`) and accumulated into the per-key
+//!    `ΠA` of [`LinearAux`], which travels with the value into the backing
+//!    store and the durable tier.
+//!
+//! Constant `A` is recognised structurally only (tier 1), never learnt
+//! from traffic: a merge must not depend on what a `FoldOps` *instance*
+//! has seen, because a recovered runtime merges persisted values with a
+//! fresh instance before it has folded a single packet. A constant-A fold
+//! that is not kernel-shaped (say, two cross-coupled variables) takes the
+//! general tier, whose `ΠA` is per key and persisted.
 
+use crate::durable::{get_values, put_values};
 use perfq_kvstore::wal::{ByteReader, ByteWriter as _};
 use perfq_kvstore::{MergeMode, Persist, ValueOps};
 use perfq_lang::bytecode::{self, EvalStack, Program};
@@ -304,10 +323,6 @@ struct Scratch {
     /// Merge-time `replayed − snapshot` vector over the linear variables —
     /// pooled so the sharded drain's merge storm allocates nothing warm.
     delta: Vec<f64>,
-    /// The constant `A` matrix, extracted lazily on the first post-window
-    /// update (only used when `FoldOps::constant_a`). Empty = not yet
-    /// extracted.
-    const_a: Vec<f64>,
 }
 
 /// [`ValueOps`] implementation driving a compiled [`FoldIr`].
@@ -327,12 +342,6 @@ pub struct FoldOps {
     /// True when every linear variable's update has `A = I` (pure
     /// accumulation), so `ΠA` tracking is unnecessary.
     additive: bool,
-    /// True when the `A` matrix provably cannot vary across packets (no
-    /// branches; every linear-state coefficient is a compile-time
-    /// constant). The per-packet ΠA product then collapses to `A^n`
-    /// computed once at merge time — the dataplane skips extraction and
-    /// matrix multiplication entirely.
-    constant_a: bool,
     /// The one-variable constant-A fast kernel, when the fold fits it.
     /// Takes precedence over the generic aux/scratch machinery on every
     /// path (init/update/merge) — see [`ConstAKernel`].
@@ -361,9 +370,6 @@ impl FoldOps {
             && linear_vars
                 .iter()
                 .all(|v| is_additive_in(&fold.body, *v, &linear_vars));
-        let constant_a = !additive
-            && mode == MergeMode::Merge
-            && has_constant_a(&fold.body, &linear_vars);
         let program = bytecode::compile_stmts_bound(&fold.body, &params);
         let fast = const_a_kernel(&fold, &params);
         let init = StateVec::from_slice(&fold.init_state());
@@ -375,7 +381,6 @@ impl FoldOps {
             linear_vars,
             window,
             additive,
-            constant_a,
             fast,
             mode,
             scratch: RefCell::new(Scratch::default()),
@@ -400,73 +405,6 @@ impl FoldOps {
         self.additive
     }
 
-    /// Whether a run of consecutive same-key packets may be **pre-reduced**
-    /// into a single store write: the vectorized sweep sums the per-packet
-    /// contributions ([`Self::run_contribution`]) and applies the total once
-    /// ([`Self::apply_run`]).
-    ///
-    /// The gate demands exactness, not plausibility: the fold must fit the
-    /// compiled constant-A kernel with a bare state term (`A = 1` — any coefficient
-    /// would make per-packet order observable), an **integer** state
-    /// variable (wrapping `i64` arithmetic is associative; float addition
-    /// is not), and a combine of `s + B`, `B + s`, or `s − B` (for which
-    /// `((s ∘ b₁) ∘ b₂) ≡ s ∘ (b₁ + b₂)` holds bit-exactly in modular
-    /// arithmetic). Everything else — EWMA, windows, epoch folds —
-    /// falls back to per-row folding on the held slot handle.
-    #[must_use]
-    pub fn run_prereducible(&self) -> bool {
-        use perfq_lang::ast::BinOp;
-        self.fast.as_ref().is_some_and(|k| {
-            k.coeff.is_none()
-                && k.ty == perfq_lang::ValueType::Int
-                && matches!(
-                    k.combine,
-                    Some((BinOp::Add, _, _)) | Some((BinOp::Sub, true, _))
-                )
-        })
-    }
-
-    /// One packet's contribution to a pre-reduced run: the kernel's `B`
-    /// term evaluated on this input row. Returns `None` when the value is
-    /// not an [`Value::Int`] (a float or bool `B` coerces per-row inside
-    /// the kernel, which pre-reduction cannot reproduce) — the caller must
-    /// flush the run so far and fold that row individually.
-    ///
-    /// Only meaningful when [`Self::run_prereducible`] holds.
-    #[must_use]
-    pub fn run_contribution(&self, input: &[Value]) -> Option<i64> {
-        debug_assert!(self.run_prereducible());
-        let k = self.fast.as_ref()?;
-        let (_, _, b) = k.combine.as_ref()?;
-        match perfq_lang::ir::eval(b, &[], input, &self.params) {
-            Ok(Value::Int(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Apply a pre-reduced run of `n` packets whose `B` contributions sum
-    /// (wrapping) to `acc`, exactly as `n` sequential kernel updates would:
-    /// `s ← s ∓ acc` in wrapping `i64`, `packets += n`.
-    ///
-    /// Only legal when [`Self::run_prereducible`] holds and every row's
-    /// [`Self::run_contribution`] returned `Some`.
-    pub fn apply_run(&self, value: &mut FoldState, acc: i64, n: u64) {
-        use perfq_lang::ast::BinOp;
-        debug_assert!(n > 0, "a pre-reduced run covers at least one packet");
-        debug_assert!(self.run_prereducible());
-        let k = self.fast.as_ref().expect("gated by run_prereducible");
-        let (op, _, _) = k.combine.as_ref().expect("gated by run_prereducible");
-        value.packets += n;
-        let Value::Int(s) = value.vars[0] else {
-            unreachable!("an Int-typed kernel state variable holds an Int")
-        };
-        value.vars[0] = Value::Int(match op {
-            BinOp::Add => s.wrapping_add(acc),
-            BinOp::Sub => s.wrapping_sub(acc),
-            _ => unreachable!("run_prereducible admits only Add/Sub"),
-        });
-    }
-
     /// True when two ops drive **byte-identical** store state on identical
     /// input streams: same compiled (param-folded) update bytecode, same
     /// state layout (variable types and initial values — names are
@@ -481,7 +419,6 @@ impl FoldOps {
             && self.mode == other.mode
             && self.window == other.window
             && self.additive == other.additive
-            && self.constant_a == other.constant_a
             && self.linear_vars == other.linear_vars
             && self.fold.class == other.fold.class
             && self.fold.var_classes == other.fold.var_classes
@@ -608,9 +545,7 @@ fn identity(k: usize) -> Vec<f64> {
     m
 }
 
-/// `a^n` by binary exponentiation — the same multiplication order as
-/// [`matrix_pow`] restricted to k = 1, so scalar and matrix paths round
-/// identically.
+/// `a^n` by binary exponentiation.
 fn scalar_pow(mut base: f64, mut n: u64) -> f64 {
     let mut acc = 1.0;
     while n > 0 {
@@ -623,79 +558,6 @@ fn scalar_pow(mut base: f64, mut n: u64) -> f64 {
         }
     }
     acc
-}
-
-/// `a^n` by repeated squaring (powers of one matrix commute, so the
-/// left-multiply convention of [`matmul_into`] is immaterial).
-fn matrix_pow(a: &[f64], k: usize, mut n: u64) -> Vec<f64> {
-    let mut result = identity(k);
-    let mut base = a.to_vec();
-    let mut tmp = Vec::new();
-    while n > 0 {
-        if n & 1 == 1 {
-            matmul_into(&mut result, &base, k, &mut tmp);
-        }
-        n >>= 1;
-        if n > 0 {
-            let sq = base.clone();
-            matmul_into(&mut base, &sq, k, &mut tmp);
-        }
-    }
-    result
-}
-
-/// Structural proof that the per-packet `A` matrix cannot vary: the body has
-/// no conditionals (a branch could select different coefficients per
-/// packet), and every assignment is affine in the linear variables with
-/// coefficients built only from literals and parameters — never from inputs
-/// or (window) state. EWMA (`s' = (1-α)·s + α·x`) is the canonical case.
-fn has_constant_a(body: &[RStmt], linear_vars: &[usize]) -> bool {
-    fn reads_linear(e: &RExpr, lv: &[usize]) -> bool {
-        let mut found = false;
-        e.visit(&mut |n| {
-            if let RExpr::State(i) = n {
-                if lv.contains(i) {
-                    found = true;
-                }
-            }
-        });
-        found
-    }
-    /// Only literals and parameters — the coefficient language.
-    fn is_const_expr(e: &RExpr) -> bool {
-        let mut ok = true;
-        e.visit(&mut |n| {
-            if matches!(n, RExpr::Input(_) | RExpr::State(_)) {
-                ok = false;
-            }
-        });
-        ok
-    }
-    /// Affine in the linear vars with constant coefficients.
-    fn affine(e: &RExpr, lv: &[usize]) -> bool {
-        if !reads_linear(e, lv) {
-            // Pure `B` term: may read inputs and window state freely.
-            return true;
-        }
-        use perfq_lang::ast::{BinOp, UnaryOp};
-        match e {
-            RExpr::State(i) => lv.contains(i),
-            RExpr::Unary(UnaryOp::Neg, inner) => affine(inner, lv),
-            RExpr::Binary(op, l, r) => match op {
-                BinOp::Add | BinOp::Sub => affine(l, lv) && affine(r, lv),
-                BinOp::Mul => {
-                    (is_const_expr(l) && affine(r, lv)) || (is_const_expr(r) && affine(l, lv))
-                }
-                BinOp::Div => affine(l, lv) && is_const_expr(r),
-                _ => false,
-            },
-            _ => false,
-        }
-    }
-    body.iter().all(|s| match s {
-        RStmt::If { .. } => false,
-        RStmt::Assign(_, e) => affine(e, linear_vars),
-    })
 }
 
 impl ValueOps for FoldOps {
@@ -722,10 +584,9 @@ impl ValueOps for FoldOps {
                 packets: 0,
                 window_log: Vec::new(),
                 snapshot: Vec::new(),
-                // Additive folds keep ΠA = I implicitly; constant-A folds
-                // reconstruct ΠA = A^n at merge time — neither tracks a
+                // Additive folds keep ΠA = I implicitly and track no
                 // per-key matrix.
-                prod: if self.additive || self.constant_a {
+                prod: if self.additive {
                     Vec::new()
                 } else {
                     identity(self.k())
@@ -759,38 +620,28 @@ impl ValueOps for FoldOps {
             } else if !self.additive {
                 let mut scratch = self.scratch.borrow_mut();
                 let s = &mut *scratch;
-                if self.constant_a {
-                    // A is packet-invariant: extract it once per store and
-                    // skip all per-packet matrix work (ΠA = A^n at merge).
-                    if s.const_a.is_empty() {
-                        self.extract_a_into(&value.vars, input, s);
-                        s.const_a = s.a.clone();
-                    }
-                } else {
-                    self.extract_a_into(&value.vars, input, s);
-                    matmul_into(&mut aux.prod, &s.a, self.k(), &mut s.mat_tmp);
-                }
+                self.extract_a_into(&value.vars, input, s);
+                matmul_into(&mut aux.prod, &s.a, self.k(), &mut s.mat_tmp);
             }
             aux.packets += 1;
             // Execute the real update, then snapshot right after the window
             // fills (window vars are settled from this point on).
-            exec_real(self, &mut value.vars, input);
+            self.exec(&mut value.vars, input);
             if aux.packets == u64::from(self.window) {
                 aux.snapshot = value.vars.to_vec();
             }
             return;
         }
-        exec_real(self, &mut value.vars, input);
+        self.exec(&mut value.vars, input);
     }
 
     fn merge(&self, standing: &mut FoldState, evicted: FoldState) {
         // Fast-kernel merge: the scalar spelling of the §3.2 correction,
         // `corrected = evicted + A^n · (standing − init)`, with `n` from
-        // the inline packets counter — the same `scalar_pow` arithmetic
-        // the generic constant-A path uses at k = 1. Resetting `packets`
-        // to 0 marks the composite: a later cross-shard merge of this
-        // value degrades to the additive correction (`A^0 = I`), exactly
-        // the consumed-aux semantics of the generic path below.
+        // the inline packets counter. Resetting `packets` to 0 marks the
+        // composite: a later cross-shard merge of this value degrades to
+        // the additive correction (`A^0 = I`), exactly the consumed-aux
+        // semantics of the generic path below.
         if let Some(k) = &self.fast {
             let adj = scalar_pow(k.a, evicted.packets)
                 * (standing.vars[0].as_f64() - k.init.as_f64());
@@ -846,14 +697,14 @@ impl ValueOps for FoldOps {
             // The entire residency is inside the log: replay it directly on
             // the standing value — exact by construction.
             for row in &aux.window_log {
-                exec_real(self, &mut standing.vars, row);
+                self.exec(&mut standing.vars, row);
             }
             return;
         }
         // 1. Replay the logged window on the standing value.
         let mut replayed = standing.vars.clone();
         for row in &aux.window_log {
-            exec_real(self, &mut replayed, row);
+            self.exec(&mut replayed, row);
         }
         // 2. Correct the linear components:
         //    corrected = evicted + ΠA · (replayed − snapshot).
@@ -875,33 +726,12 @@ impl ValueOps for FoldOps {
         for (i, &v) in self.linear_vars.iter().enumerate() {
             s.delta[i] = replayed[v].as_f64() - snapshot[v].as_f64();
         }
-        // Constant-A folds reconstruct ΠA = A^(post-window packets) here
-        // instead of accumulating it per packet. The scalar case (k = 1,
-        // e.g. EWMA) stays allocation-free.
-        let pow_scalar;
-        let pow_matrix;
-        let prod: &[f64] = if self.constant_a {
-            let n = aux.packets - u64::from(self.window);
-            assert!(
-                !s.const_a.is_empty(),
-                "a key with post-window packets implies A was extracted"
-            );
-            if k == 1 {
-                pow_scalar = [scalar_pow(s.const_a[0], n)];
-                &pow_scalar
-            } else {
-                pow_matrix = matrix_pow(&s.const_a, k, n);
-                &pow_matrix
-            }
-        } else {
-            &aux.prod
-        };
         let mut corrected = evicted.vars.clone();
         for (i, &v) in self.linear_vars.iter().enumerate() {
             let adj: f64 = if self.additive {
                 s.delta[i]
             } else {
-                (0..k).map(|j| prod[i * k + j] * s.delta[j]).sum()
+                (0..k).map(|j| aux.prod[i * k + j] * s.delta[j]).sum()
             };
             corrected[v] = match self.fold.state[v].ty {
                 perfq_lang::ValueType::Float => Value::Float(evicted.vars[v].as_f64() + adj),
@@ -917,10 +747,6 @@ impl ValueOps for FoldOps {
     fn merge_mode(&self) -> MergeMode {
         self.mode
     }
-}
-
-fn exec_real(ops: &FoldOps, state: &mut [Value], input: &[Value]) {
-    ops.exec(state, input);
 }
 
 /// Structural check: every assignment to `var` (on any path) has the shape
@@ -1015,48 +841,6 @@ pub fn var_classes(fold: &FoldIr) -> Vec<(String, VarClass)> {
 // ---------------------------------------------------------------------------
 // Durable spill-tier codec
 // ---------------------------------------------------------------------------
-
-fn put_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Int(i) => {
-            out.put_u8(0);
-            out.put_i64(*i);
-        }
-        Value::Float(f) => {
-            out.put_u8(1);
-            out.put_f64(*f);
-        }
-        Value::Bool(b) => {
-            out.put_u8(2);
-            out.put_u8(u8::from(*b));
-        }
-    }
-}
-
-fn get_value(r: &mut ByteReader<'_>) -> Option<Value> {
-    match r.u8()? {
-        0 => Some(Value::Int(r.i64()?)),
-        1 => Some(Value::Float(r.f64()?)),
-        2 => Some(Value::Bool(r.u8()? != 0)),
-        _ => None,
-    }
-}
-
-fn put_values(vals: &[Value], out: &mut Vec<u8>) {
-    out.put_u32(vals.len() as u32);
-    for v in vals {
-        put_value(v, out);
-    }
-}
-
-fn get_values(r: &mut ByteReader<'_>) -> Option<Vec<Value>> {
-    let n = r.u32()? as usize;
-    let mut vals = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        vals.push(get_value(r)?);
-    }
-    Some(vals)
-}
 
 /// [`FoldState`] round-trips through the spill tier's WAL byte-exactly:
 /// floats persist as their bit patterns and [`StateVec`] re-canonicalizes

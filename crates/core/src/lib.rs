@@ -60,16 +60,19 @@
 //!    (`slot_value_mut`/`touch_slot`), so probe and fold share a single
 //!    hash + slot resolution (the fused upsert — the old probe-again-in-a-
 //!    closure shape is gone from the hot path).
-//! 4. **Merge shortcuts and compiled fold kernels** — additive windowless
-//!    folds (COUNT/SUM) carry no merge bookkeeping at all; folds with a
-//!    provably constant `A` matrix (EWMA) skip per-packet ΠA extraction and
-//!    reconstruct `A^n` once at merge time. One-variable windowless linear
-//!    fold bodies additionally compile to a closed-form **constant-A
-//!    kernel** in [`foldops`]: the per-packet update becomes `s' = a·s + b`
-//!    evaluated directly from the decomposed body (no bytecode dispatch, no
-//!    scratch borrow), and the §3.2 merge correction becomes one
-//!    `aⁿ`-scaling — the kernel's legality is decided structurally at
-//!    compile time and pinned bit-identical to the bytecode path.
+//! 4. **Three merge tiers** — a linear fold merges exactly one of three
+//!    ways, decided structurally in `FoldOps::new`. *Additive* windowless
+//!    folds (COUNT/SUM, guarded counters) carry no merge bookkeeping at
+//!    all: the correction is `standing − init`. One-variable windowless
+//!    fold bodies of the shape `[c·]s [± B]` with a constant `c` (EWMA)
+//!    compile to a closed-form **constant-A kernel** in [`foldops`]: the
+//!    per-packet update becomes `s' = a·s + b` evaluated directly from the
+//!    decomposed body (no bytecode dispatch, no scratch borrow, no aux
+//!    box), and the §3.2 merge correction becomes one `aⁿ`-scaling with
+//!    `n` read from the inline packet counter — pinned bit-identical to
+//!    the bytecode path. Every other linear fold takes the *general* tier:
+//!    a per-key `ΠA` (extracted numerically per packet, persisted with the
+//!    value) plus the window log.
 //! 5. **Batching and column pruning** — [`Runtime::process_batch`] (and
 //!    `Network::run_batched` upstream) feed records in slices; only the
 //!    base columns the compiled program reads are materialized per record
@@ -103,12 +106,13 @@
 //! Two consequences shape the engine. **The probe dominates the store**
 //! (37 ns probe vs 4 ns fold), which is why the vectorized GroupBy sweep
 //! coalesces equal-key *runs* — one `observe_run_first` probe per run,
-//! `observe_run_next`/`observe_run_folded` through the already-resolved
-//! handle for the rest, and additive folds pre-reduce the run to a scalar
-//! before one `touch_slot(n)`. On locally-sorted traffic (mean run ≈ 5,
-//! the shape RSS steering + bursty flows produce) this wins 1.17–1.25×
-//! (`query_runtime_bursty` guards the ratio same-run); on hash-ordered
-//! traffic (run ≈ 1.4) the run tracker costs nothing measurable.
+//! `observe_run_next` through the already-resolved handle for the rest.
+//! On locally-sorted traffic (mean run ≈ 5, the shape RSS steering +
+//! bursty flows produce) this wins 1.17–1.25× (`query_runtime_bursty`
+//! guards the ratio same-run); on hash-ordered traffic runs barely exist
+//! (mean run 1.010 on the criterion trace `test_small(7)`, 1.001 on the
+//! five `benchmark/` workloads, counted per group key inside a 16-record
+//! chunk) and the run tracker costs nothing measurable.
 //! **Key build rivals the probe** (~40 ns of the 62), bounding what any
 //! store-side work can save — the multi-query CSE that builds each unique
 //! key once per record attacks this term, not the store.

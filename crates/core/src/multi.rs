@@ -1468,6 +1468,7 @@ impl MultiRuntime {
     /// [`MultiRuntime::new`] without the cross-query sharing pass — the
     /// PR 4 shared-ingest-only configuration. Differential tests and the
     /// `multi_query_shared` benchmarks use this as the sharing baseline.
+    #[doc(hidden)]
     #[must_use]
     pub fn new_unshared(programs: Vec<CompiledProgram>) -> Self {
         Self::with_sharing(programs, false)
@@ -1966,6 +1967,7 @@ impl MultiSharded {
 
     /// [`MultiSharded::new`] without the sharing pass (differential
     /// baseline).
+    #[doc(hidden)]
     #[must_use]
     pub fn new_unshared(programs: Vec<CompiledProgram>, shards: usize) -> Self {
         Self::with_sharing(programs, shards, false)

@@ -220,6 +220,7 @@ impl Runtime {
     /// Toggle flow-run coalescing in the vectorized sweep (default on).
     /// Both settings are byte-identical in results; off reproduces the
     /// one-probe-per-row engine for same-run benchmark comparisons.
+    #[doc(hidden)]
     pub fn set_run_coalescing(&mut self, on: bool) {
         self.coalesce = on;
     }
@@ -709,19 +710,10 @@ impl Runtime {
                     // same group key. The first packet of a run pays the
                     // full probe and holds the slot ([`SlotHandle`]); the
                     // rest of the run folds straight into the held slot.
-                    // Pre-reducible folds (integer `s ± B` — counters,
-                    // sums) go further: the run's contributions accumulate
-                    // in a register and land in ONE store write. Both paths
-                    // are byte-identical to one probe per row — a run is
-                    // never interrupted by another key, so every post-first
+                    // Byte-identical to one probe per row — a run is never
+                    // interrupted by another key, so every post-first
                     // packet is a guaranteed hit on an unmoved slot.
-                    let prereduce =
-                        *coalesce && !node.emits && store.ops().run_prereducible();
                     let mut run: Option<(InlineKey, perfq_kvstore::SlotHandle)> = None;
-                    // Pending pre-reduced packets on the held slot.
-                    let mut acc: i64 = 0;
-                    let mut acc_n: u64 = 0;
-                    let mut acc_now = Nanos(0);
                     let mut live = mask;
                     let mut m = mask;
                     while m != 0 {
@@ -739,76 +731,25 @@ impl Runtime {
                         } else {
                             build_group_key(key_cols, input, key_buf)
                         };
-                        match &run {
+                        let state = match &run {
                             Some((rkey, handle)) if *coalesce && *rkey == key => {
-                                let handle = *handle;
-                                if prereduce {
-                                    if let Some(b) = store.ops().run_contribution(input) {
-                                        acc = acc.wrapping_add(b);
-                                        acc_n += 1;
-                                        acc_now = nows[lane];
-                                        continue;
-                                    }
-                                    // Ineligible row (its `B` is not an
-                                    // integer): settle what's pending, then
-                                    // fold this row individually.
-                                    if acc_n > 0 {
-                                        store.observe_run_folded(
-                                            handle,
-                                            acc_n,
-                                            acc_now,
-                                            |ops, v| ops.apply_run(v, acc, acc_n),
-                                        );
-                                        acc = 0;
-                                        acc_n = 0;
-                                    }
-                                }
-                                let state = store.observe_run_next(handle, input, nows[lane]);
-                                if node.emits {
-                                    for (j, o) in output.iter().enumerate() {
-                                        out[lane * a + j] = match o {
-                                            GroupOutput::Key(i) => input[key_cols[*i]],
-                                            GroupOutput::StateVar(v) => state.vars[*v],
-                                        };
-                                    }
-                                }
+                                store.observe_run_next(*handle, input, nows[lane])
                             }
                             _ => {
-                                // Run break: settle pending pre-reduced
-                                // packets on the previous slot before the
-                                // new key's probe can move anything.
-                                if acc_n > 0 {
-                                    let (_, handle) =
-                                        run.as_ref().expect("pending run holds a slot");
-                                    store.observe_run_folded(
-                                        *handle,
-                                        acc_n,
-                                        acc_now,
-                                        |ops, v| ops.apply_run(v, acc, acc_n),
-                                    );
-                                    acc = 0;
-                                    acc_n = 0;
-                                }
                                 let (state, handle) =
                                     store.observe_run_first(key.clone(), input, nows[lane]);
-                                if node.emits {
-                                    for (j, o) in output.iter().enumerate() {
-                                        out[lane * a + j] = match o {
-                                            GroupOutput::Key(i) => input[key_cols[*i]],
-                                            GroupOutput::StateVar(v) => state.vars[*v],
-                                        };
-                                    }
-                                }
                                 run = Some((key, handle));
+                                state
+                            }
+                        };
+                        if node.emits {
+                            for (j, o) in output.iter().enumerate() {
+                                out[lane * a + j] = match o {
+                                    GroupOutput::Key(i) => input[key_cols[*i]],
+                                    GroupOutput::StateVar(v) => state.vars[*v],
+                                };
                             }
                         }
-                    }
-                    // Chunk end: settle the final pending run.
-                    if acc_n > 0 {
-                        let (_, handle) = run.as_ref().expect("pending run holds a slot");
-                        store.observe_run_folded(*handle, acc_n, acc_now, |ops, v| {
-                            ops.apply_run(v, acc, acc_n)
-                        });
                     }
                     if node.emits {
                         lane_live[idx] = live;

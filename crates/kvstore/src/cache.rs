@@ -339,19 +339,16 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
         }
     }
 
-    /// Touch a held slot as if `n` consecutive hit-upserts of its key
-    /// happened, the last one at `now`, and return the value — the fused
-    /// re-touch of flow-run coalescing. End state is byte-identical to `n`
-    /// sequential [`SramCache::upsert_with`] hits: the recency counter
-    /// advances by `n` (refresh per policy; intermediate counter values are
-    /// unobservable because no other key intervenes during a run), the LRU
-    /// list position refreshes, and `last_seen` takes the final timestamp.
-    pub fn touch_slot(&mut self, handle: SlotHandle, n: u64, now: Nanos) -> &mut V {
-        debug_assert!(n > 0, "a touch covers at least one record");
+    /// Touch a held slot as one hit-upsert of its key at `now` would, and
+    /// return the value — the fused re-touch of flow-run coalescing. End
+    /// state is byte-identical to a [`SramCache::upsert_with`] hit: the
+    /// recency counter advances by one (refresh per policy), the LRU list
+    /// position refreshes, and `last_seen` takes the timestamp.
+    pub fn touch_slot(&mut self, handle: SlotHandle, now: Nanos) -> &mut V {
         let refresh = !matches!(self.policy, EvictionPolicy::Fifo);
         match &mut self.inner {
             Inner::Bucketed(c) => {
-                c.seq += n;
+                c.seq += 1;
                 let s = &mut c.state[handle.0];
                 if refresh {
                     s.accessed = c.seq;

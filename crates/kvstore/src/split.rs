@@ -158,29 +158,9 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     ) -> &O::Value {
         self.stats.packets += 1;
         self.stats.hits += 1;
-        let value = self.cache.touch_slot(handle, 1, now);
+        let value = self.cache.touch_slot(handle, now);
         self.ops.update(value, input);
         value
-    }
-
-    /// Fold `n` pre-reduced run packets into the held slot in one step: the
-    /// caller has already combined the `n` packets' updates (legal only for
-    /// folds whose update sequence pre-reduces exactly — see
-    /// `perfq-core`'s fold ops) and applies them via `fold`. Store
-    /// bookkeeping advances as if `n` hit-observes happened, the last at
-    /// `now`.
-    pub fn observe_run_folded(
-        &mut self,
-        handle: SlotHandle,
-        n: u64,
-        now: Nanos,
-        fold: impl FnOnce(&O, &mut O::Value),
-    ) {
-        debug_assert!(n > 0, "a pre-reduced run covers at least one packet");
-        self.stats.packets += n;
-        self.stats.hits += n;
-        let value = self.cache.touch_slot(handle, n, now);
-        fold(&self.ops, value);
     }
 
     /// Evict every resident entry to the backing store (end of a measurement

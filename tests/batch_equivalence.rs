@@ -186,8 +186,8 @@ fn burstify(recs: &[QueueRecord]) -> Vec<QueueRecord> {
 /// Flow-run coalescing: a bursty stream (long equal-key runs inside every
 /// chunk) must be byte-identical — results *and* store statistics — to
 /// record-at-a-time processing, with coalescing on and off, for every
-/// Fig. 2 query (covering pre-reducible counters, constant-A EWMA, and
-/// per-row-fallback window/epoch folds alike).
+/// Fig. 2 query (covering counters, constant-A EWMA, and window/epoch
+/// folds alike).
 #[test]
 fn bursty_runs_coalesce_identically() {
     let recs = burstify(&records(4_000));
@@ -262,9 +262,9 @@ fn bursty_runs_survive_eviction_pressure_identically() {
 }
 
 /// Degenerate run shapes: a whole stream of one flow (every chunk is a
-/// single maximal run — for pre-reducible folds one store write per
-/// chunk), and a strict two-flow alternation (every run has length 1, the
-/// coalescer's worst case). Both must match record-at-a-time exactly.
+/// single maximal run: one probe per chunk), and a strict two-flow
+/// alternation (every run has length 1, the coalescer's worst case). Both
+/// must match record-at-a-time exactly.
 #[test]
 fn all_equal_key_and_alternating_chunks_are_identical() {
     let base = records(64);

@@ -91,6 +91,25 @@ fn durable_resident(backend: &SharedBackend) -> Durability {
     Durability::new(backend.clone())
 }
 
+/// A multi-variable constant-A linear fold (`A = [[1, 1], [0, 1]]`): not
+/// additive and not kernel-shaped, so it merges through the general tier's
+/// per-key `ΠA`. It rides the single-stream and sharded sweeps beside
+/// [`fig2::ALL`] because recovery makes a *fresh* `FoldOps` merge two
+/// persisted frames of one key before it has folded a packet — the merge
+/// must need nothing an instance learns from traffic.
+const CROSS_COUPLED: fig2::Fig2Query = fig2::Fig2Query {
+    name: "Cross-coupled constant-A",
+    source: "def cpl ((u, v), (pkt_len)):\n    u = u + v\n    v = v + pkt_len\n\nSELECT 5tuple, cpl GROUPBY 5tuple\n",
+    description: "Two coupled accumulators per 5-tuple.",
+    paper_linear: true,
+    verdict_query: "__q0",
+};
+
+/// The swept queries: every Fig. 2 row plus [`CROSS_COUPLED`].
+fn swept() -> impl Iterator<Item = &'static fig2::Fig2Query> {
+    fig2::ALL.into_iter().chain([&CROSS_COUPLED])
+}
+
 fn sorted(mut rs: ResultSet) -> ResultSet {
     rs.sort();
     rs
@@ -250,7 +269,7 @@ fn crash_at<T>(
 #[test]
 fn single_stream_recovers_at_every_io_boundary() {
     let recs = records(TOTAL);
-    for q in fig2::ALL {
+    for q in swept() {
         let mut plain_rt = Runtime::new(compiled(q.source));
         plain_rt.process_batch(&recs);
         plain_rt.finish();
@@ -302,7 +321,7 @@ fn single_stream_recovers_at_every_io_boundary() {
 #[test]
 fn sharded_recovers_at_every_io_boundary() {
     let recs = records(TOTAL);
-    for q in fig2::ALL {
+    for q in swept() {
         let (handle, backend) = fault_pair();
         let reference = run_sharded(q.source, &recs, &backend, 2).expect("healthy run");
         let total_ops = handle.lock().expect("fault mutex").ops();

@@ -76,8 +76,8 @@ fn expand_runs(specs: &[(RecSpec, u8)]) -> Vec<QueueRecord> {
         for _ in 0..*run_len {
             let i = recs.len();
             let mut r = record(*spec, i);
-            // Vary the fold inputs inside the run so pre-reduction has
-            // non-trivial per-packet contributions to sum.
+            // Vary the fold inputs inside the run so every packet of it
+            // folds a different contribution.
             r.qsize = (r.qsize + i as u32) % 64;
             recs.push(r);
         }
