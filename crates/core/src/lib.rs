@@ -257,11 +257,22 @@
 //! [`MultiSharded::poll`] and [`ShardedRuntime::poll_results`] are the
 //! multi-program and sharded faces; a sharded poll quiesces only the
 //! involved dataplanes between batches and resumes them with caches
-//! intact). Under the hood each store copies its backing table into a
-//! pooled `perfq_kvstore::StoreSnapshot` frame and absorbs the
-//! cache-resident pairs through the normal eviction algebra — O(distinct
-//! keys) per poll, allocation-free once the frame is warm — so the polled
-//! frame is *the* store state, not an approximation. On top of the frames,
+//! intact). Under the hood each store lands in a
+//! `perfq_kvstore::StoreSnapshot` frame — its backing table plus the
+//! cache-resident pairs absorbed through the normal eviction algebra,
+//! O(distinct keys) per poll — so the polled frame is *the* store state,
+//! not an approximation. [`Runtime::poll_results`] pools its frames and
+//! refreshes them in place (`SplitStore::snapshot_into`, allocation-free
+//! once warm); the multi-program and sharded faces take a cold frame per
+//! poll (`SplitStore::snapshot`: the table cloned with room for the cache —
+//! arena in order, index words re-placed, no hash and no probe per key — then
+//! the cache absorbed), merging per-worker frames where there are several.
+//! Above the frames every face, `collect()` and the [`Oracle`] share one
+//! emission routine: each result row is built where a front-to-back pass
+//! over the frame finds its record, one compact record per row (the key
+//! words inline plus a `u32` row index) is sorted in the rows' stead, and
+//! the permutation is applied to the row headers in place — the frame is
+//! never revisited in sorted, i.e. random, order. On top of the frames,
 //! [`DeltaCursor`] turns consecutive polls into per-epoch **deltas**
 //! ([`Runtime::poll_delta`] streams only rows that changed since the last
 //! poll through the sink idiom), and [`WindowedRuntime::poll_closed`]

@@ -2834,13 +2834,27 @@ mod tests {
                 assert_sorted(&polled, rt.compiled(), "MultiRuntime::poll");
             }
         }
+        // Drained, the scrambled arenas are in reach: every table must equal
+        // the reference — gather its arena, sort by key words — row for row.
+        let assert_reference = |set: &ResultSet, rt: &Runtime, what: &str| {
+            assert_sorted(set, rt.compiled(), what);
+            for (idx, q) in rt.compiled().program.queries.iter().enumerate() {
+                let ResolvedKind::GroupBy(g) = &q.kind else {
+                    continue;
+                };
+                let store = rt.clone_store(idx);
+                let arena = crate::runtime::backing_rows(store.backing());
+                let want = crate::runtime::reference_group_rows(g, &q.schema, arena);
+                assert_eq!(set.tables[idx].rows, want, "{what}: table {}", q.name);
+            }
+        };
         multi.finish();
         for (set, rt) in multi.collect().iter().zip(multi.runtimes()) {
-            assert_sorted(set, rt.compiled(), "MultiRuntime::collect");
+            assert_reference(set, rt, "MultiRuntime::collect");
         }
         for rt in &mut singles {
             rt.finish();
-            assert_sorted(&rt.collect(), rt.compiled(), "Runtime::collect");
+            assert_reference(&rt.collect(), rt, "Runtime::collect");
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::compiler::CompiledProgram;
 use crate::result::{value_key, ResultSet};
-use crate::runtime::{collect_results, Capture, GroupRows};
+use crate::runtime::{collect_results, Capture};
 use perfq_lang::ir::eval;
 use perfq_lang::resolve::GroupOutput;
 use perfq_lang::{QueryInput, ResolvedKind, Value};
@@ -137,22 +137,12 @@ impl Oracle {
     /// Exact final tables.
     #[must_use]
     pub fn collect(&self) -> ResultSet {
-        let group_finals: Vec<Option<GroupRows<'_>>> = self
-            .states
-            .iter()
-            .map(|state| {
-                let mut rows: GroupRows<'_> = state
-                    .as_ref()?
-                    .iter()
-                    .map(|(k, v)| (k.as_slice(), v.as_slice(), true))
-                    .collect();
-                rows.sort_unstable_by_key(|row| row.0);
-                Some(rows)
-            })
-            .collect();
         collect_results(
             &self.compiled.program,
-            &group_finals,
+            |idx| {
+                let state = self.states[idx].as_ref().expect("groupby has state");
+                (state.iter()).map(|(k, v)| (k.as_slice(), v.as_slice(), true))
+            },
             &self.captures,
             &self.params,
         )
@@ -302,6 +292,46 @@ mod tests {
         // Under this extreme pressure (2-entry cache, 15 hot keys) every key
         // is evicted and re-inserted, so accuracy may legitimately reach 0.
         assert!(t.accuracy() < 1.0);
+    }
+
+    /// `Oracle::collect` walks a hash map in whatever order it iterates;
+    /// the table must still come out exactly as "gather, then sort by key
+    /// words" gives it — for one-word, inline and spilled (7-word) keys, with
+    /// negative words and heavy leading ties no packet would produce mixed in.
+    #[test]
+    fn collect_orders_the_map_by_key_words() {
+        use crate::runtime::reference_group_rows;
+        for src in [
+            "SELECT COUNT GROUPBY srcip",
+            "SELECT COUNT GROUPBY 5tuple",
+            "SELECT COUNT GROUPBY srcip, dstip, srcport, dstport, proto, pkt_len, qid",
+        ] {
+            let mut o = Oracle::new(compiled(src, CompileOptions::default()));
+            for r in records(500) {
+                o.process_record(&r);
+            }
+            let q = o.compiled.program.queries[0].clone();
+            let ResolvedKind::GroupBy(g) = &q.kind else {
+                unreachable!("an aggregation")
+            };
+            let map = o.states[0].as_mut().unwrap();
+            for i in 0..300i64 {
+                let width = g.key_cols.len() as i64;
+                let key: Vec<i64> = (0..width)
+                    .map(|w| if w + 1 < width { (i >> w) % 2 } else { i - 150 })
+                    .collect();
+                map.insert(key, g.fold.init_state());
+            }
+            let got = o.collect();
+            let map = o.states[0].as_ref().unwrap();
+            let want = reference_group_rows(
+                g,
+                &q.schema,
+                map.iter().map(|(k, v)| (k.as_slice(), v.as_slice(), true)),
+            );
+            assert!(want.len() > 300, "{src}: {} rows", want.len());
+            assert_eq!(got.tables[0].rows, want, "{src}");
+        }
     }
 
     #[test]

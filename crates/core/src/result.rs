@@ -222,16 +222,16 @@ pub fn value_key(v: &Value) -> i64 {
     }
 }
 
-/// Total order over rows for canonical sorting.
+/// Total order over rows for canonical sorting. Floats compare by
+/// [`f64::total_cmp`] (−NaN < −∞ < … < −0.0 < +0.0 < … < +∞ < NaN), so a
+/// frame holding a NaN — a dropped packet's `∞` latency times an underflowed
+/// `Aⁿ` is one — still sorts, and equal means bit-identical.
 #[must_use]
 pub fn cmp_values(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
     for (x, y) in a.iter().zip(b) {
         let o = match (x, y) {
             (Value::Int(p), Value::Int(q)) => p.cmp(q),
-            _ => x
-                .as_f64()
-                .partial_cmp(&y.as_f64())
-                .unwrap_or(std::cmp::Ordering::Equal),
+            _ => x.as_f64().total_cmp(&y.as_f64()),
         };
         if o != std::cmp::Ordering::Equal {
             return o;
@@ -265,7 +265,8 @@ pub fn diff_tables(a: &ResultTable, b: &ResultTable, tol: f64) -> Option<String>
                 (Value::Int(p), Value::Int(q)) => p == q,
                 _ => {
                     let (p, q) = (cx.as_f64(), cy.as_f64());
-                    (p - q).abs() <= tol * (1.0 + p.abs().max(q.abs()))
+                    // Bit-identical first: `∞ − ∞` and `NaN − NaN` are NaN.
+                    p.total_cmp(&q).is_eq() || (p - q).abs() <= tol * (1.0 + p.abs().max(q.abs()))
                 }
             };
             if !close {
@@ -415,6 +416,86 @@ mod tests {
         );
         assert_eq!(epoch, 3);
         assert!(got.is_empty(), "unchanged frame emits nothing");
+    }
+
+    /// The reproduction from the field: 5 000 rows, every third key a NaN
+    /// (both signs), the rest salted with ±∞ and ±0.0 between finite keys.
+    /// Under the old `partial_cmp(..).unwrap_or(Equal)` this is not a total
+    /// order and the standard sorts panic on it.
+    fn nan_rows() -> Vec<(Vec<Value>, bool)> {
+        let awkward = [f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        (0..5_000i64)
+            .map(|i| {
+                let k = match i % 3 {
+                    0 if i % 2 == 0 => f64::NAN,
+                    0 => -f64::NAN,
+                    _ if i % 50 < 4 => awkward[(i % 50) as usize],
+                    _ => ((i * 7_919) % 10_007) as f64 - 5_000.5,
+                };
+                (vec![Value::Float(k), Value::Int(i)], i % 7 != 0)
+            })
+            .collect()
+    }
+
+    fn is_sorted(t: &ResultTable) -> bool {
+        (t.rows.windows(2)).all(|w| cmp_values(&w[0].values, &w[1].values).is_le())
+    }
+
+    #[test]
+    fn sort_survives_nan_infinities_and_signed_zero() {
+        let mut t = table(nan_rows());
+        t.sort();
+        assert!(is_sorted(&t));
+        let first = t.rows.first().unwrap().values[0].as_f64();
+        let last = t.rows.last().unwrap().values[0].as_f64();
+        assert!(first.is_nan() && first.is_sign_negative(), "−NaN first");
+        assert!(last.is_nan() && last.is_sign_positive(), "+NaN last");
+        let zeros: Vec<f64> = (t.rows.iter().map(|r| r.values[0].as_f64()))
+            .filter(|k| *k == 0.0)
+            .collect();
+        let negatives = zeros.iter().take_while(|z| z.is_sign_negative()).count();
+        assert!(negatives > 0 && negatives < zeros.len());
+        let positives = &zeros[negatives..];
+        assert!(positives.iter().all(|z| z.is_sign_positive()), "−0.0 first");
+
+        let mut set = frame(nan_rows());
+        set.sort();
+        assert!(is_sorted(&set.tables[0]));
+    }
+
+    #[test]
+    fn delta_cursor_advances_over_nan_frames() {
+        let mut cur = DeltaCursor::default();
+        let mut emitted = 0;
+        cur.advance(frame(nan_rows()), |_| emitted += 1);
+        assert_eq!(emitted, 5_000, "the first frame emits whole");
+        assert!(is_sorted(&cur.frame().tables[0]));
+
+        // A NaN key equals itself: the same frame again changes nothing.
+        emitted = 0;
+        cur.advance(frame(nan_rows()), |_| emitted += 1);
+        assert_eq!(emitted, 0, "an unchanged NaN frame emits nothing");
+
+        // One NaN-keyed row flips validity, one ∞-keyed row changes value.
+        let mut rows = nan_rows();
+        assert!(rows[0].0[0].as_f64().is_nan() && rows[1].0[0].as_f64().is_infinite());
+        rows[0].1 = !rows[0].1;
+        rows[1].0[1] = Value::Int(-1);
+        let mut got = Vec::new();
+        cur.advance(frame(rows), |d| got.push(d.row.values[1].as_i64()));
+        got.sort_unstable();
+        assert_eq!(got, vec![-1, 0]);
+    }
+
+    #[test]
+    fn diff_tables_matches_nan_frames_in_any_row_order() {
+        let a = table(nan_rows());
+        let mut reversed = nan_rows();
+        reversed.reverse();
+        assert_eq!(diff_tables(&a, &table(reversed.clone()), 1e-9), None);
+        // The same key, another value: still a difference.
+        reversed[17].0[1] = Value::Int(-1);
+        assert!(diff_tables(&a, &table(reversed), 1e-9).is_some());
     }
 
     #[test]

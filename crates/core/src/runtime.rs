@@ -30,12 +30,12 @@ use crate::foldops::{FoldOps, FoldState};
 use crate::plan::{lane_mask, ExecPlan, NodeKind, RowSource, CHUNK, LANES};
 use crate::result::{value_key, DeltaCursor, DeltaRow, ResultRow, ResultSet, ResultTable};
 use perfq_kvstore::{
-    BackingStore, CacheGeometry, InlineKey, SplitStore, StoreSnapshot, StoreStats,
+    BackingStore, CacheGeometry, InlineKey, SplitStore, StoreSnapshot, StoreStats, INLINE_KEY_WORDS,
 };
 use perfq_lang::bytecode::EvalStack;
 use perfq_lang::ir::eval;
-use perfq_lang::resolve::GroupOutput;
-use perfq_lang::{QueryInput, ResolvedKind, ResolvedProgram, Value, ValueType};
+use perfq_lang::resolve::{GroupBySpec, GroupOutput};
+use perfq_lang::{QueryInput, ResolvedKind, ResolvedProgram, Schema, Value, ValueType};
 use perfq_packet::Nanos;
 use perfq_switch::QueueRecord;
 
@@ -855,14 +855,12 @@ impl Runtime {
     #[must_use]
     pub fn collect(&self) -> ResultSet {
         assert!(self.finished, "collect() requires finish()");
-        let group_finals: Vec<Option<GroupRows<'_>>> = self
-            .stores
-            .iter()
-            .map(|store| store.as_ref().map(|s| group_rows(s.backing())))
-            .collect();
         collect_results(
             &self.compiled.program,
-            &group_finals,
+            |idx| {
+                let store = self.stores[idx].as_ref().expect("groupby store");
+                backing_rows(store.backing())
+            },
             &self.captures,
             &self.params,
         )
@@ -879,19 +877,18 @@ impl Runtime {
     /// [`StoreSnapshot`] reused across polls
     /// ([`SplitStore::snapshot_into`]), so a warmed poll refreshes its
     /// frames allocation-free; above them only the result rows allocate —
-    /// one sorted vector of borrowed `(key, state)` slices per table and
-    /// the one `values` vector each [`ResultRow`] owns — exactly as
+    /// the one `values` vector each [`ResultRow`] owns, built front to back
+    /// over the frame, plus per table one vector of compact key records that
+    /// is sorted in the rows' stead and one `u32` permutation — exactly as
     /// `collect` does.
     pub fn poll_results(&mut self) -> ResultSet {
         self.refresh_poll_frames();
-        let group_finals: Vec<Option<GroupRows<'_>>> = self
-            .poll_frames
-            .iter()
-            .map(|frame| frame.as_ref().map(|f| group_rows(f.backing())))
-            .collect();
         collect_results(
             &self.compiled.program,
-            &group_finals,
+            |idx| {
+                let frame = self.poll_frames[idx].as_ref().expect("groupby frame");
+                backing_rows(frame.backing())
+            },
             &self.captures,
             &self.params,
         )
@@ -1093,21 +1090,96 @@ impl Runtime {
     }
 }
 
-/// One aggregation's `(key words, state variables, valid)` rows, sorted by
-/// key words and borrowed from the store, frame or oracle map they describe.
-pub(crate) type GroupRows<'a> = Vec<(&'a [i64], &'a [Value], bool)>;
-
-/// Sorted rows of one aggregation's combined results — the single
-/// construction [`Runtime::collect`] and the poll paths share, so the
-/// drained and polled views of a store can never diverge. Keys are unique,
-/// so the unstable sort is deterministic; it is also what makes result
-/// order independent of the table's (insertion) order.
-fn group_rows(backing: &BackingStore<InlineKey, FoldState>) -> GroupRows<'_> {
-    let mut rows: GroupRows<'_> = backing
+/// One aggregation's `(key words, state variables, valid)` rows in the
+/// order its table stores them — the source [`emit_group_rows`] walks.
+pub(crate) fn backing_rows(
+    backing: &BackingStore<InlineKey, FoldState>,
+) -> impl Iterator<Item = (&[i64], &[Value], bool)> + Clone {
+    backing
         .iter()
         .map(|(k, entry)| (k.as_slice(), &*entry.latest().vars, entry.is_valid()))
+}
+
+/// What the sort moves in a row's stead: the key's leading `W` words — all
+/// of them for every key up to [`INLINE_KEY_WORDS`] wide — and the index of
+/// the row built from it.
+struct SortRecord<const W: usize> {
+    key: [i64; W],
+    row: u32,
+}
+
+/// One aggregation's result rows, ascending by signed key words — the single
+/// construction [`Runtime::collect`], every poll path and the oracle share,
+/// so drained, polled and reference views of a table can never diverge.
+///
+/// `source` (a backing arena, a snapshot frame, the oracle's map) is only
+/// ever walked front to back: one pass builds every row where it finds it, a
+/// second takes one [`SortRecord`] per key; the records are sorted without
+/// touching the source again (only a key wider than `W` words falls back to
+/// its borrowed tail on a tie), and the resulting permutation is applied to
+/// the rows in place — 32-byte headers move, the `values` blocks stay where
+/// the first pass put them. Keys are unique and one table's keys are equally
+/// wide, so the unstable sort is deterministic and equals a sort by the whole
+/// key slice; it is also what makes result order independent of the
+/// source's order.
+///
+/// `W` is the table's key width, capped at [`INLINE_KEY_WORDS`]: a record
+/// carries no padding, so a two-word key sorts as 24 bytes, not 48. The rows
+/// — all that outlives the call — are allocated before the sort's scratch,
+/// which therefore comes off the top of the heap when it is freed instead of
+/// leaving a hole under them (one pass that pushed rows and records side by
+/// side cost `multi_polled` 12 MB of peak RSS for 1 ms of `collect`).
+fn emit_group_rows<'a, const W: usize>(
+    g: &GroupBySpec,
+    schema: &Schema,
+    source: impl Iterator<Item = (&'a [i64], &'a [Value], bool)> + Clone,
+) -> Vec<ResultRow> {
+    // Each output column with its type, resolved once per table, not per cell.
+    let cols: Vec<(GroupOutput, ValueType)> = (g.output.iter().enumerate())
+        .map(|(pos, o)| (*o, schema.type_of(pos)))
         .collect();
-    rows.sort_unstable_by_key(|row| row.0);
+    let mut rows: Vec<ResultRow> = (source.clone())
+        .map(|(key, vars, valid)| ResultRow {
+            values: (cols.iter())
+                .map(|col| match *col {
+                    (GroupOutput::Key(i), ty) => key_to_value(key[i], ty),
+                    (GroupOutput::StateVar(j), _) => vars[j],
+                })
+                .collect(),
+            valid,
+        })
+        .collect();
+    let n = u32::try_from(rows.len()).expect("a result table holds < 2^32 rows");
+    let mut records = Vec::with_capacity(rows.len());
+    // Tail words of keys wider than a record, by row (empty otherwise).
+    let mut tails: Vec<&[i64]> = Vec::new();
+    for ((key, _, _), row) in source.zip(0..n) {
+        let (head, tail) = key.split_at(W);
+        let key = head.try_into().expect("split at W");
+        records.push(SortRecord::<W> { key, row });
+        if !tail.is_empty() {
+            tails.push(tail);
+        }
+    }
+    records.sort_unstable_by(|a, b| {
+        (a.key.cmp(&b.key)).then_with(|| tails.get(a.row as usize).cmp(&tails.get(b.row as usize)))
+    });
+    // order[dst] = src; the records are gone before the rows move.
+    let mut order: Vec<u32> = records.iter().map(|r| r.row).collect();
+    drop(records);
+    for start in 0..order.len() {
+        // Walk the cycle through `start`, carrying its row along; a placed
+        // slot is marked by pointing it at itself.
+        let mut dst = start;
+        loop {
+            let src = std::mem::replace(&mut order[dst], dst as u32) as usize;
+            if src == start {
+                break;
+            }
+            rows.swap(dst, src);
+            dst = src;
+        }
+    }
     rows
 }
 
@@ -1147,14 +1219,13 @@ pub(crate) fn poll_collect(
             Some(snap)
         })
         .collect();
-    let group_finals: Vec<Option<GroupRows<'_>>> = frames
-        .iter()
-        .map(|frame| frame.as_ref().map(|f| group_rows(f.backing())))
-        .collect();
-    let captures: Vec<Option<Capture>> = if capture_shards.len() == 1 {
-        lead.captures.clone()
+    // One shard lends its capture buffers as they are; only ≥ 2 shards
+    // need a merged copy.
+    let merged: Vec<Option<Capture>>;
+    let captures = if capture_shards.len() == 1 {
+        &lead.captures
     } else {
-        (0..lead.captures.len())
+        merged = (0..lead.captures.len())
             .map(|idx| {
                 lead.captures[idx].as_ref().map(|first| {
                     let mut merged = first.clone();
@@ -1169,9 +1240,18 @@ pub(crate) fn poll_collect(
                     merged
                 })
             })
-            .collect()
+            .collect();
+        &merged
     };
-    collect_results(&lead.compiled.program, &group_finals, &captures, &lead.params)
+    collect_results(
+        &lead.compiled.program,
+        |idx| {
+            let frame = frames[idx].as_ref().expect("groupby frame");
+            backing_rows(frame.backing())
+        },
+        captures,
+        &lead.params,
+    )
 }
 
 /// Build a `GROUPBY` key from an input row — the single construction the
@@ -1184,8 +1264,8 @@ pub(crate) fn build_group_key(
     input: &[Value],
     spill: &mut Vec<i64>,
 ) -> InlineKey {
-    if key_cols.len() <= perfq_kvstore::INLINE_KEY_WORDS {
-        let mut words = [0i64; perfq_kvstore::INLINE_KEY_WORDS];
+    if key_cols.len() <= INLINE_KEY_WORDS {
+        let mut words = [0i64; INLINE_KEY_WORDS];
         for (slot, c) in words.iter_mut().zip(key_cols) {
             *slot = value_key(&input[*c]);
         }
@@ -1209,39 +1289,38 @@ fn key_to_value(word: i64, ty: ValueType) -> Value {
 }
 
 /// Build the final tables shared by the runtime and the oracle.
-pub(crate) fn collect_results(
+///
+/// `group_source(idx)` lends aggregation `idx`'s `(key words, state
+/// variables, valid)` rows in whatever order its table holds them;
+/// [`emit_group_rows`] owns the order of what comes out.
+pub(crate) fn collect_results<'a, I>(
     program: &ResolvedProgram,
-    group_finals: &[Option<GroupRows<'_>>],
+    group_source: impl Fn(usize) -> I,
     captures: &[Option<Capture>],
     params: &[Value],
-) -> ResultSet {
+) -> ResultSet
+where
+    I: Iterator<Item = (&'a [i64], &'a [Value], bool)> + Clone,
+{
     let mut tables: Vec<ResultTable> = Vec::with_capacity(program.queries.len());
     for (idx, q) in program.queries.iter().enumerate() {
         let table = match &q.kind {
             ResolvedKind::GroupBy(g) => {
-                let finals = group_finals[idx].as_ref().expect("groupby finals");
-                let rows = finals
-                    .iter()
-                    .map(|(key, vars, valid)| ResultRow {
-                        values: g
-                            .output
-                            .iter()
-                            .enumerate()
-                            .map(|(pos, o)| match o {
-                                GroupOutput::Key(i) => {
-                                    key_to_value(key[*i], q.schema.type_of(pos))
-                                }
-                                GroupOutput::StateVar(j) => vars[*j],
-                            })
-                            .collect(),
-                        valid: *valid,
-                    })
-                    .collect();
+                const _: () = assert!(INLINE_KEY_WORDS == 5, "one arm per inline key width");
+                let source = group_source(idx);
+                let rows = match g.key_cols.len() {
+                    0 => emit_group_rows::<0>(g, &q.schema, source),
+                    1 => emit_group_rows::<1>(g, &q.schema, source),
+                    2 => emit_group_rows::<2>(g, &q.schema, source),
+                    3 => emit_group_rows::<3>(g, &q.schema, source),
+                    4 => emit_group_rows::<4>(g, &q.schema, source),
+                    _ => emit_group_rows::<INLINE_KEY_WORDS>(g, &q.schema, source),
+                };
                 ResultTable {
                     name: q.name.clone(),
                     schema: q.schema.clone(),
+                    total_matched: rows.len() as u64,
                     rows,
-                    total_matched: finals.len() as u64,
                 }
             }
             ResolvedKind::Project(cols) => match &q.input {
@@ -1364,6 +1443,164 @@ fn join_rows(left: &ResultTable, right: &ResultTable, on: &[String]) -> Vec<(Vec
     out
 }
 
+/// What [`emit_group_rows`] replaced, kept as the tests' reference: gather
+/// `(key, vars, valid)` tuples, sort them by the whole key slice, build each
+/// row cell by cell from the schema.
+#[cfg(test)]
+pub(crate) fn reference_group_rows<'a>(
+    g: &GroupBySpec,
+    schema: &Schema,
+    source: impl Iterator<Item = (&'a [i64], &'a [Value], bool)>,
+) -> Vec<ResultRow> {
+    let mut tuples: Vec<(&[i64], &[Value], bool)> = source.collect();
+    tuples.sort_unstable_by_key(|row| row.0);
+    tuples
+        .iter()
+        .map(|(key, vars, valid)| ResultRow {
+            values: (g.output.iter().enumerate())
+                .map(|(pos, o)| match o {
+                    GroupOutput::Key(i) => key_to_value(key[*i], schema.type_of(pos)),
+                    GroupOutput::StateVar(j) => vars[*j],
+                })
+                .collect(),
+            valid: *valid,
+        })
+        .collect()
+}
+
+/// The row-order contract of the read path, property-tested against
+/// [`reference_group_rows`] over every source shape the routine serves.
+#[cfg(test)]
+mod order_contract {
+    use super::*;
+    use crate::compiler::{compile_program, CompileOptions, CompiledProgram};
+    use perfq_kvstore::{EvictionPolicy, MergeMode};
+    use perfq_lang::{compile as lang_compile, fig2};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// A one-aggregation program re-keyed to `width` synthetic key columns
+    /// (Int and Float alternating, so half the words are float bits) with
+    /// the output plan shuffled: a state variable first, the keys backwards.
+    fn rekeyed(width: usize) -> CompiledProgram {
+        let src = "SELECT COUNT, SUM(pkt_len) GROUPBY srcip";
+        let prog = lang_compile(src, &fig2::default_params()).unwrap();
+        let mut compiled = compile_program(prog, CompileOptions::default()).unwrap();
+        let q = &mut compiled.program.queries[0];
+        let ResolvedKind::GroupBy(g) = &mut q.kind else {
+            unreachable!("an aggregation")
+        };
+        g.key_cols = (0..width).collect();
+        g.key_names = (0..width).map(|i| format!("k{i}")).collect();
+        g.output = std::iter::once(GroupOutput::StateVar(1))
+            .chain((0..width).rev().map(GroupOutput::Key))
+            .chain([GroupOutput::StateVar(0)])
+            .collect();
+        let key_ty = |i: usize| [ValueType::Int, ValueType::Float][i % 2];
+        q.schema = Schema::new(
+            std::iter::once(("sum".to_string(), ValueType::Int))
+                .chain((0..width).rev().map(|i| (format!("k{i}"), key_ty(i))))
+                .chain([("count".to_string(), ValueType::Int)])
+                .collect(),
+        );
+        compiled
+    }
+
+    /// Rows as comparable words (a float-typed key column may hold NaN bits).
+    fn words(rows: &[ResultRow]) -> Vec<(Vec<i64>, bool)> {
+        (rows.iter())
+            .map(|r| (r.values.iter().map(value_key).collect(), r.valid))
+            .collect()
+    }
+
+    /// Emit `source` through the real dispatch and compare with the reference.
+    fn check<'a, I>(
+        compiled: &CompiledProgram,
+        source: impl Fn() -> I,
+    ) -> Result<usize, TestCaseError>
+    where
+        I: Iterator<Item = (&'a [i64], &'a [Value], bool)> + Clone,
+    {
+        let q = &compiled.program.queries[0];
+        let ResolvedKind::GroupBy(g) = &q.kind else {
+            unreachable!("an aggregation")
+        };
+        let got = collect_results(&compiled.program, |_| source(), &[None], &[]);
+        let want = reference_group_rows(g, &q.schema, source());
+        prop_assert_eq!(got.tables[0].total_matched, want.len() as u64);
+        prop_assert_eq!(words(&got.tables[0].rows), words(&want));
+        Ok(want.len())
+    }
+
+    /// One key word: mostly 0/1 (heavy ties on the leading words, so wide
+    /// keys reach their tail tie-break), else a negative, any word at all,
+    /// or the bits of a small signed float.
+    fn key_word() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            0i64..=1,
+            0i64..=1,
+            0i64..=1,
+            -3i64..=-1,
+            i64::MIN..=i64::MAX,
+            (-8i64..=8).prop_map(|x| (x as f64 * 0.25).to_bits() as i64),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn emitted_tables_equal_the_sorted_reference(
+            width in 0usize..=7,
+            keys in prop::collection::vec((prop::collection::vec(key_word(), 7), 0u8..6), 0..250),
+        ) {
+            let compiled = rekeyed(width);
+            let plan = compiled.stores[0].as_ref().expect("aggregation store");
+            let row = crate::runtime::tests::record(1, 1, 0, Some(50), 0).to_row();
+
+            // The oracle's shape: a hash map walked in its own order.
+            let map: HashMap<Vec<i64>, Vec<Value>> = (keys.iter().zip(0i64..))
+                .map(|((k, _), i)| (k[..width].to_vec(), vec![Value::Int(i), Value::Int(-i)]))
+                .collect();
+            let rows = check(&compiled, || map.iter().map(|(k, v)| (k.as_slice(), v.as_slice(), true)))?;
+            prop_assert_eq!(rows, map.len());
+
+            // A backing arena scrambled by removals, multi-epoch (invalid)
+            // records included.
+            let mut arena: BackingStore<InlineKey, FoldState> = BackingStore::new(MergeMode::Epochs);
+            for ((k, salt), i) in keys.iter().zip(0i64..) {
+                let state = FoldState {
+                    vars: crate::foldops::StateVec::from_slice(&[Value::Int(i), Value::Float(i as f64 / 3.0)]),
+                    packets: 0,
+                    aux: None,
+                };
+                let at = Nanos(i as u64);
+                arena.absorb(InlineKey::from_slice(&k[..width]), state, at, at, |_, _| {});
+                if *salt == 0 {
+                    arena.remove(&InlineKey::from_slice(&keys[i as usize / 2].0[..width]));
+                }
+            }
+            check(&compiled, || backing_rows(&arena))?;
+
+            // A cold snapshot frame over a live store that evicts, with
+            // standing records removed under it.
+            let mut store = SplitStore::new(
+                CacheGeometry::set_associative(8, 2),
+                EvictionPolicy::Lru,
+                plan.hash_seed,
+                plan.ops.clone(),
+            );
+            for ((k, salt), i) in keys.iter().zip(0u64..) {
+                store.observe(InlineKey::from_slice(&k[..width]), &row[..], Nanos(i));
+                if *salt == 1 {
+                    store.remove_key(&InlineKey::from_slice(&keys[i as usize / 2].0[..width]));
+                }
+            }
+            let frame = store.snapshot();
+            let rows = check(&compiled, || backing_rows(frame.backing()))?;
+            prop_assert_eq!(rows, frame.len());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1377,7 +1614,13 @@ mod tests {
         Runtime::new(compile_program(prog, CompileOptions::default()).unwrap())
     }
 
-    fn record(src_last: u8, seq: u32, tin: u64, tout: Option<u64>, qsize: u32) -> QueueRecord {
+    pub(super) fn record(
+        src_last: u8,
+        seq: u32,
+        tin: u64,
+        tout: Option<u64>,
+        qsize: u32,
+    ) -> QueueRecord {
         QueueRecord {
             packet: PacketBuilder::tcp()
                 .src(Ipv4Addr::new(10, 0, 0, src_last), 1000)

@@ -211,6 +211,20 @@ fn index_capacity(keys: usize) -> usize {
     (keys * 8).div_ceil(7).next_power_of_two().max(16)
 }
 
+/// `words` re-placed into a fresh index of `cap` words, each by the home
+/// position it carries — no key is hashed and no record is touched.
+fn place_words(words: &[u64], cap: usize) -> Vec<u64> {
+    let mut index = vec![EMPTY; cap];
+    for &word in words.iter().filter(|w| **w != EMPTY) {
+        let mut pos = tag(word) as usize & (cap - 1);
+        while index[pos] != EMPTY {
+            pos = (pos + 1) & (cap - 1);
+        }
+        index[pos] = word;
+    }
+    index
+}
+
 /// One arena record.
 #[derive(Debug, Clone)]
 struct TableSlot<K, V> {
@@ -314,14 +328,25 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
     /// Double the index, re-placing every word by the home position it
     /// carries — the arena is not touched.
     fn grow(&mut self) {
-        let new_cap = (self.index.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.index, vec![EMPTY; new_cap]);
-        for word in old.into_iter().filter(|w| *w != EMPTY) {
-            let mut pos = self.home(tag(word));
-            while self.index[pos] != EMPTY {
-                pos = (pos + 1) & (new_cap - 1);
-            }
-            self.index[pos] = word;
+        self.index = place_words(&self.index, (self.index.len() * 2).max(16));
+    }
+
+    /// A copy of this table that takes `room` more records before its arena
+    /// or its index grows: the arena is cloned in order and the index words
+    /// are re-placed into an index of the final width, so a copy costs no
+    /// hash and no probe per key.
+    pub(crate) fn clone_with_room(&self, room: usize) -> Self
+    where
+        K: Clone,
+        V: Clone,
+    {
+        let keys = self.entries.len() + room;
+        let mut entries = Vec::with_capacity(keys);
+        entries.extend_from_slice(&self.entries);
+        BackingStore {
+            entries,
+            index: place_words(&self.index, index_capacity(keys).max(self.index.len())),
+            mode: self.mode,
         }
     }
 
@@ -572,7 +597,7 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
     }
 
     /// Iterate over all records.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &BackingEntry<V>)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &BackingEntry<V>)> + Clone {
         self.entries.iter().map(|s| (&s.key, &s.entry))
     }
 

@@ -300,18 +300,50 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// Take a consistent read-only frame of this store's current results —
     /// the concurrent read path. Equivalent to cloning the store and calling
     /// [`SplitStore::flush`] on the clone, without copying the SRAM arenas
-    /// or mutating the live store. Allocates a fresh frame; pollers should
-    /// hold a [`StoreSnapshot`] and refresh it with
+    /// or mutating the live store — and built that way: the backing table
+    /// is cloned with room for the cache (arena in order, index words
+    /// re-placed — no hash, no probe per standing key), then every cache
+    /// residency is absorbed exactly as `flush` absorbs it. Allocates a
+    /// fresh frame; a poller that keeps its frame should refresh it with
     /// [`SplitStore::snapshot_into`] instead.
     #[must_use]
     pub fn snapshot(&self) -> StoreSnapshot<K, O::Value> {
-        let keys = self.backing.len() + self.cache.len();
-        let mut snap = StoreSnapshot {
-            backing: BackingStore::with_capacity(self.ops.merge_mode(), keys),
-            stats: StoreStats::default(),
-        };
-        self.snapshot_into(&mut snap);
-        snap
+        if self.spill.as_ref().is_some_and(SpillTier::is_dirty) {
+            // Part of the truth is on disk: `snapshot_into` rebuilds the
+            // frame from empty in temporal order.
+            let mut snap = StoreSnapshot::new(self.ops.merge_mode());
+            self.snapshot_into(&mut snap);
+            return snap;
+        }
+        let mut backing = self.backing.clone_with_room(self.cache.len());
+        self.absorb_cache_into(&mut backing);
+        StoreSnapshot {
+            backing,
+            stats: self.flushed_stats(),
+        }
+    }
+
+    /// Absorb every live cache residency into `frame`, each exactly as
+    /// [`SplitStore::flush`] would absorb it into the backing table.
+    fn absorb_cache_into(&self, frame: &mut BackingStore<K, O::Value>) {
+        let ops = &self.ops;
+        self.cache.for_each_slot(|slot| {
+            frame.absorb(
+                slot.key.clone(),
+                slot.value.clone(),
+                slot.first_seen,
+                slot.last_seen,
+                |standing, evicted| ops.merge(standing, evicted),
+            );
+        });
+    }
+
+    /// The counters a clone-and-flush of this store would read.
+    fn flushed_stats(&self) -> StoreStats {
+        let mut stats = self.stats;
+        stats.flush_writes += self.cache.len() as u64;
+        stats.backing_writes += self.cache.len() as u64;
+        stats
     }
 
     /// Refresh `snap` to a consistent frame of this store's current results
@@ -352,18 +384,8 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
                 for (key, entry) in self.backing.iter() {
                     snap.backing.copy_entry(key, entry);
                 }
-                self.cache.for_each_slot(|slot| {
-                    snap.backing.absorb(
-                        slot.key.clone(),
-                        slot.value.clone(),
-                        slot.first_seen,
-                        slot.last_seen,
-                        |standing, evicted| ops.merge(standing, evicted),
-                    );
-                });
-                snap.stats = self.stats;
-                snap.stats.flush_writes += self.cache.len() as u64;
-                snap.stats.backing_writes += self.cache.len() as u64;
+                self.absorb_cache_into(&mut snap.backing);
+                snap.stats = self.flushed_stats();
                 return;
             }
         }
@@ -405,10 +427,7 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
             debug_assert_eq!(attempt, 0, "a frame rebuilt from empty cannot be stale");
             snap.backing.clear();
         }
-        // The frame's counters read as the clone-and-flush they stand for.
-        snap.stats = self.stats;
-        snap.stats.flush_writes += self.cache.len() as u64;
-        snap.stats.backing_writes += self.cache.len() as u64;
+        snap.stats = self.flushed_stats();
     }
 
     /// Merge a consistent frame of this store **into** `snap` — the
@@ -1182,6 +1201,31 @@ mod proptests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
+    /// An order-sensitive fold whose absorption mode is the test's to pick.
+    #[derive(Debug, Clone, Copy)]
+    struct ModeOps(MergeMode);
+
+    impl ValueOps for ModeOps {
+        type Value = u64;
+        type Input = u64;
+
+        fn init(&self) -> u64 {
+            1
+        }
+
+        fn update(&self, value: &mut u64, input: &u64) {
+            *value = value.wrapping_mul(31).wrapping_add(*input);
+        }
+
+        fn merge(&self, standing: &mut u64, evicted: u64) {
+            *standing = standing.wrapping_mul(17).wrapping_add(evicted);
+        }
+
+        fn merge_mode(&self) -> MergeMode {
+            self.0
+        }
+    }
+
     proptest! {
         /// Counter results are EXACT for any key sequence, geometry and
         /// policy — the linear-in-state merge guarantee.
@@ -1208,6 +1252,55 @@ mod proptests {
             for (k, want) in truth {
                 let got = *s.result(&k).unwrap().value().unwrap();
                 prop_assert_eq!(got, want, "key {}", k);
+            }
+        }
+
+        /// The three ways to take a frame agree: a cold `snapshot()` (clone
+        /// the table, absorb the cache), a `snapshot_into` over an empty
+        /// frame (probe every key in), a warmed `snapshot_into`, and the
+        /// definition — clone the store, flush the clone — entry for entry
+        /// (epochs, writes, intervals) and counter for counter, in every
+        /// absorption mode, at every point of a random run that evicts,
+        /// sweeps, flushes and removes under the poller.
+        #[test]
+        fn every_frame_equals_clone_then_flush(
+            ops in prop::collection::vec((0u8..16, 0u64..24, 0u64..1000), 1..300),
+            mode_sel in 0usize..3,
+            ways in 1usize..4,
+        ) {
+            let mode = [MergeMode::Merge, MergeMode::Overwrite, MergeMode::Epochs][mode_sel];
+            let geom = CacheGeometry::new(3, ways);
+            let mut s = SplitStore::new(geom, EvictionPolicy::Lru, 5, ModeOps(mode));
+            let mut warmed = StoreSnapshot::new(MergeMode::Merge);
+            let entries = |b: &BackingStore<u64, u64>| {
+                let mut v: Vec<_> = b.iter().map(|(k, e)| (*k, e.clone())).collect();
+                v.sort_by_key(|(k, _)| *k);
+                v
+            };
+            for (now, (op, key, input)) in ops.into_iter().enumerate() {
+                let now = now as u64;
+                match op {
+                    0..=9 => s.observe(key, &input, Nanos(now)),
+                    10 => s.evict_idle_since(Nanos(now.saturating_sub(input % 16))),
+                    11 => s.flush(),
+                    12 => drop(s.remove_key(&key)),
+                    _ => {
+                        let mut reference = s.clone();
+                        reference.flush();
+                        let want = entries(reference.backing());
+                        let cold = s.snapshot();
+                        let mut probed = StoreSnapshot::new(mode);
+                        s.snapshot_into(&mut probed);
+                        s.snapshot_into(&mut warmed);
+                        for (what, frame) in [("cold", &cold), ("probed", &probed), ("warmed", &warmed)] {
+                            prop_assert_eq!(&entries(frame.backing()), &want, "{} frame, {:?}", what, mode);
+                            prop_assert_eq!(frame.stats(), reference.stats(), "{} frame, {:?}", what, mode);
+                            for (k, e) in &want {
+                                prop_assert_eq!(frame.backing().get(k), Some(e), "{} frame get({})", what, k);
+                            }
+                        }
+                    }
+                }
             }
         }
 

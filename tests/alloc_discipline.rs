@@ -296,14 +296,18 @@ fn steady_state_batched_replay_allocates_nothing() {
     }
 
     // The incremental read path: refreshing a *warmed* snapshot frame
-    // (`SplitStore::snapshot_into`, the kernel under every poll entry
-    // point) must allocate nothing. The first snapshot sizes the frame's
-    // table and per-entry epoch vectors; after that, a poll rewrites the
-    // standing entries in place — backing copy, cache absorption through
-    // the eviction algebra, stats — and the stable keyset means no table
-    // growth, no fresh epoch vectors, no key clones that allocate. Only
-    // the result-row materialization above the frame (which `collect`
-    // pays identically) may allocate.
+    // (`SplitStore::snapshot_into`, the kernel under `Runtime::poll_results`,
+    // which pools its frames) must allocate nothing. The first snapshot sizes
+    // the frame's table and per-entry epoch vectors; after that, a poll
+    // rewrites the standing entries in place — backing copy, cache
+    // absorption through the eviction algebra, stats — and the stable
+    // keyset means no table growth, no fresh epoch vectors, no key clones
+    // that allocate. Only the result-row materialization above the frame
+    // (which `collect` pays identically) may allocate. Every other poll
+    // face takes a *cold* frame (`SplitStore::snapshot`): the backing table
+    // cloned with room for the cache, then the cache absorbed — for a store
+    // whose keys and values own no heap, that is the arena and the index,
+    // however many keys there are.
     {
         let mut store: SplitStore<u64, CounterOps> = SplitStore::new(
             CacheGeometry::set_associative(64, 4),
@@ -315,7 +319,15 @@ fn steady_state_batched_replay_allocates_nothing() {
             store.observe(i % 512, &(), Nanos(i));
         }
         // Warm frame: every key (cache-resident and evicted) enters once.
+        let before = allocs();
         let mut frame = store.snapshot();
+        let after = allocs();
+        assert!(
+            after - before <= 4,
+            "cold snapshot of {} keys allocated {} times",
+            frame.len(),
+            after - before,
+        );
         // More traffic over the same keyset, then the warmed refresh.
         for i in 0..8192u64 {
             store.observe(i % 512, &(), Nanos(8192 + i));
@@ -439,11 +451,12 @@ fn steady_state_batched_replay_allocates_nothing() {
         }
     }
 
-    // The read path. `Runtime::collect()` sorts rows *borrowed* from the
-    // backing arena, so an N-key table costs the one `values` vector each
-    // `ResultRow` owns plus a constant (the row vectors, the table's name
-    // and schema) — not the three vectors per row (key words, state
-    // variables, values) it used to.
+    // The read path. `Runtime::collect()` builds every row straight from
+    // the backing arena and sorts compact key records in the rows' stead,
+    // so an N-key table costs the one `values` vector each `ResultRow` owns
+    // plus a constant (the row vector, the sort records, the permutation,
+    // the column plan, the table's name and schema) — never a second
+    // allocation per row.
     {
         let compiled = compile_query(
             fig2::PER_FLOW_COUNTERS.source,
