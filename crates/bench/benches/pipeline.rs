@@ -507,15 +507,15 @@ fn bench_install_churn(c: &mut Criterion) {
 /// The incremental read path priced against the replay it rides on: the
 /// same 20k-record batched replay (a) never polled and (b) interrupted by
 /// `Runtime::poll_results` every 4 batches (~19 polls over the stream).
-/// Each poll pays one store-snapshot refresh (warmed after the first:
-/// in-place entry rewrites, no allocation) plus the result-row
-/// materialization `collect` would pay once. The two run back-to-back in
-/// one group so the BENCH_pipeline.json ratio guard (polled ≥ 0.85× of
-/// never-polled) compares numbers from the same machine-noise phase.
+/// Each poll pays one fresh store snapshot (the table cloned, the cache
+/// absorbed) plus the result-row materialization `collect` would pay once.
+/// The two run back-to-back in one group so the BENCH_pipeline.json ratio
+/// guard (polled ≥ 0.85× of never-polled) compares numbers from the same
+/// machine-noise phase.
 /// Cost of the incremental read path: a replay polled every 4 batches vs
 /// the same replay never polled. The polled arm is the live-dashboard
 /// workload the paper motivates — a coarse per-queue aggregate refreshed
-/// mid-stream — so each poll prices the snapshot-refresh machinery itself,
+/// mid-stream — so each poll prices the snapshot machinery itself,
 /// not an O(keys) row materialization (polling the dense 5-tuple counter
 /// store materializes ~2.4k rows/frame at ~250ns/row and is deliberately
 /// *not* the guarded pair; `poll_results` is exact either way, see

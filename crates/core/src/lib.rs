@@ -86,40 +86,50 @@
 //!
 //! # Hot-path anatomy
 //!
-//! Where a record's nanoseconds actually go, measured on the bench box by
-//! `profile_runtime --csv` (stage decomposition; per-flow counter query
-//! unless noted — see `crates/bench/src/bin/profile_runtime.rs`):
+//! Where a record's nanoseconds go: one `--trace 1` run of this tree per
+//! workload on the repo benchmark (`benchmark/`, seed 42, 2-core box; the
+//! names are `BENCHMARK.json`'s per-layer metrics). The pass and the engine
+//! are timed inside the real run; the three indented rows are isolated
+//! replays of one layer over the workload's own records, so they need not
+//! sum to the engine row. `resident_counters` keeps ~4 090 keys in a
+//! 2^16-pair cache (no eviction); `evict_counters` runs ~203 k keys through
+//! it (4.8 % of packets evict — the paper's regime):
 //!
 //! ```text
-//!   stage (one record)                                  ~ns/record
-//!   ────────────────────────────────────────────────────────────────
-//!   write_row        pruned-column materialize               21
-//!   + key build      row + group-key build + hash            62  (cum.)
-//!   store probe      SramCache::upsert_slot                  37
-//!   fold             += through the SlotHandle                4
-//!   queue handoff    SPSC send_all + recv_many, by move      66  (sharded only; benchmark)
-//!   ────────────────────────────────────────────────────────────────
-//!   whole pipeline   per-flow counters                      164  (6.1 M rec/s)
-//!   whole pipeline   latency EWMA                           210  (4.8 M rec/s)
+//!   ns/record                                          resident   evict
+//!   ─────────────────────────────────────────────────────────────────────
+//!   pass            switch.feed_ns_per_record             195      263
+//!   switch loop     switch.run_ns_per_record               66       65
+//!   engine          core.ingest_ns_per_record             124      189
+//!     write_row       switch.write_row_ns_per_record       17       18
+//!     key build+hash  kvstore.key_hash_ns                  16       16
+//!     store observe   kvstore.observe_ns_per_key           55       99
+//!   ─────────────────────────────────────────────────────────────────────
+//!   drain           core.finish_ms + core.collect_ms   0.65 + 0.37 ms   13.8 + 22.8 ms
+//!   one poll frame  kvstore.snapshot_ms                   0.18 ms          16.3 ms
 //! ```
 //!
-//! Two consequences shape the engine. **The probe dominates the store**
-//! (37 ns probe vs 4 ns fold), which is why the vectorized GroupBy sweep
-//! coalesces equal-key *runs* — one `observe_run_first` probe per run,
-//! `observe_run_next` through the already-resolved handle for the rest.
-//! On locally-sorted traffic (mean run ≈ 5, the shape RSS steering +
-//! bursty flows produce) this wins 1.17–1.25× (`query_runtime_bursty`
-//! guards the ratio same-run); on hash-ordered traffic runs barely exist
-//! (mean run 1.010 on the criterion trace `test_small(7)`, 1.001 on the
-//! five `benchmark/` workloads, counted per group key inside a 16-record
-//! chunk) and the run tracker costs nothing measurable.
-//! **Key build rivals the probe** (~40 ns of the 62), bounding what any
-//! store-side work can save — the multi-query CSE that builds each unique
-//! key once per record attacks this term, not the store.
+//! Two consequences shape the engine. **The store is the largest named
+//! term and it is miss-bound**: `observe` — one hash, one probe, the fold,
+//! and on a miss the victim's §3.2 merge into the backing table — costs
+//! 55 ns while the arenas sit in the CPU's cache and 99 ns at the paper's
+//! operating point, which is most of what separates the two workloads;
+//! row materialization and key build are ~17 ns each and do not move. The
+//! vectorized GroupBy sweep coalesces equal-key *runs* — one
+//! `observe_run_first` probe per run, `observe_run_next` through the
+//! already-resolved handle for the rest — which wins 1.17–1.25× on
+//! locally-sorted traffic (mean run ≈ 5, the shape RSS steering + bursty
+//! flows produce; `query_runtime_bursty` guards the ratio same-run), while
+//! on hash-ordered traffic runs barely exist (mean run 1.010 on the
+//! criterion trace `test_small(7)`, 1.001 on the five `benchmark/`
+//! workloads, counted per group key inside a 16-record chunk) and the run
+//! tracker costs nothing measurable. **Almost a third of the engine's time
+//! has no name yet**: ≈ 36 ns (resident) to ≈ 56 ns (evict) of `core.ingest` is
+//! none of the three isolated layers — lane bookkeeping, bytecode
+//! dispatch, whatever the isolated replays hide by running alone.
 //!
-//! The queue handoff row is from another instrument: the repo benchmark
-//! (`benchmark/`, workload `sharded_handoff`, `--trace 1`, seed 42, 2-core
-//! box) reads `switch.ring_ns_per_record` 66 ns — a batch of 256 crossing
+//! The sharded plane adds the queue handoff: workload `sharded_handoff`
+//! reads `switch.ring_ns_per_record` 66 ns — a batch of 256 crossing
 //! the mutex queue into a thread that only counts — while inside the real
 //! pass the feeder spends `switch.feed_cpu_ns_per_record` 107 ns of CPU per
 //! record on switch loop + route + stage + send. The worker's fold overlaps
@@ -231,12 +241,13 @@
 //! five times, filters `proto == TCP` twice, and repeats the §4 running
 //! example (`SELECT COUNT GROUPBY 5tuple`) verbatim inside the loss-rate
 //! program. [`MultiRuntime`]/[`MultiSharded`] therefore run an install-time
-//! sharing pass — fingerprint with `perfq_lang::fingerprint`, confirm
-//! structurally + physically, rewrite the plans — that (a) evaluates each
-//! unique base filter and builds each unique group key **once per record**
-//! (the shared execution prefix), and (b) binds structurally-identical
-//! stores to **one** physical store, eliding the duplicates from the
-//! streaming pass and substituting the owner's finished store at drain.
+//! sharing pass — compare candidate stores structurally
+//! (`perfq_lang::fingerprint`) and physically, rewrite the plans — that
+//! (a) evaluates each unique base filter and builds each unique group key
+//! **once per record** (the shared execution prefix), and (b) binds
+//! structurally-identical stores to **one** physical store, eliding the
+//! duplicates from the streaming pass and substituting the owner's
+//! finished store at drain.
 //! Two stores may legally dedup only when their input chains, filters, key
 //! tuples and fold semantics are identical *and* their physical
 //! configurations (geometry, eviction policy, hash seed) match — which
@@ -261,12 +272,17 @@
 //! `perfq_kvstore::StoreSnapshot` frame — its backing table plus the
 //! cache-resident pairs absorbed through the normal eviction algebra,
 //! O(distinct keys) per poll — so the polled frame is *the* store state,
-//! not an approximation. [`Runtime::poll_results`] pools its frames and
-//! refreshes them in place (`SplitStore::snapshot_into`, allocation-free
-//! once warm); the multi-program and sharded faces take a cold frame per
-//! poll (`SplitStore::snapshot`: the table cloned with room for the cache —
-//! arena in order, index words re-placed, no hash and no probe per key — then
-//! the cache absorbed), merging per-worker frames where there are several.
+//! not an approximation. There is one frame builder, `SplitStore::snapshot`,
+//! and no frame outlives its poll: the table is cloned with room for the
+//! cache (arena in order, index words re-placed, no hash and no probe per
+//! key), or — when a durable store holds part of the truth in its spill
+//! tier — replayed from disk into a fresh table with the standing RAM
+//! records superseding their own frames; then the cache is absorbed. There
+//! is likewise one poll routine: every face resolves, per query, which
+//! workers' stores hold its truth (its own, or a deduplicated owner's) and
+//! merges their frames — [`Runtime::poll_results`] is its one-program,
+//! one-worker case, and an `uninstall` takes the departing program's final
+//! results through it.
 //! Above the frames every face, `collect()` and the [`Oracle`] share one
 //! emission routine: each result row is built where a front-to-back pass
 //! over the frame finds its record, one compact record per row (the key
@@ -317,11 +333,15 @@
 //! *epoch* (deployment record count) as a structurally-identical resident
 //! adopts its deduplicated store — equal epochs prove the shared store
 //! holds exactly the state the newcomer's private store would — while
-//! cross-epoch twins stay private; uninstalling a store's owner promotes
-//! the first surviving alias to owner (the physical store's state moves
-//! with it, worker by worker), and a composed alias pair whose chains a
-//! replan pulls apart is *repaired* by cloning the shared state back into
-//! the alias. The contract, pinned by `tests/query_lifecycle.rs`
+//! cross-epoch twins stay private; an uninstall reads the departing
+//! program by **poll** — `finish()` + `collect()` on a clone is the poll
+//! contract, alias redirection and the spill tier included, so there is no
+//! second drain to keep in step with it — and then drops its workers;
+//! uninstalling a store's owner promotes the first surviving alias to owner
+//! (the physical store's state moves with it, worker by worker), and a
+//! composed alias pair whose chains a replan pulls apart is *repaired* by
+//! cloning the shared state back into the alias. The contract, pinned by
+//! `tests/query_lifecycle.rs`
 //! differentially against restart-from-scratch deployments at every
 //! install event on all four plane shapes (and by
 //! `tests/store_migration.rs` property-testing the migration itself): any

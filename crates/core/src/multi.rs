@@ -51,9 +51,9 @@
 //!
 //! ```text
 //!   install(program)                         uninstall(id)
-//!   ── dry run (nothing mutated) ──          promote departing owners' stores
-//!   nominate alias candidates  ◀─ gate       snapshot owners of departing aliases
-//!   CachePlanner, once                       drain the departing group → results
+//!   ── dry run (nothing mutated) ──          poll the departing program → results
+//!   nominate alias candidates  ◀─ gate       promote departing owners' stores
+//!   CachePlanner, once                       drop the departing group
 //!   worker geometries          ◀─ divisor    re-index bookkeeping
 //!   confirm candidates (strict rule)         replan ─▶ migrate ─▶ repair
 //!   ── commit ──
@@ -77,26 +77,23 @@
 //! # Cross-query sharing
 //!
 //! The sharing pass runs once at install time ([`MultiRuntime::new`] /
-//! [`MultiSharded::new`]) over the compiled programs, in three steps:
+//! [`MultiSharded::new`]) over the compiled programs, in two steps:
 //!
-//! 1. **Fingerprint** — `perfq-lang`'s
-//!    [`perfq_lang::fingerprint`] module hashes every resolved
-//!    subplan in canonical param-folded form (filter predicates, key
-//!    tuples, fold bodies, whole store contents). Equal hashes nominate
-//!    sharing candidates.
-//! 2. **Confirm** — candidates are re-checked with collision-proof
-//!    structural comparisons
-//!    ([`store_equivalent`](perfq_lang::fingerprint::store_equivalent))
-//!    *and* physical-plan equality: two stores may legally collapse into
-//!    one only when their input chains, filters, key tuples and fold
-//!    semantics are identical **and** their physical configurations match —
-//!    same [`CacheGeometry`], same eviction policy, same placement hash
-//!    seed, with every upstream store in the chain equally identical
-//!    (downstream queries observe *cache-resident* running values, §3.2, so
-//!    eviction timing is part of a stream's identity). Under that rule the
-//!    deduplicated dataplane is byte-identical to the private-store one for
-//!    every fold class — eviction for eviction, epoch for epoch.
-//! 3. **Rewrite** — each *alias* aggregation (a duplicate whose rows no
+//! 1. **Compare** — every pair of candidate stores is held to the one
+//!    legality rule, which is also the one notion of identity: the
+//!    structural comparison in [`perfq_lang::fingerprint`]
+//!    ([`store_equivalent`](perfq_lang::fingerprint::store_equivalent),
+//!    over canonical param-folded forms) *and* physical-plan equality. Two
+//!    stores may legally collapse into one only when their input chains,
+//!    filters, key tuples and fold semantics are identical **and** their
+//!    physical configurations match — same [`CacheGeometry`], same eviction
+//!    policy, same placement hash seed, with every upstream store in the
+//!    chain equally identical (downstream queries observe *cache-resident*
+//!    running values, §3.2, so eviction timing is part of a stream's
+//!    identity). Under that rule the deduplicated dataplane is
+//!    byte-identical to the private-store one for every fold class —
+//!    eviction for eviction, epoch for epoch.
+//! 2. **Rewrite** — each *alias* aggregation (a duplicate whose rows no
 //!    downstream query consumes) is removed from its program's streaming
 //!    pass entirely; at [`MultiRuntime::finish`] the owning program's
 //!    finished store is substituted back, so collection reads exactly what
@@ -467,19 +464,12 @@ fn lifecycle_alias_candidates(
     prev: &[Pair],
     new_idx: usize,
 ) -> Vec<Pair> {
-    let fps: Vec<Vec<perfq_lang::SubplanFp>> = programs
-        .iter()
-        .map(|p| p.program.subplan_fingerprints())
-        .collect();
     let new_plan = ExecPlan::build(&programs[new_idx].program);
     let mut out: Vec<Pair> = Vec::new();
     for (qi, node) in new_plan.nodes.iter().enumerate() {
         if programs[new_idx].stores[qi].is_none() || node.emits {
             continue;
         }
-        let Some(store_fp) = fps[new_idx][qi].store else {
-            continue;
-        };
         'owners: for op in 0..=new_idx {
             if epochs[op] != epochs[new_idx] {
                 continue;
@@ -490,19 +480,13 @@ fn lifecycle_alias_candidates(
             } else {
                 programs[op].stores.len()
             };
-            for (oq, owner_fp) in fps[op].iter().enumerate().take(limit) {
-                if programs[op].stores[oq].is_none() {
-                    continue;
-                }
+            for oq in 0..limit {
                 // An owner must not itself be an alias (of any vintage).
                 if prev
                     .iter()
                     .chain(out.iter())
                     .any(|((ap, aq), _)| (*ap, *aq) == (op, oq))
                 {
-                    continue;
-                }
-                if owner_fp.store != Some(store_fp) {
                     continue;
                 }
                 if !dedupable(&programs[new_idx], qi, &programs[op], oq, false) {
@@ -524,10 +508,6 @@ pub(crate) fn analyze_sharing(programs: &[CompiledProgram]) -> SharingAnalysis {
         .iter()
         .map(|p| ExecPlan::build(&p.program))
         .collect();
-    let fps: Vec<Vec<perfq_lang::SubplanFp>> = programs
-        .iter()
-        .map(|p| p.program.subplan_fingerprints())
-        .collect();
 
     // --- store dedup -------------------------------------------------------
     // First occurrence of each store shape owns it; later structurally +
@@ -535,26 +515,17 @@ pub(crate) fn analyze_sharing(programs: &[CompiledProgram]) -> SharingAnalysis {
     // emitting aggregation feeds downstream queries its per-record running
     // values and cannot leave the streaming pass.)
     let mut aliases = Vec::new();
-    let mut owners: Vec<(u64, (usize, usize))> = Vec::new();
+    let mut owners: Vec<(usize, usize)> = Vec::new();
     for (pi, prog) in programs.iter().enumerate() {
         for (qi, node) in plans[pi].nodes.iter().enumerate() {
             if !node.active || prog.stores[qi].is_none() {
                 continue;
             }
-            let Some(store_fp) = fps[pi][qi].store else {
-                continue;
-            };
-            let alias_of = (!node.emits)
-                .then(|| {
-                    owners.iter().find(|(ofp, (op, oq))| {
-                        *ofp == store_fp && stores_dedupable(prog, qi, &programs[*op], *oq)
-                    })
-                })
-                .flatten()
-                .map(|(_, owner)| *owner);
-            match alias_of {
-                Some(owner) => aliases.push(((pi, qi), owner)),
-                None => owners.push((store_fp, (pi, qi))),
+            let owner = (owners.iter())
+                .find(|(op, oq)| !node.emits && stores_dedupable(prog, qi, &programs[*op], *oq));
+            match owner {
+                Some(owner) => aliases.push(((pi, qi), *owner)),
+                None => owners.push((pi, qi)),
             }
         }
     }
@@ -1213,16 +1184,24 @@ impl Roster {
     /// Uninstall program `pos` from the (entirely quiesced) deployment and
     /// return its final results; its group leaves `groups`.
     ///
-    /// A departing *owner*'s shared store is **promoted** worker by worker
-    /// into its first surviving alias (dedup implies identical routing, so
-    /// worker `w`'s states are interchangeable; the live state moves —
-    /// stream continuity preserved) and further aliases re-parent onto the
-    /// promoted owner; a departing *alias* collects from a flushed
-    /// cross-worker merge of its owner's (still running) store. The
-    /// departing workers drain into one finished [`Runtime`], and under a
-    /// budget the survivors replan onto the reclaimed area, live-migrate
-    /// and repair.
+    /// The final results are a **poll** ([`Roster::poll`]) taken before
+    /// anything moves: `finish()` + `collect()` on a clone is the poll
+    /// contract on every plane — a departing alias reads its owner's (still
+    /// running) store through the same redirection, a durable store reads
+    /// through its spill tier. A departing *owner*'s shared store is then
+    /// **promoted** worker by worker into its first surviving alias (dedup
+    /// implies identical routing, so worker `w`'s states are
+    /// interchangeable; the live state moves — stream continuity preserved)
+    /// and further aliases re-parent onto the promoted owner. The departing
+    /// group is dropped, and under a budget the survivors replan onto the
+    /// reclaimed area, live-migrate and repair.
     fn uninstall(&mut self, pos: usize, groups: &mut Vec<Group>) -> ResultSet {
+        let results = self.poll(pos, |p| {
+            groups[p]
+                .as_deref()
+                .expect("uninstall quiesces every group")
+        });
+
         let mut promoted: Vec<Pair> = Vec::new();
         for i in 0..self.aliases.len() {
             let ((ap, aq), (op, oq)) = self.aliases[i];
@@ -1244,48 +1223,7 @@ impl Roster {
                 }
             }
         }
-
-        // The departing program's aliased queries: cross-program ones read
-        // a frozen copy of their owner's store — merged across the owner's
-        // workers in shard order, flushed; within-program pairs adopt as
-        // usual.
-        let mut snaps = Vec::new();
-        let mut within = Vec::new();
-        for ((ap, aq), (op, oq)) in &self.aliases {
-            if *ap != pos {
-                continue;
-            }
-            if *op == pos {
-                within.push((*aq, *oq));
-            } else {
-                let mut owners = quiesced(groups, *op).iter();
-                let mut merged = owners.next().expect("at least one worker").clone_store(*oq);
-                merged.flush();
-                for w in owners {
-                    merged.absorb_store(w.clone_store(*oq));
-                }
-                snaps.push((*aq, merged));
-            }
-        }
-
-        // Drain the departing workers into one finished runtime.
-        let mut departing = groups
-            .remove(pos)
-            .expect("uninstall quiesces every group")
-            .into_iter();
-        let mut rt = departing.next().expect("at least one worker");
-        rt.finish();
-        for mut w in departing {
-            w.finish();
-            rt.absorb_finished(w);
-        }
-        for (aq, snap) in &snaps {
-            rt.adopt_store_snapshot(*aq, snap);
-        }
-        for (aq, oq) in &within {
-            rt.adopt_store_within(*aq, *oq);
-        }
-        let results = rt.collect();
+        drop(groups.remove(pos));
 
         // Bookkeeping: drop every pair touching the departing program,
         // shift indices past it down by one.
@@ -1702,11 +1640,12 @@ impl MultiRuntime {
     ///
     /// The departing program's slice returns to the pool: under a budget
     /// the survivors replan and their stores live-migrate onto the
-    /// (larger) slices. Dedup bookkeeping is repaired: a departing
-    /// *owner*'s shared store is **promoted** into its first surviving
-    /// alias (the live state moves — stream continuity preserved), further
-    /// aliases re-parent onto the promoted owner, and a departing *alias*
-    /// collects from a flushed snapshot of its owner's store.
+    /// (larger) slices. The results are the poll ([`MultiRuntime::poll`])
+    /// taken as the program leaves — a departing *alias* reads its owner's
+    /// live store through the poll's redirection — and dedup bookkeeping is
+    /// repaired: a departing *owner*'s shared store is **promoted** into
+    /// its first surviving alias (the live state moves — stream continuity
+    /// preserved) and further aliases re-parent onto the promoted owner.
     ///
     /// # Panics
     ///
@@ -1717,9 +1656,9 @@ impl MultiRuntime {
         let mut groups = self.lend();
         let results = self.roster.uninstall(pos, &mut groups);
         self.take_back(groups);
-        // The drain read through the durable tier ([`Runtime::finish`]
-        // materializes every spilled pair); publish the retired results so
-        // they outlive the deployment.
+        // The poll read through the durable tier (a frame replays every
+        // spilled pair); publish the retired results so they outlive the
+        // deployment.
         if let Some(d) = &self.durability {
             write_retired(d, id, &results).expect("retired-results publish");
         }
@@ -2143,12 +2082,13 @@ impl MultiSharded {
     /// deployment stopped now. `None` for an unknown id.
     ///
     /// [`MultiRuntime::uninstall`] over paused worker groups: every
-    /// dataplane quiesces (promotions, snapshots and the survivors'
-    /// migrations all need the worker runtimes), departing owners' shared
-    /// stores are promoted **worker by worker** into their first surviving
-    /// alias, departing aliases collect from flushed cross-shard merges of
-    /// their owner's stores, and under a budget the survivors replan onto
-    /// the reclaimed area and live-migrate before everything resumes.
+    /// dataplane quiesces (the final poll, promotions and the survivors'
+    /// migrations all need the worker runtimes), the departing program is
+    /// polled one last time (per-shard frames merged, aliases redirected to
+    /// their owner's workers), departing owners' shared stores are promoted
+    /// **worker by worker** into their first surviving alias, and under a
+    /// budget the survivors replan onto the reclaimed area and live-migrate
+    /// before everything resumes.
     ///
     /// Not supported after [`MultiSharded::run_network`].
     pub fn uninstall(&mut self, id: u64) -> Option<ResultSet> {

@@ -124,9 +124,6 @@ pub struct Runtime {
     coalesce: bool,
     records: u64,
     finished: bool,
-    /// Incremental read path: pooled per-store snapshot frames, reused
-    /// across polls so a warmed poll refreshes its frames allocation-free.
-    poll_frames: Vec<Option<StoreSnapshot<InlineKey, FoldState>>>,
     /// Incremental read path: previous-frame bookkeeping for
     /// [`Runtime::poll_delta`].
     poll_cursor: DeltaCursor,
@@ -210,7 +207,6 @@ impl Runtime {
             coalesce: true,
             records: 0,
             finished: false,
-            poll_frames: Vec::new(),
             poll_cursor: DeltaCursor::default(),
             persisted_at: None,
             durability: None,
@@ -348,22 +344,6 @@ impl Runtime {
             "lifecycle only replaces aggregation stores"
         );
         self.stores[idx] = Some(store);
-    }
-
-    /// Dynamic lifecycle: adopt results from a **flushed** snapshot of an
-    /// owner store — the collect side of uninstalling an alias query, where
-    /// the owner keeps running and the departing program reads a frozen
-    /// copy of the shared state.
-    pub(crate) fn adopt_store_snapshot(
-        &mut self,
-        dst: usize,
-        snapshot: &SplitStore<InlineKey, FoldOps>,
-    ) {
-        assert!(self.finished, "adopt after finish");
-        self.stores[dst]
-            .as_mut()
-            .expect("dedup only pairs aggregation stores")
-            .adopt_results_from(snapshot);
     }
 
     /// Store statistics of a GROUPBY query (by query index).
@@ -791,8 +771,9 @@ impl Runtime {
     /// Durable stores first fold their spill tier's on-disk truth back into
     /// RAM ([`SplitStore::materialize_spill`]: disk frames, then the newer
     /// RAM records, then the flushed cache on top — temporal merge order),
-    /// so [`Runtime::collect`] and every drain that follows — including
-    /// `MultiRuntime::uninstall`'s — read through the tier.
+    /// so [`Runtime::collect`] and every drain that follows read through
+    /// the tier. A tier that never spilled is retired here as well: from
+    /// this point on the RAM table alone is the truth.
     pub fn finish(&mut self) {
         for store in self.stores.iter_mut().flatten() {
             store
@@ -873,25 +854,16 @@ impl Runtime {
     /// continues afterwards, and the eventual drain is byte-identical to a
     /// never-polled replay (pinned by `tests/poll_equivalence.rs`).
     ///
-    /// Each store's consistent frame lands in a pooled
-    /// [`StoreSnapshot`] reused across polls
-    /// ([`SplitStore::snapshot_into`]), so a warmed poll refreshes its
-    /// frames allocation-free; above them only the result rows allocate —
-    /// the one `values` vector each [`ResultRow`] owns, built front to back
-    /// over the frame, plus per table one vector of compact key records that
-    /// is sorted in the rows' stead and one `u32` permutation — exactly as
-    /// `collect` does.
-    pub fn poll_results(&mut self) -> ResultSet {
-        self.refresh_poll_frames();
-        collect_results(
-            &self.compiled.program,
-            |idx| {
-                let frame = self.poll_frames[idx].as_ref().expect("groupby frame");
-                backing_rows(frame.backing())
-            },
-            &self.captures,
-            &self.params,
-        )
+    /// This is the one-program, one-worker case of the routine every plane
+    /// polls through (`poll_collect`): each store's consistent frame is
+    /// taken fresh ([`SplitStore::snapshot`]), and above the frames only the
+    /// result rows allocate — the one `values` vector each [`ResultRow`]
+    /// owns, built front to back over the frame, plus per table one vector
+    /// of compact key records that is sorted in the rows' stead and one
+    /// `u32` permutation — exactly as `collect` does.
+    #[must_use]
+    pub fn poll_results(&self) -> ResultSet {
+        poll_own(std::slice::from_ref(self))
     }
 
     /// Poll and stream only the rows that are new or changed since the
@@ -1069,25 +1041,6 @@ impl Runtime {
         rt.durability = Some(d);
         Ok((rt, at))
     }
-
-    /// Refresh the pooled per-store snapshot frames to this instant.
-    fn refresh_poll_frames(&mut self) {
-        if self.poll_frames.len() != self.stores.len() {
-            self.poll_frames = self
-                .stores
-                .iter()
-                .map(|s| {
-                    s.as_ref()
-                        .map(|store| StoreSnapshot::new(store.backing().mode()))
-                })
-                .collect();
-        }
-        for (frame, store) in self.poll_frames.iter_mut().zip(&self.stores) {
-            if let (Some(f), Some(s)) = (frame.as_mut(), store.as_ref()) {
-                s.snapshot_into(f);
-            }
-        }
-    }
 }
 
 /// One aggregation's `(key words, state variables, valid)` rows in the
@@ -1183,9 +1136,10 @@ fn emit_group_rows<'a, const W: usize>(
     rows
 }
 
-/// Poll a program's current results across one or more runtimes — the
-/// shared engine behind [`crate::MultiRuntime::poll`],
-/// [`crate::MultiSharded::poll`] and [`crate::ShardedRuntime::poll_results`].
+/// Poll a program's current results across one or more runtimes — the one
+/// engine behind [`Runtime::poll_results`],
+/// [`crate::ShardedRuntime::poll_results`], [`crate::MultiRuntime::poll`],
+/// [`crate::MultiSharded::poll`] and the final read of an uninstall.
 ///
 /// `capture_shards` lists the program's worker runtimes in shard order (a
 /// single element for unsharded planes): their capture buffers combine
@@ -1252,6 +1206,16 @@ pub(crate) fn poll_collect(
         captures,
         &lead.params,
     )
+}
+
+/// [`poll_collect`] for a program whose every store is its own — no alias
+/// redirection: a stand-alone [`Runtime`] (one worker) or one
+/// [`crate::ShardedRuntime`]'s quiesced workers.
+pub(crate) fn poll_own(workers: &[Runtime]) -> ResultSet {
+    let stores: Vec<_> = (workers[0].stores.iter().enumerate())
+        .map(|(q, store)| store.as_ref().map(|_| (workers, q)))
+        .collect();
+    poll_collect(workers, &stores)
 }
 
 /// Build a `GROUPBY` key from an input row — the single construction the

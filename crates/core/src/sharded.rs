@@ -496,13 +496,7 @@ impl ShardedRuntime {
     /// worker died.
     #[must_use]
     pub fn poll_results(&mut self) -> ResultSet {
-        self.quiesced(|workers| {
-            let workers = &*workers;
-            let stores: Vec<_> = (workers[0].compiled().stores.iter().enumerate())
-                .map(|(q, store)| store.as_ref().map(|_| (workers, q)))
-                .collect();
-            crate::runtime::poll_collect(workers, &stores)
-        })
+        self.quiesced(|workers| crate::runtime::poll_own(workers))
     }
 
     /// Hand the producer side — the router and the per-shard queue senders

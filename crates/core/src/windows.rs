@@ -134,7 +134,7 @@ impl WindowedRuntime {
     /// would report if it rolled at this instant, while leaving its caches
     /// resident and its eventual roll untouched.
     #[must_use]
-    pub fn poll_current(&mut self) -> ResultSet {
+    pub fn poll_current(&self) -> ResultSet {
         self.current.poll_results()
     }
 

@@ -57,8 +57,7 @@ pub struct Epoch<V> {
 
 /// A record's per-residency values: never empty, the first epoch stored
 /// inline, a `Vec` only once a [`MergeMode::Epochs`] key has a second
-/// residency. Derefs to `[Epoch<V>]` and compares by contents (a spilled
-/// list rewritten to one epoch keeps its allocation for the next refill).
+/// residency. Derefs to `[Epoch<V>]` and compares by contents.
 #[derive(Debug, Clone)]
 pub struct EpochList<V>(Repr<V>);
 
@@ -84,20 +83,6 @@ impl<V> EpochList<V> {
             unreachable!("the spilled case returned above")
         };
         self.0 = Repr::Many(vec![first, epoch]);
-    }
-
-    /// Rewrite the list to `src`'s epochs (at least one), reusing a spilled
-    /// list's allocation.
-    fn refill(&mut self, mut src: impl ExactSizeIterator<Item = Epoch<V>>) {
-        debug_assert!(src.len() > 0, "records have ≥1 epoch");
-        match &mut self.0 {
-            Repr::Many(v) => {
-                v.clear();
-                v.extend(src);
-            }
-            Repr::One(e) if src.len() == 1 => *e = src.next().expect("length checked"),
-            Repr::One(_) => self.0 = Repr::Many(src.collect()),
-        }
     }
 
     /// Consume the epochs in order, without the `Vec` a by-value iterator
@@ -488,60 +473,13 @@ impl<K: Eq + Hash, V> BackingStore<K, V> {
 
     /// By-value upsert with supersession semantics: `entry` becomes the
     /// standing record for `key`, whatever stood there before
-    /// ([`BackingStore::replace_from`], snapshot frames at replay).
+    /// ([`BackingStore::replace_from`], snapshot frames at replay, standing
+    /// RAM records over a poll frame's replayed disk).
     pub(crate) fn replace_entry(&mut self, key: K, entry: BackingEntry<V>) {
         let hash = hash_key(PROBE_SEED, &key);
         match self.probe(hash, &key) {
             Err(pos) => self.insert_at(pos, hash, key, entry),
             Ok((_, i)) => self.entries[i].entry = entry,
-        }
-    }
-
-    /// Overwrite-style upsert for snapshot frames: the standing record for
-    /// `key` becomes a field-for-field copy of `entry`. Unlike
-    /// [`BackingStore::absorb_entry`] (which *combines* values), a frame
-    /// refresh must replace wholesale — and when the key is already present
-    /// from a previous frame, the standing record's epoch list is rewritten
-    /// in place, so a warmed frame re-fills allocation-free.
-    pub fn copy_entry(&mut self, key: &K, entry: &BackingEntry<V>)
-    where
-        K: Clone,
-        V: Clone,
-    {
-        let hash = hash_key(PROBE_SEED, key);
-        match self.probe(hash, key) {
-            Err(pos) => self.insert_at(pos, hash, key.clone(), entry.clone()),
-            Ok((_, i)) => {
-                let existing = &mut self.entries[i].entry;
-                existing.writes = entry.writes;
-                existing.epochs.refill(entry.epochs.iter().cloned());
-            }
-        }
-    }
-
-    /// Overwrite-style upsert of a single live cache residency into a
-    /// snapshot frame: the record becomes exactly one epoch with the given
-    /// value and interval and one write — what [`BackingStore::absorb`]
-    /// produces for a never-evicted key — reusing the standing record's
-    /// allocations when present.
-    pub fn set_single_epoch(&mut self, key: &K, value: &V, first_seen: Nanos, last_seen: Nanos)
-    where
-        K: Clone,
-        V: Clone,
-    {
-        let epoch = Epoch {
-            value: value.clone(),
-            first_seen,
-            last_seen,
-        };
-        let hash = hash_key(PROBE_SEED, key);
-        match self.probe(hash, key) {
-            Err(pos) => self.insert_at(pos, hash, key.clone(), BackingEntry::first(epoch)),
-            Ok((_, i)) => {
-                let existing = &mut self.entries[i].entry;
-                existing.writes = 1;
-                existing.epochs.refill(std::iter::once(epoch));
-            }
         }
     }
 
@@ -970,14 +908,10 @@ mod model {
                         t.absorb_entry(key, as_entry(&entry), add);
                         m.absorb_entry(key, entry);
                     }
-                    9..=10 => {
+                    9..=11 => {
                         let entry = RefEntry { epochs: vec![(value, first, last)], writes: 3 };
-                        t.copy_entry(&key, &as_entry(&entry));
+                        t.replace_entry(key, as_entry(&entry));
                         m.map.insert(key, entry);
-                    }
-                    11 => {
-                        t.set_single_epoch(&key, &value, first, last);
-                        m.map.insert(key, RefEntry { epochs: vec![(value, first, last)], writes: 1 });
                     }
                     12..=16 => {
                         let got = t.remove(&key).as_ref().map(as_ref_entry);

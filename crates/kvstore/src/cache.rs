@@ -116,7 +116,7 @@ pub struct CacheEntry<K, V> {
     pub last_seen: Nanos,
 }
 
-/// A borrowed view of one resident slot, yielded by [`SramCache::iter`].
+/// A borrowed view of one resident slot, lent by [`SramCache::for_each_slot`].
 ///
 /// The struct-of-arrays layout stores each field in its own flat array, so
 /// there is no contiguous `CacheEntry` to hand out a reference to; this view
@@ -133,7 +133,7 @@ pub struct CacheSlotRef<'a, K, V> {
     pub last_seen: Nanos,
 }
 
-/// What a single-pass [`SramCache::upsert_with`] did.
+/// What a single-pass [`SramCache::upsert_slot`] did.
 #[derive(Debug)]
 pub struct UpsertOutcome<K, V> {
     /// True when the key was already resident (the value was *not* freshly
@@ -147,7 +147,7 @@ pub struct UpsertOutcome<K, V> {
 /// [`SramCache::upsert_slot`] — the probe-once primitive behind flow-run
 /// coalescing. Re-touching the slot through [`SramCache::touch_slot`] skips
 /// the hash and the bucket probe entirely while performing *exactly* the
-/// bookkeeping a hit through [`SramCache::upsert_with`] would (recency
+/// bookkeeping a hit through [`SramCache::upsert_slot`] would (recency
 /// refresh per policy, `last_seen` stamp), so a run of equal-key records
 /// costs one probe total and stays byte-identical to the probe-per-record
 /// path.
@@ -284,36 +284,13 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
 
     /// Single-pass lookup-or-insert: the per-packet primitive.
     ///
-    /// A hit refreshes recency (per policy) and returns the resident value;
-    /// a miss initializes a new value with `init`, inserting it and evicting
-    /// the policy's victim when the target bucket is full. Exactly one hash
-    /// computation and one bucket probe happen either way — the
-    /// `contains`/`get_mut`/`insert` sequence this replaces did two.
-    pub fn upsert_with(
-        &mut self,
-        key: K,
-        now: Nanos,
-        init: impl FnOnce() -> V,
-    ) -> (&mut V, UpsertOutcome<K, V>) {
-        let refresh = !matches!(self.policy, EvictionPolicy::Fifo);
-        let (policy, rng) = (self.policy, &mut self.rng);
-        match &mut self.inner {
-            Inner::Bucketed(c) => {
-                let (j, outcome) = c.upsert_slot(key, now, init, refresh, policy, rng);
-                (&mut c.state[j].value, outcome)
-            }
-            Inner::Full(c) => {
-                let (idx, outcome) = c.upsert_slot(key, now, init, refresh, policy, rng);
-                let n = c.nodes[idx].as_mut().expect("upserted node exists");
-                (&mut n.entry.value, outcome)
-            }
-        }
-    }
-
-    /// [`SramCache::upsert_with`], but additionally returning a
-    /// [`SlotHandle`] to the (now-resident) slot so immediately following
-    /// touches of the same key can skip the probe. Bookkeeping is
-    /// byte-identical to `upsert_with`.
+    /// A hit refreshes recency (per policy); a miss initializes a new value
+    /// with `init`, inserting it and evicting the policy's victim when the
+    /// target bucket is full. Exactly one hash computation and one bucket
+    /// probe happen either way. Returns a [`SlotHandle`] to the
+    /// (now-resident) slot: the value is reached through
+    /// [`SramCache::slot_value_mut`], and immediately following touches of
+    /// the same key can skip the probe ([`SramCache::touch_slot`]).
     pub fn upsert_slot(
         &mut self,
         key: K,
@@ -341,7 +318,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
 
     /// Touch a held slot as one hit-upsert of its key at `now` would, and
     /// return the value — the fused re-touch of flow-run coalescing. End
-    /// state is byte-identical to a [`SramCache::upsert_with`] hit: the
+    /// state is byte-identical to a [`SramCache::upsert_slot`] hit: the
     /// recency counter advances by one (refresh per policy), the LRU list
     /// position refreshes, and `last_seen` takes the timestamp.
     pub fn touch_slot(&mut self, handle: SlotHandle, now: Nanos) -> &mut V {
@@ -378,15 +355,8 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
         }
     }
 
-    /// Remove and return all resident entries (end-of-window flush).
-    pub fn drain(&mut self) -> Vec<CacheEntry<K, V>> {
-        let mut out = Vec::with_capacity(self.len());
-        self.drain_into(|e| out.push(e));
-        out
-    }
-
-    /// Remove all resident entries, handing each to `sink` without building
-    /// an intermediate vector (the flush fast path).
+    /// Remove all resident entries, handing each to `sink` (end-of-window
+    /// flush, geometry migration).
     pub fn drain_into(&mut self, sink: impl FnMut(CacheEntry<K, V>)) {
         match &mut self.inner {
             Inner::Bucketed(c) => c.drain_into(sink),
@@ -397,8 +367,8 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
     /// Remove every resident entry whose `last_seen` is strictly before
     /// `cutoff`, handing each to `sink` — the periodic freshness sweep's
     /// primitive (§3.2: "keys can be periodically evicted to ensure the
-    /// backing store is fresh"). Unlike an `iter`-then-`remove` pass, this
-    /// walks the slot structures in place and performs **zero allocations**,
+    /// backing store is fresh"). Walks the slot structures in place — no key
+    /// list is materialised — and performs **zero allocations**,
     /// so a long-running service can sweep on the warm path.
     pub fn evict_idle_into(&mut self, cutoff: Nanos, sink: impl FnMut(CacheEntry<K, V>)) {
         match &mut self.inner {
@@ -407,25 +377,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
         }
     }
 
-    /// Iterate over resident slots (no recency side effects).
-    pub fn iter(&self) -> Box<dyn Iterator<Item = CacheSlotRef<'_, K, V>> + '_> {
-        match &self.inner {
-            Inner::Bucketed(c) => Box::new(c.iter()),
-            Inner::Full(c) => Box::new(c.nodes.iter().filter_map(|n| {
-                n.as_ref().map(|n| CacheSlotRef {
-                    key: &n.entry.key,
-                    value: &n.entry.value,
-                    first_seen: n.entry.first_seen,
-                    last_seen: n.entry.last_seen,
-                })
-            })),
-        }
-    }
-
-    /// Visit every resident slot (no recency side effects). The non-boxing
-    /// twin of [`SramCache::iter`]: snapshot frames refresh on the warm read
-    /// path, where even the iterator box would show up in the allocation
-    /// discipline test.
+    /// Visit every resident slot (no recency side effects).
     pub fn for_each_slot(&self, mut f: impl FnMut(CacheSlotRef<'_, K, V>)) {
         match &self.inner {
             Inner::Bucketed(c) => c.iter().for_each(&mut f),
@@ -1187,7 +1139,8 @@ mod tests {
             for k in 0..6u64 {
                 c.insert(k, k * 10, Nanos(k));
             }
-            let drained = c.drain();
+            let mut drained = Vec::new();
+            c.drain_into(|e| drained.push(e));
             assert_eq!(drained.len(), 6.min(c.capacity()));
             assert!(c.is_empty());
             // Reusable after drain.
@@ -1245,7 +1198,8 @@ mod tests {
         for k in 0..10u64 {
             c.insert(k, k, Nanos(k));
         }
-        let mut keys: Vec<u64> = c.iter().map(|e| *e.key).collect();
+        let mut keys: Vec<u64> = Vec::new();
+        c.for_each_slot(|e| keys.push(*e.key));
         keys.sort_unstable();
         assert_eq!(keys, (0..10).collect::<Vec<_>>());
     }
@@ -1308,7 +1262,8 @@ mod proptests {
                 prop_assert_eq!(model.map.len(), cache.len());
             }
             // Final contents agree.
-            let mut got: Vec<(u64, u64)> = cache.iter().map(|e| (*e.key, *e.value)).collect();
+            let mut got: Vec<(u64, u64)> = Vec::new();
+            cache.for_each_slot(|e| got.push((*e.key, *e.value)));
             got.sort_unstable();
             let mut want: Vec<(u64, u64)> = model.map.into_iter().collect();
             want.sort_unstable();

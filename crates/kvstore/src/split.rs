@@ -94,29 +94,14 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// (§3.2: "the correct value at any time only resides in the backing
     /// store").
     pub fn observe_ref(&mut self, key: K, input: &O::Input, now: Nanos) -> &O::Value {
-        self.stats.packets += 1;
-        let ops = &self.ops;
-        // Single-pass lookup-or-insert: one hash, one probe per packet.
-        let (value, outcome) = self.cache.upsert_with(key, now, || ops.init());
-        ops.update(value, input);
-        if outcome.hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-            if let Some(victim) = outcome.victim {
-                self.stats.evictions += 1;
-                self.stats.backing_writes += 1;
-                route_entry(&mut self.backing, &mut self.spill, ops, victim);
-            }
-        }
-        value
+        self.observe_run_first(key, input, now).0
     }
 
     /// Observe the first packet of a **run** of consecutive equal-key
-    /// packets: the full [`SplitStore::observe_ref`] protocol (probe,
-    /// hit/miss/eviction accounting, victim absorption, fold update), plus a
-    /// [`SlotHandle`] to the now-resident slot so the rest of the run can
-    /// re-touch it without re-probing.
+    /// packets — the per-packet protocol itself: one hash and one probe
+    /// (lookup-or-insert), hit/miss/eviction accounting, victim absorption,
+    /// fold update — plus a [`SlotHandle`] to the now-resident slot so the
+    /// rest of the run can re-touch it without re-probing.
     ///
     /// The handle is valid only while no *other* key is upserted into this
     /// store — i.e. for the remainder of the current run. The vectorized
@@ -298,37 +283,43 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     }
 
     /// Take a consistent read-only frame of this store's current results —
-    /// the concurrent read path. Equivalent to cloning the store and calling
-    /// [`SplitStore::flush`] on the clone, without copying the SRAM arenas
-    /// or mutating the live store — and built that way: the backing table
-    /// is cloned with room for the cache (arena in order, index words
-    /// re-placed — no hash, no probe per standing key), then every cache
-    /// residency is absorbed exactly as `flush` absorbs it. Allocates a
-    /// fresh frame; a poller that keeps its frame should refresh it with
-    /// [`SplitStore::snapshot_into`] instead.
+    /// the one read every poll face goes through. Equivalent to cloning the
+    /// store and calling [`SplitStore::flush`] on the clone, without copying
+    /// the SRAM arenas or mutating the live store — and built that way. With
+    /// the whole truth in RAM the backing table is cloned with room for the
+    /// cache (arena in order, index words re-placed — no hash, no probe per
+    /// standing key); with part of it on disk (a dirty spill tier) the frame
+    /// is what [`SplitStore::materialize_spill`] would leave: the durable
+    /// frames replayed into a fresh table, then every standing RAM record
+    /// *replacing* its own snapshot frames (it is the complete truth for its
+    /// key — the two are composites of the same history, so copy, never
+    /// merge). Either way every cache residency is then absorbed exactly as
+    /// `flush` absorbs it; the SoA split keeps at most one residency per
+    /// key, so per-key results do not depend on iteration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a dirty spill tier cannot be read.
     #[must_use]
     pub fn snapshot(&self) -> StoreSnapshot<K, O::Value> {
-        if self.spill.as_ref().is_some_and(SpillTier::is_dirty) {
-            // Part of the truth is on disk: `snapshot_into` rebuilds the
-            // frame from empty in temporal order.
-            let mut snap = StoreSnapshot::new(self.ops.merge_mode());
-            self.snapshot_into(&mut snap);
-            return snap;
-        }
-        let mut backing = self.backing.clone_with_room(self.cache.len());
-        self.absorb_cache_into(&mut backing);
-        StoreSnapshot {
-            backing,
-            stats: self.flushed_stats(),
-        }
-    }
-
-    /// Absorb every live cache residency into `frame`, each exactly as
-    /// [`SplitStore::flush`] would absorb it into the backing table.
-    fn absorb_cache_into(&self, frame: &mut BackingStore<K, O::Value>) {
         let ops = &self.ops;
+        let mut backing = match &self.spill {
+            Some(tier) if tier.is_dirty() => {
+                let keys = self.backing.len() + self.cache.len();
+                let mut disk = BackingStore::with_capacity(ops.merge_mode(), keys);
+                tier.materialize_into(&mut disk, |standing, evicted| {
+                    ops.merge(standing, evicted);
+                })
+                .expect("spill-tier read during poll");
+                for (key, entry) in self.backing.iter() {
+                    disk.replace_entry(key.clone(), entry.clone());
+                }
+                disk
+            }
+            _ => self.backing.clone_with_room(self.cache.len()),
+        };
         self.cache.for_each_slot(|slot| {
-            frame.absorb(
+            backing.absorb(
                 slot.key.clone(),
                 slot.value.clone(),
                 slot.first_seen,
@@ -336,104 +327,23 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
                 |standing, evicted| ops.merge(standing, evicted),
             );
         });
-    }
-
-    /// The counters a clone-and-flush of this store would read.
-    fn flushed_stats(&self) -> StoreStats {
+        // The counters a clone-and-flush of this store would read.
         let mut stats = self.stats;
         stats.flush_writes += self.cache.len() as u64;
         stats.backing_writes += self.cache.len() as u64;
-        stats
+        StoreSnapshot { backing, stats }
     }
 
-    /// Refresh `snap` to a consistent frame of this store's current results
-    /// (see [`SplitStore::snapshot`]).
-    ///
-    /// The frame is rebuilt copy-on-read: every backing entry is rewritten
-    /// into the frame in place, then each live cache residency is absorbed
-    /// exactly as [`SplitStore::flush`] would absorb it. Because the SoA
-    /// split keeps at most one residency per key, per-key results are
-    /// identical to a flush regardless of iteration order. A **warmed**
-    /// frame — one refreshed over a store whose key population it has seen
-    /// before — reuses its own table and epoch-list allocations and performs
-    /// zero allocations (pinned by `tests/alloc_discipline.rs`). When keys
-    /// have *disappeared* from the live store (a `reset`, or the frame was
-    /// last filled from a different store), the stale frame is detected by a
-    /// population count and rebuilt from empty.
+    /// Overwrite `snap` with [`SplitStore::snapshot`] — a frame is never
+    /// refreshed in place.
     pub fn snapshot_into(&self, snap: &mut StoreSnapshot<K, O::Value>) {
-        if snap.backing.mode() != self.ops.merge_mode() {
-            snap.backing = BackingStore::new(self.ops.merge_mode());
-        }
-        // A dirty spill tier holds part of the truth on disk; the frame is
-        // rebuilt from empty in temporal order — durable frames first, then
-        // the (newer) in-RAM backing records, then the (newest) cache
-        // residencies. The staleness machinery below is unnecessary here
-        // because the rebuild starts from a cleared frame; the price is
-        // that polls over a spilled store are not allocation-free.
-        if let Some(tier) = &self.spill {
-            if tier.is_dirty() {
-                let ops = &self.ops;
-                snap.backing.clear();
-                tier.materialize_into(&mut snap.backing, |standing, evicted| {
-                    ops.merge(standing, evicted);
-                })
-                .expect("spill-tier read during poll");
-                // A standing RAM record is the complete truth for its key
-                // and supersedes its own snapshot frames on disk — copy, do
-                // not merge (the two are composites of the same history).
-                for (key, entry) in self.backing.iter() {
-                    snap.backing.copy_entry(key, entry);
-                }
-                self.absorb_cache_into(&mut snap.backing);
-                snap.stats = self.flushed_stats();
-                return;
-            }
-        }
-        // Two passes at most: refresh in place, and only when stale keys
-        // linger (frame population exceeds the live key set) rebuild from
-        // empty. Live keys are a superset of the previous frame's in steady
-        // polling, so the second pass is the cold exception.
-        for attempt in 0..2 {
-            let mut expected = self.backing.len();
-            for (key, entry) in self.backing.iter() {
-                snap.backing.copy_entry(key, entry);
-            }
-            let SplitStore {
-                cache,
-                backing,
-                ops,
-                ..
-            } = self;
-            let frame = &mut snap.backing;
-            cache.for_each_slot(|slot| {
-                if backing.get(slot.key).is_some() {
-                    // The frame's standing record was just rewritten to match
-                    // the live backing entry, so this is flush()'s absorb.
-                    frame.absorb(
-                        slot.key.clone(),
-                        slot.value.clone(),
-                        slot.first_seen,
-                        slot.last_seen,
-                        |standing, evicted| ops.merge(standing, evicted),
-                    );
-                } else {
-                    expected += 1;
-                    frame.set_single_epoch(slot.key, slot.value, slot.first_seen, slot.last_seen);
-                }
-            });
-            if snap.backing.len() == expected {
-                break;
-            }
-            debug_assert_eq!(attempt, 0, "a frame rebuilt from empty cannot be stale");
-            snap.backing.clear();
-        }
-        snap.stats = self.flushed_stats();
+        *snap = self.snapshot();
     }
 
     /// Merge a consistent frame of this store **into** `snap` — the
     /// cross-shard poll step, where per-worker stores combine into one frame
     /// without pausing longer than a queue drain. The first shard fills the
-    /// frame with [`SplitStore::snapshot_into`]; every other shard's
+    /// frame with [`SplitStore::snapshot`]; every other shard's
     /// backing entries and cache residencies are then absorbed through the
     /// same order-normalized machinery the sharded drain uses
     /// ([`crate::BackingStore::absorb_entry`]), so the result matches
@@ -548,22 +458,23 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// replacements, and tombstones), then lets the standing in-RAM records
     /// *replace* their disk counterparts: a live RAM record is the complete
     /// truth for its key and supersedes every snapshot frame it ever wrote.
-    /// Keys confined to disk keep the replayed fold. Idempotent: the tier
-    /// is retired afterwards and a clean tier is a no-op.
+    /// Keys confined to disk keep the replayed fold. Idempotent, and a drain
+    /// point: the tier is retired afterwards — a clean one too, or the
+    /// flush that follows would route cache-resident keys past the
+    /// high-water mark into the WAL, where a drained read never looks.
     pub fn materialize_spill(&mut self) -> io::Result<()> {
         let SplitStore {
             backing, ops, spill, ..
         } = self;
         let Some(tier) = spill else { return Ok(()) };
-        if !tier.is_dirty() {
-            return Ok(());
+        if tier.is_dirty() {
+            let mut disk = BackingStore::with_capacity(ops.merge_mode(), backing.len());
+            tier.materialize_into(&mut disk, |standing, evicted| {
+                ops.merge(standing, evicted);
+            })?;
+            let ram = std::mem::replace(backing, disk);
+            backing.replace_from(ram);
         }
-        let mut disk = BackingStore::with_capacity(ops.merge_mode(), backing.len());
-        tier.materialize_into(&mut disk, |standing, evicted| {
-            ops.merge(standing, evicted);
-        })?;
-        let ram = std::mem::replace(backing, disk);
-        backing.replace_from(ram);
         tier.retire();
         Ok(())
     }
@@ -629,11 +540,10 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// Number of distinct keys present across cache and backing store.
     #[must_use]
     pub fn distinct_keys(&self) -> usize {
-        let in_cache_only = self
-            .cache
-            .iter()
-            .filter(|e| self.backing.get(e.key).is_none())
-            .count();
+        let mut in_cache_only = 0;
+        self.cache.for_each_slot(|slot| {
+            in_cache_only += usize::from(self.backing.get(slot.key).is_none());
+        });
         self.backing.len() + in_cache_only
     }
 
@@ -642,25 +552,16 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     pub fn result(&self, key: &K) -> Option<&BackingEntry<O::Value>> {
         self.backing.get(key)
     }
-
-    /// Reset for a fresh measurement window (clears cache, backing store and
-    /// statistics).
-    pub fn reset(&mut self) {
-        self.cache.drain();
-        self.backing.clear();
-        self.stats = StoreStats::default();
-    }
 }
 
 /// A consistent read-only frame of a [`SplitStore`]'s current results —
 /// cache and backing combined exactly as a flush would combine them — taken
 /// by [`SplitStore::snapshot`] without mutating the live store.
 ///
-/// This is the storage half of the concurrent read path: a poller holds one
-/// frame per store and refreshes it between batches with
-/// [`SplitStore::snapshot_into`] (allocation-free once warmed), while the
-/// dataplane keeps ingesting into the live cache. Sharded deployments merge
-/// per-worker frames into one with [`SplitStore::snapshot_merge_into`].
+/// This is the storage half of the concurrent read path: a poller takes a
+/// fresh frame per store between batches while the dataplane keeps
+/// ingesting into the live cache. Sharded deployments merge per-worker
+/// frames into one with [`SplitStore::snapshot_merge_into`].
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot<K, V> {
     backing: BackingStore<K, V>,
@@ -668,9 +569,8 @@ pub struct StoreSnapshot<K, V> {
 }
 
 impl<K: Eq + Hash, V> StoreSnapshot<K, V> {
-    /// An empty frame with the given absorption mode, ready to be filled by
-    /// [`SplitStore::snapshot_into`] (which also fixes up a mode mismatch,
-    /// so any mode works as a placeholder).
+    /// An empty frame with the given absorption mode — a placeholder for
+    /// [`SplitStore::snapshot_into`] to overwrite (any mode works).
     #[must_use]
     pub fn new(mode: MergeMode) -> Self {
         StoreSnapshot {
@@ -965,17 +865,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut s = counter_store(2);
-        s.observe(1, &(), Nanos(0));
-        s.flush();
-        s.reset();
-        assert_eq!(s.stats(), StoreStats::default());
-        assert!(s.result(&1).is_none());
-        assert_eq!(s.distinct_keys(), 0);
-    }
-
-    #[test]
     fn stats_identity_packets_equals_hits_plus_misses() {
         let mut s = counter_store(4);
         for i in 0..100u64 {
@@ -1107,21 +996,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_into_rebuilds_after_reset() {
-        let mut s = counter_store(4);
-        for k in [1u64, 2, 3] {
-            s.observe(k, &(), Nanos(0));
-        }
-        let mut snap = s.snapshot();
-        assert_eq!(snap.len(), 3);
-        s.reset();
-        s.observe(9, &(), Nanos(1));
-        s.snapshot_into(&mut snap);
-        assert_eq!(snap.len(), 1, "stale keys must not linger in the frame");
-        assert_frame_is_clone_flush(&s, &snap);
-    }
-
-    #[test]
     fn snapshot_epoch_mode_matches_flush_including_invalid_keys() {
         let mut s: SplitStore<u64, MaxOps> = SplitStore::new(
             CacheGeometry::fully_associative(1),
@@ -1168,6 +1042,32 @@ mod tests {
         for (k, want) in reference.backing().iter() {
             assert_eq!(r.backing().get(k), Some(want), "key {k}");
         }
+    }
+
+    /// The paper's favourable regime with durability on: the working set
+    /// fits the cache, so nothing was evicted and the tier is still clean at
+    /// the drain. The drain point must retire it all the same, or the flush
+    /// routes every key past the high-water mark into the WAL and the read
+    /// sees only the first `high_water` of them.
+    #[test]
+    fn drain_over_a_clean_tier_keeps_every_cache_resident_key() {
+        use crate::spill::SpillConfig;
+        use crate::wal::{shared, MemBackend};
+        let cfg = SpillConfig {
+            high_water: 2,
+            group_commit_bytes: 64,
+        };
+        let mut s = counter_store(8);
+        s.enable_spill(shared(MemBackend::new()), "t_", cfg)
+            .unwrap();
+        for k in 0..6u64 {
+            s.observe(k, &(), Nanos(k));
+        }
+        assert_eq!(s.snapshot().len(), 6, "the poll reads all six");
+        s.materialize_spill().unwrap();
+        s.flush();
+        assert_eq!(s.backing().len(), 6, "the drain must too");
+        assert_eq!(s.spill_stats().unwrap().spilled_frames, 0);
     }
 
     #[test]
@@ -1255,13 +1155,12 @@ mod proptests {
             }
         }
 
-        /// The three ways to take a frame agree: a cold `snapshot()` (clone
-        /// the table, absorb the cache), a `snapshot_into` over an empty
-        /// frame (probe every key in), a warmed `snapshot_into`, and the
-        /// definition — clone the store, flush the clone — entry for entry
-        /// (epochs, writes, intervals) and counter for counter, in every
-        /// absorption mode, at every point of a random run that evicts,
-        /// sweeps, flushes and removes under the poller.
+        /// A frame is its definition — clone the store, flush the clone —
+        /// entry for entry (epochs, writes, intervals) and counter for
+        /// counter, in every absorption mode, at every point of a random run
+        /// that evicts, sweeps, flushes and removes under the poller; and
+        /// `snapshot_into` leaves nothing of the frame it overwrites (an
+        /// older population, another mode).
         #[test]
         fn every_frame_equals_clone_then_flush(
             ops in prop::collection::vec((0u8..16, 0u64..24, 0u64..1000), 1..300),
@@ -1271,7 +1170,7 @@ mod proptests {
             let mode = [MergeMode::Merge, MergeMode::Overwrite, MergeMode::Epochs][mode_sel];
             let geom = CacheGeometry::new(3, ways);
             let mut s = SplitStore::new(geom, EvictionPolicy::Lru, 5, ModeOps(mode));
-            let mut warmed = StoreSnapshot::new(MergeMode::Merge);
+            let mut reused = StoreSnapshot::new(MergeMode::Merge);
             let entries = |b: &BackingStore<u64, u64>| {
                 let mut v: Vec<_> = b.iter().map(|(k, e)| (*k, e.clone())).collect();
                 v.sort_by_key(|(k, _)| *k);
@@ -1288,11 +1187,9 @@ mod proptests {
                         let mut reference = s.clone();
                         reference.flush();
                         let want = entries(reference.backing());
-                        let cold = s.snapshot();
-                        let mut probed = StoreSnapshot::new(mode);
-                        s.snapshot_into(&mut probed);
-                        s.snapshot_into(&mut warmed);
-                        for (what, frame) in [("cold", &cold), ("probed", &probed), ("warmed", &warmed)] {
+                        let fresh = s.snapshot();
+                        s.snapshot_into(&mut reused);
+                        for (what, frame) in [("fresh", &fresh), ("reused", &reused)] {
                             prop_assert_eq!(&entries(frame.backing()), &want, "{} frame, {:?}", what, mode);
                             prop_assert_eq!(frame.stats(), reference.stats(), "{} frame, {:?}", what, mode);
                             for (k, e) in &want {

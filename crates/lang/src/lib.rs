@@ -24,7 +24,7 @@
 //!   ground-truth oracle.
 //! * [`linearity`] — the linear-in-state analysis of §3.2, deriving Fig. 2's
 //!   "Linear in state?" column.
-//! * [`fingerprint`] — structural fingerprints of resolved subplans (the
+//! * [`fingerprint`] — structural comparison of resolved subplans (the
 //!   identity notion behind cross-query execution sharing in `perfq-core`).
 //! * [`fig2`] — the paper's seven example queries, embedded verbatim.
 //!
@@ -63,7 +63,6 @@ pub mod token;
 pub mod types;
 
 pub use error::{LangError, LangResult};
-pub use fingerprint::SubplanFp;
 pub use ir::{FoldClass, FoldIr, RExpr, RStmt, VarClass};
 pub use resolve::{
     GroupBySpec, GroupOutput, ProjCol, QueryInput, ResolvedKind, ResolvedProgram, ResolvedQuery,

@@ -58,6 +58,10 @@ cargo test --release -q --no-fail-fast \
     --test spsc_stress \
     --test durability_crash \
     --test durability_property
+# `benchmark/` sits outside the workspace, so tier-1 never compiles it
+# although engine changes touch APIs it calls: build it against this tree
+# and run its own correctness tests (≈ 20 s warm).
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "== doc gate: cargo doc --no-deps must be warning-free =="
 # Docs are a deliverable (ARCHITECTURE.md + the crate rustdocs form the

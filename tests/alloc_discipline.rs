@@ -295,19 +295,12 @@ fn steady_state_batched_replay_allocates_nothing() {
         );
     }
 
-    // The incremental read path: refreshing a *warmed* snapshot frame
-    // (`SplitStore::snapshot_into`, the kernel under `Runtime::poll_results`,
-    // which pools its frames) must allocate nothing. The first snapshot sizes
-    // the frame's table and per-entry epoch vectors; after that, a poll
-    // rewrites the standing entries in place — backing copy, cache
-    // absorption through the eviction algebra, stats — and the stable
-    // keyset means no table growth, no fresh epoch vectors, no key clones
-    // that allocate. Only the result-row materialization above the frame
-    // (which `collect` pays identically) may allocate. Every other poll
-    // face takes a *cold* frame (`SplitStore::snapshot`): the backing table
-    // cloned with room for the cache, then the cache absorbed — for a store
-    // whose keys and values own no heap, that is the arena and the index,
-    // however many keys there are.
+    // The incremental read path: every poll face takes a fresh frame
+    // (`SplitStore::snapshot`) — the backing table cloned with room for the
+    // cache, then the cache absorbed. For a store whose keys and values own
+    // no heap, that is the arena and the index, however many keys there
+    // are. Only the result-row materialization above the frame (which
+    // `collect` pays identically) allocates per row.
     {
         let mut store: SplitStore<u64, CounterOps> = SplitStore::new(
             CacheGeometry::set_associative(64, 4),
@@ -318,27 +311,13 @@ fn steady_state_batched_replay_allocates_nothing() {
         for i in 0..8192u64 {
             store.observe(i % 512, &(), Nanos(i));
         }
-        // Warm frame: every key (cache-resident and evicted) enters once.
         let before = allocs();
-        let mut frame = store.snapshot();
+        let frame = store.snapshot();
         let after = allocs();
         assert!(
             after - before <= 4,
-            "cold snapshot of {} keys allocated {} times",
+            "snapshot of {} keys allocated {} times",
             frame.len(),
-            after - before,
-        );
-        // More traffic over the same keyset, then the warmed refresh.
-        for i in 0..8192u64 {
-            store.observe(i % 512, &(), Nanos(8192 + i));
-        }
-        let before = allocs();
-        store.snapshot_into(&mut frame);
-        let after = allocs();
-        assert_eq!(
-            after - before,
-            0,
-            "warmed snapshot refresh allocated {} times",
             after - before,
         );
         assert_eq!(frame.len(), 512, "frame holds the full keyset");

@@ -12,9 +12,11 @@
 //!    cloned-deployment oracle, realized as a prefix replay).
 //!
 //! The delta layer (`Runtime::poll_delta` / `DeltaCursor`) is pinned
-//! against set-differences of consecutive frames, and the sharded poll is
+//! against set-differences of consecutive frames, the sharded poll is
 //! additionally stressed with workers mid-ingest on their own threads
-//! (snapshot-during-ingest: the reader must never observe a torn frame).
+//! (snapshot-during-ingest: the reader must never observe a torn frame),
+//! and a durable runtime's polls are held to a durable twin's drain, so the
+//! read through the spill tier is pinned too.
 
 use perfq::prelude::*;
 use perfq_switch::QueueRecord;
@@ -300,4 +302,80 @@ fn multi_sharded_poll_matches_solo_prefix_replays() {
     for (a, b) in polled_final.into_iter().zip(reference.finish_collect()) {
         assert_eq!(sorted(a), sorted(b), "polls must not perturb the drain");
     }
+}
+
+/// A durable runtime over a fresh in-memory backend: a 64-pair cache and a
+/// high-water mark of 8, so this trace evicts and spills from early on and
+/// part of every later read sits in the WAL or its group-commit buffer.
+fn durable_runtime(c: &CompiledProgram) -> Runtime {
+    let mut rt = Runtime::new(c.clone());
+    rt.enable_durability(
+        Durability::new(shared(MemBackend::new())).with_spill(SpillConfig {
+            high_water: 8,
+            group_commit_bytes: 256,
+        }),
+    )
+    .expect("in-memory attach");
+    rt
+}
+
+/// Polls read through the spill tier: on a durable runtime every poll —
+/// before the first eviction (a still-clean tier), over spilled frames, and
+/// across a mid-stream `persist()` — equals `finish()` + `collect()` of a
+/// fresh durable twin fed the same prefix on the same persist schedule, and
+/// the polled runtime drains like the never-polled one. The oracle has to be
+/// durable itself: a checkpoint regroups an EWMA's float merges, so against
+/// a plain replay `LATENCY_EWMA` is one ulp off in a few rows after the
+/// `persist()` (and bit-identical before it).
+#[test]
+fn durable_polls_read_through_the_spill_tier() {
+    const BATCH: usize = 256;
+    const PERSIST_AFTER: usize = 5;
+    let recs = records(3_000);
+    // `batches` batches of the stream into a fresh durable runtime,
+    // checkpointing where the polled runtime does, then drained.
+    let twin = |c: &CompiledProgram, batches: usize| {
+        let mut rt = durable_runtime(c);
+        for (i, part) in recs.chunks(BATCH).take(batches).enumerate() {
+            rt.process_batch(part);
+            if i + 1 == PERSIST_AFTER {
+                rt.persist().expect("in-memory persist");
+            }
+        }
+        rt.finish();
+        sorted(rt.collect())
+    };
+    let opts = CompileOptions {
+        cache_pairs: 64,
+        ..CompileOptions::default()
+    };
+    let mut spilling = 0;
+    for q in fig2::ALL {
+        let c = compiled(q.source, opts);
+        let mut polled = durable_runtime(&c);
+        for (i, part) in recs.chunks(BATCH).enumerate() {
+            polled.process_batch(part);
+            if i + 1 == PERSIST_AFTER {
+                polled.persist().expect("in-memory persist");
+            }
+            assert_eq!(
+                sorted(polled.poll_results()),
+                twin(&c, i + 1),
+                "{}: durable poll after {} batches",
+                q.name,
+                i + 1
+            );
+        }
+        // Evictions far past the high-water mark: the reads above crossed
+        // the tier (the few-key percentile query is the one that never does).
+        spilling += usize::from(polled.store_stats(0).is_some_and(|s| s.evictions > 100));
+        polled.finish();
+        assert_eq!(
+            sorted(polled.collect()),
+            twin(&c, usize::MAX),
+            "{}: the polled durable runtime must drain identically",
+            q.name
+        );
+    }
+    assert!(spilling >= 6, "only {spilling} queries spilled");
 }

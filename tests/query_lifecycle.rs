@@ -122,6 +122,22 @@ impl Plane {
         }
     }
 
+    fn poll(&mut self, id: u64) -> ResultSet {
+        match self {
+            Plane::Single(m) => m.poll(id).expect("id is live"),
+            Plane::Sharded(m) => m.poll(id).expect("id is live"),
+        }
+    }
+
+    /// The deduplicated stores as `(owner, alias)` program indices.
+    fn shared_stores(&self) -> Vec<(usize, usize)> {
+        let report = match self {
+            Plane::Single(m) => m.sharing(),
+            Plane::Sharded(m) => m.sharing(),
+        };
+        report.stores.iter().map(|s| (s.owner.0, s.alias.0)).collect()
+    }
+
     fn chunk(&mut self, recs: &[QueueRecord]) {
         match self {
             Plane::Single(m) => m.process_batch(recs),
@@ -601,4 +617,112 @@ fn a_failed_durable_attach_refuses_the_install_and_burns_its_id() {
     live.chunk(tail);
     control.chunk(tail);
     drains_agree(live, control, false, "after the retried install");
+}
+
+/// Two aggregations that are one store *inside* one program. Compilation
+/// seeds each store's placement hash by its query index, so identical text
+/// alone never pairs within a program; aligning the second store's seed with
+/// the first's makes the two physically identical, which is all the sharing
+/// pass asks.
+fn twin_counters(opts: CompileOptions) -> CompiledProgram {
+    let mut c = perfq_core::compile_query(
+        "R1 = SELECT COUNT GROUPBY srcip, dstip\nR2 = SELECT COUNT GROUPBY srcip, dstip\n",
+        &fig2::default_params(),
+        opts,
+    )
+    .expect("twin counters compile");
+    let seed = c.stores[0].as_ref().expect("R1 aggregates").hash_seed;
+    c.stores[1].as_mut().expect("R2 aggregates").hash_seed = seed;
+    c
+}
+
+/// Program 0 owns the 5-tuple counter store, program 1 (loss rate) aliases
+/// it as its `R1`, and program 2 aliases its own `R1` as its `R2`.
+fn owner_alias_and_twins(opts: CompileOptions) -> Vec<CompiledProgram> {
+    let compile = |src| {
+        perfq_core::compile_query(src, &fig2::default_params(), opts).expect("catalog compiles")
+    };
+    vec![
+        compile(FIVE_TUPLE_COUNTER),
+        compile(fig2::PER_FLOW_LOSS_RATE.source),
+        twin_counters(opts),
+    ]
+}
+
+/// `uninstall(id)` is the poll contract applied one last time: it returns
+/// what `poll(id)` returned an instant earlier — for a departing owner, a
+/// departing alias (read through its owner's live store) and a program
+/// holding a within-program alias, on the inline and the sharded plane, with
+/// and without a budget — and the survivors keep running.
+#[test]
+fn uninstall_returns_the_poll_taken_just_before_it() {
+    let recs = records(1500);
+    for (shards, budget) in [
+        (None, None),
+        (None, Some(32 * MBIT)),
+        (Some(2), None),
+        (Some(2), Some(32 * MBIT)),
+    ] {
+        for departing in 0..3 {
+            let what = format!("program {departing} leaves (budget {budget:?}, shards {shards:?})");
+            let programs = owner_alias_and_twins(CompileOptions::default());
+            let mut plane = Plane::spawn(programs, budget, shards);
+            assert_eq!(plane.shared_stores(), [(0, 1), (2, 2)], "{what}");
+            plane.chunk(&recs[..900]);
+            let id = plane.ids()[departing];
+            let polled = plane.poll(id);
+            // The table a shared store serves: the owner's own, the loss
+            // rate's `R1`, the twins' `R2`.
+            let served = [0, 0, 1][departing];
+            assert!(!polled.tables[served].rows.is_empty(), "{what}");
+            let sort = shards.is_some();
+            assert_eq!(
+                canon(plane.uninstall(id), sort),
+                canon(polled, sort),
+                "{what}"
+            );
+            plane.chunk(&recs[900..]);
+            assert_eq!(plane.done().len(), 2, "{what}");
+        }
+    }
+}
+
+/// The same identity on a durable deployment whose reads cross the spill
+/// tier (64-pair caches, a high-water mark of 8), where the uninstall also
+/// publishes what it returned: `retired(id)` reads the poll back.
+#[test]
+fn a_durable_uninstall_retires_the_poll_taken_just_before_it() {
+    let recs = records(1500);
+    let opts = CompileOptions {
+        cache_pairs: 64,
+        ..CompileOptions::default()
+    };
+    for departing in 0..3 {
+        let mut multi = MultiRuntime::new(owner_alias_and_twins(opts));
+        let spill = SpillConfig {
+            high_water: 8,
+            group_commit_bytes: 256,
+        };
+        multi
+            .enable_durability(Durability::new(shared(MemBackend::new())).with_spill(spill))
+            .expect("in-memory attach");
+        multi.process_batch(&recs[..900]);
+        let evictions = multi.runtimes()[0]
+            .store_stats(0)
+            .expect("the counter store")
+            .evictions;
+        assert!(evictions > 20, "the owner spilled ({evictions} evictions)");
+        let id = multi.ids()[departing];
+        let polled = multi.poll(id).expect("id is live");
+        assert_eq!(
+            multi.uninstall(id),
+            Some(polled.clone()),
+            "program {departing}"
+        );
+        let retired = multi.retired(id).expect("in-memory read");
+        assert_eq!(retired, Some(polled), "program {departing}");
+        multi.process_batch(&recs[900..]);
+        multi.finish();
+        assert_eq!(multi.collect().len(), 2);
+    }
 }

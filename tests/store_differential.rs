@@ -93,8 +93,8 @@ impl RefCache {
         }
     }
 
-    /// The old `upsert_with`, specialized to `u64` values with an add
-    /// update: hit → `value += delta`, miss → insert `delta`.
+    /// The old closure-style upsert, specialized to `u64` values with an
+    /// add update: hit → `value += delta`, miss → insert `delta`.
     fn upsert_add(&mut self, key: u64, delta: u64, now: Nanos) -> Outcome {
         let refresh = !matches!(self.policy, EvictionPolicy::Fifo);
         let h = perfq_kvstore::hash::hash_key(self.seed, &key);
@@ -168,8 +168,8 @@ impl RefCache {
 
 /// Drive `SramCache` with the same add-upsert the reference uses.
 fn sram_upsert_add(cache: &mut SramCache<u64, u64>, key: u64, delta: u64, now: Nanos) -> Outcome {
-    let (value, outcome) = cache.upsert_with(key, now, || 0);
-    *value += delta;
+    let (slot, outcome) = cache.upsert_slot(key, now, || 0);
+    *cache.slot_value_mut(slot) += delta;
     (
         outcome.hit,
         outcome
@@ -227,10 +227,8 @@ fn upsert_streams_are_byte_identical() {
                 assert_eq!(new.len(), reference.len, "len after op {i}");
             }
             // Final resident sets agree entry-for-entry.
-            let mut got: Vec<(u64, u64, Nanos, Nanos)> = new
-                .iter()
-                .map(|e| (*e.key, *e.value, e.first_seen, e.last_seen))
-                .collect();
+            let mut got: Vec<(u64, u64, Nanos, Nanos)> = Vec::new();
+            new.for_each_slot(|e| got.push((*e.key, *e.value, e.first_seen, e.last_seen)));
             got.sort_unstable();
             assert_eq!(got, reference.drain_sorted(), "{geom} / {}", policy.name());
         }
