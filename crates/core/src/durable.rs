@@ -105,8 +105,9 @@ impl Durability {
 /// Durably checkpoint a deployment at record index `at` — the one routine
 /// behind every plane's `persist`. `workers` lists the plane's runtimes
 /// with their file-name components: every worker's stores checkpoint,
-/// *then* the single manifest advances atomically, then the WALs compact
-/// and the capture files of the previous checkpoint (`persisted_at`) drop.
+/// *then* the single manifest advances atomically, then every WAL that has
+/// outgrown its segment folds into it (the others keep their frames) and
+/// the capture files of the previous checkpoint (`persisted_at`) drop.
 /// `persisted_at` advances as soon as the manifest lands, so a failed
 /// compaction does not orphan the capture files the next checkpoint cleans.
 pub(crate) fn persist(
@@ -172,7 +173,7 @@ fn put_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-fn get_value(r: &mut ByteReader<'_>) -> Option<Value> {
+pub(crate) fn get_value(r: &mut ByteReader<'_>) -> Option<Value> {
     match r.u8()? {
         0 => Some(Value::Int(r.i64()?)),
         1 => Some(Value::Float(r.f64()?)),

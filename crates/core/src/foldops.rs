@@ -46,7 +46,7 @@
 //! that is not kernel-shaped (say, two cross-coupled variables) takes the
 //! general tier, whose `ΠA` is per key and persisted.
 
-use crate::durable::{get_values, put_values};
+use crate::durable::{get_value, get_values, put_values};
 use perfq_kvstore::wal::{ByteReader, ByteWriter as _};
 use perfq_kvstore::{MergeMode, Persist, ValueOps};
 use perfq_lang::bytecode::{self, EvalStack, Program};
@@ -843,10 +843,10 @@ pub fn var_classes(fold: &FoldIr) -> Vec<(String, VarClass)> {
 // ---------------------------------------------------------------------------
 
 /// [`FoldState`] round-trips through the spill tier's WAL byte-exactly:
-/// floats persist as their bit patterns and [`StateVec`] re-canonicalizes
-/// through [`StateVec::from_slice`], so a recovered fold state compares
-/// equal to the never-spilled original for every fold class — including
-/// the linear-merge bookkeeping in [`LinearAux`].
+/// floats persist as their bit patterns and [`StateVec`] decodes into the
+/// canonical shape [`StateVec::from_slice`] builds, so a recovered fold
+/// state compares equal to the never-spilled original for every fold class
+/// — including the linear-merge bookkeeping in [`LinearAux`].
 impl Persist for FoldState {
     fn encode(&self, out: &mut Vec<u8>) {
         put_values(&self.vars, out);
@@ -870,7 +870,7 @@ impl Persist for FoldState {
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        let vars = StateVec::from_slice(&get_values(r)?);
+        let vars = get_state(r)?;
         let packets = r.u64()?;
         let aux = match r.u8()? {
             0 => None,
@@ -898,6 +898,28 @@ impl Persist for FoldState {
         };
         Some(FoldState { vars, packets, aux })
     }
+}
+
+/// Decode a [`put_values`] row straight into its canonical [`StateVec`] —
+/// inline iff it fits, as [`StateVec::from_slice`] builds it — without a
+/// temporary vector per frame.
+fn get_state(r: &mut ByteReader<'_>) -> Option<StateVec> {
+    let n = r.u32()? as usize;
+    if n > INLINE_STATE_VARS {
+        let mut vals = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            vals.push(get_value(r)?);
+        }
+        return Some(StateVec::Heap(vals));
+    }
+    let mut vals = [Value::Int(0); INLINE_STATE_VARS];
+    for v in &mut vals[..n] {
+        *v = get_value(r)?;
+    }
+    Some(StateVec::Inline {
+        len: n as u8,
+        vals,
+    })
 }
 
 #[cfg(test)]

@@ -1520,8 +1520,8 @@ impl MultiRuntime {
 
     /// Durably checkpoint the whole deployment at the current record
     /// index: every program's stores checkpoint, the single deployment
-    /// manifest advances atomically, then the WALs compact
-    /// (see [`Runtime::persist`]).
+    /// manifest advances atomically, then every WAL that has outgrown its
+    /// segment folds into it (see [`Runtime::persist`]).
     ///
     /// # Panics
     ///

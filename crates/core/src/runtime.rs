@@ -942,9 +942,10 @@ impl Runtime {
         Ok(())
     }
 
-    /// Fold every durable store's WAL into its segment and drop the
-    /// previous checkpoint's capture files (`stale`, when it differs from
-    /// the index just manifested). Call only after a manifested checkpoint.
+    /// Compact every durable store (its WAL folds into its segment once it
+    /// has outgrown it) and drop the previous checkpoint's capture files
+    /// (`stale`, when it differs from the index just manifested). Call only
+    /// after a manifested checkpoint.
     pub(crate) fn compact_stores(
         &mut self,
         d: &Durability,
@@ -1002,9 +1003,10 @@ impl Runtime {
 
     /// Durably checkpoint the deployment at the current record index:
     /// every store checkpoints ([`SplitStore::persist`]), then the single
-    /// deployment manifest advances atomically, then the WALs compact into
-    /// their segments. On success a crash at *any* later point recovers to
-    /// exactly this state ([`Runtime::recover`]).
+    /// deployment manifest advances atomically, then every WAL that has
+    /// outgrown its segment folds into it ([`SplitStore::compact_spill`];
+    /// the others keep their frames). On success a crash at *any* later
+    /// point recovers to exactly this state ([`Runtime::recover`]).
     ///
     /// # Panics
     ///

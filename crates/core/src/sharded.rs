@@ -542,9 +542,10 @@ impl ShardedRuntime {
 
     /// Durably checkpoint the whole plane at the current deployment record
     /// index: quiesce, checkpoint every shard's stores, advance the single
-    /// manifest, compact, resume. The key-hash router is deterministic, so
-    /// a recovered plane re-ingesting from the returned index routes every
-    /// record to the same shard it originally reached.
+    /// manifest, fold every WAL that has outgrown its segment, resume. The
+    /// key-hash router is deterministic, so a recovered plane re-ingesting
+    /// from the returned index routes every record to the same shard it
+    /// originally reached.
     ///
     /// # Panics
     ///

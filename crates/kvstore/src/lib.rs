@@ -123,7 +123,8 @@
 //!   codecs, and the [`IoBackend`] abstraction with a real filesystem
 //!   backend plus in-memory and fault-injecting test doubles;
 //! * [`spill`] — [`SpillTier`]: tier-confined victim routing, group-commit
-//!   batching, checkpoint frames, and generation-numbered compaction;
+//!   batching, checkpoint frames, and generation-numbered compaction that
+//!   folds the WAL into the segment only once the WAL has outgrown it;
 //! * [`recover`] — the deployment manifest and
 //!   [`BackingStore::recover`][crate::backing::BackingStore::recover].
 //!
@@ -170,7 +171,14 @@
 //! uncovered frames are cut because the resumed deployment re-ingests
 //! them), and generation numbers (a compaction that crashed between its
 //! two atomic file replacements leaves a WAL older than the segment, which
-//! readers skip as already-folded). `tests/durability_crash.rs` pins all
+//! readers skip as already-folded). A checkpoint compacts only when the
+//! bytes logged since the last fold reach the segment's size: replay reads
+//! segment + WAL whether or not it folded, so skipping a fold changes no
+//! durable truth, and rewrite work stays proportional to the bytes logged
+//! instead of re-encoding the whole table at every checkpoint. A failed
+//! group commit cuts the WAL back to its committed length and keeps its
+//! buffer, so a retry in the same process appends it exactly once.
+//! `tests/durability_crash.rs` pins all
 //! of this differentially against never-crashed references;
 //! `tests/durability_property.rs` pins the order/geometry-independence
 //! claim property-style.

@@ -10,7 +10,17 @@
 //!   performs no per-eviction I/O and no steady-state allocation.
 //! * `<prefix>seg` — the compacted segment: the order-free fold
 //!   ([`BackingStore::absorb_entry`]) of every WAL frame up to the last
-//!   checkpoint, republished atomically with a bumped generation number.
+//!   checkpoint that folded, republished atomically with a bumped
+//!   generation number.
+//!
+//! **Compaction is amortized.** A checkpoint's [`SpillTier::compact`] folds
+//! only once the WAL has outgrown the segment (bytes committed since the
+//! last fold ≥ the segment's size); otherwise the WAL keeps its frames,
+//! checkpoint frames included, and readers replay segment + WAL as always.
+//! Folding never changes what is durable — it only shortens replay — so
+//! rewrite work is O(bytes logged) rather than O(table) per checkpoint, and
+//! the files never hold more than the segment, a WAL no larger than it, and
+//! one checkpoint's commits.
 //!
 //! **Tier confinement invariant.** A key with a standing in-RAM record
 //! always merges there. A victim whose key has none is routed to the WAL
@@ -78,7 +88,8 @@ pub struct SpillStats {
     pub commits: u64,
     /// Checkpoint frames written.
     pub checkpoints: u64,
-    /// Compactions (WAL folded into the segment).
+    /// Compactions that folded the WAL into the segment (a checkpoint whose
+    /// WAL had not outgrown the segment is not one).
     pub compactions: u64,
 }
 
@@ -116,9 +127,18 @@ pub struct SpillTier<K, V> {
     /// Set once the tier's durable truth has been folded back into RAM by a
     /// final materialization — further reads must not re-apply it.
     retired: bool,
-    /// Keys the last compaction folded into the segment — the next one's
-    /// table is presized from it.
+    /// Keys the last compaction folded into the segment (0 when this tier
+    /// has not folded) — replay tables are presized from it.
     segment_keys: usize,
+    /// WAL file length as of the last successful commit: a failed commit
+    /// cuts back to it, reads never look past it, and `wal_len - HEADER_LEN`
+    /// is what was logged since the last fold.
+    wal_len: u64,
+    /// Segment file length (0 when there is none).
+    seg_len: u64,
+    /// A failed commit could not cut the WAL back to `wal_len` (the backend
+    /// was dead): the next commit cuts first.
+    wal_torn: bool,
     stats: SpillStats,
     enc_key: fn(&K, &mut Vec<u8>),
     dec_key: fn(&mut ByteReader<'_>) -> Option<K>,
@@ -147,6 +167,9 @@ impl<K: Persist, V: Persist> SpillTier<K, V> {
             dirty: false,
             retired: false,
             segment_keys: 0,
+            wal_len: HEADER_LEN as u64,
+            seg_len: 0,
+            wal_torn: false,
             stats: SpillStats::default(),
             enc_key: encode_of::<K>,
             dec_key: decode_of::<K>,
@@ -154,10 +177,15 @@ impl<K: Persist, V: Persist> SpillTier<K, V> {
             dec_val: decode_of::<V>,
         };
         let mut be = tier.backend.lock().expect("backend mutex");
-        let seg_gen = be.read(&tier.seg)?.as_deref().and_then(read_header);
+        let seg = be.read(&tier.seg)?;
+        let seg_gen = seg.as_deref().and_then(read_header);
+        tier.seg_len = seg.map_or(0, |b| b.len() as u64);
         let wal = be.read(&tier.wal)?;
         match wal.as_deref().and_then(read_header) {
-            Some(gen) => tier.generation = gen.max(seg_gen.unwrap_or(0)),
+            Some(gen) => {
+                tier.generation = gen.max(seg_gen.unwrap_or(0));
+                tier.wal_len = wal.map_or(0, |b| b.len() as u64);
+            }
             None => {
                 tier.generation = seg_gen.unwrap_or(0);
                 let mut hdr = Vec::with_capacity(HEADER_LEN);
@@ -165,10 +193,8 @@ impl<K: Persist, V: Persist> SpillTier<K, V> {
                 be.write_atomic(&tier.wal, &hdr)?;
             }
         }
-        tier.dirty = seg_gen.is_some_and(|_| true)
-            && be.read(&tier.seg)?.map_or(false, |b| b.len() > HEADER_LEN)
-            || wal.map_or(false, |b| b.len() > HEADER_LEN);
         drop(be);
+        tier.dirty = tier.seg_len > HEADER_LEN as u64 || tier.wal_len > HEADER_LEN as u64;
         Ok(tier)
     }
 }
@@ -196,6 +222,12 @@ impl<K, V> SpillTier<K, V> {
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// Keys the last fold wrote to the segment (0 before this tier's
+    /// first fold): the presize hint for a replay table.
+    pub(crate) fn segment_keys(&self) -> usize {
+        self.segment_keys
     }
 
     /// Spill one evicted cache residency as an entry frame (`writes = 1`,
@@ -272,23 +304,37 @@ impl<K, V> SpillTier<K, V> {
     }
 
     /// Flush the group-commit buffer: one backend `append` + `sync`.
+    ///
+    /// Transactional against its own failures: when the `append` or the
+    /// `sync` fails, whatever part of the buffer reached the file is cut
+    /// back to the last committed length (at the next commit, if the
+    /// backend cannot truncate now), and the buffer is kept — so a retry
+    /// appends it exactly once, behind no garbage.
     pub fn commit(&mut self) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
         let mut be = self.backend.lock().expect("backend mutex");
-        be.append(&self.wal, &self.buf)?;
-        be.sync(&self.wal)?;
+        if self.wal_torn {
+            be.truncate(&self.wal, self.wal_len)?;
+            self.wal_torn = false;
+        }
+        let written = be.append(&self.wal, &self.buf);
+        if let Err(e) = written.and_then(|()| be.sync(&self.wal)) {
+            self.wal_torn = be.truncate(&self.wal, self.wal_len).is_err();
+            return Err(e);
+        }
         drop(be);
+        self.wal_len += self.buf.len() as u64;
         self.buf.clear();
         self.dirty = true;
         self.stats.commits += 1;
         Ok(())
     }
 
-    /// Replay the tier's durable truth — segment, then WAL, then any
-    /// uncommitted buffered frames, in write order — into `out` through the
-    /// order-free merge machinery. Entry frames absorb
+    /// Replay the tier's durable truth — segment, then the committed WAL,
+    /// then any uncommitted buffered frames, in write order — into `out`
+    /// through the order-free merge machinery. Entry frames absorb
     /// ([`BackingStore::absorb_entry`]); tombstones remove. Does not modify
     /// the files.
     pub fn materialize_into(
@@ -318,7 +364,10 @@ impl<K, V> SpillTier<K, V> {
                 _ => false,
             };
             if !stale {
-                self.replay(FrameScanner::new(bytes), out, &merge);
+                // Past the committed length lie only the remains of a failed
+                // commit, whose frames are still in the buffer.
+                let committed = &bytes[..bytes.len().min(self.wal_len as usize)];
+                self.replay(FrameScanner::new(committed), out, &merge);
             }
         }
         self.replay(FrameScanner::frames(&self.buf), out, &merge);
@@ -385,12 +434,19 @@ impl<K, V> SpillTier<K, V> {
         Some((key, BackingEntry { epochs, writes }))
     }
 
-    /// Fold the WAL into the segment: the durable truth is re-published as
-    /// one entry frame per key in a fresh segment file (generation + 1),
-    /// then the WAL is replaced with an empty log at the same generation.
-    /// Both replacements are atomic; a crash between them leaves a WAL
-    /// whose generation is older than the segment's, which recovery and
-    /// materialization ignore as already-folded.
+    /// Commit, then fold the WAL into the segment once it has outgrown it
+    /// (bytes committed since the last fold ≥ the segment's size; a WAL
+    /// still smaller keeps its frames and the files are left alone). A fold
+    /// re-publishes the durable truth as one entry frame per key in a fresh
+    /// segment file (generation + 1), then replaces the WAL with an empty
+    /// log at the same generation. Both replacements are atomic; a crash
+    /// between them leaves a WAL whose generation is older than the
+    /// segment's, which recovery and materialization ignore as
+    /// already-folded.
+    ///
+    /// Folding only shortens replay — segment + WAL read the same either
+    /// way — so the rule bounds rewrite work by the bytes logged, not by
+    /// the table, at the price of at most one segment-sized WAL on disk.
     ///
     /// Only crash-consistent when every WAL frame is covered by the last
     /// manifested checkpoint — the runtime layers run compaction directly
@@ -400,6 +456,9 @@ impl<K, V> SpillTier<K, V> {
         K: Eq + Hash,
     {
         self.commit()?;
+        if self.wal_len < self.seg_len {
+            return Ok(());
+        }
         let mut truth = BackingStore::with_capacity(self.mode, self.segment_keys);
         self.materialize_into(&mut truth, &merge)?;
         self.segment_keys = truth.len();
@@ -426,6 +485,8 @@ impl<K, V> SpillTier<K, V> {
         be.write_atomic(&self.wal, &wal)?;
         drop(be);
         self.generation = next_gen;
+        self.seg_len = seg.len() as u64;
+        self.wal_len = HEADER_LEN as u64;
         self.dirty = !truth.is_empty();
         self.stats.compactions += 1;
         Ok(())
@@ -449,10 +510,12 @@ impl<K, V> SpillTier<K, V> {
     pub fn recover(&mut self, manifest: Option<u64>) -> io::Result<()> {
         self.buf.clear();
         self.retired = false;
+        self.wal_torn = false;
         let mut be = self.backend.lock().expect("backend mutex");
         let seg = be.read(&self.seg)?;
         let seg_gen = seg.as_deref().and_then(read_header);
-        let seg_dirty = seg.as_ref().map_or(false, |b| b.len() > HEADER_LEN);
+        self.seg_len = seg.map_or(0, |b| b.len() as u64);
+        let seg_dirty = self.seg_len > HEADER_LEN as u64;
         let wal = be.read(&self.wal)?;
         let wal_gen = wal.as_deref().and_then(read_header);
         let stale = match (wal_gen, seg_gen) {
@@ -465,6 +528,7 @@ impl<K, V> SpillTier<K, V> {
             let mut hdr = Vec::with_capacity(HEADER_LEN);
             put_header(&mut hdr, self.generation);
             be.write_atomic(&self.wal, &hdr)?;
+            self.wal_len = HEADER_LEN as u64;
             self.dirty = seg_dirty;
             return Ok(());
         }
@@ -481,6 +545,7 @@ impl<K, V> SpillTier<K, V> {
         }
         be.truncate(&self.wal, cutoff as u64)?;
         be.sync(&self.wal)?;
+        self.wal_len = cutoff as u64;
         self.dirty = seg_dirty || cutoff > HEADER_LEN;
         Ok(())
     }
@@ -497,5 +562,240 @@ impl<K, V> SpillTier<K, V> {
     #[must_use]
     pub fn is_retired(&self) -> bool {
         self.retired
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wal::{FaultBackend, IoBackend, MemBackend};
+    use crate::{CacheGeometry, CounterOps, EvictionPolicy, SplitStore};
+    use std::sync::{Arc, Mutex};
+
+    /// A low high-water mark and a group-commit threshold no interval
+    /// reaches: every commit is a checkpoint's.
+    const CHECKPOINT_COMMITS: SpillConfig = SpillConfig {
+        high_water: 4,
+        group_commit_bytes: 1 << 20,
+    };
+
+    fn store(backend: SharedBackend, cfg: SpillConfig) -> SplitStore<u64, CounterOps> {
+        let mut s = SplitStore::new(
+            CacheGeometry::set_associative(4, 2),
+            EvictionPolicy::Lru,
+            0xfeed,
+            CounterOps,
+        );
+        s.enable_spill(backend, "t_", cfg).expect("enable spill");
+        s
+    }
+
+    /// Observations `from..to` of a scrambled stream over `keys` keys.
+    fn feed(s: &mut SplitStore<u64, CounterOps>, keys: u64, from: u64, to: u64) {
+        for i in from..to {
+            let k = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % keys;
+            s.observe(k, &(), Nanos(i));
+        }
+    }
+
+    fn counts<'a>(rows: impl Iterator<Item = (&'a u64, &'a BackingEntry<u64>)>) -> Vec<(u64, u64)> {
+        let mut rows: Vec<(u64, u64)> = rows
+            .map(|(k, e)| (*k, *e.value().expect("counters stay valid")))
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// Fold the tier back, flush, and read every key's count.
+    fn drained(mut s: SplitStore<u64, CounterOps>) -> Vec<(u64, u64)> {
+        s.materialize_spill().expect("drain");
+        s.flush();
+        counts(s.backing().iter())
+    }
+
+    /// True when every byte of the WAL image past its header is a valid frame.
+    fn no_garbage(wal: &[u8]) -> bool {
+        let mut scan = FrameScanner::new(wal);
+        scan.by_ref().count();
+        scan.pos() == wal.len()
+    }
+
+    /// A failed group commit is survivable in-process: fault the
+    /// checkpoint's commit at its append (torn to nothing, half, all of the
+    /// buffer) or at its sync, read, heal, commit again, drain — the reads
+    /// and the drain are the never-faulted run's, the WAL holds no garbage
+    /// and no victim twice.
+    #[test]
+    fn a_failed_commit_is_retried_exactly_once() {
+        // `fault` = (mutating op of the checkpoint at 600, torn bytes):
+        // op 0 is the commit's append, op 1 its sync.
+        let run = |fault: Option<(u64, usize)>| {
+            let handle = Arc::new(Mutex::new(FaultBackend::new()));
+            let mut s = store(handle.clone(), CHECKPOINT_COMMITS);
+            let wal_len = || {
+                handle
+                    .lock()
+                    .unwrap()
+                    .mem()
+                    .bytes("t_wal")
+                    .map_or(0, <[u8]>::len)
+            };
+            feed(&mut s, 48, 0, 300);
+            s.persist(300).expect("healthy checkpoint");
+            feed(&mut s, 48, 300, 600);
+            let before = wal_len();
+            if let Some((op, torn)) = fault {
+                let at = handle.lock().unwrap().ops() + op;
+                handle.lock().unwrap().arm(at, torn);
+                assert!(s.persist(600).is_err(), "the armed fault fires");
+                handle.lock().unwrap().heal();
+                let polled: u64 = counts(s.snapshot().backing().iter())
+                    .iter()
+                    .map(|r| r.1)
+                    .sum();
+                assert_eq!(polled, 600, "a read between failure and retry");
+            }
+            s.persist(600).expect("retry after heal");
+            let commit_len = wal_len() - before;
+            feed(&mut s, 48, 600, 900);
+            s.persist(900).expect("healthy checkpoint");
+            let wal = handle
+                .lock()
+                .unwrap()
+                .mem()
+                .bytes("t_wal")
+                .unwrap()
+                .to_vec();
+            (drained(s), wal, commit_len)
+        };
+        let (want, wal, commit_len) = run(None);
+        assert_eq!(want.iter().map(|r| r.1).sum::<u64>(), 900);
+        assert!(no_garbage(&wal));
+        for fault in [(0, 0), (0, commit_len / 2), (0, usize::MAX), (1, 0)] {
+            let (got, wal, _) = run(Some(fault));
+            assert_eq!(got, want, "fault {fault:?}");
+            assert!(no_garbage(&wal), "fault {fault:?}: garbage left mid-WAL");
+        }
+    }
+
+    /// A backend whose next append tears and fails but which stays alive —
+    /// a full disk rather than a dead process.
+    #[derive(Debug, Default)]
+    struct TearOnce {
+        inner: MemBackend,
+        tear: Option<usize>,
+    }
+
+    impl IoBackend for TearOnce {
+        fn read(&mut self, name: &str) -> io::Result<Option<Vec<u8>>> {
+            self.inner.read(name)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            match self.tear.take() {
+                Some(n) => {
+                    self.inner.append(name, &bytes[..n.min(bytes.len())])?;
+                    Err(io::Error::other("disk full"))
+                }
+                None => self.inner.append(name, bytes),
+            }
+        }
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.inner.write_atomic(name, bytes)
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
+            self.inner.truncate(name, len)
+        }
+        fn sync(&mut self, name: &str) -> io::Result<()> {
+            self.inner.sync(name)
+        }
+        fn remove(&mut self, name: &str) -> io::Result<()> {
+            self.inner.remove(name)
+        }
+    }
+
+    /// On a backend that can still truncate, the failed commit cuts its
+    /// torn bytes at once: the WAL is back at its committed length before
+    /// the retry.
+    #[test]
+    fn a_torn_commit_is_cut_back_while_the_backend_lives() {
+        let drain_after = |tear: Option<usize>| {
+            let handle = Arc::new(Mutex::new(TearOnce::default()));
+            let mut s = store(handle.clone(), CHECKPOINT_COMMITS);
+            let wal_len = || {
+                handle
+                    .lock()
+                    .unwrap()
+                    .inner
+                    .bytes("t_wal")
+                    .map_or(0, <[u8]>::len)
+            };
+            feed(&mut s, 48, 0, 300);
+            s.persist(300).expect("healthy checkpoint");
+            feed(&mut s, 48, 300, 600);
+            if tear.is_some() {
+                let before = wal_len();
+                handle.lock().unwrap().tear = tear;
+                assert!(s.persist(600).is_err(), "the tear fires");
+                assert_eq!(wal_len(), before, "torn bytes cut at once");
+            }
+            s.persist(600).expect("checkpoint");
+            drained(s)
+        };
+        assert_eq!(drain_after(Some(100)), drain_after(None));
+    }
+
+    /// The compaction rule's disk bound and both of its outcomes: after
+    /// each checkpoint the WAL body holds at most the segment plus what
+    /// that checkpoint's interval committed; a compaction folds only a WAL
+    /// that has outgrown the segment and otherwise leaves both files alone;
+    /// the drain counts every observation once.
+    #[test]
+    fn the_wal_outgrows_the_segment_by_at_most_one_checkpoint() {
+        let handle = Arc::new(Mutex::new(MemBackend::new()));
+        let cfg = SpillConfig {
+            high_water: 4,
+            group_commit_bytes: 256,
+        };
+        let mut s = store(handle.clone(), cfg);
+        let file = |name: &str| handle.lock().unwrap().bytes(name).map(<[u8]>::to_vec);
+        let len = |name: &str| file(name).map_or(0, |b| b.len());
+        let (mut folds, mut skips) = (0, 0);
+        let mut wal_since_compact = len("t_wal");
+        for round in 1..=24u64 {
+            feed(&mut s, 512, (round - 1) * 100, round * 100);
+            s.persist(round * 100).expect("checkpoint");
+            let (wal, seg) = (len("t_wal"), len("t_seg"));
+            let committed = wal - wal_since_compact;
+            assert!(
+                wal - HEADER_LEN <= seg + committed,
+                "round {round}: WAL {wal} > segment {seg} + this checkpoint's {committed}"
+            );
+            let seg_bytes = file("t_seg");
+            let before = s.spill_stats().unwrap().compactions;
+            s.compact_spill().expect("compact");
+            if s.spill_stats().unwrap().compactions > before {
+                folds += 1;
+                assert!(
+                    wal >= seg,
+                    "round {round}: folded a WAL smaller than the segment"
+                );
+                assert_eq!(
+                    len("t_wal"),
+                    HEADER_LEN,
+                    "round {round}: a fold empties the WAL"
+                );
+            } else {
+                skips += 1;
+                assert!(
+                    wal < seg,
+                    "round {round}: skipped a WAL as large as the segment"
+                );
+                assert_eq!(len("t_wal"), wal, "round {round}: a skip keeps the WAL");
+                assert_eq!(file("t_seg"), seg_bytes, "round {round}: and the segment");
+            }
+            wal_since_compact = len("t_wal");
+        }
+        assert!(folds >= 2 && skips >= 2, "{folds} folds, {skips} skips");
+        assert_eq!(drained(s).iter().map(|r| r.1).sum::<u64>(), 2400);
     }
 }

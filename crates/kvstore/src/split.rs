@@ -305,7 +305,7 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
         let ops = &self.ops;
         let mut backing = match &self.spill {
             Some(tier) if tier.is_dirty() => {
-                let keys = self.backing.len() + self.cache.len();
+                let keys = tier.segment_keys() + self.backing.len() + self.cache.len();
                 let mut disk = BackingStore::with_capacity(ops.merge_mode(), keys);
                 tier.materialize_into(&mut disk, |standing, evicted| {
                     ops.merge(standing, evicted);
@@ -410,9 +410,10 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
         tier.checkpoint(record_index)
     }
 
-    /// Fold the spill tier's WAL into its segment ([`SpillTier::compact`]).
-    /// Call only directly after a manifested [`SplitStore::persist`] — see
-    /// the tier's crash-consistency contract. A no-op without a tier.
+    /// Compact the spill tier ([`SpillTier::compact`]): its WAL folds into
+    /// its segment once it has outgrown it. Call only directly after a
+    /// manifested [`SplitStore::persist`] — see the tier's
+    /// crash-consistency contract. A no-op without a tier.
     pub fn compact_spill(&mut self) -> io::Result<()> {
         let SplitStore { ops, spill, .. } = self;
         if let Some(tier) = spill {
@@ -464,11 +465,16 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// high-water mark into the WAL, where a drained read never looks.
     pub fn materialize_spill(&mut self) -> io::Result<()> {
         let SplitStore {
-            backing, ops, spill, ..
+            backing,
+            ops,
+            spill,
+            cache,
+            ..
         } = self;
         let Some(tier) = spill else { return Ok(()) };
         if tier.is_dirty() {
-            let mut disk = BackingStore::with_capacity(ops.merge_mode(), backing.len());
+            let keys = tier.segment_keys() + backing.len() + cache.len();
+            let mut disk = BackingStore::with_capacity(ops.merge_mode(), keys);
             tier.materialize_into(&mut disk, |standing, evicted| {
                 ops.merge(standing, evicted);
             })?;

@@ -20,7 +20,9 @@
 //! resumed re-ingest reproduce each shard's exact sub-stream), and the
 //! multi-program [`MultiRuntime`] (two programs sharing one deduplicated
 //! store; the sharing analysis is deterministic, so the recovered plane
-//! reproduces aliases and `p<id>_` file names). A torn-tail
+//! reproduces aliases and `p<id>_` file names). A dense checkpoint
+//! schedule sweeps the single-stream plane across compactions that skip
+//! the fold (the WAL had not outgrown the segment). A torn-tail
 //! suite chops every suffix off a live WAL, and a double-crash suite
 //! injects a second fault *during recovery itself* — repair is repair-only
 //! and idempotent, so recovering again after a crashed recovery must still
@@ -117,11 +119,16 @@ fn sorted(mut rs: ResultSet) -> ResultSet {
 
 /// The full schedule on a single-stream runtime: ingest, checkpoint at
 /// each persist point, drain.
-fn run_single(src: &str, recs: &[QueueRecord], backend: &SharedBackend) -> std::io::Result<ResultSet> {
+fn run_single(
+    src: &str,
+    recs: &[QueueRecord],
+    backend: &SharedBackend,
+    persist_at: &[usize],
+) -> std::io::Result<ResultSet> {
     let mut rt = Runtime::new(compiled(src));
     rt.enable_durability(durable_small(backend))?;
     let mut fed = 0;
-    for &p in &PERSIST_AT {
+    for &p in persist_at {
         rt.process_batch(&recs[fed..p]);
         fed = p;
         rt.persist()?;
@@ -138,10 +145,11 @@ fn recover_single(
     src: &str,
     recs: &[QueueRecord],
     backend: &SharedBackend,
+    persist_at: &[usize],
 ) -> std::io::Result<ResultSet> {
     let (mut rt, resume) = Runtime::recover(compiled(src), durable_small(backend))?;
     let mut fed = resume as usize;
-    for &p in &PERSIST_AT {
+    for &p in persist_at {
         if p > fed {
             rt.process_batch(&recs[fed..p]);
             fed = p;
@@ -276,7 +284,7 @@ fn single_stream_recovers_at_every_io_boundary() {
         let plain = plain_rt.collect();
 
         let (handle, backend) = fault_pair();
-        let reference = run_single(q.source, &recs, &backend).expect("healthy run");
+        let reference = run_single(q.source, &recs, &backend, &PERSIST_AT).expect("healthy run");
         if q.paper_linear {
             assert_eq!(plain, reference, "{}: durability must be transparent", q.name);
         } else {
@@ -302,13 +310,73 @@ fn single_stream_recovers_at_every_io_boundary() {
         for fail_at in 0..total_ops {
             let (h, b) = fault_pair();
             let survived = crash_at(&h, fail_at, fail_at as usize % 23, || {
-                run_single(q.source, &recs, &b)
+                run_single(q.source, &recs, &b, &PERSIST_AT)
             });
             if let Some(rs) = survived {
                 assert_eq!(rs, reference, "{} fail_at={fail_at}: uncrashed", q.name);
                 continue;
             }
-            let got = recover_single(q.source, &recs, &b)
+            let got = recover_single(q.source, &recs, &b, &PERSIST_AT)
+                .unwrap_or_else(|e| panic!("{} fail_at={fail_at}: recovery failed: {e}", q.name));
+            assert_eq!(got, reference, "{} fail_at={fail_at}", q.name);
+        }
+    }
+}
+
+/// A checkpoint every 40 records: once the first fold has written the
+/// table to the segment, most intervals log less than the segment holds,
+/// so most compactions skip the fold and the WAL carries several
+/// checkpoints.
+const DENSE_PERSIST_AT: [usize; 9] = [40, 80, 120, 160, 200, 240, 280, 320, 360];
+
+/// Skipped-compaction sweep: the single-stream contract on
+/// [`DENSE_PERSIST_AT`], where some checkpoints fold and some leave the WAL
+/// growing past earlier checkpoint frames — a crash at every I/O boundary,
+/// on either side of a skipped fold, recovers to the never-crashed
+/// reference. The reference must skip at least one fold (its segments'
+/// generations count the folds), or this sweep would silently stop covering
+/// the skipped path.
+#[test]
+fn skipped_compactions_recover_at_every_io_boundary() {
+    let recs = records(TOTAL);
+    for q in [fig2::PER_FLOW_COUNTERS, fig2::LATENCY_EWMA] {
+        let (handle, backend) = fault_pair();
+        let reference =
+            run_single(q.source, &recs, &backend, &DENSE_PERSIST_AT).expect("healthy run");
+        let (stores, compactions) = {
+            let mut guard = handle.lock().expect("fault mutex");
+            let names = guard.mem().names();
+            let stores = names.iter().filter(|n| n.ends_with("_wal")).count();
+            let compactions: u64 = names
+                .iter()
+                .filter(|n| n.ends_with("_seg"))
+                .filter_map(|n| {
+                    guard
+                        .mem()
+                        .bytes(n)
+                        .and_then(perfq_kvstore::wal::read_header)
+                })
+                .sum();
+            (stores, compactions)
+        };
+        let checkpoints = (stores * DENSE_PERSIST_AT.len()) as u64;
+        assert!(
+            0 < compactions && compactions < checkpoints,
+            "{}: {compactions} folds over {checkpoints} store checkpoints",
+            q.name
+        );
+
+        let total_ops = handle.lock().expect("fault mutex").ops();
+        for fail_at in 0..total_ops {
+            let (h, b) = fault_pair();
+            let survived = crash_at(&h, fail_at, fail_at as usize % 23, || {
+                run_single(q.source, &recs, &b, &DENSE_PERSIST_AT)
+            });
+            if let Some(rs) = survived {
+                assert_eq!(rs, reference, "{} fail_at={fail_at}: uncrashed", q.name);
+                continue;
+            }
+            let got = recover_single(q.source, &recs, &b, &DENSE_PERSIST_AT)
                 .unwrap_or_else(|e| panic!("{} fail_at={fail_at}: recovery failed: {e}", q.name));
             assert_eq!(got, reference, "{} fail_at={fail_at}", q.name);
         }
@@ -408,7 +476,7 @@ fn torn_wal_tail_rolls_back_to_the_checkpoint() {
     let recs = records(TOTAL);
     for q in fig2::ALL {
         let (_, backend) = fault_pair();
-        let reference = run_single(q.source, &recs, &backend).expect("healthy run");
+        let reference = run_single(q.source, &recs, &backend, &PERSIST_AT).expect("healthy run");
 
         // Find how many bytes the largest WAL carries so the chop sweep
         // covers several frames without quadratic blowup.
@@ -446,7 +514,7 @@ fn torn_wal_tail_rolls_back_to_the_checkpoint() {
                     .expect("chop tail");
             }
             drop(guard);
-            let got = recover_single(q.source, &recs, &b).expect("recovery after torn tail");
+            let got = recover_single(q.source, &recs, &b, &PERSIST_AT).expect("recovery after torn tail");
             assert_eq!(got, reference, "{} chop={chop}", q.name);
         }
     }
@@ -461,7 +529,7 @@ fn crashed_recovery_recovers() {
     let recs = records(TOTAL);
     let q = fig2::PER_FLOW_LOSS_RATE;
     let (handle, backend) = fault_pair();
-    let reference = run_single(q.source, &recs, &backend).expect("healthy run");
+    let reference = run_single(q.source, &recs, &backend, &PERSIST_AT).expect("healthy run");
     let total_ops = handle.lock().expect("fault mutex").ops();
 
     // First crash points: a spread across the schedule (every 7th op).
@@ -469,7 +537,7 @@ fn crashed_recovery_recovers() {
         for second in (0..24u64).step_by(3) {
             let (h, b) = fault_pair();
             if crash_at(&h, fail_at, fail_at as usize % 23, || {
-                run_single(q.source, &recs, &b)
+                run_single(q.source, &recs, &b, &PERSIST_AT)
             })
             .is_some()
             {
@@ -477,14 +545,14 @@ fn crashed_recovery_recovers() {
             }
             // Second crash, during recovery + re-ingest.
             let survived = crash_at(&h, second, second as usize % 17, || {
-                recover_single(q.source, &recs, &b)
+                recover_single(q.source, &recs, &b, &PERSIST_AT)
             });
             if let Some(rs) = survived {
                 assert_eq!(rs, reference, "fail_at={fail_at} second={second}: uncrashed");
                 continue;
             }
             // Third attempt, healed: must converge.
-            let got = recover_single(q.source, &recs, &b).unwrap_or_else(|e| {
+            let got = recover_single(q.source, &recs, &b, &PERSIST_AT).unwrap_or_else(|e| {
                 panic!("fail_at={fail_at} second={second}: recovery failed: {e}")
             });
             assert_eq!(got, reference, "fail_at={fail_at} second={second}");
