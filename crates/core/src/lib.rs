@@ -14,31 +14,35 @@
 //!                                   │               ALU audit, key bits)
 //!                 ┌─────────────────┴──────────────┐
 //!                 ▼                                ▼
-//!             Runtime (split KV stores)        Oracle (exact maps)
-//!                 │ process_record(...)            │
+//!             Runtime (split KV stores)        Oracle (exact maps; predict:
+//!                 │ process_batch(...)             │  + a residency model
+//!                 │                                │    per store)
 //!                 ▼                                ▼
-//!             ResultSet  ◀──── diff/accuracy ────  ResultSet
+//!             ResultSet  ◀─ diff/accuracy/validity ─ ResultSet
 //! ```
 //!
 //! * [`foldops`] — the merge engine: ΠA-matrix correction and window replay
 //!   for linear folds, epochs for non-linear ones;
 //! * [`compiler`] — physical planning + stateful-ALU feasibility audit;
 //! * [`runtime`] — the streaming dataplane and result collector;
-//! * [`oracle`] — exact evaluation with unbounded state;
+//! * [`oracle`] — exact evaluation with unbounded state, and the hardware
+//!   prediction (a set-associative residency model per store) the runtime
+//!   is checked against under eviction;
 //! * [`result`] — final tables with per-key validity.
 //!
 //! # Execution engine
 //!
-//! The per-record path is built for line rate in software: after query
+//! There is one executor, built for line rate in software: after query
 //! compilation the dataplane performs **no allocation and no recursion per
 //! record**. The pipeline (MAFIA-style "compile the query to a fixed
 //! instruction sequence") is:
 //!
 //! 1. **Flat plan** — `plan::ExecPlan` flattens the query DAG into one
 //!    topologically-ordered node list (definition order *is* topological
-//!    order, since queries only read earlier tables). Each record is a
-//!    single indexed pass: a node reads its input from the base row or an
-//!    upstream node's output slot and writes its own reusable slot.
+//!    order, since queries only read earlier tables). Each chunk of records
+//!    is a single indexed pass: a node reads its input lanes from the base
+//!    rows or an upstream node's output lanes and writes its own reusable
+//!    lanes.
 //!    Collect-only queries (joins and their descendants) are skipped, and
 //!    output rows nobody consumes are never materialized (dead-output
 //!    elimination).
@@ -74,10 +78,12 @@
 //!    a per-key `ΠA` (extracted numerically per packet, persisted with the
 //!    value) plus the window log.
 //! 5. **Batching and column pruning** — [`Runtime::process_batch`] (and
-//!    `Network::run_batched` upstream) feed records in slices; only the
+//!    `Network::run_batched` upstream) feed records in slices, and it is
+//!    the only way in: `process_record` is a one-record batch. Only the
 //!    base columns the compiled program reads are materialized per record
-//!    (`QueueRecord::write_row_masked`). Batches execute node-at-a-time
-//!    over survivor bitmasks — see *Vectorized execution* below.
+//!    (`QueueRecord::write_row_masked_into`). Batches execute
+//!    node-at-a-time over survivor bitmasks — see *Vectorized execution*
+//!    below.
 //!
 //! `BENCH_pipeline.json` at the repository root records the measured
 //! speedup of this engine over the seed tree-walking runtime
@@ -138,12 +144,12 @@
 //!
 //! # Vectorized execution
 //!
-//! The batched entry points ([`Runtime::process_batch`],
-//! [`MultiRuntime::process_batch`]) do not loop `process_record`: they
-//! execute **node-at-a-time over a chunk of records**, steered by survivor
-//! bitmasks, so each plan node's code (filter compare loop, projection
-//! bytecode, store probe) stays hot in the instruction stream while it
-//! sweeps many records:
+//! The engine's entry points ([`Runtime::process_batch`],
+//! [`MultiRuntime::process_batch`]; every `process_record` is a one-record
+//! batch) execute **node-at-a-time over a chunk of records**, steered by
+//! survivor bitmasks, so each plan node's code (filter compare loop,
+//! projection bytecode, store probe) stays hot in the instruction stream
+//! while it sweeps many records:
 //!
 //! ```text
 //!   chunk of ≤16 QueueRecords
@@ -177,9 +183,11 @@
 //! buffer belongs to exactly one node, set bits are visited in ascending
 //! lane order (= record order), and a node only reads lanes its upstream
 //! wrote — so hit/miss/eviction streams, epochs and capture contents are
-//! bit-identical to record-at-a-time processing at *any* chunking
+//! bit-identical at *any* chunking, one-record batches included
 //! (`tests/batch_equivalence.rs`: ragged lengths, all-pass/all-drop
-//! batches, epoch-straddling batches). **Zero allocation:** lane rows,
+//! batches, epoch-straddling batches), and every table and store counter
+//! equals [`Oracle::predict`]'s residency-model prediction under eviction
+//! pressure (`tests/oracle_residency.rs`). **Zero allocation:** lane rows,
 //! per-node output lanes and the mask words are pooled on the runtime, so
 //! a warmed vectorized replay allocates nothing
 //! (`tests/alloc_discipline.rs`).
@@ -397,7 +405,7 @@ pub use multi::{
     demand_of, provision, shard_programs, InstallError, MultiRuntime, MultiSharded, SharedSlot,
     SharedStore, SharingReport,
 };
-pub use oracle::Oracle;
+pub use oracle::{Oracle, Prediction};
 pub use result::{diff_tables, DeltaCursor, DeltaRow, ResultRow, ResultSet, ResultTable};
 pub use runtime::{LifecycleError, Runtime};
 pub use sharded::{ShardRouter, ShardSpec, ShardedRuntime};

@@ -1317,9 +1317,6 @@ pub struct MultiRuntime {
     roster: Roster,
     /// Union of the programs' pruned base-column masks.
     union_cols: u64,
-    /// Shared row buffer, materialized once per record
-    /// ([`MultiRuntime::process_record`]).
-    row_buf: Vec<Value>,
     /// Chunk-wide row buffers ([`MultiRuntime::process_batch`]): one
     /// [`LANES`]-record chunk materializes at a time, then each program
     /// sweeps it node-at-a-time — a program's stores and bytecode state
@@ -1336,13 +1333,10 @@ pub struct MultiRuntime {
     shared_keys: Vec<(Vec<usize>, KeyGate)>,
     /// Reusable scratch for wider-than-inline shared keys.
     key_spill: Vec<i64>,
-    /// Per-record shared filter verdicts ([`MultiRuntime::process_record`]).
-    pass_buf: Vec<bool>,
     /// Vectorized path: per-slot survivor bitmasks for the current chunk
     /// (bit `i` = lane `i` passed shared filter `slot`).
     pass_masks: Vec<u64>,
-    /// Shared keys — row-major per chunk (`lane * n_keys + k`) in the
-    /// vectorized path, one record's `n_keys` entries in the record path.
+    /// Shared keys of the current chunk, row-major (`lane * n_keys + k`).
     key_buf: Vec<InlineKey>,
     /// Bytecode stack for shared filter evaluation.
     stack: EvalStack,
@@ -1354,39 +1348,6 @@ pub struct MultiRuntime {
     /// Record index of the last manifested checkpoint (stale-capture
     /// cleanup; see [`Runtime`]'s field of the same name).
     persisted_at: Option<u64>,
-}
-
-/// Evaluate the shared prefix for one row, appending `n_filters` verdicts
-/// and `n_keys` keys to the output buffers.
-fn eval_shared_prefix(
-    filters: &[Filter],
-    keys: &[(Vec<usize>, KeyGate)],
-    stack: &mut EvalStack,
-    row: &[Value],
-    spill: &mut Vec<i64>,
-    pass_out: &mut Vec<bool>,
-    key_out: &mut Vec<InlineKey>,
-) {
-    let base = pass_out.len();
-    for f in filters {
-        // Shared filters are compiled with params folded: no parameter
-        // vector is needed at evaluation time.
-        pass_out.push(f.pass(stack, row, &[]));
-    }
-    let row_pass = &pass_out[base..];
-    for (cols, gate) in keys {
-        let build = match gate {
-            KeyGate::Always => true,
-            KeyGate::AnyOf(slots) => slots.iter().any(|s| row_pass[*s as usize]),
-        };
-        key_out.push(if build {
-            crate::runtime::build_group_key(cols, row, spill)
-        } else {
-            // Placeholder: every reader of this slot sits behind one of the
-            // gate's filters, all of which failed — nothing reads this row.
-            InlineKey::from_slice(&[])
-        });
-    }
 }
 
 impl MultiRuntime {
@@ -1425,13 +1386,11 @@ impl MultiRuntime {
             runtimes: workers.into_iter().map(Runtime::new).collect(),
             roster,
             union_cols: 0,
-            row_buf: Vec::new(),
             rows: Vec::new(),
             nows: Vec::new(),
             shared_filters: Vec::new(),
             shared_keys: Vec::new(),
             key_spill: Vec::new(),
-            pass_buf: Vec::new(),
             pass_masks: Vec::new(),
             key_buf: Vec::new(),
             stack: EvalStack::new(),
@@ -1714,43 +1673,22 @@ impl MultiRuntime {
         self.union_cols = self.runtimes.iter().fold(0u64, |m, rt| m | rt.base_cols());
     }
 
-    /// Process one queue record: materialize the row once (union mask),
-    /// evaluate the shared prefix once, and dispatch to every program's
-    /// plan.
+    /// Process one queue record: [`MultiRuntime::process_batch`] over a
+    /// one-record batch.
     pub fn process_record(&mut self, rec: &QueueRecord) {
-        self.roster.records += 1;
-        let now = rec.observed_at();
-        let mut row = std::mem::take(&mut self.row_buf);
-        rec.write_row_masked(&mut row, self.union_cols);
-        self.pass_buf.clear();
-        self.key_buf.clear();
-        eval_shared_prefix(
-            &self.shared_filters,
-            &self.shared_keys,
-            &mut self.stack,
-            &row,
-            &mut self.key_spill,
-            &mut self.pass_buf,
-            &mut self.key_buf,
-        );
-        for rt in &mut self.runtimes {
-            rt.process_row_shared(&row, now, &self.pass_buf, &self.key_buf);
-        }
-        self.row_buf = row;
+        self.process_batch(std::slice::from_ref(rec));
     }
 
     /// Process a batch of records — the multi-query analogue of
     /// [`Runtime::process_batch`], vectorized the same way: the batch is
     /// cut into cache-sized chunks (one `u64` mask word each), each chunk
-    /// materializes
-    /// **once** (union column mask, reused row buffers), every *unique*
-    /// shared filter evaluates over the whole chunk into one `u64`
+    /// materializes **once** (union column mask, reused row buffers), every
+    /// *unique* shared filter evaluates over the whole chunk into one `u64`
     /// survivor bitmask and every unique key tuple builds once per gated
     /// lane, then each program's plan sweeps the chunk node-at-a-time
-    /// reading the precomputed masks/keys. Semantically identical to
-    /// [`MultiRuntime::process_record`] per element (and tested to be);
-    /// programs are independent, so per-program stream order — the order
-    /// that matters — is preserved.
+    /// reading the precomputed masks/keys. Results do not depend on the
+    /// chunking (and are tested not to); programs are independent, so
+    /// per-program stream order — the order that matters — is preserved.
     pub fn process_batch(&mut self, recs: &[QueueRecord]) {
         self.roster.records += recs.len() as u64;
         let mask = self.union_cols;

@@ -15,9 +15,10 @@
 //!   programs;
 //! * for GROUPBYs, the key columns and output layout.
 //!
-//! Per record the runtime then runs `for node in plan` with no recursion,
-//! no clones, and no allocation: each node writes its output row into a
-//! reusable per-node buffer that downstream nodes read by index.
+//! Per chunk of records the runtime then runs `for node in plan` with no
+//! recursion, no clones, and no allocation: each node writes its output
+//! rows into a reusable per-node lane buffer that downstream nodes read by
+//! index.
 
 use perfq_lang::ast::BinOp;
 use perfq_lang::bytecode::{self, EvalStack, Op, Program};
@@ -171,10 +172,11 @@ pub(crate) struct NodePlan {
     pub emits: bool,
     /// Compiled `WHERE` predicate.
     pub filter: Option<Filter>,
-    /// Cross-query sharing: when set, the filter verdict for this node was
-    /// already computed into the shared scratch the multi-query dataplane
-    /// passes along (`Runtime::process_row_shared`), at this slot — the
-    /// node's own `filter` is skipped. Only ever set on base-rooted nodes.
+    /// Cross-query sharing: when set, the filter verdicts for this node
+    /// were already computed into the shared masks the multi-query
+    /// dataplane passes along (`Runtime::process_lanes_shared`), at this
+    /// slot — the node's own `filter` is skipped. Only ever set on
+    /// base-rooted nodes.
     pub shared_filter: Option<u32>,
     /// Cross-query sharing: when set, this GROUPBY's key for the current
     /// record is read from the shared key scratch at this slot instead of

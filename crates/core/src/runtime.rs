@@ -14,11 +14,12 @@
 //!    semantics; note downstream sees the *cache* value — the merged truth
 //!    lives only in the backing store, §3.2).
 //!
-//! The per-record path is a single pass over the flat `ExecPlan`
-//! (`plan.rs`): filters and projections run as compiled bytecode over a
-//! reusable value stack, group keys build into an inline key, and every
-//! intermediate row lands in a per-node buffer reused across records — the
-//! steady state allocates nothing per record.
+//! There is one executor: records arrive in batches (a single record is a
+//! one-record batch), each chunk of a batch sweeps the flat `ExecPlan`
+//! (`plan.rs`) node by node, filters and projections run as compiled
+//! bytecode over a reusable value stack, group keys build into an inline
+//! key, and every intermediate row lands in a per-node lane buffer reused
+//! across chunks — the steady state allocates nothing per record.
 //!
 //! After [`Runtime::finish`] flushes the caches, [`Runtime::collect`] pulls
 //! every query's final table from the backing stores, evaluates collect-time
@@ -93,12 +94,6 @@ pub struct Runtime {
     stores: Vec<Option<SplitStore<InlineKey, FoldOps>>>,
     captures: Vec<Option<Capture>>,
     plan: ExecPlan,
-    /// Reusable base-row buffer (`process_record`).
-    row_buf: Vec<Value>,
-    /// Per-node output-row buffers, reused across records.
-    outputs: Vec<Vec<Value>>,
-    /// Per-node: did the node emit a row for the current record?
-    live: Vec<bool>,
     /// Shared bytecode evaluation stack.
     stack: EvalStack,
     /// Group-key scratch.
@@ -194,9 +189,6 @@ impl Runtime {
             stores,
             captures,
             plan,
-            row_buf: Vec::new(),
-            outputs: vec![Vec::new(); n],
-            live: vec![false; n],
             stack: EvalStack::new(),
             key_buf: Vec::new(),
             lane_rows: Vec::new(),
@@ -372,9 +364,8 @@ impl Runtime {
         }
     }
 
-    /// Process one queue record. The base row materializes into a buffer
-    /// reused across calls, and only the columns the compiled program reads
-    /// are written — no per-record allocation, no dead column extraction.
+    /// Process one queue record: [`Runtime::process_batch`] over a
+    /// one-record batch, i.e. one one-lane chunk.
     ///
     /// # Panics
     ///
@@ -382,34 +373,29 @@ impl Runtime {
     /// [`Runtime::finish`]; use [`Runtime::try_process_record`] to handle
     /// the condition as a typed error instead.
     pub fn process_record(&mut self, rec: &QueueRecord) {
-        self.try_process_record(rec)
-            .unwrap_or_else(|e| panic!("{e}"));
+        self.process_batch(std::slice::from_ref(rec));
     }
 
     /// Fallible twin of [`Runtime::process_record`]: returns
     /// [`LifecycleError::ProcessAfterFinish`] instead of panicking when the
     /// runtime is already finished.
     pub fn try_process_record(&mut self, rec: &QueueRecord) -> Result<(), LifecycleError> {
-        self.check_live()?;
-        let now = rec.observed_at();
-        let mut row = std::mem::take(&mut self.row_buf);
-        rec.write_row_masked(&mut row, self.plan.base_cols);
-        self.process_row_shared(&row, now, &[], &[]);
-        self.row_buf = row;
-        Ok(())
+        self.try_process_batch(std::slice::from_ref(rec))
     }
 
-    /// Process a batch of queue records — the **vectorized** entry point.
-    /// Semantically identical to calling [`Runtime::process_record`] per
-    /// element (and tested byte-identical to be, `tests/batch_equivalence.rs`),
-    /// but executed node-at-a-time: the batch is cut into cache-sized
-    /// chunks (at most one `u64` mask word of lanes), each chunk's rows
-    /// materialize into reusable lane buffers, and each GroupBy/Project
-    /// node sweeps only the set bits of its `u64` survivor bitmask — its
-    /// own filter verdict fuses into the sweep, clearing the lane's bit in
-    /// the same row visit. A node's store and fold kernel stay hot across
-    /// the chunk instead of being evicted by the other nodes' work after
-    /// every record.
+    /// Process a batch of queue records — the engine's one entry point.
+    /// Results do not depend on how a stream is cut into batches (pinned
+    /// byte-identical across chunkings and against
+    /// [`crate::Oracle::predict`] by `tests/batch_equivalence.rs` and
+    /// `tests/oracle_residency.rs`). Execution is node-at-a-time: the batch
+    /// is cut into cache-sized chunks (at most one `u64` mask word of
+    /// lanes), each chunk's rows materialize into reusable lane buffers
+    /// (only the columns the compiled program reads), and each
+    /// GroupBy/Project node sweeps only the set bits of its `u64` survivor
+    /// bitmask — its own filter verdict fuses into the sweep, clearing the
+    /// lane's bit in the same row visit. A node's store and fold kernel
+    /// stay hot across the chunk instead of being evicted by the other
+    /// nodes' work after every record.
     ///
     /// # Panics
     ///
@@ -448,115 +434,6 @@ impl Runtime {
         Ok(())
     }
 
-    /// Process one base-schema row observed at time `now`: a single flat
-    /// pass over the plan in topological order. Each node reads its input
-    /// from the base row or an upstream node's output slot and writes its
-    /// own slot; inactive (collect-only) nodes are skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics (also in release builds) when called after
-    /// [`Runtime::finish`].
-    pub fn process_row(&mut self, row: &[Value], now: Nanos) {
-        self.check_live().unwrap_or_else(|e| panic!("{e}"));
-        self.process_row_shared(row, now, &[], &[]);
-    }
-
-    /// [`Runtime::process_row`] with a cross-query shared scratch: the
-    /// multi-query dataplane evaluates each *unique* base filter and group
-    /// key once per record ([`crate::MultiRuntime`]), and nodes annotated
-    /// with a shared slot read the precomputed verdict/key instead of
-    /// re-evaluating. With empty slices (the single-program entry points)
-    /// this is exactly the unshared pass — annotations only exist on
-    /// runtimes installed behind a `MultiRuntime`.
-    pub(crate) fn process_row_shared(
-        &mut self,
-        row: &[Value],
-        now: Nanos,
-        shared_pass: &[bool],
-        shared_keys: &[InlineKey],
-    ) {
-        debug_assert!(!self.finished, "process after finish");
-        self.records += 1;
-        let Runtime {
-            plan,
-            params,
-            stores,
-            captures,
-            outputs,
-            live,
-            stack,
-            key_buf,
-            ..
-        } = self;
-        for (idx, node) in plan.nodes.iter().enumerate() {
-            live[idx] = false;
-            if !node.active {
-                continue;
-            }
-            // Upstream slots have smaller indices: split so the input row
-            // and this node's output buffer borrow disjoint ranges.
-            let (upstream, rest) = outputs.split_at_mut(idx);
-            let input: &[Value] = match node.source {
-                RowSource::Base => row,
-                RowSource::Node(p) => {
-                    if !live[p] {
-                        continue;
-                    }
-                    &upstream[p]
-                }
-            };
-            if let Some(slot) = node.shared_filter {
-                // The verdict was computed once for every program sharing
-                // this predicate (base-rooted nodes only, so it applies to
-                // exactly this input row).
-                if !shared_pass[slot as usize] {
-                    continue;
-                }
-            } else if let Some(f) = &node.filter {
-                if !f.pass(stack, input, params) {
-                    continue;
-                }
-            }
-            match &node.kind {
-                NodeKind::Project { cols } => {
-                    let out = &mut rest[0];
-                    out.clear();
-                    for c in cols {
-                        out.push(
-                            c.eval(stack, &[], input, params)
-                                .expect("type-checked projection cannot fail"),
-                        );
-                    }
-                    if let Some(cap) = captures[idx].as_mut() {
-                        cap.push(out);
-                    }
-                    live[idx] = true;
-                }
-                NodeKind::GroupBy { key_cols, output } => {
-                    let key = if let Some(slot) = node.shared_key {
-                        shared_keys[slot as usize].clone()
-                    } else {
-                        build_group_key(key_cols, input, key_buf)
-                    };
-                    let store = stores[idx].as_mut().expect("groupby has a store");
-                    let state = store.observe_ref(key, input, now);
-                    if node.emits {
-                        let out = &mut rest[0];
-                        out.clear();
-                        for o in output {
-                            out.push(match o {
-                                GroupOutput::Key(i) => input[key_cols[*i]],
-                                GroupOutput::StateVar(j) => state.vars[*j],
-                            });
-                        }
-                        live[idx] = true;
-                    }
-                }
-            }
-        }
-    }
-
     /// The vectorized sweep: process one chunk of at most [`LANES`]
     /// materialized rows node-at-a-time under survivor bitmasks.
     ///
@@ -568,15 +445,14 @@ impl Runtime {
     /// prefix computed one, and sweeps the set bits in ascending lane
     /// order; an unshared filter evaluates *inside* the sweep, clearing
     /// the lane's bit and skipping the node body in the same row visit.
-    /// This is byte-identical to the record-at-a-time
-    /// pass ([`Runtime::process_row`] per row) because every store and
-    /// capture buffer belongs to exactly one node and set bits are visited
-    /// in record order: each store sees the same update sequence, each
-    /// capture the same rows in the same order, and a downstream node's
-    /// lane input is exactly the output its upstream computed for that
-    /// record (per-lane buffers are only read at lanes the upstream's live
-    /// mask covers). Warm chunks allocate nothing: lane buffers, masks and
-    /// the shared stack are all reused across calls.
+    /// A chunk of `n` lanes is byte-identical to `n` one-lane chunks
+    /// because every store and capture buffer belongs to exactly one node
+    /// and set bits are visited in record order: each store sees the same
+    /// update sequence, each capture the same rows in the same order, and
+    /// a downstream node's lane input is exactly the output its upstream
+    /// computed for that record (per-lane buffers are only read at lanes
+    /// the upstream's live mask covers). Warm chunks allocate nothing: lane
+    /// buffers, masks and the shared stack are all reused across calls.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn process_lanes_shared(
         &mut self,
@@ -637,10 +513,10 @@ impl Runtime {
             } else if let Some(f) = &node.filter {
                 // Unshared filters fuse into the sweep below: the verdict
                 // and the node's work happen in one visit while the lane
-                // row is hot, exactly as the record-at-a-time pass does
-                // (a separate `survivors` pass would walk the rows twice;
-                // the precomputed masks above already paid their second
-                // walk once for ALL programs sharing the predicate).
+                // row is hot (a separate `survivors` pass would walk the
+                // rows twice; the precomputed masks above already paid
+                // their second walk once for ALL programs sharing the
+                // predicate).
                 (in_mask, Some(f))
             } else {
                 (in_mask, None)

@@ -80,22 +80,29 @@ impl WindowedRuntime {
         self.window_start = self.window_end();
     }
 
-    /// Process a record, rolling windows as its observation time requires.
-    /// Records must arrive in non-decreasing observation-time order, which
-    /// the network's record stream provides.
+    /// Process a record, rolling windows as its observation time requires
+    /// ([`WindowedRuntime::process_batch`] over a one-record batch).
     pub fn process_record(&mut self, rec: &QueueRecord) {
-        let at = rec.observed_at();
-        while at >= self.window_end() {
-            self.roll();
-        }
-        self.current.process_record(rec);
+        self.process_batch(std::slice::from_ref(rec));
     }
 
-    /// Process a batch of records (windows roll per record, exactly as in
-    /// the record-at-a-time path).
-    pub fn process_batch(&mut self, recs: &[QueueRecord]) {
-        for rec in recs {
-            self.process_record(rec);
+    /// Process a batch of records. Records must arrive in non-decreasing
+    /// observation-time order, which the network's record stream provides.
+    /// The batch is cut where a record's observation time reaches the open
+    /// window's end; the windows roll there, so every roll lands between
+    /// the same two records at any batching, and each slice runs through
+    /// [`Runtime::process_batch`].
+    pub fn process_batch(&mut self, mut recs: &[QueueRecord]) {
+        while let Some(first) = recs.first() {
+            while first.observed_at() >= self.window_end() {
+                self.roll();
+            }
+            let end = self.window_end();
+            let n = (recs.iter())
+                .position(|r| r.observed_at() >= end)
+                .unwrap_or(recs.len());
+            self.current.process_batch(&recs[..n]);
+            recs = &recs[n..];
         }
     }
 

@@ -177,8 +177,10 @@
 //! durable truth, and rewrite work stays proportional to the bytes logged
 //! instead of re-encoding the whole table at every checkpoint. A failed
 //! group commit cuts the WAL back to its committed length and keeps its
-//! buffer, so a retry in the same process appends it exactly once.
-//! `tests/durability_crash.rs` pins all
+//! buffer, so a retry in the same process appends it exactly once; a
+//! compaction whose segment landed but whose WAL replacement failed adopts
+//! the segment, and the next commit replaces the stale WAL before it
+//! appends. `tests/durability_crash.rs` pins all
 //! of this differentially against never-crashed references;
 //! `tests/durability_property.rs` pins the order/geometry-independence
 //! claim property-style.

@@ -101,6 +101,13 @@ fn decode_of<T: Persist>(r: &mut ByteReader<'_>) -> Option<T> {
     T::decode(r)
 }
 
+/// The bytes of an empty WAL at `generation`.
+fn empty_wal(generation: u64) -> Vec<u8> {
+    let mut hdr = Vec::with_capacity(HEADER_LEN);
+    put_header(&mut hdr, generation);
+    hdr
+}
+
 /// The durable spill tier of one store.
 ///
 /// Generic over key and value but **bound-free on the hot path**: the
@@ -139,6 +146,11 @@ pub struct SpillTier<K, V> {
     /// A failed commit could not cut the WAL back to `wal_len` (the backend
     /// was dead): the next commit cuts first.
     wal_torn: bool,
+    /// A compaction published its segment but could not replace the WAL:
+    /// the file on disk is older than the segment (reads skip it as
+    /// folded), and the next commit replaces it with an empty log at
+    /// `generation` before it appends.
+    wal_stale: bool,
     stats: SpillStats,
     enc_key: fn(&K, &mut Vec<u8>),
     dec_key: fn(&mut ByteReader<'_>) -> Option<K>,
@@ -170,6 +182,7 @@ impl<K: Persist, V: Persist> SpillTier<K, V> {
             wal_len: HEADER_LEN as u64,
             seg_len: 0,
             wal_torn: false,
+            wal_stale: false,
             stats: SpillStats::default(),
             enc_key: encode_of::<K>,
             dec_key: decode_of::<K>,
@@ -188,9 +201,7 @@ impl<K: Persist, V: Persist> SpillTier<K, V> {
             }
             None => {
                 tier.generation = seg_gen.unwrap_or(0);
-                let mut hdr = Vec::with_capacity(HEADER_LEN);
-                put_header(&mut hdr, tier.generation);
-                be.write_atomic(&tier.wal, &hdr)?;
+                be.write_atomic(&tier.wal, &empty_wal(tier.generation))?;
             }
         }
         drop(be);
@@ -315,7 +326,10 @@ impl<K, V> SpillTier<K, V> {
             return Ok(());
         }
         let mut be = self.backend.lock().expect("backend mutex");
-        if self.wal_torn {
+        if self.wal_stale {
+            be.write_atomic(&self.wal, &empty_wal(self.generation))?;
+            self.wal_stale = false;
+        } else if self.wal_torn {
             be.truncate(&self.wal, self.wal_len)?;
             self.wal_torn = false;
         }
@@ -442,7 +456,9 @@ impl<K, V> SpillTier<K, V> {
     /// log at the same generation. Both replacements are atomic; a crash
     /// between them leaves a WAL whose generation is older than the
     /// segment's, which recovery and materialization ignore as
-    /// already-folded.
+    /// already-folded. A failed WAL replacement is survivable in-process
+    /// too: once the segment has landed the tier adopts it, and its next
+    /// commit replaces the stale WAL before appending.
     ///
     /// Folding only shortens replay — segment + WAL read the same either
     /// way — so the rule bounds rewrite work by the bytes logged, not by
@@ -461,7 +477,6 @@ impl<K, V> SpillTier<K, V> {
         }
         let mut truth = BackingStore::with_capacity(self.mode, self.segment_keys);
         self.materialize_into(&mut truth, &merge)?;
-        self.segment_keys = truth.len();
         let next_gen = self.generation + 1;
         let mut seg = Vec::new();
         put_header(&mut seg, next_gen);
@@ -478,18 +493,18 @@ impl<K, V> SpillTier<K, V> {
             }
             end_frame(&mut seg, s);
         }
-        let mut wal = Vec::with_capacity(HEADER_LEN);
-        put_header(&mut wal, next_gen);
         let mut be = self.backend.lock().expect("backend mutex");
         be.write_atomic(&self.seg, &seg)?;
-        be.write_atomic(&self.wal, &wal)?;
+        let replaced = be.write_atomic(&self.wal, &empty_wal(next_gen));
         drop(be);
         self.generation = next_gen;
+        self.segment_keys = truth.len();
         self.seg_len = seg.len() as u64;
         self.wal_len = HEADER_LEN as u64;
+        self.wal_stale = replaced.is_err();
         self.dirty = !truth.is_empty();
         self.stats.compactions += 1;
-        Ok(())
+        replaced
     }
 
     /// Crash repair: reconcile generations and truncate the WAL to the
@@ -511,6 +526,7 @@ impl<K, V> SpillTier<K, V> {
         self.buf.clear();
         self.retired = false;
         self.wal_torn = false;
+        self.wal_stale = false;
         let mut be = self.backend.lock().expect("backend mutex");
         let seg = be.read(&self.seg)?;
         let seg_gen = seg.as_deref().and_then(read_header);
@@ -525,9 +541,7 @@ impl<K, V> SpillTier<K, V> {
         };
         if stale {
             self.generation = seg_gen.unwrap_or(0);
-            let mut hdr = Vec::with_capacity(HEADER_LEN);
-            put_header(&mut hdr, self.generation);
-            be.write_atomic(&self.wal, &hdr)?;
+            be.write_atomic(&self.wal, &empty_wal(self.generation))?;
             self.wal_len = HEADER_LEN as u64;
             self.dirty = seg_dirty;
             return Ok(());
@@ -676,6 +690,56 @@ mod tests {
             assert_eq!(got, want, "fault {fault:?}");
             assert!(no_garbage(&wal), "fault {fault:?}: garbage left mid-WAL");
         }
+    }
+
+    /// A failed compaction is survivable in-process: the segment replace
+    /// lands, the WAL replace fails, heal, ingest, checkpoint again — the
+    /// tier's durable truth, a cold recovery from its files and the drain
+    /// are the never-faulted twin's. A tier that kept its old generation
+    /// would append every later frame to a WAL older than the segment,
+    /// which reads skip as already folded.
+    #[test]
+    fn a_failed_compaction_is_survived_in_process() {
+        let run = |fault: bool| {
+            let handle = Arc::new(Mutex::new(FaultBackend::new()));
+            let mut s = store(handle.clone(), CHECKPOINT_COMMITS);
+            feed(&mut s, 48, 0, 300);
+            s.persist(300).expect("checkpoint");
+            if fault {
+                // The compaction's mutating ops: segment replace, WAL replace.
+                let at = handle.lock().unwrap().ops() + 1;
+                handle.lock().unwrap().arm(at, 0);
+                assert!(s.compact_spill().is_err(), "the armed fault fires");
+                handle.lock().unwrap().heal();
+            } else {
+                s.compact_spill().expect("compact");
+            }
+            feed(&mut s, 48, 300, 600);
+            s.persist(600).expect("checkpoint after heal");
+            s.compact_spill().expect("compact after heal");
+            feed(&mut s, 48, 600, 900);
+            s.persist(900).expect("checkpoint");
+            let mut tier = BackingStore::new(MergeMode::Merge);
+            let tier_of = |s: &SplitStore<u64, CounterOps>| s.spill().unwrap().clone();
+            tier_of(&s)
+                .materialize_into(&mut tier, |a, b| *a += b)
+                .expect("materialize");
+            let mut cold = SpillTier::<u64, u64>::open(
+                handle.clone(),
+                "t_",
+                MergeMode::Merge,
+                CHECKPOINT_COMMITS,
+            )
+            .expect("open");
+            cold.recover(Some(900)).expect("recover");
+            let mut recovered = BackingStore::new(MergeMode::Merge);
+            cold.materialize_into(&mut recovered, |a, b| *a += b)
+                .expect("materialize");
+            (counts(tier.iter()), counts(recovered.iter()), drained(s))
+        };
+        let want = run(false);
+        assert_eq!(want.2.iter().map(|r| r.1).sum::<u64>(), 900);
+        assert_eq!(run(true), want);
     }
 
     /// A backend whose next append tears and fails but which stays alive —

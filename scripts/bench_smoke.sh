@@ -35,6 +35,7 @@ trap 'rm -rf "$OUT" "$OUT2" "$CHECK" "$SUSPECTS" "$RES_DIR"' EXIT
 
 echo "== equivalence gate: engines + store layout vs references =="
 # A fast benchmark that computes the wrong answer is worthless: re-prove the
+# engine equal to the oracle's residency prediction under eviction, the
 # batched/sharded/multi-query engines equivalent to single-stream, the
 # incremental read path exact and non-perturbing, the SoA store
 # byte-identical to the reference layout, the area planner within budget,
@@ -44,6 +45,7 @@ echo "== equivalence gate: engines + store layout vs references =="
 # anything. --no-fail-fast: one red target must not hide the ones ordered
 # after it.
 cargo test --release -q --no-fail-fast \
+    --test oracle_residency \
     --test batch_equivalence \
     --test shard_equivalence \
     --test shard_property \

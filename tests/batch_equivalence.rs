@@ -1,10 +1,12 @@
-//! Referee tests for the optimized dataplane: the batched entry point must
-//! be indistinguishable from record-at-a-time processing, and the whole
-//! bytecode/plan engine must reproduce the tree-walking oracle bit for bit
-//! (within float tolerance) on every Fig. 2 query.
+//! Referee tests for the optimized dataplane: results must not depend on
+//! how a stream is cut into batches (one-record batches included), and the
+//! whole bytecode/plan engine must reproduce the tree-walking oracle bit for
+//! bit (within float tolerance) on every Fig. 2 query — the exact truth
+//! without evictions, the residency prediction ([`Oracle::predict`]) under
+//! eviction pressure.
 
 use perfq::prelude::*;
-use perfq_core::diff_tables;
+use perfq_core::{diff_tables, Prediction};
 use perfq_switch::QueueRecord;
 
 /// A trace with drops, TCP anomalies and multi-queue records.
@@ -18,6 +20,23 @@ fn records(n: usize) -> Vec<QueueRecord> {
 
 fn compiled(src: &str, opts: CompileOptions) -> CompiledProgram {
     perfq_core::compile_query(src, &fig2::default_params(), opts).expect("fig2 queries compile")
+}
+
+/// A finished runtime against the oracle's residency prediction: tables
+/// within float tolerance, validity bits and store counters exact.
+fn assert_predicted(rt: &Runtime, want: &Prediction, what: &str) {
+    let got = rt.collect();
+    assert_eq!(got.tables.len(), want.results.tables.len(), "{what}");
+    for (a, b) in got.tables.iter().zip(&want.results.tables) {
+        if let Some(d) = diff_tables(a, b, 1e-9) {
+            panic!("{what}: {d}");
+        }
+        let valid = |t: &ResultTable| t.rows.iter().map(|r| r.valid).collect::<Vec<_>>();
+        assert_eq!(valid(a), valid(b), "{what}: validity of {}", a.name);
+    }
+    for (i, stats) in want.stats.iter().enumerate() {
+        assert_eq!(rt.store_stats(i), *stats, "{what}: store {i}");
+    }
 }
 
 /// `process_batch` (any chunking) and `process_record` produce identical
@@ -59,7 +78,8 @@ fn batch_and_single_record_processing_are_identical() {
 }
 
 /// Under eviction pressure the equivalence must still hold exactly — the
-/// batched path may not change hit/miss/eviction behaviour.
+/// batching may not change hit/miss/eviction behaviour — and both runs
+/// must report what the residency prediction says.
 #[test]
 fn batch_equivalence_survives_eviction_pressure() {
     let recs = records(3_000);
@@ -70,6 +90,7 @@ fn batch_equivalence_survives_eviction_pressure() {
     };
     for q in fig2::ALL {
         let c = compiled(q.source, opts);
+        let want = Oracle::predict(c.clone(), &recs);
         let mut single = Runtime::new(c.clone());
         let mut batched = Runtime::new(c);
         for r in &recs {
@@ -79,6 +100,8 @@ fn batch_equivalence_survives_eviction_pressure() {
         single.finish();
         batched.finish();
         assert_eq!(single.collect(), batched.collect(), "{}", q.name);
+        assert_predicted(&single, &want, &format!("{} (single)", q.name));
+        assert_predicted(&batched, &want, &format!("{} (batched)", q.name));
     }
 }
 
@@ -230,7 +253,7 @@ fn bursty_runs_coalesce_identically() {
 /// Coalescing under eviction pressure: with a tiny cache, a run's first
 /// packet may evict a victim mid-chunk while later packets of the same run
 /// ride the held slot. Hit/miss/eviction streams and results must still be
-/// byte-identical to one-at-a-time processing.
+/// byte-identical to one-at-a-time processing, and equal the prediction.
 #[test]
 fn bursty_runs_survive_eviction_pressure_identically() {
     let recs = burstify(&records(3_000));
@@ -241,6 +264,7 @@ fn bursty_runs_survive_eviction_pressure_identically() {
     };
     for q in fig2::ALL {
         let c = compiled(q.source, opts);
+        let want = Oracle::predict(c.clone(), &recs);
         let mut single = Runtime::new(c.clone());
         let mut batched = Runtime::new(c);
         for r in &recs {
@@ -258,6 +282,7 @@ fn bursty_runs_survive_eviction_pressure_identically() {
             );
         }
         assert_eq!(single.collect(), batched.collect(), "{}", q.name);
+        assert_predicted(&batched, &want, q.name);
     }
 }
 
