@@ -9,11 +9,13 @@
 //! names derived from one deployment prefix:
 //!
 //! ```text
-//!   <prefix>q<i>_wal / _seg          one store of a plain Runtime
-//!   <prefix>s<i>_q<j>_wal / _seg     shard i, store j of a ShardedRuntime
-//!   <prefix>p<id>_q<j>_wal / _seg    program <install id> of a MultiRuntime
-//!   <prefix>MANIFEST                 the deployment's committed checkpoint
-//!   <prefix>retired_<id>             an uninstalled program's final results
+//!   <prefix>q<i>_wal / _seg               one store of a plain Runtime
+//!   <prefix>p<id>_q<j>_wal / _seg         program <install id> of a MultiRuntime
+//!   <prefix>p<id>_s<i>_q<j>_wal / _seg    shard i of program <install id> of a
+//!                                         MultiSharded; a ShardedRuntime is
+//!                                         program 0 (p0_s<i>_q<j>_)
+//!   <prefix>MANIFEST                      the deployment's committed checkpoint
+//!   <prefix>retired_<id>                  an uninstalled program's final results
 //! ```
 //!
 //! The checkpoint/resume protocol lives here, once, for every plane (the
@@ -25,9 +27,11 @@
 //! the manifest and returns the resume index; the caller re-ingests the
 //! stream from that record on, and the deployment's reads are
 //! byte-identical to a never-crashed deployment that persisted at the same
-//! indices (`tests/durability_crash.rs`). A plane's own `persist` /
-//! `recover` only name its workers (`""`, `s<i>_`, `p<id>_`) and keep the
-//! record index.
+//! indices (`tests/durability_crash.rs`). Exactly two callers name the
+//! workers and keep the record index: [`crate::Runtime`] (its one worker,
+//! `""`) and the multi-worker planes' lifecycle core in [`crate::multi`]
+//! (`p<id>_` / `p<id>_s<i>_`), which every sharded and multi-program
+//! front end delegates to.
 
 use crate::result::{ResultRow, ResultSet, ResultTable};
 use crate::runtime::Runtime;

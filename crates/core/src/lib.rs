@@ -215,6 +215,12 @@
 //! overflows its capture limit the retained sample is shard-biased, though
 //! totals and row counts stay exact (see [`sharded`] for the full caveat).
 //!
+//! [`ShardedRuntime`] is not a plane of its own: it is [`MultiSharded`] (see
+//! below) at K = 1 — one program, no sharing pass — over the crate-private
+//! transport in [`sharded`] (router, SPSC feeds, worker threads,
+//! pause/resume, merge-on-drain). Its poll, persist and recover are the
+//! multi-program plane's, written once.
+//!
 //! # Multi-query execution
 //!
 //! The paper's §3.3 prices **one** fixed slice of switch SRAM that every
@@ -230,7 +236,8 @@
 //!   network event loop instead of K full replays (the `multi_query` bench
 //!   group guards the speedup).
 //! * [`MultiSharded`] — N workers per program behind SPSC queues (one
-//!   [`ShardedRuntime`] each); every record is routed once per program.
+//!   worker group each); every record is routed once per program.
+//!   [`ShardedRuntime`] is its K = 1 case.
 //!
 //! On the provisioning side, [`provision`] runs
 //! `perfq_kvstore::CachePlanner` over the programs' reported key/state
@@ -358,9 +365,14 @@
 //! a rejected install leaves no trace.
 //!
 //! The durable tier has the same shape: one checkpoint routine
-//! ([`durable`]) serves [`Runtime::persist`], [`ShardedRuntime::persist`]
-//! and [`MultiRuntime::persist`] — each plane only names its workers'
-//! files. [`MultiSharded`] has no durable tier yet.
+//! ([`durable`]) serves [`Runtime::persist`] and the lifecycle core, which
+//! implements enable / persist / recover and the retired-result publish
+//! and read once for every multi-worker plane — [`MultiRuntime`],
+//! [`MultiSharded`] and, as its K = 1 case, [`ShardedRuntime`]. The core
+//! names each worker's files (`p<id>_`, or `p<id>_s<i>_` per shard) and
+//! keeps the manifest; a sharded plane quiesces its workers for the call
+//! and resumes them whatever it returns. Recovery covers deployments
+//! without mid-stream installs or uninstalls.
 //!
 //! # Example
 //!
@@ -402,8 +414,8 @@ pub use compiler::{compile_program, CompileError, CompileOptions, CompiledProgra
 pub use durable::{decode_results, encode_results, read_retired, write_retired, Durability};
 pub use foldops::{FoldOps, FoldState};
 pub use multi::{
-    demand_of, provision, shard_programs, InstallError, MultiRuntime, MultiSharded, SharedSlot,
-    SharedStore, SharingReport,
+    demand_of, provision, InstallError, MultiRuntime, MultiSharded, SharedSlot, SharedStore,
+    SharingReport,
 };
 pub use oracle::{Oracle, Prediction};
 pub use result::{diff_tables, DeltaCursor, DeltaRow, ResultRow, ResultSet, ResultTable};

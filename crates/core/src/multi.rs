@@ -25,9 +25,11 @@
 //!   stores — executes **once**.
 //! * **One lifecycle** (see below): [`MultiRuntime`] (one worker per
 //!   program, on the caller) and [`MultiSharded`] (N workers per program,
-//!   behind queues) are two front ends over one private core that
-//!   implements install, uninstall, replan → migrate → repair and poll
-//!   source resolution exactly once.
+//!   behind queues; [`ShardedRuntime`](crate::ShardedRuntime) is its K = 1
+//!   case) are two front ends over one private core that implements
+//!   install, uninstall, replan → migrate → repair, poll source resolution
+//!   and the durable tier (enable, persist, recover, retired results)
+//!   exactly once.
 //!
 //! ```text
 //!                                             ┌─▶ ExecPlan(program 0) ─▶ stores₀ (slice₀)
@@ -113,7 +115,8 @@
 //! ([`StoreDemand::dedup`](perfq_kvstore::StoreDemand)).
 //!
 //! [`MultiSharded`] runs the same discipline across cores: each program
-//! runs its own [`ShardedRuntime`], and under a plan every shard's cache is
+//! runs its own worker group (router, SPSC queues, N worker threads), and
+//! under a plan every shard's cache is
 //! sized at `1/N` of the program's slice
 //! ([`StoreAllocation::shard_geometry`](perfq_kvstore::StoreAllocation::shard_geometry))
 //! — total area stays constant as the dataplane scales out, which is what
@@ -140,7 +143,7 @@ use crate::durable::{read_retired, write_retired, Durability};
 use crate::plan::{lane_mask, ExecPlan, Filter, NodeKind, RowSource, CHUNK, LANES};
 use crate::result::ResultSet;
 use crate::runtime::Runtime;
-use crate::sharded::{ShardSpec, ShardedRuntime};
+use crate::sharded::{ShardGroup, ShardSpec};
 use perfq_kvstore::{
     AreaPlan, CacheGeometry, CachePlanner, InlineKey, PlanError, QueryAllocation, QueryDemand,
     StoreDemand,
@@ -312,21 +315,6 @@ fn set_geometries(
         geometries.next().is_none(),
         "geometries cover exactly the stores"
     );
-}
-
-/// The per-worker programs of a sharded deployment under an allocation:
-/// `shards` clones of `compiled`, each store sized at `1/shards` of its
-/// slice — constant total area as the dataplane scales out.
-pub fn shard_programs(
-    compiled: &CompiledProgram,
-    alloc: &QueryAllocation,
-    shards: usize,
-) -> Result<Vec<CompiledProgram>, PlanError> {
-    assert!(shards > 0, "need at least one shard");
-    // The shard geometries are identical per shard.
-    let mut worker = compiled.clone();
-    set_geometries(&mut worker, worker_geometries(Some(shards), alloc)?);
-    Ok(vec![worker; shards])
 }
 
 // ---------------------------------------------------------------------------
@@ -817,8 +805,8 @@ impl std::error::Error for InstallError {
 /// Program `p`'s **quiesced** worker runtimes, in shard order — the only
 /// form in which the lifecycle core touches a runtime. The inline plane
 /// lends each program's runtime as a one-element group; the sharded plane
-/// hands over what [`ShardedRuntime::pause`] returned, and leaves `None`
-/// for a group it kept running (the core reports beforehand which groups
+/// hands over what `ShardGroup::pause` returned, and leaves `None` for a
+/// group it kept running (the core reports beforehand which groups
 /// it will touch, [`Roster::touched`]).
 type Group = Option<Vec<Runtime>>;
 
@@ -880,18 +868,21 @@ struct StagedInstall {
 }
 
 /// The lifecycle core both front ends own: which programs are installed
-/// under which ids and budget, which stores are deduplicated — and the one
-/// implementation of install, uninstall, replan → migrate → repair, and
-/// poll source resolution over that bookkeeping.
+/// under which ids and budget, which stores are deduplicated, where the
+/// deployment persists — and the one implementation of install, uninstall,
+/// replan → migrate → repair, poll source resolution and the durable tier
+/// (enable, persist, recover, retired results) over that bookkeeping.
 ///
 /// The core owns no runtime and starts no thread. [`MultiRuntime`] keeps
 /// one [`Runtime`] per program on the caller's thread, [`MultiSharded`]
-/// keeps one [`ShardedRuntime`] (N workers behind queues) per program; for
-/// a lifecycle event each hands its runtimes over as [`Group`]s and takes
-/// them back afterwards. What the plane's shape changes is exactly: how
-/// many workers a group has, whether reaching them needs a pause/resume
-/// (the front end's business), and — inside the core — the two functions
-/// that read `shards`: [`gate`] and [`worker_geometries`].
+/// keeps one `ShardGroup` (N workers behind queues) per program; for a
+/// lifecycle event or a durable call each hands its runtimes over as
+/// [`Group`]s and takes them back afterwards. What the plane's shape
+/// changes is exactly: how many workers a group has, whether reaching them
+/// needs a pause/resume (the front end's business), and — inside the core
+/// — the functions that read `shards`: [`gate`], [`worker_geometries`] and
+/// the worker count and file names of [`Roster::spawn`] /
+/// [`Roster::file_component`].
 #[derive(Debug)]
 struct Roster {
     /// The installed programs at their **whole-slice** geometries, in
@@ -921,6 +912,13 @@ struct Roster {
     /// The plane's shape: `None` for the inline plane (one worker per
     /// program, on the caller), `Some(N)` for N worker shards per program.
     shards: Option<usize>,
+    /// Durable-tier configuration ([`Roster::enable_durability`]); the
+    /// roster holds the single deployment manifest, and programs installed
+    /// later join the tier on arrival.
+    durability: Option<Durability>,
+    /// Record index of the last manifested checkpoint (stale-capture
+    /// cleanup; see [`Runtime`]'s field of the same name).
+    persisted_at: Option<u64>,
 }
 
 impl Roster {
@@ -950,6 +948,8 @@ impl Roster {
             records: 0,
             share,
             shards,
+            durability: None,
+            persisted_at: None,
         };
         roster.refresh_report(&analysis.filters, &analysis.keys);
         (roster, analysis)
@@ -999,6 +999,84 @@ impl Roster {
     /// Program index of install id `id`, if it is live.
     fn position(&self, id: u64) -> Option<usize> {
         self.ids.iter().position(|x| *x == id)
+    }
+
+    /// Fresh worker runtimes for one program: one on the inline plane, one
+    /// per shard on the sharded one.
+    fn spawn(&self, worker: &CompiledProgram) -> Vec<Runtime> {
+        let n = self.shards.unwrap_or(1);
+        (0..n).map(|_| Runtime::new(worker.clone())).collect()
+    }
+
+    /// The durable file-name component of install id `id`'s worker `shard`:
+    /// `p<id>_` on the inline plane, `p<id>_s<shard>_` on the sharded one —
+    /// stable across the index shifts of install/uninstall.
+    fn file_component(&self, id: u64, shard: usize) -> String {
+        match self.shards {
+            None => format!("p{id}_"),
+            Some(_) => format!("p{id}_s{shard}_"),
+        }
+    }
+
+    /// Every quiesced worker with its durable file-name component, program
+    /// by program, in shard order.
+    fn named<'g>(&self, groups: &'g mut [Group]) -> Vec<(String, &'g mut Runtime)> {
+        let mut named = Vec::new();
+        for (id, group) in self.ids.iter().zip(groups) {
+            let workers = group.as_mut().expect("durable calls quiesce every group");
+            let component = |(shard, rt)| (self.file_component(*id, shard), rt);
+            named.extend(workers.iter_mut().enumerate().map(component));
+        }
+        named
+    }
+
+    /// Attach a durable spill tier to every store of every quiesced worker
+    /// (see [`crate::durable`]).
+    fn enable_durability(&mut self, d: Durability, groups: &mut [Group]) -> std::io::Result<()> {
+        for (sub, rt) in self.named(groups) {
+            rt.enable_durability_prefixed(&d, &sub)?;
+        }
+        self.durability = Some(d);
+        Ok(())
+    }
+
+    /// Durably checkpoint every quiesced worker at the deployment's record
+    /// index and advance the single manifest ([`crate::durable::persist`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Roster::enable_durability`] succeeded.
+    fn persist(&mut self, groups: &mut [Group]) -> std::io::Result<()> {
+        let mut workers = self.named(groups);
+        let d = (self.durability.as_ref()).expect("persist requires enable_durability");
+        crate::durable::persist(d, self.records, &mut self.persisted_at, &mut workers)
+    }
+
+    /// Repair the freshly rebuilt deployment's quiesced workers against the
+    /// manifest and return the resume index. The checkpointed record count
+    /// lands on each program's first worker — where [`Runtime::recover`]
+    /// keeps it — so a drain after re-ingest covers the whole stream.
+    fn recover(&mut self, d: Durability, groups: &mut [Group]) -> std::io::Result<u64> {
+        let resume = crate::durable::recover(&d, &mut self.named(groups))?;
+        let at = resume.unwrap_or(0);
+        for workers in groups.iter_mut().flatten() {
+            workers[0].resume_records(at);
+        }
+        self.records = at;
+        self.persisted_at = resume;
+        self.durability = Some(d);
+        Ok(at)
+    }
+
+    /// A retired program's durably published final results; `Ok(None)`
+    /// when `id` never left under durability.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Roster::enable_durability`] succeeded.
+    fn retired(&self, id: u64) -> std::io::Result<Option<ResultSet>> {
+        let d = (self.durability.as_ref()).expect("retired requires enable_durability");
+        read_retired(d, id)
     }
 
     /// Rebuild the sharing report over the current programs and settled
@@ -1103,12 +1181,14 @@ impl Roster {
     /// The dry run of an install: nominate the arrival's alias candidates
     /// (gated by the plane's shape), replan the grown deployment, confirm
     /// the candidates at the planned geometries, and build the arrival's
-    /// per-worker program. Nothing is mutated, so an `Err` leaves the
-    /// deployment untouched.
+    /// worker runtimes — under durability with their spill tiers attached.
+    /// Nothing is mutated, so an `Err` leaves the deployment untouched; a
+    /// failed attach only burns the install id it would have taken, so a
+    /// retry never re-opens half-written files.
     fn stage_install(
-        &self,
+        &mut self,
         program: CompiledProgram,
-    ) -> Result<(StagedInstall, CompiledProgram), PlanError> {
+    ) -> Result<(StagedInstall, Vec<Runtime>), InstallError> {
         let new_idx = self.programs.len();
         let mut programs = self.programs.clone();
         programs.push(program);
@@ -1147,7 +1227,17 @@ impl Roster {
         if let Some(at) = replan.migrations.iter().position(|(pi, _)| *pi == new_idx) {
             set_geometries(&mut worker, replan.migrations.remove(at).1);
         }
-        Ok((StagedInstall { replan, candidates }, worker))
+        let mut arrival = self.spawn(&worker);
+        if let Some(d) = &self.durability {
+            for (shard, rt) in arrival.iter_mut().enumerate() {
+                let sub = self.file_component(self.next_id, shard);
+                if let Err(e) = rt.enable_durability_prefixed(d, &sub) {
+                    self.next_id += 1;
+                    return Err(InstallError::Io(e));
+                }
+            }
+        }
+        Ok((StagedInstall { replan, candidates }, arrival))
     }
 
     /// Which resident groups committing `staged` touches — the ones whose
@@ -1168,8 +1258,7 @@ impl Roster {
 
     /// Commit a staged install over the touched residents' quiesced groups
     /// and adopt the arrival under a fresh install id (returned). The front
-    /// end starts the arrival's workers from the program
-    /// [`Roster::stage_install`] handed it.
+    /// end starts the worker runtimes [`Roster::stage_install`] handed it.
     fn commit_install(&mut self, staged: StagedInstall, groups: &mut [Group]) -> u64 {
         self.apply(staged.replan, groups);
         self.aliases.extend(staged.candidates);
@@ -1194,8 +1283,15 @@ impl Roster {
     /// interchangeable; the live state moves — stream continuity preserved)
     /// and further aliases re-parent onto the promoted owner. The departing
     /// group is dropped, and under a budget the survivors replan onto the
-    /// reclaimed area, live-migrate and repair.
+    /// reclaimed area, live-migrate and repair. Under durability the final
+    /// results are published as the departing id's retired file.
+    ///
+    /// # Panics
+    ///
+    /// Under durability, panics when publishing the retired results fails
+    /// (uninstall has no error channel yet).
     fn uninstall(&mut self, pos: usize, groups: &mut Vec<Group>) -> ResultSet {
+        let id = self.ids[pos];
         let results = self.poll(pos, |p| {
             groups[p]
                 .as_deref()
@@ -1247,6 +1343,11 @@ impl Roster {
             .expect("surviving slices only grow on uninstall");
         self.apply(replan, groups);
         self.refresh_report(&[], &[]);
+        // The poll read through the durable tier (a frame replays every
+        // spilled pair); publish it so it outlives the deployment.
+        if let Some(d) = &self.durability {
+            write_retired(d, id, &results).expect("retired-results publish");
+        }
         results
     }
 
@@ -1340,14 +1441,6 @@ pub struct MultiRuntime {
     key_buf: Vec<InlineKey>,
     /// Bytecode stack for shared filter evaluation.
     stack: EvalStack,
-    /// Durable-tier configuration ([`MultiRuntime::enable_durability`]).
-    /// Program `id` persists under the `p<id>_` name component; uninstall
-    /// additionally publishes the departing program's final results as a
-    /// retired file ([`MultiRuntime::retired`]).
-    durability: Option<Durability>,
-    /// Record index of the last manifested checkpoint (stale-capture
-    /// cleanup; see [`Runtime`]'s field of the same name).
-    persisted_at: Option<u64>,
 }
 
 impl MultiRuntime {
@@ -1394,8 +1487,6 @@ impl MultiRuntime {
             pass_masks: Vec::new(),
             key_buf: Vec::new(),
             stack: EvalStack::new(),
-            durability: None,
-            persisted_at: None,
         };
         multi.annotate(analysis.filters, analysis.keys);
         multi
@@ -1450,15 +1541,6 @@ impl MultiRuntime {
         self.roster.records
     }
 
-    /// The installed runtimes with their durable file-name components
-    /// (`p<id>_` — stable across the index shifts of install/uninstall).
-    fn program_named(&mut self) -> Vec<(String, &mut Runtime)> {
-        let ids = self.roster.ids.iter();
-        ids.zip(&mut self.runtimes)
-            .map(|(id, rt)| (format!("p{id}_"), rt))
-            .collect()
-    }
-
     /// Attach a durable spill tier to every installed program's stores
     /// (off by default; see [`crate::durable`]). Program `id` persists
     /// under the `p<id>_` name component — stable across the index shifts
@@ -1466,15 +1548,11 @@ impl MultiRuntime {
     /// ([`MultiRuntime::install`]) join the durable tier on arrival.
     /// Uninstall additionally publishes the departing program's final
     /// results as a retired file ([`MultiRuntime::retired`]). The sharded
-    /// frontend ([`MultiSharded`]) does not take a durable tier yet —
-    /// persist from the single-threaded plane, or use [`ShardedRuntime`]
-    /// for a durable sharded single program.
+    /// planes take the same tier: [`MultiSharded::enable_durability`], and
+    /// [`ShardedRuntime::enable_durability`](crate::ShardedRuntime::enable_durability)
+    /// for one program.
     pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
-        for (sub, rt) in self.program_named() {
-            rt.enable_durability_prefixed(&d, &sub)?;
-        }
-        self.durability = Some(d);
-        Ok(())
+        self.lent(|roster, groups| roster.enable_durability(d, groups))
     }
 
     /// Durably checkpoint the whole deployment at the current record
@@ -1486,14 +1564,7 @@ impl MultiRuntime {
     ///
     /// Panics unless [`MultiRuntime::enable_durability`] was called.
     pub fn persist(&mut self) -> std::io::Result<()> {
-        let d = self
-            .durability
-            .clone()
-            .expect("persist requires enable_durability");
-        let (at, mut persisted_at) = (self.roster.records, self.persisted_at);
-        let outcome = crate::durable::persist(&d, at, &mut persisted_at, &mut self.program_named());
-        self.persisted_at = persisted_at;
-        outcome
+        self.lent(|roster, groups| roster.persist(groups))
     }
 
     /// Recover a crashed multi-query deployment that had **no mid-stream
@@ -1501,7 +1572,8 @@ impl MultiRuntime {
     /// analysis is deterministic, so aliases, store layout, and durable
     /// file names all reproduce) and repair each program's files against
     /// the single deployment manifest. Returns the plane with the resume
-    /// index (see [`Runtime::recover`]). Deployments that installed or
+    /// index (see [`Runtime::recover`]); every program's record count
+    /// includes the checkpointed prefix. Deployments that installed or
     /// uninstalled mid-stream are out of recovery's scope — but their
     /// retired files stay readable ([`MultiRuntime::retired`]).
     pub fn recover(
@@ -1509,11 +1581,7 @@ impl MultiRuntime {
         d: Durability,
     ) -> std::io::Result<(Self, u64)> {
         let mut multi = Self::new(programs);
-        let resume = crate::durable::recover(&d, &mut multi.program_named())?;
-        let at = resume.unwrap_or(0);
-        multi.roster.records = at;
-        multi.persisted_at = resume;
-        multi.durability = Some(d);
+        let at = multi.lent(|roster, groups| roster.recover(d, groups))?;
         Ok((multi, at))
     }
 
@@ -1524,23 +1592,18 @@ impl MultiRuntime {
     ///
     /// Panics unless [`MultiRuntime::enable_durability`] was called.
     pub fn retired(&self, id: u64) -> std::io::Result<Option<ResultSet>> {
-        let d = self
-            .durability
-            .as_ref()
-            .expect("retired requires enable_durability");
-        read_retired(d, id)
+        self.roster.retired(id)
     }
 
-    /// Lend every program's runtime to the lifecycle core as a one-worker
-    /// quiesced group (nothing runs between two calls on this plane), and
-    /// take them back.
-    fn lend(&mut self) -> Vec<Group> {
+    /// Lend every program's runtime to the roster as a one-worker quiesced
+    /// group (nothing runs between two calls on this plane) for the
+    /// duration of `f`, and take them back whatever it returns.
+    fn lent<R>(&mut self, f: impl FnOnce(&mut Roster, &mut Vec<Group>) -> R) -> R {
         let runtimes = std::mem::take(&mut self.runtimes);
-        runtimes.into_iter().map(|rt| Some(vec![rt])).collect()
-    }
-
-    fn take_back(&mut self, groups: Vec<Group>) {
+        let mut groups = runtimes.into_iter().map(|rt| Some(vec![rt])).collect();
+        let out = f(&mut self.roster, &mut groups);
         self.runtimes = groups.into_iter().flatten().flatten().collect();
+        out
     }
 
     /// Install one more compiled program into the **live** deployment —
@@ -1575,19 +1638,9 @@ impl MultiRuntime {
     /// [`InstallError::Io`] when the durable-tier attach fails; the
     /// deployment is untouched on error.
     pub fn install(&mut self, program: CompiledProgram) -> Result<u64, InstallError> {
-        let (staged, worker) = self.roster.stage_install(program)?;
-        let mut rt = Runtime::new(worker);
-        if let Some(d) = &self.durability {
-            let sub = format!("p{}_", self.roster.next_id);
-            if let Err(e) = rt.enable_durability_prefixed(d, &sub) {
-                self.roster.next_id += 1;
-                return Err(InstallError::Io(e));
-            }
-        }
-        let mut groups = self.lend();
-        let id = self.roster.commit_install(staged, &mut groups);
-        self.take_back(groups);
-        self.runtimes.push(rt);
+        let (staged, arrival) = self.roster.stage_install(program)?;
+        let id = self.lent(|roster, groups| roster.commit_install(staged, groups));
+        self.runtimes.extend(arrival);
         self.reannotate();
         Ok(id)
     }
@@ -1606,21 +1659,16 @@ impl MultiRuntime {
     /// its first surviving alias (the live state moves — stream continuity
     /// preserved) and further aliases re-parent onto the promoted owner.
     ///
+    /// Under durability the results are also published as a retired file
+    /// ([`MultiRuntime::retired`]).
+    ///
     /// # Panics
     ///
     /// Under durability, panics when publishing the retired results fails
-    /// (ROADMAP direction 4).
+    /// (uninstall has no error channel yet).
     pub fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
         let pos = self.roster.position(id)?;
-        let mut groups = self.lend();
-        let results = self.roster.uninstall(pos, &mut groups);
-        self.take_back(groups);
-        // The poll read through the durable tier (a frame replays every
-        // spilled pair); publish the retired results so they outlive the
-        // deployment.
-        if let Some(d) = &self.durability {
-            write_retired(d, id, &results).expect("retired-results publish");
-        }
+        let results = self.lent(|roster, groups| roster.uninstall(pos, groups));
         self.reannotate();
         Some(results)
     }
@@ -1803,28 +1851,24 @@ impl MultiRuntime {
                 .poll(pos, |p| std::slice::from_ref(&self.runtimes[p])),
         )
     }
-
-    /// Tear down into the per-program runtimes.
-    #[must_use]
-    pub fn into_runtimes(self) -> Vec<Runtime> {
-        self.runtimes
-    }
 }
 
 /// K programs × N shards behind one shared ingest pass: each program owns a
-/// [`ShardedRuntime`] (its own router and SPSC queues), and every record is
-/// routed once per program. Under [`MultiSharded::provisioned`], each
-/// shard's cache is `1/N` of the program's SRAM slice, so the whole
-/// deployment still fits the single fixed budget. Duplicate stores across
-/// programs are deduplicated exactly as in [`MultiRuntime`] (see the module
-/// docs): alias aggregations leave every worker's streaming pass, and the
-/// drain substitutes the owning program's merged store. Install, uninstall
-/// and poll are [`MultiRuntime`]'s, run over worker groups this plane
-/// pauses and resumes around them.
+/// worker group (its own router, SPSC queues and N worker threads), and
+/// every record is routed once per program. Under
+/// [`MultiSharded::provisioned`], each shard's cache is `1/N` of the
+/// program's SRAM slice, so the whole deployment still fits the single
+/// fixed budget. Duplicate stores across programs are deduplicated exactly
+/// as in [`MultiRuntime`] (see the module docs): alias aggregations leave
+/// every worker's streaming pass, and the drain substitutes the owning
+/// program's merged store. Install, uninstall, poll and the durable tier
+/// are [`MultiRuntime`]'s, run over worker groups this plane pauses and
+/// resumes around them; [`ShardedRuntime`](crate::ShardedRuntime) is this
+/// plane at K = 1.
 #[derive(Debug)]
 pub struct MultiSharded {
     /// One worker group per installed program.
-    sharded: Vec<ShardedRuntime>,
+    pub(crate) sharded: Vec<ShardGroup>,
     /// Who is installed, and the one lifecycle over them.
     roster: Roster,
 }
@@ -1858,11 +1902,9 @@ impl MultiSharded {
 
     /// Spawn one worker group per worker program.
     fn build(roster: Roster, workers: Vec<CompiledProgram>) -> Self {
-        let shards = roster.shards.expect("a sharded roster");
         MultiSharded {
-            sharded: workers
-                .into_iter()
-                .map(|w| ShardedRuntime::new(w, shards))
+            sharded: (workers.iter())
+                .map(|w| ShardGroup::new(roster.spawn(w)))
                 .collect(),
             roster,
         }
@@ -1957,7 +1999,7 @@ impl MultiSharded {
         let (mut routers, senders): (Vec<_>, Vec<_>) = self
             .sharded
             .iter_mut()
-            .map(ShardedRuntime::take_feeds)
+            .map(ShardGroup::take_feeds)
             .unzip();
         let counts = net.run_multi_sharded(packets, |i, r| routers[i].route(r), senders, batch);
         if let Some(first) = counts.first() {
@@ -1983,12 +2025,78 @@ impl MultiSharded {
         }
     }
 
+    /// Quiesce every worker group for the duration of `f` and resume them
+    /// all whatever it returns: a failed durable call leaves the plane
+    /// running with its in-RAM state intact.
+    fn paused<R>(&mut self, f: impl FnOnce(&mut Roster, &mut [Group]) -> R) -> R {
+        let mut groups = self.pause(&vec![true; self.sharded.len()]);
+        let out = f(&mut self.roster, &mut groups);
+        self.resume(groups);
+        out
+    }
+
+    /// Attach a durable spill tier to every worker's stores (off by
+    /// default; see [`crate::durable`]) — [`MultiRuntime::enable_durability`]
+    /// across cores. Every group quiesces between batches, shard `i` of
+    /// program `id` persists under `p<id>_s<i>_`, programs installed later
+    /// join on arrival, and ingestion resumes — also when the call fails.
+    /// One deployment manifest covers every program and shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics after [`MultiSharded::run_network`], or if a worker died.
+    pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
+        self.paused(|roster, groups| roster.enable_durability(d, groups))
+    }
+
+    /// Durably checkpoint the whole deployment at the current record index
+    /// ([`MultiRuntime::persist`] over quiesced worker groups, resumed
+    /// whatever the outcome). Routing is a pure function of each program's
+    /// key, so a recovered plane re-ingesting from the returned index
+    /// reproduces every worker's exact sub-stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`MultiSharded::enable_durability`] was called, after
+    /// [`MultiSharded::run_network`], or if a worker died.
+    pub fn persist(&mut self) -> std::io::Result<()> {
+        self.paused(|roster, groups| roster.persist(groups))
+    }
+
+    /// Recover a crashed sharded deployment — [`MultiRuntime::recover`]'s
+    /// contract and scope (no mid-stream lifecycle events) at the same
+    /// shard count. Returns the plane with the resume index.
+    pub fn recover(
+        programs: Vec<CompiledProgram>,
+        shards: usize,
+        d: Durability,
+    ) -> std::io::Result<(Self, u64)> {
+        Self::new(programs, shards).recovered(d)
+    }
+
+    /// Repair this freshly built plane's durable files against the
+    /// deployment manifest; the plane and the resume index.
+    pub(crate) fn recovered(mut self, d: Durability) -> std::io::Result<(Self, u64)> {
+        let at = self.paused(|roster, groups| roster.recover(d, groups))?;
+        Ok((self, at))
+    }
+
+    /// Read back a retired program's durably published final results.
+    /// `Ok(None)` when this id never left under durability.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`MultiSharded::enable_durability`] was called.
+    pub fn retired(&self, id: u64) -> std::io::Result<Option<ResultSet>> {
+        self.roster.retired(id)
+    }
+
     /// Install one more compiled program into the live sharded deployment
     /// — [`MultiRuntime::install`] semantics and implementation, across
     /// cores. Returns the program's stable install id.
     ///
-    /// The new program gets its own [`ShardedRuntime`] (fresh workers and
-    /// queues); under a budget every resident program's workers **pause**
+    /// The new program gets its own worker group (fresh workers and
+    /// queues, under durability with `p<id>_s<i>_` spill tiers); under a budget every resident program's workers **pause**
     /// (in-flight queue records drain to the stores first), live-migrate
     /// their caches to the replanned `1/N` shard geometries, and resume —
     /// without a budget no resident group is disturbed. Store dedup follows
@@ -2002,22 +2110,24 @@ impl MultiSharded {
     /// # Errors
     ///
     /// [`InstallError::Plan`] for whatever the replan rejects — including a
-    /// `1/N` shard slice too small for one pair; the deployment is
-    /// untouched on error.
+    /// `1/N` shard slice too small for one pair — and [`InstallError::Io`]
+    /// when the durable-tier attach fails; the deployment is untouched on
+    /// error.
     pub fn install(&mut self, program: CompiledProgram) -> Result<u64, InstallError> {
-        let (staged, worker) = self.roster.stage_install(program)?;
+        let (staged, arrival) = self.roster.stage_install(program)?;
         let mut groups = self.pause(&self.roster.touched(&staged));
         let id = self.roster.commit_install(staged, &mut groups);
         self.resume(groups);
-        let shards = self.shards();
-        self.sharded.push(ShardedRuntime::new(worker, shards));
+        self.sharded.push(ShardGroup::new(arrival));
         Ok(id)
     }
 
     /// Uninstall the program with install id `id`, returning its final
     /// (cross-shard merged) results — exactly what
-    /// [`ShardedRuntime::finish`] + collect would report for a private
-    /// deployment stopped now. `None` for an unknown id.
+    /// [`ShardedRuntime::finish`](crate::ShardedRuntime::finish) + collect
+    /// would report for a private deployment stopped now. `None` for an
+    /// unknown id. Under durability the results are also published as a
+    /// retired file ([`MultiSharded::retired`]).
     ///
     /// [`MultiRuntime::uninstall`] over paused worker groups: every
     /// dataplane quiesces (the final poll, promotions and the survivors'
@@ -2029,6 +2139,11 @@ impl MultiSharded {
     /// before everything resumes.
     ///
     /// Not supported after [`MultiSharded::run_network`].
+    ///
+    /// # Panics
+    ///
+    /// Under durability, panics when publishing the retired results fails
+    /// (uninstall has no error channel yet).
     pub fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
         let pos = self.roster.position(id)?;
         let mut groups = self.pause(&vec![true; self.sharded.len()]);
@@ -2045,7 +2160,7 @@ impl MultiSharded {
     /// Only the programs involved quiesce, and only for the poll: the
     /// polled program's dataplane plus the owning program of each of its
     /// deduplicated alias stores pause between batches
-    /// (`ShardedRuntime::pause`), their per-shard frames merge through
+    /// (`ShardGroup::pause`), their per-shard frames merge through
     /// the same normalization the drain uses, and every paused dataplane
     /// resumes with caches resident. Uninvolved programs keep running
     /// untouched. The eventual drain is byte-identical to a never-polled
@@ -2078,7 +2193,7 @@ impl MultiSharded {
         let mut runtimes: Vec<Runtime> = self
             .sharded
             .into_iter()
-            .map(ShardedRuntime::finish)
+            .map(ShardGroup::finish)
             .collect();
         substitute_stores(&mut runtimes, &self.roster.aliases);
         runtimes

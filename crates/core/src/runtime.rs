@@ -127,8 +127,8 @@ pub struct Runtime {
     persisted_at: Option<u64>,
     /// Durable-tier configuration, when [`Runtime::enable_durability`] was
     /// called on this (stand-alone) runtime. Worker runtimes inside a
-    /// sharded or multi-program deployment leave this `None` — the owning
-    /// plane holds the config and the manifest.
+    /// sharded or multi-program deployment leave this `None` — the plane's
+    /// roster holds the config and the manifest.
     durability: Option<Durability>,
 }
 
@@ -223,6 +223,12 @@ impl Runtime {
     #[must_use]
     pub fn records(&self) -> u64 {
         self.records
+    }
+
+    /// Restore the record count a recovered checkpoint covers (the roster
+    /// puts it on each program's first worker, like [`Runtime::recover`]).
+    pub(crate) fn resume_records(&mut self, at: u64) {
+        self.records = at;
     }
 
     /// Bitmap of base-schema columns the compiled plan reads — what the
@@ -739,7 +745,11 @@ impl Runtime {
     /// `u32` permutation — exactly as `collect` does.
     #[must_use]
     pub fn poll_results(&self) -> ResultSet {
-        poll_own(std::slice::from_ref(self))
+        let me = std::slice::from_ref(self);
+        let stores: Vec<_> = (self.stores.iter().enumerate())
+            .map(|(q, store)| store.as_ref().map(|_| (me, q)))
+            .collect();
+        poll_collect(me, &stores)
     }
 
     /// Poll and stream only the rows that are new or changed since the
@@ -766,8 +776,8 @@ impl Runtime {
     }
 
     /// Attach spill tiers with an extra deployment-level name component
-    /// (`s<i>_` per shard, `p<id>_` per installed program) — the plane
-    /// keeps the [`Durability`] config and the manifest.
+    /// (`p<id>_` per installed program, `p<id>_s<i>_` per shard of one) —
+    /// the plane's roster keeps the [`Durability`] config and the manifest.
     pub(crate) fn enable_durability_prefixed(
         &mut self,
         d: &Durability,
@@ -914,7 +924,7 @@ impl Runtime {
         let mut rt = Runtime::new(compiled);
         let resume = crate::durable::recover(&d, &mut [(String::new(), &mut rt)])?;
         let at = resume.unwrap_or(0);
-        rt.records = at;
+        rt.resume_records(at);
         rt.persisted_at = resume;
         rt.durability = Some(d);
         Ok((rt, at))
@@ -1084,16 +1094,6 @@ pub(crate) fn poll_collect(
         captures,
         &lead.params,
     )
-}
-
-/// [`poll_collect`] for a program whose every store is its own — no alias
-/// redirection: a stand-alone [`Runtime`] (one worker) or one
-/// [`crate::ShardedRuntime`]'s quiesced workers.
-pub(crate) fn poll_own(workers: &[Runtime]) -> ResultSet {
-    let stores: Vec<_> = (workers[0].stores.iter().enumerate())
-        .map(|(q, store)| store.as_ref().map(|_| (workers, q)))
-        .collect();
-    poll_collect(workers, &stores)
 }
 
 /// Build a `GROUPBY` key from an input row — the single construction the

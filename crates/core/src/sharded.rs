@@ -21,14 +21,19 @@
 //!   first base-rooted `GROUPBY` (falling back to the 5-tuple). Purity is
 //!   the load-bearing invariant: one key can never land on two shards, so a
 //!   per-key fold sees its packets on one core, in stream order.
-//! * **Transport**: fixed-capacity SPSC queues
-//!   ([`perfq_switch::spsc`]) with batched hand-off;
+//! * **Transport** (the crate-private `ShardGroup`): one program's router,
+//!   fixed-capacity SPSC queues ([`perfq_switch::spsc`]) with batched
+//!   hand-off and worker threads, quiesced between batches by handing the
+//!   un-finished worker runtimes back and restarting them afterwards;
 //!   [`perfq_switch::Network::run_sharded`] is the matching producer.
 //! * **Drain** ([`ShardedRuntime::finish`]): workers join, each runtime
 //!   flushes, and per-shard backing stores collapse through the fold merge
 //!   machinery (`SplitStore::absorb_store` →
 //!   `FoldOps::merge`) into one [`Runtime`] that collects exactly like the
 //!   single-stream engine.
+//! * **Facade** ([`ShardedRuntime`]): the public single-program plane is
+//!   [`MultiSharded`] at K = 1, so poll, persist and recover are the
+//!   multi-program plane's own, implemented once in its roster.
 //!
 //! # Exactness
 //!
@@ -63,6 +68,7 @@
 
 use crate::compiler::CompiledProgram;
 use crate::durable::Durability;
+use crate::multi::MultiSharded;
 use crate::result::{value_key, ResultSet};
 use crate::runtime::Runtime;
 use perfq_lang::{QueryInput, ResolvedKind, Value};
@@ -220,51 +226,22 @@ impl ShardRouter {
     }
 }
 
-/// The multi-core streaming executor: N worker shards behind SPSC queues,
-/// merged on drain. See the module docs for the architecture and exactness
-/// guarantees; the drop-in usage mirrors [`Runtime`]:
-///
-/// ```
-/// use perfq_core::{compile_query, ShardedRuntime};
-/// use perfq_lang::fig2;
-/// use perfq_switch::{Network, NetworkConfig};
-/// use perfq_trace::{SyntheticTrace, TraceConfig};
-///
-/// let compiled = compile_query(
-///     "SELECT COUNT GROUPBY srcip",
-///     &fig2::default_params(),
-///     Default::default(),
-/// ).unwrap();
-/// let mut sharded = ShardedRuntime::new(compiled, 2);
-/// let mut net = Network::new(NetworkConfig::default());
-/// net.run(
-///     SyntheticTrace::new(TraceConfig::test_small(1)).take(2_000),
-///     |r| sharded.process_record(&r),
-/// );
-/// let runtime = sharded.finish(); // join workers, merge fold state
-/// let results = runtime.collect();
-/// assert!(!results.tables[0].rows.is_empty());
-/// ```
+/// One program's N worker shards behind SPSC queues — the sharded plane's
+/// transport: the router, the per-shard feeds and staging buffers, the
+/// worker threads, quiescing between batches (`pause` / `resume`), the
+/// producer hand-off (`take_feeds`) and merge-on-drain (`finish`). It knows
+/// nothing of install ids, sharing or durability: [`MultiSharded`] keeps
+/// one group per installed program, and its roster owns the rest.
 #[derive(Debug)]
-pub struct ShardedRuntime {
+pub(crate) struct ShardGroup {
     router: ShardRouter,
-    /// `None` after [`ShardedRuntime::take_feeds`] hands the producer side
-    /// to an external event loop.
+    /// `None` while paused, and after [`ShardGroup::take_feeds`] handed the
+    /// producer side to an external event loop.
     senders: Option<Vec<spsc::Sender<QueueRecord>>>,
     /// Producer-side staging, one buffer per shard.
     buffers: Vec<Vec<QueueRecord>>,
     workers: Vec<JoinHandle<Runtime>>,
     routed: Vec<u64>,
-    /// Durable-tier configuration ([`ShardedRuntime::enable_durability`]);
-    /// the plane owns the single deployment manifest.
-    durability: Option<Durability>,
-    /// Record index of the last manifested checkpoint (stale-capture
-    /// cleanup; see [`Runtime`]'s field of the same name).
-    persisted_at: Option<u64>,
-    /// Records covered by the recovered checkpoint
-    /// ([`ShardedRuntime::recover`]); the deployment-wide record index is
-    /// this base plus the records routed since.
-    record_base: u64,
 }
 
 /// Spawn one worker thread behind a fresh queue: drain it in batches into
@@ -299,50 +276,20 @@ fn join_worker(handle: JoinHandle<Runtime>) -> Runtime {
     }
 }
 
-/// The quiesced workers with their durable file-name components (`s<i>_`).
-fn shard_named(workers: &mut [Runtime]) -> Vec<(String, &mut Runtime)> {
-    workers
-        .iter_mut()
-        .enumerate()
-        .map(|(i, rt)| (format!("s{i}_"), rt))
-        .collect()
-}
-
-impl ShardedRuntime {
-    /// Spawn `shards` worker runtimes, each behind a queue of
-    /// [`DEFAULT_QUEUE_CAPACITY`] records fed in batches of
-    /// [`DEFAULT_BATCH`].
-    #[must_use]
-    pub fn new(compiled: CompiledProgram, shards: usize) -> Self {
-        Self::with_worker_programs(vec![compiled; shards])
-    }
-
-    /// Spawn one worker per element of `programs` — all compiled from the
-    /// same source, but each worker may carry its own *physical* store
-    /// geometries. This is how an area-plan-provisioned dataplane
-    /// ([`crate::multi::shard_programs`]) sizes each shard's cache at `1/N`
-    /// of the query's SRAM slice (constant total area) instead of
-    /// replicating the single-stream geometry per core; routing uses the
-    /// first program's shard spec.
+impl ShardGroup {
+    /// Start one worker thread per runtime (shard order), each behind a
+    /// queue of [`DEFAULT_QUEUE_CAPACITY`] records fed in batches of
+    /// [`DEFAULT_BATCH`]. Routing uses the first runtime's shard spec.
     ///
     /// # Panics
     ///
-    /// Panics on an empty program list or mismatched query shapes.
-    #[must_use]
-    pub fn with_worker_programs(programs: Vec<CompiledProgram>) -> Self {
-        let shards = programs.len();
-        assert!(shards > 0, "need at least one shard");
-        assert!(
-            programs.iter().all(|p| p.program == programs[0].program),
-            "all shard workers must run the same resolved program \
-             (only physical store geometries may differ)"
-        );
-        let spec = ShardSpec::from_compiled(&programs[0]);
-        let (senders, workers) = programs
-            .into_iter()
-            .map(|compiled| spawn_worker(Runtime::new(compiled)))
-            .unzip();
-        ShardedRuntime {
+    /// Panics on an empty runtime list.
+    pub(crate) fn new(runtimes: Vec<Runtime>) -> Self {
+        let shards = runtimes.len();
+        let lead = runtimes.first().expect("need at least one shard");
+        let spec = ShardSpec::from_compiled(lead.compiled());
+        let (senders, workers) = runtimes.into_iter().map(spawn_worker).unzip();
+        ShardGroup {
             router: ShardRouter::new(spec, shards),
             senders: Some(senders),
             buffers: (0..shards)
@@ -350,49 +297,53 @@ impl ShardedRuntime {
                 .collect(),
             workers,
             routed: vec![0; shards],
-            durability: None,
-            persisted_at: None,
-            record_base: 0,
         }
     }
 
-    /// Dynamic lifecycle: quiesce the dataplane between batches. Staged
-    /// records flush to their queues, the queues close, and every worker
-    /// joins, handing back its **un-finished** [`Runtime`] in shard order —
-    /// caches still resident, ready for a live store migration or an alias
-    /// promotion. [`ShardedRuntime::resume`] restarts ingestion from exactly
+    /// Quiesce the group between batches. Staged records flush to their
+    /// queues, the queues close, and every worker joins, handing back its
+    /// **un-finished** [`Runtime`] in shard order — caches still resident,
+    /// ready for a poll, a checkpoint, a live store migration or an alias
+    /// promotion. [`ShardGroup::resume`] restarts ingestion from exactly
     /// this state.
     ///
     /// # Panics
     ///
     /// Panics if the producer side was handed away via
-    /// [`ShardedRuntime::take_feeds`] (an external event loop owns the
-    /// stream; there is no between-batches point to pause at), or if a
-    /// worker died.
+    /// [`ShardGroup::take_feeds`] (an external event loop owns the stream;
+    /// there is no between-batches point to pause at), or if a worker died.
     pub(crate) fn pause(&mut self) -> Vec<Runtime> {
-        let senders = self
-            .senders
-            .take()
-            .expect("cannot pause after take_feeds handed the producer side away");
-        for (buf, tx) in self.buffers.iter_mut().zip(&senders) {
-            if !buf.is_empty() {
-                // A send error means that worker died; the join below
-                // re-raises its panic, which beats a disconnect message.
-                let _ = tx.send_all(buf);
-            }
-        }
-        drop(senders); // close the streams; workers drain their queues and exit
+        assert!(
+            self.senders.is_some(),
+            "cannot pause after take_feeds handed the producer side away"
+        );
+        self.close();
         self.workers.drain(..).map(join_worker).collect()
     }
 
-    /// Dynamic lifecycle: restart a paused dataplane with the given worker
-    /// runtimes (shard order; normally the vector [`ShardedRuntime::pause`]
-    /// returned, possibly with migrated stores or promoted aliases). Fresh
-    /// SPSC queues are built; routing is unchanged.
+    /// Flush the staged records and close the queues we still produce
+    /// into; the workers drain them and exit.
+    fn close(&mut self) {
+        let Some(senders) = self.senders.take() else {
+            return;
+        };
+        for (buf, tx) in self.buffers.iter_mut().zip(&senders) {
+            if !buf.is_empty() {
+                // A send error means that worker died; its join re-raises
+                // the panic, which beats a disconnect message.
+                let _ = tx.send_all(buf);
+            }
+        }
+    }
+
+    /// Restart a paused group with the given worker runtimes (shard order;
+    /// normally the vector [`ShardGroup::pause`] returned, possibly with
+    /// migrated stores or promoted aliases). Fresh SPSC queues are built;
+    /// routing is unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if the dataplane is not paused or the worker count changed.
+    /// Panics if the group is not paused or the worker count changed.
     pub(crate) fn resume(&mut self, runtimes: Vec<Runtime>) {
         assert!(
             self.senders.is_none() && self.workers.is_empty(),
@@ -404,37 +355,13 @@ impl ShardedRuntime {
         self.workers = workers;
     }
 
-    /// Run `f` over the quiesced worker runtimes (shard order) and resume
-    /// ingestion whatever it returns: a failed durable-tier call must leave
-    /// the plane running with its in-RAM state intact, not drop the workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`ShardedRuntime::pause`]'s conditions.
-    fn quiesced<R>(&mut self, f: impl FnOnce(&mut [Runtime]) -> R) -> R {
-        let mut workers = self.pause();
-        let out = f(&mut workers);
-        self.resume(workers);
-        out
-    }
-
-    /// Number of worker shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The routing spec (shard-key columns, exactness verdict).
-    #[must_use]
-    pub fn spec(&self) -> &ShardSpec {
+    /// The routing spec.
+    pub(crate) fn spec(&self) -> &ShardSpec {
         self.router.spec()
     }
 
-    /// Records routed to each shard so far (producer-side count; excludes
-    /// records routed by an external producer after
-    /// [`ShardedRuntime::take_feeds`]).
-    #[must_use]
-    pub fn routed(&self) -> &[u64] {
+    /// Records routed to each shard by [`ShardGroup::process_record`].
+    pub(crate) fn routed(&self) -> &[u64] {
         &self.routed
     }
 
@@ -443,8 +370,8 @@ impl ShardedRuntime {
     /// # Panics
     ///
     /// Panics if the producer side was handed away via
-    /// [`ShardedRuntime::take_feeds`], or a worker died.
-    pub fn process_record(&mut self, rec: &QueueRecord) {
+    /// [`ShardGroup::take_feeds`], or a worker died.
+    pub(crate) fn process_record(&mut self, rec: &QueueRecord) {
         assert!(
             self.senders.is_some(),
             "producer side was taken by take_feeds"
@@ -471,32 +398,143 @@ impl ShardedRuntime {
         }
     }
 
-    /// Route a batch of records (sugar over [`ShardedRuntime::process_record`]).
-    pub fn process_batch(&mut self, recs: &[QueueRecord]) {
-        for rec in recs {
-            self.process_record(rec);
+    /// Hand the producer side — the router and the per-shard queue senders
+    /// — to an external event loop such as
+    /// [`perfq_switch::Network::run_sharded`], which must drop the senders
+    /// before [`ShardGroup::finish`] can drain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if records were already staged through
+    /// [`ShardGroup::process_record`] (mixing producers would reorder the
+    /// stream) or if the feeds were already taken.
+    pub(crate) fn take_feeds(&mut self) -> (ShardRouter, Vec<spsc::Sender<QueueRecord>>) {
+        assert!(
+            self.buffers.iter().all(Vec::is_empty) && self.routed.iter().all(|n| *n == 0),
+            "take_feeds before feeding any records"
+        );
+        let senders = self.senders.take().expect("feeds already taken");
+        (self.router.clone(), senders)
+    }
+
+    /// Drain the group: flush staged records, close the queues, join every
+    /// worker, and merge the per-shard fold state (in shard order) into one
+    /// **finished** [`Runtime`], ready for [`Runtime::collect`].
+    pub(crate) fn finish(mut self) -> Runtime {
+        self.close();
+        // Lazily: shard 0 finishes while later shards still drain.
+        let mut finished = self.workers.drain(..).map(|handle| {
+            let mut rt = join_worker(handle);
+            rt.finish();
+            rt
+        });
+        let mut merged = finished.next().expect("at least one shard");
+        finished.for_each(|rt| merged.absorb_finished(rt));
+        merged
+    }
+}
+
+/// The multi-core streaming executor for one program: N worker shards
+/// behind SPSC queues, merged on drain. It is [`MultiSharded`] at K = 1 —
+/// one program, install id `0`, no sharing pass — so its poll, durable
+/// tier and drain are that plane's, and its durable files are named
+/// `p0_s<i>_…` (see [`crate::durable`]). See the module docs for the
+/// architecture and exactness guarantees; the drop-in usage mirrors
+/// [`Runtime`]:
+///
+/// ```
+/// use perfq_core::{compile_query, ShardedRuntime};
+/// use perfq_lang::fig2;
+/// use perfq_switch::{Network, NetworkConfig};
+/// use perfq_trace::{SyntheticTrace, TraceConfig};
+///
+/// let compiled = compile_query(
+///     "SELECT COUNT GROUPBY srcip",
+///     &fig2::default_params(),
+///     Default::default(),
+/// ).unwrap();
+/// let mut sharded = ShardedRuntime::new(compiled, 2);
+/// let mut net = Network::new(NetworkConfig::default());
+/// net.run(
+///     SyntheticTrace::new(TraceConfig::test_small(1)).take(2_000),
+///     |r| sharded.process_record(&r),
+/// );
+/// let runtime = sharded.finish(); // join workers, merge fold state
+/// let results = runtime.collect();
+/// assert!(!results.tables[0].rows.is_empty());
+/// ```
+#[derive(Debug)]
+pub struct ShardedRuntime {
+    /// The K = 1 plane. Unshared, so a program's own duplicate stores stay
+    /// private, exactly as a stand-alone sharded deployment runs them.
+    plane: MultiSharded,
+}
+
+impl ShardedRuntime {
+    /// Spawn `shards` worker runtimes, each behind a queue of
+    /// [`DEFAULT_QUEUE_CAPACITY`] records fed in batches of
+    /// [`DEFAULT_BATCH`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero shards.
+    #[must_use]
+    pub fn new(compiled: CompiledProgram, shards: usize) -> Self {
+        ShardedRuntime {
+            plane: MultiSharded::new_unshared(vec![compiled], shards),
         }
     }
 
-    /// Poll the dataplane's current results **without stopping the world**:
-    /// the sharded incremental read path. The plane quiesces between
-    /// batches (`ShardedRuntime::pause`: staged records flush, queues
-    /// drain, workers hand back their runtimes with caches resident), each
-    /// worker's per-store frame merges across shards through the same
-    /// normalization the final drain uses, and ingestion resumes. The
-    /// result equals `finish()` + `collect()` on a replay of the records
-    /// routed so far, and polling never perturbs the eventual drain
-    /// (pinned by `tests/poll_equivalence.rs`).
+    /// Number of worker shards.
+    #[must_use]
+    pub fn shards(&self) -> usize {
+        self.plane.shards()
+    }
+
+    /// The routing spec (shard-key columns, exactness verdict).
+    #[must_use]
+    pub fn spec(&self) -> &ShardSpec {
+        self.plane.sharded[0].spec()
+    }
+
+    /// Records routed to each shard so far (producer-side count; excludes
+    /// records routed by an external producer after
+    /// [`ShardedRuntime::take_feeds`]).
+    #[must_use]
+    pub fn routed(&self) -> &[u64] {
+        self.plane.sharded[0].routed()
+    }
+
+    /// Route one record to its shard (staged; pushed in batches).
     ///
     /// # Panics
     ///
     /// Panics if the producer side was handed away via
-    /// [`ShardedRuntime::take_feeds`] (an external event loop owns the
-    /// stream; there is no between-batches point to pause at), or if a
-    /// worker died.
+    /// [`ShardedRuntime::take_feeds`], or a worker died.
+    pub fn process_record(&mut self, rec: &QueueRecord) {
+        self.plane.process_record(rec);
+    }
+
+    /// Route a batch of records (sugar over [`ShardedRuntime::process_record`]).
+    pub fn process_batch(&mut self, recs: &[QueueRecord]) {
+        self.plane.process_batch(recs);
+    }
+
+    /// Poll the dataplane's current results **without stopping the world**
+    /// ([`MultiSharded::poll`]): the plane quiesces between batches, each
+    /// store's per-shard frames merge through the normalization the final
+    /// drain uses, and ingestion resumes. The result equals `finish()` +
+    /// `collect()` on a replay of the records routed so far, and polling
+    /// never perturbs the eventual drain (pinned by
+    /// `tests/poll_equivalence.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the producer side was handed away via
+    /// [`ShardedRuntime::take_feeds`], or if a worker died.
     #[must_use]
     pub fn poll_results(&mut self) -> ResultSet {
-        self.quiesced(|workers| crate::runtime::poll_own(workers))
+        self.plane.poll(0).expect("program 0 is installed")
     }
 
     /// Hand the producer side — the router and the per-shard queue senders
@@ -512,79 +550,44 @@ impl ShardedRuntime {
     /// the stream) or if the feeds were already taken.
     #[must_use]
     pub fn take_feeds(&mut self) -> (ShardRouter, Vec<spsc::Sender<QueueRecord>>) {
-        assert!(
-            self.buffers.iter().all(Vec::is_empty) && self.routed.iter().all(|n| *n == 0),
-            "take_feeds before feeding any records"
-        );
-        let senders = self.senders.take().expect("feeds already taken");
-        (self.router.clone(), senders)
+        self.plane.sharded[0].take_feeds()
     }
 
-    /// Attach a durable spill tier to every store of every worker (off by
-    /// default; see [`crate::durable`]). The plane quiesces between
-    /// batches, each shard's stores get their own WAL/segment files
-    /// (`s<i>_q<j>_` under the config's prefix), and ingestion resumes.
-    /// One deployment manifest covers all shards.
+    /// Attach a durable spill tier to every store of every worker
+    /// ([`MultiSharded::enable_durability`]): shard `i`'s stores persist
+    /// under `p0_s<i>_`, and one deployment manifest covers all shards.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as a poll (producer side taken, or
-    /// a worker died).
+    /// Panics under the same conditions as a poll.
     pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
-        self.quiesced(|workers| {
-            shard_named(workers)
-                .into_iter()
-                .try_for_each(|(sub, rt)| rt.enable_durability_prefixed(&d, &sub))
-        })?;
-        self.durability = Some(d);
-        Ok(())
+        self.plane.enable_durability(d)
     }
 
-    /// Durably checkpoint the whole plane at the current deployment record
-    /// index: quiesce, checkpoint every shard's stores, advance the single
-    /// manifest, fold every WAL that has outgrown its segment, resume. The
-    /// key-hash router is deterministic, so a recovered plane re-ingesting
-    /// from the returned index routes every record to the same shard it
-    /// originally reached.
+    /// Durably checkpoint the whole plane at the current record index
+    /// ([`MultiSharded::persist`]). The key-hash router is deterministic,
+    /// so a recovered plane re-ingesting from the returned index routes
+    /// every record to the same shard it originally reached.
     ///
     /// # Panics
     ///
     /// Panics unless [`ShardedRuntime::enable_durability`] was called, and
     /// under the same conditions as a poll.
     pub fn persist(&mut self) -> std::io::Result<()> {
-        let d = self
-            .durability
-            .clone()
-            .expect("persist requires enable_durability");
-        let at = self.record_base + self.routed.iter().sum::<u64>();
-        // A local copy: the closure cannot reach `self` while it is paused.
-        let mut persisted_at = self.persisted_at;
-        let outcome = self.quiesced(|workers| {
-            crate::durable::persist(&d, at, &mut persisted_at, &mut shard_named(workers))
-        });
-        self.persisted_at = persisted_at;
-        outcome
+        self.plane.persist()
     }
 
-    /// Recover a crashed sharded deployment: rebuild the plane at the same
-    /// shard count, repair every shard's durable files against the
-    /// deployment manifest, and return the plane with the **resume index**
-    /// (see [`Runtime::recover`]). Routing is a pure function of the key,
-    /// so re-ingesting the stream from the resume index reproduces each
-    /// shard's exact sub-stream.
+    /// Recover a crashed sharded deployment at the same shard count
+    /// ([`MultiSharded::recover`]) and return it with the **resume index**
+    /// (see [`Runtime::recover`]); the drain's record count includes the
+    /// checkpointed prefix.
     pub fn recover(
         compiled: CompiledProgram,
         shards: usize,
         d: Durability,
     ) -> std::io::Result<(Self, u64)> {
-        let mut plane = Self::new(compiled, shards);
-        let resume =
-            plane.quiesced(|workers| crate::durable::recover(&d, &mut shard_named(workers)))?;
-        let at = resume.unwrap_or(0);
-        plane.record_base = at;
-        plane.persisted_at = resume;
-        plane.durability = Some(d);
-        Ok((plane, at))
+        let (plane, at) = MultiSharded::new_unshared(vec![compiled], shards).recovered(d)?;
+        Ok((ShardedRuntime { plane }, at))
     }
 
     /// Drain the dataplane: flush staged records, close the queues, join
@@ -592,26 +595,8 @@ impl ShardedRuntime {
     /// into one **finished** [`Runtime`], ready for
     /// [`Runtime::collect`].
     #[must_use]
-    pub fn finish(mut self) -> Runtime {
-        if let Some(senders) = self.senders.take() {
-            for (buf, tx) in self.buffers.iter_mut().zip(&senders) {
-                if !buf.is_empty() {
-                    // A dead worker surfaces at the join below instead.
-                    let _ = tx.send_all(buf);
-                }
-            }
-            drop(senders); // close the streams; workers drain and exit
-        }
-        let mut merged: Option<Runtime> = None;
-        for handle in self.workers.drain(..) {
-            let mut rt = join_worker(handle);
-            rt.finish();
-            match merged.as_mut() {
-                None => merged = Some(rt),
-                Some(m) => m.absorb_finished(rt),
-            }
-        }
-        merged.expect("at least one shard")
+    pub fn finish(self) -> Runtime {
+        self.plane.finish().pop().expect("one program")
     }
 
     /// Drain and collect in one step.

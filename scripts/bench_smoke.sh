@@ -60,6 +60,9 @@ cargo test --release -q --no-fail-fast \
     --test spsc_stress \
     --test durability_crash \
     --test durability_property
+# The cross-query sharing gates and the shard-spec and plane pins are
+# `perfq-core` unit tests (`multi.rs`, `sharded.rs`), not `tests/` targets.
+cargo test --release -q -p perfq-core --lib
 # `benchmark/` sits outside the workspace, so tier-1 never compiles it
 # although engine changes touch APIs it calls: build it against this tree
 # and run its own correctness tests (≈ 20 s warm).

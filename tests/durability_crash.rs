@@ -17,10 +17,16 @@
 //! Covered planes: the single-stream [`Runtime`] (small group-commit
 //! threshold, so crashes also land mid-ingest inside group commits), the
 //! [`ShardedRuntime`] dataplane (deterministic key routing makes the
-//! resumed re-ingest reproduce each shard's exact sub-stream), and the
+//! resumed re-ingest reproduce each shard's exact sub-stream), the
 //! multi-program [`MultiRuntime`] (two programs sharing one deduplicated
 //! store; the sharing analysis is deterministic, so the recovered plane
-//! reproduces aliases and `p<id>_` file names). A dense checkpoint
+//! reproduces aliases and `p<id>_` file names), and the K × N
+//! [`MultiSharded`] plane (the same two programs on two shards each, one
+//! manifest over every `p<id>_s<i>_` worker). Every recovered drain must
+//! also report the records the whole stream holds — the checkpointed
+//! prefix plus the re-ingested suffix — not only what it saw since the
+//! restart. Uninstall's retired results read back byte-identically on
+//! both multi-program planes. A dense checkpoint
 //! schedule sweeps the single-stream plane across compactions that skip
 //! the fold (the WAL had not outgrown the segment). A torn-tail
 //! suite chops every suffix off a live WAL, and a double-crash suite
@@ -161,13 +167,18 @@ fn recover_single(
     Ok(rt.collect())
 }
 
+/// A drained runtime's sorted results and the records its drain covers.
+fn drained(rt: &Runtime) -> (ResultSet, u64) {
+    (sorted(rt.collect()), rt.records())
+}
+
 /// The same schedule on the sharded dataplane.
 fn run_sharded(
     src: &str,
     recs: &[QueueRecord],
     backend: &SharedBackend,
     shards: usize,
-) -> std::io::Result<ResultSet> {
+) -> std::io::Result<(ResultSet, u64)> {
     let mut plane = ShardedRuntime::new(compiled(src), shards);
     plane.enable_durability(durable_buffered(backend))?;
     let mut fed = 0;
@@ -177,7 +188,7 @@ fn run_sharded(
         plane.persist()?;
     }
     plane.process_batch(&recs[fed..]);
-    Ok(sorted(plane.finish().collect()))
+    Ok(drained(&plane.finish()))
 }
 
 fn recover_sharded(
@@ -185,7 +196,7 @@ fn recover_sharded(
     recs: &[QueueRecord],
     backend: &SharedBackend,
     shards: usize,
-) -> std::io::Result<ResultSet> {
+) -> std::io::Result<(ResultSet, u64)> {
     let (mut plane, resume) =
         ShardedRuntime::recover(compiled(src), shards, durable_buffered(backend))?;
     let mut fed = resume as usize;
@@ -197,7 +208,7 @@ fn recover_sharded(
         }
     }
     plane.process_batch(&recs[fed..]);
-    Ok(sorted(plane.finish().collect()))
+    Ok(drained(&plane.finish()))
 }
 
 /// The multi-program deployment under test: the §4 counter and the
@@ -211,8 +222,12 @@ fn multi_programs() -> Vec<CompiledProgram> {
 }
 
 /// The same schedule on the multi-program plane (no mid-stream lifecycle
-/// events — [`MultiRuntime::recover`]'s documented scope).
-fn run_multi(recs: &[QueueRecord], backend: &SharedBackend) -> std::io::Result<Vec<ResultSet>> {
+/// events — [`MultiRuntime::recover`]'s documented scope). Each program's
+/// drain, as [`drained`] reports it.
+fn run_multi(
+    recs: &[QueueRecord],
+    backend: &SharedBackend,
+) -> std::io::Result<Vec<(ResultSet, u64)>> {
     let mut multi = MultiRuntime::new(multi_programs());
     assert_eq!(multi.sharing().stores.len(), 1, "R1 aliases the counter");
     multi.enable_durability(durable_small(backend))?;
@@ -224,13 +239,13 @@ fn run_multi(recs: &[QueueRecord], backend: &SharedBackend) -> std::io::Result<V
     }
     multi.process_batch(&recs[fed..]);
     multi.finish();
-    Ok(multi.collect())
+    Ok(multi.runtimes().iter().map(drained).collect())
 }
 
 fn recover_multi(
     recs: &[QueueRecord],
     backend: &SharedBackend,
-) -> std::io::Result<Vec<ResultSet>> {
+) -> std::io::Result<Vec<(ResultSet, u64)>> {
     let (mut multi, resume) = MultiRuntime::recover(multi_programs(), durable_small(backend))?;
     let mut fed = resume as usize;
     for &p in &PERSIST_AT {
@@ -242,7 +257,45 @@ fn recover_multi(
     }
     multi.process_batch(&recs[fed..]);
     multi.finish();
-    Ok(multi.collect())
+    Ok(multi.runtimes().iter().map(drained).collect())
+}
+
+/// The same schedule on the K × N plane: [`multi_programs`] on two shards
+/// each, [`durable_buffered`] so every backend operation happens on the
+/// harness thread with the workers quiesced.
+fn run_multi_sharded(
+    recs: &[QueueRecord],
+    backend: &SharedBackend,
+) -> std::io::Result<Vec<(ResultSet, u64)>> {
+    let mut plane = MultiSharded::new(multi_programs(), 2);
+    assert_eq!(plane.sharing().stores.len(), 1, "R1 aliases the counter");
+    plane.enable_durability(durable_buffered(backend))?;
+    let mut fed = 0;
+    for &p in &PERSIST_AT {
+        plane.process_batch(&recs[fed..p]);
+        fed = p;
+        plane.persist()?;
+    }
+    plane.process_batch(&recs[fed..]);
+    Ok(plane.finish().iter().map(drained).collect())
+}
+
+fn recover_multi_sharded(
+    recs: &[QueueRecord],
+    backend: &SharedBackend,
+) -> std::io::Result<Vec<(ResultSet, u64)>> {
+    let (mut plane, resume) =
+        MultiSharded::recover(multi_programs(), 2, durable_buffered(backend))?;
+    let mut fed = resume as usize;
+    for &p in &PERSIST_AT {
+        if p > fed {
+            plane.process_batch(&recs[fed..p]);
+            fed = p;
+            plane.persist()?;
+        }
+    }
+    plane.process_batch(&recs[fed..]);
+    Ok(plane.finish().iter().map(drained).collect())
 }
 
 /// Run `schedule` with a fault armed at operation `fail_at`; report
@@ -266,6 +319,31 @@ fn crash_at<T>(
         Ok(Ok(rs)) if !died => Some(rs),
         _ => None,
     }
+}
+
+/// Crash `run` at **every** mutating I/O operation of its healthy twin's
+/// schedule, restart, `recover`, and hold every drain to the never-crashed
+/// reference, which is returned.
+fn sweep<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    run: impl Fn(&SharedBackend) -> std::io::Result<T>,
+    recover: impl Fn(&SharedBackend) -> std::io::Result<T>,
+) -> T {
+    let (handle, backend) = fault_pair();
+    let reference = run(&backend).expect("healthy run");
+    let total_ops = handle.lock().expect("fault mutex").ops();
+    assert!(total_ops > 0, "{what}: schedule never touched the backend");
+    for fail_at in 0..total_ops {
+        let (h, b) = fault_pair();
+        if let Some(rs) = crash_at(&h, fail_at, fail_at as usize % 23, || run(&b)) {
+            assert_eq!(rs, reference, "{what} fail_at={fail_at}: uncrashed");
+            continue;
+        }
+        let got = recover(&b)
+            .unwrap_or_else(|e| panic!("{what} fail_at={fail_at}: recovery failed: {e}"));
+        assert_eq!(got, reference, "{what} fail_at={fail_at}");
+    }
+    reference
 }
 
 /// Single-stream sweep: crash at **every** mutating I/O boundary of the
@@ -385,29 +463,18 @@ fn skipped_compactions_recover_at_every_io_boundary() {
 
 /// Sharded sweep: same contract on the two-shard dataplane. Routing is a
 /// pure function of the key, so the recovered plane re-ingesting from the
-/// resume index reproduces each shard's exact sub-stream.
+/// resume index reproduces each shard's exact sub-stream, and its drain
+/// counts every record of the stream.
 #[test]
 fn sharded_recovers_at_every_io_boundary() {
     let recs = records(TOTAL);
     for q in swept() {
-        let (handle, backend) = fault_pair();
-        let reference = run_sharded(q.source, &recs, &backend, 2).expect("healthy run");
-        let total_ops = handle.lock().expect("fault mutex").ops();
-        assert!(total_ops > 0, "{}: schedule never touched the backend", q.name);
-
-        for fail_at in 0..total_ops {
-            let (h, b) = fault_pair();
-            let survived = crash_at(&h, fail_at, fail_at as usize % 23, || {
-                run_sharded(q.source, &recs, &b, 2)
-            });
-            if let Some(rs) = survived {
-                assert_eq!(rs, reference, "{} fail_at={fail_at}: uncrashed", q.name);
-                continue;
-            }
-            let got = recover_sharded(q.source, &recs, &b, 2)
-                .unwrap_or_else(|e| panic!("{} fail_at={fail_at}: recovery failed: {e}", q.name));
-            assert_eq!(got, reference, "{} fail_at={fail_at}", q.name);
-        }
+        let (_, records) = sweep(
+            q.name,
+            |b| run_sharded(q.source, &recs, b, 2),
+            |b| recover_sharded(q.source, &recs, b, 2),
+        );
+        assert_eq!(records, recs.len() as u64, "{}", q.name);
     }
 }
 
@@ -418,52 +485,117 @@ fn sharded_recovers_at_every_io_boundary() {
 #[test]
 fn multi_program_recovers_at_every_io_boundary() {
     let recs = records(TOTAL);
+    let reference = sweep(
+        "multi",
+        |b| run_multi(&recs, b),
+        |b| recover_multi(&recs, b),
+    );
+    assert_eq!(
+        reference,
+        plain_multi(&recs),
+        "durability must be transparent"
+    );
+}
+
+/// Every program's drain on a never-durable [`MultiRuntime`]: the whole
+/// stream, each program counting every record of it.
+fn plain_multi(recs: &[QueueRecord]) -> Vec<(ResultSet, u64)> {
     let mut plain = MultiRuntime::new(multi_programs());
-    plain.process_batch(&recs);
+    plain.process_batch(recs);
     plain.finish();
+    let drains: Vec<_> = plain.runtimes().iter().map(drained).collect();
+    assert!(drains.iter().all(|(_, n)| *n == recs.len() as u64));
+    drains
+}
 
-    let (handle, backend) = fault_pair();
-    let reference = run_multi(&recs, &backend).expect("healthy run");
-    assert_eq!(plain.collect(), reference, "durability must be transparent");
-    let total_ops = handle.lock().expect("fault mutex").ops();
-    assert!(total_ops > 0, "schedule never touched the backend");
+/// K × N sweep: the two-program deployment on two shards per program —
+/// every `p<id>_s<i>_` worker behind the one manifest, the alias reading
+/// its owner's recovered per-shard stores. Both programs are linear, so
+/// the durable sharded reference also equals the never-durable inline
+/// plane, record counts included.
+#[test]
+fn multi_sharded_recovers_at_every_io_boundary() {
+    let recs = records(TOTAL);
+    let reference = sweep(
+        "multi-sharded",
+        |b| run_multi_sharded(&recs, b),
+        |b| recover_multi_sharded(&recs, b),
+    );
+    assert_eq!(
+        reference,
+        plain_multi(&recs),
+        "durability and sharding must be transparent"
+    );
+}
 
-    for fail_at in 0..total_ops {
-        let (h, b) = fault_pair();
-        let survived = crash_at(&h, fail_at, fail_at as usize % 23, || run_multi(&recs, &b));
-        if let Some(rs) = survived {
-            assert_eq!(rs, reference, "fail_at={fail_at}: uncrashed");
-            continue;
+/// The two multi-program planes behind one face.
+#[allow(clippy::large_enum_variant)] // one lives per iteration; size is irrelevant
+enum Plane {
+    Inline(MultiRuntime),
+    Sharded(MultiSharded),
+}
+
+impl Plane {
+    fn process_batch(&mut self, recs: &[QueueRecord]) {
+        match self {
+            Plane::Inline(m) => m.process_batch(recs),
+            Plane::Sharded(m) => m.process_batch(recs),
         }
-        let got = recover_multi(&recs, &b)
-            .unwrap_or_else(|e| panic!("fail_at={fail_at}: recovery failed: {e}"));
-        assert_eq!(got, reference, "fail_at={fail_at}");
+    }
+
+    fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
+        match self {
+            Plane::Inline(m) => m.uninstall(id),
+            Plane::Sharded(m) => m.uninstall(id),
+        }
+    }
+
+    fn retired(&self, id: u64) -> std::io::Result<Option<ResultSet>> {
+        match self {
+            Plane::Inline(m) => m.retired(id),
+            Plane::Sharded(m) => m.retired(id),
+        }
     }
 }
 
 /// An uninstall under durability publishes the departing program's final
 /// results: `retired(id)` reads back byte-for-byte what `uninstall`
 /// returned — for the owner of a shared store and, after the handoff, for
-/// its promoted alias — and knows nothing of ids that never left.
+/// its promoted alias — and knows nothing of ids that never left. Pinned
+/// on the inline plane and on the two-shard plane alike.
 #[test]
 fn retired_results_read_back_what_uninstall_returned() {
     let recs = records(TOTAL);
-    let (_, backend) = fault_pair();
-    let mut multi = MultiRuntime::new(multi_programs());
-    multi.enable_durability(durable_small(&backend)).expect("enable");
-    for (id, upto) in [(0u64, PERSIST_AT[0]), (1, PERSIST_AT[1])] {
-        multi.process_batch(&recs[upto - PERSIST_AT[0]..upto]);
-        assert!(multi.retired(id).expect("read").is_none(), "id {id} is still live");
-        let left = multi.uninstall(id).expect("id is live");
-        assert!(left.tables.iter().any(|t| !t.rows.is_empty()), "id {id} saw records");
-        let back = multi.retired(id).expect("read").expect("published on uninstall");
-        assert_eq!(
-            perfq_core::encode_results(&back),
-            perfq_core::encode_results(&left),
-            "retired({id})"
-        );
+    for shards in [None, Some(2)] {
+        let (_, backend) = fault_pair();
+        let d = durable_small(&backend);
+        let mut plane = match shards {
+            None => Plane::Inline(MultiRuntime::new(multi_programs())),
+            Some(n) => Plane::Sharded(MultiSharded::new(multi_programs(), n)),
+        };
+        match &mut plane {
+            Plane::Inline(m) => m.enable_durability(d),
+            Plane::Sharded(m) => m.enable_durability(d),
+        }
+        .expect("enable");
+        for (id, upto) in [(0u64, PERSIST_AT[0]), (1, PERSIST_AT[1])] {
+            plane.process_batch(&recs[upto - PERSIST_AT[0]..upto]);
+            let live = plane.retired(id).expect("read");
+            assert!(live.is_none(), "{shards:?}: id {id} is live");
+            let left = plane.uninstall(id).expect("id is live");
+            let saw = left.tables.iter().any(|t| !t.rows.is_empty());
+            assert!(saw, "{shards:?}: id {id} saw records");
+            let back = plane.retired(id).expect("read");
+            let back = back.expect("published on uninstall");
+            assert_eq!(
+                perfq_core::encode_results(&back),
+                perfq_core::encode_results(&left),
+                "{shards:?}: retired({id})"
+            );
+        }
+        let never = plane.retired(7).expect("read");
+        assert!(never.is_none(), "{shards:?}: id 7 never existed");
     }
-    assert!(multi.retired(7).expect("read").is_none(), "id 7 never existed");
 }
 
 /// Torn tail: stop a deployment between checkpoints (live WAL frames past
