@@ -1,7 +1,7 @@
 //! # perfq-bench
 //!
-//! Shared infrastructure for the benchmark binaries that regenerate the
-//! paper's evaluation (see `ARCHITECTURE.md` for the paper-to-code map):
+//! Shared infrastructure for the binaries that regenerate the paper's
+//! evaluation (see `ARCHITECTURE.md` for the paper-to-code map):
 //!
 //! * `fig2` — the example-query table (expressiveness + linearity verdicts);
 //! * `fig5` — eviction rate vs cache size for the three geometries;
@@ -10,9 +10,16 @@
 //! * `ablation` — eviction-policy / associativity sweeps and the count-min
 //!   sketch comparison.
 //!
-//! Scale control: the binaries default to the `caida_like` workload
+//! Scale control: these binaries default to the `caida_like` workload
 //! (≈15 M packets). Set `PERFQ_SCALE` (e.g. `0.1`) to shrink run time
 //! proportionally, or `PERFQ_SEED` to change the workload seed.
+//!
+//! One more binary, `ratios`, holds the same-run ratio guards: pairs of
+//! in-tree paths (coalesced vs uncoalesced, shared vs sequential
+//! multi-query, churn vs static, polled vs never polled, WAL on vs off)
+//! timed in interleaved pairs on a fixed 20k-packet trace, each ratio held
+//! to a committed floor. End-to-end throughput is measured by the
+//! `benchmark/` package at the repository root.
 
 //!
 //! For the paper-section → crate/file map of the whole workspace, see

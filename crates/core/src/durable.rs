@@ -307,7 +307,8 @@ pub fn write_retired(d: &Durability, id: u64, rs: &ResultSet) -> io::Result<()> 
 }
 
 /// Read back a retired program's persisted results. `Ok(None)` when the
-/// file is absent or malformed.
+/// file is absent; an [`io::ErrorKind::InvalidData`] error when it is
+/// present but does not decode.
 pub fn read_retired(d: &Durability, id: u64) -> io::Result<Option<ResultSet>> {
     let name = d.retired_name(id);
     let mut be = d.backend().lock().expect("backend mutex");
@@ -315,7 +316,9 @@ pub fn read_retired(d: &Durability, id: u64) -> io::Result<Option<ResultSet>> {
         return Ok(None);
     };
     drop(be);
-    Ok(decode_results(&bytes))
+    decode_results(&bytes).map(Some).ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("{name}: malformed results"))
+    })
 }
 
 #[cfg(test)]

@@ -85,11 +85,6 @@
 //!    node-at-a-time over survivor bitmasks — see *Vectorized execution*
 //!    below.
 //!
-//! `BENCH_pipeline.json` at the repository root records the measured
-//! speedup of this engine over the seed tree-walking runtime
-//! (2.2–3.2× records/sec on the Fig. 2 benchmark queries);
-//! `scripts/bench_smoke.sh` guards it against regression.
-//!
 //! # Hot-path anatomy
 //!
 //! Where a record's nanoseconds go: one `--trace 1` run of this tree per
@@ -125,9 +120,10 @@
 //! `observe_run_first` probe per run, `observe_run_next` through the
 //! already-resolved handle for the rest — which wins 1.17–1.25× on
 //! locally-sorted traffic (mean run ≈ 5, the shape RSS steering + bursty
-//! flows produce; `query_runtime_bursty` guards the ratio same-run), while
-//! on hash-ordered traffic runs barely exist (mean run 1.010 on the
-//! criterion trace `test_small(7)`, 1.001 on the five `benchmark/`
+//! flows produce; the `query_runtime_bursty` guards of the `perfq-bench`
+//! `ratios` bin hold the ratio same-run), while on hash-ordered traffic
+//! runs barely exist (mean run 1.010 on the `ratios` bin's trace
+//! `test_small(7)`, 1.001 on the five `benchmark/`
 //! workloads, counted per group key inside a 16-record chunk) and the run
 //! tracker costs nothing measurable. **Almost a third of the engine's time
 //! has no name yet**: ≈ 36 ns (resident) to ≈ 56 ns (evict) of `core.ingest` is
@@ -139,8 +135,7 @@
 //! the mutex queue into a thread that only counts — while inside the real
 //! pass the feeder spends `switch.feed_cpu_ns_per_record` 107 ns of CPU per
 //! record on switch loop + route + stage + send. The worker's fold overlaps
-//! the feeder on a second core; with one core the handoff is pure overhead
-//! (`sharded_note` in `BENCH_pipeline.json`).
+//! the feeder on a second core; with one core the handoff is pure overhead.
 //!
 //! # Vectorized execution
 //!
@@ -233,8 +228,8 @@
 //!   Each record's base row materializes **once**, with the union of the
 //!   programs' pruned column masks, and is dispatched to every program's
 //!   flat plan — K concurrent Fig. 2 queries cost one trip through the
-//!   network event loop instead of K full replays (the `multi_query` bench
-//!   group guards the speedup).
+//!   network event loop instead of K full replays (the `multi_query`
+//!   guards of the `perfq-bench` `ratios` bin hold the speedup).
 //! * [`MultiSharded`] — N workers per program behind SPSC queues (one
 //!   worker group each); every record is routed once per program.
 //!   [`ShardedRuntime`] is its K = 1 case.

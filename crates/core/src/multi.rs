@@ -1069,7 +1069,8 @@ impl Roster {
     }
 
     /// A retired program's durably published final results; `Ok(None)`
-    /// when `id` never left under durability.
+    /// when `id` never left under durability, an
+    /// [`std::io::ErrorKind::InvalidData`] error when its file is corrupt.
     ///
     /// # Panics
     ///
@@ -1459,7 +1460,7 @@ impl MultiRuntime {
 
     /// [`MultiRuntime::new`] without the cross-query sharing pass — the
     /// PR 4 shared-ingest-only configuration. Differential tests and the
-    /// `multi_query_shared` benchmarks use this as the sharing baseline.
+    /// `multi_query_shared` ratio guards use this as the sharing baseline.
     #[doc(hidden)]
     #[must_use]
     pub fn new_unshared(programs: Vec<CompiledProgram>) -> Self {
@@ -1586,7 +1587,8 @@ impl MultiRuntime {
     }
 
     /// Read back a retired program's durably published final results.
-    /// `Ok(None)` when this id never left under durability.
+    /// `Ok(None)` when this id never left under durability; an
+    /// [`std::io::ErrorKind::InvalidData`] error when its file is corrupt.
     ///
     /// # Panics
     ///
@@ -2082,7 +2084,8 @@ impl MultiSharded {
     }
 
     /// Read back a retired program's durably published final results.
-    /// `Ok(None)` when this id never left under durability.
+    /// `Ok(None)` when this id never left under durability; an
+    /// [`std::io::ErrorKind::InvalidData`] error when its file is corrupt.
     ///
     /// # Panics
     ///

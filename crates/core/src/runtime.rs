@@ -115,7 +115,7 @@ pub struct Runtime {
     lane_arity: Vec<usize>,
     /// Vectorized path: flow-run coalescing (default on). Off = one probe
     /// per surviving row, the pre-coalescing engine — kept as a live
-    /// baseline for the interleaved `query_runtime_bursty` benchmarks.
+    /// baseline for the interleaved `query_runtime_bursty` ratio guards.
     coalesce: bool,
     records: u64,
     finished: bool,
@@ -629,8 +629,8 @@ impl Runtime {
     /// reused, so a warmed replay performs zero heap allocations per packet
     /// (pinned by `tests/alloc_discipline.rs`).
     ///
-    /// This is the canonical end-to-end entry the examples and the
-    /// `end_to_end` benchmarks use; it is exactly equivalent to collecting
+    /// This is the canonical end-to-end entry the examples and the ratio
+    /// guards use; it is exactly equivalent to collecting
     /// every record and calling [`Runtime::process_batch`] on the result.
     pub fn process_network(
         &mut self,

@@ -536,6 +536,20 @@ enum Plane {
 }
 
 impl Plane {
+    /// The two-program deployment under `d`, inline or on `shards` shards.
+    fn durable(shards: Option<usize>, d: Durability) -> Plane {
+        let mut plane = match shards {
+            None => Plane::Inline(MultiRuntime::new(multi_programs())),
+            Some(n) => Plane::Sharded(MultiSharded::new(multi_programs(), n)),
+        };
+        match &mut plane {
+            Plane::Inline(m) => m.enable_durability(d),
+            Plane::Sharded(m) => m.enable_durability(d),
+        }
+        .expect("enable");
+        plane
+    }
+
     fn process_batch(&mut self, recs: &[QueueRecord]) {
         match self {
             Plane::Inline(m) => m.process_batch(recs),
@@ -568,16 +582,7 @@ fn retired_results_read_back_what_uninstall_returned() {
     let recs = records(TOTAL);
     for shards in [None, Some(2)] {
         let (_, backend) = fault_pair();
-        let d = durable_small(&backend);
-        let mut plane = match shards {
-            None => Plane::Inline(MultiRuntime::new(multi_programs())),
-            Some(n) => Plane::Sharded(MultiSharded::new(multi_programs(), n)),
-        };
-        match &mut plane {
-            Plane::Inline(m) => m.enable_durability(d),
-            Plane::Sharded(m) => m.enable_durability(d),
-        }
-        .expect("enable");
+        let mut plane = Plane::durable(shards, durable_small(&backend));
         for (id, upto) in [(0u64, PERSIST_AT[0]), (1, PERSIST_AT[1])] {
             plane.process_batch(&recs[upto - PERSIST_AT[0]..upto]);
             let live = plane.retired(id).expect("read");
@@ -595,6 +600,25 @@ fn retired_results_read_back_what_uninstall_returned() {
         }
         let never = plane.retired(7).expect("read");
         assert!(never.is_none(), "{shards:?}: id 7 never existed");
+    }
+}
+
+/// A retired file that is present but does not decode is an error, not
+/// "never retired": flip the top bit of `retired_0`'s table count after the
+/// uninstall, and `retired(0)` must fail with `InvalidData` on both planes.
+#[test]
+fn corrupt_retired_file_is_an_error() {
+    let recs = records(TOTAL);
+    for shards in [None, Some(2)] {
+        let (handle, backend) = fault_pair();
+        let d = durable_small(&backend);
+        let name = d.retired_name(0);
+        let mut plane = Plane::durable(shards, d);
+        plane.process_batch(&recs[..PERSIST_AT[0]]);
+        plane.uninstall(0).expect("id is live");
+        handle.lock().unwrap().mem().flip_bit(&name, 31);
+        let err = plane.retired(0).expect_err("a corrupt file must not read");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{shards:?}");
     }
 }
 
