@@ -56,7 +56,9 @@
 //! resident population, slots fill compactly from index 0 per bucket, and
 //! eviction moves the victim out by `mem::replace` — no clone, and (with
 //! the data arrays pre-reserved up to 2^20 resident pairs) no allocation on
-//! the steady-state per-packet path.
+//! the steady-state per-packet path. The end-of-window drain never walks
+//! the slot words: it zeroes them wholesale and streams the two data
+//! arrays out front to back, the order [`SramCache::for_each_slot`] visits.
 
 use crate::geometry::CacheGeometry;
 use crate::hash::hash_key;
@@ -179,10 +181,6 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
     /// Create a cache with the given geometry, policy and hash seed.
     #[must_use]
     pub fn new(geometry: CacheGeometry, policy: EvictionPolicy, hash_seed: u64) -> Self {
-        let rng_seed = match policy {
-            EvictionPolicy::Random { seed } => seed,
-            _ => 1,
-        };
         let inner = if geometry.buckets == 1 {
             Inner::Full(FullLruCache::new(geometry.ways))
         } else {
@@ -191,7 +189,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
         SramCache {
             inner,
             policy,
-            rng: VictimRng::new(rng_seed),
+            rng: victim_rng(policy),
             geometry,
         }
     }
@@ -356,12 +354,19 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
     }
 
     /// Remove all resident entries, handing each to `sink` (end-of-window
-    /// flush, geometry migration).
+    /// flush, geometry migration), in [`SramCache::for_each_slot`] order:
+    /// the entry arena front to back. The order is free — the cache holds
+    /// at most one residency per key, so no absorption of one entry can
+    /// see another's. A drained cache is a just-built one: the `Random`
+    /// victim stream restarts from its seed and the fully-associative free
+    /// list returns to construction order, so a run that checkpoints (a
+    /// flush) picks the same victims as one recovered into a fresh cache.
     pub fn drain_into(&mut self, sink: impl FnMut(CacheEntry<K, V>)) {
         match &mut self.inner {
             Inner::Bucketed(c) => c.drain_into(sink),
             Inner::Full(c) => c.drain_into(sink),
         }
+        self.rng = victim_rng(self.policy);
     }
 
     /// Remove every resident entry whose `last_seen` is strictly before
@@ -395,6 +400,14 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
                 .for_each(&mut f),
         }
     }
+}
+
+/// The victim stream a just-built cache starts from.
+fn victim_rng(policy: EvictionPolicy) -> VictimRng {
+    VictimRng::new(match policy {
+        EvictionPolicy::Random { seed } => seed,
+        _ => 1,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -446,7 +459,9 @@ struct Stamped<V> {
 /// index dynamics identical to the previous packed-`u32` layout — the
 /// differential suite pins hit/miss/eviction streams byte-for-byte.
 /// Eviction swaps the incoming entry into the victim's arena slot with
-/// `mem::replace`: no clone, no allocation, no free-list churn. The arenas
+/// `mem::replace`: no clone, no allocation, no free-list churn. A drain
+/// empties the arenas in their own order, so it costs sequential reads
+/// plus one wholesale zeroing of the slot words. The arenas
 /// are pre-reserved up to 2^20 resident pairs, so caches up to that
 /// population never reallocate after construction; beyond it, arena growth
 /// is amortized doubling that settles during warm-up.
@@ -739,14 +754,9 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         }
         self.slots[base + last] = 0;
         self.lens[b] -= 1;
-        self.detach_arena(j)
-    }
-
-    /// Pull arena entry `j` out, keeping the arena dense: `swap_remove` both
-    /// parallel arrays and re-point the moved (formerly last) entry's slot
-    /// word at its new index. The moved entry is always live — callers
-    /// detach entries only after unlinking them from the slot table.
-    fn detach_arena(&mut self, j: usize) -> CacheEntry<K, V> {
+        // Keep the arena dense the same way: `swap_remove` both parallel
+        // arrays and re-point the moved (formerly last, still linked)
+        // entry's slot word at its new index.
         let key = self.keys.swap_remove(j);
         let state = self.state.swap_remove(j);
         if j < self.keys.len() {
@@ -770,23 +780,22 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         Some(self.take_slot(b, slot))
     }
 
+    /// Empty the cache in arena order: the occupancy counts and slot words
+    /// are zeroed once each, then both arenas stream out front to back —
+    /// sequential reads, no per-entry slot lookup or compaction. The arenas
+    /// keep their reservation, and `seq` restarts as in a just-built cache.
     fn drain_into(&mut self, mut sink: impl FnMut(CacheEntry<K, V>)) {
-        // Emit in bucket-major, slot-ascending order — the exact order the
-        // old `Vec<Vec<Slot>>` drain produced (the differential suite pins
-        // the sequence). Arena holes never form: the entry swapped in from
-        // the arena's end always belongs to a not-yet-drained slot (drained
-        // slots give up their entries immediately), so re-pointing its slot
-        // word keeps every later `entry_of` resolution live.
-        for b in 0..self.buckets {
-            let len = std::mem::replace(&mut self.lens[b], 0) as usize;
-            for slot in 0..len {
-                let j = self.entry_of(b, slot);
-                let entry = self.detach_arena(j);
-                sink(entry);
-            }
-            self.clear_bucket_slots(b);
+        self.lens.fill(0);
+        self.slots.fill(0);
+        self.seq = 0;
+        for (key, s) in self.keys.drain(..).zip(self.state.drain(..)) {
+            sink(CacheEntry {
+                key,
+                value: s.value,
+                first_seen: s.first_seen,
+                last_seen: s.last_seen,
+            });
         }
-        debug_assert!(self.keys.is_empty(), "drain empties the arena");
     }
 
     /// Detach every slot whose entry went idle before `cutoff`. Slots scan
@@ -801,15 +810,6 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
                     sink(entry);
                 }
             }
-        }
-    }
-
-    /// Zero one bucket's slot words (all slots empty).
-    #[inline]
-    fn clear_bucket_slots(&mut self, b: usize) {
-        let base = b * self.ways;
-        for w in &mut self.slots[base..base + self.ways] {
-            *w = 0;
         }
     }
 
@@ -1015,16 +1015,16 @@ impl<K: Eq + Hash + Clone, V> FullLruCache<K, V> {
         Some(node.entry)
     }
 
+    /// Hand off every node in index order and leave the free list as
+    /// [`FullLruCache::new`] builds it, so later inserts take the same
+    /// nodes a fresh cache's would.
     fn drain_into(&mut self, mut sink: impl FnMut(CacheEntry<K, V>)) {
         self.map.clear();
         self.head = NIL;
         self.tail = NIL;
-        for (i, slot) in self.nodes.iter_mut().enumerate() {
-            if let Some(node) = slot.take() {
-                self.free.push(i);
-                sink(node.entry);
-            }
-        }
+        self.free.clear();
+        self.free.extend((0..self.nodes.len()).rev());
+        self.nodes.iter_mut().filter_map(Option::take).for_each(|n| sink(n.entry));
     }
 
     /// Unlink and hand off every node idle since before `cutoff`. The free

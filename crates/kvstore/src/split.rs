@@ -152,6 +152,10 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// window, or the paper's periodic refresh). Reading results is only
     /// correct from the backing store — §3.2: "the correct value at any time
     /// only resides in the backing store".
+    ///
+    /// Entries leave in the cache's arena order ([`SramCache::drain_into`]),
+    /// the one absorption order [`SplitStore::snapshot`] uses too, so a
+    /// flush and a poll frame build the same table record for record.
     pub fn flush(&mut self) {
         let SplitStore {
             cache,
@@ -203,6 +207,9 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// as an eviction (`evictions`/`backing_writes`), preserving the stats
     /// identity `backing_writes == evictions + flush_writes`. The backing
     /// store — the truth (§3.2) — is untouched, so results are unaffected.
+    /// Entries re-insert in the old cache's arena order (the
+    /// [`SramCache::drain_into`] order), which decides which of them
+    /// overflow a smaller cache.
     ///
     /// A migration to the current geometry is a no-op.
     pub fn migrate_geometry(&mut self, new_geometry: CacheGeometry) {
@@ -285,7 +292,8 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// Take a consistent read-only frame of this store's current results —
     /// the one read every poll face goes through. Equivalent to cloning the
     /// store and calling [`SplitStore::flush`] on the clone, without copying
-    /// the SRAM arenas or mutating the live store — and built that way. With
+    /// the SRAM arenas or mutating the live store — and built that way: the
+    /// same records and, with the whole truth in RAM, in the same order. With
     /// the whole truth in RAM the backing table is cloned with room for the
     /// cache (arena in order, index words re-placed — no hash, no probe per
     /// standing key); with part of it on disk (a dirty spill tier) the frame
@@ -294,8 +302,9 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// *replacing* its own snapshot frames (it is the complete truth for its
     /// key — the two are composites of the same history, so copy, never
     /// merge). Either way every cache residency is then absorbed exactly as
-    /// `flush` absorbs it; the SoA split keeps at most one residency per
-    /// key, so per-key results do not depend on iteration order.
+    /// `flush` absorbs it, and in the same arena order; the cache keeps at
+    /// most one residency per key, so per-key results would not depend on
+    /// that order anyway.
     ///
     /// # Panics
     ///
@@ -1129,6 +1138,45 @@ mod proptests {
 
         fn merge_mode(&self) -> MergeMode {
             self.0
+        }
+    }
+
+    /// A frame is the flushed clone record for record **and in order**: a
+    /// flush drains the cache in the arena order `snapshot` absorbs it in,
+    /// in every absorption mode, on two bucketed shapes, under every policy.
+    #[test]
+    fn flush_builds_the_snapshot_table_in_order() {
+        let policies = [
+            EvictionPolicy::Lru,
+            EvictionPolicy::Fifo,
+            EvictionPolicy::Random { seed: 3 },
+        ];
+        let records = |b: &BackingStore<u64, u64>| -> Vec<_> {
+            b.iter().map(|(k, e)| (*k, e.clone())).collect()
+        };
+        for mode in [MergeMode::Merge, MergeMode::Overwrite, MergeMode::Epochs] {
+            for (buckets, ways) in [(4, 2), (7, 4)] {
+                for policy in policies {
+                    let geom = CacheGeometry::new(buckets, ways);
+                    let mut s = SplitStore::new(geom, policy, 5, ModeOps(mode));
+                    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+                    for now in 0..400u64 {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        s.observe(x % 40, &now, Nanos(now));
+                    }
+                    assert!(!s.cache().is_empty() && !s.backing().is_empty());
+                    let mut flushed = s.clone();
+                    flushed.flush();
+                    assert_eq!(
+                        records(s.snapshot().backing()),
+                        records(flushed.backing()),
+                        "{mode:?} / {geom} / {}",
+                        policy.name()
+                    );
+                }
+            }
         }
     }
 

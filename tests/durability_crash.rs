@@ -716,6 +716,64 @@ fn crashed_recovery_recovers() {
     }
 }
 
+/// A checkpoint flushes the cache and recovery builds a fresh one, so a
+/// drained cache must pick its next victims exactly as a just-built one
+/// would — the `Random` policy's victim stream restarts and the
+/// fully-associative free list returns to construction order. Stop every
+/// Fig. 2 query right after the second checkpoint, recover, re-ingest the
+/// tail: on the 4-way and the fully-associative cache, under every policy,
+/// the drain and its record count equal the never-crashed run's.
+#[test]
+fn recovery_after_a_checkpoint_equals_the_never_crashed_run_under_every_policy() {
+    let recs = records(TOTAL);
+    let policies = [
+        EvictionPolicy::Lru,
+        EvictionPolicy::Fifo,
+        EvictionPolicy::Random { seed: 5 },
+    ];
+    for q in fig2::ALL {
+        for (ways, policy) in [4, 0].into_iter().flat_map(|w| policies.map(|p| (w, p))) {
+            let what = format!("{} / ways {ways} / {}", q.name, policy.name());
+            let program = || {
+                let opts = CompileOptions {
+                    cache_pairs: 16,
+                    ways,
+                    policy,
+                    ..Default::default()
+                };
+                perfq_core::compile_query(q.source, &fig2::default_params(), opts)
+                    .expect("fig2 compiles")
+            };
+            let ingest = |b: &SharedBackend| {
+                let mut rt = Runtime::new(program());
+                rt.enable_durability(durable_resident(b)).expect("enable");
+                let mut fed = 0;
+                for &p in &PERSIST_AT {
+                    rt.process_batch(&recs[fed..p]);
+                    fed = p;
+                    rt.persist().expect("persist");
+                }
+                rt
+            };
+            let (_, backend) = fault_pair();
+            let mut rt = ingest(&backend);
+            rt.process_batch(&recs[PERSIST_AT[1]..]);
+            rt.finish();
+            let reference = drained(&rt);
+
+            let (_, backend) = fault_pair();
+            drop(ingest(&backend));
+            let (mut rt, resume) =
+                Runtime::recover(program(), durable_resident(&backend)).expect("recover");
+            assert_eq!(resume as usize, PERSIST_AT[1], "{what}");
+            rt.process_batch(&recs[PERSIST_AT[1]..]);
+            rt.finish();
+            assert_eq!(drained(&rt), reference, "{what}");
+            assert_eq!(reference.1, recs.len() as u64, "{what}");
+        }
+    }
+}
+
 /// A failed durable-tier call on the sharded plane is a typed error, not the
 /// end of the plane: `enable_durability` and `persist` quiesce the workers,
 /// and an `Err` from the backend must still resume them with every in-RAM

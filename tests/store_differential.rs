@@ -146,21 +146,15 @@ impl RefCache {
         (s.key == *key).then_some((s.key, s.value, s.first_seen, s.last_seen))
     }
 
-    /// Drain in the old implementation's emission order: bucket-major,
-    /// slots front to back.
-    fn drain_in_order(&mut self) -> Vec<(u64, u64, Nanos, Nanos)> {
-        self.len = 0;
-        let mut out = Vec::new();
-        for bucket in &mut self.buckets {
-            for s in bucket.drain(..) {
-                out.push((s.key, s.value, s.first_seen, s.last_seen));
-            }
-        }
-        out
-    }
-
+    /// Empty the model, returning its entries sorted.
     fn drain_sorted(&mut self) -> Vec<(u64, u64, Nanos, Nanos)> {
-        let mut out = self.drain_in_order();
+        self.len = 0;
+        let mut out: Vec<_> = self
+            .buckets
+            .iter_mut()
+            .flat_map(|bucket| bucket.drain(..))
+            .map(|s| (s.key, s.value, s.first_seen, s.last_seen))
+            .collect();
         out.sort_unstable();
         out
     }
@@ -237,37 +231,49 @@ fn upsert_streams_are_byte_identical() {
 
 #[test]
 fn remove_and_drain_match_reference() {
+    /// `ops` 3:1 upserts to removes on both sides, outcome for outcome.
+    fn churn(
+        new: &mut SramCache<u64, u64>,
+        reference: &mut RefCache,
+        rng: &mut Lcg,
+        ops: std::ops::Range<u64>,
+        geom: CacheGeometry,
+    ) {
+        let key_space = (geom.capacity() as u64 * 2).max(8);
+        for i in ops {
+            let now = Nanos(i);
+            let remove = rng.next() % 4 == 0;
+            let key = rng.next() % key_space;
+            if remove {
+                let got = new.remove(&key).map(|e| (e.key, e.value, e.first_seen, e.last_seen));
+                let want = reference.remove(&key);
+                assert_eq!(got, want, "remove {key} at op {i} under {geom}");
+            } else {
+                let got = sram_upsert_add(new, key, 1, now);
+                let want = reference.upsert_add(key, 1, now);
+                assert_eq!(got, want, "upsert {key} at op {i} under {geom}");
+            }
+            assert_eq!(new.len(), reference.len);
+        }
+    }
     for (buckets, ways) in GEOMETRIES {
         let geom = CacheGeometry::new(buckets, ways);
         let mut new = SramCache::<u64, u64>::new(geom, EvictionPolicy::Lru, 9);
         let mut reference = RefCache::new(geom, EvictionPolicy::Lru, 9);
         let mut rng = Lcg(0xfeed + ways as u64);
-        let key_space = (geom.capacity() as u64 * 2).max(8);
-        for i in 0..3000u64 {
-            let now = Nanos(i);
-            match rng.next() % 4 {
-                // 3:1 upserts to removes.
-                0 => {
-                    let key = rng.next() % key_space;
-                    let got = new.remove(&key).map(|e| (e.key, e.value, e.first_seen, e.last_seen));
-                    let want = reference.remove(&key);
-                    assert_eq!(got, want, "remove {key} at op {i} under {geom}");
-                }
-                _ => {
-                    let key = rng.next() % key_space;
-                    let got = sram_upsert_add(&mut new, key, 1, now);
-                    let want = reference.upsert_add(key, 1, now);
-                    assert_eq!(got, want, "upsert {key} at op {i} under {geom}");
-                }
-            }
-            assert_eq!(new.len(), reference.len);
-        }
-        // The drain itself is pinned in emission order, not just as a set:
-        // bucket-major, slots front to back, exactly like the old layout.
+        churn(&mut new, &mut reference, &mut rng, 0..3000, geom);
+        // The drain hands over exactly the reference's entries, in the
+        // order `for_each_slot` visits them (the arena, front to back).
+        let mut visited = Vec::new();
+        new.for_each_slot(|e| visited.push((*e.key, *e.value, e.first_seen, e.last_seen)));
         let mut drained: Vec<(u64, u64, Nanos, Nanos)> = Vec::new();
         new.drain_into(|e| drained.push((e.key, e.value, e.first_seen, e.last_seen)));
-        assert_eq!(drained, reference.drain_in_order(), "drain order under {geom}");
+        assert_eq!(drained, visited, "drain order under {geom}");
+        drained.sort_unstable();
+        assert_eq!(drained, reference.drain_sorted(), "drained entries under {geom}");
+        // A drained cache carries on exactly like the drained reference.
         assert!(new.is_empty());
+        churn(&mut new, &mut reference, &mut rng, 3000..4000, geom);
     }
 }
 
