@@ -187,8 +187,8 @@ fn main() {
     // is a larger share of each replay). `multi_query` runs three Fig. 2
     // queries; `multi_query_shared` three with real overlap — the §4
     // counter, the loss rate whose R1 is that counter (its store dedups),
-    // the EWMA (shares the 5-tuple key) — and also prices the cross-query
-    // layer against the plane with ingest sharing only.
+    // the EWMA — and also prices store dedup alone against the plane with
+    // ingest sharing only (filters and keys are per program on both sides).
     let fig2_3q = compile(&[
         fig2::PER_FLOW_COUNTERS.source,
         fig2::LATENCY_EWMA.source,

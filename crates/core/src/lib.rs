@@ -87,36 +87,38 @@
 //!
 //! # Hot-path anatomy
 //!
-//! Where a record's nanoseconds go: one `--trace 1` run of this tree per
-//! workload on the repo benchmark (`benchmark/`, seed 42, 2-core box; the
-//! names are `BENCHMARK.json`'s per-layer metrics). The pass and the engine
-//! are timed inside the real run; the three indented rows are isolated
-//! replays of one layer over the workload's own records, so they need not
-//! sum to the engine row. `resident_counters` keeps ~4 090 keys in a
-//! 2^16-pair cache (no eviction); `evict_counters` runs ~203 k keys through
-//! it (4.8 % of packets evict — the paper's regime):
+//! Where a record's nanoseconds go: the stage table `ROADMAP.md` quotes,
+//! one `--trace 1` run per workload on the repo benchmark (`benchmark/`,
+//! seed 42, 2-core box; the names are `BENCHMARK.json`'s per-layer
+//! metrics). The pass and the engine are timed inside the real run; the
+//! three indented rows are isolated replays of one layer over the
+//! workload's own records, so they need not sum to the engine row, and the
+//! `unexplained` row is the engine time none of the three accounts for.
+//! `resident_counters` keeps ~4 090 keys in a 2^16-pair cache (no
+//! eviction); `evict_counters` runs ~205 k keys through it (4.8 % of
+//! packets evict — the paper's regime):
 //!
 //! ```text
 //!   ns/record                                          resident   evict
 //!   ─────────────────────────────────────────────────────────────────────
-//!   pass            switch.feed_ns_per_record             195      263
-//!   switch loop     switch.run_ns_per_record               66       65
-//!   engine          core.ingest_ns_per_record             124      189
-//!     write_row       switch.write_row_ns_per_record       17       18
-//!     key build+hash  kvstore.key_hash_ns                  16       16
-//!     store observe   kvstore.observe_ns_per_key           55       99
+//!   pass            switch.feed_ns_per_record             189      296
+//!   switch loop     switch.run_ns_per_record               64       67
+//!   engine          core.ingest_ns_per_record             121      204
+//!     write_row       switch.write_row_ns_per_record       19       18
+//!     key build+hash  kvstore.key_hash_ns                  14       14
+//!     store observe   kvstore.observe_ns_per_key           45       90
+//!     unexplained                                         ≈ 43     ≈ 82
 //!   ─────────────────────────────────────────────────────────────────────
-//!   drain           core.finish_ms + core.collect_ms   0.65 + 0.37 ms   13.8 + 22.8 ms
-//!   one poll frame  kvstore.snapshot_ms                   0.18 ms          16.3 ms
+//!   drain           core.finish_ms + core.collect_ms   0.50 + 0.36 ms   10.6 + 24.0 ms
 //! ```
 //!
 //! Two consequences shape the engine. **The store is the largest named
 //! term and it is miss-bound**: `observe` — one hash, one probe, the fold,
 //! and on a miss the victim's §3.2 merge into the backing table — costs
-//! 55 ns while the arenas sit in the CPU's cache and 99 ns at the paper's
+//! 45 ns while the arenas sit in the CPU's cache and 90 ns at the paper's
 //! operating point, which is most of what separates the two workloads;
-//! row materialization and key build are ~17 ns each and do not move. The
-//! vectorized GroupBy sweep coalesces equal-key *runs* — one
+//! row materialization and key build are ~19 and ~14 ns and do not move.
+//! The vectorized GroupBy sweep coalesces equal-key *runs* — one
 //! `observe_run_first` probe per run, `observe_run_next` through the
 //! already-resolved handle for the rest — which wins 1.17–1.25× on
 //! locally-sorted traffic (mean run ≈ 5, the shape RSS steering + bursty
@@ -125,10 +127,10 @@
 //! runs barely exist (mean run 1.010 on the `ratios` bin's trace
 //! `test_small(7)`, 1.001 on the five `benchmark/`
 //! workloads, counted per group key inside a 16-record chunk) and the run
-//! tracker costs nothing measurable. **Almost a third of the engine's time
-//! has no name yet**: ≈ 36 ns (resident) to ≈ 56 ns (evict) of `core.ingest` is
-//! none of the three isolated layers — lane bookkeeping, bytecode
-//! dispatch, whatever the isolated replays hide by running alone.
+//! tracker costs nothing measurable. **More than a third of the engine's
+//! time has no name yet**: ≈ 43 ns (resident) to ≈ 82 ns (evict) of
+//! `core.ingest` is none of the three isolated layers — lane bookkeeping,
+//! bytecode dispatch, whatever the isolated replays hide by running alone.
 //!
 //! The sharded plane adds the queue handoff: workload `sharded_handoff`
 //! reads `switch.ring_ns_per_record` 66 ns — a batch of 256 crossing
@@ -154,7 +156,7 @@
 //!        │                        │ bit i = lane i live for this node
 //!        ▼                        ▼
 //!   per node, in topological order: sweep set bits only
-//!        ├─ filter verdict per lane (fused, or a precomputed shared mask)
+//!        ├─ filter verdict per lane (fused into the sweep)
 //!        ├─ Project: eval output cols into the node's lane slots
 //!        └─ GroupBy: key build + one store upsert per surviving bit
 //!        ▼
@@ -166,13 +168,11 @@
 //! materialize → per-node store sweeps, or the random store probes evict
 //! them and the batching win inverts. A node's own filter fuses into its
 //! sweep — the verdict clears the lane's bit and the fold runs in the same
-//! row visit, so survivor masks cost no second pass over the chunk — while
-//! the multi-query shared prefix evaluates each *shared* filter once into
-//! a per-chunk verdict mask (`plan::Filter::survivors`) that every
-//! consuming program ANDs in for free (shared group keys likewise build
-//! once per lane under the union of their consumers' masks). Nodes read
-//! their input from the base lanes or the upstream node's flat output
-//! buffer and are skipped outright when their input mask is empty.
+//! row visit, so survivor masks cost no second pass over the chunk. On
+//! [`MultiRuntime`] the chunk's rows materialize once for every program,
+//! and each program's plan then sweeps them with its own filters and keys.
+//! Nodes read their input from the base lanes or the upstream node's flat
+//! output buffer and are skipped outright when their input mask is empty.
 //!
 //! Two contracts pin the path. **Byte-identity:** every store and capture
 //! buffer belongs to exactly one node, set bits are visited in ascending
@@ -247,17 +247,15 @@
 //!
 //! # Cross-query sharing
 //!
-//! Installed programs overlap: the paper's own Fig. 2 set keys the 5-tuple
-//! five times, filters `proto == TCP` twice, and repeats the §4 running
-//! example (`SELECT COUNT GROUPBY 5tuple`) verbatim inside the loss-rate
-//! program. [`MultiRuntime`]/[`MultiSharded`] therefore run an install-time
-//! sharing pass — compare candidate stores structurally
+//! Installed programs overlap: the paper's own Fig. 2 set repeats the §4
+//! running example (`SELECT COUNT GROUPBY 5tuple`) verbatim inside the
+//! loss-rate program. [`MultiRuntime`]/[`MultiSharded`] therefore run an
+//! install-time sharing pass — compare candidate stores structurally
 //! (`perfq_lang::fingerprint`) and physically, rewrite the plans — that
-//! (a) evaluates each unique base filter and builds each unique group key
-//! **once per record** (the shared execution prefix), and (b) binds
-//! structurally-identical stores to **one** physical store, eliding the
-//! duplicates from the streaming pass and substituting the owner's
-//! finished store at drain.
+//! binds structurally-identical stores to **one** physical store, eliding
+//! the duplicates from the streaming pass and substituting the owner's
+//! finished store at drain. Filters and group keys are not shared: each
+//! program's plan sweeps a chunk with its own.
 //! Two stores may legally dedup only when their input chains, filters, key
 //! tuples and fold semantics are identical *and* their physical
 //! configurations (geometry, eviction policy, hash seed) match — which
@@ -326,8 +324,7 @@
 //! **quiesce**, the **geometry divisor** (a worker's share of its
 //! program's slice: all of it, or `1/N`), and the **candidate gate** (the
 //! sharded plane dedups only across programs that partition exactly and
-//! route identically) — and nothing else; the single-stream plane
-//! additionally re-annotates its shared filter/key prefix after an event.
+//! route identically) — and nothing else.
 //!
 //! An install is a dry run, then a commit. The dry run nominates the
 //! arrival's dedup candidates, runs the `perfq_kvstore::CachePlanner`
@@ -409,8 +406,7 @@ pub use compiler::{compile_program, CompileError, CompileOptions, CompiledProgra
 pub use durable::{decode_results, encode_results, read_retired, write_retired, Durability};
 pub use foldops::{FoldOps, FoldState};
 pub use multi::{
-    demand_of, provision, InstallError, MultiRuntime, MultiSharded, SharedSlot, SharedStore,
-    SharingReport,
+    demand_of, provision, InstallError, MultiRuntime, MultiSharded, SharedStore, SharingReport,
 };
 pub use oracle::{Oracle, Prediction};
 pub use result::{diff_tables, DeltaCursor, DeltaRow, ResultRow, ResultSet, ResultTable};

@@ -19,10 +19,10 @@
 //!   dispatched to every program's flat plan — so K concurrent Fig. 2
 //!   queries cost one trip through the network event loop and one row
 //!   materialization instead of K full replays.
-//! * **Cross-query execution sharing** (see below): work that several
-//!   installed programs would repeat — identical `WHERE` predicates,
-//!   identical `GROUPBY` key extractions, and entire structurally-identical
-//!   stores — executes **once**.
+//! * **Cross-query store sharing** (see below): structurally-identical
+//!   stores across the installed programs are charged to the budget and
+//!   updated **once**. Everything else — filters, key builds, folds — each
+//!   program's plan sweeps on its own.
 //! * **One lifecycle** (see below): [`MultiRuntime`] (one worker per
 //!   program, on the caller) and [`MultiSharded`] (N workers per program,
 //!   behind queues; [`ShardedRuntime`](crate::ShardedRuntime) is its K = 1
@@ -32,11 +32,11 @@
 //!   exactly once.
 //!
 //! ```text
-//!                                             ┌─▶ ExecPlan(program 0) ─▶ stores₀ (slice₀)
-//!   packets ─▶ Network ─▶ row (union mask) ─▶ shared prefix ─▶ ExecPlan(program 1) ─▶ stores₁ (slice₁)
-//!                          (once)             (filters/keys,  └─▶ ExecPlan(program K) ─▶ storesₖ (sliceₖ)
-//!                                              once)               (deduped aggregations: skipped,
-//!                                                                   one physical store serves all readers)
+//!                                            ┌─▶ ExecPlan(program 0) ─▶ stores₀ (slice₀)
+//!   packets ─▶ Network ─▶ row (union mask) ──┼─▶ ExecPlan(program 1) ─▶ stores₁ (slice₁)
+//!                          (once)            └─▶ ExecPlan(program K) ─▶ storesₖ (sliceₖ)
+//!                                                 (own filters and keys; deduped aggregations
+//!                                                  skipped, one physical store serves all readers)
 //! ```
 //!
 //! # One lifecycle, two front ends
@@ -68,10 +68,9 @@
 //! identically) and the **divisor** (a worker runs its stores at the whole
 //! slice, or at `1/N` of it). The rest of the difference lives in the front
 //! ends and is not control flow of the lifecycle: how many workers a group
-//! has; that [`MultiSharded`] must pause a group to reach its workers and
-//! resume it afterwards (only the groups the dry run says the commit
-//! touches — none at all without a budget); and that [`MultiRuntime`]
-//! re-annotates its shared filter/key prefix after an event. Every
+//! has, and that [`MultiSharded`] must pause a group to reach its workers
+//! and resume it afterwards (only the groups the dry run says the commit
+//! touches — none at all without a budget). Every
 //! [`PlanError`] — including a `1/N` slice too small for one pair — and,
 //! under durability, a failed spill-tier attach surface from the dry run as
 //! an [`InstallError`] with the deployment untouched.
@@ -99,20 +98,16 @@
 //!    downstream query consumes) is removed from its program's streaming
 //!    pass entirely; at [`MultiRuntime::finish`] the owning program's
 //!    finished store is substituted back, so collection reads exactly what
-//!    a private store would have held. Identical base-table filters and
-//!    `GROUPBY` key tuples that remain active are annotated with **shared
-//!    prefix** slots: per record, the multi-runtime evaluates each unique
-//!    predicate and builds each unique key once, and every annotated plan
-//!    node reads the precomputed result.
+//!    a private store would have held. Every other node stays in its
+//!    program's plan, which sweeps each chunk with its own filters and
+//!    keys.
 //!
 //! The paper's own query set overlaps this way: the loss-rate program's
 //! `R1 = SELECT COUNT GROUPBY 5tuple` *is* the §4 running-example counter
-//! query, five of the Fig. 2 queries key the same base 5-tuple, and both
-//! TCP queries filter `proto == TCP`. [`SharingReport`] (from
-//! [`MultiRuntime::sharing`]) lists what was shared; under [`provision`]
-//! the deduplicated stores are also charged to the SRAM budget **once**,
-//! and the reclaimed bits grow every physical cache
-//! ([`StoreDemand::dedup`](perfq_kvstore::StoreDemand)).
+//! query. [`SharingReport`] (from [`MultiRuntime::sharing`]) lists what was
+//! shared; under [`provision`] the deduplicated stores are also charged to
+//! the SRAM budget **once**, and the reclaimed bits grow every physical
+//! cache ([`StoreDemand::dedup`](perfq_kvstore::StoreDemand)).
 //!
 //! [`MultiSharded`] runs the same discipline across cores: each program
 //! runs its own worker group (router, SPSC queues, N worker threads), and
@@ -128,9 +123,7 @@
 //! routing identically ([`ShardSpec::routes_like`](crate::ShardSpec)), so
 //! every worker of the owner sees exactly the records the matching worker
 //! of the alias would have seen and the substituted store equals the one
-//! the alias would have drained itself, eviction for eviction. The
-//! per-record shared prefix is a single-stream optimization and does not
-//! cross SPSC queues.
+//! the alias would have drained itself, eviction for eviction.
 //!
 //! Sharing is a **pure optimization**: execution with sharing enabled is
 //! byte-identical to [`MultiRuntime::new_unshared`] — and to K independent
@@ -140,15 +133,13 @@
 
 use crate::compiler::{CompiledProgram, StorePlan};
 use crate::durable::{read_retired, write_retired, Durability};
-use crate::plan::{lane_mask, ExecPlan, Filter, NodeKind, RowSource, CHUNK, LANES};
+use crate::plan::{ExecPlan, CHUNK, LANES};
 use crate::result::ResultSet;
-use crate::runtime::Runtime;
+use crate::runtime::{LifecycleError, Runtime};
 use crate::sharded::{ShardGroup, ShardSpec};
 use perfq_kvstore::{
-    AreaPlan, CacheGeometry, CachePlanner, InlineKey, PlanError, QueryAllocation, QueryDemand,
-    StoreDemand,
+    AreaPlan, CacheGeometry, CachePlanner, PlanError, QueryAllocation, QueryDemand, StoreDemand,
 };
-use perfq_lang::bytecode::EvalStack;
 use perfq_lang::{fingerprint, QueryInput, Value};
 use perfq_switch::{Network, QueueRecord};
 
@@ -190,12 +181,12 @@ pub fn provision(
     programs: &mut [CompiledProgram],
     budget_bits: u64,
 ) -> Result<AreaPlan, PlanError> {
-    let analysis = analyze_sharing(programs);
-    provision_with(programs, budget_bits, &analysis)
+    let aliases = analyze_sharing(programs);
+    provision_with(programs, budget_bits, &aliases)
 }
 
-/// [`provision`] against a caller-supplied (possibly gated) sharing
-/// analysis — [`MultiSharded::provisioned`] computes the analysis once,
+/// [`provision`] against a caller-supplied (possibly gated) alias list —
+/// [`MultiSharded::provisioned`] computes the analysis once,
 /// applies the shard-exactness gate, and threads the same result through
 /// both the planner and the worker rewrite so the two can never disagree.
 ///
@@ -211,10 +202,10 @@ pub fn provision(
 fn provision_with(
     programs: &mut [CompiledProgram],
     budget_bits: u64,
-    analysis: &SharingAnalysis,
+    aliases: &[Pair],
 ) -> Result<AreaPlan, PlanError> {
     let ids: Vec<u64> = (0..programs.len() as u64).collect();
-    let (idxs, demands) = lifecycle_demands(programs, &ids, &analysis.aliases);
+    let (idxs, demands) = lifecycle_demands(programs, &ids, aliases);
     if demands.is_empty() {
         return Err(PlanError::EmptyDemands);
     }
@@ -321,43 +312,10 @@ fn set_geometries(
 // Sharing analysis
 // ---------------------------------------------------------------------------
 
-/// When a shared key slot's tuple actually gets built for a record. The
-/// unshared per-node path only builds a key after the node's filter
-/// passes; the shared prefix must never do *more* work than that, so a
-/// slot whose every user sits behind a filter is gated on those verdicts.
-#[derive(Debug, Clone)]
-pub(crate) enum KeyGate {
-    /// Some user is unfiltered: the key is read for every record.
-    Always,
-    /// Every user sits behind one of these shared filter slots: build the
-    /// key only when at least one of them passed (otherwise no node will
-    /// read it this record).
-    AnyOf(Vec<u32>),
-}
-
 /// One store-dedup pair: `(alias (program, query), owner (program, query))`.
+/// The owner precedes its aliases in (program, query) order and is never
+/// itself an alias.
 type Pair = ((usize, usize), (usize, usize));
-/// One shared-prefix filter slot: the predicate and its `(program, query)` users.
-type SharedFilter = (Filter, Vec<(usize, usize)>);
-/// One shared-prefix key slot: the key columns, the construction gate and
-/// the `(program, query)` users.
-type SharedKey = (Vec<usize>, KeyGate, Vec<(usize, usize)>);
-
-/// What the install-time sharing pass decided (crate-private form; the
-/// user-facing summary is [`SharingReport`]).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SharingAnalysis {
-    /// `(alias (program, query)) → (owner (program, query))`. The owner
-    /// precedes its aliases in (program, query) order and is never itself
-    /// an alias.
-    pub aliases: Vec<Pair>,
-    /// Unique base-table filters evaluated once per record, each with its
-    /// ≥ 2 users.
-    pub filters: Vec<SharedFilter>,
-    /// Unique base-table `GROUPBY` key tuples built once per record, each
-    /// with its construction gate and its ≥ 2 annotated users.
-    pub keys: Vec<SharedKey>,
-}
 
 /// Physical store-plan identity: the non-structural half of the dedup
 /// legality rule (the structural half is
@@ -488,16 +446,15 @@ fn lifecycle_alias_candidates(
     out
 }
 
-/// Decide, at install time, what the given program set can share. Pure
-/// analysis — applying the result to runtimes/worker programs is the
-/// caller's job.
-pub(crate) fn analyze_sharing(programs: &[CompiledProgram]) -> SharingAnalysis {
+/// Decide, at install time, which stores of the given program set dedup:
+/// the alias pairs. Pure analysis — applying the result to worker
+/// programs is the caller's job.
+pub(crate) fn analyze_sharing(programs: &[CompiledProgram]) -> Vec<Pair> {
     let plans: Vec<ExecPlan> = programs
         .iter()
         .map(|p| ExecPlan::build(&p.program))
         .collect();
 
-    // --- store dedup -------------------------------------------------------
     // First occurrence of each store shape owns it; later structurally +
     // physically identical, *non-emitting* occurrences alias it. (An
     // emitting aggregation feeds downstream queries its per-record running
@@ -518,113 +475,7 @@ pub(crate) fn analyze_sharing(programs: &[CompiledProgram]) -> SharingAnalysis {
         }
     }
 
-    let (filters, keys) = analyze_prefix_sharing(&plans, &aliases);
-    SharingAnalysis {
-        aliases,
-        filters,
-        keys,
-    }
-}
-
-/// The common-subexpression half of the sharing pass: unique base filters
-/// and multi-column key tuples over the surviving (active, non-aliased)
-/// base-rooted nodes. Factored out of [`analyze_sharing`] so the dynamic
-/// lifecycle can re-annotate a live deployment from its *settled* alias
-/// set without re-running the store-dedup nomination.
-#[allow(clippy::type_complexity)]
-fn analyze_prefix_sharing(
-    plans: &[ExecPlan],
-    aliases: &[Pair],
-) -> (Vec<SharedFilter>, Vec<SharedKey>) {
-    let mut aliased: Vec<Vec<bool>> = plans.iter().map(|p| vec![false; p.nodes.len()]).collect();
-    for ((ap, aq), _) in aliases {
-        aliased[*ap][*aq] = true;
-    }
-    // Filters first: their retained slot indices gate the key slots below.
-    let mut filters: Vec<SharedFilter> = Vec::new();
-    for (pi, plan) in plans.iter().enumerate() {
-        for (qi, node) in plan.nodes.iter().enumerate() {
-            if !node.active || aliased[pi][qi] || node.source != RowSource::Base {
-                continue;
-            }
-            if let Some(f) = &node.filter {
-                match filters.iter_mut().find(|(g, _)| g == f) {
-                    Some((_, users)) => users.push((pi, qi)),
-                    None => filters.push((f.clone(), vec![(pi, qi)])),
-                }
-            }
-        }
-    }
-    filters.retain(|(_, users)| users.len() >= 2);
-
-    // Key tuples, with each user's filter status: unfiltered, behind a
-    // shared filter slot, or behind a private (single-user) filter.
-    enum UserFilter {
-        None,
-        Shared(u32),
-        Private,
-    }
-    let mut key_groups: Vec<(Vec<usize>, Vec<((usize, usize), UserFilter)>)> = Vec::new();
-    for (pi, plan) in plans.iter().enumerate() {
-        for (qi, node) in plan.nodes.iter().enumerate() {
-            if !node.active || aliased[pi][qi] || node.source != RowSource::Base {
-                continue;
-            }
-            let NodeKind::GroupBy { key_cols, .. } = &node.kind else {
-                continue;
-            };
-            // Single-column keys are as cheap to rebuild as to copy; only
-            // multi-word tuples (the 5-tuple, pkt_uniq) pay for a slot.
-            if key_cols.len() < 2 {
-                continue;
-            }
-            let status = match &node.filter {
-                None => UserFilter::None,
-                Some(f) => match filters.iter().position(|(g, _)| g == f) {
-                    Some(slot) => UserFilter::Shared(slot as u32),
-                    None => UserFilter::Private,
-                },
-            };
-            match key_groups.iter_mut().find(|(k, _)| k == key_cols) {
-                Some((_, users)) => users.push(((pi, qi), status)),
-                None => key_groups.push((key_cols.clone(), vec![((pi, qi), status)])),
-            }
-        }
-    }
-    let mut keys = Vec::new();
-    for (cols, users) in key_groups {
-        if users.iter().any(|(_, s)| matches!(s, UserFilter::None)) {
-            // An unfiltered user forces construction every record anyway;
-            // everyone (including privately-filtered users) reads the slot.
-            if users.len() >= 2 {
-                keys.push((
-                    cols,
-                    KeyGate::Always,
-                    users.into_iter().map(|(u, _)| u).collect(),
-                ));
-            }
-        } else {
-            // Every user is filtered. Gate the build on the shared filter
-            // verdicts (already computed by the prefix); privately-filtered
-            // users keep building their own key — the prefix cannot know
-            // whether their predicate passed without evaluating it, which
-            // would be net-new work.
-            let mut slots: Vec<u32> = Vec::new();
-            let mut gated: Vec<(usize, usize)> = Vec::new();
-            for (u, s) in &users {
-                if let UserFilter::Shared(slot) = s {
-                    if !slots.contains(slot) {
-                        slots.push(*slot);
-                    }
-                    gated.push(*u);
-                }
-            }
-            if gated.len() >= 2 {
-                keys.push((cols, KeyGate::AnyOf(slots), gated));
-            }
-        }
-    }
-    (filters, keys)
+    aliases
 }
 
 /// Restrict a sharing analysis to what the **sharded** dataplane can
@@ -639,27 +490,11 @@ fn analyze_prefix_sharing(
 ///   alias would have seen, so the per-worker store states (and their
 ///   eviction timing, which epoch/overwrite folds observe) coincide.
 ///   Programs whose primary group keys differ keep their private stores.
-///
-/// The per-record shared prefix never crosses the SPSC queues, so the
-/// filter/key slots are dropped entirely (workers evaluate their own;
-/// reporting them as shared would be a lie).
-fn retain_shard_exact(analysis: &mut SharingAnalysis, programs: &[CompiledProgram]) {
+fn retain_shard_exact(aliases: &mut Vec<Pair>, programs: &[CompiledProgram]) {
     let specs: Vec<ShardSpec> = programs.iter().map(ShardSpec::from_compiled).collect();
-    analysis.aliases.retain(|((ap, _), (op, _))| {
+    aliases.retain(|((ap, _), (op, _))| {
         specs[*ap].is_exact() && specs[*op].is_exact() && specs[*ap].routes_like(&specs[*op])
     });
-    analysis.filters.clear();
-    analysis.keys.clear();
-}
-
-/// One shared subexpression: what it computes and who reads it.
-#[derive(Debug, Clone)]
-pub struct SharedSlot {
-    /// Rendered form of the shared work (a predicate like `proto == 6`, or
-    /// a key tuple like `srcip, dstip, srcport, dstport, proto`).
-    pub desc: String,
-    /// The sharing queries as `(program index, query name)`.
-    pub users: Vec<(usize, String)>,
 }
 
 /// One deduplicated store: the alias reads the owner's physical store.
@@ -675,10 +510,6 @@ pub struct SharedStore {
 /// ([`MultiRuntime::sharing`] / [`MultiSharded::sharing`]).
 #[derive(Debug, Clone, Default)]
 pub struct SharingReport {
-    /// Base filters evaluated once per record.
-    pub filters: Vec<SharedSlot>,
-    /// Base group keys built once per record.
-    pub keys: Vec<SharedSlot>,
     /// Aggregation stores collapsed into one physical store.
     pub stores: Vec<SharedStore>,
 }
@@ -687,50 +518,12 @@ impl SharingReport {
     /// True when the pass found anything to share.
     #[must_use]
     pub fn any(&self) -> bool {
-        !self.filters.is_empty() || !self.keys.is_empty() || !self.stores.is_empty()
+        !self.stores.is_empty()
     }
 }
 
-fn report_of(
-    programs: &[CompiledProgram],
-    aliases: &[Pair],
-    filters: &[SharedFilter],
-    keys: &[SharedKey],
-) -> SharingReport {
-    let schema = perfq_lang::base_schema();
+fn report_of(programs: &[CompiledProgram], aliases: &[Pair]) -> SharingReport {
     let named = |p: usize, q: usize| (p, programs[p].program.queries[q].name.clone());
-    let filters = filters
-        .iter()
-        .map(|(_, users)| {
-            let (p, q) = users[0];
-            let prog = &programs[p].program;
-            let desc = prog.queries[q]
-                .pre_filter
-                .as_ref()
-                .map(|f| {
-                    fingerprint::render_expr(
-                        &perfq_lang::bytecode::bind_params(f, &prog.param_values()),
-                        &schema,
-                    )
-                })
-                .unwrap_or_default();
-            SharedSlot {
-                desc,
-                users: users.iter().map(|(p, q)| named(*p, *q)).collect(),
-            }
-        })
-        .collect();
-    let keys = keys
-        .iter()
-        .map(|(cols, _, users)| SharedSlot {
-            desc: cols
-                .iter()
-                .map(|c| schema.name_of(*c))
-                .collect::<Vec<_>>()
-                .join(", "),
-            users: users.iter().map(|(p, q)| named(*p, *q)).collect(),
-        })
-        .collect();
     let stores = aliases
         .iter()
         .map(|((ap, aq), (op, oq))| SharedStore {
@@ -738,11 +531,7 @@ fn report_of(
             alias: named(*ap, *aq),
         })
         .collect();
-    SharingReport {
-        filters,
-        keys,
-        stores,
-    }
+    SharingReport { stores }
 }
 
 /// Substitute every alias query's (never-updated) store with a clone of its
@@ -820,9 +609,9 @@ fn quiesced(groups: &mut [Group], p: usize) -> &mut Vec<Runtime> {
 /// sharded plane keeps only alias pairs whose programs partition exactly
 /// and route identically ([`retain_shard_exact`]); the inline plane keeps
 /// every pair.
-fn gate(shards: Option<usize>, analysis: &mut SharingAnalysis, programs: &[CompiledProgram]) {
+fn gate(shards: Option<usize>, aliases: &mut Vec<Pair>, programs: &[CompiledProgram]) {
     if shards.is_some() {
-        retain_shard_exact(analysis, programs);
+        retain_shard_exact(aliases, programs);
     }
 }
 
@@ -923,23 +712,18 @@ struct Roster {
 
 impl Roster {
     /// The constructors' shared half: run (and gate) the sharing pass over
-    /// the initial program set. Returns the analysis alongside for the
-    /// inline plane's shared prefix.
-    fn new(
-        programs: Vec<CompiledProgram>,
-        share: bool,
-        shards: Option<usize>,
-    ) -> (Self, SharingAnalysis) {
+    /// the initial program set.
+    fn new(programs: Vec<CompiledProgram>, share: bool, shards: Option<usize>) -> Self {
         assert!(!programs.is_empty(), "need at least one program");
-        let mut analysis = SharingAnalysis::default();
+        let mut aliases = Vec::new();
         if share {
-            analysis = analyze_sharing(&programs);
-            gate(shards, &mut analysis, &programs);
+            aliases = analyze_sharing(&programs);
+            gate(shards, &mut aliases, &programs);
         }
         let n = programs.len();
         let mut roster = Roster {
             programs,
-            aliases: analysis.aliases.clone(),
+            aliases,
             report: SharingReport::default(),
             ids: (0..n as u64).collect(),
             next_id: n as u64,
@@ -951,8 +735,8 @@ impl Roster {
             durability: None,
             persisted_at: None,
         };
-        roster.refresh_report(&analysis.filters, &analysis.keys);
-        (roster, analysis)
+        roster.refresh_report();
+        roster
     }
 
     /// [`Roster::new`] under a shared SRAM budget. One (gated) sharing
@@ -965,11 +749,11 @@ impl Roster {
         mut programs: Vec<CompiledProgram>,
         budget_bits: u64,
         shards: Option<usize>,
-    ) -> Result<(Self, SharingAnalysis, Vec<CompiledProgram>, AreaPlan), PlanError> {
-        let mut analysis = analyze_sharing(&programs);
-        gate(shards, &mut analysis, &programs);
-        let plan = provision_with(&mut programs, budget_bits, &analysis)?;
-        let (mut roster, analysis) = Roster::new(programs, true, shards);
+    ) -> Result<(Self, Vec<CompiledProgram>, AreaPlan), PlanError> {
+        let mut aliases = analyze_sharing(&programs);
+        gate(shards, &mut aliases, &programs);
+        let plan = provision_with(&mut programs, budget_bits, &aliases)?;
+        let mut roster = Roster::new(programs, true, shards);
         roster.budget = Some(budget_bits);
         // `provision_with` named the i-th program's demand `q{i}`; look the
         // allocation up **by name** — programs without stores place no
@@ -981,7 +765,7 @@ impl Roster {
                 set_geometries(worker, worker_geometries(shards, alloc)?);
             }
         }
-        Ok((roster, analysis, workers, plan))
+        Ok((roster, workers, plan))
     }
 
     /// The program each installed program's workers start from: its
@@ -1081,14 +865,9 @@ impl Roster {
     }
 
     /// Rebuild the sharing report over the current programs and settled
-    /// aliases, with the shared-prefix slots the inline plane runs (none on
-    /// the sharded plane: the prefix does not cross the queues).
-    fn refresh_report(
-        &mut self,
-        filters: &[SharedFilter],
-        keys: &[SharedKey],
-    ) {
-        self.report = report_of(&self.programs, &self.aliases, filters, keys);
+    /// aliases.
+    fn refresh_report(&mut self) {
+        self.report = report_of(&self.programs, &self.aliases);
     }
 
     /// Run the planner **once** over `programs` (named by `ids`, dedup
@@ -1195,13 +974,11 @@ impl Roster {
         programs.push(program);
         let mut epochs = self.epochs.clone();
         epochs.push(self.records);
-        let mut nominated = SharingAnalysis::default();
+        let mut candidates = Vec::new();
         if self.share {
-            nominated.aliases =
-                lifecycle_alias_candidates(&programs, &epochs, &self.aliases, new_idx);
-            gate(self.shards, &mut nominated, &programs);
+            candidates = lifecycle_alias_candidates(&programs, &epochs, &self.aliases, new_idx);
+            gate(self.shards, &mut candidates, &programs);
         }
-        let mut candidates = nominated.aliases;
 
         // Candidate pairs are kept only when the strict dedup rule holds at
         // the geometries the plan installs. The demand set is identical
@@ -1267,7 +1044,7 @@ impl Roster {
         self.next_id += 1;
         self.ids.push(id);
         self.epochs.push(self.records);
-        self.refresh_report(&[], &[]);
+        self.refresh_report();
         id
     }
 
@@ -1283,8 +1060,9 @@ impl Roster {
     /// implies identical routing, so worker `w`'s states are
     /// interchangeable; the live state moves — stream continuity preserved)
     /// and further aliases re-parent onto the promoted owner. The departing
-    /// group is dropped, and under a budget the survivors replan onto the
-    /// reclaimed area, live-migrate and repair. Under durability the final
+    /// group is dropped, and under a budget the remaining programs replan
+    /// onto the reclaimed area, live-migrate and repair. Under durability
+    /// the final
     /// results are published as the departing id's retired file.
     ///
     /// # Panics
@@ -1338,12 +1116,12 @@ impl Roster {
         self.epochs.remove(pos);
         self.programs.remove(pos);
 
-        let survivors = std::mem::take(&mut self.programs); // `apply` puts them back
+        let remaining = std::mem::take(&mut self.programs); // `apply` puts them back
         let replan = self
-            .replan(survivors, &self.ids, &self.aliases)
+            .replan(remaining, &self.ids, &self.aliases)
             .expect("surviving slices only grow on uninstall");
         self.apply(replan, groups);
-        self.refresh_report(&[], &[]);
+        self.refresh_report();
         // The poll read through the durable tier (a frame replays every
         // spilled pair); publish it so it outlives the deployment.
         if let Some(d) = &self.durability {
@@ -1417,8 +1195,6 @@ pub struct MultiRuntime {
     runtimes: Vec<Runtime>,
     /// Who is installed, and the one lifecycle over them.
     roster: Roster,
-    /// Union of the programs' pruned base-column masks.
-    union_cols: u64,
     /// Chunk-wide row buffers ([`MultiRuntime::process_batch`]): one
     /// [`LANES`]-record chunk materializes at a time, then each program
     /// sweeps it node-at-a-time — a program's stores and bytecode state
@@ -1428,20 +1204,6 @@ pub struct MultiRuntime {
     rows: Vec<Value>,
     /// Observation times of the current chunk, parallel to `rows`.
     nows: Vec<perfq_packet::Nanos>,
-    /// Unique base filters of the shared execution prefix, by slot.
-    shared_filters: Vec<Filter>,
-    /// Unique base key tuples of the shared execution prefix, by slot,
-    /// each with its construction gate.
-    shared_keys: Vec<(Vec<usize>, KeyGate)>,
-    /// Reusable scratch for wider-than-inline shared keys.
-    key_spill: Vec<i64>,
-    /// Vectorized path: per-slot survivor bitmasks for the current chunk
-    /// (bit `i` = lane `i` passed shared filter `slot`).
-    pass_masks: Vec<u64>,
-    /// Shared keys of the current chunk, row-major (`lane * n_keys + k`).
-    key_buf: Vec<InlineKey>,
-    /// Bytecode stack for shared filter evaluation.
-    stack: EvalStack,
 }
 
 impl MultiRuntime {
@@ -1468,29 +1230,19 @@ impl MultiRuntime {
     }
 
     fn with_sharing(programs: Vec<CompiledProgram>, share: bool) -> Self {
-        let (roster, analysis) = Roster::new(programs, share, None);
+        let roster = Roster::new(programs, share, None);
         let workers = roster.worker_programs();
-        Self::build(roster, analysis, workers)
+        Self::build(roster, workers)
     }
 
-    /// Start one runtime per worker program and annotate the shared prefix
-    /// the sharing pass found.
-    fn build(roster: Roster, analysis: SharingAnalysis, workers: Vec<CompiledProgram>) -> Self {
-        let mut multi = MultiRuntime {
+    /// Start one runtime per worker program.
+    fn build(roster: Roster, workers: Vec<CompiledProgram>) -> Self {
+        MultiRuntime {
             runtimes: workers.into_iter().map(Runtime::new).collect(),
             roster,
-            union_cols: 0,
             rows: Vec::new(),
             nows: Vec::new(),
-            shared_filters: Vec::new(),
-            shared_keys: Vec::new(),
-            key_spill: Vec::new(),
-            pass_masks: Vec::new(),
-            key_buf: Vec::new(),
-            stack: EvalStack::new(),
-        };
-        multi.annotate(analysis.filters, analysis.keys);
-        multi
+        }
     }
 
     /// Install programs under a shared SRAM budget: [`provision`] the
@@ -1499,8 +1251,8 @@ impl MultiRuntime {
         programs: Vec<CompiledProgram>,
         budget_bits: u64,
     ) -> Result<(Self, AreaPlan), PlanError> {
-        let (roster, analysis, workers, plan) = Roster::provisioned(programs, budget_bits, None)?;
-        Ok((Self::build(roster, analysis, workers), plan))
+        let (roster, workers, plan) = Roster::provisioned(programs, budget_bits, None)?;
+        Ok((Self::build(roster, workers), plan))
     }
 
     /// Number of installed programs.
@@ -1627,8 +1379,8 @@ impl MultiRuntime {
     /// cache-resident pairs, spill what no longer fits, timestamps
     /// preserved). The sharing analysis re-runs incrementally: the new
     /// program may adopt a resident deduplicated store (equal install
-    /// epochs only — see `lifecycle_alias_candidates`) or join the
-    /// shared filter/key prefix; a live composed alias pair whose chains
+    /// epochs only — see `lifecycle_alias_candidates`); a live composed
+    /// alias pair whose chains
     /// the replan diverges is **repaired** — the shared store's state is
     /// cloned into the alias as its private store again. Under durability
     /// the arrival's spill tiers attach (`p<id>_` files) before anything is
@@ -1643,7 +1395,6 @@ impl MultiRuntime {
         let (staged, arrival) = self.roster.stage_install(program)?;
         let id = self.lent(|roster, groups| roster.commit_install(staged, groups));
         self.runtimes.extend(arrival);
-        self.reannotate();
         Ok(id)
     }
 
@@ -1653,7 +1404,7 @@ impl MultiRuntime {
     /// unknown id.
     ///
     /// The departing program's slice returns to the pool: under a budget
-    /// the survivors replan and their stores live-migrate onto the
+    /// the remaining programs replan and their stores live-migrate onto the
     /// (larger) slices. The results are the poll ([`MultiRuntime::poll`])
     /// taken as the program leaves — a departing *alias* reads its owner's
     /// live store through the poll's redirection — and dedup bookkeeping is
@@ -1671,60 +1422,16 @@ impl MultiRuntime {
     pub fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
         let pos = self.roster.position(id)?;
         let results = self.lent(|roster, groups| roster.uninstall(pos, groups));
-        self.reannotate();
         Some(results)
-    }
-
-    /// Rebuild the shared-prefix annotation over the current resident set
-    /// after a lifecycle event — the one step only this plane takes (the
-    /// per-record prefix does not cross the sharded plane's queues). The
-    /// settled alias list is kept as-is: store dedup legality is an
-    /// install-time decision, never re-nominated between long-lived
-    /// programs ([`lifecycle_alias_candidates`]' freshness rule).
-    fn reannotate(&mut self) {
-        let (filters, keys) = if self.roster.share {
-            let plans: Vec<ExecPlan> = self
-                .roster
-                .programs
-                .iter()
-                .map(|p| ExecPlan::build(&p.program))
-                .collect();
-            analyze_prefix_sharing(&plans, &self.roster.aliases)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        self.annotate(filters, keys);
-    }
-
-    /// Number the shared-prefix slots from scratch (every runtime's stale
-    /// annotations are cleared first) and refresh the sharing report and
-    /// the union column mask to match.
-    fn annotate(
-        &mut self,
-        filters: Vec<SharedFilter>,
-        keys: Vec<SharedKey>,
-    ) {
-        for rt in &mut self.runtimes {
-            rt.clear_shared_slots();
-        }
-        for (slot, (_, users)) in filters.iter().enumerate() {
-            for (p, q) in users {
-                self.runtimes[*p].set_shared_slots(*q, Some(slot as u32), None);
-            }
-        }
-        for (slot, (_, _, users)) in keys.iter().enumerate() {
-            for (p, q) in users {
-                self.runtimes[*p].set_shared_slots(*q, None, Some(slot as u32));
-            }
-        }
-        self.roster.refresh_report(&filters, &keys);
-        self.shared_filters = filters.into_iter().map(|(f, _)| f).collect();
-        self.shared_keys = keys.into_iter().map(|(k, g, _)| (k, g)).collect();
-        self.union_cols = self.runtimes.iter().fold(0u64, |m, rt| m | rt.base_cols());
     }
 
     /// Process one queue record: [`MultiRuntime::process_batch`] over a
     /// one-record batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics (also in release builds) when called after
+    /// [`MultiRuntime::finish`].
     pub fn process_record(&mut self, rec: &QueueRecord) {
         self.process_batch(std::slice::from_ref(rec));
     }
@@ -1732,75 +1439,45 @@ impl MultiRuntime {
     /// Process a batch of records — the multi-query analogue of
     /// [`Runtime::process_batch`], vectorized the same way: the batch is
     /// cut into cache-sized chunks (one `u64` mask word each), each chunk
-    /// materializes **once** (union column mask, reused row buffers), every
-    /// *unique* shared filter evaluates over the whole chunk into one `u64`
-    /// survivor bitmask and every unique key tuple builds once per gated
-    /// lane, then each program's plan sweeps the chunk node-at-a-time
-    /// reading the precomputed masks/keys. Results do not depend on the
-    /// chunking (and are tested not to); programs are independent, so
-    /// per-program stream order — the order that matters — is preserved.
+    /// materializes **once** (the union of the programs' column masks,
+    /// reused row buffers), then each program's plan sweeps the chunk
+    /// node-at-a-time with its own filters and keys. Results do not depend
+    /// on the chunking (and are tested not to); programs are independent,
+    /// so per-program stream order — the order that matters — is preserved.
+    ///
+    /// # Panics
+    ///
+    /// Panics (also in release builds) when called after
+    /// [`MultiRuntime::finish`], as [`Runtime::process_batch`] does.
     pub fn process_batch(&mut self, recs: &[QueueRecord]) {
+        // One walk per batch: the union mask is rebuilt from the resident
+        // set (no lifecycle event can leave it stale), and ingest after
+        // `finish()` is refused before any record folds.
+        let mut mask = 0u64;
+        for rt in &self.runtimes {
+            assert!(!rt.is_finished(), "{}", LifecycleError::ProcessAfterFinish);
+            mask |= rt.base_cols();
+        }
         self.roster.records += recs.len() as u64;
-        let mask = self.union_cols;
-        let nk = self.shared_keys.len();
         let width = QueueRecord::row_width();
         if self.rows.len() != LANES * width {
             self.rows.clear();
             self.rows.resize(LANES * width, Value::Int(0));
         }
+        let MultiRuntime {
+            runtimes,
+            rows,
+            nows,
+            ..
+        } = self;
         for chunk in recs.chunks(CHUNK) {
-            let n = chunk.len();
-            let full = lane_mask(n);
-            let MultiRuntime {
-                runtimes,
-                rows,
-                nows,
-                shared_filters,
-                shared_keys,
-                key_spill,
-                pass_masks,
-                key_buf,
-                stack,
-                ..
-            } = self;
             nows.clear();
             for (rec, lane) in chunk.iter().zip(rows.chunks_exact_mut(width)) {
                 rec.write_row_masked_into(lane, mask);
                 nows.push(rec.observed_at());
             }
-            pass_masks.clear();
-            for f in shared_filters.iter() {
-                // Shared filters are compiled with params folded: no
-                // parameter vector is needed at evaluation time.
-                pass_masks.push(f.survivors(stack, &[], full, |lane| {
-                    &rows[lane * width..(lane + 1) * width]
-                }));
-            }
-            key_buf.clear();
-            key_buf.resize(n * nk, InlineKey::from_slice(&[]));
-            for (slot, (cols, gate)) in shared_keys.iter().enumerate() {
-                // Build only the lanes some reader will look at — the gate
-                // is the union of the users' shared filter verdicts, so the
-                // prefix never key-builds a record the unshared path
-                // wouldn't have.
-                let mut m = match gate {
-                    KeyGate::Always => full,
-                    KeyGate::AnyOf(slots) => slots
-                        .iter()
-                        .fold(0u64, |acc, s| acc | pass_masks[*s as usize]),
-                };
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    key_buf[lane * nk + slot] = crate::runtime::build_group_key(
-                        cols,
-                        &rows[lane * width..(lane + 1) * width],
-                        key_spill,
-                    );
-                }
-            }
             for rt in runtimes.iter_mut() {
-                rt.process_lanes_shared(rows, width, n, nows, pass_masks, key_buf, nk);
+                rt.process_lanes(rows, width, chunk.len(), nows);
             }
         }
     }
@@ -1897,7 +1574,7 @@ impl MultiSharded {
     }
 
     fn with_sharing(programs: Vec<CompiledProgram>, shards: usize, share: bool) -> Self {
-        let (roster, _) = Roster::new(programs, share, Some(shards));
+        let roster = Roster::new(programs, share, Some(shards));
         let workers = roster.worker_programs();
         Self::build(roster, workers)
     }
@@ -1926,7 +1603,7 @@ impl MultiSharded {
         budget_bits: u64,
         shards: usize,
     ) -> Result<(Self, AreaPlan), PlanError> {
-        let (roster, _, workers, plan) = Roster::provisioned(programs, budget_bits, Some(shards))?;
+        let (roster, workers, plan) = Roster::provisioned(programs, budget_bits, Some(shards))?;
         Ok((Self::build(roster, workers), plan))
     }
 
@@ -2133,13 +1810,13 @@ impl MultiSharded {
     /// retired file ([`MultiSharded::retired`]).
     ///
     /// [`MultiRuntime::uninstall`] over paused worker groups: every
-    /// dataplane quiesces (the final poll, promotions and the survivors'
-    /// migrations all need the worker runtimes), the departing program is
-    /// polled one last time (per-shard frames merged, aliases redirected to
-    /// their owner's workers), departing owners' shared stores are promoted
-    /// **worker by worker** into their first surviving alias, and under a
-    /// budget the survivors replan onto the reclaimed area and live-migrate
-    /// before everything resumes.
+    /// dataplane quiesces (the final poll, promotions and the remaining
+    /// programs' migrations all need the worker runtimes), the departing
+    /// program is polled one last time (per-shard frames merged, aliases
+    /// redirected to their owner's workers), departing owners' shared
+    /// stores are promoted **worker by worker** into their first surviving
+    /// alias, and under a budget the remaining programs replan onto the
+    /// reclaimed area and live-migrate before everything resumes.
     ///
     /// Not supported after [`MultiSharded::run_network`].
     ///
@@ -2214,6 +1891,7 @@ mod tests {
     use super::*;
     use crate::compile_query;
     use crate::compiler::CompileOptions;
+    use perfq_kvstore::InlineKey;
     use perfq_lang::fig2;
     use perfq_switch::NetworkConfig;
     use perfq_trace::{SyntheticTrace, TraceConfig};
@@ -2284,30 +1962,17 @@ mod tests {
 
     #[test]
     fn analysis_finds_the_papers_overlap() {
-        // The §4 running example + loss rate + both TCP queries: one store
-        // dedups (counter vs loss-rate R1), the TCP filter and the 5-tuple
-        // key extraction are CSE slots.
+        // The §4 running example + loss rate + both TCP queries: exactly
+        // one store dedups (counter vs loss-rate R1).
         let programs = vec![
             compiled("SELECT COUNT GROUPBY 5tuple"),
             compiled(fig2::PER_FLOW_LOSS_RATE.source),
             compiled(fig2::TCP_OUT_OF_SEQUENCE.source),
             compiled(fig2::TCP_NON_MONOTONIC.source),
         ];
-        let analysis = analyze_sharing(&programs);
-        assert_eq!(analysis.aliases.len(), 1, "loss-rate R1 aliases the counter");
-        assert_eq!(analysis.aliases[0], ((1, 0), (0, 0)));
-        assert_eq!(
-            analysis.filters.len(),
-            1,
-            "proto == TCP is shared by both TCP queries"
-        );
-        assert_eq!(analysis.filters[0].1.len(), 2);
-        assert_eq!(analysis.keys.len(), 1, "the 5-tuple key tuple is shared");
-        // Counter (owner), loss R2, and both TCP queries still build it;
-        // the aliased loss R1 does not. The unfiltered counter forces
-        // per-record construction.
-        assert!(matches!(analysis.keys[0].1, KeyGate::Always));
-        assert_eq!(analysis.keys[0].2.len(), 4);
+        let aliases = analyze_sharing(&programs);
+        assert_eq!(aliases.len(), 1, "loss-rate R1 aliases the counter");
+        assert_eq!(aliases[0], ((1, 0), (0, 0)));
     }
 
     #[test]
@@ -2328,8 +1993,7 @@ mod tests {
         .unwrap();
         assert!(stores_dedupable(&a, 0, &a, 0));
         assert!(!stores_dedupable(&a, 0, &b, 0));
-        let analysis = analyze_sharing(&[a, b]);
-        assert!(analysis.aliases.is_empty());
+        assert!(analyze_sharing(&[a, b]).is_empty());
     }
 
     #[test]
@@ -2431,26 +2095,6 @@ mod tests {
     }
 
     #[test]
-    fn fully_filtered_key_slots_are_gated_on_the_shared_filter() {
-        // Both TCP queries key the 5-tuple behind `proto == TCP`: the slot
-        // must exist but only build when the (shared) filter passed —
-        // otherwise the prefix would key-build UDP traffic the unshared
-        // path never touches.
-        let programs = vec![
-            compiled(fig2::TCP_OUT_OF_SEQUENCE.source),
-            compiled(fig2::TCP_NON_MONOTONIC.source),
-        ];
-        let analysis = analyze_sharing(&programs);
-        assert_eq!(analysis.filters.len(), 1);
-        assert_eq!(analysis.keys.len(), 1);
-        assert!(
-            matches!(&analysis.keys[0].1, KeyGate::AnyOf(slots) if slots == &[0]),
-            "{:?}",
-            analysis.keys[0].1
-        );
-    }
-
-    #[test]
     fn sharded_dedup_requires_identical_routing() {
         // Program A's primary key is srcip, program B's is the 5-tuple:
         // their identical TCP-non-monotonic stores partition records onto
@@ -2464,33 +2108,27 @@ mod tests {
         let programs = vec![compiled(&b_src), compiled(&a_src)];
         // The fold's `def` is not a query: the non-monotonic store sits at
         // query index 1 in both programs (same placement seed).
-        let mut analysis = analyze_sharing(&programs);
+        let mut aliases = analyze_sharing(&programs);
         assert!(
-            analysis.aliases.contains(&((1, 1), (0, 1))),
-            "premise: the single-stream pass dedups the shared store: {:?}",
-            analysis.aliases
+            aliases.contains(&((1, 1), (0, 1))),
+            "premise: the single-stream pass dedups the shared store: {aliases:?}"
         );
-        retain_shard_exact(&mut analysis, &programs);
+        retain_shard_exact(&mut aliases, &programs);
         assert!(
-            !analysis.aliases.contains(&((1, 1), (0, 1))),
-            "different routing must block sharded dedup: {:?}",
-            analysis.aliases
+            !aliases.contains(&((1, 1), (0, 1))),
+            "different routing must block sharded dedup: {aliases:?}"
         );
     }
 
     #[test]
-    fn sharded_reports_claim_no_prefix_sharing() {
-        // The shared filter/key prefix never crosses the SPSC queues;
-        // the sharded report must not pretend otherwise.
-        let programs = vec![
-            compiled(fig2::TCP_OUT_OF_SEQUENCE.source),
-            compiled(fig2::TCP_NON_MONOTONIC.source),
-        ];
-        let sh = MultiSharded::new(programs.clone(), 2);
-        assert!(sh.sharing().filters.is_empty() && sh.sharing().keys.is_empty());
-        let _ = sh.finish();
-        // …while the single-stream plane does share the TCP filter.
-        assert!(!MultiRuntime::new(programs).sharing().filters.is_empty());
+    #[should_panic(expected = "records processed after finish()")]
+    fn processing_after_finish_panics_in_every_build() {
+        let mut net = Network::new(NetworkConfig::default());
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(3)).take(200));
+        let mut multi = MultiRuntime::new(vec![compiled(fig2::PER_FLOW_COUNTERS.source)]);
+        multi.process_batch(&records);
+        multi.finish();
+        multi.process_batch(&records);
     }
 
     #[test]

@@ -26,8 +26,7 @@ use perfq_lang::resolve::GroupOutput;
 use perfq_lang::{QueryInput, ResolvedKind, ResolvedProgram, Value};
 
 /// Maximum lanes per survivor-mask word in the vectorized batch path: one
-/// `u64` holds a whole chunk's filter verdicts
-/// (`Runtime::process_lanes_shared`).
+/// `u64` holds a whole chunk's filter verdicts (`Runtime::process_lanes`).
 pub(crate) const LANES: usize = 64;
 
 /// Records per vectorized chunk. At most [`LANES`] (one mask word); held
@@ -62,11 +61,7 @@ pub(crate) enum RowSource {
 /// A compiled `WHERE` predicate. The single-comparison shape that dominates
 /// the paper's queries (`proto == TCP`, `tout == infinity`) gets a direct
 /// evaluation path that never touches the stack machine.
-///
-/// `PartialEq` compares the compiled (param-folded) form — what the
-/// multi-query sharing pass uses to recognize that two installed programs
-/// evaluate the same predicate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) enum Filter {
     /// `input[col] op const`.
     InputConst(BinOp, usize, Value),
@@ -94,49 +89,6 @@ impl Filter {
                 .expect("type-checked filter cannot fail")
                 .truthy(),
         }
-    }
-
-    /// Batch evaluation: clear every set lane of `mask` whose row fails the
-    /// predicate, returning the survivor bitmask. `row(lane)` yields lane
-    /// `lane`'s input row; only set lanes are visited, in ascending order —
-    /// identical verdicts to calling [`Filter::pass`] per row.
-    ///
-    /// The dominant single-comparison shape stays in a tight
-    /// column/constant loop with no per-record dispatch; everything else
-    /// reuses the stack machine per surviving lane.
-    pub fn survivors<'r>(
-        &self,
-        stack: &mut EvalStack,
-        params: &[Value],
-        mask: u64,
-        mut row: impl FnMut(usize) -> &'r [Value],
-    ) -> u64 {
-        let mut out = mask;
-        let mut m = mask;
-        match self {
-            Filter::InputConst(op, col, v) => {
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let pass = Value::binop(*op, row(lane)[*col], *v)
-                        .expect("type-checked filter cannot fail")
-                        .truthy();
-                    out &= !(u64::from(!pass) << lane);
-                }
-            }
-            Filter::General(p) => {
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let pass = p
-                        .eval(stack, &[], row(lane), params)
-                        .expect("type-checked filter cannot fail")
-                        .truthy();
-                    out &= !(u64::from(!pass) << lane);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -172,16 +124,6 @@ pub(crate) struct NodePlan {
     pub emits: bool,
     /// Compiled `WHERE` predicate.
     pub filter: Option<Filter>,
-    /// Cross-query sharing: when set, the filter verdicts for this node
-    /// were already computed into the shared masks the multi-query
-    /// dataplane passes along (`Runtime::process_lanes_shared`), at this
-    /// slot — the node's own `filter` is skipped. Only ever set on
-    /// base-rooted nodes.
-    pub shared_filter: Option<u32>,
-    /// Cross-query sharing: when set, this GROUPBY's key for the current
-    /// record is read from the shared key scratch at this slot instead of
-    /// being rebuilt. Only ever set on base-rooted nodes.
-    pub shared_key: Option<u32>,
     /// The node body.
     pub kind: NodeKind,
 }
@@ -237,8 +179,6 @@ impl ExecPlan {
                 // Filled in below once all consumers are known.
                 emits: false,
                 filter,
-                shared_filter: None,
-                shared_key: None,
                 kind,
             });
         }

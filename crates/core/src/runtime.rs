@@ -239,28 +239,6 @@ impl Runtime {
         self.plan.base_cols
     }
 
-    /// Cross-query CSE: annotate query `idx` to read its filter verdict
-    /// and/or group key from the shared per-record scratch.
-    pub(crate) fn set_shared_slots(
-        &mut self,
-        idx: usize,
-        filter: Option<u32>,
-        key: Option<u32>,
-    ) {
-        let node = &mut self.plan.nodes[idx];
-        if filter.is_some() {
-            debug_assert!(node.filter.is_some(), "shared filter on a filterless node");
-            node.shared_filter = filter;
-        }
-        if key.is_some() {
-            debug_assert!(
-                matches!(node.kind, NodeKind::GroupBy { .. }),
-                "shared key on a non-aggregation"
-            );
-            node.shared_key = key;
-        }
-    }
-
     /// Cross-query store dedup, collect side: query `dst`'s (never updated)
     /// store adopts the owning runtime's finished results, so collection
     /// reads exactly what a private store would have held. Only the backing
@@ -298,17 +276,6 @@ impl Runtime {
         self.compiled.deduped_queries.retain(|q| *q != idx);
         self.plan.nodes[idx].active = true;
         self.plan.recompute_base_cols(&self.compiled.program);
-    }
-
-    /// Dynamic lifecycle: drop every shared-prefix annotation. The
-    /// multi-query dataplane re-runs its sharing analysis after an
-    /// install/uninstall and re-applies fresh slot numbers; stale slots
-    /// would index into rebuilt scratch vectors.
-    pub(crate) fn clear_shared_slots(&mut self) {
-        for node in &mut self.plan.nodes {
-            node.shared_filter = None;
-            node.shared_key = None;
-        }
     }
 
     /// Dynamic lifecycle: live-migrate query `idx`'s store to a newly
@@ -433,7 +400,7 @@ impl Runtime {
                 rec.write_row_masked_into(lane, mask);
                 nows.push(rec.observed_at());
             }
-            self.process_lanes_shared(&rows, width, chunk.len(), &nows, &[], &[], 0);
+            self.process_lanes(&rows, width, chunk.len(), &nows);
         }
         self.lane_rows = rows;
         self.lane_nows = nows;
@@ -447,10 +414,9 @@ impl Runtime {
     /// `rows[i * width..]`, observed at `nows[i]`; bit `i` of a mask stands
     /// for that lane. Each node starts from its input mask — the full chunk
     /// for base-rooted nodes, the upstream node's live mask otherwise —
-    /// ANDs in a precomputed shared-slot verdict mask if the multi-query
-    /// prefix computed one, and sweeps the set bits in ascending lane
-    /// order; an unshared filter evaluates *inside* the sweep, clearing
-    /// the lane's bit and skipping the node body in the same row visit.
+    /// and sweeps the set bits in ascending lane order; the node's filter
+    /// evaluates *inside* the sweep, clearing the lane's bit and skipping
+    /// the node body in the same row visit.
     /// A chunk of `n` lanes is byte-identical to `n` one-lane chunks
     /// because every store and capture buffer belongs to exactly one node
     /// and set bits are visited in record order: each store sees the same
@@ -459,17 +425,7 @@ impl Runtime {
     /// computed for that record (per-lane buffers are only read at lanes
     /// the upstream's live mask covers). Warm chunks allocate nothing: lane
     /// buffers, masks and the shared stack are all reused across calls.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn process_lanes_shared(
-        &mut self,
-        rows: &[Value],
-        width: usize,
-        n: usize,
-        nows: &[Nanos],
-        shared_masks: &[u64],
-        shared_keys: &[InlineKey],
-        n_keys: usize,
-    ) {
+    pub(crate) fn process_lanes(&mut self, rows: &[Value], width: usize, n: usize, nows: &[Nanos]) {
         debug_assert!(!self.finished, "process after finish");
         debug_assert!(n <= LANES && n == nows.len() && rows.len() >= n * width);
         self.records += n as u64;
@@ -492,11 +448,11 @@ impl Runtime {
             if !node.active {
                 continue;
             }
-            let in_mask = match node.source {
+            let mask = match node.source {
                 RowSource::Base => full,
                 RowSource::Node(p) => lane_live[p],
             };
-            if in_mask == 0 {
+            if mask == 0 {
                 continue;
             }
             // Upstream slots have smaller indices: split so lane inputs and
@@ -511,25 +467,9 @@ impl Runtime {
                     }
                 }
             };
-            let (mask, fused) = if let Some(slot) = node.shared_filter {
-                // The chunk's verdicts were computed once for every program
-                // sharing this predicate (base-rooted nodes only, so the
-                // mask applies to exactly these input rows).
-                (in_mask & shared_masks[slot as usize], None)
-            } else if let Some(f) = &node.filter {
-                // Unshared filters fuse into the sweep below: the verdict
-                // and the node's work happen in one visit while the lane
-                // row is hot (a separate `survivors` pass would walk the
-                // rows twice; the precomputed masks above already paid
-                // their second walk once for ALL programs sharing the
-                // predicate).
-                (in_mask, Some(f))
-            } else {
-                (in_mask, None)
-            };
-            if mask == 0 {
-                continue;
-            }
+            // The filter fuses into the sweep below: the verdict and the
+            // node's work happen in one visit while the lane row is hot.
+            let fused = node.filter.as_ref();
             match &node.kind {
                 NodeKind::Project { cols } => {
                     let a = lane_arity[idx];
@@ -568,7 +508,7 @@ impl Runtime {
                         out.resize(LANES * a, Value::Int(0));
                     }
                     // Flow-run coalescing: traces are bursty (packet trains
-                    // per flow), so consecutive survivors often carry the
+                    // per flow), so consecutive live lanes often carry the
                     // same group key. The first packet of a run pays the
                     // full probe and holds the slot ([`SlotHandle`]); the
                     // rest of the run folds straight into the held slot.
@@ -588,11 +528,7 @@ impl Runtime {
                                 continue;
                             }
                         }
-                        let key = if let Some(slot) = node.shared_key {
-                            shared_keys[lane * n_keys + slot as usize].clone()
-                        } else {
-                            build_group_key(key_cols, input, key_buf)
-                        };
+                        let key = build_group_key(key_cols, input, key_buf);
                         let state = match &run {
                             Some((rkey, handle)) if *coalesce && *rkey == key => {
                                 store.observe_run_next(*handle, input, nows[lane])
@@ -1096,12 +1032,10 @@ pub(crate) fn poll_collect(
     )
 }
 
-/// Build a `GROUPBY` key from an input row — the single construction the
-/// per-node path and the multi-query shared prefix both use, so the two
-/// can never diverge. Short keys collect into a stack array
-/// (`InlineKey::from_slice` stays the one canonical constructor); wider
-/// keys go through the reusable `spill` scratch.
-pub(crate) fn build_group_key(
+/// Build a `GROUPBY` key from an input row. Short keys collect into a
+/// stack array (`InlineKey::from_slice` stays the one canonical
+/// constructor); wider keys go through the reusable `spill` scratch.
+fn build_group_key(
     key_cols: &[usize],
     input: &[Value],
     spill: &mut Vec<i64>,

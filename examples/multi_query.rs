@@ -1,5 +1,5 @@
 //! Multi-query: every Fig. 2 query installed at once, under one SRAM budget,
-//! with cross-query execution sharing.
+//! with cross-query store sharing.
 //!
 //! ```sh
 //! cargo run --release --example multi_query
@@ -11,8 +11,8 @@
 //! all seven Fig. 2 programs **plus the §4 running-example counter**
 //! (resizing each cache to its slice), and one shared replay pass answers
 //! all of them — the network event loop runs once, each record's row
-//! materializes once, each *unique* filter/key evaluates once, and
-//! structurally-identical stores collapse into one (the running example is
+//! materializes once, and structurally-identical stores collapse into one
+//! (the running example is
 //! verbatim the loss-rate program's `R1`, so its store is charged to the
 //! budget once and executed once).
 
@@ -93,31 +93,11 @@ fn main() {
     // ------------------------------------------------------------------
     // 2. What the install-time sharing pass decided.
     // ------------------------------------------------------------------
-    let report = multi.sharing().clone();
     println!("cross-query sharing under this install:");
-    for s in &report.stores {
+    for s in &multi.sharing().stores {
         println!(
             "  store  {}/{} ← shares the physical store of {}/{}",
             names[s.alias.0], s.alias.1, names[s.owner.0], s.owner.1,
-        );
-    }
-    for f in &report.filters {
-        println!(
-            "  filter `{}` evaluated once per record for {} queries ({})",
-            f.desc,
-            f.users.len(),
-            f.users
-                .iter()
-                .map(|(p, q)| format!("{}/{q}", names[*p]))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-    }
-    for k in &report.keys {
-        println!(
-            "  key    ({}) built once per record for {} queries",
-            k.desc,
-            k.users.len(),
         );
     }
     println!();

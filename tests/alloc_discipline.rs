@@ -156,12 +156,10 @@ fn steady_state_batched_replay_allocates_nothing() {
 
     // Cross-query sharing keeps the discipline: install a set with real
     // overlap — the §4 running-example counter (deduped against loss-rate
-    // R1), the loss-rate program, and the latency EWMA (the 5-tuple key
-    // tuple is a shared-prefix slot across all of them) — and the warmed
-    // shared-prefix batched replay must still allocate **zero** bytes per
-    // batch: the per-row filter-verdict and key scratch, the shared row
-    // buffers, and every store are pooled; store substitution happens only
-    // at finish, outside the steady-state loop.
+    // R1), the loss-rate program, and the latency EWMA — and the warmed
+    // deduplicated batched replay must still allocate **zero** bytes per
+    // batch: the shared row buffers and every store are pooled; store
+    // substitution happens only at finish, outside the steady-state loop.
     let mut net = Network::new(NetworkConfig::default());
     let sources = [
         "SELECT COUNT GROUPBY 5tuple\n",
@@ -174,8 +172,8 @@ fn steady_state_batched_replay_allocates_nothing() {
         .collect();
     let mut multi = MultiRuntime::new(programs);
     assert!(
-        !multi.sharing().stores.is_empty() && !multi.sharing().keys.is_empty(),
-        "the overlap set must exercise dedup and the shared prefix: {:?}",
+        !multi.sharing().stores.is_empty(),
+        "the overlap set must exercise store dedup: {:?}",
         multi.sharing(),
     );
     multi.process_network(&mut net, packets.iter().copied(), 256);
@@ -187,14 +185,14 @@ fn steady_state_batched_replay_allocates_nothing() {
     assert_eq!(
         after - before,
         0,
-        "shared-prefix steady-state replay allocated {} times over {} records",
+        "deduplicated steady-state replay allocated {} times over {} records",
         after - before,
         multi.records() - processed_warmup,
     );
     assert_eq!(multi.records(), processed_warmup * 2, "second replay ran fully");
 
     // The vectorized sweep's scratch (lane rows, per-node output lanes,
-    // survivor-mask words, the shared-prefix verdict/key buffers) must stay
+    // survivor-mask words) must stay
     // capacity-stable under *ragged* batch lengths too — chunk sizes that
     // are not a multiple of the internal chunk width leave partial mask
     // words and shorter lane prefixes, and none of that may reallocate.

@@ -47,6 +47,10 @@ R2 = SELECT 5tuple FROM R1 GROUPBY 5tuple
 R3 = SELECT COUNT GROUPBY srcip, dstip
 ";
 
+/// Keys a base column (`qid`) no other program in the catalog reads: its
+/// arrival widens the row the single-stream plane materializes per record.
+const QID_COUNTER: &str = "SELECT COUNT GROUPBY qid\n";
+
 /// A trace with drops, TCP anomalies and multi-queue records.
 fn records(n: usize) -> Vec<QueueRecord> {
     let mut net = Network::new(NetworkConfig {
@@ -307,6 +311,8 @@ fn all_planes(initial: &[&'static str], ops: &[Op], total: usize) {
 
 #[test]
 fn installs_mid_stream_observe_only_their_suffix() {
+    // The last arrival reads a column no resident reads: its suffix is
+    // exact only if the materialized row follows the resident set.
     all_planes(
         &[fig2::LATENCY_EWMA.source],
         &[
@@ -315,8 +321,10 @@ fn installs_mid_stream_observe_only_their_suffix() {
             Chunk(600),
             Install(fig2::TCP_OUT_OF_SEQUENCE.source),
             Chunk(400),
+            Install(QID_COUNTER),
+            Chunk(400),
         ],
-        1600,
+        2000,
     );
 }
 
