@@ -210,35 +210,38 @@
 //! overflows its capture limit the retained sample is shard-biased, though
 //! totals and row counts stay exact (see [`sharded`] for the full caveat).
 //!
-//! [`ShardedRuntime`] is not a plane of its own: it is [`MultiSharded`] (see
-//! below) at K = 1 — one program, no sharing pass — over the crate-private
-//! transport in [`sharded`] (router, SPSC feeds, worker threads,
-//! pause/resume, merge-on-drain). Its poll, persist and recover are the
-//! multi-program plane's, written once.
+//! [`ShardedRuntime`] is not a plane of its own: it is a [`Deployment`] in
+//! the [`Sharded`] placement ([`MultiSharded`], see below) at K = 1 — one
+//! program, no sharing pass — over the crate-private transport in
+//! [`sharded`] (router, SPSC feeds, worker threads, pause/resume,
+//! merge-on-drain). Its poll, persist and recover are the deployment's,
+//! written once for both placements.
 //!
 //! # Multi-query execution
 //!
 //! The paper's §3.3 prices **one** fixed slice of switch SRAM that every
 //! concurrently-installed query shares — so concurrent queries are the
-//! normal case, not K independent deployments. The multi-program plane has
-//! two front ends over **one** lifecycle core (see *Dynamic lifecycle*
-//! below), differing only in where a program's worker runtimes live:
+//! normal case, not K independent deployments. The multi-program plane is
+//! **one** type, [`Deployment`], with one lifecycle (see *Dynamic
+//! lifecycle* below) and two placements, which differ only in where a
+//! program's worker runtimes live and how a batch reaches them:
 //!
-//! * [`MultiRuntime`] — one worker per program, on the caller's thread.
-//!   Each record's base row materializes **once**, with the union of the
-//!   programs' pruned column masks, and is dispatched to every program's
-//!   flat plan — K concurrent Fig. 2 queries cost one trip through the
-//!   network event loop instead of K full replays (the `multi_query`
-//!   guards of the `perfq-bench` `ratios` bin hold the speedup).
-//! * [`MultiSharded`] — N workers per program behind SPSC queues (one
-//!   worker group each); every record is routed once per program.
-//!   [`ShardedRuntime`] is its K = 1 case.
+//! * [`Inline`] ([`MultiRuntime`]) — one worker per program, on the
+//!   caller's thread. Each record's base row materializes **once**, with
+//!   the union of the programs' pruned column masks, and is dispatched to
+//!   every program's flat plan — K concurrent Fig. 2 queries cost one trip
+//!   through the network event loop instead of K full replays (the
+//!   `multi_query` guards of the `perfq-bench` `ratios` bin hold the
+//!   speedup).
+//! * [`Sharded`] ([`MultiSharded`]) — N workers per program behind SPSC
+//!   queues (one worker group each); every batch is routed once per
+//!   program. [`ShardedRuntime`] is its K = 1 case.
 //!
 //! On the provisioning side, [`provision`] runs
 //! `perfq_kvstore::CachePlanner` over the programs' reported key/state
 //! widths and rewrites every store's geometry to its slice of the budget;
-//! a worker runs its stores at the whole slice on [`MultiRuntime`] and at
-//! `1/N` of it on [`MultiSharded`], so total area stays constant as the
+//! a worker runs its stores at the whole slice inline and at `1/N` of it
+//! sharded, so total area stays constant as the
 //! dataplane scales out. Execution is byte-identical to K independent
 //! sequential replays with the same geometries
 //! (`tests/multi_query_equivalence.rs` pins single-stream, batched and
@@ -249,7 +252,7 @@
 //!
 //! Installed programs overlap: the paper's own Fig. 2 set repeats the §4
 //! running example (`SELECT COUNT GROUPBY 5tuple`) verbatim inside the
-//! loss-rate program. [`MultiRuntime`]/[`MultiSharded`] therefore run an
+//! loss-rate program. A [`Deployment`] therefore runs an
 //! install-time sharing pass — compare candidate stores structurally
 //! (`perfq_lang::fingerprint`) and physically, rewrite the plans — that
 //! binds structurally-identical stores to **one** physical store, eliding
@@ -272,11 +275,11 @@
 //! The incremental read path fixes that without stopping the world:
 //! [`Runtime::poll_results`] returns, between batches, exactly what
 //! `finish()` + `collect()` would return on a clone of the live runtime,
-//! while caches stay resident and ingest continues ([`MultiRuntime::poll`],
-//! [`MultiSharded::poll`] and [`ShardedRuntime::poll_results`] are the
-//! multi-program and sharded faces; a sharded poll quiesces only the
-//! involved dataplanes between batches and resumes them with caches
-//! intact). Under the hood each store lands in a
+//! while caches stay resident and ingest continues ([`Deployment::poll`] on
+//! either placement and [`ShardedRuntime::poll_results`] are the
+//! multi-program and sharded faces; a poll quiesces only the involved
+//! programs — sharded, it pauses their dataplanes between batches — and
+//! releases them with caches intact). Under the hood each store lands in a
 //! `perfq_kvstore::StoreSnapshot` frame — its backing table plus the
 //! cache-resident pairs absorbed through the normal eviction algebra,
 //! O(distinct keys) per poll — so the polled frame is *the* store state,
@@ -315,11 +318,12 @@
 //! both (and of poll source resolution): a private lifecycle core in
 //! [`multi`] that owns the bookkeeping — installed programs, ids, install
 //! epochs, budget, settled dedup pairs — and works on each program's
-//! *quiesced worker runtimes in shard order*. [`MultiRuntime::install`] /
-//! [`MultiRuntime::uninstall`] lend it one-element groups;
-//! [`MultiSharded::install`] / [`MultiSharded::uninstall`] pause the
-//! worker groups the core says it will touch (queues drain first), hand
-//! them over, and resume. The plane's shape changes exactly four things —
+//! *quiesced worker runtimes in shard order*. [`Deployment::install`] /
+//! [`Deployment::uninstall`] are written once: the placement quiesces the
+//! groups the core says it will touch and releases them afterwards —
+//! [`Inline`] lends one-element groups, [`Sharded`] pauses the worker
+//! groups (queues drain first) and resumes them. The plane's shape changes
+//! exactly four things —
 //! the **worker count** of a group, whether reaching it needs a
 //! **quiesce**, the **geometry divisor** (a worker's share of its
 //! program's slice: all of it, or `1/N`), and the **candidate gate** (the
@@ -359,11 +363,11 @@
 //! The durable tier has the same shape: one checkpoint routine
 //! ([`durable`]) serves [`Runtime::persist`] and the lifecycle core, which
 //! implements enable / persist / recover and the retired-result publish
-//! and read once for every multi-worker plane — [`MultiRuntime`],
-//! [`MultiSharded`] and, as its K = 1 case, [`ShardedRuntime`]. The core
+//! and read once for every multi-worker plane — [`Deployment`] in both
+//! placements and, as its sharded K = 1 case, [`ShardedRuntime`]. The core
 //! names each worker's files (`p<id>_`, or `p<id>_s<i>_` per shard) and
-//! keeps the manifest; a sharded plane quiesces its workers for the call
-//! and resumes them whatever it returns. Recovery covers deployments
+//! keeps the manifest; the placement quiesces the workers for the call
+//! and releases them whatever it returns. Recovery covers deployments
 //! without mid-stream installs or uninstalls.
 //!
 //! # Example
@@ -406,7 +410,8 @@ pub use compiler::{compile_program, CompileError, CompileOptions, CompiledProgra
 pub use durable::{decode_results, encode_results, read_retired, write_retired, Durability};
 pub use foldops::{FoldOps, FoldState};
 pub use multi::{
-    demand_of, provision, InstallError, MultiRuntime, MultiSharded, SharedStore, SharingReport,
+    demand_of, provision, Deployment, Inline, InstallError, MultiRuntime, MultiSharded, Sharded,
+    SharedStore, SharingReport,
 };
 pub use oracle::{Oracle, Prediction};
 pub use result::{diff_tables, DeltaCursor, DeltaRow, ResultRow, ResultSet, ResultTable};

@@ -13,23 +13,23 @@
 //!   the language front end) — and the resulting [`AreaPlan`] is written
 //!   back into every store's [`CacheGeometry`]. The §4 arithmetic becomes
 //!   the geometry the dataplane actually runs.
-//! * **Shared ingest** ([`MultiRuntime`]): K installed programs are driven
-//!   from **one** replay pass. Each record's base row materializes once,
-//!   with the *union* of the programs' pruned column masks, and the row is
-//!   dispatched to every program's flat plan — so K concurrent Fig. 2
-//!   queries cost one trip through the network event loop and one row
-//!   materialization instead of K full replays.
+//! * **Shared ingest** ([`Deployment::process_batch`]): K installed
+//!   programs are driven from **one** replay pass. Inline, each record's
+//!   base row materializes once, with the *union* of the programs' pruned
+//!   column masks, and the row is dispatched to every program's flat plan —
+//!   so K concurrent Fig. 2 queries cost one trip through the network event
+//!   loop and one row materialization instead of K full replays.
 //! * **Cross-query store sharing** (see below): structurally-identical
 //!   stores across the installed programs are charged to the budget and
 //!   updated **once**. Everything else — filters, key builds, folds — each
 //!   program's plan sweeps on its own.
-//! * **One lifecycle** (see below): [`MultiRuntime`] (one worker per
-//!   program, on the caller) and [`MultiSharded`] (N workers per program,
-//!   behind queues; [`ShardedRuntime`](crate::ShardedRuntime) is its K = 1
-//!   case) are two front ends over one private core that implements
-//!   install, uninstall, replan → migrate → repair, poll source resolution
-//!   and the durable tier (enable, persist, recover, retired results)
-//!   exactly once.
+//! * **One type, two placements** (see below): a [`Deployment`] keeps its
+//!   programs' workers [`Inline`] ([`MultiRuntime`]: one worker per
+//!   program, on the caller's thread) or [`Sharded`] ([`MultiSharded`]: N
+//!   workers per program behind queues;
+//!   [`ShardedRuntime`](crate::ShardedRuntime) is its K = 1 case), and
+//!   implements install, uninstall, poll, the durable tier (enable,
+//!   persist, recover, retired results) and ingest exactly once for both.
 //!
 //! ```text
 //!                                            ┌─▶ ExecPlan(program 0) ─▶ stores₀ (slice₀)
@@ -39,17 +39,19 @@
 //!                                                  skipped, one physical store serves all readers)
 //! ```
 //!
-//! # One lifecycle, two front ends
+//! # One type, two placements
 //!
 //! Nothing in the paper's contract — queries "are installed at run time"
 //! against one fixed SRAM slice (§3.3), one merge algebra serves every
 //! placement of the fold state (§3.2) — distinguishes "K programs on the
 //! caller's thread" from "K programs × N worker shards". The module
-//! therefore keeps one `Roster`: the installed programs at their
-//! whole-slice geometries, their stable ids and install epochs, the
-//! budget, the settled dedup pairs, the sharing report. It owns no runtime;
-//! every mutating step works on program *p*'s **quiesced worker runtimes in
-//! shard order**, which the front end hands over for the duration:
+//! therefore has one public type, [`Deployment`], over one `Roster`: the
+//! installed programs at their whole-slice geometries, their stable ids
+//! and install epochs, the budget, the settled dedup pairs, the sharing
+//! report. The roster owns no runtime; every mutating step works on
+//! program *p*'s **quiesced worker runtimes in shard order**, which the
+//! deployment's placement hands over for the duration (`quiesce`) and
+//! takes back afterwards (`release`):
 //!
 //! ```text
 //!   install(program)                         uninstall(id)
@@ -66,10 +68,12 @@
 //! marked points and nowhere else in the core: the **gate** (the sharded
 //! plane dedups only across programs that partition exactly and route
 //! identically) and the **divisor** (a worker runs its stores at the whole
-//! slice, or at `1/N` of it). The rest of the difference lives in the front
-//! ends and is not control flow of the lifecycle: how many workers a group
-//! has, and that [`MultiSharded`] must pause a group to reach its workers
-//! and resume it afterwards (only the groups the dry run says the commit
+//! slice, or at `1/N` of it). The rest of the difference lives in the
+//! placement and is not control flow of the lifecycle: how many workers a
+//! group has, how a batch reaches them, and how a group is quiesced —
+//! [`Inline`] lends every runtime (nothing runs between two calls), while
+//! [`Sharded`] pauses exactly the groups a step needs and resumes them
+//! afterwards (for an install, only the groups the dry run says the commit
 //! touches — none at all without a budget). Every
 //! [`PlanError`] — including a `1/N` slice too small for one pair — and,
 //! under durability, a failed spill-tier attach surface from the dry run as
@@ -77,8 +81,9 @@
 //!
 //! # Cross-query sharing
 //!
-//! The sharing pass runs once at install time ([`MultiRuntime::new`] /
-//! [`MultiSharded::new`]) over the compiled programs, in two steps:
+//! The sharing pass runs once when a deployment is built
+//! ([`MultiRuntime::new`] / [`MultiSharded::new`]) over the compiled
+//! programs, in two steps:
 //!
 //! 1. **Compare** — every pair of candidate stores is held to the one
 //!    legality rule, which is also the one notion of identity: the
@@ -96,23 +101,23 @@
 //!    eviction for eviction, epoch for epoch.
 //! 2. **Rewrite** — each *alias* aggregation (a duplicate whose rows no
 //!    downstream query consumes) is removed from its program's streaming
-//!    pass entirely; at [`MultiRuntime::finish`] the owning program's
-//!    finished store is substituted back, so collection reads exactly what
-//!    a private store would have held. Every other node stays in its
-//!    program's plan, which sweeps each chunk with its own filters and
-//!    keys.
+//!    pass entirely; at the drain ([`MultiRuntime::finish`] /
+//!    [`MultiSharded::finish`]) the owning program's finished store is
+//!    substituted back, so collection reads exactly what a private store
+//!    would have held. Every other node stays in its program's plan, which
+//!    sweeps each chunk with its own filters and keys.
 //!
 //! The paper's own query set overlaps this way: the loss-rate program's
 //! `R1 = SELECT COUNT GROUPBY 5tuple` *is* the §4 running-example counter
-//! query. [`SharingReport`] (from [`MultiRuntime::sharing`]) lists what was
+//! query. [`SharingReport`] (from [`Deployment::sharing`]) lists what was
 //! shared; under [`provision`] the deduplicated stores are also charged to
 //! the SRAM budget **once**, and the reclaimed bits grow every physical
 //! cache ([`StoreDemand::dedup`](perfq_kvstore::StoreDemand)).
 //!
-//! [`MultiSharded`] runs the same discipline across cores: each program
-//! runs its own worker group (router, SPSC queues, N worker threads), and
-//! under a plan every shard's cache is
-//! sized at `1/N` of the program's slice
+//! The [`Sharded`] placement runs the same discipline across cores: each
+//! program runs its own worker group (router, SPSC queues, N worker
+//! threads), and under a plan every shard's cache is sized at `1/N` of the
+//! program's slice
 //! ([`StoreAllocation::shard_geometry`](perfq_kvstore::StoreAllocation::shard_geometry))
 //! — total area stays constant as the dataplane scales out, which is what
 //! lets the Fig. 5 eviction behaviour carry over to the sharded
@@ -126,10 +131,11 @@
 //! the alias would have drained itself, eviction for eviction.
 //!
 //! Sharing is a **pure optimization**: execution with sharing enabled is
-//! byte-identical to [`MultiRuntime::new_unshared`] — and to K independent
-//! sequential replays — on every single/batched/1–8-shard configuration
-//! (`tests/multi_query_equivalence.rs` pins all of them; the steady state
-//! of the batched path still allocates nothing, `tests/alloc_discipline.rs`).
+//! byte-identical to the unshared build of either placement — and to K
+//! independent sequential replays — on every single/batched/1–8-shard
+//! configuration (`tests/multi_query_equivalence.rs` pins all of them; the
+//! steady state of the batched path still allocates nothing,
+//! `tests/alloc_discipline.rs`).
 
 use crate::compiler::{CompiledProgram, StorePlan};
 use crate::durable::{read_retired, write_retired, Durability};
@@ -169,8 +175,8 @@ pub fn demand_of(name: impl Into<String>, compiled: &CompiledProgram) -> Option<
 /// every member program receives the **same** (larger) geometry — the
 /// reclaimed bits are redistributed across all physical stores. Execution
 /// semantics are unchanged: a member program still runs correctly alone;
-/// only a [`MultiRuntime`]/[`MultiSharded`] additionally collapses the
-/// duplicate stores into one at run time.
+/// only a [`Deployment`] additionally collapses the duplicate stores into
+/// one at run time.
 ///
 /// # Errors
 ///
@@ -186,9 +192,9 @@ pub fn provision(
 }
 
 /// [`provision`] against a caller-supplied (possibly gated) alias list —
-/// [`MultiSharded::provisioned`] computes the analysis once,
-/// applies the shard-exactness gate, and threads the same result through
-/// both the planner and the worker rewrite so the two can never disagree.
+/// a budgeted [`Deployment`] computes the analysis once, applies the
+/// shard-exactness gate, and threads the same result through both the
+/// planner and the worker rewrite so the two can never disagree.
 ///
 /// The planner itself tags only aliases whose terminal store reads the
 /// **base table**: for those, the plan forces every group member onto the
@@ -507,7 +513,7 @@ pub struct SharedStore {
 }
 
 /// What a multi-query install shared, for reports and examples
-/// ([`MultiRuntime::sharing`] / [`MultiSharded::sharing`]).
+/// ([`Deployment::sharing`]).
 #[derive(Debug, Clone, Default)]
 pub struct SharingReport {
     /// Aggregation stores collapsed into one physical store.
@@ -520,18 +526,6 @@ impl SharingReport {
     pub fn any(&self) -> bool {
         !self.stores.is_empty()
     }
-}
-
-fn report_of(programs: &[CompiledProgram], aliases: &[Pair]) -> SharingReport {
-    let named = |p: usize, q: usize| (p, programs[p].program.queries[q].name.clone());
-    let stores = aliases
-        .iter()
-        .map(|((ap, aq), (op, oq))| SharedStore {
-            owner: named(*op, *oq),
-            alias: named(*ap, *aq),
-        })
-        .collect();
-    SharingReport { stores }
 }
 
 /// Substitute every alias query's (never-updated) store with a clone of its
@@ -553,11 +547,14 @@ fn substitute_stores(runtimes: &mut [Runtime], aliases: &[Pair]) {
 // The lifecycle core
 // ---------------------------------------------------------------------------
 
-/// Why an `install` was refused. Either way nothing was committed: the
-/// resident programs, their stores, ids and sharing are exactly as before
-/// the call.
+/// Why an `install` was refused. Whatever the reason, nothing was
+/// committed: the resident programs, their stores, ids and sharing are
+/// exactly as before the call.
 #[derive(Debug)]
 pub enum InstallError {
+    /// The deployment was already drained ([`MultiRuntime::finish`]): a
+    /// program installed now could never be collected.
+    Finished,
     /// The replan rejected the grown deployment (the budget cannot hold one
     /// more program, or a worker's `1/N` slice cannot hold a single pair).
     Plan(PlanError),
@@ -576,6 +573,7 @@ impl From<PlanError> for InstallError {
 impl std::fmt::Display for InstallError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            InstallError::Finished => write!(f, "install refused: the deployment is finished"),
             InstallError::Plan(e) => write!(f, "install replan rejected: {e}"),
             InstallError::Io(e) => write!(f, "durable-tier attach on install failed: {e}"),
         }
@@ -585,6 +583,7 @@ impl std::fmt::Display for InstallError {
 impl std::error::Error for InstallError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            InstallError::Finished => None,
             InstallError::Plan(e) => Some(e),
             InstallError::Io(e) => Some(e),
         }
@@ -592,11 +591,11 @@ impl std::error::Error for InstallError {
 }
 
 /// Program `p`'s **quiesced** worker runtimes, in shard order — the only
-/// form in which the lifecycle core touches a runtime. The inline plane
-/// lends each program's runtime as a one-element group; the sharded plane
-/// hands over what `ShardGroup::pause` returned, and leaves `None` for a
-/// group it kept running (the core reports beforehand which groups
-/// it will touch, [`Roster::touched`]).
+/// form in which the lifecycle core touches a runtime
+/// ([`Placement::quiesce`]). [`Inline`] lends each program's runtime as a
+/// one-element group; [`Sharded`] hands over what `ShardGroup::pause`
+/// returned, and leaves `None` for a group it kept running (the core
+/// reports beforehand which groups it will touch, [`Roster::touched`]).
 type Group = Option<Vec<Runtime>>;
 
 fn quiesced(groups: &mut [Group], p: usize) -> &mut Vec<Runtime> {
@@ -656,22 +655,20 @@ struct StagedInstall {
     candidates: Vec<Pair>,
 }
 
-/// The lifecycle core both front ends own: which programs are installed
+/// The lifecycle core of a [`Deployment`]: which programs are installed
 /// under which ids and budget, which stores are deduplicated, where the
 /// deployment persists — and the one implementation of install, uninstall,
 /// replan → migrate → repair, poll source resolution and the durable tier
 /// (enable, persist, recover, retired results) over that bookkeeping.
 ///
-/// The core owns no runtime and starts no thread. [`MultiRuntime`] keeps
-/// one [`Runtime`] per program on the caller's thread, [`MultiSharded`]
-/// keeps one `ShardGroup` (N workers behind queues) per program; for a
-/// lifecycle event or a durable call each hands its runtimes over as
-/// [`Group`]s and takes them back afterwards. What the plane's shape
-/// changes is exactly: how many workers a group has, whether reaching them
-/// needs a pause/resume (the front end's business), and — inside the core
-/// — the functions that read `shards`: [`gate`], [`worker_geometries`] and
-/// the worker count and file names of [`Roster::spawn`] /
-/// [`Roster::file_component`].
+/// The core owns no runtime and starts no thread: the deployment's
+/// [`Placement`] hands the runtimes over as [`Group`]s for a lifecycle
+/// event or a durable call and takes them back afterwards. What the
+/// plane's shape changes is exactly: how many workers a group has, whether
+/// reaching them needs a pause/resume (the placement's business), and —
+/// inside the core — the functions that read `shards`: [`gate`],
+/// [`worker_geometries`] and the worker count and file names of
+/// [`Roster::spawn`] / [`Roster::file_component`].
 #[derive(Debug)]
 struct Roster {
     /// The installed programs at their **whole-slice** geometries, in
@@ -708,12 +705,23 @@ struct Roster {
     /// Record index of the last manifested checkpoint (stale-capture
     /// cleanup; see [`Runtime`]'s field of the same name).
     persisted_at: Option<u64>,
+    /// Whether the deployment was drained in place
+    /// ([`MultiRuntime::finish`]); installs are refused from then on.
+    finished: bool,
 }
 
 impl Roster {
     /// The constructors' shared half: run (and gate) the sharing pass over
-    /// the initial program set.
-    fn new(programs: Vec<CompiledProgram>, share: bool, shards: Option<usize>) -> Self {
+    /// the initial program set. Returns the program each installed
+    /// program's workers start from alongside: its whole-slice program with
+    /// every alias query marked as externally provided
+    /// ([`CompiledProgram::deduped_queries`]), so the worker runtime leaves
+    /// it out of its streaming pass.
+    fn new(
+        programs: Vec<CompiledProgram>,
+        share: bool,
+        shards: Option<usize>,
+    ) -> (Self, Vec<CompiledProgram>) {
         assert!(!programs.is_empty(), "need at least one program");
         let mut aliases = Vec::new();
         if share {
@@ -734,50 +742,14 @@ impl Roster {
             shards,
             durability: None,
             persisted_at: None,
+            finished: false,
         };
         roster.refresh_report();
-        roster
-    }
-
-    /// [`Roster::new`] under a shared SRAM budget. One (gated) sharing
-    /// analysis tags the dedup groups the planner charges once
-    /// ([`provision_with`]); the analysis then re-runs at the provisioned
-    /// geometries, so no store is elided unless the strict rule holds at
-    /// the geometries the dataplane actually runs. Returns each program's
-    /// per-worker program ([`worker_geometries`]) and the plan alongside.
-    fn provisioned(
-        mut programs: Vec<CompiledProgram>,
-        budget_bits: u64,
-        shards: Option<usize>,
-    ) -> Result<(Self, Vec<CompiledProgram>, AreaPlan), PlanError> {
-        let mut aliases = analyze_sharing(&programs);
-        gate(shards, &mut aliases, &programs);
-        let plan = provision_with(&mut programs, budget_bits, &aliases)?;
-        let mut roster = Roster::new(programs, true, shards);
-        roster.budget = Some(budget_bits);
-        // `provision_with` named the i-th program's demand `q{i}`; look the
-        // allocation up **by name** — programs without stores place no
-        // demand, so positional iteration would misalign every later
-        // program's geometry with its neighbour's.
-        let mut workers = roster.worker_programs();
-        for (i, worker) in workers.iter_mut().enumerate() {
-            if let Some(alloc) = plan.query(&format!("q{i}")) {
-                set_geometries(worker, worker_geometries(shards, alloc)?);
-            }
-        }
-        Ok((roster, workers, plan))
-    }
-
-    /// The program each installed program's workers start from: its
-    /// whole-slice program with every alias query marked as externally
-    /// provided ([`CompiledProgram::deduped_queries`]), so the worker
-    /// runtime leaves it out of its streaming pass.
-    fn worker_programs(&self) -> Vec<CompiledProgram> {
-        let mut workers = self.programs.clone();
-        for ((ap, aq), _) in &self.aliases {
+        let mut workers = roster.programs.clone();
+        for ((ap, aq), _) in &roster.aliases {
             workers[*ap].deduped_queries.push(*aq);
         }
-        workers
+        (roster, workers)
     }
 
     /// Program index of install id `id`, if it is live.
@@ -852,22 +824,17 @@ impl Roster {
         Ok(at)
     }
 
-    /// A retired program's durably published final results; `Ok(None)`
-    /// when `id` never left under durability, an
-    /// [`std::io::ErrorKind::InvalidData`] error when its file is corrupt.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`Roster::enable_durability`] succeeded.
-    fn retired(&self, id: u64) -> std::io::Result<Option<ResultSet>> {
-        let d = (self.durability.as_ref()).expect("retired requires enable_durability");
-        read_retired(d, id)
-    }
-
     /// Rebuild the sharing report over the current programs and settled
     /// aliases.
     fn refresh_report(&mut self) {
-        self.report = report_of(&self.programs, &self.aliases);
+        let named = |p: usize, q: usize| (p, self.programs[p].program.queries[q].name.clone());
+        let stores = (self.aliases.iter())
+            .map(|((ap, aq), (op, oq))| SharedStore {
+                owner: named(*op, *oq),
+                alias: named(*ap, *aq),
+            })
+            .collect();
+        self.report = SharingReport { stores };
     }
 
     /// Run the planner **once** over `programs` (named by `ids`, dedup
@@ -1035,8 +1002,9 @@ impl Roster {
     }
 
     /// Commit a staged install over the touched residents' quiesced groups
-    /// and adopt the arrival under a fresh install id (returned). The front
-    /// end starts the worker runtimes [`Roster::stage_install`] handed it.
+    /// and adopt the arrival under a fresh install id (returned). The
+    /// placement admits the worker runtimes [`Roster::stage_install`]
+    /// built ([`Placement::admit`]).
     fn commit_install(&mut self, staged: StagedInstall, groups: &mut [Group]) -> u64 {
         self.apply(staged.replan, groups);
         self.aliases.extend(staged.candidates);
@@ -1071,11 +1039,7 @@ impl Roster {
     /// (uninstall has no error channel yet).
     fn uninstall(&mut self, pos: usize, groups: &mut Vec<Group>) -> ResultSet {
         let id = self.ids[pos];
-        let results = self.poll(pos, |p| {
-            groups[p]
-                .as_deref()
-                .expect("uninstall quiesces every group")
-        });
+        let results = self.poll(pos, groups);
 
         let mut promoted: Vec<Pair> = Vec::new();
         for i in 0..self.aliases.len() {
@@ -1105,12 +1069,8 @@ impl Roster {
         self.aliases
             .retain(|((ap, _), (op, _))| *ap != pos && *op != pos);
         for ((ap, _), (op, _)) in &mut self.aliases {
-            if *ap > pos {
-                *ap -= 1;
-            }
-            if *op > pos {
-                *op -= 1;
-            }
+            *ap -= usize::from(*ap > pos);
+            *op -= usize::from(*op > pos);
         }
         self.ids.remove(pos);
         self.epochs.remove(pos);
@@ -1150,11 +1110,11 @@ impl Roster {
         sources
     }
 
-    /// Poll program `pos` over the (read-only) worker runtimes
-    /// `workers_of(p)` lends for every program [`Roster::poll_sources`]
-    /// names: per-worker frames merge through the same normalization the
-    /// drain uses.
-    fn poll<'a>(&self, pos: usize, workers_of: impl Fn(usize) -> &'a [Runtime]) -> ResultSet {
+    /// Poll program `pos` over the (read-only) quiesced groups of every
+    /// program [`Roster::poll_sources`] names: per-worker frames merge
+    /// through the same normalization the drain uses.
+    fn poll(&self, pos: usize, groups: &[Group]) -> ResultSet {
+        let workers_of = |p: usize| groups[p].as_deref().expect("a poll quiesces its sources");
         let stores: Vec<_> = (self.poll_sources(pos).into_iter())
             .map(|src| src.map(|(p, q)| (workers_of(p), q)))
             .collect();
@@ -1162,9 +1122,162 @@ impl Roster {
     }
 }
 
-/// K installed programs behind one shared ingest pass. Usage mirrors
-/// [`Runtime`]; every entry point is semantically K independent runtimes
-/// fed the same records, and is pinned byte-identical to exactly that.
+/// Where a deployment's worker runtimes live — the one thing that tells
+/// [`MultiRuntime`] from [`MultiSharded`]. Everything else is
+/// [`Deployment`]'s, written once over these methods: a lifecycle event or
+/// a durable call quiesces the groups it needs, hands them to the roster
+/// and releases them; a batch goes to every program through
+/// [`Placement::ingest`].
+pub(crate) trait Placement: Default {
+    /// Take one more program's fresh worker runtimes (shard order) as the
+    /// last program.
+    fn admit(&mut self, workers: Vec<Runtime>);
+    /// Hand over the quiesced worker runtimes of at least every program
+    /// `need` marks, one [`Group`] per program, in program order.
+    fn quiesce(&mut self, need: &[bool]) -> Vec<Group>;
+    /// Take back what [`Placement::quiesce`] handed over — the groups the
+    /// roster kept, after any [`Placement::depart`].
+    fn release(&mut self, groups: Vec<Group>);
+    /// Forget program `pos` while quiesced; its runtimes leave with its
+    /// group.
+    fn depart(&mut self, _pos: usize) {}
+    /// Feed one batch to every program, in stream order per program.
+    fn ingest(&mut self, recs: &[QueueRecord]);
+}
+
+/// The inline placement: one [`Runtime`] per program on the caller's
+/// thread, every record's base row built **once** for all of them.
+#[derive(Debug, Default)]
+pub struct Inline {
+    /// One runtime per installed program.
+    runtimes: Vec<Runtime>,
+    /// Chunk-wide row buffers ([`Inline::ingest`]): one [`LANES`]-record
+    /// chunk materializes at a time, then each program sweeps it
+    /// node-at-a-time — a program's stores and bytecode state stay hot
+    /// across the chunk instead of being evicted K−1 times per record.
+    /// Flat lane matrix: lane `i` at `i * row_width ..` (one allocation, no
+    /// per-lane `Vec` headers in the sweeps).
+    rows: Vec<Value>,
+    /// Observation times of the current chunk, parallel to `rows`.
+    nows: Vec<perfq_packet::Nanos>,
+}
+
+impl Placement for Inline {
+    fn admit(&mut self, workers: Vec<Runtime>) {
+        self.runtimes.extend(workers);
+    }
+
+    /// Every runtime as a one-worker group, whatever `need` says: nothing
+    /// runs between two calls on this placement.
+    fn quiesce(&mut self, _need: &[bool]) -> Vec<Group> {
+        self.runtimes.drain(..).map(|rt| Some(vec![rt])).collect()
+    }
+
+    fn release(&mut self, groups: Vec<Group>) {
+        self.runtimes.extend(groups.into_iter().flatten().flatten());
+    }
+
+    /// The batch is cut into cache-sized chunks (one `u64` mask word
+    /// each), each chunk materializes **once** (the union of the programs'
+    /// column masks, reused row buffers), then each program's plan sweeps
+    /// the chunk node-at-a-time with its own filters and keys.
+    fn ingest(&mut self, recs: &[QueueRecord]) {
+        // One walk per batch: the union mask is rebuilt from the resident
+        // set (no lifecycle event can leave it stale), and ingest after
+        // `finish()` is refused before any record folds.
+        let mut mask = 0u64;
+        for rt in &self.runtimes {
+            assert!(!rt.is_finished(), "{}", LifecycleError::ProcessAfterFinish);
+            mask |= rt.base_cols();
+        }
+        let width = QueueRecord::row_width();
+        if self.rows.len() != LANES * width {
+            self.rows.clear();
+            self.rows.resize(LANES * width, Value::Int(0));
+        }
+        let Inline {
+            runtimes,
+            rows,
+            nows,
+        } = self;
+        for chunk in recs.chunks(CHUNK) {
+            nows.clear();
+            for (rec, lane) in chunk.iter().zip(rows.chunks_exact_mut(width)) {
+                rec.write_row_masked_into(lane, mask);
+                nows.push(rec.observed_at());
+            }
+            for rt in runtimes.iter_mut() {
+                rt.process_lanes(rows, width, chunk.len(), nows);
+            }
+        }
+    }
+}
+
+/// The sharded placement: one worker group per program — its own router,
+/// SPSC queues and N worker threads — reached between batches by pausing
+/// the group and resuming it afterwards.
+#[derive(Debug, Default)]
+pub struct Sharded {
+    /// One worker group per installed program.
+    pub(crate) groups: Vec<ShardGroup>,
+}
+
+impl Placement for Sharded {
+    fn admit(&mut self, workers: Vec<Runtime>) {
+        self.groups.push(ShardGroup::new(workers));
+    }
+
+    /// Pause exactly the groups `need` marks (index order keeps pause and
+    /// resume deterministic): in-flight queue records drain to the stores,
+    /// the workers hand back their runtimes with caches resident.
+    fn quiesce(&mut self, need: &[bool]) -> Vec<Group> {
+        let groups = self.groups.iter_mut().zip(need);
+        groups.map(|(g, n)| n.then(|| g.pause())).collect()
+    }
+
+    fn release(&mut self, groups: Vec<Group>) {
+        for (g, workers) in self.groups.iter_mut().zip(groups) {
+            if let Some(workers) = workers {
+                g.resume(workers);
+            }
+        }
+    }
+
+    fn depart(&mut self, pos: usize) {
+        drop(self.groups.remove(pos));
+    }
+
+    /// Route the whole batch through each program's group in turn.
+    fn ingest(&mut self, recs: &[QueueRecord]) {
+        for g in &mut self.groups {
+            for rec in recs {
+                g.process_record(rec);
+            }
+        }
+    }
+}
+
+/// K installed programs behind one shared ingest pass, placed inline
+/// ([`MultiRuntime`]: one worker per program, on the caller's thread) or
+/// sharded ([`MultiSharded`]: N workers per program behind queues). Usage
+/// mirrors [`Runtime`]; every entry point is semantically K independent
+/// runtimes fed the same records, and is pinned byte-identical to exactly
+/// that on both placements.
+///
+/// Install, uninstall, poll, the durable tier and ingest are written once,
+/// here; the constructors, `recover` and the drain are the placement's
+/// (see [`MultiRuntime`] and [`MultiSharded`]).
+#[derive(Debug)]
+pub struct Deployment<P> {
+    /// Who is installed, and the one lifecycle over them.
+    roster: Roster,
+    /// Where their worker runtimes live.
+    pub(crate) place: P,
+}
+
+/// K programs on the caller's thread: each record's base row materializes
+/// once, with the union of the programs' column masks, and every
+/// program's plan sweeps it.
 ///
 /// ```
 /// use perfq_core::{compile_query, MultiRuntime};
@@ -1189,24 +1302,303 @@ impl Roster {
 /// let results = multi.collect();
 /// assert_eq!(results.len(), 2);
 /// ```
-#[derive(Debug)]
-pub struct MultiRuntime {
-    /// One runtime per installed program, on the caller's thread.
-    runtimes: Vec<Runtime>,
-    /// Who is installed, and the one lifecycle over them.
-    roster: Roster,
-    /// Chunk-wide row buffers ([`MultiRuntime::process_batch`]): one
-    /// [`LANES`]-record chunk materializes at a time, then each program
-    /// sweeps it node-at-a-time — a program's stores and bytecode state
-    /// stay hot across the chunk instead of being evicted K−1 times per
-    /// record. Flat lane matrix: lane `i` at `i * row_width ..` (one
-    /// allocation, no per-lane `Vec` headers in the sweeps).
-    rows: Vec<Value>,
-    /// Observation times of the current chunk, parallel to `rows`.
-    nows: Vec<perfq_packet::Nanos>,
+pub type MultiRuntime = Deployment<Inline>;
+
+/// K programs × N shards: every record is routed once per program into
+/// that program's worker group. Under [`MultiSharded::provisioned`] each
+/// shard's cache is `1/N` of the program's SRAM slice, so the whole
+/// deployment still fits the single fixed budget;
+/// [`ShardedRuntime`](crate::ShardedRuntime) is this placement at K = 1.
+pub type MultiSharded = Deployment<Sharded>;
+
+#[allow(private_bounds)] // `Placement` is crate-private: the placements are this module's two
+impl<P: Placement> Deployment<P> {
+    /// Start a roster's worker programs ([`Roster::new`]) in a fresh
+    /// placement.
+    fn build((roster, workers): (Roster, Vec<CompiledProgram>)) -> Self {
+        let mut place = P::default();
+        for worker in &workers {
+            place.admit(roster.spawn(worker));
+        }
+        Deployment { roster, place }
+    }
+
+    /// Install programs under a shared SRAM budget; the plan alongside.
+    /// One (gated) sharing analysis tags the dedup groups the planner
+    /// charges once ([`provision_with`]); the analysis then re-runs at the
+    /// provisioned geometries ([`Roster::new`]), so no store is elided
+    /// unless the strict rule holds at the geometries the dataplane
+    /// actually runs. Each worker starts at its share of its program's
+    /// slice ([`worker_geometries`]).
+    fn budgeted(
+        mut programs: Vec<CompiledProgram>,
+        budget_bits: u64,
+        shards: Option<usize>,
+    ) -> Result<(Self, AreaPlan), PlanError> {
+        let mut aliases = analyze_sharing(&programs);
+        gate(shards, &mut aliases, &programs);
+        let plan = provision_with(&mut programs, budget_bits, &aliases)?;
+        let (mut roster, mut workers) = Roster::new(programs, true, shards);
+        roster.budget = Some(budget_bits);
+        // `provision_with` named the i-th program's demand `q{i}`; look the
+        // allocation up **by name** — programs without stores place no
+        // demand, so positional iteration would misalign every later
+        // program's geometry with its neighbour's.
+        for (i, worker) in workers.iter_mut().enumerate() {
+            if let Some(alloc) = plan.query(&format!("q{i}")) {
+                set_geometries(worker, worker_geometries(shards, alloc)?);
+            }
+        }
+        Ok((Self::build((roster, workers)), plan))
+    }
+
+    /// Quiesce the groups `need` marks for the duration of `f` and release
+    /// them whatever it returns: a failed durable call leaves the
+    /// deployment running with its in-RAM state intact.
+    fn quiesced<R>(&mut self, need: &[bool], f: impl FnOnce(&mut Roster, &mut [Group]) -> R) -> R {
+        let mut groups = self.place.quiesce(need);
+        let out = f(&mut self.roster, &mut groups);
+        self.place.release(groups);
+        out
+    }
+
+    /// [`Deployment::quiesced`] over every group.
+    fn all_quiesced<R>(&mut self, f: impl FnOnce(&mut Roster, &mut [Group]) -> R) -> R {
+        self.quiesced(&vec![true; self.len()], f)
+    }
+
+    /// Repair this freshly built deployment's durable files against the
+    /// deployment manifest; the deployment and the resume index.
+    pub(crate) fn recovered(mut self, d: Durability) -> std::io::Result<(Self, u64)> {
+        let at = self.all_quiesced(|roster, groups| roster.recover(d, groups))?;
+        Ok((self, at))
+    }
+
+    /// Number of installed programs.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.roster.ids.len()
+    }
+
+    /// True when no program is installed (only possible after
+    /// [`Deployment::uninstall`] removed the last one).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.roster.ids.is_empty()
+    }
+
+    /// The stable install ids, in program order.
+    #[must_use]
+    pub fn ids(&self) -> &[u64] {
+        &self.roster.ids
+    }
+
+    /// Records the deployment has processed. A program installed mid-stream
+    /// ([`Deployment::install`]) has observed only the suffix from its
+    /// install on.
+    #[must_use]
+    pub fn records(&self) -> u64 {
+        self.roster.records
+    }
+
+    /// What the install-time sharing pass shared across the programs.
+    #[must_use]
+    pub fn sharing(&self) -> &SharingReport {
+        &self.roster.report
+    }
+
+    /// Attach a durable spill tier to every installed program's stores
+    /// (off by default; see [`crate::durable`]). Program `id` persists
+    /// under the `p<id>_` name component inline and shard `i` of it under
+    /// `p<id>_s<i>_` when sharded — stable across the index shifts of
+    /// install/uninstall — and programs installed later join the durable
+    /// tier on arrival. One deployment manifest covers every program and
+    /// shard. Uninstall additionally publishes the departing program's
+    /// final results as a retired file ([`Deployment::retired`]).
+    /// [`ShardedRuntime::enable_durability`](crate::ShardedRuntime::enable_durability)
+    /// is the same tier for one program.
+    ///
+    /// # Panics
+    ///
+    /// Sharded: panics after [`MultiSharded::run_network`], or if a worker
+    /// died.
+    pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
+        self.all_quiesced(|roster, groups| roster.enable_durability(d, groups))
+    }
+
+    /// Durably checkpoint the whole deployment at the current record
+    /// index: every program's stores checkpoint, the single deployment
+    /// manifest advances atomically, then every WAL that has outgrown its
+    /// segment folds into it (see [`Runtime::persist`]). Routing is a pure
+    /// function of each program's key, so a recovered sharded deployment
+    /// re-ingesting from the returned index reproduces every worker's
+    /// exact sub-stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Deployment::enable_durability`] was called; sharded,
+    /// also after [`MultiSharded::run_network`] or if a worker died.
+    pub fn persist(&mut self) -> std::io::Result<()> {
+        self.all_quiesced(|roster, groups| roster.persist(groups))
+    }
+
+    /// Read back a retired program's durably published final results.
+    /// `Ok(None)` when this id never left under durability; an
+    /// [`std::io::ErrorKind::InvalidData`] error when its file is corrupt.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Deployment::enable_durability`] was called.
+    pub fn retired(&self, id: u64) -> std::io::Result<Option<ResultSet>> {
+        let d = (self.roster.durability.as_ref()).expect("retired requires enable_durability");
+        read_retired(d, id)
+    }
+
+    /// Install one more compiled program into the **live** deployment —
+    /// the dynamic half of the paper's "queries are installed at run time"
+    /// contract (§3.3 prices the SRAM budget precisely so operators can
+    /// keep re-deploying queries against it). Returns the program's stable
+    /// install id ([`Deployment::uninstall`] takes it back).
+    ///
+    /// Semantics (pinned by `tests/query_lifecycle.rs`): after the call,
+    /// the deployment behaves exactly as if the new program were a fresh
+    /// [`Runtime`] (or sharded deployment) started at this instant — it
+    /// observes only the record suffix from its install on — while every
+    /// resident program's state carries over byte-identically.
+    ///
+    /// Under a budget ([`MultiRuntime::provisioned`] /
+    /// [`MultiSharded::provisioned`]) the planner re-runs once over the
+    /// grown deployment, the groups whose stores move quiesce (sharded:
+    /// in-flight queue records drain first), and every resident store
+    /// **live-migrates** to its new (smaller) slice — or `1/N` of it per
+    /// shard — ([`perfq_kvstore::SplitStore::migrate_geometry`] — rehash
+    /// cache-resident pairs, spill what no longer fits, timestamps
+    /// preserved); without a budget no resident group is disturbed. The
+    /// sharing analysis re-runs incrementally: the new program may adopt a
+    /// resident deduplicated store (equal install epochs only — see
+    /// `lifecycle_alias_candidates`; sharded, also exact and identical
+    /// routing, `retain_shard_exact`); a live composed alias pair whose
+    /// chains the replan diverges is **repaired** — the shared store's
+    /// state is cloned into the alias as its private store again. Under
+    /// durability the arrival's spill tiers attach before anything is
+    /// committed.
+    ///
+    /// Sharded: not supported after [`MultiSharded::run_network`] (the
+    /// queue producers were handed away).
+    ///
+    /// # Errors
+    ///
+    /// [`InstallError::Finished`] after [`MultiRuntime::finish`],
+    /// [`InstallError::Plan`] for whatever the replan rejects — including a
+    /// `1/N` shard slice too small for one pair — and [`InstallError::Io`]
+    /// when the durable-tier attach fails; the deployment is untouched on
+    /// error.
+    pub fn install(&mut self, program: CompiledProgram) -> Result<u64, InstallError> {
+        if self.roster.finished {
+            return Err(InstallError::Finished);
+        }
+        let (staged, arrival) = self.roster.stage_install(program)?;
+        let need = self.roster.touched(&staged);
+        let id = self.quiesced(&need, |roster, groups| {
+            roster.commit_install(staged, groups)
+        });
+        self.place.admit(arrival);
+        Ok(id)
+    }
+
+    /// Uninstall the program with install id `id`, returning its final
+    /// results — exactly what [`Runtime::finish`] + [`Runtime::collect`]
+    /// (per-shard frames merged, when sharded) would report for a private
+    /// deployment stopped now. `None` for an unknown id.
+    ///
+    /// Every group quiesces. The results are the poll
+    /// ([`Deployment::poll`]) taken as the program leaves — a departing
+    /// *alias* reads its owner's live store through the poll's redirection
+    /// — and dedup bookkeeping is repaired: a departing *owner*'s shared
+    /// store is **promoted** worker by worker into its first surviving
+    /// alias (the live state moves — stream continuity preserved) and
+    /// further aliases re-parent onto the promoted owner. The departing
+    /// program's slice returns to the pool: under a budget the remaining
+    /// programs replan and their stores live-migrate onto the (larger)
+    /// slices before everything is released. Under durability the results
+    /// are also published as a retired file ([`Deployment::retired`]).
+    ///
+    /// Sharded: not supported after [`MultiSharded::run_network`].
+    ///
+    /// # Panics
+    ///
+    /// Under durability, panics when publishing the retired results fails
+    /// (uninstall has no error channel yet).
+    pub fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
+        let pos = self.roster.position(id)?;
+        let mut groups = self.place.quiesce(&vec![true; self.len()]);
+        self.place.depart(pos);
+        let results = self.roster.uninstall(pos, &mut groups);
+        self.place.release(groups);
+        Some(results)
+    }
+
+    /// Poll one installed program's current results **without stopping the
+    /// world** — the multi-program incremental read path. Returns `None`
+    /// for an unknown (or already uninstalled) id.
+    ///
+    /// Only the programs involved quiesce, and only for the poll: the
+    /// polled program plus the owning program of each of its deduplicated
+    /// alias stores (sharded: their groups pause between batches). Their
+    /// per-worker frames merge through the same normalization the drain
+    /// uses, so a polled alias equals its never-deduplicated twin, and
+    /// everything is released with caches resident: ingest continues
+    /// afterwards, and the eventual drain is byte-identical to a
+    /// never-polled replay (pinned by `tests/poll_equivalence.rs`). For
+    /// per-epoch streaming on top of the returned frames, feed them to a
+    /// [`crate::DeltaCursor`].
+    ///
+    /// # Panics
+    ///
+    /// Sharded: panics if a worker of an involved program died.
+    #[must_use]
+    pub fn poll(&mut self, id: u64) -> Option<ResultSet> {
+        let pos = self.roster.position(id)?;
+        let mut involved = vec![false; self.len()];
+        involved[pos] = true;
+        for (owner, _) in self.roster.poll_sources(pos).into_iter().flatten() {
+            involved[owner] = true;
+        }
+        Some(self.quiesced(&involved, |roster, groups| roster.poll(pos, groups)))
+    }
+
+    /// Process one queue record: [`Deployment::process_batch`] over a
+    /// one-record batch.
+    ///
+    /// # Panics
+    ///
+    /// As [`Deployment::process_batch`].
+    pub fn process_record(&mut self, rec: &QueueRecord) {
+        self.process_batch(std::slice::from_ref(rec));
+    }
+
+    /// Process a batch of records — the multi-query analogue of
+    /// [`Runtime::process_batch`]. Inline, the batch is vectorized the same
+    /// way: cut into cache-sized chunks, each chunk's rows materialize
+    /// **once** for every program, then each program's plan sweeps the
+    /// chunk node-at-a-time with its own filters and keys. Sharded, the
+    /// batch is routed through each program's group. Results do not depend
+    /// on the chunking (and are tested not to); programs are independent,
+    /// so per-program stream order — the order that matters — is preserved.
+    ///
+    /// # Panics
+    ///
+    /// Inline: panics (also in release builds) when called after
+    /// [`MultiRuntime::finish`], as [`Runtime::process_batch`] does.
+    /// Sharded: panics after [`MultiSharded::run_network`], or if a worker
+    /// died.
+    pub fn process_batch(&mut self, recs: &[QueueRecord]) {
+        self.place.ingest(recs);
+        self.roster.records += recs.len() as u64;
+    }
 }
 
-impl MultiRuntime {
+impl Deployment<Inline> {
     /// Install several compiled programs behind one ingest pass, with
     /// whatever geometries they already carry and cross-query sharing
     /// enabled (see the module docs; sharing is a pure optimization, pinned
@@ -1217,32 +1609,16 @@ impl MultiRuntime {
     /// Panics on an empty program list.
     #[must_use]
     pub fn new(programs: Vec<CompiledProgram>) -> Self {
-        Self::with_sharing(programs, true)
+        Self::build(Roster::new(programs, true, None))
     }
 
     /// [`MultiRuntime::new`] without the cross-query sharing pass — the
-    /// PR 4 shared-ingest-only configuration. Differential tests and the
+    /// shared-ingest-only configuration. Differential tests and the
     /// `multi_query_shared` ratio guards use this as the sharing baseline.
     #[doc(hidden)]
     #[must_use]
     pub fn new_unshared(programs: Vec<CompiledProgram>) -> Self {
-        Self::with_sharing(programs, false)
-    }
-
-    fn with_sharing(programs: Vec<CompiledProgram>, share: bool) -> Self {
-        let roster = Roster::new(programs, share, None);
-        let workers = roster.worker_programs();
-        Self::build(roster, workers)
-    }
-
-    /// Start one runtime per worker program.
-    fn build(roster: Roster, workers: Vec<CompiledProgram>) -> Self {
-        MultiRuntime {
-            runtimes: workers.into_iter().map(Runtime::new).collect(),
-            roster,
-            rows: Vec::new(),
-            nows: Vec::new(),
-        }
+        Self::build(Roster::new(programs, false, None))
     }
 
     /// Install programs under a shared SRAM budget: [`provision`] the
@@ -1251,235 +1627,26 @@ impl MultiRuntime {
         programs: Vec<CompiledProgram>,
         budget_bits: u64,
     ) -> Result<(Self, AreaPlan), PlanError> {
-        let (roster, workers, plan) = Roster::provisioned(programs, budget_bits, None)?;
-        Ok((Self::build(roster, workers), plan))
-    }
-
-    /// Number of installed programs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.runtimes.len()
-    }
-
-    /// True when no program is installed (only possible after
-    /// [`MultiRuntime::uninstall`] removed the last one).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.runtimes.is_empty()
-    }
-
-    /// The installed runtimes, in program order.
-    #[must_use]
-    pub fn runtimes(&self) -> &[Runtime] {
-        &self.runtimes
-    }
-
-    /// The stable install ids, parallel to [`MultiRuntime::runtimes`].
-    #[must_use]
-    pub fn ids(&self) -> &[u64] {
-        &self.roster.ids
-    }
-
-    /// What the install-time sharing pass shared across the programs.
-    #[must_use]
-    pub fn sharing(&self) -> &SharingReport {
-        &self.roster.report
-    }
-
-    /// Records the deployment has processed. A program installed mid-stream
-    /// ([`MultiRuntime::install`]) has observed only the suffix from its
-    /// install on.
-    #[must_use]
-    pub fn records(&self) -> u64 {
-        self.roster.records
-    }
-
-    /// Attach a durable spill tier to every installed program's stores
-    /// (off by default; see [`crate::durable`]). Program `id` persists
-    /// under the `p<id>_` name component — stable across the index shifts
-    /// of install/uninstall — and programs installed later
-    /// ([`MultiRuntime::install`]) join the durable tier on arrival.
-    /// Uninstall additionally publishes the departing program's final
-    /// results as a retired file ([`MultiRuntime::retired`]). The sharded
-    /// planes take the same tier: [`MultiSharded::enable_durability`], and
-    /// [`ShardedRuntime::enable_durability`](crate::ShardedRuntime::enable_durability)
-    /// for one program.
-    pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
-        self.lent(|roster, groups| roster.enable_durability(d, groups))
-    }
-
-    /// Durably checkpoint the whole deployment at the current record
-    /// index: every program's stores checkpoint, the single deployment
-    /// manifest advances atomically, then every WAL that has outgrown its
-    /// segment folds into it (see [`Runtime::persist`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`MultiRuntime::enable_durability`] was called.
-    pub fn persist(&mut self) -> std::io::Result<()> {
-        self.lent(|roster, groups| roster.persist(groups))
+        Self::budgeted(programs, budget_bits, None)
     }
 
     /// Recover a crashed multi-query deployment that had **no mid-stream
     /// lifecycle events**: rebuild over the same program list (the sharing
     /// analysis is deterministic, so aliases, store layout, and durable
     /// file names all reproduce) and repair each program's files against
-    /// the single deployment manifest. Returns the plane with the resume
-    /// index (see [`Runtime::recover`]); every program's record count
-    /// includes the checkpointed prefix. Deployments that installed or
-    /// uninstalled mid-stream are out of recovery's scope — but their
-    /// retired files stay readable ([`MultiRuntime::retired`]).
-    pub fn recover(
-        programs: Vec<CompiledProgram>,
-        d: Durability,
-    ) -> std::io::Result<(Self, u64)> {
-        let mut multi = Self::new(programs);
-        let at = multi.lent(|roster, groups| roster.recover(d, groups))?;
-        Ok((multi, at))
+    /// the single deployment manifest. Returns the deployment with the
+    /// resume index (see [`Runtime::recover`]); every program's record
+    /// count includes the checkpointed prefix. Deployments that installed
+    /// or uninstalled mid-stream are out of recovery's scope — but their
+    /// retired files stay readable ([`Deployment::retired`]).
+    pub fn recover(programs: Vec<CompiledProgram>, d: Durability) -> std::io::Result<(Self, u64)> {
+        Self::new(programs).recovered(d)
     }
 
-    /// Read back a retired program's durably published final results.
-    /// `Ok(None)` when this id never left under durability; an
-    /// [`std::io::ErrorKind::InvalidData`] error when its file is corrupt.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`MultiRuntime::enable_durability`] was called.
-    pub fn retired(&self, id: u64) -> std::io::Result<Option<ResultSet>> {
-        self.roster.retired(id)
-    }
-
-    /// Lend every program's runtime to the roster as a one-worker quiesced
-    /// group (nothing runs between two calls on this plane) for the
-    /// duration of `f`, and take them back whatever it returns.
-    fn lent<R>(&mut self, f: impl FnOnce(&mut Roster, &mut Vec<Group>) -> R) -> R {
-        let runtimes = std::mem::take(&mut self.runtimes);
-        let mut groups = runtimes.into_iter().map(|rt| Some(vec![rt])).collect();
-        let out = f(&mut self.roster, &mut groups);
-        self.runtimes = groups.into_iter().flatten().flatten().collect();
-        out
-    }
-
-    /// Install one more compiled program into the **live** deployment —
-    /// the dynamic half of the paper's "queries are installed at run time"
-    /// contract (§3.3 prices the SRAM budget precisely so operators can
-    /// keep re-deploying queries against it). Returns the program's stable
-    /// install id ([`MultiRuntime::uninstall`] takes it back).
-    ///
-    /// Semantics (pinned by `tests/query_lifecycle.rs`): after the call,
-    /// the deployment behaves exactly as if the new program were a fresh
-    /// [`Runtime`] started at this instant — it observes only the record
-    /// suffix from its install on — while every resident program's state
-    /// carries over byte-identically.
-    ///
-    /// Under a budget ([`MultiRuntime::provisioned`]) the planner re-runs
-    /// once over the grown deployment and every resident store
-    /// **live-migrates** to its new (smaller) slice without stopping ingest
-    /// ([`perfq_kvstore::SplitStore::migrate_geometry`] — rehash
-    /// cache-resident pairs, spill what no longer fits, timestamps
-    /// preserved). The sharing analysis re-runs incrementally: the new
-    /// program may adopt a resident deduplicated store (equal install
-    /// epochs only — see `lifecycle_alias_candidates`); a live composed
-    /// alias pair whose chains
-    /// the replan diverges is **repaired** — the shared store's state is
-    /// cloned into the alias as its private store again. Under durability
-    /// the arrival's spill tiers attach (`p<id>_` files) before anything is
-    /// committed.
-    ///
-    /// # Errors
-    ///
-    /// [`InstallError::Plan`] for whatever the replan rejects,
-    /// [`InstallError::Io`] when the durable-tier attach fails; the
-    /// deployment is untouched on error.
-    pub fn install(&mut self, program: CompiledProgram) -> Result<u64, InstallError> {
-        let (staged, arrival) = self.roster.stage_install(program)?;
-        let id = self.lent(|roster, groups| roster.commit_install(staged, groups));
-        self.runtimes.extend(arrival);
-        Ok(id)
-    }
-
-    /// Uninstall the program with install id `id`, returning its final
-    /// results — exactly what [`Runtime::finish`] + [`Runtime::collect`]
-    /// would report for a private runtime stopped now. `None` for an
-    /// unknown id.
-    ///
-    /// The departing program's slice returns to the pool: under a budget
-    /// the remaining programs replan and their stores live-migrate onto the
-    /// (larger) slices. The results are the poll ([`MultiRuntime::poll`])
-    /// taken as the program leaves — a departing *alias* reads its owner's
-    /// live store through the poll's redirection — and dedup bookkeeping is
-    /// repaired: a departing *owner*'s shared store is **promoted** into
-    /// its first surviving alias (the live state moves — stream continuity
-    /// preserved) and further aliases re-parent onto the promoted owner.
-    ///
-    /// Under durability the results are also published as a retired file
-    /// ([`MultiRuntime::retired`]).
-    ///
-    /// # Panics
-    ///
-    /// Under durability, panics when publishing the retired results fails
-    /// (uninstall has no error channel yet).
-    pub fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
-        let pos = self.roster.position(id)?;
-        let results = self.lent(|roster, groups| roster.uninstall(pos, groups));
-        Some(results)
-    }
-
-    /// Process one queue record: [`MultiRuntime::process_batch`] over a
-    /// one-record batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics (also in release builds) when called after
-    /// [`MultiRuntime::finish`].
-    pub fn process_record(&mut self, rec: &QueueRecord) {
-        self.process_batch(std::slice::from_ref(rec));
-    }
-
-    /// Process a batch of records — the multi-query analogue of
-    /// [`Runtime::process_batch`], vectorized the same way: the batch is
-    /// cut into cache-sized chunks (one `u64` mask word each), each chunk
-    /// materializes **once** (the union of the programs' column masks,
-    /// reused row buffers), then each program's plan sweeps the chunk
-    /// node-at-a-time with its own filters and keys. Results do not depend
-    /// on the chunking (and are tested not to); programs are independent,
-    /// so per-program stream order — the order that matters — is preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics (also in release builds) when called after
-    /// [`MultiRuntime::finish`], as [`Runtime::process_batch`] does.
-    pub fn process_batch(&mut self, recs: &[QueueRecord]) {
-        // One walk per batch: the union mask is rebuilt from the resident
-        // set (no lifecycle event can leave it stale), and ingest after
-        // `finish()` is refused before any record folds.
-        let mut mask = 0u64;
-        for rt in &self.runtimes {
-            assert!(!rt.is_finished(), "{}", LifecycleError::ProcessAfterFinish);
-            mask |= rt.base_cols();
-        }
-        self.roster.records += recs.len() as u64;
-        let width = QueueRecord::row_width();
-        if self.rows.len() != LANES * width {
-            self.rows.clear();
-            self.rows.resize(LANES * width, Value::Int(0));
-        }
-        let MultiRuntime {
-            runtimes,
-            rows,
-            nows,
-            ..
-        } = self;
-        for chunk in recs.chunks(CHUNK) {
-            nows.clear();
-            for (rec, lane) in chunk.iter().zip(rows.chunks_exact_mut(width)) {
-                rec.write_row_masked_into(lane, mask);
-                nows.push(rec.observed_at());
-            }
-            for rt in runtimes.iter_mut() {
-                rt.process_lanes(rows, width, chunk.len(), nows);
-            }
-        }
+    /// The installed runtimes, parallel to [`Deployment::ids`].
+    #[must_use]
+    pub fn runtimes(&self) -> &[Runtime] {
+        &self.place.runtimes
     }
 
     /// Replay a packet stream through a network straight into every
@@ -1496,63 +1663,26 @@ impl MultiRuntime {
 
     /// Flush every program's caches (end of measurement window), then
     /// substitute deduplicated stores so every alias query collects from
-    /// the owning program's physical store.
+    /// the owning program's physical store. The deployment takes no more
+    /// records or programs afterwards; polls and uninstalls read the
+    /// drained tables.
     pub fn finish(&mut self) {
-        for rt in &mut self.runtimes {
+        for rt in &mut self.place.runtimes {
             rt.finish();
         }
-        substitute_stores(&mut self.runtimes, &self.roster.aliases);
+        substitute_stores(&mut self.place.runtimes, &self.roster.aliases);
+        self.roster.finished = true;
     }
 
     /// Collect every program's final tables, in program order. Call after
     /// [`MultiRuntime::finish`].
     #[must_use]
     pub fn collect(&self) -> Vec<ResultSet> {
-        self.runtimes.iter().map(Runtime::collect).collect()
-    }
-
-    /// Poll one installed program's current results **without stopping the
-    /// world** — the multi-program incremental read path. Returns `None`
-    /// for an unknown (or already uninstalled) id. The deployment is
-    /// untouched: caches stay resident, ingest continues afterwards, and
-    /// the eventual drain is byte-identical to a never-polled replay.
-    ///
-    /// Alias queries (cross-program store dedup) read the owning program's
-    /// live store through the same frame merge the drain-time substitution
-    /// uses, so a polled alias equals its never-deduplicated twin. For
-    /// per-epoch streaming on top of the returned frames, feed them to a
-    /// [`crate::DeltaCursor`].
-    #[must_use]
-    pub fn poll(&self, id: u64) -> Option<ResultSet> {
-        let pos = self.roster.position(id)?;
-        Some(
-            self.roster
-                .poll(pos, |p| std::slice::from_ref(&self.runtimes[p])),
-        )
+        self.place.runtimes.iter().map(Runtime::collect).collect()
     }
 }
 
-/// K programs × N shards behind one shared ingest pass: each program owns a
-/// worker group (its own router, SPSC queues and N worker threads), and
-/// every record is routed once per program. Under
-/// [`MultiSharded::provisioned`], each shard's cache is `1/N` of the
-/// program's SRAM slice, so the whole deployment still fits the single
-/// fixed budget. Duplicate stores across programs are deduplicated exactly
-/// as in [`MultiRuntime`] (see the module docs): alias aggregations leave
-/// every worker's streaming pass, and the drain substitutes the owning
-/// program's merged store. Install, uninstall, poll and the durable tier
-/// are [`MultiRuntime`]'s, run over worker groups this plane pauses and
-/// resumes around them; [`ShardedRuntime`](crate::ShardedRuntime) is this
-/// plane at K = 1.
-#[derive(Debug)]
-pub struct MultiSharded {
-    /// One worker group per installed program.
-    pub(crate) sharded: Vec<ShardGroup>,
-    /// Who is installed, and the one lifecycle over them.
-    roster: Roster,
-}
-
-impl MultiSharded {
+impl Deployment<Sharded> {
     /// Spawn `shards` workers per program with the geometries the programs
     /// already carry (replicated per shard — the *unprovisioned*
     /// configuration), with cross-program store dedup enabled.
@@ -1562,7 +1692,7 @@ impl MultiSharded {
     /// Panics on an empty program list or zero shards.
     #[must_use]
     pub fn new(programs: Vec<CompiledProgram>, shards: usize) -> Self {
-        Self::with_sharing(programs, shards, true)
+        Self::build(Roster::new(programs, true, Some(shards)))
     }
 
     /// [`MultiSharded::new`] without the sharing pass (differential
@@ -1570,23 +1700,7 @@ impl MultiSharded {
     #[doc(hidden)]
     #[must_use]
     pub fn new_unshared(programs: Vec<CompiledProgram>, shards: usize) -> Self {
-        Self::with_sharing(programs, shards, false)
-    }
-
-    fn with_sharing(programs: Vec<CompiledProgram>, shards: usize, share: bool) -> Self {
-        let roster = Roster::new(programs, share, Some(shards));
-        let workers = roster.worker_programs();
-        Self::build(roster, workers)
-    }
-
-    /// Spawn one worker group per worker program.
-    fn build(roster: Roster, workers: Vec<CompiledProgram>) -> Self {
-        MultiSharded {
-            sharded: (workers.iter())
-                .map(|w| ShardGroup::new(roster.spawn(w)))
-                .collect(),
-            roster,
-        }
+        Self::build(Roster::new(programs, false, Some(shards)))
     }
 
     /// Spawn under a shared SRAM budget: the budget divides across programs
@@ -1603,21 +1717,18 @@ impl MultiSharded {
         budget_bits: u64,
         shards: usize,
     ) -> Result<(Self, AreaPlan), PlanError> {
-        let (roster, workers, plan) = Roster::provisioned(programs, budget_bits, Some(shards))?;
-        Ok((Self::build(roster, workers), plan))
+        Self::budgeted(programs, budget_bits, Some(shards))
     }
 
-    /// Number of installed programs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sharded.len()
-    }
-
-    /// True when no program is installed (only possible after
-    /// [`MultiSharded::uninstall`] removed the last one).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sharded.is_empty()
+    /// Recover a crashed sharded deployment — [`MultiRuntime::recover`]'s
+    /// contract and scope (no mid-stream lifecycle events) at the same
+    /// shard count. Returns the deployment with the resume index.
+    pub fn recover(
+        programs: Vec<CompiledProgram>,
+        shards: usize,
+        d: Durability,
+    ) -> std::io::Result<(Self, u64)> {
+        Self::new(programs, shards).recovered(d)
     }
 
     /// Worker shards per program.
@@ -1626,58 +1737,22 @@ impl MultiSharded {
         self.roster.shards.expect("a sharded roster")
     }
 
-    /// The stable install ids, in program order.
-    #[must_use]
-    pub fn ids(&self) -> &[u64] {
-        &self.roster.ids
-    }
-
-    /// Records routed into the deployment so far.
-    #[must_use]
-    pub fn records(&self) -> u64 {
-        self.roster.records
-    }
-
-    /// What the install-time sharing pass shared across the programs.
-    #[must_use]
-    pub fn sharing(&self) -> &SharingReport {
-        &self.roster.report
-    }
-
-    /// Route one record to its shard in **every** program's dataplane.
-    pub fn process_record(&mut self, rec: &QueueRecord) {
-        self.roster.records += 1;
-        for sh in &mut self.sharded {
-            sh.process_record(rec);
-        }
-    }
-
-    /// Route a batch of records to every program's dataplane.
-    pub fn process_batch(&mut self, recs: &[QueueRecord]) {
-        for rec in recs {
-            self.process_record(rec);
-        }
-    }
-
     /// Replay a packet stream through a network into every program's shard
     /// queues in one pass — the multi-program producer
     /// ([`Network::run_multi_sharded`]). Returns per-program, per-shard
     /// routed counts.
     ///
     /// This hands the producer side of every SPSC queue to the network
-    /// loop; lifecycle operations ([`MultiSharded::install`] /
-    /// [`MultiSharded::uninstall`]) are not supported afterwards — drive
-    /// records via [`MultiSharded::process_batch`] when interleaving
-    /// lifecycle events with ingest.
+    /// loop; lifecycle operations, polls and durable calls are not
+    /// supported afterwards — drive records via
+    /// [`Deployment::process_batch`] when interleaving them with ingest.
     pub fn run_network(
         &mut self,
         net: &mut Network,
         packets: impl Iterator<Item = perfq_packet::Packet>,
         batch: usize,
     ) -> Vec<Vec<u64>> {
-        let (mut routers, senders): (Vec<_>, Vec<_>) = self
-            .sharded
-            .iter_mut()
+        let (mut routers, senders): (Vec<_>, Vec<_>) = (self.place.groups.iter_mut())
             .map(ShardGroup::take_feeds)
             .unzip();
         let counts = net.run_multi_sharded(packets, |i, r| routers[i].route(r), senders, batch);
@@ -1687,192 +1762,12 @@ impl MultiSharded {
         counts
     }
 
-    /// Quiesce the worker groups `need` marks (index order keeps pause and
-    /// resume deterministic): in-flight queue records drain to the stores,
-    /// the workers hand back their runtimes with caches resident.
-    fn pause(&mut self, need: &[bool]) -> Vec<Group> {
-        let groups = self.sharded.iter_mut().zip(need);
-        groups.map(|(sh, n)| n.then(|| sh.pause())).collect()
-    }
-
-    /// Restart every group [`MultiSharded::pause`] quiesced.
-    fn resume(&mut self, groups: Vec<Group>) {
-        for (sh, workers) in self.sharded.iter_mut().zip(groups) {
-            if let Some(workers) = workers {
-                sh.resume(workers);
-            }
-        }
-    }
-
-    /// Quiesce every worker group for the duration of `f` and resume them
-    /// all whatever it returns: a failed durable call leaves the plane
-    /// running with its in-RAM state intact.
-    fn paused<R>(&mut self, f: impl FnOnce(&mut Roster, &mut [Group]) -> R) -> R {
-        let mut groups = self.pause(&vec![true; self.sharded.len()]);
-        let out = f(&mut self.roster, &mut groups);
-        self.resume(groups);
-        out
-    }
-
-    /// Attach a durable spill tier to every worker's stores (off by
-    /// default; see [`crate::durable`]) — [`MultiRuntime::enable_durability`]
-    /// across cores. Every group quiesces between batches, shard `i` of
-    /// program `id` persists under `p<id>_s<i>_`, programs installed later
-    /// join on arrival, and ingestion resumes — also when the call fails.
-    /// One deployment manifest covers every program and shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics after [`MultiSharded::run_network`], or if a worker died.
-    pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
-        self.paused(|roster, groups| roster.enable_durability(d, groups))
-    }
-
-    /// Durably checkpoint the whole deployment at the current record index
-    /// ([`MultiRuntime::persist`] over quiesced worker groups, resumed
-    /// whatever the outcome). Routing is a pure function of each program's
-    /// key, so a recovered plane re-ingesting from the returned index
-    /// reproduces every worker's exact sub-stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`MultiSharded::enable_durability`] was called, after
-    /// [`MultiSharded::run_network`], or if a worker died.
-    pub fn persist(&mut self) -> std::io::Result<()> {
-        self.paused(|roster, groups| roster.persist(groups))
-    }
-
-    /// Recover a crashed sharded deployment — [`MultiRuntime::recover`]'s
-    /// contract and scope (no mid-stream lifecycle events) at the same
-    /// shard count. Returns the plane with the resume index.
-    pub fn recover(
-        programs: Vec<CompiledProgram>,
-        shards: usize,
-        d: Durability,
-    ) -> std::io::Result<(Self, u64)> {
-        Self::new(programs, shards).recovered(d)
-    }
-
-    /// Repair this freshly built plane's durable files against the
-    /// deployment manifest; the plane and the resume index.
-    pub(crate) fn recovered(mut self, d: Durability) -> std::io::Result<(Self, u64)> {
-        let at = self.paused(|roster, groups| roster.recover(d, groups))?;
-        Ok((self, at))
-    }
-
-    /// Read back a retired program's durably published final results.
-    /// `Ok(None)` when this id never left under durability; an
-    /// [`std::io::ErrorKind::InvalidData`] error when its file is corrupt.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`MultiSharded::enable_durability`] was called.
-    pub fn retired(&self, id: u64) -> std::io::Result<Option<ResultSet>> {
-        self.roster.retired(id)
-    }
-
-    /// Install one more compiled program into the live sharded deployment
-    /// — [`MultiRuntime::install`] semantics and implementation, across
-    /// cores. Returns the program's stable install id.
-    ///
-    /// The new program gets its own worker group (fresh workers and
-    /// queues, under durability with `p<id>_s<i>_` spill tiers); under a budget every resident program's workers **pause**
-    /// (in-flight queue records drain to the stores first), live-migrate
-    /// their caches to the replanned `1/N` shard geometries, and resume —
-    /// without a budget no resident group is disturbed. Store dedup follows
-    /// the single-stream rule plus the shard gates (exactness + identical
-    /// routing, `retain_shard_exact`) and the lifecycle epoch/freshness
-    /// gates (`lifecycle_alias_candidates`).
-    ///
-    /// Not supported after [`MultiSharded::run_network`] (the queue
-    /// producers were handed away).
-    ///
-    /// # Errors
-    ///
-    /// [`InstallError::Plan`] for whatever the replan rejects — including a
-    /// `1/N` shard slice too small for one pair — and [`InstallError::Io`]
-    /// when the durable-tier attach fails; the deployment is untouched on
-    /// error.
-    pub fn install(&mut self, program: CompiledProgram) -> Result<u64, InstallError> {
-        let (staged, arrival) = self.roster.stage_install(program)?;
-        let mut groups = self.pause(&self.roster.touched(&staged));
-        let id = self.roster.commit_install(staged, &mut groups);
-        self.resume(groups);
-        self.sharded.push(ShardGroup::new(arrival));
-        Ok(id)
-    }
-
-    /// Uninstall the program with install id `id`, returning its final
-    /// (cross-shard merged) results — exactly what
-    /// [`ShardedRuntime::finish`](crate::ShardedRuntime::finish) + collect
-    /// would report for a private deployment stopped now. `None` for an
-    /// unknown id. Under durability the results are also published as a
-    /// retired file ([`MultiSharded::retired`]).
-    ///
-    /// [`MultiRuntime::uninstall`] over paused worker groups: every
-    /// dataplane quiesces (the final poll, promotions and the remaining
-    /// programs' migrations all need the worker runtimes), the departing
-    /// program is polled one last time (per-shard frames merged, aliases
-    /// redirected to their owner's workers), departing owners' shared
-    /// stores are promoted **worker by worker** into their first surviving
-    /// alias, and under a budget the remaining programs replan onto the
-    /// reclaimed area and live-migrate before everything resumes.
-    ///
-    /// Not supported after [`MultiSharded::run_network`].
-    ///
-    /// # Panics
-    ///
-    /// Under durability, panics when publishing the retired results fails
-    /// (uninstall has no error channel yet).
-    pub fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
-        let pos = self.roster.position(id)?;
-        let mut groups = self.pause(&vec![true; self.sharded.len()]);
-        drop(self.sharded.remove(pos));
-        let results = self.roster.uninstall(pos, &mut groups);
-        self.resume(groups);
-        Some(results)
-    }
-
-    /// Poll one installed program's current results **without stopping the
-    /// world** — the sharded multi-program incremental read path. Returns
-    /// `None` for an unknown (or already uninstalled) id.
-    ///
-    /// Only the programs involved quiesce, and only for the poll: the
-    /// polled program's dataplane plus the owning program of each of its
-    /// deduplicated alias stores pause between batches
-    /// (`ShardGroup::pause`), their per-shard frames merge through
-    /// the same normalization the drain uses, and every paused dataplane
-    /// resumes with caches resident. Uninvolved programs keep running
-    /// untouched. The eventual drain is byte-identical to a never-polled
-    /// replay (pinned by `tests/poll_equivalence.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker of an involved program died.
-    #[must_use]
-    pub fn poll(&mut self, id: u64) -> Option<ResultSet> {
-        let pos = self.roster.position(id)?;
-        let mut involved = vec![false; self.sharded.len()];
-        involved[pos] = true;
-        for (owner, _) in self.roster.poll_sources(pos).into_iter().flatten() {
-            involved[owner] = true;
-        }
-        let groups = self.pause(&involved);
-        let results = self.roster.poll(pos, |p| {
-            groups[p].as_deref().expect("involved groups are paused")
-        });
-        self.resume(groups);
-        Some(results)
-    }
-
     /// Drain every program's dataplane (join workers, merge fold state)
     /// into finished per-program runtimes, in program order, substituting
     /// deduplicated stores from their owning programs.
     #[must_use]
     pub fn finish(self) -> Vec<Runtime> {
-        let mut runtimes: Vec<Runtime> = self
-            .sharded
-            .into_iter()
+        let mut runtimes: Vec<Runtime> = (self.place.groups.into_iter())
             .map(ShardGroup::finish)
             .collect();
         substitute_stores(&mut runtimes, &self.roster.aliases);
@@ -2129,6 +2024,27 @@ mod tests {
         multi.process_batch(&records);
         multi.finish();
         multi.process_batch(&records);
+    }
+
+    #[test]
+    fn install_after_finish_is_refused_and_reads_stay_the_drain() {
+        let mut net = Network::new(NetworkConfig::default());
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(3)).take(500));
+        let mut multi = MultiRuntime::new(vec![compiled("SELECT COUNT GROUPBY 5tuple")]);
+        multi.process_batch(&records);
+        multi.finish();
+        let drained = multi.collect();
+        assert!(matches!(
+            multi.install(compiled("SELECT COUNT GROUPBY srcip")),
+            Err(InstallError::Finished)
+        ));
+        assert_eq!(multi.ids(), &[0], "no id burnt, no program admitted");
+        assert_eq!(multi.collect(), drained);
+        // Reads after the drain go through the quiesce / release path and
+        // return exactly the drained tables.
+        assert_eq!(multi.poll(0).as_ref(), Some(&drained[0]));
+        assert_eq!(multi.uninstall(0).as_ref(), Some(&drained[0]));
+        assert!(multi.is_empty());
     }
 
     #[test]
@@ -2457,15 +2373,15 @@ mod tests {
         let mut singles: Vec<Runtime> = sources.iter().map(|s| Runtime::new(small(s))).collect();
         for part in [head, tail] {
             multi.process_batch(part);
-            multi.runtimes.iter_mut().for_each(punch);
+            multi.place.runtimes.iter_mut().for_each(punch);
             for rt in &mut singles {
                 rt.process_batch(part);
                 punch(rt);
                 assert_sorted(&rt.poll_results(), rt.compiled(), "Runtime::poll_results");
             }
-            for (id, rt) in multi.ids().to_vec().into_iter().zip(multi.runtimes()) {
+            for (p, id) in multi.ids().to_vec().into_iter().enumerate() {
                 let polled = multi.poll(id).expect("installed program");
-                assert_sorted(&polled, rt.compiled(), "MultiRuntime::poll");
+                assert_sorted(&polled, multi.runtimes()[p].compiled(), "MultiRuntime::poll");
             }
         }
         // Drained, the scrambled arenas are in reach: every table must equal

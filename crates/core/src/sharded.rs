@@ -32,8 +32,9 @@
 //!   `FoldOps::merge`) into one [`Runtime`] that collects exactly like the
 //!   single-stream engine.
 //! * **Facade** ([`ShardedRuntime`]): the public single-program plane is
-//!   [`MultiSharded`] at K = 1, so poll, persist and recover are the
-//!   multi-program plane's own, implemented once in its roster.
+//!   a [`Deployment`](crate::Deployment) in the [`Sharded`](crate::Sharded)
+//!   placement ([`MultiSharded`]) at K = 1, so poll, persist and recover
+//!   are the deployment's own, written once for both placements.
 //!
 //! # Exactness
 //!
@@ -230,8 +231,9 @@ impl ShardRouter {
 /// transport: the router, the per-shard feeds and staging buffers, the
 /// worker threads, quiescing between batches (`pause` / `resume`), the
 /// producer hand-off (`take_feeds`) and merge-on-drain (`finish`). It knows
-/// nothing of install ids, sharing or durability: [`MultiSharded`] keeps
-/// one group per installed program, and its roster owns the rest.
+/// nothing of install ids, sharing or durability: the
+/// [`Sharded`](crate::Sharded) placement keeps one group per installed
+/// program, and the deployment's roster owns the rest.
 #[derive(Debug)]
 pub(crate) struct ShardGroup {
     router: ShardRouter,
@@ -435,9 +437,10 @@ impl ShardGroup {
 }
 
 /// The multi-core streaming executor for one program: N worker shards
-/// behind SPSC queues, merged on drain. It is [`MultiSharded`] at K = 1 —
-/// one program, install id `0`, no sharing pass — so its poll, durable
-/// tier and drain are that plane's, and its durable files are named
+/// behind SPSC queues, merged on drain. It is the sharded
+/// [`Deployment`](crate::Deployment) ([`MultiSharded`]) at K = 1 — one
+/// program, install id `0`, no sharing pass — so its poll, durable tier
+/// and drain are the deployment's, and its durable files are named
 /// `p0_s<i>_…` (see [`crate::durable`]). See the module docs for the
 /// architecture and exactness guarantees; the drop-in usage mirrors
 /// [`Runtime`]:
@@ -465,7 +468,7 @@ impl ShardGroup {
 /// ```
 #[derive(Debug)]
 pub struct ShardedRuntime {
-    /// The K = 1 plane. Unshared, so a program's own duplicate stores stay
+    /// The K = 1 deployment. Unshared, so a program's own duplicate stores stay
     /// private, exactly as a stand-alone sharded deployment runs them.
     plane: MultiSharded,
 }
@@ -494,7 +497,7 @@ impl ShardedRuntime {
     /// The routing spec (shard-key columns, exactness verdict).
     #[must_use]
     pub fn spec(&self) -> &ShardSpec {
-        self.plane.sharded[0].spec()
+        self.plane.place.groups[0].spec()
     }
 
     /// Records routed to each shard so far (producer-side count; excludes
@@ -502,7 +505,7 @@ impl ShardedRuntime {
     /// [`ShardedRuntime::take_feeds`]).
     #[must_use]
     pub fn routed(&self) -> &[u64] {
-        self.plane.sharded[0].routed()
+        self.plane.place.groups[0].routed()
     }
 
     /// Route one record to its shard (staged; pushed in batches).
@@ -550,7 +553,7 @@ impl ShardedRuntime {
     /// the stream) or if the feeds were already taken.
     #[must_use]
     pub fn take_feeds(&mut self) -> (ShardRouter, Vec<spsc::Sender<QueueRecord>>) {
-        self.plane.sharded[0].take_feeds()
+        self.plane.place.groups[0].take_feeds()
     }
 
     /// Attach a durable spill tier to every store of every worker

@@ -1,15 +1,14 @@
 //! Structural identity of resolved subplans — the front half of cross-query
-//! execution sharing.
+//! store dedup.
 //!
-//! When several compiled programs are installed on one switch, much of their
-//! per-record work is textually different but *structurally identical*: two
-//! queries filtering `proto == TCP`, five queries keying `GROUPBY 5tuple`,
-//! or two programs both maintaining `SELECT COUNT GROUPBY 5tuple` (the §4
-//! running example appears verbatim as the loss-rate query's `R1`). The
-//! multi-query dataplane in `perfq-core` evaluates such subplans **once**
-//! per record and binds structurally-identical stores to **one** physical
-//! key-value store — but only when the subplans are provably the same
-//! computation.
+//! When several compiled programs are installed on one switch, some of
+//! their stores are textually different but *structurally identical*: two
+//! programs both maintaining `SELECT COUNT GROUPBY 5tuple` (the §4 running
+//! example appears verbatim as the loss-rate query's `R1`), or the same
+//! predicate spelled with different parameter tables. The multi-query
+//! dataplane in `perfq-core` binds structurally-identical stores to **one**
+//! physical key-value store — but only when the subplans are provably the
+//! same computation.
 //!
 //! This module supplies the identity notion, and it is one comparison:
 //! [`stream_equivalent`] / [`store_equivalent`] walk two subplans'
@@ -42,9 +41,8 @@
 //! language.
 
 use crate::bytecode::bind_params;
-use crate::ir::{FoldIr, RExpr, RStmt};
+use crate::ir::{FoldIr, RStmt};
 use crate::resolve::{QueryInput, ResolvedKind, ResolvedProgram, ResolvedQuery};
-use crate::schema::Schema;
 use crate::types::Value;
 
 /// Two queries' **output streams** are the same computation: identical
@@ -179,63 +177,6 @@ fn bound_stmts_equal(a: &RStmt, pa: &[Value], b: &RStmt, pb: &[Value]) -> bool {
     }
 }
 
-/// Render a resolved expression against an input schema — used by sharing
-/// reports to show *which* predicate or key tuple was shared (e.g.
-/// `proto == 6`). Minimal-parenthesis infix; constants print their folded
-/// values.
-#[must_use]
-pub fn render_expr(e: &RExpr, schema: &Schema) -> String {
-    fn go(e: &RExpr, schema: &Schema, out: &mut String) {
-        match e {
-            RExpr::Const(Value::Int(v)) => out.push_str(&v.to_string()),
-            RExpr::Const(Value::Float(v)) => out.push_str(&format!("{v}")),
-            RExpr::Const(Value::Bool(v)) => out.push_str(&v.to_string()),
-            RExpr::Input(i) => out.push_str(if *i < schema.len() {
-                schema.name_of(*i)
-            } else {
-                "?"
-            }),
-            RExpr::State(i) => out.push_str(&format!("state{i}")),
-            RExpr::Param(i) => out.push_str(&format!("param{i}")),
-            RExpr::Unary(op, x) => {
-                out.push_str(match op {
-                    crate::ast::UnaryOp::Neg => "-",
-                    crate::ast::UnaryOp::Not => "!",
-                });
-                paren(x, schema, out);
-            }
-            RExpr::Binary(op, l, r) => {
-                paren(l, schema, out);
-                out.push_str(&format!(" {op} "));
-                paren(r, schema, out);
-            }
-            RExpr::Call(b, args) => {
-                out.push_str(&b.to_string());
-                out.push('(');
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    go(a, schema, out);
-                }
-                out.push(')');
-            }
-        }
-    }
-    fn paren(e: &RExpr, schema: &Schema, out: &mut String) {
-        if matches!(e, RExpr::Binary(..)) {
-            out.push('(');
-            go(e, schema, out);
-            out.push(')');
-        } else {
-            go(e, schema, out);
-        }
-    }
-    let mut s = String::new();
-    go(e, schema, &mut s);
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,12 +262,5 @@ mod tests {
             "R1 = SELECT pkt_uniq, SUM(tout-tin) GROUPBY pkt_uniq WHERE proto == 6\nR2 = SELECT 5tuple FROM R1 GROUPBY 5tuple WHERE SUM(tout-tin) > L\n",
         );
         assert!(!store_equivalent(&hi, 1, &other, 1));
-    }
-
-    #[test]
-    fn render_expr_reads_naturally() {
-        let p = resolved("SELECT COUNT GROUPBY 5tuple WHERE proto == TCP\n");
-        let bound = bind_params(p.queries[0].pre_filter.as_ref().unwrap(), &p.param_values());
-        assert_eq!(render_expr(&bound, &p.base), "proto == 6");
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! This is the code path a programmable parser walks: Ethernet, branch on
 //! EtherType, IPv4, branch on protocol, then TCP or UDP. The simulator mostly
-//! carries parsed [`Packet`]s, but trace files store wire bytes, and the
-//! parser-stage benchmarks measure this exact routine.
+//! carries parsed [`Packet`]s, but trace files store wire bytes: the trace
+//! file format (`perfq_trace::io`) writes and reads every packet through
+//! this routine, and `tests/trace_replay.rs` round-trips traces through it.
 
 use crate::eth::{EtherType, EthernetHeader};
 use crate::headers::{L4Header, Packet, PacketHeaders};
