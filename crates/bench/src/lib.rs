@@ -11,8 +11,9 @@
 //!   sketch comparison.
 //!
 //! Scale control: these binaries default to the `caida_like` workload
-//! (≈15 M packets). Set `PERFQ_SCALE` (e.g. `0.1`) to shrink run time
-//! proportionally, or `PERFQ_SEED` to change the workload seed.
+//! (8 785 032 packets of 383 604 flows over 60 s at seed 42). Set
+//! `PERFQ_SCALE` (e.g. `0.1`) to shorten the capture and with it the run
+//! time, or `PERFQ_SEED` to change the workload seed.
 //!
 //! One more binary, `ratios`, holds the same-run ratio guards: pairs of
 //! in-tree paths (coalesced vs uncoalesced, shared vs sequential

@@ -53,6 +53,9 @@ pub struct Oracle {
     roots: Vec<usize>,
     /// Base-row buffer reused across records.
     row: Vec<Value>,
+    /// Group-key buffer reused across records: a key reaches the heap only
+    /// on its first sighting.
+    key: Vec<i64>,
     /// Per query, its store's residency model — empty unless the oracle
     /// predicts ([`Oracle::predict`]).
     residency: Vec<Option<Residency>>,
@@ -229,6 +232,7 @@ impl Oracle {
             captures,
             roots,
             row: Vec::new(),
+            key: Vec::new(),
             residency: Vec::new(),
         }
     }
@@ -268,17 +272,28 @@ impl Oracle {
                 out
             }
             ResolvedKind::GroupBy(g) => {
-                let key: Vec<i64> = g.key_cols.iter().map(|c| value_key(&row[*c])).collect();
+                let key = &mut self.key;
+                key.clear();
+                key.extend(g.key_cols.iter().map(|c| value_key(&row[*c])));
                 // A predicting oracle streams what the cache holds.
                 let local = match self.residency.get_mut(idx) {
-                    Some(Some(model)) => Some(model.observe(&key, &g.fold, row, &self.params)),
+                    Some(Some(model)) => Some(model.observe(key, &g.fold, row, &self.params)),
                     _ => None,
                 };
                 let map = self.states[idx].as_mut().expect("groupby has state");
-                let state = map.entry(key).or_insert_with(|| g.fold.init_state());
+                let state = match map.get_mut(key.as_slice()) {
+                    Some(state) => state,
+                    None => map
+                        .entry(key.clone())
+                        .or_insert_with(|| g.fold.init_state()),
+                };
                 g.fold
                     .update(state, row, &self.params)
                     .expect("type-checked fold cannot fail");
+                // Only children read the output row.
+                if self.compiled.children[idx].is_empty() {
+                    return;
+                }
                 let vars = local.unwrap_or(state);
                 g.output
                     .iter()
@@ -377,7 +392,10 @@ mod tests {
         (0..n)
             .map(|i| QueueRecord {
                 packet: PacketBuilder::tcp()
-                    .src(Ipv4Addr::new(10, 0, 0, (i % 5) as u8), 1000 + (i % 3) as u16)
+                    .src(
+                        Ipv4Addr::new(10, 0, 0, (i % 5) as u8),
+                        1000 + (i % 3) as u16,
+                    )
                     .dst(Ipv4Addr::new(172, 16, 0, 1), 80)
                     .seq(i * 100)
                     .payload_len(100)

@@ -221,7 +221,11 @@ impl Network {
     /// per-queue statistics (including drop counters) are [`Network::reset`]
     /// first, so running the same packets through one `Network` twice
     /// produces identical records and identical [`Network::total_drops`].
-    pub fn run(&mut self, packets: impl Iterator<Item = Packet>, mut sink: impl FnMut(QueueRecord)) {
+    pub fn run(
+        &mut self,
+        packets: impl Iterator<Item = Packet>,
+        mut sink: impl FnMut(QueueRecord),
+    ) {
         self.reset();
         // The heap holds only *internal* (next-hop) events; arrivals merge
         // in straight from the sorted input iterator, so a single-switch
@@ -510,8 +514,12 @@ mod tests {
             topology: Topology::Linear(2),
             ..Default::default()
         });
-        let records =
-            net.run_collect(std::iter::once(pkt(1, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(172, 16, 0, 1), Nanos(0))));
+        let records = net.run_collect(std::iter::once(pkt(
+            1,
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(172, 16, 0, 1),
+            Nanos(0),
+        )));
         let total: u64 = records.iter().map(|r| r.delay().as_nanos()).sum();
         // Two store-and-forward hops of a 1000 B packet at 10 Gbit/s: 800 ns each.
         assert_eq!(total, 1600);
@@ -688,8 +696,7 @@ mod tests {
         let want = net.run_collect(packets.clone().into_iter());
 
         let shards = 3usize;
-        let (txs, rxs): (Vec<_>, Vec<_>) =
-            (0..shards).map(|_| crate::spsc::channel(64)).unzip();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| crate::spsc::channel(64)).unzip();
         let consumers: Vec<_> = rxs
             .into_iter()
             .map(|rx| {
@@ -711,7 +718,8 @@ mod tests {
         for (i, (n, recs)) in routed.iter().zip(&per_shard).enumerate() {
             assert_eq!(*n as usize, recs.len(), "shard {i} count");
             assert!(
-                recs.iter().all(|r| r.packet.uniq % shards as u64 == i as u64),
+                recs.iter()
+                    .all(|r| r.packet.uniq % shards as u64 == i as u64),
                 "shard {i} got foreign records"
             );
         }
@@ -723,6 +731,104 @@ mod tests {
         flat.sort_by_key(key);
         expect.sort_by_key(key);
         assert_eq!(flat, expect);
+    }
+
+    /// An order-sensitive digest of every `QueueRecord` field, then of every
+    /// queue's `QueueStats`.
+    fn run_digest(net: &mut Network, packets: Vec<Packet>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        for r in net.run_collect(packets.into_iter()) {
+            let p = &r.packet;
+            let key = p.five_tuple().to_bits();
+            for v in [
+                key as u64,
+                (key >> 64) as u64,
+                p.uniq,
+                p.arrival.as_nanos(),
+                u64::from(p.wire_len),
+                u64::from(r.qid),
+                r.tin.as_nanos(),
+                r.tout.as_nanos(),
+                u64::from(r.qsize),
+                u64::from(r.qout),
+                r.path,
+            ] {
+                mix(v);
+            }
+        }
+        for (qid, st) in net.switches().iter().flat_map(Switch::stats) {
+            for v in [
+                u64::from(qid),
+                st.enqueued,
+                st.dropped,
+                u64::from(st.max_qsize),
+            ] {
+                mix(v);
+            }
+        }
+        h
+    }
+
+    /// The queue model's output is pinned, not only same-run determinism:
+    /// a change to release order, occupancy or drop accounting moves these
+    /// digests.
+    #[test]
+    fn queue_model_is_pinned() {
+        // A slow 4-port switch, overloaded on every port at once.
+        let mut slow = Network::new(NetworkConfig {
+            switch: SwitchConfig {
+                ports: 4,
+                port_rate_bps: 1e9,
+                queue_capacity: 4,
+            },
+            ..Default::default()
+        });
+        let packets: Vec<Packet> = (0..400)
+            .map(|i| {
+                let src = Ipv4Addr::new(10, 0, 0, (i % 7) as u8);
+                pkt(
+                    i,
+                    src,
+                    Ipv4Addr::new(172, 16, 0, (i % 16) as u8),
+                    Nanos(i * 700),
+                )
+            })
+            .collect();
+        let records = slow.run_collect(packets.clone().into_iter());
+        let held = records.iter().filter(|r| !r.is_drop());
+        let busiest = held
+            .clone()
+            .map(|a| {
+                let at = held.clone().filter(|b| b.tin <= a.tin && a.tin < b.tout);
+                at.map(|b| b.qid)
+                    .collect::<std::collections::HashSet<_>>()
+                    .len()
+            })
+            .max();
+        assert!(busiest >= Some(3), "ports busy at once: {busiest:?}");
+        assert!(slow.total_drops() > 0);
+        assert_eq!(run_digest(&mut slow, packets), 0x1e819c790cabbaeb);
+
+        let mut fabric = Network::new(NetworkConfig {
+            topology: Topology::LeafSpine {
+                leaves: 4,
+                spines: 2,
+            },
+            ..Default::default()
+        });
+        let packets: Vec<Packet> = (0..3000)
+            .map(|i| {
+                let src = Ipv4Addr::new(10, 0, (i % 7) as u8, (i % 29) as u8);
+                pkt(
+                    i,
+                    src,
+                    Ipv4Addr::new(172, 16, 0, (i % 23) as u8),
+                    Nanos(i * 40),
+                )
+            })
+            .collect();
+        assert_eq!(run_digest(&mut fabric, packets), 0x5a3d9a2068758d6a);
     }
 
     #[test]

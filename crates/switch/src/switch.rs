@@ -59,13 +59,19 @@ pub struct Switch {
     /// compare when no record can be due yet, instead of scanning every
     /// port's queue on every event.
     next_release: Nanos,
+    /// Bit `p` set iff port `p`'s queue holds unreleased packets: a release
+    /// walks only these ports (`MAX_PORTS` = 64 fits one word).
+    busy: u64,
 }
 
 impl Switch {
     /// Build a switch. `id` determines its queues' global ids.
     #[must_use]
     pub fn new(id: u32, cfg: &SwitchConfig) -> Self {
-        assert!(cfg.ports > 0 && cfg.ports <= MAX_PORTS, "1..={MAX_PORTS} ports");
+        assert!(
+            cfg.ports > 0 && cfg.ports <= MAX_PORTS,
+            "1..={MAX_PORTS} ports"
+        );
         let base = id * MAX_PORTS as u32;
         Switch {
             id,
@@ -73,6 +79,7 @@ impl Switch {
                 .map(|p| OutputQueue::new(base + p as u32, cfg.port_rate_bps, cfg.queue_capacity))
                 .collect(),
             next_release: Nanos::INFINITY,
+            busy: 0,
         }
     }
 
@@ -105,6 +112,7 @@ impl Switch {
                 // departure (it *is* the queue's front when the queue was
                 // idle), so the cached bound stays a lower bound.
                 self.next_release = self.next_release.min(tout);
+                self.busy |= 1 << port;
                 Forwarded::Enqueued {
                     tout,
                     path: QueueRecord::extend_path(path, queue.qid()),
@@ -114,16 +122,23 @@ impl Switch {
     }
 
     /// Release departure records up to `now` from all queues, straight into
-    /// `sink` (no intermediate collection). One compare when nothing is due.
+    /// `sink` (no intermediate collection), in ascending port order. One
+    /// compare when nothing is due; otherwise only the busy ports are
+    /// visited.
     pub fn release(&mut self, now: Nanos, sink: &mut impl FnMut(QueueRecord)) {
         if now < self.next_release {
             return;
         }
         let mut next = Nanos::INFINITY;
-        for q in &mut self.queues {
+        let mut ports = self.busy;
+        while ports != 0 {
+            let port = ports.trailing_zeros() as usize;
+            ports &= ports - 1;
+            let q = &mut self.queues[port];
             q.release(now, &mut *sink);
-            if let Some(t) = q.next_release() {
-                next = next.min(t);
+            match q.next_release() {
+                Some(t) => next = next.min(t),
+                None => self.busy &= !(1 << port),
             }
         }
         self.next_release = next;
@@ -135,6 +150,7 @@ impl Switch {
             q.flush(&mut *sink);
         }
         self.next_release = Nanos::INFINITY;
+        self.busy = 0;
     }
 
     /// Aggregate queue statistics.
@@ -150,6 +166,7 @@ impl Switch {
             q.reset();
         }
         self.next_release = Nanos::INFINITY;
+        self.busy = 0;
     }
 }
 
@@ -175,11 +192,14 @@ mod tests {
 
     #[test]
     fn forwarding_reports_departure_time() {
-        let mut s = Switch::new(0, &SwitchConfig {
-            ports: 2,
-            port_rate_bps: 8e9,
-            queue_capacity: 4,
-        });
+        let mut s = Switch::new(
+            0,
+            &SwitchConfig {
+                ports: 2,
+                port_rate_bps: 8e9,
+                queue_capacity: 4,
+            },
+        );
         match s.offer(pkt(1), 0, Nanos(0), 0) {
             Forwarded::Enqueued { tout, path } => {
                 assert_eq!(tout, Nanos(1000));
@@ -191,11 +211,14 @@ mod tests {
 
     #[test]
     fn drops_surface_immediately() {
-        let mut s = Switch::new(0, &SwitchConfig {
-            ports: 1,
-            port_rate_bps: 8e9,
-            queue_capacity: 2,
-        });
+        let mut s = Switch::new(
+            0,
+            &SwitchConfig {
+                ports: 1,
+                port_rate_bps: 8e9,
+                queue_capacity: 2,
+            },
+        );
         s.offer(pkt(1), 0, Nanos(0), 0);
         s.offer(pkt(2), 0, Nanos(0), 0);
         match s.offer(pkt(3), 0, Nanos(0), 0) {
@@ -222,11 +245,14 @@ mod tests {
 
     #[test]
     fn stats_roll_up_per_queue() {
-        let mut s = Switch::new(0, &SwitchConfig {
-            ports: 2,
-            port_rate_bps: 8e9,
-            queue_capacity: 1,
-        });
+        let mut s = Switch::new(
+            0,
+            &SwitchConfig {
+                ports: 2,
+                port_rate_bps: 8e9,
+                queue_capacity: 1,
+            },
+        );
         s.offer(pkt(1), 0, Nanos(0), 0);
         s.offer(pkt(2), 0, Nanos(0), 0); // dropped
         let stats = s.stats();

@@ -13,7 +13,7 @@
 //! all — at any chunking, including ragged chunk sizes that force partial
 //! mask words.
 
-use perfq_core::{compile_query, Durability, MultiRuntime, Runtime};
+use perfq_core::{compile_query, Durability, MultiRuntime, Oracle, Runtime};
 use perfq_kvstore::{
     BackingStore, CacheGeometry, CounterOps, EvictionPolicy, MemBackend, MergeMode, SharedBackend,
     SpillConfig, SplitStore,
@@ -229,6 +229,33 @@ fn steady_state_batched_replay_allocates_nothing() {
             after - before,
         );
         assert_eq!(rt.records(), processed_warmup * 2, "second replay ran fully");
+    }
+
+    // The exact oracle: once every key has been seen, feeding the same
+    // records again to an `Oracle::new` over a root-only aggregation
+    // allocates nothing. The key is built into one reused buffer and
+    // copied to the heap only on its first sighting, and no output row is
+    // built for a query without children.
+    {
+        let compiled = compile_query(
+            fig2::PER_FLOW_COUNTERS.source,
+            &fig2::default_params(),
+            Default::default(),
+        )
+        .unwrap();
+        let mut oracle = Oracle::new(compiled);
+        recs.iter().for_each(|r| oracle.process_record(r));
+
+        let before = allocs();
+        recs.iter().for_each(|r| oracle.process_record(r));
+        let after = allocs();
+        assert_eq!(
+            after - before,
+            0,
+            "warmed oracle allocated {} times over {} records",
+            after - before,
+            recs.len(),
+        );
     }
 
     // The periodic freshness sweep (`Runtime::refresh_backing` →
