@@ -1420,8 +1420,7 @@ impl<P: Placement> Deployment<P> {
     ///
     /// # Panics
     ///
-    /// Sharded: panics after [`MultiSharded::run_network`], or if a worker
-    /// died.
+    /// Sharded: panics if a worker died.
     pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
         self.all_quiesced(|roster, groups| roster.enable_durability(d, groups))
     }
@@ -1437,7 +1436,7 @@ impl<P: Placement> Deployment<P> {
     /// # Panics
     ///
     /// Panics unless [`Deployment::enable_durability`] was called; sharded,
-    /// also after [`MultiSharded::run_network`] or if a worker died.
+    /// also if a worker died.
     pub fn persist(&mut self) -> std::io::Result<()> {
         self.all_quiesced(|roster, groups| roster.persist(groups))
     }
@@ -1483,9 +1482,6 @@ impl<P: Placement> Deployment<P> {
     /// durability the arrival's spill tiers attach before anything is
     /// committed.
     ///
-    /// Sharded: not supported after [`MultiSharded::run_network`] (the
-    /// queue producers were handed away).
-    ///
     /// # Errors
     ///
     /// [`InstallError::Finished`] after [`MultiRuntime::finish`],
@@ -1522,8 +1518,6 @@ impl<P: Placement> Deployment<P> {
     /// programs replan and their stores live-migrate onto the (larger)
     /// slices before everything is released. Under durability the results
     /// are also published as a retired file ([`Deployment::retired`]).
-    ///
-    /// Sharded: not supported after [`MultiSharded::run_network`].
     ///
     /// # Panics
     ///
@@ -1590,8 +1584,7 @@ impl<P: Placement> Deployment<P> {
     ///
     /// Inline: panics (also in release builds) when called after
     /// [`MultiRuntime::finish`], as [`Runtime::process_batch`] does.
-    /// Sharded: panics after [`MultiSharded::run_network`], or if a worker
-    /// died.
+    /// Sharded: panics if a worker died.
     pub fn process_batch(&mut self, recs: &[QueueRecord]) {
         self.place.ingest(recs);
         self.roster.records += recs.len() as u64;
@@ -1737,31 +1730,6 @@ impl Deployment<Sharded> {
         self.roster.shards.expect("a sharded roster")
     }
 
-    /// Replay a packet stream through a network into every program's shard
-    /// queues in one pass — the multi-program producer
-    /// ([`Network::run_multi_sharded`]). Returns per-program, per-shard
-    /// routed counts.
-    ///
-    /// This hands the producer side of every SPSC queue to the network
-    /// loop; lifecycle operations, polls and durable calls are not
-    /// supported afterwards — drive records via
-    /// [`Deployment::process_batch`] when interleaving them with ingest.
-    pub fn run_network(
-        &mut self,
-        net: &mut Network,
-        packets: impl Iterator<Item = perfq_packet::Packet>,
-        batch: usize,
-    ) -> Vec<Vec<u64>> {
-        let (mut routers, senders): (Vec<_>, Vec<_>) = (self.place.groups.iter_mut())
-            .map(ShardGroup::take_feeds)
-            .unzip();
-        let counts = net.run_multi_sharded(packets, |i, r| routers[i].route(r), senders, batch);
-        if let Some(first) = counts.first() {
-            self.roster.records += first.iter().sum::<u64>();
-        }
-        counts
-    }
-
     /// Drain every program's dataplane (join workers, merge fold state)
     /// into finished per-program runtimes, in program order, substituting
     /// deduplicated stores from their owning programs.
@@ -1839,8 +1807,7 @@ mod tests {
             fig2::TCP_NON_MONOTONIC.source,
         ];
         let mut net = Network::new(NetworkConfig::default());
-        let records =
-            net.run_collect(SyntheticTrace::new(TraceConfig::test_small(5)).take(4_000));
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(5)).take(4_000));
         let mut multi = MultiRuntime::new(sources.iter().map(|s| compiled(s)).collect());
         multi.process_batch(&records);
         multi.finish();
@@ -1898,8 +1865,7 @@ mod tests {
             compiled(fig2::PER_FLOW_LOSS_RATE.source),
         ];
         let mut net = Network::new(NetworkConfig::default());
-        let records =
-            net.run_collect(SyntheticTrace::new(TraceConfig::test_small(3)).take(3_000));
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(3)).take(3_000));
         let mut shared = MultiRuntime::new(programs.clone());
         assert_eq!(shared.sharing().stores.len(), 1);
         assert_eq!(shared.sharing().stores[0].alias.1, "R1");
@@ -1945,7 +1911,10 @@ mod tests {
         // its slice splits three ways instead of two, so after provisioning
         // the two R1 stores differ — the upstream chain is physically
         // different and R2 must keep its private store.
-        let b_src = format!("{}R3 = SELECT COUNT GROUPBY srcip\n", fig2::PER_FLOW_HIGH_LATENCY.source);
+        let b_src = format!(
+            "{}R3 = SELECT COUNT GROUPBY srcip\n",
+            fig2::PER_FLOW_HIGH_LATENCY.source
+        );
         let mut programs = vec![
             compiled(fig2::PER_FLOW_HIGH_LATENCY.source),
             compiled(&b_src),
@@ -1996,10 +1965,16 @@ mod tests {
         // workers differently, so per-worker eviction timing diverges —
         // epoch folds would observe it. The sharded plane must keep the
         // stores private; the single-stream plane may still dedup.
-        let a_src = format!("R0 = SELECT COUNT GROUPBY srcip\n{}", fig2::TCP_NON_MONOTONIC.source);
+        let a_src = format!(
+            "R0 = SELECT COUNT GROUPBY srcip\n{}",
+            fig2::TCP_NON_MONOTONIC.source
+        );
         // Put the non-monotonic query at index 1 in BOTH programs so the
         // store seeds match (dedup is otherwise blocked by the seed).
-        let b_src = format!("R0 = SELECT COUNT GROUPBY 5tuple\n{}", fig2::TCP_NON_MONOTONIC.source);
+        let b_src = format!(
+            "R0 = SELECT COUNT GROUPBY 5tuple\n{}",
+            fig2::TCP_NON_MONOTONIC.source
+        );
         let programs = vec![compiled(&b_src), compiled(&a_src)];
         // The fold's `def` is not a query: the non-monotonic store sits at
         // query index 1 in both programs (same placement seed).
@@ -2051,8 +2026,7 @@ mod tests {
     fn multi_sharded_provisioned_sizes_shards_at_one_nth() {
         let programs = vec![compiled("SELECT COUNT GROUPBY 5tuple")];
         let shards = 4;
-        let (sh, plan) =
-            MultiSharded::provisioned(programs, 32 * MBIT, shards).unwrap();
+        let (sh, plan) = MultiSharded::provisioned(programs, 32 * MBIT, shards).unwrap();
         assert_eq!(sh.shards(), shards);
         let store = plan.queries[0].stores[0];
         let per_shard = store.shard_geometry(shards).unwrap();
@@ -2109,8 +2083,7 @@ mod tests {
     #[test]
     fn install_observes_only_the_suffix() {
         let mut net = Network::new(NetworkConfig::default());
-        let records =
-            net.run_collect(SyntheticTrace::new(TraceConfig::test_small(11)).take(4_000));
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(11)).take(4_000));
         let (first, second) = records.split_at(2_000);
         let mut multi = MultiRuntime::new(vec![compiled(fig2::PER_FLOW_COUNTERS.source)]);
         multi.process_batch(first);
@@ -2134,8 +2107,7 @@ mod tests {
     #[test]
     fn budgeted_install_shrinks_residents_and_uninstall_regrows_them() {
         let mut net = Network::new(NetworkConfig::default());
-        let records =
-            net.run_collect(SyntheticTrace::new(TraceConfig::test_small(13)).take(6_000));
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(13)).take(6_000));
         let (a, rest) = records.split_at(2_000);
         let (b, c) = rest.split_at(2_000);
         let (mut multi, _) =
@@ -2183,8 +2155,7 @@ mod tests {
     #[test]
     fn equal_epoch_install_adopts_the_shared_store() {
         let mut net = Network::new(NetworkConfig::default());
-        let records =
-            net.run_collect(SyntheticTrace::new(TraceConfig::test_small(17)).take(3_000));
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(17)).take(3_000));
         let (mut multi, _) =
             MultiRuntime::provisioned(vec![compiled("SELECT COUNT GROUPBY 5tuple")], 32 * MBIT)
                 .unwrap();
@@ -2214,8 +2185,7 @@ mod tests {
     #[test]
     fn cross_epoch_duplicates_stay_private_and_exact() {
         let mut net = Network::new(NetworkConfig::default());
-        let records =
-            net.run_collect(SyntheticTrace::new(TraceConfig::test_small(19)).take(4_000));
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(19)).take(4_000));
         let (head, tail) = records.split_at(1_500);
         let mut multi = MultiRuntime::new(vec![compiled("SELECT COUNT GROUPBY 5tuple")]);
         multi.process_batch(head);
@@ -2241,8 +2211,7 @@ mod tests {
     #[test]
     fn uninstalling_an_owner_promotes_the_alias() {
         let mut net = Network::new(NetworkConfig::default());
-        let records =
-            net.run_collect(SyntheticTrace::new(TraceConfig::test_small(29)).take(4_000));
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(29)).take(4_000));
         let (head, tail) = records.split_at(2_000);
         let mut multi = MultiRuntime::new(vec![
             compiled("SELECT COUNT GROUPBY 5tuple"),
@@ -2272,8 +2241,7 @@ mod tests {
     #[test]
     fn sharded_lifecycle_matches_the_single_stream_plane() {
         let mut net = Network::new(NetworkConfig::default());
-        let records =
-            net.run_collect(SyntheticTrace::new(TraceConfig::test_small(23)).take(4_000));
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(23)).take(4_000));
         let (head, tail) = records.split_at(2_000);
         let programs = || vec![compiled("SELECT COUNT GROUPBY 5tuple")];
         let arrival = || compiled(fig2::PER_FLOW_LOSS_RATE.source);
@@ -2381,7 +2349,11 @@ mod tests {
             }
             for (p, id) in multi.ids().to_vec().into_iter().enumerate() {
                 let polled = multi.poll(id).expect("installed program");
-                assert_sorted(&polled, multi.runtimes()[p].compiled(), "MultiRuntime::poll");
+                assert_sorted(
+                    &polled,
+                    multi.runtimes()[p].compiled(),
+                    "MultiRuntime::poll",
+                );
             }
         }
         // Drained, the scrambled arenas are in reach: every table must equal

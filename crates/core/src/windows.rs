@@ -4,8 +4,20 @@
 //! intervals" — operationally, the monitoring system restarts the
 //! aggregation state every window and reports per-window tables. A
 //! [`WindowedRuntime`] wraps [`Runtime`] with exactly that behaviour: when a
-//! record's observation time crosses the window boundary, caches are
+//! record's observation time reaches the window boundary, caches are
 //! flushed, results collected, and the hardware state reset.
+//!
+//! The windows are **processing-time** windows, which is what a switch that
+//! resets its registers at the boundary computes. The network's record
+//! stream is not sorted by observation time: a switch releases due
+//! departures port by port, so across ports (and across a fabric's hops)
+//! the stream steps back in time. The window rolls at the first record
+//! whose observation time reaches the open window's end; every record that
+//! arrives after the roll counts in the new window, even one observed
+//! before its start. A window's `[start, end)` therefore bounds the records
+//! that *closed* it and that *opened* the next, not the time of every record
+//! it counts. The roll points depend only on the record sequence, so results
+//! do not depend on batching.
 //!
 //! With the incremental read path the wrapper is a true *continuous* query:
 //! [`WindowedRuntime::poll_closed`] streams each window's table the moment
@@ -22,9 +34,12 @@ use perfq_switch::QueueRecord;
 /// One completed window's results.
 #[derive(Debug, Clone)]
 pub struct WindowResult {
-    /// Window start (inclusive).
+    /// Window start: the window opened at the first record observed at or
+    /// after this time. Later records may be observed earlier (the windows
+    /// are processing-time windows; see the module docs).
     pub start: Nanos,
-    /// Window end (exclusive).
+    /// Window end: the window closed at the first record observed at or
+    /// after this time, which counts in a later window.
     pub end: Nanos,
     /// Records processed in this window.
     pub records: u64,
@@ -69,7 +84,8 @@ impl WindowedRuntime {
     }
 
     fn roll(&mut self) {
-        let mut finished = std::mem::replace(&mut self.current, Runtime::new(self.compiled.clone()));
+        let mut finished =
+            std::mem::replace(&mut self.current, Runtime::new(self.compiled.clone()));
         finished.finish();
         self.completed.push(WindowResult {
             start: self.window_start,
@@ -86,12 +102,14 @@ impl WindowedRuntime {
         self.process_batch(std::slice::from_ref(rec));
     }
 
-    /// Process a batch of records. Records must arrive in non-decreasing
-    /// observation-time order, which the network's record stream provides.
-    /// The batch is cut where a record's observation time reaches the open
-    /// window's end; the windows roll there, so every roll lands between
-    /// the same two records at any batching, and each slice runs through
-    /// [`Runtime::process_batch`].
+    /// Process a batch of records, in stream order. The batch is cut where
+    /// a record's observation time reaches the open window's end; the
+    /// windows roll there, so every roll lands between the same two records
+    /// at any batching, and each slice runs through
+    /// [`Runtime::process_batch`]. The stream need not be sorted by
+    /// observation time: a record observed before the open window's start
+    /// counts in the open window (processing-time windows; see the module
+    /// docs).
     pub fn process_batch(&mut self, mut recs: &[QueueRecord]) {
         while let Some(first) = recs.first() {
             while first.observed_at() >= self.window_end() {
@@ -205,6 +223,38 @@ mod tests {
         }
         assert_eq!(windows[1].start, Nanos::from_millis(1));
         assert_eq!(windows[1].end, Nanos::from_millis(2));
+    }
+
+    /// The record stream steps back in time across ports: a record observed
+    /// before the open window's start, arriving after the roll, counts in
+    /// the open window, the same through `process_record` and one
+    /// `process_batch`.
+    #[test]
+    fn late_record_counts_in_the_open_window_at_any_batching() {
+        let c = compiled("SELECT COUNT GROUPBY srcip", CompileOptions::default());
+        // Observed at 0.5 ms, 1.2 ms, then 0.9 ms (late), then 1.5 ms; the
+        // record at `t` is observed at `t + 10` ns.
+        let recs: Vec<QueueRecord> = [500_000, 1_200_000, 900_000, 1_500_000]
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| rec(1, i as u64, t))
+            .collect();
+        let mut one = WindowedRuntime::new(c.clone(), Nanos::from_millis(1));
+        for r in &recs {
+            one.process_record(r);
+        }
+        let mut batched = WindowedRuntime::new(c, Nanos::from_millis(1));
+        batched.process_batch(&recs);
+        let (one, batched) = (one.finish(), batched.finish());
+        assert_eq!(one.len(), 2);
+        assert_eq!((one[0].records, one[1].records), (1, 3));
+        assert_eq!(one[1].start, Nanos::from_millis(1));
+        assert!(recs[2].observed_at() < one[1].start);
+        assert_eq!(batched.len(), one.len());
+        for (a, b) in one.iter().zip(&batched) {
+            assert_eq!((a.start, a.end, a.records), (b.start, b.end, b.records));
+            assert_eq!(a.results, b.results);
+        }
     }
 
     #[test]

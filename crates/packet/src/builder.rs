@@ -8,8 +8,9 @@ use crate::time::Nanos;
 use crate::udp::{UdpHeader, UDP_HEADER_LEN};
 use std::net::Ipv4Addr;
 
-/// Builder for [`Packet`]s. Chooses consistent lengths across layers so a
-/// built packet always re-parses to itself.
+/// Builder for [`Packet`]s. Chooses consistent lengths across layers: the IP
+/// total length, the UDP length and the wire length all agree with the
+/// payload.
 #[derive(Debug, Clone)]
 pub struct PacketBuilder {
     proto: IpProto,

@@ -1,6 +1,5 @@
-//! Ethernet II framing.
+//! The Ethernet II header, as parsed.
 
-use crate::ParseError;
 use std::fmt;
 
 /// Length of an Ethernet II header (no 802.1Q tag) in bytes.
@@ -11,21 +10,12 @@ pub const ETHERNET_HEADER_LEN: usize = 14;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
     /// Build a locally-administered unicast MAC from a 32-bit host id, handy
     /// for synthetic traces (`02:00:xx:xx:xx:xx`).
     #[must_use]
     pub fn from_host_id(id: u32) -> Self {
         let b = id.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
-    }
-
-    /// True for the broadcast address.
-    #[must_use]
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
     }
 }
 
@@ -40,37 +30,15 @@ impl fmt::Display for MacAddr {
     }
 }
 
-/// The EtherType values the simulator's parse graph handles.
+/// The EtherType of a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EtherType {
     /// IPv4 (`0x0800`).
     Ipv4,
-    /// ARP (`0x0806`) — parsed but not interpreted further.
+    /// ARP (`0x0806`).
     Arp,
     /// Any other value, preserved verbatim.
     Other(u16),
-}
-
-impl EtherType {
-    /// Numeric wire value.
-    #[must_use]
-    pub fn to_u16(self) -> u16 {
-        match self {
-            EtherType::Ipv4 => 0x0800,
-            EtherType::Arp => 0x0806,
-            EtherType::Other(v) => v,
-        }
-    }
-
-    /// Decode from the wire value.
-    #[must_use]
-    pub fn from_u16(v: u16) -> Self {
-        match v {
-            0x0800 => EtherType::Ipv4,
-            0x0806 => EtherType::Arp,
-            other => EtherType::Other(other),
-        }
-    }
 }
 
 /// An Ethernet II header.
@@ -84,81 +52,18 @@ pub struct EthernetHeader {
     pub ethertype: EtherType,
 }
 
-impl EthernetHeader {
-    /// Parse the header from the front of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<(Self, usize), ParseError> {
-        if buf.len() < ETHERNET_HEADER_LEN {
-            return Err(ParseError::Truncated {
-                header: "ethernet",
-                needed: ETHERNET_HEADER_LEN,
-                available: buf.len(),
-            });
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&buf[0..6]);
-        src.copy_from_slice(&buf[6..12]);
-        let ethertype = EtherType::from_u16(u16::from_be_bytes([buf[12], buf[13]]));
-        Ok((
-            EthernetHeader {
-                dst: MacAddr(dst),
-                src: MacAddr(src),
-                ethertype,
-            },
-            ETHERNET_HEADER_LEN,
-        ))
-    }
-
-    /// Append the wire representation to `out`; returns bytes written.
-    pub fn serialize(&self, out: &mut Vec<u8>) -> usize {
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.to_u16().to_be_bytes());
-        ETHERNET_HEADER_LEN
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> EthernetHeader {
-        EthernetHeader {
-            dst: MacAddr::from_host_id(1),
-            src: MacAddr::from_host_id(2),
-            ethertype: EtherType::Ipv4,
-        }
-    }
-
-    #[test]
-    fn round_trip() {
-        let hdr = sample();
-        let mut buf = Vec::new();
-        let n = hdr.serialize(&mut buf);
-        assert_eq!(n, ETHERNET_HEADER_LEN);
-        let (parsed, consumed) = EthernetHeader::parse(&buf).unwrap();
-        assert_eq!(parsed, hdr);
-        assert_eq!(consumed, ETHERNET_HEADER_LEN);
-    }
-
-    #[test]
-    fn truncated_rejected() {
-        let err = EthernetHeader::parse(&[0u8; 13]).unwrap_err();
-        assert!(matches!(err, ParseError::Truncated { header: "ethernet", .. }));
-    }
-
-    #[test]
-    fn ethertype_codec() {
-        assert_eq!(EtherType::from_u16(0x0800), EtherType::Ipv4);
-        assert_eq!(EtherType::from_u16(0x0806), EtherType::Arp);
-        assert_eq!(EtherType::from_u16(0x86dd), EtherType::Other(0x86dd));
-        assert_eq!(EtherType::Other(0x1234).to_u16(), 0x1234);
-    }
-
     #[test]
     fn mac_display_and_broadcast() {
-        assert_eq!(MacAddr::from_host_id(0x01020304).to_string(), "02:00:01:02:03:04");
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(!MacAddr::from_host_id(9).is_broadcast());
+        assert_eq!(
+            MacAddr::from_host_id(0x01020304).to_string(),
+            "02:00:01:02:03:04"
+        );
+        // Host MACs are locally-administered unicast, never the broadcast
+        // address, whatever the host id.
+        assert_ne!(MacAddr::from_host_id(u32::MAX), MacAddr([0xff; 6]));
     }
 }

@@ -1,9 +1,9 @@
-//! Flow aggregation keys.
+//! The transport five-tuple.
 //!
 //! The paper sizes its running example around the transport five-tuple: "The
 //! aggregation key (5-tuple) requires 104 bits" (§4). [`FiveTuple`] packs to
-//! exactly those 104 bits; [`FlowKey`] offers the coarser groupings that other
-//! Fig. 2 queries use (source/destination IP pairs, per-queue keys, …).
+//! exactly those 104 bits. The engine builds GROUPBY keys itself, from
+//! [`HeaderField`](crate::HeaderField) values.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -49,27 +49,6 @@ impl FiveTuple {
             proto: (bits & 0xff) as u8,
         }
     }
-
-    /// The five-tuple of the reverse direction (src/dst swapped).
-    #[must_use]
-    pub fn reversed(&self) -> Self {
-        FiveTuple {
-            src_ip: self.dst_ip,
-            dst_ip: self.src_ip,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            proto: self.proto,
-        }
-    }
-
-    /// The source/destination address pair (drops ports and protocol).
-    #[must_use]
-    pub fn ip_pair(&self) -> IpPair {
-        IpPair {
-            src_ip: self.src_ip,
-            dst_ip: self.dst_ip,
-        }
-    }
 }
 
 impl fmt::Display for FiveTuple {
@@ -79,88 +58,6 @@ impl fmt::Display for FiveTuple {
             "{}:{} > {}:{} p{}",
             self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.proto
         )
-    }
-}
-
-/// A source/destination IPv4 address pair — the key of the paper's first
-/// Fig. 2 query (`SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct IpPair {
-    /// Source IPv4 address.
-    pub src_ip: Ipv4Addr,
-    /// Destination IPv4 address.
-    pub dst_ip: Ipv4Addr,
-}
-
-impl fmt::Display for IpPair {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} > {}", self.src_ip, self.dst_ip)
-    }
-}
-
-/// A generic aggregation key: whatever tuple of fields a GROUPBY names.
-///
-/// Keys are materialized as a vector of `u64` field values (the switch packs
-/// them into a wide bit-vector; we keep them as words and track the true bit
-/// width separately for area accounting).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowKey {
-    /// The field values, in GROUPBY declaration order.
-    pub words: Vec<u64>,
-}
-
-impl FlowKey {
-    /// Build from field values.
-    #[must_use]
-    pub fn new(words: Vec<u64>) -> Self {
-        FlowKey { words }
-    }
-
-    /// A single-word key.
-    #[must_use]
-    pub fn single(word: u64) -> Self {
-        FlowKey { words: vec![word] }
-    }
-
-    /// Build from a five-tuple (5 words: srcip, dstip, sport, dport, proto).
-    #[must_use]
-    pub fn from_five_tuple(ft: &FiveTuple) -> Self {
-        FlowKey {
-            words: vec![
-                u64::from(u32::from(ft.src_ip)),
-                u64::from(u32::from(ft.dst_ip)),
-                u64::from(ft.src_port),
-                u64::from(ft.dst_port),
-                u64::from(ft.proto),
-            ],
-        }
-    }
-
-    /// A stable 64-bit hash of the key (FNV-1a over the words). The cache
-    /// crates re-hash with their own seeds; this is for map keys and display.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in &self.words {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-}
-
-impl fmt::Display for FlowKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
-        for (i, w) in self.words.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{w}")?;
-        }
-        write!(f, "]")
     }
 }
 
@@ -187,37 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn reversed_is_involutive() {
-        let t = ft();
-        assert_eq!(t.reversed().reversed(), t);
-        assert_eq!(t.reversed().src_port, 443);
-    }
-
-    #[test]
-    fn flow_key_from_five_tuple_differs_across_flows() {
-        let a = FlowKey::from_five_tuple(&ft());
-        let b = FlowKey::from_five_tuple(&ft().reversed());
-        assert_ne!(a, b);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_is_stable() {
-        let k = FlowKey::new(vec![1, 2, 3]);
-        assert_eq!(k.fingerprint(), FlowKey::new(vec![1, 2, 3]).fingerprint());
-        assert_ne!(k.fingerprint(), FlowKey::new(vec![3, 2, 1]).fingerprint());
-    }
-
-    #[test]
     fn display_formats() {
-        assert_eq!(
-            ft().to_string(),
-            "192.168.1.10:54321 > 10.20.30.40:443 p6"
-        );
-        assert_eq!(FlowKey::new(vec![7, 8]).to_string(), "[7,8]");
-        assert_eq!(
-            ft().ip_pair().to_string(),
-            "192.168.1.10 > 10.20.30.40"
-        );
+        assert_eq!(ft().to_string(), "192.168.1.10:54321 > 10.20.30.40:443 p6");
     }
 }

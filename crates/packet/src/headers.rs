@@ -14,8 +14,8 @@ pub enum L4Header {
     Tcp(TcpHeader),
     /// A UDP datagram.
     Udp(UdpHeader),
-    /// A transport protocol the parse graph does not descend into; the raw
-    /// IP protocol number is preserved in the IPv4 header.
+    /// A transport protocol without a modelled header; the raw IP protocol
+    /// number is preserved in the IPv4 header.
     Opaque,
 }
 
@@ -82,12 +82,6 @@ impl PacketHeaders {
     pub fn is_tcp(&self) -> bool {
         matches!(self.l4, L4Header::Tcp(_))
     }
-
-    /// True iff the packet is UDP.
-    #[must_use]
-    pub fn is_udp(&self) -> bool {
-        matches!(self.l4, L4Header::Udp(_))
-    }
 }
 
 /// A packet inside the simulator: parsed headers plus trace metadata.
@@ -150,7 +144,7 @@ mod tests {
             .dst(Ipv4Addr::new(2, 2, 2, 2), 9999)
             .payload_len(64)
             .build();
-        assert!(p.headers.is_udp());
+        assert!(matches!(p.headers.l4, L4Header::Udp(_)));
         assert_eq!(p.headers.tcp_payload_len(), 0);
         assert_eq!(p.headers.l4.src_port(), Some(53));
     }

@@ -1,19 +1,18 @@
-//! IPv4 header parsing and serialization, including the header checksum.
+//! The IPv4 header, as parsed.
 
-use crate::ParseError;
 use std::net::Ipv4Addr;
 
 /// Length of an IPv4 header without options.
 pub const IPV4_HEADER_LEN: usize = 20;
 
-/// IP protocol numbers the simulator's parse graph recognizes.
+/// The IP protocol of a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpProto {
     /// TCP (6).
     Tcp,
     /// UDP (17).
     Udp,
-    /// ICMP (1) — parsed as opaque payload.
+    /// ICMP (1) — no transport header is modelled.
     Icmp,
     /// Anything else, preserved verbatim.
     Other(u8),
@@ -30,21 +29,10 @@ impl IpProto {
             IpProto::Other(v) => v,
         }
     }
-
-    /// Decode from the wire value.
-    #[must_use]
-    pub fn from_u8(v: u8) -> Self {
-        match v {
-            1 => IpProto::Icmp,
-            6 => IpProto::Tcp,
-            17 => IpProto::Udp,
-            other => IpProto::Other(other),
-        }
-    }
 }
 
-/// An IPv4 header (options unsupported: IHL must be 5, mirroring the paper's
-/// line-rate parser assumption of fixed-format headers).
+/// An IPv4 header without options (a fixed 20 bytes), mirroring the paper's
+/// line-rate parser assumption of fixed-format headers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// Differentiated services code point + ECN byte.
@@ -65,179 +53,22 @@ pub struct Ipv4Header {
     pub dst: Ipv4Addr,
 }
 
-impl Ipv4Header {
-    /// Parse the header from the front of `buf`, verifying version and IHL.
-    pub fn parse(buf: &[u8]) -> Result<(Self, usize), ParseError> {
-        if buf.len() < IPV4_HEADER_LEN {
-            return Err(ParseError::Truncated {
-                header: "ipv4",
-                needed: IPV4_HEADER_LEN,
-                available: buf.len(),
-            });
-        }
-        let version = buf[0] >> 4;
-        if version != 4 {
-            return Err(ParseError::Malformed {
-                header: "ipv4",
-                reason: "version field is not 4",
-            });
-        }
-        let ihl = buf[0] & 0x0f;
-        if ihl != 5 {
-            return Err(ParseError::Malformed {
-                header: "ipv4",
-                reason: "options (IHL != 5) are not supported",
-            });
-        }
-        let total_len = u16::from_be_bytes([buf[2], buf[3]]);
-        if (total_len as usize) < IPV4_HEADER_LEN {
-            return Err(ParseError::Malformed {
-                header: "ipv4",
-                reason: "total length smaller than header",
-            });
-        }
-        Ok((
-            Ipv4Header {
-                dscp_ecn: buf[1],
-                total_len,
-                ident: u16::from_be_bytes([buf[4], buf[5]]),
-                flags_frag: u16::from_be_bytes([buf[6], buf[7]]),
-                ttl: buf[8],
-                proto: IpProto::from_u8(buf[9]),
-                src: Ipv4Addr::new(buf[12], buf[13], buf[14], buf[15]),
-                dst: Ipv4Addr::new(buf[16], buf[17], buf[18], buf[19]),
-            },
-            IPV4_HEADER_LEN,
-        ))
-    }
-
-    /// Append the wire representation (with a correct checksum) to `out`.
-    pub fn serialize(&self, out: &mut Vec<u8>) -> usize {
-        let start = out.len();
-        out.push(0x45); // version 4, IHL 5
-        out.push(self.dscp_ecn);
-        out.extend_from_slice(&self.total_len.to_be_bytes());
-        out.extend_from_slice(&self.ident.to_be_bytes());
-        out.extend_from_slice(&self.flags_frag.to_be_bytes());
-        out.push(self.ttl);
-        out.push(self.proto.to_u8());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.dst.octets());
-        let csum = checksum(&out[start..start + IPV4_HEADER_LEN]);
-        out[start + 10] = (csum >> 8) as u8;
-        out[start + 11] = (csum & 0xff) as u8;
-        IPV4_HEADER_LEN
-    }
-
-    /// Validate the header checksum over raw bytes (must cover exactly the
-    /// 20-byte header). Returns true when the stored checksum is consistent.
-    #[must_use]
-    pub fn verify_checksum(raw: &[u8]) -> bool {
-        raw.len() >= IPV4_HEADER_LEN && checksum(&raw[..IPV4_HEADER_LEN]) == 0
-    }
-}
-
-/// The RFC 1071 Internet checksum: one's-complement sum of 16-bit words.
-///
-/// Computing it over a header whose checksum field is zero yields the value to
-/// store; computing it over a header with a correct stored checksum yields 0.
-#[must_use]
-pub fn checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    while sum > 0xffff {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    !(sum as u16)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Ipv4Header {
-        Ipv4Header {
-            dscp_ecn: 0,
-            total_len: 60,
-            ident: 0x1234,
-            flags_frag: 0x4000, // DF
-            ttl: 64,
-            proto: IpProto::Tcp,
-            src: Ipv4Addr::new(10, 0, 0, 1),
-            dst: Ipv4Addr::new(10, 0, 0, 2),
-        }
-    }
-
-    #[test]
-    fn round_trip_and_checksum() {
-        let hdr = sample();
-        let mut buf = Vec::new();
-        hdr.serialize(&mut buf);
-        assert!(Ipv4Header::verify_checksum(&buf));
-        let (parsed, n) = Ipv4Header::parse(&buf).unwrap();
-        assert_eq!(parsed, hdr);
-        assert_eq!(n, IPV4_HEADER_LEN);
-    }
-
-    #[test]
-    fn corrupted_checksum_detected() {
-        let mut buf = Vec::new();
-        sample().serialize(&mut buf);
-        buf[8] ^= 0xff; // flip TTL
-        assert!(!Ipv4Header::verify_checksum(&buf));
-    }
-
-    #[test]
-    fn rejects_wrong_version() {
-        let mut buf = Vec::new();
-        sample().serialize(&mut buf);
-        buf[0] = 0x65; // version 6
-        let err = Ipv4Header::parse(&buf).unwrap_err();
-        assert!(matches!(err, ParseError::Malformed { header: "ipv4", .. }));
-    }
-
-    #[test]
-    fn rejects_options() {
-        let mut buf = Vec::new();
-        sample().serialize(&mut buf);
-        buf[0] = 0x46; // IHL 6
-        assert!(Ipv4Header::parse(&buf).is_err());
-    }
-
-    #[test]
-    fn rejects_short_buffer() {
-        assert!(matches!(
-            Ipv4Header::parse(&[0u8; 10]).unwrap_err(),
-            ParseError::Truncated { header: "ipv4", .. }
-        ));
-    }
-
-    #[test]
-    fn rejects_total_len_below_header() {
-        let mut buf = Vec::new();
-        sample().serialize(&mut buf);
-        buf[2] = 0;
-        buf[3] = 10; // total_len = 10 < 20
-        assert!(Ipv4Header::parse(&buf).is_err());
-    }
-
-    #[test]
-    fn checksum_odd_length_input() {
-        // Odd-length data pads with a zero byte; just ensure it is stable.
-        assert_eq!(checksum(&[0xab]), checksum(&[0xab, 0x00]));
-    }
-
+    /// The wire values the `proto` column reads (`HeaderField::Proto`).
     #[test]
     fn proto_codec_round_trips() {
-        for v in 0u8..=255 {
-            assert_eq!(IpProto::from_u8(v).to_u8(), v);
+        for (proto, v) in [
+            (IpProto::Icmp, 1),
+            (IpProto::Tcp, 6),
+            (IpProto::Udp, 17),
+            (IpProto::Other(0), 0),
+            (IpProto::Other(47), 47),
+            (IpProto::Other(255), 255),
+        ] {
+            assert_eq!(proto.to_u8(), v, "{proto:?}");
         }
     }
 }

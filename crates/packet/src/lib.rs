@@ -8,16 +8,16 @@
 //!
 //! * [`time`] — nanosecond timestamps ([`Nanos`]) with an explicit *infinity*
 //!   used by the paper's schema to mark dropped packets (`tout = ∞`).
-//! * [`eth`], [`ip`], [`tcp`], [`udp`] — wire-format headers with parse and
-//!   serialize routines, exercising the same code path a programmable switch
-//!   parser would (header-by-header, offset-driven).
+//! * [`eth`], [`ip`], [`tcp`], [`udp`] — the header structs a switch parser
+//!   would extract, already parsed: the paper's queries read `pkt_hdr` fields,
+//!   never wire bytes, so there is no codec. The `*_HEADER_LEN` constants size
+//!   built packets.
 //! * [`headers`] — the parsed, in-memory view ([`PacketHeaders`]) and the
 //!   [`Packet`] carried through the simulator.
 //! * [`flow`] — the transport [`FiveTuple`] aggregation key (104 bits on the
-//!   wire, per the paper's §4 sizing) and coarser flow keys.
+//!   wire, per the paper's §4 sizing).
 //! * [`field`] — named header fields ([`HeaderField`]) that the query language
 //!   schema binds to, with uniform `u64` extraction.
-//! * [`wire`] — full-packet serialization / parsing (Ethernet → IP → L4).
 //! * [`builder`] — an ergonomic [`PacketBuilder`] for tests and generators.
 //!
 //! Everything here is deterministic, allocation-light, and `unsafe`-free.
@@ -38,65 +38,13 @@ pub mod ip;
 pub mod tcp;
 pub mod time;
 pub mod udp;
-pub mod wire;
 
 pub use builder::PacketBuilder;
 pub use eth::{EtherType, EthernetHeader, MacAddr};
 pub use field::HeaderField;
-pub use flow::{FiveTuple, FlowKey, IpPair};
+pub use flow::FiveTuple;
 pub use headers::{L4Header, Packet, PacketHeaders};
 pub use ip::{IpProto, Ipv4Header};
 pub use tcp::{TcpFlags, TcpHeader};
 pub use time::Nanos;
 pub use udp::UdpHeader;
-
-/// Errors produced when parsing wire bytes into headers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseError {
-    /// The buffer ended before the fixed part of a header.
-    Truncated {
-        /// Header being parsed when the buffer ran out.
-        header: &'static str,
-        /// Bytes required by that header.
-        needed: usize,
-        /// Bytes actually available.
-        available: usize,
-    },
-    /// A version/length field had a value the parser cannot accept.
-    Malformed {
-        /// Header being parsed.
-        header: &'static str,
-        /// Human-readable description of the violation.
-        reason: &'static str,
-    },
-    /// The EtherType / IP protocol is one this parser has no branch for.
-    UnsupportedProtocol {
-        /// Protocol discriminator layer (e.g. "ethertype", "ip-proto").
-        layer: &'static str,
-        /// The numeric value found.
-        value: u32,
-    },
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseError::Truncated {
-                header,
-                needed,
-                available,
-            } => write!(
-                f,
-                "truncated {header} header: need {needed} bytes, have {available}"
-            ),
-            ParseError::Malformed { header, reason } => {
-                write!(f, "malformed {header} header: {reason}")
-            }
-            ParseError::UnsupportedProtocol { layer, value } => {
-                write!(f, "unsupported protocol at {layer}: {value:#x}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}

@@ -1,6 +1,5 @@
-//! TCP header parsing and serialization.
+//! The TCP header, as parsed.
 
-use crate::ParseError;
 use std::fmt;
 
 /// Length of a TCP header without options.
@@ -73,7 +72,7 @@ impl fmt::Display for TcpFlags {
     }
 }
 
-/// A TCP header (options unsupported: data offset must be 5).
+/// A TCP header without options (a fixed 20 bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpHeader {
     /// Source port.
@@ -90,93 +89,9 @@ pub struct TcpHeader {
     pub window: u16,
 }
 
-impl TcpHeader {
-    /// Parse the header from the front of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<(Self, usize), ParseError> {
-        if buf.len() < TCP_HEADER_LEN {
-            return Err(ParseError::Truncated {
-                header: "tcp",
-                needed: TCP_HEADER_LEN,
-                available: buf.len(),
-            });
-        }
-        let data_offset = buf[12] >> 4;
-        if data_offset != 5 {
-            return Err(ParseError::Malformed {
-                header: "tcp",
-                reason: "options (data offset != 5) are not supported",
-            });
-        }
-        Ok((
-            TcpHeader {
-                src_port: u16::from_be_bytes([buf[0], buf[1]]),
-                dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-                seq: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
-                ack: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
-                flags: TcpFlags(buf[13] & 0x3f),
-                window: u16::from_be_bytes([buf[14], buf[15]]),
-            },
-            TCP_HEADER_LEN,
-        ))
-    }
-
-    /// Append the wire representation to `out` (checksum left zero — the
-    /// simulator never routes through devices that validate L4 checksums).
-    pub fn serialize(&self, out: &mut Vec<u8>) -> usize {
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        out.push(5 << 4);
-        out.push(self.flags.0);
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum (unused)
-        out.extend_from_slice(&[0, 0]); // urgent pointer (unused)
-        TCP_HEADER_LEN
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> TcpHeader {
-        TcpHeader {
-            src_port: 443,
-            dst_port: 51514,
-            seq: 0xdead_beef,
-            ack: 0x0102_0304,
-            flags: TcpFlags::ACK.union(TcpFlags::PSH),
-            window: 65535,
-        }
-    }
-
-    #[test]
-    fn round_trip() {
-        let hdr = sample();
-        let mut buf = Vec::new();
-        let n = hdr.serialize(&mut buf);
-        assert_eq!(n, TCP_HEADER_LEN);
-        let (parsed, consumed) = TcpHeader::parse(&buf).unwrap();
-        assert_eq!(parsed, hdr);
-        assert_eq!(consumed, TCP_HEADER_LEN);
-    }
-
-    #[test]
-    fn rejects_options() {
-        let mut buf = Vec::new();
-        sample().serialize(&mut buf);
-        buf[12] = 8 << 4;
-        assert!(TcpHeader::parse(&buf).is_err());
-    }
-
-    #[test]
-    fn rejects_truncation() {
-        assert!(matches!(
-            TcpHeader::parse(&[0u8; 19]).unwrap_err(),
-            ParseError::Truncated { header: "tcp", .. }
-        ));
-    }
 
     #[test]
     fn flag_algebra() {

@@ -1,6 +1,4 @@
-//! UDP header parsing and serialization.
-
-use crate::ParseError;
+//! The UDP header, as parsed.
 
 /// Length of a UDP header.
 pub const UDP_HEADER_LEN: usize = 8;
@@ -14,77 +12,4 @@ pub struct UdpHeader {
     pub dst_port: u16,
     /// Length of UDP header plus payload, in bytes.
     pub length: u16,
-}
-
-impl UdpHeader {
-    /// Parse the header from the front of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<(Self, usize), ParseError> {
-        if buf.len() < UDP_HEADER_LEN {
-            return Err(ParseError::Truncated {
-                header: "udp",
-                needed: UDP_HEADER_LEN,
-                available: buf.len(),
-            });
-        }
-        let length = u16::from_be_bytes([buf[4], buf[5]]);
-        if (length as usize) < UDP_HEADER_LEN {
-            return Err(ParseError::Malformed {
-                header: "udp",
-                reason: "length smaller than header",
-            });
-        }
-        Ok((
-            UdpHeader {
-                src_port: u16::from_be_bytes([buf[0], buf[1]]),
-                dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-                length,
-            },
-            UDP_HEADER_LEN,
-        ))
-    }
-
-    /// Append the wire representation to `out` (checksum zero = disabled).
-    pub fn serialize(&self, out: &mut Vec<u8>) -> usize {
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.length.to_be_bytes());
-        out.extend_from_slice(&[0, 0]);
-        UDP_HEADER_LEN
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_trip() {
-        let hdr = UdpHeader {
-            src_port: 53,
-            dst_port: 40000,
-            length: 512,
-        };
-        let mut buf = Vec::new();
-        hdr.serialize(&mut buf);
-        let (parsed, n) = UdpHeader::parse(&buf).unwrap();
-        assert_eq!(parsed, hdr);
-        assert_eq!(n, UDP_HEADER_LEN);
-    }
-
-    #[test]
-    fn rejects_bad_length_field() {
-        let hdr = UdpHeader {
-            src_port: 1,
-            dst_port: 2,
-            length: 4,
-        };
-        let mut buf = Vec::new();
-        hdr.serialize(&mut buf);
-        assert!(UdpHeader::parse(&buf).is_err());
-    }
-
-    #[test]
-    fn rejects_truncation() {
-        assert!(UdpHeader::parse(&[0u8; 7]).is_err());
-    }
 }

@@ -10,7 +10,11 @@
 //!   `tout = ∞`);
 //! * [`switch`] — per-port queues behind a forwarding decision;
 //! * [`network`] — single-switch, linear-chain and leaf–spine topologies
-//!   with event-driven, analytically-exact timing;
+//!   with event-driven, analytically-exact timing. One event loop
+//!   ([`Network::run`]) feeds every consumer: records one at a time, in
+//!   batches ([`Network::run_batched`]), or routed to per-shard queues
+//!   ([`Network::run_sharded`]). Per-queue order is exact; across ports the
+//!   stream is not sorted by observation time;
 //! * [`spsc`] — fixed-capacity single-producer/single-consumer record
 //!   queues, the transport between the network event loop and the sharded
 //!   multi-core dataplane (`Network::run_sharded` is the producer half);

@@ -14,7 +14,9 @@
 //! accepted packets schedule their next-hop arrival at
 //! `tout + link_latency` (departure times are known analytically from the
 //! queue model). Records stream to the caller's sink roughly in observation
-//! order; per-queue order is exact.
+//! order; per-queue order is exact. The stream as a whole is not sorted by
+//! observation time: a switch releases due departures port by port, so
+//! across ports (and across hops) it steps back in time.
 
 use crate::record::QueueRecord;
 use crate::spsc;
@@ -334,9 +336,12 @@ impl Network {
     /// consumer half).
     ///
     /// `shard_of` maps a record to a shard index (a pure function of the
-    /// record's group key, so one key never lands on two shards). This is
-    /// [`Network::run_multi_sharded`] with one consumer: staging,
-    /// backpressure and stream close are described there.
+    /// record's group key, so one key never lands on two shards). Records
+    /// move into per-shard buffers of `batch` and are pushed with one lock
+    /// per batch, so each shard receives its records in stream order; when a
+    /// shard's queue is full the producer blocks (backpressure), mirroring a
+    /// hardware collection path with bounded per-core rings. All senders are
+    /// dropped on return, closing every stream.
     ///
     /// Returns the number of records routed to each shard.
     ///
@@ -351,85 +356,30 @@ impl Network {
         senders: Vec<spsc::Sender<QueueRecord>>,
         batch: usize,
     ) -> Vec<u64> {
-        self.run_multi_sharded(packets, |_, r| shard_of(r), vec![senders], batch)
-            .pop()
-            .expect("one consumer in, one routed-count vector out")
-    }
-
-    /// Run a packet stream once, fanning every queue record out to several
-    /// sharded consumers — the producer half of the **multi-query** sharded
-    /// dataplane, where K installed programs each own N worker shards but
-    /// the network event loop runs a single time.
-    ///
-    /// `shard_of(k, record)` maps a record to consumer `k`'s shard (each
-    /// program routes by its own group key); `senders[k]` holds consumer
-    /// `k`'s per-shard queues. Records are staged in per-shard buffers of
-    /// `batch` and pushed with one lock per batch; when a shard's queue is
-    /// full the producer blocks (backpressure), mirroring a hardware
-    /// collection path with bounded per-core rings. All senders are dropped
-    /// on return, closing every stream.
-    ///
-    /// Returns per-consumer, per-shard routed counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_of` returns an index out of range, or a consumer
-    /// disappears mid-run.
-    pub fn run_multi_sharded(
-        &mut self,
-        packets: impl Iterator<Item = Packet>,
-        mut shard_of: impl FnMut(usize, &QueueRecord) -> usize,
-        senders: Vec<Vec<spsc::Sender<QueueRecord>>>,
-        batch: usize,
-    ) -> Vec<Vec<u64>> {
         assert!(batch > 0, "batch size must be positive");
-        assert!(
-            senders.iter().all(|s| !s.is_empty()) && !senders.is_empty(),
-            "every consumer needs at least one shard"
-        );
-        let mut buffers: Vec<Vec<Vec<QueueRecord>>> = senders
-            .iter()
-            .map(|s| (0..s.len()).map(|_| Vec::with_capacity(batch)).collect())
+        assert!(!senders.is_empty(), "need at least one shard");
+        let mut buffers: Vec<Vec<QueueRecord>> = (0..senders.len())
+            .map(|_| Vec::with_capacity(batch))
             .collect();
-        let mut routed: Vec<Vec<u64>> = senders.iter().map(|s| vec![0u64; s.len()]).collect();
-        let last = senders.len() - 1;
+        let mut routed = vec![0u64; senders.len()];
         self.run(packets, |r| {
-            // The final consumer takes the record by move — K consumers
-            // cost K-1 clones per record, and the common K=1 case none.
-            for (k, txs) in senders[..last].iter().enumerate() {
-                let s = shard_of(k, &r);
-                assert!(
-                    s < txs.len(),
-                    "shard_of returned {s} for consumer {k} with {} shards",
-                    txs.len()
-                );
-                routed[k][s] += 1;
-                buffers[k][s].push(r.clone());
-                if buffers[k][s].len() == batch {
-                    txs[s]
-                        .send_all(&mut buffers[k][s])
-                        .expect("shard worker disconnected");
-                }
-            }
-            let s = shard_of(last, &r);
+            let s = shard_of(&r);
             assert!(
-                s < senders[last].len(),
-                "shard_of returned {s} for consumer {last} with {} shards",
-                senders[last].len()
+                s < senders.len(),
+                "shard_of returned {s} with {} shards",
+                senders.len()
             );
-            routed[last][s] += 1;
-            buffers[last][s].push(r);
-            if buffers[last][s].len() == batch {
-                senders[last][s]
-                    .send_all(&mut buffers[last][s])
+            routed[s] += 1;
+            buffers[s].push(r);
+            if buffers[s].len() == batch {
+                senders[s]
+                    .send_all(&mut buffers[s])
                     .expect("shard worker disconnected");
             }
         });
-        for (bufs, txs) in buffers.iter_mut().zip(&senders) {
-            for (buf, tx) in bufs.iter_mut().zip(txs) {
-                if !buf.is_empty() {
-                    tx.send_all(buf).expect("shard worker disconnected");
-                }
+        for (buf, tx) in buffers.iter_mut().zip(&senders) {
+            if !buf.is_empty() {
+                tx.send_all(buf).expect("shard worker disconnected");
             }
         }
         routed
@@ -715,22 +665,16 @@ mod tests {
         );
         let per_shard: Vec<Vec<QueueRecord>> =
             consumers.into_iter().map(|c| c.join().unwrap()).collect();
+        // Each shard receives exactly the unsharded stream filtered to it,
+        // in stream order: sharded exactness rests on per-key order.
         for (i, (n, recs)) in routed.iter().zip(&per_shard).enumerate() {
+            let expect: Vec<QueueRecord> = (want.iter())
+                .filter(|r| r.packet.uniq % shards as u64 == i as u64)
+                .cloned()
+                .collect();
             assert_eq!(*n as usize, recs.len(), "shard {i} count");
-            assert!(
-                recs.iter()
-                    .all(|r| r.packet.uniq % shards as u64 == i as u64),
-                "shard {i} got foreign records"
-            );
+            assert_eq!(*recs, expect, "shard {i} records or their order");
         }
-        // Same multiset of records as the unsharded run (order differs
-        // across shards; within a shard it is a subsequence of the stream).
-        let mut flat: Vec<QueueRecord> = per_shard.into_iter().flatten().collect();
-        let mut expect = want;
-        let key = |r: &QueueRecord| (r.packet.uniq, r.qid, r.tin);
-        flat.sort_by_key(key);
-        expect.sort_by_key(key);
-        assert_eq!(flat, expect);
     }
 
     /// An order-sensitive digest of every `QueueRecord` field, then of every

@@ -74,7 +74,8 @@ impl BoundedPareto {
             // α = 1: mean = ln(h/l) · l·h/(h−l)
             (h / l).ln() * l * h / (h - l)
         } else {
-            (l.powf(a) / (1.0 - l.powf(a) / h.powf(a))) * (a / (a - 1.0))
+            (l.powf(a) / (1.0 - l.powf(a) / h.powf(a)))
+                * (a / (a - 1.0))
                 * (1.0 / l.powf(a - 1.0) - 1.0 / h.powf(a - 1.0))
         }
     }
@@ -175,18 +176,6 @@ impl PacketSizeMix {
         }
         let (_, lo, hi) = self.buckets[self.buckets.len() - 1];
         rng.gen_range(lo..=hi)
-    }
-
-    /// Empirical mean payload size (for utilization math).
-    #[must_use]
-    pub fn mean_payload(&self) -> f64 {
-        let mut prev = 0.0;
-        let mut mean = 0.0;
-        for (acc, lo, hi) in &self.buckets {
-            mean += (acc - prev) * f64::from(*lo + (hi - lo) / 2);
-            prev = *acc;
-        }
-        mean
     }
 }
 

@@ -12,7 +12,6 @@
 //!   scaled; see `ARCHITECTURE.md`) plus datacenter presets;
 //! * [`incast`] — synchronized fan-in bursts for the incast-diagnosis
 //!   example;
-//! * [`io`] — a binary capture format for replayable traces;
 //! * [`stats`] — workload summaries for reports and calibration tests.
 //!
 //! # Example
@@ -35,7 +34,6 @@
 
 pub mod dist;
 pub mod incast;
-pub mod io;
 pub mod stats;
 pub mod synthetic;
 pub mod tcp;

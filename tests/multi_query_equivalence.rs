@@ -166,10 +166,9 @@ fn multi_sharded_matches_sequential_at_every_shard_count() {
     }
 }
 
-/// The one-pass multi-program network producer
-/// (`Network::run_multi_sharded` feeding every program's shard queues)
-/// matches the collected-record path, with consistent routed counts and
-/// drop counters.
+/// One network pass feeds every program's shards: `Network::run_batched`
+/// driving `MultiSharded::process_batch` matches the collected-record path,
+/// with every program seeing every record once and consistent drop counters.
 #[test]
 fn multi_sharded_network_producer_matches_collected_records() {
     let packets: Vec<Packet> = SyntheticTrace::new(TraceConfig::test_small(21))
@@ -189,18 +188,18 @@ fn multi_sharded_network_producer_matches_collected_records() {
         .collect();
 
     let mut multi = MultiSharded::new(programs.clone(), 4);
-    let routed = multi.run_network(&mut net, packets.into_iter(), 128);
+    net.run_batched(packets.into_iter(), 128, |chunk| multi.process_batch(chunk));
     assert_eq!(net.total_drops(), drops_want, "shared pass drops");
-    assert_eq!(routed.len(), programs.len());
-    for (i, per_shard) in routed.iter().enumerate() {
+    assert_eq!(multi.records(), recs.len() as u64);
+    let merged = multi.finish();
+    assert_eq!(merged.len(), programs.len());
+    for (i, (rt, b)) in merged.iter().zip(&want).enumerate() {
         assert_eq!(
-            per_shard.iter().sum::<u64>() as usize,
-            recs.len(),
+            rt.records(),
+            recs.len() as u64,
             "program {i} must see every record once"
         );
-    }
-    for (i, (got, b)) in multi.finish_collect().iter().zip(&want).enumerate() {
-        assert_eq!(sorted(got.clone()), *b, "{}", fig2::ALL[i].name);
+        assert_eq!(sorted(rt.collect()), *b, "{}", fig2::ALL[i].name);
     }
 }
 
@@ -208,12 +207,11 @@ fn multi_sharded_network_producer_matches_collected_records() {
 /// the install set with real cross-program overlap (the counter dedups with
 /// loss-rate R1).
 fn compiled_all_plus_counter(opts: CompileOptions) -> (Vec<CompiledProgram>, Vec<&'static str>) {
-    let mut programs = vec![perfq_core::compile_query(
-        FIVE_TUPLE_COUNTER,
-        &fig2::default_params(),
-        opts,
-    )
-    .expect("the running example compiles")];
+    let mut programs =
+        vec![
+            perfq_core::compile_query(FIVE_TUPLE_COUNTER, &fig2::default_params(), opts)
+                .expect("the running example compiles"),
+        ];
     programs.extend(compiled_all(opts));
     let mut names = vec!["5-tuple counter"];
     names.extend(fig2::ALL.iter().map(|q| q.name));
@@ -239,7 +237,10 @@ fn sharing_is_byte_identical_on_the_full_overlapping_set() {
         "loss-rate R1 must dedup against the counter"
     );
     assert!(
-        report.stores.iter().any(|s| s.alias.1 == "R1" && s.owner.0 == 0),
+        report
+            .stores
+            .iter()
+            .any(|s| s.alias.1 == "R1" && s.owner.0 == 0),
         "the alias is loss-rate's R1, owned by program 0: {report:?}"
     );
     for r in &recs {

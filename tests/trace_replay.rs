@@ -1,10 +1,7 @@
-//! Trace capture/replay and determinism: traces written to the binary
-//! format replay into identical query results; everything is bit-stable
-//! across runs given a seed.
+//! Determinism: the generated trace and everything downstream of it are
+//! bit-stable across runs given a seed, and differ across seeds.
 
 use perfq::prelude::*;
-use perfq_core::diff_tables;
-use perfq_trace::io;
 
 fn run_query_on(packets: Vec<Packet>, source: &str) -> ResultSet {
     let compiled = compile_query(source, &fig2::default_params(), CompileOptions::default())
@@ -17,25 +14,11 @@ fn run_query_on(packets: Vec<Packet>, source: &str) -> ResultSet {
 }
 
 #[test]
-fn replayed_trace_gives_identical_results() {
-    let original: Vec<Packet> =
-        SyntheticTrace::new(TraceConfig::test_small(31)).take(8_000).collect();
-    let mut file = Vec::new();
-    io::write_trace(&mut file, original.iter().copied()).expect("write");
-    let replayed = io::read_trace(&mut file.as_slice()).expect("read");
-    assert_eq!(replayed, original);
-
-    let q = "SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip";
-    let a = run_query_on(original, q);
-    let b = run_query_on(replayed.clone(), q);
-    assert!(diff_tables(&a.tables[0], &b.tables[0], 0.0).is_none());
-}
-
-#[test]
 fn whole_pipeline_is_deterministic_given_seed() {
     let run = || {
-        let packets: Vec<Packet> =
-            SyntheticTrace::new(TraceConfig::test_small(77)).take(6_000).collect();
+        let packets: Vec<Packet> = SyntheticTrace::new(TraceConfig::test_small(77))
+            .take(6_000)
+            .collect();
         let rs = run_query_on(packets, fig2::LATENCY_EWMA.source);
         let mut t = rs.tables[0].clone();
         t.sort();
@@ -46,19 +29,11 @@ fn whole_pipeline_is_deterministic_given_seed() {
 
 #[test]
 fn different_seeds_give_different_workloads() {
-    let a: Vec<Packet> = SyntheticTrace::new(TraceConfig::test_small(1)).take(100).collect();
-    let b: Vec<Packet> = SyntheticTrace::new(TraceConfig::test_small(2)).take(100).collect();
+    let a: Vec<Packet> = SyntheticTrace::new(TraceConfig::test_small(1))
+        .take(100)
+        .collect();
+    let b: Vec<Packet> = SyntheticTrace::new(TraceConfig::test_small(2))
+        .take(100)
+        .collect();
     assert_ne!(a, b);
-}
-
-#[test]
-fn trace_stats_survive_round_trip() {
-    let original: Vec<Packet> =
-        SyntheticTrace::new(TraceConfig::test_small(13)).take(5_000).collect();
-    let stats_before = TraceStats::from_packets(original.iter().copied());
-    let mut file = Vec::new();
-    io::write_trace(&mut file, original.into_iter()).expect("write");
-    let replayed = io::read_trace(&mut file.as_slice()).expect("read");
-    let stats_after = TraceStats::from_packets(replayed.into_iter());
-    assert_eq!(stats_before, stats_after);
 }
