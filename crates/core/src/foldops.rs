@@ -24,13 +24,15 @@
 //! A linear fold merges one of **three** ways, chosen structurally in
 //! [`FoldOps::new`] (the first that fits wins):
 //!
-//! 1. **Constant-A kernel** (`ConstAKernel`) — one windowless state
-//!    variable updated by a single `[c·]s [± B]` with a constant `c`
-//!    (EWMA, plain counters): closed-form update, and the merge needs only
-//!    the packet count, `ΠA = aⁿ`, kept inline in [`FoldState::packets`].
-//! 2. **Additive** — every linear variable has `A = I` (COUNT/SUM, guarded
-//!    counters): `ΠA` stays the identity, the correction is
-//!    `standing − init`, and windowless folds carry no aux box at all.
+//! 1. **Constant-A kernel** (`ConstAKernel`) — a windowless fold whose k
+//!    statements each update their own variable as `s_i ← [c_i·]s_i [± B_i]`
+//!    with a constant `c_i` (EWMA, `COUNT, SUM(…)`): closed-form update,
+//!    `A = diag(a_i)`, and the merge needs only the packet count,
+//!    `ΠA = diag(a_iⁿ)`, kept inline in [`FoldState::packets`].
+//! 2. **Additive** — every linear variable has `A = I` but the body is not
+//!    kernel-shaped (guarded counters): `ΠA` stays the identity, the
+//!    correction is `standing − init`, and windowless folds carry no aux
+//!    box at all.
 //! 3. **General** — everything else: the per-packet `A` matrix is extracted
 //!    numerically (with the window variables pinned at their actual values
 //!    the update restricted to the linear variables is affine, so
@@ -150,41 +152,57 @@ pub struct FoldState {
     /// The state variables, in `FoldIr::state` order.
     pub vars: StateVec,
     /// Packets folded since (re)insertion — maintained inline (no aux box)
-    /// by the `ConstAKernel` fast path, which needs only this exponent at
-    /// merge time. Folds that carry a [`LinearAux`] track packets there
-    /// instead and leave this 0.
+    /// by the `ConstAKernel` fast path, whose merge needs only this one
+    /// exponent, shared by all k of its variables (`a_iⁿ`). A merge resets
+    /// it to 0. Every other fold leaves it 0: a [`LinearAux`] tracks packets
+    /// there, and additive or epoch folds need no count.
     pub packets: u64,
     /// Merge bookkeeping (only for linear folds outside the fast path).
     pub aux: Option<Box<LinearAux>>,
 }
 
-/// The compiled one-variable constant-A fast kernel.
+/// The compiled constant-A fast kernel over k state variables.
 ///
-/// A windowless fold over a single state variable whose update is one
-/// assignment, affine in the state with a *constant* coefficient —
-/// EWMA's `s' = (1−α)·s + α·(tout−tin)` is the canonical case, and plain
-/// counters/sums (`s' = s + B`) fit too — needs none of the generic
-/// machinery on the observe path: no `RefCell` scratch, no numeric `A`
-/// extraction, no per-key aux box. The kernel keeps the decomposed update
-/// (state term, combining operator, state-free `B` tree) and evaluates it
-/// directly with the same [`Value`] operator semantics the bytecode engine
-/// uses — `bind_params` folds closed subtrees with exactly these ops, so
-/// the kernel's results are bit-identical to the compiled program's. The
-/// merge correction collapses to the scalar
-/// `corrected = evicted + A^n · (standing − init)` with `n` read from the
-/// inline [`FoldState::packets`] counter.
+/// A windowless linear fold whose body is k assignments, each to a
+/// distinct state variable and each affine in that variable alone with a
+/// *constant* coefficient — `s_i ← [c_i·] s_i ± B_i` — needs none of the
+/// generic machinery on the observe path: no `RefCell` scratch, no bytecode
+/// dispatch, no numeric `A` extraction, no per-key aux box. EWMA's
+/// `s' = (1−α)·s + α·(tout−tin)` is the canonical k = 1 case; `COUNT,
+/// SUM(pkt_len)` is k = 2 with every `c_i = 1`. Because statement i reads
+/// only `s_i` and no `B_i` reads state, `A` is the constant diagonal
+/// `diag(a_i)`.
+///
+/// Each statement keeps its decomposed update (state term, combining
+/// operator, state-free `B_i`) and evaluates it directly with the same
+/// [`Value`] operator semantics the bytecode engine uses — `bind_params`
+/// folds closed subtrees with exactly these ops, so the kernel's results
+/// are bit-identical to the compiled program's. The merge correction is the
+/// scalar §3.2 formula per variable,
+/// `corrected_i = evicted_i + a_i^n · (standing_i − init_i)`, every variable
+/// sharing the one exponent `n` read from the inline
+/// [`FoldState::packets`] counter; an additive fold has every `a_i = 1`, so
+/// this is exactly the additive correction.
 #[derive(Debug, Clone, PartialEq)]
 struct ConstAKernel {
+    /// One update per state variable, in body order.
+    stmts: Vec<KernelStmt>,
+}
+
+/// One kernel statement, `s_var ← combine([c·] s_var, B)`.
+#[derive(Debug, Clone, PartialEq)]
+struct KernelStmt {
+    /// The state variable this statement assigns (and alone reads).
+    var: usize,
     /// Coefficient on the state term (`None` = the bare state), paired
     /// with `true` when the coefficient is the left operand — the source
     /// operand order is preserved for bit-exactness.
     coeff: Option<(Value, bool)>,
     /// How the state term combines with `B`: operator, `true` when the
-    /// state term is the left operand, and the state-free `B` expression
-    /// (params still symbolic; `Call`-free so evaluation allocates
-    /// nothing). `None` = the update has no `B` term.
-    combine: Option<(perfq_lang::ast::BinOp, bool, RExpr)>,
-    /// The signed scalar `A` (coefficient value, negated for `B − A·s`).
+    /// state term is the left operand, and the state-free `B` term.
+    /// `None` = the update has no `B` term.
+    combine: Option<(perfq_lang::ast::BinOp, bool, BTerm)>,
+    /// The signed scalar `a` (coefficient value, negated for `B − c·s`).
     a: f64,
     /// The state variable's type — the post-update coercion target.
     ty: perfq_lang::ValueType,
@@ -192,14 +210,26 @@ struct ConstAKernel {
     init: Value,
 }
 
-impl ConstAKernel {
+/// A kernel statement's state-free `B`, lowered as far as its shape allows.
+#[derive(Debug, Clone, PartialEq)]
+enum BTerm {
+    /// Literals and parameters only: folded once at build time.
+    Const(Value),
+    /// One input column, read as is.
+    Input(usize),
+    /// Any other `Call`-free expression over inputs and parameters,
+    /// evaluated per packet (params still symbolic).
+    Expr(RExpr),
+}
+
+impl KernelStmt {
     /// One packet: `s ← combine(A-term(s), B(input))`, coerced to the
     /// variable's type — operand order and ops exactly as the generic
     /// engine would apply them.
     #[inline]
-    fn update(&self, vars: &mut StateVec, input: &[Value], params: &[Value]) {
+    fn apply(&self, vars: &mut [Value], input: &[Value], params: &[Value]) {
         use perfq_lang::ast::BinOp;
-        let s = vars[0];
+        let s = vars[self.var];
         let s_term = match &self.coeff {
             Some((c, true)) => Value::binop(BinOp::Mul, *c, s),
             Some((c, false)) => Value::binop(BinOp::Mul, s, *c),
@@ -208,8 +238,12 @@ impl ConstAKernel {
         .expect("type-checked fold body cannot fail at runtime");
         let out = match &self.combine {
             Some((op, state_first, b)) => {
-                let bv = perfq_lang::ir::eval(b, &[], input, params)
-                    .expect("state-free B term evaluates");
+                let bv = match b {
+                    BTerm::Const(v) => *v,
+                    BTerm::Input(i) => input[*i],
+                    BTerm::Expr(e) => perfq_lang::ir::eval(e, &[], input, params)
+                        .expect("state-free B term evaluates"),
+                };
                 if *state_first {
                     Value::binop(*op, s_term, bv)
                 } else {
@@ -219,88 +253,122 @@ impl ConstAKernel {
             }
             None => s_term,
         };
-        vars[0] = out.coerce(self.ty);
+        vars[self.var] = out.coerce(self.ty);
+    }
+}
+
+impl ConstAKernel {
+    /// One packet through every statement, in body order. Statement i
+    /// reads only `s_i`, so the order is the engine's and immaterial.
+    #[inline]
+    fn update(&self, vars: &mut [Value], input: &[Value], params: &[Value]) {
+        for stmt in &self.stmts {
+            stmt.apply(vars, input, params);
+        }
     }
 }
 
 /// Structurally decompose a fold into a [`ConstAKernel`], or `None` when it
-/// doesn't fit: one linear state variable, no window, a single assignment
-/// of the shape `[c ·] s [± B]` (either operand order) with a constant
-/// coefficient and a state-free, `Call`-free `B`.
+/// doesn't fit: a windowless linear fold whose body is one assignment per
+/// state variable, each of the shape `[c ·] s_i [± B_i]` (either operand
+/// order) over its own variable, with a constant coefficient and a
+/// state-free, `Call`-free `B_i`.
 fn const_a_kernel(fold: &FoldIr, params: &[Value]) -> Option<ConstAKernel> {
+    if fold.class != (FoldClass::Linear { window: 0 }) || fold.body.len() != fold.state.len() {
+        return None;
+    }
+    let init = fold.init_state();
+    let mut assigned = vec![false; fold.state.len()];
+    let mut stmts = Vec::with_capacity(fold.body.len());
+    for stmt in &fold.body {
+        let RStmt::Assign(var, e) = stmt else {
+            return None;
+        };
+        if std::mem::replace(&mut assigned[*var], true) {
+            return None;
+        }
+        stmts.push(kernel_stmt(
+            *var,
+            e,
+            fold.state[*var].ty,
+            init[*var],
+            params,
+        )?);
+    }
+    Some(ConstAKernel { stmts })
+}
+
+/// Decompose `s_var ← e` into a [`KernelStmt`], or `None` when `e` is not
+/// `[c ·] s_var [± B]` with a constant `c` and a state-free, `Call`-free `B`.
+fn kernel_stmt(
+    var: usize,
+    e: &RExpr,
+    ty: perfq_lang::ValueType,
+    init: Value,
+    params: &[Value],
+) -> Option<KernelStmt> {
     use perfq_lang::ast::BinOp;
-    if fold.state.len() != 1 || fold.class != (FoldClass::Linear { window: 0 }) {
-        return None;
+    /// True when no node of `e` is one of the `banned` kinds.
+    fn none_of(e: &RExpr, banned: fn(&RExpr) -> bool) -> bool {
+        let mut ok = true;
+        e.visit(&mut |n| ok &= !banned(n));
+        ok
     }
-    let [RStmt::Assign(0, e)] = fold.body.as_slice() else {
-        return None;
+    let reads_state = |e: &RExpr| !none_of(e, |n| matches!(n, RExpr::State(_)));
+    // State-free, input-allowed, `Call`-free (a builtin call would
+    // allocate its argument vector per packet).
+    let plain_b = |e: &RExpr| none_of(e, |n| matches!(n, RExpr::State(_) | RExpr::Call(..)));
+    // Only literals and parameters (no inputs or state).
+    let is_const = |e: &RExpr| {
+        none_of(e, |n| {
+            matches!(n, RExpr::Input(_) | RExpr::State(_) | RExpr::Call(..))
+        })
     };
-    fn reads_state(e: &RExpr) -> bool {
-        let mut found = false;
-        e.visit(&mut |n| {
-            if matches!(n, RExpr::State(_)) {
-                found = true;
-            }
-        });
-        found
-    }
-    /// State-free, input-allowed, `Call`-free (a builtin call would
-    /// allocate its argument vector per packet).
-    fn plain_b(e: &RExpr) -> bool {
-        let mut ok = true;
-        e.visit(&mut |n| {
-            if matches!(n, RExpr::State(_) | RExpr::Call(..)) {
-                ok = false;
-            }
-        });
-        ok
-    }
-    /// Only literals and parameters (no inputs or state).
-    fn is_const(e: &RExpr) -> bool {
-        let mut ok = true;
-        e.visit(&mut |n| {
-            if matches!(n, RExpr::Input(_) | RExpr::State(_) | RExpr::Call(..)) {
-                ok = false;
-            }
-        });
-        ok
-    }
-    let (state_term, combine_shape) = match e {
+    let (state_term, combine) = match e {
         RExpr::Binary(op, l, r) if matches!(op, BinOp::Add | BinOp::Sub) => {
             match (reads_state(l), reads_state(r)) {
-                (true, false) if plain_b(r) => (l.as_ref(), Some((*op, true, (**r).clone()))),
-                (false, true) if plain_b(l) => (r.as_ref(), Some((*op, false, (**l).clone()))),
+                (true, false) if plain_b(r) => (l.as_ref(), Some((*op, true, r.as_ref()))),
+                (false, true) if plain_b(l) => (r.as_ref(), Some((*op, false, l.as_ref()))),
                 _ => return None,
             }
         }
         other if reads_state(other) => (other, None),
         _ => return None,
     };
+    let own = |s: &RExpr| matches!(s, RExpr::State(v) if *v == var);
     let coeff = match state_term {
-        RExpr::State(0) => None,
-        RExpr::Binary(BinOp::Mul, c, s)
-            if is_const(c) && matches!(s.as_ref(), RExpr::State(0)) =>
-        {
+        s if own(s) => None,
+        RExpr::Binary(BinOp::Mul, c, s) if is_const(c) && own(s) => {
             Some((perfq_lang::ir::eval(c, &[], &[], params).ok()?, true))
         }
-        RExpr::Binary(BinOp::Mul, s, c)
-            if matches!(s.as_ref(), RExpr::State(0)) && is_const(c) =>
-        {
+        RExpr::Binary(BinOp::Mul, s, c) if own(s) && is_const(c) => {
             Some((perfq_lang::ir::eval(c, &[], &[], params).ok()?, false))
         }
         _ => return None,
     };
+    let combine = match combine {
+        Some((op, state_first, b)) => {
+            let b = match b {
+                RExpr::Input(i) => BTerm::Input(*i),
+                b if is_const(b) => BTerm::Const(perfq_lang::ir::eval(b, &[], &[], params).ok()?),
+                b => BTerm::Expr(b.clone()),
+            };
+            Some((op, state_first, b))
+        }
+        None => None,
+    };
     let mut a = coeff.map_or(1.0, |(c, _)| c.as_f64());
-    if matches!(combine_shape, Some((BinOp::Sub, false, _))) {
-        // `B − A·s`: the state coefficient enters negated.
+    if matches!(combine, Some((BinOp::Sub, false, _))) {
+        // `B − c·s`: the state coefficient enters negated.
         a = -a;
     }
-    Some(ConstAKernel {
+    Some(KernelStmt {
+        var,
         coeff,
-        combine: combine_shape,
+        combine,
         a,
-        ty: fold.state[0].ty,
-        init: fold.init_state()[0],
+        ty,
+        init,
     })
 }
 
@@ -342,9 +410,9 @@ pub struct FoldOps {
     /// True when every linear variable's update has `A = I` (pure
     /// accumulation), so `ΠA` tracking is unnecessary.
     additive: bool,
-    /// The one-variable constant-A fast kernel, when the fold fits it.
-    /// Takes precedence over the generic aux/scratch machinery on every
-    /// path (init/update/merge) — see [`ConstAKernel`].
+    /// The constant-A fast kernel, when the fold fits it. Takes
+    /// precedence over the generic aux/scratch machinery on every path
+    /// (init/update/merge) — see [`ConstAKernel`].
     fast: Option<ConstAKernel>,
     /// The initial state vector, materialised once: the per-miss `init`
     /// and the per-eviction additive merge correction both read it without
@@ -545,8 +613,12 @@ fn identity(k: usize) -> Vec<f64> {
     m
 }
 
-/// `a^n` by binary exponentiation.
+/// `a^n` by binary exponentiation; exactly 1 for an additive `a = 1`
+/// without the loop (every counter and sum merges through here).
 fn scalar_pow(mut base: f64, mut n: u64) -> f64 {
+    if base == 1.0 {
+        return 1.0;
+    }
     let mut acc = 1.0;
     while n > 0 {
         if n & 1 == 1 {
@@ -604,9 +676,9 @@ impl ValueOps for FoldOps {
 
     fn update(&self, value: &mut FoldState, input: &[Value]) {
         // The constant-A fast path: count the packet, apply the decomposed
-        // affine update in place. No RefCell borrow, no aux-box line, no
-        // bytecode dispatch — the EWMA observe path collapses to a handful
-        // of `Value` ops.
+        // affine updates in place. No RefCell borrow, no aux-box line, no
+        // bytecode dispatch — the EWMA or `COUNT, SUM` observe path
+        // collapses to a handful of `Value` ops per variable.
         if let Some(k) = &self.fast {
             value.packets += 1;
             k.update(&mut value.vars, input, &self.params);
@@ -636,23 +708,24 @@ impl ValueOps for FoldOps {
     }
 
     fn merge(&self, standing: &mut FoldState, evicted: FoldState) {
-        // Fast-kernel merge: the scalar spelling of the §3.2 correction,
-        // `corrected = evicted + A^n · (standing − init)`, with `n` from
-        // the inline packets counter. Resetting `packets` to 0 marks the
-        // composite: a later cross-shard merge of this value degrades to
-        // the additive correction (`A^0 = I`), exactly the consumed-aux
-        // semantics of the generic path below.
+        // Fast-kernel merge: the §3.2 correction per variable,
+        // `corrected_i = evicted_i + a_i^n · (standing_i − init_i)`, with
+        // the one `n` from the inline packets counter. Resetting `packets`
+        // to 0 marks the composite: a later cross-shard merge of this value
+        // degrades to the additive correction (`A^0 = I`), exactly the
+        // consumed-aux semantics of the generic path below.
         if let Some(k) = &self.fast {
-            let adj = scalar_pow(k.a, evicted.packets)
-                * (standing.vars[0].as_f64() - k.init.as_f64());
-            let corrected = match k.ty {
-                perfq_lang::ValueType::Float => {
-                    Value::Float(evicted.vars[0].as_f64() + adj)
-                }
-                _ => Value::Int(evicted.vars[0].as_i64() + adj.round() as i64),
-            };
-            standing.vars = evicted.vars;
-            standing.vars[0] = corrected;
+            let mut corrected = evicted.vars;
+            for st in &k.stmts {
+                let adj = scalar_pow(st.a, evicted.packets)
+                    * (standing.vars[st.var].as_f64() - st.init.as_f64());
+                let v = corrected[st.var];
+                corrected[st.var] = match st.ty {
+                    perfq_lang::ValueType::Float => Value::Float(v.as_f64() + adj),
+                    _ => Value::Int(v.as_i64() + adj.round() as i64),
+                };
+            }
+            standing.vars = corrected;
             standing.packets = 0;
             standing.aux = None;
             return;
@@ -683,9 +756,7 @@ impl ValueOps for FoldOps {
             for &v in &self.linear_vars {
                 let adj = standing.vars[v].as_f64() - init[v].as_f64();
                 corrected[v] = match self.fold.state[v].ty {
-                    perfq_lang::ValueType::Float => {
-                        Value::Float(evicted.vars[v].as_f64() + adj)
-                    }
+                    perfq_lang::ValueType::Float => Value::Float(evicted.vars[v].as_f64() + adj),
                     _ => Value::Int(evicted.vars[v].as_i64() + adj.round() as i64),
                 };
             }
@@ -916,10 +987,7 @@ fn get_state(r: &mut ByteReader<'_>) -> Option<StateVec> {
     for v in &mut vals[..n] {
         *v = get_value(r)?;
     }
-    Some(StateVec::Inline {
-        len: n as u8,
-        vals,
-    })
+    Some(StateVec::Inline { len: n as u8, vals })
 }
 
 #[cfg(test)]
@@ -927,9 +995,9 @@ mod tests {
     use super::*;
     use perfq_kvstore::{CacheGeometry, EvictionPolicy, SplitStore};
     use perfq_lang::ir::exec_stmts;
+    use perfq_lang::ResolvedKind;
     use perfq_lang::{compile, fig2};
     use perfq_packet::Nanos;
-    use perfq_lang::ResolvedKind;
 
     fn fold_of(src: &str) -> (FoldIr, Vec<Value>) {
         let prog = compile(src, &fig2::default_params()).unwrap();
@@ -984,9 +1052,8 @@ mod tests {
         let (fold, params) = fold_of("SELECT COUNT GROUPBY srcip");
         let ops = FoldOps::new(fold.clone(), params.clone());
         assert!(ops.is_additive());
-        let inputs: Vec<(u64, Vec<Value>)> = (0..100)
-            .map(|i| (i % 3, vec![Value::Int(0); 22]))
-            .collect();
+        let inputs: Vec<(u64, Vec<Value>)> =
+            (0..100).map(|i| (i % 3, vec![Value::Int(0); 22])).collect();
         let (got, want) = run_split_and_oracle(fold, params, &inputs);
         assert_eq!(got, want);
     }
@@ -1110,60 +1177,178 @@ mod tests {
         let state = fold.init_state();
         let a = ops.extract_a(&state, &row);
         assert_eq!(a.len(), 1);
-        assert!((a[0] - 0.875).abs() < 1e-12, "A = 1-α = 0.875, got {}", a[0]);
+        assert!(
+            (a[0] - 0.875).abs() < 1e-12,
+            "A = 1-α = 0.875, got {}",
+            a[0]
+        );
+    }
+
+    const EWMA: &str = "def ewma (lat_est, (tin, tout)):\n    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)\n\nSELECT 5tuple, ewma GROUPBY 5tuple\n";
+    const COUNT_SUM: &str = "SELECT COUNT, SUM(pkt_len) GROUPBY srcip";
+    const TWO_SUMS: &str = "SELECT SUM(pkt_len), SUM(tout - tin) GROUPBY srcip";
+    const DECAY_AND_COUNT: &str = "def mix ((s0, s1), (pkt_len)):\n    s0 = 0.5 * s0 + pkt_len\n    s1 = s1 + 1\n\nSELECT srcip, mix GROUPBY srcip\n";
+    /// Every kernel shape the tests drive: one variable, two counters, two
+    /// sums (one over an expression), a decay beside a counter.
+    const KERNEL_FOLDS: [&str; 4] = [EWMA, COUNT_SUM, TWO_SUMS, DECAY_AND_COUNT];
+
+    /// `(a_i, B_i)` per kernel statement, `B_i` as a shape name.
+    fn kernel_shape(src: &str) -> Option<Vec<(f64, &'static str)>> {
+        let (fold, params) = fold_of(src);
+        let ops = FoldOps::new(fold, params);
+        let k = ops.fast.as_ref()?;
+        assert!(ops.init().aux.is_none(), "fast folds carry no aux box");
+        Some(
+            k.stmts
+                .iter()
+                .map(|st| {
+                    let b = match &st.combine {
+                        None => "none",
+                        Some((_, _, BTerm::Const(_))) => "const",
+                        Some((_, _, BTerm::Input(_))) => "input",
+                        Some((_, _, BTerm::Expr(_))) => "expr",
+                    };
+                    (st.a, b)
+                })
+                .collect(),
+        )
     }
 
     #[test]
     fn const_a_kernel_engages_for_ewma_and_counters_only_when_legal() {
         // EWMA: one Float variable, constant A = 1-α.
-        let src = "def ewma (lat_est, (tin, tout)):\n    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)\n\nSELECT 5tuple, ewma GROUPBY 5tuple\n";
-        let (fold, params) = fold_of(src);
-        let ops = FoldOps::new(fold, params);
-        let k = ops.fast.as_ref().expect("EWMA fits the constant-A kernel");
-        assert!((k.a - 0.875).abs() < 1e-15, "A = 1-α = 0.875, got {}", k.a);
-        assert!(ops.init().aux.is_none(), "fast folds carry no aux box");
+        let ewma = kernel_shape(EWMA).expect("EWMA fits the constant-A kernel");
+        assert_eq!(ewma.len(), 1);
+        assert!(
+            (ewma[0].0 - 0.875).abs() < 1e-15,
+            "A = 1-α = 0.875, got {}",
+            ewma[0].0
+        );
+        assert_eq!(ewma[0].1, "expr");
+        // Counters and sums: every a_i = 1, `B` lowered where it can be.
+        let count = kernel_shape("SELECT COUNT GROUPBY srcip").expect("COUNT fits");
+        assert_eq!(count, [(1.0, "const")]);
+        let count_sum = kernel_shape(COUNT_SUM).expect("COUNT, SUM fits");
+        assert_eq!(count_sum, [(1.0, "const"), (1.0, "input")]);
+        let two_sums = kernel_shape(TWO_SUMS).expect("two SUMs fit");
+        assert_eq!(two_sums, [(1.0, "input"), (1.0, "expr")]);
+        // A decay beside a counter: A = diag(0.5, 1).
+        let (fold, _) = fold_of(DECAY_AND_COUNT);
+        assert_eq!(fold.class, FoldClass::Linear { window: 0 });
+        let mixed = kernel_shape(DECAY_AND_COUNT).expect("decay + counter fits");
+        assert_eq!(mixed, [(0.5, "input"), (1.0, "const")]);
 
-        // COUNT: one Int variable, A = 1 — also eligible.
-        let (fold, params) = fold_of("SELECT COUNT GROUPBY srcip");
-        let ops = FoldOps::new(fold, params);
-        let k = ops.fast.as_ref().expect("COUNT fits the kernel");
-        assert_eq!(k.a, 1.0);
+        // Off the kernel, each for its own reason:
+        let rejected = [
+            // cross-coupled (`u = u + v` reads another variable in `B`);
+            "def cpl ((u, v), (pkt_len)):\n    u = u + v\n    v = v + pkt_len\n\nSELECT 5tuple, cpl GROUPBY 5tuple\n",
+            // a state term over another variable;
+            "def sh ((a, b), (pkt_len)):\n    a = 2 * b + pkt_len\n    b = b + 1\n\nSELECT srcip, sh GROUPBY srcip\n",
+            // a guarded counter (a branch);
+            fig2::HIGH_P99_QUEUE_SIZE.source,
+            // a windowed fold (window 1);
+            "def outofseq ((lastseq, oos_count), (tcpseq, payload_len)):\n    if lastseq + 1 != tcpseq:\n        oos_count = oos_count + 1\n    lastseq = tcpseq + payload_len\n\nSELECT 5tuple, outofseq GROUPBY 5tuple\n",
+            // a non-linear fold (epoch mode).
+            "def nonmt ((maxseq, nm_count), tcpseq):\n    if maxseq > tcpseq:\n        nm_count = nm_count + 1\n    maxseq = max(maxseq, tcpseq)\n\nSELECT 5tuple, nonmt GROUPBY 5tuple\n",
+        ];
+        for src in rejected {
+            assert!(kernel_shape(src).is_none(), "{src}");
+        }
+    }
 
-        // Windowed fold (2 vars, window 1): rejected.
-        let src = "def outofseq ((lastseq, oos_count), (tcpseq, payload_len)):\n    if lastseq + 1 != tcpseq:\n        oos_count = oos_count + 1\n    lastseq = tcpseq + payload_len\n\nSELECT 5tuple, outofseq GROUPBY 5tuple\n";
-        let (fold, params) = fold_of(src);
-        assert!(FoldOps::new(fold, params).fast.is_none());
-
-        // Non-linear fold: rejected (epoch mode).
-        let src = "def nonmt ((maxseq, nm_count), tcpseq):\n    if maxseq > tcpseq:\n        nm_count = nm_count + 1\n    maxseq = max(maxseq, tcpseq)\n\nSELECT 5tuple, nonmt GROUPBY 5tuple\n";
-        let (fold, params) = fold_of(src);
-        assert!(FoldOps::new(fold, params).fast.is_none());
+    /// A row per packet with varied `pkt_len`, `tin` and `tout`.
+    fn kernel_rows(n: i64) -> Vec<Vec<Value>> {
+        let schema = perfq_lang::base_schema();
+        let col = |name| schema.index_of(name).unwrap();
+        let (ilen, itin, itout) = (col("pkt_len"), col("tin"), col("tout"));
+        (0..n)
+            .map(|i| {
+                let mut row = vec![Value::Int(0); schema.len()];
+                row[ilen] = Value::Int(40 + (i * 37) % 1461);
+                row[itin] = Value::Int(1000 * i);
+                row[itout] = Value::Int(1000 * i + 50 + (i % 13) * 17);
+                row
+            })
+            .collect()
     }
 
     #[test]
     fn const_a_kernel_is_bit_identical_to_the_bytecode_path() {
-        let src = "def ewma (lat_est, (tin, tout)):\n    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)\n\nSELECT 5tuple, ewma GROUPBY 5tuple\n";
-        let (fold, params) = fold_of(src);
-        let ops = FoldOps::new(fold.clone(), params.clone());
-        let k = ops.fast.as_ref().expect("kernel engages");
-        let program = bytecode::compile_stmts_bound(&fold.body, &params);
-        let schema = perfq_lang::base_schema();
-        let (itin, itout) = (
-            schema.index_of("tin").unwrap(),
-            schema.index_of("tout").unwrap(),
-        );
-        let mut fast_vars = StateVec::from_slice(&fold.init_state());
-        let mut generic = fold.init_state();
-        let mut stack = EvalStack::default();
-        for i in 0..500i64 {
-            let mut row = vec![Value::Int(0); schema.len()];
-            row[itin] = Value::Int(1000 * i);
-            row[itout] = Value::Int(1000 * i + 50 + (i % 13) * 17);
-            k.update(&mut fast_vars, &row, &params);
-            program.exec(&mut stack, &mut generic, &row, &params).unwrap();
-            generic[0] = generic[0].coerce(fold.state[0].ty);
-            // Exact equality, packet by packet — not a tolerance check.
-            assert_eq!(fast_vars[0], generic[0], "packet {i}");
+        let rows = kernel_rows(4000);
+        for src in KERNEL_FOLDS {
+            let (fold, params) = fold_of(src);
+            let ops = FoldOps::new(fold.clone(), params.clone());
+            let k = ops.fast.as_ref().expect("kernel engages");
+            let program = bytecode::compile_stmts_bound(&fold.body, &params);
+            let mut fast_vars = StateVec::from_slice(&fold.init_state());
+            let mut generic = fold.init_state();
+            let mut stack = EvalStack::default();
+            for (i, row) in rows.iter().enumerate() {
+                k.update(&mut fast_vars, row, &params);
+                program
+                    .exec(&mut stack, &mut generic, row, &params)
+                    .unwrap();
+                for (v, var) in generic.iter_mut().zip(&fold.state) {
+                    *v = v.coerce(var.ty);
+                }
+                // Exact equality, packet by packet — not a tolerance check.
+                assert_eq!(&fast_vars[..], &generic[..], "{src}: packet {i}");
+            }
+        }
+    }
+
+    /// Through the whole runtime under a two-pair cache that evicts on
+    /// nearly every packet, each kernel fold drains to the exact oracle.
+    #[test]
+    fn const_a_kernel_drains_to_the_oracle_under_eviction() {
+        use crate::{compile_program, diff_tables, CompileOptions, Oracle, Runtime};
+        use perfq_packet::PacketBuilder;
+        use perfq_switch::QueueRecord;
+        use std::net::Ipv4Addr;
+        let recs: Vec<QueueRecord> = (0..3000u32)
+            .map(|i| {
+                let tin = u64::from(i) * 1000;
+                QueueRecord {
+                    packet: PacketBuilder::tcp()
+                        .src(Ipv4Addr::new(10, 0, 0, (i * 7 % 5) as u8 + 1), 1000)
+                        .dst(Ipv4Addr::new(172, 16, 0, 1), 80)
+                        .seq(i)
+                        .payload_len((i * 37 % 1400) as u16)
+                        .uniq(u64::from(i))
+                        .build(),
+                    qid: 1,
+                    tin: Nanos(tin),
+                    tout: Nanos(tin + 50 + u64::from(i % 13) * 17),
+                    qsize: 0,
+                    qout: 0,
+                    path: 0,
+                }
+            })
+            .collect();
+        let opts = CompileOptions {
+            cache_pairs: 2,
+            ways: 0,
+            ..Default::default()
+        };
+        for src in KERNEL_FOLDS {
+            let prog = compile(src, &fig2::default_params()).unwrap();
+            let compiled = compile_program(prog, opts).unwrap();
+            let mut rt = Runtime::new(compiled.clone());
+            for part in recs.chunks(64) {
+                rt.process_batch(part);
+            }
+            rt.finish();
+            assert!(rt.store_stats(0).unwrap().evictions > 1000, "{src}");
+            let mut got = rt.collect();
+            let mut want = Oracle::run(compiled, recs.iter().cloned());
+            got.sort();
+            want.sort();
+            for (a, b) in got.tables.iter().zip(&want.tables) {
+                assert!(a.rows.iter().all(|r| r.valid), "{src}");
+                if let Some(d) = diff_tables(a, b, 1e-9) {
+                    panic!("{src}: {d}");
+                }
+            }
         }
     }
 

@@ -65,18 +65,20 @@
 //!    hash + slot resolution (the fused upsert — the old probe-again-in-a-
 //!    closure shape is gone from the hot path).
 //! 4. **Three merge tiers** — a linear fold merges exactly one of three
-//!    ways, decided structurally in `FoldOps::new`. *Additive* windowless
-//!    folds (COUNT/SUM, guarded counters) carry no merge bookkeeping at
-//!    all: the correction is `standing − init`. One-variable windowless
-//!    fold bodies of the shape `[c·]s [± B]` with a constant `c` (EWMA)
-//!    compile to a closed-form **constant-A kernel** in [`foldops`]: the
-//!    per-packet update becomes `s' = a·s + b` evaluated directly from the
+//!    ways, decided structurally in `FoldOps::new`. Windowless fold bodies
+//!    of k statements, each `s_i ← [c_i·]s_i [± B_i]` over its own
+//!    variable with a constant `c_i` (EWMA, `COUNT, SUM(…)`), compile to a
+//!    closed-form **constant-A kernel** in [`foldops`]: the per-packet
+//!    update becomes `s_i' = a_i·s_i + b_i` evaluated directly from the
 //!    decomposed body (no bytecode dispatch, no scratch borrow, no aux
-//!    box), and the §3.2 merge correction becomes one `aⁿ`-scaling with
-//!    `n` read from the inline packet counter — pinned bit-identical to
-//!    the bytecode path. Every other linear fold takes the *general* tier:
-//!    a per-key `ΠA` (extracted numerically per packet, persisted with the
-//!    value) plus the window log.
+//!    box; a `B_i` that is a constant or one input column is read as
+//!    such), and the §3.2 merge correction becomes one `a_iⁿ`-scaling per
+//!    variable with the one `n` read from the inline packet counter —
+//!    pinned bit-identical to the bytecode path. Other *additive*
+//!    windowless folds (guarded counters) carry no merge bookkeeping at
+//!    all: the correction is `standing − init`. Every other linear fold
+//!    takes the *general* tier: a per-key `ΠA` (extracted numerically per
+//!    packet, persisted with the value) plus the window log.
 //! 5. **Batching and column pruning** — [`Runtime::process_batch`] (and
 //!    `Network::run_batched` upstream) feed records in slices, and it is
 //!    the only way in: `process_record` is a one-record batch. Only the
@@ -88,49 +90,61 @@
 //! # Hot-path anatomy
 //!
 //! Where a record's nanoseconds go: the stage table `ROADMAP.md` quotes,
-//! one `--trace 1` run per workload on the repo benchmark (`benchmark/`,
-//! seed 42, 2-core box; the names are `BENCHMARK.json`'s per-layer
-//! metrics). The pass and the engine are timed inside the real run; the
-//! three indented rows are isolated replays of one layer over the
-//! workload's own records, so they need not sum to the engine row, and the
-//! `unexplained` row is the engine time none of the three accounts for.
-//! `resident_counters` keeps ~4 090 keys in a 2^16-pair cache (no
-//! eviction); `evict_counters` runs ~205 k keys through it (4.8 % of
-//! packets evict — the paper's regime):
+//! one `--trace 1` run per workload and commit on the repo benchmark
+//! (`benchmark/`, seed 42, 2-core Xeon with a 300 MB L3), the parent of the
+//! k-variable kernel (`b38fc63`) and this tree run back to back — absolute
+//! numbers drift between runs hours apart, the pairs run together do not
+//! (the names are `BENCHMARK.json`'s per-layer metrics). The pass and the
+//! engine are timed inside the real run; the three indented rows are
+//! isolated replays of one layer over the workload's own records, so they
+//! need not sum to the engine row, and the `rest` row is the engine time
+//! none of the three accounts for. `resident_counters` keeps ~4 090 keys
+//! in a 2^16-pair cache (no eviction); `evict_counters` runs ~205 k keys
+//! through it (4.8 % of packets evict — the paper's regime):
 //!
 //! ```text
-//!   ns/record                                          resident   evict
+//!   ns/record, parent → this tree                      resident    evict
 //!   ─────────────────────────────────────────────────────────────────────
-//!   pass            switch.feed_ns_per_record             189      296
-//!   switch loop     switch.run_ns_per_record               64       67
-//!   engine          core.ingest_ns_per_record             121      204
-//!     write_row       switch.write_row_ns_per_record       19       18
-//!     key build+hash  kvstore.key_hash_ns                  14       14
-//!     store observe   kvstore.observe_ns_per_key           45       90
-//!     unexplained                                         ≈ 43     ≈ 82
+//!   pass            switch.feed_ns_per_record        273 → 227  435 → 401
+//!   switch loop     switch.run_ns_per_record          87 →  87   82 →  84
+//!   engine          core.ingest_ns_per_record        178 → 136  334 → 276
+//!     write_row       switch.write_row_ns_per_record  30 →  33   31 →  32
+//!     key build+hash  kvstore.key_hash_ns             29 →  21   22 →  22
+//!     store observe   kvstore.observe_ns_per_key      93 →  75  155 → 161
+//!     rest                                         ≈ 26 →  7 ≈ 126 → 61
 //!   ─────────────────────────────────────────────────────────────────────
-//!   drain           core.finish_ms + core.collect_ms   0.50 + 0.36 ms   10.6 + 24.0 ms
+//!   drain   core.finish_ms + core.collect_ms   0.61 + 0.49 → 0.62 + 0.60 ms
+//!                                              15.0 + 36.8 → 14.6 + 37.2 ms
 //! ```
 //!
-//! Two consequences shape the engine. **The store is the largest named
-//! term and it is miss-bound**: `observe` — one hash, one probe, the fold,
-//! and on a miss the victim's §3.2 merge into the backing table — costs
-//! 45 ns while the arenas sit in the CPU's cache and 90 ns at the paper's
-//! operating point, which is most of what separates the two workloads;
-//! row materialization and key build are ~19 and ~14 ns and do not move.
-//! The vectorized GroupBy sweep coalesces equal-key *runs* — one
-//! `observe_run_first` probe per run, `observe_run_next` through the
-//! already-resolved handle for the rest — which wins 1.17–1.25× on
-//! locally-sorted traffic (mean run ≈ 5, the shape RSS steering + bursty
-//! flows produce; the `query_runtime_bursty` guards of the `perfq-bench`
-//! `ratios` bin hold the ratio same-run), while on hash-ordered traffic
-//! runs barely exist (mean run 1.010 on the `ratios` bin's trace
-//! `test_small(7)`, 1.001 on the five `benchmark/`
+//! The isolated `observe` replays a `CounterOps` store — its fold is a
+//! bare `+= 1` — so this ledger has never priced the real fold, and the
+//! `rest` row is not a residue of small things. A gprofng clock profile
+//! (`scripts/profile.sh resident_counters`; 30 s, seed 42, ≈ 190
+//! samples in the engine per side) names it.
+//! At the parent, `Runtime::try_process_batch` split into
+//! `SramCache::upsert_slot` 49 % (hash and probe), the fold through the
+//! bytecode interpreter (`FoldOps::update` → `Program::exec`) 23 %, libc
+//! `memcpy` / `bcmp` 18 % — the variable-length copies in
+//! `InlineKey::from_slice` and `SeededHasher::write`, and the key
+//! compares — and `write_row_masked_into` 4 %. In this tree `COUNT,
+//! SUM(pkt_len)` runs on the constant-A kernel (the fold fell to 14 %,
+//! most of it `Value::binop` calls), keys are built in place and hashed a
+//! word at a time (libc fell to 7 %, the `bcmp` of the 40-byte key
+//! compares), and the store probe is the one large term: `upsert_slot`
+//! 59 %.
+//! Every workload's working set fits this box's L3; `ROADMAP.md`
+//! direction 7(b) records why overlapping the probes' loads was struck.
+//! The vectorized GroupBy sweep
+//! coalesces equal-key *runs* — one `observe_run_first` probe per run,
+//! `observe_run_next` through the already-resolved handle for the rest —
+//! which wins 1.17–1.25× on locally-sorted traffic (mean run ≈ 5, the
+//! shape RSS steering + bursty flows produce; the `query_runtime_bursty`
+//! guards of the `perfq-bench` `ratios` bin hold the ratio same-run),
+//! while on hash-ordered traffic runs barely exist (mean run 1.010 on the
+//! `ratios` bin's trace `test_small(7)`, 1.001 on the five `benchmark/`
 //! workloads, counted per group key inside a 16-record chunk) and the run
-//! tracker costs nothing measurable. **More than a third of the engine's
-//! time has no name yet**: ≈ 43 ns (resident) to ≈ 82 ns (evict) of
-//! `core.ingest` is none of the three isolated layers — lane bookkeeping,
-//! bytecode dispatch, whatever the isolated replays hide by running alone.
+//! tracker costs nothing measurable.
 //!
 //! The sharded plane adds the queue handoff: workload `sharded_handoff`
 //! reads `switch.ring_ns_per_record` 66 ns — a batch of 256 crossing

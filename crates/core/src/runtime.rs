@@ -78,7 +78,10 @@ impl std::fmt::Display for LifecycleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LifecycleError::ProcessAfterFinish => {
-                write!(f, "records processed after finish(): the measurement window is already drained")
+                write!(
+                    f,
+                    "records processed after finish(): the measurement window is already drained"
+                )
             }
         }
     }
@@ -813,7 +816,8 @@ impl Runtime {
                     let mut be = d.backend().lock().expect("backend mutex");
                     be.read(&name)?
                 };
-                if let Some((rows, total)) = bytes.as_deref().and_then(crate::durable::decode_capture)
+                if let Some((rows, total)) =
+                    bytes.as_deref().and_then(crate::durable::decode_capture)
                 {
                     cap.rows = rows;
                     cap.total = total;
@@ -1032,20 +1036,20 @@ pub(crate) fn poll_collect(
     )
 }
 
-/// Build a `GROUPBY` key from an input row. Short keys collect into a
-/// stack array (`InlineKey::from_slice` stays the one canonical
-/// constructor); wider keys go through the reusable `spill` scratch.
-fn build_group_key(
-    key_cols: &[usize],
-    input: &[Value],
-    spill: &mut Vec<i64>,
-) -> InlineKey {
+/// Build a `GROUPBY` key from an input row. Short keys are written
+/// straight into the canonical inline form — the zero-padded word array
+/// is the key, so nothing is copied; wider keys go through the reusable
+/// `spill` scratch.
+fn build_group_key(key_cols: &[usize], input: &[Value], spill: &mut Vec<i64>) -> InlineKey {
     if key_cols.len() <= INLINE_KEY_WORDS {
         let mut words = [0i64; INLINE_KEY_WORDS];
         for (slot, c) in words.iter_mut().zip(key_cols) {
             *slot = value_key(&input[*c]);
         }
-        InlineKey::from_slice(&words[..key_cols.len()])
+        InlineKey::Inline {
+            len: key_cols.len() as u8,
+            words,
+        }
     } else {
         spill.clear();
         for c in key_cols {
@@ -1444,7 +1448,13 @@ mod tests {
     fn count_groupby_counts_per_key() {
         let mut rt = runtime("SELECT COUNT GROUPBY srcip");
         for i in 0..10u32 {
-            rt.process_record(&record((i % 2) as u8, i, 100 * u64::from(i), Some(100 * u64::from(i) + 50), 0));
+            rt.process_record(&record(
+                (i % 2) as u8,
+                i,
+                100 * u64::from(i),
+                Some(100 * u64::from(i) + 50),
+                0,
+            ));
         }
         rt.finish();
         let rs = rt.collect();
@@ -1479,7 +1489,10 @@ mod tests {
         let rs = rt.collect();
         let t = &rs.tables[0];
         assert_eq!(t.rows.len(), 1);
-        assert_eq!(t.rows[0].values[t.schema.index_of("COUNT").unwrap()].as_i64(), 2);
+        assert_eq!(
+            t.rows[0].values[t.schema.index_of("COUNT").unwrap()].as_i64(),
+            2
+        );
     }
 
     #[test]
@@ -1487,12 +1500,25 @@ mod tests {
         let src = "R1 = SELECT COUNT GROUPBY 5tuple\nR2 = SELECT COUNT GROUPBY 5tuple WHERE tout == infinity\nR3 = SELECT R2.COUNT/R1.COUNT FROM R1 JOIN R2 ON 5tuple\n";
         let mut rt = runtime(src);
         // Flow A: 4 packets, 1 drop. Flow B: 2 packets, 0 drops.
-        for (i, (src_ip, dropped)) in [(1u8, false), (1, true), (1, false), (1, false), (2, false), (2, false)]
-            .iter()
-            .enumerate()
+        for (i, (src_ip, dropped)) in [
+            (1u8, false),
+            (1, true),
+            (1, false),
+            (1, false),
+            (2, false),
+            (2, false),
+        ]
+        .iter()
+        .enumerate()
         {
             let t = 100 * i as u64;
-            rt.process_record(&record(*src_ip, i as u32, t, (!dropped).then_some(t + 10), 0));
+            rt.process_record(&record(
+                *src_ip,
+                i as u32,
+                t,
+                (!dropped).then_some(t + 10),
+                0,
+            ));
         }
         rt.finish();
         let rs = rt.collect();
@@ -1545,7 +1571,13 @@ mod tests {
         };
         let mut rt = Runtime::new(compile_program(prog, opts).unwrap());
         for i in 0..30u32 {
-            rt.process_record(&record((i % 3) as u8 + 1, i, u64::from(i), Some(u64::from(i) + 1), 0));
+            rt.process_record(&record(
+                (i % 3) as u8 + 1,
+                i,
+                u64::from(i),
+                Some(u64::from(i) + 1),
+                0,
+            ));
         }
         rt.finish();
         let stats = rt.store_stats(0).unwrap();
@@ -1560,5 +1592,37 @@ mod tests {
             .map(|r| r.values[t.schema.index_of("COUNT").unwrap()].as_i64())
             .sum();
         assert_eq!(total, 30);
+    }
+
+    /// The in-place key is the canonical key: `build_group_key` must build
+    /// exactly what `InlineKey::from_slice` builds for every width — inline
+    /// through 5 words, spilled past — and hash the same.
+    #[test]
+    fn group_key_equals_from_slice_at_every_width() {
+        let input: Vec<Value> = (0..7)
+            .map(|i| match i % 3 {
+                0 => Value::Int(-3 * i - 1),
+                1 => Value::Float(0.5 + f64::from(i as i32)),
+                _ => Value::Bool(i % 2 == 0),
+            })
+            .collect();
+        let mut spill = Vec::new();
+        for width in 0..=7usize {
+            let cols: Vec<usize> = (0..width).rev().collect();
+            let words: Vec<i64> = cols.iter().map(|c| value_key(&input[*c])).collect();
+            let want = InlineKey::from_slice(&words);
+            let got = build_group_key(&cols, &input, &mut spill);
+            assert_eq!(
+                matches!(got, InlineKey::Spill(_)),
+                width > INLINE_KEY_WORDS,
+                "width {width}"
+            );
+            assert_eq!(got, want, "width {width}");
+            assert_eq!(
+                perfq_kvstore::hash::hash_key(11, &got),
+                perfq_kvstore::hash::hash_key(11, &want),
+                "width {width}"
+            );
+        }
     }
 }

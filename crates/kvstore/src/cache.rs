@@ -309,7 +309,11 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
         match &mut self.inner {
             Inner::Bucketed(c) => &mut c.state[handle.0].value,
             Inner::Full(c) => {
-                &mut c.nodes[handle.0].as_mut().expect("held node exists").entry.value
+                &mut c.nodes[handle.0]
+                    .as_mut()
+                    .expect("held node exists")
+                    .entry
+                    .value
             }
         }
     }
@@ -482,6 +486,10 @@ struct BucketedCache<K, V> {
     /// Fold state + residency timestamps + recency, parallel to `keys`.
     state: Vec<Stamped<V>>,
     buckets: usize,
+    /// `buckets − 1` when `buckets` is a power of two (every compiled
+    /// default geometry), so [`BucketedCache::bucket_of`] masks instead of
+    /// dividing; `None` keeps the `%`. Same bucket either way.
+    bucket_mask: Option<u64>,
     ways: usize,
     seed: u64,
     seq: u64,
@@ -508,6 +516,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
             keys: Vec::with_capacity(reserve),
             state: Vec::with_capacity(reserve),
             buckets,
+            bucket_mask: buckets.is_power_of_two().then(|| buckets as u64 - 1),
             ways,
             seed,
             seq: 0,
@@ -521,7 +530,10 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
 
     #[inline]
     fn bucket_of(&self, h: u64) -> usize {
-        (h % self.buckets as u64) as usize
+        match self.bucket_mask {
+            Some(mask) => (h & mask) as usize,
+            None => (h % self.buckets as u64) as usize,
+        }
     }
 
     /// Pack a slot word: discriminant high, `EXACT_BIT? | arena+1` low.
@@ -881,7 +893,10 @@ struct FullLruCache<K, V> {
 impl<K: Eq + Hash + Clone, V> FullLruCache<K, V> {
     fn new(capacity: usize) -> Self {
         FullLruCache {
-            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), crate::hash::SeededBuildHasher),
+            map: HashMap::with_capacity_and_hasher(
+                capacity.min(1 << 20),
+                crate::hash::SeededBuildHasher,
+            ),
             nodes: (0..capacity).map(|_| None).collect(),
             free: (0..capacity).rev().collect(),
             head: NIL,
@@ -998,13 +1013,7 @@ impl<K: Eq + Hash + Clone, V> FullLruCache<K, V> {
             last_seen: now,
         };
         let victim = self.insert(entry, policy, rng);
-        (
-            self.head,
-            UpsertOutcome {
-                hit: false,
-                victim,
-            },
-        )
+        (self.head, UpsertOutcome { hit: false, victim })
     }
 
     fn remove(&mut self, key: &K) -> Option<CacheEntry<K, V>> {
@@ -1024,7 +1033,10 @@ impl<K: Eq + Hash + Clone, V> FullLruCache<K, V> {
         self.tail = NIL;
         self.free.clear();
         self.free.extend((0..self.nodes.len()).rev());
-        self.nodes.iter_mut().filter_map(Option::take).for_each(|n| sink(n.entry));
+        self.nodes
+            .iter_mut()
+            .filter_map(Option::take)
+            .for_each(|n| sink(n.entry));
     }
 
     /// Unlink and hand off every node idle since before `cutoff`. The free

@@ -40,10 +40,20 @@ impl Hasher for SeededHasher {
         splitmix(self.state)
     }
 
+    /// Mix the bytes in as little-endian 8-byte words, the tail zero-padded.
+    /// Whole words are read in place; only the tail is copied, so an
+    /// `InlineKey`'s words (one `write` of `8·len` bytes) hash without a
+    /// variable-length copy.
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word: [u8; 8] = word.try_into().expect("chunks_exact yields 8 bytes");
+            self.state = splitmix(self.state ^ u64::from_le_bytes(word));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
             let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
+            word[..tail.len()].copy_from_slice(tail);
             self.state = splitmix(self.state ^ u64::from_le_bytes(word));
         }
     }
@@ -147,6 +157,74 @@ impl std::hash::BuildHasher for SeededBuildHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The chunk-copy `write` this hasher shipped with, kept verbatim as
+    /// the reference the word-reading `write` must reproduce.
+    fn chunk_copy_write(h: &mut SeededHasher, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            h.state = splitmix(h.state ^ u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_hash(seed: u64, bytes: &[u8]) -> u64 {
+        let mut h = SeededHasher::new(seed);
+        h.write(bytes);
+        h.finish()
+    }
+
+    /// Placement, eviction and `Oracle::predict` all hang off these bits:
+    /// the word-reading `write` must equal the chunk-copy one on every
+    /// `InlineKey` width, inline and spilled, and on a ragged byte tail.
+    #[test]
+    fn word_write_matches_chunk_copy_write() {
+        use crate::InlineKey;
+        for width in 0..=7usize {
+            let words: Vec<i64> = (1..=width as i64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15_u64 as i64) ^ -i)
+                .collect();
+            let key = InlineKey::from_slice(&words);
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            for seed in [0u64, 9, u64::MAX] {
+                // `[i64]::hash` is a length prefix plus one `write` of the words.
+                let mut reference = SeededHasher::new(seed);
+                reference.write_usize(width);
+                chunk_copy_write(&mut reference, &bytes);
+                assert_eq!(
+                    hash_key(seed, &key),
+                    reference.finish(),
+                    "width {width}, seed {seed}"
+                );
+            }
+        }
+        let odd: Vec<u8> = (0..61u8).map(|b| b.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..=odd.len() {
+            let mut reference = SeededHasher::new(5);
+            chunk_copy_write(&mut reference, &odd[..len]);
+            assert_eq!(
+                write_hash(5, &odd[..len]),
+                reference.finish(),
+                "{len} bytes"
+            );
+        }
+    }
+
+    /// Three hash values as the chunk-copy `write` computed them: any change
+    /// to the hash function re-seats every key in every cache and fails here.
+    #[test]
+    fn hash_values_are_pinned() {
+        use crate::InlineKey;
+        assert_eq!(
+            hash_key(42, &InlineKey::from_slice(&[0x0a00_0001])),
+            0x3e74_8d67_ad81_cfda
+        );
+        assert_eq!(
+            hash_key(7, &InlineKey::from_slice(&[1, -2, 3, 4, 5])),
+            0x4b95_54e8_c92f_a318
+        );
+        assert_eq!(write_hash(3, b"perfq-kvstore"), 0x7e9c_f217_6a3b_bb56);
+    }
 
     #[test]
     fn deterministic_across_calls() {

@@ -36,11 +36,12 @@ impl InlineKey {
     #[must_use]
     pub fn from_slice(key: &[i64]) -> Self {
         if key.len() <= INLINE_KEY_WORDS {
-            let mut words = [0i64; INLINE_KEY_WORDS];
-            words[..key.len()].copy_from_slice(key);
+            // Word by word with the zero padding selected in place: a
+            // variable-length `copy_from_slice` here is a libc `memcpy`
+            // call per key on the probe path.
             InlineKey::Inline {
                 len: key.len() as u8,
-                words,
+                words: std::array::from_fn(|i| key.get(i).copied().unwrap_or(0)),
             }
         } else {
             InlineKey::Spill(key.to_vec())
@@ -76,7 +77,6 @@ impl InlineKey {
 }
 
 impl crate::cache::SlotKey for InlineKey {
-    #[inline]
     fn slot_word(&self, hash: u64) -> (u64, bool) {
         match self {
             // A one-word key (srcip, qid, …) fits the discriminant
@@ -183,12 +183,7 @@ mod tests {
         let flat: Vec<Vec<i64>> = keys.iter().map(InlineKey::to_vec).collect();
         assert_eq!(
             flat,
-            vec![
-                (0..9).collect::<Vec<i64>>(),
-                vec![1],
-                vec![1, 5],
-                vec![2],
-            ]
+            vec![(0..9).collect::<Vec<i64>>(), vec![1], vec![1, 5], vec![2],]
         );
     }
 

@@ -81,10 +81,17 @@ impl OutputQueue {
         self.stats
     }
 
-    /// Transmission time of a packet at this queue's rate.
+    /// Transmission time of a packet at this queue's rate, rounded up to a
+    /// whole nanosecond.
+    ///
+    /// The ceiling is a truncation plus one when a fraction remains — equal
+    /// to `f64::ceil` for every finite `x ≥ 0`, without the libm call that
+    /// `ceil` is on an x86-64 target lacking SSE4.1.
     #[must_use]
     pub fn tx_time(&self, wire_len: u16) -> Nanos {
-        Nanos((f64::from(wire_len) * 8.0 / self.rate_bits_per_ns).ceil() as u64)
+        let x = f64::from(wire_len) * 8.0 / self.rate_bits_per_ns;
+        let whole = x as u64;
+        Nanos(whole.saturating_add(u64::from((whole as f64) < x)))
     }
 
     /// Current occupancy at time `now` (packets not yet departed).
@@ -316,6 +323,23 @@ mod tests {
         q.offer(pkt(1), Nanos(0), 7);
         let recs = flush_all(&mut q);
         assert_eq!(recs[0].path, QueueRecord::extend_path(7, 1));
+    }
+
+    /// The truncate-and-bump ceiling is `f64::ceil` exactly, at every wire
+    /// length and at whole and fractional rates.
+    #[test]
+    fn tx_time_equals_the_libm_ceiling() {
+        for rate_bps in [1e9, 10e9, 40e9, 100e9, 2.5e9 / 3.0] {
+            let q = OutputQueue::new(0, rate_bps, 8);
+            for wire_len in 0..=u16::MAX {
+                let x = f64::from(wire_len) * 8.0 / q.rate_bits_per_ns;
+                assert_eq!(
+                    q.tx_time(wire_len),
+                    Nanos(x.ceil() as u64),
+                    "{wire_len} B at {rate_bps} bit/s"
+                );
+            }
+        }
     }
 
     #[test]

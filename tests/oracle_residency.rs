@@ -90,14 +90,17 @@ fn assert_predicted(rt: &Runtime, want: &Prediction, what: &str) -> usize {
     invalid
 }
 
-/// The four cache shapes at a capacity the trace's keys overflow: a hash
-/// table (one way), 4-way sets, 16-way sets (buckets wider than one tag
-/// word), and one fully-associative set.
-const SHAPES: [(&str, usize, usize); 4] = [
+/// The cache shapes at a capacity the trace's keys overflow: a hash table
+/// (one way), 4-way sets, 16-way sets (buckets wider than one tag word),
+/// one fully-associative set, and 4-way sets over a set count that is not
+/// a power of two (6), where the cache picks its bucket by `%` rather than
+/// by mask while the oracle always takes `% sets`.
+const SHAPES: [(&str, usize, usize); 5] = [
     ("hash table", 32, 1),
     ("4-way", 32, 4),
     ("16-way", 64, 16),
     ("one set", 24, 0),
+    ("4-way, 6 sets", 24, 4),
 ];
 
 const POLICIES: [EvictionPolicy; 3] = [
