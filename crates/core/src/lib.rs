@@ -117,6 +117,14 @@
 //!                                              15.0 + 36.8 → 14.6 + 37.2 ms
 //! ```
 //!
+//! The switch loop was rebuilt after that table (one arrival-driven loop,
+//! one hop computed per event, one packet copy per record, a per-switch
+//! table of transmission times). Re-measured the same way, its parent
+//! (`3b1b84d`) and this tree back to back, `switch.run_ns_per_record`
+//! reads 80 → 46 (resident) and 77 → 41 (evict), and the pass
+//! `switch.feed_ns_per_record` 206 → 154 and 333 → 274; the engine row
+//! does not rise (111 → 105 and 231 → 217).
+//!
 //! The isolated `observe` replays a `CounterOps` store — its fold is a
 //! bare `+= 1` — so this ledger has never priced the real fold, and the
 //! `rest` row is not a residue of small things. A gprofng clock profile

@@ -10,21 +10,27 @@
 //! * **LeafSpine** — a 2-tier Clos fabric with ECMP-style flow hashing, for
 //!   the incast scenario.
 //!
-//! Execution is event-driven: an event is a packet's arrival at a switch;
-//! accepted packets schedule their next-hop arrival at
-//! `tout + link_latency` (departure times are known analytically from the
-//! queue model). Records stream to the caller's sink roughly in observation
-//! order; per-queue order is exact. The stream as a whole is not sorted by
-//! observation time: a switch releases due departures port by port, so
-//! across ports (and across hops) it steps back in time.
+//! Execution is one loop driven by arrivals. The outer loop walks the
+//! input; an accepted packet that has hops left schedules its next-hop
+//! arrival at `tout + link_latency` on an event heap (departure times are
+//! known analytically from the queue model). Before each arrival the loop
+//! handles every heap event due at or before it — internal events go first
+//! on time ties. One routine serves an event at any hop of any topology:
+//! compute that one hop of the packet's route, release the switch's due
+//! departures, offer the packet to the hop's queue. Records stream to the
+//! caller's sink roughly in observation order; per-queue order is exact.
+//! The stream as a whole is not sorted by observation time: a switch
+//! releases due departures port by port, so across ports (and across hops)
+//! it steps back in time.
 
 use crate::record::QueueRecord;
 use crate::spsc;
 use crate::switch::{Forwarded, Switch, SwitchConfig};
-use perfq_kvstore::hash::hash_key;
+use perfq_kvstore::hash::SeededHasher;
 use perfq_packet::{Nanos, Packet};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 /// Network shapes.
@@ -74,12 +80,15 @@ impl Default for NetworkConfig {
 pub struct Network {
     cfg: NetworkConfig,
     switches: Vec<Switch>,
-    /// Pooled storage of the event heap: kept across runs so steady-state
-    /// replay never grows a fresh heap (zero allocations per packet).
-    heap_scratch: Vec<Reverse<Ev>>,
-    /// Reusable per-event route buffer (topologies with unbounded hop
-    /// counts — `Linear(n)` — rule out a fixed-size array).
-    route_scratch: Vec<Hop>,
+    /// The address hash, seeded once: `hash_key(routing_seed, &u32)`.
+    ip_hasher: SeededHasher,
+    /// The ECMP spine hash over the 5-tuple, seeded once.
+    ecmp_hasher: SeededHasher,
+    /// Pending next-hop arrivals. Empty between runs; its storage is kept,
+    /// so steady-state replay allocates nothing per packet.
+    events: BinaryHeap<Reverse<Ev>>,
+    /// Push counter: equal-time events pop in the order they were pushed.
+    seq: u64,
     /// Reusable batch buffer for [`Network::run_batched`].
     batch_scratch: Vec<QueueRecord>,
 }
@@ -87,11 +96,12 @@ pub struct Network {
 /// One hop of a packet's route: (switch index, output port).
 type Hop = (usize, usize);
 
+/// A packet's arrival at hop `hop` (≥ 1) of its route.
 #[derive(Debug, Clone)]
 struct Ev {
     time: Nanos,
     seq: u64,
-    hop: u8,
+    hop: u32,
     path: u64,
     packet: Packet,
 }
@@ -113,6 +123,16 @@ impl Ord for Ev {
     }
 }
 
+/// `h % m`, as a mask when `m` is a power of two (the two agree there).
+fn reduce(h: u64, m: usize) -> usize {
+    let m = m as u64;
+    (if m.is_power_of_two() {
+        h & (m - 1)
+    } else {
+        h % m
+    }) as usize
+}
+
 impl Network {
     /// Build a network.
     #[must_use]
@@ -129,7 +149,7 @@ impl Network {
         // face leaves.
         if let Topology::LeafSpine { leaves, spines } = cfg.topology {
             assert!(
-                cfg.switch.ports >= spines + 1 && cfg.switch.ports >= leaves,
+                cfg.switch.ports > spines && cfg.switch.ports >= leaves,
                 "switch needs ≥ {} ports for this fabric",
                 spines.max(leaves)
             );
@@ -139,8 +159,10 @@ impl Network {
             switches: (0..n_switches)
                 .map(|i| Switch::new(i as u32, &cfg.switch))
                 .collect(),
-            heap_scratch: Vec::new(),
-            route_scratch: Vec::new(),
+            ip_hasher: SeededHasher::new(cfg.routing_seed),
+            ecmp_hasher: SeededHasher::new(cfg.routing_seed ^ 0xecae),
+            events: BinaryHeap::new(),
+            seq: 0,
             batch_scratch: Vec::new(),
         }
     }
@@ -162,62 +184,72 @@ impl Network {
     }
 
     fn hash_ip(&self, ip: Ipv4Addr, modulus: usize) -> usize {
-        (hash_key(self.cfg.routing_seed, &u32::from(ip)) % modulus as u64) as usize
+        let mut h = self.ip_hasher.clone();
+        h.write_u32(u32::from(ip));
+        reduce(h.finish(), modulus)
     }
 
-    /// The route a packet takes, as (switch, out-port) hops.
-    #[must_use]
-    pub fn route(&self, packet: &Packet) -> Vec<Hop> {
-        let mut hops = Vec::new();
-        self.route_into(packet, &mut hops);
-        hops
-    }
-
-    /// Compute a packet's route into a reusable buffer (cleared first) — the
-    /// event loop's allocation-free form of [`Network::route`].
-    pub fn route_into(&self, packet: &Packet, hops: &mut Vec<Hop>) {
-        hops.clear();
+    /// Hop `i` of a packet's route, as (switch, out-port), and whether it is
+    /// the route's last. Computes only that hop's hashes and allocates
+    /// nothing; `i` must lie on the route (hops before it were not last).
+    fn hop(&self, packet: &Packet, i: usize) -> (Hop, bool) {
         let dst = packet.headers.ipv4.dst;
         let ports = self.cfg.switch.ports;
         match self.cfg.topology {
-            Topology::Single => hops.push((0, self.hash_ip(dst, ports))),
-            Topology::Linear(n) => {
-                let port = self.hash_ip(dst, ports);
-                hops.extend((0..n.max(1)).map(|i| (i, port)));
-            }
+            Topology::Single => ((0, self.hash_ip(dst, ports)), true),
+            Topology::Linear(n) => ((i, self.hash_ip(dst, ports)), i + 1 >= n),
             Topology::LeafSpine { leaves, spines } => {
-                let src_leaf = self.hash_ip(packet.headers.ipv4.src, leaves);
                 let dst_leaf = self.hash_ip(dst, leaves);
                 // Host-facing ports sit above the spine-facing ports.
-                let host_port = spines + self.hash_ip(dst, ports - spines);
-                if src_leaf == dst_leaf {
-                    hops.push((src_leaf, host_port));
-                    return;
+                let host_port = || spines + self.hash_ip(dst, ports - spines);
+                let spine = || {
+                    let mut h = self.ecmp_hasher.clone();
+                    packet.five_tuple().to_bits().hash(&mut h);
+                    reduce(h.finish(), spines)
+                };
+                match i {
+                    0 => {
+                        let src_leaf = self.hash_ip(packet.headers.ipv4.src, leaves);
+                        if src_leaf == dst_leaf {
+                            ((src_leaf, host_port()), true)
+                        } else {
+                            ((src_leaf, spine()), false) // leaf → spine
+                        }
+                    }
+                    1 => ((leaves + spine(), dst_leaf % ports), false), // spine → dst leaf
+                    _ => ((dst_leaf, host_port()), true),               // leaf → host
                 }
-                let spine = (hash_key(
-                    self.cfg.routing_seed ^ 0xecae,
-                    &packet.five_tuple().to_bits(),
-                ) % spines as u64) as usize;
-                hops.push((src_leaf, spine)); // leaf → spine
-                hops.push((leaves + spine, dst_leaf % ports)); // spine → dst leaf
-                hops.push((dst_leaf, host_port)); // leaf → host
             }
         }
     }
 
     /// Return every switch (queues, horizons, statistics) to its just-built
-    /// state. [`Network::run`] calls this first, so each run — including
-    /// reuse of one `Network` across several runs — starts from an idle
-    /// network with zeroed drop counters.
+    /// state and drop any pending event. [`Network::run`] calls this first,
+    /// so each run — including reuse of one `Network` across several runs —
+    /// starts from an idle network with zeroed drop counters.
     pub fn reset(&mut self) {
         for sw in &mut self.switches {
             sw.reset();
         }
+        self.events.clear();
+        self.seq = 0;
     }
 
     /// Run a packet stream through the network, streaming every queue record
-    /// to `sink`. Input must be sorted by arrival time (trace generators
-    /// guarantee this).
+    /// to `sink`.
+    ///
+    /// The loop is driven by arrivals: before each input packet it handles
+    /// every pending next-hop event whose time is at or before the packet's
+    /// arrival (so on a time tie the internal event goes first, and
+    /// equal-time internal events go in the order they were scheduled), then
+    /// offers the packet to its first hop; the events left when the input
+    /// ends are handled last. A single-switch network never schedules one.
+    ///
+    /// Input is expected in arrival order (trace generators guarantee it),
+    /// but nothing checks it, and out-of-order input is well defined: a late
+    /// arrival is served at its own timestamp against each queue as it
+    /// stands — departures already released stay released, its departure
+    /// starts no earlier than the queue's last one — and nothing panics.
     ///
     /// Each run starts from an idle network: queues, port horizons and
     /// per-queue statistics (including drop counters) are [`Network::reset`]
@@ -229,70 +261,55 @@ impl Network {
         mut sink: impl FnMut(QueueRecord),
     ) {
         self.reset();
-        // The heap holds only *internal* (next-hop) events; arrivals merge
-        // in straight from the sorted input iterator, so a single-switch
-        // topology never touches the heap at all. Its storage is pooled on
-        // the Network (as is the route buffer), so steady-state replay
-        // allocates nothing per packet.
-        let mut heap: BinaryHeap<Reverse<Ev>> =
-            BinaryHeap::from(std::mem::take(&mut self.heap_scratch));
-        debug_assert!(heap.is_empty());
-        let mut route = std::mem::take(&mut self.route_scratch);
-        let mut seq = 0u64;
-        let mut input = packets.peekable();
-
-        loop {
-            // Two-way merge, internal events first on time ties — identical
-            // order to the old push-everything-through-the-heap loop, where
-            // an arrival tied with an earlier-pushed (lower-seq) internal
-            // event popped second.
-            let take_input = match (input.peek(), heap.peek()) {
-                (Some(p), Some(Reverse(e))) => p.arrival < e.time,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let ev = if take_input {
-                let p = input.next().expect("peeked");
-                seq += 1;
-                Ev {
-                    time: p.arrival,
-                    seq,
-                    hop: 0,
-                    path: 0,
-                    packet: p,
-                }
-            } else {
-                let Some(Reverse(ev)) = heap.pop() else {
-                    unreachable!("heap side chosen only when non-empty");
-                };
-                ev
-            };
-            self.route_into(&ev.packet, &mut route);
-            let (sw_idx, port) = route[usize::from(ev.hop)];
-            let sw = &mut self.switches[sw_idx];
-            sw.release(ev.time, &mut sink);
-            match sw.offer(ev.packet, port, ev.time, ev.path) {
-                Forwarded::Dropped(record) => sink(record),
-                Forwarded::Enqueued { tout, path } => {
-                    if usize::from(ev.hop) + 1 < route.len() {
-                        seq += 1;
-                        heap.push(Reverse(Ev {
-                            time: tout + self.cfg.link_latency,
-                            seq,
-                            hop: ev.hop + 1,
-                            path,
-                            packet: ev.packet,
-                        }));
-                    }
-                }
-            }
+        for packet in packets {
+            self.drain_events(packet.arrival, &mut sink);
+            self.step(&packet, 0, packet.arrival, 0, &mut sink);
         }
+        self.drain_events(Nanos::INFINITY, &mut sink);
         for sw in &mut self.switches {
             sw.flush(&mut sink);
         }
-        self.heap_scratch = heap.into_vec();
-        self.route_scratch = route;
+    }
+
+    /// Handle every pending event due at or before `until`, earliest first.
+    fn drain_events(&mut self, until: Nanos, sink: &mut impl FnMut(QueueRecord)) {
+        while let Some(Reverse(ev)) = (self.events.peek_mut())
+            .filter(|top| top.0.time <= until)
+            .map(PeekMut::pop)
+        {
+            self.step(&ev.packet, ev.hop, ev.time, ev.path, sink);
+        }
+    }
+
+    /// `packet` reaches hop `hop` of its route at `now` with path id `path`:
+    /// release that switch's due departures, offer the packet to the hop's
+    /// queue, and schedule the next hop if it was accepted and has one.
+    fn step(
+        &mut self,
+        packet: &Packet,
+        hop: u32,
+        now: Nanos,
+        path: u64,
+        sink: &mut impl FnMut(QueueRecord),
+    ) {
+        let ((sw_idx, port), last) = self.hop(packet, hop as usize);
+        let sw = &mut self.switches[sw_idx];
+        sw.release(now, sink);
+        match sw.offer(packet, port, now, path) {
+            Forwarded::Dropped(record) => sink(record),
+            Forwarded::Enqueued { tout, path } => {
+                if !last {
+                    self.seq += 1;
+                    self.events.push(Reverse(Ev {
+                        time: tout + self.cfg.link_latency,
+                        seq: self.seq,
+                        hop: hop + 1,
+                        path,
+                        packet: *packet,
+                    }));
+                }
+            }
+        }
     }
 
     /// Convenience: run and collect all records (small traces/tests).
@@ -303,9 +320,10 @@ impl Network {
     }
 
     /// Run a packet stream, delivering queue records to `sink` in batches of
-    /// up to `batch_size` (the final batch may be shorter). Record order is
-    /// identical to [`Network::run`]; batching only amortizes the consumer's
-    /// per-record entry cost (see `Runtime::process_batch` in `perfq-core`).
+    /// up to `batch_size` (the final batch may be shorter). The same
+    /// arrival-driven loop and tie rule as [`Network::run`], so record order
+    /// is identical; batching only amortizes the consumer's per-record entry
+    /// cost (see `Runtime::process_batch` in `perfq-core`).
     pub fn run_batched(
         &mut self,
         packets: impl Iterator<Item = Packet>,
@@ -389,8 +407,23 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::switch::MAX_PORTS;
+    use perfq_kvstore::hash::hash_key;
     use perfq_packet::PacketBuilder;
+    use proptest::prelude::*;
     use std::collections::HashMap;
+
+    /// A packet's whole route, hop by hop.
+    fn route(net: &Network, packet: &Packet) -> Vec<Hop> {
+        let mut hops = Vec::new();
+        loop {
+            let (hop, last) = net.hop(packet, hops.len());
+            hops.push(hop);
+            if last {
+                return hops;
+            }
+        }
+    }
 
     fn pkt(uniq: u64, src: Ipv4Addr, dst: Ipv4Addr, at: Nanos) -> Packet {
         PacketBuilder::tcp()
@@ -495,8 +528,7 @@ mod tests {
                     Ipv4Addr::new(172, 16, 0, b),
                     Nanos(0),
                 );
-                let route = net.route(&p);
-                if route.len() == 3 {
+                if route(&net, &p).len() == 3 {
                     found = Some(p);
                     break 'outer;
                 }
@@ -526,7 +558,7 @@ mod tests {
                 Ipv4Addr::new(172, 16, 0, a.wrapping_mul(7)),
                 Nanos(0),
             );
-            match net.route(&p).len() {
+            match route(&net, &p).len() {
                 1 => one_hop += 1,
                 3 => three_hop += 1,
                 other => panic!("unexpected route length {other}"),
@@ -557,9 +589,9 @@ mod tests {
                 .dst(Ipv4Addr::new(172, 16, 0, 200), 80)
                 .uniq(u64::from(sp))
                 .build();
-            let route = net.route(&p);
-            if route.len() == 3 {
-                spine_used.insert(route[1].0);
+            let hops = route(&net, &p);
+            if hops.len() == 3 {
+                spine_used.insert(hops[1].0);
             }
         }
         assert!(spine_used.len() >= 3, "flows hash across spines");
@@ -773,6 +805,126 @@ mod tests {
             })
             .collect();
         assert_eq!(run_digest(&mut fabric, packets), 0x5a3d9a2068758d6a);
+
+        // A 3-switch chain on a 200 ns lattice: 1000 B take 800 ns a hop and
+        // links 1 µs, so arrivals at the first switch tie with next-hop
+        // events at the later ones, and the tie rule orders the stream.
+        let mut chain = Network::new(NetworkConfig {
+            topology: Topology::Linear(3),
+            switch: SwitchConfig {
+                ports: 4,
+                port_rate_bps: 10e9,
+                queue_capacity: 4,
+            },
+            ..Default::default()
+        });
+        let packets: Vec<Packet> = (0..2000)
+            .map(|i| {
+                let src = Ipv4Addr::new(10, 0, 0, (i % 7) as u8);
+                let dst = Ipv4Addr::new(172, 16, 0, (i % 13) as u8);
+                pkt(i, src, dst, Nanos(i * 200))
+            })
+            .collect();
+        assert_eq!(run_digest(&mut chain, packets), 0x3c3251563adbd082);
+        assert!(chain.total_drops() > 0);
+    }
+
+    /// Out-of-order input is served, not rejected: every arrival at its own
+    /// timestamp against the queues as they stand. The digest pins that
+    /// behaviour on a 2-switch chain whose arrivals step backwards.
+    #[test]
+    fn out_of_order_input_is_pinned() {
+        let mut chain = Network::new(NetworkConfig {
+            topology: Topology::Linear(2),
+            switch: SwitchConfig {
+                ports: 4,
+                port_rate_bps: 1e9,
+                queue_capacity: 4,
+            },
+            ..Default::default()
+        });
+        let packets: Vec<Packet> = (0..600)
+            .map(|i| {
+                let src = Ipv4Addr::new(10, 0, 0, (i % 7) as u8);
+                let at = Nanos(i * 2000 + (i * 7919 % 13) * 3000);
+                pkt(i, src, Ipv4Addr::new(172, 16, 0, (i % 11) as u8), at)
+            })
+            .collect();
+        let backwards = packets.windows(2).filter(|w| w[1].arrival < w[0].arrival);
+        assert!(backwards.count() > 80);
+        assert_eq!(run_digest(&mut chain, packets), 0xb11932e0355aa415);
+        assert!(chain.total_drops() > 0);
+    }
+
+    /// `hop`'s seeded-once hasher and its mask for power-of-two moduli
+    /// reproduce `hash_key(routing_seed, &u32) % m` exactly.
+    #[test]
+    fn hop_hash_equals_hash_key_mod_m() {
+        let seed = NetworkConfig::default().routing_seed;
+        for ports in 1..=MAX_PORTS {
+            let net = Network::new(NetworkConfig {
+                switch: SwitchConfig {
+                    ports,
+                    ..Default::default()
+                },
+                ..Default::default()
+            });
+            for a in 0..3000u32 {
+                let dst = Ipv4Addr::from(a.wrapping_mul(0x9e37_79b9));
+                let p = pkt(0, Ipv4Addr::new(10, 0, 0, 1), dst, Nanos(0));
+                let want = hash_key(seed, &u32::from(dst)) % ports as u64;
+                assert_eq!(net.hop(&p, 0), ((0, want as usize), true), "m = {ports}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Random, unsorted arrival times on slow 4-port switches, one to
+        /// three in a chain: nothing panics, each packet is recorded at
+        /// every hop up to and including the one that drops it, departures
+        /// never precede arrivals, no queue holds more than its capacity,
+        /// and the drop counters agree with the drop records.
+        #[test]
+        fn unsorted_input_keeps_the_queue_invariants(
+            arrivals in prop::collection::vec((0u64..200_000, 0u8..16), 1..300),
+            switches in 1usize..4,
+        ) {
+            let capacity = 4;
+            let mut net = Network::new(NetworkConfig {
+                topology: Topology::Linear(switches),
+                switch: SwitchConfig {
+                    ports: 4,
+                    port_rate_bps: 1e9,
+                    queue_capacity: capacity,
+                },
+                ..Default::default()
+            });
+            let packets = arrivals.iter().enumerate().map(|(i, &(at, dst))| {
+                let src = Ipv4Addr::new(10, 0, 0, (i % 7) as u8);
+                pkt(i as u64, src, Ipv4Addr::new(172, 16, 0, dst), Nanos(at))
+            });
+            let records = net.run_collect(packets);
+            let mut per_packet = vec![(0usize, 0usize); arrivals.len()];
+            for r in &records {
+                let seen = &mut per_packet[r.packet.uniq as usize];
+                if r.is_drop() {
+                    seen.1 += 1;
+                } else {
+                    prop_assert!(r.tout >= r.tin, "{r:?}");
+                    seen.0 += 1;
+                }
+                prop_assert!(r.qsize as usize <= capacity, "{r:?}");
+            }
+            for (uniq, &(held, dropped)) in per_packet.iter().enumerate() {
+                prop_assert!(
+                    (held == switches && dropped == 0) || (held < switches && dropped == 1),
+                    "packet {uniq}: {held} held, {dropped} dropped"
+                );
+            }
+            let drops = records.iter().filter(|r| r.is_drop()).count();
+            prop_assert_eq!(net.total_drops() as usize, drops);
+        }
     }
 
     #[test]

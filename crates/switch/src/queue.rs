@@ -21,6 +21,7 @@
 use crate::record::QueueRecord;
 use perfq_packet::{Nanos, Packet};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Counters for one queue.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,10 +34,9 @@ pub struct QueueStats {
     pub max_qsize: u32,
 }
 
-#[derive(Debug, Clone)]
-struct Inflight {
-    record: QueueRecord,
-}
+/// Wire lengths below this bound — every standard Ethernet frame — have
+/// their transmission time tabulated.
+const TX_TABLE_LEN: u16 = 2048;
 
 /// A FIFO output queue with finite capacity and fixed drain rate.
 #[derive(Debug, Clone)]
@@ -45,11 +45,18 @@ pub struct OutputQueue {
     /// Drain rate in bits per nanosecond (= Gbit/s).
     rate_bits_per_ns: f64,
     capacity: usize,
-    /// Accepted packets not yet released as records, in departure order.
-    inflight: VecDeque<Inflight>,
+    /// Records of accepted packets not yet released, in departure order
+    /// (`qout` is filled at release).
+    inflight: VecDeque<QueueRecord>,
     /// Departure time of the most recently accepted packet.
     last_departure: Nanos,
     stats: QueueStats,
+    /// [`OutputQueue::tx_time`] of every wire length below `TX_TABLE_LEN`,
+    /// computed once and shared by a switch's ports (one table keeps the
+    /// cache footprint to one port's): the enqueue path loads it instead of
+    /// dividing and converting floats, which sat on the dependency chain
+    /// from one packet's `tout` to the next release test.
+    tx_table: Arc<[Nanos]>,
 }
 
 impl OutputQueue {
@@ -59,13 +66,26 @@ impl OutputQueue {
     pub fn new(qid: u32, rate_bps: f64, capacity: usize) -> Self {
         assert!(rate_bps > 0.0, "rate must be positive");
         assert!(capacity > 0, "capacity must be positive");
+        let rate_bits_per_ns = rate_bps / 1e9;
         OutputQueue {
             qid,
-            rate_bits_per_ns: rate_bps / 1e9,
+            rate_bits_per_ns,
             capacity,
             inflight: VecDeque::new(),
             last_departure: Nanos::ZERO,
             stats: QueueStats::default(),
+            tx_table: (0..TX_TABLE_LEN)
+                .map(|len| tx_ceil(len, rate_bits_per_ns))
+                .collect(),
+        }
+    }
+
+    /// A just-built queue's twin at another port: same rate and capacity,
+    /// sharing this queue's transmission-time table.
+    pub(crate) fn twin(&self, qid: u32) -> OutputQueue {
+        OutputQueue {
+            qid,
+            ..self.clone()
         }
     }
 
@@ -82,38 +102,43 @@ impl OutputQueue {
     }
 
     /// Transmission time of a packet at this queue's rate, rounded up to a
-    /// whole nanosecond.
-    ///
-    /// The ceiling is a truncation plus one when a fraction remains — equal
-    /// to `f64::ceil` for every finite `x ≥ 0`, without the libm call that
-    /// `ceil` is on an x86-64 target lacking SSE4.1.
+    /// whole nanosecond: a table load below `TX_TABLE_LEN` bytes, else the
+    /// division itself.
     #[must_use]
     pub fn tx_time(&self, wire_len: u16) -> Nanos {
-        let x = f64::from(wire_len) * 8.0 / self.rate_bits_per_ns;
-        let whole = x as u64;
-        Nanos(whole.saturating_add(u64::from((whole as f64) < x)))
+        match self.tx_table.get(usize::from(wire_len)) {
+            Some(&tx) => tx,
+            None => tx_ceil(wire_len, self.rate_bits_per_ns),
+        }
     }
 
     /// Current occupancy at time `now` (packets not yet departed).
     ///
     /// FIFO service at one rate makes `tout` non-decreasing along the
-    /// deque, so the count of still-present packets is a partition point —
-    /// O(log n) instead of a full scan on the per-packet enqueue path.
+    /// deque, so when the front has not departed by `now` no packet has and
+    /// the count is the length — one compare, the case after every release.
+    /// Otherwise it is a partition point: O(log n), not a full scan.
     #[must_use]
     pub fn occupancy(&self, now: Nanos) -> u32 {
-        (self.inflight.len() - self.inflight.partition_point(|f| f.record.tout <= now)) as u32
+        match self.inflight.front() {
+            Some(front) if front.tout <= now => {
+                (self.inflight.len() - self.inflight.partition_point(|r| r.tout <= now)) as u32
+            }
+            _ => self.inflight.len() as u32,
+        }
     }
 
-    /// Offer a packet at time `now` (arrivals must be non-decreasing in
+    /// Offer a packet at time `now` (arrivals are expected non-decreasing in
     /// time). Returns the drop record if the queue was full, else `None`
     /// (the departure record is released later by [`OutputQueue::release`]).
-    pub fn offer(&mut self, packet: Packet, now: Nanos, path: u64) -> Option<QueueRecord> {
+    /// The packet is copied once, into its record.
+    pub fn offer(&mut self, packet: &Packet, now: Nanos, path: u64) -> Option<QueueRecord> {
         let qsize = self.occupancy(now);
         self.stats.max_qsize = self.stats.max_qsize.max(qsize);
         if qsize as usize >= self.capacity {
             self.stats.dropped += 1;
             return Some(QueueRecord {
-                packet,
+                packet: *packet,
                 qid: self.qid,
                 tin: now,
                 tout: Nanos::INFINITY,
@@ -126,16 +151,14 @@ impl OutputQueue {
         let start = now.max(self.last_departure);
         let tout = start + self.tx_time(packet.wire_len);
         self.last_departure = tout;
-        self.inflight.push_back(Inflight {
-            record: QueueRecord {
-                packet,
-                qid: self.qid,
-                tin: now,
-                tout,
-                qsize,
-                qout: 0, // filled at release
-                path: QueueRecord::extend_path(path, self.qid),
-            },
+        self.inflight.push_back(QueueRecord {
+            packet: *packet,
+            qid: self.qid,
+            tin: now,
+            tout,
+            qsize,
+            qout: 0, // filled at release
+            path: QueueRecord::extend_path(path, self.qid),
         });
         None
     }
@@ -145,16 +168,16 @@ impl OutputQueue {
     /// per-event hot path of `Network::run` allocates nothing per release.
     pub fn release(&mut self, now: Nanos, mut sink: impl FnMut(QueueRecord)) {
         while let Some(front) = self.inflight.front() {
-            let tout = front.record.tout;
+            let tout = front.tout;
             if tout > now {
                 break;
             }
-            let mut rec = self.inflight.pop_front().expect("front exists").record;
+            let mut rec = self.inflight.pop_front().expect("front exists");
             // Occupancy at departure: packets already enqueued (tin < tout)
             // and still present (their tout > this one's — FIFO order means
             // all remaining entries qualify on departure order). Arrivals
             // are non-decreasing, so the count is a partition point.
-            rec.qout = self.inflight.partition_point(|f| f.record.tin < tout) as u32;
+            rec.qout = self.inflight.partition_point(|r| r.tin < tout) as u32;
             sink(rec);
         }
     }
@@ -177,7 +200,7 @@ impl OutputQueue {
     /// release scans entirely between departures).
     #[must_use]
     pub fn next_release(&self) -> Option<Nanos> {
-        self.inflight.front().map(|f| f.record.tout)
+        self.inflight.front().map(|r| r.tout)
     }
 
     /// Return the queue to its just-built state: no inflight packets, an
@@ -189,6 +212,15 @@ impl OutputQueue {
         self.last_departure = Nanos::ZERO;
         self.stats = QueueStats::default();
     }
+}
+
+/// `⌈wire_len · 8 / rate⌉` ns. The ceiling is a truncation plus one when a
+/// fraction remains — equal to `f64::ceil` for every finite `x ≥ 0`, without
+/// the libm call that `ceil` is on an x86-64 target lacking SSE4.1.
+fn tx_ceil(wire_len: u16, rate_bits_per_ns: f64) -> Nanos {
+    let x = f64::from(wire_len) * 8.0 / rate_bits_per_ns;
+    let whole = x as u64;
+    Nanos(whole.saturating_add(u64::from((whole as f64) < x)))
 }
 
 #[cfg(test)]
@@ -220,7 +252,7 @@ mod tests {
     #[test]
     fn empty_queue_has_immediate_service() {
         let mut q = queue();
-        assert!(q.offer(pkt(1), Nanos(0), 0).is_none());
+        assert!(q.offer(&pkt(1), Nanos(0), 0).is_none());
         let recs = flush_all(&mut q);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].tin, Nanos(0));
@@ -232,9 +264,9 @@ mod tests {
     #[test]
     fn back_to_back_packets_queue_up() {
         let mut q = queue();
-        q.offer(pkt(1), Nanos(0), 0);
-        q.offer(pkt(2), Nanos(100), 0);
-        q.offer(pkt(3), Nanos(200), 0);
+        q.offer(&pkt(1), Nanos(0), 0);
+        q.offer(&pkt(2), Nanos(100), 0);
+        q.offer(&pkt(3), Nanos(200), 0);
         let recs = flush_all(&mut q);
         assert_eq!(recs[0].tout, Nanos(1000));
         assert_eq!(recs[1].tout, Nanos(2000)); // waits for pkt 1
@@ -252,7 +284,7 @@ mod tests {
     fn queueing_delay_accumulates() {
         let mut q = queue();
         for i in 0..4u64 {
-            q.offer(pkt(i), Nanos(0), 0);
+            q.offer(&pkt(i), Nanos(0), 0);
         }
         let recs = flush_all(&mut q);
         for (i, r) in recs.iter().enumerate() {
@@ -264,9 +296,9 @@ mod tests {
     fn overflow_drops_with_infinite_tout() {
         let mut q = queue();
         for i in 0..4u64 {
-            assert!(q.offer(pkt(i), Nanos(0), 0).is_none());
+            assert!(q.offer(&pkt(i), Nanos(0), 0).is_none());
         }
-        let drop = q.offer(pkt(99), Nanos(0), 0).expect("queue full");
+        let drop = q.offer(&pkt(99), Nanos(0), 0).expect("queue full");
         assert!(drop.is_drop());
         assert_eq!(drop.qsize, 4);
         assert_eq!(q.stats().dropped, 1);
@@ -276,9 +308,9 @@ mod tests {
     #[test]
     fn idle_gap_resets_queue() {
         let mut q = queue();
-        q.offer(pkt(1), Nanos(0), 0);
+        q.offer(&pkt(1), Nanos(0), 0);
         // Long idle gap: queue fully drains.
-        q.offer(pkt(2), Nanos(10_000), 0);
+        q.offer(&pkt(2), Nanos(10_000), 0);
         let recs = flush_all(&mut q);
         assert_eq!(recs[1].qsize, 0);
         assert_eq!(recs[1].tout, Nanos(11_000));
@@ -287,8 +319,8 @@ mod tests {
     #[test]
     fn release_respects_time() {
         let mut q = queue();
-        q.offer(pkt(1), Nanos(0), 0);
-        q.offer(pkt(2), Nanos(0), 0);
+        q.offer(&pkt(1), Nanos(0), 0);
+        q.offer(&pkt(2), Nanos(0), 0);
         assert!(release_at(&mut q, Nanos(999)).is_empty());
         let first = release_at(&mut q, Nanos(1000));
         assert_eq!(first.len(), 1);
@@ -301,8 +333,8 @@ mod tests {
     #[test]
     fn occupancy_reflects_departures() {
         let mut q = queue();
-        q.offer(pkt(1), Nanos(0), 0);
-        q.offer(pkt(2), Nanos(0), 0);
+        q.offer(&pkt(1), Nanos(0), 0);
+        q.offer(&pkt(2), Nanos(0), 0);
         assert_eq!(q.occupancy(Nanos(500)), 2);
         assert_eq!(q.occupancy(Nanos(1500)), 1);
         assert_eq!(q.occupancy(Nanos(2500)), 0);
@@ -312,7 +344,7 @@ mod tests {
     fn max_qsize_tracked() {
         let mut q = queue();
         for i in 0..4u64 {
-            q.offer(pkt(i), Nanos(0), 0);
+            q.offer(&pkt(i), Nanos(0), 0);
         }
         assert_eq!(q.stats().max_qsize, 3);
     }
@@ -320,13 +352,13 @@ mod tests {
     #[test]
     fn path_is_extended() {
         let mut q = queue();
-        q.offer(pkt(1), Nanos(0), 7);
+        q.offer(&pkt(1), Nanos(0), 7);
         let recs = flush_all(&mut q);
         assert_eq!(recs[0].path, QueueRecord::extend_path(7, 1));
     }
 
     /// The truncate-and-bump ceiling is `f64::ceil` exactly, at every wire
-    /// length and at whole and fractional rates.
+    /// length (tabulated and computed) and at whole and fractional rates.
     #[test]
     fn tx_time_equals_the_libm_ceiling() {
         for rate_bps in [1e9, 10e9, 40e9, 100e9, 2.5e9 / 3.0] {

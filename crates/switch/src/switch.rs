@@ -73,10 +73,11 @@ impl Switch {
             "1..={MAX_PORTS} ports"
         );
         let base = id * MAX_PORTS as u32;
+        let port0 = OutputQueue::new(base, cfg.port_rate_bps, cfg.queue_capacity);
         Switch {
             id,
             queues: (0..cfg.ports)
-                .map(|p| OutputQueue::new(base + p as u32, cfg.port_rate_bps, cfg.queue_capacity))
+                .map(|p| port0.twin(base + p as u32))
                 .collect(),
             next_release: Nanos::INFINITY,
             busy: 0,
@@ -101,8 +102,9 @@ impl Switch {
         self.queues[port].qid()
     }
 
-    /// Offer a packet to an output port at `now`.
-    pub fn offer(&mut self, packet: Packet, port: usize, now: Nanos, path: u64) -> Forwarded {
+    /// Offer a packet to an output port at `now`; the packet is copied only
+    /// into its queue record.
+    pub fn offer(&mut self, packet: &Packet, port: usize, now: Nanos, path: u64) -> Forwarded {
         let queue = &mut self.queues[port];
         match queue.offer(packet, now, path) {
             Some(drop) => Forwarded::Dropped(drop),
@@ -200,7 +202,7 @@ mod tests {
                 queue_capacity: 4,
             },
         );
-        match s.offer(pkt(1), 0, Nanos(0), 0) {
+        match s.offer(&pkt(1), 0, Nanos(0), 0) {
             Forwarded::Enqueued { tout, path } => {
                 assert_eq!(tout, Nanos(1000));
                 assert_ne!(path, 0);
@@ -219,9 +221,9 @@ mod tests {
                 queue_capacity: 2,
             },
         );
-        s.offer(pkt(1), 0, Nanos(0), 0);
-        s.offer(pkt(2), 0, Nanos(0), 0);
-        match s.offer(pkt(3), 0, Nanos(0), 0) {
+        s.offer(&pkt(1), 0, Nanos(0), 0);
+        s.offer(&pkt(2), 0, Nanos(0), 0);
+        match s.offer(&pkt(3), 0, Nanos(0), 0) {
             Forwarded::Dropped(r) => {
                 assert!(r.is_drop());
                 assert_eq!(r.packet.uniq, 3);
@@ -233,8 +235,8 @@ mod tests {
     #[test]
     fn release_and_flush_produce_all_records() {
         let mut s = Switch::new(0, &SwitchConfig::default());
-        s.offer(pkt(1), 0, Nanos(0), 0);
-        s.offer(pkt(2), 1, Nanos(0), 0);
+        s.offer(&pkt(1), 0, Nanos(0), 0);
+        s.offer(&pkt(2), 1, Nanos(0), 0);
         let mut records = Vec::new();
         s.release(Nanos(10_000_000), &mut |r| records.push(r));
         s.flush(&mut |r| records.push(r));
@@ -253,8 +255,8 @@ mod tests {
                 queue_capacity: 1,
             },
         );
-        s.offer(pkt(1), 0, Nanos(0), 0);
-        s.offer(pkt(2), 0, Nanos(0), 0); // dropped
+        s.offer(&pkt(1), 0, Nanos(0), 0);
+        s.offer(&pkt(2), 0, Nanos(0), 0); // dropped
         let stats = s.stats();
         assert_eq!(stats[0].1.enqueued, 1);
         assert_eq!(stats[0].1.dropped, 1);
