@@ -314,7 +314,6 @@ fn kernel_stmt(
         e.visit(&mut |n| ok &= !banned(n));
         ok
     }
-    let reads_state = |e: &RExpr| !none_of(e, |n| matches!(n, RExpr::State(_)));
     // State-free, input-allowed, `Call`-free (a builtin call would
     // allocate its argument vector per packet).
     let plain_b = |e: &RExpr| none_of(e, |n| matches!(n, RExpr::State(_) | RExpr::Call(..)));
@@ -326,13 +325,13 @@ fn kernel_stmt(
     };
     let (state_term, combine) = match e {
         RExpr::Binary(op, l, r) if matches!(op, BinOp::Add | BinOp::Sub) => {
-            match (reads_state(l), reads_state(r)) {
+            match (l.uses_state(), r.uses_state()) {
                 (true, false) if plain_b(r) => (l.as_ref(), Some((*op, true, r.as_ref()))),
                 (false, true) if plain_b(l) => (r.as_ref(), Some((*op, false, l.as_ref()))),
                 _ => return None,
             }
         }
-        other if reads_state(other) => (other, None),
+        other if other.uses_state() => (other, None),
         _ => return None,
     };
     let own = |s: &RExpr| matches!(s, RExpr::State(v) if *v == var);
@@ -416,7 +415,7 @@ pub struct FoldOps {
     fast: Option<ConstAKernel>,
     /// The initial state vector, materialised once: the per-miss `init`
     /// and the per-eviction additive merge correction both read it without
-    /// rebuilding it, keeping the cache-miss and freshness-sweep paths
+    /// rebuilding it, keeping the cache-miss and eviction paths
     /// allocation-free for inline-width folds.
     init: StateVec,
     mode: MergeMode,

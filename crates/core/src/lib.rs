@@ -432,8 +432,8 @@ pub use compiler::{compile_program, CompileError, CompileOptions, CompiledProgra
 pub use durable::{decode_results, encode_results, read_retired, write_retired, Durability};
 pub use foldops::{FoldOps, FoldState};
 pub use multi::{
-    demand_of, provision, Deployment, Inline, InstallError, MultiRuntime, MultiSharded, Sharded,
-    SharedStore, SharingReport,
+    provision, Deployment, Inline, InstallError, MultiRuntime, MultiSharded, Sharded, SharedStore,
+    SharingReport,
 };
 pub use oracle::{Oracle, Prediction};
 pub use result::{diff_tables, DeltaCursor, DeltaRow, ResultRow, ResultSet, ResultTable};

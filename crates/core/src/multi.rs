@@ -149,21 +149,6 @@ use perfq_kvstore::{
 use perfq_lang::{fingerprint, QueryInput, Value};
 use perfq_switch::{Network, QueueRecord};
 
-/// The cache demand one compiled program places on the SRAM budget: one
-/// [`StoreDemand`] per `GROUPBY` store, at the pair width the program's
-/// resolved key/state layout implies. `None` for programs without
-/// aggregations (pure selections occupy no cache SRAM).
-#[must_use]
-pub fn demand_of(name: impl Into<String>, compiled: &CompiledProgram) -> Option<QueryDemand> {
-    let stores: Vec<StoreDemand> = compiled
-        .stores
-        .iter()
-        .flatten()
-        .map(|s| StoreDemand::new(s.pair_bits(), compiled.options.ways))
-        .collect();
-    (!stores.is_empty()).then(|| QueryDemand::new(name, stores))
-}
-
 /// Plan `budget_bits` of cache SRAM across `programs` (equal shares) and
 /// rewrite every store's geometry to its allocation. Programs without
 /// aggregation stores take no share. Returns the plan (query `i` appears as
@@ -1741,12 +1726,6 @@ impl Deployment<Sharded> {
         substitute_stores(&mut runtimes, &self.roster.aliases);
         runtimes
     }
-
-    /// Drain and collect every program's final tables in one step.
-    #[must_use]
-    pub fn finish_collect(self) -> Vec<ResultSet> {
-        self.finish().iter().map(Runtime::collect).collect()
-    }
 }
 
 #[cfg(test)]
@@ -1767,14 +1746,18 @@ mod tests {
 
     #[test]
     fn demand_reports_the_papers_pair_width() {
-        let c = compiled("SELECT COUNT GROUPBY 5tuple");
-        let d = demand_of("counters", &c).unwrap();
-        assert_eq!(d.stores.len(), 1);
+        let plan = provision(&mut [compiled("SELECT COUNT GROUPBY 5tuple")], 32 * MBIT).unwrap();
+        let stores = &plan.queries[0].stores;
+        assert_eq!(stores.len(), 1);
         // §4's 104-bit 5-tuple key; the compiled counter state is a 32-bit
         // integer (the paper's 128-bit figure uses its 24-bit minimum
         // counter width — pinned separately against `area::PAIR_BITS`).
-        assert_eq!(d.stores[0].pair_bits, 104 + 32);
-        assert!(demand_of("sel", &compiled("SELECT srcip FROM T")).is_none());
+        assert_eq!(stores[0].pair_bits, 104 + 32);
+        // A selection demands no SRAM, so there is nothing to plan.
+        assert_eq!(
+            provision(&mut [compiled("SELECT srcip FROM T")], 32 * MBIT).unwrap_err(),
+            PlanError::EmptyDemands,
+        );
     }
 
     #[test]
@@ -2036,7 +2019,7 @@ mod tests {
         let recs = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(9)).take(1_000));
         let mut sh = sh;
         sh.process_batch(&recs);
-        let results = sh.finish_collect();
+        let results: Vec<ResultSet> = sh.finish().iter().map(Runtime::collect).collect();
         assert_eq!(results.len(), 1);
         assert!(!results[0].tables[0].rows.is_empty());
     }
@@ -2258,7 +2241,7 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b, "the departing program's results agree across planes");
-        let mut got_sh = sh.finish_collect();
+        let mut got_sh: Vec<ResultSet> = sh.finish().iter().map(Runtime::collect).collect();
         single.finish();
         let mut got_single = single.collect();
         for (x, y) in got_sh.iter_mut().zip(got_single.iter_mut()) {

@@ -323,12 +323,6 @@ impl Oracle {
         )
     }
 
-    /// Number of distinct keys an aggregation saw (for reports).
-    #[must_use]
-    pub fn distinct_keys(&self, idx: usize) -> Option<usize> {
-        self.states.get(idx)?.as_ref().map(HashMap::len)
-    }
-
     /// Feed a full record stream then collect (convenience).
     pub fn run(compiled: CompiledProgram, records: impl Iterator<Item = QueueRecord>) -> ResultSet {
         let mut o = Oracle::new(compiled);
@@ -544,15 +538,5 @@ mod tests {
             assert!(want.len() > 300, "{src}: {} rows", want.len());
             assert_eq!(got.tables[0].rows, want, "{src}");
         }
-    }
-
-    #[test]
-    fn oracle_distinct_keys() {
-        let c = compiled("SELECT COUNT GROUPBY srcip", CompileOptions::default());
-        let mut o = Oracle::new(c);
-        for r in records(100) {
-            o.process_record(&r);
-        }
-        assert_eq!(o.distinct_keys(0), Some(5));
     }
 }

@@ -63,11 +63,6 @@ impl ResultTable {
             })
             .collect()
     }
-
-    /// Indices of the named columns.
-    pub fn col_indices(&self, names: &[&str]) -> Option<Vec<usize>> {
-        names.iter().map(|n| self.schema.index_of(n)).collect()
-    }
 }
 
 impl fmt::Display for ResultTable {

@@ -580,14 +580,6 @@ impl Runtime {
         net.run_batched(packets, batch, |chunk| self.process_batch(chunk));
     }
 
-    /// Periodically evict idle keys so the backing store stays fresh
-    /// (§3.2's freshness note). `cutoff` evicts keys idle since before it.
-    pub fn refresh_backing(&mut self, cutoff: Nanos) {
-        for store in self.stores.iter_mut().flatten() {
-            store.evict_idle_since(cutoff);
-        }
-    }
-
     /// Flush all caches to the backing stores (end of measurement window).
     /// Durable stores first fold their spill tier's on-disk truth back into
     /// RAM ([`SplitStore::materialize_spill`]: disk frames, then the newer

@@ -175,14 +175,6 @@ impl ShardSpec {
     pub fn routes_like(&self, other: &ShardSpec) -> bool {
         self.cols == other.cols && self.seed == other.seed
     }
-
-    /// Shard of a materialized base row — the same function the record
-    /// router applies, exposed for oracles and property tests.
-    #[must_use]
-    pub fn shard_of_row(&self, row: &[Value], shards: usize) -> usize {
-        let words: Vec<i64> = self.cols.iter().map(|c| value_key(&row[*c])).collect();
-        perfq_kvstore::hash::shard_of_words(self.seed, &words, shards)
-    }
 }
 
 /// Allocation-free record → shard mapper (owns the scratch buffers).
@@ -601,12 +593,6 @@ impl ShardedRuntime {
     pub fn finish(self) -> Runtime {
         self.plane.finish().pop().expect("one program")
     }
-
-    /// Drain and collect in one step.
-    #[must_use]
-    pub fn finish_collect(self) -> ResultSet {
-        self.finish().collect()
-    }
 }
 
 #[cfg(test)]
@@ -726,6 +712,6 @@ mod tests {
         let (mut router, senders) = sh.take_feeds();
         let routed = net.run_sharded(packets.into_iter(), |r| router.route(r), senders, 64);
         assert_eq!(routed.iter().sum::<u64>(), 2_000);
-        assert_eq!(sh.finish_collect(), want);
+        assert_eq!(sh.finish().collect(), want);
     }
 }

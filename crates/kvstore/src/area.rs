@@ -26,8 +26,7 @@
 //!
 //! The planner arithmetic, top down:
 //!
-//! 1. the budget divides across queries in proportion to their weights
-//!    (equal shares by default): `slice_q = budget · w_q / Σw`;
+//! 1. the budget divides equally across queries: `slice_q = budget / n_queries`;
 //! 2. a query's slice divides equally across its aggregation stores (one
 //!    per `GROUPBY`): `slice_s = slice_q / n_stores`;
 //! 3. a store's slice becomes a geometry by fitting the largest
@@ -171,8 +170,6 @@ pub enum PlanError {
     },
     /// The demand list is empty — nothing to plan.
     EmptyDemands,
-    /// The demands' weights sum to zero, so no share can be computed.
-    ZeroWeight,
     /// A query demanded planning with no aggregation stores (a program
     /// without `GROUPBY` has no cache demand and must not be planned).
     NoStores {
@@ -204,7 +201,6 @@ impl fmt::Display for PlanError {
                 )
             }
             PlanError::EmptyDemands => write!(f, "plan() needs at least one query"),
-            PlanError::ZeroWeight => write!(f, "demand weights sum to zero"),
             PlanError::NoStores { query } => {
                 write!(f, "query `{query}` has no aggregation stores to provision")
             }
@@ -257,35 +253,24 @@ impl StoreDemand {
     }
 }
 
-/// One query's demand: a name (for diagnostics), its stores, and a share
-/// weight.
+/// One query's demand: a name (for diagnostics) and its stores. Every
+/// query gets an equal share of the budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryDemand {
     /// Query name (diagnostics and plan lookup).
     pub name: String,
     /// One entry per aggregation store (per `GROUPBY`).
     pub stores: Vec<StoreDemand>,
-    /// Relative share of the budget (equal shares when all are 1).
-    pub weight: u64,
 }
 
 impl QueryDemand {
-    /// An equal-share demand.
+    /// A query's demand.
     #[must_use]
     pub fn new(name: impl Into<String>, stores: Vec<StoreDemand>) -> Self {
         QueryDemand {
             name: name.into(),
             stores,
-            weight: 1,
         }
-    }
-
-    /// Override the share weight.
-    #[must_use]
-    pub fn with_weight(mut self, weight: u64) -> Self {
-        assert!(weight > 0, "weight must be positive");
-        self.weight = weight;
-        self
     }
 }
 
@@ -466,7 +451,7 @@ impl CachePlanner {
     ///
     /// **Dedup arithmetic** (see [`StoreDemand::dedup`]): the budget first
     /// divides into per-store *baseline* slices exactly as for independent
-    /// stores (weighted query shares, equal per-store split). Every store
+    /// stores (equal query shares, equal per-store split). Every store
     /// tagged into an already-seen dedup group then surrenders its baseline
     /// slice — those reclaimed bits are redistributed **equally across all
     /// physical stores** — and instead mirrors the group's canonical
@@ -477,18 +462,13 @@ impl CachePlanner {
     /// Errors when some physical store's slice cannot hold a single pair —
     /// the multi-query analogue of "this query does not fit the chip" — and
     /// on the degenerate operator inputs online replanning makes reachable:
-    /// an empty demand list ([`PlanError::EmptyDemands`]), a zero total
-    /// weight ([`PlanError::ZeroWeight`]), a query without stores
+    /// an empty demand list ([`PlanError::EmptyDemands`]), a query without stores
     /// ([`PlanError::NoStores`]), and colliding query names
     /// ([`PlanError::DuplicateName`], which would make by-name plan lookups
     /// silently ambiguous).
     pub fn plan(&self, demands: &[QueryDemand]) -> Result<AreaPlan, PlanError> {
         if demands.is_empty() {
             return Err(PlanError::EmptyDemands);
-        }
-        let total_weight: u128 = demands.iter().map(|d| u128::from(d.weight)).sum();
-        if total_weight == 0 {
-            return Err(PlanError::ZeroWeight);
         }
         for (i, d) in demands.iter().enumerate() {
             if demands[..i].iter().any(|e| e.name == d.name) {
@@ -517,8 +497,7 @@ impl CachePlanner {
                     query: d.name.clone(),
                 });
             }
-            let slice_bits =
-                (u128::from(self.budget_bits) * u128::from(d.weight) / total_weight) as u64;
+            let slice_bits = self.budget_bits / demands.len() as u64;
             let store_slice = slice_bits / d.stores.len() as u64;
             let mut row = Vec::with_capacity(d.stores.len());
             for (si, s) in d.stores.iter().enumerate() {
@@ -714,20 +693,8 @@ mod tests {
                 assert!(s.geometry.ways >= 1);
             }
         }
-        // Equal weights: slices match exactly.
+        // Equal shares: slices match exactly.
         assert_eq!(plan.queries[0].slice_bits, plan.queries[1].slice_bits);
-    }
-
-    #[test]
-    fn weights_skew_the_split() {
-        let plan = CachePlanner::new(32 * MBIT)
-            .plan(&[
-                demand("heavy", 128, 8).with_weight(3),
-                demand("light", 128, 8),
-            ])
-            .unwrap();
-        assert_eq!(plan.queries[0].slice_bits, 24 * MBIT);
-        assert_eq!(plan.queries[1].slice_bits, 8 * MBIT);
     }
 
     #[test]
@@ -791,8 +758,8 @@ mod tests {
     #[test]
     fn degenerate_operator_inputs_are_errors_not_panics() {
         // Online install/uninstall makes each of these a reachable operator
-        // input: an emptied deployment, a store-less program, a zero weight
-        // sum, and a name collision.
+        // input: an emptied deployment, a store-less program and a name
+        // collision.
         let planner = CachePlanner::new(32 * MBIT);
         assert_eq!(planner.plan(&[]).unwrap_err(), PlanError::EmptyDemands);
         assert_eq!(
@@ -803,9 +770,6 @@ mod tests {
                 query: "no-stores".into()
             },
         );
-        let mut zero = demand("z", 128, 8);
-        zero.weight = 0;
-        assert_eq!(planner.plan(&[zero]).unwrap_err(), PlanError::ZeroWeight);
         assert_eq!(
             planner
                 .plan(&[demand("dup", 128, 8), demand("dup", 160, 4)])

@@ -14,6 +14,11 @@
 //! Both honor the three eviction policies and keep per-entry residency
 //! timestamps (`first_seen`/`last_seen`) for the backing store's epochs.
 //!
+//! One residency rule, the paper's (§3.2): an entry leaves the cache only
+//! as its bucket's policy victim or in a whole-cache drain (end of window,
+//! checkpoint, geometry migration). There is no single-key removal, so an
+//! entry's arena index is fixed from insertion until then.
+//!
 //! # Memory layout (mirrors the Fig. 4 hardware)
 //!
 //! A real cache splits each way into a **tag array** and a **data array**:
@@ -53,10 +58,10 @@
 //! Construction is O(1) work per page regardless of capacity (the
 //! geometry-fixed arrays are lazily-zeroed primitive words — SRAM is
 //! pre-provisioned, not initialized), the data arrays hold only the
-//! resident population, slots fill compactly from index 0 per bucket, and
-//! eviction moves the victim out by `mem::replace` — no clone, and (with
-//! the data arrays pre-reserved up to 2^20 resident pairs) no allocation on
-//! the steady-state per-packet path. The end-of-window drain never walks
+//! resident population, slots fill from index 0 per bucket and are never
+//! vacated one by one, and eviction moves the victim out by `mem::replace`
+//! — no clone, and (with the data arrays pre-reserved up to 2^20 resident
+//! pairs) no allocation on the steady-state per-packet path. The end-of-window drain never walks
 //! the slot words: it zeroes them wholesale and streams the two data
 //! arrays out front to back, the order [`SramCache::for_each_slot`] visits.
 
@@ -154,11 +159,10 @@ pub struct UpsertOutcome<K, V> {
 /// costs one probe total and stays byte-identical to the probe-per-record
 /// path.
 ///
-/// Validity: the handle refers to the key it was minted for only until the
-/// next structural cache operation (an upsert of a *different* key, a
-/// remove, a drain, a migration). The vectorized sweep honors this by
-/// holding a handle only across a run of consecutive equal-key records
-/// within one node sweep.
+/// Validity: the handle reads its key's slot until that key leaves the
+/// cache — as a victim or in a drain (which a migration is). After that the
+/// slot may hold another key. The vectorized sweep holds a handle only
+/// across a run of consecutive equal-key records within one node sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotHandle(usize);
 
@@ -221,44 +225,12 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
         self.geometry.capacity()
     }
 
-    /// Look up a key, refreshing its recency (unless the policy is FIFO) and
-    /// its `last_seen` timestamp. Returns a mutable borrow of the value.
-    pub fn get_mut(&mut self, key: &K, now: Nanos) -> Option<&mut V> {
-        let refresh = !matches!(self.policy, EvictionPolicy::Fifo);
-        match &mut self.inner {
-            Inner::Bucketed(c) => c.get_mut(key, now, refresh),
-            Inner::Full(c) => c.get_mut(key, now, refresh),
-        }
-    }
-
     /// True if the key is resident (no recency side effects).
     #[must_use]
     pub fn contains(&self, key: &K) -> bool {
         match &self.inner {
-            Inner::Bucketed(c) => c.find(key).is_some(),
+            Inner::Bucketed(c) => c.contains(key),
             Inner::Full(c) => c.map.contains_key(key),
-        }
-    }
-
-    /// Insert a key that is **not** resident. If the target bucket is full,
-    /// the policy's victim is evicted and returned.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the key is already resident — callers must
-    /// use [`SramCache::get_mut`] first, mirroring the hardware's single
-    /// lookup-then-update/initialize flow.
-    pub fn insert(&mut self, key: K, value: V, now: Nanos) -> Option<CacheEntry<K, V>> {
-        debug_assert!(!self.contains(&key), "insert of a resident key");
-        let entry = CacheEntry {
-            key,
-            value,
-            first_seen: now,
-            last_seen: now,
-        };
-        let (policy, rng) = (self.policy, &mut self.rng);
-        match &mut self.inner {
-            Inner::Bucketed(c) => c.insert(entry, policy, rng),
-            Inner::Full(c) => c.insert(entry, policy, rng),
         }
     }
 
@@ -308,13 +280,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
     pub fn slot_value_mut(&mut self, handle: SlotHandle) -> &mut V {
         match &mut self.inner {
             Inner::Bucketed(c) => &mut c.state[handle.0].value,
-            Inner::Full(c) => {
-                &mut c.nodes[handle.0]
-                    .as_mut()
-                    .expect("held node exists")
-                    .entry
-                    .value
-            }
+            Inner::Full(c) => &mut c.nodes[handle.0].entry.value,
         }
     }
 
@@ -340,20 +306,10 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
                     c.unlink(handle.0);
                     c.push_front(handle.0);
                 }
-                let node = c.nodes[handle.0].as_mut().expect("held node exists");
-                node.entry.last_seen = now;
-                &mut node.entry.value
+                let entry = &mut c.nodes[handle.0].entry;
+                entry.last_seen = now;
+                &mut entry.value
             }
-        }
-    }
-
-    /// Remove a specific key, returning its entry (used for targeted
-    /// periodic eviction — §3.2: "keys can be periodically evicted to ensure
-    /// the backing store is fresh").
-    pub fn remove(&mut self, key: &K) -> Option<CacheEntry<K, V>> {
-        match &mut self.inner {
-            Inner::Bucketed(c) => c.remove(key),
-            Inner::Full(c) => c.remove(key),
         }
     }
 
@@ -362,28 +318,15 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
     /// the entry arena front to back. The order is free — the cache holds
     /// at most one residency per key, so no absorption of one entry can
     /// see another's. A drained cache is a just-built one: the `Random`
-    /// victim stream restarts from its seed and the fully-associative free
-    /// list returns to construction order, so a run that checkpoints (a
-    /// flush) picks the same victims as one recovered into a fresh cache.
+    /// victim stream restarts from its seed and both arenas refill from
+    /// index 0, so a run that checkpoints (a flush) picks the same victims
+    /// as one recovered into a fresh cache.
     pub fn drain_into(&mut self, sink: impl FnMut(CacheEntry<K, V>)) {
         match &mut self.inner {
             Inner::Bucketed(c) => c.drain_into(sink),
             Inner::Full(c) => c.drain_into(sink),
         }
         self.rng = victim_rng(self.policy);
-    }
-
-    /// Remove every resident entry whose `last_seen` is strictly before
-    /// `cutoff`, handing each to `sink` — the periodic freshness sweep's
-    /// primitive (§3.2: "keys can be periodically evicted to ensure the
-    /// backing store is fresh"). Walks the slot structures in place — no key
-    /// list is materialised — and performs **zero allocations**,
-    /// so a long-running service can sweep on the warm path.
-    pub fn evict_idle_into(&mut self, cutoff: Nanos, sink: impl FnMut(CacheEntry<K, V>)) {
-        match &mut self.inner {
-            Inner::Bucketed(c) => c.evict_idle_into(cutoff, sink),
-            Inner::Full(c) => c.evict_idle_into(cutoff, sink),
-        }
     }
 
     /// Visit every resident slot (no recency side effects).
@@ -393,13 +336,11 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
             Inner::Full(c) => c
                 .nodes
                 .iter()
-                .filter_map(|n| {
-                    n.as_ref().map(|n| CacheSlotRef {
-                        key: &n.entry.key,
-                        value: &n.entry.value,
-                        first_seen: n.entry.first_seen,
-                        last_seen: n.entry.last_seen,
-                    })
+                .map(|n| CacheSlotRef {
+                    key: &n.entry.key,
+                    value: &n.entry.value,
+                    first_seen: n.entry.first_seen,
+                    last_seen: n.entry.last_seen,
                 })
                 .for_each(&mut f),
         }
@@ -440,9 +381,6 @@ struct Stamped<V> {
     accessed: u64,
     /// Monotone counter value at insertion (FIFO victim = minimum).
     inserted: u64,
-    /// Back-pointer into the slot table (`bucket · ways + way`), so arena
-    /// compaction on `remove` can re-point the moved entry's slot.
-    back: u32,
 }
 
 /// Fig. 4's cache as a split tag store + parallel data arrays.
@@ -457,11 +395,11 @@ struct Stamped<V> {
 /// by the slot word's low bits, dense (no holes), and only as long as the
 /// resident population.
 ///
-/// Slots fill compactly from index 0 within each bucket (`lens[b]` counts
-/// the occupied prefix; `remove` back-fills the hole with the bucket's last
-/// slot), which keeps every victim scan a dense forward walk and makes slot
-/// index dynamics identical to the previous packed-`u32` layout — the
-/// differential suite pins hit/miss/eviction streams byte-for-byte.
+/// Slots fill from index 0 within each bucket (`lens[b]` counts the
+/// occupied prefix, which only a drain empties), which keeps every victim
+/// scan a dense forward walk and makes slot index dynamics identical to the
+/// previous packed-`u32` layout — the differential suite pins
+/// hit/miss/eviction streams byte-for-byte.
 /// Eviction swaps the incoming entry into the victim's arena slot with
 /// `mem::replace`: no clone, no allocation, no free-list churn. A drain
 /// empties the arenas in their own order, so it costs sequential reads
@@ -556,10 +494,10 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
     /// match on both sides decides equality inside the slot word — one-word
     /// keys never load the key arena; an inexact match is a filter (2⁻⁶⁴
     /// false positives per occupied way) confirmed on the full key. Only
-    /// the occupied prefix `0..lens[b]` is scanned (the compact-prefix
-    /// invariant). Returns `(way, arena index)` of the resident key.
+    /// the occupied prefix `0..lens[b]` is scanned. Returns the resident
+    /// key's arena index.
     #[inline]
-    fn probe(&self, b: usize, h: u64, key: &K) -> Option<(usize, usize)> {
+    fn probe(&self, b: usize, h: u64, key: &K) -> Option<usize> {
         let (disc, exact) = key.slot_word(h);
         let base = b * self.ways;
         for slot in 0..self.lens[b] as usize {
@@ -570,20 +508,19 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
             let low = word as u64;
             let j = ((low & INDEX_MASK) - 1) as usize;
             if (exact && low & EXACT_BIT != 0) || self.keys[j] == *key {
-                return Some((slot, j));
+                return Some(j);
             }
         }
         None
     }
 
-    fn find(&self, key: &K) -> Option<(usize, usize)> {
+    fn contains(&self, key: &K) -> bool {
         let h = hash_key(self.seed, key);
-        let b = self.bucket_of(h);
-        self.probe(b, h, key).map(|(slot, _)| (b, slot))
+        self.probe(self.bucket_of(h), h, key).is_some()
     }
 
-    /// Append a new entry to the arena and fill the bucket's next free slot
-    /// (compact prefix invariant). Returns the arena index.
+    /// Append a new entry to the arena and fill the bucket's next free slot.
+    /// Returns the arena index.
     fn fill_slot(
         &mut self,
         b: usize,
@@ -605,7 +542,6 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
             last_seen: now,
             accessed: seq,
             inserted: seq,
-            back: i as u32,
         });
         self.slots[i] = Self::pack(disc, exact, j);
         self.lens[b] += 1;
@@ -637,7 +573,6 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
                 last_seen: now,
                 accessed: seq,
                 inserted: seq,
-                back: (b * self.ways + slot) as u32,
             },
         );
         self.slots[b * self.ways + slot] = Self::pack(disc, exact, j);
@@ -650,19 +585,6 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
                 last_seen: victim_state.last_seen,
             },
         )
-    }
-
-    fn get_mut(&mut self, key: &K, now: Nanos, refresh: bool) -> Option<&mut V> {
-        let h = hash_key(self.seed, key);
-        let b = self.bucket_of(h);
-        let (_, j) = self.probe(b, h, key)?;
-        self.seq += 1;
-        let s = &mut self.state[j];
-        if refresh {
-            s.accessed = self.seq;
-        }
-        s.last_seen = now;
-        Some(&mut s.value)
     }
 
     fn insert(
@@ -699,8 +621,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
 
     /// Single-pass lookup-or-insert returning the arena index of the
     /// (now-resident) entry — the index is the [`SlotHandle`] payload, and
-    /// it is stable across hit-path touches (only removes/migrations move
-    /// arena entries).
+    /// it stays the key's until the key is a victim or the cache drains.
     fn upsert_slot(
         &mut self,
         key: K,
@@ -714,7 +635,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         let b = self.bucket_of(h);
         self.seq += 1;
         let seq = self.seq;
-        if let Some((_, j)) = self.probe(b, h, &key) {
+        if let Some(j) = self.probe(b, h, &key) {
             let s = &mut self.state[j];
             if refresh {
                 s.accessed = seq;
@@ -750,52 +671,10 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         )
     }
 
-    /// Detach `(b, slot)` from the slot table and pull its entry out of the
-    /// arena (compacting both), returning the entry.
-    fn take_slot(&mut self, b: usize, slot: usize) -> CacheEntry<K, V> {
-        let base = b * self.ways;
-        let j = self.entry_of(b, slot);
-        // Keep the bucket's occupied prefix compact: back-fill the hole with
-        // the bucket's last slot (the SoA spelling of `Vec::swap_remove`).
-        let last = self.lens[b] as usize - 1;
-        if slot != last {
-            let moved_word = self.slots[base + last];
-            self.slots[base + slot] = moved_word;
-            let moved = (moved_word as u64 & INDEX_MASK) as usize - 1;
-            self.state[moved].back = (base + slot) as u32;
-        }
-        self.slots[base + last] = 0;
-        self.lens[b] -= 1;
-        // Keep the arena dense the same way: `swap_remove` both parallel
-        // arrays and re-point the moved (formerly last, still linked)
-        // entry's slot word at its new index.
-        let key = self.keys.swap_remove(j);
-        let state = self.state.swap_remove(j);
-        if j < self.keys.len() {
-            // Rewrite only the arena-index field; the moved entry's
-            // discriminant and exact bit are properties of its key and
-            // stay put.
-            let back = self.state[j].back as usize;
-            let w = self.slots[back];
-            self.slots[back] = (w & !u128::from(INDEX_MASK)) | u128::from(j as u64 + 1);
-        }
-        CacheEntry {
-            key,
-            value: state.value,
-            first_seen: state.first_seen,
-            last_seen: state.last_seen,
-        }
-    }
-
-    fn remove(&mut self, key: &K) -> Option<CacheEntry<K, V>> {
-        let (b, slot) = self.find(key)?;
-        Some(self.take_slot(b, slot))
-    }
-
     /// Empty the cache in arena order: the occupancy counts and slot words
     /// are zeroed once each, then both arenas stream out front to back —
-    /// sequential reads, no per-entry slot lookup or compaction. The arenas
-    /// keep their reservation, and `seq` restarts as in a just-built cache.
+    /// sequential reads, no per-entry slot lookup. The arenas keep their
+    /// reservation, and `seq` restarts as in a just-built cache.
     fn drain_into(&mut self, mut sink: impl FnMut(CacheEntry<K, V>)) {
         self.lens.fill(0);
         self.slots.fill(0);
@@ -807,21 +686,6 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
                 first_seen: s.first_seen,
                 last_seen: s.last_seen,
             });
-        }
-    }
-
-    /// Detach every slot whose entry went idle before `cutoff`. Slots scan
-    /// in *descending* order within each bucket: `take_slot` back-fills the
-    /// hole with the bucket's last slot, which a descending walk has already
-    /// examined, so no occupied slot is skipped and nothing allocates.
-    fn evict_idle_into(&mut self, cutoff: Nanos, mut sink: impl FnMut(CacheEntry<K, V>)) {
-        for b in 0..self.buckets {
-            for slot in (0..self.lens[b] as usize).rev() {
-                if self.state[self.entry_of(b, slot)].last_seen < cutoff {
-                    let entry = self.take_slot(b, slot);
-                    sink(entry);
-                }
-            }
         }
     }
 
@@ -879,11 +743,15 @@ struct Node<K, V> {
     next: usize,
 }
 
+/// The fully-associative cache. Nodes fill the arena front to back and a
+/// victim's node takes the incoming entry in place, so the occupied nodes
+/// are always `0..len` and a node keeps its index from insertion until it
+/// is the victim or the cache drains.
 #[derive(Debug, Clone)]
 struct FullLruCache<K, V> {
     map: HashMap<K, usize, crate::hash::SeededBuildHasher>,
-    nodes: Vec<Option<Node<K, V>>>,
-    free: Vec<usize>,
+    nodes: Vec<Node<K, V>>,
+    capacity: usize,
     /// Most recently used.
     head: usize,
     /// Least recently used.
@@ -892,59 +760,40 @@ struct FullLruCache<K, V> {
 
 impl<K: Eq + Hash + Clone, V> FullLruCache<K, V> {
     fn new(capacity: usize) -> Self {
+        let reserve = capacity.min(1 << 20);
         FullLruCache {
-            map: HashMap::with_capacity_and_hasher(
-                capacity.min(1 << 20),
-                crate::hash::SeededBuildHasher,
-            ),
-            nodes: (0..capacity).map(|_| None).collect(),
-            free: (0..capacity).rev().collect(),
+            map: HashMap::with_capacity_and_hasher(reserve, crate::hash::SeededBuildHasher),
+            nodes: Vec::with_capacity(reserve),
+            capacity,
             head: NIL,
             tail: NIL,
         }
     }
 
     fn unlink(&mut self, idx: usize) {
-        let (prev, next) = {
-            let n = self.nodes[idx].as_ref().expect("linked node exists");
-            (n.prev, n.next)
-        };
+        let Node { prev, next, .. } = self.nodes[idx];
         if prev != NIL {
-            self.nodes[prev].as_mut().expect("prev exists").next = next;
+            self.nodes[prev].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.nodes[next].as_mut().expect("next exists").prev = prev;
+            self.nodes[next].prev = prev;
         } else {
             self.tail = prev;
         }
     }
 
     fn push_front(&mut self, idx: usize) {
-        {
-            let n = self.nodes[idx].as_mut().expect("node exists");
-            n.prev = NIL;
-            n.next = self.head;
-        }
+        self.nodes[idx].prev = NIL;
+        self.nodes[idx].next = self.head;
         if self.head != NIL {
-            self.nodes[self.head].as_mut().expect("head exists").prev = idx;
+            self.nodes[self.head].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
             self.tail = idx;
         }
-    }
-
-    fn get_mut(&mut self, key: &K, now: Nanos, refresh: bool) -> Option<&mut V> {
-        let idx = *self.map.get(key)?;
-        if refresh {
-            self.unlink(idx);
-            self.push_front(idx);
-        }
-        let n = self.nodes[idx].as_mut().expect("indexed node exists");
-        n.entry.last_seen = now;
-        Some(&mut n.entry.value)
     }
 
     fn insert(
@@ -953,30 +802,27 @@ impl<K: Eq + Hash + Clone, V> FullLruCache<K, V> {
         policy: EvictionPolicy,
         rng: &mut VictimRng,
     ) -> Option<CacheEntry<K, V>> {
-        let mut victim = None;
-        if self.free.is_empty() {
-            let victim_idx = match policy {
-                EvictionPolicy::Lru | EvictionPolicy::Fifo => self.tail,
-                EvictionPolicy::Random { .. } => {
-                    // All slots are occupied when the cache is full.
-                    rng.pick(self.nodes.len())
-                }
-            };
-            self.unlink(victim_idx);
-            let node = self.nodes[victim_idx].take().expect("victim exists");
-            self.map.remove(&node.entry.key);
-            self.free.push(victim_idx);
-            victim = Some(node.entry);
+        if self.nodes.len() < self.capacity {
+            let idx = self.nodes.len();
+            self.map.insert(entry.key.clone(), idx);
+            self.nodes.push(Node {
+                entry,
+                prev: NIL,
+                next: NIL,
+            });
+            self.push_front(idx);
+            return None;
         }
-        let idx = self.free.pop().expect("slot freed above or available");
+        let idx = match policy {
+            EvictionPolicy::Lru | EvictionPolicy::Fifo => self.tail,
+            EvictionPolicy::Random { .. } => rng.pick(self.capacity),
+        };
+        self.unlink(idx);
+        self.map.remove(&self.nodes[idx].entry.key);
         self.map.insert(entry.key.clone(), idx);
-        self.nodes[idx] = Some(Node {
-            entry,
-            prev: NIL,
-            next: NIL,
-        });
+        let victim = std::mem::replace(&mut self.nodes[idx].entry, entry);
         self.push_front(idx);
-        victim
+        Some(victim)
     }
 
     /// Single-pass lookup-or-insert returning the node index of the
@@ -996,8 +842,7 @@ impl<K: Eq + Hash + Clone, V> FullLruCache<K, V> {
                 self.unlink(idx);
                 self.push_front(idx);
             }
-            let n = self.nodes[idx].as_mut().expect("indexed node exists");
-            n.entry.last_seen = now;
+            self.nodes[idx].entry.last_seen = now;
             return (
                 idx,
                 UpsertOutcome {
@@ -1016,46 +861,13 @@ impl<K: Eq + Hash + Clone, V> FullLruCache<K, V> {
         (self.head, UpsertOutcome { hit: false, victim })
     }
 
-    fn remove(&mut self, key: &K) -> Option<CacheEntry<K, V>> {
-        let idx = self.map.remove(key)?;
-        self.unlink(idx);
-        let node = self.nodes[idx].take().expect("indexed node exists");
-        self.free.push(idx);
-        Some(node.entry)
-    }
-
-    /// Hand off every node in index order and leave the free list as
-    /// [`FullLruCache::new`] builds it, so later inserts take the same
-    /// nodes a fresh cache's would.
+    /// Hand off every node in index order; later inserts refill the arena
+    /// from index 0, as a fresh cache's would.
     fn drain_into(&mut self, mut sink: impl FnMut(CacheEntry<K, V>)) {
         self.map.clear();
         self.head = NIL;
         self.tail = NIL;
-        self.free.clear();
-        self.free.extend((0..self.nodes.len()).rev());
-        self.nodes
-            .iter_mut()
-            .filter_map(Option::take)
-            .for_each(|n| sink(n.entry));
-    }
-
-    /// Unlink and hand off every node idle since before `cutoff`. The free
-    /// list was sized for the full capacity at construction, so `push` never
-    /// reallocates, and `map.remove` frees in place — the sweep allocates
-    /// nothing.
-    fn evict_idle_into(&mut self, cutoff: Nanos, mut sink: impl FnMut(CacheEntry<K, V>)) {
-        for idx in 0..self.nodes.len() {
-            let stale = self.nodes[idx]
-                .as_ref()
-                .map_or(false, |n| n.entry.last_seen < cutoff);
-            if stale {
-                self.unlink(idx);
-                let node = self.nodes[idx].take().expect("checked stale above");
-                self.map.remove(&node.entry.key);
-                self.free.push(idx);
-                sink(node.entry);
-            }
-        }
+        self.nodes.drain(..).for_each(|n| sink(n.entry));
     }
 }
 
@@ -1067,26 +879,52 @@ mod tests {
         SramCache::new(geom, policy, 42)
     }
 
+    /// Upsert `k` at `now` and set its value to `v`.
+    pub(super) fn put(
+        c: &mut SramCache<u64, u64>,
+        k: u64,
+        v: u64,
+        now: u64,
+    ) -> UpsertOutcome<u64, u64> {
+        let (slot, outcome) = c.upsert_slot(k, Nanos(now), || v);
+        *c.slot_value_mut(slot) = v;
+        outcome
+    }
+
+    /// Upsert `k` at `now`, initializing a miss to `v`; returns the victim.
+    fn upsert(
+        c: &mut SramCache<u64, u64>,
+        k: u64,
+        v: u64,
+        now: u64,
+    ) -> Option<CacheEntry<u64, u64>> {
+        c.upsert_slot(k, Nanos(now), || v).1.victim
+    }
+
     #[test]
     fn hit_and_miss() {
         let mut c = cache(CacheGeometry::set_associative(8, 2), EvictionPolicy::Lru);
-        assert!(c.get_mut(&1, Nanos(0)).is_none());
-        assert!(c.insert(1, 100, Nanos(0)).is_none());
-        assert_eq!(*c.get_mut(&1, Nanos(5)).unwrap(), 100);
-        *c.get_mut(&1, Nanos(6)).unwrap() += 1;
-        assert_eq!(*c.get_mut(&1, Nanos(7)).unwrap(), 101);
+        assert!(!c.contains(&1));
+        let (slot, miss) = c.upsert_slot(1, Nanos(0), || 100);
+        assert!(!miss.hit && miss.victim.is_none());
+        let (again, hit) = c.upsert_slot(1, Nanos(5), || 0);
+        assert!(hit.hit);
+        assert_eq!(again, slot);
+        assert_eq!(*c.slot_value_mut(slot), 100);
+        *c.touch_slot(slot, Nanos(6)) += 1;
+        assert_eq!(*c.touch_slot(slot, Nanos(7)), 101);
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn full_lru_evicts_least_recently_used() {
         let mut c = cache(CacheGeometry::fully_associative(3), EvictionPolicy::Lru);
-        c.insert(1, 1, Nanos(1));
-        c.insert(2, 2, Nanos(2));
-        c.insert(3, 3, Nanos(3));
+        upsert(&mut c, 1, 1, 1);
+        upsert(&mut c, 2, 2, 2);
+        upsert(&mut c, 3, 3, 3);
         // Touch 1 so 2 becomes LRU.
-        c.get_mut(&1, Nanos(4));
-        let victim = c.insert(4, 4, Nanos(5)).expect("eviction");
+        upsert(&mut c, 1, 0, 4);
+        let victim = upsert(&mut c, 4, 4, 5).expect("eviction");
         assert_eq!(victim.key, 2);
         assert!(c.contains(&1));
         assert!(c.contains(&3));
@@ -1096,11 +934,11 @@ mod tests {
     #[test]
     fn full_fifo_ignores_touches() {
         let mut c = cache(CacheGeometry::fully_associative(3), EvictionPolicy::Fifo);
-        c.insert(1, 1, Nanos(1));
-        c.insert(2, 2, Nanos(2));
-        c.insert(3, 3, Nanos(3));
-        c.get_mut(&1, Nanos(4)); // should NOT refresh under FIFO
-        let victim = c.insert(4, 4, Nanos(5)).expect("eviction");
+        upsert(&mut c, 1, 1, 1);
+        upsert(&mut c, 2, 2, 2);
+        upsert(&mut c, 3, 3, 3);
+        upsert(&mut c, 1, 0, 4); // should NOT refresh under FIFO
+        let victim = upsert(&mut c, 4, 4, 5).expect("eviction");
         assert_eq!(victim.key, 1);
     }
 
@@ -1109,10 +947,10 @@ mod tests {
         // One bucket of 2 ways → behaves as a 2-entry LRU.
         let mut c: SramCache<u64, u64> =
             SramCache::new(CacheGeometry::new(1, 2), EvictionPolicy::Lru, 7);
-        c.insert(10, 1, Nanos(1));
-        c.insert(20, 2, Nanos(2));
-        c.get_mut(&10, Nanos(3));
-        let victim = c.insert(30, 3, Nanos(4)).expect("eviction");
+        upsert(&mut c, 10, 1, 1);
+        upsert(&mut c, 20, 2, 2);
+        upsert(&mut c, 10, 0, 3);
+        let victim = upsert(&mut c, 30, 3, 4).expect("eviction");
         assert_eq!(victim.key, 20);
     }
 
@@ -1122,7 +960,7 @@ mod tests {
         let mut c = cache(CacheGeometry::hash_table(16), EvictionPolicy::Lru);
         let mut evicted = 0;
         for k in 0..64u64 {
-            if c.insert(k, k, Nanos(k)).is_some() {
+            if upsert(&mut c, k, k, k).is_some() {
                 evicted += 1;
             }
         }
@@ -1130,15 +968,18 @@ mod tests {
         assert!(c.len() <= 16);
     }
 
+    /// A key leaves as a victim with its value, and re-enters fresh.
     #[test]
     fn remove_and_reinsert() {
-        let mut c = cache(CacheGeometry::set_associative(8, 4), EvictionPolicy::Lru);
-        c.insert(5, 50, Nanos(1));
-        let e = c.remove(&5).unwrap();
-        assert_eq!(e.value, 50);
+        let mut c = cache(CacheGeometry::fully_associative(1), EvictionPolicy::Lru);
+        upsert(&mut c, 5, 50, 1);
+        let e = upsert(&mut c, 6, 60, 2).expect("5 is the victim");
+        assert_eq!((e.key, e.value), (5, 50));
         assert!(!c.contains(&5));
-        assert!(c.insert(5, 51, Nanos(2)).is_none());
-        assert_eq!(*c.get_mut(&5, Nanos(3)).unwrap(), 51);
+        let (slot, outcome) = c.upsert_slot(5, Nanos(3), || 51);
+        assert!(!outcome.hit);
+        assert_eq!(outcome.victim.map(|v| v.key), Some(6));
+        assert_eq!(*c.slot_value_mut(slot), 51);
     }
 
     #[test]
@@ -1149,14 +990,14 @@ mod tests {
         ] {
             let mut c = cache(geom, EvictionPolicy::Lru);
             for k in 0..6u64 {
-                c.insert(k, k * 10, Nanos(k));
+                upsert(&mut c, k, k * 10, k);
             }
             let mut drained = Vec::new();
             c.drain_into(|e| drained.push(e));
             assert_eq!(drained.len(), 6.min(c.capacity()));
             assert!(c.is_empty());
             // Reusable after drain.
-            c.insert(99, 1, Nanos(100));
+            upsert(&mut c, 99, 1, 100);
             assert!(c.contains(&99));
         }
     }
@@ -1164,23 +1005,20 @@ mod tests {
     #[test]
     fn residency_timestamps_track_first_and_last() {
         let mut c = cache(CacheGeometry::fully_associative(4), EvictionPolicy::Lru);
-        c.insert(1, 0, Nanos(10));
-        c.get_mut(&1, Nanos(25));
-        c.get_mut(&1, Nanos(40));
-        let e = c.remove(&1).unwrap();
-        assert_eq!(e.first_seen, Nanos(10));
-        assert_eq!(e.last_seen, Nanos(40));
+        let (slot, _) = c.upsert_slot(1, Nanos(10), || 0);
+        upsert(&mut c, 1, 0, 25);
+        c.touch_slot(slot, Nanos(40));
+        let mut drained = Vec::new();
+        c.drain_into(|e| drained.push(e));
+        assert_eq!(drained[0].first_seen, Nanos(10));
+        assert_eq!(drained[0].last_seen, Nanos(40));
     }
 
     #[test]
     fn full_cache_len_never_exceeds_capacity() {
         let mut c = cache(CacheGeometry::fully_associative(16), EvictionPolicy::Lru);
         for k in 0..1000u64 {
-            if !c.contains(&(k % 40)) {
-                c.insert(k % 40, k, Nanos(k));
-            } else {
-                c.get_mut(&(k % 40), Nanos(k));
-            }
+            upsert(&mut c, k % 40, k, k);
             assert!(c.len() <= 16);
         }
     }
@@ -1195,7 +1033,7 @@ mod tests {
             );
             let mut victims = Vec::new();
             for k in 0..100u64 {
-                if let Some(v) = c.insert(k, k, Nanos(k)) {
+                if let Some(v) = upsert(&mut c, k, k, k) {
                     victims.push(v.key);
                 }
             }
@@ -1208,7 +1046,7 @@ mod tests {
     fn iter_visits_all_entries() {
         let mut c = cache(CacheGeometry::set_associative(16, 4), EvictionPolicy::Lru);
         for k in 0..10u64 {
-            c.insert(k, k, Nanos(k));
+            upsert(&mut c, k, k, k);
         }
         let mut keys: Vec<u64> = Vec::new();
         c.for_each_slot(|e| keys.push(*e.key));
@@ -1219,6 +1057,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::put;
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap as StdMap;
@@ -1262,14 +1101,9 @@ mod proptests {
                 SramCache::new(CacheGeometry::fully_associative(8), EvictionPolicy::Lru, 3);
             let mut model = ModelLru { cap: 8, map: StdMap::new(), order: Vec::new() };
             for (i, (k, v)) in ops.into_iter().enumerate() {
-                let now = Nanos(i as u64);
+                let now = i as u64;
                 let model_evicted = model.access(k, v);
-                let cache_evicted = if let Some(slot) = cache.get_mut(&k, now) {
-                    *slot = v;
-                    None
-                } else {
-                    cache.insert(k, v, now).map(|e| e.key)
-                };
+                let cache_evicted = put(&mut cache, k, v, now).victim.map(|e| e.key);
                 prop_assert_eq!(model_evicted, cache_evicted);
                 prop_assert_eq!(model.map.len(), cache.len());
             }
@@ -1293,9 +1127,9 @@ mod proptests {
             let mut cache: SramCache<u64, u64> = SramCache::new(geom, EvictionPolicy::Lru, 11);
             let mut resident = std::collections::HashSet::new();
             for (i, (k, v)) in ops.into_iter().enumerate() {
-                let now = Nanos(i as u64);
-                if cache.get_mut(&k, now).map(|slot| *slot = v).is_none() {
-                    if let Some(victim) = cache.insert(k, v, now) {
+                let outcome = put(&mut cache, k, v, i as u64);
+                if !outcome.hit {
+                    if let Some(victim) = outcome.victim {
                         prop_assert!(resident.remove(&victim.key));
                     }
                     resident.insert(k);
@@ -1305,6 +1139,66 @@ mod proptests {
             }
             for k in &resident {
                 prop_assert!(cache.contains(k));
+            }
+        }
+
+        /// The residency rule: a key leaves the cache only as a victim or
+        /// in a drain, so a handle from `upsert_slot` reads its own key's
+        /// value until that key comes back as a victim or the cache drains
+        /// — however many other keys are upserted or touched meanwhile. On
+        /// every shape (`buckets = 1` is the fully-associative cache) and
+        /// under every policy; values encode their key.
+        #[test]
+        fn handles_hold_until_victim_or_drain(
+            ops in prop::collection::vec((0u8..16, 0u64..40), 1..400),
+            shape in 0usize..6,
+            policy_sel in 0u8..3,
+        ) {
+            let (buckets, ways) = [(1, 1), (1, 8), (16, 1), (4, 2), (7, 3), (2, 16)][shape];
+            let policy = match policy_sel {
+                0 => EvictionPolicy::Lru,
+                1 => EvictionPolicy::Fifo,
+                _ => EvictionPolicy::Random { seed: 11 },
+            };
+            let mut cache: SramCache<u64, u64> =
+                SramCache::new(CacheGeometry::new(buckets, ways), policy, 5);
+            // Value = key << 32 | updates since (re)insertion.
+            let mut held: StdMap<u64, (SlotHandle, u64)> = StdMap::new();
+            for (i, (op, k)) in ops.into_iter().enumerate() {
+                let now = Nanos(i as u64);
+                match (op, held.get(&k).copied()) {
+                    (0, _) => {
+                        let mut drained = 0;
+                        cache.drain_into(|e| {
+                            assert_eq!(e.value >> 32, e.key, "drained value is its key's");
+                            drained += 1;
+                        });
+                        prop_assert_eq!(drained, held.len());
+                        held.clear();
+                    }
+                    (1..=5, Some((handle, n))) => {
+                        let v = cache.touch_slot(handle, now);
+                        prop_assert_eq!(*v, k << 32 | n, "touch of held key {}", k);
+                        *v += 1;
+                        held.insert(k, (handle, n + 1));
+                    }
+                    _ => {
+                        let (handle, outcome) = cache.upsert_slot(k, now, || k << 32);
+                        if let Some(victim) = outcome.victim {
+                            prop_assert_eq!(victim.value >> 32, victim.key);
+                            prop_assert!(held.remove(&victim.key).is_some());
+                        }
+                        let n = if outcome.hit { held[&k].1 } else { 0 };
+                        let v = cache.slot_value_mut(handle);
+                        prop_assert_eq!(*v, k << 32 | n);
+                        *v += 1;
+                        held.insert(k, (handle, n + 1));
+                    }
+                }
+                prop_assert_eq!(cache.len(), held.len());
+                for (key, (handle, n)) in &held {
+                    prop_assert_eq!(*cache.slot_value_mut(*handle), key << 32 | n, "held key {}", key);
+                }
             }
         }
     }

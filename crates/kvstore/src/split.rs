@@ -84,17 +84,7 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
 
     /// Observe one packet for `key` at time `now`.
     pub fn observe(&mut self, key: K, input: &O::Input, now: Nanos) {
-        let _ = self.observe_ref(key, input, now);
-    }
-
-    /// Observe one packet and borrow the freshly updated **cache** value.
-    ///
-    /// This is what a downstream pipeline stage sees when queries compose:
-    /// the cache-local running value, not the merged backing-store value
-    /// (§3.2: "the correct value at any time only resides in the backing
-    /// store").
-    pub fn observe_ref(&mut self, key: K, input: &O::Input, now: Nanos) -> &O::Value {
-        self.observe_run_first(key, input, now).0
+        self.observe_run_first(key, input, now);
     }
 
     /// Observe the first packet of a **run** of consecutive equal-key
@@ -103,9 +93,9 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// fold update — plus a [`SlotHandle`] to the now-resident slot so the
     /// rest of the run can re-touch it without re-probing.
     ///
-    /// The handle is valid only while no *other* key is upserted into this
-    /// store — i.e. for the remainder of the current run. The vectorized
-    /// sweep's run detection guarantees exactly that.
+    /// The handle reads this key's slot until the key leaves the cache (see
+    /// [`SlotHandle`]); the vectorized sweep holds it only for the rest of
+    /// the current run.
     pub fn observe_run_first(
         &mut self,
         key: K,
@@ -134,7 +124,7 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// guaranteed hit, folded straight into the arena slot with no hash, no
     /// probe, and no key construction. Accounting (packet/hit counters,
     /// recency refresh per policy, `last_seen`) is byte-identical to a hit
-    /// through [`SplitStore::observe_ref`].
+    /// through [`SplitStore::observe`].
     pub fn observe_run_next(
         &mut self,
         handle: SlotHandle,
@@ -149,7 +139,7 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     }
 
     /// Evict every resident entry to the backing store (end of a measurement
-    /// window, or the paper's periodic refresh). Reading results is only
+    /// window, or a checkpoint). Reading results is only
     /// correct from the backing store — §3.2: "the correct value at any time
     /// only resides in the backing store".
     ///
@@ -168,28 +158,6 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
         cache.drain_into(|entry| {
             stats.flush_writes += 1;
             stats.backing_writes += 1;
-            route_entry(backing, spill, ops, entry);
-        });
-    }
-
-    /// Evict entries idle since before `cutoff` (periodic freshness sweep).
-    ///
-    /// Sweeps the cache's slot structures in place
-    /// ([`SramCache::evict_idle_into`]) — no key list is materialised, so a
-    /// warmed store sweeps with **zero allocations** and the sweep is safe on
-    /// the service's steady-state path.
-    pub fn evict_idle_since(&mut self, cutoff: Nanos) {
-        let SplitStore {
-            cache,
-            backing,
-            ops,
-            stats,
-            spill,
-            ..
-        } = self;
-        cache.evict_idle_into(cutoff, |entry| {
-            stats.backing_writes += 1;
-            stats.flush_writes += 1;
             route_entry(backing, spill, ops, entry);
         });
     }
@@ -552,16 +520,6 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
         &self.ops
     }
 
-    /// Number of distinct keys present across cache and backing store.
-    #[must_use]
-    pub fn distinct_keys(&self) -> usize {
-        let mut in_cache_only = 0;
-        self.cache.for_each_slot(|slot| {
-            in_cache_only += usize::from(self.backing.get(slot.key).is_none());
-        });
-        self.backing.len() + in_cache_only
-    }
-
     /// Look up a key's final record after a flush.
     #[must_use]
     pub fn result(&self, key: &K) -> Option<&BackingEntry<O::Value>> {
@@ -630,7 +588,7 @@ impl<K: Eq + Hash, V> Default for StoreSnapshot<K, V> {
 
 // Route an evicted entry into the collection tier with the fold's merge.
 // Free-standing (takes the already-split fields) so the eviction, flush and
-// idle-sweep paths — some of which hold other borrows of the store — share
+// migration paths — some of which hold other borrows of the store — share
 // one implementation. Tier confinement: a victim whose key has a standing
 // in-RAM record always merges there (keeping each key's durable frames
 // temporally ordered and older than any RAM record); a new key spills past
@@ -831,33 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_keys_spans_cache_and_backing() {
-        let mut s = counter_store(2);
-        s.observe(1, &(), Nanos(0));
-        s.observe(2, &(), Nanos(1));
-        s.observe(3, &(), Nanos(2)); // evicts one of 1/2
-        assert_eq!(s.distinct_keys(), 3);
-        s.flush();
-        assert_eq!(s.distinct_keys(), 3);
-    }
-
-    #[test]
-    fn evict_idle_since_writes_back_only_stale_keys() {
-        let mut s = counter_store(8);
-        s.observe(1, &(), Nanos(0));
-        s.observe(2, &(), Nanos(100));
-        s.evict_idle_since(Nanos(50));
-        assert!(s.result(&1).is_some(), "idle key flushed");
-        assert!(s.result(&2).is_none(), "fresh key stays cached");
-        assert!(s.cache().contains(&2));
-        assert!(!s.cache().contains(&1));
-        // Key 1 returns: merged correctly afterward.
-        s.observe(1, &(), Nanos(200));
-        s.flush();
-        assert_eq!(*s.result(&1).unwrap().value().unwrap(), 2);
-    }
-
-    #[test]
     fn absorb_store_merges_disjoint_and_shared_keys() {
         // Two shards with churn: shared keys sum, disjoint keys carry over,
         // stats add up.
@@ -876,7 +807,7 @@ mod tests {
         assert_eq!(*a.result(&3).unwrap().value().unwrap(), 5);
         assert_eq!(*a.result(&4).unwrap().value().unwrap(), 2);
         assert_eq!(a.stats().packets, pa + pb);
-        assert_eq!(a.distinct_keys(), 4);
+        assert_eq!(a.backing().len(), 4);
     }
 
     #[test]
@@ -1212,7 +1143,7 @@ mod proptests {
         /// A frame is its definition — clone the store, flush the clone —
         /// entry for entry (epochs, writes, intervals) and counter for
         /// counter, in every absorption mode, at every point of a random run
-        /// that evicts, sweeps, flushes and removes under the poller; and
+        /// that evicts, flushes and removes under the poller; and
         /// `snapshot_into` leaves nothing of the frame it overwrites (an
         /// older population, another mode).
         #[test]
@@ -1233,8 +1164,7 @@ mod proptests {
             for (now, (op, key, input)) in ops.into_iter().enumerate() {
                 let now = now as u64;
                 match op {
-                    0..=9 => s.observe(key, &input, Nanos(now)),
-                    10 => s.evict_idle_since(Nanos(now.saturating_sub(input % 16))),
+                    0..=10 => s.observe(key, &input, Nanos(now)),
                     11 => s.flush(),
                     12 => drop(s.remove_key(&key)),
                     _ => {

@@ -23,8 +23,6 @@ pub enum Phase {
     Parse,
     /// Name resolution and type checking.
     Resolve,
-    /// Linearity analysis / hardware mapping.
-    Analysis,
 }
 
 impl LangError {
@@ -57,41 +55,6 @@ impl LangError {
             span,
         }
     }
-
-    /// An analysis error.
-    #[must_use]
-    pub fn analysis(message: impl Into<String>) -> Self {
-        LangError {
-            phase: Phase::Analysis,
-            message: message.into(),
-            span: None,
-        }
-    }
-
-    /// Render the error against its source text, pointing at the offending
-    /// line (a compact `file:line: message` style diagnostic).
-    #[must_use]
-    pub fn render(&self, source: &str) -> String {
-        let phase = match self.phase {
-            Phase::Lex => "lex",
-            Phase::Parse => "parse",
-            Phase::Resolve => "resolve",
-            Phase::Analysis => "analysis",
-        };
-        match self.span {
-            Some(span) => {
-                let line_text = source.lines().nth(span.line.saturating_sub(1) as usize);
-                match line_text {
-                    Some(text) => format!(
-                        "{phase} error at line {}: {}\n  | {}",
-                        span.line, self.message, text
-                    ),
-                    None => format!("{phase} error at line {}: {}", span.line, self.message),
-                }
-            }
-            None => format!("{phase} error: {}", self.message),
-        }
-    }
 }
 
 impl fmt::Display for LangError {
@@ -113,17 +76,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn render_points_at_line() {
-        let src = "SELECT srcip\nWHERE ??? > 1\n";
-        let err = LangError::parse("unexpected character", Span::new(13, 14, 2));
-        let rendered = err.render(src);
-        assert!(rendered.contains("line 2"));
-        assert!(rendered.contains("WHERE ??? > 1"));
-    }
-
-    #[test]
     fn display_without_span() {
-        let err = LangError::analysis("fold is not linear in state");
-        assert_eq!(err.to_string(), "fold is not linear in state");
+        let err = LangError::resolve("unknown column `x`", None);
+        assert_eq!(err.to_string(), "unknown column `x`");
     }
 }

@@ -168,7 +168,7 @@ mod tests {
     fn all_fig2_queries_compile() {
         for q in ALL {
             if let Err(e) = compile(q) {
-                panic!("{} failed to compile: {}\n{}", q.name, e.render(q.source), q.source);
+                panic!("{} failed to compile: {}\n{}", q.name, e, q.source);
             }
         }
     }

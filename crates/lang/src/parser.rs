@@ -653,7 +653,7 @@ mod tests {
     fn parse_ok(src: &str) -> Program {
         match parse(src) {
             Ok(p) => p,
-            Err(e) => panic!("parse failed: {}\nsource:\n{src}", e.render(src)),
+            Err(e) => panic!("parse failed: {}\nsource:\n{src}", e),
         }
     }
 

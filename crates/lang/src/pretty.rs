@@ -210,10 +210,10 @@ mod tests {
     }
 
     fn round_trips(src: &str) {
-        let once = parse(src).unwrap_or_else(|e| panic!("{}", e.render(src)));
+        let once = parse(src).unwrap_or_else(|e| panic!("{}", e));
         let printed = program(&once);
         let twice = parse(&printed)
-            .unwrap_or_else(|e| panic!("re-parse failed: {}\nprinted:\n{printed}", e.render(&printed)));
+            .unwrap_or_else(|e| panic!("re-parse failed: {}\nprinted:\n{printed}", e));
         assert_eq!(
             normalize(&once),
             normalize(&twice),

@@ -1325,7 +1325,7 @@ mod tests {
     fn resolve_ok(src: &str) -> ResolvedProgram {
         match resolve_src(src) {
             Ok(p) => p,
-            Err(e) => panic!("resolve failed: {}\nsource:\n{src}", e.render(src)),
+            Err(e) => panic!("resolve failed: {}\nsource:\n{src}", e),
         }
     }
 

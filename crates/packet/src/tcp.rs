@@ -34,18 +34,6 @@ impl TcpFlags {
     pub const fn contains(self, other: TcpFlags) -> bool {
         self.0 & other.0 == other.0
     }
-
-    /// True iff the SYN bit is set.
-    #[must_use]
-    pub const fn is_syn(self) -> bool {
-        self.contains(Self::SYN)
-    }
-
-    /// True iff the FIN bit is set.
-    #[must_use]
-    pub const fn is_fin(self) -> bool {
-        self.contains(Self::FIN)
-    }
 }
 
 impl fmt::Display for TcpFlags {
@@ -99,8 +87,6 @@ mod tests {
         assert!(f.contains(TcpFlags::SYN));
         assert!(f.contains(TcpFlags::ACK));
         assert!(!f.contains(TcpFlags::FIN));
-        assert!(f.is_syn());
-        assert!(!f.is_fin());
     }
 
     #[test]

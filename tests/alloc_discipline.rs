@@ -258,41 +258,11 @@ fn steady_state_batched_replay_allocates_nothing() {
         );
     }
 
-    // The periodic freshness sweep (`Runtime::refresh_backing` →
-    // `SplitStore::evict_idle_since`) is part of the service's steady-state
-    // loop, so it obeys the same discipline: the sweep walks the cache's
-    // slot structures in place — no key list is materialised — and for a
-    // mergeable fold every write-back merges into a standing backing entry.
-    // Warm one full evict-everything sweep (the backing table reaches its
-    // final size), re-warm the cache with the same records, and the second
-    // full sweep must not allocate at all.
-    {
-        let compiled = compile_query(
-            fig2::PER_FLOW_COUNTERS.source,
-            &fig2::default_params(),
-            Default::default(),
-        )
-        .unwrap();
-        let mut rt = Runtime::new(compiled);
-        let sweep_all = Nanos(u64::MAX);
-        rt.process_batch(&recs);
-        rt.refresh_backing(sweep_all);
-        rt.process_batch(&recs);
-
-        let before = allocs();
-        rt.refresh_backing(sweep_all);
-        let after = allocs();
-        assert_eq!(
-            after - before,
-            0,
-            "warmed idle sweep allocated {} times",
-            after - before,
-        );
-    }
-
-    // Same pin on the bare store, on the fully-associative geometry whose
-    // eviction path (global LRU list surgery) differs from the
-    // set-associative one.
+    // The victim path on the fully-associative geometry, whose eviction
+    // (global LRU list surgery, a victim's node taking the new entry in
+    // place) differs from the set-associative one: 256 keys through 64
+    // pairs evict on most observations. Once the first feed has sized the
+    // backing table, a second feed of the same keys must not allocate.
     {
         let mut store: SplitStore<u64, CounterOps> = SplitStore::new(
             CacheGeometry::fully_associative(64),
@@ -306,16 +276,19 @@ fn steady_state_batched_replay_allocates_nothing() {
             }
         };
         feed(&mut store);
-        store.evict_idle_since(Nanos(u64::MAX));
-        feed(&mut store);
 
+        let evictions = store.stats().evictions;
         let before = allocs();
-        store.evict_idle_since(Nanos(u64::MAX));
+        feed(&mut store);
         let after = allocs();
+        assert!(
+            store.stats().evictions - evictions >= 4096 - 64,
+            "the feed evicts"
+        );
         assert_eq!(
             after - before,
             0,
-            "warmed fully-associative sweep allocated {} times",
+            "warmed fully-associative victim path allocated {} times",
             after - before,
         );
     }

@@ -162,24 +162,21 @@ fn provisioning_real_overlapping_programs_dedups() {
 // -------------------------------------------------------------- properties --
 
 /// A random demand mix: 1–5 queries, each 1–3 stores of 32–512-bit pairs at
-/// an associativity from the hardware-plausible set, with 1–4× weights.
-fn demand_strategy() -> impl Strategy<Value = Vec<(Vec<(u32, usize)>, u64)>> {
+/// an associativity from the hardware-plausible set.
+fn demand_strategy() -> impl Strategy<Value = Vec<Vec<(u32, usize)>>> {
     prop::collection::vec(
-        (
-            prop::collection::vec(
-                (32u32..512, prop_oneof![Just(0usize), Just(1), Just(2), Just(4), Just(8)]),
-                1..4,
-            ),
-            1u64..5,
+        prop::collection::vec(
+            (32u32..512, prop_oneof![Just(0usize), Just(1), Just(2), Just(4), Just(8)]),
+            1..4,
         ),
         1..6,
     )
 }
 
-fn build_demands(mix: &[(Vec<(u32, usize)>, u64)]) -> Vec<QueryDemand> {
+fn build_demands(mix: &[Vec<(u32, usize)>]) -> Vec<QueryDemand> {
     mix.iter()
         .enumerate()
-        .map(|(i, (stores, weight))| {
+        .map(|(i, stores)| {
             QueryDemand::new(
                 format!("q{i}"),
                 stores
@@ -187,7 +184,6 @@ fn build_demands(mix: &[(Vec<(u32, usize)>, u64)]) -> Vec<QueryDemand> {
                     .map(|(pair_bits, ways)| StoreDemand::new(*pair_bits, *ways))
                     .collect(),
             )
-            .with_weight(*weight)
         })
         .collect()
 }

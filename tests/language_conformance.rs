@@ -14,7 +14,7 @@ fn params() -> HashMap<String, perfq_lang::Value> {
 fn ok(src: &str) -> perfq_lang::ResolvedProgram {
     match compile(src, &params()) {
         Ok(p) => p,
-        Err(e) => panic!("should compile:\n{src}\nerror: {}", e.render(src)),
+        Err(e) => panic!("should compile:\n{src}\nerror: {e}"),
     }
 }
 
@@ -99,8 +99,7 @@ fn prose_composed_latency_query() {
 #[test]
 fn all_fig2_rows_verbatim() {
     for q in fig2::ALL {
-        let prog = fig2::compile(q)
-            .unwrap_or_else(|e| panic!("{} failed: {}", q.name, e.render(q.source)));
+        let prog = fig2::compile(q).unwrap_or_else(|e| panic!("{} failed: {e}", q.name));
         assert_eq!(
             fig2::derived_linear(&prog, q),
             Some(q.paper_linear),
@@ -148,7 +147,7 @@ fn errors_carry_line_numbers() {
     let src = "SELECT srcip FROM T\nSELECT bogus FROM T\n";
     let e = err(src);
     assert_eq!(e.span.unwrap().line, 2);
-    assert!(e.render(src).contains("SELECT bogus FROM T"));
+    assert!(e.to_string().starts_with("line 2: "), "{e}");
 }
 
 #[test]

@@ -124,7 +124,7 @@ fn sharded_polls_are_exact_and_non_perturbing() {
             for part in recs.chunks(512) {
                 baseline.process_batch(part);
             }
-            let want = sorted(baseline.finish_collect());
+            let want = sorted(baseline.finish().collect());
 
             let mut polled = ShardedRuntime::new(c.clone(), shards);
             let mut seen = 0usize;
@@ -141,7 +141,7 @@ fn sharded_polls_are_exact_and_non_perturbing() {
                 }
             }
             assert_eq!(
-                sorted(polled.finish_collect()),
+                sorted(polled.finish().collect()),
                 want,
                 "{} ({shards} shards): polled plane must drain identically",
                 q.name
@@ -175,7 +175,7 @@ fn sharded_poll_mid_ingest_never_tears() {
             );
         }
     }
-    assert_eq!(sorted(plane.finish_collect()), prefix_replay(&c, &recs));
+    assert_eq!(sorted(plane.finish().collect()), prefix_replay(&c, &recs));
 }
 
 /// Delta layer: `poll_delta` emits exactly the rows that differ from the
@@ -295,11 +295,14 @@ fn multi_sharded_poll_matches_solo_prefix_replays() {
             }
         }
     }
-    let polled_final: Vec<ResultSet> = multi.finish_collect();
+    let polled_final: Vec<ResultSet> = multi.finish().iter().map(Runtime::collect).collect();
     let reference = MultiSharded::new(programs, 2);
     let mut reference = reference;
     reference.process_batch(&recs);
-    for (a, b) in polled_final.into_iter().zip(reference.finish_collect()) {
+    for (a, b) in polled_final
+        .into_iter()
+        .zip(reference.finish().iter().map(Runtime::collect))
+    {
         assert_eq!(sorted(a), sorted(b), "polls must not perturb the drain");
     }
 }

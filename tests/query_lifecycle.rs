@@ -162,7 +162,7 @@ impl Plane {
                 m.finish();
                 m.collect()
             }
-            Plane::Sharded(m) => m.finish_collect(),
+            Plane::Sharded(m) => m.finish().iter().map(Runtime::collect).collect(),
         }
     }
 }
@@ -402,7 +402,9 @@ fn an_install_can_adopt_a_deduped_store_on_the_sharded_plane() {
     );
     let recs = records(800);
     multi.process_batch(&recs);
-    drop(multi.finish_collect());
+    for rt in multi.finish() {
+        drop(rt.collect());
+    }
 }
 
 /// The repair path: a *composed* alias pair formed at install time (legal

@@ -112,7 +112,7 @@ fn network_producer_path_matches_collected_records() {
             q.name
         );
         assert_eq!(routed.iter().sum::<u64>() as usize, recs.len(), "{}", q.name);
-        assert_eq!(sorted(sh.finish_collect()), want, "{}", q.name);
+        assert_eq!(sorted(sh.finish().collect()), want, "{}", q.name);
     }
 }
 
@@ -205,7 +205,7 @@ fn capture_overflow_keeps_counts_and_totals_exact() {
     let want = single.collect();
     let mut sh = ShardedRuntime::new(c, 4);
     sh.process_batch(&recs);
-    let got = sh.finish_collect();
+    let got = sh.finish().collect();
     assert!(want.tables[0].total_matched > 50, "must overflow the limit");
     assert_eq!(got.tables[0].total_matched, want.tables[0].total_matched);
     assert_eq!(got.tables[0].rows.len(), want.tables[0].rows.len());

@@ -12,9 +12,9 @@
 //!    store's entire geometry *history* — any mid-stream migration chain
 //!    collects exactly like a never-migrated store (§3.2: linear folds
 //!    merge losslessly across evictions, hence across forced evictions).
-//! 3. Timestamps survive the move: an idle-eviction sweep after a
-//!    capacity-preserving migration evicts exactly what it would have
-//!    without the migration.
+//! 3. Timestamps survive the move: after a migration that overflows
+//!    nothing, a flush closes every epoch at exactly the
+//!    `first_seen`/`last_seen` interval a flush in place closes it at.
 
 use perfq::prelude::*;
 use perfq_kvstore::{BackingEntry, CounterOps, MaxOps, SumOps, ValueOps};
@@ -41,7 +41,7 @@ fn store<O: ValueOps + Default>(g: CacheGeometry) -> SplitStore<u64, O> {
 }
 
 /// Feed `obs[range]` into the store, timestamping each observation with
-/// its stream index so LRU order and idle sweeps are deterministic.
+/// its stream index so LRU order and residency intervals are deterministic.
 fn feed<O: ValueOps<Input = u64>>(s: &mut SplitStore<u64, O>, obs: &[Obs], base: usize) {
     for (i, (key, val)) in obs.iter().enumerate() {
         s.observe(*key, val, Nanos((base + i) as u64));
@@ -133,23 +133,26 @@ proptest! {
     }
 
     /// Fact 3: `first_seen`/`last_seen` survive the move — after migrating
-    /// to a geometry roomy enough that nothing overflows, an idle sweep
-    /// evicts exactly the keys it would have evicted in place. The
-    /// epoch-correction fold makes any difference visible: each eviction
-    /// closes an epoch, so a timestamp lost in transit would repartition
-    /// some key's epoch list.
+    /// to a geometry roomy enough that nothing overflows, flushing both
+    /// stores closes every key's epochs at the same intervals. The
+    /// epoch-correction fold keeps one epoch per residency, each with its
+    /// own interval, so a timestamp lost in transit would show.
     #[test]
-    fn idle_sweeps_see_the_same_timestamps_after_a_grow_migration(
-        obs in obs_strategy(), from in geometry_strategy(), cutoff in 0u64..600
+    fn flushes_see_the_same_timestamps_after_a_grow_migration(
+        obs in obs_strategy(), from in geometry_strategy()
     ) {
         let mut s = store::<MaxOps>(from);
         feed(&mut s, &obs, 0);
         let mut migrated = s.clone();
         // Roomy enough for every resident entry: nothing overflows.
         migrated.migrate_geometry(CacheGeometry::fully_associative(1024));
-        s.evict_idle_since(Nanos(cutoff));
-        migrated.evict_idle_since(Nanos(cutoff));
-        prop_assert_eq!(flushed(migrated), flushed(s));
+        prop_assert_eq!(migrated.stats(), s.stats());
+        let intervals = |m: BTreeMap<u64, BackingEntry<u64>>| -> BTreeMap<u64, Vec<(Nanos, Nanos)>> {
+            m.into_iter()
+                .map(|(k, e)| (k, e.epochs.iter().map(|ep| (ep.first_seen, ep.last_seen)).collect()))
+                .collect()
+        };
+        prop_assert_eq!(intervals(flushed(migrated)), intervals(flushed(s)));
     }
 
     /// Migrating to the current geometry is a guaranteed no-op, so the
