@@ -67,7 +67,7 @@ fn main() {
         let verdict_match = derived == q.paper_linear;
         all_ok &= verdict_match;
 
-        let compiled = compile_program(prog, CompileOptions::default()).expect("plans");
+        let compiled = compile_program(prog, CompileOptions::default());
         let alu_ok = compiled
             .alu
             .iter()

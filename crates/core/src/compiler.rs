@@ -7,7 +7,9 @@
 //! * every `GROUPBY` becomes one programmable key-value store, sized from
 //!   the compile options, with its merge strategy chosen by the fold's
 //!   derived linearity class;
-//! * every fold is audited against a stateful-ALU budget (§3.3);
+//! * every fold is audited against the Banzai stateful-ALU budget (§3.3,
+//!   [`AluSpec::banzai`]); the audit is recorded per query and never
+//!   rejects a program;
 //! * `SELECT`/`WHERE` stages become the match-action filters/projections the
 //!   runtime evaluates per record;
 //! * streaming dataflow edges (query composition) are wired up.
@@ -16,7 +18,6 @@ use crate::foldops::FoldOps;
 use perfq_lang::{QueryInput, ResolvedKind, ResolvedProgram};
 use perfq_kvstore::{CacheGeometry, EvictionPolicy};
 use perfq_switch::{AluReport, AluSpec, AluViolation};
-use std::fmt;
 
 /// Compiler options: the hardware configuration to target.
 #[derive(Debug, Clone, Copy)]
@@ -29,12 +30,6 @@ pub struct CompileOptions {
     pub policy: EvictionPolicy,
     /// Seed for key-placement hashing.
     pub hash_seed: u64,
-    /// Stateful-ALU budget folds are audited against.
-    pub alu: AluSpec,
-    /// Reject programs whose folds exceed the ALU budget (otherwise the
-    /// violation is recorded but compilation proceeds — useful for research
-    /// what-ifs).
-    pub alu_strict: bool,
     /// Maximum records captured by selections over the base packet table.
     pub capture_limit: usize,
 }
@@ -46,8 +41,6 @@ impl Default for CompileOptions {
             ways: 8,
             policy: EvictionPolicy::Lru,
             hash_seed: 0x7e7e_55aa,
-            alu: AluSpec::banzai(),
-            alu_strict: false,
             capture_limit: 100_000,
         }
     }
@@ -100,7 +93,9 @@ pub struct CompiledProgram {
     pub options: CompileOptions,
     /// Per-query store plan (`Some` for GROUPBYs).
     pub stores: Vec<Option<StorePlan>>,
-    /// Per-query ALU audit (`Some` for GROUPBYs).
+    /// Per-query audit of the fold against [`AluSpec::banzai`] (`Some` for
+    /// GROUPBYs). A fold over budget is recorded here as the violation;
+    /// compilation never rejects it.
     pub alu: Vec<Option<Result<AluReport, AluViolation>>>,
     /// Streaming dataflow edges: `children[i]` lists queries consuming
     /// query i's output stream.
@@ -113,39 +108,14 @@ pub struct CompiledProgram {
     /// multi-query drivers ([`crate::MultiRuntime`] / [`crate::MultiSharded`])
     /// substitute the owning store back at finish time, so a *standalone*
     /// runtime over a program with non-empty `deduped_queries` would collect
-    /// empty tables for them. Compilation always leaves this empty.
-    pub deduped_queries: Vec<usize>,
+    /// empty tables for them, which is why no code outside this crate sees
+    /// the field. Compilation always leaves this empty.
+    pub(crate) deduped_queries: Vec<usize>,
 }
-
-/// Compilation failure.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompileError {
-    /// A fold exceeds the ALU budget under `alu_strict`.
-    AluBudget {
-        /// Offending query name.
-        query: String,
-        /// The violation.
-        violation: AluViolation,
-    },
-}
-
-impl fmt::Display for CompileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompileError::AluBudget { query, violation } => {
-                write!(f, "query `{query}` does not fit the stateful ALU: {violation}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
 
 /// Compile a resolved program against a hardware configuration.
-pub fn compile_program(
-    program: ResolvedProgram,
-    options: CompileOptions,
-) -> Result<CompiledProgram, CompileError> {
+#[must_use]
+pub fn compile_program(program: ResolvedProgram, options: CompileOptions) -> CompiledProgram {
     let n = program.queries.len();
     let params = program.param_values();
     // The §3.3/§4 width arithmetic lives with the language resolver: the
@@ -164,15 +134,6 @@ pub fn compile_program(
         }
         match &q.kind {
             ResolvedKind::GroupBy(g) => {
-                let report = options.alu.check(&g.fold);
-                if options.alu_strict {
-                    if let Err(violation) = report {
-                        return Err(CompileError::AluBudget {
-                            query: q.name.clone(),
-                            violation,
-                        });
-                    }
-                }
                 let width = widths[idx].expect("groupby reports a store width");
                 stores.push(Some(StorePlan {
                     geometry: options.geometry(),
@@ -182,7 +143,7 @@ pub fn compile_program(
                     value_bits: width.value_bits,
                     ops: FoldOps::new(g.fold.clone(), params.clone()),
                 }));
-                alu.push(Some(report));
+                alu.push(Some(AluSpec::banzai().check(&g.fold)));
             }
             ResolvedKind::Project(_) => {
                 stores.push(None);
@@ -190,14 +151,14 @@ pub fn compile_program(
             }
         }
     }
-    Ok(CompiledProgram {
+    CompiledProgram {
         program,
         options,
         stores,
         alu,
         children,
         deduped_queries: Vec::new(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -207,7 +168,7 @@ mod tests {
 
     fn compiled(src: &str) -> CompiledProgram {
         let prog = lang_compile(src, &fig2::default_params()).unwrap();
-        compile_program(prog, CompileOptions::default()).unwrap()
+        compile_program(prog, CompileOptions::default())
     }
 
     #[test]
@@ -255,33 +216,13 @@ mod tests {
     fn alu_reports_recorded_for_all_fig2_queries() {
         for q in fig2::ALL {
             let prog = fig2::compile(q).unwrap();
-            let c = compile_program(prog, CompileOptions::default()).unwrap();
+            let c = compile_program(prog, CompileOptions::default());
             for (store, report) in c.stores.iter().zip(&c.alu) {
                 if store.is_some() {
                     assert!(report.as_ref().unwrap().is_ok(), "{}", q.name);
                 }
             }
         }
-    }
-
-    #[test]
-    fn strict_mode_rejects_oversized_folds() {
-        let prog = lang_compile(
-            "SELECT MAX(qsize), MIN(tin), SUM(pkt_len), COUNT GROUPBY 5tuple",
-            &fig2::default_params(),
-        )
-        .unwrap();
-        let opts = CompileOptions {
-            alu: AluSpec {
-                max_state_vars: 2,
-                ..AluSpec::banzai()
-            },
-            alu_strict: true,
-            ..Default::default()
-        };
-        let err = compile_program(prog, opts).unwrap_err();
-        assert!(matches!(err, CompileError::AluBudget { .. }));
-        assert!(err.to_string().contains("stateful ALU"));
     }
 
     #[test]

@@ -1331,7 +1331,7 @@ mod tests {
         };
         for src in KERNEL_FOLDS {
             let prog = compile(src, &fig2::default_params()).unwrap();
-            let compiled = compile_program(prog, opts).unwrap();
+            let compiled = compile_program(prog, opts);
             let mut rt = Runtime::new(compiled.clone());
             for part in recs.chunks(64) {
                 rt.process_batch(part);

@@ -259,7 +259,7 @@
 //!   queues (one worker group each); every batch is routed once per
 //!   program. [`ShardedRuntime`] is its K = 1 case.
 //!
-//! On the provisioning side, [`provision`] runs
+//! On the provisioning side, [`MultiRuntime::provisioned`] runs
 //! `perfq_kvstore::CachePlanner` over the programs' reported key/state
 //! widths and rewrites every store's geometry to its slice of the budget;
 //! a worker runs its stores at the whole slice inline and at `1/N` of it
@@ -275,8 +275,8 @@
 //! Installed programs overlap: the paper's own Fig. 2 set repeats the §4
 //! running example (`SELECT COUNT GROUPBY 5tuple`) verbatim inside the
 //! loss-rate program. A [`Deployment`] therefore runs an
-//! install-time sharing pass — compare candidate stores structurally
-//! (`perfq_lang::fingerprint`) and physically, rewrite the plans — that
+//! install-time sharing pass — compare candidate stores on their compiled
+//! execution and store plans, rewrite the plans — that
 //! binds structurally-identical stores to **one** physical store, eliding
 //! the duplicates from the streaming pass and substituting the owner's
 //! finished store at drain. Filters and group keys are not shared: each
@@ -285,7 +285,7 @@
 //! tuples and fold semantics are identical *and* their physical
 //! configurations (geometry, eviction policy, hash seed) match — which
 //! makes sharing byte-identical to unshared execution for every fold
-//! class, eviction for eviction. Under [`provision`], deduplicated stores
+//! class, eviction for eviction. Under a budget, deduplicated stores
 //! are also charged to the SRAM budget once and the reclaimed bits grow
 //! every physical cache. See [`multi`] for the full legality rule and
 //! [`multi::SharingReport`] for what a given install shared.
@@ -419,6 +419,7 @@
 
 pub mod compiler;
 pub mod durable;
+mod fingerprint;
 pub mod foldops;
 pub mod multi;
 pub mod oracle;
@@ -428,11 +429,11 @@ pub mod runtime;
 pub mod sharded;
 pub mod windows;
 
-pub use compiler::{compile_program, CompileError, CompileOptions, CompiledProgram, StorePlan};
+pub use compiler::{compile_program, CompileOptions, CompiledProgram, StorePlan};
 pub use durable::{decode_results, encode_results, read_retired, write_retired, Durability};
 pub use foldops::{FoldOps, FoldState};
 pub use multi::{
-    provision, Deployment, Inline, InstallError, MultiRuntime, MultiSharded, Sharded, SharedStore,
+    Deployment, Inline, InstallError, MultiRuntime, MultiSharded, Sharded, SharedStore,
     SharingReport,
 };
 pub use oracle::{Oracle, Prediction};
@@ -449,15 +450,12 @@ use std::collections::HashMap;
 pub enum PerfqError {
     /// Front-end (lex/parse/resolve) failure.
     Lang(LangError),
-    /// Physical planning failure.
-    Compile(CompileError),
 }
 
 impl std::fmt::Display for PerfqError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PerfqError::Lang(e) => write!(f, "{e}"),
-            PerfqError::Compile(e) => write!(f, "{e}"),
         }
     }
 }
@@ -470,12 +468,6 @@ impl From<LangError> for PerfqError {
     }
 }
 
-impl From<CompileError> for PerfqError {
-    fn from(e: CompileError) -> Self {
-        PerfqError::Compile(e)
-    }
-}
-
 /// Compile query text straight to a hardware configuration.
 pub fn compile_query(
     source: &str,
@@ -483,5 +475,5 @@ pub fn compile_query(
     options: CompileOptions,
 ) -> Result<CompiledProgram, PerfqError> {
     let program = perfq_lang::compile(source, params)?;
-    Ok(compile_program(program, options)?)
+    Ok(compile_program(program, options))
 }

@@ -6,7 +6,8 @@
 //! independently-sized cache quietly multiplies that budget by the number of
 //! queries; this module closes the gap from both ends:
 //!
-//! * **Provisioning** ([`provision`]): the kvstore's
+//! * **Provisioning** ([`MultiRuntime::provisioned`] /
+//!   [`MultiSharded::provisioned`]): the kvstore's
 //!   [`CachePlanner`] divides a budget in bits across the installed
 //!   programs — using the key/state widths each compiled program reports
 //!   (`StorePlan::pair_bits`, ultimately `ResolvedProgram::store_widths` in
@@ -85,18 +86,19 @@
 //! ([`MultiRuntime::new`] / [`MultiSharded::new`]) over the compiled
 //! programs, in two steps:
 //!
-//! 1. **Compare** — every pair of candidate stores is held to the one
-//!    legality rule, which is also the one notion of identity: the
-//!    structural comparison in [`perfq_lang::fingerprint`]
-//!    ([`store_equivalent`](perfq_lang::fingerprint::store_equivalent),
-//!    over canonical param-folded forms) *and* physical-plan equality. Two
-//!    stores may legally collapse into one only when their input chains,
-//!    filters, key tuples and fold semantics are identical **and** their
-//!    physical configurations match — same [`CacheGeometry`], same eviction
-//!    policy, same placement hash seed, with every upstream store in the
-//!    chain equally identical (downstream queries observe *cache-resident*
-//!    running values, §3.2, so eviction timing is part of a stream's
-//!    identity). Under that rule the deduplicated dataplane is
+//! 1. **Compare** — each program in turn searches the stores before it for
+//!    an owner (`lifecycle_alias_candidates`, the same search a live
+//!    install runs), holding every candidate pair to the one legality rule,
+//!    which is also the one notion of identity: `same_store`, over the
+//!    plans that actually run. Two stores may legally collapse into one
+//!    only when both plan nodes are active, their compiled filters (with
+//!    parameters bound, so `proto == TCP` is `proto == 6`) and key columns
+//!    are equal, their store plans match — same [`CacheGeometry`], same
+//!    eviction policy, same placement hash seed, same widths, the same
+//!    dataplane fold — and their upstream chains are equal node by node,
+//!    every upstream store equally identical (downstream queries observe
+//!    *cache-resident* running values, §3.2, so eviction timing is part of
+//!    a stream's identity). Under that rule the deduplicated dataplane is
 //!    byte-identical to the private-store one for every fold class —
 //!    eviction for eviction, epoch for epoch.
 //! 2. **Rewrite** — each *alias* aggregation (a duplicate whose rows no
@@ -110,7 +112,7 @@
 //! The paper's own query set overlaps this way: the loss-rate program's
 //! `R1 = SELECT COUNT GROUPBY 5tuple` *is* the §4 running-example counter
 //! query. [`SharingReport`] (from [`Deployment::sharing`]) lists what was
-//! shared; under [`provision`] the deduplicated stores are also charged to
+//! shared; under a budget the deduplicated stores are also charged to
 //! the SRAM budget **once**, and the reclaimed bits grow every physical
 //! cache ([`StoreDemand::dedup`](perfq_kvstore::StoreDemand)).
 //!
@@ -139,14 +141,14 @@
 
 use crate::compiler::{CompiledProgram, StorePlan};
 use crate::durable::{read_retired, write_retired, Durability};
-use crate::plan::{ExecPlan, CHUNK, LANES};
+use crate::plan::{ExecPlan, NodeKind, RowSource, CHUNK, LANES};
 use crate::result::ResultSet;
 use crate::runtime::{LifecycleError, Runtime};
 use crate::sharded::{ShardGroup, ShardSpec};
 use perfq_kvstore::{
     AreaPlan, CacheGeometry, CachePlanner, PlanError, QueryAllocation, QueryDemand, StoreDemand,
 };
-use perfq_lang::{fingerprint, QueryInput, Value};
+use perfq_lang::{QueryInput, Value};
 use perfq_switch::{Network, QueueRecord};
 
 /// Plan `budget_bits` of cache SRAM across `programs` (equal shares) and
@@ -154,32 +156,13 @@ use perfq_switch::{Network, QueueRecord};
 /// aggregation stores take no share. Returns the plan (query `i` appears as
 /// `"q{i}"`) so callers can inspect slices or derive per-shard geometries.
 ///
-/// Structurally-identical stores across (or within) programs are
-/// deduplicated: the sharing analysis tags them into one
-/// [`StoreDemand::dedup`] group, the planner charges the group once, and
-/// every member program receives the **same** (larger) geometry — the
-/// reclaimed bits are redistributed across all physical stores. Execution
-/// semantics are unchanged: a member program still runs correctly alone;
-/// only a [`Deployment`] additionally collapses the duplicate stores into
-/// one at run time.
-///
-/// # Errors
-///
-/// [`PlanError::EmptyDemands`] when no program has any aggregation store,
-/// plus whatever the planner itself rejects
-/// ([`perfq_kvstore::CachePlanner::plan`]).
-pub fn provision(
-    programs: &mut [CompiledProgram],
-    budget_bits: u64,
-) -> Result<AreaPlan, PlanError> {
-    let aliases = analyze_sharing(programs);
-    provision_with(programs, budget_bits, &aliases)
-}
-
-/// [`provision`] against a caller-supplied (possibly gated) alias list —
-/// a budgeted [`Deployment`] computes the analysis once, applies the
-/// shard-exactness gate, and threads the same result through both the
-/// planner and the worker rewrite so the two can never disagree.
+/// `aliases` is the deployment's (gated) sharing analysis: a budgeted
+/// [`Deployment`] computes it once and threads the same result through
+/// both the planner and the worker rewrite, so the two can never disagree.
+/// Deduplicated stores form one [`StoreDemand::dedup`] group, the planner
+/// charges the group once, and every member program receives the **same**
+/// (larger) geometry — the reclaimed bits are redistributed across all
+/// physical stores.
 ///
 /// The planner itself tags only aliases whose terminal store reads the
 /// **base table**: for those, the plan forces every group member onto the
@@ -308,9 +291,20 @@ fn set_geometries(
 /// itself an alias.
 type Pair = ((usize, usize), (usize, usize));
 
-/// Physical store-plan identity: the non-structural half of the dedup
-/// legality rule (the structural half is
-/// [`perfq_lang::fingerprint::store_equivalent`]).
+/// One program as the identity rule reads it: its compiled store plans
+/// beside the execution plan that runs them.
+pub(crate) type Side<'a> = (&'a CompiledProgram, &'a ExecPlan);
+
+/// Every program's execution plan, in program order.
+fn exec_plans(programs: &[CompiledProgram]) -> Vec<ExecPlan> {
+    programs
+        .iter()
+        .map(|p| ExecPlan::build(&p.program))
+        .collect()
+}
+
+/// Physical store-plan identity: geometry, eviction policy, placement hash
+/// seed, key/value widths and the dataplane fold.
 ///
 /// `geometry: false` drops the geometry comparison — the nomination form
 /// used by the dynamic lifecycle. A freshly-compiled program carries
@@ -318,7 +312,7 @@ type Pair = ((usize, usize), (usize, usize));
 /// provisioned ones, so geometry equality at nomination time would reject
 /// every candidate the replan is about to *make* equal. The planner forces
 /// base-rooted groups onto one geometry; composed candidates are
-/// re-checked with the strict [`stores_dedupable`] after the plan lands.
+/// re-checked with the strict rule after the plan lands.
 fn phys_eq(a: &StorePlan, b: &StorePlan, geometry: bool) -> bool {
     (!geometry || a.geometry == b.geometry)
         && a.policy == b.policy
@@ -328,89 +322,95 @@ fn phys_eq(a: &StorePlan, b: &StorePlan, geometry: bool) -> bool {
         && a.ops.dataplane_identical(&b.ops)
 }
 
-/// Every store *upstream* of the two queries must also be physically
-/// identical: composed queries stream the cache-resident running values
-/// (§3.2), so upstream eviction timing shapes the downstream stream.
-fn upstream_phys_identical(
-    a: &CompiledProgram,
-    ai: usize,
-    b: &CompiledProgram,
-    bi: usize,
-    geometry: bool,
-) -> bool {
-    match (&a.program.queries[ai].input, &b.program.queries[bi].input) {
-        (QueryInput::Base, QueryInput::Base) => true,
-        (QueryInput::Table(x), QueryInput::Table(y)) => {
-            let stores_match = match (&a.stores[*x], &b.stores[*y]) {
-                (Some(p), Some(q)) => phys_eq(p, q, geometry),
-                (None, None) => true,
-                _ => false,
-            };
-            stores_match && upstream_phys_identical(a, *x, b, *y, geometry)
-        }
+/// The store-identity rule, and the only place that decides it: query `ai`
+/// of `a` and query `bi` of `b` are the same store when both plan nodes are
+/// active aggregations with equal compiled filters and equal key columns,
+/// their store plans pass [`phys_eq`], and their upstream chains are equal
+/// node by node ([`same_node`]). The plans bind parameters at build time,
+/// so `proto == TCP` and `proto == 6` compile to the same filter. A store's
+/// own output layout does not count: each program formats its rows from
+/// the shared `(key, state)` pairs. The rule is made of equalities only,
+/// so it is an equivalence relation.
+pub(crate) fn same_store(a: Side, ai: usize, b: Side, bi: usize, geometry: bool) -> bool {
+    let (na, nb) = (&a.1.nodes[ai], &b.1.nodes[bi]);
+    let keys_equal = match (&na.kind, &nb.kind) {
+        (NodeKind::GroupBy { key_cols: x, .. }, NodeKind::GroupBy { key_cols: y, .. }) => x == y,
         _ => false,
-    }
+    };
+    na.active && nb.active && keys_equal && same_node(a, ai, b, bi, geometry, false)
 }
 
-/// The store-dedup legality check for one candidate pair, with or without
-/// the geometry comparison (see [`phys_eq`]).
-fn dedupable(
-    a: &CompiledProgram,
+/// Nodes `ai` and `bi` compute the same rows: equal compiled filters,
+/// physically identical stores (or none on both sides), the same source —
+/// the base table, or recursively the same upstream node — and, with
+/// `layout`, the same node body, output layout and projection columns
+/// included. Composed queries stream the cache-resident running values
+/// (§3.2), so upstream eviction timing, and with it every upstream store
+/// plan, is part of a stream's identity.
+pub(crate) fn same_node(
+    a: Side,
     ai: usize,
-    b: &CompiledProgram,
+    b: Side,
     bi: usize,
     geometry: bool,
+    layout: bool,
 ) -> bool {
-    let (Some(x), Some(y)) = (&a.stores[ai], &b.stores[bi]) else {
-        return false;
+    let (na, nb) = (&a.1.nodes[ai], &b.1.nodes[bi]);
+    let stores = match (&a.0.stores[ai], &b.0.stores[bi]) {
+        (Some(x), Some(y)) => phys_eq(x, y, geometry),
+        (None, None) => true,
+        _ => false,
     };
-    phys_eq(x, y, geometry)
-        && upstream_phys_identical(a, ai, b, bi, geometry)
-        && fingerprint::store_equivalent(&a.program, ai, &b.program, bi)
+    let sources = match (na.source, nb.source) {
+        (RowSource::Base, RowSource::Base) => true,
+        (RowSource::Node(x), RowSource::Node(y)) => same_node(a, x, b, y, geometry, true),
+        _ => false,
+    };
+    na.filter == nb.filter && (!layout || na.kind == nb.kind) && stores && sources
 }
 
-/// The full (strict) store-dedup legality check for one candidate pair.
-fn stores_dedupable(a: &CompiledProgram, ai: usize, b: &CompiledProgram, bi: usize) -> bool {
-    dedupable(a, ai, b, bi, true)
-}
-
-/// Nominate store-dedup pairs for a freshly-installed program (index
-/// `new_idx`, last in `programs`). Exactness of an alias rests on the
-/// owner's store holding exactly the state the alias's private store
-/// would have held, **from the beginning of the alias's stream** — so on
-/// top of the structural/physical rule two lifecycle conditions apply:
+/// Nominate store-dedup pairs for program `new_idx` — the owner search, and
+/// the only one. Its non-emitting aggregations (an emitting one feeds
+/// downstream queries its per-record running values and cannot leave the
+/// streaming pass) each take the first earlier store in (program, query)
+/// order that [`same_store`] matches and that is not itself an alias
+/// (`prev` or this call's own pairs). Exactness of an alias rests on the
+/// owner's store holding exactly the state the alias's private store would
+/// have held, **from the beginning of the alias's stream** — so on top of
+/// the rule two lifecycle conditions apply:
 ///
 /// * **equal install epochs** (`epochs`, records-processed at install):
 ///   the owner must have observed precisely the records the new query
 ///   will be accountable for. Equal epochs mean the owner's store was
 ///   empty when the pair forms, and mirrored geometries keep the two
 ///   hypothetical stores identical from then on.
-/// * **freshness**: only the *new* program may take the alias side. Two
-///   long-lived programs whose stores drifted through different geometry
-///   histories can momentarily look identical; re-aliasing them would
-///   erase that history. (Their pairs, if legal, formed when *they* were
-///   installed and are carried in the deployment's settled alias list.)
+/// * **freshness**: only program `new_idx` may take the alias side, and
+///   only programs before it may own (besides its own earlier queries).
+///   Two long-lived programs whose stores drifted through different
+///   geometry histories can momentarily look identical; re-aliasing them
+///   would erase that history. (Their pairs, if legal, formed when *they*
+///   were installed and are carried in the deployment's settled alias
+///   list.)
 ///
-/// Candidates are nominated with the relaxed geometry-free rule (see
-/// [`phys_eq`]) and must be confirmed with the strict
-/// [`stores_dedupable`] against post-plan geometries before any store is
-/// elided.
+/// A live install nominates with the relaxed rule (`geometry: false`, see
+/// [`phys_eq`]) and confirms with the strict one against post-plan
+/// geometries before any store is elided; [`analyze_sharing`] runs the
+/// strict rule directly.
 fn lifecycle_alias_candidates(
     programs: &[CompiledProgram],
+    plans: &[ExecPlan],
     epochs: &[u64],
     prev: &[Pair],
     new_idx: usize,
+    geometry: bool,
 ) -> Vec<Pair> {
-    let new_plan = ExecPlan::build(&programs[new_idx].program);
+    let side = |p: usize| (&programs[p], &plans[p]);
     let mut out: Vec<Pair> = Vec::new();
-    for (qi, node) in new_plan.nodes.iter().enumerate() {
-        if programs[new_idx].stores[qi].is_none() || node.emits {
+    for (qi, node) in plans[new_idx].nodes.iter().enumerate() {
+        if node.emits {
             continue;
         }
-        'owners: for op in 0..=new_idx {
-            if epochs[op] != epochs[new_idx] {
-                continue;
-            }
+        'owners: for op in (0..=new_idx).filter(|&op| epochs[op] == epochs[new_idx]) {
             // Within the new program itself, only earlier queries may own.
             let limit = if op == new_idx {
                 qi
@@ -419,53 +419,35 @@ fn lifecycle_alias_candidates(
             };
             for oq in 0..limit {
                 // An owner must not itself be an alias (of any vintage).
-                if prev
-                    .iter()
-                    .chain(out.iter())
-                    .any(|((ap, aq), _)| (*ap, *aq) == (op, oq))
+                let alias = |((ap, aq), _): &Pair| (*ap, *aq) == (op, oq);
+                if !prev.iter().chain(&out).any(alias)
+                    && same_store(side(new_idx), qi, side(op), oq, geometry)
                 {
-                    continue;
+                    out.push(((new_idx, qi), (op, oq)));
+                    break 'owners;
                 }
-                if !dedupable(&programs[new_idx], qi, &programs[op], oq, false) {
-                    continue;
-                }
-                out.push(((new_idx, qi), (op, oq)));
-                break 'owners;
             }
         }
     }
     out
 }
 
-/// Decide, at install time, which stores of the given program set dedup:
-/// the alias pairs. Pure analysis — applying the result to worker
-/// programs is the caller's job.
-pub(crate) fn analyze_sharing(programs: &[CompiledProgram]) -> Vec<Pair> {
-    let plans: Vec<ExecPlan> = programs
-        .iter()
-        .map(|p| ExecPlan::build(&p.program))
-        .collect();
-
-    // First occurrence of each store shape owns it; later structurally +
-    // physically identical, *non-emitting* occurrences alias it. (An
-    // emitting aggregation feeds downstream queries its per-record running
-    // values and cannot leave the streaming pass.)
+/// Decide which stores of an initial program set dedup: every program, in
+/// order, is an install at epoch 0 — its strict-rule candidates
+/// ([`lifecycle_alias_candidates`]) pass the plane's [`gate`] and settle
+/// before the next program nominates. The rule is an equivalence, so the
+/// first matching store is never an alias, and this picks the owner a
+/// search over the whole set would. Pure analysis — applying the result to
+/// worker programs is the caller's job.
+fn analyze_sharing(programs: &[CompiledProgram], shards: Option<usize>) -> Vec<Pair> {
+    let plans = exec_plans(programs);
+    let epochs = vec![0; programs.len()];
     let mut aliases = Vec::new();
-    let mut owners: Vec<(usize, usize)> = Vec::new();
-    for (pi, prog) in programs.iter().enumerate() {
-        for (qi, node) in plans[pi].nodes.iter().enumerate() {
-            if !node.active || prog.stores[qi].is_none() {
-                continue;
-            }
-            let owner = (owners.iter())
-                .find(|(op, oq)| !node.emits && stores_dedupable(prog, qi, &programs[*op], *oq));
-            match owner {
-                Some(owner) => aliases.push(((pi, qi), *owner)),
-                None => owners.push((pi, qi)),
-            }
-        }
+    for p in 0..programs.len() {
+        let mut found = lifecycle_alias_candidates(programs, &plans, &epochs, &aliases, p, true);
+        gate(shards, &mut found, programs);
+        aliases.extend(found);
     }
-
     aliases
 }
 
@@ -517,14 +499,8 @@ impl SharingReport {
 /// owner's finished store, so collection reads what a private store would
 /// have held. All runtimes must be finished.
 fn substitute_stores(runtimes: &mut [Runtime], aliases: &[Pair]) {
-    for ((ap, aq), (op, oq)) in aliases {
-        if ap == op {
-            runtimes[*ap].adopt_store_within(*aq, *oq);
-        } else {
-            debug_assert!(op < ap, "owners precede aliases");
-            let (left, right) = runtimes.split_at_mut(*ap);
-            right[0].adopt_store(*aq, &left[*op], *oq);
-        }
+    for (alias, owner) in aliases {
+        Runtime::adopt_store(runtimes, *alias, *owner);
     }
 }
 
@@ -710,8 +686,7 @@ impl Roster {
         assert!(!programs.is_empty(), "need at least one program");
         let mut aliases = Vec::new();
         if share {
-            aliases = analyze_sharing(&programs);
-            gate(shards, &mut aliases, &programs);
+            aliases = analyze_sharing(&programs, shards);
         }
         let n = programs.len();
         let mut roster = Roster {
@@ -853,10 +828,12 @@ impl Roster {
                 .migrations
                 .push((pi, worker_geometries(self.shards, alloc)?));
         }
+        let plans = exec_plans(&replan.programs);
+        let side = |p: usize| (&replan.programs[p], &plans[p]);
         replan.broken = (0..self.aliases.len())
             .filter(|&i| {
                 let ((ap, aq), (op, oq)) = self.aliases[i];
-                !stores_dedupable(&replan.programs[ap], aq, &replan.programs[op], oq)
+                !same_store(side(ap), aq, side(op), oq, true)
             })
             .collect();
         Ok(replan)
@@ -926,9 +903,17 @@ impl Roster {
         programs.push(program);
         let mut epochs = self.epochs.clone();
         epochs.push(self.records);
+        let plans = exec_plans(&programs);
         let mut candidates = Vec::new();
         if self.share {
-            candidates = lifecycle_alias_candidates(&programs, &epochs, &self.aliases, new_idx);
+            candidates = lifecycle_alias_candidates(
+                &programs,
+                &plans,
+                &epochs,
+                &self.aliases,
+                new_idx,
+                false,
+            );
             gate(self.shards, &mut candidates, &programs);
         }
 
@@ -942,9 +927,8 @@ impl Roster {
         ids.push(self.next_id);
         let combined: Vec<Pair> = self.aliases.iter().chain(&candidates).copied().collect();
         let mut replan = self.replan(programs, &ids, &combined)?;
-        candidates.retain(|((ap, aq), (op, oq))| {
-            stores_dedupable(&replan.programs[*ap], *aq, &replan.programs[*op], *oq)
-        });
+        let side = |p: usize| (&replan.programs[p], &plans[p]);
+        candidates.retain(|((ap, aq), (op, oq))| same_store(side(*ap), *aq, side(*op), *oq, true));
 
         // The arrival starts at its planned per-worker geometries with its
         // alias queries out of the streaming pass; the residents migrate to
@@ -1320,8 +1304,7 @@ impl<P: Placement> Deployment<P> {
         budget_bits: u64,
         shards: Option<usize>,
     ) -> Result<(Self, AreaPlan), PlanError> {
-        let mut aliases = analyze_sharing(&programs);
-        gate(shards, &mut aliases, &programs);
+        let aliases = analyze_sharing(&programs, shards);
         let plan = provision_with(&mut programs, budget_bits, &aliases)?;
         let (mut roster, mut workers) = Roster::new(programs, true, shards);
         roster.budget = Some(budget_bits);
@@ -1599,8 +1582,11 @@ impl Deployment<Inline> {
         Self::build(Roster::new(programs, false, None))
     }
 
-    /// Install programs under a shared SRAM budget: [`provision`] the
-    /// geometries first, then build the runtime. Returns the plan alongside.
+    /// Install programs under a shared SRAM budget: plan the geometries
+    /// first (store dedup included — deduplicated stores are charged once),
+    /// then build the runtime. Returns the plan alongside; program `i`'s
+    /// slice is its query `"q{i}"`, and [`MultiRuntime::runtimes`] carry the
+    /// provisioned geometries.
     pub fn provisioned(
         programs: Vec<CompiledProgram>,
         budget_bits: u64,
@@ -1682,7 +1668,7 @@ impl Deployment<Sharded> {
     }
 
     /// Spawn under a shared SRAM budget: the budget divides across programs
-    /// ([`provision`], store dedup included — deduplicated stores are
+    /// (store dedup included — deduplicated stores are
     /// charged once), and each program's slice divides across its `shards`
     /// workers — constant total area at any scale.
     ///
@@ -1733,10 +1719,11 @@ mod tests {
     use super::*;
     use crate::compile_query;
     use crate::compiler::CompileOptions;
-    use perfq_kvstore::InlineKey;
+    use perfq_kvstore::{EvictionPolicy, InlineKey};
     use perfq_lang::fig2;
     use perfq_switch::NetworkConfig;
     use perfq_trace::{SyntheticTrace, TraceConfig};
+    use proptest::prelude::*;
 
     const MBIT: u64 = 1024 * 1024;
 
@@ -1744,9 +1731,24 @@ mod tests {
         compile_query(src, &fig2::default_params(), CompileOptions::default()).unwrap()
     }
 
+    /// The strict rule over two programs' freshly built plans.
+    fn same(a: &CompiledProgram, ai: usize, b: &CompiledProgram, bi: usize) -> bool {
+        let (pa, pb) = (ExecPlan::build(&a.program), ExecPlan::build(&b.program));
+        same_store((a, &pa), ai, (b, &pb), bi, true)
+    }
+
+    /// The geometry every store of the inline deployment's program `p` runs.
+    fn geometry(multi: &MultiRuntime, p: usize, q: usize) -> CacheGeometry {
+        multi.runtimes()[p].compiled().stores[q]
+            .as_ref()
+            .unwrap()
+            .geometry
+    }
+
     #[test]
     fn demand_reports_the_papers_pair_width() {
-        let plan = provision(&mut [compiled("SELECT COUNT GROUPBY 5tuple")], 32 * MBIT).unwrap();
+        let programs = vec![compiled("SELECT COUNT GROUPBY 5tuple")];
+        let (_, plan) = MultiRuntime::provisioned(programs, 32 * MBIT).unwrap();
         let stores = &plan.queries[0].stores;
         assert_eq!(stores.len(), 1);
         // §4's 104-bit 5-tuple key; the compiled counter state is a 32-bit
@@ -1754,28 +1756,28 @@ mod tests {
         // counter width — pinned separately against `area::PAIR_BITS`).
         assert_eq!(stores[0].pair_bits, 104 + 32);
         // A selection demands no SRAM, so there is nothing to plan.
+        let selection = vec![compiled("SELECT srcip FROM T")];
         assert_eq!(
-            provision(&mut [compiled("SELECT srcip FROM T")], 32 * MBIT).unwrap_err(),
+            MultiRuntime::provisioned(selection, 32 * MBIT).unwrap_err(),
             PlanError::EmptyDemands,
         );
     }
 
     #[test]
     fn provision_rewrites_geometries_within_budget() {
-        let mut programs: Vec<CompiledProgram> = [
+        let programs: Vec<CompiledProgram> = [
             "SELECT COUNT GROUPBY 5tuple",
             "SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip",
         ]
         .iter()
         .map(|s| compiled(s))
         .collect();
-        let plan = provision(&mut programs, 8 * MBIT).unwrap();
+        let (multi, plan) = MultiRuntime::provisioned(programs, 8 * MBIT).unwrap();
         assert!(plan.allocated_bits() <= 8 * MBIT);
-        for (p, alloc) in programs.iter().zip(&plan.queries) {
-            let store = p.stores[0].as_ref().unwrap();
-            assert_eq!(store.geometry, alloc.stores[0].geometry);
+        for (p, alloc) in plan.queries.iter().enumerate() {
+            assert_eq!(geometry(&multi, p, 0), alloc.stores[0].geometry);
             assert_ne!(
-                store.geometry,
+                geometry(&multi, p, 0),
                 CompileOptions::default().geometry(),
                 "provisioning must actually resize the cache"
             );
@@ -1815,7 +1817,7 @@ mod tests {
             compiled(fig2::TCP_OUT_OF_SEQUENCE.source),
             compiled(fig2::TCP_NON_MONOTONIC.source),
         ];
-        let aliases = analyze_sharing(&programs);
+        let aliases = analyze_sharing(&programs, None);
         assert_eq!(aliases.len(), 1, "loss-rate R1 aliases the counter");
         assert_eq!(aliases[0], ((1, 0), (0, 0)));
     }
@@ -1824,7 +1826,7 @@ mod tests {
     fn different_filters_and_geometries_block_dedup() {
         // Loss-rate R1 vs R2: same store shape, different filter.
         let loss = compiled(fig2::PER_FLOW_LOSS_RATE.source);
-        assert!(!stores_dedupable(&loss, 0, &loss, 1));
+        assert!(!same(&loss, 0, &loss, 1));
         // Same query text, different cache geometry: physically different.
         let a = compiled("SELECT COUNT GROUPBY 5tuple");
         let b = compile_query(
@@ -1836,9 +1838,9 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(stores_dedupable(&a, 0, &a, 0));
-        assert!(!stores_dedupable(&a, 0, &b, 0));
-        assert!(analyze_sharing(&[a, b]).is_empty());
+        assert!(same(&a, 0, &a, 0));
+        assert!(!same(&a, 0, &b, 0));
+        assert!(analyze_sharing(&[a, b], None).is_empty());
     }
 
     #[test]
@@ -1868,11 +1870,11 @@ mod tests {
         // pocket its SRAM — provisioning could re-size the two R1 chains
         // differently, and a plan may never charge once for a store the
         // dataplane might build twice.
-        let mut programs = vec![
+        let programs = vec![
             compiled(fig2::PER_FLOW_HIGH_LATENCY.source),
             compiled(fig2::PER_FLOW_HIGH_LATENCY.source),
         ];
-        let plan = provision(&mut programs, 32 * MBIT).unwrap();
+        let (multi, plan) = MultiRuntime::provisioned(programs, 32 * MBIT).unwrap();
         assert_eq!(
             plan.deduped_stores(),
             0,
@@ -1880,7 +1882,6 @@ mod tests {
         );
         // Identical programs were re-sized identically, so the run-time
         // pass still collapses R2 (pure exec win, area charged for both).
-        let multi = MultiRuntime::new(programs);
         assert!(multi
             .sharing()
             .stores
@@ -1898,18 +1899,17 @@ mod tests {
             "{}R3 = SELECT COUNT GROUPBY srcip\n",
             fig2::PER_FLOW_HIGH_LATENCY.source
         );
-        let mut programs = vec![
+        let programs = vec![
             compiled(fig2::PER_FLOW_HIGH_LATENCY.source),
             compiled(&b_src),
         ];
-        let plan = provision(&mut programs, 32 * MBIT).unwrap();
+        let (multi, plan) = MultiRuntime::provisioned(programs, 32 * MBIT).unwrap();
         assert_eq!(plan.deduped_stores(), 0);
         assert_ne!(
-            programs[0].stores[0].as_ref().unwrap().geometry,
-            programs[1].stores[0].as_ref().unwrap().geometry,
+            geometry(&multi, 0, 0),
+            geometry(&multi, 1, 0),
             "the premise: provisioning diverged the R1 chains"
         );
-        let multi = MultiRuntime::new(programs);
         assert!(
             multi.sharing().stores.is_empty(),
             "diverged chains must not dedup: {:?}",
@@ -1961,7 +1961,7 @@ mod tests {
         let programs = vec![compiled(&b_src), compiled(&a_src)];
         // The fold's `def` is not a query: the non-monotonic store sits at
         // query index 1 in both programs (same placement seed).
-        let mut aliases = analyze_sharing(&programs);
+        let mut aliases = analyze_sharing(&programs, None);
         assert!(
             aliases.contains(&((1, 1), (0, 1))),
             "premise: the single-stream pass dedups the shared store: {aliases:?}"
@@ -2029,25 +2029,21 @@ mod tests {
         // counter + loss rate: 3 demanded stores, but R1 duplicates the
         // counter — the plan charges 2 physical stores and every physical
         // cache grows past its unshared size.
-        let mut programs = vec![
+        let programs = vec![
             compiled("SELECT COUNT GROUPBY 5tuple"),
             compiled(fig2::PER_FLOW_LOSS_RATE.source),
         ];
-        let plan = provision(&mut programs, 32 * MBIT).unwrap();
+        let (multi, plan) = MultiRuntime::provisioned(programs, 32 * MBIT).unwrap();
         assert_eq!(plan.deduped_stores(), 1);
         assert!(plan.reclaimed_bits() > 0);
         assert!(plan.allocated_bits() <= 32 * MBIT);
         // The counter's geometry equals loss-rate R1's geometry (they are
         // one store), and both exceed what an unshared plan would grant.
-        let counter_geom = programs[0].stores[0].as_ref().unwrap().geometry;
-        let r1_geom = programs[1].stores[0].as_ref().unwrap().geometry;
-        assert_eq!(counter_geom, r1_geom);
-        let mut unshared = [
-            compiled("SELECT COUNT GROUPBY 5tuple"),
-            compiled(fig2::PER_FLOW_LOSS_RATE.source),
-        ];
-        // Strip the dedup win by planning each program alone on its share.
-        let solo = provision(&mut unshared[..1], 16 * MBIT).unwrap();
+        let counter_geom = geometry(&multi, 0, 0);
+        assert_eq!(counter_geom, geometry(&multi, 1, 0));
+        // Strip the dedup win by planning the counter alone on its share.
+        let counter = vec![compiled("SELECT COUNT GROUPBY 5tuple")];
+        let (_, solo) = MultiRuntime::provisioned(counter, 16 * MBIT).unwrap();
         assert!(
             counter_geom.capacity() > solo.queries[0].stores[0].geometry.capacity(),
             "reclaimed bits must buy a bigger cache"
@@ -2056,9 +2052,9 @@ mod tests {
 
     #[test]
     fn empty_demand_sets_are_errors_not_panics() {
-        let mut programs = vec![compiled("SELECT srcip FROM T")];
+        let programs = vec![compiled("SELECT srcip FROM T")];
         assert!(matches!(
-            provision(&mut programs, 32 * MBIT),
+            MultiRuntime::provisioned(programs, 32 * MBIT),
             Err(PlanError::EmptyDemands)
         ));
     }
@@ -2124,12 +2120,12 @@ mod tests {
         multi.finish();
         // The departed program's results: a private runtime provisioned at
         // the same two-program plan, fed exactly the records it observed.
-        let mut progs = vec![
+        let progs = vec![
             compiled("SELECT COUNT GROUPBY 5tuple"),
             compiled("SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip"),
         ];
-        provision(&mut progs, 8 * MBIT).unwrap();
-        let mut reference = Runtime::new(progs.pop().unwrap());
+        let (planned, _) = MultiRuntime::provisioned(progs, 8 * MBIT).unwrap();
+        let mut reference = Runtime::new(planned.runtimes()[1].compiled().clone());
         reference.process_batch(b);
         reference.finish();
         assert_eq!(departed, reference.collect());
@@ -2360,6 +2356,195 @@ mod tests {
         for rt in &mut singles {
             rt.finish();
             assert_reference(&rt.collect(), rt, "Runtime::collect");
+        }
+    }
+
+    /// One near miss a generated program may carry: the one difference
+    /// that makes it another store than the case's base shape.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Miss {
+        Constant,
+        KeyOrder,
+        Operator,
+        CachePairs,
+        Policy,
+    }
+
+    /// One generated program: the case's store shape, spelled with a
+    /// parameter or a literal, with or without an output alias and with or
+    /// without the keys listed (reversed) in the SELECT, plus at most one
+    /// near miss. Two spellings are the same store exactly when their near
+    /// misses are equal.
+    #[derive(Debug, Clone, Copy)]
+    struct Spelling {
+        param: bool,
+        alias: bool,
+        reorder: bool,
+        miss: Option<Miss>,
+    }
+
+    /// Base-rooted store shapes: (fold, aliased fold, key columns).
+    const SHAPES: [(&str, &str, [&str; 2]); 3] = [
+        ("COUNT", "COUNT AS pkts", ["srcip", "dstip"]),
+        (
+            "SUM(pkt_len)",
+            "SUM(pkt_len) AS bytes",
+            ["srcip", "dstport"],
+        ),
+        (
+            "COUNT, SUM(pkt_len)",
+            "COUNT AS pkts, SUM(pkt_len) AS bytes",
+            ["dstip", "srcport"],
+        ),
+    ];
+    const POLICIES: [EvictionPolicy; 3] = [
+        EvictionPolicy::Lru,
+        EvictionPolicy::Fifo,
+        EvictionPolicy::Random { seed: 7 },
+    ];
+
+    fn spelling() -> impl Strategy<Value = Spelling> {
+        let misses = [
+            Miss::Constant,
+            Miss::KeyOrder,
+            Miss::Operator,
+            Miss::CachePairs,
+            Miss::Policy,
+        ];
+        (0u8..2, 0u8..2, 0u8..2, 0usize..10).prop_map(move |(param, alias, reorder, miss)| {
+            Spelling {
+                param: param == 1,
+                alias: alias == 1,
+                reorder: reorder == 1,
+                miss: misses
+                    .get(miss.saturating_sub(5))
+                    .copied()
+                    .filter(|_| miss >= 5),
+            }
+        })
+    }
+
+    /// Compile one spelling of shape `shape` under `policy` (a policy near
+    /// miss takes the next policy instead), at an 8-pair 2-way cache.
+    fn spell(shape: usize, s: Spelling, policy: usize) -> CompiledProgram {
+        let (fold, aliased, [k1, k2]) = SHAPES[shape];
+        let fold = if s.alias { aliased } else { fold };
+        let keys = match s.miss {
+            Some(Miss::KeyOrder) => format!("{k2}, {k1}"),
+            _ => format!("{k1}, {k2}"),
+        };
+        let select = match s.reorder {
+            true => format!("{k2}, {fold}, {k1}"),
+            false => fold.to_string(),
+        };
+        let op = if s.miss == Some(Miss::Operator) {
+            "!="
+        } else {
+            "=="
+        };
+        let constant = match (s.miss == Some(Miss::Constant), s.param) {
+            (false, true) => "TCP",
+            (false, false) => "6",
+            (true, true) => "UDP",
+            (true, false) => "17",
+        };
+        let src = format!("SELECT {select} GROUPBY {keys} WHERE proto {op} {constant}\n");
+        let opts = CompileOptions {
+            cache_pairs: if s.miss == Some(Miss::CachePairs) {
+                4
+            } else {
+                8
+            },
+            ways: 2,
+            policy: POLICIES[(policy + usize::from(s.miss == Some(Miss::Policy))) % 3],
+            ..Default::default()
+        };
+        compile_query(&src, &fig2::default_params(), opts).unwrap()
+    }
+
+    /// Every program's polls at the two marks (a third and two thirds of
+    /// the stream), then its drain.
+    fn polls_and_drain<P: Placement>(
+        mut plane: Deployment<P>,
+        records: &[QueueRecord],
+        drain: impl FnOnce(Deployment<P>) -> Vec<ResultSet>,
+    ) -> Vec<Vec<ResultSet>> {
+        let mut reads = Vec::new();
+        for (mark, part) in records.chunks(records.len().div_ceil(3)).enumerate() {
+            plane.process_batch(part);
+            if mark < 2 {
+                let ids = plane.ids().to_vec();
+                reads.push(ids.into_iter().map(|id| plane.poll(id).unwrap()).collect());
+            }
+        }
+        reads.push(drain(plane));
+        reads
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The rule attacked through the public deployment: generated
+        /// spellings of one store shape, some with a near miss, share
+        /// exactly the identical pairs, and sharing never changes a read —
+        /// at every eviction policy, inline and at two shards.
+        #[test]
+        fn sharing_lists_exactly_the_identical_stores_and_reads_like_private_ones(
+            shape in 0usize..3,
+            spellings in prop::collection::vec(spelling(), 2..=3),
+            seed in 0u64..1_000,
+        ) {
+            // The first program of each identity owns it; every later one
+            // aliases the first (its one store emits nothing).
+            let want: Vec<(usize, usize)> = (0..spellings.len())
+                .filter_map(|p| {
+                    let owner = (0..p).find(|&o| spellings[o].miss == spellings[p].miss)?;
+                    Some((p, owner))
+                })
+                .collect();
+            let mut net = Network::new(NetworkConfig::default());
+            let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(seed)).take(900));
+            let pairs = |r: &SharingReport| -> Vec<(usize, usize)> {
+                r.stores.iter().map(|s| (s.alias.0, s.owner.0)).collect()
+            };
+            let inline_drain = |mut m: MultiRuntime| {
+                m.finish();
+                m.collect()
+            };
+            let sharded_drain = |m: MultiSharded| m.finish().iter().map(Runtime::collect).collect();
+            for policy in 0..POLICIES.len() {
+                let programs: Vec<_> = spellings.iter().map(|s| spell(shape, *s, policy)).collect();
+                let mut sequential: Vec<Runtime> = programs.iter().cloned().map(Runtime::new).collect();
+                let mut want_reads = Vec::new();
+                for (mark, part) in records.chunks(records.len().div_ceil(3)).enumerate() {
+                    let reads = sequential.iter_mut().map(|rt| {
+                        rt.process_batch(part);
+                        rt.poll_results()
+                    });
+                    let reads: Vec<ResultSet> = reads.collect();
+                    if mark < 2 {
+                        want_reads.push(reads);
+                    }
+                }
+                for rt in &mut sequential {
+                    rt.finish();
+                }
+                want_reads.push(sequential.iter().map(Runtime::collect).collect());
+
+                let shared = MultiRuntime::new(programs.clone());
+                prop_assert_eq!(pairs(shared.sharing()), want.clone(), "inline, policy {}", policy);
+                let got = polls_and_drain(shared, &records, inline_drain);
+                prop_assert!(got == want_reads, "inline reads differ, policy {}", policy);
+                let unshared = polls_and_drain(MultiRuntime::new_unshared(programs.clone()), &records, inline_drain);
+                prop_assert!(unshared == want_reads, "unshared inline reads differ, policy {}", policy);
+
+                let shared = MultiSharded::new(programs.clone(), 2);
+                prop_assert_eq!(pairs(shared.sharing()), want.clone(), "2 shards, policy {}", policy);
+                let got = polls_and_drain(shared, &records, sharded_drain);
+                prop_assert!(got == want_reads, "sharded reads differ, policy {}", policy);
+                let unshared = polls_and_drain(MultiSharded::new_unshared(programs, 2), &records, sharded_drain);
+                prop_assert!(unshared == want_reads, "unshared sharded reads differ, policy {}", policy);
+            }
         }
     }
 }

@@ -379,7 +379,7 @@ mod tests {
 
     fn compiled(src: &str, opts: CompileOptions) -> CompiledProgram {
         let prog = lang_compile(src, &fig2::default_params()).unwrap();
-        compile_program(prog, opts).unwrap()
+        compile_program(prog, opts)
     }
 
     fn records(n: u32) -> Vec<QueueRecord> {

@@ -61,7 +61,7 @@ pub(crate) enum RowSource {
 /// A compiled `WHERE` predicate. The single-comparison shape that dominates
 /// the paper's queries (`proto == TCP`, `tout == infinity`) gets a direct
 /// evaluation path that never touches the stack machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Filter {
     /// `input[col] op const`.
     InputConst(BinOp, usize, Value),
@@ -93,7 +93,7 @@ impl Filter {
 }
 
 /// What a node computes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum NodeKind {
     /// Projection: evaluate each column program into the output row.
     Project {

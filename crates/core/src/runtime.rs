@@ -242,30 +242,29 @@ impl Runtime {
         self.plan.base_cols
     }
 
-    /// Cross-query store dedup, collect side: query `dst`'s (never updated)
-    /// store adopts the owning runtime's finished results, so collection
-    /// reads exactly what a private store would have held. Only the backing
-    /// table is copied — O(distinct keys), not O(cache geometry).
-    pub(crate) fn adopt_store(&mut self, dst: usize, src: &Runtime, src_idx: usize) {
+    /// Cross-query store dedup, collect side: alias query `aq` of
+    /// `runtimes[ap]` (never updated) adopts the finished results of owner
+    /// query `oq` of `runtimes[op]` — another runtime, or an earlier query
+    /// of the same one — so collection reads exactly what a private store
+    /// would have held. Only the backing table and statistics are copied —
+    /// O(distinct keys), never the cache arenas.
+    pub(crate) fn adopt_store(
+        runtimes: &mut [Runtime],
+        (ap, aq): (usize, usize),
+        (op, oq): (usize, usize),
+    ) {
         // Always-on (not debug_assert): adopting from an unflushed owner
         // would silently drop its cache-resident state in release builds.
-        assert!(self.finished && src.finished, "adopt after finish");
-        match (self.stores[dst].as_mut(), src.stores[src_idx].as_ref()) {
-            (Some(d), Some(s)) => d.adopt_results_from(s),
-            _ => unreachable!("dedup only pairs aggregation stores"),
-        }
-    }
-
-    /// [`Runtime::adopt_store`] within one runtime (two identical GROUPBYs
-    /// in the *same* program; owners precede aliases, so `src_idx < dst`).
-    pub(crate) fn adopt_store_within(&mut self, dst: usize, src_idx: usize) {
-        assert!(self.finished, "adopt after finish");
-        assert!(src_idx < dst, "owners precede aliases");
-        let (left, right) = self.stores.split_at_mut(dst);
-        match (right[0].as_mut(), left[src_idx].as_ref()) {
-            (Some(d), Some(s)) => d.adopt_results_from(s),
-            _ => unreachable!("dedup only pairs aggregation stores"),
-        }
+        assert!(
+            runtimes[ap].finished && runtimes[op].finished,
+            "adopt after finish"
+        );
+        // The alias's store leaves its slot for the copy, so an owner in the
+        // same runtime is read without a split borrow.
+        let pairs = "dedup only pairs aggregation stores";
+        let mut store = runtimes[ap].stores[aq].take().expect(pairs);
+        store.adopt_results_from(runtimes[op].stores[oq].as_ref().expect(pairs));
+        runtimes[ap].stores[aq] = Some(store);
     }
 
     /// Dynamic lifecycle: bring a deduplicated aggregation (one
@@ -1257,7 +1256,7 @@ mod order_contract {
     fn rekeyed(width: usize) -> CompiledProgram {
         let src = "SELECT COUNT, SUM(pkt_len) GROUPBY srcip";
         let prog = lang_compile(src, &fig2::default_params()).unwrap();
-        let mut compiled = compile_program(prog, CompileOptions::default()).unwrap();
+        let mut compiled = compile_program(prog, CompileOptions::default());
         let q = &mut compiled.program.queries[0];
         let ResolvedKind::GroupBy(g) = &mut q.kind else {
             unreachable!("an aggregation")
@@ -1383,7 +1382,7 @@ mod tests {
 
     fn runtime(src: &str) -> Runtime {
         let prog = lang_compile(src, &fig2::default_params()).unwrap();
-        Runtime::new(compile_program(prog, CompileOptions::default()).unwrap())
+        Runtime::new(compile_program(prog, CompileOptions::default()))
     }
 
     pub(super) fn record(
@@ -1543,7 +1542,7 @@ mod tests {
             capture_limit: 5,
             ..Default::default()
         };
-        let mut rt = Runtime::new(compile_program(prog, opts).unwrap());
+        let mut rt = Runtime::new(compile_program(prog, opts));
         for i in 0..20u32 {
             rt.process_record(&record(1, i, 0, Some(10), 0));
         }
@@ -1561,7 +1560,7 @@ mod tests {
             ways: 0, // fully associative, 2 entries
             ..Default::default()
         };
-        let mut rt = Runtime::new(compile_program(prog, opts).unwrap());
+        let mut rt = Runtime::new(compile_program(prog, opts));
         for i in 0..30u32 {
             rt.process_record(&record(
                 (i % 3) as u8 + 1,

@@ -185,7 +185,7 @@ mod tests {
     use std::net::Ipv4Addr;
 
     fn compiled(src: &str, opts: CompileOptions) -> CompiledProgram {
-        compile_program(lang_compile(src, &fig2::default_params()).unwrap(), opts).unwrap()
+        compile_program(lang_compile(src, &fig2::default_params()).unwrap(), opts)
     }
 
     fn rec(src_last: u8, uniq: u64, t: u64) -> QueueRecord {

@@ -42,9 +42,9 @@
 //!
 //! *When may two stores legally dedup?* Only when they would hold
 //! byte-identical state on every input: identical key schema and fold
-//! semantics (decided structurally by `perfq-lang`'s fingerprints over the
-//! param-folded IR), identical filtered input streams, **and** identical
-//! physical configuration — same [`CacheGeometry`], same
+//! semantics, identical filtered input streams (decided once, in
+//! `perfq-core`'s sharing pass, over the compiled plans that run), **and**
+//! identical physical configuration — same [`CacheGeometry`], same
 //! [`EvictionPolicy`], same placement hash seed. Geometry/policy/seed are
 //! part of the rule because eviction *timing* is observable: non-linear
 //! folds record per-residency epochs, overwrite-mode folds keep only the

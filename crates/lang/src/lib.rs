@@ -24,8 +24,6 @@
 //!   ground-truth oracle.
 //! * [`linearity`] — the linear-in-state analysis of §3.2, deriving Fig. 2's
 //!   "Linear in state?" column.
-//! * [`fingerprint`] — structural comparison of resolved subplans (the
-//!   identity notion behind cross-query execution sharing in `perfq-core`).
 //! * [`fig2`] — the paper's seven example queries, embedded verbatim.
 //!
 //! For the paper-section → crate/file map of the whole workspace, see
@@ -51,7 +49,6 @@ pub mod ast;
 pub mod bytecode;
 pub mod error;
 pub mod fig2;
-pub mod fingerprint;
 pub mod ir;
 pub mod lexer;
 pub mod linearity;

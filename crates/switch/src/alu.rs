@@ -8,8 +8,8 @@
 //! at line rate.
 //!
 //! [`AluSpec::check`] audits a compiled fold against such a budget and
-//! reports the resources it needs, letting the compiler reject (or warn
-//! about) folds that would not close timing at 1 GHz.
+//! reports the resources it needs; the compiler records, per aggregation,
+//! whether a fold would close timing at 1 GHz on a Banzai-like atom.
 
 use perfq_lang::ir::{FoldIr, RExpr, RStmt};
 use perfq_lang::FoldClass;
@@ -43,19 +43,6 @@ impl AluSpec {
             max_branch_depth: 2,
             has_multiplier: true,
             max_window: 2,
-        }
-    }
-
-    /// A generous research configuration (what a next-generation chip might
-    /// provision) — used by tests and the ablation bench.
-    #[must_use]
-    pub fn large() -> Self {
-        AluSpec {
-            max_state_vars: 16,
-            max_ops: 64,
-            max_branch_depth: 4,
-            has_multiplier: true,
-            max_window: 4,
         }
     }
 

@@ -23,15 +23,6 @@ pub struct TcpDynamics {
 }
 
 impl TcpDynamics {
-    /// No anomalies: strictly consecutive sequence numbers.
-    #[must_use]
-    pub fn clean() -> Self {
-        TcpDynamics {
-            p_retransmit: 0.0,
-            p_reorder: 0.0,
-        }
-    }
-
     /// Mild WAN-like anomaly rates.
     #[must_use]
     pub fn typical() -> Self {
@@ -158,6 +149,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// No anomalies: strictly consecutive sequence numbers.
+    const CLEAN: TcpDynamics = TcpDynamics {
+        p_retransmit: 0.0,
+        p_reorder: 0.0,
+    };
+
     fn generate(dynamics: TcpDynamics, n: usize, seed: u64) -> Vec<(u32, u16)> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut flow = TcpFlowSeq::new(1000);
@@ -168,7 +165,7 @@ mod tests {
 
     #[test]
     fn clean_flow_is_strictly_consecutive() {
-        let segs = generate(TcpDynamics::clean(), 100, 1);
+        let segs = generate(CLEAN, 100, 1);
         assert_eq!(counters::out_of_sequence(&segs), 0);
         assert_eq!(counters::non_monotonic(&segs), 0);
         for (i, (seq, _)) in segs.iter().enumerate() {
@@ -219,7 +216,7 @@ mod tests {
     fn sequence_wraps_safely() {
         let mut flow = TcpFlowSeq::new(u32::MAX - 50);
         let mut rng = StdRng::seed_from_u64(5);
-        let d = TcpDynamics::clean();
+        let d = CLEAN;
         for _ in 0..10 {
             let _ = flow.next_segment(100, &d, &mut rng);
         }
@@ -230,7 +227,7 @@ mod tests {
     fn zero_payload_still_advances() {
         let mut flow = TcpFlowSeq::new(0);
         let mut rng = StdRng::seed_from_u64(6);
-        let d = TcpDynamics::clean();
+        let d = CLEAN;
         let (a, _) = flow.next_segment(0, &d, &mut rng);
         let (b, _) = flow.next_segment(0, &d, &mut rng);
         assert!(b > a, "pure-ACK streams must not stall the generator");

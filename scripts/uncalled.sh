@@ -10,7 +10,8 @@
 # left out, and so are `use` declarations (a `pub use` re-export list names
 # an item without calling it). The match is by name: a function counts as
 # called when its name appears as a word anywhere in the corpus outside its
-# own `fn <name>` definitions and `use` lists. An uncalled name is printed at
+# own `fn <name>` definitions, `use` lists and string literals (one-line
+# ones: `"integer too large"` does not call `large`). An uncalled name is printed at
 # every public definition it has; a name with one caller hides all its
 # namesakes, so this is a lister for review, not a gate.
 #
@@ -43,6 +44,9 @@ find crates/*/src src examples benchmark/src -name '*.rs' | sort | xargs awk -v 
     }
     {
         line = $0
+        # String literals first (a word inside one is not a caller, and a
+        # `//` inside one is not a comment), then the trailing comment.
+        gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
         sub(/\/\/.*/, "", line)
         # Definitions: remember the public ones of the wanted crates, and
         # drop every `fn <name>` so a definition never counts as a use.

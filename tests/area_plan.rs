@@ -78,18 +78,18 @@ fn compiled_five_tuple_counter_reports_paper_key_width() {
 #[test]
 fn provisioning_all_fig2_queries_fits_one_budget() {
     // Every Fig. 2 program installed concurrently under the §4 budget.
-    let mut programs: Vec<CompiledProgram> = fig2::ALL
+    let programs: Vec<CompiledProgram> = fig2::ALL
         .iter()
         .map(|q| {
             compile_query(q.source, &fig2::default_params(), CompileOptions::default()).unwrap()
         })
         .collect();
-    let plan = perfq_core::provision(&mut programs, 32 * MBIT).unwrap();
+    let (multi, plan) = MultiRuntime::provisioned(programs, 32 * MBIT).unwrap();
     assert!(plan.allocated_bits() <= 32 * MBIT);
     assert!(plan.area_fraction(area::MIN_CHIP_AREA_MM2) < 0.025);
     // Every store-bearing program now runs the provisioned geometry.
     let mut allocs = plan.queries.iter();
-    for p in &programs {
+    for p in multi.runtimes().iter().map(Runtime::compiled) {
         if p.stores.iter().all(Option::is_none) {
             continue;
         }
@@ -106,7 +106,7 @@ fn provisioning_all_fig2_queries_fits_one_budget() {
 #[test]
 fn dedup_demand_charges_once_and_strictly_grows_geometry() {
     // Two 128-bit-pair queries where one aliases the other (the loss-rate
-    // R1 / running-example overlap, as `perfq_core::provision` tags it):
+    // R1 / running-example overlap, as `MultiRuntime::provisioned` tags it):
     // unshared, each store gets half the budget (2^17 pairs at 32 Mbit);
     // deduped, the one physical store absorbs the reclaimed half and its
     // geometry strictly grows to the full 2^18.
@@ -138,25 +138,23 @@ fn dedup_demand_charges_once_and_strictly_grows_geometry() {
 
 #[test]
 fn provisioning_real_overlapping_programs_dedups() {
-    // End to end through `perfq_core::provision`: the §4 running example
+    // End to end through `MultiRuntime::provisioned`: the §4 running example
     // installed beside the loss-rate program dedups R1 under the default
     // 32 Mbit budget and never over-allocates.
     let compile = |src: &str| {
         compile_query(src, &fig2::default_params(), CompileOptions::default()).unwrap()
     };
-    let mut programs = vec![
+    let programs = vec![
         compile("SELECT COUNT GROUPBY 5tuple"),
         compile(fig2::PER_FLOW_LOSS_RATE.source),
     ];
-    let plan = perfq_core::provision(&mut programs, 32 * MBIT).unwrap();
+    let (multi, plan) = MultiRuntime::provisioned(programs, 32 * MBIT).unwrap();
     assert_eq!(plan.deduped_stores(), 1);
     assert!(plan.reclaimed_bits() > 0);
     assert!(plan.allocated_bits() <= 32 * MBIT);
     // Both programs carry the SAME physical geometry for the shared store.
-    assert_eq!(
-        programs[0].stores[0].as_ref().unwrap().geometry,
-        programs[1].stores[0].as_ref().unwrap().geometry,
-    );
+    let geometry = |p: usize| multi.runtimes()[p].compiled().stores[0].as_ref().unwrap().geometry;
+    assert_eq!(geometry(0), geometry(1));
 }
 
 // -------------------------------------------------------------- properties --

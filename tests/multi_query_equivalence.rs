@@ -53,6 +53,18 @@ fn sequential(programs: &[CompiledProgram], recs: &[QueueRecord]) -> Vec<ResultS
         .collect()
 }
 
+/// Copy the geometries a provisioned deployment runs into `programs`, the
+/// programs it was built from, so private runtimes replay at the same ones.
+fn provisioned_geometries(programs: &mut [CompiledProgram], multi: &MultiRuntime) {
+    for (p, rt) in programs.iter_mut().zip(multi.runtimes()) {
+        for (store, run) in p.stores.iter_mut().zip(&rt.compiled().stores) {
+            if let (Some(store), Some(run)) = (store, run) {
+                store.geometry = run.geometry;
+            }
+        }
+    }
+}
+
 fn sorted(mut rs: ResultSet) -> ResultSet {
     rs.sort();
     rs
@@ -429,10 +441,11 @@ fn loss_rate_r1_dedups_under_the_default_32mbit_plan() {
         )
         .unwrap(),
     ];
-    let plan = perfq_core::provision(&mut programs, 32 * MBIT).unwrap();
+    let (mut multi, plan) = MultiRuntime::provisioned(programs.clone(), 32 * MBIT).unwrap();
     assert_eq!(plan.deduped_stores(), 1, "R1 charged once");
     assert!(plan.reclaimed_bits() > 0);
     assert!(plan.allocated_bits() <= 32 * MBIT);
+    provisioned_geometries(&mut programs, &multi);
     // The shared store's geometry is identical in both programs, and
     // strictly larger than an even three-way split would have granted.
     let counter_store = programs[0].stores[0].as_ref().unwrap();
@@ -440,7 +453,6 @@ fn loss_rate_r1_dedups_under_the_default_32mbit_plan() {
     assert_eq!(counter_store.geometry, r1_store.geometry);
 
     let want = sequential(&programs, &recs);
-    let mut multi = MultiRuntime::new(programs);
     assert_eq!(multi.sharing().stores.len(), 1);
     for part in recs.chunks(256) {
         multi.process_batch(part);
@@ -462,10 +474,10 @@ fn provisioned_multi_matches_sequential_with_same_geometries() {
     let recs = records(4_000);
     for budget in [32 * MBIT, 256 * 1024] {
         let mut programs = compiled_all(CompileOptions::default());
-        let plan = perfq_core::provision(&mut programs, budget).unwrap();
+        let (mut multi, plan) = MultiRuntime::provisioned(programs.clone(), budget).unwrap();
         assert!(plan.allocated_bits() <= budget);
+        provisioned_geometries(&mut programs, &multi);
         let want = sequential(&programs, &recs);
-        let mut multi = MultiRuntime::new(programs);
         for part in recs.chunks(256) {
             multi.process_batch(part);
         }

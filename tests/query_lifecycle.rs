@@ -488,8 +488,8 @@ fn replans_that_diverge_a_composed_alias_repair_it_exactly() {
 /// worker slice still holding one pair — the condition under which the
 /// plane's provisioned constructor (and an install's replan) succeeds.
 fn fits(srcs: &[&'static str], budget: u64, shards: usize) -> bool {
-    let mut programs: Vec<_> = srcs.iter().map(|s| compiled(s)).collect();
-    perfq_core::provision(&mut programs, budget).is_ok_and(|plan| {
+    let programs: Vec<_> = srcs.iter().map(|s| compiled(s)).collect();
+    MultiRuntime::provisioned(programs, budget).is_ok_and(|(_, plan)| {
         let mut stores = plan.queries.iter().flat_map(|q| &q.stores);
         stores.all(|s| s.shard_geometry(shards).is_ok())
     })
