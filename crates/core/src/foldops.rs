@@ -52,7 +52,7 @@ use crate::durable::{get_value, get_values, put_values};
 use perfq_kvstore::wal::{ByteReader, ByteWriter as _};
 use perfq_kvstore::{MergeMode, Persist, ValueOps};
 use perfq_lang::bytecode::{self, EvalStack, Program};
-use perfq_lang::ir::{FoldIr, RExpr, RStmt, VarClass};
+use perfq_lang::ir::{FoldIr, RExpr, RStmt};
 use perfq_lang::{FoldClass, Value};
 use std::cell::RefCell;
 
@@ -458,12 +458,6 @@ impl FoldOps {
     #[must_use]
     pub fn fold(&self) -> &FoldIr {
         &self.fold
-    }
-
-    /// Bound parameter values.
-    #[must_use]
-    pub fn params(&self) -> &[Value] {
-        &self.params
     }
 
     /// Whether the additive fast path (ΠA = I) is active.
@@ -896,16 +890,6 @@ pub fn describe_class(fold: &FoldIr) -> String {
         FoldClass::PureWindow { window } => format!("packet-window({window})"),
         FoldClass::NonLinear => "non-linear (epoch mode)".to_string(),
     }
-}
-
-/// Expose per-variable classes for reports.
-#[must_use]
-pub fn var_classes(fold: &FoldIr) -> Vec<(String, VarClass)> {
-    fold.state
-        .iter()
-        .zip(&fold.var_classes)
-        .map(|(v, c)| (v.name.clone(), *c))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------

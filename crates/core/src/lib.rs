@@ -201,10 +201,10 @@
 //! lane order (= record order), and a node only reads lanes its upstream
 //! wrote — so hit/miss/eviction streams, epochs and capture contents are
 //! bit-identical at *any* chunking, one-record batches included
-//! (`tests/batch_equivalence.rs`: ragged lengths, all-pass/all-drop
-//! batches, epoch-straddling batches), and every table and store counter
-//! equals [`Oracle::predict`]'s residency-model prediction under eviction
-//! pressure (`tests/oracle_residency.rs`). **Zero allocation:** lane rows,
+//! (`tests/batch_equivalence.rs`: whole-trace and ragged batches,
+//! all-pass/all-drop batches, equal-key and alternating chunks), and every
+//! table and store counter equals [`Oracle::predict`]'s residency-model
+//! prediction under eviction pressure (`tests/oracle_residency.rs`). **Zero allocation:** lane rows,
 //! per-node output lanes and the mask words are pooled on the runtime, so
 //! a warmed vectorized replay allocates nothing
 //! (`tests/alloc_discipline.rs`).
@@ -321,12 +321,10 @@
 //! over the frame finds its record, one compact record per row (the key
 //! words inline plus a `u32` row index) is sorted in the rows' stead, and
 //! the permutation is applied to the row headers in place — the frame is
-//! never revisited in sorted, i.e. random, order. On top of the frames,
-//! [`DeltaCursor`] turns consecutive polls into per-epoch **deltas**
-//! ([`Runtime::poll_delta`] streams only rows that changed since the last
-//! poll through the sink idiom), and [`WindowedRuntime::poll_closed`]
-//! streams each tumbling window the moment it closes — the continuous-query
-//! mode the drain-at-end API could not express. Polling is pinned
+//! never revisited in sorted, i.e. random, order. A poll returns that frame
+//! and nothing more: a reader that wants per-epoch deltas or tumbling
+//! windows builds them from frames (`diff_tables` compares two; `fig6`
+//! replays tumbling windows at the store level). Polling is pinned
 //! non-perturbing by `tests/poll_equivalence.rs`: any poll schedule's final
 //! drain is byte-identical to a never-polled replay, and every mid-stream
 //! poll equals a fresh replay of the prefix.
@@ -427,7 +425,6 @@ mod plan;
 pub mod result;
 pub mod runtime;
 pub mod sharded;
-pub mod windows;
 
 pub use compiler::{compile_program, CompileOptions, CompiledProgram, StorePlan};
 pub use durable::{decode_results, encode_results, read_retired, write_retired, Durability};
@@ -437,10 +434,9 @@ pub use multi::{
     SharingReport,
 };
 pub use oracle::{Oracle, Prediction};
-pub use result::{diff_tables, DeltaCursor, DeltaRow, ResultRow, ResultSet, ResultTable};
+pub use result::{diff_tables, ResultRow, ResultSet, ResultTable};
 pub use runtime::{LifecycleError, Runtime};
 pub use sharded::{ShardRouter, ShardSpec, ShardedRuntime};
-pub use windows::{WindowResult, WindowedRuntime};
 
 use perfq_lang::{LangError, Value};
 use std::collections::HashMap;

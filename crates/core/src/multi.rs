@@ -1511,9 +1511,9 @@ impl<P: Placement> Deployment<P> {
     /// uses, so a polled alias equals its never-deduplicated twin, and
     /// everything is released with caches resident: ingest continues
     /// afterwards, and the eventual drain is byte-identical to a
-    /// never-polled replay (pinned by `tests/poll_equivalence.rs`). For
-    /// per-epoch streaming on top of the returned frames, feed them to a
-    /// [`crate::DeltaCursor`].
+    /// never-polled replay (pinned by `tests/poll_equivalence.rs`). The
+    /// frame is the whole read: a reader that wants per-epoch deltas or
+    /// windows builds them from consecutive frames.
     ///
     /// # Panics
     ///

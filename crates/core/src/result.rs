@@ -118,94 +118,6 @@ impl ResultSet {
     }
 }
 
-/// One row emitted on the incremental read path: a row of result table
-/// `table` that is new or changed as of poll epoch `epoch`.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaRow<'a> {
-    /// The poll epoch this delta belongs to (1 on the first poll; every row
-    /// of the first frame is "new").
-    pub epoch: u64,
-    /// Name of the result table the row belongs to.
-    pub table: &'a str,
-    /// The row's current values and validity.
-    pub row: &'a ResultRow,
-}
-
-/// Per-epoch delta bookkeeping for a polled deployment: remembers the
-/// previous frame and streams only the rows that changed.
-///
-/// The incremental read path ([`crate::Runtime::poll_results`] and the
-/// multi-query/sharded `poll` twins) returns full [`ResultSet`] frames; a
-/// reader that wants *changes* holds one cursor per polled program and
-/// [`DeltaCursor::advance`]s it over each frame. Deltas emit through the
-/// same `FnMut` sink idiom the rest of the dataplane streams through.
-/// [`crate::Runtime::poll_delta`] bundles the two steps for the
-/// single-stream case.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaCursor {
-    epoch: u64,
-    last: ResultSet,
-}
-
-impl DeltaCursor {
-    /// Epoch of the most recent frame (0 before the first advance).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The most recent frame, canonically sorted (empty before the first
-    /// advance).
-    #[must_use]
-    pub fn frame(&self) -> &ResultSet {
-        &self.last
-    }
-
-    /// Advance the cursor to `frame`, streaming every row that is absent
-    /// from — or differs (values or validity) from its match in — the
-    /// previous frame. Rows that *disappeared* are not emitted: backing
-    /// results only grow or update in place, so a vanished row only happens
-    /// across a reinstall, where the whole next frame re-emits anyway.
-    /// Returns the new epoch number.
-    pub fn advance(&mut self, mut frame: ResultSet, mut sink: impl FnMut(DeltaRow<'_>)) -> u64 {
-        frame.sort();
-        self.epoch += 1;
-        let epoch = self.epoch;
-        for (t_idx, cur) in frame.tables.iter().enumerate() {
-            let prev_rows: &[ResultRow] = self
-                .last
-                .tables
-                .get(t_idx)
-                .map_or(&[], |t| t.rows.as_slice());
-            // Both sides are canonically sorted: one merge-walk finds, for
-            // each current row, its candidate match in the previous frame.
-            // Equal-valued duplicates pair off one-to-one.
-            let mut i = 0;
-            for row in &cur.rows {
-                while i < prev_rows.len()
-                    && cmp_values(&prev_rows[i].values, &row.values) == std::cmp::Ordering::Less
-                {
-                    i += 1;
-                }
-                let unchanged = i < prev_rows.len()
-                    && cmp_values(&prev_rows[i].values, &row.values) == std::cmp::Ordering::Equal
-                    && prev_rows[i].valid == row.valid;
-                if unchanged {
-                    i += 1;
-                } else {
-                    sink(DeltaRow {
-                        epoch,
-                        table: &cur.name,
-                        row,
-                    });
-                }
-            }
-        }
-        self.last = frame;
-        epoch
-    }
-}
-
 /// A stable integer key for grouping/joining on a value. Integers map to
 /// themselves; floats to their bit pattern; booleans to 0/1.
 #[must_use]
@@ -366,53 +278,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn delta_cursor_emits_first_frame_whole_then_only_changes() {
-        let mut cur = DeltaCursor::default();
-        let mut got: Vec<(u64, Vec<Value>)> = Vec::new();
-        let epoch = cur.advance(
-            frame(vec![
-                (vec![Value::Int(1), Value::Int(10)], true),
-                (vec![Value::Int(2), Value::Int(20)], true),
-            ]),
-            |d| got.push((d.epoch, d.row.values.clone())),
-        );
-        assert_eq!(epoch, 1);
-        assert_eq!(got.len(), 2, "first poll emits every row");
-
-        got.clear();
-        // Key 1 unchanged, key 2 updated, key 3 new.
-        let epoch = cur.advance(
-            frame(vec![
-                (vec![Value::Int(1), Value::Int(10)], true),
-                (vec![Value::Int(2), Value::Int(25)], true),
-                (vec![Value::Int(3), Value::Int(30)], true),
-            ]),
-            |d| got.push((d.epoch, d.row.values.clone())),
-        );
-        assert_eq!(epoch, 2);
-        assert_eq!(
-            got,
-            vec![
-                (2, vec![Value::Int(2), Value::Int(25)]),
-                (2, vec![Value::Int(3), Value::Int(30)]),
-            ]
-        );
-
-        got.clear();
-        // Identical frame → empty delta.
-        let epoch = cur.advance(
-            frame(vec![
-                (vec![Value::Int(1), Value::Int(10)], true),
-                (vec![Value::Int(2), Value::Int(25)], true),
-                (vec![Value::Int(3), Value::Int(30)], true),
-            ]),
-            |d| got.push((d.epoch, d.row.values.clone())),
-        );
-        assert_eq!(epoch, 3);
-        assert!(got.is_empty(), "unchanged frame emits nothing");
-    }
-
     /// The reproduction from the field: 5 000 rows, every third key a NaN
     /// (both signs), the rest salted with ±∞ and ±0.0 between finite keys.
     /// Under the old `partial_cmp(..).unwrap_or(Equal)` this is not a total
@@ -459,30 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_cursor_advances_over_nan_frames() {
-        let mut cur = DeltaCursor::default();
-        let mut emitted = 0;
-        cur.advance(frame(nan_rows()), |_| emitted += 1);
-        assert_eq!(emitted, 5_000, "the first frame emits whole");
-        assert!(is_sorted(&cur.frame().tables[0]));
-
-        // A NaN key equals itself: the same frame again changes nothing.
-        emitted = 0;
-        cur.advance(frame(nan_rows()), |_| emitted += 1);
-        assert_eq!(emitted, 0, "an unchanged NaN frame emits nothing");
-
-        // One NaN-keyed row flips validity, one ∞-keyed row changes value.
-        let mut rows = nan_rows();
-        assert!(rows[0].0[0].as_f64().is_nan() && rows[1].0[0].as_f64().is_infinite());
-        rows[0].1 = !rows[0].1;
-        rows[1].0[1] = Value::Int(-1);
-        let mut got = Vec::new();
-        cur.advance(frame(rows), |d| got.push(d.row.values[1].as_i64()));
-        got.sort_unstable();
-        assert_eq!(got, vec![-1, 0]);
-    }
-
-    #[test]
     fn diff_tables_matches_nan_frames_in_any_row_order() {
         let a = table(nan_rows());
         let mut reversed = nan_rows();
@@ -491,20 +332,5 @@ mod tests {
         // The same key, another value: still a difference.
         reversed[17].0[1] = Value::Int(-1);
         assert!(diff_tables(&a, &table(reversed), 1e-9).is_some());
-    }
-
-    #[test]
-    fn delta_cursor_flags_validity_flips() {
-        let mut cur = DeltaCursor::default();
-        cur.advance(
-            frame(vec![(vec![Value::Int(1), Value::Int(10)], true)]),
-            |_| {},
-        );
-        let mut got = Vec::new();
-        cur.advance(
-            frame(vec![(vec![Value::Int(1), Value::Int(10)], false)]),
-            |d| got.push(d.row.valid),
-        );
-        assert_eq!(got, vec![false], "a validity flip alone is a change");
     }
 }

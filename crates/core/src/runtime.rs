@@ -29,7 +29,7 @@ use crate::compiler::CompiledProgram;
 use crate::durable::Durability;
 use crate::foldops::{FoldOps, FoldState};
 use crate::plan::{lane_mask, ExecPlan, NodeKind, RowSource, CHUNK, LANES};
-use crate::result::{value_key, DeltaCursor, DeltaRow, ResultRow, ResultSet, ResultTable};
+use crate::result::{value_key, ResultRow, ResultSet, ResultTable};
 use perfq_kvstore::{
     BackingStore, CacheGeometry, InlineKey, SplitStore, StoreSnapshot, StoreStats, INLINE_KEY_WORDS,
 };
@@ -122,9 +122,6 @@ pub struct Runtime {
     coalesce: bool,
     records: u64,
     finished: bool,
-    /// Incremental read path: previous-frame bookkeeping for
-    /// [`Runtime::poll_delta`].
-    poll_cursor: DeltaCursor,
     /// Record index of the last manifested checkpoint — names the capture
     /// files safe to drop once the next checkpoint's manifest lands.
     persisted_at: Option<u64>,
@@ -202,7 +199,6 @@ impl Runtime {
             coalesce: true,
             records: 0,
             finished: false,
-            poll_cursor: DeltaCursor::default(),
             persisted_at: None,
             durability: None,
         }
@@ -680,18 +676,6 @@ impl Runtime {
             .map(|(q, store)| store.as_ref().map(|_| (me, q)))
             .collect();
         poll_collect(me, &stores)
-    }
-
-    /// Poll and stream only the rows that are new or changed since the
-    /// previous `poll_delta` — per-epoch delta emission through the
-    /// dataplane's `FnMut` sink idiom. Returns the new epoch number (1 on
-    /// the first poll, whose delta is the whole frame). The cumulative
-    /// frame remains available via [`Runtime::poll_results`];
-    /// multi-program planes compose the same machinery from
-    /// [`crate::DeltaCursor`].
-    pub fn poll_delta(&mut self, sink: impl FnMut(DeltaRow<'_>)) -> u64 {
-        let frame = self.poll_results();
-        self.poll_cursor.advance(frame, sink)
     }
 
     /// Attach a durable spill tier to every aggregation store (off by

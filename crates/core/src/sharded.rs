@@ -199,12 +199,6 @@ impl ShardRouter {
         }
     }
 
-    /// The routing spec.
-    #[must_use]
-    pub fn spec(&self) -> &ShardSpec {
-        &self.spec
-    }
-
     /// The shard this record belongs to: a pure function of the record's
     /// shard-key column values (asserted by the property suite).
     pub fn route(&mut self, rec: &QueueRecord) -> usize {
@@ -349,16 +343,6 @@ impl ShardGroup {
         self.workers = workers;
     }
 
-    /// The routing spec.
-    pub(crate) fn spec(&self) -> &ShardSpec {
-        self.router.spec()
-    }
-
-    /// Records routed to each shard by [`ShardGroup::process_record`].
-    pub(crate) fn routed(&self) -> &[u64] {
-        &self.routed
-    }
-
     /// Route one record to its shard (staged; pushed in batches).
     ///
     /// # Panics
@@ -484,20 +468,6 @@ impl ShardedRuntime {
     #[must_use]
     pub fn shards(&self) -> usize {
         self.plane.shards()
-    }
-
-    /// The routing spec (shard-key columns, exactness verdict).
-    #[must_use]
-    pub fn spec(&self) -> &ShardSpec {
-        self.plane.place.groups[0].spec()
-    }
-
-    /// Records routed to each shard so far (producer-side count; excludes
-    /// records routed by an external producer after
-    /// [`ShardedRuntime::take_feeds`]).
-    #[must_use]
-    pub fn routed(&self) -> &[u64] {
-        self.plane.place.groups[0].routed()
     }
 
     /// Route one record to its shard (staged; pushed in batches).

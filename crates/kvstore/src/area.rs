@@ -441,12 +441,6 @@ impl CachePlanner {
         CachePlanner { budget_bits }
     }
 
-    /// The budget, in bits.
-    #[must_use]
-    pub fn budget_bits(&self) -> u64 {
-        self.budget_bits
-    }
-
     /// Divide the budget across `demands` and provision every store.
     ///
     /// **Dedup arithmetic** (see [`StoreDemand::dedup`]): the budget first

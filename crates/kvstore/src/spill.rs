@@ -229,12 +229,6 @@ impl<K, V> SpillTier<K, V> {
         self.stats
     }
 
-    /// Current WAL/segment generation.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Keys the last fold wrote to the segment (0 before this tier's
     /// first fold): the presize hint for a replay table.
     pub(crate) fn segment_keys(&self) -> usize {

@@ -19,11 +19,7 @@ pub struct PacketBuilder {
     src_port: u16,
     dst_port: u16,
     seq: u32,
-    ack: u32,
     flags: TcpFlags,
-    window: u16,
-    ttl: u8,
-    ident: u16,
     payload_len: u16,
     uniq: u64,
     arrival: Nanos,
@@ -38,11 +34,7 @@ impl PacketBuilder {
             src_port: 0,
             dst_port: 0,
             seq: 0,
-            ack: 0,
             flags: TcpFlags::ACK,
-            window: 65535,
-            ttl: 64,
-            ident: 0,
             payload_len: 0,
             uniq: 0,
             arrival: Nanos::ZERO,
@@ -90,38 +82,10 @@ impl PacketBuilder {
         self
     }
 
-    /// Set the TCP acknowledgment number.
-    #[must_use]
-    pub fn ack(mut self, ack: u32) -> Self {
-        self.ack = ack;
-        self
-    }
-
     /// Set the TCP flags.
     #[must_use]
     pub fn flags(mut self, flags: TcpFlags) -> Self {
         self.flags = flags;
-        self
-    }
-
-    /// Set the TCP receive window.
-    #[must_use]
-    pub fn window(mut self, window: u16) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Set the IP TTL.
-    #[must_use]
-    pub fn ttl(mut self, ttl: u8) -> Self {
-        self.ttl = ttl;
-        self
-    }
-
-    /// Set the IP identification field.
-    #[must_use]
-    pub fn ident(mut self, ident: u16) -> Self {
-        self.ident = ident;
         self
     }
 
@@ -160,9 +124,9 @@ impl PacketBuilder {
                 src_port: self.src_port,
                 dst_port: self.dst_port,
                 seq: self.seq,
-                ack: self.ack,
+                ack: 0,
                 flags: self.flags,
-                window: self.window,
+                window: 65535,
             }),
             IpProto::Udp => L4Header::Udp(UdpHeader {
                 src_port: self.src_port,
@@ -180,9 +144,9 @@ impl PacketBuilder {
             ipv4: Ipv4Header {
                 dscp_ecn: 0,
                 total_len,
-                ident: self.ident,
+                ident: 0,
                 flags_frag: 0x4000,
-                ttl: self.ttl,
+                ttl: 64,
                 proto: self.proto,
                 src: self.src_ip,
                 dst: self.dst_ip,

@@ -2,7 +2,7 @@
 
 use crate::eth::EthernetHeader;
 use crate::flow::FiveTuple;
-use crate::ip::{IpProto, Ipv4Header};
+use crate::ip::Ipv4Header;
 use crate::tcp::TcpHeader;
 use crate::time::Nanos;
 use crate::udp::UdpHeader;
@@ -107,18 +107,13 @@ impl Packet {
     pub fn five_tuple(&self) -> FiveTuple {
         self.headers.five_tuple()
     }
-
-    /// The IP protocol.
-    #[must_use]
-    pub fn proto(&self) -> IpProto {
-        self.headers.ipv4.proto
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
+    use crate::ip::IpProto;
     use std::net::Ipv4Addr;
 
     #[test]

@@ -52,7 +52,6 @@ pub enum Forwarded {
 /// A switch with per-port output queues.
 #[derive(Debug, Clone)]
 pub struct Switch {
-    id: u32,
     queues: Vec<OutputQueue>,
     /// Lower bound on the earliest unreleased departure across all queues
     /// (`Nanos::INFINITY` when idle): [`Switch::release`] returns in one
@@ -75,25 +74,12 @@ impl Switch {
         let base = id * MAX_PORTS as u32;
         let port0 = OutputQueue::new(base, cfg.port_rate_bps, cfg.queue_capacity);
         Switch {
-            id,
             queues: (0..cfg.ports)
                 .map(|p| port0.twin(base + p as u32))
                 .collect(),
             next_release: Nanos::INFINITY,
             busy: 0,
         }
-    }
-
-    /// Switch id.
-    #[must_use]
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// Number of ports.
-    #[must_use]
-    pub fn ports(&self) -> usize {
-        self.queues.len()
     }
 
     /// The global qid of a port's queue.

@@ -65,20 +65,6 @@ impl BoundedPareto {
         let x = (la - u * (la - ha)).powf(-1.0 / a);
         (x as u64).clamp(self.min as u64, self.cap as u64)
     }
-
-    /// Analytic mean of the continuous bounded Pareto (sanity checks).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        let (l, h, a) = (self.min, self.cap, self.alpha);
-        if (a - 1.0).abs() < 1e-9 {
-            // α = 1: mean = ln(h/l) · l·h/(h−l)
-            (h / l).ln() * l * h / (h - l)
-        } else {
-            (l.powf(a) / (1.0 - l.powf(a) / h.powf(a)))
-                * (a / (a - 1.0))
-                * (1.0 / l.powf(a - 1.0) - 1.0 / h.powf(a - 1.0))
-        }
-    }
 }
 
 /// Zipf distribution over ranks `1..=n` with exponent `s` — used for

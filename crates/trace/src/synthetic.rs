@@ -201,12 +201,6 @@ impl SyntheticTrace {
         }
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
-    }
-
     fn client_ip(&mut self) -> Ipv4Addr {
         let idx = self.rng.gen_range(0..self.cfg.clients.max(1)) as u32;
         // 10.0.0.0/8 pool, spread via multiplicative hash.

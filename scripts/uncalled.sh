@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# List every `pub fn` that no non-test code references — the candidates for
-# ROADMAP direction 11's rule (a public item has a non-test caller or an A/B
+# List every `pub fn` that no non-test code calls — the candidates for
+# ROADMAP direction 12's rule (a public item has a non-test caller or an A/B
 # win, or it goes).
 #
 # "Non-test" is loc.sh's cut: in every .rs file, the lines before the file's
@@ -8,11 +8,17 @@
 # `///` and `//!` doc links are not callers). The corpus is crates/*/src,
 # src/, examples/ and benchmark/src; tests/ and the unit-test modules are
 # left out, and so are `use` declarations (a `pub use` re-export list names
-# an item without calling it). The match is by name: a function counts as
-# called when its name appears as a word anywhere in the corpus outside its
-# own `fn <name>` definitions, `use` lists and string literals (one-line
-# ones: `"integer too large"` does not call `large`). An uncalled name is printed at
-# every public definition it has; a name with one caller hides all its
+# an item without calling it). String and char literals and `//` comments
+# are blanked first, so `"integer too large"` does not name `large`.
+#
+# The match is by name, and a name counts as used only where it is called
+# (`name(`, `name::<`) or named by a path (`::name`, e.g. `Self::name` passed
+# as a value). A field or a local of the same name (`self.routed[s]`) is not
+# a use, and neither is a use inside the body of a `fn` of the same name, so
+# a delegating accessor (`fn spec(&self) { self.router.spec() }`) does not
+# keep itself or its namesake alive. A function passed bare by name
+# (`.map(value_key)`) is not seen as called. An uncalled name is printed at
+# every public definition it has; a name with one caller still hides all its
 # namesakes, so this is a lister for review, not a gate.
 #
 # Usage: scripts/uncalled.sh [crate ...]   (default: every crate under crates/)
@@ -26,42 +32,91 @@ for crate in "$@"; do
     wanted="$wanted crates/${crate#perfq-}/src/"
 done
 
-find crates/*/src src examples benchmark/src -name '*.rs' | sort | xargs awk -v wanted="$wanted" '
+find crates/*/src src examples benchmark/src -name '*.rs' | sort | LC_ALL=C xargs awk -v wanted="$wanted" '
+    # The line with string and char literals and the trailing comment
+    # blanked. A string that spans lines carries over in `instr`.
+    function clean(s,    out, i, n, c, rest) {
+        out = ""
+        n = length(s)
+        i = 1
+        while (i <= n) {
+            c = substr(s, i, 1)
+            if (instr) {
+                if (c == "\\") i += 2
+                else if (c == "\"") { instr = 0; out = out "\"\""; i++ }
+                else i++
+                continue
+            }
+            rest = substr(s, i)
+            if (substr(rest, 1, 2) == "//") break
+            if (c == "\"") { instr = 1; i++; continue }
+            # A char literal such as a b-quoted paren in the lexer must not open
+            # a paren, nor a quoted double quote a string.
+            if (c == q && match(rest, charlit)) { out = out "\"\""; i += RLENGTH; continue }
+            out = out c
+            i++
+        }
+        return out
+    }
+    # Whether `name` is a `fn` whose body is open here.
+    function inside(name,    k) {
+        for (k = 1; k <= sp; k++) if (stack[k] == name) return 1
+        return 0
+    }
+    BEGIN {
+        q = sprintf("%c", 39)
+        charlit = "^" q "(\\\\.[^" q "]*|[^\\\\" q "])" q
+    }
     FNR == 1 {
-        test = 0
-        inuse = 0
+        test = 0; inuse = 0; instr = 0
+        depth = 0; paren = 0; sp = 0; pending = ""
         mine = 0
         n = split(wanted, dirs, " ")
         for (i = 1; i <= n; i++) if (index(FILENAME, dirs[i]) == 1) mine = 1
     }
     /^#\[cfg\(test\)\]/ { test = 1 }
-    test || /^[[:space:]]*\/\// { next }
+    test { next }
+    !instr && /^[[:space:]]*\/\// { next }
     # A `use` declaration, one line or a braced list over several.
-    /^[[:space:]]*(pub(\([a-z]+\))? )?use / { inuse = 1 }
+    !instr && /^[[:space:]]*(pub(\([a-z]+\))? )?use / { inuse = 1 }
     inuse {
         if (index($0, ";")) inuse = 0
         next
     }
     {
-        line = $0
-        # String literals first (a word inside one is not a caller, and a
-        # `//` inside one is not a comment), then the trailing comment.
-        gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
-        sub(/\/\/.*/, "", line)
-        # Definitions: remember the public ones of the wanted crates, and
-        # drop every `fn <name>` so a definition never counts as a use.
-        while (match(line, /fn [A-Za-z_][A-Za-z0-9_]*/)) {
-            name = substr(line, RSTART + 3, RLENGTH - 3)
-            before = substr(line, 1, RSTART - 1)
-            if (mine && before ~ /(^|[^A-Za-z0-9_])pub (const )?$/) {
-                split(FILENAME, parts, "/")
-                where[name] = where[name] parts[2] "  " FILENAME ":" FNR "  " name "\n"
-            }
-            line = before " " substr(line, RSTART + RLENGTH)
-        }
-        while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
-            used[substr(line, RSTART, RLENGTH)]++
+        line = clean($0)
+        prev = ""; prev2 = ""
+        while (match(line, /[A-Za-z_][A-Za-z0-9_]*|[{}()\[\];]/)) {
+            tok = substr(line, RSTART, RLENGTH)
+            gap = substr(line, 1, RSTART - 1)
             line = substr(line, RSTART + RLENGTH)
+            if (tok == "fn" && match(line, /^[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
+                name = substr(line, RSTART, RLENGTH)
+                sub(/^[ \t]+/, "", name)
+                line = substr(line, RSTART + RLENGTH)
+                if (mine && (prev == "pub" || (prev == "const" && prev2 == "pub"))) {
+                    split(FILENAME, parts, "/")
+                    where[name] = where[name] parts[2] "  " FILENAME ":" FNR "  " name "\n"
+                }
+                pending = name
+                pparen = paren
+                prev2 = prev; prev = name
+                continue
+            }
+            if (tok == "(" || tok == "[") paren++
+            else if (tok == ")" || tok == "]") paren--
+            else if (tok == "{") {
+                depth++
+                if (pending != "") { stack[++sp] = pending; sdepth[sp] = depth; pending = "" }
+            } else if (tok == "}") {
+                if (sp > 0 && sdepth[sp] == depth) sp--
+                depth--
+            } else if (tok == ";") {
+                if (pending != "" && paren == pparen) pending = ""
+            } else if ((line ~ /^(\(|::<)/ || gap ~ /::$/) && !inside(tok)) {
+                used[tok]++
+            }
+            prev2 = prev; prev = tok
         }
     }
     END {

@@ -342,65 +342,3 @@ fn all_equal_key_and_alternating_chunks_are_identical() {
         }
     }
 }
-
-/// Windowed runtimes accept batches too, rolling windows mid-batch.
-#[test]
-fn windowed_runtime_batches_roll_windows() {
-    let recs = records(3_000);
-    let c = compiled("SELECT COUNT GROUPBY srcip", CompileOptions::default());
-    let mut single = perfq_core::WindowedRuntime::new(c.clone(), Nanos::from_millis(100));
-    let mut batched = perfq_core::WindowedRuntime::new(c, Nanos::from_millis(100));
-    for r in &recs {
-        single.process_record(r);
-    }
-    for part in recs.chunks(64) {
-        batched.process_batch(part);
-    }
-    let a = single.finish();
-    let b = batched.finish();
-    assert_eq!(a.len(), b.len());
-    assert!(a.len() > 1, "trace must span multiple windows");
-    for (wa, wb) in a.iter().zip(&b) {
-        assert_eq!(wa.records, wb.records);
-        assert_eq!(wa.results, wb.results);
-    }
-}
-
-/// Epoch-boundary edge case: one batch straddling *every* window boundary
-/// at once (the whole trace as a single batch), and a ragged split whose
-/// chunks straddle boundaries at arbitrary offsets. Window rolls must land
-/// between exactly the same records as record-at-a-time processing.
-#[test]
-fn batch_straddling_epoch_boundaries_is_identical() {
-    let recs = records(3_000);
-    let c = compiled("SELECT COUNT GROUPBY srcip", CompileOptions::default());
-    let mut single = perfq_core::WindowedRuntime::new(c.clone(), Nanos::from_millis(50));
-    let mut one_batch = perfq_core::WindowedRuntime::new(c.clone(), Nanos::from_millis(50));
-    let mut ragged = perfq_core::WindowedRuntime::new(c, Nanos::from_millis(50));
-    for r in &recs {
-        single.process_record(r);
-    }
-    one_batch.process_batch(&recs);
-    let mut rest = &recs[..];
-    for size in [999usize, 1, 777, 65].iter().cycle() {
-        if rest.is_empty() {
-            break;
-        }
-        let n = (*size).min(rest.len());
-        let (part, tail) = rest.split_at(n);
-        ragged.process_batch(part);
-        rest = tail;
-    }
-    let a = single.finish();
-    let b = one_batch.finish();
-    let c = ragged.finish();
-    assert!(a.len() > 1, "trace must span multiple windows");
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), c.len());
-    for (wa, (wb, wc)) in a.iter().zip(b.iter().zip(&c)) {
-        assert_eq!(wa.records, wb.records);
-        assert_eq!(wa.results, wb.results);
-        assert_eq!(wa.records, wc.records);
-        assert_eq!(wa.results, wc.results);
-    }
-}

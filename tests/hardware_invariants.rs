@@ -84,18 +84,23 @@ fn fig5_paper_claim_8way_close_to_full_lru() {
 #[test]
 fn fig6_shape_accuracy_monotone_in_cache_size_and_run_length() {
     let keys = workload(60_000, 8);
-    let accuracy = |pairs: usize, upto: usize| -> f64 {
+    // One run over `run` on a fresh store: (valid keys, keys).
+    let replay = |pairs: usize, run: &[u64]| -> (usize, usize) {
         let mut store: SplitStore<u64, MaxOps> = SplitStore::new(
             CacheGeometry::set_associative(pairs, 8),
             EvictionPolicy::Lru,
             3,
             MaxOps,
         );
-        for (i, k) in keys[..upto].iter().enumerate() {
+        for (i, k) in run.iter().enumerate() {
             store.observe(*k, &(i as u64), Nanos(i as u64));
         }
         store.flush();
-        store.backing().accuracy()
+        (store.backing().valid_keys(), store.backing().len())
+    };
+    let accuracy = |pairs: usize, upto: usize| -> f64 {
+        let (valid, total) = replay(pairs, &keys[..upto]);
+        valid as f64 / total as f64
     };
     // Larger cache → higher accuracy.
     let a_small = accuracy(64, keys.len());
@@ -105,6 +110,13 @@ fn fig6_shape_accuracy_monotone_in_cache_size_and_run_length() {
     let a_short = accuracy(128, keys.len() / 5);
     let a_long = accuracy(128, keys.len());
     assert!(a_short >= a_long, "{a_short} vs {a_long}");
+    // Five tumbling windows, a fresh store each, weighted by key count:
+    // every reset leaves fewer chances to re-insert a key than one full run.
+    let (valid, total) = (keys.chunks(keys.len() / 5))
+        .map(|w| replay(128, w))
+        .fold((0, 0), |(v, t), (wv, wt)| (v + wv, t + wt));
+    let a_windows = valid as f64 / total as f64;
+    assert!(a_windows >= a_long, "{a_windows} vs {a_long}");
 }
 
 #[test]

@@ -11,8 +11,8 @@
 //!    on a **fresh deployment fed exactly the records routed so far** (the
 //!    cloned-deployment oracle, realized as a prefix replay).
 //!
-//! The delta layer (`Runtime::poll_delta` / `DeltaCursor`) is pinned
-//! against set-differences of consecutive frames, the sharded poll is
+//! A poll returns one frame and nothing more, so a second poll with no
+//! ingest between returns the same frame. The sharded poll is
 //! additionally stressed with workers mid-ingest on their own threads
 //! (snapshot-during-ingest: the reader must never observe a torn frame),
 //! and a durable runtime's polls are held to a durable twin's drain, so the
@@ -49,7 +49,7 @@ fn prefix_replay(c: &CompiledProgram, prefix: &[QueueRecord]) -> ResultSet {
 }
 
 /// Single-stream pin over every Fig. 2 query: polls at several cadences are
-/// exact at each instant and invisible to the final drain.
+/// exact at each instant, idempotent, and invisible to the final drain.
 #[test]
 fn single_stream_polls_are_exact_and_non_perturbing() {
     let recs = records(3_000);
@@ -75,6 +75,12 @@ fn single_stream_polls_are_exact_and_non_perturbing() {
                         frame,
                         prefix_replay(&c, &recs[..seen]),
                         "{}: poll after {seen} records (every {every} batches)",
+                        q.name
+                    );
+                    assert_eq!(
+                        sorted(polled.poll_results()),
+                        frame,
+                        "{}: a second poll with no ingest between is the same frame",
                         q.name
                     );
                 }
@@ -176,46 +182,6 @@ fn sharded_poll_mid_ingest_never_tears() {
         }
     }
     assert_eq!(sorted(plane.finish().collect()), prefix_replay(&c, &recs));
-}
-
-/// Delta layer: `poll_delta` emits exactly the rows that differ from the
-/// previous frame (computed independently as a set difference), an
-/// unchanged store yields an empty delta, and delta emission never
-/// perturbs the frames themselves.
-#[test]
-fn poll_delta_streams_exactly_the_changed_rows() {
-    let recs = records(2_400);
-    let c = compiled(fig2::PER_FLOW_COUNTERS.source, CompileOptions::default());
-    let mut rt = Runtime::new(c.clone());
-    let mut prev = ResultSet::default();
-    let mut epochs = Vec::new();
-    for part in recs.chunks(400) {
-        rt.process_batch(part);
-        let frame = sorted(rt.poll_results());
-        let mut emitted: Vec<(String, perfq_core::ResultRow)> = Vec::new();
-        let epoch = rt.poll_delta(|d| emitted.push((d.table.to_string(), d.row.clone())));
-        epochs.push(epoch);
-        // Independent diff: rows of the new frame absent from the old one.
-        let expect: Vec<(String, perfq_core::ResultRow)> = frame
-            .tables
-            .iter()
-            .zip(prev.tables.iter().map(Some).chain(std::iter::repeat(None)))
-            .flat_map(|(cur, old)| {
-                cur.rows
-                    .iter()
-                    .filter(move |r| !old.is_some_and(|o| o.rows.contains(r)))
-                    .map(|r| (cur.name.clone(), r.clone()))
-            })
-            .collect();
-        assert_eq!(emitted, expect, "delta == set difference of frames");
-        prev = frame;
-    }
-    assert_eq!(epochs, (1..=epochs.len() as u64).collect::<Vec<_>>());
-    // No records between polls: the delta must be empty.
-    let n = rt.poll_delta(|_| panic!("unchanged store emitted a delta row"));
-    assert_eq!(n, epochs.len() as u64 + 1);
-    rt.finish();
-    assert_eq!(sorted(rt.collect()), prefix_replay(&c, &recs));
 }
 
 /// Multi-program pin, single-stream plane: polling one installed program —

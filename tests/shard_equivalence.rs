@@ -48,9 +48,13 @@ fn sharded_matches_single_and_batched_on_fig2() {
         batched.finish();
         let want = sorted(single.collect());
         assert_eq!(want, sorted(batched.collect()), "{}: batch baseline", q.name);
+        assert!(
+            ShardSpec::from_compiled(&c).is_exact(),
+            "{}: static exactness",
+            q.name
+        );
         for shards in [1usize, 2, 4, 8] {
             let mut sh = ShardedRuntime::new(c.clone(), shards);
-            assert!(sh.spec().is_exact(), "{}: static exactness", q.name);
             for part in recs.chunks(512) {
                 sh.process_batch(part);
             }
