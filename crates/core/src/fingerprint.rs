@@ -1,16 +1,17 @@
 //! Store-identity verdicts. A store's fingerprint is what the identity rule
-//! in [`crate::multi`] compares over the plans that run: the compiled filter,
-//! the key columns, the physical store plan and the upstream chain. Each test
-//! is a table of `(case, a, query, b, query, same store?, same stream?)`
-//! rows over the paper's overlaps and their near misses, the stream verdict
-//! (output layout included) where it is pinned.
+//! in [`crate::multi`] compares over the plans that run: a base-table
+//! source, the compiled filter, the key columns, the demanded associativity
+//! and the physical store plan. Each test is a table of
+//! `(case, a, query, b, query, same store?)` rows over the paper's overlaps
+//! and their near misses.
 
 #[cfg(test)]
 mod tests {
     use crate::compile_query;
     use crate::compiler::{CompileOptions, CompiledProgram};
-    use crate::multi::{same_node, same_store};
+    use crate::multi::same_store;
     use crate::plan::ExecPlan;
+    use perfq_kvstore::{CachePlanner, QueryDemand, StoreDemand};
     use perfq_lang::{fig2, Value};
 
     type Case<'a> = (
@@ -20,41 +21,27 @@ mod tests {
         &'a CompiledProgram,
         usize,
         bool,
-        Option<bool>,
     );
 
     fn compiled(src: &str) -> CompiledProgram {
         compile_query(src, &fig2::default_params(), CompileOptions::default()).unwrap()
     }
 
-    /// Both verdicts of every row, each way round: the strict store rule,
-    /// and the stream rule where the row pins it.
+    /// The strict store rule on every row, each way round.
     fn check(cases: &[Case]) {
-        for &(what, a, ai, b, bi, store, stream) in cases {
+        for &(what, a, ai, b, bi, store) in cases {
             let (pa, pb) = (ExecPlan::build(&a.program), ExecPlan::build(&b.program));
             let got = same_store((a, &pa), ai, (b, &pb), bi, true);
             assert_eq!(got, store, "{what}: store");
             let got = same_store((b, &pb), bi, (a, &pa), ai, true);
             assert_eq!(got, store, "{what}: store, swapped");
-            if let Some(stream) = stream {
-                let got = same_node((a, &pa), ai, (b, &pb), bi, true, true);
-                assert_eq!(got, stream, "{what}: stream");
-            }
         }
     }
 
     #[test]
     fn identical_programs_fingerprint_equal() {
         let counter = compiled("SELECT COUNT GROUPBY 5tuple\n");
-        check(&[(
-            "identical programs",
-            &counter,
-            0,
-            &counter.clone(),
-            0,
-            true,
-            Some(true),
-        )]);
+        check(&[("identical programs", &counter, 0, &counter.clone(), 0, true)]);
     }
 
     #[test]
@@ -66,8 +53,8 @@ mod tests {
         let loss = compiled(fig2::PER_FLOW_LOSS_RATE.source);
         #[rustfmt::skip]
         let cases: [Case; 2] = [
-            ("loss-rate R1 is the §4 counter", &counter, 0, &loss, 0, true, None),
-            ("loss-rate R2 filters on drops", &counter, 0, &loss, 1, false, None),
+            ("loss-rate R1 is the §4 counter", &counter, 0, &loss, 0, true),
+            ("loss-rate R2 filters on drops", &counter, 0, &loss, 1, false),
         ];
         check(&cases);
     }
@@ -84,8 +71,8 @@ mod tests {
         let tcp_17 = compile_query(src, &udp_tcp, CompileOptions::default()).unwrap();
         #[rustfmt::skip]
         let cases: [Case; 2] = [
-            ("a bound parameter is its value", &tcp, 0, &six, 0, true, Some(true)),
-            ("TCP bound to 17 is another predicate", &six, 0, &tcp_17, 0, false, Some(false)),
+            ("a bound parameter is its value", &tcp, 0, &six, 0, true),
+            ("TCP bound to 17 is another predicate", &six, 0, &tcp_17, 0, false),
         ];
         check(&cases);
     }
@@ -97,8 +84,8 @@ mod tests {
         let swapped = compiled("SELECT COUNT GROUPBY dstip, srcip\n");
         #[rustfmt::skip]
         let cases: [Case; 2] = [
-            ("an output alias is cosmetic", &pair, 0, &aliased, 0, true, Some(true)),
-            ("key order is store layout", &pair, 0, &swapped, 0, false, None),
+            ("an output alias is cosmetic", &pair, 0, &aliased, 0, true),
+            ("key order is store layout", &pair, 0, &swapped, 0, false),
         ];
         check(&cases);
     }
@@ -107,22 +94,57 @@ mod tests {
     fn fold_bodies_distinguish_stores() {
         let count = compiled("SELECT COUNT GROUPBY 5tuple\n");
         let sum = compiled("SELECT SUM(pkt_len) GROUPBY 5tuple\n");
-        check(&[("COUNT is not SUM", &count, 0, &sum, 0, false, Some(false))]);
+        check(&[("COUNT is not SUM", &count, 0, &sum, 0, false)]);
     }
 
     #[test]
-    fn composed_chains_compare_recursively() {
+    fn composed_stores_are_never_the_same_store() {
+        // R2 streams R1's residency-local values: identical chains still
+        // keep private stores, and a filter upstream changes R1 itself.
         let hi = compiled(fig2::PER_FLOW_HIGH_LATENCY.source);
-        // The same R2 over a *different* R1: a filter upstream diverges the
-        // downstream store with it.
         let other = compiled(
             "R1 = SELECT pkt_uniq, SUM(tout-tin) GROUPBY pkt_uniq WHERE proto == 6\nR2 = SELECT 5tuple FROM R1 GROUPBY 5tuple WHERE SUM(tout-tin) > L\n",
         );
         #[rustfmt::skip]
-        let cases: [Case; 3] = [
-            ("identical composed chains", &hi, 1, &hi.clone(), 1, true, None),
-            ("a diverged upstream chain", &hi, 1, &other, 1, false, None),
-            ("a diverged upstream filter alone", &hi, 0, &other, 0, false, None),
+        let cases: [Case; 4] = [
+            ("identical composed chains", &hi, 1, &hi.clone(), 1, false),
+            ("a diverged upstream chain", &hi, 1, &other, 1, false),
+            ("an identical base-rooted R1", &hi, 0, &hi.clone(), 0, true),
+            ("a diverged upstream filter alone", &hi, 0, &other, 0, false),
+        ];
+        check(&cases);
+    }
+
+    #[test]
+    fn demanded_associativity_is_store_identity() {
+        // A three-pair slice clamps an 8-way and a 4-way demand to one
+        // geometry, but the planner sizes the two apart at the next replan,
+        // so they are not one store.
+        let at_three_pairs = |ways: usize| {
+            let options = CompileOptions {
+                ways,
+                ..Default::default()
+            };
+            let src = "SELECT COUNT GROUPBY 5tuple\n";
+            let mut c = compile_query(src, &fig2::default_params(), options).unwrap();
+            let store = c.stores[0].as_mut().unwrap();
+            let demand = QueryDemand::new("q", vec![StoreDemand::new(store.pair_bits(), ways)]);
+            let budget = 3 * u64::from(store.pair_bits());
+            let plan = CachePlanner::new(budget).plan(&[demand]).unwrap();
+            store.geometry = plan.queries[0].stores[0].geometry;
+            c
+        };
+        let (eight, four) = (at_three_pairs(8), at_three_pairs(4));
+        let geometry = |c: &CompiledProgram| c.stores[0].as_ref().unwrap().geometry;
+        assert_eq!(
+            geometry(&eight),
+            geometry(&four),
+            "premise: one clamped geometry"
+        );
+        #[rustfmt::skip]
+        let cases: [Case; 2] = [
+            ("8-way against 4-way at one clamped geometry", &eight, 0, &four, 0, false),
+            ("8-way against 8-way at one clamped geometry", &eight, 0, &eight.clone(), 0, true),
         ];
         check(&cases);
     }

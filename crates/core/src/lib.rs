@@ -281,13 +281,15 @@
 //! the duplicates from the streaming pass and substituting the owner's
 //! finished store at drain. Filters and group keys are not shared: each
 //! program's plan sweeps a chunk with its own.
-//! Two stores may legally dedup only when their input chains, filters, key
-//! tuples and fold semantics are identical *and* their physical
-//! configurations (geometry, eviction policy, hash seed) match — which
-//! makes sharing byte-identical to unshared execution for every fold
-//! class, eviction for eviction. Under a budget, deduplicated stores
-//! are also charged to the SRAM budget once and the reclaimed bits grow
-//! every physical cache. See [`multi`] for the full legality rule and
+//! Two stores may legally dedup only when both read the base table, their
+//! filters, key tuples, fold semantics and demanded associativity are
+//! identical *and* their physical configurations (geometry, eviction
+//! policy, hash seed) match — which makes sharing byte-identical to
+//! unshared execution for every fold class, eviction for eviction. A
+//! composed store (a `GROUPBY` over another query's stream) is never
+//! shared. Every shared pair is one planner dedup group: under a budget it
+//! is charged to the SRAM budget once, the reclaimed bits grow every
+//! physical cache, and every replan gives both sides one geometry. See [`multi`] for the full legality rule and
 //! [`multi::SharingReport`] for what a given install shared.
 //!
 //! # Incremental reads
@@ -299,9 +301,9 @@
 //! `finish()` + `collect()` would return on a clone of the live runtime,
 //! while caches stay resident and ingest continues ([`Deployment::poll`] on
 //! either placement and [`ShardedRuntime::poll_results`] are the
-//! multi-program and sharded faces; a poll quiesces only the involved
-//! programs — sharded, it pauses their dataplanes between batches — and
-//! releases them with caches intact). Under the hood each store lands in a
+//! multi-program and sharded faces; a poll quiesces the whole deployment —
+//! sharded, it pauses every dataplane between batches — and releases it
+//! with caches intact). Under the hood each store lands in a
 //! `perfq_kvstore::StoreSnapshot` frame — its backing table plus the
 //! cache-resident pairs absorbed through the normal eviction algebra,
 //! O(distinct keys) per poll — so the polled frame is *the* store state,
@@ -337,13 +339,12 @@
 //! id, returning its final results. There is **one** implementation of
 //! both (and of poll source resolution): a private lifecycle core in
 //! [`multi`] that owns the bookkeeping — installed programs, ids, install
-//! epochs, budget, settled dedup pairs — and works on each program's
+//! epochs, budget, settled dedup pairs — and works on every program's
 //! *quiesced worker runtimes in shard order*. [`Deployment::install`] /
 //! [`Deployment::uninstall`] are written once: the placement quiesces the
-//! groups the core says it will touch and releases them afterwards —
-//! [`Inline`] lends one-element groups, [`Sharded`] pauses the worker
-//! groups (queues drain first) and resumes them. The plane's shape changes
-//! exactly four things —
+//! whole deployment and releases it afterwards — [`Inline`] lends
+//! one-element groups, [`Sharded`] pauses every worker group (queues drain
+//! first) and resumes it. The plane's shape changes exactly four things —
 //! the **worker count** of a group, whether reaching it needs a
 //! **quiesce**, the **geometry divisor** (a worker's share of its
 //! program's slice: all of it, or `1/N`), and the **candidate gate** (the
@@ -361,17 +362,17 @@
 //! residents shrink to admit a newcomer and regrow when one leaves, with
 //! the backing store (the truth, §3.2) untouched throughout. The sharing
 //! analysis re-runs incrementally: a program installed at the same
-//! *epoch* (deployment record count) as a structurally-identical resident
-//! adopts its deduplicated store — equal epochs prove the shared store
+//! *epoch* (deployment record count) as a resident with an identical
+//! base-rooted store adopts it — equal epochs prove the shared store
 //! holds exactly the state the newcomer's private store would — while
 //! cross-epoch twins stay private; an uninstall reads the departing
 //! program by **poll** — `finish()` + `collect()` on a clone is the poll
 //! contract, alias redirection and the spill tier included, so there is no
 //! second drain to keep in step with it — and then drops its workers;
 //! uninstalling a store's owner promotes the first surviving alias to owner
-//! (the physical store's state moves with it, worker by worker), and a
-//! composed alias pair whose chains a replan pulls apart is *repaired* by
-//! cloning the shared state back into the alias. The contract, pinned by
+//! (the physical store's state moves with it, worker by worker). A shared
+//! pair is one planner dedup group, so no replan pulls it apart and there
+//! is no repair path. The contract, pinned by
 //! `tests/query_lifecycle.rs`
 //! differentially against restart-from-scratch deployments at every
 //! install event on all four plane shapes (and by

@@ -20,7 +20,7 @@
 //!   column masks, and the row is dispatched to every program's flat plan —
 //!   so K concurrent Fig. 2 queries cost one trip through the network event
 //!   loop and one row materialization instead of K full replays.
-//! * **Cross-query store sharing** (see below): structurally-identical
+//! * **Cross-query store sharing** (see below): identical base-rooted
 //!   stores across the installed programs are charged to the budget and
 //!   updated **once**. Everything else — filters, key builds, folds — each
 //!   program's plan sweeps on its own.
@@ -49,10 +49,11 @@
 //! therefore has one public type, [`Deployment`], over one `Roster`: the
 //! installed programs at their whole-slice geometries, their stable ids
 //! and install epochs, the budget, the settled dedup pairs, the sharing
-//! report. The roster owns no runtime; every mutating step works on
-//! program *p*'s **quiesced worker runtimes in shard order**, which the
-//! deployment's placement hands over for the duration (`quiesce`) and
-//! takes back afterwards (`release`):
+//! report. The roster owns no runtime; a poll, a lifecycle event or a
+//! durable call works on the **whole deployment's quiesced worker
+//! runtimes**, program by program in shard order, which the placement
+//! hands over for the duration (`quiesce`) and takes back afterwards
+//! (`release`):
 //!
 //! ```text
 //!   install(program)                         uninstall(id)
@@ -60,9 +61,9 @@
 //!   nominate alias candidates  ◀─ gate       promote departing owners' stores
 //!   CachePlanner, once                       drop the departing group
 //!   worker geometries          ◀─ divisor    re-index bookkeeping
-//!   confirm candidates (strict rule)         replan ─▶ migrate ─▶ repair
+//!   confirm candidates (strict rule)         replan ─▶ migrate
 //!   ── commit ──
-//!   snapshot diverged owners ─▶ migrate ─▶ repair ─▶ adopt the arrival
+//!   migrate ─▶ adopt the arrival
 //! ```
 //!
 //! The plane's shape is one value (`shards: Option<usize>`) read at the two
@@ -71,11 +72,10 @@
 //! identically) and the **divisor** (a worker runs its stores at the whole
 //! slice, or at `1/N` of it). The rest of the difference lives in the
 //! placement and is not control flow of the lifecycle: how many workers a
-//! group has, how a batch reaches them, and how a group is quiesced —
-//! [`Inline`] lends every runtime (nothing runs between two calls), while
-//! [`Sharded`] pauses exactly the groups a step needs and resumes them
-//! afterwards (for an install, only the groups the dry run says the commit
-//! touches — none at all without a budget). Every
+//! group has, how a batch reaches them, and how the deployment is
+//! quiesced — [`Inline`] lends every runtime (nothing runs between two
+//! calls), while [`Sharded`] pauses every group and resumes it afterwards.
+//! Every
 //! [`PlanError`] — including a `1/N` slice too small for one pair — and,
 //! under durability, a failed spill-tier attach surface from the dry run as
 //! an [`InstallError`] with the deployment untouched.
@@ -91,16 +91,19 @@
 //!    install runs), holding every candidate pair to the one legality rule,
 //!    which is also the one notion of identity: `same_store`, over the
 //!    plans that actually run. Two stores may legally collapse into one
-//!    only when both plan nodes are active, their compiled filters (with
-//!    parameters bound, so `proto == TCP` is `proto == 6`) and key columns
-//!    are equal, their store plans match — same [`CacheGeometry`], same
-//!    eviction policy, same placement hash seed, same widths, the same
-//!    dataplane fold — and their upstream chains are equal node by node,
-//!    every upstream store equally identical (downstream queries observe
-//!    *cache-resident* running values, §3.2, so eviction timing is part of
-//!    a stream's identity). Under that rule the deduplicated dataplane is
-//!    byte-identical to the private-store one for every fold class —
-//!    eviction for eviction, epoch for epoch.
+//!    only when both plan nodes are active aggregations over the **base
+//!    table**, their compiled filters (with parameters bound, so
+//!    `proto == TCP` is `proto == 6`) and key columns are equal, their
+//!    programs demand the same associativity, and their store plans match
+//!    — same [`CacheGeometry`], same eviction policy, same placement hash
+//!    seed, same widths, the same dataplane fold. A composed store (a
+//!    `GROUPBY` over another query) is never shared: it streams its
+//!    upstream cache's *residency-local* values (§3.2), so two programs
+//!    with identical composed chains keep private stores. Every shared
+//!    pair is therefore one planner dedup group, which the planner gives
+//!    one geometry at every replan — no replan can pull a pair apart, and
+//!    the deduplicated dataplane is byte-identical to the private-store one
+//!    for every fold class, eviction for eviction, epoch for epoch.
 //! 2. **Rewrite** — each *alias* aggregation (a duplicate whose rows no
 //!    downstream query consumes) is removed from its program's streaming
 //!    pass entirely; at the drain ([`MultiRuntime::finish`] /
@@ -112,9 +115,9 @@
 //! The paper's own query set overlaps this way: the loss-rate program's
 //! `R1 = SELECT COUNT GROUPBY 5tuple` *is* the §4 running-example counter
 //! query. [`SharingReport`] (from [`Deployment::sharing`]) lists what was
-//! shared; under a budget the deduplicated stores are also charged to
-//! the SRAM budget **once**, and the reclaimed bits grow every physical
-//! cache ([`StoreDemand::dedup`](perfq_kvstore::StoreDemand)).
+//! shared; under a budget every deduplicated store is also charged to the
+//! SRAM budget **once**, and the reclaimed bits grow every physical cache
+//! ([`StoreDemand::dedup`](perfq_kvstore::StoreDemand)).
 //!
 //! The [`Sharded`] placement runs the same discipline across cores: each
 //! program runs its own worker group (router, SPSC queues, N worker
@@ -148,7 +151,7 @@ use crate::sharded::{ShardGroup, ShardSpec};
 use perfq_kvstore::{
     AreaPlan, CacheGeometry, CachePlanner, PlanError, QueryAllocation, QueryDemand, StoreDemand,
 };
-use perfq_lang::{QueryInput, Value};
+use perfq_lang::Value;
 use perfq_switch::{Network, QueueRecord};
 
 /// Plan `budget_bits` of cache SRAM across `programs` (equal shares) and
@@ -163,16 +166,6 @@ use perfq_switch::{Network, QueueRecord};
 /// charges the group once, and every member program receives the **same**
 /// (larger) geometry — the reclaimed bits are redistributed across all
 /// physical stores.
-///
-/// The planner itself tags only aliases whose terminal store reads the
-/// **base table**: for those, the plan forces every group member onto the
-/// canonical geometry, so the alias provably stays valid after the
-/// rewrite. A *composed* duplicate (identical `GROUPBY` chains) is charged
-/// conservatively as its own store — its upstream stores may be re-sized
-/// differently per program, which would invalidate the alias at run time
-/// while the plan had already pocketed its SRAM. Composed duplicates still
-/// dedup at run time whenever their provisioned geometries coincide; the
-/// area accounting is just never optimistic about it.
 fn provision_with(
     programs: &mut [CompiledProgram],
     budget_bits: u64,
@@ -193,9 +186,8 @@ fn provision_with(
 /// The planner demand set of the current deployment: one [`QueryDemand`]
 /// named `q{id}` per store-bearing program (`ids[i]` is program `i`'s
 /// stable install id — the initial install uses `id == i`, so the names
-/// match the documented `q{i}` convention), with every **base-rooted**
-/// alias pair tagged into a [`StoreDemand::dedup`] group keyed by its
-/// owner's coordinates. Returns the covered program indices in demand
+/// match the documented `q{i}` convention), with every alias pair tagged
+/// into a [`StoreDemand::dedup`] group keyed by its owner's coordinates. Returns the covered program indices in demand
 /// order alongside, so allocations can be written back positionally.
 fn lifecycle_demands(
     programs: &[CompiledProgram],
@@ -206,9 +198,6 @@ fn lifecycle_demands(
     let group_token = |p: usize, q: usize| ((p as u64) << 32) | q as u64;
     let mut groups: Vec<((usize, usize), u64)> = Vec::new();
     for ((ap, aq), (op, oq)) in aliases {
-        if !matches!(programs[*ap].program.queries[*aq].input, QueryInput::Base) {
-            continue;
-        }
         let token = group_token(*op, *oq);
         if !groups.contains(&((*op, *oq), token)) {
             groups.push(((*op, *oq), token));
@@ -310,9 +299,10 @@ fn exec_plans(programs: &[CompiledProgram]) -> Vec<ExecPlan> {
 /// used by the dynamic lifecycle. A freshly-compiled program carries
 /// compile-default geometries while the live deployment carries
 /// provisioned ones, so geometry equality at nomination time would reject
-/// every candidate the replan is about to *make* equal. The planner forces
-/// base-rooted groups onto one geometry; composed candidates are
-/// re-checked with the strict rule after the plan lands.
+/// every candidate the replan is about to *make* equal. Under a budget the
+/// planner gives a dedup group one geometry; without one, geometries never
+/// change, so the strict rule confirms each candidate at the geometry it
+/// runs.
 fn phys_eq(a: &StorePlan, b: &StorePlan, geometry: bool) -> bool {
     (!geometry || a.geometry == b.geometry)
         && a.policy == b.policy
@@ -324,49 +314,39 @@ fn phys_eq(a: &StorePlan, b: &StorePlan, geometry: bool) -> bool {
 
 /// The store-identity rule, and the only place that decides it: query `ai`
 /// of `a` and query `bi` of `b` are the same store when both plan nodes are
-/// active aggregations with equal compiled filters and equal key columns,
-/// their store plans pass [`phys_eq`], and their upstream chains are equal
-/// node by node ([`same_node`]). The plans bind parameters at build time,
-/// so `proto == TCP` and `proto == 6` compile to the same filter. A store's
-/// own output layout does not count: each program formats its rows from
-/// the shared `(key, state)` pairs. The rule is made of equalities only,
-/// so it is an equivalence relation.
+/// active aggregations over the base table with equal compiled filters and
+/// equal key columns, both programs demand the same associativity, and
+/// their store plans pass [`phys_eq`]. The plans bind parameters at build
+/// time, so `proto == TCP` and `proto == 6` compile to the same filter. A
+/// store's own output layout does not count: each program formats its rows
+/// from the shared `(key, state)` pairs. The rule is made of equalities
+/// only, so it is an equivalence relation.
+///
+/// Base-rooted stores with equal pair widths and associativity are what the
+/// planner mirrors (one [`StoreDemand::dedup`] group, one geometry at every
+/// replan), so a pair this rule admits stays one store for life. A composed
+/// store streams its upstream cache's residency-local values (§3.2), and
+/// [`CachePlanner`]'s associativity clamp can make stores of different
+/// demanded associativity coincide at a small slice only to part at the
+/// next replan; neither is shared.
 pub(crate) fn same_store(a: Side, ai: usize, b: Side, bi: usize, geometry: bool) -> bool {
     let (na, nb) = (&a.1.nodes[ai], &b.1.nodes[bi]);
     let keys_equal = match (&na.kind, &nb.kind) {
         (NodeKind::GroupBy { key_cols: x, .. }, NodeKind::GroupBy { key_cols: y, .. }) => x == y,
         _ => false,
     };
-    na.active && nb.active && keys_equal && same_node(a, ai, b, bi, geometry, false)
-}
-
-/// Nodes `ai` and `bi` compute the same rows: equal compiled filters,
-/// physically identical stores (or none on both sides), the same source —
-/// the base table, or recursively the same upstream node — and, with
-/// `layout`, the same node body, output layout and projection columns
-/// included. Composed queries stream the cache-resident running values
-/// (§3.2), so upstream eviction timing, and with it every upstream store
-/// plan, is part of a stream's identity.
-pub(crate) fn same_node(
-    a: Side,
-    ai: usize,
-    b: Side,
-    bi: usize,
-    geometry: bool,
-    layout: bool,
-) -> bool {
-    let (na, nb) = (&a.1.nodes[ai], &b.1.nodes[bi]);
-    let stores = match (&a.0.stores[ai], &b.0.stores[bi]) {
+    let stores_equal = match (&a.0.stores[ai], &b.0.stores[bi]) {
         (Some(x), Some(y)) => phys_eq(x, y, geometry),
-        (None, None) => true,
         _ => false,
     };
-    let sources = match (na.source, nb.source) {
-        (RowSource::Base, RowSource::Base) => true,
-        (RowSource::Node(x), RowSource::Node(y)) => same_node(a, x, b, y, geometry, true),
-        _ => false,
-    };
-    na.filter == nb.filter && (!layout || na.kind == nb.kind) && stores && sources
+    let base_rooted = matches!((na.source, nb.source), (RowSource::Base, RowSource::Base));
+    na.active
+        && nb.active
+        && base_rooted
+        && keys_equal
+        && na.filter == nb.filter
+        && a.0.options.ways == b.0.options.ways
+        && stores_equal
 }
 
 /// Nominate store-dedup pairs for program `new_idx` — the owner search, and
@@ -555,15 +535,8 @@ impl std::error::Error for InstallError {
 /// form in which the lifecycle core touches a runtime
 /// ([`Placement::quiesce`]). [`Inline`] lends each program's runtime as a
 /// one-element group; [`Sharded`] hands over what `ShardGroup::pause`
-/// returned, and leaves `None` for a group it kept running (the core
-/// reports beforehand which groups it will touch, [`Roster::touched`]).
-type Group = Option<Vec<Runtime>>;
-
-fn quiesced(groups: &mut [Group], p: usize) -> &mut Vec<Runtime> {
-    groups[p]
-        .as_mut()
-        .expect("the lifecycle only touches groups it asked to quiesce")
-}
+/// returned.
+type Group = Vec<Runtime>;
 
 /// The plane shape's first consultation point — the candidate gate: the
 /// sharded plane keeps only alias pairs whose programs partition exactly
@@ -602,9 +575,6 @@ struct Replan {
     /// Per store-bearing program: its index and each store's per-worker
     /// geometry ([`worker_geometries`]).
     migrations: Vec<(usize, Vec<CacheGeometry>)>,
-    /// Settled alias pairs (indices into [`Roster::aliases`]) whose chains
-    /// the planned geometries pull apart.
-    broken: Vec<usize>,
 }
 
 /// A validated install ([`Roster::stage_install`]); nothing is mutated
@@ -619,7 +589,7 @@ struct StagedInstall {
 /// The lifecycle core of a [`Deployment`]: which programs are installed
 /// under which ids and budget, which stores are deduplicated, where the
 /// deployment persists — and the one implementation of install, uninstall,
-/// replan → migrate → repair, poll source resolution and the durable tier
+/// replan → migrate, poll source resolution and the durable tier
 /// (enable, persist, recover, retired results) over that bookkeeping.
 ///
 /// The core owns no runtime and starts no thread: the deployment's
@@ -738,8 +708,7 @@ impl Roster {
     /// by program, in shard order.
     fn named<'g>(&self, groups: &'g mut [Group]) -> Vec<(String, &'g mut Runtime)> {
         let mut named = Vec::new();
-        for (id, group) in self.ids.iter().zip(groups) {
-            let workers = group.as_mut().expect("durable calls quiesce every group");
+        for (id, workers) in self.ids.iter().zip(groups) {
             let component = |(shard, rt)| (self.file_component(*id, shard), rt);
             named.extend(workers.iter_mut().enumerate().map(component));
         }
@@ -775,7 +744,7 @@ impl Roster {
     fn recover(&mut self, d: Durability, groups: &mut [Group]) -> std::io::Result<u64> {
         let resume = crate::durable::recover(&d, &mut self.named(groups))?;
         let at = resume.unwrap_or(0);
-        for workers in groups.iter_mut().flatten() {
+        for workers in groups.iter_mut() {
             workers[0].resume_records(at);
         }
         self.records = at;
@@ -799,10 +768,11 @@ impl Roster {
 
     /// Run the planner **once** over `programs` (named by `ids`, dedup
     /// groups from `aliases`) under the deployment's budget: whole-slice
-    /// geometries written into `programs`, per-worker geometries resolved,
-    /// diverging settled pairs detected — every [`PlanError`] surfaces
-    /// here, before anything live is touched. Without a budget (or without
-    /// any store) geometries never change and the replan is empty.
+    /// geometries written into `programs` and per-worker geometries
+    /// resolved — every [`PlanError`] surfaces here, before anything live
+    /// is touched. Every settled pair is one dedup group, so the plan gives
+    /// both sides one geometry. Without a budget (or without any store)
+    /// geometries never change and the replan is empty.
     fn replan(
         &self,
         programs: Vec<CompiledProgram>,
@@ -812,7 +782,6 @@ impl Roster {
         let mut replan = Replan {
             programs,
             migrations: Vec::new(),
-            broken: Vec::new(),
         };
         let Some(budget) = self.budget else {
             return Ok(replan);
@@ -828,60 +797,21 @@ impl Roster {
                 .migrations
                 .push((pi, worker_geometries(self.shards, alloc)?));
         }
-        let plans = exec_plans(&replan.programs);
-        let side = |p: usize| (&replan.programs[p], &plans[p]);
-        replan.broken = (0..self.aliases.len())
-            .filter(|&i| {
-                let ((ap, aq), (op, oq)) = self.aliases[i];
-                !same_store(side(ap), aq, side(op), oq, true)
-            })
-            .collect();
         Ok(replan)
     }
 
     /// Apply a validated replan to the quiesced groups: every store
-    /// live-migrates to its planned per-worker geometry, and every composed
-    /// alias pair the new geometries diverge is **repaired** (privatized) —
-    /// the shared store's pre-migration state, exactly what the alias's
-    /// private store would hold, is cloned worker by worker, migrated to
-    /// the alias's new geometry, and handed to the reactivated alias query.
+    /// live-migrates to its planned per-worker geometry — dormant alias
+    /// stores too, so their compiled geometries track the plan.
     fn apply(&mut self, replan: Replan, groups: &mut [Group]) {
-        // Snapshot diverging pairs' owners *before* any migration.
-        let repairs: Vec<_> = replan
-            .broken
-            .iter()
-            .map(|&i| {
-                let (_, (op, oq)) = self.aliases[i];
-                let snaps: Vec<_> = quiesced(groups, op)
-                    .iter()
-                    .map(|w| w.clone_store(oq))
-                    .collect();
-                (i, snaps)
-            })
-            .collect();
-        // Live-migrate every resident store (dormant alias stores too —
-        // their compiled geometries must track the plan).
         for (pi, geoms) in &replan.migrations {
-            for w in quiesced(groups, *pi).iter_mut() {
+            for w in &mut groups[*pi] {
                 let mut it = geoms.iter();
                 for (qi, store) in replan.programs[*pi].stores.iter().enumerate() {
                     if store.is_some() {
                         w.migrate_store(qi, *it.next().expect("a geometry per store"));
                     }
                 }
-            }
-        }
-        // Materialize the repairs at each worker's new private geometry.
-        for (i, snaps) in repairs.into_iter().rev() {
-            let ((ap, aq), _) = self.aliases.remove(i);
-            for (w, mut snap) in quiesced(groups, ap).iter_mut().zip(snaps) {
-                let geom = w.compiled().stores[aq]
-                    .as_ref()
-                    .expect("alias stores exist")
-                    .geometry;
-                snap.migrate_geometry(geom);
-                w.set_store(aq, snap);
-                w.reactivate_query(aq);
             }
         }
         self.programs = replan.programs;
@@ -918,11 +848,10 @@ impl Roster {
         }
 
         // Candidate pairs are kept only when the strict dedup rule holds at
-        // the geometries the plan installs. The demand set is identical
-        // with or without the candidates dropped below (only base-rooted
-        // pairs are planner-tagged, and those always confirm — the planner
-        // mirrors the group geometry), so this one plan is the one to
-        // commit.
+        // the geometries the plan installs. Under a budget every candidate
+        // confirms (the planner gives its dedup group one geometry), so
+        // this one plan is the one to commit; without a budget the check
+        // compares the geometries the programs were compiled with.
         let mut ids = self.ids.clone();
         ids.push(self.next_id);
         let combined: Vec<Pair> = self.aliases.iter().chain(&candidates).copied().collect();
@@ -954,24 +883,8 @@ impl Roster {
         Ok((StagedInstall { replan, candidates }, arrival))
     }
 
-    /// Which resident groups committing `staged` touches — the ones whose
-    /// stores migrate or that own or alias a diverged pair. An install
-    /// under no budget touches none.
-    fn touched(&self, staged: &StagedInstall) -> Vec<bool> {
-        let mut need = vec![false; self.programs.len()];
-        for (pi, _) in &staged.replan.migrations {
-            need[*pi] = true;
-        }
-        for i in &staged.replan.broken {
-            let ((ap, _), (op, _)) = self.aliases[*i];
-            need[ap] = true;
-            need[op] = true;
-        }
-        need
-    }
-
-    /// Commit a staged install over the touched residents' quiesced groups
-    /// and adopt the arrival under a fresh install id (returned). The
+    /// Commit a staged install over the residents' quiesced groups and
+    /// adopt the arrival under a fresh install id (returned). The
     /// placement admits the worker runtimes [`Roster::stage_install`]
     /// built ([`Placement::admit`]).
     fn commit_install(&mut self, staged: StagedInstall, groups: &mut [Group]) -> u64 {
@@ -998,8 +911,7 @@ impl Roster {
     /// interchangeable; the live state moves — stream continuity preserved)
     /// and further aliases re-parent onto the promoted owner. The departing
     /// group is dropped, and under a budget the remaining programs replan
-    /// onto the reclaimed area, live-migrate and repair. Under durability
-    /// the final
+    /// onto the reclaimed area and live-migrate. Under durability the final
     /// results are published as the departing id's retired file.
     ///
     /// # Panics
@@ -1019,11 +931,8 @@ impl Roster {
             match promoted.iter().find(|(old, _)| *old == (op, oq)) {
                 Some((_, new_owner)) => self.aliases[i].1 = *new_owner,
                 None => {
-                    let stores: Vec<_> = quiesced(groups, op)
-                        .iter()
-                        .map(|w| w.clone_store(oq))
-                        .collect();
-                    for (w, store) in quiesced(groups, ap).iter_mut().zip(stores) {
+                    let stores: Vec<_> = groups[op].iter().map(|w| w.clone_store(oq)).collect();
+                    for (w, store) in groups[ap].iter_mut().zip(stores) {
                         w.set_store(aq, store);
                         w.reactivate_query(aq);
                     }
@@ -1083,27 +992,26 @@ impl Roster {
     /// program [`Roster::poll_sources`] names: per-worker frames merge
     /// through the same normalization the drain uses.
     fn poll(&self, pos: usize, groups: &[Group]) -> ResultSet {
-        let workers_of = |p: usize| groups[p].as_deref().expect("a poll quiesces its sources");
         let stores: Vec<_> = (self.poll_sources(pos).into_iter())
-            .map(|src| src.map(|(p, q)| (workers_of(p), q)))
+            .map(|src| src.map(|(p, q)| (groups[p].as_slice(), q)))
             .collect();
-        crate::runtime::poll_collect(workers_of(pos), &stores)
+        crate::runtime::poll_collect(&groups[pos], &stores)
     }
 }
 
 /// Where a deployment's worker runtimes live — the one thing that tells
 /// [`MultiRuntime`] from [`MultiSharded`]. Everything else is
-/// [`Deployment`]'s, written once over these methods: a lifecycle event or
-/// a durable call quiesces the groups it needs, hands them to the roster
-/// and releases them; a batch goes to every program through
+/// [`Deployment`]'s, written once over these methods: a poll, a lifecycle
+/// event or a durable call quiesces the whole deployment, hands it to the
+/// roster and releases it; a batch goes to every program through
 /// [`Placement::ingest`].
 pub(crate) trait Placement: Default {
     /// Take one more program's fresh worker runtimes (shard order) as the
     /// last program.
     fn admit(&mut self, workers: Vec<Runtime>);
-    /// Hand over the quiesced worker runtimes of at least every program
-    /// `need` marks, one [`Group`] per program, in program order.
-    fn quiesce(&mut self, need: &[bool]) -> Vec<Group>;
+    /// Hand over every program's quiesced worker runtimes, one [`Group`]
+    /// per program, in program order.
+    fn quiesce(&mut self) -> Vec<Group>;
     /// Take back what [`Placement::quiesce`] handed over — the groups the
     /// roster kept, after any [`Placement::depart`].
     fn release(&mut self, groups: Vec<Group>);
@@ -1136,14 +1044,14 @@ impl Placement for Inline {
         self.runtimes.extend(workers);
     }
 
-    /// Every runtime as a one-worker group, whatever `need` says: nothing
-    /// runs between two calls on this placement.
-    fn quiesce(&mut self, _need: &[bool]) -> Vec<Group> {
-        self.runtimes.drain(..).map(|rt| Some(vec![rt])).collect()
+    /// Every runtime as a one-worker group: nothing runs between two calls
+    /// on this placement.
+    fn quiesce(&mut self) -> Vec<Group> {
+        self.runtimes.drain(..).map(|rt| vec![rt]).collect()
     }
 
     fn release(&mut self, groups: Vec<Group>) {
-        self.runtimes.extend(groups.into_iter().flatten().flatten());
+        self.runtimes.extend(groups.into_iter().flatten());
     }
 
     /// The batch is cut into cache-sized chunks (one `u64` mask word
@@ -1196,19 +1104,16 @@ impl Placement for Sharded {
         self.groups.push(ShardGroup::new(workers));
     }
 
-    /// Pause exactly the groups `need` marks (index order keeps pause and
-    /// resume deterministic): in-flight queue records drain to the stores,
-    /// the workers hand back their runtimes with caches resident.
-    fn quiesce(&mut self, need: &[bool]) -> Vec<Group> {
-        let groups = self.groups.iter_mut().zip(need);
-        groups.map(|(g, n)| n.then(|| g.pause())).collect()
+    /// Pause every group in index order (which keeps pause and resume
+    /// deterministic): in-flight queue records drain to the stores, the
+    /// workers hand back their runtimes with caches resident.
+    fn quiesce(&mut self) -> Vec<Group> {
+        self.groups.iter_mut().map(ShardGroup::pause).collect()
     }
 
     fn release(&mut self, groups: Vec<Group>) {
         for (g, workers) in self.groups.iter_mut().zip(groups) {
-            if let Some(workers) = workers {
-                g.resume(workers);
-            }
+            g.resume(workers);
         }
     }
 
@@ -1320,25 +1225,20 @@ impl<P: Placement> Deployment<P> {
         Ok((Self::build((roster, workers)), plan))
     }
 
-    /// Quiesce the groups `need` marks for the duration of `f` and release
-    /// them whatever it returns: a failed durable call leaves the
-    /// deployment running with its in-RAM state intact.
-    fn quiesced<R>(&mut self, need: &[bool], f: impl FnOnce(&mut Roster, &mut [Group]) -> R) -> R {
-        let mut groups = self.place.quiesce(need);
+    /// Quiesce the whole deployment for the duration of `f` and release it
+    /// whatever `f` returns: a failed durable call leaves the deployment
+    /// running with its in-RAM state intact.
+    fn quiesced<R>(&mut self, f: impl FnOnce(&mut Roster, &mut [Group]) -> R) -> R {
+        let mut groups = self.place.quiesce();
         let out = f(&mut self.roster, &mut groups);
         self.place.release(groups);
         out
     }
 
-    /// [`Deployment::quiesced`] over every group.
-    fn all_quiesced<R>(&mut self, f: impl FnOnce(&mut Roster, &mut [Group]) -> R) -> R {
-        self.quiesced(&vec![true; self.len()], f)
-    }
-
     /// Repair this freshly built deployment's durable files against the
     /// deployment manifest; the deployment and the resume index.
     pub(crate) fn recovered(mut self, d: Durability) -> std::io::Result<(Self, u64)> {
-        let at = self.all_quiesced(|roster, groups| roster.recover(d, groups))?;
+        let at = self.quiesced(|roster, groups| roster.recover(d, groups))?;
         Ok((self, at))
     }
 
@@ -1390,7 +1290,7 @@ impl<P: Placement> Deployment<P> {
     ///
     /// Sharded: panics if a worker died.
     pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
-        self.all_quiesced(|roster, groups| roster.enable_durability(d, groups))
+        self.quiesced(|roster, groups| roster.enable_durability(d, groups))
     }
 
     /// Durably checkpoint the whole deployment at the current record
@@ -1406,7 +1306,7 @@ impl<P: Placement> Deployment<P> {
     /// Panics unless [`Deployment::enable_durability`] was called; sharded,
     /// also if a worker died.
     pub fn persist(&mut self) -> std::io::Result<()> {
-        self.all_quiesced(|roster, groups| roster.persist(groups))
+        self.quiesced(|roster, groups| roster.persist(groups))
     }
 
     /// Read back a retired program's durably published final results.
@@ -1433,22 +1333,21 @@ impl<P: Placement> Deployment<P> {
     /// observes only the record suffix from its install on — while every
     /// resident program's state carries over byte-identically.
     ///
-    /// Under a budget ([`MultiRuntime::provisioned`] /
-    /// [`MultiSharded::provisioned`]) the planner re-runs once over the
-    /// grown deployment, the groups whose stores move quiesce (sharded:
-    /// in-flight queue records drain first), and every resident store
-    /// **live-migrates** to its new (smaller) slice — or `1/N` of it per
-    /// shard — ([`perfq_kvstore::SplitStore::migrate_geometry`] — rehash
-    /// cache-resident pairs, spill what no longer fits, timestamps
-    /// preserved); without a budget no resident group is disturbed. The
-    /// sharing analysis re-runs incrementally: the new program may adopt a
-    /// resident deduplicated store (equal install epochs only — see
+    /// The whole deployment quiesces for the commit (sharded: in-flight
+    /// queue records drain first). Under a budget
+    /// ([`MultiRuntime::provisioned`] / [`MultiSharded::provisioned`]) the
+    /// planner re-runs once over the grown deployment and every resident
+    /// store **live-migrates** to its new (smaller) slice — or `1/N` of it
+    /// per shard — ([`perfq_kvstore::SplitStore::migrate_geometry`] —
+    /// rehash cache-resident pairs, spill what no longer fits, timestamps
+    /// preserved); without a budget no resident store changes. The sharing
+    /// analysis re-runs incrementally: the new program may adopt a resident
+    /// deduplicated base-rooted store (equal install epochs only — see
     /// `lifecycle_alias_candidates`; sharded, also exact and identical
-    /// routing, `retain_shard_exact`); a live composed alias pair whose
-    /// chains the replan diverges is **repaired** — the shared store's
-    /// state is cloned into the alias as its private store again. Under
-    /// durability the arrival's spill tiers attach before anything is
-    /// committed.
+    /// routing, `retain_shard_exact`). A shared pair is one planner dedup
+    /// group, so no replan pulls it apart and there is nothing to repair.
+    /// Under durability the arrival's spill tiers attach before anything
+    /// is committed.
     ///
     /// # Errors
     ///
@@ -1462,10 +1361,7 @@ impl<P: Placement> Deployment<P> {
             return Err(InstallError::Finished);
         }
         let (staged, arrival) = self.roster.stage_install(program)?;
-        let need = self.roster.touched(&staged);
-        let id = self.quiesced(&need, |roster, groups| {
-            roster.commit_install(staged, groups)
-        });
+        let id = self.quiesced(|roster, groups| roster.commit_install(staged, groups));
         self.place.admit(arrival);
         Ok(id)
     }
@@ -1478,7 +1374,7 @@ impl<P: Placement> Deployment<P> {
     /// Every group quiesces. The results are the poll
     /// ([`Deployment::poll`]) taken as the program leaves — a departing
     /// *alias* reads its owner's live store through the poll's redirection
-    /// — and dedup bookkeeping is repaired: a departing *owner*'s shared
+    /// — and dedup bookkeeping follows: a departing *owner*'s shared
     /// store is **promoted** worker by worker into its first surviving
     /// alias (the live state moves — stream continuity preserved) and
     /// further aliases re-parent onto the promoted owner. The departing
@@ -1493,7 +1389,7 @@ impl<P: Placement> Deployment<P> {
     /// (uninstall has no error channel yet).
     pub fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
         let pos = self.roster.position(id)?;
-        let mut groups = self.place.quiesce(&vec![true; self.len()]);
+        let mut groups = self.place.quiesce();
         self.place.depart(pos);
         let results = self.roster.uninstall(pos, &mut groups);
         self.place.release(groups);
@@ -1504,12 +1400,12 @@ impl<P: Placement> Deployment<P> {
     /// world** — the multi-program incremental read path. Returns `None`
     /// for an unknown (or already uninstalled) id.
     ///
-    /// Only the programs involved quiesce, and only for the poll: the
-    /// polled program plus the owning program of each of its deduplicated
-    /// alias stores (sharded: their groups pause between batches). Their
-    /// per-worker frames merge through the same normalization the drain
-    /// uses, so a polled alias equals its never-deduplicated twin, and
-    /// everything is released with caches resident: ingest continues
+    /// The whole deployment quiesces for the poll (sharded: every group
+    /// pauses between batches). The polled program's per-worker frames —
+    /// and, for each of its deduplicated alias stores, the owner's — merge
+    /// through the same normalization the drain uses, so a polled alias
+    /// equals its never-deduplicated twin, and everything is released with
+    /// caches resident: ingest continues
     /// afterwards, and the eventual drain is byte-identical to a
     /// never-polled replay (pinned by `tests/poll_equivalence.rs`). The
     /// frame is the whole read: a reader that wants per-epoch deltas or
@@ -1517,16 +1413,11 @@ impl<P: Placement> Deployment<P> {
     ///
     /// # Panics
     ///
-    /// Sharded: panics if a worker of an involved program died.
+    /// Sharded: panics if a worker died.
     #[must_use]
     pub fn poll(&mut self, id: u64) -> Option<ResultSet> {
         let pos = self.roster.position(id)?;
-        let mut involved = vec![false; self.len()];
-        involved[pos] = true;
-        for (owner, _) in self.roster.poll_sources(pos).into_iter().flatten() {
-            involved[owner] = true;
-        }
-        Some(self.quiesced(&involved, |roster, groups| roster.poll(pos, groups)))
+        Some(self.quiesced(|roster, groups| roster.poll(pos, groups)))
     }
 
     /// Process one queue record: [`Deployment::process_batch`] over a
@@ -1695,12 +1586,6 @@ impl Deployment<Sharded> {
         Self::new(programs, shards).recovered(d)
     }
 
-    /// Worker shards per program.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.roster.shards.expect("a sharded roster")
-    }
-
     /// Drain every program's dataplane (join workers, merge fold state)
     /// into finished per-program runtimes, in program order, substituting
     /// deduplicated stores from their owning programs.
@@ -1864,37 +1749,42 @@ mod tests {
     }
 
     #[test]
-    fn composed_duplicates_are_charged_conservatively() {
-        // Two copies of the high-latency program: R2 (a composed GROUPBY
-        // over R1's stream) dedups at run time, but the planner must not
-        // pocket its SRAM — provisioning could re-size the two R1 chains
-        // differently, and a plan may never charge once for a store the
-        // dataplane might build twice.
+    fn composed_duplicates_keep_private_stores() {
+        // Two copies of the high-latency program: R2 is a composed GROUPBY
+        // over R1's residency-local stream, so it is never shared — not at
+        // run time and not in the plan — and R1 feeds R2, so it stays in
+        // the streaming pass. The deployment reads like the unshared one.
         let programs = vec![
             compiled(fig2::PER_FLOW_HIGH_LATENCY.source),
             compiled(fig2::PER_FLOW_HIGH_LATENCY.source),
         ];
-        let (multi, plan) = MultiRuntime::provisioned(programs, 32 * MBIT).unwrap();
-        assert_eq!(
-            plan.deduped_stores(),
-            0,
-            "composed aliases are not planner-tagged"
+        let (mut multi, plan) = MultiRuntime::provisioned(programs.clone(), 32 * MBIT).unwrap();
+        assert_eq!(plan.deduped_stores(), 0, "no composed dedup group");
+        assert!(
+            !multi.sharing().stores.iter().any(|s| s.alias.1 == "R2"),
+            "composed R2 must keep its private store: {:?}",
+            multi.sharing().stores
         );
-        // Identical programs were re-sized identically, so the run-time
-        // pass still collapses R2 (pure exec win, area charged for both).
-        assert!(multi
-            .sharing()
-            .stores
-            .iter()
-            .any(|s| s.alias.1 == "R2" && s.owner.1 == "R2"));
+        // The unshared reference at the provisioned geometries.
+        let provisioned = (multi.runtimes().iter())
+            .map(|rt| rt.compiled().clone())
+            .collect();
+        let mut unshared = MultiRuntime::new_unshared(provisioned);
+        let mut net = Network::new(NetworkConfig::default());
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(7)).take(3_000));
+        multi.process_batch(&records);
+        unshared.process_batch(&records);
+        multi.finish();
+        unshared.finish();
+        assert_eq!(multi.collect(), unshared.collect());
     }
 
     #[test]
     fn diverged_chains_after_provisioning_do_not_dedup() {
         // The same composed R2 chain, but program B carries an extra store:
         // its slice splits three ways instead of two, so after provisioning
-        // the two R1 stores differ — the upstream chain is physically
-        // different and R2 must keep its private store.
+        // the two R1 stores differ. R2 is composed and keeps its private
+        // store either way.
         let b_src = format!(
             "{}R3 = SELECT COUNT GROUPBY srcip\n",
             fig2::PER_FLOW_HIGH_LATENCY.source
@@ -2010,7 +1900,6 @@ mod tests {
         let programs = vec![compiled("SELECT COUNT GROUPBY 5tuple")];
         let shards = 4;
         let (sh, plan) = MultiSharded::provisioned(programs, 32 * MBIT, shards).unwrap();
-        assert_eq!(sh.shards(), shards);
         let store = plan.queries[0].stores[0];
         let per_shard = store.shard_geometry(shards).unwrap();
         assert_eq!(per_shard.capacity(), store.geometry.capacity() / shards);

@@ -56,6 +56,14 @@ impl Capture {
             self.rows.push(row.to_vec());
         }
     }
+
+    /// Append a later shard's capture: totals sum, and its rows follow
+    /// this one's while the shared limit has room (prefix then suffix).
+    pub(crate) fn absorb(&mut self, other: &Capture) {
+        self.total += other.total;
+        let room = self.limit.saturating_sub(self.rows.len());
+        self.rows.extend(other.rows.iter().take(room).cloned());
+    }
 }
 
 /// Lifecycle misuse detected at a batch entry point.
@@ -266,10 +274,9 @@ impl Runtime {
     /// Dynamic lifecycle: bring a deduplicated aggregation (one
     /// [`Runtime::new`] left out of the streaming pass,
     /// `CompiledProgram::deduped_queries`) back into it. Used when an alias
-    /// is promoted to owner (its owner was uninstalled) or when
-    /// re-provisioning diverges an alias pair's geometries. The node's
-    /// filter bytecode was compiled at plan-build time, before any
-    /// deactivation, so reactivation restores exactly the original node.
+    /// is promoted to owner (its owner was uninstalled). The node's filter
+    /// bytecode was compiled at plan-build time, before any deactivation, so
+    /// reactivation restores exactly the original node.
     pub(crate) fn reactivate_query(&mut self, idx: usize) {
         self.compiled.deduped_queries.retain(|q| *q != idx);
         self.plan.nodes[idx].active = true;
@@ -299,8 +306,8 @@ impl Runtime {
     }
 
     /// Dynamic lifecycle: replace query `idx`'s store wholesale — the
-    /// receiving half of an alias promotion or a sharing repair, where the
-    /// owner's live state moves into the (previously dormant) alias slot.
+    /// receiving half of an alias promotion, where the departing owner's
+    /// live state moves into the (previously dormant) alias slot.
     pub(crate) fn set_store(&mut self, idx: usize, store: SplitStore<InlineKey, FoldOps>) {
         assert!(
             self.stores[idx].is_some(),
@@ -631,11 +638,9 @@ impl Runtime {
                 _ => unreachable!("same program implies same store layout"),
             }
         }
-        for (mine, theirs) in self.captures.iter_mut().zip(other.captures) {
+        for (mine, theirs) in self.captures.iter_mut().zip(&other.captures) {
             if let (Some(a), Some(b)) = (mine.as_mut(), theirs) {
-                a.total += b.total;
-                let room = a.limit.saturating_sub(a.rows.len());
-                a.rows.extend(b.rows.into_iter().take(room));
+                a.absorb(b);
             }
         }
     }
@@ -946,8 +951,8 @@ fn emit_group_rows<'a, const W: usize>(
 ///
 /// `capture_shards` lists the program's worker runtimes in shard order (a
 /// single element for unsharded planes): their capture buffers combine
-/// exactly as [`Runtime::absorb_finished`] combines them
-/// (prefix-then-suffix under the shared limit; totals always sum), and the
+/// through [`Capture::absorb`], as [`Runtime::absorb_finished`] combines
+/// them (prefix-then-suffix under the shared limit; totals always sum), and the
 /// first element donates the program, parameters and table schemas.
 /// `stores[q]` names, per query, the worker group and store index whose
 /// per-worker frames merge into that query's result — the program's own
@@ -987,12 +992,11 @@ pub(crate) fn poll_collect(
                 lead.captures[idx].as_ref().map(|first| {
                     let mut merged = first.clone();
                     for w in &capture_shards[1..] {
-                        let b = w.captures[idx]
-                            .as_ref()
-                            .expect("shard runtimes share one program");
-                        merged.total += b.total;
-                        let room = merged.limit.saturating_sub(merged.rows.len());
-                        merged.rows.extend(b.rows.iter().take(room).cloned());
+                        merged.absorb(
+                            w.captures[idx]
+                                .as_ref()
+                                .expect("shard runtimes share one program"),
+                        );
                     }
                     merged
                 })

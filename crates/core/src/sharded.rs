@@ -464,12 +464,6 @@ impl ShardedRuntime {
         }
     }
 
-    /// Number of worker shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.plane.shards()
-    }
-
     /// Route one record to its shard (staged; pushed in batches).
     ///
     /// # Panics

@@ -456,12 +456,6 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let s = self.buf.get(self.pos..end)?;
@@ -829,7 +823,7 @@ mod tests {
             InlineKey::decode(&mut r),
             Some(InlineKey::from_slice(&[1, -2, 3]))
         );
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.pos, out.len(), "every byte consumed");
     }
 
     #[test]

@@ -143,12 +143,6 @@ impl Program {
         &self.ops
     }
 
-    /// Worst-case stack depth.
-    #[must_use]
-    pub fn max_stack(&self) -> usize {
-        self.max_stack
-    }
-
     /// Evaluate an expression program to its value.
     pub fn eval(
         &self,
@@ -756,6 +750,6 @@ mod tests {
             ),
         );
         let p = compile_expr(&e);
-        assert!(p.max_stack() >= 3);
+        assert!(p.max_stack >= 3);
     }
 }

@@ -161,7 +161,6 @@ fn multi_sharded_matches_sequential_at_every_shard_count() {
     for shards in [1usize, 2, 4, 8] {
         let mut multi = MultiSharded::new(programs.clone(), shards);
         assert_eq!(multi.len(), programs.len());
-        assert_eq!(multi.shards(), shards);
         for part in recs.chunks(512) {
             multi.process_batch(part);
         }
@@ -286,8 +285,8 @@ fn sharing_is_byte_identical_on_the_full_overlapping_set() {
 /// Every pair of installable programs (the seven Fig. 2 programs + the
 /// counter, including a program paired with its own copy) runs shared vs
 /// unshared byte-identically on the batched path. Self-pairs are the
-/// maximal dedup case: the duplicate program's every store aliases the
-/// first copy's.
+/// maximal dedup case: every non-emitting base-rooted store of the
+/// duplicate program aliases the first copy's.
 #[test]
 fn sharing_is_byte_identical_on_all_fig2_pairs() {
     let recs = records(1_500);
@@ -297,14 +296,18 @@ fn sharing_is_byte_identical_on_all_fig2_pairs() {
             let pair = vec![programs[i].clone(), programs[j].clone()];
             let mut shared = MultiRuntime::new(pair.clone());
             if i == j {
-                // A program installed twice dedups its stores: every Fig. 2
-                // program ends in a non-emitting aggregation (even p99's R1
-                // stops emitting once its unconsumed R2 projection is
-                // dead-output-eliminated), so at least one store aliases.
-                assert!(
-                    !shared.sharing().stores.is_empty(),
-                    "self-pair must dedup for {}",
-                    names[i]
+                // A program installed twice dedups its non-emitting
+                // base-rooted stores. Every Fig. 2 program has one (even
+                // p99's R1 stops emitting once its unconsumed R2 projection
+                // is dead-output-eliminated) except high latency: its R1
+                // feeds R2, and a composed store like R2 is never shared.
+                let composed_only = names[i] == fig2::PER_FLOW_HIGH_LATENCY.name;
+                assert_eq!(
+                    shared.sharing().stores.is_empty(),
+                    composed_only,
+                    "self-pair of {}: {:?}",
+                    names[i],
+                    shared.sharing()
                 );
             }
             let mut unshared = MultiRuntime::new_unshared(pair);

@@ -230,8 +230,8 @@ fn multi_runtime_poll_matches_solo_prefix_replays() {
 }
 
 /// Multi-program pin, sharded plane (2 shards): `MultiSharded::poll`
-/// quiesces only the involved dataplanes, redirects deduplicated aliases
-/// to their owner's live workers, and resumes everything.
+/// quiesces every dataplane, redirects deduplicated aliases to their
+/// owner's live workers, and resumes everything.
 #[test]
 fn multi_sharded_poll_matches_solo_prefix_replays() {
     let recs = records(2_400);

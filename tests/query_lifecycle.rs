@@ -36,17 +36,6 @@ const MBIT: u64 = 1024 * 1024;
 /// installing it beside `PER_FLOW_LOSS_RATE` exercises store dedup.
 const FIVE_TUPLE_COUNTER: &str = "SELECT COUNT GROUPBY 5tuple\n";
 
-/// The Fig. 2 high-latency program with a third, unrelated query appended:
-/// same `R1 -> R2` chain (same store indices, hence same per-store hash
-/// seeds) but a different store count, so its per-store slices differ from
-/// plain `PER_FLOW_HIGH_LATENCY`'s under any one budget.
-const HIGH_LATENCY_PLUS: &str = "\
-R1 = SELECT pkt_uniq, SUM(tout-tin) GROUPBY pkt_uniq
-R2 = SELECT 5tuple FROM R1 GROUPBY 5tuple
-     WHERE SUM(tout-tin) > L
-R3 = SELECT COUNT GROUPBY srcip, dstip
-";
-
 /// Keys a base column (`qid`) no other program in the catalog reads: its
 /// arrival widens the row the single-stream plane materializes per record.
 const QID_COUNTER: &str = "SELECT COUNT GROUPBY qid\n";
@@ -407,66 +396,80 @@ fn an_install_can_adopt_a_deduped_store_on_the_sharded_plane() {
     }
 }
 
-/// The repair path: a *composed* alias pair formed at install time (legal
-/// because the two chains' fitted geometries coincide) must survive a
-/// replan that pulls the chains apart — the shared store's state is cloned
-/// back into the alias as its private store, exactly as if it had been
-/// private all along.
-///
-/// Two programs with the same `R1 -> R2` chain but different store counts
-/// get different per-store slices, so their chains only coincide when both
-/// slices round to the same power-of-two geometry. The budget sweep below
-/// finds such coincidences (pair formed at install) that a later uninstall
-/// breaks (slices regrow at different rates), and holds the repaired
-/// deployment to the restart-from-scratch standard.
+/// Two copies of one base-rooted non-linear fold (`TCP_NON_MONOTONIC`),
+/// one demanding 8 ways and one 4, never share a store. At a few pairs per
+/// store the planner clamps both to one geometry, but it sizes them
+/// independently, so a later replan can pull them apart. The budget sweep
+/// walks through that clamp: the 4-way copy arrives while a third program
+/// splits the budget three ways, and the third program's uninstall regrows
+/// both slices. The pair must never be listed, and every read must equal a
+/// restart from scratch at the install event (no records had flowed, so
+/// every program is comparable).
 #[test]
-fn replans_that_diverge_a_composed_alias_repair_it_exactly() {
+fn clamped_stores_of_different_associativity_never_share() {
     let recs = records(2000);
-    let mut formed = 0usize;
-    let mut repaired = 0usize;
-    for half_mbit in 2..=80u64 {
-        let budget = half_mbit * MBIT / 2;
-        let programs = vec![compiled(HIGH_LATENCY_PLUS), compiled(FIVE_TUPLE_COUNTER)];
-        let Ok((mut live, _plan)) = MultiRuntime::provisioned(programs, budget) else {
-            continue;
+    let with_ways = |ways| {
+        let options = CompileOptions {
+            ways,
+            ..Default::default()
         };
-        live.install(compiled(fig2::PER_FLOW_HIGH_LATENCY.source))
-            .expect("install replans");
-        let composed = |m: &MultiRuntime| {
-            m.sharing()
-                .stores
-                .iter()
-                .any(|s| s.owner.1 == "R2" && s.alias.1 == "R2")
-        };
-        if !composed(&live) {
-            continue;
-        }
-        formed += 1;
-
-        // Lockstep reference: a restart at the install event (no records
-        // had flowed, so every program is comparable).
-        let programs = vec![
-            compiled(HIGH_LATENCY_PLUS),
-            compiled(FIVE_TUPLE_COUNTER),
-            compiled(fig2::PER_FLOW_HIGH_LATENCY.source),
-        ];
+        perfq_core::compile_query(
+            fig2::TCP_NON_MONOTONIC.source,
+            &fig2::default_params(),
+            options,
+        )
+        .expect("the fold compiles")
+    };
+    let pair_bits = with_ways(8).stores[0]
+        .as_ref()
+        .expect("one store")
+        .pair_bits();
+    let geometries = |m: &MultiRuntime| -> Vec<_> {
+        (m.runtimes().iter())
+            .map(|rt| {
+                rt.compiled().stores[0]
+                    .as_ref()
+                    .expect("one store")
+                    .geometry
+            })
+            .collect()
+    };
+    let (mut coincided, mut parted) = (0, 0);
+    for budget in (3..=36).map(|pairs| pairs * u64::from(pair_bits)) {
+        let initial = || vec![with_ways(8), compiled(FIVE_TUPLE_COUNTER)];
+        let (mut live, _plan) = MultiRuntime::provisioned(initial(), budget).expect("plan fits");
+        live.install(with_ways(4)).expect("install replans");
+        let mut programs = initial();
+        programs.push(with_ways(4));
         let (mut reference, _plan) =
             MultiRuntime::provisioned(programs, budget).expect("the same plan fits");
-        assert!(composed(&reference), "batch analysis sees the same pair");
+        let at_install = geometries(&live);
+        assert_eq!(at_install, geometries(&reference), "at {budget} bits");
+        assert!(
+            live.sharing().stores.is_empty(),
+            "at {budget} bits: {:?}",
+            live.sharing()
+        );
+        assert!(reference.sharing().stores.is_empty(), "at {budget} bits");
 
         live.process_batch(&recs[..1000]);
         reference.process_batch(&recs[..1000]);
-        let counter_id = live.ids()[1];
-        let got = live.uninstall(counter_id).expect("counter is live");
+        let got = live.uninstall(live.ids()[1]).expect("the counter is live");
         let want = reference
             .uninstall(reference.ids()[1])
-            .expect("counter is live");
+            .expect("the counter is live");
         assert_eq!(got, want, "uninstalled counter diverged at {budget} bits");
-        if !composed(&live) {
-            // The regrown slices no longer coincide: the pair was repaired.
-            repaired += 1;
-            assert!(!composed(&reference));
+        assert!(
+            live.sharing().stores.is_empty(),
+            "at {budget} bits: {:?}",
+            live.sharing()
+        );
+        let regrown = geometries(&live);
+        if at_install[0] == at_install[2] {
+            coincided += 1;
+            parted += usize::from(regrown[0] != regrown[1]);
         }
+
         live.process_batch(&recs[1000..]);
         reference.process_batch(&recs[1000..]);
         live.finish();
@@ -474,13 +477,16 @@ fn replans_that_diverge_a_composed_alias_repair_it_exactly() {
         assert_eq!(
             live.collect(),
             reference.collect(),
-            "post-repair results diverged at {budget} bits"
+            "drains diverged at {budget} bits"
         );
     }
-    assert!(formed > 0, "no budget in the sweep formed a composed pair");
     assert!(
-        repaired > 0,
-        "no budget in the sweep exercised the repair path ({formed} pairs formed)"
+        coincided > 0,
+        "no budget clamped the copies to one geometry"
+    );
+    assert!(
+        parted > 0,
+        "no uninstall pulled clamped copies apart ({coincided} clamped)"
     );
 }
 
