@@ -274,23 +274,26 @@
 //!
 //! Installed programs overlap: the paper's own Fig. 2 set repeats the §4
 //! running example (`SELECT COUNT GROUPBY 5tuple`) verbatim inside the
-//! loss-rate program. A [`Deployment`] therefore runs an
-//! install-time sharing pass — compare candidate stores on their compiled
-//! execution and store plans, rewrite the plans — that
-//! binds structurally-identical stores to **one** physical store, eliding
-//! the duplicates from the streaming pass and substituting the owner's
-//! finished store at drain. Filters and group keys are not shared: each
+//! loss-rate program. Every install into a [`Deployment`] — a
+//! constructor's whole program list is one install into an empty
+//! deployment, a live arrival another — therefore searches the stores
+//! before each arriving program for an owner, comparing them on their
+//! compiled execution and store plans, and binds structurally-identical
+//! stores to **one** physical store, eliding the duplicates from the
+//! streaming pass and substituting the owner's finished store at drain. Filters and group keys are not shared: each
 //! program's plan sweeps a chunk with its own.
 //! Two stores may legally dedup only when both read the base table, their
 //! filters, key tuples, fold semantics and demanded associativity are
-//! identical *and* their physical configurations (geometry, eviction
-//! policy, hash seed) match — which makes sharing byte-identical to
-//! unshared execution for every fold class, eviction for eviction. A
-//! composed store (a `GROUPBY` over another query's stream) is never
-//! shared. Every shared pair is one planner dedup group: under a budget it
-//! is charged to the SRAM budget once, the reclaimed bits grow every
-//! physical cache, and every replan gives both sides one geometry. See [`multi`] for the full legality rule and
-//! [`multi::SharingReport`] for what a given install shared.
+//! identical *and* their physical configurations (eviction policy, hash
+//! seed, and — without a budget, where geometries never change — the cache
+//! geometry) match; under a budget the planner sets the geometry. That
+//! makes sharing byte-identical to unshared execution for every fold
+//! class, eviction for eviction. A composed store (a `GROUPBY` over
+//! another query's stream) is never shared. Every shared pair is one
+//! planner dedup group: under a budget it is charged to the SRAM budget
+//! once, the reclaimed bits grow every physical cache, and every replan
+//! gives both sides one geometry. See [`multi`] for the full legality rule
+//! and [`multi::SharingReport`] for what a given install shared.
 //!
 //! # Incremental reads
 //!
@@ -351,10 +354,12 @@
 //! sharded plane dedups only across programs that partition exactly and
 //! route identically) — and nothing else.
 //!
-//! An install is a dry run, then a commit. The dry run nominates the
-//! arrival's dedup candidates, runs the `perfq_kvstore::CachePlanner`
-//! **once** over the grown deployment, resolves every worker geometry and
-//! (under durability) attaches the arrival's spill tiers; any failure
+//! An install is a dry run, then a commit — and the only way in: the
+//! constructors install their whole program list into an empty deployment
+//! the same way. The dry run nominates each arrival's dedup candidates,
+//! runs the `perfq_kvstore::CachePlanner` **once** over the grown
+//! deployment, resolves every worker geometry and
+//! (under durability) attaches the arrivals' spill tiers; any failure
 //! returns a typed [`InstallError`] with the deployment untouched. The
 //! commit **live-migrates** every resident store to its new slice between
 //! batches (`SplitStore::migrate_geometry`: rehash cache-resident pairs,

@@ -56,15 +56,21 @@
 //! (`release`):
 //!
 //! ```text
-//!   install(program)                         uninstall(id)
-//!   ── dry run (nothing mutated) ──          poll the departing program → results
-//!   nominate alias candidates  ◀─ gate       promote departing owners' stores
-//!   CachePlanner, once                       drop the departing group
-//!   worker geometries          ◀─ divisor    re-index bookkeeping
-//!   confirm candidates (strict rule)         replan ─▶ migrate
+//!   new / provisioned (programs)             uninstall(id)
+//!   install(program)                         poll the departing program → results
+//!   ── dry run (nothing mutated) ──          promote departing owners' stores
+//!   per arrival: nominate owners ◀─ gate     drop the departing group
+//!   CachePlanner, once                       re-index bookkeeping
+//!   worker geometries            ◀─ divisor  replan ─▶ migrate
 //!   ── commit ──
-//!   migrate ─▶ adopt the arrival
+//!   migrate ─▶ adopt the arrivals
 //! ```
+//!
+//! There is one way in: a constructor installs its whole program list into
+//! an empty deployment as one staged install, and
+//! [`Deployment::install`] is the one-program case — so a deployment built
+//! at once and one built by installs share the same stores, run the same
+//! geometries and read the same.
 //!
 //! The plane's shape is one value (`shards: Option<usize>`) read at the two
 //! marked points and nowhere else in the core: the **gate** (the sharded
@@ -82,13 +88,12 @@
 //!
 //! # Cross-query sharing
 //!
-//! The sharing pass runs once when a deployment is built
-//! ([`MultiRuntime::new`] / [`MultiSharded::new`]) over the compiled
-//! programs, in two steps:
+//! Sharing is part of every install — of a constructor's whole program
+//! list as of one live arrival — in two steps:
 //!
-//! 1. **Compare** — each program in turn searches the stores before it for
-//!    an owner (`lifecycle_alias_candidates`, the same search a live
-//!    install runs), holding every candidate pair to the one legality rule,
+//! 1. **Compare** — each arrival in turn searches the stores before it for
+//!    an owner (`lifecycle_alias_candidates`, the one owner search),
+//!    holding every candidate pair to the one legality rule,
 //!    which is also the one notion of identity: `same_store`, over the
 //!    plans that actually run. Two stores may legally collapse into one
 //!    only when both plan nodes are active aggregations over the **base
@@ -99,11 +104,13 @@
 //!    seed, same widths, the same dataplane fold. A composed store (a
 //!    `GROUPBY` over another query) is never shared: it streams its
 //!    upstream cache's *residency-local* values (§3.2), so two programs
-//!    with identical composed chains keep private stores. Every shared
-//!    pair is therefore one planner dedup group, which the planner gives
-//!    one geometry at every replan — no replan can pull a pair apart, and
-//!    the deduplicated dataplane is byte-identical to the private-store one
-//!    for every fold class, eviction for eviction, epoch for epoch.
+//!    with identical composed chains keep private stores. Without a budget
+//!    geometries never change, so the search compares them; under one the
+//!    planner sets them, so it does not. Every shared pair is therefore one
+//!    planner dedup group, which the planner gives one geometry at every
+//!    replan — no replan can pull a pair apart, and the deduplicated
+//!    dataplane is byte-identical to the private-store one for every fold
+//!    class, eviction for eviction, epoch for epoch.
 //! 2. **Rewrite** — each *alias* aggregation (a duplicate whose rows no
 //!    downstream query consumes) is removed from its program's streaming
 //!    pass entirely; at the drain ([`MultiRuntime::finish`] /
@@ -144,50 +151,21 @@
 
 use crate::compiler::{CompiledProgram, StorePlan};
 use crate::durable::{read_retired, write_retired, Durability};
-use crate::plan::{ExecPlan, NodeKind, RowSource, CHUNK, LANES};
+use crate::plan::{ExecPlan, NodeKind, RowSource};
 use crate::result::ResultSet;
-use crate::runtime::{LifecycleError, Runtime};
+use crate::runtime::{Lanes, LifecycleError, Runtime};
 use crate::sharded::{ShardGroup, ShardSpec};
 use perfq_kvstore::{
     AreaPlan, CacheGeometry, CachePlanner, PlanError, QueryAllocation, QueryDemand, StoreDemand,
 };
-use perfq_lang::Value;
 use perfq_switch::{Network, QueueRecord};
-
-/// Plan `budget_bits` of cache SRAM across `programs` (equal shares) and
-/// rewrite every store's geometry to its allocation. Programs without
-/// aggregation stores take no share. Returns the plan (query `i` appears as
-/// `"q{i}"`) so callers can inspect slices or derive per-shard geometries.
-///
-/// `aliases` is the deployment's (gated) sharing analysis: a budgeted
-/// [`Deployment`] computes it once and threads the same result through
-/// both the planner and the worker rewrite, so the two can never disagree.
-/// Deduplicated stores form one [`StoreDemand::dedup`] group, the planner
-/// charges the group once, and every member program receives the **same**
-/// (larger) geometry — the reclaimed bits are redistributed across all
-/// physical stores.
-fn provision_with(
-    programs: &mut [CompiledProgram],
-    budget_bits: u64,
-    aliases: &[Pair],
-) -> Result<AreaPlan, PlanError> {
-    let ids: Vec<u64> = (0..programs.len() as u64).collect();
-    let (idxs, demands) = lifecycle_demands(programs, &ids, aliases);
-    if demands.is_empty() {
-        return Err(PlanError::EmptyDemands);
-    }
-    let plan = CachePlanner::new(budget_bits).plan(&demands)?;
-    for (i, alloc) in idxs.iter().zip(&plan.queries) {
-        apply_allocation(&mut programs[*i], alloc);
-    }
-    Ok(plan)
-}
 
 /// The planner demand set of the current deployment: one [`QueryDemand`]
 /// named `q{id}` per store-bearing program (`ids[i]` is program `i`'s
-/// stable install id — the initial install uses `id == i`, so the names
-/// match the documented `q{i}` convention), with every alias pair tagged
-/// into a [`StoreDemand::dedup`] group keyed by its owner's coordinates. Returns the covered program indices in demand
+/// stable install id — a deployment's programs are installed as ids
+/// `0..K`, so the names match the documented `q{i}` convention), with
+/// every alias pair tagged into a [`StoreDemand::dedup`] group keyed by its
+/// owner's coordinates. Returns the covered program indices in demand
 /// order alongside, so allocations can be written back positionally.
 fn lifecycle_demands(
     programs: &[CompiledProgram],
@@ -284,25 +262,16 @@ type Pair = ((usize, usize), (usize, usize));
 /// beside the execution plan that runs them.
 pub(crate) type Side<'a> = (&'a CompiledProgram, &'a ExecPlan);
 
-/// Every program's execution plan, in program order.
-fn exec_plans(programs: &[CompiledProgram]) -> Vec<ExecPlan> {
-    programs
-        .iter()
-        .map(|p| ExecPlan::build(&p.program))
-        .collect()
-}
-
 /// Physical store-plan identity: geometry, eviction policy, placement hash
 /// seed, key/value widths and the dataplane fold.
 ///
-/// `geometry: false` drops the geometry comparison — the nomination form
-/// used by the dynamic lifecycle. A freshly-compiled program carries
-/// compile-default geometries while the live deployment carries
-/// provisioned ones, so geometry equality at nomination time would reject
-/// every candidate the replan is about to *make* equal. Under a budget the
-/// planner gives a dedup group one geometry; without one, geometries never
-/// change, so the strict rule confirms each candidate at the geometry it
-/// runs.
+/// `geometry: false` drops the geometry comparison — the relaxed rule an
+/// install nominates with under a budget. An arrival carries its compiled
+/// geometries while the deployment carries provisioned ones, so geometry
+/// equality would reject every candidate the replan is about to *make*
+/// equal: the planner gives a dedup group one geometry. Without a budget
+/// geometries never change, so an install nominates with the strict rule
+/// (`geometry: true`) and a pair runs one geometry either way.
 fn phys_eq(a: &StorePlan, b: &StorePlan, geometry: bool) -> bool {
     (!geometry || a.geometry == b.geometry)
         && a.policy == b.policy
@@ -372,10 +341,9 @@ pub(crate) fn same_store(a: Side, ai: usize, b: Side, bi: usize, geometry: bool)
 ///   were installed and are carried in the deployment's settled alias
 ///   list.)
 ///
-/// A live install nominates with the relaxed rule (`geometry: false`, see
-/// [`phys_eq`]) and confirms with the strict one against post-plan
-/// geometries before any store is elided; [`analyze_sharing`] runs the
-/// strict rule directly.
+/// An install nominates with the strict rule without a budget and with
+/// the relaxed one under a budget (`geometry`, see [`phys_eq`]); either
+/// way a nominated pair runs one geometry, so there is no confirm step.
 fn lifecycle_alias_candidates(
     programs: &[CompiledProgram],
     plans: &[ExecPlan],
@@ -412,26 +380,7 @@ fn lifecycle_alias_candidates(
     out
 }
 
-/// Decide which stores of an initial program set dedup: every program, in
-/// order, is an install at epoch 0 — its strict-rule candidates
-/// ([`lifecycle_alias_candidates`]) pass the plane's [`gate`] and settle
-/// before the next program nominates. The rule is an equivalence, so the
-/// first matching store is never an alias, and this picks the owner a
-/// search over the whole set would. Pure analysis — applying the result to
-/// worker programs is the caller's job.
-fn analyze_sharing(programs: &[CompiledProgram], shards: Option<usize>) -> Vec<Pair> {
-    let plans = exec_plans(programs);
-    let epochs = vec![0; programs.len()];
-    let mut aliases = Vec::new();
-    for p in 0..programs.len() {
-        let mut found = lifecycle_alias_candidates(programs, &plans, &epochs, &aliases, p, true);
-        gate(shards, &mut found, programs);
-        aliases.extend(found);
-    }
-    aliases
-}
-
-/// Restrict a sharing analysis to what the **sharded** dataplane can
+/// Restrict owner candidates to what the **sharded** dataplane can
 /// honour. Store dedup requires, on top of the single-stream rule:
 ///
 /// * both programs' partitionings statically exact
@@ -575,6 +524,8 @@ struct Replan {
     /// Per store-bearing program: its index and each store's per-worker
     /// geometry ([`worker_geometries`]).
     migrations: Vec<(usize, Vec<CacheGeometry>)>,
+    /// The planner's output; `None` without a budget or without any store.
+    plan: Option<AreaPlan>,
 }
 
 /// A validated install ([`Roster::stage_install`]); nothing is mutated
@@ -582,8 +533,10 @@ struct Replan {
 struct StagedInstall {
     /// The grown deployment's replan; `migrations` covers residents only.
     replan: Replan,
-    /// The arrival's confirmed alias pairs.
-    candidates: Vec<Pair>,
+    /// Every dedup pair of the grown deployment, the arrivals' last.
+    aliases: Vec<Pair>,
+    /// Each arrival's fresh worker runtimes, in install order.
+    arrivals: Vec<Group>,
 }
 
 /// The lifecycle core of a [`Deployment`]: which programs are installed
@@ -600,7 +553,7 @@ struct StagedInstall {
 /// inside the core — the functions that read `shards`: [`gate`],
 /// [`worker_geometries`] and the worker count and file names of
 /// [`Roster::spawn`] / [`Roster::file_component`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Roster {
     /// The installed programs at their **whole-slice** geometries, in
     /// program order (worker runtimes carry the per-worker geometries).
@@ -608,7 +561,7 @@ struct Roster {
     programs: Vec<CompiledProgram>,
     /// Settled store-dedup pairs; substitutions apply on drain.
     aliases: Vec<Pair>,
-    /// What the sharing pass found.
+    /// The settled pairs by program and query name.
     report: SharingReport,
     /// Stable install ids, parallel to `programs` — program indices shift
     /// on uninstall, ids never do.
@@ -619,12 +572,12 @@ struct Roster {
     /// epoch gate ([`lifecycle_alias_candidates`]).
     epochs: Vec<u64>,
     /// The SRAM budget the deployment was provisioned under, if any;
-    /// lifecycle events replan it.
+    /// every install and uninstall replans it.
     budget: Option<u64>,
     /// Records the deployment has processed (programs installed later have
     /// seen only a suffix).
     records: u64,
-    /// Whether the cross-query sharing pass is enabled.
+    /// Whether installs search for store owners (cross-query sharing).
     share: bool,
     /// The plane's shape: `None` for the inline plane (one worker per
     /// program, on the caller), `Some(N)` for N worker shards per program.
@@ -642,46 +595,6 @@ struct Roster {
 }
 
 impl Roster {
-    /// The constructors' shared half: run (and gate) the sharing pass over
-    /// the initial program set. Returns the program each installed
-    /// program's workers start from alongside: its whole-slice program with
-    /// every alias query marked as externally provided
-    /// ([`CompiledProgram::deduped_queries`]), so the worker runtime leaves
-    /// it out of its streaming pass.
-    fn new(
-        programs: Vec<CompiledProgram>,
-        share: bool,
-        shards: Option<usize>,
-    ) -> (Self, Vec<CompiledProgram>) {
-        assert!(!programs.is_empty(), "need at least one program");
-        let mut aliases = Vec::new();
-        if share {
-            aliases = analyze_sharing(&programs, shards);
-        }
-        let n = programs.len();
-        let mut roster = Roster {
-            programs,
-            aliases,
-            report: SharingReport::default(),
-            ids: (0..n as u64).collect(),
-            next_id: n as u64,
-            epochs: vec![0; n],
-            budget: None,
-            records: 0,
-            share,
-            shards,
-            durability: None,
-            persisted_at: None,
-            finished: false,
-        };
-        roster.refresh_report();
-        let mut workers = roster.programs.clone();
-        for ((ap, aq), _) in &roster.aliases {
-            workers[*ap].deduped_queries.push(*aq);
-        }
-        (roster, workers)
-    }
-
     /// Program index of install id `id`, if it is live.
     fn position(&self, id: u64) -> Option<usize> {
         self.ids.iter().position(|x| *x == id)
@@ -773,6 +686,10 @@ impl Roster {
     /// is touched. Every settled pair is one dedup group, so the plan gives
     /// both sides one geometry. Without a budget (or without any store)
     /// geometries never change and the replan is empty.
+    ///
+    /// This is the deployment's only planner call: construction is an
+    /// install into an empty roster, so `provisioned`'s plan comes from
+    /// here too.
     fn replan(
         &self,
         programs: Vec<CompiledProgram>,
@@ -782,6 +699,7 @@ impl Roster {
         let mut replan = Replan {
             programs,
             migrations: Vec::new(),
+            plan: None,
         };
         let Some(budget) = self.budget else {
             return Ok(replan);
@@ -797,6 +715,7 @@ impl Roster {
                 .migrations
                 .push((pi, worker_geometries(self.shards, alloc)?));
         }
+        replan.plan = Some(plan);
         Ok(replan)
     }
 
@@ -817,85 +736,99 @@ impl Roster {
         self.programs = replan.programs;
     }
 
-    /// The dry run of an install: nominate the arrival's alias candidates
-    /// (gated by the plane's shape), replan the grown deployment, confirm
-    /// the candidates at the planned geometries, and build the arrival's
-    /// worker runtimes — under durability with their spill tiers attached.
+    /// The dry run of an install of `arrivals`, in order, after the
+    /// residents — a deployment's construction is this call on an empty
+    /// roster, a live install its one-program case. Each arrival searches
+    /// the stores before it for owners ([`lifecycle_alias_candidates`],
+    /// gated by the plane's shape), the planner runs once over the grown
+    /// deployment ([`Roster::replan`]), and every arrival's worker runtimes
+    /// are built — under durability with their spill tiers attached.
     /// Nothing is mutated, so an `Err` leaves the deployment untouched; a
-    /// failed attach only burns the install id it would have taken, so a
-    /// retry never re-opens half-written files.
+    /// failed attach only burns the install ids up to the failing
+    /// arrival's, so a retry never re-opens half-written files.
     fn stage_install(
         &mut self,
-        program: CompiledProgram,
-    ) -> Result<(StagedInstall, Vec<Runtime>), InstallError> {
-        let new_idx = self.programs.len();
+        arrivals: Vec<CompiledProgram>,
+    ) -> Result<StagedInstall, InstallError> {
+        let residents = self.programs.len();
         let mut programs = self.programs.clone();
-        programs.push(program);
-        let mut epochs = self.epochs.clone();
-        epochs.push(self.records);
-        let plans = exec_plans(&programs);
-        let mut candidates = Vec::new();
-        if self.share {
-            candidates = lifecycle_alias_candidates(
-                &programs,
-                &plans,
-                &epochs,
-                &self.aliases,
-                new_idx,
-                false,
-            );
-            gate(self.shards, &mut candidates, &programs);
-        }
-
-        // Candidate pairs are kept only when the strict dedup rule holds at
-        // the geometries the plan installs. Under a budget every candidate
-        // confirms (the planner gives its dedup group one geometry), so
-        // this one plan is the one to commit; without a budget the check
-        // compares the geometries the programs were compiled with.
+        programs.extend(arrivals);
         let mut ids = self.ids.clone();
-        ids.push(self.next_id);
-        let combined: Vec<Pair> = self.aliases.iter().chain(&candidates).copied().collect();
-        let mut replan = self.replan(programs, &ids, &combined)?;
-        let side = |p: usize| (&replan.programs[p], &plans[p]);
-        candidates.retain(|((ap, aq), (op, oq))| same_store(side(*ap), *aq, side(*op), *oq, true));
-
-        // The arrival starts at its planned per-worker geometries with its
-        // alias queries out of the streaming pass; the residents migrate to
-        // theirs at commit.
-        let mut worker = replan.programs[new_idx].clone();
-        for ((ap, aq), _) in &candidates {
-            debug_assert_eq!(*ap, new_idx, "only the new program takes the alias side");
-            worker.deduped_queries.push(*aq);
-        }
-        if let Some(at) = replan.migrations.iter().position(|(pi, _)| *pi == new_idx) {
-            set_geometries(&mut worker, replan.migrations.remove(at).1);
-        }
-        let mut arrival = self.spawn(&worker);
-        if let Some(d) = &self.durability {
-            for (shard, rt) in arrival.iter_mut().enumerate() {
-                let sub = self.file_component(self.next_id, shard);
-                if let Err(e) = rt.enable_durability_prefixed(d, &sub) {
-                    self.next_id += 1;
-                    return Err(InstallError::Io(e));
-                }
+        ids.extend(self.next_id..self.next_id + (programs.len() - residents) as u64);
+        let mut epochs = self.epochs.clone();
+        epochs.resize(programs.len(), self.records);
+        let plans: Vec<ExecPlan> = (programs.iter())
+            .map(|p| ExecPlan::build(&p.program))
+            .collect();
+        // Without a budget geometries never change, so an owner must match
+        // at the geometry it runs; under one the planner gives every dedup
+        // group one geometry, so the search leaves geometry out.
+        let strict = self.budget.is_none();
+        let mut aliases = self.aliases.clone();
+        if self.share {
+            for new_idx in residents..programs.len() {
+                let mut found = lifecycle_alias_candidates(
+                    &programs, &plans, &epochs, &aliases, new_idx, strict,
+                );
+                gate(self.shards, &mut found, &programs);
+                aliases.extend(found);
             }
         }
-        Ok((StagedInstall { replan, candidates }, arrival))
+        let mut replan = self.replan(programs, &ids, &aliases)?;
+        let side = |p: usize| (&replan.programs[p], &plans[p]);
+        let strict_pair =
+            |((ap, aq), (op, oq)): &Pair| same_store(side(*ap), *aq, side(*op), *oq, true);
+        debug_assert!(
+            aliases.iter().all(strict_pair),
+            "every shared pair runs one geometry"
+        );
+
+        // Each arrival starts at its planned per-worker geometries with its
+        // alias queries out of the streaming pass; the residents migrate to
+        // theirs at commit.
+        let mut groups = Vec::new();
+        for (pi, &id) in ids.iter().enumerate().skip(residents) {
+            let mut worker = replan.programs[pi].clone();
+            let own = aliases[self.aliases.len()..]
+                .iter()
+                .filter(|((ap, _), _)| *ap == pi);
+            worker.deduped_queries.extend(own.map(|((_, aq), _)| *aq));
+            if let Some(at) = replan.migrations.iter().position(|(p, _)| *p == pi) {
+                set_geometries(&mut worker, replan.migrations.remove(at).1);
+            }
+            let mut workers = self.spawn(&worker);
+            if let Some(d) = &self.durability {
+                for (shard, rt) in workers.iter_mut().enumerate() {
+                    if let Err(e) =
+                        rt.enable_durability_prefixed(d, &self.file_component(id, shard))
+                    {
+                        self.next_id = id + 1;
+                        return Err(InstallError::Io(e));
+                    }
+                }
+            }
+            groups.push(workers);
+        }
+        Ok(StagedInstall {
+            replan,
+            aliases,
+            arrivals: groups,
+        })
     }
 
     /// Commit a staged install over the residents' quiesced groups and
-    /// adopt the arrival under a fresh install id (returned). The
-    /// placement admits the worker runtimes [`Roster::stage_install`]
-    /// built ([`Placement::admit`]).
+    /// return the first arrival's install id; the arrivals take the ids
+    /// from there on, in order. The placement admits the worker runtimes
+    /// [`Roster::stage_install`] built ([`Placement::admit`]).
     fn commit_install(&mut self, staged: StagedInstall, groups: &mut [Group]) -> u64 {
+        let first = self.next_id;
+        self.next_id += (staged.replan.programs.len() - self.programs.len()) as u64;
+        self.ids.extend(first..self.next_id);
+        self.epochs.resize(self.ids.len(), self.records);
         self.apply(staged.replan, groups);
-        self.aliases.extend(staged.candidates);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.ids.push(id);
-        self.epochs.push(self.records);
+        self.aliases = staged.aliases;
         self.refresh_report();
-        id
+        first
     }
 
     /// Uninstall program `pos` from the (entirely quiesced) deployment and
@@ -1028,15 +961,11 @@ pub(crate) trait Placement: Default {
 pub struct Inline {
     /// One runtime per installed program.
     runtimes: Vec<Runtime>,
-    /// Chunk-wide row buffers ([`Inline::ingest`]): one [`LANES`]-record
-    /// chunk materializes at a time, then each program sweeps it
-    /// node-at-a-time — a program's stores and bytecode state stay hot
-    /// across the chunk instead of being evicted K−1 times per record.
-    /// Flat lane matrix: lane `i` at `i * row_width ..` (one allocation, no
-    /// per-lane `Vec` headers in the sweeps).
-    rows: Vec<Value>,
-    /// Observation times of the current chunk, parallel to `rows`.
-    nows: Vec<perfq_packet::Nanos>,
+    /// Chunk-wide row buffers ([`Inline::ingest`]): one chunk materializes
+    /// at a time, then each program sweeps it node-at-a-time — a program's
+    /// stores and bytecode state stay hot across the chunk instead of being
+    /// evicted K−1 times per record.
+    lanes: Lanes,
 }
 
 impl Placement for Inline {
@@ -1067,26 +996,12 @@ impl Placement for Inline {
             assert!(!rt.is_finished(), "{}", LifecycleError::ProcessAfterFinish);
             mask |= rt.base_cols();
         }
-        let width = QueueRecord::row_width();
-        if self.rows.len() != LANES * width {
-            self.rows.clear();
-            self.rows.resize(LANES * width, Value::Int(0));
-        }
-        let Inline {
-            runtimes,
-            rows,
-            nows,
-        } = self;
-        for chunk in recs.chunks(CHUNK) {
-            nows.clear();
-            for (rec, lane) in chunk.iter().zip(rows.chunks_exact_mut(width)) {
-                rec.write_row_masked_into(lane, mask);
-                nows.push(rec.observed_at());
-            }
+        let Inline { runtimes, lanes } = self;
+        lanes.sweep(recs, mask, |rows, width, n, nows| {
             for rt in runtimes.iter_mut() {
-                rt.process_lanes(rows, width, chunk.len(), nows);
+                rt.process_lanes(rows, width, n, nows);
             }
-        }
+        });
     }
 }
 
@@ -1187,42 +1102,62 @@ pub type MultiSharded = Deployment<Sharded>;
 
 #[allow(private_bounds)] // `Placement` is crate-private: the placements are this module's two
 impl<P: Placement> Deployment<P> {
-    /// Start a roster's worker programs ([`Roster::new`]) in a fresh
-    /// placement.
-    fn build((roster, workers): (Roster, Vec<CompiledProgram>)) -> Self {
-        let mut place = P::default();
-        for worker in &workers {
-            place.admit(roster.spawn(worker));
+    /// Build a deployment by installing `programs`, in order, into an
+    /// empty one of the given shape — the one way in: construction and
+    /// [`Deployment::install`] share the owner search, the one planner run
+    /// and the commit ([`Roster::stage_install`]). Install ids are `0..K`.
+    /// Returns the plan alongside (`None` without a budget); under a
+    /// budget, a program list without any store is
+    /// [`PlanError::EmptyDemands`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty program list (under a budget that is
+    /// [`PlanError::EmptyDemands`] first).
+    fn installing(
+        programs: Vec<CompiledProgram>,
+        share: bool,
+        shards: Option<usize>,
+        budget: Option<u64>,
+    ) -> Result<(Self, Option<AreaPlan>), PlanError> {
+        let mut deployment = Deployment {
+            roster: Roster {
+                share,
+                shards,
+                budget,
+                ..Roster::default()
+            },
+            place: P::default(),
+        };
+        let mut staged = match deployment.roster.stage_install(programs) {
+            Ok(staged) => staged,
+            Err(InstallError::Plan(e)) => return Err(e),
+            Err(e) => unreachable!("an empty deployment has no durable tier: {e}"),
+        };
+        let plan = staged.replan.plan.take();
+        if budget.is_some() && plan.is_none() {
+            return Err(PlanError::EmptyDemands);
         }
-        Deployment { roster, place }
+        assert!(!staged.arrivals.is_empty(), "need at least one program");
+        deployment.commit(staged);
+        Ok((deployment, plan))
     }
 
-    /// Install programs under a shared SRAM budget; the plan alongside.
-    /// One (gated) sharing analysis tags the dedup groups the planner
-    /// charges once ([`provision_with`]); the analysis then re-runs at the
-    /// provisioned geometries ([`Roster::new`]), so no store is elided
-    /// unless the strict rule holds at the geometries the dataplane
-    /// actually runs. Each worker starts at its share of its program's
-    /// slice ([`worker_geometries`]).
-    fn budgeted(
-        mut programs: Vec<CompiledProgram>,
-        budget_bits: u64,
-        shards: Option<usize>,
-    ) -> Result<(Self, AreaPlan), PlanError> {
-        let aliases = analyze_sharing(&programs, shards);
-        let plan = provision_with(&mut programs, budget_bits, &aliases)?;
-        let (mut roster, mut workers) = Roster::new(programs, true, shards);
-        roster.budget = Some(budget_bits);
-        // `provision_with` named the i-th program's demand `q{i}`; look the
-        // allocation up **by name** — programs without stores place no
-        // demand, so positional iteration would misalign every later
-        // program's geometry with its neighbour's.
-        for (i, worker) in workers.iter_mut().enumerate() {
-            if let Some(alloc) = plan.query(&format!("q{i}")) {
-                set_geometries(worker, worker_geometries(shards, alloc)?);
-            }
+    /// [`Deployment::installing`] without a budget, which no plan refuses.
+    fn unbudgeted(programs: Vec<CompiledProgram>, share: bool, shards: Option<usize>) -> Self {
+        let unplanned = Self::installing(programs, share, shards, None);
+        unplanned.expect("an unbudgeted install cannot fail").0
+    }
+
+    /// Commit a staged install and admit its arrivals; the first
+    /// arrival's install id.
+    fn commit(&mut self, mut staged: StagedInstall) -> u64 {
+        let arrivals = std::mem::take(&mut staged.arrivals);
+        let id = self.quiesced(|roster, groups| roster.commit_install(staged, groups));
+        for workers in arrivals {
+            self.place.admit(workers);
         }
-        Ok((Self::build((roster, workers)), plan))
+        id
     }
 
     /// Quiesce the whole deployment for the duration of `f` and release it
@@ -1269,7 +1204,7 @@ impl<P: Placement> Deployment<P> {
         self.roster.records
     }
 
-    /// What the install-time sharing pass shared across the programs.
+    /// What the installs shared across the programs.
     #[must_use]
     pub fn sharing(&self) -> &SharingReport {
         &self.roster.report
@@ -1340,12 +1275,13 @@ impl<P: Placement> Deployment<P> {
     /// store **live-migrates** to its new (smaller) slice — or `1/N` of it
     /// per shard — ([`perfq_kvstore::SplitStore::migrate_geometry`] —
     /// rehash cache-resident pairs, spill what no longer fits, timestamps
-    /// preserved); without a budget no resident store changes. The sharing
-    /// analysis re-runs incrementally: the new program may adopt a resident
-    /// deduplicated base-rooted store (equal install epochs only — see
-    /// `lifecycle_alias_candidates`; sharded, also exact and identical
-    /// routing, `retain_shard_exact`). A shared pair is one planner dedup
-    /// group, so no replan pulls it apart and there is nothing to repair.
+    /// preserved); without a budget no resident store changes. The new
+    /// program searches for owners as every program of a constructor's
+    /// list does: it may adopt a resident deduplicated base-rooted store
+    /// (equal install epochs only — see `lifecycle_alias_candidates`;
+    /// sharded, also exact and identical routing, `retain_shard_exact`). A
+    /// shared pair is one planner dedup group, so no replan pulls it apart
+    /// and there is nothing to repair.
     /// Under durability the arrival's spill tiers attach before anything
     /// is committed.
     ///
@@ -1360,10 +1296,8 @@ impl<P: Placement> Deployment<P> {
         if self.roster.finished {
             return Err(InstallError::Finished);
         }
-        let (staged, arrival) = self.roster.stage_install(program)?;
-        let id = self.quiesced(|roster, groups| roster.commit_install(staged, groups));
-        self.place.admit(arrival);
-        Ok(id)
+        let staged = self.roster.stage_install(vec![program])?;
+        Ok(self.commit(staged))
     }
 
     /// Uninstall the program with install id `id`, returning its final
@@ -1451,44 +1385,53 @@ impl<P: Placement> Deployment<P> {
 }
 
 impl Deployment<Inline> {
-    /// Install several compiled programs behind one ingest pass, with
-    /// whatever geometries they already carry and cross-query sharing
-    /// enabled (see the module docs; sharing is a pure optimization, pinned
-    /// byte-identical to [`MultiRuntime::new_unshared`]).
+    /// Install several compiled programs, in order, behind one ingest pass,
+    /// with whatever geometries they already carry and cross-query sharing
+    /// enabled — the same as installing them one by one into a deployment
+    /// of the first (see the module docs; sharing is a pure optimization,
+    /// pinned byte-identical to [`MultiRuntime::new_unshared`]).
     ///
     /// # Panics
     ///
     /// Panics on an empty program list.
     #[must_use]
     pub fn new(programs: Vec<CompiledProgram>) -> Self {
-        Self::build(Roster::new(programs, true, None))
+        Self::unbudgeted(programs, true, None)
     }
 
-    /// [`MultiRuntime::new`] without the cross-query sharing pass — the
+    /// [`MultiRuntime::new`] without cross-query sharing — the
     /// shared-ingest-only configuration. Differential tests and the
     /// `multi_query_shared` ratio guards use this as the sharing baseline.
     #[doc(hidden)]
     #[must_use]
     pub fn new_unshared(programs: Vec<CompiledProgram>) -> Self {
-        Self::build(Roster::new(programs, false, None))
+        Self::unbudgeted(programs, false, None)
     }
 
-    /// Install programs under a shared SRAM budget: plan the geometries
-    /// first (store dedup included — deduplicated stores are charged once),
-    /// then build the runtime. Returns the plan alongside; program `i`'s
-    /// slice is its query `"q{i}"`, and [`MultiRuntime::runtimes`] carry the
-    /// provisioned geometries.
+    /// Install programs, in order, under a shared SRAM budget: the owner
+    /// search runs first, then the planner once over the whole list (store
+    /// dedup included — a shared pair is charged once and runs one
+    /// geometry, whatever cache sizes its programs were compiled with).
+    /// Returns the plan alongside; program `i`'s slice is its query
+    /// `"q{i}"`, and [`MultiRuntime::runtimes`] carry the provisioned
+    /// geometries.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::EmptyDemands`] when no program has a store, and
+    /// whatever else the planner rejects.
     pub fn provisioned(
         programs: Vec<CompiledProgram>,
         budget_bits: u64,
     ) -> Result<(Self, AreaPlan), PlanError> {
-        Self::budgeted(programs, budget_bits, None)
+        let (deployment, plan) = Self::installing(programs, true, None, Some(budget_bits))?;
+        Ok((deployment, plan.ok_or(PlanError::EmptyDemands)?))
     }
 
     /// Recover a crashed multi-query deployment that had **no mid-stream
-    /// lifecycle events**: rebuild over the same program list (the sharing
-    /// analysis is deterministic, so aliases, store layout, and durable
-    /// file names all reproduce) and repair each program's files against
+    /// lifecycle events**: rebuild over the same program list (the install
+    /// is deterministic, so aliases, store layout, and durable file names
+    /// all reproduce) and repair each program's files against
     /// the single deployment manifest. Returns the deployment with the
     /// resume index (see [`Runtime::recover`]); every program's record
     /// count includes the checkpointed prefix. Deployments that installed
@@ -1540,39 +1483,44 @@ impl Deployment<Inline> {
 impl Deployment<Sharded> {
     /// Spawn `shards` workers per program with the geometries the programs
     /// already carry (replicated per shard — the *unprovisioned*
-    /// configuration), with cross-program store dedup enabled.
+    /// configuration), with cross-program store dedup enabled — the same
+    /// as installing the programs one by one into a deployment of the
+    /// first.
     ///
     /// # Panics
     ///
     /// Panics on an empty program list or zero shards.
     #[must_use]
     pub fn new(programs: Vec<CompiledProgram>, shards: usize) -> Self {
-        Self::build(Roster::new(programs, true, Some(shards)))
+        Self::unbudgeted(programs, true, Some(shards))
     }
 
-    /// [`MultiSharded::new`] without the sharing pass (differential
+    /// [`MultiSharded::new`] without cross-query sharing (differential
     /// baseline).
     #[doc(hidden)]
     #[must_use]
     pub fn new_unshared(programs: Vec<CompiledProgram>, shards: usize) -> Self {
-        Self::build(Roster::new(programs, false, Some(shards)))
+        Self::unbudgeted(programs, false, Some(shards))
     }
 
-    /// Spawn under a shared SRAM budget: the budget divides across programs
-    /// (store dedup included — deduplicated stores are
-    /// charged once), and each program's slice divides across its `shards`
-    /// workers — constant total area at any scale.
+    /// Spawn under a shared SRAM budget: [`MultiRuntime::provisioned`]'s
+    /// one install, with each program's slice divided across its `shards`
+    /// workers — constant total area at any scale. The owner search is
+    /// gated on shard exactness and identical routing, so the plan charges
+    /// once exactly the pairs the dataplane shares.
     ///
-    /// The sharing analysis that tags the planner's dedup groups is gated
-    /// on shard exactness, and re-run against the provisioned geometries
-    /// before any store is elided — the dataplane never elides a store the
-    /// strict rule does not cover at the geometries it actually runs.
+    /// # Errors
+    ///
+    /// As [`MultiRuntime::provisioned`], plus
+    /// [`PlanError::SliceTooSmall`] when a `1/N` shard slice cannot hold
+    /// one pair.
     pub fn provisioned(
         programs: Vec<CompiledProgram>,
         budget_bits: u64,
         shards: usize,
     ) -> Result<(Self, AreaPlan), PlanError> {
-        Self::budgeted(programs, budget_bits, Some(shards))
+        let (deployment, plan) = Self::installing(programs, true, Some(shards), Some(budget_bits))?;
+        Ok((deployment, plan.ok_or(PlanError::EmptyDemands)?))
     }
 
     /// Recover a crashed sharded deployment — [`MultiRuntime::recover`]'s
@@ -1620,6 +1568,21 @@ mod tests {
     fn same(a: &CompiledProgram, ai: usize, b: &CompiledProgram, bi: usize) -> bool {
         let (pa, pb) = (ExecPlan::build(&a.program), ExecPlan::build(&b.program));
         same_store((a, &pa), ai, (b, &pb), bi, true)
+    }
+
+    /// A sharing report's `(alias program, owner program)` pairs.
+    fn pairs(r: &SharingReport) -> Vec<(usize, usize)> {
+        r.stores.iter().map(|s| (s.alias.0, s.owner.0)).collect()
+    }
+
+    /// The 5-tuple counter compiled with a 1 024-pair cache, where the
+    /// default compiles it with more.
+    fn small_counter() -> CompiledProgram {
+        let opts = CompileOptions {
+            cache_pairs: 1 << 10,
+            ..Default::default()
+        };
+        compile_query("SELECT COUNT GROUPBY 5tuple", &fig2::default_params(), opts).unwrap()
     }
 
     /// The geometry every store of the inline deployment's program `p` runs.
@@ -1702,9 +1665,11 @@ mod tests {
             compiled(fig2::TCP_OUT_OF_SEQUENCE.source),
             compiled(fig2::TCP_NON_MONOTONIC.source),
         ];
-        let aliases = analyze_sharing(&programs, None);
-        assert_eq!(aliases.len(), 1, "loss-rate R1 aliases the counter");
-        assert_eq!(aliases[0], ((1, 0), (0, 0)));
+        let name = |p: usize| programs[p].program.queries[0].name.clone();
+        let (counter, r1) = ((0, name(0)), (1, name(1)));
+        let stores = MultiRuntime::new(programs.clone()).sharing().stores.clone();
+        assert_eq!(stores.len(), 1, "loss-rate R1 aliases the counter");
+        assert_eq!((&stores[0].alias, &stores[0].owner), (&r1, &counter));
     }
 
     #[test]
@@ -1714,18 +1679,10 @@ mod tests {
         assert!(!same(&loss, 0, &loss, 1));
         // Same query text, different cache geometry: physically different.
         let a = compiled("SELECT COUNT GROUPBY 5tuple");
-        let b = compile_query(
-            "SELECT COUNT GROUPBY 5tuple",
-            &fig2::default_params(),
-            CompileOptions {
-                cache_pairs: 1 << 10,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let b = small_counter();
         assert!(same(&a, 0, &a, 0));
         assert!(!same(&a, 0, &b, 0));
-        assert!(analyze_sharing(&[a, b], None).is_empty());
+        assert!(!MultiRuntime::new(vec![a, b]).sharing().any());
     }
 
     #[test]
@@ -1780,34 +1737,6 @@ mod tests {
     }
 
     #[test]
-    fn diverged_chains_after_provisioning_do_not_dedup() {
-        // The same composed R2 chain, but program B carries an extra store:
-        // its slice splits three ways instead of two, so after provisioning
-        // the two R1 stores differ. R2 is composed and keeps its private
-        // store either way.
-        let b_src = format!(
-            "{}R3 = SELECT COUNT GROUPBY srcip\n",
-            fig2::PER_FLOW_HIGH_LATENCY.source
-        );
-        let programs = vec![
-            compiled(fig2::PER_FLOW_HIGH_LATENCY.source),
-            compiled(&b_src),
-        ];
-        let (multi, plan) = MultiRuntime::provisioned(programs, 32 * MBIT).unwrap();
-        assert_eq!(plan.deduped_stores(), 0);
-        assert_ne!(
-            geometry(&multi, 0, 0),
-            geometry(&multi, 1, 0),
-            "the premise: provisioning diverged the R1 chains"
-        );
-        assert!(
-            multi.sharing().stores.is_empty(),
-            "diverged chains must not dedup: {:?}",
-            multi.sharing().stores
-        );
-    }
-
-    #[test]
     fn inexact_programs_keep_private_stores_in_sharded_provisioning() {
         // MAX keyed off the shard key is neither order-free nor confined:
         // the program's partitioning is statically inexact, so the sharded
@@ -1851,16 +1780,21 @@ mod tests {
         let programs = vec![compiled(&b_src), compiled(&a_src)];
         // The fold's `def` is not a query: the non-monotonic store sits at
         // query index 1 in both programs (same placement seed).
-        let mut aliases = analyze_sharing(&programs, None);
+        let name = |p: usize| programs[p].program.queries[1].name.clone();
+        let pair = |s: &SharedStore| s.alias == (1, name(1)) && s.owner == (0, name(0));
+        let single = MultiRuntime::new(programs.clone());
+        let stores = &single.sharing().stores;
         assert!(
-            aliases.contains(&((1, 1), (0, 1))),
-            "premise: the single-stream pass dedups the shared store: {aliases:?}"
+            stores.iter().any(pair),
+            "premise: the single-stream pass dedups the shared store: {stores:?}"
         );
-        retain_shard_exact(&mut aliases, &programs);
+        let sharded = MultiSharded::new(programs.clone(), 2);
+        let stores = &sharded.sharing().stores;
         assert!(
-            !aliases.contains(&((1, 1), (0, 1))),
-            "different routing must block sharded dedup: {aliases:?}"
+            !stores.iter().any(pair),
+            "different routing must block sharded dedup: {stores:?}"
         );
+        let _ = sharded.finish();
     }
 
     #[test]
@@ -1937,6 +1871,38 @@ mod tests {
             counter_geom.capacity() > solo.queries[0].stores[0].geometry.capacity(),
             "reclaimed bits must buy a bigger cache"
         );
+    }
+
+    #[test]
+    fn differently_compiled_duplicates_share_one_planned_store() {
+        // Under a budget the planner sets every geometry, so a compiled
+        // cache size is no difference: the pair is one dedup group, charged
+        // once, and its one store is as large as an identically compiled
+        // pair's.
+        let counter = compiled("SELECT COUNT GROUPBY 5tuple");
+        let programs = vec![counter.clone(), small_counter()];
+        let (multi, plan) = MultiRuntime::provisioned(programs, 32 * MBIT).unwrap();
+        assert_eq!(pairs(multi.sharing()), [(1, 0)]);
+        assert_eq!(plan.deduped_stores(), 1, "the shared pair is charged once");
+        let (twins, _) =
+            MultiRuntime::provisioned(vec![counter.clone(), counter], 32 * MBIT).unwrap();
+        assert_eq!(geometry(&multi, 0, 0), geometry(&twins, 0, 0));
+        assert_eq!(geometry(&multi, 1, 0), geometry(&twins, 0, 0));
+        assert_eq!(geometry(&multi, 0, 0).capacity(), 131_072);
+    }
+
+    #[test]
+    fn a_deployment_built_at_once_shares_what_installs_share() {
+        // Without a budget geometries never change, so the owner search
+        // compares them: the small counter is no owner for a default one,
+        // and the next default counter is, whichever way the deployment
+        // took the programs in.
+        let counter = || compiled("SELECT COUNT GROUPBY 5tuple");
+        let at_once = MultiRuntime::new(vec![small_counter(), counter(), counter()]);
+        let mut by_install = MultiRuntime::new(vec![small_counter(), counter()]);
+        by_install.install(counter()).unwrap();
+        assert_eq!(pairs(at_once.sharing()), [(2, 1)]);
+        assert_eq!(pairs(by_install.sharing()), pairs(at_once.sharing()));
     }
 
     #[test]
@@ -2370,6 +2336,45 @@ mod tests {
         reads
     }
 
+    /// What a deployment shares, the store geometries each of its workers
+    /// runs (program by program, in shard order), and its polls and drain.
+    type Observed = (
+        Vec<(usize, usize)>,
+        Vec<Vec<CacheGeometry>>,
+        Vec<Vec<ResultSet>>,
+    );
+
+    /// A deployment of `programs` observed built at once and built as its
+    /// first program plus one install per later program.
+    fn both_ways<P: Placement>(
+        programs: &[CompiledProgram],
+        build: impl Fn(Vec<CompiledProgram>) -> Deployment<P>,
+        records: &[QueueRecord],
+        drain: impl Fn(Deployment<P>) -> Vec<ResultSet>,
+    ) -> [Observed; 2] {
+        let mut by_installs = build(programs[..1].to_vec());
+        for p in &programs[1..] {
+            by_installs.install(p.clone()).unwrap();
+        }
+        [build(programs.to_vec()), by_installs].map(|mut plane| {
+            let stores = |rt: &Runtime| {
+                rt.compiled()
+                    .stores
+                    .iter()
+                    .flatten()
+                    .map(|s| s.geometry)
+                    .collect()
+            };
+            let geometries =
+                plane.quiesced(|_, groups| groups.iter().flatten().map(stores).collect());
+            (
+                pairs(plane.sharing()),
+                geometries,
+                polls_and_drain(plane, records, &drain),
+            )
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -2393,9 +2398,6 @@ mod tests {
                 .collect();
             let mut net = Network::new(NetworkConfig::default());
             let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(seed)).take(900));
-            let pairs = |r: &SharingReport| -> Vec<(usize, usize)> {
-                r.stores.iter().map(|s| (s.alias.0, s.owner.0)).collect()
-            };
             let inline_drain = |mut m: MultiRuntime| {
                 m.finish();
                 m.collect()
@@ -2431,8 +2433,33 @@ mod tests {
                 prop_assert_eq!(pairs(shared.sharing()), want.clone(), "2 shards, policy {}", policy);
                 let got = polls_and_drain(shared, &records, sharded_drain);
                 prop_assert!(got == want_reads, "sharded reads differ, policy {}", policy);
-                let unshared = polls_and_drain(MultiSharded::new_unshared(programs, 2), &records, sharded_drain);
+                let unshared = polls_and_drain(MultiSharded::new_unshared(programs.clone(), 2), &records, sharded_drain);
                 prop_assert!(unshared == want_reads, "unshared sharded reads differ, policy {}", policy);
+
+                // One way in: a deployment built at once and one built by
+                // installs share the same pairs, run the same geometries and
+                // read the same, on both placements, with and without a
+                // budget (a small one, so the planned caches evict).
+                for budget in [None, Some(8 * 1024)] {
+                    let inline = |ps| match budget {
+                        None => MultiRuntime::new(ps),
+                        Some(bits) => MultiRuntime::provisioned(ps, bits).unwrap().0,
+                    };
+                    let sharded = |ps| match budget {
+                        None => MultiSharded::new(ps, 2),
+                        Some(bits) => MultiSharded::provisioned(ps, bits, 2).unwrap().0,
+                    };
+                    let [(pairs_a, geoms_a, reads_a), (pairs_b, geoms_b, reads_b)] =
+                        both_ways(&programs, inline, &records, inline_drain);
+                    prop_assert_eq!(pairs_a, pairs_b, "inline, budget {:?}, policy {}", budget, policy);
+                    prop_assert_eq!(geoms_a, geoms_b, "inline, budget {:?}, policy {}", budget, policy);
+                    prop_assert!(reads_a == reads_b, "inline reads differ, budget {:?}, policy {}", budget, policy);
+                    let [(pairs_a, geoms_a, reads_a), (pairs_b, geoms_b, reads_b)] =
+                        both_ways(&programs, sharded, &records, sharded_drain);
+                    prop_assert_eq!(pairs_a, pairs_b, "2 shards, budget {:?}, policy {}", budget, policy);
+                    prop_assert_eq!(geoms_a, geoms_b, "2 shards, budget {:?}, policy {}", budget, policy);
+                    prop_assert!(reads_a == reads_b, "sharded reads differ, budget {:?}, policy {}", budget, policy);
+                }
             }
         }
     }

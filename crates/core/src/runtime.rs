@@ -97,6 +97,45 @@ impl std::fmt::Display for LifecycleError {
 
 impl std::error::Error for LifecycleError {}
 
+/// The chunk loop's row buffers: one contiguous base-row matrix for a
+/// chunk of up to [`LANES`] records (lane `i` at `i * row_width ..`) — a
+/// single allocation, so the node sweeps walk one dense block instead of
+/// chasing per-lane `Vec` headers — and the chunk's observation times.
+/// Reused across batches.
+#[derive(Debug, Default)]
+pub(crate) struct Lanes {
+    rows: Vec<Value>,
+    nows: Vec<Nanos>,
+}
+
+impl Lanes {
+    /// The one chunk loop, under [`Runtime::process_batch`] and the inline
+    /// multi-program ingest: cut `recs` into [`CHUNK`]-record chunks, build
+    /// each chunk's rows **once** under the column `mask`, and hand every
+    /// chunk to `sweep` as `(rows, row width, records, observation times)`
+    /// — [`Runtime::process_lanes`]'s arguments.
+    pub(crate) fn sweep(
+        &mut self,
+        recs: &[QueueRecord],
+        mask: u64,
+        mut sweep: impl FnMut(&[Value], usize, usize, &[Nanos]),
+    ) {
+        let width = QueueRecord::row_width();
+        if self.rows.len() != LANES * width {
+            self.rows.clear();
+            self.rows.resize(LANES * width, Value::Int(0));
+        }
+        for chunk in recs.chunks(CHUNK) {
+            self.nows.clear();
+            for (rec, lane) in chunk.iter().zip(self.rows.chunks_exact_mut(width)) {
+                rec.write_row_masked_into(lane, mask);
+                self.nows.push(rec.observed_at());
+            }
+            sweep(&self.rows, width, chunk.len(), &self.nows);
+        }
+    }
+}
+
 /// The streaming executor.
 #[derive(Debug)]
 pub struct Runtime {
@@ -109,13 +148,8 @@ pub struct Runtime {
     stack: EvalStack,
     /// Group-key scratch.
     key_buf: Vec<i64>,
-    /// Vectorized path: one contiguous base-row matrix for a chunk of
-    /// [`LANES`] records (lane `i` at `i * row_width ..`) — a single
-    /// allocation so the node sweeps walk one dense block instead of
-    /// chasing per-lane `Vec` headers.
-    lane_rows: Vec<Value>,
-    /// Vectorized path: observation times of the current chunk.
-    lane_nows: Vec<Nanos>,
+    /// Vectorized path: the chunk loop's row buffers.
+    lanes: Lanes,
     /// Vectorized path: per-node flat output buffers, `arity` values per
     /// lane (`lane * arity ..`), written only at live lanes.
     lane_out: Vec<Vec<Value>>,
@@ -199,8 +233,7 @@ impl Runtime {
             plan,
             stack: EvalStack::new(),
             key_buf: Vec::new(),
-            lane_rows: Vec::new(),
-            lane_nows: Vec::new(),
+            lanes: Lanes::default(),
             lane_out: vec![Vec::new(); n],
             lane_live: vec![0; n],
             lane_arity,
@@ -391,24 +424,11 @@ impl Runtime {
     /// record.
     pub fn try_process_batch(&mut self, recs: &[QueueRecord]) -> Result<(), LifecycleError> {
         self.check_live()?;
-        let mask = self.plan.base_cols;
-        let width = QueueRecord::row_width();
-        let mut rows = std::mem::take(&mut self.lane_rows);
-        let mut nows = std::mem::take(&mut self.lane_nows);
-        if rows.len() != LANES * width {
-            rows.clear();
-            rows.resize(LANES * width, Value::Int(0));
-        }
-        for chunk in recs.chunks(CHUNK) {
-            nows.clear();
-            for (rec, lane) in chunk.iter().zip(rows.chunks_exact_mut(width)) {
-                rec.write_row_masked_into(lane, mask);
-                nows.push(rec.observed_at());
-            }
-            self.process_lanes(&rows, width, chunk.len(), &nows);
-        }
-        self.lane_rows = rows;
-        self.lane_nows = nows;
+        let mut lanes = std::mem::take(&mut self.lanes);
+        lanes.sweep(recs, self.plan.base_cols, |rows, width, n, nows| {
+            self.process_lanes(rows, width, n, nows);
+        });
+        self.lanes = lanes;
         Ok(())
     }
 

@@ -125,8 +125,9 @@
 //! * [`spill`] — [`SpillTier`]: tier-confined victim routing, group-commit
 //!   batching, checkpoint frames, and generation-numbered compaction that
 //!   folds the WAL into the segment only once the WAL has outgrown it;
-//! * [`recover`] — the deployment manifest and
-//!   [`BackingStore::recover`][crate::backing::BackingStore::recover].
+//! * [`recover`] — the deployment manifest, recovery's commit point;
+//!   [`SplitStore::recover_spill`] repairs a store's files against it and
+//!   replays them into the backing table.
 //!
 //! Every durable file starts with `[magic u32][generation u64]` and then
 //! carries self-describing frames:

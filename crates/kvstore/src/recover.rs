@@ -1,5 +1,4 @@
-//! Crash recovery: the deployment manifest and the headline
-//! [`BackingStore::recover`] entry point.
+//! Crash recovery's commit point: the deployment manifest.
 //!
 //! A *manifest* is one tiny atomically-replaced file per deployment
 //! recording the highest record index whose state is durably checkpointed
@@ -9,16 +8,16 @@
 //! holds a covered checkpoint, and recovery can truncate each WAL to its
 //! last covered checkpoint and resume ingest from the manifest index.
 //!
-//! Recovery itself is deliberately thin: repair the files
-//! ([`SpillTier::recover`]), then replay them through the same order-free
-//! [`BackingStore::absorb_entry`] fold that built them. There is no
-//! separate recovery interpretation of a frame — replay *is* the merge
-//! machinery, which is what makes it exact for every mergeable fold class.
+//! Recovery itself is deliberately thin
+//! ([`SplitStore::recover_spill`](crate::SplitStore::recover_spill)):
+//! repair the files ([`SpillTier::recover`](crate::SpillTier::recover))
+//! against the manifest, then replay them through the same order-free
+//! [`BackingStore::absorb_entry`](crate::BackingStore::absorb_entry) fold
+//! that built them. There is no separate recovery interpretation of a
+//! frame — replay *is* the merge machinery, which is what makes it exact
+//! for every mergeable fold class.
 
-use crate::backing::{BackingStore, MergeMode};
-use crate::spill::{SpillConfig, SpillTier};
-use crate::wal::{crc32, ByteReader, ByteWriter as _, Persist, SharedBackend};
-use std::hash::Hash;
+use crate::wal::{crc32, ByteReader, ByteWriter as _, SharedBackend};
 use std::io;
 
 /// Magic number leading a manifest file (`"PQMF"` little-endian).
@@ -60,34 +59,4 @@ pub fn read_manifest(backend: &SharedBackend, name: &str) -> io::Result<Option<u
         return Ok(None);
     }
     Ok(ByteReader::new(payload).u64())
-}
-
-impl<K: Eq + Hash, V> BackingStore<K, V> {
-    /// Recover one store's durable truth after a crash.
-    ///
-    /// Opens the spill tier files under `prefix` on `backend`, repairs them
-    /// (generation reconciliation, torn-tail/uncovered-frame truncation
-    /// against `manifest` — see [`SpillTier::recover`]), and replays the
-    /// repaired log + segment through [`BackingStore::absorb_entry`] /
-    /// [`BackingStore::remove`] into the merged truth. Returns the
-    /// materialized store together with the repaired tier, ready to keep
-    /// absorbing once the deployment resumes ingest at the manifest index.
-    pub fn recover(
-        backend: SharedBackend,
-        prefix: &str,
-        mode: MergeMode,
-        cfg: SpillConfig,
-        manifest: Option<u64>,
-        merge: impl Fn(&mut V, V),
-    ) -> io::Result<(Self, SpillTier<K, V>)>
-    where
-        K: Persist,
-        V: Persist,
-    {
-        let mut tier = SpillTier::open(backend, prefix, mode, cfg)?;
-        tier.recover(manifest)?;
-        let mut store = BackingStore::new(mode);
-        tier.materialize_into(&mut store, merge)?;
-        Ok((store, tier))
-    }
 }

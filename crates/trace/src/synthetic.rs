@@ -110,25 +110,6 @@ impl TraceConfig {
         }
     }
 
-    /// Datacenter-flavoured mix: Benson-style sizes (≈850 B mean), shorter
-    /// gaps, heavier TCP share.
-    #[must_use]
-    pub fn datacenter(seed: u64) -> Self {
-        TraceConfig {
-            seed,
-            duration: Nanos::from_secs(10),
-            flows_per_sec: 20_000.0,
-            flow_size: BoundedPareto::new(1.1, 1, 50_000),
-            pacing: Pacing::FixedMeanGap(5e6),
-            pkt_sizes: PacketSizeMix::datacenter(),
-            tcp_fraction: 0.98,
-            tcp_dynamics: TcpDynamics::typical(),
-            clients: 5_000,
-            servers: 1_000,
-            server_zipf: 1.1,
-        }
-    }
-
     /// Scale packet volume by scaling the capture duration alone: the
     /// arrival rate and the per-flow size and pacing stay, so about
     /// `factor` times as many flows arrive, and a shorter capture cuts

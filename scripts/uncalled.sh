@@ -21,8 +21,17 @@
 # every public definition it has; a name with one caller still hides all its
 # namesakes, so this is a lister for review, not a gate.
 #
+# An associated function — a `pub fn` of an inherent `impl Type` block with
+# no `self` parameter — can only be reached by a path, so it is matched by
+# its path instead of its name: it counts as used only where `Type::name`
+# appears, or `Self::name` inside an `impl` (inherent or trait) of `Type`,
+# or `Alias::name` for a `type Alias = Type<..>;`. So `BackingStore::recover`
+# is not kept alive by `SpillTier::recover`'s callers. Functions of trait
+# impls are left out: a trait method is reached through the trait.
+#
 # Usage: scripts/uncalled.sh [crate ...]   (default: every crate under crates/)
-# Output: one `crate  file:line  name` line per uncalled function.
+# Output: one `crate  file:line  name` line per uncalled function, the name
+# as `Type::name` for an associated function.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,9 +76,19 @@ find crates/*/src src examples benchmark/src -name '*.rs' | sort | LC_ALL=C xarg
         q = sprintf("%c", 39)
         charlit = "^" q "(\\\\.[^" q "]*|[^\\\\" q "])" q
     }
+    # The last segment of the first path in `s`, generic arguments dropped:
+    # the type an `impl` header or a `type` alias names.
+    function typename(s,    t) {
+        while (gsub(/<[^<>]*>/, "", s)) {}
+        if (!match(s, /[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*/)) return ""
+        t = substr(s, RSTART, RLENGTH)
+        sub(/.*::/, "", t)
+        return t
+    }
     FNR == 1 {
         test = 0; inuse = 0; instr = 0
         depth = 0; paren = 0; sp = 0; pending = ""
+        isp = 0; pimpl = ""; sig = 0
         mine = 0
         n = split(wanted, dirs, " ")
         for (i = 1; i <= n; i++) if (index(FILENAME, dirs[i]) == 1) mine = 1
@@ -85,6 +104,21 @@ find crates/*/src src examples benchmark/src -name '*.rs' | sort | LC_ALL=C xarg
     }
     {
         line = clean($0)
+        # `type Alias = Type<..>;`: a path through the alias names the type.
+        if (match(line, /^[ \t]*(pub(\([a-z]+\))? )?type [A-Za-z_][A-Za-z0-9_]* *=/)) {
+            h = substr(line, RSTART, RLENGTH)
+            sub(/^.*type /, "", h); sub(/ *=$/, "", h)
+            alias[h] = typename(substr(line, RSTART + RLENGTH))
+        }
+        # An `impl` header: its block opens at the next `{`.
+        if (match(line, /^[ \t]*(unsafe[ \t]+)?impl[ \t<]/)) {
+            h = substr(line, RSTART + RLENGTH - 1)
+            sub(/\{.*/, "", h)
+            while (gsub(/<[^<>]*>/, "", h)) {}
+            ptrait = (h ~ / for /)
+            if (ptrait) sub(/.* for /, "", h)
+            pimpl = typename(h)
+        }
         prev = ""; prev2 = ""
         while (match(line, /[A-Za-z_][A-Za-z0-9_]*|[{}()\[\];]/)) {
             tok = substr(line, RSTART, RLENGTH)
@@ -96,29 +130,52 @@ find crates/*/src src examples benchmark/src -name '*.rs' | sort | LC_ALL=C xarg
                 line = substr(line, RSTART + RLENGTH)
                 if (mine && (prev == "pub" || (prev == "const" && prev2 == "pub"))) {
                     split(FILENAME, parts, "/")
-                    where[name] = where[name] parts[2] "  " FILENAME ":" FNR "  " name "\n"
+                    def = parts[2] "  " FILENAME ":" FNR "  "
+                    # Directly in an inherent impl: its first parameter tells
+                    # a method from an associated function.
+                    if (isp > 0 && idepth[isp] == depth && !itrait[isp]) {
+                        sig = 1; signame = name; sigpath = istack[isp] "::" name
+                    } else where[name] = where[name] def name "\n"
                 }
                 pending = name
                 pparen = paren
                 prev2 = prev; prev = name
                 continue
             }
+            if (sig == 1 && tok == "(") sig = 2
+            else if (sig == 2 && tok == ")") {
+                assoc[sigpath] = assoc[sigpath] def sigpath "\n"; sig = 0
+            } else if (sig == 2 && tok !~ /^[(\[{}\];]$/ && tok != "mut" && gap !~ q "$") {
+                if (tok == "self") where[signame] = where[signame] def signame "\n"
+                else assoc[sigpath] = assoc[sigpath] def sigpath "\n"
+                sig = 0
+            }
             if (tok == "(" || tok == "[") paren++
             else if (tok == ")" || tok == "]") paren--
             else if (tok == "{") {
                 depth++
                 if (pending != "") { stack[++sp] = pending; sdepth[sp] = depth; pending = "" }
+                if (pimpl != "") { istack[++isp] = pimpl; itrait[isp] = ptrait; idepth[isp] = depth; pimpl = "" }
             } else if (tok == "}") {
                 if (sp > 0 && sdepth[sp] == depth) sp--
+                if (isp > 0 && idepth[isp] == depth) isp--
                 depth--
             } else if (tok == ";") {
                 if (pending != "" && paren == pparen) pending = ""
-            } else if ((line ~ /^(\(|::<)/ || gap ~ /::$/) && !inside(tok)) {
-                used[tok]++
+            } else {
+                if (gap == "::" && prev != "")
+                    path[(prev == "Self" && isp > 0 ? istack[isp] : prev) "::" tok]++
+                if ((line ~ /^(\(|::<)/ || gap ~ /::$/) && !inside(tok)) used[tok]++
             }
             prev2 = prev; prev = tok
         }
     }
     END {
         for (name in where) if (!(name in used)) printf "%s", where[name]
+        for (p in path) {
+            reached[p]++
+            split(p, seg, "::")
+            if (seg[1] in alias) reached[alias[seg[1]] "::" seg[2]]++
+        }
+        for (p in assoc) if (!(p in reached)) printf "%s", assoc[p]
     }' | sort -t: -k1,1 -k2,2n
