@@ -100,17 +100,6 @@ pub struct CompiledProgram {
     /// Streaming dataflow edges: `children[i]` lists queries consuming
     /// query i's output stream.
     pub children: Vec<Vec<usize>>,
-    /// Queries whose aggregation store is **provided externally**: the
-    /// multi-query sharing pass marks a query here when an identical store
-    /// already exists in another installed program (see "Cross-query
-    /// sharing" in the crate docs). A [`crate::Runtime`] built from this
-    /// program removes the marked queries from its streaming pass; only the
-    /// multi-query drivers ([`crate::MultiRuntime`] / [`crate::MultiSharded`])
-    /// substitute the owning store back at finish time, so a *standalone*
-    /// runtime over a program with non-empty `deduped_queries` would collect
-    /// empty tables for them, which is why no code outside this crate sees
-    /// the field. Compilation always leaves this empty.
-    pub(crate) deduped_queries: Vec<usize>,
 }
 
 /// Compile a resolved program against a hardware configuration.
@@ -157,7 +146,6 @@ pub fn compile_program(program: ResolvedProgram, options: CompileOptions) -> Com
         stores,
         alu,
         children,
-        deduped_queries: Vec::new(),
     }
 }
 

@@ -134,7 +134,9 @@ pub(crate) fn persist(
 
 /// [`persist`]'s twin: read the deployment manifest and repair every
 /// worker's durable files against it. Returns the manifested record index
-/// (`None` when no checkpoint was ever manifested — resume from 0).
+/// (`None` when no checkpoint was ever manifested — resume from 0). A
+/// corrupt manifest, or a manifested capture file that is missing or
+/// corrupt, is an `InvalidData` error.
 pub(crate) fn recover(
     d: &Durability,
     workers: &mut [(String, &mut Runtime)],

@@ -293,7 +293,10 @@
 //! planner dedup group: under a budget it is charged to the SRAM budget
 //! once, the reclaimed bits grow every physical cache, and every replan
 //! gives both sides one geometry. See [`multi`] for the full legality rule
-//! and [`multi::SharingReport`] for what a given install shared.
+//! and [`multi::SharingReport`] for what a given install shared. The
+//! deployment records its pairs once, in its own bookkeeping: a compiled
+//! program carries no dedup mark, so [`Runtime::compiled`] of a worker whose
+//! query is an alias still builds a stand-alone runtime that runs it.
 //!
 //! # Incremental reads
 //!

@@ -48,12 +48,12 @@
 //! caller's thread" from "K programs × N worker shards". The module
 //! therefore has one public type, [`Deployment`], over one `Roster`: the
 //! installed programs at their whole-slice geometries, their stable ids
-//! and install epochs, the budget, the settled dedup pairs, the sharing
-//! report. The roster owns no runtime; a poll, a lifecycle event or a
-//! durable call works on the **whole deployment's quiesced worker
-//! runtimes**, program by program in shard order, which the placement
-//! hands over for the duration (`quiesce`) and takes back afterwards
-//! (`release`):
+//! and install epochs, the budget, and the settled dedup pairs (the one
+//! record of what is shared). The roster owns no runtime; a poll, a
+//! lifecycle event or a durable call works on the **whole deployment's
+//! quiesced worker runtimes**, program by program in shard order, which
+//! the placement hands over for the duration (`quiesce`) and takes back
+//! afterwards (`release`):
 //!
 //! ```text
 //!   new / provisioned (programs)             uninstall(id)
@@ -62,6 +62,7 @@
 //!   per arrival: nominate owners ◀─ gate     drop the departing group
 //!   CachePlanner, once                       re-index bookkeeping
 //!   worker geometries            ◀─ divisor  replan ─▶ migrate
+//!   spawn arrivals, aliases stop streaming
 //!   ── commit ──
 //!   migrate ─▶ adopt the arrivals
 //! ```
@@ -112,8 +113,9 @@
 //!    dataplane is byte-identical to the private-store one for every fold
 //!    class, eviction for eviction, epoch for epoch.
 //! 2. **Rewrite** — each *alias* aggregation (a duplicate whose rows no
-//!    downstream query consumes) is removed from its program's streaming
-//!    pass entirely; at the drain ([`MultiRuntime::finish`] /
+//!    downstream query consumes) is removed from its workers' streaming
+//!    pass entirely (`Runtime::set_streaming`, once the workers are
+//!    built); at the drain ([`MultiRuntime::finish`] /
 //!    [`MultiSharded::finish`]) the owning program's finished store is
 //!    substituted back, so collection reads exactly what a private store
 //!    would have held. Every other node stays in its program's plan, which
@@ -121,9 +123,13 @@
 //!
 //! The paper's own query set overlaps this way: the loss-rate program's
 //! `R1 = SELECT COUNT GROUPBY 5tuple` *is* the §4 running-example counter
-//! query. [`SharingReport`] (from [`Deployment::sharing`]) lists what was
-//! shared; under a budget every deduplicated store is also charged to the
-//! SRAM budget **once**, and the reclaimed bits grow every physical cache
+//! query. The deployment's settled pairs are the one record of what is
+//! shared: the compiled programs carry no mark (an alias leaves its
+//! workers' streaming pass after they are built, and rejoins it when
+//! promoted), and [`SharingReport`] (from [`Deployment::sharing`]) is
+//! derived from the pairs on each call. Under a budget every deduplicated
+//! store is also charged to the SRAM budget **once**, and the reclaimed
+//! bits grow every physical cache
 //! ([`StoreDemand::dedup`](perfq_kvstore::StoreDemand)).
 //!
 //! The [`Sharded`] placement runs the same discipline across cores: each
@@ -559,10 +565,10 @@ struct Roster {
     /// program order (worker runtimes carry the per-worker geometries).
     /// Lifecycle analysis and replanning run at this level.
     programs: Vec<CompiledProgram>,
-    /// Settled store-dedup pairs; substitutions apply on drain.
+    /// Settled store-dedup pairs — the one record of what is shared: the
+    /// alias queries are out of their workers' streaming pass, substitutions
+    /// apply on drain, and [`Deployment::sharing`] reports them.
     aliases: Vec<Pair>,
-    /// The settled pairs by program and query name.
-    report: SharingReport,
     /// Stable install ids, parallel to `programs` — program indices shift
     /// on uninstall, ids never do.
     ids: Vec<u64>,
@@ -664,19 +670,6 @@ impl Roster {
         self.persisted_at = resume;
         self.durability = Some(d);
         Ok(at)
-    }
-
-    /// Rebuild the sharing report over the current programs and settled
-    /// aliases.
-    fn refresh_report(&mut self) {
-        let named = |p: usize, q: usize| (p, self.programs[p].program.queries[q].name.clone());
-        let stores = (self.aliases.iter())
-            .map(|((ap, aq), (op, oq))| SharedStore {
-                owner: named(*op, *oq),
-                alias: named(*ap, *aq),
-            })
-            .collect();
-        self.report = SharingReport { stores };
     }
 
     /// Run the planner **once** over `programs` (named by `ids`, dedup
@@ -789,14 +782,18 @@ impl Roster {
         let mut groups = Vec::new();
         for (pi, &id) in ids.iter().enumerate().skip(residents) {
             let mut worker = replan.programs[pi].clone();
-            let own = aliases[self.aliases.len()..]
-                .iter()
-                .filter(|((ap, _), _)| *ap == pi);
-            worker.deduped_queries.extend(own.map(|((_, aq), _)| *aq));
             if let Some(at) = replan.migrations.iter().position(|(p, _)| *p == pi) {
                 set_geometries(&mut worker, replan.migrations.remove(at).1);
             }
             let mut workers = self.spawn(&worker);
+            let own = aliases[self.aliases.len()..]
+                .iter()
+                .filter(|((ap, _), _)| *ap == pi);
+            for ((_, aq), _) in own {
+                for rt in &mut workers {
+                    rt.set_streaming(*aq, false);
+                }
+            }
             if let Some(d) = &self.durability {
                 for (shard, rt) in workers.iter_mut().enumerate() {
                     if let Err(e) =
@@ -827,7 +824,6 @@ impl Roster {
         self.epochs.resize(self.ids.len(), self.records);
         self.apply(staged.replan, groups);
         self.aliases = staged.aliases;
-        self.refresh_report();
         first
     }
 
@@ -841,11 +837,13 @@ impl Roster {
     /// through its spill tier. A departing *owner*'s shared store is then
     /// **promoted** worker by worker into its first surviving alias (dedup
     /// implies identical routing, so worker `w`'s states are
-    /// interchangeable; the live state moves — stream continuity preserved)
-    /// and further aliases re-parent onto the promoted owner. The departing
-    /// group is dropped, and under a budget the remaining programs replan
-    /// onto the reclaimed area and live-migrate. Under durability the final
-    /// results are published as the departing id's retired file.
+    /// interchangeable; the live store moves out of the departing worker
+    /// and the alias rejoins the streaming pass — stream continuity
+    /// preserved) and further aliases re-parent onto the promoted owner.
+    /// The departing group is dropped, and under a budget the remaining
+    /// programs replan onto the reclaimed area and live-migrate. Under
+    /// durability the final results are published as the departing id's
+    /// retired file.
     ///
     /// # Panics
     ///
@@ -864,10 +862,10 @@ impl Roster {
             match promoted.iter().find(|(old, _)| *old == (op, oq)) {
                 Some((_, new_owner)) => self.aliases[i].1 = *new_owner,
                 None => {
-                    let stores: Vec<_> = groups[op].iter().map(|w| w.clone_store(oq)).collect();
+                    let stores: Vec<_> = groups[op].iter_mut().map(|w| w.take_store(oq)).collect();
                     for (w, store) in groups[ap].iter_mut().zip(stores) {
                         w.set_store(aq, store);
-                        w.reactivate_query(aq);
+                        w.set_streaming(aq, true);
                     }
                     promoted.push(((op, oq), (ap, aq)));
                 }
@@ -892,7 +890,6 @@ impl Roster {
             .replan(remaining, &self.ids, &self.aliases)
             .expect("surviving slices only grow on uninstall");
         self.apply(replan, groups);
-        self.refresh_report();
         // The poll read through the durable tier (a frame replays every
         // spilled pair); publish it so it outlives the deployment.
         if let Some(d) = &self.durability {
@@ -1204,10 +1201,19 @@ impl<P: Placement> Deployment<P> {
         self.roster.records
     }
 
-    /// What the installs shared across the programs.
+    /// What the installs shared across the programs, derived from the
+    /// settled dedup pairs on each call.
     #[must_use]
-    pub fn sharing(&self) -> &SharingReport {
-        &self.roster.report
+    pub fn sharing(&self) -> SharingReport {
+        let r = &self.roster;
+        let named = |p: usize, q: usize| (p, r.programs[p].program.queries[q].name.clone());
+        let stores = (r.aliases.iter())
+            .map(|((ap, aq), (op, oq))| SharedStore {
+                owner: named(*op, *oq),
+                alias: named(*ap, *aq),
+            })
+            .collect();
+        SharingReport { stores }
     }
 
     /// Attach a durable spill tier to every installed program's stores
@@ -1882,7 +1888,7 @@ mod tests {
         let counter = compiled("SELECT COUNT GROUPBY 5tuple");
         let programs = vec![counter.clone(), small_counter()];
         let (multi, plan) = MultiRuntime::provisioned(programs, 32 * MBIT).unwrap();
-        assert_eq!(pairs(multi.sharing()), [(1, 0)]);
+        assert_eq!(pairs(&multi.sharing()), [(1, 0)]);
         assert_eq!(plan.deduped_stores(), 1, "the shared pair is charged once");
         let (twins, _) =
             MultiRuntime::provisioned(vec![counter.clone(), counter], 32 * MBIT).unwrap();
@@ -1901,8 +1907,8 @@ mod tests {
         let at_once = MultiRuntime::new(vec![small_counter(), counter(), counter()]);
         let mut by_install = MultiRuntime::new(vec![small_counter(), counter()]);
         by_install.install(counter()).unwrap();
-        assert_eq!(pairs(at_once.sharing()), [(2, 1)]);
-        assert_eq!(pairs(by_install.sharing()), pairs(at_once.sharing()));
+        assert_eq!(pairs(&at_once.sharing()), [(2, 1)]);
+        assert_eq!(pairs(&by_install.sharing()), pairs(&at_once.sharing()));
     }
 
     #[test]
@@ -2016,6 +2022,30 @@ mod tests {
         assert_eq!(got, all.collect());
     }
 
+    /// Sharing is recorded in the deployment, not in the compiled program:
+    /// a runtime rebuilt from an alias-bearing program's `compiled()` runs
+    /// every query, the alias included, and reads like a fresh compile.
+    #[test]
+    fn a_shared_programs_compiled_form_runs_standalone() {
+        let mut net = Network::new(NetworkConfig::default());
+        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(23)).take(2_000));
+        let multi = MultiRuntime::new(vec![
+            compiled("SELECT COUNT GROUPBY 5tuple"),
+            compiled(fig2::PER_FLOW_LOSS_RATE.source),
+        ]);
+        assert_eq!(pairs(&multi.sharing()), [(1, 0)], "premise: R1 aliases");
+        let run = |c: CompiledProgram| {
+            let mut rt = Runtime::new(c);
+            rt.process_batch(&records);
+            rt.finish();
+            rt.collect()
+        };
+        let copied = run(multi.runtimes()[1].compiled().clone());
+        let fresh = run(compiled(fig2::PER_FLOW_LOSS_RATE.source));
+        assert!(!fresh.tables[0].rows.is_empty(), "R1 counts flows");
+        assert_eq!(copied, fresh);
+    }
+
     #[test]
     fn cross_epoch_duplicates_stay_private_and_exact() {
         let mut net = Network::new(NetworkConfig::default());
@@ -2126,7 +2156,7 @@ mod tests {
                 if rt.compiled().stores[idx].is_none() {
                     continue;
                 }
-                let mut store = rt.clone_store(idx);
+                let mut store = rt.take_store(idx);
                 let doomed: Vec<InlineKey> = store
                     .backing()
                     .iter()
@@ -2192,25 +2222,28 @@ mod tests {
         }
         // Drained, the scrambled arenas are in reach: every table must equal
         // the reference — gather its arena, sort by key words — row for row.
-        let assert_reference = |set: &ResultSet, rt: &Runtime, what: &str| {
-            assert_sorted(set, rt.compiled(), what);
-            for (idx, q) in rt.compiled().program.queries.iter().enumerate() {
+        let assert_reference = |set: &ResultSet, rt: &mut Runtime, what: &str| {
+            let program = rt.compiled().clone();
+            assert_sorted(set, &program, what);
+            for (idx, q) in program.program.queries.iter().enumerate() {
                 let ResolvedKind::GroupBy(g) = &q.kind else {
                     continue;
                 };
-                let store = rt.clone_store(idx);
+                let store = rt.take_store(idx);
                 let arena = crate::runtime::backing_rows(store.backing());
                 let want = crate::runtime::reference_group_rows(g, &q.schema, arena);
                 assert_eq!(set.tables[idx].rows, want, "{what}: table {}", q.name);
             }
         };
         multi.finish();
-        for (set, rt) in multi.collect().iter().zip(multi.runtimes()) {
+        let sets = multi.collect();
+        for (set, rt) in sets.iter().zip(&mut multi.place.runtimes) {
             assert_reference(set, rt, "MultiRuntime::collect");
         }
         for rt in &mut singles {
             rt.finish();
-            assert_reference(&rt.collect(), rt, "Runtime::collect");
+            let set = rt.collect();
+            assert_reference(&set, rt, "Runtime::collect");
         }
     }
 
@@ -2368,7 +2401,7 @@ mod tests {
             let geometries =
                 plane.quiesced(|_, groups| groups.iter().flatten().map(stores).collect());
             (
-                pairs(plane.sharing()),
+                pairs(&plane.sharing()),
                 geometries,
                 polls_and_drain(plane, records, &drain),
             )
@@ -2423,14 +2456,14 @@ mod tests {
                 want_reads.push(sequential.iter().map(Runtime::collect).collect());
 
                 let shared = MultiRuntime::new(programs.clone());
-                prop_assert_eq!(pairs(shared.sharing()), want.clone(), "inline, policy {}", policy);
+                prop_assert_eq!(pairs(&shared.sharing()), want.clone(), "inline, policy {}", policy);
                 let got = polls_and_drain(shared, &records, inline_drain);
                 prop_assert!(got == want_reads, "inline reads differ, policy {}", policy);
                 let unshared = polls_and_drain(MultiRuntime::new_unshared(programs.clone()), &records, inline_drain);
                 prop_assert!(unshared == want_reads, "unshared inline reads differ, policy {}", policy);
 
                 let shared = MultiSharded::new(programs.clone(), 2);
-                prop_assert_eq!(pairs(shared.sharing()), want.clone(), "2 shards, policy {}", policy);
+                prop_assert_eq!(pairs(&shared.sharing()), want.clone(), "2 shards, policy {}", policy);
                 let got = polls_and_drain(shared, &records, sharded_drain);
                 prop_assert!(got == want_reads, "sharded reads differ, policy {}", policy);
                 let unshared = polls_and_drain(MultiSharded::new_unshared(programs.clone(), 2), &records, sharded_drain);

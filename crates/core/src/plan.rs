@@ -209,9 +209,10 @@ impl ExecPlan {
         ExecPlan { nodes, base_cols }
     }
 
-    /// Recompute the pruned base-column mask after node deactivation (the
-    /// multi-query store-dedup pass turns duplicated aggregations off; their
-    /// columns must stop charging this program's materialization mask).
+    /// Recompute the pruned base-column mask after a node leaves or rejoins
+    /// the streaming pass (`Runtime::set_streaming`: a deduplicated
+    /// aggregation's columns must stop charging this program's
+    /// materialization mask, and a promoted one's charge it again).
     pub fn recompute_base_cols(&mut self, program: &ResolvedProgram) {
         self.base_cols = base_cols_of(&self.nodes, program);
     }

@@ -203,20 +203,7 @@ impl Runtime {
                 }),
             );
         }
-        let mut plan = ExecPlan::build(&compiled.program);
-        // Queries whose store is provided externally (multi-query store
-        // dedup) leave the streaming pass entirely; see
-        // `CompiledProgram::deduped_queries`.
-        if !compiled.deduped_queries.is_empty() {
-            for &idx in &compiled.deduped_queries {
-                assert!(
-                    !plan.nodes[idx].emits,
-                    "only non-emitting aggregations may be deduplicated"
-                );
-                plan.nodes[idx].active = false;
-            }
-            plan.recompute_base_cols(&compiled.program);
-        }
+        let plan = ExecPlan::build(&compiled.program);
         let lane_arity = plan
             .nodes
             .iter()
@@ -304,15 +291,18 @@ impl Runtime {
         runtimes[ap].stores[aq] = Some(store);
     }
 
-    /// Dynamic lifecycle: bring a deduplicated aggregation (one
-    /// [`Runtime::new`] left out of the streaming pass,
-    /// `CompiledProgram::deduped_queries`) back into it. Used when an alias
-    /// is promoted to owner (its owner was uninstalled). The node's filter
-    /// bytecode was compiled at plan-build time, before any deactivation, so
-    /// reactivation restores exactly the original node.
-    pub(crate) fn reactivate_query(&mut self, idx: usize) {
-        self.compiled.deduped_queries.retain(|q| *q != idx);
-        self.plan.nodes[idx].active = true;
+    /// Dynamic lifecycle: take aggregation `idx` out of the streaming pass
+    /// (`on = false`: a deduplicated alias, whose owner's store is read in
+    /// its place) or bring it back (`on = true`: the alias is promoted to
+    /// owner because its owner was uninstalled). The node's filter bytecode
+    /// was compiled at plan-build time, so switching it back on restores
+    /// exactly the original node.
+    pub(crate) fn set_streaming(&mut self, idx: usize, on: bool) {
+        assert!(
+            !self.plan.nodes[idx].emits,
+            "only non-emitting aggregations may be deduplicated"
+        );
+        self.plan.nodes[idx].active = on;
         self.plan.recompute_base_cols(&self.compiled.program);
     }
 
@@ -329,13 +319,13 @@ impl Runtime {
         }
     }
 
-    /// Dynamic lifecycle: snapshot query `idx`'s live store (cache-resident
-    /// state, backing table and statistics).
-    pub(crate) fn clone_store(&self, idx: usize) -> SplitStore<InlineKey, FoldOps> {
+    /// Dynamic lifecycle: move query `idx`'s live store (cache-resident
+    /// state, backing table and statistics) out of this runtime, which must
+    /// not run again until [`Runtime::set_store`] refills the slot.
+    pub(crate) fn take_store(&mut self, idx: usize) -> SplitStore<InlineKey, FoldOps> {
         self.stores[idx]
-            .as_ref()
-            .expect("lifecycle only snapshots aggregation stores")
-            .clone()
+            .take()
+            .expect("lifecycle only moves aggregation stores")
     }
 
     /// Dynamic lifecycle: replace query `idx`'s store wholesale — the
@@ -343,7 +333,7 @@ impl Runtime {
     /// live state moves into the (previously dormant) alias slot.
     pub(crate) fn set_store(&mut self, idx: usize, store: SplitStore<InlineKey, FoldOps>) {
         assert!(
-            self.stores[idx].is_some(),
+            self.compiled.stores[idx].is_some(),
             "lifecycle only replaces aggregation stores"
         );
         self.stores[idx] = Some(store);
@@ -808,6 +798,8 @@ impl Runtime {
                 )?;
             }
         }
+        // Persist writes a capture file before the manifest names its index,
+        // so a missing or undecodable one is corruption, not an empty capture.
         if let Some(at) = manifest {
             for (idx, cap) in self.captures.iter_mut().enumerate() {
                 let Some(cap) = cap else { continue };
@@ -816,12 +808,13 @@ impl Runtime {
                     let mut be = d.backend().lock().expect("backend mutex");
                     be.read(&name)?
                 };
-                if let Some((rows, total)) =
-                    bytes.as_deref().and_then(crate::durable::decode_capture)
-                {
-                    cap.rows = rows;
-                    cap.total = total;
-                }
+                let corrupt = || {
+                    let msg = format!("capture {name} is missing or corrupt");
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+                };
+                (cap.rows, cap.total) = (bytes.as_deref())
+                    .and_then(crate::durable::decode_capture)
+                    .ok_or_else(corrupt)?;
             }
         }
         Ok(())

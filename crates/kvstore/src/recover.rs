@@ -38,9 +38,12 @@ pub fn write_manifest(backend: &SharedBackend, name: &str, record_index: u64) ->
     be.sync(name)
 }
 
-/// Read a manifest. `Ok(None)` when the file is absent or fails
-/// validation — i.e. no checkpoint was ever durably committed, and
-/// recovery must resume from record 0.
+/// Read a manifest. `Ok(None)` when the file is absent — no checkpoint was
+/// ever durably committed, and recovery must resume from record 0. A file
+/// that is present but fails its magic, CRC or length check is an
+/// `InvalidData` error: atomic replace never tears a manifest, so a bad one
+/// is corruption, and resuming from 0 would re-count every record the
+/// compacted segments already hold.
 pub fn read_manifest(backend: &SharedBackend, name: &str) -> io::Result<Option<u64>> {
     let mut be = backend.lock().expect("backend mutex");
     let Some(bytes) = be.read(name)? else {
@@ -48,15 +51,11 @@ pub fn read_manifest(backend: &SharedBackend, name: &str) -> io::Result<Option<u
     };
     drop(be);
     let mut r = ByteReader::new(&bytes);
-    if r.u32() != Some(MANIFEST_MAGIC) {
-        return Ok(None);
-    }
-    let Some(crc) = r.u32() else { return Ok(None) };
-    let Some(payload) = bytes.get(8..) else {
-        return Ok(None);
-    };
-    if payload.len() != 8 || crc32(payload) != crc {
-        return Ok(None);
+    let (magic, crc) = (r.u32(), r.u32());
+    let payload = bytes.get(8..).unwrap_or_default();
+    if magic != Some(MANIFEST_MAGIC) || payload.len() != 8 || crc != Some(crc32(payload)) {
+        let msg = format!("manifest {name} is corrupt");
+        return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
     }
     Ok(ByteReader::new(payload).u64())
 }

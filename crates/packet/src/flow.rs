@@ -37,18 +37,6 @@ impl FiveTuple {
             | (u128::from(self.dst_port) << 8)
             | u128::from(self.proto)
     }
-
-    /// Inverse of [`FiveTuple::to_bits`].
-    #[must_use]
-    pub fn from_bits(bits: u128) -> Self {
-        FiveTuple {
-            src_ip: Ipv4Addr::from(((bits >> 72) & 0xffff_ffff) as u32),
-            dst_ip: Ipv4Addr::from(((bits >> 40) & 0xffff_ffff) as u32),
-            src_port: ((bits >> 24) & 0xffff) as u16,
-            dst_port: ((bits >> 8) & 0xffff) as u16,
-            proto: (bits & 0xff) as u8,
-        }
-    }
 }
 
 impl fmt::Display for FiveTuple {
@@ -78,7 +66,8 @@ mod tests {
     #[test]
     fn bits_round_trip() {
         let t = ft();
-        assert_eq!(FiveTuple::from_bits(t.to_bits()), t);
+        // srcip | dstip | srcport | dstport | proto, high to low.
+        assert_eq!(t.to_bits(), 0x00c0_a801_0a0a_141e_28d4_3101_bb06);
         // The packing uses exactly 104 bits.
         assert!(t.to_bits() < (1u128 << FIVE_TUPLE_BITS));
     }

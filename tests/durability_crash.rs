@@ -622,6 +622,67 @@ fn corrupt_retired_file_is_an_error() {
     }
 }
 
+/// Checkpoint a single-stream runtime once at `PERSIST_AT[0]` and stop it
+/// there, leaving the durable files as a crash would.
+fn checkpoint_once(src: &str, recs: &[QueueRecord], backend: &SharedBackend) {
+    let mut rt = Runtime::new(compiled(src));
+    rt.enable_durability(durable_small(backend)).expect("enable");
+    rt.process_batch(&recs[..PERSIST_AT[0]]);
+    rt.persist().expect("checkpoint");
+}
+
+/// A manifest that is present but fails its check is corruption, not
+/// "never checkpointed": resuming from record 0 would count again every
+/// record the first checkpoint compacted into the segments. Every single
+/// bit flipped in the manifest must make recovery fail with `InvalidData`;
+/// the healthy manifest still resumes at the checkpoint.
+#[test]
+fn corrupt_manifest_is_an_error() {
+    let recs = records(TOTAL);
+    let src = fig2::PER_FLOW_COUNTERS.source;
+    let (handle, backend) = fault_pair();
+    checkpoint_once(src, &recs, &backend);
+    let name = durable_small(&backend).manifest_name();
+    let len = handle.lock().unwrap().mem().bytes(&name).expect("manifest").len();
+    for bit in 0..len * 8 {
+        handle.lock().unwrap().mem().flip_bit(&name, bit);
+        let err = Runtime::recover(compiled(src), durable_small(&backend))
+            .expect_err("a corrupt manifest must not recover");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "bit {bit}");
+        handle.lock().unwrap().mem().flip_bit(&name, bit);
+    }
+    let (_, resume) = Runtime::recover(compiled(src), durable_small(&backend)).expect("healthy");
+    assert_eq!(resume, PERSIST_AT[0] as u64);
+}
+
+/// Persist writes a base selection's capture file before the manifest
+/// names its index, so a manifested capture that is missing or truncated
+/// is corruption: recovery must fail with `InvalidData`, not resume with
+/// an empty capture.
+#[test]
+fn missing_or_truncated_capture_is_an_error() {
+    let recs = records(TOTAL);
+    let src = "SELECT srcip, dstip, tin FROM T WHERE proto == TCP";
+    let (handle, backend) = fault_pair();
+    checkpoint_once(src, &recs, &backend);
+    let name = format!("cap0_{}", PERSIST_AT[0]);
+    let bytes = handle.lock().unwrap().mem().bytes(&name).expect("capture").to_vec();
+    for len in (0..bytes.len()).rev() {
+        handle.lock().unwrap().mem().truncate(&name, len as u64).unwrap();
+        let err = Runtime::recover(compiled(src), durable_small(&backend))
+            .expect_err("a truncated capture must not recover");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{len} bytes");
+    }
+    handle.lock().unwrap().mem().remove(&name).unwrap();
+    let err = Runtime::recover(compiled(src), durable_small(&backend))
+        .expect_err("a missing capture must not recover");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    handle.lock().unwrap().mem().write_atomic(&name, &bytes).unwrap();
+    let (rt, resume) = Runtime::recover(compiled(src), durable_small(&backend)).expect("healthy");
+    assert_eq!(resume, PERSIST_AT[0] as u64);
+    assert!(!rt.poll_results().tables[0].rows.is_empty(), "the capture reads back");
+}
+
 /// Torn tail: stop a deployment between checkpoints (live WAL frames past
 /// the manifested one), then chop every possible suffix off every WAL —
 /// from one byte to several whole frames. The scanner must stop at the

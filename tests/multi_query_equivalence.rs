@@ -242,7 +242,7 @@ fn sharing_is_byte_identical_on_the_full_overlapping_set() {
     let want = sequential(&programs, &recs);
 
     let mut shared = MultiRuntime::new(programs.clone());
-    let report = shared.sharing().clone();
+    let report = shared.sharing();
     assert!(
         !report.stores.is_empty(),
         "loss-rate R1 must dedup against the counter"
