@@ -237,7 +237,8 @@ fn main() {
             multi.process_batch(&records[..n / 2]);
             let id = multi.install(counters.clone()).expect("install replans");
             multi.process_batch(&records[n / 2..3 * n / 4]);
-            black_box(multi.uninstall(id).expect("id is live"));
+            let departed = multi.uninstall(id).expect("no durable tier to publish to");
+            black_box(departed.expect("id is live"));
             multi.process_batch(&records[3 * n / 4..]);
         } else {
             multi.process_batch(&records);

@@ -11,9 +11,7 @@
 //! ```text
 //!   <prefix>q<i>_wal / _seg               one store of a plain Runtime
 //!   <prefix>p<id>_q<j>_wal / _seg         program <install id> of a MultiRuntime
-//!   <prefix>p<id>_s<i>_q<j>_wal / _seg    shard i of program <install id> of a
-//!                                         MultiSharded; a ShardedRuntime is
-//!                                         program 0 (p0_s<i>_q<j>_)
+//!   <prefix>p0_s<i>_q<j>_wal / _seg       shard i of a ShardedRuntime's one program
 //!   <prefix>MANIFEST                      the deployment's committed checkpoint
 //!   <prefix>retired_<id>                  an uninstalled program's final results
 //! ```
@@ -27,11 +25,11 @@
 //! the manifest and returns the resume index; the caller re-ingests the
 //! stream from that record on, and the deployment's reads are
 //! byte-identical to a never-crashed deployment that persisted at the same
-//! indices (`tests/durability_crash.rs`). Exactly two callers name the
+//! indices (`tests/durability_crash.rs`). Exactly three callers name the
 //! workers and keep the record index: [`crate::Runtime`] (its one worker,
-//! `""`) and the multi-worker planes' lifecycle core in [`crate::multi`]
-//! (`p<id>_` / `p<id>_s<i>_`), which every sharded and multi-program
-//! front end delegates to.
+//! `""`), [`crate::ShardedRuntime`] (`p0_s<i>_` per shard) and the
+//! multi-program plane's lifecycle core in [`crate::multi`] (`p<id>_` per
+//! installed program).
 
 use crate::result::{ResultRow, ResultSet, ResultTable};
 use crate::runtime::Runtime;

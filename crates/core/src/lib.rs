@@ -232,43 +232,36 @@
 //! overflows its capture limit the retained sample is shard-biased, though
 //! totals and row counts stay exact (see [`sharded`] for the full caveat).
 //!
-//! [`ShardedRuntime`] is not a plane of its own: it is a [`Deployment`] in
-//! the [`Sharded`] placement ([`MultiSharded`], see below) at K = 1 — one
-//! program, no sharing pass — over the crate-private transport in
-//! [`sharded`] (router, SPSC feeds, worker threads, pause/resume,
-//! merge-on-drain). Its poll, persist and recover are the deployment's,
-//! written once for both placements.
+//! [`ShardedRuntime`] runs **one** program and owns its workers: the
+//! router, the SPSC feeds and staging buffers, the worker threads, its
+//! record count and its durable tier. A poll or a durable call pauses the
+//! plane between batches (staged records flush, the workers hand back
+//! their un-finished runtimes), runs the one poll routine or the one
+//! checkpoint routine over the workers in shard order, and resumes them
+//! whatever the call returned. Programs that share a deployment, a budget
+//! or stores run on the multi-query plane below, on the caller's thread.
 //!
 //! # Multi-query execution
 //!
 //! The paper's §3.3 prices **one** fixed slice of switch SRAM that every
 //! concurrently-installed query shares — so concurrent queries are the
 //! normal case, not K independent deployments. The multi-program plane is
-//! **one** type, [`Deployment`], with one lifecycle (see *Dynamic
-//! lifecycle* below) and two placements, which differ only in where a
-//! program's worker runtimes live and how a batch reaches them:
-//!
-//! * [`Inline`] ([`MultiRuntime`]) — one worker per program, on the
-//!   caller's thread. Each record's base row materializes **once**, with
-//!   the union of the programs' pruned column masks, and is dispatched to
-//!   every program's flat plan — K concurrent Fig. 2 queries cost one trip
-//!   through the network event loop instead of K full replays (the
-//!   `multi_query` guards of the `perfq-bench` `ratios` bin hold the
-//!   speedup).
-//! * [`Sharded`] ([`MultiSharded`]) — N workers per program behind SPSC
-//!   queues (one worker group each); every batch is routed once per
-//!   program. [`ShardedRuntime`] is its K = 1 case.
+//! **one** type, [`Deployment`] (public name [`MultiRuntime`]), with one
+//! lifecycle (see *Dynamic lifecycle* below): one runtime per program, on
+//! the caller's thread. Each record's base row materializes **once**, with
+//! the union of the programs' pruned column masks, and is dispatched to
+//! every program's flat plan — K concurrent Fig. 2 queries cost one trip
+//! through the network event loop instead of K full replays (the
+//! `multi_query` guards of the `perfq-bench` `ratios` bin hold the
+//! speedup).
 //!
 //! On the provisioning side, [`MultiRuntime::provisioned`] runs
 //! `perfq_kvstore::CachePlanner` over the programs' reported key/state
-//! widths and rewrites every store's geometry to its slice of the budget;
-//! a worker runs its stores at the whole slice inline and at `1/N` of it
-//! sharded, so total area stays constant as the
-//! dataplane scales out. Execution is byte-identical to K independent
-//! sequential replays with the same geometries
-//! (`tests/multi_query_equivalence.rs` pins single-stream, batched and
-//! 1/2/4/8-shard paths; `tests/area_plan.rs` fuzzes the planner's
-//! never-over-budget invariant).
+//! widths and rewrites every store's geometry to its slice of the budget.
+//! Execution is byte-identical to K independent sequential replays with
+//! the same geometries (`tests/multi_query_equivalence.rs` pins the
+//! single-record and batched paths; `tests/area_plan.rs` fuzzes the
+//! planner's never-over-budget invariant).
 //!
 //! # Cross-query sharing
 //!
@@ -305,11 +298,10 @@
 //! The incremental read path fixes that without stopping the world:
 //! [`Runtime::poll_results`] returns, between batches, exactly what
 //! `finish()` + `collect()` would return on a clone of the live runtime,
-//! while caches stay resident and ingest continues ([`Deployment::poll`] on
-//! either placement and [`ShardedRuntime::poll_results`] are the
-//! multi-program and sharded faces; a poll quiesces the whole deployment —
-//! sharded, it pauses every dataplane between batches — and releases it
-//! with caches intact). Under the hood each store lands in a
+//! while caches stay resident and ingest continues ([`Deployment::poll`]
+//! and [`ShardedRuntime::poll_results`] are the multi-program and sharded
+//! faces; a sharded poll pauses the workers between batches and resumes
+//! them with caches intact). Under the hood each store lands in a
 //! `perfq_kvstore::StoreSnapshot` frame — its backing table plus the
 //! cache-resident pairs absorbed through the normal eviction algebra,
 //! O(distinct keys) per poll — so the polled frame is *the* store state,
@@ -345,59 +337,48 @@
 //! id, returning its final results. There is **one** implementation of
 //! both (and of poll source resolution): a private lifecycle core in
 //! [`multi`] that owns the bookkeeping — installed programs, ids, install
-//! epochs, budget, settled dedup pairs — and works on every program's
-//! *quiesced worker runtimes in shard order*. [`Deployment::install`] /
-//! [`Deployment::uninstall`] are written once: the placement quiesces the
-//! whole deployment and releases it afterwards — [`Inline`] lends
-//! one-element groups, [`Sharded`] pauses every worker group (queues drain
-//! first) and resumes it. The plane's shape changes exactly four things —
-//! the **worker count** of a group, whether reaching it needs a
-//! **quiesce**, the **geometry divisor** (a worker's share of its
-//! program's slice: all of it, or `1/N`), and the **candidate gate** (the
-//! sharded plane dedups only across programs that partition exactly and
-//! route identically) — and nothing else.
+//! epochs, budget, settled dedup pairs — and works on the deployment's
+//! runtimes, one per program.
 //!
 //! An install is a dry run, then a commit — and the only way in: the
 //! constructors install their whole program list into an empty deployment
 //! the same way. The dry run nominates each arrival's dedup candidates,
 //! runs the `perfq_kvstore::CachePlanner` **once** over the grown
-//! deployment, resolves every worker geometry and
-//! (under durability) attaches the arrivals' spill tiers; any failure
-//! returns a typed [`InstallError`] with the deployment untouched. The
-//! commit **live-migrates** every resident store to its new slice between
-//! batches (`SplitStore::migrate_geometry`: rehash cache-resident pairs,
-//! timestamps intact, overflow absorbed through the normal merge path) —
-//! residents shrink to admit a newcomer and regrow when one leaves, with
-//! the backing store (the truth, §3.2) untouched throughout. The sharing
-//! analysis re-runs incrementally: a program installed at the same
-//! *epoch* (deployment record count) as a resident with an identical
-//! base-rooted store adopts it — equal epochs prove the shared store
-//! holds exactly the state the newcomer's private store would — while
-//! cross-epoch twins stay private; an uninstall reads the departing
+//! deployment and (under durability) attaches the arrivals' spill tiers;
+//! any failure returns a typed [`InstallError`] with the deployment
+//! untouched. The commit **live-migrates** every resident store to its new
+//! slice between batches (`SplitStore::migrate_geometry`: rehash
+//! cache-resident pairs, timestamps intact, overflow absorbed through the
+//! normal merge path) — residents shrink to admit a newcomer and regrow
+//! when one leaves, with the backing store (the truth, §3.2) untouched
+//! throughout. The sharing analysis re-runs incrementally: a program
+//! installed at the same *epoch* (deployment record count) as a resident
+//! with an identical base-rooted store adopts it — equal epochs prove the
+//! shared store holds exactly the state the newcomer's private store would
+//! — while cross-epoch twins stay private. An uninstall reads the departing
 //! program by **poll** — `finish()` + `collect()` on a clone is the poll
 //! contract, alias redirection and the spill tier included, so there is no
-//! second drain to keep in step with it — and then drops its workers;
-//! uninstalling a store's owner promotes the first surviving alias to owner
-//! (the physical store's state moves with it, worker by worker). A shared
-//! pair is one planner dedup group, so no replan pulls it apart and there
-//! is no repair path. The contract, pinned by
-//! `tests/query_lifecycle.rs`
-//! differentially against restart-from-scratch deployments at every
-//! install event on all four plane shapes (and by
+//! second drain to keep in step with it — publishes it under durability
+//! (a failed publish is the call's I/O error, with nothing moved), and
+//! then drops the program's runtime; uninstalling a store's owner promotes
+//! the first surviving alias to owner (the physical store's state moves
+//! with it). A shared pair is one planner dedup group, so no replan pulls
+//! it apart and there is no repair path. The contract, pinned by
+//! `tests/query_lifecycle.rs` differentially against restart-from-scratch
+//! deployments at every install event, with and without a budget (and by
 //! `tests/store_migration.rs` property-testing the migration itself): any
 //! interleaving of installs and uninstalls is byte-identical to a fresh
 //! deployment observing the suffix each installed query actually saw, and
 //! a rejected install leaves no trace.
 //!
 //! The durable tier has the same shape: one checkpoint routine
-//! ([`durable`]) serves [`Runtime::persist`] and the lifecycle core, which
-//! implements enable / persist / recover and the retired-result publish
-//! and read once for every multi-worker plane — [`Deployment`] in both
-//! placements and, as its sharded K = 1 case, [`ShardedRuntime`]. The core
-//! names each worker's files (`p<id>_`, or `p<id>_s<i>_` per shard) and
-//! keeps the manifest; the placement quiesces the workers for the call
-//! and releases them whatever it returns. Recovery covers deployments
-//! without mid-stream installs or uninstalls.
+//! ([`durable`]) serves [`Runtime::persist`], [`ShardedRuntime::persist`]
+//! and the lifecycle core, which implements enable / persist / recover and
+//! the retired-result publish and read once for the multi-program plane.
+//! The multi-program plane names each program's files `p<id>_`, the
+//! sharded plane each shard's `p0_s<i>_`; each keeps one manifest, and the
+//! sharded plane resumes its workers whatever the call returns. Recovery
+//! covers deployments without mid-stream installs or uninstalls.
 //!
 //! # Example
 //!
@@ -438,10 +419,7 @@ pub mod sharded;
 pub use compiler::{compile_program, CompileOptions, CompiledProgram, StorePlan};
 pub use durable::{decode_results, encode_results, read_retired, write_retired, Durability};
 pub use foldops::{FoldOps, FoldState};
-pub use multi::{
-    Deployment, Inline, InstallError, MultiRuntime, MultiSharded, Sharded, SharedStore,
-    SharingReport,
-};
+pub use multi::{Deployment, InstallError, MultiRuntime, SharedStore, SharingReport};
 pub use oracle::{Oracle, Prediction};
 pub use result::{diff_tables, ResultRow, ResultSet, ResultTable};
 pub use runtime::{LifecycleError, Runtime};

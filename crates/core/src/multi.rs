@@ -6,31 +6,25 @@
 //! independently-sized cache quietly multiplies that budget by the number of
 //! queries; this module closes the gap from both ends:
 //!
-//! * **Provisioning** ([`MultiRuntime::provisioned`] /
-//!   [`MultiSharded::provisioned`]): the kvstore's
+//! * **Provisioning** ([`MultiRuntime::provisioned`]): the kvstore's
 //!   [`CachePlanner`] divides a budget in bits across the installed
 //!   programs — using the key/state widths each compiled program reports
 //!   (`StorePlan::pair_bits`, ultimately `ResolvedProgram::store_widths` in
 //!   the language front end) — and the resulting [`AreaPlan`] is written
-//!   back into every store's [`CacheGeometry`]. The §4 arithmetic becomes
+//!   back into every store's
+//!   [`CacheGeometry`](perfq_kvstore::CacheGeometry). The §4 arithmetic becomes
 //!   the geometry the dataplane actually runs.
 //! * **Shared ingest** ([`Deployment::process_batch`]): K installed
-//!   programs are driven from **one** replay pass. Inline, each record's
-//!   base row materializes once, with the *union* of the programs' pruned
-//!   column masks, and the row is dispatched to every program's flat plan —
-//!   so K concurrent Fig. 2 queries cost one trip through the network event
-//!   loop and one row materialization instead of K full replays.
+//!   programs are driven from **one** replay pass on the caller's thread.
+//!   Each record's base row materializes once, with the *union* of the
+//!   programs' pruned column masks, and the row is dispatched to every
+//!   program's flat plan — so K concurrent Fig. 2 queries cost one trip
+//!   through the network event loop and one row materialization instead of
+//!   K full replays.
 //! * **Cross-query store sharing** (see below): identical base-rooted
 //!   stores across the installed programs are charged to the budget and
 //!   updated **once**. Everything else — filters, key builds, folds — each
 //!   program's plan sweeps on its own.
-//! * **One type, two placements** (see below): a [`Deployment`] keeps its
-//!   programs' workers [`Inline`] ([`MultiRuntime`]: one worker per
-//!   program, on the caller's thread) or [`Sharded`] ([`MultiSharded`]: N
-//!   workers per program behind queues;
-//!   [`ShardedRuntime`](crate::ShardedRuntime) is its K = 1 case), and
-//!   implements install, uninstall, poll, the durable tier (enable,
-//!   persist, recover, retired results) and ingest exactly once for both.
 //!
 //! ```text
 //!                                            ┌─▶ ExecPlan(program 0) ─▶ stores₀ (slice₀)
@@ -40,30 +34,27 @@
 //!                                                  skipped, one physical store serves all readers)
 //! ```
 //!
-//! # One type, two placements
+//! # One lifecycle
 //!
-//! Nothing in the paper's contract — queries "are installed at run time"
-//! against one fixed SRAM slice (§3.3), one merge algebra serves every
-//! placement of the fold state (§3.2) — distinguishes "K programs on the
-//! caller's thread" from "K programs × N worker shards". The module
-//! therefore has one public type, [`Deployment`], over one `Roster`: the
-//! installed programs at their whole-slice geometries, their stable ids
-//! and install epochs, the budget, and the settled dedup pairs (the one
-//! record of what is shared). The roster owns no runtime; a poll, a
-//! lifecycle event or a durable call works on the **whole deployment's
-//! quiesced worker runtimes**, program by program in shard order, which
-//! the placement hands over for the duration (`quiesce`) and takes back
-//! afterwards (`release`):
+//! The paper's queries "are installed at run time" against one fixed SRAM
+//! slice (§3.3). The module therefore has one public type, [`Deployment`]
+//! (public name [`MultiRuntime`]): one [`Runtime`] per installed program,
+//! the chunk buffers of the shared ingest pass, and one `Roster` — the
+//! installed programs at their planned geometries, their stable ids and
+//! install epochs, the budget, the settled dedup pairs (the one record of
+//! what is shared) and the durable tier. The roster owns no runtime: a
+//! poll, a lifecycle event or a durable call hands it the deployment's
+//! runtimes, program by program (nothing runs between two calls on the
+//! caller's thread, so there is nothing to quiesce):
 //!
 //! ```text
 //!   new / provisioned (programs)             uninstall(id)
 //!   install(program)                         poll the departing program → results
-//!   ── dry run (nothing mutated) ──          promote departing owners' stores
-//!   per arrival: nominate owners ◀─ gate     drop the departing group
-//!   CachePlanner, once                       re-index bookkeeping
-//!   worker geometries            ◀─ divisor  replan ─▶ migrate
-//!   spawn arrivals, aliases stop streaming
-//!   ── commit ──
+//!   ── dry run (nothing mutated) ──          publish them (durable tier)
+//!   per arrival: nominate owners             promote departing owners' stores
+//!   CachePlanner, once                       drop the departing runtime
+//!   build arrivals, aliases stop streaming   re-index bookkeeping
+//!   ── commit ──                             replan ─▶ migrate
 //!   migrate ─▶ adopt the arrivals
 //! ```
 //!
@@ -71,21 +62,14 @@
 //! an empty deployment as one staged install, and
 //! [`Deployment::install`] is the one-program case — so a deployment built
 //! at once and one built by installs share the same stores, run the same
-//! geometries and read the same.
+//! geometries and read the same. Every [`PlanError`] and, under
+//! durability, a failed spill-tier attach surface from the dry run as an
+//! [`InstallError`] with the deployment untouched; a failed publish of an
+//! uninstall's results returns its I/O error with the deployment untouched.
 //!
-//! The plane's shape is one value (`shards: Option<usize>`) read at the two
-//! marked points and nowhere else in the core: the **gate** (the sharded
-//! plane dedups only across programs that partition exactly and route
-//! identically) and the **divisor** (a worker runs its stores at the whole
-//! slice, or at `1/N` of it). The rest of the difference lives in the
-//! placement and is not control flow of the lifecycle: how many workers a
-//! group has, how a batch reaches them, and how the deployment is
-//! quiesced — [`Inline`] lends every runtime (nothing runs between two
-//! calls), while [`Sharded`] pauses every group and resumes it afterwards.
-//! Every
-//! [`PlanError`] — including a `1/N` slice too small for one pair — and,
-//! under durability, a failed spill-tier attach surface from the dry run as
-//! an [`InstallError`] with the deployment untouched.
+//! The sharded plane ([`ShardedRuntime`](crate::ShardedRuntime)) runs one
+//! program on N workers and is not a deployment: it has no installs, no
+//! sharing and no budget.
 //!
 //! # Cross-query sharing
 //!
@@ -101,7 +85,7 @@
 //!    table**, their compiled filters (with parameters bound, so
 //!    `proto == TCP` is `proto == 6`) and key columns are equal, their
 //!    programs demand the same associativity, and their store plans match
-//!    — same [`CacheGeometry`], same eviction policy, same placement hash
+//!    — same cache geometry, same eviction policy, same placement hash
 //!    seed, same widths, the same dataplane fold. A composed store (a
 //!    `GROUPBY` over another query) is never shared: it streams its
 //!    upstream cache's *residency-local* values (§3.2), so two programs
@@ -113,56 +97,38 @@
 //!    dataplane is byte-identical to the private-store one for every fold
 //!    class, eviction for eviction, epoch for epoch.
 //! 2. **Rewrite** — each *alias* aggregation (a duplicate whose rows no
-//!    downstream query consumes) is removed from its workers' streaming
-//!    pass entirely (`Runtime::set_streaming`, once the workers are
-//!    built); at the drain ([`MultiRuntime::finish`] /
-//!    [`MultiSharded::finish`]) the owning program's finished store is
-//!    substituted back, so collection reads exactly what a private store
-//!    would have held. Every other node stays in its program's plan, which
-//!    sweeps each chunk with its own filters and keys.
+//!    downstream query consumes) is removed from its runtime's streaming
+//!    pass entirely (`Runtime::set_streaming`, once the runtime is built);
+//!    at the drain ([`MultiRuntime::finish`]) the owning program's
+//!    finished store is substituted back, so collection reads exactly what
+//!    a private store would have held. Every other node stays in its
+//!    program's plan, which sweeps each chunk with its own filters and
+//!    keys.
 //!
 //! The paper's own query set overlaps this way: the loss-rate program's
 //! `R1 = SELECT COUNT GROUPBY 5tuple` *is* the §4 running-example counter
 //! query. The deployment's settled pairs are the one record of what is
 //! shared: the compiled programs carry no mark (an alias leaves its
-//! workers' streaming pass after they are built, and rejoins it when
+//! runtime's streaming pass after it is built, and rejoins it when
 //! promoted), and [`SharingReport`] (from [`Deployment::sharing`]) is
 //! derived from the pairs on each call. Under a budget every deduplicated
 //! store is also charged to the SRAM budget **once**, and the reclaimed
 //! bits grow every physical cache
 //! ([`StoreDemand::dedup`](perfq_kvstore::StoreDemand)).
 //!
-//! The [`Sharded`] placement runs the same discipline across cores: each
-//! program runs its own worker group (router, SPSC queues, N worker
-//! threads), and under a plan every shard's cache is sized at `1/N` of the
-//! program's slice
-//! ([`StoreAllocation::shard_geometry`](perfq_kvstore::StoreAllocation::shard_geometry))
-//! — total area stays constant as the dataplane scales out, which is what
-//! lets the Fig. 5 eviction behaviour carry over to the sharded
-//! configuration (`tests/area_sweep.rs`). Store dedup applies there too
-//! (worker plans skip alias aggregations; the drain substitutes the owning
-//! program's merged store) — gated on both programs' shard partitioning
-//! being statically exact ([`ShardSpec::is_exact`](crate::ShardSpec)) *and*
-//! routing identically ([`ShardSpec::routes_like`](crate::ShardSpec)), so
-//! every worker of the owner sees exactly the records the matching worker
-//! of the alias would have seen and the substituted store equals the one
-//! the alias would have drained itself, eviction for eviction.
-//!
 //! Sharing is a **pure optimization**: execution with sharing enabled is
-//! byte-identical to the unshared build of either placement — and to K
-//! independent sequential replays — on every single/batched/1–8-shard
-//! configuration (`tests/multi_query_equivalence.rs` pins all of them; the
-//! steady state of the batched path still allocates nothing,
-//! `tests/alloc_discipline.rs`).
+//! byte-identical to the unshared build — and to K independent sequential
+//! replays — on the single-record and batched paths
+//! (`tests/multi_query_equivalence.rs` pins both; the steady state of the
+//! batched path still allocates nothing, `tests/alloc_discipline.rs`).
 
 use crate::compiler::{CompiledProgram, StorePlan};
 use crate::durable::{read_retired, write_retired, Durability};
 use crate::plan::{ExecPlan, NodeKind, RowSource};
 use crate::result::ResultSet;
 use crate::runtime::{Lanes, LifecycleError, Runtime};
-use crate::sharded::{ShardGroup, ShardSpec};
 use perfq_kvstore::{
-    AreaPlan, CacheGeometry, CachePlanner, PlanError, QueryAllocation, QueryDemand, StoreDemand,
+    AreaPlan, CachePlanner, PlanError, QueryAllocation, QueryDemand, StoreDemand,
 };
 use perfq_switch::{Network, QueueRecord};
 
@@ -219,39 +185,17 @@ fn lifecycle_demands(
     (idxs, demands)
 }
 
-/// Back-fill the owning query's name into a bare
-/// [`PlanError::SliceTooSmall`] (a
-/// [`StoreAllocation::shard_geometry`](perfq_kvstore::StoreAllocation::shard_geometry)
-/// call does not know its owner).
-fn name_slice_error(mut e: PlanError, name: &str) -> PlanError {
-    if let PlanError::SliceTooSmall { query, .. } = &mut e {
-        *query = name.to_string();
-    }
-    e
-}
-
 /// Write an allocation's geometries into a compiled program's store plans.
 fn apply_allocation(compiled: &mut CompiledProgram, alloc: &QueryAllocation) {
-    debug_assert!(
-        (compiled.stores.iter().flatten().map(StorePlan::pair_bits))
-            .eq(alloc.stores.iter().map(|a| a.pair_bits)),
-        "allocation order matches"
-    );
-    set_geometries(compiled, alloc.stores.iter().map(|a| a.geometry));
-}
-
-/// Write one geometry per aggregation store, in query order.
-fn set_geometries(
-    compiled: &mut CompiledProgram,
-    geometries: impl IntoIterator<Item = CacheGeometry>,
-) {
-    let mut geometries = geometries.into_iter();
+    let mut stores = alloc.stores.iter();
     for s in compiled.stores.iter_mut().flatten() {
-        s.geometry = geometries.next().expect("a geometry per store");
+        let a = stores.next().expect("an allocation per store");
+        debug_assert_eq!(s.pair_bits(), a.pair_bits, "allocation order matches");
+        s.geometry = a.geometry;
     }
     assert!(
-        geometries.next().is_none(),
-        "geometries cover exactly the stores"
+        stores.next().is_none(),
+        "allocations cover exactly the stores"
     );
 }
 
@@ -386,25 +330,6 @@ fn lifecycle_alias_candidates(
     out
 }
 
-/// Restrict owner candidates to what the **sharded** dataplane can
-/// honour. Store dedup requires, on top of the single-stream rule:
-///
-/// * both programs' partitionings statically exact
-///   ([`ShardSpec::is_exact`]; every Fig. 2 program is) — otherwise even a
-///   private store's drain is only best-effort and substitution compounds
-///   the error;
-/// * both programs **routing identically** ([`ShardSpec::routes_like`]) —
-///   shard `r` of the owner must see exactly the records shard `r` of the
-///   alias would have seen, so the per-worker store states (and their
-///   eviction timing, which epoch/overwrite folds observe) coincide.
-///   Programs whose primary group keys differ keep their private stores.
-fn retain_shard_exact(aliases: &mut Vec<Pair>, programs: &[CompiledProgram]) {
-    let specs: Vec<ShardSpec> = programs.iter().map(ShardSpec::from_compiled).collect();
-    aliases.retain(|((ap, _), (op, _))| {
-        specs[*ap].is_exact() && specs[*op].is_exact() && specs[*ap].routes_like(&specs[*op])
-    });
-}
-
 /// One deduplicated store: the alias reads the owner's physical store.
 #[derive(Debug, Clone)]
 pub struct SharedStore {
@@ -452,7 +377,7 @@ pub enum InstallError {
     /// program installed now could never be collected.
     Finished,
     /// The replan rejected the grown deployment (the budget cannot hold one
-    /// more program, or a worker's `1/N` slice cannot hold a single pair).
+    /// more program).
     Plan(PlanError),
     /// Attaching the arrival's durable spill tier failed. The install id it
     /// would have taken is burnt, so a retry never re-opens half-written
@@ -486,63 +411,23 @@ impl std::error::Error for InstallError {
     }
 }
 
-/// Program `p`'s **quiesced** worker runtimes, in shard order — the only
-/// form in which the lifecycle core touches a runtime
-/// ([`Placement::quiesce`]). [`Inline`] lends each program's runtime as a
-/// one-element group; [`Sharded`] hands over what `ShardGroup::pause`
-/// returned.
-type Group = Vec<Runtime>;
-
-/// The plane shape's first consultation point — the candidate gate: the
-/// sharded plane keeps only alias pairs whose programs partition exactly
-/// and route identically ([`retain_shard_exact`]); the inline plane keeps
-/// every pair.
-fn gate(shards: Option<usize>, aliases: &mut Vec<Pair>, programs: &[CompiledProgram]) {
-    if shards.is_some() {
-        retain_shard_exact(aliases, programs);
-    }
-}
-
-/// The plane shape's second consultation point — the geometry divisor: the
-/// geometry each of a program's workers runs its stores at under `alloc`.
-/// The inline plane's one worker takes the whole slice; each of a sharded
-/// program's `N` workers takes `1/N` of it (constant total area).
-fn worker_geometries(
-    shards: Option<usize>,
-    alloc: &QueryAllocation,
-) -> Result<Vec<CacheGeometry>, PlanError> {
-    alloc
-        .stores
-        .iter()
-        .map(|s| match shards {
-            None => Ok(s.geometry),
-            Some(n) => s
-                .shard_geometry(n)
-                .map_err(|e| name_slice_error(e, &alloc.name)),
-        })
-        .collect()
-}
-
-/// One validated planner run over a program set, not yet applied.
-struct Replan {
-    /// The program set at its planned whole-slice geometries.
-    programs: Vec<CompiledProgram>,
-    /// Per store-bearing program: its index and each store's per-worker
-    /// geometry ([`worker_geometries`]).
-    migrations: Vec<(usize, Vec<CacheGeometry>)>,
-    /// The planner's output; `None` without a budget or without any store.
-    plan: Option<AreaPlan>,
-}
-
 /// A validated install ([`Roster::stage_install`]); nothing is mutated
 /// until [`Roster::commit_install`].
 struct StagedInstall {
-    /// The grown deployment's replan; `migrations` covers residents only.
-    replan: Replan,
+    /// The grown deployment's programs at their planned geometries.
+    programs: Vec<CompiledProgram>,
+    /// The planner's output; `None` without a budget or without any store.
+    plan: Option<AreaPlan>,
     /// Every dedup pair of the grown deployment, the arrivals' last.
     aliases: Vec<Pair>,
-    /// Each arrival's fresh worker runtimes, in install order.
-    arrivals: Vec<Group>,
+    /// Each arrival's fresh runtime, in install order.
+    arrivals: Vec<Runtime>,
+}
+
+/// The durable file-name component of install id `id`: `p<id>_`, stable
+/// across the index shifts of install/uninstall.
+fn component(id: u64) -> String {
+    format!("p{id}_")
 }
 
 /// The lifecycle core of a [`Deployment`]: which programs are installed
@@ -551,23 +436,17 @@ struct StagedInstall {
 /// replan → migrate, poll source resolution and the durable tier
 /// (enable, persist, recover, retired results) over that bookkeeping.
 ///
-/// The core owns no runtime and starts no thread: the deployment's
-/// [`Placement`] hands the runtimes over as [`Group`]s for a lifecycle
-/// event or a durable call and takes them back afterwards. What the
-/// plane's shape changes is exactly: how many workers a group has, whether
-/// reaching them needs a pause/resume (the placement's business), and —
-/// inside the core — the functions that read `shards`: [`gate`],
-/// [`worker_geometries`] and the worker count and file names of
-/// [`Roster::spawn`] / [`Roster::file_component`].
+/// The core owns no runtime: the deployment hands its runtimes over, one
+/// per program in program order, for a lifecycle event or a durable call.
 #[derive(Debug, Default)]
 struct Roster {
-    /// The installed programs at their **whole-slice** geometries, in
-    /// program order (worker runtimes carry the per-worker geometries).
-    /// Lifecycle analysis and replanning run at this level.
+    /// The installed programs at their planned geometries, in program
+    /// order. Lifecycle analysis and replanning run at this level.
     programs: Vec<CompiledProgram>,
     /// Settled store-dedup pairs — the one record of what is shared: the
-    /// alias queries are out of their workers' streaming pass, substitutions
-    /// apply on drain, and [`Deployment::sharing`] reports them.
+    /// alias queries are out of their runtimes' streaming pass,
+    /// substitutions apply on drain, and [`Deployment::sharing`] reports
+    /// them.
     aliases: Vec<Pair>,
     /// Stable install ids, parallel to `programs` — program indices shift
     /// on uninstall, ids never do.
@@ -585,9 +464,6 @@ struct Roster {
     records: u64,
     /// Whether installs search for store owners (cross-query sharing).
     share: bool,
-    /// The plane's shape: `None` for the inline plane (one worker per
-    /// program, on the caller), `Some(N)` for N worker shards per program.
-    shards: Option<usize>,
     /// Durable-tier configuration ([`Roster::enable_durability`]); the
     /// roster holds the single deployment manifest, and programs installed
     /// later join the tier on arrival.
@@ -606,65 +482,49 @@ impl Roster {
         self.ids.iter().position(|x| *x == id)
     }
 
-    /// Fresh worker runtimes for one program: one on the inline plane, one
-    /// per shard on the sharded one.
-    fn spawn(&self, worker: &CompiledProgram) -> Vec<Runtime> {
-        let n = self.shards.unwrap_or(1);
-        (0..n).map(|_| Runtime::new(worker.clone())).collect()
+    /// Every runtime with its durable file-name component, in program
+    /// order.
+    fn named<'r>(&self, runtimes: &'r mut [Runtime]) -> Vec<(String, &'r mut Runtime)> {
+        (self.ids.iter().zip(runtimes))
+            .map(|(id, rt)| (component(*id), rt))
+            .collect()
     }
 
-    /// The durable file-name component of install id `id`'s worker `shard`:
-    /// `p<id>_` on the inline plane, `p<id>_s<shard>_` on the sharded one —
-    /// stable across the index shifts of install/uninstall.
-    fn file_component(&self, id: u64, shard: usize) -> String {
-        match self.shards {
-            None => format!("p{id}_"),
-            Some(_) => format!("p{id}_s{shard}_"),
-        }
-    }
-
-    /// Every quiesced worker with its durable file-name component, program
-    /// by program, in shard order.
-    fn named<'g>(&self, groups: &'g mut [Group]) -> Vec<(String, &'g mut Runtime)> {
-        let mut named = Vec::new();
-        for (id, workers) in self.ids.iter().zip(groups) {
-            let component = |(shard, rt)| (self.file_component(*id, shard), rt);
-            named.extend(workers.iter_mut().enumerate().map(component));
-        }
-        named
-    }
-
-    /// Attach a durable spill tier to every store of every quiesced worker
-    /// (see [`crate::durable`]).
-    fn enable_durability(&mut self, d: Durability, groups: &mut [Group]) -> std::io::Result<()> {
-        for (sub, rt) in self.named(groups) {
+    /// Attach a durable spill tier to every store of every runtime (see
+    /// [`crate::durable`]).
+    fn enable_durability(
+        &mut self,
+        d: Durability,
+        runtimes: &mut [Runtime],
+    ) -> std::io::Result<()> {
+        for (sub, rt) in self.named(runtimes) {
             rt.enable_durability_prefixed(&d, &sub)?;
         }
         self.durability = Some(d);
         Ok(())
     }
 
-    /// Durably checkpoint every quiesced worker at the deployment's record
-    /// index and advance the single manifest ([`crate::durable::persist`]).
+    /// Durably checkpoint every runtime at the deployment's record index
+    /// and advance the single manifest ([`crate::durable::persist`]).
     ///
     /// # Panics
     ///
     /// Panics unless [`Roster::enable_durability`] succeeded.
-    fn persist(&mut self, groups: &mut [Group]) -> std::io::Result<()> {
-        let mut workers = self.named(groups);
+    fn persist(&mut self, runtimes: &mut [Runtime]) -> std::io::Result<()> {
+        let mut named = self.named(runtimes);
         let d = (self.durability.as_ref()).expect("persist requires enable_durability");
-        crate::durable::persist(d, self.records, &mut self.persisted_at, &mut workers)
+        crate::durable::persist(d, self.records, &mut self.persisted_at, &mut named)
     }
 
-    /// Repair the freshly rebuilt deployment's quiesced workers against the
-    /// manifest and return the resume index. The checkpointed record count
-    /// lands on each program's first worker — where [`Runtime::recover`]
-    /// keeps it — so a drain after re-ingest covers the whole stream.
-    fn recover(&mut self, d: Durability, groups: &mut [Group]) -> std::io::Result<u64> {
-        let resume = crate::durable::recover(&d, &mut self.named(groups))?;
+    /// Repair the freshly built deployment's runtimes against the manifest
+    /// and return the resume index. The checkpointed record count lands on
+    /// every runtime — where [`Runtime::recover`] keeps it — so a drain
+    /// after re-ingest covers the whole stream.
+    fn recover(&mut self, d: Durability, runtimes: &mut [Runtime]) -> std::io::Result<u64> {
+        let resume = crate::durable::recover(&d, &mut self.named(runtimes))?;
         let at = resume.unwrap_or(0);
-        for workers in groups.iter_mut() {
-            workers[0].resume_records(at);
+        for rt in runtimes {
+            rt.resume_records(at);
         }
         self.records = at;
         self.persisted_at = resume;
@@ -673,72 +533,62 @@ impl Roster {
     }
 
     /// Run the planner **once** over `programs` (named by `ids`, dedup
-    /// groups from `aliases`) under the deployment's budget: whole-slice
-    /// geometries written into `programs` and per-worker geometries
-    /// resolved — every [`PlanError`] surfaces here, before anything live
-    /// is touched. Every settled pair is one dedup group, so the plan gives
-    /// both sides one geometry. Without a budget (or without any store)
-    /// geometries never change and the replan is empty.
+    /// groups from `aliases`) under the deployment's budget and write the
+    /// planned geometries into `programs` — every [`PlanError`] surfaces
+    /// here, before anything live is touched. Every settled pair is one
+    /// dedup group, so the plan gives both sides one geometry. Without a
+    /// budget (or without any store) geometries never change and there is
+    /// no plan.
     ///
     /// This is the deployment's only planner call: construction is an
     /// install into an empty roster, so `provisioned`'s plan comes from
     /// here too.
     fn replan(
         &self,
-        programs: Vec<CompiledProgram>,
+        mut programs: Vec<CompiledProgram>,
         ids: &[u64],
         aliases: &[Pair],
-    ) -> Result<Replan, PlanError> {
-        let mut replan = Replan {
-            programs,
-            migrations: Vec::new(),
-            plan: None,
-        };
+    ) -> Result<(Vec<CompiledProgram>, Option<AreaPlan>), PlanError> {
         let Some(budget) = self.budget else {
-            return Ok(replan);
+            return Ok((programs, None));
         };
-        let (idxs, demands) = lifecycle_demands(&replan.programs, ids, aliases);
+        let (idxs, demands) = lifecycle_demands(&programs, ids, aliases);
         if demands.is_empty() {
-            return Ok(replan);
+            return Ok((programs, None));
         }
         let plan = CachePlanner::new(budget).plan(&demands)?;
         for (pi, alloc) in idxs.into_iter().zip(&plan.queries) {
-            apply_allocation(&mut replan.programs[pi], alloc);
-            replan
-                .migrations
-                .push((pi, worker_geometries(self.shards, alloc)?));
+            apply_allocation(&mut programs[pi], alloc);
         }
-        replan.plan = Some(plan);
-        Ok(replan)
+        Ok((programs, Some(plan)))
     }
 
-    /// Apply a validated replan to the quiesced groups: every store
-    /// live-migrates to its planned per-worker geometry — dormant alias
-    /// stores too, so their compiled geometries track the plan.
-    fn apply(&mut self, replan: Replan, groups: &mut [Group]) {
-        for (pi, geoms) in &replan.migrations {
-            for w in &mut groups[*pi] {
-                let mut it = geoms.iter();
-                for (qi, store) in replan.programs[*pi].stores.iter().enumerate() {
-                    if store.is_some() {
-                        w.migrate_store(qi, *it.next().expect("a geometry per store"));
-                    }
+    /// Adopt replanned `programs` and live-migrate every store of
+    /// `runtimes` (program order; residents only on an install) to its
+    /// planned geometry — dormant alias stores too, so their compiled
+    /// geometries track the plan. A store already at its geometry does not
+    /// move, so without a budget nothing moves.
+    fn apply(&mut self, programs: Vec<CompiledProgram>, runtimes: &mut [Runtime]) {
+        for (program, rt) in programs.iter().zip(runtimes) {
+            for (qi, store) in program.stores.iter().enumerate() {
+                if let Some(store) = store {
+                    rt.migrate_store(qi, store.geometry);
                 }
             }
         }
-        self.programs = replan.programs;
+        self.programs = programs;
     }
 
     /// The dry run of an install of `arrivals`, in order, after the
     /// residents — a deployment's construction is this call on an empty
     /// roster, a live install its one-program case. Each arrival searches
-    /// the stores before it for owners ([`lifecycle_alias_candidates`],
-    /// gated by the plane's shape), the planner runs once over the grown
-    /// deployment ([`Roster::replan`]), and every arrival's worker runtimes
-    /// are built — under durability with their spill tiers attached.
-    /// Nothing is mutated, so an `Err` leaves the deployment untouched; a
-    /// failed attach only burns the install ids up to the failing
-    /// arrival's, so a retry never re-opens half-written files.
+    /// the stores before it for owners ([`lifecycle_alias_candidates`]),
+    /// the planner runs once over the grown deployment
+    /// ([`Roster::replan`]), and every arrival's runtime is built — under
+    /// durability with its spill tiers attached. Nothing is mutated, so an
+    /// `Err` leaves the deployment untouched; a failed attach only burns
+    /// the install ids up to the failing arrival's, so a retry never
+    /// re-opens half-written files.
     fn stage_install(
         &mut self,
         arrivals: Vec<CompiledProgram>,
@@ -760,15 +610,14 @@ impl Roster {
         let mut aliases = self.aliases.clone();
         if self.share {
             for new_idx in residents..programs.len() {
-                let mut found = lifecycle_alias_candidates(
+                let found = lifecycle_alias_candidates(
                     &programs, &plans, &epochs, &aliases, new_idx, strict,
                 );
-                gate(self.shards, &mut found, &programs);
                 aliases.extend(found);
             }
         }
-        let mut replan = self.replan(programs, &ids, &aliases)?;
-        let side = |p: usize| (&replan.programs[p], &plans[p]);
+        let (programs, plan) = self.replan(programs, &ids, &aliases)?;
+        let side = |p: usize| (&programs[p], &plans[p]);
         let strict_pair =
             |((ap, aq), (op, oq)): &Pair| same_store(side(*ap), *aq, side(*op), *oq, true);
         debug_assert!(
@@ -776,82 +625,75 @@ impl Roster {
             "every shared pair runs one geometry"
         );
 
-        // Each arrival starts at its planned per-worker geometries with its
-        // alias queries out of the streaming pass; the residents migrate to
+        // Each arrival starts at its planned geometries with its alias
+        // queries out of the streaming pass; the residents migrate to
         // theirs at commit.
-        let mut groups = Vec::new();
+        let mut built = Vec::new();
         for (pi, &id) in ids.iter().enumerate().skip(residents) {
-            let mut worker = replan.programs[pi].clone();
-            if let Some(at) = replan.migrations.iter().position(|(p, _)| *p == pi) {
-                set_geometries(&mut worker, replan.migrations.remove(at).1);
-            }
-            let mut workers = self.spawn(&worker);
+            let mut rt = Runtime::new(programs[pi].clone());
             let own = aliases[self.aliases.len()..]
                 .iter()
                 .filter(|((ap, _), _)| *ap == pi);
             for ((_, aq), _) in own {
-                for rt in &mut workers {
-                    rt.set_streaming(*aq, false);
-                }
+                rt.set_streaming(*aq, false);
             }
             if let Some(d) = &self.durability {
-                for (shard, rt) in workers.iter_mut().enumerate() {
-                    if let Err(e) =
-                        rt.enable_durability_prefixed(d, &self.file_component(id, shard))
-                    {
-                        self.next_id = id + 1;
-                        return Err(InstallError::Io(e));
-                    }
+                if let Err(e) = rt.enable_durability_prefixed(d, &component(id)) {
+                    self.next_id = id + 1;
+                    return Err(InstallError::Io(e));
                 }
             }
-            groups.push(workers);
+            built.push(rt);
         }
         Ok(StagedInstall {
-            replan,
+            programs,
+            plan,
             aliases,
-            arrivals: groups,
+            arrivals: built,
         })
     }
 
-    /// Commit a staged install over the residents' quiesced groups and
-    /// return the first arrival's install id; the arrivals take the ids
-    /// from there on, in order. The placement admits the worker runtimes
-    /// [`Roster::stage_install`] built ([`Placement::admit`]).
-    fn commit_install(&mut self, staged: StagedInstall, groups: &mut [Group]) -> u64 {
+    /// Commit a staged install over the residents' runtimes and return the
+    /// first arrival's install id; the arrivals take the ids from there on,
+    /// in order. The caller admits the runtimes
+    /// [`Roster::stage_install`] built.
+    fn commit_install(&mut self, staged: StagedInstall, runtimes: &mut [Runtime]) -> u64 {
         let first = self.next_id;
-        self.next_id += (staged.replan.programs.len() - self.programs.len()) as u64;
+        self.next_id += (staged.programs.len() - self.programs.len()) as u64;
         self.ids.extend(first..self.next_id);
         self.epochs.resize(self.ids.len(), self.records);
-        self.apply(staged.replan, groups);
+        self.apply(staged.programs, runtimes);
         self.aliases = staged.aliases;
         first
     }
 
-    /// Uninstall program `pos` from the (entirely quiesced) deployment and
-    /// return its final results; its group leaves `groups`.
+    /// Uninstall program `pos` and return its final results; its runtime
+    /// leaves `runtimes`.
     ///
     /// The final results are a **poll** ([`Roster::poll`]) taken before
     /// anything moves: `finish()` + `collect()` on a clone is the poll
-    /// contract on every plane — a departing alias reads its owner's (still
-    /// running) store through the same redirection, a durable store reads
-    /// through its spill tier. A departing *owner*'s shared store is then
-    /// **promoted** worker by worker into its first surviving alias (dedup
-    /// implies identical routing, so worker `w`'s states are
-    /// interchangeable; the live store moves out of the departing worker
-    /// and the alias rejoins the streaming pass — stream continuity
-    /// preserved) and further aliases re-parent onto the promoted owner.
-    /// The departing group is dropped, and under a budget the remaining
-    /// programs replan onto the reclaimed area and live-migrate. Under
-    /// durability the final results are published as the departing id's
-    /// retired file.
-    ///
-    /// # Panics
-    ///
-    /// Under durability, panics when publishing the retired results fails
-    /// (uninstall has no error channel yet).
-    fn uninstall(&mut self, pos: usize, groups: &mut Vec<Group>) -> ResultSet {
-        let id = self.ids[pos];
-        let results = self.poll(pos, groups);
+    /// contract — a departing alias reads its owner's (still running) store
+    /// through the same redirection, a durable store reads through its
+    /// spill tier. Under durability they are published next, as the
+    /// departing id's retired file; a failed publish returns its error
+    /// with the deployment untouched. A departing *owner*'s shared store is
+    /// then **promoted** into its first surviving alias (the live store
+    /// moves out of the departing runtime and the alias rejoins the
+    /// streaming pass — stream continuity preserved) and further aliases
+    /// re-parent onto the promoted owner. The departing runtime is dropped,
+    /// and under a budget the remaining programs replan onto the reclaimed
+    /// area and live-migrate.
+    fn uninstall(
+        &mut self,
+        pos: usize,
+        runtimes: &mut Vec<Runtime>,
+    ) -> std::io::Result<ResultSet> {
+        let results = self.poll(pos, runtimes);
+        // The poll read through the durable tier (a frame replays every
+        // spilled pair); publish it so it outlives the deployment.
+        if let Some(d) = &self.durability {
+            write_retired(d, self.ids[pos], &results)?;
+        }
 
         let mut promoted: Vec<Pair> = Vec::new();
         for i in 0..self.aliases.len() {
@@ -862,16 +704,14 @@ impl Roster {
             match promoted.iter().find(|(old, _)| *old == (op, oq)) {
                 Some((_, new_owner)) => self.aliases[i].1 = *new_owner,
                 None => {
-                    let stores: Vec<_> = groups[op].iter_mut().map(|w| w.take_store(oq)).collect();
-                    for (w, store) in groups[ap].iter_mut().zip(stores) {
-                        w.set_store(aq, store);
-                        w.set_streaming(aq, true);
-                    }
+                    let store = runtimes[op].take_store(oq);
+                    runtimes[ap].set_store(aq, store);
+                    runtimes[ap].set_streaming(aq, true);
                     promoted.push(((op, oq), (ap, aq)));
                 }
             }
         }
-        drop(groups.remove(pos));
+        drop(runtimes.remove(pos));
 
         // Bookkeeping: drop every pair touching the departing program,
         // shift indices past it down by one.
@@ -886,16 +726,11 @@ impl Roster {
         self.programs.remove(pos);
 
         let remaining = std::mem::take(&mut self.programs); // `apply` puts them back
-        let replan = self
+        let (programs, _) = self
             .replan(remaining, &self.ids, &self.aliases)
             .expect("surviving slices only grow on uninstall");
-        self.apply(replan, groups);
-        // The poll read through the durable tier (a frame replays every
-        // spilled pair); publish it so it outlives the deployment.
-        if let Some(d) = &self.durability {
-            write_retired(d, id, &results).expect("retired-results publish");
-        }
-        results
+        self.apply(programs, runtimes);
+        Ok(results)
     }
 
     /// The `(program, query)` whose live store holds each of program
@@ -918,152 +753,37 @@ impl Roster {
         sources
     }
 
-    /// Poll program `pos` over the (read-only) quiesced groups of every
-    /// program [`Roster::poll_sources`] names: per-worker frames merge
-    /// through the same normalization the drain uses.
-    fn poll(&self, pos: usize, groups: &[Group]) -> ResultSet {
+    /// Poll program `pos` over the (read-only) runtimes of every program
+    /// [`Roster::poll_sources`] names.
+    fn poll(&self, pos: usize, runtimes: &[Runtime]) -> ResultSet {
+        let one = |p: usize| std::slice::from_ref(&runtimes[p]);
         let stores: Vec<_> = (self.poll_sources(pos).into_iter())
-            .map(|src| src.map(|(p, q)| (groups[p].as_slice(), q)))
+            .map(|src| src.map(|(p, q)| (one(p), q)))
             .collect();
-        crate::runtime::poll_collect(&groups[pos], &stores)
+        crate::runtime::poll_collect(one(pos), &stores)
     }
 }
 
-/// Where a deployment's worker runtimes live — the one thing that tells
-/// [`MultiRuntime`] from [`MultiSharded`]. Everything else is
-/// [`Deployment`]'s, written once over these methods: a poll, a lifecycle
-/// event or a durable call quiesces the whole deployment, hands it to the
-/// roster and releases it; a batch goes to every program through
-/// [`Placement::ingest`].
-pub(crate) trait Placement: Default {
-    /// Take one more program's fresh worker runtimes (shard order) as the
-    /// last program.
-    fn admit(&mut self, workers: Vec<Runtime>);
-    /// Hand over every program's quiesced worker runtimes, one [`Group`]
-    /// per program, in program order.
-    fn quiesce(&mut self) -> Vec<Group>;
-    /// Take back what [`Placement::quiesce`] handed over — the groups the
-    /// roster kept, after any [`Placement::depart`].
-    fn release(&mut self, groups: Vec<Group>);
-    /// Forget program `pos` while quiesced; its runtimes leave with its
-    /// group.
-    fn depart(&mut self, _pos: usize) {}
-    /// Feed one batch to every program, in stream order per program.
-    fn ingest(&mut self, recs: &[QueueRecord]);
-}
-
-/// The inline placement: one [`Runtime`] per program on the caller's
-/// thread, every record's base row built **once** for all of them.
-#[derive(Debug, Default)]
-pub struct Inline {
-    /// One runtime per installed program.
+/// K installed programs behind one shared ingest pass on the caller's
+/// thread: each record's base row materializes once, with the union of the
+/// programs' column masks, and every program's plan sweeps it. Usage
+/// mirrors [`Runtime`]; every entry point is semantically K independent
+/// runtimes fed the same records, and is pinned byte-identical to exactly
+/// that. Its public name is [`MultiRuntime`].
+#[derive(Debug)]
+pub struct Deployment {
+    /// Who is installed, and the one lifecycle over them.
+    roster: Roster,
+    /// One runtime per installed program, parallel to the roster's ids.
     runtimes: Vec<Runtime>,
-    /// Chunk-wide row buffers ([`Inline::ingest`]): one chunk materializes
-    /// at a time, then each program sweeps it node-at-a-time — a program's
-    /// stores and bytecode state stay hot across the chunk instead of being
-    /// evicted K−1 times per record.
+    /// Chunk-wide row buffers ([`Deployment::process_batch`]): one chunk
+    /// materializes at a time, then each program sweeps it node-at-a-time
+    /// — a program's stores and bytecode state stay hot across the chunk
+    /// instead of being evicted K−1 times per record.
     lanes: Lanes,
 }
 
-impl Placement for Inline {
-    fn admit(&mut self, workers: Vec<Runtime>) {
-        self.runtimes.extend(workers);
-    }
-
-    /// Every runtime as a one-worker group: nothing runs between two calls
-    /// on this placement.
-    fn quiesce(&mut self) -> Vec<Group> {
-        self.runtimes.drain(..).map(|rt| vec![rt]).collect()
-    }
-
-    fn release(&mut self, groups: Vec<Group>) {
-        self.runtimes.extend(groups.into_iter().flatten());
-    }
-
-    /// The batch is cut into cache-sized chunks (one `u64` mask word
-    /// each), each chunk materializes **once** (the union of the programs'
-    /// column masks, reused row buffers), then each program's plan sweeps
-    /// the chunk node-at-a-time with its own filters and keys.
-    fn ingest(&mut self, recs: &[QueueRecord]) {
-        // One walk per batch: the union mask is rebuilt from the resident
-        // set (no lifecycle event can leave it stale), and ingest after
-        // `finish()` is refused before any record folds.
-        let mut mask = 0u64;
-        for rt in &self.runtimes {
-            assert!(!rt.is_finished(), "{}", LifecycleError::ProcessAfterFinish);
-            mask |= rt.base_cols();
-        }
-        let Inline { runtimes, lanes } = self;
-        lanes.sweep(recs, mask, |rows, width, n, nows| {
-            for rt in runtimes.iter_mut() {
-                rt.process_lanes(rows, width, n, nows);
-            }
-        });
-    }
-}
-
-/// The sharded placement: one worker group per program — its own router,
-/// SPSC queues and N worker threads — reached between batches by pausing
-/// the group and resuming it afterwards.
-#[derive(Debug, Default)]
-pub struct Sharded {
-    /// One worker group per installed program.
-    pub(crate) groups: Vec<ShardGroup>,
-}
-
-impl Placement for Sharded {
-    fn admit(&mut self, workers: Vec<Runtime>) {
-        self.groups.push(ShardGroup::new(workers));
-    }
-
-    /// Pause every group in index order (which keeps pause and resume
-    /// deterministic): in-flight queue records drain to the stores, the
-    /// workers hand back their runtimes with caches resident.
-    fn quiesce(&mut self) -> Vec<Group> {
-        self.groups.iter_mut().map(ShardGroup::pause).collect()
-    }
-
-    fn release(&mut self, groups: Vec<Group>) {
-        for (g, workers) in self.groups.iter_mut().zip(groups) {
-            g.resume(workers);
-        }
-    }
-
-    fn depart(&mut self, pos: usize) {
-        drop(self.groups.remove(pos));
-    }
-
-    /// Route the whole batch through each program's group in turn.
-    fn ingest(&mut self, recs: &[QueueRecord]) {
-        for g in &mut self.groups {
-            for rec in recs {
-                g.process_record(rec);
-            }
-        }
-    }
-}
-
-/// K installed programs behind one shared ingest pass, placed inline
-/// ([`MultiRuntime`]: one worker per program, on the caller's thread) or
-/// sharded ([`MultiSharded`]: N workers per program behind queues). Usage
-/// mirrors [`Runtime`]; every entry point is semantically K independent
-/// runtimes fed the same records, and is pinned byte-identical to exactly
-/// that on both placements.
-///
-/// Install, uninstall, poll, the durable tier and ingest are written once,
-/// here; the constructors, `recover` and the drain are the placement's
-/// (see [`MultiRuntime`] and [`MultiSharded`]).
-#[derive(Debug)]
-pub struct Deployment<P> {
-    /// Who is installed, and the one lifecycle over them.
-    roster: Roster,
-    /// Where their worker runtimes live.
-    pub(crate) place: P,
-}
-
-/// K programs on the caller's thread: each record's base row materializes
-/// once, with the union of the programs' column masks, and every
-/// program's plan sweeps it.
+/// The multi-query plane's public name:
 ///
 /// ```
 /// use perfq_core::{compile_query, MultiRuntime};
@@ -1088,19 +808,11 @@ pub struct Deployment<P> {
 /// let results = multi.collect();
 /// assert_eq!(results.len(), 2);
 /// ```
-pub type MultiRuntime = Deployment<Inline>;
+pub type MultiRuntime = Deployment;
 
-/// K programs × N shards: every record is routed once per program into
-/// that program's worker group. Under [`MultiSharded::provisioned`] each
-/// shard's cache is `1/N` of the program's SRAM slice, so the whole
-/// deployment still fits the single fixed budget;
-/// [`ShardedRuntime`](crate::ShardedRuntime) is this placement at K = 1.
-pub type MultiSharded = Deployment<Sharded>;
-
-#[allow(private_bounds)] // `Placement` is crate-private: the placements are this module's two
-impl<P: Placement> Deployment<P> {
+impl Deployment {
     /// Build a deployment by installing `programs`, in order, into an
-    /// empty one of the given shape — the one way in: construction and
+    /// empty one — the one way in: construction and
     /// [`Deployment::install`] share the owner search, the one planner run
     /// and the commit ([`Roster::stage_install`]). Install ids are `0..K`.
     /// Returns the plan alongside (`None` without a budget); under a
@@ -1114,24 +826,23 @@ impl<P: Placement> Deployment<P> {
     fn installing(
         programs: Vec<CompiledProgram>,
         share: bool,
-        shards: Option<usize>,
         budget: Option<u64>,
     ) -> Result<(Self, Option<AreaPlan>), PlanError> {
         let mut deployment = Deployment {
             roster: Roster {
                 share,
-                shards,
                 budget,
                 ..Roster::default()
             },
-            place: P::default(),
+            runtimes: Vec::new(),
+            lanes: Lanes::default(),
         };
         let mut staged = match deployment.roster.stage_install(programs) {
             Ok(staged) => staged,
             Err(InstallError::Plan(e)) => return Err(e),
             Err(e) => unreachable!("an empty deployment has no durable tier: {e}"),
         };
-        let plan = staged.replan.plan.take();
+        let plan = staged.plan.take();
         if budget.is_some() && plan.is_none() {
             return Err(PlanError::EmptyDemands);
         }
@@ -1141,8 +852,8 @@ impl<P: Placement> Deployment<P> {
     }
 
     /// [`Deployment::installing`] without a budget, which no plan refuses.
-    fn unbudgeted(programs: Vec<CompiledProgram>, share: bool, shards: Option<usize>) -> Self {
-        let unplanned = Self::installing(programs, share, shards, None);
+    fn unbudgeted(programs: Vec<CompiledProgram>, share: bool) -> Self {
+        let unplanned = Self::installing(programs, share, None);
         unplanned.expect("an unbudgeted install cannot fail").0
     }
 
@@ -1150,28 +861,67 @@ impl<P: Placement> Deployment<P> {
     /// arrival's install id.
     fn commit(&mut self, mut staged: StagedInstall) -> u64 {
         let arrivals = std::mem::take(&mut staged.arrivals);
-        let id = self.quiesced(|roster, groups| roster.commit_install(staged, groups));
-        for workers in arrivals {
-            self.place.admit(workers);
-        }
+        let id = self.roster.commit_install(staged, &mut self.runtimes);
+        self.runtimes.extend(arrivals);
         id
     }
 
-    /// Quiesce the whole deployment for the duration of `f` and release it
-    /// whatever `f` returns: a failed durable call leaves the deployment
-    /// running with its in-RAM state intact.
-    fn quiesced<R>(&mut self, f: impl FnOnce(&mut Roster, &mut [Group]) -> R) -> R {
-        let mut groups = self.place.quiesce();
-        let out = f(&mut self.roster, &mut groups);
-        self.place.release(groups);
-        out
+    /// Install several compiled programs, in order, behind one ingest pass,
+    /// with whatever geometries they already carry and cross-query sharing
+    /// enabled — the same as installing them one by one into a deployment
+    /// of the first (see the module docs; sharing is a pure optimization,
+    /// pinned byte-identical to [`MultiRuntime::new_unshared`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty program list.
+    #[must_use]
+    pub fn new(programs: Vec<CompiledProgram>) -> Self {
+        Self::unbudgeted(programs, true)
     }
 
-    /// Repair this freshly built deployment's durable files against the
-    /// deployment manifest; the deployment and the resume index.
-    pub(crate) fn recovered(mut self, d: Durability) -> std::io::Result<(Self, u64)> {
-        let at = self.quiesced(|roster, groups| roster.recover(d, groups))?;
-        Ok((self, at))
+    /// [`MultiRuntime::new`] without cross-query sharing — the
+    /// shared-ingest-only configuration. Differential tests and the
+    /// `multi_query_shared` ratio guards use this as the sharing baseline.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn new_unshared(programs: Vec<CompiledProgram>) -> Self {
+        Self::unbudgeted(programs, false)
+    }
+
+    /// Install programs, in order, under a shared SRAM budget: the owner
+    /// search runs first, then the planner once over the whole list (store
+    /// dedup included — a shared pair is charged once and runs one
+    /// geometry, whatever cache sizes its programs were compiled with).
+    /// Returns the plan alongside; program `i`'s slice is its query
+    /// `"q{i}"`, and [`MultiRuntime::runtimes`] carry the provisioned
+    /// geometries.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::EmptyDemands`] when no program has a store, and
+    /// whatever else the planner rejects.
+    pub fn provisioned(
+        programs: Vec<CompiledProgram>,
+        budget_bits: u64,
+    ) -> Result<(Self, AreaPlan), PlanError> {
+        let (deployment, plan) = Self::installing(programs, true, Some(budget_bits))?;
+        Ok((deployment, plan.ok_or(PlanError::EmptyDemands)?))
+    }
+
+    /// Recover a crashed multi-query deployment that had **no mid-stream
+    /// lifecycle events**: rebuild over the same program list (the install
+    /// is deterministic, so aliases, store layout, and durable file names
+    /// all reproduce) and repair each program's files against
+    /// the single deployment manifest. Returns the deployment with the
+    /// resume index (see [`Runtime::recover`]); every program's record
+    /// count includes the checkpointed prefix. Deployments that installed
+    /// or uninstalled mid-stream are out of recovery's scope — but their
+    /// retired files stay readable ([`Deployment::retired`]).
+    pub fn recover(programs: Vec<CompiledProgram>, d: Durability) -> std::io::Result<(Self, u64)> {
+        let mut deployment = Self::new(programs);
+        let at = deployment.roster.recover(d, &mut deployment.runtimes)?;
+        Ok((deployment, at))
     }
 
     /// Number of installed programs.
@@ -1191,6 +941,12 @@ impl<P: Placement> Deployment<P> {
     #[must_use]
     pub fn ids(&self) -> &[u64] {
         &self.roster.ids
+    }
+
+    /// The installed runtimes, parallel to [`Deployment::ids`].
+    #[must_use]
+    pub fn runtimes(&self) -> &[Runtime] {
+        &self.runtimes
     }
 
     /// Records the deployment has processed. A program installed mid-stream
@@ -1218,36 +974,25 @@ impl<P: Placement> Deployment<P> {
 
     /// Attach a durable spill tier to every installed program's stores
     /// (off by default; see [`crate::durable`]). Program `id` persists
-    /// under the `p<id>_` name component inline and shard `i` of it under
-    /// `p<id>_s<i>_` when sharded — stable across the index shifts of
-    /// install/uninstall — and programs installed later join the durable
-    /// tier on arrival. One deployment manifest covers every program and
-    /// shard. Uninstall additionally publishes the departing program's
-    /// final results as a retired file ([`Deployment::retired`]).
-    /// [`ShardedRuntime::enable_durability`](crate::ShardedRuntime::enable_durability)
-    /// is the same tier for one program.
-    ///
-    /// # Panics
-    ///
-    /// Sharded: panics if a worker died.
+    /// under the `p<id>_` name component — stable across the index shifts
+    /// of install/uninstall — and programs installed later join the durable
+    /// tier on arrival. One deployment manifest covers every program.
+    /// Uninstall additionally publishes the departing program's final
+    /// results as a retired file ([`Deployment::retired`]).
     pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
-        self.quiesced(|roster, groups| roster.enable_durability(d, groups))
+        self.roster.enable_durability(d, &mut self.runtimes)
     }
 
     /// Durably checkpoint the whole deployment at the current record
     /// index: every program's stores checkpoint, the single deployment
     /// manifest advances atomically, then every WAL that has outgrown its
-    /// segment folds into it (see [`Runtime::persist`]). Routing is a pure
-    /// function of each program's key, so a recovered sharded deployment
-    /// re-ingesting from the returned index reproduces every worker's
-    /// exact sub-stream.
+    /// segment folds into it (see [`Runtime::persist`]).
     ///
     /// # Panics
     ///
-    /// Panics unless [`Deployment::enable_durability`] was called; sharded,
-    /// also if a worker died.
+    /// Panics unless [`Deployment::enable_durability`] was called.
     pub fn persist(&mut self) -> std::io::Result<()> {
-        self.quiesced(|roster, groups| roster.persist(groups))
+        self.roster.persist(&mut self.runtimes)
     }
 
     /// Read back a retired program's durably published final results.
@@ -1270,34 +1015,29 @@ impl<P: Placement> Deployment<P> {
     ///
     /// Semantics (pinned by `tests/query_lifecycle.rs`): after the call,
     /// the deployment behaves exactly as if the new program were a fresh
-    /// [`Runtime`] (or sharded deployment) started at this instant — it
-    /// observes only the record suffix from its install on — while every
-    /// resident program's state carries over byte-identically.
+    /// [`Runtime`] started at this instant — it observes only the record
+    /// suffix from its install on — while every resident program's state
+    /// carries over byte-identically.
     ///
-    /// The whole deployment quiesces for the commit (sharded: in-flight
-    /// queue records drain first). Under a budget
-    /// ([`MultiRuntime::provisioned`] / [`MultiSharded::provisioned`]) the
-    /// planner re-runs once over the grown deployment and every resident
-    /// store **live-migrates** to its new (smaller) slice — or `1/N` of it
-    /// per shard — ([`perfq_kvstore::SplitStore::migrate_geometry`] —
-    /// rehash cache-resident pairs, spill what no longer fits, timestamps
+    /// Under a budget ([`MultiRuntime::provisioned`]) the planner re-runs
+    /// once over the grown deployment and every resident store
+    /// **live-migrates** to its new (smaller) slice
+    /// ([`perfq_kvstore::SplitStore::migrate_geometry`] — rehash
+    /// cache-resident pairs, spill what no longer fits, timestamps
     /// preserved); without a budget no resident store changes. The new
     /// program searches for owners as every program of a constructor's
     /// list does: it may adopt a resident deduplicated base-rooted store
-    /// (equal install epochs only — see `lifecycle_alias_candidates`;
-    /// sharded, also exact and identical routing, `retain_shard_exact`). A
+    /// (equal install epochs only — see `lifecycle_alias_candidates`). A
     /// shared pair is one planner dedup group, so no replan pulls it apart
-    /// and there is nothing to repair.
-    /// Under durability the arrival's spill tiers attach before anything
-    /// is committed.
+    /// and there is nothing to repair. Under durability the arrival's
+    /// spill tiers attach before anything is committed.
     ///
     /// # Errors
     ///
     /// [`InstallError::Finished`] after [`MultiRuntime::finish`],
-    /// [`InstallError::Plan`] for whatever the replan rejects — including a
-    /// `1/N` shard slice too small for one pair — and [`InstallError::Io`]
-    /// when the durable-tier attach fails; the deployment is untouched on
-    /// error.
+    /// [`InstallError::Plan`] for whatever the replan rejects, and
+    /// [`InstallError::Io`] when the durable-tier attach fails; the
+    /// deployment is untouched on error.
     pub fn install(&mut self, program: CompiledProgram) -> Result<u64, InstallError> {
         if self.roster.finished {
             return Err(InstallError::Finished);
@@ -1308,56 +1048,48 @@ impl<P: Placement> Deployment<P> {
 
     /// Uninstall the program with install id `id`, returning its final
     /// results — exactly what [`Runtime::finish`] + [`Runtime::collect`]
-    /// (per-shard frames merged, when sharded) would report for a private
-    /// deployment stopped now. `None` for an unknown id.
+    /// would report for a private runtime stopped now. `Ok(None)` for an
+    /// unknown id.
     ///
-    /// Every group quiesces. The results are the poll
-    /// ([`Deployment::poll`]) taken as the program leaves — a departing
-    /// *alias* reads its owner's live store through the poll's redirection
-    /// — and dedup bookkeeping follows: a departing *owner*'s shared
-    /// store is **promoted** worker by worker into its first surviving
-    /// alias (the live state moves — stream continuity preserved) and
-    /// further aliases re-parent onto the promoted owner. The departing
-    /// program's slice returns to the pool: under a budget the remaining
-    /// programs replan and their stores live-migrate onto the (larger)
-    /// slices before everything is released. Under durability the results
-    /// are also published as a retired file ([`Deployment::retired`]).
+    /// The results are the poll ([`Deployment::poll`]) taken as the
+    /// program leaves — a departing *alias* reads its owner's live store
+    /// through the poll's redirection. Under durability they are published
+    /// next, as a retired file ([`Deployment::retired`]). Dedup
+    /// bookkeeping follows: a departing *owner*'s shared store is
+    /// **promoted** into its first surviving alias (the live state moves —
+    /// stream continuity preserved) and further aliases re-parent onto the
+    /// promoted owner. The departing program's slice returns to the pool:
+    /// under a budget the remaining programs replan and their stores
+    /// live-migrate onto the (larger) slices.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Under durability, panics when publishing the retired results fails
-    /// (uninstall has no error channel yet).
-    pub fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
-        let pos = self.roster.position(id)?;
-        let mut groups = self.place.quiesce();
-        self.place.depart(pos);
-        let results = self.roster.uninstall(pos, &mut groups);
-        self.place.release(groups);
-        Some(results)
+    /// The I/O error of a failed retired-results publish. Nothing has
+    /// moved then: the program is still installed, with its stores and its
+    /// sharing, and a later `uninstall` retries.
+    pub fn uninstall(&mut self, id: u64) -> std::io::Result<Option<ResultSet>> {
+        let Some(pos) = self.roster.position(id) else {
+            return Ok(None);
+        };
+        self.roster.uninstall(pos, &mut self.runtimes).map(Some)
     }
 
     /// Poll one installed program's current results **without stopping the
     /// world** — the multi-program incremental read path. Returns `None`
     /// for an unknown (or already uninstalled) id.
     ///
-    /// The whole deployment quiesces for the poll (sharded: every group
-    /// pauses between batches). The polled program's per-worker frames —
-    /// and, for each of its deduplicated alias stores, the owner's — merge
-    /// through the same normalization the drain uses, so a polled alias
-    /// equals its never-deduplicated twin, and everything is released with
-    /// caches resident: ingest continues
-    /// afterwards, and the eventual drain is byte-identical to a
-    /// never-polled replay (pinned by `tests/poll_equivalence.rs`). The
-    /// frame is the whole read: a reader that wants per-epoch deltas or
-    /// windows builds them from consecutive frames.
-    ///
-    /// # Panics
-    ///
-    /// Sharded: panics if a worker died.
+    /// The polled program's frames — and, for each of its deduplicated
+    /// alias stores, the owner's — go through the same normalization the
+    /// drain uses, so a polled alias equals its never-deduplicated twin;
+    /// caches stay resident, ingest continues afterwards, and the eventual
+    /// drain is byte-identical to a never-polled replay (pinned by
+    /// `tests/poll_equivalence.rs`). The frame is the whole read: a reader
+    /// that wants per-epoch deltas or windows builds them from consecutive
+    /// frames.
     #[must_use]
     pub fn poll(&mut self, id: u64) -> Option<ResultSet> {
         let pos = self.roster.position(id)?;
-        Some(self.quiesced(|roster, groups| roster.poll(pos, groups)))
+        Some(self.roster.poll(pos, &self.runtimes))
     }
 
     /// Process one queue record: [`Deployment::process_batch`] over a
@@ -1371,86 +1103,39 @@ impl<P: Placement> Deployment<P> {
     }
 
     /// Process a batch of records — the multi-query analogue of
-    /// [`Runtime::process_batch`]. Inline, the batch is vectorized the same
-    /// way: cut into cache-sized chunks, each chunk's rows materialize
-    /// **once** for every program, then each program's plan sweeps the
-    /// chunk node-at-a-time with its own filters and keys. Sharded, the
-    /// batch is routed through each program's group. Results do not depend
-    /// on the chunking (and are tested not to); programs are independent,
-    /// so per-program stream order — the order that matters — is preserved.
+    /// [`Runtime::process_batch`], vectorized the same way: the batch is
+    /// cut into cache-sized chunks (one `u64` mask word each), each chunk's
+    /// rows materialize **once** for every program (the union of the
+    /// programs' column masks, reused row buffers), then each program's
+    /// plan sweeps the chunk node-at-a-time with its own filters and keys.
+    /// Results do not depend on the chunking (and are tested not to);
+    /// programs are independent, so per-program stream order — the order
+    /// that matters — is preserved.
     ///
     /// # Panics
     ///
-    /// Inline: panics (also in release builds) when called after
+    /// Panics (also in release builds) when called after
     /// [`MultiRuntime::finish`], as [`Runtime::process_batch`] does.
-    /// Sharded: panics if a worker died.
     pub fn process_batch(&mut self, recs: &[QueueRecord]) {
-        self.place.ingest(recs);
-        self.roster.records += recs.len() as u64;
-    }
-}
-
-impl Deployment<Inline> {
-    /// Install several compiled programs, in order, behind one ingest pass,
-    /// with whatever geometries they already carry and cross-query sharing
-    /// enabled — the same as installing them one by one into a deployment
-    /// of the first (see the module docs; sharing is a pure optimization,
-    /// pinned byte-identical to [`MultiRuntime::new_unshared`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty program list.
-    #[must_use]
-    pub fn new(programs: Vec<CompiledProgram>) -> Self {
-        Self::unbudgeted(programs, true, None)
-    }
-
-    /// [`MultiRuntime::new`] without cross-query sharing — the
-    /// shared-ingest-only configuration. Differential tests and the
-    /// `multi_query_shared` ratio guards use this as the sharing baseline.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn new_unshared(programs: Vec<CompiledProgram>) -> Self {
-        Self::unbudgeted(programs, false, None)
-    }
-
-    /// Install programs, in order, under a shared SRAM budget: the owner
-    /// search runs first, then the planner once over the whole list (store
-    /// dedup included — a shared pair is charged once and runs one
-    /// geometry, whatever cache sizes its programs were compiled with).
-    /// Returns the plan alongside; program `i`'s slice is its query
-    /// `"q{i}"`, and [`MultiRuntime::runtimes`] carry the provisioned
-    /// geometries.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError::EmptyDemands`] when no program has a store, and
-    /// whatever else the planner rejects.
-    pub fn provisioned(
-        programs: Vec<CompiledProgram>,
-        budget_bits: u64,
-    ) -> Result<(Self, AreaPlan), PlanError> {
-        let (deployment, plan) = Self::installing(programs, true, None, Some(budget_bits))?;
-        Ok((deployment, plan.ok_or(PlanError::EmptyDemands)?))
-    }
-
-    /// Recover a crashed multi-query deployment that had **no mid-stream
-    /// lifecycle events**: rebuild over the same program list (the install
-    /// is deterministic, so aliases, store layout, and durable file names
-    /// all reproduce) and repair each program's files against
-    /// the single deployment manifest. Returns the deployment with the
-    /// resume index (see [`Runtime::recover`]); every program's record
-    /// count includes the checkpointed prefix. Deployments that installed
-    /// or uninstalled mid-stream are out of recovery's scope — but their
-    /// retired files stay readable ([`Deployment::retired`]).
-    pub fn recover(programs: Vec<CompiledProgram>, d: Durability) -> std::io::Result<(Self, u64)> {
-        Self::new(programs).recovered(d)
-    }
-
-    /// The installed runtimes, parallel to [`Deployment::ids`].
-    #[must_use]
-    pub fn runtimes(&self) -> &[Runtime] {
-        &self.place.runtimes
+        // One walk per batch: the union mask is rebuilt from the resident
+        // set (no lifecycle event can leave it stale), and ingest after
+        // `finish()` is refused before any record folds.
+        let mut mask = 0u64;
+        for rt in &self.runtimes {
+            assert!(!rt.is_finished(), "{}", LifecycleError::ProcessAfterFinish);
+            mask |= rt.base_cols();
+        }
+        let Deployment {
+            roster,
+            runtimes,
+            lanes,
+        } = self;
+        lanes.sweep(recs, mask, |rows, width, n, nows| {
+            for rt in runtimes.iter_mut() {
+                rt.process_lanes(rows, width, n, nows);
+            }
+        });
+        roster.records += recs.len() as u64;
     }
 
     /// Replay a packet stream through a network straight into every
@@ -1471,10 +1156,10 @@ impl Deployment<Inline> {
     /// records or programs afterwards; polls and uninstalls read the
     /// drained tables.
     pub fn finish(&mut self) {
-        for rt in &mut self.place.runtimes {
+        for rt in &mut self.runtimes {
             rt.finish();
         }
-        substitute_stores(&mut self.place.runtimes, &self.roster.aliases);
+        substitute_stores(&mut self.runtimes, &self.roster.aliases);
         self.roster.finished = true;
     }
 
@@ -1482,74 +1167,7 @@ impl Deployment<Inline> {
     /// [`MultiRuntime::finish`].
     #[must_use]
     pub fn collect(&self) -> Vec<ResultSet> {
-        self.place.runtimes.iter().map(Runtime::collect).collect()
-    }
-}
-
-impl Deployment<Sharded> {
-    /// Spawn `shards` workers per program with the geometries the programs
-    /// already carry (replicated per shard — the *unprovisioned*
-    /// configuration), with cross-program store dedup enabled — the same
-    /// as installing the programs one by one into a deployment of the
-    /// first.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty program list or zero shards.
-    #[must_use]
-    pub fn new(programs: Vec<CompiledProgram>, shards: usize) -> Self {
-        Self::unbudgeted(programs, true, Some(shards))
-    }
-
-    /// [`MultiSharded::new`] without cross-query sharing (differential
-    /// baseline).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn new_unshared(programs: Vec<CompiledProgram>, shards: usize) -> Self {
-        Self::unbudgeted(programs, false, Some(shards))
-    }
-
-    /// Spawn under a shared SRAM budget: [`MultiRuntime::provisioned`]'s
-    /// one install, with each program's slice divided across its `shards`
-    /// workers — constant total area at any scale. The owner search is
-    /// gated on shard exactness and identical routing, so the plan charges
-    /// once exactly the pairs the dataplane shares.
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiRuntime::provisioned`], plus
-    /// [`PlanError::SliceTooSmall`] when a `1/N` shard slice cannot hold
-    /// one pair.
-    pub fn provisioned(
-        programs: Vec<CompiledProgram>,
-        budget_bits: u64,
-        shards: usize,
-    ) -> Result<(Self, AreaPlan), PlanError> {
-        let (deployment, plan) = Self::installing(programs, true, Some(shards), Some(budget_bits))?;
-        Ok((deployment, plan.ok_or(PlanError::EmptyDemands)?))
-    }
-
-    /// Recover a crashed sharded deployment — [`MultiRuntime::recover`]'s
-    /// contract and scope (no mid-stream lifecycle events) at the same
-    /// shard count. Returns the deployment with the resume index.
-    pub fn recover(
-        programs: Vec<CompiledProgram>,
-        shards: usize,
-        d: Durability,
-    ) -> std::io::Result<(Self, u64)> {
-        Self::new(programs, shards).recovered(d)
-    }
-
-    /// Drain every program's dataplane (join workers, merge fold state)
-    /// into finished per-program runtimes, in program order, substituting
-    /// deduplicated stores from their owning programs.
-    #[must_use]
-    pub fn finish(self) -> Vec<Runtime> {
-        let mut runtimes: Vec<Runtime> = (self.place.groups.into_iter())
-            .map(ShardGroup::finish)
-            .collect();
-        substitute_stores(&mut runtimes, &self.roster.aliases);
-        runtimes
+        self.runtimes.iter().map(Runtime::collect).collect()
     }
 }
 
@@ -1558,7 +1176,7 @@ mod tests {
     use super::*;
     use crate::compile_query;
     use crate::compiler::CompileOptions;
-    use perfq_kvstore::{EvictionPolicy, InlineKey};
+    use perfq_kvstore::{CacheGeometry, EvictionPolicy, InlineKey};
     use perfq_lang::fig2;
     use perfq_switch::NetworkConfig;
     use perfq_trace::{SyntheticTrace, TraceConfig};
@@ -1743,67 +1361,6 @@ mod tests {
     }
 
     #[test]
-    fn inexact_programs_keep_private_stores_in_sharded_provisioning() {
-        // MAX keyed off the shard key is neither order-free nor confined:
-        // the program's partitioning is statically inexact, so the sharded
-        // plane must not dedup — and the plan must charge every store it
-        // actually builds.
-        let src = "R1 = SELECT COUNT GROUPBY srcip\nR2 = SELECT MAX(qsize) GROUPBY dstip\n";
-        let programs = vec![compiled(src), compiled(src)];
-        let (sh, plan) = MultiSharded::provisioned(programs.clone(), 32 * MBIT, 2).unwrap();
-        assert!(
-            sh.sharing().stores.is_empty(),
-            "inexact partitioning blocks sharded dedup"
-        );
-        assert_eq!(
-            plan.deduped_stores(),
-            0,
-            "the plan charges exactly what the dataplane builds"
-        );
-        let _ = sh.finish();
-        // The single-stream plane has no such constraint: both stores dedup.
-        let multi = MultiRuntime::new(programs);
-        assert_eq!(multi.sharing().stores.len(), 2);
-    }
-
-    #[test]
-    fn sharded_dedup_requires_identical_routing() {
-        // Program A's primary key is srcip, program B's is the 5-tuple:
-        // their identical TCP-non-monotonic stores partition records onto
-        // workers differently, so per-worker eviction timing diverges —
-        // epoch folds would observe it. The sharded plane must keep the
-        // stores private; the single-stream plane may still dedup.
-        let a_src = format!(
-            "R0 = SELECT COUNT GROUPBY srcip\n{}",
-            fig2::TCP_NON_MONOTONIC.source
-        );
-        // Put the non-monotonic query at index 1 in BOTH programs so the
-        // store seeds match (dedup is otherwise blocked by the seed).
-        let b_src = format!(
-            "R0 = SELECT COUNT GROUPBY 5tuple\n{}",
-            fig2::TCP_NON_MONOTONIC.source
-        );
-        let programs = vec![compiled(&b_src), compiled(&a_src)];
-        // The fold's `def` is not a query: the non-monotonic store sits at
-        // query index 1 in both programs (same placement seed).
-        let name = |p: usize| programs[p].program.queries[1].name.clone();
-        let pair = |s: &SharedStore| s.alias == (1, name(1)) && s.owner == (0, name(0));
-        let single = MultiRuntime::new(programs.clone());
-        let stores = &single.sharing().stores;
-        assert!(
-            stores.iter().any(pair),
-            "premise: the single-stream pass dedups the shared store: {stores:?}"
-        );
-        let sharded = MultiSharded::new(programs.clone(), 2);
-        let stores = &sharded.sharing().stores;
-        assert!(
-            !stores.iter().any(pair),
-            "different routing must block sharded dedup: {stores:?}"
-        );
-        let _ = sharded.finish();
-    }
-
-    #[test]
     #[should_panic(expected = "records processed after finish()")]
     fn processing_after_finish_panics_in_every_build() {
         let mut net = Network::new(NetworkConfig::default());
@@ -1828,29 +1385,10 @@ mod tests {
         ));
         assert_eq!(multi.ids(), &[0], "no id burnt, no program admitted");
         assert_eq!(multi.collect(), drained);
-        // Reads after the drain go through the quiesce / release path and
-        // return exactly the drained tables.
+        // Reads after the drain return exactly the drained tables.
         assert_eq!(multi.poll(0).as_ref(), Some(&drained[0]));
-        assert_eq!(multi.uninstall(0).as_ref(), Some(&drained[0]));
+        assert_eq!(multi.uninstall(0).unwrap().as_ref(), Some(&drained[0]));
         assert!(multi.is_empty());
-    }
-
-    #[test]
-    fn multi_sharded_provisioned_sizes_shards_at_one_nth() {
-        let programs = vec![compiled("SELECT COUNT GROUPBY 5tuple")];
-        let shards = 4;
-        let (sh, plan) = MultiSharded::provisioned(programs, 32 * MBIT, shards).unwrap();
-        let store = plan.queries[0].stores[0];
-        let per_shard = store.shard_geometry(shards).unwrap();
-        assert_eq!(per_shard.capacity(), store.geometry.capacity() / shards);
-        // Drive a few records through so drain has work to merge.
-        let mut net = Network::new(NetworkConfig::default());
-        let recs = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(9)).take(1_000));
-        let mut sh = sh;
-        sh.process_batch(&recs);
-        let results: Vec<ResultSet> = sh.finish().iter().map(Runtime::collect).collect();
-        assert_eq!(results.len(), 1);
-        assert!(!results[0].tables[0].rows.is_empty());
     }
 
     #[test]
@@ -1970,7 +1508,7 @@ mod tests {
             "the resident's store live-migrated onto a smaller slice"
         );
         multi.process_batch(b);
-        let departed = multi.uninstall(id).unwrap();
+        let departed = multi.uninstall(id).unwrap().unwrap();
         assert!(!departed.tables[0].rows.is_empty());
         assert_eq!(
             geom_of(&multi),
@@ -2085,7 +1623,7 @@ mod tests {
         multi.process_batch(head);
         // Uninstall the owner mid-stream: the alias inherits the live
         // store and the stream continues seamlessly.
-        let counter = multi.uninstall(0).unwrap();
+        let counter = multi.uninstall(0).unwrap().unwrap();
         multi.process_batch(tail);
         multi.finish();
         let got = multi.collect();
@@ -2100,36 +1638,6 @@ mod tests {
         rt1.process_batch(&records);
         rt1.finish();
         assert_eq!(got[0], rt1.collect());
-    }
-
-    #[test]
-    fn sharded_lifecycle_matches_the_single_stream_plane() {
-        let mut net = Network::new(NetworkConfig::default());
-        let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(23)).take(4_000));
-        let (head, tail) = records.split_at(2_000);
-        let programs = || vec![compiled("SELECT COUNT GROUPBY 5tuple")];
-        let arrival = || compiled(fig2::PER_FLOW_LOSS_RATE.source);
-        let (mut sh, _) = MultiSharded::provisioned(programs(), 32 * MBIT, 2).unwrap();
-        let (mut single, _) = MultiRuntime::provisioned(programs(), 32 * MBIT).unwrap();
-        sh.process_batch(head);
-        single.process_batch(head);
-        let sid = sh.install(arrival()).unwrap();
-        let mid = single.install(arrival()).unwrap();
-        sh.process_batch(tail);
-        single.process_batch(tail);
-        let mut a = sh.uninstall(sid).unwrap();
-        let mut b = single.uninstall(mid).unwrap();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "the departing program's results agree across planes");
-        let mut got_sh: Vec<ResultSet> = sh.finish().iter().map(Runtime::collect).collect();
-        single.finish();
-        let mut got_single = single.collect();
-        for (x, y) in got_sh.iter_mut().zip(got_single.iter_mut()) {
-            x.sort();
-            y.sort();
-        }
-        assert_eq!(got_sh, got_single);
     }
 
     /// The backing table iterates in arena order (insertion order, with a
@@ -2205,7 +1713,7 @@ mod tests {
         let mut singles: Vec<Runtime> = sources.iter().map(|s| Runtime::new(small(s))).collect();
         for part in [head, tail] {
             multi.process_batch(part);
-            multi.place.runtimes.iter_mut().for_each(punch);
+            multi.runtimes.iter_mut().for_each(punch);
             for rt in &mut singles {
                 rt.process_batch(part);
                 punch(rt);
@@ -2237,7 +1745,7 @@ mod tests {
         };
         multi.finish();
         let sets = multi.collect();
-        for (set, rt) in sets.iter().zip(&mut multi.place.runtimes) {
+        for (set, rt) in sets.iter().zip(&mut multi.runtimes) {
             assert_reference(set, rt, "MultiRuntime::collect");
         }
         for rt in &mut singles {
@@ -2352,11 +1860,7 @@ mod tests {
 
     /// Every program's polls at the two marks (a third and two thirds of
     /// the stream), then its drain.
-    fn polls_and_drain<P: Placement>(
-        mut plane: Deployment<P>,
-        records: &[QueueRecord],
-        drain: impl FnOnce(Deployment<P>) -> Vec<ResultSet>,
-    ) -> Vec<Vec<ResultSet>> {
+    fn polls_and_drain(mut plane: MultiRuntime, records: &[QueueRecord]) -> Vec<Vec<ResultSet>> {
         let mut reads = Vec::new();
         for (mark, part) in records.chunks(records.len().div_ceil(3)).enumerate() {
             plane.process_batch(part);
@@ -2365,12 +1869,13 @@ mod tests {
                 reads.push(ids.into_iter().map(|id| plane.poll(id).unwrap()).collect());
             }
         }
-        reads.push(drain(plane));
+        plane.finish();
+        reads.push(plane.collect());
         reads
     }
 
-    /// What a deployment shares, the store geometries each of its workers
-    /// runs (program by program, in shard order), and its polls and drain.
+    /// What a deployment shares, the store geometries each of its runtimes
+    /// runs (program by program), and its polls and drain.
     type Observed = (
         Vec<(usize, usize)>,
         Vec<Vec<CacheGeometry>>,
@@ -2379,17 +1884,16 @@ mod tests {
 
     /// A deployment of `programs` observed built at once and built as its
     /// first program plus one install per later program.
-    fn both_ways<P: Placement>(
+    fn both_ways(
         programs: &[CompiledProgram],
-        build: impl Fn(Vec<CompiledProgram>) -> Deployment<P>,
+        build: impl Fn(Vec<CompiledProgram>) -> MultiRuntime,
         records: &[QueueRecord],
-        drain: impl Fn(Deployment<P>) -> Vec<ResultSet>,
     ) -> [Observed; 2] {
         let mut by_installs = build(programs[..1].to_vec());
         for p in &programs[1..] {
             by_installs.install(p.clone()).unwrap();
         }
-        [build(programs.to_vec()), by_installs].map(|mut plane| {
+        [build(programs.to_vec()), by_installs].map(|plane| {
             let stores = |rt: &Runtime| {
                 rt.compiled()
                     .stores
@@ -2398,12 +1902,11 @@ mod tests {
                     .map(|s| s.geometry)
                     .collect()
             };
-            let geometries =
-                plane.quiesced(|_, groups| groups.iter().flatten().map(stores).collect());
+            let geometries = plane.runtimes().iter().map(stores).collect();
             (
                 pairs(&plane.sharing()),
                 geometries,
-                polls_and_drain(plane, records, &drain),
+                polls_and_drain(plane, records),
             )
         })
     }
@@ -2414,7 +1917,7 @@ mod tests {
         /// The rule attacked through the public deployment: generated
         /// spellings of one store shape, some with a near miss, share
         /// exactly the identical pairs, and sharing never changes a read —
-        /// at every eviction policy, inline and at two shards.
+        /// at every eviction policy.
         #[test]
         fn sharing_lists_exactly_the_identical_stores_and_reads_like_private_ones(
             shape in 0usize..3,
@@ -2431,11 +1934,6 @@ mod tests {
                 .collect();
             let mut net = Network::new(NetworkConfig::default());
             let records = net.run_collect(SyntheticTrace::new(TraceConfig::test_small(seed)).take(900));
-            let inline_drain = |mut m: MultiRuntime| {
-                m.finish();
-                m.collect()
-            };
-            let sharded_drain = |m: MultiSharded| m.finish().iter().map(Runtime::collect).collect();
             for policy in 0..POLICIES.len() {
                 let programs: Vec<_> = spellings.iter().map(|s| spell(shape, *s, policy)).collect();
                 let mut sequential: Vec<Runtime> = programs.iter().cloned().map(Runtime::new).collect();
@@ -2456,42 +1954,26 @@ mod tests {
                 want_reads.push(sequential.iter().map(Runtime::collect).collect());
 
                 let shared = MultiRuntime::new(programs.clone());
-                prop_assert_eq!(pairs(&shared.sharing()), want.clone(), "inline, policy {}", policy);
-                let got = polls_and_drain(shared, &records, inline_drain);
-                prop_assert!(got == want_reads, "inline reads differ, policy {}", policy);
-                let unshared = polls_and_drain(MultiRuntime::new_unshared(programs.clone()), &records, inline_drain);
-                prop_assert!(unshared == want_reads, "unshared inline reads differ, policy {}", policy);
-
-                let shared = MultiSharded::new(programs.clone(), 2);
-                prop_assert_eq!(pairs(&shared.sharing()), want.clone(), "2 shards, policy {}", policy);
-                let got = polls_and_drain(shared, &records, sharded_drain);
-                prop_assert!(got == want_reads, "sharded reads differ, policy {}", policy);
-                let unshared = polls_and_drain(MultiSharded::new_unshared(programs.clone(), 2), &records, sharded_drain);
-                prop_assert!(unshared == want_reads, "unshared sharded reads differ, policy {}", policy);
+                prop_assert_eq!(pairs(&shared.sharing()), want.clone(), "policy {}", policy);
+                let got = polls_and_drain(shared, &records);
+                prop_assert!(got == want_reads, "reads differ, policy {}", policy);
+                let unshared = polls_and_drain(MultiRuntime::new_unshared(programs.clone()), &records);
+                prop_assert!(unshared == want_reads, "unshared reads differ, policy {}", policy);
 
                 // One way in: a deployment built at once and one built by
                 // installs share the same pairs, run the same geometries and
-                // read the same, on both placements, with and without a
-                // budget (a small one, so the planned caches evict).
+                // read the same, with and without a budget (a small one, so
+                // the planned caches evict).
                 for budget in [None, Some(8 * 1024)] {
-                    let inline = |ps| match budget {
+                    let build = |ps| match budget {
                         None => MultiRuntime::new(ps),
                         Some(bits) => MultiRuntime::provisioned(ps, bits).unwrap().0,
                     };
-                    let sharded = |ps| match budget {
-                        None => MultiSharded::new(ps, 2),
-                        Some(bits) => MultiSharded::provisioned(ps, bits, 2).unwrap().0,
-                    };
                     let [(pairs_a, geoms_a, reads_a), (pairs_b, geoms_b, reads_b)] =
-                        both_ways(&programs, inline, &records, inline_drain);
-                    prop_assert_eq!(pairs_a, pairs_b, "inline, budget {:?}, policy {}", budget, policy);
-                    prop_assert_eq!(geoms_a, geoms_b, "inline, budget {:?}, policy {}", budget, policy);
-                    prop_assert!(reads_a == reads_b, "inline reads differ, budget {:?}, policy {}", budget, policy);
-                    let [(pairs_a, geoms_a, reads_a), (pairs_b, geoms_b, reads_b)] =
-                        both_ways(&programs, sharded, &records, sharded_drain);
-                    prop_assert_eq!(pairs_a, pairs_b, "2 shards, budget {:?}, policy {}", budget, policy);
-                    prop_assert_eq!(geoms_a, geoms_b, "2 shards, budget {:?}, policy {}", budget, policy);
-                    prop_assert!(reads_a == reads_b, "sharded reads differ, budget {:?}, policy {}", budget, policy);
+                        both_ways(&programs, build, &records);
+                    prop_assert_eq!(pairs_a, pairs_b, "budget {:?}, policy {}", budget, policy);
+                    prop_assert_eq!(geoms_a, geoms_b, "budget {:?}, policy {}", budget, policy);
+                    prop_assert!(reads_a == reads_b, "reads differ, budget {:?}, policy {}", budget, policy);
                 }
             }
         }

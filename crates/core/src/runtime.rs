@@ -169,8 +169,8 @@ pub struct Runtime {
     persisted_at: Option<u64>,
     /// Durable-tier configuration, when [`Runtime::enable_durability`] was
     /// called on this (stand-alone) runtime. Worker runtimes inside a
-    /// sharded or multi-program deployment leave this `None` — the plane's
-    /// roster holds the config and the manifest.
+    /// sharded or multi-program plane leave this `None` — the plane holds
+    /// the config and the manifest.
     durability: Option<Durability>,
 }
 
@@ -252,8 +252,9 @@ impl Runtime {
         self.records
     }
 
-    /// Restore the record count a recovered checkpoint covers (the roster
-    /// puts it on each program's first worker, like [`Runtime::recover`]).
+    /// Restore the record count a recovered checkpoint covers (a plane puts
+    /// it on each program's runtime, shard 0 when sharded, like
+    /// [`Runtime::recover`]).
     pub(crate) fn resume_records(&mut self, at: u64) {
         self.records = at;
     }
@@ -686,11 +687,7 @@ impl Runtime {
     /// `u32` permutation — exactly as `collect` does.
     #[must_use]
     pub fn poll_results(&self) -> ResultSet {
-        let me = std::slice::from_ref(self);
-        let stores: Vec<_> = (self.stores.iter().enumerate())
-            .map(|(q, store)| store.as_ref().map(|_| (me, q)))
-            .collect();
-        poll_collect(me, &stores)
+        poll_own(std::slice::from_ref(self))
     }
 
     /// Attach a durable spill tier to every aggregation store (off by
@@ -705,8 +702,8 @@ impl Runtime {
     }
 
     /// Attach spill tiers with an extra deployment-level name component
-    /// (`p<id>_` per installed program, `p<id>_s<i>_` per shard of one) —
-    /// the plane's roster keeps the [`Durability`] config and the manifest.
+    /// (`p<id>_` per installed program, `p0_s<i>_` per shard of a sharded
+    /// plane) — the plane keeps the [`Durability`] config and the manifest.
     pub(crate) fn enable_durability_prefixed(
         &mut self,
         d: &Durability,
@@ -959,15 +956,15 @@ fn emit_group_rows<'a, const W: usize>(
 
 /// Poll a program's current results across one or more runtimes — the one
 /// engine behind [`Runtime::poll_results`],
-/// [`crate::ShardedRuntime::poll_results`], [`crate::MultiRuntime::poll`],
-/// [`crate::MultiSharded::poll`] and the final read of an uninstall.
+/// [`crate::ShardedRuntime::poll_results`], [`crate::MultiRuntime::poll`]
+/// and the final read of an uninstall.
 ///
 /// `capture_shards` lists the program's worker runtimes in shard order (a
 /// single element for unsharded planes): their capture buffers combine
 /// through [`Capture::absorb`], as [`Runtime::absorb_finished`] combines
 /// them (prefix-then-suffix under the shared limit; totals always sum), and the
 /// first element donates the program, parameters and table schemas.
-/// `stores[q]` names, per query, the worker group and store index whose
+/// `stores[q]` names, per query, the workers and store index whose
 /// per-worker frames merge into that query's result — the program's own
 /// workers, or a redirected owner's for deduped alias queries; `None` for
 /// storeless queries. Sources are only read: every live runtime keeps its
@@ -1026,6 +1023,17 @@ pub(crate) fn poll_collect(
         captures,
         &lead.params,
     )
+}
+
+/// Poll one program over its worker runtimes (shard order), every query
+/// read from the workers' own stores — [`poll_collect`] without alias
+/// redirection, for [`Runtime::poll_results`] and
+/// [`crate::ShardedRuntime::poll_results`].
+pub(crate) fn poll_own(workers: &[Runtime]) -> ResultSet {
+    let stores: Vec<_> = (workers[0].stores.iter().enumerate())
+        .map(|(q, store)| store.as_ref().map(|_| (workers, q)))
+        .collect();
+    poll_collect(workers, &stores)
 }
 
 /// Build a `GROUPBY` key from an input row. Short keys are written

@@ -21,20 +21,20 @@
 //!   first base-rooted `GROUPBY` (falling back to the 5-tuple). Purity is
 //!   the load-bearing invariant: one key can never land on two shards, so a
 //!   per-key fold sees its packets on one core, in stream order.
-//! * **Transport** (the crate-private `ShardGroup`): one program's router,
-//!   fixed-capacity SPSC queues ([`perfq_switch::spsc`]) with batched
-//!   hand-off and worker threads, quiesced between batches by handing the
-//!   un-finished worker runtimes back and restarting them afterwards;
-//!   [`perfq_switch::Network::run_sharded`] is the matching producer.
+//! * **The plane** ([`ShardedRuntime`]): one program's router, fixed-capacity
+//!   SPSC queues ([`perfq_switch::spsc`]) with batched hand-off, and one
+//!   worker thread per shard; [`perfq_switch::Network::run_sharded`] is the
+//!   matching external producer. A poll or a durable call quiesces the plane
+//!   between batches — staged records flush, the queues close, every worker
+//!   hands back its **un-finished** runtime — does its work over the
+//!   workers in shard order and restarts them, whatever the call returned.
+//!   The durable tier is this type's own: one manifest over every shard,
+//!   shard `i`'s files named `p0_s<i>_` (see [`crate::durable`]).
 //! * **Drain** ([`ShardedRuntime::finish`]): workers join, each runtime
 //!   flushes, and per-shard backing stores collapse through the fold merge
 //!   machinery (`SplitStore::absorb_store` →
 //!   `FoldOps::merge`) into one [`Runtime`] that collects exactly like the
 //!   single-stream engine.
-//! * **Facade** ([`ShardedRuntime`]): the public single-program plane is
-//!   a [`Deployment`](crate::Deployment) in the [`Sharded`](crate::Sharded)
-//!   placement ([`MultiSharded`]) at K = 1, so poll, persist and recover
-//!   are the deployment's own, written once for both placements.
 //!
 //! # Exactness
 //!
@@ -69,9 +69,8 @@
 
 use crate::compiler::CompiledProgram;
 use crate::durable::Durability;
-use crate::multi::MultiSharded;
 use crate::result::{value_key, ResultSet};
-use crate::runtime::Runtime;
+use crate::runtime::{poll_own, Runtime};
 use perfq_lang::{QueryInput, ResolvedKind, Value};
 use perfq_lang::ir::FoldClass;
 use perfq_switch::{spsc, QueueRecord};
@@ -164,17 +163,6 @@ impl ShardSpec {
     pub fn is_exact(&self) -> bool {
         self.exact
     }
-
-    /// True when two specs route every record identically (same shard-key
-    /// columns, same shard hash seed): shard `r` of one deployment receives
-    /// exactly the records shard `r` of the other receives. This is what
-    /// lets the multi-query dataplane substitute one program's drained
-    /// store for another's — identical per-worker record streams imply
-    /// identical per-worker store states, eviction for eviction.
-    #[must_use]
-    pub fn routes_like(&self, other: &ShardSpec) -> bool {
-        self.cols == other.cols && self.seed == other.seed
-    }
 }
 
 /// Allocation-free record → shard mapper (owns the scratch buffers).
@@ -213,25 +201,6 @@ impl ShardRouter {
     }
 }
 
-/// One program's N worker shards behind SPSC queues — the sharded plane's
-/// transport: the router, the per-shard feeds and staging buffers, the
-/// worker threads, quiescing between batches (`pause` / `resume`), the
-/// producer hand-off (`take_feeds`) and merge-on-drain (`finish`). It knows
-/// nothing of install ids, sharing or durability: the
-/// [`Sharded`](crate::Sharded) placement keeps one group per installed
-/// program, and the deployment's roster owns the rest.
-#[derive(Debug)]
-pub(crate) struct ShardGroup {
-    router: ShardRouter,
-    /// `None` while paused, and after [`ShardGroup::take_feeds`] handed the
-    /// producer side to an external event loop.
-    senders: Option<Vec<spsc::Sender<QueueRecord>>>,
-    /// Producer-side staging, one buffer per shard.
-    buffers: Vec<Vec<QueueRecord>>,
-    workers: Vec<JoinHandle<Runtime>>,
-    routed: Vec<u64>,
-}
-
 /// Spawn one worker thread behind a fresh queue: drain it in batches into
 /// the runtime, return the runtime (un-finished) when the producer closes
 /// the channel — which is what lets a paused dataplane resume exactly where
@@ -264,162 +233,19 @@ fn join_worker(handle: JoinHandle<Runtime>) -> Runtime {
     }
 }
 
-impl ShardGroup {
-    /// Start one worker thread per runtime (shard order), each behind a
-    /// queue of [`DEFAULT_QUEUE_CAPACITY`] records fed in batches of
-    /// [`DEFAULT_BATCH`]. Routing uses the first runtime's shard spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty runtime list.
-    pub(crate) fn new(runtimes: Vec<Runtime>) -> Self {
-        let shards = runtimes.len();
-        let lead = runtimes.first().expect("need at least one shard");
-        let spec = ShardSpec::from_compiled(lead.compiled());
-        let (senders, workers) = runtimes.into_iter().map(spawn_worker).unzip();
-        ShardGroup {
-            router: ShardRouter::new(spec, shards),
-            senders: Some(senders),
-            buffers: (0..shards)
-                .map(|_| Vec::with_capacity(DEFAULT_BATCH))
-                .collect(),
-            workers,
-            routed: vec![0; shards],
-        }
-    }
-
-    /// Quiesce the group between batches. Staged records flush to their
-    /// queues, the queues close, and every worker joins, handing back its
-    /// **un-finished** [`Runtime`] in shard order — caches still resident,
-    /// ready for a poll, a checkpoint, a live store migration or an alias
-    /// promotion. [`ShardGroup::resume`] restarts ingestion from exactly
-    /// this state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the producer side was handed away via
-    /// [`ShardGroup::take_feeds`] (an external event loop owns the stream;
-    /// there is no between-batches point to pause at), or if a worker died.
-    pub(crate) fn pause(&mut self) -> Vec<Runtime> {
-        assert!(
-            self.senders.is_some(),
-            "cannot pause after take_feeds handed the producer side away"
-        );
-        self.close();
-        self.workers.drain(..).map(join_worker).collect()
-    }
-
-    /// Flush the staged records and close the queues we still produce
-    /// into; the workers drain them and exit.
-    fn close(&mut self) {
-        let Some(senders) = self.senders.take() else {
-            return;
-        };
-        for (buf, tx) in self.buffers.iter_mut().zip(&senders) {
-            if !buf.is_empty() {
-                // A send error means that worker died; its join re-raises
-                // the panic, which beats a disconnect message.
-                let _ = tx.send_all(buf);
-            }
-        }
-    }
-
-    /// Restart a paused group with the given worker runtimes (shard order;
-    /// normally the vector [`ShardGroup::pause`] returned, possibly with
-    /// migrated stores or promoted aliases). Fresh SPSC queues are built;
-    /// routing is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group is not paused or the worker count changed.
-    pub(crate) fn resume(&mut self, runtimes: Vec<Runtime>) {
-        assert!(
-            self.senders.is_none() && self.workers.is_empty(),
-            "resume requires a paused dataplane"
-        );
-        assert_eq!(runtimes.len(), self.buffers.len(), "one runtime per shard");
-        let (senders, workers) = runtimes.into_iter().map(spawn_worker).unzip();
-        self.senders = Some(senders);
-        self.workers = workers;
-    }
-
-    /// Route one record to its shard (staged; pushed in batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the producer side was handed away via
-    /// [`ShardGroup::take_feeds`], or a worker died.
-    pub(crate) fn process_record(&mut self, rec: &QueueRecord) {
-        assert!(
-            self.senders.is_some(),
-            "producer side was taken by take_feeds"
-        );
-        let s = self.router.route(rec);
-        self.routed[s] += 1;
-        self.buffers[s].push(rec.clone());
-        if self.buffers[s].len() >= DEFAULT_BATCH {
-            let disconnected = {
-                let senders = self.senders.as_ref().expect("checked above");
-                senders[s].send_all(&mut self.buffers[s]).is_err()
-            };
-            if disconnected {
-                // The worker's receiver is gone — it died mid-run. Join it
-                // so the producer re-raises the worker's own panic instead
-                // of masking it behind a generic disconnect message (a
-                // clean exit without a dropped sender cannot happen).
-                let handle = self.workers.remove(s);
-                match handle.join() {
-                    Err(payload) => std::panic::resume_unwind(payload),
-                    Ok(_) => unreachable!("worker exited without a closed queue"),
-                }
-            }
-        }
-    }
-
-    /// Hand the producer side — the router and the per-shard queue senders
-    /// — to an external event loop such as
-    /// [`perfq_switch::Network::run_sharded`], which must drop the senders
-    /// before [`ShardGroup::finish`] can drain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if records were already staged through
-    /// [`ShardGroup::process_record`] (mixing producers would reorder the
-    /// stream) or if the feeds were already taken.
-    pub(crate) fn take_feeds(&mut self) -> (ShardRouter, Vec<spsc::Sender<QueueRecord>>) {
-        assert!(
-            self.buffers.iter().all(Vec::is_empty) && self.routed.iter().all(|n| *n == 0),
-            "take_feeds before feeding any records"
-        );
-        let senders = self.senders.take().expect("feeds already taken");
-        (self.router.clone(), senders)
-    }
-
-    /// Drain the group: flush staged records, close the queues, join every
-    /// worker, and merge the per-shard fold state (in shard order) into one
-    /// **finished** [`Runtime`], ready for [`Runtime::collect`].
-    pub(crate) fn finish(mut self) -> Runtime {
-        self.close();
-        // Lazily: shard 0 finishes while later shards still drain.
-        let mut finished = self.workers.drain(..).map(|handle| {
-            let mut rt = join_worker(handle);
-            rt.finish();
-            rt
-        });
-        let mut merged = finished.next().expect("at least one shard");
-        finished.for_each(|rt| merged.absorb_finished(rt));
-        merged
-    }
+/// The quiesced workers with their durable file-name components: shard
+/// `i` persists under `p0_s<i>_`.
+fn named(workers: &mut [Runtime]) -> Vec<(String, &mut Runtime)> {
+    let component = |(shard, rt)| (format!("p0_s{shard}_"), rt);
+    workers.iter_mut().enumerate().map(component).collect()
 }
 
 /// The multi-core streaming executor for one program: N worker shards
-/// behind SPSC queues, merged on drain. It is the sharded
-/// [`Deployment`](crate::Deployment) ([`MultiSharded`]) at K = 1 — one
-/// program, install id `0`, no sharing pass — so its poll, durable tier
-/// and drain are the deployment's, and its durable files are named
-/// `p0_s<i>_…` (see [`crate::durable`]). See the module docs for the
-/// architecture and exactness guarantees; the drop-in usage mirrors
-/// [`Runtime`]:
+/// behind SPSC queues, merged on drain. It owns its router, feeds and
+/// worker threads, and — like [`Runtime`] — its record count and durable
+/// tier; its durable files are named `p0_s<i>_…` (see [`crate::durable`]).
+/// See the module docs for the architecture and exactness guarantees; the
+/// drop-in usage mirrors [`Runtime`]:
 ///
 /// ```
 /// use perfq_core::{compile_query, ShardedRuntime};
@@ -444,9 +270,23 @@ impl ShardGroup {
 /// ```
 #[derive(Debug)]
 pub struct ShardedRuntime {
-    /// The K = 1 deployment. Unshared, so a program's own duplicate stores stay
-    /// private, exactly as a stand-alone sharded deployment runs them.
-    plane: MultiSharded,
+    router: ShardRouter,
+    /// `None` while paused, and after [`ShardedRuntime::take_feeds`] handed
+    /// the producer side to an external event loop.
+    senders: Option<Vec<spsc::Sender<QueueRecord>>>,
+    /// Producer-side staging, one buffer per shard.
+    buffers: Vec<Vec<QueueRecord>>,
+    workers: Vec<JoinHandle<Runtime>>,
+    /// Records routed through [`ShardedRuntime::process_record`].
+    routed: u64,
+    /// The record index a checkpoint covers: the recovered prefix plus
+    /// every record routed since.
+    records: u64,
+    /// Durable-tier configuration ([`ShardedRuntime::enable_durability`]).
+    durability: Option<Durability>,
+    /// Record index of the last manifested checkpoint (stale-capture
+    /// cleanup; see [`Runtime`]'s field of the same name).
+    persisted_at: Option<u64>,
 }
 
 impl ShardedRuntime {
@@ -459,8 +299,20 @@ impl ShardedRuntime {
     /// Panics on zero shards.
     #[must_use]
     pub fn new(compiled: CompiledProgram, shards: usize) -> Self {
+        let router = ShardRouter::new(ShardSpec::from_compiled(&compiled), shards);
+        let workers = (0..shards).map(|_| Runtime::new(compiled.clone()));
+        let (senders, workers) = workers.map(spawn_worker).unzip();
         ShardedRuntime {
-            plane: MultiSharded::new_unshared(vec![compiled], shards),
+            router,
+            senders: Some(senders),
+            buffers: (0..shards)
+                .map(|_| Vec::with_capacity(DEFAULT_BATCH))
+                .collect(),
+            workers,
+            routed: 0,
+            records: 0,
+            durability: None,
+            persisted_at: None,
         }
     }
 
@@ -471,21 +323,90 @@ impl ShardedRuntime {
     /// Panics if the producer side was handed away via
     /// [`ShardedRuntime::take_feeds`], or a worker died.
     pub fn process_record(&mut self, rec: &QueueRecord) {
-        self.plane.process_record(rec);
+        let senders = (self.senders.as_ref()).expect("producer side was taken by take_feeds");
+        let s = self.router.route(rec);
+        self.routed += 1;
+        self.records += 1;
+        self.buffers[s].push(rec.clone());
+        if self.buffers[s].len() >= DEFAULT_BATCH && senders[s].send_all(&mut self.buffers[s]).is_err()
+        {
+            // The worker's receiver is gone — it died mid-run. Join it so
+            // the producer re-raises the worker's own panic instead of
+            // masking it behind a generic disconnect message (a clean exit
+            // without a dropped sender cannot happen).
+            join_worker(self.workers.remove(s));
+            unreachable!("worker exited without a closed queue");
+        }
     }
 
     /// Route a batch of records (sugar over [`ShardedRuntime::process_record`]).
     pub fn process_batch(&mut self, recs: &[QueueRecord]) {
-        self.plane.process_batch(recs);
+        for rec in recs {
+            self.process_record(rec);
+        }
     }
 
-    /// Poll the dataplane's current results **without stopping the world**
-    /// ([`MultiSharded::poll`]): the plane quiesces between batches, each
-    /// store's per-shard frames merge through the normalization the final
-    /// drain uses, and ingestion resumes. The result equals `finish()` +
-    /// `collect()` on a replay of the records routed so far, and polling
-    /// never perturbs the eventual drain (pinned by
-    /// `tests/poll_equivalence.rs`).
+    /// Quiesce the plane between batches. Staged records flush to their
+    /// queues, the queues close, and every worker joins, handing back its
+    /// **un-finished** [`Runtime`] in shard order — caches still resident,
+    /// ready for a poll or a checkpoint. [`ShardedRuntime::resume`]
+    /// restarts ingestion from exactly this state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the producer side was handed away via
+    /// [`ShardedRuntime::take_feeds`] (an external event loop owns the
+    /// stream; there is no between-batches point to pause at), or if a
+    /// worker died.
+    fn pause(&mut self) -> Vec<Runtime> {
+        assert!(
+            self.senders.is_some(),
+            "cannot pause after take_feeds handed the producer side away"
+        );
+        self.close();
+        self.workers.drain(..).map(join_worker).collect()
+    }
+
+    /// Flush the staged records and close the queues we still produce
+    /// into; the workers drain them and exit.
+    fn close(&mut self) {
+        let Some(senders) = self.senders.take() else {
+            return;
+        };
+        for (buf, tx) in self.buffers.iter_mut().zip(&senders) {
+            if !buf.is_empty() {
+                // A send error means that worker died; its join re-raises
+                // the panic, which beats a disconnect message.
+                let _ = tx.send_all(buf);
+            }
+        }
+    }
+
+    /// Restart the paused plane with the worker runtimes
+    /// [`ShardedRuntime::pause`] returned, behind fresh SPSC queues;
+    /// routing is unchanged.
+    fn resume(&mut self, workers: Vec<Runtime>) {
+        let (senders, workers) = workers.into_iter().map(spawn_worker).unzip();
+        self.senders = Some(senders);
+        self.workers = workers;
+    }
+
+    /// Pause the plane for the duration of `f` and resume it whatever `f`
+    /// returns: a failed durable call leaves the plane running with its
+    /// in-RAM state intact.
+    fn paused<R>(&mut self, f: impl FnOnce(&mut Self, &mut [Runtime]) -> R) -> R {
+        let mut workers = self.pause();
+        let out = f(self, &mut workers);
+        self.resume(workers);
+        out
+    }
+
+    /// Poll the dataplane's current results **without stopping the world**:
+    /// the plane quiesces between batches, each store's per-shard frames
+    /// merge through the normalization the final drain uses, and ingestion
+    /// resumes. The result equals `finish()` + `collect()` on a replay of
+    /// the records routed so far, and polling never perturbs the eventual
+    /// drain (pinned by `tests/poll_equivalence.rs`).
     ///
     /// # Panics
     ///
@@ -493,7 +414,7 @@ impl ShardedRuntime {
     /// [`ShardedRuntime::take_feeds`], or if a worker died.
     #[must_use]
     pub fn poll_results(&mut self) -> ResultSet {
-        self.plane.poll(0).expect("program 0 is installed")
+        self.paused(|_, workers| poll_own(workers))
     }
 
     /// Hand the producer side — the router and the per-shard queue senders
@@ -509,44 +430,65 @@ impl ShardedRuntime {
     /// the stream) or if the feeds were already taken.
     #[must_use]
     pub fn take_feeds(&mut self) -> (ShardRouter, Vec<spsc::Sender<QueueRecord>>) {
-        self.plane.place.groups[0].take_feeds()
+        assert!(self.routed == 0, "take_feeds before feeding any records");
+        let senders = self.senders.take().expect("feeds already taken");
+        (self.router.clone(), senders)
     }
 
-    /// Attach a durable spill tier to every store of every worker
-    /// ([`MultiSharded::enable_durability`]): shard `i`'s stores persist
-    /// under `p0_s<i>_`, and one deployment manifest covers all shards.
+    /// Attach a durable spill tier to every store of every worker: shard
+    /// `i`'s stores persist under `p0_s<i>_`, and one manifest covers all
+    /// shards.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as a poll.
     pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
-        self.plane.enable_durability(d)
+        self.paused(|plane, workers| {
+            for (sub, rt) in named(workers) {
+                rt.enable_durability_prefixed(&d, &sub)?;
+            }
+            plane.durability = Some(d);
+            Ok(())
+        })
     }
 
     /// Durably checkpoint the whole plane at the current record index
-    /// ([`MultiSharded::persist`]). The key-hash router is deterministic,
-    /// so a recovered plane re-ingesting from the returned index routes
-    /// every record to the same shard it originally reached.
+    /// ([`crate::durable`]'s one checkpoint routine over every shard). The
+    /// key-hash router is deterministic, so a recovered plane re-ingesting
+    /// from the returned index routes every record to the same shard it
+    /// originally reached.
     ///
     /// # Panics
     ///
     /// Panics unless [`ShardedRuntime::enable_durability`] was called, and
     /// under the same conditions as a poll.
     pub fn persist(&mut self) -> std::io::Result<()> {
-        self.plane.persist()
+        self.paused(|plane, workers| {
+            let d = (plane.durability.as_ref()).expect("persist requires enable_durability");
+            crate::durable::persist(d, plane.records, &mut plane.persisted_at, &mut named(workers))
+        })
     }
 
-    /// Recover a crashed sharded deployment at the same shard count
-    /// ([`MultiSharded::recover`]) and return it with the **resume index**
-    /// (see [`Runtime::recover`]); the drain's record count includes the
-    /// checkpointed prefix.
+    /// Recover a crashed sharded plane at the same shard count and return it
+    /// with the **resume index** (see [`Runtime::recover`]). The
+    /// checkpointed record count lands on shard 0, so the drain's record
+    /// count includes the checkpointed prefix.
     pub fn recover(
         compiled: CompiledProgram,
         shards: usize,
         d: Durability,
     ) -> std::io::Result<(Self, u64)> {
-        let (plane, at) = MultiSharded::new_unshared(vec![compiled], shards).recovered(d)?;
-        Ok((ShardedRuntime { plane }, at))
+        let mut plane = ShardedRuntime::new(compiled, shards);
+        let at = plane.paused(|plane, workers| {
+            let resume = crate::durable::recover(&d, &mut named(workers))?;
+            let at = resume.unwrap_or(0);
+            workers[0].resume_records(at);
+            plane.records = at;
+            plane.persisted_at = resume;
+            plane.durability = Some(d);
+            Ok::<_, std::io::Error>(at)
+        })?;
+        Ok((plane, at))
     }
 
     /// Drain the dataplane: flush staged records, close the queues, join
@@ -554,8 +496,17 @@ impl ShardedRuntime {
     /// into one **finished** [`Runtime`], ready for
     /// [`Runtime::collect`].
     #[must_use]
-    pub fn finish(self) -> Runtime {
-        self.plane.finish().pop().expect("one program")
+    pub fn finish(mut self) -> Runtime {
+        self.close();
+        // Lazily: shard 0 finishes while later shards still drain.
+        let mut finished = self.workers.drain(..).map(|handle| {
+            let mut rt = join_worker(handle);
+            rt.finish();
+            rt
+        });
+        let mut merged = finished.next().expect("at least one shard");
+        finished.for_each(|rt| merged.absorb_finished(rt));
+        merged
     }
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI smoke: first re-prove the engines equivalent (a fast path that computes
-# the wrong answer is worthless), then require warning-free rustdoc, then run
-# the same-run ratio guards. Absolute throughput is not judged here: the
+# CI smoke: first require rustfmt-clean sources (scripts/lint.sh), then
+# re-prove the engines equivalent (a fast path that computes the wrong
+# answer is worthless), then require warning-free rustdoc, then run the
+# same-run ratio guards. Absolute throughput is not judged here: the
 # `benchmark/` instrument and its A/B recipe (BENCHMARK.json, scripts/ab.sh)
 # own it.
 #
@@ -9,6 +10,9 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+echo "== format gate: scripts/lint.sh =="
+scripts/lint.sh
 
 echo "== equivalence gate: every test of the workspace and of benchmark/ =="
 # The engine equal to the oracle's residency prediction under eviction, the

@@ -58,8 +58,8 @@ pub use perfq_trace as trace;
 pub mod prelude {
     pub use perfq_core::{
         compile_program, compile_query, read_retired, write_retired, CompileOptions,
-        CompiledProgram, Durability, MultiRuntime, MultiSharded, Oracle, ResultSet, ResultTable,
-        Runtime, ShardRouter, ShardSpec, ShardedRuntime,
+        CompiledProgram, Durability, MultiRuntime, Oracle, ResultSet, ResultTable, Runtime,
+        ShardRouter, ShardSpec, ShardedRuntime,
     };
     pub use perfq_kvstore::{
         shared, AreaPlan, CacheGeometry, CachePlanner, DiskBackend, EvictionPolicy, FaultBackend,

@@ -17,16 +17,15 @@
 //! Covered planes: the single-stream [`Runtime`] (small group-commit
 //! threshold, so crashes also land mid-ingest inside group commits), the
 //! [`ShardedRuntime`] dataplane (deterministic key routing makes the
-//! resumed re-ingest reproduce each shard's exact sub-stream), the
-//! multi-program [`MultiRuntime`] (two programs sharing one deduplicated
-//! store; the sharing analysis is deterministic, so the recovered plane
-//! reproduces aliases and `p<id>_` file names), and the K × N
-//! [`MultiSharded`] plane (the same two programs on two shards each, one
-//! manifest over every `p<id>_s<i>_` worker). Every recovered drain must
+//! resumed re-ingest reproduce each shard's exact sub-stream; its
+//! per-shard file names are pinned), and the multi-program
+//! [`MultiRuntime`] (two programs sharing one deduplicated store; the
+//! sharing analysis is deterministic, so the recovered plane reproduces
+//! aliases and `p<id>_` file names). Every recovered drain must
 //! also report the records the whole stream holds — the checkpointed
 //! prefix plus the re-ingested suffix — not only what it saw since the
-//! restart. Uninstall's retired results read back byte-identically on
-//! both multi-program planes. A dense checkpoint
+//! restart. Uninstall's retired results read back byte-identically, and a
+//! failed publish of them is an error that moves nothing. A dense checkpoint
 //! schedule sweeps the single-stream plane across compactions that skip
 //! the fold (the WAL had not outgrown the segment). A torn-tail
 //! suite chops every suffix off a live WAL, and a double-crash suite
@@ -260,44 +259,6 @@ fn recover_multi(
     Ok(multi.runtimes().iter().map(drained).collect())
 }
 
-/// The same schedule on the K × N plane: [`multi_programs`] on two shards
-/// each, [`durable_buffered`] so every backend operation happens on the
-/// harness thread with the workers quiesced.
-fn run_multi_sharded(
-    recs: &[QueueRecord],
-    backend: &SharedBackend,
-) -> std::io::Result<Vec<(ResultSet, u64)>> {
-    let mut plane = MultiSharded::new(multi_programs(), 2);
-    assert_eq!(plane.sharing().stores.len(), 1, "R1 aliases the counter");
-    plane.enable_durability(durable_buffered(backend))?;
-    let mut fed = 0;
-    for &p in &PERSIST_AT {
-        plane.process_batch(&recs[fed..p]);
-        fed = p;
-        plane.persist()?;
-    }
-    plane.process_batch(&recs[fed..]);
-    Ok(plane.finish().iter().map(drained).collect())
-}
-
-fn recover_multi_sharded(
-    recs: &[QueueRecord],
-    backend: &SharedBackend,
-) -> std::io::Result<Vec<(ResultSet, u64)>> {
-    let (mut plane, resume) =
-        MultiSharded::recover(multi_programs(), 2, durable_buffered(backend))?;
-    let mut fed = resume as usize;
-    for &p in &PERSIST_AT {
-        if p > fed {
-            plane.process_batch(&recs[fed..p]);
-            fed = p;
-            plane.persist()?;
-        }
-    }
-    plane.process_batch(&recs[fed..]);
-    Ok(plane.finish().iter().map(drained).collect())
-}
-
 /// Run `schedule` with a fault armed at operation `fail_at`; report
 /// whether the injected fault actually fired. Faults inside ingest-time
 /// group commits surface as panics (the dataplane treats a dead durable
@@ -508,118 +469,139 @@ fn plain_multi(recs: &[QueueRecord]) -> Vec<(ResultSet, u64)> {
     drains
 }
 
-/// K × N sweep: the two-program deployment on two shards per program —
-/// every `p<id>_s<i>_` worker behind the one manifest, the alias reading
-/// its owner's recovered per-shard stores. Both programs are linear, so
-/// the durable sharded reference also equals the never-durable inline
-/// plane, record counts included.
-#[test]
-fn multi_sharded_recovers_at_every_io_boundary() {
-    let recs = records(TOTAL);
-    let reference = sweep(
-        "multi-sharded",
-        |b| run_multi_sharded(&recs, b),
-        |b| recover_multi_sharded(&recs, b),
-    );
-    assert_eq!(
-        reference,
-        plain_multi(&recs),
-        "durability and sharding must be transparent"
-    );
-}
-
-/// The two multi-program planes behind one face.
-#[allow(clippy::large_enum_variant)] // one lives per iteration; size is irrelevant
-enum Plane {
-    Inline(MultiRuntime),
-    Sharded(MultiSharded),
-}
-
-impl Plane {
-    /// The two-program deployment under `d`, inline or on `shards` shards.
-    fn durable(shards: Option<usize>, d: Durability) -> Plane {
-        let mut plane = match shards {
-            None => Plane::Inline(MultiRuntime::new(multi_programs())),
-            Some(n) => Plane::Sharded(MultiSharded::new(multi_programs(), n)),
-        };
-        match &mut plane {
-            Plane::Inline(m) => m.enable_durability(d),
-            Plane::Sharded(m) => m.enable_durability(d),
-        }
-        .expect("enable");
-        plane
-    }
-
-    fn process_batch(&mut self, recs: &[QueueRecord]) {
-        match self {
-            Plane::Inline(m) => m.process_batch(recs),
-            Plane::Sharded(m) => m.process_batch(recs),
-        }
-    }
-
-    fn uninstall(&mut self, id: u64) -> Option<ResultSet> {
-        match self {
-            Plane::Inline(m) => m.uninstall(id),
-            Plane::Sharded(m) => m.uninstall(id),
-        }
-    }
-
-    fn retired(&self, id: u64) -> std::io::Result<Option<ResultSet>> {
-        match self {
-            Plane::Inline(m) => m.retired(id),
-            Plane::Sharded(m) => m.retired(id),
-        }
-    }
+/// The two-program deployment under `d`.
+fn durable_multi(d: Durability) -> MultiRuntime {
+    let mut multi = MultiRuntime::new(multi_programs());
+    multi.enable_durability(d).expect("enable");
+    multi
 }
 
 /// An uninstall under durability publishes the departing program's final
 /// results: `retired(id)` reads back byte-for-byte what `uninstall`
 /// returned — for the owner of a shared store and, after the handoff, for
-/// its promoted alias — and knows nothing of ids that never left. Pinned
-/// on the inline plane and on the two-shard plane alike.
+/// its promoted alias — and knows nothing of ids that never left.
 #[test]
 fn retired_results_read_back_what_uninstall_returned() {
     let recs = records(TOTAL);
-    for shards in [None, Some(2)] {
-        let (_, backend) = fault_pair();
-        let mut plane = Plane::durable(shards, durable_small(&backend));
-        for (id, upto) in [(0u64, PERSIST_AT[0]), (1, PERSIST_AT[1])] {
-            plane.process_batch(&recs[upto - PERSIST_AT[0]..upto]);
-            let live = plane.retired(id).expect("read");
-            assert!(live.is_none(), "{shards:?}: id {id} is live");
-            let left = plane.uninstall(id).expect("id is live");
-            let saw = left.tables.iter().any(|t| !t.rows.is_empty());
-            assert!(saw, "{shards:?}: id {id} saw records");
-            let back = plane.retired(id).expect("read");
-            let back = back.expect("published on uninstall");
-            assert_eq!(
-                perfq_core::encode_results(&back),
-                perfq_core::encode_results(&left),
-                "{shards:?}: retired({id})"
-            );
-        }
-        let never = plane.retired(7).expect("read");
-        assert!(never.is_none(), "{shards:?}: id 7 never existed");
+    let (_, backend) = fault_pair();
+    let mut multi = durable_multi(durable_small(&backend));
+    for (id, upto) in [(0u64, PERSIST_AT[0]), (1, PERSIST_AT[1])] {
+        multi.process_batch(&recs[upto - PERSIST_AT[0]..upto]);
+        let live = multi.retired(id).expect("read");
+        assert!(live.is_none(), "id {id} is live");
+        let left = multi.uninstall(id).expect("publish").expect("id is live");
+        let saw = left.tables.iter().any(|t| !t.rows.is_empty());
+        assert!(saw, "id {id} saw records");
+        let back = multi.retired(id).expect("read");
+        let back = back.expect("published on uninstall");
+        assert_eq!(
+            perfq_core::encode_results(&back),
+            perfq_core::encode_results(&left),
+            "retired({id})"
+        );
     }
+    let never = multi.retired(7).expect("read");
+    assert!(never.is_none(), "id 7 never existed");
 }
 
 /// A retired file that is present but does not decode is an error, not
 /// "never retired": flip the top bit of `retired_0`'s table count after the
-/// uninstall, and `retired(0)` must fail with `InvalidData` on both planes.
+/// uninstall, and `retired(0)` must fail with `InvalidData`.
 #[test]
 fn corrupt_retired_file_is_an_error() {
     let recs = records(TOTAL);
-    for shards in [None, Some(2)] {
-        let (handle, backend) = fault_pair();
-        let d = durable_small(&backend);
-        let name = d.retired_name(0);
-        let mut plane = Plane::durable(shards, d);
-        plane.process_batch(&recs[..PERSIST_AT[0]]);
-        plane.uninstall(0).expect("id is live");
-        handle.lock().unwrap().mem().flip_bit(&name, 31);
-        let err = plane.retired(0).expect_err("a corrupt file must not read");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{shards:?}");
+    let (handle, backend) = fault_pair();
+    let d = durable_small(&backend);
+    let name = d.retired_name(0);
+    let mut multi = durable_multi(d);
+    multi.process_batch(&recs[..PERSIST_AT[0]]);
+    multi.uninstall(0).expect("publish").expect("id is live");
+    handle.lock().unwrap().mem().flip_bit(&name, 31);
+    let err = multi.retired(0).expect_err("a corrupt file must not read");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+}
+
+/// Everything a failed uninstall must leave as it was: the install ids, the
+/// sharing report and every program's poll.
+fn shape(multi: &mut MultiRuntime) -> (Vec<u64>, String, Vec<ResultSet>) {
+    let ids = multi.ids().to_vec();
+    let polls = ids.iter().map(|id| multi.poll(*id).expect("live id"));
+    let polls = polls.collect();
+    (ids, format!("{:?}", multi.sharing()), polls)
+}
+
+/// A failed publish of the retired results is an error from `uninstall`,
+/// not a panic, and it moves nothing. Uninstall the owner of the shared
+/// store with a fault armed at each backend operation of the publish: the
+/// call returns `Err`, the program stays installed with its stores and its
+/// sharing, and after `heal()` the retried uninstall returns the results a
+/// never-faulted twin's returned, `retired(id)` reads them back, and the
+/// survivor drains like the twin's ([`durable_resident`], so no ingest
+/// touches the backend and every armed fault lands in the publish).
+#[test]
+fn a_failed_retired_publish_leaves_the_program_installed() {
+    let recs = records(TOTAL);
+    let mid = PERSIST_AT[0];
+    let (h, b) = fault_pair();
+    let mut twin = durable_multi(durable_resident(&b));
+    twin.process_batch(&recs[..mid]);
+    let before = h.lock().expect("fault mutex").ops();
+    let departed = twin.uninstall(0).expect("healthy publish");
+    let departed = departed.expect("id is live");
+    let after = h.lock().expect("fault mutex").ops();
+    assert!(after > before, "the publish touches the backend");
+    twin.process_batch(&recs[mid..]);
+    twin.finish();
+    let survivors = twin.collect();
+
+    for fail_at in before..after {
+        let what = format!("fail_at={fail_at}");
+        let (h, b) = fault_pair();
+        let mut multi = durable_multi(durable_resident(&b));
+        multi.process_batch(&recs[..mid]);
+        let was = shape(&mut multi);
+        h.lock().expect("fault mutex").arm(fail_at, fail_at as usize % 23);
+        assert!(multi.uninstall(0).is_err(), "{what}");
+        assert!(h.lock().expect("fault mutex").died(), "{what}: the fault fired");
+        h.lock().expect("fault mutex").heal();
+        assert_eq!(shape(&mut multi), was, "{what}: a failed uninstall moved");
+        let left = multi.uninstall(0).expect("healed publish");
+        assert_eq!(left.as_ref(), Some(&departed), "{what}");
+        let back = multi.retired(0).expect("read");
+        assert_eq!(back.as_ref(), Some(&departed), "{what}: retired(0)");
+        multi.process_batch(&recs[mid..]);
+        multi.finish();
+        assert_eq!(multi.collect(), survivors, "{what}: survivor drain");
     }
+}
+
+/// The sharded plane's durable file names are its on-disk format, which
+/// files written by an earlier build must still recover under: shard `i`
+/// of its one program persists under `p0_s<i>_`, beside one manifest.
+#[test]
+fn sharded_files_are_named_per_shard_beside_one_manifest() {
+    let recs = records(TOTAL);
+    let handle = Arc::new(Mutex::new(MemBackend::new()));
+    let backend: SharedBackend = handle.clone();
+    let d = durable_buffered(&backend);
+    let mut plane = ShardedRuntime::new(compiled(fig2::PER_FLOW_COUNTERS.source), 2);
+    plane.enable_durability(d.clone()).expect("enable");
+    plane.process_batch(&recs[..PERSIST_AT[0]]);
+    plane.persist().expect("persist");
+    let mut names = handle.lock().expect("mem mutex").names();
+    names.sort();
+    let want = [
+        "MANIFEST",
+        "p0_s0_q0_seg",
+        "p0_s0_q0_wal",
+        "p0_s1_q0_seg",
+        "p0_s1_q0_wal",
+    ];
+    assert_eq!(names, want);
+    drop(plane);
+    let (_, resume) = ShardedRuntime::recover(compiled(fig2::PER_FLOW_COUNTERS.source), 2, d)
+        .expect("the named files recover");
+    assert_eq!(resume, PERSIST_AT[0] as u64);
 }
 
 /// Checkpoint a single-stream runtime once at `PERSIST_AT[0]` and stop it

@@ -1,7 +1,7 @@
 //! Referee tests for the multi-query dataplane: K programs behind one
 //! shared ingest pass must be **byte-identical** to K independent
 //! sequential replays of the same trace with the same geometries — on the
-//! single-stream, batched, and 1/2/4/8-shard paths — including capture
+//! single-record and batched paths — including capture
 //! totals and network drop counters. The shared pass changes when rows
 //! materialize (once, with the union of the programs' column masks), never
 //! what any program observes.
@@ -63,11 +63,6 @@ fn provisioned_geometries(programs: &mut [CompiledProgram], multi: &MultiRuntime
             }
         }
     }
-}
-
-fn sorted(mut rs: ResultSet) -> ResultSet {
-    rs.sort();
-    rs
 }
 
 /// Single-stream and batched shared passes over all seven Fig. 2 programs
@@ -144,73 +139,6 @@ fn shared_network_replay_matches_per_program_replays() {
     assert_eq!(Some(net.total_drops()), drops_want, "shared pass drops");
     for (i, (a, b)) in multi.collect().iter().zip(&want).enumerate() {
         assert_eq!(a, b, "{}", fig2::ALL[i].name);
-    }
-}
-
-/// The sharded multi-query dataplane at 1/2/4/8 shards matches the
-/// sequential single-stream baseline for every program (sorted by key, as
-/// the sharded drain is key-ordered not stream-ordered).
-#[test]
-fn multi_sharded_matches_sequential_at_every_shard_count() {
-    let recs = records(3_000);
-    let programs = compiled_all(CompileOptions::default());
-    let want: Vec<ResultSet> = sequential(&programs, &recs)
-        .into_iter()
-        .map(sorted)
-        .collect();
-    for shards in [1usize, 2, 4, 8] {
-        let mut multi = MultiSharded::new(programs.clone(), shards);
-        assert_eq!(multi.len(), programs.len());
-        for part in recs.chunks(512) {
-            multi.process_batch(part);
-        }
-        let merged = multi.finish();
-        for (i, (rt, b)) in merged.iter().zip(&want).enumerate() {
-            assert_eq!(rt.records(), recs.len() as u64, "{shards} shards");
-            assert_eq!(
-                sorted(rt.collect()),
-                *b,
-                "{} ({shards} shards)",
-                fig2::ALL[i].name
-            );
-        }
-    }
-}
-
-/// One network pass feeds every program's shards: `Network::run_batched`
-/// driving `MultiSharded::process_batch` matches the collected-record path,
-/// with every program seeing every record once and consistent drop counters.
-#[test]
-fn multi_sharded_network_producer_matches_collected_records() {
-    let packets: Vec<Packet> = SyntheticTrace::new(TraceConfig::test_small(21))
-        .take(3_000)
-        .collect();
-    let cfg = NetworkConfig {
-        topology: Topology::Linear(2),
-        ..Default::default()
-    };
-    let programs = compiled_all(CompileOptions::default());
-    let mut net = Network::new(cfg);
-    let recs = net.run_collect(packets.clone().into_iter());
-    let drops_want = net.total_drops();
-    let want: Vec<ResultSet> = sequential(&programs, &recs)
-        .into_iter()
-        .map(sorted)
-        .collect();
-
-    let mut multi = MultiSharded::new(programs.clone(), 4);
-    net.run_batched(packets.into_iter(), 128, |chunk| multi.process_batch(chunk));
-    assert_eq!(net.total_drops(), drops_want, "shared pass drops");
-    assert_eq!(multi.records(), recs.len() as u64);
-    let merged = multi.finish();
-    assert_eq!(merged.len(), programs.len());
-    for (i, (rt, b)) in merged.iter().zip(&want).enumerate() {
-        assert_eq!(
-            rt.records(),
-            recs.len() as u64,
-            "program {i} must see every record once"
-        );
-        assert_eq!(sorted(rt.collect()), *b, "{}", fig2::ALL[i].name);
     }
 }
 
@@ -360,64 +288,6 @@ fn seed_mismatch_blocks_dedup_but_not_equivalence() {
     shared.finish();
     for (got, b) in shared.collect().iter().zip(&want) {
         assert_eq!(got, b);
-    }
-}
-
-/// The sharded multi-query dataplane with dedup active (counter + loss
-/// rate + EWMA) matches sequential replays at 1/2/4/8 shards, and matches
-/// the unshared sharded dataplane.
-#[test]
-fn sharded_dedup_matches_sequential_at_every_shard_count() {
-    let recs = records(3_000);
-    let programs = vec![
-        perfq_core::compile_query(
-            FIVE_TUPLE_COUNTER,
-            &fig2::default_params(),
-            CompileOptions::default(),
-        )
-        .unwrap(),
-        perfq_core::compile_query(
-            fig2::PER_FLOW_LOSS_RATE.source,
-            &fig2::default_params(),
-            CompileOptions::default(),
-        )
-        .unwrap(),
-        perfq_core::compile_query(
-            fig2::LATENCY_EWMA.source,
-            &fig2::default_params(),
-            CompileOptions::default(),
-        )
-        .unwrap(),
-    ];
-    let want: Vec<ResultSet> = sequential(&programs, &recs)
-        .into_iter()
-        .map(sorted)
-        .collect();
-    for shards in [1usize, 2, 4, 8] {
-        let mut multi = MultiSharded::new(programs.clone(), shards);
-        assert_eq!(
-            multi.sharing().stores.len(),
-            1,
-            "loss-rate R1 dedups in the sharded plane too"
-        );
-        for part in recs.chunks(512) {
-            multi.process_batch(part);
-        }
-        for (i, (rt, b)) in multi.finish().iter().zip(&want).enumerate() {
-            assert_eq!(sorted(rt.collect()), *b, "program {i} ({shards} shards)");
-        }
-
-        let mut unshared = MultiSharded::new_unshared(programs.clone(), shards);
-        for part in recs.chunks(512) {
-            unshared.process_batch(part);
-        }
-        for (i, (rt, b)) in unshared.finish().iter().zip(&want).enumerate() {
-            assert_eq!(
-                sorted(rt.collect()),
-                *b,
-                "program {i} unshared ({shards} shards)"
-            );
-        }
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Two properties pin every poll entry point
 //! (`Runtime::poll_results`, `ShardedRuntime::poll_results`,
-//! `MultiRuntime::poll`, `MultiSharded::poll`):
+//! `MultiRuntime::poll`):
 //!
 //! 1. *Non-perturbation* — a replay interrupted by any schedule of polls
 //!    drains byte-identical to a never-polled replay of the same records.
@@ -225,50 +225,6 @@ fn multi_runtime_poll_matches_solo_prefix_replays() {
     reference.process_batch(&recs);
     reference.finish();
     for (a, b) in polled_final.into_iter().zip(reference.collect()) {
-        assert_eq!(sorted(a), sorted(b), "polls must not perturb the drain");
-    }
-}
-
-/// Multi-program pin, sharded plane (2 shards): `MultiSharded::poll`
-/// quiesces every dataplane, redirects deduplicated aliases to their
-/// owner's live workers, and resumes everything.
-#[test]
-fn multi_sharded_poll_matches_solo_prefix_replays() {
-    let recs = records(2_400);
-    let sources = [
-        fig2::PER_FLOW_COUNTERS.source,
-        fig2::PER_FLOW_LOSS_RATE.source,
-    ];
-    let programs: Vec<CompiledProgram> = sources
-        .iter()
-        .map(|s| compiled(s, CompileOptions::default()))
-        .collect();
-    let mut multi = MultiSharded::new(programs.clone(), 2);
-    let ids = multi.ids().to_vec();
-    let mut seen = 0usize;
-    for (i, part) in recs.chunks(500).enumerate() {
-        multi.process_batch(part);
-        seen += part.len();
-        if i % 2 == 1 {
-            for (id, src) in ids.iter().zip(&sources) {
-                let frame = sorted(multi.poll(*id).expect("installed id"));
-                let c = compiled(src, CompileOptions::default());
-                assert_eq!(
-                    frame,
-                    prefix_replay(&c, &recs[..seen]),
-                    "program {src:?} polled after {seen} records (2 shards)"
-                );
-            }
-        }
-    }
-    let polled_final: Vec<ResultSet> = multi.finish().iter().map(Runtime::collect).collect();
-    let reference = MultiSharded::new(programs, 2);
-    let mut reference = reference;
-    reference.process_batch(&recs);
-    for (a, b) in polled_final
-        .into_iter()
-        .zip(reference.finish().iter().map(Runtime::collect))
-    {
         assert_eq!(sorted(a), sorted(b), "polls must not perturb the drain");
     }
 }

@@ -1,6 +1,6 @@
 //! Referee tests for the dynamic query lifecycle: online
-//! [`MultiRuntime::install`] / [`MultiRuntime::uninstall`] (and the sharded
-//! twins) must be **byte-identical** to never having churned at all.
+//! [`MultiRuntime::install`] / [`MultiRuntime::uninstall`] must be
+//! **byte-identical** to never having churned at all.
 //!
 //! The reference semantics: at every install event, imagine restarting the
 //! whole deployment from scratch — batch-provision the then-active program
@@ -10,10 +10,9 @@
 //! results (at uninstall, and at the final collect) must match the
 //! restarted deployment's. The differential driver below spawns one such
 //! reference deployment per install event and holds every interleaving of
-//! installs, uninstalls and record chunks to that standard — on the
-//! single-stream plane and the 1/2/4-shard planes, with and without an
-//! SRAM area budget (where installs shrink resident slices and live-migrate
-//! resident stores, and uninstalls regrow them).
+//! installs, uninstalls and record chunks to that standard, with and
+//! without an SRAM area budget (where installs shrink resident slices and
+//! live-migrate resident stores, and uninstalls regrow them).
 //!
 //! Scenario constraint (mirrors the dataplane's own epoch gate):
 //! structurally-identical queries are only installed back-to-back, with no
@@ -25,7 +24,6 @@
 //! pinned separately by the in-crate test
 //! `cross_epoch_duplicates_stay_private_and_exact`.
 
-use perfq::kvstore::PlanError;
 use perfq::prelude::*;
 use perfq_core::InstallError;
 use std::sync::{Arc, Mutex};
@@ -67,24 +65,14 @@ enum Op {
 }
 use Op::{Chunk, Install, Uninstall};
 
-/// A deployment under test: the single-stream plane or a sharded one.
-#[allow(clippy::large_enum_variant)] // a handful live per test; size is irrelevant
-enum Plane {
-    Single(MultiRuntime),
-    Sharded(MultiSharded),
-}
+/// A deployment under test, behind the face the scenarios drive.
+struct Plane(MultiRuntime);
 
 impl Plane {
-    fn spawn(programs: Vec<CompiledProgram>, budget: Option<u64>, shards: Option<usize>) -> Self {
-        match (shards, budget) {
-            (None, None) => Plane::Single(MultiRuntime::new(programs)),
-            (None, Some(b)) => {
-                Plane::Single(MultiRuntime::provisioned(programs, b).expect("plan fits").0)
-            }
-            (Some(s), None) => Plane::Sharded(MultiSharded::new(programs, s)),
-            (Some(s), Some(b)) => {
-                Plane::Sharded(MultiSharded::provisioned(programs, b, s).expect("plan fits").0)
-            }
+    fn spawn(programs: Vec<CompiledProgram>, budget: Option<u64>) -> Self {
+        match budget {
+            None => Plane(MultiRuntime::new(programs)),
+            Some(b) => Plane(MultiRuntime::provisioned(programs, b).expect("plan fits").0),
         }
     }
 
@@ -93,66 +81,42 @@ impl Plane {
     }
 
     fn try_install(&mut self, p: CompiledProgram) -> Result<u64, InstallError> {
-        match self {
-            Plane::Single(m) => m.install(p),
-            Plane::Sharded(m) => m.install(p),
-        }
+        self.0.install(p)
     }
 
     /// Everything a rejected install must leave exactly as it was: the
     /// install ids, the program count and the sharing report.
     fn shape(&self) -> (Vec<u64>, usize, String) {
-        match self {
-            Plane::Single(m) => (m.ids().to_vec(), m.len(), format!("{:?}", m.sharing())),
-            Plane::Sharded(m) => (m.ids().to_vec(), m.len(), format!("{:?}", m.sharing())),
-        }
+        let m = &self.0;
+        (m.ids().to_vec(), m.len(), format!("{:?}", m.sharing()))
     }
 
     fn uninstall(&mut self, id: u64) -> ResultSet {
-        match self {
-            Plane::Single(m) => m.uninstall(id).expect("id is live"),
-            Plane::Sharded(m) => m.uninstall(id).expect("id is live"),
-        }
+        let departed = self.0.uninstall(id).expect("no durable tier to publish to");
+        departed.expect("id is live")
     }
 
     fn poll(&mut self, id: u64) -> ResultSet {
-        match self {
-            Plane::Single(m) => m.poll(id).expect("id is live"),
-            Plane::Sharded(m) => m.poll(id).expect("id is live"),
-        }
+        self.0.poll(id).expect("id is live")
     }
 
     /// The deduplicated stores as `(owner, alias)` program indices.
     fn shared_stores(&self) -> Vec<(usize, usize)> {
-        let report = match self {
-            Plane::Single(m) => m.sharing(),
-            Plane::Sharded(m) => m.sharing(),
-        };
+        let report = self.0.sharing();
         report.stores.iter().map(|s| (s.owner.0, s.alias.0)).collect()
     }
 
     fn chunk(&mut self, recs: &[QueueRecord]) {
-        match self {
-            Plane::Single(m) => m.process_batch(recs),
-            Plane::Sharded(m) => m.process_batch(recs),
-        }
+        self.0.process_batch(recs);
     }
 
     fn ids(&self) -> Vec<u64> {
-        match self {
-            Plane::Single(m) => m.ids().to_vec(),
-            Plane::Sharded(m) => m.ids().to_vec(),
-        }
+        self.0.ids().to_vec()
     }
 
-    fn done(self) -> Vec<ResultSet> {
-        match self {
-            Plane::Single(mut m) => {
-                m.finish();
-                m.collect()
-            }
-            Plane::Sharded(m) => m.finish().iter().map(Runtime::collect).collect(),
-        }
+    fn done(mut self) -> Vec<ResultSet> {
+        self.0.finish();
+        self.0.collect()
     }
 }
 
@@ -167,29 +131,13 @@ struct Reference {
     label: String,
 }
 
-fn canon(mut rs: ResultSet, sort: bool) -> ResultSet {
-    if sort {
-        rs.sort();
-    }
-    rs
-}
-
 /// Run one lifecycle script against one plane configuration, holding the
 /// live deployment to every restarted reference.
-fn run_differential(
-    initial: &[&'static str],
-    ops: &[Op],
-    total: usize,
-    budget: Option<u64>,
-    shards: Option<usize>,
-) {
+fn run_differential(initial: &[&'static str], ops: &[Op], total: usize, budget: Option<u64>) {
     let recs = records(total);
-    // Two identically-sharded deployments merge shards in the same order,
-    // but sorting keeps the comparison about values, not merge order.
-    let sort = shards.is_some();
     let build = |srcs: &[&'static str]| srcs.iter().map(|s| compiled(s)).collect::<Vec<_>>();
 
-    let mut live = Plane::spawn(build(initial), budget, shards);
+    let mut live = Plane::spawn(build(initial), budget);
     let mut active_src: Vec<&'static str> = initial.to_vec();
     let mut active_ids: Vec<u64> = live.ids();
     let mut install_order: Vec<u64> = active_ids.clone();
@@ -197,7 +145,7 @@ fn run_differential(
     // The deployment's own construction is install event zero: everything
     // in the initial set is fresh, so every program is comparable.
     let mut refs = vec![Reference {
-        plane: Plane::spawn(build(initial), budget, shards),
+        plane: Plane::spawn(build(initial), budget),
         roster: active_ids.iter().map(|&id| (id, true)).collect(),
         label: "restart@start".into(),
     }];
@@ -228,7 +176,7 @@ fn run_differential(
                     .map(|(i, &id)| (id, i == active_ids.len() - 1))
                     .collect();
                 refs.push(Reference {
-                    plane: Plane::spawn(build(&active_src), budget, shards),
+                    plane: Plane::spawn(build(&active_src), budget),
                     roster,
                     label: format!("restart@op{event}"),
                 });
@@ -251,10 +199,9 @@ fn run_differential(
                     let (_, comparable) = r.roster.remove(rpos);
                     if comparable {
                         assert_eq!(
-                            canon(got.clone(), sort),
-                            canon(want, sort),
-                            "uninstall(id {lid}) diverges from {} \
-                             (budget {budget:?}, shards {shards:?})",
+                            got,
+                            want,
+                            "uninstall(id {lid}) diverges from {} (budget {budget:?})",
                             r.label
                         );
                     }
@@ -274,27 +221,19 @@ fn run_differential(
         for (pos, (id, comparable)) in roster.iter().enumerate() {
             if *comparable {
                 assert_eq!(
-                    canon(live_final[pos].clone(), sort),
-                    canon(want[pos].clone(), sort),
-                    "final results for id {id} diverge from {label} \
-                     (budget {budget:?}, shards {shards:?})"
+                    live_final[pos], want[pos],
+                    "final results for id {id} diverge from {label} (budget {budget:?})"
                 );
             }
         }
     }
 }
 
-/// Every plane configuration a scenario must survive: the single-stream
-/// plane under no budget, a roomy budget, and a tight budget that forces
-/// real shrink/grow migrations; and the 1/2/4-shard planes.
+/// Every plane configuration a scenario must survive: no budget, a roomy
+/// budget, and a tight budget that forces real shrink/grow migrations.
 fn all_planes(initial: &[&'static str], ops: &[Op], total: usize) {
     for budget in [None, Some(32 * MBIT), Some(6 * MBIT)] {
-        run_differential(initial, ops, total, budget, None);
-    }
-    for shards in [1usize, 2, 4] {
-        for budget in [None, Some(32 * MBIT)] {
-            run_differential(initial, ops, total, budget, Some(shards));
-        }
+        run_differential(initial, ops, total, budget);
     }
 }
 
@@ -375,27 +314,6 @@ fn churn_to_empty_and_refill_stays_exact() {
     );
 }
 
-#[test]
-fn an_install_can_adopt_a_deduped_store_on_the_sharded_plane() {
-    let (mut multi, _plan) =
-        MultiSharded::provisioned(vec![compiled(FIVE_TUPLE_COUNTER)], 32 * MBIT, 2)
-            .expect("one counter fits");
-    assert_eq!(multi.sharing().stores.len(), 0);
-    multi
-        .install(compiled(fig2::PER_FLOW_LOSS_RATE.source))
-        .expect("install replans");
-    assert_eq!(
-        multi.sharing().stores.len(),
-        1,
-        "the equal-epoch install should adopt the counter's store"
-    );
-    let recs = records(800);
-    multi.process_batch(&recs);
-    for rt in multi.finish() {
-        drop(rt.collect());
-    }
-}
-
 /// Two copies of one base-rooted non-linear fold (`TCP_NON_MONOTONIC`),
 /// one demanding 8 ways and one 4, never share a store. At a few pairs per
 /// store the planner clamps both to one geometry, but it sizes them
@@ -454,10 +372,10 @@ fn clamped_stores_of_different_associativity_never_share() {
 
         live.process_batch(&recs[..1000]);
         reference.process_batch(&recs[..1000]);
-        let got = live.uninstall(live.ids()[1]).expect("the counter is live");
-        let want = reference
-            .uninstall(reference.ids()[1])
-            .expect("the counter is live");
+        let got = live.uninstall(live.ids()[1]).expect("no durable tier");
+        let got = got.expect("the counter is live");
+        let want = reference.uninstall(reference.ids()[1]).expect("no durable tier");
+        let want = want.expect("the counter is live");
         assert_eq!(got, want, "uninstalled counter diverged at {budget} bits");
         assert!(
             live.sharing().stores.is_empty(),
@@ -490,27 +408,23 @@ fn clamped_stores_of_different_associativity_never_share() {
     );
 }
 
-/// Whether `budget` bits provision `srcs` with every store's `1/shards`
-/// worker slice still holding one pair — the condition under which the
-/// plane's provisioned constructor (and an install's replan) succeeds.
-fn fits(srcs: &[&'static str], budget: u64, shards: usize) -> bool {
+/// Whether `budget` bits provision `srcs` — the condition under which the
+/// provisioned constructor (and an install's replan) succeeds.
+fn fits(srcs: &[&'static str], budget: u64) -> bool {
     let programs: Vec<_> = srcs.iter().map(|s| compiled(s)).collect();
-    MultiRuntime::provisioned(programs, budget).is_ok_and(|(_, plan)| {
-        let mut stores = plan.queries.iter().flat_map(|q| &q.stores);
-        stores.all(|s| s.shard_geometry(shards).is_ok())
-    })
+    MultiRuntime::provisioned(programs, budget).is_ok()
 }
 
-/// The smallest budget (bits) under which `srcs` fit at `shards` workers.
-fn smallest_fit(srcs: &[&'static str], shards: usize) -> u64 {
+/// The smallest budget (bits) under which `srcs` fit.
+fn smallest_fit(srcs: &[&'static str]) -> u64 {
     let mut hi = 1u64;
-    while !fits(srcs, hi, shards) {
+    while !fits(srcs, hi) {
         hi *= 2;
     }
     let mut lo = hi / 2;
     while lo + 1 < hi {
         let mid = (lo + hi) / 2;
-        if fits(srcs, mid, shards) {
+        if fits(srcs, mid) {
             hi = mid;
         } else {
             lo = mid;
@@ -545,12 +459,8 @@ fn refused_install_leaves_no_trace(
 }
 
 /// The live deployment's final drain equals the never-attempted one's.
-fn drains_agree(live: Plane, control: Plane, sort: bool, what: &str) {
-    let (got, want) = (live.done(), control.done());
-    assert_eq!(got.len(), want.len(), "{what}");
-    for (g, w) in got.into_iter().zip(want) {
-        assert_eq!(canon(g, sort), canon(w, sort), "{what}: drain diverged");
-    }
+fn drains_agree(live: Plane, control: Plane, what: &str) {
+    assert_eq!(live.done(), control.done(), "{what}: drain diverged");
 }
 
 /// The store-dedup pair in the resident set makes "sharing unchanged" a
@@ -559,43 +469,15 @@ const RESIDENTS: [&str; 2] = [FIVE_TUPLE_COUNTER, fig2::PER_FLOW_LOSS_RATE.sourc
 
 #[test]
 fn an_install_the_budget_cannot_hold_is_refused_without_a_trace() {
-    for shards in [None, Some(1usize), Some(2), Some(4)] {
-        let n = shards.unwrap_or(1);
-        let budget = smallest_fit(&RESIDENTS, n);
-        let grown = [RESIDENTS[0], RESIDENTS[1], fig2::LATENCY_EWMA.source];
-        assert!(!fits(&grown, budget, n), "the scenario needs a full budget");
-        let what = format!("budget {budget}, shards {shards:?}");
-        let spawn = || Plane::spawn(RESIDENTS.map(compiled).to_vec(), Some(budget), shards);
-        let (mut live, mut control) = (spawn(), spawn());
-        let err = refused_install_leaves_no_trace(&mut live, &mut control, grown[2], &what);
-        assert!(matches!(err, InstallError::Plan(_)), "{what}: {err}");
-        drains_agree(live, control, shards.is_some(), &what);
-    }
-}
-
-#[test]
-fn an_install_whose_shard_slice_is_too_small_is_refused_without_a_trace() {
-    for shards in [2usize, 4] {
-        let grown = [RESIDENTS[0], RESIDENTS[1], fig2::LATENCY_EWMA.source];
-        // The residents fit sharded and the grown set fits as whole slices,
-        // but one of its `1/shards` worker slices cannot hold a pair.
-        let budget = (smallest_fit(&RESIDENTS, shards)..)
-            .step_by(64)
-            .take(1 << 14)
-            .find(|&b| fits(&grown, b, 1) && !fits(&grown, b, shards))
-            .expect("a budget between the whole-slice and the shard-slice fit");
-        let what = format!("budget {budget}, shards {shards}");
-        let spawn = || Plane::spawn(RESIDENTS.map(compiled).to_vec(), Some(budget), Some(shards));
-        let (mut live, mut control) = (spawn(), spawn());
-        let err = refused_install_leaves_no_trace(&mut live, &mut control, grown[2], &what);
-        match &err {
-            InstallError::Plan(PlanError::SliceTooSmall { query, .. }) => {
-                assert!(!query.is_empty(), "{what}: the error names its query");
-            }
-            other => panic!("{what}: expected a too-small shard slice, got {other}"),
-        }
-        drains_agree(live, control, true, &what);
-    }
+    let budget = smallest_fit(&RESIDENTS);
+    let grown = [RESIDENTS[0], RESIDENTS[1], fig2::LATENCY_EWMA.source];
+    assert!(!fits(&grown, budget), "the scenario needs a full budget");
+    let what = format!("budget {budget}");
+    let spawn = || Plane::spawn(RESIDENTS.map(compiled).to_vec(), Some(budget));
+    let (mut live, mut control) = (spawn(), spawn());
+    let err = refused_install_leaves_no_trace(&mut live, &mut control, grown[2], &what);
+    assert!(matches!(err, InstallError::Plan(_)), "{what}: {err}");
+    drains_agree(live, control, &what);
 }
 
 #[test]
@@ -611,8 +493,8 @@ fn a_failed_durable_attach_refuses_the_install_and_burns_its_id() {
     let handle = Arc::new(Mutex::new(FaultBackend::new()));
     let faulty: SharedBackend = handle.clone();
     let healthy: SharedBackend = shared(MemBackend::new());
-    let mut live = Plane::Single(spawn(&faulty));
-    let mut control = Plane::Single(spawn(&healthy));
+    let mut live = Plane(spawn(&faulty));
+    let mut control = Plane(spawn(&healthy));
     {
         let mut h = handle.lock().expect("fault mutex");
         let next_op = h.ops();
@@ -632,7 +514,7 @@ fn a_failed_durable_attach_refuses_the_install_and_burns_its_id() {
     let tail = &records(1500)[1200..];
     live.chunk(tail);
     control.chunk(tail);
-    drains_agree(live, control, false, "after the retried install");
+    drains_agree(live, control, "after the retried install");
 }
 
 /// Two aggregations that are one store *inside* one program. Compilation
@@ -668,21 +550,16 @@ fn owner_alias_and_twins(opts: CompileOptions) -> Vec<CompiledProgram> {
 /// `uninstall(id)` is the poll contract applied one last time: it returns
 /// what `poll(id)` returned an instant earlier — for a departing owner, a
 /// departing alias (read through its owner's live store) and a program
-/// holding a within-program alias, on the inline and the sharded plane, with
-/// and without a budget — and the survivors keep running.
+/// holding a within-program alias, with and without a budget — and the
+/// survivors keep running.
 #[test]
 fn uninstall_returns_the_poll_taken_just_before_it() {
     let recs = records(1500);
-    for (shards, budget) in [
-        (None, None),
-        (None, Some(32 * MBIT)),
-        (Some(2), None),
-        (Some(2), Some(32 * MBIT)),
-    ] {
+    for budget in [None, Some(32 * MBIT)] {
         for departing in 0..3 {
-            let what = format!("program {departing} leaves (budget {budget:?}, shards {shards:?})");
+            let what = format!("program {departing} leaves (budget {budget:?})");
             let programs = owner_alias_and_twins(CompileOptions::default());
-            let mut plane = Plane::spawn(programs, budget, shards);
+            let mut plane = Plane::spawn(programs, budget);
             assert_eq!(plane.shared_stores(), [(0, 1), (2, 2)], "{what}");
             plane.chunk(&recs[..900]);
             let id = plane.ids()[departing];
@@ -691,12 +568,7 @@ fn uninstall_returns_the_poll_taken_just_before_it() {
             // rate's `R1`, the twins' `R2`.
             let served = [0, 0, 1][departing];
             assert!(!polled.tables[served].rows.is_empty(), "{what}");
-            let sort = shards.is_some();
-            assert_eq!(
-                canon(plane.uninstall(id), sort),
-                canon(polled, sort),
-                "{what}"
-            );
+            assert_eq!(plane.uninstall(id), polled, "{what}");
             plane.chunk(&recs[900..]);
             assert_eq!(plane.done().len(), 2, "{what}");
         }
@@ -731,7 +603,7 @@ fn a_durable_uninstall_retires_the_poll_taken_just_before_it() {
         let id = multi.ids()[departing];
         let polled = multi.poll(id).expect("id is live");
         assert_eq!(
-            multi.uninstall(id),
+            multi.uninstall(id).expect("in-memory publish"),
             Some(polled.clone()),
             "program {departing}"
         );
