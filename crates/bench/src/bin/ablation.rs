@@ -28,11 +28,7 @@ fn eviction_fraction(trace: &KeyTrace, geometry: CacheGeometry, policy: Eviction
 fn main() {
     println!("Ablations of the key-value store design\n");
     let trace = KeyTrace::generate();
-    println!(
-        "workload: {} packets, {} flows\n",
-        trace.len(),
-        trace.flows
-    );
+    println!("workload: {} packets, {} flows\n", trace.len(), trace.flows);
 
     let paper_ratio = (1u64 << 18) as f64 / 3.8e6; // the 32-Mbit point
     let target = ((trace.flows as f64 * paper_ratio) as usize).next_power_of_two();
@@ -48,11 +44,7 @@ fn main() {
         EvictionPolicy::Fifo,
         EvictionPolicy::Random { seed: 7 },
     ] {
-        let frac = eviction_fraction(
-            &trace,
-            CacheGeometry::set_associative(target, 8),
-            policy,
-        );
+        let frac = eviction_fraction(&trace, CacheGeometry::set_associative(target, 8), policy);
         ta.row(&[policy.name().into(), format!("{:.3}", frac * 100.0)]);
         csv_a.push(format!("{},{:.6}", policy.name(), frac));
     }

@@ -17,9 +17,7 @@ fn main() {
     println!("constants (paper's citations):");
     println!("  SRAM density          : {SRAM_KBIT_PER_MM2:.0} Kbit/mm²   [ARM, ref 13]");
     println!("  smallest switch die   : {MIN_CHIP_AREA_MM2:.0} mm²          [Gibb et al., ref 20]");
-    println!(
-        "  key-value pair        : {PAIR_BITS} bits (104-bit 5-tuple + 24-bit counter)\n"
-    );
+    println!("  key-value pair        : {PAIR_BITS} bits (104-bit 5-tuple + 24-bit counter)\n");
 
     let m = WorkloadModel::paper();
     println!("workload model (Benson et al. datacenter conditions):");
@@ -51,7 +49,10 @@ fn main() {
             format!("{mbit}"),
             format!("2^{}", pairs_in_sram(bits, PAIR_BITS).ilog2()),
             format!("{:.2}", sram_area_mm2(bits)),
-            format!("{:.2}%", chip_area_fraction(bits, MIN_CHIP_AREA_MM2) * 100.0),
+            format!(
+                "{:.2}%",
+                chip_area_fraction(bits, MIN_CHIP_AREA_MM2) * 100.0
+            ),
         ]);
     }
     table.sep();

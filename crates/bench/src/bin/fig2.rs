@@ -68,11 +68,7 @@ fn main() {
         all_ok &= verdict_match;
 
         let compiled = compile_program(prog, CompileOptions::default());
-        let alu_ok = compiled
-            .alu
-            .iter()
-            .flatten()
-            .all(|r| r.is_ok());
+        let alu_ok = compiled.alu.iter().flatten().all(|r| r.is_ok());
         let mut rt = Runtime::new(compiled.clone());
         let mut oracle = Oracle::new(compiled);
         for r in &records {
@@ -84,7 +80,10 @@ fn main() {
         let want = oracle.collect();
 
         let vq = q.verdict_query;
-        let (gt, wt) = (got.table(vq).expect("table"), want.table(vq).expect("table"));
+        let (gt, wt) = (
+            got.table(vq).expect("table"),
+            want.table(vq).expect("table"),
+        );
         let comparison = if q.paper_linear {
             match perfq_core::diff_tables(gt, wt, 1e-9) {
                 None => "exact match".to_string(),
@@ -112,7 +111,11 @@ fn main() {
     println!(
         "\nALU budget: {} state regs, {} ops/cycle, depth-{} predication, \
          multiplier: {}, {}-packet window",
-        spec.max_state_vars, spec.max_ops, spec.max_branch_depth, spec.has_multiplier, spec.max_window
+        spec.max_state_vars,
+        spec.max_ops,
+        spec.max_branch_depth,
+        spec.has_multiplier,
+        spec.max_window
     );
     println!(
         "\nresult: {}",

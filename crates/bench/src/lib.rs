@@ -114,10 +114,9 @@ impl KeyTrace {
 /// Results directory (`target/perfq-results`), created on demand.
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(
-        std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()),
-    )
-    .join("perfq-results");
+    let dir =
+        PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()))
+            .join("perfq-results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
 }

@@ -15,8 +15,8 @@
 //! * streaming dataflow edges (query composition) are wired up.
 
 use crate::foldops::FoldOps;
-use perfq_lang::{QueryInput, ResolvedKind, ResolvedProgram};
 use perfq_kvstore::{CacheGeometry, EvictionPolicy};
+use perfq_lang::{QueryInput, ResolvedKind, ResolvedProgram};
 use perfq_switch::{AluReport, AluSpec, AluViolation};
 
 /// Compiler options: the hardware configuration to target.

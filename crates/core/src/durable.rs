@@ -317,7 +317,10 @@ pub fn read_retired(d: &Durability, id: u64) -> io::Result<Option<ResultSet>> {
     };
     drop(be);
     decode_results(&bytes).map(Some).ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("{name}: malformed results"))
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{name}: malformed results"),
+        )
     })
 }
 
@@ -337,11 +340,7 @@ mod tests {
                 ]),
                 rows: vec![
                     ResultRow {
-                        values: vec![
-                            Value::Int(-7),
-                            Value::Float(0.1 + 0.2),
-                            Value::Bool(true),
-                        ],
+                        values: vec![Value::Int(-7), Value::Float(0.1 + 0.2), Value::Bool(true)],
                         valid: true,
                     },
                     ResultRow {

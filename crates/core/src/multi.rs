@@ -127,9 +127,7 @@ use crate::durable::{read_retired, write_retired, Durability};
 use crate::plan::{ExecPlan, NodeKind, RowSource};
 use crate::result::ResultSet;
 use crate::runtime::{Lanes, LifecycleError, Runtime};
-use perfq_kvstore::{
-    AreaPlan, CachePlanner, PlanError, QueryAllocation, QueryDemand, StoreDemand,
-};
+use perfq_kvstore::{AreaPlan, CachePlanner, PlanError, QueryAllocation, QueryDemand, StoreDemand};
 use perfq_switch::{Network, QueueRecord};
 
 /// The planner demand set of the current deployment: one [`QueryDemand`]
@@ -683,11 +681,7 @@ impl Roster {
     /// re-parent onto the promoted owner. The departing runtime is dropped,
     /// and under a budget the remaining programs replan onto the reclaimed
     /// area and live-migrate.
-    fn uninstall(
-        &mut self,
-        pos: usize,
-        runtimes: &mut Vec<Runtime>,
-    ) -> std::io::Result<ResultSet> {
+    fn uninstall(&mut self, pos: usize, runtimes: &mut Vec<Runtime>) -> std::io::Result<ResultSet> {
         let results = self.poll(pos, runtimes);
         // The poll read through the durable tier (a frame replays every
         // spilled pair); publish it so it outlives the deployment.

@@ -285,7 +285,10 @@ mod tests {
         // R2 streams from R1 but nothing consumes R2 (its table is rebuilt
         // at collect time): R2 deactivates, and R1 must then stop emitting.
         let p = plan("R1 = SELECT COUNT GROUPBY srcip\nR2 = SELECT COUNT FROM R1\n");
-        assert!(!p.nodes[1].active, "unconsumed projection leaves the dataplane");
+        assert!(
+            !p.nodes[1].active,
+            "unconsumed projection leaves the dataplane"
+        );
         assert!(p.nodes[0].active, "groupby still updates its store");
         assert!(
             !p.nodes[0].emits,

@@ -46,8 +46,7 @@ impl ResultTable {
 
     /// Sort rows canonically (for deterministic output and comparisons).
     pub fn sort(&mut self) {
-        self.rows
-            .sort_by(|a, b| cmp_values(&a.values, &b.values));
+        self.rows.sort_by(|a, b| cmp_values(&a.values, &b.values));
     }
 
     /// Index rows by the values of `key_cols` (integer-keyed tables).
@@ -78,7 +77,12 @@ impl fmt::Display for ResultTable {
                 String::new()
             }
         )?;
-        let names: Vec<&str> = self.schema.columns.iter().map(|c| c.name.as_str()).collect();
+        let names: Vec<&str> = self
+            .schema
+            .columns
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
         writeln!(f, "  {}", names.join(" | "))?;
         for row in self.rows.iter().take(20) {
             let cells: Vec<String> = row.values.iter().map(Value::to_string).collect();

@@ -71,8 +71,8 @@ use crate::compiler::CompiledProgram;
 use crate::durable::Durability;
 use crate::result::{value_key, ResultSet};
 use crate::runtime::{poll_own, Runtime};
-use perfq_lang::{QueryInput, ResolvedKind, Value};
 use perfq_lang::ir::FoldClass;
+use perfq_lang::{QueryInput, ResolvedKind, Value};
 use perfq_switch::{spsc, QueueRecord};
 use std::thread::JoinHandle;
 
@@ -106,13 +106,14 @@ impl ShardSpec {
     #[must_use]
     pub fn from_compiled(compiled: &CompiledProgram) -> ShardSpec {
         let program = &compiled.program;
-        let primary = program
-            .queries
-            .iter()
-            .find_map(|q| match (&q.kind, &q.input, q.collect_only) {
-                (ResolvedKind::GroupBy(g), QueryInput::Base, false) => Some(g.key_cols.clone()),
-                _ => None,
-            });
+        let primary =
+            program
+                .queries
+                .iter()
+                .find_map(|q| match (&q.kind, &q.input, q.collect_only) {
+                    (ResolvedKind::GroupBy(g), QueryInput::Base, false) => Some(g.key_cols.clone()),
+                    _ => None,
+                });
         let cols = primary.unwrap_or_else(|| {
             let schema = perfq_lang::base_schema();
             ["srcip", "dstip", "srcport", "dstport", "proto"]
@@ -127,13 +128,13 @@ impl ShardSpec {
             let (ResolvedKind::GroupBy(g), Some(plan)) = (&q.kind, &compiled.stores[idx]) else {
                 continue;
             };
-            let order_free = plan.ops.is_additive()
-                && matches!(g.fold.class, FoldClass::Linear { window: 0 });
+            let order_free =
+                plan.ops.is_additive() && matches!(g.fold.class, FoldClass::Linear { window: 0 });
             let stateless_overwrite = g.fold.state.is_empty();
             // Key confinement is only provable for base-rooted stores: a
             // composed store's key columns index an upstream output row.
-            let confined = matches!(q.input, QueryInput::Base)
-                && cols.iter().all(|c| g.key_cols.contains(c));
+            let confined =
+                matches!(q.input, QueryInput::Base) && cols.iter().all(|c| g.key_cols.contains(c));
             if !(order_free || stateless_overwrite || confined) {
                 exact = false;
             }
@@ -328,7 +329,8 @@ impl ShardedRuntime {
         self.routed += 1;
         self.records += 1;
         self.buffers[s].push(rec.clone());
-        if self.buffers[s].len() >= DEFAULT_BATCH && senders[s].send_all(&mut self.buffers[s]).is_err()
+        if self.buffers[s].len() >= DEFAULT_BATCH
+            && senders[s].send_all(&mut self.buffers[s]).is_err()
         {
             // The worker's receiver is gone — it died mid-run. Join it so
             // the producer re-raises the worker's own panic instead of
@@ -465,7 +467,12 @@ impl ShardedRuntime {
     pub fn persist(&mut self) -> std::io::Result<()> {
         self.paused(|plane, workers| {
             let d = (plane.durability.as_ref()).expect("persist requires enable_durability");
-            crate::durable::persist(d, plane.records, &mut plane.persisted_at, &mut named(workers))
+            crate::durable::persist(
+                d,
+                plane.records,
+                &mut plane.persisted_at,
+                &mut named(workers),
+            )
         })
     }
 
@@ -513,8 +520,8 @@ impl ShardedRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::CompileOptions;
     use crate::compile_query;
+    use crate::compiler::CompileOptions;
     use perfq_lang::fig2;
     use perfq_switch::{Network, NetworkConfig};
     use perfq_trace::{SyntheticTrace, TraceConfig};

@@ -597,7 +597,10 @@ mod tests {
         // §4: "a 32-Mbit cache in SRAM costs under 2.5% additional area".
         let frac = chip_area_fraction(32 * MBIT, MIN_CHIP_AREA_MM2);
         assert!(frac < 0.025, "fraction = {frac}");
-        assert!(frac > 0.02, "fraction = {frac} (sanity: close to the bound)");
+        assert!(
+            frac > 0.02,
+            "fraction = {frac} (sanity: close to the bound)"
+        );
     }
 
     #[test]
@@ -697,10 +700,7 @@ mod tests {
         let plan = CachePlanner::new(32 * MBIT)
             .plan(&[QueryDemand::new(
                 "loss",
-                vec![
-                    StoreDemand::new(128, 8),
-                    StoreDemand::new(128, 8),
-                ],
+                vec![StoreDemand::new(128, 8), StoreDemand::new(128, 8)],
             )])
             .unwrap();
         let q = &plan.queries[0];
@@ -743,9 +743,13 @@ mod tests {
         assert!(slice_bits < 128);
         assert!(err.to_string().contains("tiny"));
         // And a budget that feeds one query can starve four.
-        assert!(CachePlanner::new(400).plan(&[demand("one", 128, 8)]).is_ok());
-        let starved: Vec<QueryDemand> =
-            ["a", "b", "c", "d"].iter().map(|n| demand(n, 128, 8)).collect();
+        assert!(CachePlanner::new(400)
+            .plan(&[demand("one", 128, 8)])
+            .is_ok());
+        let starved: Vec<QueryDemand> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|n| demand(n, 128, 8))
+            .collect();
         assert!(CachePlanner::new(400).plan(&starved).is_err());
     }
 
@@ -778,11 +782,17 @@ mod tests {
         // overlap): unshared, each gets half the budget; deduped, ONE
         // physical store gets the whole budget and the alias rides along.
         let unshared = CachePlanner::new(32 * MBIT)
-            .plan(&[demand("counters", PAIR_BITS, 8), demand("loss", PAIR_BITS, 8)])
+            .plan(&[
+                demand("counters", PAIR_BITS, 8),
+                demand("loss", PAIR_BITS, 8),
+            ])
             .unwrap();
         let shared = CachePlanner::new(32 * MBIT)
             .plan(&[
-                QueryDemand::new("counters", vec![StoreDemand::new(PAIR_BITS, 8).with_dedup(1)]),
+                QueryDemand::new(
+                    "counters",
+                    vec![StoreDemand::new(PAIR_BITS, 8).with_dedup(1)],
+                ),
                 QueryDemand::new("loss", vec![StoreDemand::new(PAIR_BITS, 8).with_dedup(1)]),
             ])
             .unwrap();

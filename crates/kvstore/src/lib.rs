@@ -241,6 +241,4 @@ pub use sketch::CountMinSketch;
 pub use spill::{SpillConfig, SpillStats, SpillTier};
 pub use split::{CounterOps, MaxOps, SplitStore, StoreSnapshot, SumOps, ValueOps};
 pub use stats::StoreStats;
-pub use wal::{
-    shared, DiskBackend, FaultBackend, IoBackend, MemBackend, Persist, SharedBackend,
-};
+pub use wal::{shared, DiskBackend, FaultBackend, IoBackend, MemBackend, Persist, SharedBackend};

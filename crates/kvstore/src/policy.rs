@@ -42,7 +42,11 @@ impl VictimRng {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         VictimRng {
-            state: if seed == 0 { 0x1234_5678_9abc_def1 } else { seed },
+            state: if seed == 0 {
+                0x1234_5678_9abc_def1
+            } else {
+                seed
+            },
         }
     }
 
@@ -88,7 +92,10 @@ mod tests {
             assert!(v < 8);
             seen[v] = true;
         }
-        assert!(seen.iter().all(|s| *s), "all slots should be picked eventually");
+        assert!(
+            seen.iter().all(|s| *s),
+            "all slots should be picked eventually"
+        );
     }
 
     #[test]

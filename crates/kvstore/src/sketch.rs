@@ -33,7 +33,9 @@ impl CountMinSketch {
             width,
             depth,
             rows: vec![vec![0u64; width]; depth],
-            seeds: (0..depth as u64).map(|i| seed.wrapping_add(i * 0x9e37)).collect(),
+            seeds: (0..depth as u64)
+                .map(|i| seed.wrapping_add(i * 0x9e37))
+                .collect(),
             items: 0,
         }
     }
@@ -127,9 +129,7 @@ mod tests {
         let n = s.total() as f64;
         let eps = std::f64::consts::E / s.dims().0 as f64;
         let bound = 10.0 + eps * n;
-        let violations = (0..n_keys)
-            .filter(|k| s.estimate(k) as f64 > bound)
-            .count();
+        let violations = (0..n_keys).filter(|k| s.estimate(k) as f64 > bound).count();
         // δ = 1%: expect ≤ ~20 violations; allow generous slack.
         assert!(violations < 100, "{violations} violations of the CM bound");
     }

@@ -224,10 +224,9 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
         self.flush();
         other.flush();
         let ops = &self.ops;
-        self.backing
-            .merge_from(other.backing, |standing, evicted| {
-                ops.merge(standing, evicted);
-            });
+        self.backing.merge_from(other.backing, |standing, evicted| {
+            ops.merge(standing, evicted);
+        });
         self.stats.absorb(&other.stats);
     }
 
@@ -334,10 +333,9 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
         // worker clones.
         let frame = self.snapshot();
         let ops = &self.ops;
-        snap.backing
-            .merge_from(frame.backing, |standing, evicted| {
-                ops.merge(standing, evicted);
-            });
+        snap.backing.merge_from(frame.backing, |standing, evicted| {
+            ops.merge(standing, evicted);
+        });
         snap.stats.absorb(&frame.stats);
     }
 
@@ -862,12 +860,8 @@ mod tests {
     fn migrate_does_not_split_residency_epochs() {
         // An epoch-mode key resident across a migration must stay one epoch:
         // the rehash preserves first_seen/last_seen instead of re-inserting.
-        let mut s: SplitStore<u64, MaxOps> = SplitStore::new(
-            CacheGeometry::new(4, 2),
-            EvictionPolicy::Lru,
-            1,
-            MaxOps,
-        );
+        let mut s: SplitStore<u64, MaxOps> =
+            SplitStore::new(CacheGeometry::new(4, 2), EvictionPolicy::Lru, 1, MaxOps);
         s.observe(1, &5, Nanos(0));
         s.migrate_geometry(CacheGeometry::fully_associative(8));
         s.observe(1, &9, Nanos(10));
@@ -976,7 +970,10 @@ mod tests {
             s.observe(k, &(), Nanos(i));
             reference.observe(k, &(), Nanos(i));
         }
-        assert!(s.spill_stats().unwrap().spilled_frames > 0, "tier exercised");
+        assert!(
+            s.spill_stats().unwrap().spilled_frames > 0,
+            "tier exercised"
+        );
         s.persist(200).unwrap();
         s.compact_spill().unwrap();
         // A fresh store recovers the durable truth and reads identically.

@@ -289,7 +289,10 @@ impl IoBackend for MemBackend {
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        self.files.entry(name.to_string()).or_default().extend_from_slice(bytes);
+        self.files
+            .entry(name.to_string())
+            .or_default()
+            .extend_from_slice(bytes);
         Ok(())
     }
 
@@ -470,12 +473,14 @@ impl<'a> ByteReader<'a> {
 
     /// Next little-endian `u32`.
     pub fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_le_bytes(s.try_into().unwrap()))
+        self.take(4)
+            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
     }
 
     /// Next little-endian `u64`.
     pub fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| u64::from_le_bytes(s.try_into().unwrap()))
+        self.take(8)
+            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
     }
 
     /// Next little-endian `i64`.
@@ -773,8 +778,7 @@ mod tests {
         for bit in (HEADER_LEN * 8)..(buf.len() * 8) {
             let mut bad = buf.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            let survives = FrameScanner::new(&bad)
-                .any(|(_, p)| p == &buf[HEADER_LEN + 8..]);
+            let survives = FrameScanner::new(&bad).any(|(_, p)| p == &buf[HEADER_LEN + 8..]);
             assert!(
                 !survives,
                 "bit {bit}: a corrupted frame scanned as the original"

@@ -115,9 +115,10 @@ impl Expr {
     #[must_use]
     pub fn span(&self) -> Option<Span> {
         match self {
-            Expr::Name(_, s) | Expr::Qualified(_, _, s) | Expr::FiveTuple(s) | Expr::Call(_, _, s) => {
-                Some(*s)
-            }
+            Expr::Name(_, s)
+            | Expr::Qualified(_, _, s)
+            | Expr::FiveTuple(s)
+            | Expr::Call(_, _, s) => Some(*s),
             Expr::Unary(_, e) => e.span(),
             Expr::Binary(_, l, r) => match (l.span(), r.span()) {
                 (Some(a), Some(b)) => Some(a.merge(b)),

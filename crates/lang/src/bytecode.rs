@@ -298,7 +298,9 @@ fn fetch(slice: &[Value], i: u32, what: &str) -> Result<Value, TypeError> {
 
 #[inline]
 fn pop(stack: &mut Vec<Value>) -> Result<Value, TypeError> {
-    stack.pop().ok_or_else(|| TypeError("stack underflow".into()))
+    stack
+        .pop()
+        .ok_or_else(|| TypeError("stack underflow".into()))
 }
 
 /// Compile one expression.
@@ -508,10 +510,9 @@ impl Compiler {
 
     fn patch(&mut self, at: usize, target: u32) {
         match &mut self.ops[at] {
-            Op::JumpIfFalse(t)
-            | Op::Jump(t)
-            | Op::AndShortCircuit(t)
-            | Op::OrShortCircuit(t) => *t = target,
+            Op::JumpIfFalse(t) | Op::Jump(t) | Op::AndShortCircuit(t) | Op::OrShortCircuit(t) => {
+                *t = target
+            }
             other => unreachable!("patching non-jump op {other:?}"),
         }
     }
@@ -665,7 +666,10 @@ mod tests {
             ),
         );
         let p = compile_expr(&e);
-        assert_eq!(p.eval(&mut stack, &[], &[], &[]).unwrap(), Value::Bool(true));
+        assert_eq!(
+            p.eval(&mut stack, &[], &[], &[]).unwrap(),
+            Value::Bool(true)
+        );
     }
 
     #[test]
@@ -696,7 +700,11 @@ mod tests {
     fn builtin_calls() {
         let e = RExpr::Call(
             Builtin::Max,
-            vec![RExpr::Input(0), RExpr::Input(1), RExpr::Const(Value::Int(5))],
+            vec![
+                RExpr::Input(0),
+                RExpr::Input(1),
+                RExpr::Const(Value::Int(5)),
+            ],
         );
         let p = compile_expr(&e);
         let mut stack = EvalStack::new();

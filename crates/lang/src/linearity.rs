@@ -208,7 +208,10 @@ fn exec_win(body: &[RStmt], env: &mut Vec<Win>, touched: &mut HashSet<usize>) {
 enum Aff {
     /// `coeffs[i]` is the window depth of variable `i`'s coefficient;
     /// `b` is the window depth of the state-free term.
-    Form { coeffs: BTreeMap<usize, u32>, b: u32 },
+    Form {
+        coeffs: BTreeMap<usize, u32>,
+        b: u32,
+    },
     /// Not affine.
     Top,
 }
@@ -277,10 +280,7 @@ impl Aff {
     fn scale(&self, depth: u32) -> Aff {
         match self {
             Aff::Form { coeffs, b } => Aff::Form {
-                coeffs: coeffs
-                    .iter()
-                    .map(|(v, d)| (*v, (*d).max(depth)))
-                    .collect(),
+                coeffs: coeffs.iter().map(|(v, d)| (*v, (*d).max(depth))).collect(),
                 b: (*b).max(depth),
             },
             Aff::Top => Aff::Top,
@@ -585,7 +585,10 @@ mod tests {
         // u = u + v (affine row) but v = max(v, x) (non-linear row).
         let body = vec![
             assign(0, bin(BinOp::Add, state(0), state(1))),
-            assign(1, RExpr::Call(crate::ir::Builtin::Max, vec![state(1), input(0)])),
+            assign(
+                1,
+                RExpr::Call(crate::ir::Builtin::Max, vec![state(1), input(0)]),
+            ),
         ];
         let (classes, fold) = analyze(&body, 2);
         assert_eq!(classes[0], VarClass::Linear);

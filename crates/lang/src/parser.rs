@@ -709,12 +709,17 @@ mod tests {
 
     #[test]
     fn single_line_if_body() {
-        let src = "def perc ((tot, high), qin):\n    if qin > K: high = high + 1\n    tot = tot + 1\n";
+        let src =
+            "def perc ((tot, high), qin):\n    if qin > K: high = high + 1\n    tot = tot + 1\n";
         let p = parse_ok(src);
         let fd = p.folds().next().unwrap();
         assert_eq!(fd.body.len(), 2);
         match &fd.body[0] {
-            Stmt::If { then_body, else_body, .. } => {
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
                 assert_eq!(then_body.len(), 1);
                 assert!(else_body.is_empty());
             }
@@ -728,7 +733,11 @@ mod tests {
         let p = parse_ok(src);
         let fd = p.folds().next().unwrap();
         match &fd.body[0] {
-            Stmt::If { then_body, else_body, .. } => {
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
                 assert_eq!(then_body.len(), 1);
                 assert_eq!(else_body.len(), 1);
             }
@@ -738,7 +747,8 @@ mod tests {
 
     #[test]
     fn if_else_indented() {
-        let src = "def f (s, (x)):\n    if x > 0:\n        s = s + 1\n    else:\n        s = s - 1\n";
+        let src =
+            "def f (s, (x)):\n    if x > 0:\n        s = s + 1\n    else:\n        s = s - 1\n";
         let p = parse_ok(src);
         let fd = p.folds().next().unwrap();
         match &fd.body[0] {

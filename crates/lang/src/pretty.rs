@@ -40,7 +40,12 @@ pub fn fold(fd: &FoldDef) -> String {
     } else {
         format!("({})", fd.state_params.join(", "))
     };
-    let mut out = format!("def {} ({}, ({})):\n", fd.name, state, fd.packet_params.join(", "));
+    let mut out = format!(
+        "def {} ({}, ({})):\n",
+        fd.name,
+        state,
+        fd.packet_params.join(", ")
+    );
     for s in &fd.body {
         stmt(&mut out, s, 1);
     }
@@ -170,12 +175,7 @@ fn expr_prec(e: &Expr, parent: u8) -> String {
         Expr::Binary(op, l, r) => {
             let p = prec(*op);
             // Left-associative: the right child needs a strictly higher level.
-            let s = format!(
-                "{} {} {}",
-                expr_prec(l, p),
-                op,
-                expr_prec(r, p + 1)
-            );
+            let s = format!("{} {} {}", expr_prec(l, p), op, expr_prec(r, p + 1));
             if p < parent {
                 format!("({s})")
             } else {
@@ -300,10 +300,21 @@ mod proptests {
         ];
         leaf.prop_recursive(4, 32, 2, |inner| {
             prop_oneof![
-                (inner.clone(), inner.clone(), prop_oneof![
-                    Just(BinOp::Add), Just(BinOp::Sub), Just(BinOp::Mul), Just(BinOp::Mod)
-                ])
-                    .prop_map(|(l, r, op)| Expr::Binary(op, Box::new(l), Box::new(r))),
+                (
+                    inner.clone(),
+                    inner.clone(),
+                    prop_oneof![
+                        Just(BinOp::Add),
+                        Just(BinOp::Sub),
+                        Just(BinOp::Mul),
+                        Just(BinOp::Mod)
+                    ]
+                )
+                    .prop_map(|(l, r, op)| Expr::Binary(
+                        op,
+                        Box::new(l),
+                        Box::new(r)
+                    )),
                 inner
                     .clone()
                     .prop_map(|e| Expr::Unary(crate::ast::UnaryOp::Neg, Box::new(e))),

@@ -222,8 +222,10 @@ pub fn resolve(program: &Program, params: &HashMap<String, Value>) -> LangResult
         match item {
             Item::Const(name, expr, span) => {
                 let rexpr = r.lower_const_expr(expr)?;
-                let v = crate::ir::eval(&rexpr, &[], &[], &r.param_values_so_far())
-                    .map_err(|e| LangError::resolve(format!("in const `{name}`: {e}"), Some(*span)))?;
+                let v =
+                    crate::ir::eval(&rexpr, &[], &[], &r.param_values_so_far()).map_err(|e| {
+                        LangError::resolve(format!("in const `{name}`: {e}"), Some(*span))
+                    })?;
                 r.consts.insert(name.clone(), v);
             }
             Item::Fold(def) => {
@@ -457,7 +459,13 @@ impl Resolver {
         let mut types = vec![ValueType::Int; n];
         loop {
             let mut changed = false;
-            infer_stmt_types(&body, input, &self.param_values_so_far(), &mut types, &mut changed)?;
+            infer_stmt_types(
+                &body,
+                input,
+                &self.param_values_so_far(),
+                &mut types,
+                &mut changed,
+            )?;
             if !changed {
                 break;
             }
@@ -527,9 +535,10 @@ impl Resolver {
     }
 
     fn table_index(&self, name: &str, span: crate::token::Span) -> LangResult<usize> {
-        self.table_names.get(name).copied().ok_or_else(|| {
-            LangError::resolve(format!("unknown table `{name}`"), Some(span))
-        })
+        self.table_names
+            .get(name)
+            .copied()
+            .ok_or_else(|| LangError::resolve(format!("unknown table `{name}`"), Some(span)))
     }
 
     fn resolve_select(&mut self, name: String, sq: &ast::SelectQuery) -> LangResult<ResolvedQuery> {
@@ -599,16 +608,17 @@ impl Resolver {
         span: crate::token::Span,
     ) -> LangResult<Vec<ProjCol>> {
         let mut cols: Vec<ProjCol> = Vec::new();
-        let push = |cols: &mut Vec<ProjCol>, name: String, expr: RExpr, ty: ValueType| -> LangResult<()> {
-            if cols.iter().any(|c| c.name == name) {
-                return Err(LangError::resolve(
-                    format!("duplicate output column `{name}` (use AS to alias)"),
-                    Some(span),
-                ));
-            }
-            cols.push(ProjCol { name, expr, ty });
-            Ok(())
-        };
+        let push =
+            |cols: &mut Vec<ProjCol>, name: String, expr: RExpr, ty: ValueType| -> LangResult<()> {
+                if cols.iter().any(|c| c.name == name) {
+                    return Err(LangError::resolve(
+                        format!("duplicate output column `{name}` (use AS to alias)"),
+                        Some(span),
+                    ));
+                }
+                cols.push(ProjCol { name, expr, ty });
+                Ok(())
+            };
         for item in select {
             match item {
                 SelectItem::Star => {
@@ -637,7 +647,8 @@ impl Resolver {
                         }
                     }
                     _ => {
-                        let r = self.lower_expr(expr, input, ExprCtx::Record, &mut FoldEnv::default())?;
+                        let r =
+                            self.lower_expr(expr, input, ExprCtx::Record, &mut FoldEnv::default())?;
                         let ty = expr_type(&r, input, &self.param_values_so_far())
                             .map_err(|e| LangError::resolve(e.0, expr.span()))?;
                         let name = alias.clone().unwrap_or_else(|| {
@@ -854,8 +865,11 @@ impl Resolver {
             // SUM(e) / MAX(e) / MIN(e)
             Expr::Call(fname, args, span) => {
                 let upper = fname.to_ascii_uppercase();
-                let make_name =
-                    |alias: Option<&str>| alias.map(str::to_string).unwrap_or_else(|| expr.canonical());
+                let make_name = |alias: Option<&str>| {
+                    alias
+                        .map(str::to_string)
+                        .unwrap_or_else(|| expr.canonical())
+                };
                 match upper.as_str() {
                     "SUM" | "MAX" | "MIN" => {
                         let [arg] = args.as_slice() else {
@@ -913,7 +927,11 @@ impl Resolver {
                                     init: Value::zero(arg_ty),
                                 });
                                 fold_names.push(upper.clone());
-                                let b = if upper == "MAX" { Builtin::Max } else { Builtin::Min };
+                                let b = if upper == "MAX" {
+                                    Builtin::Max
+                                } else {
+                                    Builtin::Min
+                                };
                                 body.push(RStmt::If {
                                     cond: RExpr::Binary(
                                         BinOp::Eq,
@@ -969,7 +987,10 @@ impl Resolver {
                     Expr::Name(n, _) => on.push(crate::schema::resolve_alias(n).to_string()),
                     other => {
                         return Err(LangError::resolve(
-                            format!("ON fields must be column names, found `{}`", other.canonical()),
+                            format!(
+                                "ON fields must be column names, found `{}`",
+                                other.canonical()
+                            ),
                             other.span(),
                         ))
                     }
@@ -1507,7 +1528,8 @@ mod tests {
 
     #[test]
     fn state_type_widens_to_float() {
-        let src = "def f (s, (pkt_len)):\n    s = s + pkt_len * 0.5\n\nSELECT srcip, f GROUPBY srcip\n";
+        let src =
+            "def f (s, (pkt_len)):\n    s = s + pkt_len * 0.5\n\nSELECT srcip, f GROUPBY srcip\n";
         let p = resolve_ok(src);
         assert_eq!(p.queries[0].fold().unwrap().state[0].ty, ValueType::Float);
     }

@@ -185,8 +185,9 @@ mod tests {
     fn base_schema_has_header_and_meta_columns() {
         let s = base_schema();
         assert_eq!(s.len(), HeaderField::ALL.len() + META_COLUMNS.len());
-        for f in ["srcip", "dstip", "tcpseq", "pkt_len", "qid", "tin", "tout", "qsize", "pkt_path"]
-        {
+        for f in [
+            "srcip", "dstip", "tcpseq", "pkt_len", "qid", "tin", "tout", "qsize", "pkt_path",
+        ] {
             assert!(s.contains(f), "missing column {f}");
         }
     }

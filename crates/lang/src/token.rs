@@ -145,7 +145,11 @@ impl TokenKind {
     pub fn is_clause_keyword(&self) -> bool {
         matches!(
             self,
-            TokenKind::Where | TokenKind::GroupBy | TokenKind::From | TokenKind::Join | TokenKind::On
+            TokenKind::Where
+                | TokenKind::GroupBy
+                | TokenKind::From
+                | TokenKind::Join
+                | TokenKind::On
         )
     }
 }

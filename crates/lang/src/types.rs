@@ -155,9 +155,9 @@ impl Value {
         }
         // Arithmetic.
         match (lhs, rhs) {
-            (Value::Bool(_), _) | (_, Value::Bool(_)) => Err(TypeError(format!(
-                "arithmetic `{op}` on boolean operand"
-            ))),
+            (Value::Bool(_), _) | (_, Value::Bool(_)) => {
+                Err(TypeError(format!("arithmetic `{op}` on boolean operand")))
+            }
             (Value::Int(a), Value::Int(b)) => Ok(match op {
                 Add => Value::Int(a.wrapping_add(b)),
                 Sub => Value::Int(a.wrapping_sub(b)),
@@ -197,9 +197,7 @@ impl Value {
         match (op, v) {
             (UnaryOp::Neg, Value::Int(x)) => Ok(Value::Int(x.wrapping_neg())),
             (UnaryOp::Neg, Value::Float(x)) => Ok(Value::Float(-x)),
-            (UnaryOp::Neg, Value::Bool(_)) => {
-                Err(TypeError("cannot negate a boolean".into()))
-            }
+            (UnaryOp::Neg, Value::Bool(_)) => Err(TypeError("cannot negate a boolean".into())),
             (UnaryOp::Not, v) => Ok(Value::Bool(!v.truthy())),
         }
     }

@@ -181,7 +181,10 @@ mod tests {
             .payload_len(100)
             .uniq(42)
             .build();
-        assert_eq!(HeaderField::SrcIp.extract(&p), u64::from(u32::from(Ipv4Addr::new(10, 0, 0, 1))));
+        assert_eq!(
+            HeaderField::SrcIp.extract(&p),
+            u64::from(u32::from(Ipv4Addr::new(10, 0, 0, 1)))
+        );
         assert_eq!(HeaderField::SrcPort.extract(&p), 1111);
         assert_eq!(HeaderField::DstPort.extract(&p), 2222);
         assert_eq!(HeaderField::TcpSeq.extract(&p), 777);

@@ -173,7 +173,9 @@ pub fn measure(fold: &FoldIr) -> AluReport {
                 *ops += 1;
                 if matches!(
                     op,
-                    perfq_lang::ast::BinOp::Mul | perfq_lang::ast::BinOp::Div | perfq_lang::ast::BinOp::Mod
+                    perfq_lang::ast::BinOp::Mul
+                        | perfq_lang::ast::BinOp::Div
+                        | perfq_lang::ast::BinOp::Mod
                 ) {
                     *mul = true;
                 }
@@ -188,7 +190,13 @@ pub fn measure(fold: &FoldIr) -> AluReport {
             }
         }
     }
-    fn stmt_ops(stmts: &[RStmt], ops: &mut usize, mul: &mut bool, depth: usize, max_depth: &mut usize) {
+    fn stmt_ops(
+        stmts: &[RStmt],
+        ops: &mut usize,
+        mul: &mut bool,
+        depth: usize,
+        max_depth: &mut usize,
+    ) {
         for s in stmts {
             match s {
                 RStmt::Assign(_, e) => expr_ops(e, ops, mul),
@@ -304,7 +312,10 @@ mod tests {
         };
         assert!(matches!(
             tiny.check(&fold),
-            Err(AluViolation::TooManyStateVars { needed: 2, available: 1 })
+            Err(AluViolation::TooManyStateVars {
+                needed: 2,
+                available: 1
+            })
         ));
     }
 

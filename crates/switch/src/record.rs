@@ -123,7 +123,7 @@ impl QueueRecord {
             L4Header::Udp(u) => u.length,
             _ => 0,
         }))); // udplen
-        // Metadata columns.
+              // Metadata columns.
         row.push(Value::Int(i64::from(self.qid)));
         row.push(Value::Int(nanos_to_i64(self.tin)));
         row.push(Value::Int(nanos_to_i64(self.tout)));
@@ -206,9 +206,12 @@ impl QueueRecord {
         }
         if mask & (0b1111 << 10) != 0 {
             let (seq, ack, flags, window) = match &h.l4 {
-                perfq_packet::L4Header::Tcp(t) => {
-                    (i64::from(t.seq), i64::from(t.ack), i64::from(t.flags.0), i64::from(t.window))
-                }
+                perfq_packet::L4Header::Tcp(t) => (
+                    i64::from(t.seq),
+                    i64::from(t.ack),
+                    i64::from(t.flags.0),
+                    i64::from(t.window),
+                ),
                 _ => (0, 0, 0, 0),
             };
             if need(10) {
@@ -380,7 +383,10 @@ mod tests {
         assert!(r.delay().is_infinite());
         let schema = base_schema();
         let row = r.to_row();
-        assert_eq!(row[schema.index_of("tout").unwrap()], Value::Int(INFINITY_NS));
+        assert_eq!(
+            row[schema.index_of("tout").unwrap()],
+            Value::Int(INFINITY_NS)
+        );
     }
 
     #[test]
@@ -393,6 +399,10 @@ mod tests {
         let a = QueueRecord::extend_path(QueueRecord::extend_path(0, 1), 2);
         let b = QueueRecord::extend_path(QueueRecord::extend_path(0, 2), 1);
         assert_ne!(a, b);
-        assert_ne!(QueueRecord::extend_path(0, 0), 0, "qid 0 must still mark the path");
+        assert_ne!(
+            QueueRecord::extend_path(0, 0),
+            0,
+            "qid 0 must still mark the path"
+        );
     }
 }

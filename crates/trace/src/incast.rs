@@ -66,8 +66,7 @@ pub fn generate(cfg: &IncastConfig) -> Vec<Packet> {
         let round_start = Nanos(cfg.round_gap.as_nanos() * round);
         for s in 0..cfg.servers {
             let server_ip = Ipv4Addr::from(0xac10_0100 + s as u32);
-            let start = round_start
-                + Nanos(rng.gen_range(0..=cfg.jitter.as_nanos().max(1)));
+            let start = round_start + Nanos(rng.gen_range(0..=cfg.jitter.as_nanos().max(1)));
             for i in 0..cfg.burst_pkts {
                 let payload = cfg.pkt_sizes.sample(&mut rng);
                 uniq += 1;

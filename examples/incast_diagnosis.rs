@@ -40,7 +40,10 @@ fn main() {
     // A 2-leaf / 2-spine fabric with modest ports: the incast victim's
     // leaf port will congest.
     let mut network = Network::new(NetworkConfig {
-        topology: Topology::LeafSpine { leaves: 2, spines: 2 },
+        topology: Topology::LeafSpine {
+            leaves: 2,
+            spines: 2,
+        },
         switch: SwitchConfig {
             ports: 8,
             port_rate_bps: 1e9,
@@ -69,12 +72,10 @@ R3 = SELECT srcip, R2.COUNT/R1.COUNT FROM R1 JOIN R2 ON 5tuple
     let mut params = fig2::default_params();
     params.insert("K".to_string(), Value::Int(24)); // "deep queue" threshold
 
-    let mut rt_queues = Runtime::new(
-        compile_query(q1, &params, CompileOptions::default()).expect("compiles"),
-    );
-    let mut rt_flows = Runtime::new(
-        compile_query(q2, &params, CompileOptions::default()).expect("compiles"),
-    );
+    let mut rt_queues =
+        Runtime::new(compile_query(q1, &params, CompileOptions::default()).expect("compiles"));
+    let mut rt_flows =
+        Runtime::new(compile_query(q2, &params, CompileOptions::default()).expect("compiles"));
 
     network.run(packets.into_iter(), |record| {
         rt_queues.process_record(&record);
@@ -106,9 +107,11 @@ R3 = SELECT srcip, R2.COUNT/R1.COUNT FROM R1 JOIN R2 ON 5tuple
     let ratio_col = lossy.schema.index_of("R2.COUNT/R1.COUNT").unwrap_or(
         lossy.schema.len() - 1, // last column is the ratio
     );
-    lossy
-        .rows
-        .sort_by(|a, b| b.values[ratio_col].as_f64().total_cmp(&a.values[ratio_col].as_f64()));
+    lossy.rows.sort_by(|a, b| {
+        b.values[ratio_col]
+            .as_f64()
+            .total_cmp(&a.values[ratio_col].as_f64())
+    });
     println!(
         "\ntop contributing connections by loss rate ({} lossy flows total):",
         lossy.rows.len()

@@ -79,17 +79,16 @@ QLAT = SELECT qid, ewma GROUPBY qid
     let mut rows = qlat.rows.clone();
     let ewma_col = qlat.schema.index_of("lat_est").unwrap();
     let qid_col = qlat.schema.index_of("qid").unwrap();
-    rows.sort_by(|a, b| b.values[ewma_col].as_f64().total_cmp(&a.values[ewma_col].as_f64()));
+    rows.sort_by(|a, b| {
+        b.values[ewma_col]
+            .as_f64()
+            .total_cmp(&a.values[ewma_col].as_f64())
+    });
     println!("\nper-queue EWMA latency (worst first):");
     for row in rows.iter().take(6) {
         let qid = row.values[qid_col].as_i64();
         let lat_us = row.values[ewma_col].as_f64() / 1e3;
-        println!(
-            "  switch {} port {}: {:.1} µs",
-            qid / 64,
-            qid % 64,
-            lat_us
-        );
+        println!("  switch {} port {}: {:.1} µs", qid / 64, qid % 64, lat_us);
     }
     println!(
         "\ncomposition at work: R1 aggregates each packet's latency over all\n\

@@ -48,8 +48,12 @@ NMT = SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP
     let compiled = compile_query(both, &fig2::default_params(), opts).expect("compiles");
     println!(
         "fold classes: outofseq = {} | nonmt = {}\n",
-        perfq::core::foldops::describe_class(compiled.program.query("OOS").unwrap().fold().unwrap()),
-        perfq::core::foldops::describe_class(compiled.program.query("NMT").unwrap().fold().unwrap()),
+        perfq::core::foldops::describe_class(
+            compiled.program.query("OOS").unwrap().fold().unwrap()
+        ),
+        perfq::core::foldops::describe_class(
+            compiled.program.query("NMT").unwrap().fold().unwrap()
+        ),
     );
 
     let mut network = Network::new(NetworkConfig::default());
@@ -75,7 +79,12 @@ NMT = SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP
             _ => runtime.store_stats(1),
         }
         .expect("store");
-        println!("{name}: {} flows, {} anomalies (oracle: {})", g.rows.len(), total, truth);
+        println!(
+            "{name}: {} flows, {} anomalies (oracle: {})",
+            g.rows.len(),
+            total,
+            truth
+        );
         println!(
             "     cache: {:.1}% hits, {} evictions | valid keys: {:.1}%",
             stats.hit_rate() * 100.0,

@@ -118,7 +118,11 @@ fn steady_state_batched_replay_allocates_nothing() {
                 after - before,
                 rt.records() - processed_warmup,
             );
-            assert_eq!(rt.records(), processed_warmup * 2, "second replay ran fully");
+            assert_eq!(
+                rt.records(),
+                processed_warmup * 2,
+                "second replay ran fully"
+            );
         }
     }
 
@@ -152,7 +156,11 @@ fn steady_state_batched_replay_allocates_nothing() {
         after - before,
         multi.records() - processed_warmup,
     );
-    assert_eq!(multi.records(), processed_warmup * 2, "second replay ran fully");
+    assert_eq!(
+        multi.records(),
+        processed_warmup * 2,
+        "second replay ran fully"
+    );
 
     // Cross-query sharing keeps the discipline: install a set with real
     // overlap — the §4 running-example counter (deduped against loss-rate
@@ -189,7 +197,11 @@ fn steady_state_batched_replay_allocates_nothing() {
         after - before,
         multi.records() - processed_warmup,
     );
-    assert_eq!(multi.records(), processed_warmup * 2, "second replay ran fully");
+    assert_eq!(
+        multi.records(),
+        processed_warmup * 2,
+        "second replay ran fully"
+    );
 
     // The vectorized sweep's scratch (lane rows, per-node output lanes,
     // survivor-mask words) must stay
@@ -228,7 +240,11 @@ fn steady_state_batched_replay_allocates_nothing() {
             q.name,
             after - before,
         );
-        assert_eq!(rt.records(), processed_warmup * 2, "second replay ran fully");
+        assert_eq!(
+            rt.records(),
+            processed_warmup * 2,
+            "second replay ran fully"
+        );
     }
 
     // The exact oracle: once every key has been seen, feeding the same
@@ -355,7 +371,11 @@ fn steady_state_batched_replay_allocates_nothing() {
             "durable-below-high-water steady-state replay allocated {} times",
             after - before,
         );
-        assert_eq!(rt.records(), processed_warmup * 2, "second replay ran fully");
+        assert_eq!(
+            rt.records(),
+            processed_warmup * 2,
+            "second replay ran fully"
+        );
     }
 
     // The warmed 4-shard drain. `ShardedRuntime::finish` joins the workers

@@ -51,7 +51,10 @@ fn paper_numbers_pin_the_planner() {
     // §4: "a 32-Mbit cache in SRAM costs under 2.5% additional area".
     let frac = plan.area_fraction(area::MIN_CHIP_AREA_MM2);
     assert!(frac < 0.025, "fraction = {frac}");
-    assert!(frac > 0.02, "fraction = {frac} (sanity: close to the bound)");
+    assert!(
+        frac > 0.02,
+        "fraction = {frac} (sanity: close to the bound)"
+    );
     // §4: 3.55 % evictions at 32 Mbit ⇒ ~802 K backing-store writes/s.
     let writes = WorkloadModel::paper().evictions_per_sec(0.0355);
     assert!((writes - 802e3).abs() < 2e3, "writes/s = {writes}");
@@ -141,9 +144,8 @@ fn provisioning_real_overlapping_programs_dedups() {
     // End to end through `MultiRuntime::provisioned`: the §4 running example
     // installed beside the loss-rate program dedups R1 under the default
     // 32 Mbit budget and never over-allocates.
-    let compile = |src: &str| {
-        compile_query(src, &fig2::default_params(), CompileOptions::default()).unwrap()
-    };
+    let compile =
+        |src: &str| compile_query(src, &fig2::default_params(), CompileOptions::default()).unwrap();
     let programs = vec![
         compile("SELECT COUNT GROUPBY 5tuple"),
         compile(fig2::PER_FLOW_LOSS_RATE.source),
@@ -153,7 +155,12 @@ fn provisioning_real_overlapping_programs_dedups() {
     assert!(plan.reclaimed_bits() > 0);
     assert!(plan.allocated_bits() <= 32 * MBIT);
     // Both programs carry the SAME physical geometry for the shared store.
-    let geometry = |p: usize| multi.runtimes()[p].compiled().stores[0].as_ref().unwrap().geometry;
+    let geometry = |p: usize| {
+        multi.runtimes()[p].compiled().stores[0]
+            .as_ref()
+            .unwrap()
+            .geometry
+    };
     assert_eq!(geometry(0), geometry(1));
 }
 
@@ -164,7 +171,10 @@ fn provisioning_real_overlapping_programs_dedups() {
 fn demand_strategy() -> impl Strategy<Value = Vec<Vec<(u32, usize)>>> {
     prop::collection::vec(
         prop::collection::vec(
-            (32u32..512, prop_oneof![Just(0usize), Just(1), Just(2), Just(4), Just(8)]),
+            (
+                32u32..512,
+                prop_oneof![Just(0usize), Just(1), Just(2), Just(4), Just(8)],
+            ),
             1..4,
         ),
         1..6,

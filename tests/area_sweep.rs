@@ -90,7 +90,10 @@ fn sharded_eviction_rate_stays_in_the_single_stream_envelope() {
     let mut single_rates = Vec::new();
     for (label, ways) in [("hash-table", 1usize), ("8-way", 8), ("fully-assoc", 0)] {
         let plan = CachePlanner::new(budget)
-            .plan(&[QueryDemand::new(label, vec![StoreDemand::new(PAIR_BITS, ways)])])
+            .plan(&[QueryDemand::new(
+                label,
+                vec![StoreDemand::new(PAIR_BITS, ways)],
+            )])
             .unwrap();
         let store = plan.queries[0].stores[0];
         assert!(store.bits() <= budget);

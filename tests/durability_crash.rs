@@ -325,7 +325,11 @@ fn single_stream_recovers_at_every_io_boundary() {
         let (handle, backend) = fault_pair();
         let reference = run_single(q.source, &recs, &backend, &PERSIST_AT).expect("healthy run");
         if q.paper_linear {
-            assert_eq!(plain, reference, "{}: durability must be transparent", q.name);
+            assert_eq!(
+                plain, reference,
+                "{}: durability must be transparent",
+                q.name
+            );
         } else {
             // A checkpoint flushes the cache — an eviction barrier. The
             // paper's non-linear folds are invalidated by re-eviction
@@ -344,7 +348,11 @@ fn single_stream_recovers_at_every_io_boundary() {
             }
         }
         let total_ops = handle.lock().expect("fault mutex").ops();
-        assert!(total_ops > 0, "{}: schedule never touched the backend", q.name);
+        assert!(
+            total_ops > 0,
+            "{}: schedule never touched the backend",
+            q.name
+        );
 
         for fail_at in 0..total_ops {
             let (h, b) = fault_pair();
@@ -560,9 +568,14 @@ fn a_failed_retired_publish_leaves_the_program_installed() {
         let mut multi = durable_multi(durable_resident(&b));
         multi.process_batch(&recs[..mid]);
         let was = shape(&mut multi);
-        h.lock().expect("fault mutex").arm(fail_at, fail_at as usize % 23);
+        h.lock()
+            .expect("fault mutex")
+            .arm(fail_at, fail_at as usize % 23);
         assert!(multi.uninstall(0).is_err(), "{what}");
-        assert!(h.lock().expect("fault mutex").died(), "{what}: the fault fired");
+        assert!(
+            h.lock().expect("fault mutex").died(),
+            "{what}: the fault fired"
+        );
         h.lock().expect("fault mutex").heal();
         assert_eq!(shape(&mut multi), was, "{what}: a failed uninstall moved");
         let left = multi.uninstall(0).expect("healed publish");
@@ -608,7 +621,8 @@ fn sharded_files_are_named_per_shard_beside_one_manifest() {
 /// there, leaving the durable files as a crash would.
 fn checkpoint_once(src: &str, recs: &[QueueRecord], backend: &SharedBackend) {
     let mut rt = Runtime::new(compiled(src));
-    rt.enable_durability(durable_small(backend)).expect("enable");
+    rt.enable_durability(durable_small(backend))
+        .expect("enable");
     rt.process_batch(&recs[..PERSIST_AT[0]]);
     rt.persist().expect("checkpoint");
 }
@@ -625,7 +639,13 @@ fn corrupt_manifest_is_an_error() {
     let (handle, backend) = fault_pair();
     checkpoint_once(src, &recs, &backend);
     let name = durable_small(&backend).manifest_name();
-    let len = handle.lock().unwrap().mem().bytes(&name).expect("manifest").len();
+    let len = handle
+        .lock()
+        .unwrap()
+        .mem()
+        .bytes(&name)
+        .expect("manifest")
+        .len();
     for bit in 0..len * 8 {
         handle.lock().unwrap().mem().flip_bit(&name, bit);
         let err = Runtime::recover(compiled(src), durable_small(&backend))
@@ -648,9 +668,20 @@ fn missing_or_truncated_capture_is_an_error() {
     let (handle, backend) = fault_pair();
     checkpoint_once(src, &recs, &backend);
     let name = format!("cap0_{}", PERSIST_AT[0]);
-    let bytes = handle.lock().unwrap().mem().bytes(&name).expect("capture").to_vec();
+    let bytes = handle
+        .lock()
+        .unwrap()
+        .mem()
+        .bytes(&name)
+        .expect("capture")
+        .to_vec();
     for len in (0..bytes.len()).rev() {
-        handle.lock().unwrap().mem().truncate(&name, len as u64).unwrap();
+        handle
+            .lock()
+            .unwrap()
+            .mem()
+            .truncate(&name, len as u64)
+            .unwrap();
         let err = Runtime::recover(compiled(src), durable_small(&backend))
             .expect_err("a truncated capture must not recover");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{len} bytes");
@@ -659,10 +690,18 @@ fn missing_or_truncated_capture_is_an_error() {
     let err = Runtime::recover(compiled(src), durable_small(&backend))
         .expect_err("a missing capture must not recover");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    handle.lock().unwrap().mem().write_atomic(&name, &bytes).unwrap();
+    handle
+        .lock()
+        .unwrap()
+        .mem()
+        .write_atomic(&name, &bytes)
+        .unwrap();
     let (rt, resume) = Runtime::recover(compiled(src), durable_small(&backend)).expect("healthy");
     assert_eq!(resume, PERSIST_AT[0] as u64);
-    assert!(!rt.poll_results().tables[0].rows.is_empty(), "the capture reads back");
+    assert!(
+        !rt.poll_results().tables[0].rows.is_empty(),
+        "the capture reads back"
+    );
 }
 
 /// Torn tail: stop a deployment between checkpoints (live WAL frames past
@@ -713,7 +752,8 @@ fn torn_wal_tail_rolls_back_to_the_checkpoint() {
                     .expect("chop tail");
             }
             drop(guard);
-            let got = recover_single(q.source, &recs, &b, &PERSIST_AT).expect("recovery after torn tail");
+            let got =
+                recover_single(q.source, &recs, &b, &PERSIST_AT).expect("recovery after torn tail");
             assert_eq!(got, reference, "{} chop={chop}", q.name);
         }
     }
@@ -747,7 +787,10 @@ fn crashed_recovery_recovers() {
                 recover_single(q.source, &recs, &b, &PERSIST_AT)
             });
             if let Some(rs) = survived {
-                assert_eq!(rs, reference, "fail_at={fail_at} second={second}: uncrashed");
+                assert_eq!(
+                    rs, reference,
+                    "fail_at={fail_at} second={second}: uncrashed"
+                );
                 continue;
             }
             // Third attempt, healed: must converge.
@@ -840,7 +883,10 @@ fn sharded_plane_survives_a_failed_durable_call() {
     let carry_on = |mut plane: ShardedRuntime, what: &str| {
         plane.process_batch(&recs[mid..PERSIST_AT[1]]);
         let polled = plane.poll_results();
-        assert!(!polled.tables[0].rows.is_empty(), "{what}: poll sees the ingested rows");
+        assert!(
+            !polled.tables[0].rows.is_empty(),
+            "{what}: poll sees the ingested rows"
+        );
         plane.process_batch(&recs[PERSIST_AT[1]..]);
         assert_eq!(sorted(plane.finish().collect()), want, "{what}");
     };
@@ -858,7 +904,9 @@ fn sharded_plane_survives_a_failed_durable_call() {
     // Fault on every backend operation of the first `persist`.
     let (h, b) = fault_pair();
     let mut healthy = ShardedRuntime::new(compiled(q.source), 2);
-    healthy.enable_durability(durable_resident(&b)).expect("enable");
+    healthy
+        .enable_durability(durable_resident(&b))
+        .expect("enable");
     healthy.process_batch(&recs[..mid]);
     let before = h.lock().expect("fault mutex").ops();
     healthy.persist().expect("healthy persist");
@@ -868,9 +916,13 @@ fn sharded_plane_survives_a_failed_durable_call() {
     for fail_at in before..after {
         let (h, b) = fault_pair();
         let mut plane = ShardedRuntime::new(compiled(q.source), 2);
-        plane.enable_durability(durable_resident(&b)).expect("enable");
+        plane
+            .enable_durability(durable_resident(&b))
+            .expect("enable");
         plane.process_batch(&recs[..mid]);
-        h.lock().expect("fault mutex").arm(fail_at, fail_at as usize % 23);
+        h.lock()
+            .expect("fault mutex")
+            .arm(fail_at, fail_at as usize % 23);
         assert!(plane.persist().is_err(), "fail_at={fail_at}");
         h.lock().expect("fault mutex").heal();
         let _ = plane.persist();

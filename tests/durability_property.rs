@@ -300,7 +300,19 @@ fn frame_starts(wal: &[u8]) -> Vec<usize> {
 #[test]
 fn every_wal_bit_flip_is_detected_and_cut_at_a_frame_boundary() {
     let recs: Vec<QueueRecord> = (0..160)
-        .map(|i| record((i as u8 % 6, i as u8 % 4, i as u16 % 3, i as u32 * 37, false, i as u32 % 900), i))
+        .map(|i| {
+            record(
+                (
+                    i as u8 % 6,
+                    i as u8 % 4,
+                    i as u16 % 3,
+                    i as u32 * 37,
+                    false,
+                    i as u32 % 900,
+                ),
+                i,
+            )
+        })
         .collect();
     let src = LINEAR_QUERIES[0];
 
@@ -310,7 +322,8 @@ fn every_wal_bit_flip_is_detected_and_cut_at_a_frame_boundary() {
     let covered_len;
     {
         let mut rt = Runtime::new(compiled(src));
-        rt.enable_durability(durable(&backend, 4, 1 << 6)).expect("enable");
+        rt.enable_durability(durable(&backend, 4, 1 << 6))
+            .expect("enable");
         rt.process_batch(&recs[..80]);
         rt.persist().expect("checkpoint");
         covered_len = wal_len(&handle);
@@ -324,7 +337,10 @@ fn every_wal_bit_flip_is_detected_and_cut_at_a_frame_boundary() {
         .bytes(&wal_name)
         .expect("wal exists")
         .to_vec();
-    assert!(original.len() > covered_len, "crash must leave uncovered frames");
+    assert!(
+        original.len() > covered_len,
+        "crash must leave uncovered frames"
+    );
     let starts = frame_starts(&original);
     let boundaries: Vec<usize> = std::iter::once(12)
         .chain(starts.windows(2).map(|w| w[1]))
@@ -333,8 +349,8 @@ fn every_wal_bit_flip_is_detected_and_cut_at_a_frame_boundary() {
 
     // Clean-recovery reference for the uncovered-suffix equality leg.
     let (_, clean) = fork(&handle);
-    let reference = recover_and_finish(src, &recs, durable(&clean, 4, 1 << 6), &[80])
-        .expect("clean recovery");
+    let reference =
+        recover_and_finish(src, &recs, durable(&clean, 4, 1 << 6), &[80]).expect("clean recovery");
 
     for bit in (12 * 8)..(original.len() * 8) {
         let byte = bit / 8;
@@ -370,7 +386,10 @@ fn every_wal_bit_flip_is_detected_and_cut_at_a_frame_boundary() {
             "bit {bit}: surviving WAL is not a prefix of the original"
         );
         if byte >= covered_len {
-            assert_eq!(got, reference, "bit {bit}: uncovered corruption must be invisible");
+            assert_eq!(
+                got, reference,
+                "bit {bit}: uncovered corruption must be invisible"
+            );
         }
     }
 }
@@ -425,7 +444,10 @@ fn removed_key_stays_dead_across_compaction() {
     // segment, and materialization replays it over the segment entry. A
     // compaction folds only a WAL that has outgrown the segment, so keep
     // checkpointing new disk-confined keys until one does.
-    assert!(store.backing().get(&3).is_none(), "disk-confined before drain");
+    assert!(
+        store.backing().get(&3).is_none(),
+        "disk-confined before drain"
+    );
     store.remove_key(&3);
     let mut next = 6u128;
     while store.spill_stats().expect("tier enabled").compactions < 2 {

@@ -61,8 +61,7 @@ fn linear_fig2_queries_exact_under_severe_eviction() {
         if !q.paper_linear {
             continue;
         }
-        let compiled =
-            compile_query(q.source, &fig2::default_params(), opts).expect("compiles");
+        let compiled = compile_query(q.source, &fig2::default_params(), opts).expect("compiles");
         // Only base-table aggregations carry the exactness guarantee under
         // eviction; downstream stages see cache-local values (§3.2).
         let vq = compiled.program.query(q.verdict_query).unwrap();

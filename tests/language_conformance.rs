@@ -59,10 +59,7 @@ fn group_query_field_exprs() {
 #[test]
 fn join_query_on_key_list() {
     let p = ok("R1 = SELECT COUNT GROUPBY srcip, dstip\nR2 = SELECT SUM(pkt_len) GROUPBY srcip, dstip\nR3 = SELECT R1.COUNT, R2.SUM(pkt_len) FROM R1 JOIN R2 ON srcip, dstip\n");
-    assert!(matches!(
-        p.queries[2].input,
-        QueryInput::Join { .. }
-    ));
+    assert!(matches!(p.queries[2].input, QueryInput::Join { .. }));
 }
 
 #[test]
@@ -121,11 +118,7 @@ fn join_key_must_uniquely_identify_rows() {
 #[test]
 fn self_join_on_packets_rejected() {
     // "T JOIN T ON pkt_5tuple" is inherently expensive and unsupported.
-    assert!(compile(
-        "SELECT srcip FROM T JOIN T ON 5tuple",
-        &params()
-    )
-    .is_err());
+    assert!(compile("SELECT srcip FROM T JOIN T ON 5tuple", &params()).is_err());
 }
 
 #[test]

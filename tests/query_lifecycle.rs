@@ -103,7 +103,11 @@ impl Plane {
     /// The deduplicated stores as `(owner, alias)` program indices.
     fn shared_stores(&self) -> Vec<(usize, usize)> {
         let report = self.0.sharing();
-        report.stores.iter().map(|s| (s.owner.0, s.alias.0)).collect()
+        report
+            .stores
+            .iter()
+            .map(|s| (s.owner.0, s.alias.0))
+            .collect()
     }
 
     fn chunk(&mut self, recs: &[QueueRecord]) {
@@ -199,8 +203,7 @@ fn run_differential(initial: &[&'static str], ops: &[Op], total: usize, budget: 
                     let (_, comparable) = r.roster.remove(rpos);
                     if comparable {
                         assert_eq!(
-                            got,
-                            want,
+                            got, want,
                             "uninstall(id {lid}) diverges from {} (budget {budget:?})",
                             r.label
                         );
@@ -374,7 +377,9 @@ fn clamped_stores_of_different_associativity_never_share() {
         reference.process_batch(&recs[..1000]);
         let got = live.uninstall(live.ids()[1]).expect("no durable tier");
         let got = got.expect("the counter is live");
-        let want = reference.uninstall(reference.ids()[1]).expect("no durable tier");
+        let want = reference
+            .uninstall(reference.ids()[1])
+            .expect("no durable tier");
         let want = want.expect("the counter is live");
         assert_eq!(got, want, "uninstalled counter diverged at {budget} bits");
         assert!(
@@ -451,7 +456,11 @@ fn refused_install_leaves_no_trace(
     let err = live
         .try_install(compiled(arrival))
         .expect_err("the install must be refused");
-    assert_eq!(live.shape(), before, "{what}: a refused install left a trace");
+    assert_eq!(
+        live.shape(),
+        before,
+        "{what}: a refused install left a trace"
+    );
     assert_eq!(live.shape(), control.shape(), "{what}");
     live.chunk(&recs[600..1200]);
     control.chunk(&recs[600..1200]);
@@ -487,7 +496,8 @@ fn a_failed_durable_attach_refuses_the_install_and_burns_its_id() {
     let durable = |backend: &SharedBackend| Durability::new(backend.clone());
     let spawn = |backend: &SharedBackend| {
         let mut m = MultiRuntime::new(RESIDENTS.map(compiled).to_vec());
-        m.enable_durability(durable(backend)).expect("healthy attach");
+        m.enable_durability(durable(backend))
+            .expect("healthy attach");
         m
     };
     let handle = Arc::new(Mutex::new(FaultBackend::new()));
@@ -503,7 +513,10 @@ fn a_failed_durable_attach_refuses_the_install_and_burns_its_id() {
     let arrival = fig2::LATENCY_EWMA.source;
     let err = refused_install_leaves_no_trace(&mut live, &mut control, arrival, "failed attach");
     assert!(matches!(err, InstallError::Io(_)), "{err}");
-    assert!(handle.lock().expect("fault mutex").died(), "the fault fired");
+    assert!(
+        handle.lock().expect("fault mutex").died(),
+        "the fault fired"
+    );
 
     // Restart the backend; the retry takes a fresh id — the failed attempt's
     // half-written `p2_` files are never reopened.

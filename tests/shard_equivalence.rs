@@ -47,7 +47,12 @@ fn sharded_matches_single_and_batched_on_fig2() {
         single.finish();
         batched.finish();
         let want = sorted(single.collect());
-        assert_eq!(want, sorted(batched.collect()), "{}: batch baseline", q.name);
+        assert_eq!(
+            want,
+            sorted(batched.collect()),
+            "{}: batch baseline",
+            q.name
+        );
         assert!(
             ShardSpec::from_compiled(&c).is_exact(),
             "{}: static exactness",
@@ -89,7 +94,11 @@ fn network_producer_path_matches_collected_records() {
         topology: Topology::Linear(2),
         ..Default::default()
     };
-    for q in [&fig2::PER_FLOW_COUNTERS, &fig2::LATENCY_EWMA, &fig2::PER_FLOW_LOSS_RATE] {
+    for q in [
+        &fig2::PER_FLOW_COUNTERS,
+        &fig2::LATENCY_EWMA,
+        &fig2::PER_FLOW_LOSS_RATE,
+    ] {
         let c = compiled(q.source, CompileOptions::default());
         let mut net = Network::new(cfg);
         let mut single = Runtime::new(c.clone());
@@ -115,7 +124,12 @@ fn network_producer_path_matches_collected_records() {
             "{}: reused network must reproduce the same drops",
             q.name
         );
-        assert_eq!(routed.iter().sum::<u64>() as usize, recs.len(), "{}", q.name);
+        assert_eq!(
+            routed.iter().sum::<u64>() as usize,
+            recs.len(),
+            "{}",
+            q.name
+        );
         assert_eq!(sorted(sh.finish().collect()), want, "{}", q.name);
     }
 }

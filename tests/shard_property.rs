@@ -51,7 +51,14 @@ const QUERIES: [&str; 4] = [
 
 fn rec_strategy() -> impl Strategy<Value = Vec<RecSpec>> {
     prop::collection::vec(
-        (0u8..6, 0u8..4, 0u16..3, 0u32..5000, prop_oneof![Just(false), Just(false), Just(false), Just(true)], 0u32..900),
+        (
+            0u8..6,
+            0u8..4,
+            0u16..3,
+            0u32..5000,
+            prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+            0u32..900,
+        ),
         1..400,
     )
 }
@@ -63,7 +70,14 @@ fn rec_strategy() -> impl Strategy<Value = Vec<RecSpec>> {
 fn bursty_strategy() -> impl Strategy<Value = Vec<(RecSpec, u8)>> {
     prop::collection::vec(
         (
-            (0u8..6, 0u8..4, 0u16..3, 0u32..5000, prop_oneof![Just(false), Just(false), Just(false), Just(true)], 0u32..900),
+            (
+                0u8..6,
+                0u8..4,
+                0u16..3,
+                0u32..5000,
+                prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+                0u32..900,
+            ),
             1u8..12,
         ),
         1..80,

@@ -216,7 +216,10 @@ fn queue_records_cross_the_ring_bit_identically() {
     let make = |i: u64| -> QueueRecord {
         let packet = if i % 3 == 0 {
             PacketBuilder::udp()
-                .src(Ipv4Addr::from((i as u32) | 0x0a00_0000), (i % 50_000) as u16)
+                .src(
+                    Ipv4Addr::from((i as u32) | 0x0a00_0000),
+                    (i % 50_000) as u16,
+                )
                 .dst(Ipv4Addr::new(10, 0, 0, 8), 53)
                 .payload_len((i % 1400) as u16)
                 .uniq(i)

@@ -131,7 +131,12 @@ impl RefCache {
         let victim = std::mem::replace(&mut self.buckets[b][victim_idx], slot);
         (
             false,
-            Some((victim.key, victim.value, victim.first_seen, victim.last_seen)),
+            Some((
+                victim.key,
+                victim.value,
+                victim.first_seen,
+                victim.last_seen,
+            )),
         )
     }
 
@@ -203,7 +208,8 @@ fn upsert_streams_are_byte_identical() {
                 let got = sram_upsert_add(&mut new, key, delta, now);
                 let want = reference.upsert_add(key, delta, now);
                 assert_eq!(
-                    got, want,
+                    got,
+                    want,
                     "op {i}: key {key} under {geom} / {}",
                     policy.name()
                 );
@@ -255,7 +261,11 @@ fn remove_and_drain_match_reference() {
         new.drain_into(|e| drained.push((e.key, e.value, e.first_seen, e.last_seen)));
         assert_eq!(drained, visited, "drain order under {geom}");
         drained.sort_unstable();
-        assert_eq!(drained, reference.drain_sorted(), "drained entries under {geom}");
+        assert_eq!(
+            drained,
+            reference.drain_sorted(),
+            "drained entries under {geom}"
+        );
         // A drained cache carries on exactly like the drained reference.
         assert!(new.is_empty());
         churn(&mut new, &mut reference, &mut rng, 3000..4000, geom);
@@ -379,11 +389,19 @@ fn backing_absorb_matches_hashmap_reference_in_every_mode() {
             new.absorb(key, value, first, last, |s, e| *s += e);
             reference.absorb(key, value, first, last);
             if i % 611 == 0 {
-                assert_eq!(backing_snapshot(&new), reference.snapshot(), "mode {mode:?}");
+                assert_eq!(
+                    backing_snapshot(&new),
+                    reference.snapshot(),
+                    "mode {mode:?}"
+                );
             }
             assert_eq!(new.len(), reference.entries.len());
         }
-        assert_eq!(backing_snapshot(&new), reference.snapshot(), "mode {mode:?}");
+        assert_eq!(
+            backing_snapshot(&new),
+            reference.snapshot(),
+            "mode {mode:?}"
+        );
         let ref_valid = reference
             .entries
             .values()
@@ -495,7 +513,8 @@ fn fig5_hit_and_eviction_rates_are_identical() {
     for (buckets, ways) in [(256, 1), (32, 8), (16, 16)] {
         for policy in POLICIES {
             let geom = CacheGeometry::new(buckets, ways);
-            let mut new: SplitStore<u64, CounterOps> = SplitStore::new(geom, policy, 0xf15, CounterOps);
+            let mut new: SplitStore<u64, CounterOps> =
+                SplitStore::new(geom, policy, 0xf15, CounterOps);
             let mut reference = RefSplit::new(geom, policy, 0xf15);
             for (i, k) in keys.iter().enumerate() {
                 new.observe(*k, &(), Nanos(i as u64));
@@ -505,7 +524,13 @@ fn fig5_hit_and_eviction_rates_are_identical() {
             reference.flush();
             let st = new.stats();
             assert_eq!(
-                (st.packets, st.hits, st.misses, st.evictions, st.flush_writes),
+                (
+                    st.packets,
+                    st.hits,
+                    st.misses,
+                    st.evictions,
+                    st.flush_writes
+                ),
                 (
                     reference.packets,
                     reference.hits,
@@ -557,7 +582,8 @@ fn sharded_absorb_store_drain_matches_reference() {
     ref1.flush();
     for (k, entry) in ref1.backing.entries {
         for ep in entry.epochs {
-            ref0.backing.absorb(k, ep.value, ep.first_seen, ep.last_seen);
+            ref0.backing
+                .absorb(k, ep.value, ep.first_seen, ep.last_seen);
         }
     }
     // Values (the measurement results) must agree exactly with an oracle

@@ -54,10 +54,7 @@ where
     O::Value: Clone,
 {
     s.flush();
-    s.backing()
-        .iter()
-        .map(|(k, e)| (*k, e.clone()))
-        .collect()
+    s.backing().iter().map(|(k, e)| (*k, e.clone())).collect()
 }
 
 proptest! {
