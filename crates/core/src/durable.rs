@@ -27,9 +27,8 @@
 //! byte-identical to a never-crashed deployment that persisted at the same
 //! indices (`tests/durability_crash.rs`). Exactly three callers name the
 //! workers and keep the record index: [`crate::Runtime`] (its one worker,
-//! `""`), [`crate::ShardedRuntime`] (`p0_s<i>_` per shard) and the
-//! multi-program plane's lifecycle core in [`crate::multi`] (`p<id>_` per
-//! installed program).
+//! `""`), [`crate::ShardedRuntime`] (`p0_s<i>_` per shard) and
+//! [`crate::Deployment`] (`p<id>_` per installed program).
 
 use crate::result::{ResultRow, ResultSet, ResultTable};
 use crate::runtime::Runtime;

@@ -840,12 +840,11 @@ fn is_additive_in(body: &[RStmt], var: usize, linear_vars: &[usize]) -> bool {
                         // Must be State(var) + f or State(var) - f with f
                         // reading no linear state; or f alone (A row = 0).
                         let ok = match e {
-                            RExpr::Binary(op, l, r)
-                                if matches!(
-                                    op,
-                                    perfq_lang::ast::BinOp::Add | perfq_lang::ast::BinOp::Sub
-                                ) =>
-                            {
+                            RExpr::Binary(
+                                perfq_lang::ast::BinOp::Add | perfq_lang::ast::BinOp::Sub,
+                                l,
+                                r,
+                            ) => {
                                 matches!(l.as_ref(), RExpr::State(i) if *i == var)
                                     && !expr_reads_state(r, linear_vars)
                             }
@@ -995,13 +994,16 @@ mod tests {
         }
     }
 
+    /// Per-key fold states, sorted by key.
+    type KeyedStates = Vec<(u64, Vec<Value>)>;
+
     /// Drive a tiny 1-entry cache so every key alternation evicts, then
     /// compare against a direct (uncached) fold over the same inputs.
     fn run_split_and_oracle(
         fold: FoldIr,
         params: Vec<Value>,
         inputs: &[(u64, Vec<Value>)],
-    ) -> (Vec<(u64, Vec<Value>)>, Vec<(u64, Vec<Value>)>) {
+    ) -> (KeyedStates, KeyedStates) {
         let ops = FoldOps::new(fold.clone(), params.clone());
         let mut store: SplitStore<u64, FoldOps> = SplitStore::new(
             CacheGeometry::fully_associative(1),

@@ -39,13 +39,14 @@
 //! The paper's queries "are installed at run time" against one fixed SRAM
 //! slice (§3.3). The module therefore has one public type, [`Deployment`]
 //! (public name [`MultiRuntime`]): one [`Runtime`] per installed program,
-//! the chunk buffers of the shared ingest pass, and one `Roster` — the
-//! installed programs at their planned geometries, their stable ids and
-//! install epochs, the budget, the settled dedup pairs (the one record of
-//! what is shared) and the durable tier. The roster owns no runtime: a
-//! poll, a lifecycle event or a durable call hands it the deployment's
-//! runtimes, program by program (nothing runs between two calls on the
-//! caller's thread, so there is nothing to quiesce):
+//! the chunk buffers of the shared ingest pass, and beside them the
+//! bookkeeping — the programs' stable ids and install epochs, the budget,
+//! the settled dedup pairs (the one record of what is shared) and the
+//! durable tier. Each runtime's compiled program is the one record of its
+//! store plans at their planned geometries. A poll, a lifecycle event or
+//! a durable call runs over the runtimes, program by program (nothing runs
+//! between two calls on the caller's thread, so there is nothing to
+//! quiesce):
 //!
 //! ```text
 //!   new / provisioned (programs)             uninstall(id)
@@ -134,29 +135,20 @@ use perfq_switch::{Network, QueueRecord};
 /// named `q{id}` per store-bearing program (`ids[i]` is program `i`'s
 /// stable install id — a deployment's programs are installed as ids
 /// `0..K`, so the names match the documented `q{i}` convention), with
-/// every alias pair tagged into a [`StoreDemand::dedup`] group keyed by its
-/// owner's coordinates. Returns the covered program indices in demand
-/// order alongside, so allocations can be written back positionally.
+/// the owner and each alias of every dedup pair tagged into one
+/// [`StoreDemand::dedup`] group, whose token is the owner's coordinates.
+/// Returns the covered program indices in demand order alongside, so
+/// allocations can be written back positionally.
 fn lifecycle_demands(
     programs: &[CompiledProgram],
     ids: &[u64],
     aliases: &[Pair],
 ) -> (Vec<usize>, Vec<QueryDemand>) {
-    // A dedup group is named by its owner's (program, query) coordinates.
-    let group_token = |p: usize, q: usize| ((p as u64) << 32) | q as u64;
-    let mut groups: Vec<((usize, usize), u64)> = Vec::new();
-    for ((ap, aq), (op, oq)) in aliases {
-        let token = group_token(*op, *oq);
-        if !groups.contains(&((*op, *oq), token)) {
-            groups.push(((*op, *oq), token));
-        }
-        groups.push(((*ap, *aq), token));
-    }
-    let dedup_of = |p: usize, q: usize| {
-        groups
+    let dedup_of = |store: (usize, usize)| {
+        let (_, (op, oq)) = aliases
             .iter()
-            .find(|((gp, gq), _)| *gp == p && *gq == q)
-            .map(|(_, t)| *t)
+            .find(|(alias, owner)| *alias == store || *owner == store)?;
+        Some(((*op as u64) << 32) | *oq as u64)
     };
 
     let mut idxs = Vec::new();
@@ -168,11 +160,11 @@ fn lifecycle_demands(
             .enumerate()
             .filter_map(|(qi, s)| s.as_ref().map(|sp| (qi, sp)))
             .map(|(qi, sp)| {
-                let mut d = StoreDemand::new(sp.pair_bits(), p.options.ways);
-                if let Some(g) = dedup_of(i, qi) {
-                    d = d.with_dedup(g);
+                let d = StoreDemand::new(sp.pair_bits(), p.options.ways);
+                match dedup_of((i, qi)) {
+                    Some(g) => d.with_dedup(g),
+                    None => d,
                 }
-                d
             })
             .collect();
         if !stores.is_empty() {
@@ -353,17 +345,8 @@ impl SharingReport {
     }
 }
 
-/// Substitute every alias query's (never-updated) store with a clone of its
-/// owner's finished store, so collection reads what a private store would
-/// have held. All runtimes must be finished.
-fn substitute_stores(runtimes: &mut [Runtime], aliases: &[Pair]) {
-    for (alias, owner) in aliases {
-        Runtime::adopt_store(runtimes, *alias, *owner);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The lifecycle core
+// The deployment
 // ---------------------------------------------------------------------------
 
 /// Why an `install` was refused. Whatever the reason, nothing was
@@ -409,10 +392,12 @@ impl std::error::Error for InstallError {
     }
 }
 
-/// A validated install ([`Roster::stage_install`]); nothing is mutated
-/// until [`Roster::commit_install`].
+/// A validated install ([`Deployment::stage_install`]); nothing is mutated
+/// until [`Deployment::commit`].
 struct StagedInstall {
-    /// The grown deployment's programs at their planned geometries.
+    /// The grown deployment's programs at their planned geometries: the
+    /// residents migrate to theirs at commit, the arrivals were built at
+    /// theirs.
     programs: Vec<CompiledProgram>,
     /// The planner's output; `None` without a budget or without any store.
     plan: Option<AreaPlan>,
@@ -428,25 +413,41 @@ fn component(id: u64) -> String {
     format!("p{id}_")
 }
 
-/// The lifecycle core of a [`Deployment`]: which programs are installed
-/// under which ids and budget, which stores are deduplicated, where the
-/// deployment persists — and the one implementation of install, uninstall,
-/// replan → migrate, poll source resolution and the durable tier
-/// (enable, persist, recover, retired results) over that bookkeeping.
+/// Every runtime with its durable file-name component, in program order.
+fn named<'r>(ids: &[u64], runtimes: &'r mut [Runtime]) -> Vec<(String, &'r mut Runtime)> {
+    (ids.iter().zip(runtimes))
+        .map(|(id, rt)| (component(*id), rt))
+        .collect()
+}
+
+/// K installed programs behind one shared ingest pass on the caller's
+/// thread: each record's base row materializes once, with the union of the
+/// programs' column masks, and every program's plan sweeps it. Usage
+/// mirrors [`Runtime`]; every entry point is semantically K independent
+/// runtimes fed the same records, and is pinned byte-identical to exactly
+/// that. Its public name is [`MultiRuntime`].
 ///
-/// The core owns no runtime: the deployment hands its runtimes over, one
-/// per program in program order, for a lifecycle event or a durable call.
-#[derive(Debug, Default)]
-struct Roster {
-    /// The installed programs at their planned geometries, in program
-    /// order. Lifecycle analysis and replanning run at this level.
-    programs: Vec<CompiledProgram>,
+/// Beside the runtimes it keeps the lifecycle bookkeeping — which programs
+/// are installed under which ids and budget, which stores are
+/// deduplicated, where the deployment persists — and runs install,
+/// uninstall, replan → migrate, polls and the durable tier over it. Each
+/// runtime's compiled program is the one record of that program's store
+/// plans at their planned geometries.
+#[derive(Debug)]
+pub struct Deployment {
+    /// One runtime per installed program, in program order.
+    runtimes: Vec<Runtime>,
+    /// Chunk-wide row buffers ([`Deployment::process_batch`]): one chunk
+    /// materializes at a time, then each program sweeps it node-at-a-time
+    /// — a program's stores and bytecode state stay hot across the chunk
+    /// instead of being evicted K−1 times per record.
+    lanes: Lanes,
     /// Settled store-dedup pairs — the one record of what is shared: the
     /// alias queries are out of their runtimes' streaming pass,
     /// substitutions apply on drain, and [`Deployment::sharing`] reports
     /// them.
     aliases: Vec<Pair>,
-    /// Stable install ids, parallel to `programs` — program indices shift
+    /// Stable install ids, parallel to `runtimes` — program indices shift
     /// on uninstall, ids never do.
     ids: Vec<u64>,
     /// Next install id to hand out.
@@ -462,9 +463,9 @@ struct Roster {
     records: u64,
     /// Whether installs search for store owners (cross-query sharing).
     share: bool,
-    /// Durable-tier configuration ([`Roster::enable_durability`]); the
-    /// roster holds the single deployment manifest, and programs installed
-    /// later join the tier on arrival.
+    /// Durable-tier configuration ([`Deployment::enable_durability`]); the
+    /// deployment holds the single manifest, and programs installed later
+    /// join the tier on arrival.
     durability: Option<Durability>,
     /// Record index of the last manifested checkpoint (stale-capture
     /// cleanup; see [`Runtime`]'s field of the same name).
@@ -474,60 +475,91 @@ struct Roster {
     finished: bool,
 }
 
-impl Roster {
-    /// Program index of install id `id`, if it is live.
-    fn position(&self, id: u64) -> Option<usize> {
-        self.ids.iter().position(|x| *x == id)
-    }
+/// The multi-query plane's public name:
+///
+/// ```
+/// use perfq_core::{compile_query, MultiRuntime};
+/// use perfq_lang::fig2;
+/// use perfq_switch::{Network, NetworkConfig};
+/// use perfq_trace::{SyntheticTrace, TraceConfig};
+///
+/// let programs: Vec<_> = [&fig2::PER_FLOW_COUNTERS, &fig2::LATENCY_EWMA]
+///     .iter()
+///     .map(|q| {
+///         compile_query(q.source, &fig2::default_params(), Default::default()).unwrap()
+///     })
+///     .collect();
+/// // One 32 Mbit SRAM budget provisions both queries' caches…
+/// let (mut multi, plan) =
+///     MultiRuntime::provisioned(programs, 32 * 1024 * 1024).unwrap();
+/// assert!(plan.allocated_bits() <= plan.budget_bits);
+/// // …and one replay pass drives both programs.
+/// let mut net = Network::new(NetworkConfig::default());
+/// multi.process_network(&mut net, SyntheticTrace::new(TraceConfig::test_small(1)).take(2_000), 256);
+/// multi.finish();
+/// let results = multi.collect();
+/// assert_eq!(results.len(), 2);
+/// ```
+pub type MultiRuntime = Deployment;
 
-    /// Every runtime with its durable file-name component, in program
-    /// order.
-    fn named<'r>(&self, runtimes: &'r mut [Runtime]) -> Vec<(String, &'r mut Runtime)> {
-        (self.ids.iter().zip(runtimes))
-            .map(|(id, rt)| (component(*id), rt))
-            .collect()
-    }
-
-    /// Attach a durable spill tier to every store of every runtime (see
-    /// [`crate::durable`]).
-    fn enable_durability(
-        &mut self,
-        d: Durability,
-        runtimes: &mut [Runtime],
-    ) -> std::io::Result<()> {
-        for (sub, rt) in self.named(runtimes) {
-            rt.enable_durability_prefixed(&d, &sub)?;
-        }
-        self.durability = Some(d);
-        Ok(())
-    }
-
-    /// Durably checkpoint every runtime at the deployment's record index
-    /// and advance the single manifest ([`crate::durable::persist`]).
+impl Deployment {
+    /// Build a deployment by installing `programs`, in order, into an
+    /// empty one — the one way in: construction and
+    /// [`Deployment::install`] share the owner search, the one planner run
+    /// and the commit ([`Deployment::stage_install`]). Install ids are
+    /// `0..K`. Returns the plan alongside (`None` without a budget); under
+    /// a budget, a program list without any store is
+    /// [`PlanError::EmptyDemands`].
     ///
     /// # Panics
     ///
-    /// Panics unless [`Roster::enable_durability`] succeeded.
-    fn persist(&mut self, runtimes: &mut [Runtime]) -> std::io::Result<()> {
-        let mut named = self.named(runtimes);
-        let d = (self.durability.as_ref()).expect("persist requires enable_durability");
-        crate::durable::persist(d, self.records, &mut self.persisted_at, &mut named)
+    /// Panics on an empty program list (under a budget that is
+    /// [`PlanError::EmptyDemands`] first).
+    fn installing(
+        programs: Vec<CompiledProgram>,
+        share: bool,
+        budget: Option<u64>,
+    ) -> Result<(Self, Option<AreaPlan>), PlanError> {
+        let mut deployment = Deployment {
+            runtimes: Vec::new(),
+            lanes: Lanes::default(),
+            aliases: Vec::new(),
+            ids: Vec::new(),
+            next_id: 0,
+            epochs: Vec::new(),
+            budget,
+            records: 0,
+            share,
+            durability: None,
+            persisted_at: None,
+            finished: false,
+        };
+        let mut staged = match deployment.stage_install(programs) {
+            Ok(staged) => staged,
+            Err(InstallError::Plan(e)) => return Err(e),
+            Err(e) => unreachable!("an empty deployment has no durable tier: {e}"),
+        };
+        let plan = staged.plan.take();
+        if budget.is_some() && plan.is_none() {
+            return Err(PlanError::EmptyDemands);
+        }
+        assert!(!staged.arrivals.is_empty(), "need at least one program");
+        deployment.commit(staged);
+        Ok((deployment, plan))
     }
 
-    /// Repair the freshly built deployment's runtimes against the manifest
-    /// and return the resume index. The checkpointed record count lands on
-    /// every runtime — where [`Runtime::recover`] keeps it — so a drain
-    /// after re-ingest covers the whole stream.
-    fn recover(&mut self, d: Durability, runtimes: &mut [Runtime]) -> std::io::Result<u64> {
-        let resume = crate::durable::recover(&d, &mut self.named(runtimes))?;
-        let at = resume.unwrap_or(0);
-        for rt in runtimes {
-            rt.resume_records(at);
-        }
-        self.records = at;
-        self.persisted_at = resume;
-        self.durability = Some(d);
-        Ok(at)
+    /// [`Deployment::installing`] without a budget, which no plan refuses.
+    fn unbudgeted(programs: Vec<CompiledProgram>, share: bool) -> Self {
+        let unplanned = Self::installing(programs, share, None);
+        unplanned.expect("an unbudgeted install cannot fail").0
+    }
+
+    /// The installed programs' compiled forms, in program order — a
+    /// replan's working copy of the store plans the runtimes carry.
+    fn programs(&self) -> Vec<CompiledProgram> {
+        (self.runtimes.iter())
+            .map(|rt| rt.compiled().clone())
+            .collect()
     }
 
     /// Run the planner **once** over `programs` (named by `ids`, dedup
@@ -539,60 +571,59 @@ impl Roster {
     /// no plan.
     ///
     /// This is the deployment's only planner call: construction is an
-    /// install into an empty roster, so `provisioned`'s plan comes from
-    /// here too.
+    /// install into an empty deployment, so `provisioned`'s plan comes
+    /// from here too.
     fn replan(
         &self,
-        mut programs: Vec<CompiledProgram>,
+        programs: &mut [CompiledProgram],
         ids: &[u64],
         aliases: &[Pair],
-    ) -> Result<(Vec<CompiledProgram>, Option<AreaPlan>), PlanError> {
+    ) -> Result<Option<AreaPlan>, PlanError> {
         let Some(budget) = self.budget else {
-            return Ok((programs, None));
+            return Ok(None);
         };
-        let (idxs, demands) = lifecycle_demands(&programs, ids, aliases);
+        let (idxs, demands) = lifecycle_demands(programs, ids, aliases);
         if demands.is_empty() {
-            return Ok((programs, None));
+            return Ok(None);
         }
         let plan = CachePlanner::new(budget).plan(&demands)?;
         for (pi, alloc) in idxs.into_iter().zip(&plan.queries) {
             apply_allocation(&mut programs[pi], alloc);
         }
-        Ok((programs, Some(plan)))
+        Ok(Some(plan))
     }
 
-    /// Adopt replanned `programs` and live-migrate every store of
-    /// `runtimes` (program order; residents only on an install) to its
-    /// planned geometry — dormant alias stores too, so their compiled
-    /// geometries track the plan. A store already at its geometry does not
-    /// move, so without a budget nothing moves.
-    fn apply(&mut self, programs: Vec<CompiledProgram>, runtimes: &mut [Runtime]) {
-        for (program, rt) in programs.iter().zip(runtimes) {
+    /// Live-migrate every store of the installed runtimes to its geometry
+    /// in `programs` (program order; an install's arrivals, built at
+    /// theirs, are not admitted yet) — dormant alias stores too, so their
+    /// compiled geometries track the plan. A store already at its geometry
+    /// does not move, so without a budget nothing moves.
+    fn migrate(&mut self, programs: &[CompiledProgram]) {
+        for (program, rt) in programs.iter().zip(&mut self.runtimes) {
             for (qi, store) in program.stores.iter().enumerate() {
                 if let Some(store) = store {
                     rt.migrate_store(qi, store.geometry);
                 }
             }
         }
-        self.programs = programs;
     }
 
     /// The dry run of an install of `arrivals`, in order, after the
     /// residents — a deployment's construction is this call on an empty
-    /// roster, a live install its one-program case. Each arrival searches
-    /// the stores before it for owners ([`lifecycle_alias_candidates`]),
-    /// the planner runs once over the grown deployment
-    /// ([`Roster::replan`]), and every arrival's runtime is built — under
-    /// durability with its spill tiers attached. Nothing is mutated, so an
-    /// `Err` leaves the deployment untouched; a failed attach only burns
-    /// the install ids up to the failing arrival's, so a retry never
-    /// re-opens half-written files.
+    /// deployment, a live install its one-program case. Each arrival
+    /// searches the stores before it for owners
+    /// ([`lifecycle_alias_candidates`]), the planner runs once over the
+    /// grown deployment ([`Deployment::replan`]), and every arrival's
+    /// runtime is built — under durability with its spill tiers attached.
+    /// Nothing is mutated, so an `Err` leaves the deployment untouched; a
+    /// failed attach only burns the install ids up to the failing
+    /// arrival's, so a retry never re-opens half-written files.
     fn stage_install(
         &mut self,
         arrivals: Vec<CompiledProgram>,
     ) -> Result<StagedInstall, InstallError> {
-        let residents = self.programs.len();
-        let mut programs = self.programs.clone();
+        let residents = self.runtimes.len();
+        let mut programs = self.programs();
         programs.extend(arrivals);
         let mut ids = self.ids.clone();
         ids.extend(self.next_id..self.next_id + (programs.len() - residents) as u64);
@@ -614,7 +645,7 @@ impl Roster {
                 aliases.extend(found);
             }
         }
-        let (programs, plan) = self.replan(programs, &ids, &aliases)?;
+        let plan = self.replan(&mut programs, &ids, &aliases)?;
         let side = |p: usize| (&programs[p], &plans[p]);
         let strict_pair =
             |((ap, aq), (op, oq)): &Pair| same_store(side(*ap), *aq, side(*op), *oq, true);
@@ -651,213 +682,37 @@ impl Roster {
         })
     }
 
-    /// Commit a staged install over the residents' runtimes and return the
-    /// first arrival's install id; the arrivals take the ids from there on,
-    /// in order. The caller admits the runtimes
-    /// [`Roster::stage_install`] built.
-    fn commit_install(&mut self, staged: StagedInstall, runtimes: &mut [Runtime]) -> u64 {
+    /// Commit a staged install: the residents migrate to their planned
+    /// geometries and the arrivals [`Deployment::stage_install`] built are
+    /// admitted under the next install ids, in order. Returns the first
+    /// arrival's id.
+    fn commit(&mut self, staged: StagedInstall) -> u64 {
         let first = self.next_id;
-        self.next_id += (staged.programs.len() - self.programs.len()) as u64;
+        self.next_id += staged.arrivals.len() as u64;
         self.ids.extend(first..self.next_id);
         self.epochs.resize(self.ids.len(), self.records);
-        self.apply(staged.programs, runtimes);
+        self.migrate(&staged.programs);
+        self.runtimes.extend(staged.arrivals);
         self.aliases = staged.aliases;
         first
     }
 
-    /// Uninstall program `pos` and return its final results; its runtime
-    /// leaves `runtimes`.
-    ///
-    /// The final results are a **poll** ([`Roster::poll`]) taken before
-    /// anything moves: `finish()` + `collect()` on a clone is the poll
-    /// contract — a departing alias reads its owner's (still running) store
-    /// through the same redirection, a durable store reads through its
-    /// spill tier. Under durability they are published next, as the
-    /// departing id's retired file; a failed publish returns its error
-    /// with the deployment untouched. A departing *owner*'s shared store is
-    /// then **promoted** into its first surviving alias (the live store
-    /// moves out of the departing runtime and the alias rejoins the
-    /// streaming pass — stream continuity preserved) and further aliases
-    /// re-parent onto the promoted owner. The departing runtime is dropped,
-    /// and under a budget the remaining programs replan onto the reclaimed
-    /// area and live-migrate.
-    fn uninstall(&mut self, pos: usize, runtimes: &mut Vec<Runtime>) -> std::io::Result<ResultSet> {
-        let results = self.poll(pos, runtimes);
-        // The poll read through the durable tier (a frame replays every
-        // spilled pair); publish it so it outlives the deployment.
-        if let Some(d) = &self.durability {
-            write_retired(d, self.ids[pos], &results)?;
-        }
-
-        let mut promoted: Vec<Pair> = Vec::new();
-        for i in 0..self.aliases.len() {
-            let ((ap, aq), (op, oq)) = self.aliases[i];
-            if op != pos || ap == pos {
-                continue;
-            }
-            match promoted.iter().find(|(old, _)| *old == (op, oq)) {
-                Some((_, new_owner)) => self.aliases[i].1 = *new_owner,
-                None => {
-                    let store = runtimes[op].take_store(oq);
-                    runtimes[ap].set_store(aq, store);
-                    runtimes[ap].set_streaming(aq, true);
-                    promoted.push(((op, oq), (ap, aq)));
-                }
-            }
-        }
-        drop(runtimes.remove(pos));
-
-        // Bookkeeping: drop every pair touching the departing program,
-        // shift indices past it down by one.
-        self.aliases
-            .retain(|((ap, _), (op, _))| *ap != pos && *op != pos);
-        for ((ap, _), (op, _)) in &mut self.aliases {
-            *ap -= usize::from(*ap > pos);
-            *op -= usize::from(*op > pos);
-        }
-        self.ids.remove(pos);
-        self.epochs.remove(pos);
-        self.programs.remove(pos);
-
-        let remaining = std::mem::take(&mut self.programs); // `apply` puts them back
-        let (programs, _) = self
-            .replan(remaining, &self.ids, &self.aliases)
-            .expect("surviving slices only grow on uninstall");
-        self.apply(programs, runtimes);
-        Ok(results)
-    }
-
-    /// The `(program, query)` whose live store holds each of program
-    /// `pos`'s queries' truth at a poll — the query itself, or the owner a
-    /// deduplicated alias redirects to (the same redirection the drain
-    /// applies via [`substitute_stores`], read-only here); `None` for
-    /// storeless queries.
-    fn poll_sources(&self, pos: usize) -> Vec<Option<(usize, usize)>> {
-        let mut sources: Vec<_> = self.programs[pos]
-            .stores
-            .iter()
+    /// Program `pos`'s current results, polled over the read-only
+    /// runtimes: each query reads its own live store or — a deduplicated
+    /// alias — its owner's (the redirection the drain applies by
+    /// substitution, read-only here).
+    fn polled(&self, pos: usize) -> ResultSet {
+        let one = |p: usize| std::slice::from_ref(&self.runtimes[p]);
+        let mut stores: Vec<_> = (self.runtimes[pos].compiled().stores.iter())
             .enumerate()
-            .map(|(q, store)| store.as_ref().map(|_| (pos, q)))
+            .map(|(q, store)| store.as_ref().map(|_| (one(pos), q)))
             .collect();
-        for ((ap, aq), owner) in &self.aliases {
+        for ((ap, aq), (op, oq)) in &self.aliases {
             if *ap == pos {
-                sources[*aq] = Some(*owner);
+                stores[*aq] = Some((one(*op), *oq));
             }
         }
-        sources
-    }
-
-    /// Poll program `pos` over the (read-only) runtimes of every program
-    /// [`Roster::poll_sources`] names.
-    fn poll(&self, pos: usize, runtimes: &[Runtime]) -> ResultSet {
-        let one = |p: usize| std::slice::from_ref(&runtimes[p]);
-        let stores: Vec<_> = (self.poll_sources(pos).into_iter())
-            .map(|src| src.map(|(p, q)| (one(p), q)))
-            .collect();
         crate::runtime::poll_collect(one(pos), &stores)
-    }
-}
-
-/// K installed programs behind one shared ingest pass on the caller's
-/// thread: each record's base row materializes once, with the union of the
-/// programs' column masks, and every program's plan sweeps it. Usage
-/// mirrors [`Runtime`]; every entry point is semantically K independent
-/// runtimes fed the same records, and is pinned byte-identical to exactly
-/// that. Its public name is [`MultiRuntime`].
-#[derive(Debug)]
-pub struct Deployment {
-    /// Who is installed, and the one lifecycle over them.
-    roster: Roster,
-    /// One runtime per installed program, parallel to the roster's ids.
-    runtimes: Vec<Runtime>,
-    /// Chunk-wide row buffers ([`Deployment::process_batch`]): one chunk
-    /// materializes at a time, then each program sweeps it node-at-a-time
-    /// — a program's stores and bytecode state stay hot across the chunk
-    /// instead of being evicted K−1 times per record.
-    lanes: Lanes,
-}
-
-/// The multi-query plane's public name:
-///
-/// ```
-/// use perfq_core::{compile_query, MultiRuntime};
-/// use perfq_lang::fig2;
-/// use perfq_switch::{Network, NetworkConfig};
-/// use perfq_trace::{SyntheticTrace, TraceConfig};
-///
-/// let programs: Vec<_> = [&fig2::PER_FLOW_COUNTERS, &fig2::LATENCY_EWMA]
-///     .iter()
-///     .map(|q| {
-///         compile_query(q.source, &fig2::default_params(), Default::default()).unwrap()
-///     })
-///     .collect();
-/// // One 32 Mbit SRAM budget provisions both queries' caches…
-/// let (mut multi, plan) =
-///     MultiRuntime::provisioned(programs, 32 * 1024 * 1024).unwrap();
-/// assert!(plan.allocated_bits() <= plan.budget_bits);
-/// // …and one replay pass drives both programs.
-/// let mut net = Network::new(NetworkConfig::default());
-/// multi.process_network(&mut net, SyntheticTrace::new(TraceConfig::test_small(1)).take(2_000), 256);
-/// multi.finish();
-/// let results = multi.collect();
-/// assert_eq!(results.len(), 2);
-/// ```
-pub type MultiRuntime = Deployment;
-
-impl Deployment {
-    /// Build a deployment by installing `programs`, in order, into an
-    /// empty one — the one way in: construction and
-    /// [`Deployment::install`] share the owner search, the one planner run
-    /// and the commit ([`Roster::stage_install`]). Install ids are `0..K`.
-    /// Returns the plan alongside (`None` without a budget); under a
-    /// budget, a program list without any store is
-    /// [`PlanError::EmptyDemands`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty program list (under a budget that is
-    /// [`PlanError::EmptyDemands`] first).
-    fn installing(
-        programs: Vec<CompiledProgram>,
-        share: bool,
-        budget: Option<u64>,
-    ) -> Result<(Self, Option<AreaPlan>), PlanError> {
-        let mut deployment = Deployment {
-            roster: Roster {
-                share,
-                budget,
-                ..Roster::default()
-            },
-            runtimes: Vec::new(),
-            lanes: Lanes::default(),
-        };
-        let mut staged = match deployment.roster.stage_install(programs) {
-            Ok(staged) => staged,
-            Err(InstallError::Plan(e)) => return Err(e),
-            Err(e) => unreachable!("an empty deployment has no durable tier: {e}"),
-        };
-        let plan = staged.plan.take();
-        if budget.is_some() && plan.is_none() {
-            return Err(PlanError::EmptyDemands);
-        }
-        assert!(!staged.arrivals.is_empty(), "need at least one program");
-        deployment.commit(staged);
-        Ok((deployment, plan))
-    }
-
-    /// [`Deployment::installing`] without a budget, which no plan refuses.
-    fn unbudgeted(programs: Vec<CompiledProgram>, share: bool) -> Self {
-        let unplanned = Self::installing(programs, share, None);
-        unplanned.expect("an unbudgeted install cannot fail").0
-    }
-
-    /// Commit a staged install and admit its arrivals; the first
-    /// arrival's install id.
-    fn commit(&mut self, mut staged: StagedInstall) -> u64 {
-        let arrivals = std::mem::take(&mut staged.arrivals);
-        let id = self.roster.commit_install(staged, &mut self.runtimes);
-        self.runtimes.extend(arrivals);
-        id
     }
 
     /// Install several compiled programs, in order, behind one ingest pass,
@@ -908,33 +763,42 @@ impl Deployment {
     /// is deterministic, so aliases, store layout, and durable file names
     /// all reproduce) and repair each program's files against
     /// the single deployment manifest. Returns the deployment with the
-    /// resume index (see [`Runtime::recover`]); every program's record
-    /// count includes the checkpointed prefix. Deployments that installed
-    /// or uninstalled mid-stream are out of recovery's scope — but their
-    /// retired files stay readable ([`Deployment::retired`]).
+    /// resume index (see [`Runtime::recover`]); the checkpointed record
+    /// count lands on every program's runtime, so a drain after re-ingest
+    /// covers the whole stream. Deployments that installed or uninstalled
+    /// mid-stream are out of recovery's scope — but their retired files
+    /// stay readable ([`Deployment::retired`]).
     pub fn recover(programs: Vec<CompiledProgram>, d: Durability) -> std::io::Result<(Self, u64)> {
         let mut deployment = Self::new(programs);
-        let at = deployment.roster.recover(d, &mut deployment.runtimes)?;
+        let resume =
+            crate::durable::recover(&d, &mut named(&deployment.ids, &mut deployment.runtimes))?;
+        let at = resume.unwrap_or(0);
+        for rt in &mut deployment.runtimes {
+            rt.resume_records(at);
+        }
+        deployment.records = at;
+        deployment.persisted_at = resume;
+        deployment.durability = Some(d);
         Ok((deployment, at))
     }
 
     /// Number of installed programs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.roster.ids.len()
+        self.ids.len()
     }
 
     /// True when no program is installed (only possible after
     /// [`Deployment::uninstall`] removed the last one).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.roster.ids.is_empty()
+        self.ids.is_empty()
     }
 
     /// The stable install ids, in program order.
     #[must_use]
     pub fn ids(&self) -> &[u64] {
-        &self.roster.ids
+        &self.ids
     }
 
     /// The installed runtimes, parallel to [`Deployment::ids`].
@@ -948,16 +812,18 @@ impl Deployment {
     /// install on.
     #[must_use]
     pub fn records(&self) -> u64 {
-        self.roster.records
+        self.records
     }
 
     /// What the installs shared across the programs, derived from the
     /// settled dedup pairs on each call.
     #[must_use]
     pub fn sharing(&self) -> SharingReport {
-        let r = &self.roster;
-        let named = |p: usize, q: usize| (p, r.programs[p].program.queries[q].name.clone());
-        let stores = (r.aliases.iter())
+        let named = |p: usize, q: usize| {
+            let query = &self.runtimes[p].compiled().program.queries[q];
+            (p, query.name.clone())
+        };
+        let stores = (self.aliases.iter())
             .map(|((ap, aq), (op, oq))| SharedStore {
                 owner: named(*op, *oq),
                 alias: named(*ap, *aq),
@@ -974,7 +840,11 @@ impl Deployment {
     /// Uninstall additionally publishes the departing program's final
     /// results as a retired file ([`Deployment::retired`]).
     pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
-        self.roster.enable_durability(d, &mut self.runtimes)
+        for (sub, rt) in named(&self.ids, &mut self.runtimes) {
+            rt.enable_durability_prefixed(&d, &sub)?;
+        }
+        self.durability = Some(d);
+        Ok(())
     }
 
     /// Durably checkpoint the whole deployment at the current record
@@ -986,7 +856,9 @@ impl Deployment {
     ///
     /// Panics unless [`Deployment::enable_durability`] was called.
     pub fn persist(&mut self) -> std::io::Result<()> {
-        self.roster.persist(&mut self.runtimes)
+        let d = (self.durability.as_ref()).expect("persist requires enable_durability");
+        let mut named = named(&self.ids, &mut self.runtimes);
+        crate::durable::persist(d, self.records, &mut self.persisted_at, &mut named)
     }
 
     /// Read back a retired program's durably published final results.
@@ -997,7 +869,7 @@ impl Deployment {
     ///
     /// Panics unless [`Deployment::enable_durability`] was called.
     pub fn retired(&self, id: u64) -> std::io::Result<Option<ResultSet>> {
-        let d = (self.roster.durability.as_ref()).expect("retired requires enable_durability");
+        let d = (self.durability.as_ref()).expect("retired requires enable_durability");
         read_retired(d, id)
     }
 
@@ -1033,10 +905,10 @@ impl Deployment {
     /// [`InstallError::Io`] when the durable-tier attach fails; the
     /// deployment is untouched on error.
     pub fn install(&mut self, program: CompiledProgram) -> Result<u64, InstallError> {
-        if self.roster.finished {
+        if self.finished {
             return Err(InstallError::Finished);
         }
-        let staged = self.roster.stage_install(vec![program])?;
+        let staged = self.stage_install(vec![program])?;
         Ok(self.commit(staged))
     }
 
@@ -1046,14 +918,17 @@ impl Deployment {
     /// unknown id.
     ///
     /// The results are the poll ([`Deployment::poll`]) taken as the
-    /// program leaves — a departing *alias* reads its owner's live store
-    /// through the poll's redirection. Under durability they are published
-    /// next, as a retired file ([`Deployment::retired`]). Dedup
-    /// bookkeeping follows: a departing *owner*'s shared store is
-    /// **promoted** into its first surviving alias (the live state moves —
-    /// stream continuity preserved) and further aliases re-parent onto the
-    /// promoted owner. The departing program's slice returns to the pool:
-    /// under a budget the remaining programs replan and their stores
+    /// program leaves, before anything moves: `finish()` + `collect()` on a
+    /// clone is the poll contract — a departing *alias* reads its owner's
+    /// live store through the poll's redirection, a durable store reads
+    /// through its spill tier. Under durability they are published next, as
+    /// a retired file ([`Deployment::retired`]). Dedup bookkeeping follows:
+    /// a departing *owner*'s shared store is **promoted** into its first
+    /// surviving alias (the live store moves out of the departing runtime
+    /// and the alias rejoins the streaming pass — stream continuity
+    /// preserved) and further aliases re-parent onto the promoted owner.
+    /// The departing runtime is dropped, and its slice returns to the
+    /// pool: under a budget the remaining programs replan and their stores
     /// live-migrate onto the (larger) slices.
     ///
     /// # Errors
@@ -1062,10 +937,50 @@ impl Deployment {
     /// moved then: the program is still installed, with its stores and its
     /// sharing, and a later `uninstall` retries.
     pub fn uninstall(&mut self, id: u64) -> std::io::Result<Option<ResultSet>> {
-        let Some(pos) = self.roster.position(id) else {
+        let Some(pos) = self.ids.iter().position(|x| *x == id) else {
             return Ok(None);
         };
-        self.roster.uninstall(pos, &mut self.runtimes).map(Some)
+        let results = self.polled(pos);
+        // The poll read through the durable tier (a frame replays every
+        // spilled pair); publish it so it outlives the deployment.
+        if let Some(d) = &self.durability {
+            write_retired(d, id, &results)?;
+        }
+
+        let mut promoted: Vec<Pair> = Vec::new();
+        for i in 0..self.aliases.len() {
+            let ((ap, aq), (op, oq)) = self.aliases[i];
+            if op != pos || ap == pos {
+                continue;
+            }
+            match promoted.iter().find(|(old, _)| *old == (op, oq)) {
+                Some((_, new_owner)) => self.aliases[i].1 = *new_owner,
+                None => {
+                    let store = self.runtimes[op].take_store(oq);
+                    self.runtimes[ap].set_store(aq, store);
+                    self.runtimes[ap].set_streaming(aq, true);
+                    promoted.push(((op, oq), (ap, aq)));
+                }
+            }
+        }
+        drop(self.runtimes.remove(pos));
+
+        // Bookkeeping: drop every pair touching the departing program,
+        // shift indices past it down by one.
+        self.aliases
+            .retain(|((ap, _), (op, _))| *ap != pos && *op != pos);
+        for ((ap, _), (op, _)) in &mut self.aliases {
+            *ap -= usize::from(*ap > pos);
+            *op -= usize::from(*op > pos);
+        }
+        self.ids.remove(pos);
+        self.epochs.remove(pos);
+
+        let mut programs = self.programs();
+        self.replan(&mut programs, &self.ids, &self.aliases)
+            .expect("surviving slices only grow on uninstall");
+        self.migrate(&programs);
+        Ok(Some(results))
     }
 
     /// Poll one installed program's current results **without stopping the
@@ -1082,8 +997,8 @@ impl Deployment {
     /// frames.
     #[must_use]
     pub fn poll(&mut self, id: u64) -> Option<ResultSet> {
-        let pos = self.roster.position(id)?;
-        Some(self.roster.poll(pos, &self.runtimes))
+        let pos = self.ids.iter().position(|x| *x == id)?;
+        Some(self.polled(pos))
     }
 
     /// Process one queue record: [`Deployment::process_batch`] over a
@@ -1119,17 +1034,13 @@ impl Deployment {
             assert!(!rt.is_finished(), "{}", LifecycleError::ProcessAfterFinish);
             mask |= rt.base_cols();
         }
-        let Deployment {
-            roster,
-            runtimes,
-            lanes,
-        } = self;
-        lanes.sweep(recs, mask, |rows, width, n, nows| {
+        let runtimes = &mut self.runtimes;
+        self.lanes.sweep(recs, mask, |rows, width, n, nows| {
             for rt in runtimes.iter_mut() {
                 rt.process_lanes(rows, width, n, nows);
             }
         });
-        roster.records += recs.len() as u64;
+        self.records += recs.len() as u64;
     }
 
     /// Replay a packet stream through a network straight into every
@@ -1145,16 +1056,18 @@ impl Deployment {
     }
 
     /// Flush every program's caches (end of measurement window), then
-    /// substitute deduplicated stores so every alias query collects from
-    /// the owning program's physical store. The deployment takes no more
-    /// records or programs afterwards; polls and uninstalls read the
-    /// drained tables.
+    /// substitute every alias query's (never-updated) store with a clone
+    /// of its owner's finished store, so collection reads what a private
+    /// store would have held. The deployment takes no more records or
+    /// programs afterwards; polls and uninstalls read the drained tables.
     pub fn finish(&mut self) {
         for rt in &mut self.runtimes {
             rt.finish();
         }
-        substitute_stores(&mut self.runtimes, &self.roster.aliases);
-        self.roster.finished = true;
+        for (alias, owner) in &self.aliases {
+            Runtime::adopt_store(&mut self.runtimes, *alias, *owner);
+        }
+        self.finished = true;
     }
 
     /// Collect every program's final tables, in program order. Call after

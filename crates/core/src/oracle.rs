@@ -240,7 +240,7 @@ impl Oracle {
     /// Process one queue record.
     pub fn process_record(&mut self, rec: &QueueRecord) {
         let mut row = std::mem::take(&mut self.row);
-        rec.write_row(&mut row);
+        rec.write_row_masked(&mut row, u64::MAX);
         for r in 0..self.roots.len() {
             self.feed(self.roots[r], &row);
         }

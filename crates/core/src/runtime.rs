@@ -308,9 +308,10 @@ impl Runtime {
     }
 
     /// Dynamic lifecycle: live-migrate query `idx`'s store to a newly
-    /// provisioned geometry ([`SplitStore::migrate_geometry`]) and keep the
-    /// compiled store plan in sync, so physical-identity checks
-    /// (`phys_eq`) observe the geometry the store actually runs at.
+    /// provisioned geometry ([`SplitStore::migrate_geometry`]) and write it
+    /// into the compiled store plan — the deployment's one record of the
+    /// planned geometry, which its replans and physical-identity checks
+    /// (`phys_eq`) read.
     pub(crate) fn migrate_store(&mut self, idx: usize, geometry: CacheGeometry) {
         if let Some(store) = self.stores[idx].as_mut() {
             store.migrate_geometry(geometry);

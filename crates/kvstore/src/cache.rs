@@ -524,8 +524,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
     fn fill_slot(
         &mut self,
         b: usize,
-        disc: u64,
-        exact: bool,
+        (disc, exact): (u64, bool),
         key: K,
         value: V,
         now: Nanos,
@@ -556,8 +555,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         &mut self,
         b: usize,
         slot: usize,
-        disc: u64,
-        exact: bool,
+        (disc, exact): (u64, bool),
         key: K,
         value: V,
         now: Nanos,
@@ -606,15 +604,14 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         // fill_slot/replace_slot stamp one timestamp into both residency
         // fields; insert() carries the entry's own interval, so restore its
         // last_seen afterwards.
-        let (disc, exact) = key.slot_word(h);
+        let word = key.slot_word(h);
         if (self.lens[b] as usize) < self.ways {
-            let j = self.fill_slot(b, disc, exact, key, value, first_seen, seq);
+            let j = self.fill_slot(b, word, key, value, first_seen, seq);
             self.state[j].last_seen = last_seen;
             return None;
         }
         let victim_slot = self.pick_victim(b, policy, rng);
-        let (j, victim) =
-            self.replace_slot(b, victim_slot, disc, exact, key, value, first_seen, seq);
+        let (j, victim) = self.replace_slot(b, victim_slot, word, key, value, first_seen, seq);
         self.state[j].last_seen = last_seen;
         Some(victim)
     }
@@ -649,9 +646,9 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
                 },
             );
         }
-        let (disc, exact) = key.slot_word(h);
+        let word = key.slot_word(h);
         if (self.lens[b] as usize) < self.ways {
-            let j = self.fill_slot(b, disc, exact, key, init(), now, seq);
+            let j = self.fill_slot(b, word, key, init(), now, seq);
             return (
                 j,
                 UpsertOutcome {
@@ -661,7 +658,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
             );
         }
         let victim_slot = self.pick_victim(b, policy, rng);
-        let (j, victim) = self.replace_slot(b, victim_slot, disc, exact, key, init(), now, seq);
+        let (j, victim) = self.replace_slot(b, victim_slot, word, key, init(), now, seq);
         (
             j,
             UpsertOutcome {

@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn ordering_is_lexicographic_over_words() {
-        let mut keys = vec![
+        let mut keys = [
             InlineKey::from_slice(&[2]),
             InlineKey::from_slice(&[1, 5]),
             InlineKey::from_slice(&[1]),

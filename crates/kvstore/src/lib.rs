@@ -178,7 +178,9 @@
 //! durable truth, and rewrite work stays proportional to the bytes logged
 //! instead of re-encoding the whole table at every checkpoint. A failed
 //! group commit cuts the WAL back to its committed length and keeps its
-//! buffer, so a retry in the same process appends it exactly once; a
+//! buffer, so a retry in the same process appends it exactly once; one
+//! that fails during ingest is deferred — no retry until the next
+//! checkpoint or compaction commits, which reports the error; a
 //! compaction whose segment landed but whose WAL replacement failed adopts
 //! the segment, and the next commit replaces the stale WAL before it
 //! appends. `tests/durability_crash.rs` pins all

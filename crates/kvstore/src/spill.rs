@@ -146,6 +146,10 @@ pub struct SpillTier<K, V> {
     /// A failed commit could not cut the WAL back to `wal_len` (the backend
     /// was dead): the next commit cuts first.
     wal_torn: bool,
+    /// An automatic group commit failed during ingest: its frames stay
+    /// buffered and automatic commits hold off until the next explicit
+    /// commit retries them ([`SpillTier::group_commit`]).
+    deferred: bool,
     /// A compaction published its segment but could not replace the WAL:
     /// the file on disk is older than the segment (reads skip it as
     /// folded), and the next commit replaces it with an empty log at
@@ -182,6 +186,7 @@ impl<K: Persist, V: Persist> SpillTier<K, V> {
             wal_len: HEADER_LEN as u64,
             seg_len: 0,
             wal_torn: false,
+            deferred: false,
             wal_stale: false,
             stats: SpillStats::default(),
             enc_key: encode_of::<K>,
@@ -249,9 +254,7 @@ impl<K, V> SpillTier<K, V> {
         end_frame(&mut self.buf, s);
         self.stats.spilled_frames += 1;
         self.retired = false;
-        if self.buf.len() >= self.cfg.group_commit_bytes {
-            self.commit().expect("spill-tier commit failed");
-        }
+        self.group_commit();
     }
 
     /// Write a snapshot frame: the key's full standing RAM record as of a
@@ -275,9 +278,7 @@ impl<K, V> SpillTier<K, V> {
         end_frame(&mut self.buf, s);
         self.stats.spilled_frames += 1;
         self.retired = false;
-        if self.buf.len() >= self.cfg.group_commit_bytes {
-            self.commit().expect("spill-tier commit failed");
-        }
+        self.group_commit();
     }
 
     /// Append a tombstone: the key's merged durable record is deleted as of
@@ -292,9 +293,7 @@ impl<K, V> SpillTier<K, V> {
         end_frame(&mut self.buf, s);
         self.stats.tombstones += 1;
         self.retired = false;
-        if self.buf.len() >= self.cfg.group_commit_bytes {
-            self.commit().expect("spill-tier commit failed");
-        }
+        self.group_commit();
     }
 
     /// Append a checkpoint frame — every record up to `record_index` is
@@ -306,6 +305,20 @@ impl<K, V> SpillTier<K, V> {
         end_frame(&mut self.buf, s);
         self.stats.checkpoints += 1;
         self.commit()
+    }
+
+    /// The group-commit policy of the append path: commit once the buffer
+    /// reaches [`SpillConfig::group_commit_bytes`]. Ingest has no error to
+    /// return, and the tier promises durability only at a manifested
+    /// checkpoint, so a failed commit here is deferred, not fatal: its
+    /// frames stay buffered (reads and [`SpillTier::is_dirty`] count
+    /// them), no automatic commit retries during ingest, and the next
+    /// explicit [`SpillTier::commit`] — a checkpoint's or a compaction's —
+    /// retries it and returns the error if it fails again.
+    fn group_commit(&mut self) {
+        if !self.deferred && self.buf.len() >= self.cfg.group_commit_bytes {
+            self.deferred = self.commit().is_err();
+        }
     }
 
     /// Flush the group-commit buffer: one backend `append` + `sync`.
@@ -336,6 +349,7 @@ impl<K, V> SpillTier<K, V> {
         self.wal_len += self.buf.len() as u64;
         self.buf.clear();
         self.dirty = true;
+        self.deferred = false;
         self.stats.commits += 1;
         Ok(())
     }
@@ -520,6 +534,7 @@ impl<K, V> SpillTier<K, V> {
         self.buf.clear();
         self.retired = false;
         self.wal_torn = false;
+        self.deferred = false;
         self.wal_stale = false;
         let mut be = self.backend.lock().expect("backend mutex");
         let seg = be.read(&self.seg)?;
@@ -681,6 +696,57 @@ mod tests {
         assert!(no_garbage(&wal));
         for fault in [(0, 0), (0, commit_len / 2), (0, usize::MAX), (1, 0)] {
             let (got, wal, _) = run(Some(fault));
+            assert_eq!(got, want, "fault {fault:?}");
+            assert!(no_garbage(&wal), "fault {fault:?}: garbage left mid-WAL");
+        }
+    }
+
+    /// A failed group commit during ingest is deferred, not fatal: fault
+    /// the first automatic commit after a checkpoint at its append (torn
+    /// to nothing, half, all of the buffer) or at its sync — ingest
+    /// continues past it, a checkpoint on the dead backend returns `Err`,
+    /// and after `heal` the checkpoint appends the buffered frames once.
+    /// The drain is the never-faulted run's and the WAL holds no garbage.
+    #[test]
+    fn a_failed_ingest_commit_is_deferred_to_the_next_checkpoint() {
+        let cfg = SpillConfig {
+            high_water: 4,
+            group_commit_bytes: 64,
+        };
+        // `fault` = (mutating op after the checkpoint at 300, torn bytes):
+        // op 0 is the first ingest-time commit's append, op 1 its sync.
+        let run = |fault: Option<(u64, usize)>| {
+            let handle = Arc::new(Mutex::new(FaultBackend::new()));
+            let mut s = store(handle.clone(), cfg);
+            feed(&mut s, 48, 0, 300);
+            s.persist(300).expect("healthy checkpoint");
+            if let Some((op, torn)) = fault {
+                let at = handle.lock().unwrap().ops() + op;
+                handle.lock().unwrap().arm(at, torn);
+            }
+            feed(&mut s, 48, 300, 600);
+            if fault.is_some() {
+                assert!(handle.lock().unwrap().died(), "an ingest commit faulted");
+                assert!(s.persist(600).is_err(), "a checkpoint on the dead backend");
+                handle.lock().unwrap().heal();
+            }
+            s.persist(600).expect("the checkpoint after heal");
+            feed(&mut s, 48, 600, 900);
+            s.persist(900).expect("healthy checkpoint");
+            let wal = handle
+                .lock()
+                .unwrap()
+                .mem()
+                .bytes("t_wal")
+                .unwrap()
+                .to_vec();
+            (drained(s), wal)
+        };
+        let (want, wal) = run(None);
+        assert_eq!(want.iter().map(|r| r.1).sum::<u64>(), 900);
+        assert!(no_garbage(&wal));
+        for fault in [(0, 0), (0, 32), (0, usize::MAX), (1, 0)] {
+            let (got, wal) = run(Some(fault));
             assert_eq!(got, want, "fault {fault:?}");
             assert!(no_garbage(&wal), "fault {fault:?}: garbage left mid-WAL");
         }

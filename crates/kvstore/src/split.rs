@@ -249,7 +249,7 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
             "adopt_results_from requires a flushed owner store"
         );
         assert!(
-            owner.spill.as_ref().map_or(true, |t| !t.is_dirty()),
+            owner.spill.as_ref().is_none_or(|t| !t.is_dirty()),
             "adopt_results_from requires a materialized owner store"
         );
         self.backing = owner.backing.clone();

@@ -622,7 +622,7 @@ pub fn begin_frame(buf: &mut Vec<u8>) -> usize {
 
 /// Finish the frame started at `start`: backfills the payload length and
 /// CRC now that the payload is in place.
-pub fn end_frame(buf: &mut Vec<u8>, start: usize) {
+pub fn end_frame(buf: &mut [u8], start: usize) {
     let payload_len = buf.len() - start - 8;
     let crc = crc32(&buf[start + 8..]);
     buf[start..start + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());

@@ -125,7 +125,7 @@ fn infer_windows(body: &[RStmt], n_state: usize) -> Vec<Option<u32>> {
             }
             next[i] = match env[i] {
                 // One packet later, a depth-d value spans d+1 packets back.
-                Win::Depth(d) if d + 1 <= MAX_WINDOW => Some(d + 1),
+                Win::Depth(d) if d < MAX_WINDOW => Some(d + 1),
                 _ => None,
             };
         }
@@ -167,7 +167,7 @@ fn eval_win(e: &RExpr, env: &[Win]) -> Win {
     }
 }
 
-fn exec_win(body: &[RStmt], env: &mut Vec<Win>, touched: &mut HashSet<usize>) {
+fn exec_win(body: &[RStmt], env: &mut [Win], touched: &mut HashSet<usize>) {
     for s in body {
         match s {
             RStmt::Assign(i, e) => {
@@ -180,8 +180,8 @@ fn exec_win(body: &[RStmt], env: &mut Vec<Win>, touched: &mut HashSet<usize>) {
                 else_body,
             } => {
                 let c = eval_win(cond, env);
-                let mut env_t = env.clone();
-                let mut env_f = env.clone();
+                let mut env_t = env.to_vec();
+                let mut env_f = env.to_vec();
                 let mut touched_t = HashSet::new();
                 let mut touched_f = HashSet::new();
                 exec_win(then_body, &mut env_t, &mut touched_t);
@@ -373,7 +373,7 @@ fn eval_aff(e: &RExpr, env: &[Aff]) -> Aff {
     }
 }
 
-fn exec_aff(body: &[RStmt], env: &mut Vec<Aff>, touched: &mut HashSet<usize>) {
+fn exec_aff(body: &[RStmt], env: &mut [Aff], touched: &mut HashSet<usize>) {
     for s in body {
         match s {
             RStmt::Assign(i, e) => {
@@ -386,17 +386,17 @@ fn exec_aff(body: &[RStmt], env: &mut Vec<Aff>, touched: &mut HashSet<usize>) {
                 else_body,
             } => {
                 let c = eval_aff(cond, env);
-                let mut env_t = env.clone();
-                let mut env_f = env.clone();
+                let mut env_t = env.to_vec();
+                let mut env_f = env.to_vec();
                 let mut touched_t = HashSet::new();
                 let mut touched_f = HashSet::new();
                 exec_aff(then_body, &mut env_t, &mut touched_t);
                 exec_aff(else_body, &mut env_f, &mut touched_f);
                 match c.pure_depth() {
                     Some(cond_d) => {
-                        for i in 0..env.len() {
+                        for (i, slot) in env.iter_mut().enumerate() {
                             if touched_t.contains(&i) || touched_f.contains(&i) {
-                                env[i] = env_t[i].select_join(&env_f[i], cond_d);
+                                *slot = env_t[i].select_join(&env_f[i], cond_d);
                                 touched.insert(i);
                             }
                         }
@@ -404,9 +404,9 @@ fn exec_aff(body: &[RStmt], env: &mut Vec<Aff>, touched: &mut HashSet<usize>) {
                     None => {
                         // Branching on state: every variable written in either
                         // branch becomes non-linear.
-                        for i in 0..env.len() {
+                        for (i, slot) in env.iter_mut().enumerate() {
                             if touched_t.contains(&i) || touched_f.contains(&i) {
-                                env[i] = Aff::Top;
+                                *slot = Aff::Top;
                                 touched.insert(i);
                             }
                         }

@@ -231,7 +231,7 @@ mod tests {
             };
             assert_eq!(s.name_of(i), expected);
         }
-        assert!(base_column_header_field(HeaderField::ALL.len()).is_some() == false);
+        assert!(base_column_header_field(HeaderField::ALL.len()).is_none());
     }
 
     #[test]

@@ -63,73 +63,16 @@ impl QueueRecord {
         path.wrapping_mul(0x100).wrapping_add(u64::from(qid) + 1)
     }
 
-    /// Materialize the record as a base-schema row.
+    /// Materialize the record as a base-schema row: every column, written
+    /// by [`QueueRecord::write_row_masked`].
     ///
     /// Column order is `HeaderField::ALL` then the metadata columns — the
     /// same order `perfq_lang::base_schema()` constructs, asserted by test.
     #[must_use]
     pub fn to_row(&self) -> Vec<Value> {
-        let mut row = Vec::with_capacity(HeaderField::ALL.len() + META_COLUMNS.len());
-        self.write_row(&mut row);
+        let mut row = Vec::new();
+        self.write_row_masked(&mut row, u64::MAX);
         row
-    }
-
-    /// Materialize the row into a caller-owned buffer (cleared first), so a
-    /// streaming consumer reuses one allocation across all records.
-    ///
-    /// This is the dataplane's record → row step, so the header fields are
-    /// laid down with a single L4 dispatch instead of one
-    /// [`HeaderField::extract`] match per column; the column order is
-    /// identical (asserted by test against `extract`).
-    pub fn write_row(&self, row: &mut Vec<Value>) {
-        use perfq_packet::L4Header;
-        row.clear();
-        row.reserve(HeaderField::ALL.len() + META_COLUMNS.len());
-        let pkt = &self.packet;
-        let h = &pkt.headers;
-        let int = |v: u64| Value::Int(v as i64);
-        // Header fields, in `HeaderField::ALL` order.
-        row.push(int(u64::from(u32::from(h.ipv4.src)))); // srcip
-        row.push(int(u64::from(u32::from(h.ipv4.dst)))); // dstip
-        let (src_port, dst_port, tcp) = match &h.l4 {
-            L4Header::Tcp(t) => (t.src_port, t.dst_port, Some(t)),
-            L4Header::Udp(u) => (u.src_port, u.dst_port, None),
-            L4Header::Opaque => (0, 0, None),
-        };
-        row.push(int(u64::from(src_port))); // srcport
-        row.push(int(u64::from(dst_port))); // dstport
-        row.push(int(u64::from(h.ipv4.proto.to_u8()))); // proto
-        row.push(int(u64::from(h.ipv4.ttl))); // ttl
-        row.push(int(u64::from(h.ipv4.ident))); // ipid
-        row.push(int(u64::from(h.ipv4.dscp_ecn))); // tos
-        row.push(int(u64::from(pkt.wire_len))); // pkt_len
-        row.push(int(pkt.uniq)); // pkt_uniq
-        match tcp {
-            Some(t) => {
-                row.push(int(u64::from(t.seq))); // tcpseq
-                row.push(int(u64::from(t.ack))); // tcpack
-                row.push(int(u64::from(t.flags.0))); // tcpflags
-                row.push(int(u64::from(t.window))); // tcpwin
-            }
-            None => {
-                row.push(Value::Int(0));
-                row.push(Value::Int(0));
-                row.push(Value::Int(0));
-                row.push(Value::Int(0));
-            }
-        }
-        row.push(int(u64::from(h.tcp_payload_len()))); // payload_len
-        row.push(int(u64::from(match &h.l4 {
-            L4Header::Udp(u) => u.length,
-            _ => 0,
-        }))); // udplen
-              // Metadata columns.
-        row.push(Value::Int(i64::from(self.qid)));
-        row.push(Value::Int(nanos_to_i64(self.tin)));
-        row.push(Value::Int(nanos_to_i64(self.tout)));
-        row.push(Value::Int(i64::from(self.qsize)));
-        row.push(Value::Int(i64::from(self.qout)));
-        row.push(Value::Int(self.path as i64));
     }
 
     /// Number of base-schema columns a row holds.
@@ -146,8 +89,10 @@ impl QueueRecord {
     /// materialization skips the other ~20. The buffer is sized (and
     /// zero-filled) on first use; unmasked cells may hold stale values from
     /// earlier records, which is sound exactly because the caller's mask
-    /// covers every column its programs read. Column order matches
-    /// [`QueueRecord::write_row`] (asserted by test).
+    /// covers every column its programs read. The header fields are laid
+    /// down with at most one L4 dispatch per group of columns instead of
+    /// one [`HeaderField::extract`] match per column; the column order is
+    /// identical (asserted by test against `extract`).
     pub fn write_row_masked(&self, row: &mut Vec<Value>, mask: u64) {
         let width = Self::row_width();
         debug_assert!(width <= 64, "column mask is a u64 bitmap");
@@ -313,8 +258,8 @@ mod tests {
 
     #[test]
     fn write_row_matches_field_extract_for_all_l4_kinds() {
-        // The specialized row writer must agree with the per-field extract
-        // path, column for column, for TCP and UDP packets alike.
+        // The row writer over every column must agree with the per-field
+        // extract path, column for column, for TCP and UDP packets alike.
         let tcp = record();
         let udp = QueueRecord {
             packet: PacketBuilder::udp()
@@ -326,7 +271,8 @@ mod tests {
             ..record()
         };
         for r in [tcp, udp] {
-            let row = r.to_row();
+            let mut row = Vec::new();
+            r.write_row_masked(&mut row, u64::MAX);
             for (i, f) in HeaderField::ALL.iter().enumerate() {
                 assert_eq!(
                     row[i],

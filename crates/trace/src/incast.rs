@@ -64,7 +64,7 @@ pub fn generate(cfg: &IncastConfig) -> Vec<Packet> {
     let mut seqs = vec![0u32; cfg.servers];
     for round in 0..cfg.rounds {
         let round_start = Nanos(cfg.round_gap.as_nanos() * round);
-        for s in 0..cfg.servers {
+        for (s, seq) in seqs.iter_mut().enumerate() {
             let server_ip = Ipv4Addr::from(0xac10_0100 + s as u32);
             let start = round_start + Nanos(rng.gen_range(0..=cfg.jitter.as_nanos().max(1)));
             for i in 0..cfg.burst_pkts {
@@ -75,14 +75,14 @@ pub fn generate(cfg: &IncastConfig) -> Vec<Packet> {
                     PacketBuilder::tcp()
                         .src(server_ip, 5001)
                         .dst(cfg.client, 40_000 + round as u16)
-                        .seq(seqs[s])
+                        .seq(*seq)
                         .flags(TcpFlags::ACK.union(TcpFlags::PSH))
                         .payload_len(payload)
                         .uniq(uniq)
                         .arrival(t)
                         .build(),
                 );
-                seqs[s] = seqs[s].wrapping_add(u32::from(payload.max(1)));
+                *seq = seq.wrapping_add(u32::from(payload.max(1)));
             }
         }
     }

@@ -114,7 +114,6 @@ fn main() {
             ports: 1,
             port_rate_bps: 1e8,
             queue_capacity: 64,
-            ..Default::default()
         },
         ..Default::default()
     });

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI smoke: first require rustfmt-clean sources (scripts/lint.sh), then
+# CI smoke: first require rustfmt- and clippy-clean sources
+# (scripts/lint.sh), then
 # re-prove the engines equivalent (a fast path that computes the wrong
 # answer is worthless), then require warning-free rustdoc, then run the
 # same-run ratio guards. Absolute throughput is not judged here: the
@@ -11,7 +12,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== format gate: scripts/lint.sh =="
+echo "== lint gate: scripts/lint.sh (rustfmt, clippy -D warnings) =="
 scripts/lint.sh
 
 echo "== equivalence gate: every test of the workspace and of benchmark/ =="

@@ -18,6 +18,9 @@ use proptest::prelude::*;
 
 const MBIT: u64 = 1024 * 1024;
 
+/// What makes two stores one dedup group: (token, pair bits, ways).
+type GroupKey = (u64, u32, usize);
+
 /// A planner rejection inside the property suite must be the geometric one —
 /// a slice genuinely under one pair width (the degenerate-input variants are
 /// unreachable from `build_demands`' well-formed mixes).
@@ -281,7 +284,7 @@ proptest! {
         prop_assert!(plan.allocated_bits() <= budget,
             "allocated {} of {budget}", plan.allocated_bits());
         // Aliases mirror the first matching member of their group.
-        let mut canon: Vec<((u64, u32, usize), (usize, usize))> = Vec::new();
+        let mut canon: Vec<(GroupKey, (usize, usize))> = Vec::new();
         for (qi, (q, d)) in plan.queries.iter().zip(&demands).enumerate() {
             for (si, (s, sd)) in q.stores.iter().zip(&d.stores).enumerate() {
                 let key = sd.dedup.map(|g| (g, sd.pair_bits, sd.ways));

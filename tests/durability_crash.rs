@@ -81,8 +81,8 @@ fn durable_small(backend: &SharedBackend) -> Durability {
 /// Spill config for the sharded sweeps: same high-water mark, but a
 /// group-commit threshold no ingest reaches — worker threads buffer their
 /// frames in RAM and every backend operation happens on the harness
-/// thread (inside `persist`, workers quiesced), where an injected fault
-/// surfaces as an `Err` instead of a cross-thread panic.
+/// thread (inside `persist`, workers quiesced), so the `i`-th operation
+/// is the same one in every run, whatever the workers' interleaving.
 fn durable_buffered(backend: &SharedBackend) -> Durability {
     Durability::new(backend.clone()).with_spill(SpillConfig {
         high_water: 8,
@@ -260,9 +260,11 @@ fn recover_multi(
 }
 
 /// Run `schedule` with a fault armed at operation `fail_at`; report
-/// whether the injected fault actually fired. Faults inside ingest-time
-/// group commits surface as panics (the dataplane treats a dead durable
-/// tier as fatal), faults inside `persist` as `Err` — both count.
+/// whether the injected fault actually fired. A fault inside `persist`
+/// surfaces as its `Err`, and so does one inside an ingest-time group
+/// commit, which the spill tier defers to the next `persist`; a read
+/// through the dead tier before that (the drain after the last
+/// checkpoint) panics. Every outcome counts.
 fn crash_at<T>(
     handle: &Arc<Mutex<FaultBackend>>,
     fail_at: u64,
@@ -928,4 +930,86 @@ fn sharded_plane_survives_a_failed_durable_call() {
         let _ = plane.persist();
         carry_on(plane, &format!("failed persist, fail_at={fail_at}"));
     }
+}
+
+/// A failed group commit during ingest is no panic on any plane: the
+/// spill tier keeps the frames buffered and the next `persist` returns the
+/// error. Fault the first backend operation after a checkpoint — an
+/// ingest-time commit on the single-stream runtime and on a two-shard
+/// plane's worker threads ([`durable_small`]: a low high-water mark and a
+/// small group-commit threshold) — and ingest carries on, `persist` fails
+/// while the backend is dead and succeeds once healed, and both the live
+/// plane's drain and a recovery from a copy of the healed checkpoint's
+/// files equal a never-durable run.
+#[test]
+fn a_failed_ingest_commit_surfaces_at_the_next_persist() {
+    let recs = records(TOTAL);
+    let q = fig2::PER_FLOW_COUNTERS;
+    let mut plain = Runtime::new(compiled(q.source));
+    plain.process_batch(&recs);
+    plain.finish();
+    let want = (sorted(plain.collect()), recs.len() as u64);
+    let [mid, late] = PERSIST_AT;
+    // The files as the healed checkpoint left them, on a backend of their own.
+    let copy = |h: &Arc<Mutex<FaultBackend>>| -> SharedBackend {
+        let files = h.lock().expect("fault mutex").mem().clone();
+        Arc::new(Mutex::new(files))
+    };
+
+    let (h, b) = fault_pair();
+    let mut rt = Runtime::new(compiled(q.source));
+    rt.enable_durability(durable_small(&b)).expect("enable");
+    rt.process_batch(&recs[..mid]);
+    rt.persist().expect("healthy checkpoint");
+    let at = h.lock().expect("fault mutex").ops();
+    h.lock().expect("fault mutex").arm(at, 0);
+    rt.process_batch(&recs[mid..late]);
+    assert!(
+        h.lock().expect("fault mutex").died(),
+        "an ingest commit faulted"
+    );
+    assert!(rt.persist().is_err(), "persist on the dead backend");
+    h.lock().expect("fault mutex").heal();
+    rt.persist().expect("persist after heal");
+    let (mut back, resume) =
+        Runtime::recover(compiled(q.source), durable_small(&copy(&h))).expect("recover");
+    assert_eq!(resume, late as u64);
+    back.process_batch(&recs[late..]);
+    back.finish();
+    assert_eq!(drained(&back), want, "single-stream recovery");
+    rt.process_batch(&recs[late..]);
+    rt.finish();
+    assert_eq!(drained(&rt), want, "single-stream drain");
+
+    // Premise: the workers commit during this interval of ingest.
+    let (h, b) = fault_pair();
+    let mut twin = ShardedRuntime::new(compiled(q.source), 2);
+    twin.enable_durability(durable_small(&b)).expect("enable");
+    twin.process_batch(&recs[..mid]);
+    twin.persist().expect("healthy checkpoint");
+    let at = h.lock().expect("fault mutex").ops();
+    twin.process_batch(&recs[mid..late]);
+    drop(twin.finish());
+    assert!(
+        h.lock().expect("fault mutex").ops() > at,
+        "no ingest commit"
+    );
+
+    let (h, b) = fault_pair();
+    let mut plane = ShardedRuntime::new(compiled(q.source), 2);
+    plane.enable_durability(durable_small(&b)).expect("enable");
+    plane.process_batch(&recs[..mid]);
+    plane.persist().expect("healthy checkpoint");
+    h.lock().expect("fault mutex").arm(at, 0);
+    plane.process_batch(&recs[mid..late]);
+    assert!(plane.persist().is_err(), "persist on the dead backend");
+    h.lock().expect("fault mutex").heal();
+    plane.persist().expect("persist after heal");
+    let (mut back, resume) =
+        ShardedRuntime::recover(compiled(q.source), 2, durable_small(&copy(&h))).expect("recover");
+    assert_eq!(resume, late as u64);
+    back.process_batch(&recs[late..]);
+    assert_eq!(drained(&back.finish()), want, "sharded recovery");
+    plane.process_batch(&recs[late..]);
+    assert_eq!(drained(&plane.finish()), want, "sharded drain");
 }

@@ -39,7 +39,7 @@ fn hammer(seed: u64, capacity: usize, total: u64) {
         let mut rng = Rng(seed ^ 0xdead_beef);
         let mut got = Vec::with_capacity(total as usize);
         loop {
-            if rng.next() % 7 == 0 {
+            if rng.next().is_multiple_of(7) {
                 thread::yield_now();
             }
             let max = if rng.batch(5) == 1 {
@@ -62,11 +62,11 @@ fn hammer(seed: u64, capacity: usize, total: u64) {
         let n = (rng.batch(97) as u64).min(total - next);
         batch.extend(next..next + n);
         next += n;
-        if rng.next() % 2 == 0 {
+        if rng.next().is_multiple_of(2) {
             tx.send_all(&mut batch).expect("receiver alive");
             assert!(batch.is_empty(), "send_all drains the batch");
         }
-        if rng.next() % 11 == 0 {
+        if rng.next().is_multiple_of(11) {
             thread::yield_now();
         }
     }
@@ -102,7 +102,7 @@ fn single_sends_interleave_with_batch_receives() {
         let mut rng = Rng(42);
         let mut got = Vec::new();
         while rx.recv_many(&mut got, rng.batch(5)) > 0 {
-            if rng.next() % 3 == 0 {
+            if rng.next().is_multiple_of(3) {
                 thread::yield_now();
             }
         }
@@ -214,7 +214,7 @@ fn queue_records_cross_the_ring_bit_identically() {
     // exactly as sent — the sharded dataplane's
     // correctness rests on this.
     let make = |i: u64| -> QueueRecord {
-        let packet = if i % 3 == 0 {
+        let packet = if i.is_multiple_of(3) {
             PacketBuilder::udp()
                 .src(
                     Ipv4Addr::from((i as u32) | 0x0a00_0000),
@@ -239,7 +239,7 @@ fn queue_records_cross_the_ring_bit_identically() {
             tin: Nanos(i * 10),
             // Every 11th record is a drop (infinite tout) — the sentinel
             // must survive the ring too.
-            tout: if i % 11 == 0 {
+            tout: if i.is_multiple_of(11) {
                 Nanos::INFINITY
             } else {
                 Nanos(i * 10 + 5)
@@ -255,7 +255,7 @@ fn queue_records_cross_the_ring_bit_identically() {
         let mut rng = Rng(9);
         let mut got = Vec::new();
         while rx.recv_many(&mut got, rng.batch(300)) > 0 {
-            if rng.next() % 5 == 0 {
+            if rng.next().is_multiple_of(5) {
                 thread::yield_now();
             }
         }

@@ -289,6 +289,10 @@ struct RefEntry {
     writes: u32,
 }
 
+/// One backing record as the tables compare it: key, each epoch's
+/// (value, first seen, last seen), writes.
+type SnapshotRow = (u64, Vec<(u64, Nanos, Nanos)>, u32);
+
 struct RefBacking {
     entries: HashMap<u64, RefEntry>,
     mode: MergeMode,
@@ -336,7 +340,7 @@ impl RefBacking {
         }
     }
 
-    fn snapshot(&self) -> Vec<(u64, Vec<(u64, Nanos, Nanos)>, u32)> {
+    fn snapshot(&self) -> Vec<SnapshotRow> {
         let mut rows: Vec<_> = self
             .entries
             .iter()
@@ -356,7 +360,7 @@ impl RefBacking {
     }
 }
 
-fn backing_snapshot(store: &BackingStore<u64, u64>) -> Vec<(u64, Vec<(u64, Nanos, Nanos)>, u32)> {
+fn backing_snapshot(store: &BackingStore<u64, u64>) -> Vec<SnapshotRow> {
     let mut rows: Vec<_> = store
         .iter()
         .map(|(k, e)| {
@@ -422,7 +426,7 @@ fn backing_remove_backward_shift_preserves_probe_runs() {
     let mut rng = Lcg(0xdead);
     for i in 0..4000u64 {
         let key = rng.next() % 150;
-        if rng.next() % 3 == 0 {
+        if rng.next().is_multiple_of(3) {
             let got = new.remove(&key).map(|e| e.writes);
             let want = reference.entries.remove(&key).map(|e| e.writes);
             assert_eq!(got, want, "remove {key} at op {i}");
