@@ -175,7 +175,7 @@ pub struct FoldState {
 ///
 /// Each statement keeps its decomposed update (state term, combining
 /// operator, state-free `B_i`) and evaluates it directly with the same
-/// [`Value`] operator semantics the bytecode engine uses — `bind_params`
+/// [`Value`] operator semantics the bytecode engine uses — `bytecode::compile_stmts`
 /// folds closed subtrees with exactly these ops, so the kernel's results
 /// are bit-identical to the compiled program's. The merge correction is the
 /// scalar §3.2 formula per variable,
@@ -437,7 +437,7 @@ impl FoldOps {
             && linear_vars
                 .iter()
                 .all(|v| is_additive_in(&fold.body, *v, &linear_vars));
-        let program = bytecode::compile_stmts_bound(&fold.body, &params);
+        let program = bytecode::compile_stmts(&fold.body, &params);
         let fast = const_a_kernel(&fold, &params);
         let init = StateVec::from_slice(&fold.init_state());
         FoldOps {
@@ -1264,7 +1264,7 @@ mod tests {
             let (fold, params) = fold_of(src);
             let ops = FoldOps::new(fold.clone(), params.clone());
             let k = ops.fast.as_ref().expect("kernel engages");
-            let program = bytecode::compile_stmts_bound(&fold.body, &params);
+            let program = bytecode::compile_stmts(&fold.body, &params);
             let mut fast_vars = StateVec::from_slice(&fold.init_state());
             let mut generic = fold.init_state();
             let mut stack = EvalStack::default();

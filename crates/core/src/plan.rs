@@ -157,7 +157,7 @@ impl ExecPlan {
             let filter = if active {
                 q.pre_filter
                     .as_ref()
-                    .map(|f| Filter::from_program(bytecode::compile_expr_bound(f, &params)))
+                    .map(|f| Filter::from_program(bytecode::compile_expr(f, &params)))
             } else {
                 None
             };
@@ -165,7 +165,7 @@ impl ExecPlan {
                 ResolvedKind::Project(cols) => NodeKind::Project {
                     cols: cols
                         .iter()
-                        .map(|c| bytecode::compile_expr_bound(&c.expr, &params))
+                        .map(|c| bytecode::compile_expr(&c.expr, &params))
                         .collect(),
                 },
                 ResolvedKind::GroupBy(g) => NodeKind::GroupBy {

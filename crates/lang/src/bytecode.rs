@@ -303,35 +303,28 @@ fn pop(stack: &mut Vec<Value>) -> Result<Value, TypeError> {
         .ok_or_else(|| TypeError("stack underflow".into()))
 }
 
-/// Compile one expression.
-#[must_use]
-pub fn compile_expr(expr: &RExpr) -> Program {
-    let mut c = Compiler::default();
-    c.expr(expr);
-    c.finish()
-}
-
-/// Compile a statement body (fold update program).
-#[must_use]
-pub fn compile_stmts(stmts: &[RStmt]) -> Program {
-    let mut c = Compiler::default();
-    c.stmts(stmts);
-    c.finish()
-}
-
-/// Compile an expression with parameter values bound: `Param(i)` becomes a
+/// Compile one expression with parameter values bound: `Param(i)` becomes a
 /// constant and constant subtrees fold, which both shortens programs and
 /// exposes more superinstruction fusions.
 #[must_use]
-pub fn compile_expr_bound(expr: &RExpr, params: &[Value]) -> Program {
-    compile_expr(&bind_params(expr, params))
+pub fn compile_expr(expr: &RExpr, params: &[Value]) -> Program {
+    let mut c = Compiler::default();
+    c.expr(&bind_params(expr, params));
+    c.finish()
 }
 
-/// Compile a statement body with parameter values bound.
+/// Compile a statement body (fold update program) with parameter values
+/// bound, as [`compile_expr`] does.
 #[must_use]
-pub fn compile_stmts_bound(stmts: &[RStmt], params: &[Value]) -> Program {
-    let bound: Vec<RStmt> = stmts.iter().map(|s| bind_stmt(s, params)).collect();
-    compile_stmts(&bound)
+pub fn compile_stmts(stmts: &[RStmt], params: &[Value]) -> Program {
+    let mut c = Compiler::default();
+    c.stmts(
+        &stmts
+            .iter()
+            .map(|s| bind_stmt(s, params))
+            .collect::<Vec<_>>(),
+    );
+    c.finish()
 }
 
 /// Substitute bound parameters and fold constant subtrees. All expression
@@ -339,8 +332,7 @@ pub fn compile_stmts_bound(stmts: &[RStmt], params: &[Value]) -> Program {
 /// exactly what the interpreter would do at run time — except that a
 /// subtree whose evaluation *errors* (e.g. a type error guarded by a
 /// short-circuit) is left in place for the runtime to handle.
-#[must_use]
-pub fn bind_params(expr: &RExpr, params: &[Value]) -> RExpr {
+fn bind_params(expr: &RExpr, params: &[Value]) -> RExpr {
     let e = match expr {
         RExpr::Param(i) => match params.get(*i) {
             Some(v) => RExpr::Const(*v),
@@ -614,6 +606,15 @@ mod tests {
         RExpr::Binary(op, Box::new(l), Box::new(r))
     }
 
+    /// The compiler without parameter binding or constant folding, for tests
+    /// whose subject is the unfolded program (`Param` loads, short-circuit
+    /// jumps over constant operands).
+    fn unfolded(e: &RExpr) -> Program {
+        let mut c = Compiler::default();
+        c.expr(e);
+        c.finish()
+    }
+
     #[test]
     fn arithmetic_matches_interpreter() {
         // (input[0] + 3) * param[0] - state[1]
@@ -626,7 +627,7 @@ mod tests {
             ),
             RExpr::State(1),
         );
-        let p = compile_expr(&e);
+        let p = unfolded(&e);
         let mut stack = EvalStack::new();
         let state = [Value::Int(0), Value::Int(7)];
         let input = [Value::Int(10)];
@@ -649,7 +650,7 @@ mod tests {
                 RExpr::Const(Value::Int(1)),
             ),
         );
-        let p = compile_expr(&e);
+        let p = unfolded(&e);
         let mut stack = EvalStack::new();
         assert_eq!(
             p.eval(&mut stack, &[], &[], &[]).unwrap(),
@@ -665,7 +666,7 @@ mod tests {
                 RExpr::Const(Value::Int(1)),
             ),
         );
-        let p = compile_expr(&e);
+        let p = unfolded(&e);
         assert_eq!(
             p.eval(&mut stack, &[], &[], &[]).unwrap(),
             Value::Bool(true)
@@ -682,7 +683,7 @@ mod tests {
         );
         let mut stack = EvalStack::new();
         assert_eq!(
-            compile_expr(&e).eval(&mut stack, &[], &[], &[]).unwrap(),
+            unfolded(&e).eval(&mut stack, &[], &[], &[]).unwrap(),
             Value::Bool(true)
         );
         let e = b(
@@ -691,7 +692,7 @@ mod tests {
             RExpr::Const(Value::Int(0)),
         );
         assert_eq!(
-            compile_expr(&e).eval(&mut stack, &[], &[], &[]).unwrap(),
+            unfolded(&e).eval(&mut stack, &[], &[], &[]).unwrap(),
             Value::Bool(false)
         );
     }
@@ -706,7 +707,7 @@ mod tests {
                 RExpr::Const(Value::Int(5)),
             ],
         );
-        let p = compile_expr(&e);
+        let p = compile_expr(&e, &[]);
         let mut stack = EvalStack::new();
         let got = p
             .eval(&mut stack, &[], &[Value::Int(3), Value::Int(9)], &[])
@@ -728,7 +729,7 @@ mod tests {
                 b(BinOp::Add, RExpr::State(1), RExpr::Input(0)),
             )],
         }];
-        let p = compile_stmts(&body);
+        let p = compile_stmts(&body, &[]);
         let mut stack = EvalStack::new();
         let mut state = [Value::Int(0), Value::Int(0)];
         for x in [5i64, 15, 25, 3] {
@@ -740,7 +741,7 @@ mod tests {
 
     #[test]
     fn store_in_expression_context_is_rejected() {
-        let p = compile_stmts(&[RStmt::Assign(0, RExpr::Const(Value::Int(1)))]);
+        let p = compile_stmts(&[RStmt::Assign(0, RExpr::Const(Value::Int(1)))], &[]);
         let mut stack = EvalStack::new();
         // eval() routes state as a shared slice: Store must error, not panic.
         assert!(p.eval(&mut stack, &[Value::Int(0)], &[], &[]).is_err());
@@ -757,7 +758,7 @@ mod tests {
                 RExpr::Input(0),
             ),
         );
-        let p = compile_expr(&e);
+        let p = compile_expr(&e, &[]);
         assert!(p.max_stack >= 3);
     }
 }

@@ -129,7 +129,8 @@ pub enum RStmt {
 /// A fold state variable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateVar {
-    /// Variable name (qualified when needed for uniqueness).
+    /// Variable name: its output column, or `__seen_<i>` for the hidden
+    /// first-packet flag of a MAX/MIN aggregate.
     pub name: String,
     /// Inferred type.
     pub ty: ValueType,
@@ -194,8 +195,6 @@ impl FoldClass {
 /// A compiled fold function: the value-update program of one key-value store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FoldIr {
-    /// Name (for diagnostics; synthesized folds get `__agg` names).
-    pub name: String,
     /// State variables, in layout order.
     pub state: Vec<StateVar>,
     /// The update program, run once per matching record.
@@ -382,7 +381,6 @@ mod tests {
 
     fn counter_fold() -> FoldIr {
         FoldIr {
-            name: "COUNT".into(),
             state: vec![StateVar {
                 name: "COUNT".into(),
                 ty: ValueType::Int,
@@ -416,7 +414,6 @@ mod tests {
     fn conditional_update() {
         // if input[0] > 10: s += 1
         let fold = FoldIr {
-            name: "big".into(),
             state: vec![StateVar {
                 name: "n".into(),
                 ty: ValueType::Int,
@@ -454,7 +451,6 @@ mod tests {
         // s = (1-α)·s + α·x, α as param 0.
         let alpha = RExpr::Param(0);
         let fold = FoldIr {
-            name: "ewma".into(),
             state: vec![StateVar {
                 name: "s".into(),
                 ty: ValueType::Float,
@@ -551,7 +547,6 @@ mod tests {
     fn state_type_normalization() {
         // Float-typed var assigned an Int expression keeps Float type.
         let fold = FoldIr {
-            name: "t".into(),
             state: vec![StateVar {
                 name: "s".into(),
                 ty: ValueType::Float,

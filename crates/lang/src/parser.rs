@@ -17,6 +17,22 @@ use crate::error::{LangError, LangResult};
 use crate::lexer::lex;
 use crate::token::{Span, Token, TokenKind};
 
+/// How deep the parser lets a program nest. One level is a parenthesis or a
+/// call argument, an operator application (so a left-associative chain of
+/// `n` operators is `n` deep), a prefix `-` or `not`, an `if` or `elif`, and
+/// the expression of a clause or statement itself.
+///
+/// Every later pass (resolution, typing, the linearity analysis, the bytecode
+/// compiler, the reference interpreter, `Drop`) recurses over the tree, so an
+/// unbounded tree overflows the thread's stack and aborts the process. The
+/// value sits between two measurements: the deepest query in the repository
+/// (the Fig. 2 folds, the examples, the workloads and the tests) nests 5
+/// levels, and the costliest level, a nested call, overflows a 2 MiB thread
+/// (the default for spawned threads and tests) at about 180 levels in an
+/// unoptimised build, with the whole front end and the bytecode compiler
+/// running. 100 is 20x the former and leaves that thread 45 % of its stack.
+pub(crate) const MAX_DEPTH: usize = 100;
+
 /// Parse a complete program.
 pub fn parse(source: &str) -> LangResult<Program> {
     let tokens = lex(source)?;
@@ -24,6 +40,7 @@ pub fn parse(source: &str) -> LangResult<Program> {
         tokens,
         pos: 0,
         suppressed_indents: 0,
+        depth: 0,
     }
     .program()
 }
@@ -34,6 +51,8 @@ struct Parser {
     /// Indent tokens swallowed while joining wrapped query lines; the
     /// matching Dedents are silently discarded when encountered.
     suppressed_indents: usize,
+    /// Nesting at the current position, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -90,6 +109,19 @@ impl Parser {
                 self.span(),
             )),
         }
+    }
+
+    /// Enter one more level of nesting, refusing the program past
+    /// [`MAX_DEPTH`]. The caller restores `depth` when the construct ends.
+    fn descend(&mut self) -> LangResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(LangError::parse(
+                format!("the program nests deeper than {MAX_DEPTH} levels"),
+                self.span(),
+            ));
+        }
+        Ok(())
     }
 
     /// Consume layout noise at item boundaries: extra newlines, plus dedents
@@ -199,17 +231,11 @@ impl Parser {
     /// that take no packet arguments, e.g. a pure counter).
     fn param_group(&mut self) -> LangResult<Vec<String>> {
         if self.eat(&TokenKind::LParen) {
-            let mut names = Vec::new();
-            if !self.eat(&TokenKind::RParen) {
-                loop {
-                    let (n, _) = self.expect_ident("as parameter")?;
-                    names.push(n);
-                    if !self.eat(&TokenKind::Comma) {
-                        break;
-                    }
-                }
-                self.expect(&TokenKind::RParen, "to close the parameter group")?;
+            if self.eat(&TokenKind::RParen) {
+                return Ok(Vec::new());
             }
+            let names = self.comma_list(|p| Ok(p.expect_ident("as parameter")?.0))?;
+            self.expect(&TokenKind::RParen, "to close the parameter group")?;
             Ok(names)
         } else {
             let (n, _) = self.expect_ident("as parameter")?;
@@ -257,6 +283,8 @@ impl Parser {
 
     fn if_stmt(&mut self) -> LangResult<Stmt> {
         self.expect(&TokenKind::If, "at if statement")?;
+        let depth = self.depth;
+        self.descend()?;
         let cond = self.expr()?;
         let then_body = if self.eat(&TokenKind::Then) {
             // Paper grammar: `if pred then code else code` — single statement.
@@ -265,11 +293,21 @@ impl Parser {
             self.expect(&TokenKind::Colon, "after if condition")?;
             self.block()?
         };
-        // `elif` / `else` may appear after an indented block (current token)
-        // or after a newline we haven't consumed yet in inline forms.
-        let else_body = if *self.peek() == TokenKind::Elif {
-            self.advance_as_if()?;
-            vec![self.elif_chain()?]
+        let stmt = self.if_tail(cond, then_body)?;
+        self.depth = depth;
+        Ok(stmt)
+    }
+
+    /// The `elif` / `else` tail of an `if`, after an indented block (the
+    /// current token) or on the same line. An `elif` nests as an `if` in the
+    /// else branch.
+    fn if_tail(&mut self, cond: Expr, then_body: Vec<Stmt>) -> LangResult<Stmt> {
+        let else_body = if self.eat(&TokenKind::Elif) {
+            self.descend()?;
+            let cond = self.expr()?;
+            self.expect(&TokenKind::Colon, "after elif condition")?;
+            let then_body = self.block()?;
+            vec![self.if_tail(cond, then_body)?]
         } else if self.eat(&TokenKind::Else) {
             if self.eat(&TokenKind::Colon) {
                 self.block()?
@@ -284,32 +322,6 @@ impl Parser {
             then_body,
             else_body,
         })
-    }
-
-    /// Rewrites `elif` as a nested `if` in the else branch.
-    fn elif_chain(&mut self) -> LangResult<Stmt> {
-        let cond = self.expr()?;
-        self.expect(&TokenKind::Colon, "after elif condition")?;
-        let then_body = self.block()?;
-        let else_body = if *self.peek() == TokenKind::Elif {
-            self.advance_as_if()?;
-            vec![self.elif_chain()?]
-        } else if self.eat(&TokenKind::Else) {
-            self.expect(&TokenKind::Colon, "after else")?;
-            self.block()?
-        } else {
-            Vec::new()
-        };
-        Ok(Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        })
-    }
-
-    fn advance_as_if(&mut self) -> LangResult<()> {
-        self.expect(&TokenKind::Elif, "at elif")?;
-        Ok(())
     }
 
     // ---------------- queries ----------------
@@ -346,7 +358,7 @@ impl Parser {
     fn query(&mut self) -> LangResult<Query> {
         let sp = self.span();
         self.expect(&TokenKind::Select, "at query start")?;
-        let select = self.select_list()?;
+        let select = self.comma_list(Self::select_item)?;
         let mut from: Option<String> = None;
         let mut group_by: Option<Vec<Expr>> = None;
         let mut where_clause: Option<Expr> = None;
@@ -363,7 +375,7 @@ impl Parser {
                     if self.eat(&TokenKind::Join) {
                         let (right, _) = self.expect_ident("after JOIN")?;
                         self.expect(&TokenKind::On, "after the joined table")?;
-                        let on = self.field_list()?;
+                        let on = self.comma_list(Self::expr)?;
                         join = Some((left, right, on));
                     } else {
                         from = Some(left);
@@ -374,7 +386,7 @@ impl Parser {
                     if group_by.is_some() {
                         return Err(LangError::parse("duplicate GROUPBY clause", self.span()));
                     }
-                    group_by = Some(self.field_list()?);
+                    group_by = Some(self.comma_list(Self::expr)?);
                 }
                 TokenKind::Where => {
                     self.advance();
@@ -419,129 +431,85 @@ impl Parser {
         }))
     }
 
-    fn select_list(&mut self) -> LangResult<Vec<SelectItem>> {
-        let mut items = Vec::new();
-        loop {
-            if self.eat(&TokenKind::Star) {
-                items.push(SelectItem::Star);
-            } else {
-                let expr = self.expr()?;
-                let alias = if self.eat(&TokenKind::As) {
-                    Some(self.expect_ident("after AS")?.0)
-                } else {
-                    None
-                };
-                items.push(SelectItem::Expr { expr, alias });
-            }
-            if !self.eat(&TokenKind::Comma) {
-                break;
-            }
+    fn select_item(&mut self) -> LangResult<SelectItem> {
+        if self.eat(&TokenKind::Star) {
+            return Ok(SelectItem::Star);
+        }
+        let expr = self.expr()?;
+        let alias = if self.eat(&TokenKind::As) {
+            Some(self.expect_ident("after AS")?.0)
+        } else {
+            None
+        };
+        Ok(SelectItem::Expr { expr, alias })
+    }
+
+    /// One or more `item`s separated by commas.
+    fn comma_list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> LangResult<T>,
+    ) -> LangResult<Vec<T>> {
+        let mut items = vec![item(self)?];
+        while self.eat(&TokenKind::Comma) {
+            items.push(item(self)?);
         }
         Ok(items)
     }
 
-    fn field_list(&mut self) -> LangResult<Vec<Expr>> {
-        let mut fields = Vec::new();
-        loop {
-            fields.push(self.expr()?);
-            if !self.eat(&TokenKind::Comma) {
-                break;
-            }
+    /// A call's parenthesised argument list, possibly empty.
+    fn call_args(&mut self) -> LangResult<Vec<Expr>> {
+        self.expect(&TokenKind::LParen, "to open the argument list")?;
+        if self.eat(&TokenKind::RParen) {
+            return Ok(Vec::new());
         }
-        Ok(fields)
+        let args = self.comma_list(Self::expr)?;
+        self.expect(&TokenKind::RParen, "to close the argument list")?;
+        Ok(args)
     }
 
     // ---------------- expressions ----------------
 
+    /// One expression: a level of nesting of its own (a clause, a statement,
+    /// a parenthesis or a call argument).
     fn expr(&mut self) -> LangResult<Expr> {
-        self.or_expr()
+        let depth = self.depth;
+        self.descend()?;
+        let e = self.operators(OR)?;
+        self.depth = depth;
+        Ok(e)
     }
 
-    fn or_expr(&mut self) -> LangResult<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&TokenKind::Or) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> LangResult<Expr> {
-        let mut lhs = self.not_expr()?;
-        while self.eat(&TokenKind::And) {
-            let rhs = self.not_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn not_expr(&mut self) -> LangResult<Expr> {
-        if self.eat(&TokenKind::Not) {
-            let inner = self.not_expr()?;
-            Ok(Expr::Unary(UnaryOp::Not, Box::new(inner)))
+    /// An expression whose operators bind at least as tightly as `min`, by
+    /// precedence climbing over Fig. 1's levels: `or` < `and` < prefix `not`
+    /// < one non-associative comparison < `+ -` < `* / %` < prefix `-`. Each
+    /// operator is one more level of nesting.
+    fn operators(&mut self, min: u8) -> LangResult<Expr> {
+        let depth = self.depth;
+        let (mut lhs, mut lhs_level) = if min <= NOT && self.eat(&TokenKind::Not) {
+            self.descend()?;
+            let inner = self.operators(NOT)?;
+            (Expr::Unary(UnaryOp::Not, Box::new(inner)), NOT)
+        } else if self.eat(&TokenKind::Minus) {
+            self.descend()?;
+            let inner = self.operators(NEG)?;
+            (Expr::Unary(UnaryOp::Neg, Box::new(inner)), NEG)
         } else {
-            self.comparison()
-        }
-    }
-
-    fn comparison(&mut self) -> LangResult<Expr> {
-        let lhs = self.additive()?;
-        let op = match self.peek() {
-            TokenKind::EqEq => Some(BinOp::Eq),
-            TokenKind::Ne => Some(BinOp::Ne),
-            TokenKind::Lt => Some(BinOp::Lt),
-            TokenKind::Le => Some(BinOp::Le),
-            TokenKind::Gt => Some(BinOp::Gt),
-            TokenKind::Ge => Some(BinOp::Ge),
-            _ => None,
+            (self.postfix()?, ATOM)
         };
-        if let Some(op) = op {
+        while let Some((op, level)) = binary_op(self.peek()) {
+            // Left-associative: `a - b - c` is `(a - b) - c`; a comparison
+            // takes neither another comparison nor anything looser.
+            if level < min || lhs_level < level || (level == CMP && lhs_level == CMP) {
+                break;
+            }
             self.advance();
-            let rhs = self.additive()?;
-            Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)))
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn additive(&mut self) -> LangResult<Expr> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.multiplicative()?;
+            self.descend()?;
+            let rhs = self.operators(level + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs_level = level;
         }
+        self.depth = depth;
         Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> LangResult<Expr> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::PercentSign => BinOp::Mod,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.unary()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn unary(&mut self) -> LangResult<Expr> {
-        if self.eat(&TokenKind::Minus) {
-            let inner = self.unary()?;
-            Ok(Expr::Unary(UnaryOp::Neg, Box::new(inner)))
-        } else {
-            self.postfix()
-        }
     }
 
     fn postfix(&mut self) -> LangResult<Expr> {
@@ -555,17 +523,7 @@ impl Parser {
                     // `R2.SUM(pkt_len)` — a qualified aggregate-column
                     // reference — parses as a call named `R2.SUM`.
                     if *self.peek() == TokenKind::LParen {
-                        self.advance();
-                        let mut args = Vec::new();
-                        if *self.peek() != TokenKind::RParen {
-                            loop {
-                                args.push(self.expr()?);
-                                if !self.eat(&TokenKind::Comma) {
-                                    break;
-                                }
-                            }
-                        }
-                        self.expect(&TokenKind::RParen, "to close the argument list")?;
+                        let args = self.call_args()?;
                         e = Expr::Call(format!("{base}.{field}"), args, base_sp.merge(sp));
                     } else {
                         e = Expr::Qualified(base, field, base_sp.merge(sp));
@@ -616,18 +574,7 @@ impl Parser {
             TokenKind::Ident(name) => {
                 self.advance();
                 if *self.peek() == TokenKind::LParen {
-                    self.advance();
-                    let mut args = Vec::new();
-                    if *self.peek() != TokenKind::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(&TokenKind::RParen, "to close the argument list")?;
-                    Ok(Expr::Call(name, args, sp))
+                    Ok(Expr::Call(name, self.call_args()?, sp))
                 } else {
                     Ok(Expr::Name(name, sp))
                 }
@@ -644,6 +591,36 @@ impl Parser {
             )),
         }
     }
+}
+
+// Operator levels, loosest first (see `Parser::operators`).
+const OR: u8 = 1;
+const AND: u8 = 2;
+const NOT: u8 = 3;
+const CMP: u8 = 4;
+const ADD: u8 = 5;
+const MUL: u8 = 6;
+const NEG: u8 = 7;
+const ATOM: u8 = 8;
+
+/// The binary operator a token spells, with its level.
+fn binary_op(t: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match t {
+        TokenKind::Or => (BinOp::Or, OR),
+        TokenKind::And => (BinOp::And, AND),
+        TokenKind::EqEq => (BinOp::Eq, CMP),
+        TokenKind::Ne => (BinOp::Ne, CMP),
+        TokenKind::Lt => (BinOp::Lt, CMP),
+        TokenKind::Le => (BinOp::Le, CMP),
+        TokenKind::Gt => (BinOp::Gt, CMP),
+        TokenKind::Ge => (BinOp::Ge, CMP),
+        TokenKind::Plus => (BinOp::Add, ADD),
+        TokenKind::Minus => (BinOp::Sub, ADD),
+        TokenKind::Star => (BinOp::Mul, MUL),
+        TokenKind::Slash => (BinOp::Div, MUL),
+        TokenKind::PercentSign => (BinOp::Mod, MUL),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -886,6 +863,81 @@ mod tests {
     #[test]
     fn empty_fold_body_rejected() {
         assert!(parse("def f(s, (x)):\nSELECT s\n").is_err());
+    }
+
+    /// Compile `src` (parse, resolve, type, analyse) in a thread with the
+    /// 2 MiB stack that spawned threads and tests get by default. A tree too
+    /// deep for that stack aborts the whole process instead of returning.
+    fn compile_in_2mib_thread(src: String) -> LangResult<()> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || crate::compile(&src, &crate::fig2::default_params()).map(drop))
+            .expect("spawn")
+            .join()
+            .expect("compile panicked")
+    }
+
+    fn assert_too_deep(src: String) {
+        let err = compile_in_2mib_thread(src).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err}");
+    }
+
+    /// `n` nested calls, the costliest level for the stack: `n + 1` levels
+    /// deep (the SELECT item, then one per argument list).
+    fn nested_calls(n: usize) -> String {
+        format!("SELECT {}pkt_len{} FROM T", "abs(".repeat(n), ")".repeat(n))
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_compiles() {
+        compile_in_2mib_thread(nested_calls(MAX_DEPTH - 1)).unwrap();
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        assert_too_deep(nested_calls(MAX_DEPTH));
+    }
+
+    #[test]
+    fn deep_prefix_and_parenthesis_nesting_is_an_error() {
+        let n = 10_000;
+        assert_too_deep(format!(
+            "SELECT srcip FROM T WHERE {}true{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        ));
+        assert_too_deep(format!("SELECT {}pkt_len FROM T", "-".repeat(n)));
+        assert_too_deep(format!(
+            "SELECT srcip FROM T WHERE {}true",
+            "not ".repeat(n)
+        ));
+    }
+
+    #[test]
+    fn a_long_operator_chain_is_an_error() {
+        // The parser's loop is iterative, but the left-deep tree is not.
+        assert_too_deep(format!(
+            "SELECT srcip FROM T WHERE {}1 > 0",
+            "1+".repeat(200_000)
+        ));
+    }
+
+    #[test]
+    fn a_long_elif_chain_is_an_error() {
+        let mut src = String::from("def f (s, (pkt_len)):\n    if pkt_len > 0:\n        s = 0\n");
+        for i in 0..10_000 {
+            src += &format!("    elif pkt_len > {i}:\n        s = {i}\n");
+        }
+        src += "\nSELECT f GROUPBY srcip\n";
+        assert_too_deep(src);
+    }
+
+    #[test]
+    fn else_after_elif_takes_the_same_forms_as_after_if() {
+        let block = "def f (s, (x)):\n    if x > 10:\n        s = 2\n    elif x > 5:\n        s = 1\n    else:\n        s = 0\n";
+        let inline = "def f (s, (x)):\n    if x > 10:\n        s = 2\n    elif x > 5:\n        s = 1\n    else s = 0\n";
+        let printed = |src| crate::pretty::program(&parse_ok(src));
+        assert_eq!(printed(block), printed(inline));
     }
 
     #[test]

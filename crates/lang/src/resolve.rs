@@ -18,7 +18,8 @@ use crate::ast::{self, BinOp, Expr, FoldDef, Item, Program, Query, SelectItem};
 use crate::error::{LangError, LangResult};
 use crate::ir::{Builtin, FoldIr, RExpr, RStmt, StateVar};
 use crate::linearity;
-use crate::schema::{base_schema, expand_abbreviation, Schema, BASE_TABLE};
+use crate::schema::{base_schema, expand_abbreviation, resolve_alias, Schema, BASE_TABLE};
+use crate::token::Span;
 use crate::types::{Value, ValueType, INFINITY_NS};
 use std::collections::HashMap;
 
@@ -273,15 +274,6 @@ pub fn resolve(program: &Program, params: &HashMap<String, Value>) -> LangResult
     })
 }
 
-/// How a `Name`/`Call` should resolve inside an expression.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ExprCtx {
-    /// Filters and projections: names are input columns, consts or params.
-    Record,
-    /// Fold bodies: state vars shadow input columns.
-    FoldBody,
-}
-
 struct Resolver {
     consts: HashMap<String, Value>,
     folds: HashMap<String, FoldDef>,
@@ -309,16 +301,6 @@ impl Resolver {
         Some(self.params_used.len() - 1)
     }
 
-    fn input_schema(&self, input: &QueryInput) -> Schema {
-        match input {
-            QueryInput::Base => self.base.clone(),
-            QueryInput::Table(i) => self.queries[*i].schema.clone(),
-            QueryInput::Join { left, right, on } => {
-                joined_schema(&self.queries[*left], &self.queries[*right], on)
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Expression lowering
     // ------------------------------------------------------------------
@@ -326,17 +308,13 @@ impl Resolver {
     /// Lower a const-declaration expression (literals, consts, params only).
     fn lower_const_expr(&mut self, e: &Expr) -> LangResult<RExpr> {
         let empty = Schema::default();
-        self.lower_expr(e, &empty, ExprCtx::Record, &mut FoldEnv::default())
+        self.lower_expr(e, &empty, &[])
     }
 
-    /// Lower an expression against an input schema.
-    fn lower_expr(
-        &mut self,
-        e: &Expr,
-        input: &Schema,
-        ctx: ExprCtx,
-        fenv: &mut FoldEnv,
-    ) -> LangResult<RExpr> {
+    /// Lower an expression against an input schema. `state` names the
+    /// enclosing fold's state variables, which shadow input columns (empty
+    /// outside a fold body).
+    fn lower_expr(&mut self, e: &Expr, input: &Schema, state: &[String]) -> LangResult<RExpr> {
         match e {
             Expr::Int(v) => Ok(RExpr::Const(Value::Int(*v))),
             Expr::Float(v) => Ok(RExpr::Const(Value::Float(*v))),
@@ -347,7 +325,7 @@ impl Resolver {
                 "`5tuple` is a field-list abbreviation; it cannot appear inside an expression",
                 Some(*span),
             )),
-            Expr::Name(name, span) => self.lower_name(name, *span, input, ctx, fenv),
+            Expr::Name(name, span) => self.lower_name(name, *span, input, state),
             Expr::Qualified(base, field, span) => {
                 let full = format!("{base}.{field}");
                 if let Some(idx) = lookup_column(input, &full) {
@@ -361,9 +339,22 @@ impl Resolver {
             }
             Expr::Call(name, args, span) => {
                 if let Some(b) = Builtin::by_name(name) {
+                    let want = match b {
+                        Builtin::Abs if args.len() != 1 => Some("exactly one argument"),
+                        Builtin::Max | Builtin::Min if args.is_empty() => {
+                            Some("at least one argument")
+                        }
+                        _ => None,
+                    };
+                    if let Some(want) = want {
+                        return Err(LangError::resolve(
+                            format!("`{b}` takes {want}, found {}", args.len()),
+                            Some(*span),
+                        ));
+                    }
                     let mut rargs = Vec::with_capacity(args.len());
                     for a in args {
-                        rargs.push(self.lower_expr(a, input, ctx, fenv)?);
+                        rargs.push(self.lower_expr(a, input, state)?);
                     }
                     return Ok(RExpr::Call(b, rargs));
                 }
@@ -384,12 +375,12 @@ impl Resolver {
             }
             Expr::Unary(op, inner) => Ok(RExpr::Unary(
                 *op,
-                Box::new(self.lower_expr(inner, input, ctx, fenv)?),
+                Box::new(self.lower_expr(inner, input, state)?),
             )),
             Expr::Binary(op, l, r) => Ok(RExpr::Binary(
                 *op,
-                Box::new(self.lower_expr(l, input, ctx, fenv)?),
-                Box::new(self.lower_expr(r, input, ctx, fenv)?),
+                Box::new(self.lower_expr(l, input, state)?),
+                Box::new(self.lower_expr(r, input, state)?),
             )),
         }
     }
@@ -397,15 +388,12 @@ impl Resolver {
     fn lower_name(
         &mut self,
         name: &str,
-        span: crate::token::Span,
+        span: Span,
         input: &Schema,
-        ctx: ExprCtx,
-        fenv: &mut FoldEnv,
+        state: &[String],
     ) -> LangResult<RExpr> {
-        if ctx == ExprCtx::FoldBody {
-            if let Some(idx) = fenv.state_index(name) {
-                return Ok(RExpr::State(idx));
-            }
+        if let Some(idx) = state.iter().position(|n| n == name) {
+            return Ok(RExpr::State(idx));
         }
         if let Some(idx) = lookup_column(input, name) {
             return Ok(RExpr::Input(idx));
@@ -449,10 +437,7 @@ impl Resolver {
                 ));
             }
         }
-        let mut fenv = FoldEnv {
-            state_names: def.state_params.clone(),
-        };
-        let body = self.lower_stmts(&def.body, input, &mut fenv)?;
+        let body = self.lower_stmts(&def.body, input, &def.state_params)?;
 
         // Infer state variable types by fixpoint (Int, widening to Float).
         let n = def.state_params.len();
@@ -487,13 +472,13 @@ impl Resolver {
         &mut self,
         stmts: &[ast::Stmt],
         input: &Schema,
-        fenv: &mut FoldEnv,
+        state: &[String],
     ) -> LangResult<Vec<RStmt>> {
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
             match s {
                 ast::Stmt::Assign(name, value, span) => {
-                    let idx = fenv.state_index(name).ok_or_else(|| {
+                    let idx = state.iter().position(|n| n == name).ok_or_else(|| {
                         LangError::resolve(
                             format!(
                                 "assignment to `{name}`, which is not a state parameter of the fold"
@@ -501,7 +486,7 @@ impl Resolver {
                             Some(*span),
                         )
                     })?;
-                    let rexpr = self.lower_expr(value, input, ExprCtx::FoldBody, fenv)?;
+                    let rexpr = self.lower_expr(value, input, state)?;
                     out.push(RStmt::Assign(idx, rexpr));
                 }
                 ast::Stmt::If {
@@ -509,9 +494,9 @@ impl Resolver {
                     then_body,
                     else_body,
                 } => {
-                    let rcond = self.lower_expr(cond, input, ExprCtx::FoldBody, fenv)?;
-                    let rthen = self.lower_stmts(then_body, input, fenv)?;
-                    let relse = self.lower_stmts(else_body, input, fenv)?;
+                    let rcond = self.lower_expr(cond, input, state)?;
+                    let rthen = self.lower_stmts(then_body, input, state)?;
+                    let relse = self.lower_stmts(else_body, input, state)?;
                     out.push(RStmt::If {
                         cond: rcond,
                         then_body: rthen,
@@ -534,7 +519,7 @@ impl Resolver {
         }
     }
 
-    fn table_index(&self, name: &str, span: crate::token::Span) -> LangResult<usize> {
+    fn table_index(&self, name: &str, span: Span) -> LangResult<usize> {
         self.table_names
             .get(name)
             .copied()
@@ -542,34 +527,17 @@ impl Resolver {
     }
 
     fn resolve_select(&mut self, name: String, sq: &ast::SelectQuery) -> LangResult<ResolvedQuery> {
-        let input = match sq.from.as_deref() {
-            None | Some(BASE_TABLE) => QueryInput::Base,
-            Some(table) => QueryInput::Table(self.table_index(table, sq.span)?),
-        };
-        let collect_only = match &input {
-            QueryInput::Base => false,
-            QueryInput::Table(i) => self.queries[*i].collect_only,
-            QueryInput::Join { .. } => unreachable!("joins handled separately"),
-        };
-        let in_schema = self.input_schema(&input);
-
-        let pre_filter = match &sq.where_clause {
-            Some(w) => {
-                let f = self.lower_expr(w, &in_schema, ExprCtx::Record, &mut FoldEnv::default())?;
-                let ty = expr_type(&f, &in_schema, &self.param_values_so_far())
-                    .map_err(|e| LangError::resolve(e.0, w.span()))?;
-                if ty != ValueType::Bool {
-                    return Err(LangError::resolve(
-                        format!("WHERE predicate must be boolean, found {ty}"),
-                        w.span(),
-                    ));
-                }
-                Some(f)
+        let (input, in_schema, collect_only) = match sq.from.as_deref() {
+            None | Some(BASE_TABLE) => (QueryInput::Base, self.base.clone(), false),
+            Some(table) => {
+                let i = self.table_index(table, sq.span)?;
+                let q = &self.queries[i];
+                (QueryInput::Table(i), q.schema.clone(), q.collect_only)
             }
-            None => None,
         };
+        let pre_filter = self.resolve_where(sq.where_clause.as_ref(), &in_schema)?;
 
-        if let Some(group_fields) = &sq.group_by {
+        let (kind, schema) = if let Some(group_fields) = &sq.group_by {
             if collect_only {
                 return Err(LangError::resolve(
                     "GROUPBY cannot aggregate the output of a JOIN (joins only \
@@ -577,96 +545,106 @@ impl Resolver {
                     Some(sq.span),
                 ));
             }
-            let spec = self.resolve_groupby(sq, group_fields, &in_schema)?;
-            let schema = groupby_schema(&spec);
-            Ok(ResolvedQuery {
-                name,
-                input,
-                pre_filter,
-                kind: ResolvedKind::GroupBy(spec),
-                schema,
-                collect_only: false,
-            })
+            let (spec, schema) = self.resolve_groupby(sq, group_fields, &in_schema)?;
+            (ResolvedKind::GroupBy(spec), schema)
         } else {
-            let cols = self.resolve_projection(&sq.select, &in_schema, sq.span)?;
-            let schema = Schema::new(cols.iter().map(|c| (c.name.clone(), c.ty)).collect());
-            Ok(ResolvedQuery {
-                name,
-                input,
-                pre_filter,
-                kind: ResolvedKind::Project(cols),
-                schema,
-                collect_only,
-            })
+            let (cols, schema) = self.resolve_projection(&sq.select, &in_schema, sq.span)?;
+            (ResolvedKind::Project(cols), schema)
+        };
+        Ok(ResolvedQuery {
+            name,
+            input,
+            pre_filter,
+            kind,
+            schema,
+            collect_only,
+        })
+    }
+
+    /// Lower an expression over the input record (a filter, a projection
+    /// column or an aggregate's argument) and type it; a type error is
+    /// reported at `span`.
+    fn typed_record_expr(
+        &mut self,
+        e: &Expr,
+        input: &Schema,
+        span: Option<Span>,
+    ) -> LangResult<(RExpr, ValueType)> {
+        let r = self.lower_expr(e, input, &[])?;
+        let ty = expr_type(&r, input, &self.param_values_so_far(), &[])
+            .map_err(|err| LangError::resolve(err.0, span))?;
+        Ok((r, ty))
+    }
+
+    /// A WHERE predicate: lowered over the input record and required to be
+    /// boolean.
+    fn resolve_where(&mut self, w: Option<&Expr>, input: &Schema) -> LangResult<Option<RExpr>> {
+        let Some(w) = w else {
+            return Ok(None);
+        };
+        let (f, ty) = self.typed_record_expr(w, input, w.span())?;
+        if ty != ValueType::Bool {
+            return Err(LangError::resolve(
+                format!("WHERE predicate must be boolean, found {ty}"),
+                w.span(),
+            ));
         }
+        Ok(Some(f))
     }
 
     fn resolve_projection(
         &mut self,
         select: &[SelectItem],
         input: &Schema,
-        span: crate::token::Span,
-    ) -> LangResult<Vec<ProjCol>> {
+        span: Span,
+    ) -> LangResult<(Vec<ProjCol>, Schema)> {
         let mut cols: Vec<ProjCol> = Vec::new();
-        let push =
-            |cols: &mut Vec<ProjCol>, name: String, expr: RExpr, ty: ValueType| -> LangResult<()> {
-                if cols.iter().any(|c| c.name == name) {
-                    return Err(LangError::resolve(
-                        format!("duplicate output column `{name}` (use AS to alias)"),
-                        Some(span),
-                    ));
-                }
-                cols.push(ProjCol { name, expr, ty });
-                Ok(())
-            };
+        let mut schema = Schema::default();
+        let mut push = |name: String, expr: RExpr, ty: ValueType| -> LangResult<()> {
+            push_output(&mut schema, name.clone(), ty, span)?;
+            cols.push(ProjCol { name, expr, ty });
+            Ok(())
+        };
         for item in select {
             match item {
                 SelectItem::Star => {
                     for (i, col) in input.columns.iter().enumerate() {
-                        push(&mut cols, col.name.clone(), RExpr::Input(i), col.ty)?;
+                        push(col.name.clone(), RExpr::Input(i), col.ty)?;
                     }
                 }
-                SelectItem::Expr { expr, alias } => match expr {
-                    Expr::FiveTuple(sp) | Expr::Name(_, sp)
-                        if field_list_expansion(expr).is_some() =>
-                    {
-                        let fields = field_list_expansion(expr).expect("checked");
+                SelectItem::Expr { expr, alias } => {
+                    if let Some(fields) = expand_fields(expr, false) {
                         for fname in fields {
                             let idx = lookup_column(input, fname).ok_or_else(|| {
                                 LangError::resolve(
                                     format!("column `{fname}` not in input table"),
-                                    Some(*sp),
+                                    expr.span(),
                                 )
                             })?;
                             push(
-                                &mut cols,
                                 input.name_of(idx).to_string(),
                                 RExpr::Input(idx),
                                 input.type_of(idx),
                             )?;
                         }
+                        continue;
                     }
-                    _ => {
-                        let r =
-                            self.lower_expr(expr, input, ExprCtx::Record, &mut FoldEnv::default())?;
-                        let ty = expr_type(&r, input, &self.param_values_so_far())
-                            .map_err(|e| LangError::resolve(e.0, expr.span()))?;
-                        let name = alias.clone().unwrap_or_else(|| {
-                            // Plain column references keep their canonical name.
-                            match &r {
-                                RExpr::Input(i) => input.name_of(*i).to_string(),
-                                _ => expr.canonical(),
-                            }
-                        });
-                        push(&mut cols, name, r, ty)?;
-                    }
-                },
+                    let (r, ty) = self.typed_record_expr(expr, input, expr.span())?;
+                    let name = alias.clone().unwrap_or_else(|| {
+                        // Plain column references keep their canonical name.
+                        match &r {
+                            RExpr::Input(i) => input.name_of(*i).to_string(),
+                            _ => expr.canonical(),
+                        }
+                    });
+                    push(name, r, ty)?;
+                }
             }
         }
         if cols.is_empty() {
             return Err(LangError::resolve("empty SELECT list", Some(span)));
         }
-        Ok(cols)
+        Ok((cols, schema))
     }
 
     fn resolve_groupby(
@@ -674,28 +652,21 @@ impl Resolver {
         sq: &ast::SelectQuery,
         group_fields: &[Expr],
         input: &Schema,
-    ) -> LangResult<GroupBySpec> {
+    ) -> LangResult<(GroupBySpec, Schema)> {
         // Expand abbreviations in the GROUPBY list and resolve key columns.
         let mut key_cols = Vec::new();
-        let mut key_names = Vec::new();
         for f in group_fields {
-            let names: Vec<String> = match field_list_expansion(f) {
-                Some(list) => list.iter().map(|s| s.to_string()).collect(),
-                None => match f {
-                    Expr::Name(n, _) => vec![n.clone()],
-                    other => {
-                        return Err(LangError::resolve(
-                            format!(
-                                "GROUPBY fields must be column names, found `{}`",
-                                other.canonical()
-                            ),
-                            other.span(),
-                        ))
-                    }
-                },
-            };
+            let names = expand_fields(f, true).ok_or_else(|| {
+                LangError::resolve(
+                    format!(
+                        "GROUPBY fields must be column names, found `{}`",
+                        f.canonical()
+                    ),
+                    f.span(),
+                )
+            })?;
             for n in names {
-                let idx = lookup_column(input, &n).ok_or_else(|| {
+                let idx = lookup_column(input, n).ok_or_else(|| {
                     LangError::resolve(
                         format!("GROUPBY field `{n}` is not a column of the input table"),
                         f.span(),
@@ -703,147 +674,111 @@ impl Resolver {
                 })?;
                 if !key_cols.contains(&idx) {
                     key_cols.push(idx);
-                    key_names.push(input.name_of(idx).to_string());
                 }
             }
         }
-
-        // Walk the SELECT list: key fields and aggregations.
-        let mut state: Vec<StateVar> = Vec::new();
-        let mut body: Vec<RStmt> = Vec::new();
-        let mut output: Vec<GroupOutput> = Vec::new();
-        let mut fold_names: Vec<String> = Vec::new(); // per state var, the owning fold
-        let mut any_agg = false;
-
-        for item in &sq.select {
-            match item {
-                SelectItem::Star => {
-                    return Err(LangError::resolve(
-                        "SELECT * is not supported with GROUPBY; list key fields \
-                         and aggregations explicitly",
-                        Some(sq.span),
-                    ))
-                }
-                SelectItem::Expr { expr, alias } => {
-                    self.resolve_group_item(
-                        expr,
-                        alias.as_deref(),
-                        input,
-                        &key_cols,
-                        &key_names,
-                        &mut state,
-                        &mut body,
-                        &mut output,
-                        &mut fold_names,
-                        &mut any_agg,
-                    )?;
-                }
-            }
-        }
+        let key_names: Vec<String> = key_cols
+            .iter()
+            .map(|&c| input.name_of(c).to_string())
+            .collect();
 
         // A GROUPBY result is a *keyed table*: its key fields are always part
         // of the output schema (first, in key order), whether or not the
         // SELECT list names them — downstream JOIN ON and GROUPBY clauses
         // address results by key (e.g. the loss-rate join on a bare
-        // `SELECT COUNT GROUPBY 5tuple`). Selected key items above only
-        // validate that projected fields are grouped.
-        let mut keyed_output: Vec<GroupOutput> =
-            (0..key_cols.len()).map(GroupOutput::Key).collect();
-        keyed_output.extend(
-            output
-                .iter()
-                .filter(|o| matches!(o, GroupOutput::StateVar(_)))
-                .copied(),
-        );
-        let output = keyed_output;
+        // `SELECT COUNT GROUPBY 5tuple`). Selected key fields only validate
+        // that projected fields are grouped.
+        let mut aggs = Aggregates {
+            state: Vec::new(),
+            body: Vec::new(),
+            output: (0..key_cols.len()).map(GroupOutput::Key).collect(),
+            schema: Schema::new(
+                key_names
+                    .iter()
+                    .map(|n| (n.clone(), ValueType::Int))
+                    .collect(),
+            ),
+            span: sq.span,
+        };
+        for item in &sq.select {
+            let SelectItem::Expr { expr, alias } = item else {
+                return Err(LangError::resolve(
+                    "SELECT * is not supported with GROUPBY; list key fields \
+                     and aggregations explicitly",
+                    Some(sq.span),
+                ));
+            };
+            self.resolve_group_item(expr, alias.as_deref(), input, &key_cols, &mut aggs)?;
+        }
 
+        let Aggregates {
+            state,
+            body,
+            output,
+            schema,
+            ..
+        } = aggs;
         let used_inputs = collect_used_inputs(&body);
         let (var_classes, class) = linearity::analyze(&body, state.len());
         let fold = FoldIr {
-            name: if fold_names.is_empty() {
-                "__distinct".to_string()
-            } else {
-                fold_names.join("+")
-            },
             state,
             body,
             used_inputs,
             var_classes,
             class,
         };
-        Ok(GroupBySpec {
+        let spec = GroupBySpec {
             key_cols,
             key_names,
             fold,
             output,
-        })
+        };
+        Ok((spec, schema))
     }
 
-    /// Resolve one SELECT item of a GROUPBY query.
-    #[allow(clippy::too_many_arguments)]
+    /// Resolve one SELECT item of a GROUPBY query into `aggs`.
     fn resolve_group_item(
         &mut self,
         expr: &Expr,
         alias: Option<&str>,
         input: &Schema,
         key_cols: &[usize],
-        key_names: &[String],
-        state: &mut Vec<StateVar>,
-        body: &mut Vec<RStmt>,
-        output: &mut Vec<GroupOutput>,
-        fold_names: &mut Vec<String>,
-        any_agg: &mut bool,
+        aggs: &mut Aggregates,
     ) -> LangResult<()> {
+        let named = |default: String| alias.map_or(default, str::to_string);
         // Field-list abbreviations select several key fields at once.
-        if let Some(fields) = field_list_expansion(expr) {
+        if let Some(fields) = expand_fields(expr, false) {
             for fname in fields {
                 let idx = lookup_column(input, fname).ok_or_else(|| {
                     LangError::resolve(format!("column `{fname}` not in input table"), expr.span())
                 })?;
-                let pos = key_cols.iter().position(|c| *c == idx).ok_or_else(|| {
-                    LangError::resolve(
+                if !key_cols.contains(&idx) {
+                    return Err(LangError::resolve(
                         format!("selected field `{fname}` is not in the GROUPBY key"),
                         expr.span(),
-                    )
-                })?;
-                output.push(GroupOutput::Key(pos));
+                    ));
+                }
             }
             return Ok(());
         }
         match expr {
             // A bare name: key field, user fold, or builtin COUNT.
             Expr::Name(n, span) => {
-                if let Some(idx) = lookup_column(input, n) {
-                    if let Some(pos) = key_cols.iter().position(|c| *c == idx) {
-                        output.push(GroupOutput::Key(pos));
-                        return Ok(());
-                    }
+                if lookup_column(input, n).is_some_and(|idx| key_cols.contains(&idx)) {
+                    return Ok(());
                 }
                 if let Some(def) = self.folds.get(n).cloned() {
-                    *any_agg = true;
                     let (vars, fbody) = self.lower_fold(&def, input)?;
-                    let offset = state.len();
+                    let offset = aggs.state.len();
                     for v in vars {
-                        state.push(StateVar {
-                            name: alias.map(str::to_string).unwrap_or(v.name),
-                            ..v
-                        });
-                        fold_names.push(def.name.clone());
-                        output.push(GroupOutput::StateVar(state.len() - 1));
+                        aggs.add(named(v.name), v.ty, true)?;
                     }
-                    body.extend(shift_state(&fbody, offset));
+                    aggs.body.extend(shift_state(&fbody, offset));
                     return Ok(());
                 }
                 if n.eq_ignore_ascii_case("count") {
-                    *any_agg = true;
-                    let idx = state.len();
-                    state.push(StateVar {
-                        name: alias.map(str::to_string).unwrap_or_else(|| "COUNT".into()),
-                        ty: ValueType::Int,
-                        init: Value::Int(0),
-                    });
-                    fold_names.push("COUNT".into());
-                    body.push(RStmt::Assign(
+                    let idx = aggs.add(named("COUNT".into()), ValueType::Int, true)?;
+                    aggs.body.push(RStmt::Assign(
                         idx,
                         RExpr::Binary(
                             BinOp::Add,
@@ -851,7 +786,6 @@ impl Resolver {
                             Box::new(RExpr::Const(Value::Int(1))),
                         ),
                     ));
-                    output.push(GroupOutput::StateVar(idx));
                     return Ok(());
                 }
                 Err(LangError::resolve(
@@ -865,101 +799,67 @@ impl Resolver {
             // SUM(e) / MAX(e) / MIN(e)
             Expr::Call(fname, args, span) => {
                 let upper = fname.to_ascii_uppercase();
-                let make_name = |alias: Option<&str>| {
-                    alias
-                        .map(str::to_string)
-                        .unwrap_or_else(|| expr.canonical())
-                };
-                match upper.as_str() {
-                    "SUM" | "MAX" | "MIN" => {
-                        let [arg] = args.as_slice() else {
-                            return Err(LangError::resolve(
-                                format!("{upper} takes exactly one argument"),
-                                Some(*span),
-                            ));
-                        };
-                        let rarg =
-                            self.lower_expr(arg, input, ExprCtx::Record, &mut FoldEnv::default())?;
-                        let arg_ty = expr_type(&rarg, input, &self.param_values_so_far())
-                            .map_err(|e| LangError::resolve(e.0, Some(*span)))?;
-                        if arg_ty == ValueType::Bool {
-                            return Err(LangError::resolve(
-                                format!("{upper} of a boolean expression"),
-                                Some(*span),
-                            ));
-                        }
-                        *any_agg = true;
-                        match upper.as_str() {
-                            "SUM" => {
-                                let idx = state.len();
-                                state.push(StateVar {
-                                    name: make_name(alias),
-                                    ty: arg_ty,
-                                    init: Value::zero(arg_ty),
-                                });
-                                fold_names.push("SUM".into());
-                                body.push(RStmt::Assign(
-                                    idx,
-                                    RExpr::Binary(
-                                        BinOp::Add,
-                                        Box::new(RExpr::State(idx)),
-                                        Box::new(rarg),
-                                    ),
-                                ));
-                                output.push(GroupOutput::StateVar(idx));
-                            }
-                            _ => {
-                                // MAX/MIN need a first-packet flag: the value
-                                // seeds on the first packet, then folds. The
-                                // flag branch makes these non-linear — which
-                                // is correct: running max is not mergeable.
-                                let seen = state.len();
-                                state.push(StateVar {
-                                    name: format!("__seen_{}", state.len()),
-                                    ty: ValueType::Int,
-                                    init: Value::Int(0),
-                                });
-                                fold_names.push(upper.clone());
-                                let val = state.len();
-                                state.push(StateVar {
-                                    name: make_name(alias),
-                                    ty: arg_ty,
-                                    init: Value::zero(arg_ty),
-                                });
-                                fold_names.push(upper.clone());
-                                let b = if upper == "MAX" {
-                                    Builtin::Max
-                                } else {
-                                    Builtin::Min
-                                };
-                                body.push(RStmt::If {
-                                    cond: RExpr::Binary(
-                                        BinOp::Eq,
-                                        Box::new(RExpr::State(seen)),
-                                        Box::new(RExpr::Const(Value::Int(0))),
-                                    ),
-                                    then_body: vec![
-                                        RStmt::Assign(val, rarg.clone()),
-                                        RStmt::Assign(seen, RExpr::Const(Value::Int(1))),
-                                    ],
-                                    else_body: vec![RStmt::Assign(
-                                        val,
-                                        RExpr::Call(b, vec![RExpr::State(val), rarg]),
-                                    )],
-                                });
-                                output.push(GroupOutput::StateVar(val));
-                            }
-                        }
-                        Ok(())
-                    }
-                    _ => Err(LangError::resolve(
+                if !matches!(upper.as_str(), "SUM" | "MAX" | "MIN") {
+                    return Err(LangError::resolve(
                         format!(
                             "unknown aggregation `{fname}` (supported: COUNT, SUM, \
                              MAX, MIN, or a user fold defined with `def`)"
                         ),
                         Some(*span),
-                    )),
+                    ));
                 }
+                let [arg] = args.as_slice() else {
+                    return Err(LangError::resolve(
+                        format!("{upper} takes exactly one argument"),
+                        Some(*span),
+                    ));
+                };
+                let (rarg, arg_ty) = self.typed_record_expr(arg, input, Some(*span))?;
+                if arg_ty == ValueType::Bool {
+                    return Err(LangError::resolve(
+                        format!("{upper} of a boolean expression"),
+                        Some(*span),
+                    ));
+                }
+                if upper == "SUM" {
+                    let idx = aggs.add(named(expr.canonical()), arg_ty, true)?;
+                    aggs.body.push(RStmt::Assign(
+                        idx,
+                        RExpr::Binary(BinOp::Add, Box::new(RExpr::State(idx)), Box::new(rarg)),
+                    ));
+                    return Ok(());
+                }
+                // MAX/MIN need a first-packet flag: the value seeds on the
+                // first packet, then folds. The flag branch makes these
+                // non-linear — which is correct: running max is not
+                // mergeable.
+                let seen = aggs.add(
+                    format!("__seen_{}", aggs.state.len()),
+                    ValueType::Int,
+                    false,
+                )?;
+                let val = aggs.add(named(expr.canonical()), arg_ty, true)?;
+                let b = if upper == "MAX" {
+                    Builtin::Max
+                } else {
+                    Builtin::Min
+                };
+                aggs.body.push(RStmt::If {
+                    cond: RExpr::Binary(
+                        BinOp::Eq,
+                        Box::new(RExpr::State(seen)),
+                        Box::new(RExpr::Const(Value::Int(0))),
+                    ),
+                    then_body: vec![
+                        RStmt::Assign(val, rarg.clone()),
+                        RStmt::Assign(seen, RExpr::Const(Value::Int(1))),
+                    ],
+                    else_body: vec![RStmt::Assign(
+                        val,
+                        RExpr::Call(b, vec![RExpr::State(val), rarg]),
+                    )],
+                });
+                Ok(())
             }
             other => Err(LangError::resolve(
                 format!(
@@ -969,9 +869,7 @@ impl Resolver {
                 ),
                 other.span(),
             )),
-        }?;
-        let _ = key_names;
-        Ok(())
+        }
     }
 
     fn resolve_join(&mut self, name: String, jq: &ast::JoinQuery) -> LangResult<ResolvedQuery> {
@@ -981,21 +879,13 @@ impl Resolver {
         // Expand the ON field list.
         let mut on = Vec::new();
         for f in &jq.on {
-            match field_list_expansion(f) {
-                Some(list) => on.extend(list.iter().map(|s| s.to_string())),
-                None => match f {
-                    Expr::Name(n, _) => on.push(crate::schema::resolve_alias(n).to_string()),
-                    other => {
-                        return Err(LangError::resolve(
-                            format!(
-                                "ON fields must be column names, found `{}`",
-                                other.canonical()
-                            ),
-                            other.span(),
-                        ))
-                    }
-                },
-            }
+            let names = expand_fields(f, true).ok_or_else(|| {
+                LangError::resolve(
+                    format!("ON fields must be column names, found `{}`", f.canonical()),
+                    f.span(),
+                )
+            })?;
+            on.extend(names.into_iter().map(|n| resolve_alias(n).to_string()));
         }
 
         // The paper's restriction: the key must uniquely identify records in
@@ -1032,32 +922,12 @@ impl Resolver {
             }
         }
 
-        let input = QueryInput::Join {
-            left,
-            right,
-            on: on.clone(),
-        };
-        let in_schema = self.input_schema(&input);
-        let pre_filter = match &jq.where_clause {
-            Some(w) => {
-                let f = self.lower_expr(w, &in_schema, ExprCtx::Record, &mut FoldEnv::default())?;
-                let ty = expr_type(&f, &in_schema, &self.param_values_so_far())
-                    .map_err(|e| LangError::resolve(e.0, w.span()))?;
-                if ty != ValueType::Bool {
-                    return Err(LangError::resolve(
-                        format!("WHERE predicate must be boolean, found {ty}"),
-                        w.span(),
-                    ));
-                }
-                Some(f)
-            }
-            None => None,
-        };
-        let cols = self.resolve_projection(&jq.select, &in_schema, jq.span)?;
-        let schema = Schema::new(cols.iter().map(|c| (c.name.clone(), c.ty)).collect());
+        let in_schema = joined_schema(&self.queries[left], &self.queries[right], &on, jq.span)?;
+        let pre_filter = self.resolve_where(jq.where_clause.as_ref(), &in_schema)?;
+        let (cols, schema) = self.resolve_projection(&jq.select, &in_schema, jq.span)?;
         Ok(ResolvedQuery {
             name,
-            input,
+            input: QueryInput::Join { left, right, on },
             pre_filter,
             kind: ResolvedKind::Project(cols),
             schema,
@@ -1066,16 +936,53 @@ impl Resolver {
     }
 }
 
-/// Per-fold resolution environment.
-#[derive(Default)]
-struct FoldEnv {
-    state_names: Vec<String>,
+/// A GROUPBY's SELECT list as it resolves: the combined fold's state and
+/// body, and the output (key fields first).
+struct Aggregates {
+    state: Vec<StateVar>,
+    body: Vec<RStmt>,
+    output: Vec<GroupOutput>,
+    schema: Schema,
+    /// The query's span, where a duplicate output name is reported.
+    span: Span,
 }
 
-impl FoldEnv {
-    fn state_index(&self, name: &str) -> Option<usize> {
-        self.state_names.iter().position(|n| n == name)
+impl Aggregates {
+    /// Add a state variable initialised to its type's zero, returning its
+    /// index; an `output` variable is also an output column.
+    fn add(&mut self, name: String, ty: ValueType, output: bool) -> LangResult<usize> {
+        let idx = self.state.len();
+        if output {
+            push_output(&mut self.schema, name.clone(), ty, self.span)?;
+            self.output.push(GroupOutput::StateVar(idx));
+        }
+        self.state.push(StateVar {
+            name,
+            ty,
+            init: Value::zero(ty),
+        });
+        Ok(idx)
     }
+}
+
+/// Append an output column. Every query kind refuses a name that its output
+/// already holds, spelled the same or as an alias (`qin` and `qsize`):
+/// downstream queries address columns by name, so the second could never be
+/// read.
+fn push_output(schema: &mut Schema, name: String, ty: ValueType, span: Span) -> LangResult<()> {
+    let canonical = resolve_alias(&name);
+    if schema
+        .columns
+        .iter()
+        .any(|c| resolve_alias(&c.name) == canonical)
+    {
+        return Err(LangError::resolve(
+            format!("duplicate output column `{name}` (use AS to alias)"),
+            Some(span),
+        ));
+    }
+    schema.push(name, ty);
+    Ok(())
 }
 
 /// Look a column up by name, with alias resolution and qualified-suffix
@@ -1084,9 +991,8 @@ fn lookup_column(schema: &Schema, name: &str) -> Option<usize> {
     if let Some(idx) = schema.index_of(name) {
         return Some(idx);
     }
-    if name.contains('.') {
+    if let Some((_, bare)) = name.rsplit_once('.') {
         // Qualified name whose bare form exists: `perc.high` → `high`.
-        let bare = name.rsplit('.').next().expect("split yields at least one");
         if let Some(idx) = schema.index_of(bare) {
             return Some(idx);
         }
@@ -1107,12 +1013,20 @@ fn lookup_column(schema: &Schema, name: &str) -> Option<usize> {
     None
 }
 
-/// `5tuple` and `pkt_uniq` expansions in field-list position.
-fn field_list_expansion(e: &Expr) -> Option<&'static [&'static str]> {
-    match e {
-        Expr::FiveTuple(_) => expand_abbreviation("5tuple"),
-        Expr::Name(n, _) => expand_abbreviation(n),
-        _ => None,
+/// The column names one field-list entry stands for: `5tuple` and
+/// `pkt_uniq` expand to their fields and, where `bare` allows it, a plain
+/// name stands for itself. `None`: the entry is not a field list (an error in
+/// GROUPBY and ON lists, an ordinary expression in a SELECT list).
+fn expand_fields(e: &Expr, bare: bool) -> Option<Vec<&str>> {
+    let name = match e {
+        Expr::FiveTuple(_) => "5tuple",
+        Expr::Name(n, _) => n,
+        _ => return None,
+    };
+    match expand_abbreviation(name) {
+        Some(fields) => Some(fields.to_vec()),
+        None if bare => Some(vec![name]),
+        None => None,
     }
 }
 
@@ -1174,17 +1088,8 @@ fn collect_used_inputs(body: &[RStmt]) -> Vec<usize> {
     cols
 }
 
-/// Static type of a resolved expression (state-free contexts).
-fn expr_type(
-    e: &RExpr,
-    input: &Schema,
-    params: &[Value],
-) -> Result<ValueType, crate::types::TypeError> {
-    expr_type_with_state(e, input, params, &[])
-}
-
 /// Static type of a resolved expression given state variable types.
-fn expr_type_with_state(
+fn expr_type(
     e: &RExpr,
     input: &Schema,
     params: &[Value],
@@ -1203,7 +1108,7 @@ fn expr_type_with_state(
             .map(Value::ty)
             .ok_or_else(|| TypeError(format!("parameter {i} out of range"))),
         RExpr::Unary(op, x) => {
-            let t = expr_type_with_state(x, input, params, state_types)?;
+            let t = expr_type(x, input, params, state_types)?;
             match op {
                 ast::UnaryOp::Neg => {
                     if t == ValueType::Bool {
@@ -1216,14 +1121,14 @@ fn expr_type_with_state(
             }
         }
         RExpr::Binary(op, l, r) => {
-            let lt = expr_type_with_state(l, input, params, state_types)?;
-            let rt = expr_type_with_state(r, input, params, state_types)?;
+            let lt = expr_type(l, input, params, state_types)?;
+            let rt = expr_type(r, input, params, state_types)?;
             Value::binop_type(*op, lt, rt)
         }
         RExpr::Call(b, args) => {
             let mut any_float = false;
             for a in args {
-                let t = expr_type_with_state(a, input, params, state_types)?;
+                let t = expr_type(a, input, params, state_types)?;
                 if t == ValueType::Bool {
                     return Err(TypeError(format!("{b} of a boolean")));
                 }
@@ -1249,7 +1154,7 @@ fn infer_stmt_types(
     for s in stmts {
         match s {
             RStmt::Assign(i, e) => {
-                let t = expr_type_with_state(e, input, params, types)
+                let t = expr_type(e, input, params, types)
                     .map_err(|e| LangError::resolve(e.0, None))?;
                 let joined = join_types(types[*i], t);
                 if joined != types[*i] {
@@ -1262,7 +1167,7 @@ fn infer_stmt_types(
                 then_body,
                 else_body,
             } => {
-                let ct = expr_type_with_state(cond, input, params, types)
+                let ct = expr_type(cond, input, params, types)
                     .map_err(|e| LangError::resolve(e.0, None))?;
                 if ct != ValueType::Bool {
                     return Err(LangError::resolve(
@@ -1288,32 +1193,14 @@ fn join_types(a: ValueType, b: ValueType) -> ValueType {
     }
 }
 
-/// Output schema of a GROUPBY.
-fn groupby_schema(spec: &GroupBySpec) -> Schema {
-    let mut s = Schema::default();
-    for out in &spec.output {
-        match out {
-            GroupOutput::Key(i) => {
-                if !s.contains(&spec.key_names[*i]) {
-                    s.push(spec.key_names[*i].clone(), ValueType::Int);
-                }
-            }
-            GroupOutput::StateVar(i) => {
-                let var = &spec.fold.state[*i];
-                if !s.contains(&var.name) {
-                    s.push(var.name.clone(), var.ty);
-                } else {
-                    s.push(format!("{}.{}", spec.fold.name, var.name), var.ty);
-                }
-            }
-        }
-    }
-    s
-}
-
 /// Schema of a collect-time join: key columns once (bare names), then every
 /// non-key output column of each side qualified by its table name.
-fn joined_schema(left: &ResolvedQuery, right: &ResolvedQuery, on: &[String]) -> Schema {
+fn joined_schema(
+    left: &ResolvedQuery,
+    right: &ResolvedQuery,
+    on: &[String],
+    span: Span,
+) -> LangResult<Schema> {
     let mut s = Schema::default();
     for k in on {
         s.push(k.clone(), ValueType::Int);
@@ -1323,10 +1210,20 @@ fn joined_schema(left: &ResolvedQuery, right: &ResolvedQuery, on: &[String]) -> 
             if on.contains(&col.name) {
                 continue;
             }
-            s.push(format!("{}.{}", q.name, col.name), col.ty);
+            let name = format!("{}.{}", q.name, col.name);
+            if s.contains(&name) {
+                return Err(LangError::resolve(
+                    format!(
+                        "JOIN of `{}` with itself: its column `{name}` would appear twice",
+                        q.name
+                    ),
+                    Some(span),
+                ));
+            }
+            s.push(name, col.ty);
         }
     }
-    s
+    Ok(s)
 }
 
 #[cfg(test)]

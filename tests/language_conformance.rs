@@ -5,6 +5,7 @@
 //! paper states (join keys, compilation rules) are enforced as errors.
 
 use perfq_lang::{compile, fig2, FoldClass, QueryInput, ResolvedKind};
+use proptest::prelude::*;
 use std::collections::HashMap;
 
 fn params() -> HashMap<String, perfq_lang::Value> {
@@ -203,4 +204,207 @@ fn qsize_qin_aliases_agree() {
     let a = ok("SELECT qsize FROM T WHERE qsize > 5");
     let b = ok("SELECT qin FROM T WHERE qin > 5");
     assert_eq!(a.queries[0].pre_filter, b.queries[0].pre_filter);
+}
+
+// ---- malformed text is an error, never a panic ----
+
+#[test]
+fn builtin_arity_is_checked_at_compile_time() {
+    // A builtin with the wrong number of arguments is refused when the query
+    // compiles, not when the first record reaches it.
+    for src in [
+        "SELECT max() FROM T",
+        "SELECT abs(pkt_len, 2) FROM T",
+        "SELECT srcip FROM T WHERE abs() > 1",
+        "SELECT COUNT GROUPBY srcip WHERE max() > 0",
+    ] {
+        let e = err(src);
+        assert!(e.message.contains("argument"), "{src}: {}", e.message);
+        assert!(e.span.is_some(), "{src}: no span");
+    }
+    ok("SELECT abs(pkt_len), max(pkt_len), min(tin, tout, qsize) FROM T");
+}
+
+#[test]
+fn duplicate_groupby_outputs_are_an_error() {
+    let fold = "def f (s, (pkt_len)):\n    s = s + pkt_len\n\n";
+    for src in [
+        "SELECT COUNT, COUNT GROUPBY srcip".to_string(),
+        "SELECT COUNT, COUNT, COUNT GROUPBY srcip".to_string(),
+        "SELECT SUM(pkt_len), SUM(pkt_len), SUM(pkt_len) GROUPBY srcip".to_string(),
+        format!("{fold}SELECT f, f, f GROUPBY srcip"),
+        // A key field and an aggregate, and an alias of a key field.
+        "SELECT COUNT AS srcip GROUPBY srcip".to_string(),
+        "SELECT COUNT AS qin GROUPBY qsize".to_string(),
+    ] {
+        let e = err(&src);
+        assert!(
+            e.message.contains("duplicate output column"),
+            "{src}: {}",
+            e.message
+        );
+    }
+    let p = ok("SELECT COUNT AS a, COUNT AS b GROUPBY srcip");
+    assert_eq!(p.queries[0].schema.len(), 3);
+}
+
+#[test]
+fn projections_refuse_an_output_name_and_its_alias() {
+    // The same rule as GROUPBY: `qin` names `qsize`, so the second column
+    // could never be read by name.
+    let e = err("SELECT qsize, srcip AS qin FROM T");
+    assert!(
+        e.message.contains("duplicate output column"),
+        "{}",
+        e.message
+    );
+}
+
+#[test]
+fn a_table_joined_with_itself() {
+    // With non-key columns, both sides' qualified columns would collide.
+    let e = err("R1 = SELECT COUNT GROUPBY srcip\nR2 = SELECT * FROM R1 JOIN R1 ON srcip\n");
+    assert!(e.message.contains("with itself"), "{}", e.message);
+    // A distinct-keys table has none, and joins with itself as before.
+    ok("R1 = SELECT srcip GROUPBY srcip\nR2 = SELECT * FROM R1 JOIN R1 ON srcip\n");
+}
+
+/// The token alphabet of the hostile-text property: keywords, names,
+/// numbers and durations, operators, parentheses, `.`, `,`, newlines and
+/// indentation.
+const TOKENS: &[&str] = &[
+    "SELECT",
+    "FROM",
+    "WHERE",
+    "GROUPBY",
+    "JOIN",
+    "ON",
+    "AS",
+    "def",
+    "if",
+    "elif",
+    "else",
+    "then",
+    "and",
+    "or",
+    "not",
+    "const",
+    "true",
+    "false",
+    "infinity",
+    "T",
+    "R1",
+    "R2",
+    "srcip",
+    "dstip",
+    "qin",
+    "qsize",
+    "pkt_len",
+    "tin",
+    "tout",
+    "COUNT",
+    "SUM",
+    "MAX",
+    "max",
+    "min",
+    "abs",
+    "f",
+    "s",
+    "alpha",
+    "K",
+    "5tuple",
+    "pkt_uniq",
+    "0",
+    "1",
+    "42",
+    "2.5",
+    "1e3",
+    "9223372036854775807",
+    "1ms",
+    "20us",
+    "3s",
+    "+",
+    "-",
+    "*",
+    "/",
+    "%",
+    "==",
+    "!=",
+    "<",
+    "<=",
+    ">",
+    ">=",
+    "=",
+    "(",
+    ")",
+    ".",
+    ",",
+    ":",
+    "\n",
+    "\n    ",
+    "\n        ",
+];
+
+fn token_text(ix: &[usize]) -> String {
+    ix.iter().map(|&i| TOKENS[i]).collect::<Vec<_>>().join(" ")
+}
+
+/// `compile` returns (`Ok` or `Err`) without panicking.
+fn compiles_or_errs(src: &str) -> bool {
+    let src = src.to_string();
+    std::panic::catch_unwind(move || compile(&src, &params())).is_ok()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn random_token_sequences_get_an_error_not_a_panic(
+        prefix in 0usize..3,
+        ix in prop::collection::vec(0usize..TOKENS.len(), 1..48),
+    ) {
+        let head = ["", "SELECT ", "def f (s, (pkt_len)):\n    s = "][prefix];
+        let src = format!("{head}{}\n", token_text(&ix));
+        prop_assert!(compiles_or_errs(&src), "compile panicked on:\n{src}");
+    }
+}
+
+proptest! {
+    // A compile takes tens of microseconds, so 8192 cases cost a fraction
+    // of a second; the rarer shapes, such as an aggregate selected three
+    // times, need thousands of cases to turn up.
+    #![proptest_config(ProptestConfig::with_cases(8192))]
+
+    #[test]
+    fn spliced_fig2_texts_get_an_error_not_a_panic(
+        row in 0usize..fig2::ALL.len(),
+        edits in prop::collection::vec((0u8..4, 0usize..64, 0usize..64, 0usize..TOKENS.len()), 1..6),
+    ) {
+        // Splice the row's words (a comma is a word of its own): insert an
+        // alphabet token, repeat a run of one to three words two or three
+        // times (a repeated select item, key or list), overwrite a word with
+        // another of the row's words (one table or field for another), or
+        // delete a word.
+        let source = fig2::ALL[row].source.replace(',', " , ");
+        let mut words: Vec<&str> = source.split(' ').collect();
+        for (kind, at, from, tok) in edits {
+            let (at, from) = (at % words.len(), from % words.len());
+            match kind {
+                0 => words.insert(at, TOKENS[tok]),
+                1 => {
+                    let run = words[at..(at + 1 + tok % 3).min(words.len())].to_vec();
+                    for _ in 0..1 + tok % 2 {
+                        words.splice(at..at, run.iter().copied());
+                    }
+                }
+                2 => words[at] = words[from],
+                _ if words.len() > 1 => {
+                    words.remove(at);
+                }
+                _ => {}
+            }
+        }
+        let src = words.join(" ");
+        prop_assert!(compiles_or_errs(&src), "compile panicked on:\n{src}");
+    }
 }
