@@ -237,8 +237,8 @@ fn main() {
             multi.process_batch(&records[..n / 2]);
             let id = multi.install(counters.clone()).expect("install replans");
             multi.process_batch(&records[n / 2..3 * n / 4]);
-            let departed = multi.uninstall(id).expect("no durable tier to publish to");
-            black_box(departed.expect("id is live"));
+            let departed = multi.uninstall(id).expect("a live id, no durable tier");
+            black_box(departed);
             multi.process_batch(&records[3 * n / 4..]);
         } else {
             multi.process_batch(&records);
@@ -256,7 +256,7 @@ fn main() {
         let rt = Runtime::new(per_queue.clone());
         batched(rt, &records, 1024, |rt, i| {
             if polled && (i + 1) % 4 == 0 {
-                black_box(rt.poll_results());
+                black_box(rt.poll_results().expect("no spill tier to read"));
             }
         })
     });

@@ -32,6 +32,7 @@
 
 use crate::result::{ResultRow, ResultSet, ResultTable};
 use crate::runtime::Runtime;
+use crate::Error;
 use perfq_kvstore::wal::{ByteReader, ByteWriter as _};
 use perfq_kvstore::{read_manifest, write_manifest, SharedBackend, SpillConfig};
 use perfq_lang::{Schema, Value, ValueType};
@@ -116,7 +117,7 @@ pub(crate) fn persist(
     at: u64,
     persisted_at: &mut Option<u64>,
     workers: &mut [(String, &mut Runtime)],
-) -> io::Result<()> {
+) -> Result<(), Error> {
     for (sub, rt) in workers.iter_mut() {
         rt.persist_stores(at, d, sub)?;
     }
@@ -137,7 +138,7 @@ pub(crate) fn persist(
 pub(crate) fn recover(
     d: &Durability,
     workers: &mut [(String, &mut Runtime)],
-) -> io::Result<Option<u64>> {
+) -> Result<Option<u64>, Error> {
     let resume = read_manifest(d.backend(), &d.manifest_name())?;
     for (sub, rt) in workers.iter_mut() {
         rt.recover_stores(d, sub, resume)?;
@@ -297,30 +298,38 @@ pub(crate) fn decode_capture(bytes: &[u8]) -> Option<(Vec<Vec<Value>>, u64)> {
 
 /// Atomically publish an uninstalled program's final results under the
 /// deployment's retired-file name.
-pub fn write_retired(d: &Durability, id: u64, rs: &ResultSet) -> io::Result<()> {
+///
+/// # Errors
+///
+/// [`Error::Io`] when the write or its sync fails.
+pub fn write_retired(d: &Durability, id: u64, rs: &ResultSet) -> Result<(), Error> {
     let bytes = encode_results(rs);
     let name = d.retired_name(id);
     let mut be = d.backend().lock().expect("backend mutex");
     be.write_atomic(&name, &bytes)?;
-    be.sync(&name)
+    Ok(be.sync(&name)?)
 }
 
 /// Read back a retired program's persisted results. `Ok(None)` when the
-/// file is absent; an [`io::ErrorKind::InvalidData`] error when it is
-/// present but does not decode.
-pub fn read_retired(d: &Durability, id: u64) -> io::Result<Option<ResultSet>> {
+/// file is absent.
+///
+/// # Errors
+///
+/// [`Error::Io`] when the read fails, of kind
+/// [`io::ErrorKind::InvalidData`] when the file is present but does not
+/// decode.
+pub fn read_retired(d: &Durability, id: u64) -> Result<Option<ResultSet>, Error> {
     let name = d.retired_name(id);
     let mut be = d.backend().lock().expect("backend mutex");
     let Some(bytes) = be.read(&name)? else {
         return Ok(None);
     };
     drop(be);
-    decode_results(&bytes).map(Some).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{name}: malformed results"),
-        )
-    })
+    let malformed = || {
+        let msg = format!("{name}: malformed results");
+        Error::Io(io::Error::new(io::ErrorKind::InvalidData, msg))
+    };
+    decode_results(&bytes).map(Some).ok_or_else(malformed)
 }
 
 #[cfg(test)]

@@ -327,7 +327,8 @@
 //! replays tumbling windows at the store level). Polling is pinned
 //! non-perturbing by `tests/poll_equivalence.rs`: any poll schedule's final
 //! drain is byte-identical to a never-polled replay, and every mid-stream
-//! poll equals a fresh replay of the prefix.
+//! poll equals a fresh replay of the prefix. A poll reads a dirty spill
+//! tier, and a read that fails is the poll's `Err` (see *Errors*).
 //!
 //! # Dynamic lifecycle
 //!
@@ -345,7 +346,7 @@
 //! the same way. The dry run nominates each arrival's dedup candidates,
 //! runs the `perfq_kvstore::CachePlanner` **once** over the grown
 //! deployment and (under durability) attaches the arrivals' spill tiers;
-//! any failure returns a typed [`InstallError`] with the deployment
+//! any failure returns an [`Error`] with the deployment
 //! untouched. The commit **live-migrates** every resident store to its new
 //! slice between batches (`SplitStore::migrate_geometry`: rehash
 //! cache-resident pairs, timestamps intact, overflow absorbed through the
@@ -379,6 +380,28 @@
 //! sharded plane each shard's `p0_s<i>_`; each keeps one manifest, and the
 //! sharded plane resumes its workers whatever the call returns. Recovery
 //! covers deployments without mid-stream installs or uninstalls.
+//!
+//! # Errors
+//!
+//! Every fallible call returns one type, [`Error`]: query text that does
+//! not compile (`Lang`), a deployment the planner refuses (`Plan`), a
+//! durable-tier read or write that failed (`Io`), a plane that is already
+//! drained (`Finished`), a durable call without a tier (`NotDurable`) and
+//! an install id that is not installed (`UnknownProgram`). Whatever the
+//! variant, the plane is as it was before the call. Every poll reads
+//! through the spill tier and returns its read error:
+//! [`Runtime::poll_results`], [`ShardedRuntime::poll_results`] and
+//! [`Deployment::poll`] return `Err` on a dead backend and read again once
+//! it heals.
+//!
+//! Three kinds of call still panic. The drain panics when a dead backend
+//! stops it: `finish` on every plane folds the spill tier back into RAM,
+//! and so does the sharded merge under it (`SplitStore::absorb_store`).
+//! `SplitStore::snapshot_into` panics the same way. Ingest after `finish`
+//! (`process_batch`, `process_record`) panics too; its typed form is
+//! [`Runtime::try_process_batch`]. The repository benchmark (`benchmark/`)
+//! binds each of these calls by its present signature, so they become
+//! fallible together with its call sites (`ROADMAP.md` direction 8).
 //!
 //! # Example
 //!
@@ -419,44 +442,99 @@ pub mod sharded;
 pub use compiler::{compile_program, CompileOptions, CompiledProgram, StorePlan};
 pub use durable::{decode_results, encode_results, read_retired, write_retired, Durability};
 pub use foldops::{FoldOps, FoldState};
-pub use multi::{Deployment, InstallError, MultiRuntime, SharedStore, SharingReport};
+pub use multi::{Deployment, MultiRuntime, SharedStore, SharingReport};
 pub use oracle::{Oracle, Prediction};
 pub use result::{diff_tables, ResultRow, ResultSet, ResultTable};
-pub use runtime::{LifecycleError, Runtime};
+pub use runtime::Runtime;
 pub use sharded::{ShardRouter, ShardSpec, ShardedRuntime};
 
+use perfq_kvstore::PlanError;
 use perfq_lang::{LangError, Value};
 use std::collections::HashMap;
 
-/// Errors from the full text → hardware pipeline.
+/// Every failure a fallible call of this crate returns. Whatever the
+/// variant, the call left the plane as it was before it: a refused install
+/// admits nothing, a failed uninstall keeps the program installed, a failed
+/// poll or durable call leaves the in-RAM state intact.
 #[derive(Debug)]
-pub enum PerfqError {
-    /// Front-end (lex/parse/resolve) failure.
+#[non_exhaustive]
+pub enum Error {
+    /// The query text failed to lex, parse or resolve.
     Lang(LangError),
+    /// The cache planner rejected a deployment: the budget cannot hold its
+    /// programs, or no program has a store to provision.
+    Plan(PlanError),
+    /// A read or write of the durable tier failed: attaching, checkpointing
+    /// or recovering it, publishing or reading retired results, or a poll's
+    /// read of a spill tier that holds part of the truth. An install whose
+    /// attach failed burns the id it would have taken, so a retry never
+    /// re-opens half-written `p<id>_` files.
+    Io(std::io::Error),
+    /// The plane was already drained (`finish`): records it took or a
+    /// program installed now could never be collected.
+    Finished,
+    /// A durable call on a plane whose `enable_durability` was never called.
+    NotDurable,
+    /// No program is installed under this id (never, or no longer).
+    UnknownProgram(u64),
 }
 
-impl std::fmt::Display for PerfqError {
+impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PerfqError::Lang(e) => write!(f, "{e}"),
+            Error::Lang(e) => write!(f, "{e}"),
+            Error::Plan(e) => write!(f, "cache plan rejected: {e}"),
+            Error::Io(e) => write!(f, "durable tier: {e}"),
+            Error::Finished => write!(
+                f,
+                "records processed after finish(), or a program installed after it: \
+                 the measurement window is already drained"
+            ),
+            Error::NotDurable => write!(f, "durable call without enable_durability"),
+            Error::UnknownProgram(id) => write!(f, "no program is installed under id {id}"),
         }
     }
 }
 
-impl std::error::Error for PerfqError {}
+impl std::error::Error for Error {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Error::Lang(e) => Some(e),
+            Error::Plan(e) => Some(e),
+            Error::Io(e) => Some(e),
+            Error::Finished | Error::NotDurable | Error::UnknownProgram(_) => None,
+        }
+    }
+}
 
-impl From<LangError> for PerfqError {
+impl From<LangError> for Error {
     fn from(e: LangError) -> Self {
-        PerfqError::Lang(e)
+        Error::Lang(e)
+    }
+}
+
+impl From<PlanError> for Error {
+    fn from(e: PlanError) -> Self {
+        Error::Plan(e)
+    }
+}
+
+impl From<std::io::Error> for Error {
+    fn from(e: std::io::Error) -> Self {
+        Error::Io(e)
     }
 }
 
 /// Compile query text straight to a hardware configuration.
+///
+/// # Errors
+///
+/// [`Error::Lang`] when the text fails to lex, parse or resolve.
 pub fn compile_query(
     source: &str,
     params: &HashMap<String, Value>,
     options: CompileOptions,
-) -> Result<CompiledProgram, PerfqError> {
+) -> Result<CompiledProgram, Error> {
     let program = perfq_lang::compile(source, params)?;
     Ok(compile_program(program, options))
 }

@@ -64,9 +64,10 @@
 //! [`Deployment::install`] is the one-program case — so a deployment built
 //! at once and one built by installs share the same stores, run the same
 //! geometries and read the same. Every [`PlanError`] and, under
-//! durability, a failed spill-tier attach surface from the dry run as an
-//! [`InstallError`] with the deployment untouched; a failed publish of an
-//! uninstall's results returns its I/O error with the deployment untouched.
+//! durability, a failed spill-tier attach surface from the dry run as a
+//! [`crate::Error`] with the deployment untouched; a failed final read or
+//! publish of an uninstall's results returns its I/O error with the
+//! deployment untouched.
 //!
 //! The sharded plane ([`ShardedRuntime`](crate::ShardedRuntime)) runs one
 //! program on N workers and is not a deployment: it has no installs, no
@@ -127,7 +128,8 @@ use crate::compiler::{CompiledProgram, StorePlan};
 use crate::durable::{read_retired, write_retired, Durability};
 use crate::plan::{ExecPlan, NodeKind, RowSource};
 use crate::result::ResultSet;
-use crate::runtime::{Lanes, LifecycleError, Runtime};
+use crate::runtime::{Lanes, Runtime};
+use crate::Error;
 use perfq_kvstore::{AreaPlan, CachePlanner, PlanError, QueryAllocation, QueryDemand, StoreDemand};
 use perfq_switch::{Network, QueueRecord};
 
@@ -349,49 +351,6 @@ impl SharingReport {
 // The deployment
 // ---------------------------------------------------------------------------
 
-/// Why an `install` was refused. Whatever the reason, nothing was
-/// committed: the resident programs, their stores, ids and sharing are
-/// exactly as before the call.
-#[derive(Debug)]
-pub enum InstallError {
-    /// The deployment was already drained ([`MultiRuntime::finish`]): a
-    /// program installed now could never be collected.
-    Finished,
-    /// The replan rejected the grown deployment (the budget cannot hold one
-    /// more program).
-    Plan(PlanError),
-    /// Attaching the arrival's durable spill tier failed. The install id it
-    /// would have taken is burnt, so a retry never re-opens half-written
-    /// `p<id>_` files.
-    Io(std::io::Error),
-}
-
-impl From<PlanError> for InstallError {
-    fn from(e: PlanError) -> Self {
-        InstallError::Plan(e)
-    }
-}
-
-impl std::fmt::Display for InstallError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InstallError::Finished => write!(f, "install refused: the deployment is finished"),
-            InstallError::Plan(e) => write!(f, "install replan rejected: {e}"),
-            InstallError::Io(e) => write!(f, "durable-tier attach on install failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for InstallError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            InstallError::Finished => None,
-            InstallError::Plan(e) => Some(e),
-            InstallError::Io(e) => Some(e),
-        }
-    }
-}
-
 /// A validated install ([`Deployment::stage_install`]); nothing is mutated
 /// until [`Deployment::commit`].
 struct StagedInstall {
@@ -509,7 +468,8 @@ impl Deployment {
     /// and the commit ([`Deployment::stage_install`]). Install ids are
     /// `0..K`. Returns the plan alongside (`None` without a budget); under
     /// a budget, a program list without any store is
-    /// [`PlanError::EmptyDemands`].
+    /// [`PlanError::EmptyDemands`]. An empty deployment has no durable
+    /// tier, so only the planner can refuse.
     ///
     /// # Panics
     ///
@@ -519,7 +479,7 @@ impl Deployment {
         programs: Vec<CompiledProgram>,
         share: bool,
         budget: Option<u64>,
-    ) -> Result<(Self, Option<AreaPlan>), PlanError> {
+    ) -> Result<(Self, Option<AreaPlan>), Error> {
         let mut deployment = Deployment {
             runtimes: Vec::new(),
             lanes: Lanes::default(),
@@ -534,14 +494,10 @@ impl Deployment {
             persisted_at: None,
             finished: false,
         };
-        let mut staged = match deployment.stage_install(programs) {
-            Ok(staged) => staged,
-            Err(InstallError::Plan(e)) => return Err(e),
-            Err(e) => unreachable!("an empty deployment has no durable tier: {e}"),
-        };
+        let mut staged = deployment.stage_install(programs)?;
         let plan = staged.plan.take();
         if budget.is_some() && plan.is_none() {
-            return Err(PlanError::EmptyDemands);
+            return Err(PlanError::EmptyDemands.into());
         }
         assert!(!staged.arrivals.is_empty(), "need at least one program");
         deployment.commit(staged);
@@ -618,10 +574,7 @@ impl Deployment {
     /// Nothing is mutated, so an `Err` leaves the deployment untouched; a
     /// failed attach only burns the install ids up to the failing
     /// arrival's, so a retry never re-opens half-written files.
-    fn stage_install(
-        &mut self,
-        arrivals: Vec<CompiledProgram>,
-    ) -> Result<StagedInstall, InstallError> {
+    fn stage_install(&mut self, arrivals: Vec<CompiledProgram>) -> Result<StagedInstall, Error> {
         let residents = self.runtimes.len();
         let mut programs = self.programs();
         programs.extend(arrivals);
@@ -669,7 +622,7 @@ impl Deployment {
             if let Some(d) = &self.durability {
                 if let Err(e) = rt.enable_durability_prefixed(d, &component(id)) {
                     self.next_id = id + 1;
-                    return Err(InstallError::Io(e));
+                    return Err(e.into());
                 }
             }
             built.push(rt);
@@ -700,8 +653,9 @@ impl Deployment {
     /// Program `pos`'s current results, polled over the read-only
     /// runtimes: each query reads its own live store or — a deduplicated
     /// alias — its owner's (the redirection the drain applies by
-    /// substitution, read-only here).
-    fn polled(&self, pos: usize) -> ResultSet {
+    /// substitution, read-only here). A spill tier that cannot be read
+    /// fails the read with its I/O error.
+    fn polled(&self, pos: usize) -> Result<ResultSet, Error> {
         let one = |p: usize| std::slice::from_ref(&self.runtimes[p]);
         let mut stores: Vec<_> = (self.runtimes[pos].compiled().stores.iter())
             .enumerate()
@@ -748,12 +702,12 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// [`PlanError::EmptyDemands`] when no program has a store, and
-    /// whatever else the planner rejects.
+    /// [`Error::Plan`]: [`PlanError::EmptyDemands`] when no program has a
+    /// store, and whatever else the planner rejects.
     pub fn provisioned(
         programs: Vec<CompiledProgram>,
         budget_bits: u64,
-    ) -> Result<(Self, AreaPlan), PlanError> {
+    ) -> Result<(Self, AreaPlan), Error> {
         let (deployment, plan) = Self::installing(programs, true, Some(budget_bits))?;
         Ok((deployment, plan.ok_or(PlanError::EmptyDemands)?))
     }
@@ -768,7 +722,11 @@ impl Deployment {
     /// covers the whole stream. Deployments that installed or uninstalled
     /// mid-stream are out of recovery's scope — but their retired files
     /// stay readable ([`Deployment::retired`]).
-    pub fn recover(programs: Vec<CompiledProgram>, d: Durability) -> std::io::Result<(Self, u64)> {
+    ///
+    /// # Errors
+    ///
+    /// As [`Runtime::recover`].
+    pub fn recover(programs: Vec<CompiledProgram>, d: Durability) -> Result<(Self, u64), Error> {
         let mut deployment = Self::new(programs);
         let resume =
             crate::durable::recover(&d, &mut named(&deployment.ids, &mut deployment.runtimes))?;
@@ -839,7 +797,11 @@ impl Deployment {
     /// tier on arrival. One deployment manifest covers every program.
     /// Uninstall additionally publishes the departing program's final
     /// results as a retired file ([`Deployment::retired`]).
-    pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when a spill tier cannot be opened.
+    pub fn enable_durability(&mut self, d: Durability) -> Result<(), Error> {
         for (sub, rt) in named(&self.ids, &mut self.runtimes) {
             rt.enable_durability_prefixed(&d, &sub)?;
         }
@@ -852,25 +814,24 @@ impl Deployment {
     /// manifest advances atomically, then every WAL that has outgrown its
     /// segment folds into it (see [`Runtime::persist`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless [`Deployment::enable_durability`] was called.
-    pub fn persist(&mut self) -> std::io::Result<()> {
-        let d = (self.durability.as_ref()).expect("persist requires enable_durability");
+    /// As [`Runtime::persist`].
+    pub fn persist(&mut self) -> Result<(), Error> {
+        let d = self.durability.as_ref().ok_or(Error::NotDurable)?;
         let mut named = named(&self.ids, &mut self.runtimes);
         crate::durable::persist(d, self.records, &mut self.persisted_at, &mut named)
     }
 
     /// Read back a retired program's durably published final results.
-    /// `Ok(None)` when this id never left under durability; an
-    /// [`std::io::ErrorKind::InvalidData`] error when its file is corrupt.
+    /// `Ok(None)` when this id never left under durability.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless [`Deployment::enable_durability`] was called.
-    pub fn retired(&self, id: u64) -> std::io::Result<Option<ResultSet>> {
-        let d = (self.durability.as_ref()).expect("retired requires enable_durability");
-        read_retired(d, id)
+    /// [`Error::NotDurable`] unless [`Deployment::enable_durability`] was
+    /// called, and as [`read_retired`].
+    pub fn retired(&self, id: u64) -> Result<Option<ResultSet>, Error> {
+        read_retired(self.durability.as_ref().ok_or(Error::NotDurable)?, id)
     }
 
     /// Install one more compiled program into the **live** deployment —
@@ -900,13 +861,12 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// [`InstallError::Finished`] after [`MultiRuntime::finish`],
-    /// [`InstallError::Plan`] for whatever the replan rejects, and
-    /// [`InstallError::Io`] when the durable-tier attach fails; the
-    /// deployment is untouched on error.
-    pub fn install(&mut self, program: CompiledProgram) -> Result<u64, InstallError> {
+    /// [`Error::Finished`] after [`MultiRuntime::finish`], [`Error::Plan`]
+    /// for whatever the replan rejects, and [`Error::Io`] when the
+    /// durable-tier attach fails; the deployment is untouched on error.
+    pub fn install(&mut self, program: CompiledProgram) -> Result<u64, Error> {
         if self.finished {
-            return Err(InstallError::Finished);
+            return Err(Error::Finished);
         }
         let staged = self.stage_install(vec![program])?;
         Ok(self.commit(staged))
@@ -914,8 +874,7 @@ impl Deployment {
 
     /// Uninstall the program with install id `id`, returning its final
     /// results — exactly what [`Runtime::finish`] + [`Runtime::collect`]
-    /// would report for a private runtime stopped now. `Ok(None)` for an
-    /// unknown id.
+    /// would report for a private runtime stopped now.
     ///
     /// The results are the poll ([`Deployment::poll`]) taken as the
     /// program leaves, before anything moves: `finish()` + `collect()` on a
@@ -933,14 +892,14 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// The I/O error of a failed retired-results publish. Nothing has
-    /// moved then: the program is still installed, with its stores and its
-    /// sharing, and a later `uninstall` retries.
-    pub fn uninstall(&mut self, id: u64) -> std::io::Result<Option<ResultSet>> {
-        let Some(pos) = self.ids.iter().position(|x| *x == id) else {
-            return Ok(None);
-        };
-        let results = self.polled(pos);
+    /// [`Error::UnknownProgram`] for an id that is not installed, and
+    /// [`Error::Io`] when the final read (a spill tier that cannot be read)
+    /// or the retired-results publish fails. Nothing has moved then: the
+    /// program is still installed, with its stores and its sharing, and a
+    /// later `uninstall` retries.
+    pub fn uninstall(&mut self, id: u64) -> Result<ResultSet, Error> {
+        let pos = self.position(id)?;
+        let results = self.polled(pos)?;
         // The poll read through the durable tier (a frame replays every
         // spilled pair); publish it so it outlives the deployment.
         if let Some(d) = &self.durability {
@@ -980,12 +939,16 @@ impl Deployment {
         self.replan(&mut programs, &self.ids, &self.aliases)
             .expect("surviving slices only grow on uninstall");
         self.migrate(&programs);
-        Ok(Some(results))
+        Ok(results)
+    }
+
+    /// The program index of install id `id`.
+    fn position(&self, id: u64) -> Result<usize, Error> {
+        (self.ids.iter().position(|x| *x == id)).ok_or(Error::UnknownProgram(id))
     }
 
     /// Poll one installed program's current results **without stopping the
-    /// world** — the multi-program incremental read path. Returns `None`
-    /// for an unknown (or already uninstalled) id.
+    /// world** — the multi-program incremental read path.
     ///
     /// The polled program's frames — and, for each of its deduplicated
     /// alias stores, the owner's — go through the same normalization the
@@ -995,10 +958,15 @@ impl Deployment {
     /// `tests/poll_equivalence.rs`). The frame is the whole read: a reader
     /// that wants per-epoch deltas or windows builds them from consecutive
     /// frames.
-    #[must_use]
-    pub fn poll(&mut self, id: u64) -> Option<ResultSet> {
-        let pos = self.ids.iter().position(|x| *x == id)?;
-        Some(self.polled(pos))
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownProgram`] for an id that is not (or no longer)
+    /// installed, and [`Error::Io`] when a spill tier the program reads
+    /// cannot be read; the deployment is untouched, and a later poll
+    /// retries.
+    pub fn poll(&mut self, id: u64) -> Result<ResultSet, Error> {
+        self.polled(self.position(id)?)
     }
 
     /// Process one queue record: [`Deployment::process_batch`] over a
@@ -1031,7 +999,7 @@ impl Deployment {
         // `finish()` is refused before any record folds.
         let mut mask = 0u64;
         for rt in &self.runtimes {
-            assert!(!rt.is_finished(), "{}", LifecycleError::ProcessAfterFinish);
+            assert!(!rt.is_finished(), "{}", Error::Finished);
             mask |= rt.base_cols();
         }
         let runtimes = &mut self.runtimes;
@@ -1136,10 +1104,10 @@ mod tests {
         assert_eq!(stores[0].pair_bits, 104 + 32);
         // A selection demands no SRAM, so there is nothing to plan.
         let selection = vec![compiled("SELECT srcip FROM T")];
-        assert_eq!(
-            MultiRuntime::provisioned(selection, 32 * MBIT).unwrap_err(),
-            PlanError::EmptyDemands,
-        );
+        assert!(matches!(
+            MultiRuntime::provisioned(selection, 32 * MBIT),
+            Err(Error::Plan(PlanError::EmptyDemands))
+        ));
     }
 
     #[test]
@@ -1288,13 +1256,13 @@ mod tests {
         let drained = multi.collect();
         assert!(matches!(
             multi.install(compiled("SELECT COUNT GROUPBY srcip")),
-            Err(InstallError::Finished)
+            Err(Error::Finished)
         ));
         assert_eq!(multi.ids(), &[0], "no id burnt, no program admitted");
         assert_eq!(multi.collect(), drained);
         // Reads after the drain return exactly the drained tables.
-        assert_eq!(multi.poll(0).as_ref(), Some(&drained[0]));
-        assert_eq!(multi.uninstall(0).unwrap().as_ref(), Some(&drained[0]));
+        assert_eq!(multi.poll(0).unwrap(), drained[0]);
+        assert_eq!(multi.uninstall(0).unwrap(), drained[0]);
         assert!(multi.is_empty());
     }
 
@@ -1361,7 +1329,7 @@ mod tests {
         let programs = vec![compiled("SELECT srcip FROM T")];
         assert!(matches!(
             MultiRuntime::provisioned(programs, 32 * MBIT),
-            Err(PlanError::EmptyDemands)
+            Err(Error::Plan(PlanError::EmptyDemands))
         ));
     }
 
@@ -1415,7 +1383,7 @@ mod tests {
             "the resident's store live-migrated onto a smaller slice"
         );
         multi.process_batch(b);
-        let departed = multi.uninstall(id).unwrap().unwrap();
+        let departed = multi.uninstall(id).unwrap();
         assert!(!departed.tables[0].rows.is_empty());
         assert_eq!(
             geom_of(&multi),
@@ -1530,7 +1498,7 @@ mod tests {
         multi.process_batch(head);
         // Uninstall the owner mid-stream: the alias inherits the live
         // store and the stream continues seamlessly.
-        let counter = multi.uninstall(0).unwrap().unwrap();
+        let counter = multi.uninstall(0).unwrap();
         multi.process_batch(tail);
         multi.finish();
         let got = multi.collect();
@@ -1624,7 +1592,8 @@ mod tests {
             for rt in &mut singles {
                 rt.process_batch(part);
                 punch(rt);
-                assert_sorted(&rt.poll_results(), rt.compiled(), "Runtime::poll_results");
+                let polled = rt.poll_results().unwrap();
+                assert_sorted(&polled, rt.compiled(), "Runtime::poll_results");
             }
             for (p, id) in multi.ids().to_vec().into_iter().enumerate() {
                 let polled = multi.poll(id).expect("installed program");
@@ -1848,7 +1817,7 @@ mod tests {
                 for (mark, part) in records.chunks(records.len().div_ceil(3)).enumerate() {
                     let reads = sequential.iter_mut().map(|rt| {
                         rt.process_batch(part);
-                        rt.poll_results()
+                        rt.poll_results().unwrap()
                     });
                     let reads: Vec<ResultSet> = reads.collect();
                     if mark < 2 {

@@ -30,6 +30,7 @@ use crate::durable::Durability;
 use crate::foldops::{FoldOps, FoldState};
 use crate::plan::{lane_mask, ExecPlan, NodeKind, RowSource, CHUNK, LANES};
 use crate::result::{value_key, ResultRow, ResultSet, ResultTable};
+use crate::Error;
 use perfq_kvstore::{
     BackingStore, CacheGeometry, InlineKey, SplitStore, StoreSnapshot, StoreStats, INLINE_KEY_WORDS,
 };
@@ -65,37 +66,6 @@ impl Capture {
         self.rows.extend(other.rows.iter().take(room).cloned());
     }
 }
-
-/// Lifecycle misuse detected at a batch entry point.
-///
-/// These conditions were previously `debug_assert!`s, which vanish in
-/// release builds and let misuse silently corrupt state (records folded
-/// into already-flushed caches split residencies into spurious epochs).
-/// The checks are now always on: each public ingest entry verifies once
-/// per call — once per batch, not per record — and the `try_*` twins
-/// surface the condition as this typed error instead of panicking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LifecycleError {
-    /// Records were fed to a runtime after [`Runtime::finish`]: the caches
-    /// are already flushed, so further folds would silently diverge from
-    /// the drained results.
-    ProcessAfterFinish,
-}
-
-impl std::fmt::Display for LifecycleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LifecycleError::ProcessAfterFinish => {
-                write!(
-                    f,
-                    "records processed after finish(): the measurement window is already drained"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for LifecycleError {}
 
 /// The chunk loop's row buffers: one contiguous base-row matrix for a
 /// chunk of up to [`LANES`] records (lane `i` at `i * row_width ..`) — a
@@ -354,36 +324,14 @@ impl Runtime {
         self.finished
     }
 
-    /// Reject ingest on a finished runtime — the always-on half of the
-    /// lifecycle guard (the per-record `debug_assert`s in the shared
-    /// internals only cover debug builds). Checked once per public entry
-    /// call, so the release-mode cost is one branch per batch.
-    #[inline]
-    fn check_live(&self) -> Result<(), LifecycleError> {
-        if self.finished {
-            Err(LifecycleError::ProcessAfterFinish)
-        } else {
-            Ok(())
-        }
-    }
-
     /// Process one queue record: [`Runtime::process_batch`] over a
     /// one-record batch, i.e. one one-lane chunk.
     ///
     /// # Panics
     ///
-    /// Panics (also in release builds) when called after
-    /// [`Runtime::finish`]; use [`Runtime::try_process_record`] to handle
-    /// the condition as a typed error instead.
+    /// As [`Runtime::process_batch`].
     pub fn process_record(&mut self, rec: &QueueRecord) {
         self.process_batch(std::slice::from_ref(rec));
-    }
-
-    /// Fallible twin of [`Runtime::process_record`]: returns
-    /// [`LifecycleError::ProcessAfterFinish`] instead of panicking when the
-    /// runtime is already finished.
-    pub fn try_process_record(&mut self, rec: &QueueRecord) -> Result<(), LifecycleError> {
-        self.try_process_batch(std::slice::from_ref(rec))
     }
 
     /// Process a batch of queue records — the engine's one entry point.
@@ -410,12 +358,17 @@ impl Runtime {
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Fallible twin of [`Runtime::process_batch`]: returns
-    /// [`LifecycleError::ProcessAfterFinish`] instead of panicking when the
-    /// runtime is already finished. The check runs once per batch, not per
-    /// record.
-    pub fn try_process_batch(&mut self, recs: &[QueueRecord]) -> Result<(), LifecycleError> {
-        self.check_live()?;
+    /// Fallible twin of [`Runtime::process_batch`]. The check runs once
+    /// per batch, not per record, and is always on: records folded into
+    /// already-flushed caches would split residencies into spurious epochs.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Finished`] after [`Runtime::finish`]; no record folds then.
+    pub fn try_process_batch(&mut self, recs: &[QueueRecord]) -> Result<(), Error> {
+        if self.finished {
+            return Err(Error::Finished);
+        }
         let mut lanes = std::mem::take(&mut self.lanes);
         lanes.sweep(recs, self.plan.base_cols, |rows, width, n, nows| {
             self.process_lanes(rows, width, n, nows);
@@ -601,6 +554,11 @@ impl Runtime {
     /// so [`Runtime::collect`] and every drain that follows read through
     /// the tier. A tier that never spilled is retired here as well: from
     /// this point on the RAM table alone is the truth.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a dirty spill tier cannot be read (a poll returns that
+    /// error instead; see the crate docs' *Errors*).
     pub fn finish(&mut self) {
         for store in self.stores.iter_mut().flatten() {
             store
@@ -686,8 +644,13 @@ impl Runtime {
     /// owns, built front to back over the frame, plus per table one vector
     /// of compact key records that is sorted in the rows' stead and one
     /// `u32` permutation — exactly as `collect` does.
-    #[must_use]
-    pub fn poll_results(&self) -> ResultSet {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when a store's spill tier holds part of the truth and
+    /// cannot be read; the live runtime is untouched, and a later poll
+    /// retries.
+    pub fn poll_results(&self) -> Result<ResultSet, Error> {
         poll_own(std::slice::from_ref(self))
     }
 
@@ -696,7 +659,11 @@ impl Runtime {
     /// high-water mark append to per-store WALs on the config's backend;
     /// [`Runtime::persist`] checkpoints, and [`Runtime::recover`] resumes
     /// a crashed deployment.
-    pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when a spill tier cannot be opened.
+    pub fn enable_durability(&mut self, d: Durability) -> Result<(), Error> {
         self.enable_durability_prefixed(&d, "")?;
         self.durability = Some(d);
         Ok(())
@@ -825,14 +792,12 @@ impl Runtime {
     /// the others keep their frames). On success a crash at *any* later
     /// point recovers to exactly this state ([`Runtime::recover`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless [`Runtime::enable_durability`] was called.
-    pub fn persist(&mut self) -> std::io::Result<()> {
-        let d = self
-            .durability
-            .clone()
-            .expect("persist requires enable_durability");
+    /// [`Error::NotDurable`] unless [`Runtime::enable_durability`] was
+    /// called, and [`Error::Io`] when a write fails.
+    pub fn persist(&mut self) -> Result<(), Error> {
+        let d = self.durability.clone().ok_or(Error::NotDurable)?;
         let (at, mut persisted_at) = (self.records, self.persisted_at);
         let outcome = crate::durable::persist(
             &d,
@@ -851,7 +816,12 @@ impl Runtime {
     /// checkpoint. The caller re-ingests the stream from that record on;
     /// results are then byte-identical to a never-crashed deployment that
     /// persisted at the same indices (`tests/durability_crash.rs`).
-    pub fn recover(compiled: CompiledProgram, d: Durability) -> std::io::Result<(Runtime, u64)> {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when a read fails, or — `InvalidData` — when the
+    /// manifest or a manifested capture file is corrupt.
+    pub fn recover(compiled: CompiledProgram, d: Durability) -> Result<(Runtime, u64), Error> {
         let mut rt = Runtime::new(compiled);
         let resume = crate::durable::recover(&d, &mut [(String::new(), &mut rt)])?;
         let at = resume.unwrap_or(0);
@@ -969,29 +939,31 @@ fn emit_group_rows<'a, const W: usize>(
 /// per-worker frames merge into that query's result — the program's own
 /// workers, or a redirected owner's for deduped alias queries; `None` for
 /// storeless queries. Sources are only read: every live runtime keeps its
-/// caches resident and keeps ingesting after the poll.
+/// caches resident and keeps ingesting after the poll, and a spill tier
+/// that cannot be read fails the whole poll with its I/O error.
 pub(crate) fn poll_collect(
     capture_shards: &[Runtime],
     stores: &[Option<(&[Runtime], usize)>],
-) -> ResultSet {
+) -> Result<ResultSet, Error> {
     let lead = &capture_shards[0];
     // The frames outlive the rows borrowed from them.
-    let frames: Vec<Option<StoreSnapshot<InlineKey, FoldState>>> = stores
-        .iter()
+    let frames: Vec<Option<StoreSnapshot<InlineKey, FoldState>>> = (stores.iter())
         .map(|src| {
-            let (workers, q) = (*src)?;
+            let Some((workers, q)) = *src else {
+                return Ok(None);
+            };
             let mut sources = workers.iter().map(|rt| {
                 rt.stores[q]
                     .as_ref()
                     .expect("poll sources are aggregation stores")
             });
-            let mut snap = sources.next().expect("≥1 source per store").snapshot();
+            let mut snap = sources.next().expect("≥1 source per store").snapshot()?;
             for store in sources {
-                store.snapshot_merge_into(&mut snap);
+                store.snapshot_merge_into(&mut snap)?;
             }
-            Some(snap)
+            Ok(Some(snap))
         })
-        .collect();
+        .collect::<Result<_, Error>>()?;
     // One shard lends its capture buffers as they are; only ≥ 2 shards
     // need a merged copy.
     let merged: Vec<Option<Capture>>;
@@ -1015,7 +987,7 @@ pub(crate) fn poll_collect(
             .collect();
         &merged
     };
-    collect_results(
+    Ok(collect_results(
         &lead.compiled.program,
         |idx| {
             let frame = frames[idx].as_ref().expect("groupby frame");
@@ -1023,14 +995,14 @@ pub(crate) fn poll_collect(
         },
         captures,
         &lead.params,
-    )
+    ))
 }
 
 /// Poll one program over its worker runtimes (shard order), every query
 /// read from the workers' own stores — [`poll_collect`] without alias
 /// redirection, for [`Runtime::poll_results`] and
 /// [`crate::ShardedRuntime::poll_results`].
-pub(crate) fn poll_own(workers: &[Runtime]) -> ResultSet {
+pub(crate) fn poll_own(workers: &[Runtime]) -> Result<ResultSet, Error> {
     let stores: Vec<_> = (workers[0].stores.iter().enumerate())
         .map(|(q, store)| store.as_ref().map(|_| (workers, q)))
         .collect();
@@ -1375,7 +1347,7 @@ mod order_contract {
                     store.remove_key(&InlineKey::from_slice(&keys[i as usize / 2].0[..width]));
                 }
             }
-            let frame = store.snapshot();
+            let frame = store.snapshot().unwrap();
             let rows = check(&compiled, || backing_rows(frame.backing()))?;
             prop_assert_eq!(rows, frame.len());
         }
@@ -1425,15 +1397,12 @@ mod tests {
         // runtime silently mis-folded records. The check is now an
         // always-on typed error, paid once per batch entry.
         let mut rt = runtime("SELECT COUNT GROUPBY srcip");
-        let rec = record(1, 1, 0, Some(50), 0);
-        rt.try_process_record(&rec).expect("live runtime accepts");
+        let rec = [record(1, 1, 0, Some(50), 0)];
+        rt.try_process_batch(&rec).expect("live runtime accepts");
         rt.finish();
         assert!(rt.is_finished());
-        let err = rt.try_process_record(&rec).expect_err("finished rejects");
-        assert_eq!(err, LifecycleError::ProcessAfterFinish);
-        let err = rt
-            .try_process_batch(std::slice::from_ref(&rec))
-            .expect_err("finished rejects batches");
+        let err = rt.try_process_batch(&rec).expect_err("finished rejects");
+        assert!(matches!(err, Error::Finished));
         assert!(format!("{err}").contains("after finish()"));
         // The record never folded: the count is still 1.
         let rs = rt.collect();

@@ -71,6 +71,7 @@ use crate::compiler::CompiledProgram;
 use crate::durable::Durability;
 use crate::result::{value_key, ResultSet};
 use crate::runtime::{poll_own, Runtime};
+use crate::Error;
 use perfq_lang::ir::FoldClass;
 use perfq_lang::{QueryInput, ResolvedKind, Value};
 use perfq_switch::{spsc, QueueRecord};
@@ -410,12 +411,17 @@ impl ShardedRuntime {
     /// the records routed so far, and polling never perturbs the eventual
     /// drain (pinned by `tests/poll_equivalence.rs`).
     ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when a shard's spill tier holds part of the truth and
+    /// cannot be read; the workers resume with their state intact, and a
+    /// later poll retries.
+    ///
     /// # Panics
     ///
     /// Panics if the producer side was handed away via
     /// [`ShardedRuntime::take_feeds`], or if a worker died.
-    #[must_use]
-    pub fn poll_results(&mut self) -> ResultSet {
+    pub fn poll_results(&mut self) -> Result<ResultSet, Error> {
         self.paused(|_, workers| poll_own(workers))
     }
 
@@ -441,10 +447,14 @@ impl ShardedRuntime {
     /// `i`'s stores persist under `p0_s<i>_`, and one manifest covers all
     /// shards.
     ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when a spill tier cannot be opened.
+    ///
     /// # Panics
     ///
     /// Panics under the same conditions as a poll.
-    pub fn enable_durability(&mut self, d: Durability) -> std::io::Result<()> {
+    pub fn enable_durability(&mut self, d: Durability) -> Result<(), Error> {
         self.paused(|plane, workers| {
             for (sub, rt) in named(workers) {
                 rt.enable_durability_prefixed(&d, &sub)?;
@@ -460,13 +470,16 @@ impl ShardedRuntime {
     /// from the returned index routes every record to the same shard it
     /// originally reached.
     ///
+    /// # Errors
+    ///
+    /// As [`Runtime::persist`]; the workers resume either way.
+    ///
     /// # Panics
     ///
-    /// Panics unless [`ShardedRuntime::enable_durability`] was called, and
-    /// under the same conditions as a poll.
-    pub fn persist(&mut self) -> std::io::Result<()> {
+    /// Panics under the same conditions as a poll.
+    pub fn persist(&mut self) -> Result<(), Error> {
         self.paused(|plane, workers| {
-            let d = (plane.durability.as_ref()).expect("persist requires enable_durability");
+            let d = plane.durability.as_ref().ok_or(Error::NotDurable)?;
             crate::durable::persist(
                 d,
                 plane.records,
@@ -480,11 +493,15 @@ impl ShardedRuntime {
     /// with the **resume index** (see [`Runtime::recover`]). The
     /// checkpointed record count lands on shard 0, so the drain's record
     /// count includes the checkpointed prefix.
+    ///
+    /// # Errors
+    ///
+    /// As [`Runtime::recover`].
     pub fn recover(
         compiled: CompiledProgram,
         shards: usize,
         d: Durability,
-    ) -> std::io::Result<(Self, u64)> {
+    ) -> Result<(Self, u64), Error> {
         let mut plane = ShardedRuntime::new(compiled, shards);
         let at = plane.paused(|plane, workers| {
             let resume = crate::durable::recover(&d, &mut named(workers))?;
@@ -493,7 +510,7 @@ impl ShardedRuntime {
             plane.records = at;
             plane.persisted_at = resume;
             plane.durability = Some(d);
-            Ok::<_, std::io::Error>(at)
+            Ok::<_, Error>(at)
         })?;
         Ok((plane, at))
     }

@@ -672,7 +672,7 @@ mod tests {
                 handle.lock().unwrap().arm(at, torn);
                 assert!(s.persist(600).is_err(), "the armed fault fires");
                 handle.lock().unwrap().heal();
-                let polled: u64 = counts(s.snapshot().backing().iter())
+                let polled: u64 = counts(s.snapshot().unwrap().backing().iter())
                     .iter()
                     .map(|r| r.1)
                     .sum();

@@ -273,20 +273,15 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// most one residency per key, so per-key results would not depend on
     /// that order anyway.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a dirty spill tier cannot be read.
-    #[must_use]
-    pub fn snapshot(&self) -> StoreSnapshot<K, O::Value> {
+    /// The I/O error of a dirty spill tier that cannot be read; the live
+    /// store is untouched either way.
+    pub fn snapshot(&self) -> io::Result<StoreSnapshot<K, O::Value>> {
         let ops = &self.ops;
         let mut backing = match &self.spill {
             Some(tier) if tier.is_dirty() => {
-                let keys = tier.segment_keys() + self.backing.len() + self.cache.len();
-                let mut disk = BackingStore::with_capacity(ops.merge_mode(), keys);
-                tier.materialize_into(&mut disk, |standing, evicted| {
-                    ops.merge(standing, evicted);
-                })
-                .expect("spill-tier read during poll");
+                let mut disk = replay_spill(tier, ops, self.backing.len() + self.cache.len())?;
                 for (key, entry) in self.backing.iter() {
                     disk.replace_entry(key.clone(), entry.clone());
                 }
@@ -307,13 +302,18 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
         let mut stats = self.stats;
         stats.flush_writes += self.cache.len() as u64;
         stats.backing_writes += self.cache.len() as u64;
-        StoreSnapshot { backing, stats }
+        Ok(StoreSnapshot { backing, stats })
     }
 
     /// Overwrite `snap` with [`SplitStore::snapshot`] — a frame is never
     /// refreshed in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a dirty spill tier cannot be read; call
+    /// [`SplitStore::snapshot`] to get that error instead.
     pub fn snapshot_into(&self, snap: &mut StoreSnapshot<K, O::Value>) {
-        *snap = self.snapshot();
+        *snap = self.snapshot().expect("spill-tier read");
     }
 
     /// Merge a consistent frame of this store **into** `snap` — the
@@ -324,19 +324,24 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     /// same order-normalized machinery the sharded drain uses
     /// ([`crate::BackingStore::absorb_entry`]), so the result matches
     /// [`SplitStore::absorb_store`] over clones of the workers.
-    pub fn snapshot_merge_into(&self, snap: &mut StoreSnapshot<K, O::Value>) {
+    ///
+    /// # Errors
+    ///
+    /// As [`SplitStore::snapshot`]; `snap` is untouched then.
+    pub fn snapshot_merge_into(&self, snap: &mut StoreSnapshot<K, O::Value>) -> io::Result<()> {
         // In-shard combination first (a cache residency joins *this* store's
         // standing entry exactly as flush() would), then the cross-shard
         // entry absorption — the same two-step order `absorb_store` uses, so
         // interval unions, latest-residency picks and epoch sorting see the
         // same operand grouping and the frame is bit-identical to draining
         // worker clones.
-        let frame = self.snapshot();
+        let frame = self.snapshot()?;
         let ops = &self.ops;
         snap.backing.merge_from(frame.backing, |standing, evicted| {
             ops.merge(standing, evicted);
         });
         snap.stats.absorb(&frame.stats);
+        Ok(())
     }
 
     /// Enable the durable spill tier: evictions of keys with no standing
@@ -448,11 +453,7 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
         } = self;
         let Some(tier) = spill else { return Ok(()) };
         if tier.is_dirty() {
-            let keys = tier.segment_keys() + backing.len() + cache.len();
-            let mut disk = BackingStore::with_capacity(ops.merge_mode(), keys);
-            tier.materialize_into(&mut disk, |standing, evicted| {
-                ops.merge(standing, evicted);
-            })?;
+            let disk = replay_spill(tier, ops, backing.len() + cache.len())?;
             let ram = std::mem::replace(backing, disk);
             backing.replace_from(ram);
         }
@@ -582,6 +583,20 @@ impl<K: Eq + Hash, V> Default for StoreSnapshot<K, V> {
     fn default() -> Self {
         StoreSnapshot::new(MergeMode::Merge)
     }
+}
+
+// A dirty spill tier's durable frames replayed into a fresh table, presized
+// for them and `room` more keys: the disk half of the truth, in which
+// `snapshot` and `materialize_spill` then let every standing RAM record
+// replace its own frames.
+fn replay_spill<K: Eq + Hash, O: ValueOps>(
+    tier: &SpillTier<K, O::Value>,
+    ops: &O,
+    room: usize,
+) -> io::Result<BackingStore<K, O::Value>> {
+    let mut disk = BackingStore::with_capacity(ops.merge_mode(), tier.segment_keys() + room);
+    tier.materialize_into(&mut disk, |standing, evicted| ops.merge(standing, evicted))?;
+    Ok(disk)
 }
 
 // Route an evicted entry into the collection tier with the fold's merge.
@@ -906,7 +921,7 @@ mod tests {
         }
         let stats_before = s.stats();
         let cache_before = s.cache().len();
-        let snap = s.snapshot();
+        let snap = s.snapshot().unwrap();
         assert_frame_is_clone_flush(&s, &snap);
         // The live store never noticed.
         assert_eq!(s.stats(), stats_before);
@@ -946,7 +961,7 @@ mod tests {
         s.observe(1, &5, Nanos(0));
         s.observe(2, &7, Nanos(1)); // evicts 1 (epoch 1)
         s.observe(1, &9, Nanos(2)); // evicts 2; key 1 re-enters
-        let snap = s.snapshot();
+        let snap = s.snapshot().unwrap();
         assert_frame_is_clone_flush(&s, &snap);
         assert!(!snap.backing().get(&1).unwrap().is_valid());
         assert!(snap.backing().get(&2).unwrap().is_valid());
@@ -1006,7 +1021,7 @@ mod tests {
         for k in 0..6u64 {
             s.observe(k, &(), Nanos(k));
         }
-        assert_eq!(s.snapshot().len(), 6, "the poll reads all six");
+        assert_eq!(s.snapshot().unwrap().len(), 6, "the poll reads all six");
         s.materialize_spill().unwrap();
         s.flush();
         assert_eq!(s.backing().len(), 6, "the drain must too");
@@ -1023,8 +1038,8 @@ mod tests {
         for (i, k) in [3u64, 4, 3, 4, 3].iter().enumerate() {
             b.observe(*k, &(), Nanos(100 + i as u64));
         }
-        let mut snap = a.snapshot();
-        b.snapshot_merge_into(&mut snap);
+        let mut snap = a.snapshot().unwrap();
+        b.snapshot_merge_into(&mut snap).unwrap();
         let mut reference = a.clone();
         reference.absorb_store(b.clone());
         assert_eq!(snap.len(), reference.backing().len());
@@ -1098,7 +1113,7 @@ mod proptests {
                     let mut flushed = s.clone();
                     flushed.flush();
                     assert_eq!(
-                        records(s.snapshot().backing()),
+                        records(s.snapshot().unwrap().backing()),
                         records(flushed.backing()),
                         "{mode:?} / {geom} / {}",
                         policy.name()
@@ -1168,7 +1183,7 @@ mod proptests {
                         let mut reference = s.clone();
                         reference.flush();
                         let want = entries(reference.backing());
-                        let fresh = s.snapshot();
+                        let fresh = s.snapshot().unwrap();
                         s.snapshot_into(&mut reused);
                         for (what, frame) in [("fresh", &fresh), ("reused", &reused)] {
                             prop_assert_eq!(&entries(frame.backing()), &want, "{} frame, {:?}", what, mode);

@@ -49,6 +49,19 @@ impl BinOp {
     pub fn is_logical(&self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
     }
+
+    /// Binding strength (higher binds tighter) — the one table both
+    /// printers, [`Expr::canonical`] and `pretty::expr`, parenthesize by.
+    #[must_use]
+    pub fn precedence(self) -> u8 {
+        match self {
+            BinOp::Or => 1,
+            BinOp::And => 2,
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 3,
+            BinOp::Add | BinOp::Sub => 4,
+            BinOp::Mul | BinOp::Div | BinOp::Mod => 5,
+        }
+    }
 }
 
 impl fmt::Display for BinOp {
@@ -132,8 +145,17 @@ impl Expr {
     /// Canonical text of the expression — used to *name* aggregate columns so
     /// that `SUM(tout-tin)` in a downstream `WHERE` resolves to the column a
     /// previous query produced (paper §2, "per-flow high latency packets").
+    /// Parentheses stand exactly where `pretty::expr` puts them (the same
+    /// [`BinOp::precedence`] table and left-associativity rule), without
+    /// spaces, so two different expressions never share a name.
     #[must_use]
     pub fn canonical(&self) -> String {
+        self.canonical_within(0)
+    }
+
+    /// [`Expr::canonical`] as an operand of an operator of precedence
+    /// `parent`.
+    fn canonical_within(&self, parent: u8) -> String {
         match self {
             Expr::Int(v) => v.to_string(),
             Expr::Float(v) => format!("{v}"),
@@ -153,9 +175,26 @@ impl Expr {
                 };
                 format!("{}({})", name, inner.join(","))
             }
-            Expr::Unary(UnaryOp::Neg, e) => format!("-{}", e.canonical()),
-            Expr::Unary(UnaryOp::Not, e) => format!("not {}", e.canonical()),
-            Expr::Binary(op, l, r) => format!("{}{}{}", l.canonical(), op, r.canonical()),
+            Expr::Unary(UnaryOp::Neg, e) => format!("-{}", e.canonical_within(6)),
+            Expr::Unary(UnaryOp::Not, e) => {
+                let s = format!("not {}", e.canonical_within(3));
+                if parent > 2 {
+                    format!("({s})")
+                } else {
+                    s
+                }
+            }
+            Expr::Binary(op, l, r) => {
+                let p = op.precedence();
+                // Left-associative: the right operand needs a strictly
+                // higher level.
+                let s = format!("{}{op}{}", l.canonical_within(p), r.canonical_within(p + 1));
+                if p < parent {
+                    format!("({s})")
+                } else {
+                    s
+                }
+            }
         }
     }
 }

@@ -129,18 +129,6 @@ pub fn expr(e: &Expr) -> String {
     expr_prec(e, 0)
 }
 
-/// Operator precedence (higher binds tighter).
-fn prec(op: crate::ast::BinOp) -> u8 {
-    use crate::ast::BinOp::*;
-    match op {
-        Or => 1,
-        And => 2,
-        Eq | Ne | Lt | Le | Gt | Ge => 3,
-        Add | Sub => 4,
-        Mul | Div | Mod => 5,
-    }
-}
-
 fn expr_prec(e: &Expr, parent: u8) -> String {
     match e {
         Expr::Int(v) => v.to_string(),
@@ -173,7 +161,7 @@ fn expr_prec(e: &Expr, parent: u8) -> String {
             }
         }
         Expr::Binary(op, l, r) => {
-            let p = prec(*op);
+            let p = op.precedence();
             // Left-associative: the right child needs a strictly higher level.
             let s = format!("{} {} {}", expr_prec(l, p), op, expr_prec(r, p + 1));
             if p < parent {

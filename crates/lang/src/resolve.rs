@@ -692,10 +692,11 @@ impl Resolver {
             state: Vec::new(),
             body: Vec::new(),
             output: (0..key_cols.len()).map(GroupOutput::Key).collect(),
+            // Each key column keeps its input type: a boolean or float key
+            // reads back as one (a result row rebuilds it from its key word).
             schema: Schema::new(
-                key_names
-                    .iter()
-                    .map(|n| (n.clone(), ValueType::Int))
+                (key_names.iter().zip(&key_cols))
+                    .map(|(n, &c)| (n.clone(), input.type_of(c)))
                     .collect(),
             ),
             span: sq.span,

@@ -326,7 +326,7 @@ fn steady_state_batched_replay_allocates_nothing() {
             store.observe(i % 512, &(), Nanos(i));
         }
         let before = allocs();
-        let frame = store.snapshot();
+        let frame = store.snapshot().expect("no spill tier");
         let after = allocs();
         assert!(
             after - before <= 4,

@@ -34,6 +34,7 @@
 //! converge to the reference.
 
 use perfq::prelude::*;
+use perfq_core::Error;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
@@ -117,6 +118,14 @@ fn swept() -> impl Iterator<Item = &'static fig2::Fig2Query> {
     fig2::ALL.into_iter().chain([&CROSS_COUPLED])
 }
 
+/// The I/O error kind of a failed durable call.
+fn io_kind(err: &Error) -> std::io::ErrorKind {
+    match err {
+        Error::Io(e) => e.kind(),
+        other => panic!("not an I/O error: {other}"),
+    }
+}
+
 fn sorted(mut rs: ResultSet) -> ResultSet {
     rs.sort();
     rs
@@ -129,7 +138,7 @@ fn run_single(
     recs: &[QueueRecord],
     backend: &SharedBackend,
     persist_at: &[usize],
-) -> std::io::Result<ResultSet> {
+) -> Result<ResultSet, Error> {
     let mut rt = Runtime::new(compiled(src));
     rt.enable_durability(durable_small(backend))?;
     let mut fed = 0;
@@ -151,7 +160,7 @@ fn recover_single(
     recs: &[QueueRecord],
     backend: &SharedBackend,
     persist_at: &[usize],
-) -> std::io::Result<ResultSet> {
+) -> Result<ResultSet, Error> {
     let (mut rt, resume) = Runtime::recover(compiled(src), durable_small(backend))?;
     let mut fed = resume as usize;
     for &p in persist_at {
@@ -177,7 +186,7 @@ fn run_sharded(
     recs: &[QueueRecord],
     backend: &SharedBackend,
     shards: usize,
-) -> std::io::Result<(ResultSet, u64)> {
+) -> Result<(ResultSet, u64), Error> {
     let mut plane = ShardedRuntime::new(compiled(src), shards);
     plane.enable_durability(durable_buffered(backend))?;
     let mut fed = 0;
@@ -195,7 +204,7 @@ fn recover_sharded(
     recs: &[QueueRecord],
     backend: &SharedBackend,
     shards: usize,
-) -> std::io::Result<(ResultSet, u64)> {
+) -> Result<(ResultSet, u64), Error> {
     let (mut plane, resume) =
         ShardedRuntime::recover(compiled(src), shards, durable_buffered(backend))?;
     let mut fed = resume as usize;
@@ -226,7 +235,7 @@ fn multi_programs() -> Vec<CompiledProgram> {
 fn run_multi(
     recs: &[QueueRecord],
     backend: &SharedBackend,
-) -> std::io::Result<Vec<(ResultSet, u64)>> {
+) -> Result<Vec<(ResultSet, u64)>, Error> {
     let mut multi = MultiRuntime::new(multi_programs());
     assert_eq!(multi.sharing().stores.len(), 1, "R1 aliases the counter");
     multi.enable_durability(durable_small(backend))?;
@@ -244,7 +253,7 @@ fn run_multi(
 fn recover_multi(
     recs: &[QueueRecord],
     backend: &SharedBackend,
-) -> std::io::Result<Vec<(ResultSet, u64)>> {
+) -> Result<Vec<(ResultSet, u64)>, Error> {
     let (mut multi, resume) = MultiRuntime::recover(multi_programs(), durable_small(backend))?;
     let mut fed = resume as usize;
     for &p in &PERSIST_AT {
@@ -269,7 +278,7 @@ fn crash_at<T>(
     handle: &Arc<Mutex<FaultBackend>>,
     fail_at: u64,
     torn_bytes: usize,
-    schedule: impl FnOnce() -> std::io::Result<T>,
+    schedule: impl FnOnce() -> Result<T, Error>,
 ) -> Option<T> {
     handle.lock().expect("fault mutex").arm(fail_at, torn_bytes);
     let hook = panic::take_hook();
@@ -289,8 +298,8 @@ fn crash_at<T>(
 /// reference, which is returned.
 fn sweep<T: PartialEq + std::fmt::Debug>(
     what: &str,
-    run: impl Fn(&SharedBackend) -> std::io::Result<T>,
-    recover: impl Fn(&SharedBackend) -> std::io::Result<T>,
+    run: impl Fn(&SharedBackend) -> Result<T, Error>,
+    recover: impl Fn(&SharedBackend) -> Result<T, Error>,
 ) -> T {
     let (handle, backend) = fault_pair();
     let reference = run(&backend).expect("healthy run");
@@ -499,7 +508,7 @@ fn retired_results_read_back_what_uninstall_returned() {
         multi.process_batch(&recs[upto - PERSIST_AT[0]..upto]);
         let live = multi.retired(id).expect("read");
         assert!(live.is_none(), "id {id} is live");
-        let left = multi.uninstall(id).expect("publish").expect("id is live");
+        let left = multi.uninstall(id).expect("publish");
         let saw = left.tables.iter().any(|t| !t.rows.is_empty());
         assert!(saw, "id {id} saw records");
         let back = multi.retired(id).expect("read");
@@ -525,10 +534,27 @@ fn corrupt_retired_file_is_an_error() {
     let name = d.retired_name(0);
     let mut multi = durable_multi(d);
     multi.process_batch(&recs[..PERSIST_AT[0]]);
-    multi.uninstall(0).expect("publish").expect("id is live");
+    multi.uninstall(0).expect("publish");
     handle.lock().unwrap().mem().flip_bit(&name, 31);
     let err = multi.retired(0).expect_err("a corrupt file must not read");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(io_kind(&err), std::io::ErrorKind::InvalidData);
+}
+
+/// A durable call on a plane that never enabled durability, and an install
+/// id that is not installed, are typed errors, not panics.
+#[test]
+fn calls_without_a_tier_or_an_id_are_errors() {
+    let src = fig2::PER_FLOW_COUNTERS.source;
+    let mut rt = Runtime::new(compiled(src));
+    assert!(matches!(rt.persist(), Err(Error::NotDurable)));
+    let mut plane = ShardedRuntime::new(compiled(src), 2);
+    assert!(matches!(plane.persist(), Err(Error::NotDurable)));
+    let mut multi = MultiRuntime::new(multi_programs());
+    assert!(matches!(multi.persist(), Err(Error::NotDurable)));
+    assert!(matches!(multi.retired(0), Err(Error::NotDurable)));
+    assert!(matches!(multi.uninstall(7), Err(Error::UnknownProgram(7))));
+    assert!(matches!(multi.poll(7), Err(Error::UnknownProgram(7))));
+    assert_eq!(multi.ids(), &[0, 1]);
 }
 
 /// Everything a failed uninstall must leave as it was: the install ids, the
@@ -557,7 +583,6 @@ fn a_failed_retired_publish_leaves_the_program_installed() {
     twin.process_batch(&recs[..mid]);
     let before = h.lock().expect("fault mutex").ops();
     let departed = twin.uninstall(0).expect("healthy publish");
-    let departed = departed.expect("id is live");
     let after = h.lock().expect("fault mutex").ops();
     assert!(after > before, "the publish touches the backend");
     twin.process_batch(&recs[mid..]);
@@ -581,7 +606,7 @@ fn a_failed_retired_publish_leaves_the_program_installed() {
         h.lock().expect("fault mutex").heal();
         assert_eq!(shape(&mut multi), was, "{what}: a failed uninstall moved");
         let left = multi.uninstall(0).expect("healed publish");
-        assert_eq!(left.as_ref(), Some(&departed), "{what}");
+        assert_eq!(left, departed, "{what}");
         let back = multi.retired(0).expect("read");
         assert_eq!(back.as_ref(), Some(&departed), "{what}: retired(0)");
         multi.process_batch(&recs[mid..]);
@@ -652,7 +677,7 @@ fn corrupt_manifest_is_an_error() {
         handle.lock().unwrap().mem().flip_bit(&name, bit);
         let err = Runtime::recover(compiled(src), durable_small(&backend))
             .expect_err("a corrupt manifest must not recover");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "bit {bit}");
+        assert_eq!(io_kind(&err), std::io::ErrorKind::InvalidData, "bit {bit}");
         handle.lock().unwrap().mem().flip_bit(&name, bit);
     }
     let (_, resume) = Runtime::recover(compiled(src), durable_small(&backend)).expect("healthy");
@@ -686,12 +711,16 @@ fn missing_or_truncated_capture_is_an_error() {
             .unwrap();
         let err = Runtime::recover(compiled(src), durable_small(&backend))
             .expect_err("a truncated capture must not recover");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{len} bytes");
+        assert_eq!(
+            io_kind(&err),
+            std::io::ErrorKind::InvalidData,
+            "{len} bytes"
+        );
     }
     handle.lock().unwrap().mem().remove(&name).unwrap();
     let err = Runtime::recover(compiled(src), durable_small(&backend))
         .expect_err("a missing capture must not recover");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(io_kind(&err), std::io::ErrorKind::InvalidData);
     handle
         .lock()
         .unwrap()
@@ -701,7 +730,7 @@ fn missing_or_truncated_capture_is_an_error() {
     let (rt, resume) = Runtime::recover(compiled(src), durable_small(&backend)).expect("healthy");
     assert_eq!(resume, PERSIST_AT[0] as u64);
     assert!(
-        !rt.poll_results().tables[0].rows.is_empty(),
+        !rt.poll_results().expect("poll").tables[0].rows.is_empty(),
         "the capture reads back"
     );
 }
@@ -870,7 +899,11 @@ fn recovery_after_a_checkpoint_equals_the_never_crashed_run_under_every_policy()
 /// (a linear query, so durable, sharded and plain executions agree exactly;
 /// [`durable_resident`], so the in-RAM state is the whole truth). What a
 /// later `persist` on the healed backend returns is the spill tier's
-/// business; it only must not panic.
+/// business; it only must not panic. Last, the read: on a plane with a low
+/// high-water mark ([`durable_small`]) an ingest-time commit kills the
+/// backend, and the poll that reads the dirty spill tier returns `Err`,
+/// resumes the workers, and after `heal()` equals a never-faulted twin's
+/// poll; the drain still equals the plain run.
 #[test]
 fn sharded_plane_survives_a_failed_durable_call() {
     let recs = records(TOTAL);
@@ -884,7 +917,7 @@ fn sharded_plane_survives_a_failed_durable_call() {
     // The rest of the schedule after the healed failure.
     let carry_on = |mut plane: ShardedRuntime, what: &str| {
         plane.process_batch(&recs[mid..PERSIST_AT[1]]);
-        let polled = plane.poll_results();
+        let polled = plane.poll_results().expect("poll on the healed backend");
         assert!(
             !polled.tables[0].rows.is_empty(),
             "{what}: poll sees the ingested rows"
@@ -930,6 +963,164 @@ fn sharded_plane_survives_a_failed_durable_call() {
         let _ = plane.persist();
         carry_on(plane, &format!("failed persist, fail_at={fail_at}"));
     }
+
+    // A dead backend under the poll's read of the spill tier.
+    let late = PERSIST_AT[1];
+    let spilling = |b: &SharedBackend| {
+        let mut plane = ShardedRuntime::new(compiled(q.source), 2);
+        plane.enable_durability(durable_small(b)).expect("enable");
+        plane.process_batch(&recs[..mid]);
+        plane.persist().expect("healthy checkpoint");
+        plane
+    };
+    let (_, tb) = fault_pair();
+    let mut twin = spilling(&tb);
+    twin.process_batch(&recs[mid..late]);
+    let (h, b) = fault_pair();
+    let mut plane = spilling(&b);
+    let at = h.lock().expect("fault mutex").ops();
+    h.lock().expect("fault mutex").arm(at, 0);
+    plane.process_batch(&recs[mid..late]);
+    let err = plane
+        .poll_results()
+        .expect_err("a poll on the dead backend");
+    assert!(matches!(err, Error::Io(_)), "{err}");
+    assert!(h.lock().expect("fault mutex").died(), "the fault fired");
+    h.lock().expect("fault mutex").heal();
+    assert_eq!(
+        plane.poll_results().expect("poll after heal"),
+        twin.poll_results().expect("never-faulted poll"),
+        "healed poll"
+    );
+    plane.process_batch(&recs[late..]);
+    assert_eq!(sorted(plane.finish().collect()), want, "failed poll");
+}
+
+/// A poll whose read of a dirty spill tier fails is an error, not a panic,
+/// on the single-stream and the multi-program plane: a low high-water mark
+/// ([`durable_small`]) keeps the tier dirty, and the first backend
+/// operation after a checkpoint — an ingest-time commit — kills the
+/// backend. While it is dead every poll returns `Err`; after `heal()` a
+/// second poll equals a never-faulted twin's, and the drain equals the
+/// twin's drain.
+#[test]
+fn a_poll_on_a_dead_backend_is_an_error_until_healed() {
+    let recs = records(TOTAL);
+    let [mid, late] = PERSIST_AT;
+    let runtime = |b: &SharedBackend| {
+        let mut rt = Runtime::new(compiled(fig2::PER_FLOW_COUNTERS.source));
+        rt.enable_durability(durable_small(b)).expect("enable");
+        rt.process_batch(&recs[..mid]);
+        rt.persist().expect("healthy checkpoint");
+        rt
+    };
+    let (_, tb) = fault_pair();
+    let mut twin = runtime(&tb);
+    let (h, b) = fault_pair();
+    let mut rt = runtime(&b);
+    let at = h.lock().expect("fault mutex").ops();
+    h.lock().expect("fault mutex").arm(at, 0);
+    rt.process_batch(&recs[mid..late]);
+    twin.process_batch(&recs[mid..late]);
+    assert!(
+        h.lock().expect("fault mutex").died(),
+        "an ingest commit faulted"
+    );
+    let err = rt.poll_results().expect_err("a poll on the dead backend");
+    assert!(matches!(err, Error::Io(_)), "{err}");
+    h.lock().expect("fault mutex").heal();
+    let want = twin.poll_results().expect("never-faulted poll");
+    assert_eq!(rt.poll_results().expect("poll after heal"), want);
+    for plane in [&mut rt, &mut twin] {
+        plane.process_batch(&recs[late..]);
+        plane.finish();
+    }
+    assert_eq!(drained(&rt), drained(&twin), "single-stream drain");
+
+    let deployment = |b: &SharedBackend| {
+        let mut multi = durable_multi(durable_small(b));
+        multi.process_batch(&recs[..mid]);
+        multi.persist().expect("healthy checkpoint");
+        multi
+    };
+    let (_, tb) = fault_pair();
+    let mut twin = deployment(&tb);
+    let (h, b) = fault_pair();
+    let mut multi = deployment(&b);
+    let at = h.lock().expect("fault mutex").ops();
+    h.lock().expect("fault mutex").arm(at, 0);
+    multi.process_batch(&recs[mid..late]);
+    twin.process_batch(&recs[mid..late]);
+    assert!(
+        h.lock().expect("fault mutex").died(),
+        "an ingest commit faulted"
+    );
+    for id in multi.ids().to_vec() {
+        let err = multi.poll(id).expect_err("a poll on the dead backend");
+        assert!(matches!(err, Error::Io(_)), "program {id}: {err}");
+    }
+    h.lock().expect("fault mutex").heal();
+    for id in multi.ids().to_vec() {
+        let want = twin.poll(id).expect("never-faulted poll");
+        assert_eq!(
+            multi.poll(id).expect("poll after heal"),
+            want,
+            "program {id}"
+        );
+    }
+    for plane in [&mut multi, &mut twin] {
+        plane.process_batch(&recs[late..]);
+        plane.finish();
+    }
+    assert_eq!(multi.collect(), twin.collect(), "multi-program drain");
+}
+
+/// An uninstall whose final read of a dirty spill tier fails returns the
+/// error and moves nothing, as a failed publish does: the program stays
+/// installed with its stores and its sharing, and after `heal()` the
+/// retried uninstall returns what a never-faulted twin's returned, its
+/// retired file reads back, and the survivor drains like the twin's.
+#[test]
+fn a_failed_final_read_leaves_the_program_installed() {
+    let recs = records(TOTAL);
+    let [mid, late] = PERSIST_AT;
+    let deployment = |b: &SharedBackend| {
+        let mut multi = durable_multi(durable_small(b));
+        multi.process_batch(&recs[..mid]);
+        multi.persist().expect("healthy checkpoint");
+        multi
+    };
+    let (_, tb) = fault_pair();
+    let mut twin = deployment(&tb);
+    twin.process_batch(&recs[mid..late]);
+    let was = shape(&mut twin);
+    let departed = twin.uninstall(0).expect("healthy uninstall");
+    twin.process_batch(&recs[late..]);
+    twin.finish();
+    let survivors = twin.collect();
+
+    let (h, b) = fault_pair();
+    let mut multi = deployment(&b);
+    let at = h.lock().expect("fault mutex").ops();
+    h.lock().expect("fault mutex").arm(at, 0);
+    multi.process_batch(&recs[mid..late]);
+    assert!(
+        h.lock().expect("fault mutex").died(),
+        "an ingest commit faulted"
+    );
+    let err = multi
+        .uninstall(0)
+        .expect_err("a final read on the dead backend");
+    assert!(matches!(err, Error::Io(_)), "{err}");
+    assert_eq!(multi.ids(), &[0, 1], "the program stays installed");
+    h.lock().expect("fault mutex").heal();
+    assert_eq!(shape(&mut multi), was, "a failed uninstall moved");
+    assert_eq!(multi.uninstall(0).expect("healed uninstall"), departed);
+    let back = multi.retired(0).expect("read");
+    assert_eq!(back.as_ref(), Some(&departed), "retired(0)");
+    multi.process_batch(&recs[late..]);
+    multi.finish();
+    assert_eq!(multi.collect(), survivors, "survivor drain");
 }
 
 /// A failed group commit during ingest is no panic on any plane: the

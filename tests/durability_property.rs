@@ -125,7 +125,7 @@ fn run_durable(
     recs: &[QueueRecord],
     d: Durability,
     persist_at: &[usize],
-) -> std::io::Result<ResultSet> {
+) -> Result<ResultSet, perfq_core::Error> {
     let mut rt = Runtime::new(compiled(src));
     rt.enable_durability(d)?;
     let mut fed = 0;
@@ -146,7 +146,7 @@ fn recover_and_finish(
     recs: &[QueueRecord],
     d: Durability,
     persist_at: &[usize],
-) -> std::io::Result<ResultSet> {
+) -> Result<ResultSet, perfq_core::Error> {
     let (mut rt, resume) = Runtime::recover(compiled(src), d)?;
     let mut fed = resume as usize;
     for &p in persist_at {

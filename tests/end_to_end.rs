@@ -36,6 +36,27 @@ fn run_both(source: &str, records: &[QueueRecord], opts: CompileOptions) -> (Res
     (rt.collect(), oracle.collect())
 }
 
+/// A GROUPBY key keeps its input column's type: the boolean key `late`
+/// reads back as a boolean, so a downstream `WHERE late` compiles, and the
+/// runtime's drain equals the oracle's.
+#[test]
+fn boolean_groupby_keys_stay_boolean_downstream() {
+    let src = "R1 = SELECT tout > tin AS late FROM T\n\
+               R2 = SELECT late, COUNT FROM R1 GROUPBY late\n\
+               R3 = SELECT * FROM R2 WHERE late\n";
+    let compiled = compile_query(src, &fig2::default_params(), CompileOptions::default())
+        .expect("a boolean key filters downstream");
+    let recs = records(3, 10_000);
+    let mut rt = Runtime::new(compiled.clone());
+    rt.process_batch(&recs);
+    rt.finish();
+    let got = rt.collect();
+    assert_eq!(got, Oracle::run(compiled, recs.iter().cloned()));
+    let late = &got.tables[2];
+    assert!(!late.rows.is_empty(), "some packets leave late");
+    assert!(late.rows.iter().all(|r| r.values[0] == Value::Bool(true)));
+}
+
 #[test]
 fn all_fig2_queries_match_oracle_with_ample_cache() {
     let recs = records(1, 20_000);
@@ -188,7 +209,7 @@ fn periodic_polls_read_fresh_exact_results() {
         if i % 2_000 == 1_999 {
             assert!(
                 diff_tables(
-                    &rt.poll_results().tables[0],
+                    &rt.poll_results().expect("no spill tier").tables[0],
                     &oracle.collect().tables[0],
                     1e-9
                 )

@@ -248,6 +248,40 @@ fn duplicate_groupby_outputs_are_an_error() {
     assert_eq!(p.queries[0].schema.len(), 3);
 }
 
+/// Parentheses are part of an aggregate's column name wherever they change
+/// the expression: `SUM((tout-tin)-qsize)` and `SUM(tout-(tin-qsize))` are
+/// two columns, and a downstream WHERE reads the one its own text names —
+/// or fails to resolve when its upstream has no such column.
+#[test]
+fn parenthesized_aggregates_name_distinct_columns() {
+    let both = "R1 = SELECT SUM((tout-tin)-qsize), SUM(tout-(tin-qsize)) GROUPBY srcip\n";
+    let p = ok(both);
+    let names: Vec<&str> = (p.queries[0].schema.columns.iter())
+        .map(|c| c.name.as_str())
+        .collect();
+    assert_eq!(
+        names,
+        ["srcip", "SUM(tout-tin-qsize)", "SUM(tout-(tin-qsize))"]
+    );
+    for (filter, col) in [("SUM((tout-tin)-qsize)", 1), ("SUM(tout-(tin-qsize))", 2)] {
+        let p = ok(&format!(
+            "{both}R2 = SELECT srcip FROM R1 WHERE {filter} > 0\n"
+        ));
+        let Some(perfq_lang::RExpr::Binary(_, lhs, _)) = &p.queries[1].pre_filter else {
+            panic!("{filter}: a comparison filter");
+        };
+        assert_eq!(**lhs, perfq_lang::RExpr::Input(col), "{filter}");
+    }
+    let e = err("R1 = SELECT SUM((tout-tin)-qsize) GROUPBY srcip\n\
+         R2 = SELECT srcip FROM R1 WHERE SUM(tout-(tin-qsize)) > 0\n");
+    assert!(
+        e.message
+            .contains("unknown function or column `SUM(tout-(tin-qsize))`"),
+        "{}",
+        e.message
+    );
+}
+
 #[test]
 fn projections_refuse_an_output_name_and_its_alias() {
     // The same rule as GROUPBY: `qin` names `qsize`, so the second column

@@ -70,7 +70,7 @@ fn single_stream_polls_are_exact_and_non_perturbing() {
                 polled.process_batch(part);
                 seen += part.len();
                 if (i + 1) % every == 0 {
-                    let frame = sorted(polled.poll_results());
+                    let frame = sorted(polled.poll_results().expect("poll"));
                     assert_eq!(
                         frame,
                         prefix_replay(&c, &recs[..seen]),
@@ -78,7 +78,7 @@ fn single_stream_polls_are_exact_and_non_perturbing() {
                         q.name
                     );
                     assert_eq!(
-                        sorted(polled.poll_results()),
+                        sorted(polled.poll_results().expect("poll")),
                         frame,
                         "{}: a second poll with no ingest between is the same frame",
                         q.name
@@ -107,7 +107,10 @@ fn selection_captures_poll_exactly() {
     );
     let mut rt = Runtime::new(c.clone());
     rt.process_batch(&recs[..1_000]);
-    assert_eq!(sorted(rt.poll_results()), prefix_replay(&c, &recs[..1_000]));
+    assert_eq!(
+        sorted(rt.poll_results().expect("poll")),
+        prefix_replay(&c, &recs[..1_000])
+    );
     rt.process_batch(&recs[1_000..]);
     rt.finish();
     assert_eq!(sorted(rt.collect()), prefix_replay(&c, &recs));
@@ -139,7 +142,7 @@ fn sharded_polls_are_exact_and_non_perturbing() {
                 seen += part.len();
                 if i % 2 == 0 {
                     assert_eq!(
-                        sorted(polled.poll_results()),
+                        sorted(polled.poll_results().expect("poll")),
                         prefix_replay(&c, &recs[..seen]),
                         "{} ({shards} shards): poll after {seen} records",
                         q.name
@@ -175,7 +178,7 @@ fn sharded_poll_mid_ingest_never_tears() {
         fed += chunk.len();
         if i % 3 == 1 {
             assert_eq!(
-                sorted(plane.poll_results()),
+                sorted(plane.poll_results().expect("poll")),
                 prefix_replay(&c, &recs[..fed]),
                 "poll with {fed} records routed and workers mid-ingest"
             );
@@ -218,7 +221,10 @@ fn multi_runtime_poll_matches_solo_prefix_replays() {
             );
         }
     }
-    assert!(multi.poll(999).is_none(), "unknown id");
+    assert!(
+        matches!(multi.poll(999), Err(perfq_core::Error::UnknownProgram(999))),
+        "unknown id"
+    );
     multi.finish();
     let polled_final = multi.collect();
     let mut reference = MultiRuntime::new(programs);
@@ -284,7 +290,7 @@ fn durable_polls_read_through_the_spill_tier() {
                 polled.persist().expect("in-memory persist");
             }
             assert_eq!(
-                sorted(polled.poll_results()),
+                sorted(polled.poll_results().expect("poll")),
                 twin(&c, i + 1),
                 "{}: durable poll after {} batches",
                 q.name,

@@ -25,7 +25,7 @@
 //! `cross_epoch_duplicates_stay_private_and_exact`.
 
 use perfq::prelude::*;
-use perfq_core::InstallError;
+use perfq_core::Error;
 use std::sync::{Arc, Mutex};
 
 const MBIT: u64 = 1024 * 1024;
@@ -80,7 +80,7 @@ impl Plane {
         self.try_install(p).expect("install replans")
     }
 
-    fn try_install(&mut self, p: CompiledProgram) -> Result<u64, InstallError> {
+    fn try_install(&mut self, p: CompiledProgram) -> Result<u64, Error> {
         self.0.install(p)
     }
 
@@ -92,8 +92,7 @@ impl Plane {
     }
 
     fn uninstall(&mut self, id: u64) -> ResultSet {
-        let departed = self.0.uninstall(id).expect("no durable tier to publish to");
-        departed.expect("id is live")
+        (self.0.uninstall(id)).expect("a live id, no durable tier to publish to")
     }
 
     fn poll(&mut self, id: u64) -> ResultSet {
@@ -375,12 +374,10 @@ fn clamped_stores_of_different_associativity_never_share() {
 
         live.process_batch(&recs[..1000]);
         reference.process_batch(&recs[..1000]);
-        let got = live.uninstall(live.ids()[1]).expect("no durable tier");
-        let got = got.expect("the counter is live");
+        let got = live.uninstall(live.ids()[1]).expect("the counter is live");
         let want = reference
             .uninstall(reference.ids()[1])
-            .expect("no durable tier");
-        let want = want.expect("the counter is live");
+            .expect("the counter is live");
         assert_eq!(got, want, "uninstalled counter diverged at {budget} bits");
         assert!(
             live.sharing().stores.is_empty(),
@@ -448,7 +445,7 @@ fn refused_install_leaves_no_trace(
     control: &mut Plane,
     arrival: &'static str,
     what: &str,
-) -> InstallError {
+) -> Error {
     let recs = records(1200);
     live.chunk(&recs[..600]);
     control.chunk(&recs[..600]);
@@ -485,7 +482,7 @@ fn an_install_the_budget_cannot_hold_is_refused_without_a_trace() {
     let spawn = || Plane::spawn(RESIDENTS.map(compiled).to_vec(), Some(budget));
     let (mut live, mut control) = (spawn(), spawn());
     let err = refused_install_leaves_no_trace(&mut live, &mut control, grown[2], &what);
-    assert!(matches!(err, InstallError::Plan(_)), "{what}: {err}");
+    assert!(matches!(err, Error::Plan(_)), "{what}: {err}");
     drains_agree(live, control, &what);
 }
 
@@ -512,7 +509,7 @@ fn a_failed_durable_attach_refuses_the_install_and_burns_its_id() {
     }
     let arrival = fig2::LATENCY_EWMA.source;
     let err = refused_install_leaves_no_trace(&mut live, &mut control, arrival, "failed attach");
-    assert!(matches!(err, InstallError::Io(_)), "{err}");
+    assert!(matches!(err, Error::Io(_)), "{err}");
     assert!(
         handle.lock().expect("fault mutex").died(),
         "the fault fired"
@@ -617,7 +614,7 @@ fn a_durable_uninstall_retires_the_poll_taken_just_before_it() {
         let polled = multi.poll(id).expect("id is live");
         assert_eq!(
             multi.uninstall(id).expect("in-memory publish"),
-            Some(polled.clone()),
+            polled,
             "program {departing}"
         );
         let retired = multi.retired(id).expect("in-memory read");
