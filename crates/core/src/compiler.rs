@@ -15,7 +15,7 @@
 //! * streaming dataflow edges (query composition) are wired up.
 
 use crate::foldops::FoldOps;
-use perfq_kvstore::{CacheGeometry, EvictionPolicy};
+use perfq_kvstore::{CacheGeometry, EvictionPolicy, KeyLayout};
 use perfq_lang::{QueryInput, ResolvedKind, ResolvedProgram};
 use perfq_switch::{AluReport, AluSpec, AluViolation};
 
@@ -70,6 +70,9 @@ pub struct StorePlan {
     /// Width of the aggregation key on the wire, in bits (the paper's §4
     /// running example: the 5-tuple is 104 bits).
     pub key_bits: u32,
+    /// The key's column widths, by which the cache packs a key into its
+    /// slot word (their sum is `key_bits`).
+    pub key_layout: KeyLayout,
     /// Width of the value, in bits.
     pub value_bits: u32,
     /// The fold's value operations (update + merge semantics).
@@ -111,6 +114,7 @@ pub fn compile_program(program: ResolvedProgram, options: CompileOptions) -> Com
     // front end reports every aggregation's key/state bit widths, and the
     // physical planner (and the SRAM area planner downstream) consume them.
     let widths = program.store_widths();
+    let key_widths = program.key_widths();
     let mut stores = Vec::with_capacity(n);
     let mut alu = Vec::with_capacity(n);
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -129,6 +133,7 @@ pub fn compile_program(program: ResolvedProgram, options: CompileOptions) -> Com
                     policy: options.policy,
                     hash_seed: options.hash_seed ^ (idx as u64).wrapping_mul(0x9e37_79b9),
                     key_bits: width.key_bits,
+                    key_layout: KeyLayout::new(key_widths[idx].as_deref().unwrap_or_default()),
                     value_bits: width.value_bits,
                     ops: FoldOps::new(g.fold.clone(), params.clone()),
                 }));
@@ -211,6 +216,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A bucketed cache past the slot-word index is refused when the query
+    /// compiles, not by a panic when its runtime is built; at the limit it
+    /// compiles and builds. A fully-associative cache has no slot words.
+    #[test]
+    fn a_cache_past_the_slot_word_index_is_a_plan_error() {
+        use crate::{compile_query, Error, Runtime};
+        use perfq_kvstore::{PlanError, MAX_BUCKETED_PAIRS};
+        let at = |cache_pairs, ways| {
+            let options = CompileOptions {
+                cache_pairs,
+                ways,
+                ..Default::default()
+            };
+            compile_query(
+                "SELECT COUNT GROUPBY srcip",
+                &fig2::default_params(),
+                options,
+            )
+        };
+        match at(MAX_BUCKETED_PAIRS + 1, 8) {
+            Err(Error::Plan(PlanError::TooManyPairs { query, pairs })) => {
+                assert_eq!((query.as_str(), pairs), ("__q0", MAX_BUCKETED_PAIRS + 8));
+            }
+            other => panic!("expected TooManyPairs, got {other:?}"),
+        }
+        let limit = at(MAX_BUCKETED_PAIRS, 8).expect("the limit itself compiles");
+        let _ = Runtime::new(limit);
+        assert!(at(MAX_BUCKETED_PAIRS + 1, 0).is_ok());
     }
 
     #[test]

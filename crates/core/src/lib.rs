@@ -126,23 +126,29 @@
 //! does not rise (111 → 105 and 231 → 217).
 //!
 //! The isolated `observe` replays a `CounterOps` store — its fold is a
-//! bare `+= 1` — so this ledger has never priced the real fold, and the
-//! `rest` row is not a residue of small things. A gprofng clock profile
-//! (`scripts/profile.sh resident_counters`; 30 s, seed 42, ≈ 190
-//! samples in the engine per side) names it.
-//! At the parent, `Runtime::try_process_batch` split into
-//! `SramCache::upsert_slot` 49 % (hash and probe), the fold through the
-//! bytecode interpreter (`FoldOps::update` → `Program::exec`) 23 %, libc
-//! `memcpy` / `bcmp` 18 % — the variable-length copies in
-//! `InlineKey::from_slice` and `SeededHasher::write`, and the key
-//! compares — and `write_row_masked_into` 4 %. In this tree `COUNT,
-//! SUM(pkt_len)` runs on the constant-A kernel (the fold fell to 14 %,
-//! most of it `Value::binop` calls), keys are built in place and hashed a
-//! word at a time (libc fell to 7 %, the `bcmp` of the 40-byte key
-//! compares), and the store probe is the one large term: `upsert_slot`
-//! 59 %.
-//! Every workload's working set fits this box's L3; `ROADMAP.md`
-//! direction 7(b) records why overlapping the probes' loads was struck.
+//! bare `+= 1` — so this ledger has never priced the real fold; a gprofng
+//! clock profile (`scripts/profile.sh <workload>`, 10 s, seed 42) names
+//! where the engine's time goes. At `430050f` on `multi_polled`,
+//! `SramCache::upsert_slot` (hash and probe) took 43 % of all samples, and
+//! 15 % fell on two compare lines inside it: the derived `InlineKey`
+//! `PartialEq` and the slice compare behind it, the arena confirm of every
+//! hit on a key wider than one word. Each aggregation now carries a
+//! compiled key layout (`StorePlan::key_layout`, its key columns' wire
+//! widths): `(srcip, dstip)` and the 5-tuple pack into the slot word's
+//! 104-bit tag, so a hit is one tag compare that never loads the key
+//! arena, the run tracker compares packed words, and the placement hash
+//! skips its seed and length rounds. In this tree's profile of
+//! `multi_polled`, `upsert_slot` takes 39 % with no key compare and no
+//! `bcmp` under it: its hot lines are the tag compare and the state
+//! access — loads that miss, not instructions — and `locate` (hash and
+//! pack) is 8 %. One `--trace 1` run per side, parent → this tree:
+//! `core.ingest_ns_per_record` 92 → 82 (`resident_counters`), 174 → 154
+//! (`evict_counters`), 167 → 122 (`durable_spill`) and 629 → 611
+//! (`multi_polled`, three programs per record).
+//! Every workload's working set fits this box's L3. Overlapping the
+//! probes' loads has been tried twice and read no gain: a prefetch pass
+//! (CHANGES.md, PR 6) and a pass that touches every lane's bucket before
+//! the sweep (ROADMAP direction 7).
 //! The vectorized GroupBy sweep
 //! coalesces equal-key *runs* — one `observe_run_first` probe per run,
 //! `observe_run_next` through the already-resolved handle for the rest —
@@ -461,8 +467,9 @@ use std::collections::HashMap;
 pub enum Error {
     /// The query text failed to lex, parse or resolve.
     Lang(LangError),
-    /// The cache planner rejected a deployment: the budget cannot hold its
-    /// programs, or no program has a store to provision.
+    /// The cache planner rejected a deployment — the budget cannot hold its
+    /// programs, or no program has a store to provision — or a cache is
+    /// larger than its slot words can index.
     Plan(PlanError),
     /// A read or write of the durable tier failed: attaching, checkpointing
     /// or recovering it, publishing or reading retired results, or a poll's
@@ -529,12 +536,23 @@ impl From<std::io::Error> for Error {
 ///
 /// # Errors
 ///
-/// [`Error::Lang`] when the text fails to lex, parse or resolve.
+/// [`Error::Lang`] when the text fails to lex, parse or resolve;
+/// [`Error::Plan`] ([`PlanError::TooManyPairs`]) when an aggregation's
+/// cache is bucketed and holds more pairs than its slot words can index.
 pub fn compile_query(
     source: &str,
     params: &HashMap<String, Value>,
     options: CompileOptions,
 ) -> Result<CompiledProgram, Error> {
     let program = perfq_lang::compile(source, params)?;
-    Ok(compile_program(program, options))
+    let compiled = compile_program(program, options);
+    for (q, plan) in compiled.program.queries.iter().zip(&compiled.stores) {
+        if let Some(plan) = plan.as_ref().filter(|p| !p.geometry.is_buildable()) {
+            return Err(Error::Plan(PlanError::TooManyPairs {
+                query: q.name.clone(),
+                pairs: plan.geometry.capacity(),
+            }));
+        }
+    }
+    Ok(compiled)
 }

@@ -205,7 +205,7 @@ type Pair = ((usize, usize), (usize, usize));
 pub(crate) type Side<'a> = (&'a CompiledProgram, &'a ExecPlan);
 
 /// Physical store-plan identity: geometry, eviction policy, placement hash
-/// seed, key/value widths and the dataplane fold.
+/// seed, key/value widths, key layout and the dataplane fold.
 ///
 /// `geometry: false` drops the geometry comparison — the relaxed rule an
 /// install nominates with under a budget. An arrival carries its compiled
@@ -219,6 +219,7 @@ fn phys_eq(a: &StorePlan, b: &StorePlan, geometry: bool) -> bool {
         && a.policy == b.policy
         && a.hash_seed == b.hash_seed
         && a.key_bits == b.key_bits
+        && a.key_layout == b.key_layout
         && a.value_bits == b.value_bits
         && a.ops.dataplane_identical(&b.ops)
 }

@@ -154,10 +154,11 @@ impl Runtime {
         let mut captures = Vec::with_capacity(n);
         for (idx, q) in compiled.program.queries.iter().enumerate() {
             match &compiled.stores[idx] {
-                Some(plan) => stores.push(Some(SplitStore::new(
+                Some(plan) => stores.push(Some(SplitStore::with_key_layout(
                     plan.geometry,
                     plan.policy,
                     plan.hash_seed,
+                    plan.key_layout,
                     plan.ops.clone(),
                 ))),
                 None => stores.push(None),
@@ -484,8 +485,12 @@ impl Runtime {
                     // rest of the run folds straight into the held slot.
                     // Byte-identical to one probe per row — a run is never
                     // interrupted by another key, so every post-first
-                    // packet is a guaranteed hit on an unmoved slot.
-                    let mut run: Option<(InlineKey, perfq_kvstore::SlotHandle)> = None;
+                    // packet is a guaranteed hit on an unmoved slot. A run
+                    // is named by its key packed under the store's layout
+                    // (one `u128` compare); a key that does not pack is
+                    // compared with the key resident in the held slot.
+                    let layout = *store.key_layout();
+                    let mut run: Option<(Option<u128>, perfq_kvstore::SlotHandle)> = None;
                     let mut live = mask;
                     let mut m = mask;
                     while m != 0 {
@@ -499,14 +504,20 @@ impl Runtime {
                             }
                         }
                         let key = build_group_key(key_cols, input, key_buf);
-                        let state = match &run {
-                            Some((rkey, handle)) if *coalesce && *rkey == key => {
-                                store.observe_run_next(*handle, input, nows[lane])
+                        let packed = layout.pack(key.as_slice());
+                        let same_run = |(rpacked, handle)| match (rpacked, packed) {
+                            (Some(a), Some(b)) => a == b,
+                            (None, None) => *store.slot_key(handle) == key,
+                            _ => false,
+                        };
+                        let state = match run {
+                            Some(r @ (_, handle)) if *coalesce && same_run(r) => {
+                                store.observe_run_next(handle, input, nows[lane])
                             }
                             _ => {
                                 let (state, handle) =
-                                    store.observe_run_first(key.clone(), input, nows[lane]);
-                                run = Some((key, handle));
+                                    store.observe_run_first(key, input, nows[lane]);
+                                run = Some((packed, handle));
                                 state
                             }
                         };

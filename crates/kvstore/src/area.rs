@@ -182,6 +182,14 @@ pub enum PlanError {
         /// The colliding name.
         name: String,
     },
+    /// A bucketed store's cache holds more pairs than its slot words can
+    /// index ([`crate::geometry::MAX_BUCKETED_PAIRS`]).
+    TooManyPairs {
+        /// Name of the query whose store was provisioned too large.
+        query: String,
+        /// The pairs the cache would hold.
+        pairs: usize,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -207,6 +215,12 @@ impl fmt::Display for PlanError {
             PlanError::DuplicateName { name } => {
                 write!(f, "duplicate query name `{name}` in the demand list")
             }
+            PlanError::TooManyPairs { query, pairs } => write!(
+                f,
+                "query `{query}`: a bucketed cache of {pairs} pairs exceeds the {} its \
+                 slot words can index",
+                crate::geometry::MAX_BUCKETED_PAIRS
+            ),
         }
     }
 }
@@ -551,6 +565,12 @@ impl CachePlanner {
                                 slice_bits: slice,
                                 pair_bits: t.demand.pair_bits,
                             })?;
+                        if !geometry.is_buildable() {
+                            return Err(PlanError::TooManyPairs {
+                                query: d.name.clone(),
+                                pairs: geometry.capacity(),
+                            });
+                        }
                         StoreAllocation {
                             pair_bits: t.demand.pair_bits,
                             slice_bits: slice,
@@ -586,6 +606,32 @@ mod tests {
     use super::*;
 
     const MBIT: u64 = 1024 * 1024;
+
+    /// The planner refuses to provision a bucketed store past the slot-word
+    /// index and provisions one at it. Power-of-two rows make every
+    /// bucketed capacity `rows × ways` with `rows ≥ 2` even, so the
+    /// smallest one past the limit is two pairs over: two rows of
+    /// `2^22 + 1` ways. A fully-associative store has no such limit.
+    #[test]
+    fn a_store_past_the_slot_word_index_is_a_plan_error() {
+        use crate::geometry::MAX_BUCKETED_PAIRS as MAX;
+        let plan = |pairs: usize, ways: usize| {
+            let demand = QueryDemand::new("q", vec![StoreDemand::new(128, ways)]);
+            CachePlanner::new(pairs as u64 * 128).plan(&[demand])
+        };
+        let capacity = |p: AreaPlan| p.queries[0].stores[0].geometry.capacity();
+        assert_eq!(plan(MAX, 8).map(capacity), Ok(MAX));
+        assert_eq!(plan(MAX + 2, 1 << 22).map(capacity), Ok(MAX));
+        let too_many = |pairs| {
+            Err(PlanError::TooManyPairs {
+                query: "q".into(),
+                pairs,
+            })
+        };
+        assert_eq!(plan(MAX + 2, (1 << 22) + 1), too_many(MAX + 2));
+        assert_eq!(plan(2 * MAX, 8), too_many(2 * MAX));
+        assert_eq!(plan(2 * MAX, 0).map(capacity), Ok(2 * MAX));
+    }
 
     #[test]
     fn pair_bits_match_paper() {

@@ -4,8 +4,9 @@
 //!
 //! * `BucketedCache` — the hardware layout of Fig. 4 in a struct-of-arrays
 //!   memory layout: `n` hash buckets of `m` slots, victim chosen within the
-//!   bucket. A probe is one hash, one tag-word compare, and at most `m` key
-//!   confirms (see the memory-layout sketch below).
+//!   bucket. A probe is one hash and one tag compare per way; only a key
+//!   that does not pack into the tag is confirmed in the key arena (see the
+//!   memory-layout sketch below).
 //! * `FullLruCache` — used when `n = 1` (the paper's fully-associative
 //!   configuration). A hash-map index plus an intrusive doubly-linked list
 //!   gives O(1) lookup and true-LRU eviction; a linear scan of 2^18 ways per
@@ -25,35 +26,41 @@
 //! a set probe compares all of the set's tags against the probe tag in one
 //! cycle, and only the matching way's data is read. `BucketedCache` mirrors
 //! that split with a *wide* tag. The geometry-fixed side is a flat array of
-//! 128-bit *slot words* — per slot a 64-bit key **discriminant** (the key's
-//! sole word when the key fits 64 bits, its seeded hash otherwise), an
-//! *exact* flag, and a 24-bit data-way index (0 = empty) — plus per-bucket
-//! occupancy counts; the data side is two parallel flat arrays (keys, and
-//! values fused with their residency timestamps and recency counters)
-//! indexed by the slot word's low bits:
+//! 128-bit *slot words* plus per-bucket occupancy counts; the data side is
+//! two parallel flat arrays (keys, and values fused with their residency
+//! timestamps and recency counters) indexed by the slot word's low bits.
+//! A slot word is a 104-bit tag, an *exact* flag and a 23-bit data-way
+//! index:
 //!
 //! ```text
 //!                bucket b, slots 0..m        one u128 per slot
-//! slots  [ disc₀ │e│ idx₀ ] [ disc₁ │e│ idx₁ ] …
-//!           └─┬──┘              ← one 64-bit discriminant compare per way
-//!             │                   (exact ⇒ equality decided right here;
-//!             │                    inexact ⇒ filter, confirm below)
-//!             ▼ (low 24 bits, on discriminant match only)
+//!          high 64 bits        low 64 bits
+//! slots  [ key bits 0..64  │ key bits 64..104 │ e=1 │ idx ]   packed key
+//!        [ seeded hash     │ 0                │ e=0 │ idx ]   any other key
+//!          └───── tag (all but idx): one compare per way ──┘
+//!                          (exact ⇒ equality decided right here;
+//!                           inexact ⇒ filter, confirm below)
+//!             ▼ (low 23 bits, on a tag match only)
 //! keys   [ k₀ │ k₁ │ … ]          full keys — the equality confirm
 //! state  [ v₀,t₀ⁱⁿ,t₀ˡᵃˢᵗ,lru₀ │ … ]  fold state + residency + recency
 //! ```
 //!
-//! What fills the discriminant is the [`SlotKey`] contract: a key that fits
-//! one word stores the *key itself* and sets the exact bit, so a hit is
-//! decided entirely inside the slot word — the probe touches **one** cache
-//! line before the state array and never loads the key arena. Wider keys
-//! store the seeded 64-bit hash (a 2⁻⁶⁴ false-positive filter per occupied
-//! way; the bucket index consumes `h mod n`, which leaves the compared word
-//! discriminating) and confirm on the full key only after a discriminant
-//! match. Either way a probe is **one hash, at most `m` 64-bit compares,
-//! and — only for wide keys — ~one key confirm**. This is the software
-//! spelling of the hardware's parallel tag compare, and the filter load
-//! *is* the data-way pointer load.
+//! What fills the tag is the [`SlotKey`] contract, under the cache's key
+//! layout — for an aggregation's `InlineKey` the compiled width of each key
+//! column (`(srcip, dstip)` is 64 bits, the 5-tuple the paper's 104). A key
+//! whose words fit their widths packs losslessly into the 104 tag bits and
+//! sets the exact bit, so a hit is decided entirely inside the slot word —
+//! the probe touches **one** cache line before the state array and never
+//! loads the key arena. Any other key (a word past its width, a layout
+//! wider than 104 bits) stores its seeded 64-bit hash (a 2⁻⁶⁴
+//! false-positive filter per occupied way; the bucket index consumes
+//! `h mod n`, which leaves the compared word discriminating) and confirms
+//! on the full key only after a tag match. Either way a probe is **one
+//! hash, at most `m` tag compares, and — only for keys that do not pack —
+//! ~one key confirm**. This is the software spelling of the hardware's
+//! parallel tag compare, and the filter load *is* the data-way pointer
+//! load. The 23-bit index bounds a bucketed cache at
+//! [`MAX_BUCKETED_PAIRS`] = 2^23 pairs, 32× the paper's 2^18-pair point.
 //!
 //! Construction is O(1) work per page regardless of capacity (the
 //! geometry-fixed arrays are lazily-zeroed primitive words — SRAM is
@@ -65,48 +72,61 @@
 //! the slot words: it zeroes them wholesale and streams the two data
 //! arrays out front to back, the order [`SramCache::for_each_slot`] visits.
 
-use crate::geometry::CacheGeometry;
-use crate::hash::hash_key;
+use crate::geometry::{CacheGeometry, MAX_BUCKETED_PAIRS};
+use crate::hash::PlacementHash;
 use crate::policy::{EvictionPolicy, VictimRng};
 use perfq_packet::Nanos;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// How a key projects into the 64-bit discriminant of a packed slot word.
+/// How a key packs into the tag of a slot word.
 ///
-/// `slot_word(hash)` returns `(discriminant, exact)`:
+/// `pack(layout)` returns the key packed losslessly into
+/// [`PACKED_KEY_BITS`](crate::key::PACKED_KEY_BITS) bits, or `None`:
 ///
-/// * **exact** — the discriminant losslessly encodes the key: two exact
-///   keys with equal discriminants are equal keys, so a probe hit is
-///   decided inside the slot word without touching the key arena.
-/// * **inexact** — the discriminant is a filter (conventionally the seeded
-///   64-bit key hash): equal discriminants mean "almost certainly equal",
-///   and the probe confirms on the full key in the arena.
+/// * **packed (exact)** — the slot word holds the key itself: two keys that
+///   pack to the same value are equal keys, so a probe decides a hit inside
+///   the slot word without touching the key arena.
+/// * **`None` (inexact)** — the slot word holds the seeded 64-bit key hash,
+///   a filter: equal hashes mean "almost certainly equal", and the probe
+///   confirms on the full key in the arena.
 ///
-/// Two laws: (1) for any keys `a`, `b` whose results are both exact,
-/// equal discriminants imply `a == b`; (2) the projection is a pure
-/// function of the key (the cache passes the same seeded hash for the
-/// same key, so reusing `hash` keeps it pure).
-pub trait SlotKey {
-    /// The slot discriminant for this key. `hash` is the seeded 64-bit
-    /// key hash the cache already computed for bucket placement — free to
-    /// reuse as the inexact filter.
-    fn slot_word(&self, hash: u64) -> (u64, bool);
+/// Three laws, for a fixed layout: (1) two keys that pack to the same value
+/// are equal; (2) a packed value is below 2^104; (3) packing is a pure
+/// function of the key, so equal keys are both packed or both not.
+pub trait SlotKey: Hash {
+    /// The compile-time layout a cache packs its keys by; the default is
+    /// what [`SramCache::new`] uses.
+    type Layout: Clone + std::fmt::Debug + Default;
+
+    /// The key packed into at most 104 bits, or `None` when it does not fit
+    /// `layout`.
+    fn pack(&self, layout: &Self::Layout) -> Option<u128>;
+
+    /// The seeded placement hash, `hash_key(seed, self)` bit for bit; a key
+    /// type may skip rounds `hash` has precomputed.
+    #[inline]
+    fn placement_hash(&self, hash: &PlacementHash) -> u64 {
+        hash.hash(self)
+    }
 }
 
 impl SlotKey for u64 {
+    type Layout = ();
+
     #[inline]
-    fn slot_word(&self, _hash: u64) -> (u64, bool) {
-        (*self, true)
+    fn pack(&self, (): &()) -> Option<u128> {
+        Some(u128::from(*self))
     }
 }
 
 impl SlotKey for u128 {
+    type Layout = ();
+
+    /// Exact below 2^104, where `FiveTuple::to_bits` keys live.
     #[inline]
-    fn slot_word(&self, hash: u64) -> (u64, bool) {
-        // 128 bits cannot fit the discriminant losslessly; filter on the
-        // seeded hash and confirm in the arena.
-        (hash, false)
+    fn pack(&self, (): &()) -> Option<u128> {
+        (*self >> crate::key::PACKED_KEY_BITS == 0).then_some(*self)
     }
 }
 
@@ -168,7 +188,7 @@ pub struct SlotHandle(usize);
 
 /// The on-chip cache: geometry + policy behind one interface.
 #[derive(Debug, Clone)]
-pub struct SramCache<K, V> {
+pub struct SramCache<K: SlotKey, V> {
     inner: Inner<K, V>,
     policy: EvictionPolicy,
     rng: VictimRng,
@@ -176,19 +196,34 @@ pub struct SramCache<K, V> {
 }
 
 #[derive(Debug, Clone)]
-enum Inner<K, V> {
+enum Inner<K: SlotKey, V> {
     Bucketed(BucketedCache<K, V>),
     Full(FullLruCache<K, V>),
 }
 
 impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
-    /// Create a cache with the given geometry, policy and hash seed.
+    /// Create a cache with the given geometry, policy and hash seed, packing
+    /// keys by the key type's default layout.
     #[must_use]
     pub fn new(geometry: CacheGeometry, policy: EvictionPolicy, hash_seed: u64) -> Self {
+        Self::with_layout(geometry, policy, hash_seed, K::Layout::default())
+    }
+
+    /// Create a cache that packs keys by `layout` (see [`SlotKey`]).
+    ///
+    /// # Panics
+    /// Panics when the geometry is not [`CacheGeometry::is_buildable`].
+    #[must_use]
+    pub fn with_layout(
+        geometry: CacheGeometry,
+        policy: EvictionPolicy,
+        hash_seed: u64,
+        layout: K::Layout,
+    ) -> Self {
         let inner = if geometry.buckets == 1 {
             Inner::Full(FullLruCache::new(geometry.ways))
         } else {
-            Inner::Bucketed(BucketedCache::new(geometry, hash_seed))
+            Inner::Bucketed(BucketedCache::new(geometry, hash_seed, layout))
         };
         SramCache {
             inner,
@@ -276,6 +311,15 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
         (SlotHandle(idx), outcome)
     }
 
+    /// The key resident in a held slot.
+    #[must_use]
+    pub fn slot_key(&self, handle: SlotHandle) -> &K {
+        match &self.inner {
+            Inner::Bucketed(c) => &c.keys[handle.0],
+            Inner::Full(c) => &c.nodes[handle.0].entry.key,
+        }
+    }
+
     /// The value behind a held slot, without recency side effects.
     pub fn slot_value_mut(&mut self, handle: SlotHandle) -> &mut V {
         match &mut self.inner {
@@ -359,12 +403,28 @@ fn victim_rng(policy: EvictionPolicy) -> VictimRng {
 // Bucketed implementation (n buckets × m ways, struct-of-arrays layout)
 // ---------------------------------------------------------------------------
 
-/// Exact-discriminant flag in a slot word's low half: set when the 64-bit
-/// discriminant losslessly encodes the key (see [`SlotKey`]).
-const EXACT_BIT: u64 = 1 << 63;
-/// The arena-index field of a slot word's low half (`arena + 1`; a low
-/// half of 0 marks an empty slot).
-const INDEX_MASK: u64 = 0x00ff_ffff;
+/// Slot-word low-half fields, below the 64-bit high half:
+/// `[40-bit payload | exact | 23-bit arena index]`.
+const INDEX_BITS: u32 = 23;
+/// The arena-index field of a slot word.
+const INDEX_MASK: u128 = (1 << INDEX_BITS) - 1;
+/// Set when the slot word's tag is the packed key itself (see [`SlotKey`]).
+const EXACT_BIT: u128 = 1 << INDEX_BITS;
+/// Where a packed key's bits past the high half sit in the low half.
+const PAYLOAD_SHIFT: u32 = INDEX_BITS + 1;
+// The index field addresses every arena entry a buildable cache can hold.
+const _: () = assert!(MAX_BUCKETED_PAIRS == 1 << INDEX_BITS);
+
+/// A slot word's tag — every field but the arena index — for a key that
+/// packs to `packed` (its low 64 bits in the high half, its other ≤ 40 bits
+/// as the payload, the exact flag set) or, unpacked, whose hash is `h`.
+#[inline]
+fn tag_of(packed: Option<u128>, h: u64) -> u128 {
+    match packed {
+        Some(p) => (p << 64) | ((p >> 64) << PAYLOAD_SHIFT) | EXACT_BIT,
+        None => u128::from(h) << 64,
+    }
+}
 
 /// A value and its per-entry bookkeeping, one arena element: the fold state
 /// is updated on every hit and the stamps/recency beside it in the same
@@ -386,9 +446,9 @@ struct Stamped<V> {
 /// Fig. 4's cache as a split tag store + parallel data arrays.
 ///
 /// The *geometry-fixed* side is one flat array of 128-bit slot words — a
-/// 64-bit key discriminant plus an exact flag and a 24-bit data-way index
-/// (0 = empty) — and the per-bucket occupancy counts, so building a cache
-/// of any capacity is one lazily-zeroed allocation per array (no per-slot
+/// tag (the packed key, or the key's hash) beside a 23-bit data-way index
+/// — and the per-bucket occupancy counts, so building a cache of any
+/// capacity is one lazily-zeroed allocation per array (no per-slot
 /// initialization; SRAM is pre-provisioned, construction does O(1) work
 /// per page). The *entry* side is two parallel flat arrays — keys, and
 /// values fused with their residency timestamps/recency counters — indexed
@@ -408,18 +468,17 @@ struct Stamped<V> {
 /// population never reallocate after construction; beyond it, arena growth
 /// is amortized doubling that settles during warm-up.
 #[derive(Debug, Clone)]
-struct BucketedCache<K, V> {
-    /// Packed slot words, one `u128` per slot (geometry-fixed): the high
-    /// 64 bits are the [`SlotKey`] discriminant, the low 64 bits are
-    /// `EXACT_BIT? | (arena index + 1)` with a low half of 0 = empty. The
-    /// discriminant is the flat tag array — one-word keys are *confirmed*
-    /// right here — and the low bits are the data-way pointer, so the
-    /// probe's filter load is the index load.
+struct BucketedCache<K: SlotKey, V> {
+    /// Packed slot words, one `u128` per slot (geometry-fixed; only the
+    /// occupied prefix `0..lens[b]` of a bucket is meaningful): a
+    /// [`tag_of`] tag `|` the arena index. The tag is the flat tag array —
+    /// a packed key is *confirmed* right here — and the low bits are the
+    /// data-way pointer, so the probe's filter load is the index load.
     slots: Vec<u128>,
     /// Occupied-prefix length per bucket (geometry-fixed).
     lens: Vec<u32>,
-    /// Resident keys (dense arena), consulted only on inexact-discriminant
-    /// match.
+    /// Resident keys (dense arena), consulted only on an unpacked key's
+    /// tag match.
     keys: Vec<K>,
     /// Fold state + residency timestamps + recency, parallel to `keys`.
     state: Vec<Stamped<V>>,
@@ -429,18 +488,21 @@ struct BucketedCache<K, V> {
     /// dividing; `None` keeps the `%`. Same bucket either way.
     bucket_mask: Option<u64>,
     ways: usize,
-    seed: u64,
+    /// The placement hash with its seed rounds precomputed.
+    hash: PlacementHash,
+    /// How keys pack into the tags.
+    layout: K::Layout,
     seq: u64,
 }
 
 impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
-    fn new(geometry: CacheGeometry, seed: u64) -> Self {
+    fn new(geometry: CacheGeometry, seed: u64, layout: K::Layout) -> Self {
         let (buckets, ways) = (geometry.buckets, geometry.ways);
-        let capacity = buckets * ways;
         assert!(
-            capacity < (1 << 24),
-            "bucketed cache capacity limited to 16M pairs (24-bit slot words)"
+            geometry.is_buildable(),
+            "bucketed cache capacity limited to {MAX_BUCKETED_PAIRS} pairs (23-bit slot-word index)"
         );
+        let capacity = buckets * ways;
         // Reserve the arenas up front (clamped like the full-LRU index, so a
         // pathological geometry cannot demand gigabytes of address space):
         // up to the clamp, steady-state churn never reallocates, and
@@ -456,7 +518,8 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
             buckets,
             bucket_mask: buckets.is_power_of_two().then(|| buckets as u64 - 1),
             ways,
-            seed,
+            hash: PlacementHash::new(seed),
+            layout,
             seq: 0,
         }
     }
@@ -474,40 +537,38 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         }
     }
 
-    /// Pack a slot word: discriminant high, `EXACT_BIT? | arena+1` low.
+    /// A key's bucket and slot-word tag: one placement hash, one pack.
     #[inline]
-    fn pack(disc: u64, exact: bool, arena: usize) -> u128 {
-        let low = (arena as u64 + 1) | if exact { EXACT_BIT } else { 0 };
-        (u128::from(disc) << 64) | u128::from(low)
+    fn locate(&self, key: &K) -> (usize, u128) {
+        let h = key.placement_hash(&self.hash);
+        (self.bucket_of(h), tag_of(key.pack(&self.layout), h))
     }
 
     /// The arena index behind an occupied slot.
     #[inline]
     fn entry_of(&self, b: usize, slot: usize) -> usize {
-        let e = self.slots[b * self.ways + slot] as u64 & INDEX_MASK;
-        debug_assert!(e != 0, "occupied slot has an arena entry");
-        (e - 1) as usize
+        (self.slots[b * self.ways + slot] & INDEX_MASK) as usize
     }
 
-    /// The parallel tag compare, with a wide tag: each occupied slot's
-    /// 64-bit discriminant is compared against the probe key's. An *exact*
-    /// match on both sides decides equality inside the slot word — one-word
-    /// keys never load the key arena; an inexact match is a filter (2⁻⁶⁴
-    /// false positives per occupied way) confirmed on the full key. Only
-    /// the occupied prefix `0..lens[b]` is scanned. Returns the resident
-    /// key's arena index.
+    /// The parallel tag compare, with a wide tag: each occupied slot's tag
+    /// is compared against the probe key's. A match on an exact tag is
+    /// equality, decided inside the slot word — a packed key never loads
+    /// the key arena, and since packing is a pure function of the key, an
+    /// exact probe tag matches no slot of an unpacked key. A match on a hash
+    /// tag is a filter (2⁻⁶⁴ false positives per occupied way) confirmed on
+    /// the full key. Only the occupied prefix `0..lens[b]` is scanned.
+    /// Returns the resident key's arena index.
     #[inline]
-    fn probe(&self, b: usize, h: u64, key: &K) -> Option<usize> {
-        let (disc, exact) = key.slot_word(h);
+    fn probe(&self, b: usize, tag: u128, key: &K) -> Option<usize> {
+        let exact = tag & EXACT_BIT != 0;
         let base = b * self.ways;
-        for slot in 0..self.lens[b] as usize {
-            let word = self.slots[base + slot];
-            if (word >> 64) as u64 != disc {
+        let occupied = &self.slots[base..base + self.lens[b] as usize];
+        for &word in occupied {
+            if word & !INDEX_MASK != tag {
                 continue;
             }
-            let low = word as u64;
-            let j = ((low & INDEX_MASK) - 1) as usize;
-            if (exact && low & EXACT_BIT != 0) || self.keys[j] == *key {
+            let j = (word & INDEX_MASK) as usize;
+            if exact || self.keys[j] == *key {
                 return Some(j);
             }
         }
@@ -515,21 +576,13 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
     }
 
     fn contains(&self, key: &K) -> bool {
-        let h = hash_key(self.seed, key);
-        self.probe(self.bucket_of(h), h, key).is_some()
+        let (b, tag) = self.locate(key);
+        self.probe(b, tag, key).is_some()
     }
 
     /// Append a new entry to the arena and fill the bucket's next free slot.
     /// Returns the arena index.
-    fn fill_slot(
-        &mut self,
-        b: usize,
-        (disc, exact): (u64, bool),
-        key: K,
-        value: V,
-        now: Nanos,
-        seq: u64,
-    ) -> usize {
+    fn fill_slot(&mut self, b: usize, tag: u128, key: K, value: V, now: Nanos, seq: u64) -> usize {
         let slot = self.lens[b] as usize;
         debug_assert!(slot < self.ways, "bucket has a free slot");
         let i = b * self.ways + slot;
@@ -542,20 +595,20 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
             accessed: seq,
             inserted: seq,
         });
-        self.slots[i] = Self::pack(disc, exact, j);
+        self.slots[i] = tag | j as u128;
         self.lens[b] += 1;
         j
     }
 
     /// Swap the incoming entry into the victim's arena slot via
     /// `mem::replace`, returning the victim. The slot keeps its arena
-    /// index; only the discriminant changes.
+    /// index; only the tag changes.
     #[allow(clippy::too_many_arguments)]
     fn replace_slot(
         &mut self,
         b: usize,
         slot: usize,
-        (disc, exact): (u64, bool),
+        tag: u128,
         key: K,
         value: V,
         now: Nanos,
@@ -573,7 +626,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
                 inserted: seq,
             },
         );
-        self.slots[b * self.ways + slot] = Self::pack(disc, exact, j);
+        self.slots[b * self.ways + slot] = tag | j as u128;
         (
             j,
             CacheEntry {
@@ -591,8 +644,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         policy: EvictionPolicy,
         rng: &mut VictimRng,
     ) -> Option<CacheEntry<K, V>> {
-        let h = hash_key(self.seed, &entry.key);
-        let b = self.bucket_of(h);
+        let (b, tag) = self.locate(&entry.key);
         self.seq += 1;
         let seq = self.seq;
         let CacheEntry {
@@ -604,14 +656,13 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         // fill_slot/replace_slot stamp one timestamp into both residency
         // fields; insert() carries the entry's own interval, so restore its
         // last_seen afterwards.
-        let word = key.slot_word(h);
         if (self.lens[b] as usize) < self.ways {
-            let j = self.fill_slot(b, word, key, value, first_seen, seq);
+            let j = self.fill_slot(b, tag, key, value, first_seen, seq);
             self.state[j].last_seen = last_seen;
             return None;
         }
         let victim_slot = self.pick_victim(b, policy, rng);
-        let (j, victim) = self.replace_slot(b, victim_slot, word, key, value, first_seen, seq);
+        let (j, victim) = self.replace_slot(b, victim_slot, tag, key, value, first_seen, seq);
         self.state[j].last_seen = last_seen;
         Some(victim)
     }
@@ -628,11 +679,10 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         policy: EvictionPolicy,
         rng: &mut VictimRng,
     ) -> (usize, UpsertOutcome<K, V>) {
-        let h = hash_key(self.seed, &key);
-        let b = self.bucket_of(h);
+        let (b, tag) = self.locate(&key);
         self.seq += 1;
         let seq = self.seq;
-        if let Some(j) = self.probe(b, h, &key) {
+        if let Some(j) = self.probe(b, tag, &key) {
             let s = &mut self.state[j];
             if refresh {
                 s.accessed = seq;
@@ -646,9 +696,8 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
                 },
             );
         }
-        let word = key.slot_word(h);
         if (self.lens[b] as usize) < self.ways {
-            let j = self.fill_slot(b, word, key, init(), now, seq);
+            let j = self.fill_slot(b, tag, key, init(), now, seq);
             return (
                 j,
                 UpsertOutcome {
@@ -658,7 +707,7 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
             );
         }
         let victim_slot = self.pick_victim(b, policy, rng);
-        let (j, victim) = self.replace_slot(b, victim_slot, word, key, init(), now, seq);
+        let (j, victim) = self.replace_slot(b, victim_slot, tag, key, init(), now, seq);
         (
             j,
             UpsertOutcome {

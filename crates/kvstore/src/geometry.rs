@@ -10,6 +10,12 @@
 
 use std::fmt;
 
+/// Most pairs a bucketed cache (more than one bucket) can hold: each slot
+/// word addresses its data way with a 23-bit arena index (see
+/// [`crate::cache`]'s memory layout). 32× the paper's 2^18-pair 32 Mbit
+/// point; the fully-associative cache has no slot words and no such limit.
+pub const MAX_BUCKETED_PAIRS: usize = 1 << 23;
+
 /// An `n`-bucket × `m`-way cache shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -56,6 +62,17 @@ impl CacheGeometry {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.buckets * self.ways
+    }
+
+    /// True when a cache of this shape can be built: any fully-associative
+    /// one, and a bucketed one of at most [`MAX_BUCKETED_PAIRS`] pairs.
+    #[must_use]
+    pub fn is_buildable(&self) -> bool {
+        self.buckets == 1
+            || self
+                .buckets
+                .checked_mul(self.ways)
+                .is_some_and(|pairs| pairs <= MAX_BUCKETED_PAIRS)
     }
 
     /// SRAM bits needed at `pair_bits` bits per key-value pair (§4 sizes the
@@ -121,6 +138,14 @@ mod tests {
             "fully-associative(4)"
         );
         assert_eq!(CacheGeometry::new(2, 4).to_string(), "2x4-way");
+    }
+
+    #[test]
+    fn the_slot_word_index_bounds_bucketed_caches_only() {
+        assert!(CacheGeometry::set_associative(MAX_BUCKETED_PAIRS, 8).is_buildable());
+        assert!(!CacheGeometry::set_associative(MAX_BUCKETED_PAIRS + 1, 8).is_buildable());
+        assert!(!CacheGeometry::new(usize::MAX, 2).is_buildable());
+        assert!(CacheGeometry::fully_associative(MAX_BUCKETED_PAIRS * 2).is_buildable());
     }
 
     #[test]

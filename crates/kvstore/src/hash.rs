@@ -115,6 +115,57 @@ pub fn hash_key<K: Hash>(seed: u64, key: &K) -> u64 {
     h.finish()
 }
 
+/// Key lengths whose length-prefix round [`PlacementHash`] precomputes.
+const PREFIXED_LENGTHS: usize = 8;
+
+/// [`hash_key`] under one seed, with its key-independent rounds computed
+/// once: the seed round, and — for a key hashed as a length-prefixed word
+/// sequence, as an [`InlineKey`](crate::InlineKey) is — the length round
+/// too, from a table indexed by key length. A cache builds one for its
+/// placement seed; every value equals `hash_key(seed, key)` bit for bit.
+#[derive(Debug, Clone)]
+pub struct PlacementHash {
+    /// Hasher state after the seed round.
+    start: u64,
+    /// State after the seed round and the length prefix, per key length.
+    by_len: [u64; PREFIXED_LENGTHS],
+}
+
+impl PlacementHash {
+    /// Precompute the key-independent rounds of `hash_key(seed, _)`.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        let start = SeededHasher::new(seed).state;
+        PlacementHash {
+            start,
+            by_len: std::array::from_fn(|len| splitmix(start ^ len as u64)),
+        }
+    }
+
+    /// `hash_key(seed, key)`, less the seed round.
+    #[must_use]
+    pub fn hash<K: Hash + ?Sized>(&self, key: &K) -> u64 {
+        let mut h = SeededHasher { state: self.start };
+        key.hash(&mut h);
+        h.finish()
+    }
+
+    /// `hash_key(seed, words)` for a word sequence that hashes as `[i64]`
+    /// does (a length prefix, then one round per word), less the seed and
+    /// — up to 7 words — the length round.
+    #[must_use]
+    pub fn hash_words(&self, words: &[i64]) -> u64 {
+        let mut state = match self.by_len.get(words.len()) {
+            Some(&state) => state,
+            None => splitmix(self.start ^ words.len() as u64),
+        };
+        for &w in words {
+            state = splitmix(state ^ w as u64);
+        }
+        splitmix(state)
+    }
+}
+
 /// The shard function of the multi-core dataplane: map a group key (as its
 /// canonical `i64` key words) to one of `shards` shards.
 ///

@@ -64,14 +64,16 @@
 //!   SRAM tag array separate from the data array and compares *every* tag
 //!   in a set against the probe tag in one cycle. The bucketed cache
 //!   mirrors that with a *wide* tag: a geometry-fixed flat array of 128-bit
-//!   slot words, each a 64-bit key discriminant (the [`cache::SlotKey`]
-//!   projection: the key itself for one-word keys, its seeded hash
-//!   otherwise) plus an exact flag and a 24-bit data-way index. One-word
-//!   keys are confirmed *inside* the slot word — a hit touches one cache
-//!   line before the state array and never loads the key arena; wider keys
-//!   filter on the hash discriminant (2⁻⁶⁴ per-way false positives) and
-//!   confirm on the full key. A probe is one hash, at most `m` 64-bit
-//!   compares and (for wide keys) ~one key confirm; eviction moves the
+//!   slot words, each a 104-bit tag, an exact flag and a 23-bit data-way
+//!   index. The tag is the [`cache::SlotKey`] packing under the store's
+//!   compiled [`KeyLayout`] — the key itself when its columns fit their
+//!   wire widths in 104 bits (`(srcip, dstip)`, the 5-tuple), its seeded
+//!   hash otherwise. A packed key is confirmed *inside*
+//!   the slot word — a hit touches one cache line before the state array
+//!   and never loads the key arena; any other key filters on the hash
+//!   (2⁻⁶⁴ per-way false positives) and confirms on the full key. A probe
+//!   is one hash, at most `m` tag compares and (for keys that do not pack)
+//!   ~one key confirm; eviction moves the
 //!   victim out by `mem::replace`. See [`cache`]'s module docs for the
 //!   diagram.
 //! * **Backing store — dense arena behind a compact index.** Evictions
@@ -235,8 +237,8 @@ pub use area::{
 };
 pub use backing::{BackingEntry, BackingStore, Epoch, EpochList, MergeMode};
 pub use cache::{CacheEntry, CacheSlotRef, SlotHandle, SlotKey, SramCache};
-pub use geometry::CacheGeometry;
-pub use key::{InlineKey, INLINE_KEY_WORDS};
+pub use geometry::{CacheGeometry, MAX_BUCKETED_PAIRS};
+pub use key::{InlineKey, KeyLayout, INLINE_KEY_WORDS};
 pub use policy::EvictionPolicy;
 pub use recover::{read_manifest, write_manifest};
 pub use sketch::CountMinSketch;

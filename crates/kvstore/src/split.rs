@@ -49,7 +49,7 @@ pub trait ValueOps {
 
 /// The split key-value store.
 #[derive(Debug, Clone)]
-pub struct SplitStore<K, O: ValueOps> {
+pub struct SplitStore<K: SlotKey, O: ValueOps> {
     cache: SramCache<K, O::Value>,
     backing: BackingStore<K, O::Value>,
     ops: O,
@@ -59,6 +59,8 @@ pub struct SplitStore<K, O: ValueOps> {
     policy: EvictionPolicy,
     /// Placement hash seed, kept for the same reason.
     hash_seed: u64,
+    /// Key layout, kept for the same reason.
+    key_layout: K::Layout,
     /// Optional durable spill tier ([`SpillTier`]): evictions of keys with
     /// no standing in-RAM record past the tier's high-water mark append to
     /// its WAL instead of growing the backing table. `None` (the default)
@@ -67,19 +69,46 @@ pub struct SplitStore<K, O: ValueOps> {
 }
 
 impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
-    /// Build a store with the given cache configuration.
+    /// Build a store with the given cache configuration, its cache packing
+    /// keys by the key type's default layout.
     #[must_use]
     pub fn new(geometry: CacheGeometry, policy: EvictionPolicy, hash_seed: u64, ops: O) -> Self {
+        Self::with_key_layout(geometry, policy, hash_seed, K::Layout::default(), ops)
+    }
+
+    /// Build a store whose cache packs keys by `key_layout` (a compiled
+    /// aggregation's [`crate::KeyLayout`]; see [`SlotKey`]).
+    #[must_use]
+    pub fn with_key_layout(
+        geometry: CacheGeometry,
+        policy: EvictionPolicy,
+        hash_seed: u64,
+        key_layout: K::Layout,
+        ops: O,
+    ) -> Self {
         let backing = BackingStore::new(ops.merge_mode());
         SplitStore {
-            cache: SramCache::new(geometry, policy, hash_seed),
+            cache: SramCache::with_layout(geometry, policy, hash_seed, key_layout.clone()),
             backing,
             ops,
             stats: StoreStats::default(),
             policy,
             hash_seed,
+            key_layout,
             spill: None,
         }
+    }
+
+    /// The layout this store's cache packs keys by.
+    #[must_use]
+    pub fn key_layout(&self) -> &K::Layout {
+        &self.key_layout
+    }
+
+    /// The key resident in the slot `handle` holds (see [`SlotHandle`]).
+    #[must_use]
+    pub fn slot_key(&self, handle: SlotHandle) -> &K {
+        self.cache.slot_key(handle)
     }
 
     /// Observe one packet for `key` at time `now`.
@@ -184,7 +213,12 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
         if self.cache.geometry() == new_geometry {
             return;
         }
-        let mut next = SramCache::new(new_geometry, self.policy, self.hash_seed);
+        let mut next = SramCache::with_layout(
+            new_geometry,
+            self.policy,
+            self.hash_seed,
+            self.key_layout.clone(),
+        );
         let SplitStore {
             cache,
             backing,

@@ -145,6 +145,28 @@ impl ResolvedProgram {
         self.queries.iter().find(|q| q.name == name)
     }
 
+    /// Per-query key column widths in bits, in key order (`Some` for
+    /// GROUPBYs): an unmodified base column carries its wire width, and a
+    /// composed input's column (an upstream table, a join) is a 64-bit
+    /// value. The compiled key layout packs keys by these widths, and
+    /// [`StoreWidth::key_bits`] is their sum.
+    #[must_use]
+    pub fn key_widths(&self) -> Vec<Option<Vec<u32>>> {
+        self.queries
+            .iter()
+            .map(|q| {
+                let ResolvedKind::GroupBy(g) = &q.kind else {
+                    return None;
+                };
+                let width = |c: usize| match &q.input {
+                    QueryInput::Base => crate::schema::base_column_key_bits(c),
+                    QueryInput::Table(_) | QueryInput::Join { .. } => 64,
+                };
+                Some(g.key_cols.iter().map(|c| width(*c)).collect())
+            })
+            .collect()
+    }
+
     /// Per-query hardware widths of the aggregation state (`Some` for
     /// GROUPBYs): the inputs to the §3.3/§4 chip-area arithmetic, derived
     /// from the resolved key columns and the fold's state variable types.
@@ -154,20 +176,12 @@ impl ResolvedProgram {
     pub fn store_widths(&self) -> Vec<Option<StoreWidth>> {
         self.queries
             .iter()
-            .map(|q| {
+            .zip(self.key_widths())
+            .map(|(q, key_widths)| {
                 let ResolvedKind::GroupBy(g) = &q.kind else {
                     return None;
                 };
-                let key_bits = g
-                    .key_cols
-                    .iter()
-                    .map(|c| match &q.input {
-                        // Base columns carry their wire width; composed
-                        // inputs (upstream tables, joins) are 64-bit values.
-                        QueryInput::Base => crate::schema::base_column_key_bits(*c),
-                        QueryInput::Table(_) | QueryInput::Join { .. } => 64,
-                    })
-                    .sum();
+                let key_bits = key_widths?.iter().sum();
                 let value_bits = g
                     .fold
                     .state

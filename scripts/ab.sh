@@ -18,6 +18,10 @@
 #      quartile distance is wider than the bound (unless every run of the
 #      change beats every run of the parent); otherwise "no worse". Counts
 #      the program makes must repeat exactly: "identical" or "MOVED".
+#      Beside the verdict: the median of the per-pair ratios (change /
+#      parent) and its 95 % percentile-bootstrap interval over the pairs
+#      (10 000 resamples, fixed RNG seed, so a rerun prints the same
+#      interval); the verdict rules do not read it.
 #      Every run made is listed underneath.
 #   5. with `all`: steps 3-4 for each workload in turn (both sides built
 #      once), then one summary line per workload naming every WORSE / MOVED
@@ -51,7 +55,7 @@ cp "$SCRATCH/target-$REV/release/perfq-benchmark" "$SCRATCH/bin/parent"
 cp "$SCRATCH/target-change/release/perfq-benchmark" "$SCRATCH/bin/change"
 
 exec python3 - "$SCRATCH" "$REV" "$WORKLOAD" "$PAIRS" "$SEED" "${AB_TRACE:-0}" <<'PY'
-import json, math, statistics, subprocess, sys
+import json, math, random, statistics, subprocess, sys
 
 scratch, rev, target, pairs, seed, trace = sys.argv[1:7]
 pairs = int(pairs)
@@ -83,6 +87,20 @@ def quartiles(xs):
     return q1, statistics.median(xs), q3
 
 
+def ratio_interval(a, b, resamples=10_000, seed=2016):
+    """Median of the per-pair ratios b/a and its 95 % percentile-bootstrap
+    interval: resample the pairs with replacement, take each resample's
+    median ratio, and read the 2.5th and 97.5th percentiles."""
+    ratios = [y / x for x, y in zip(a, b) if x]
+    if not ratios:
+        return float("nan"), float("nan"), float("nan")
+    rng = random.Random(seed)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(resamples))
+    lo, hi = medians[int(0.025 * resamples)], medians[int(0.975 * resamples) - 1]
+    return statistics.median(ratios), lo, hi
+
+
 def ab(workload):
     """Run and print one workload's A/B; return its WORSE / MOVED verdicts."""
     runs = {side: [] for side in SIDES}
@@ -94,7 +112,7 @@ def ab(workload):
     print(f"{workload}, seed {seed}: {pairs} alternating pairs of {spec['run_seconds']} s runs, "
           f"parent {rev} vs the working tree")
     print(f"{'metric':<36} {'parent median [q1, q3]':<40} {'change median [q1, q3]':<40} "
-          f"{'change':>8} {'pairs':>6}  verdict")
+          f"{'change':>8} {'pairs':>6}  {'pair ratio [95% CI]':<25} verdict")
     flagged = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -116,9 +134,11 @@ def ab(workload):
             verdict = "no worse"
         if verdict.startswith(("WORSE", "MOVED")):
             flagged.append(f"{name} {verdict}")
+        rm, rlo, rhi = ratio_interval(a, b)
         print(f"{name + ' (' + m['unit'] + ')':<36} "
               f"{f'{am:.6g} [{a1:.6g}, {a3:.6g}]':<40} {f'{bm:.6g} [{b1:.6g}, {b3:.6g}]':<40} "
-              f"{(bm - am) / am if am else 0.0:>+8.1%} {f'{wins}/{pairs}':>6}  {verdict}")
+              f"{(bm - am) / am if am else 0.0:>+8.1%} {f'{wins}/{pairs}':>6}  "
+              f"{f'{rm:.3f} [{rlo:.3f}, {rhi:.3f}]':<25} {verdict}")
 
     print("\nevery run, in pair order (parent / change):")
     for m in metrics:

@@ -13,7 +13,7 @@
 
 use perfq::prelude::*;
 use perfq_kvstore::area::{self, WorkloadModel};
-use perfq_kvstore::{CachePlanner, PlanError, QueryDemand, StoreDemand};
+use perfq_kvstore::{CachePlanner, PlanError, QueryDemand, StoreDemand, MAX_BUCKETED_PAIRS};
 use proptest::prelude::*;
 
 const MBIT: u64 = 1024 * 1024;
@@ -32,6 +32,18 @@ fn slice_too_small(e: &PlanError) -> (u64, u32) {
             ..
         } => (*slice_bits, *pair_bits),
         other => panic!("expected SliceTooSmall, got {other:?}"),
+    }
+}
+
+/// A rejected plan must be a genuine one: a slice under one pair width, or
+/// a bucketed store fitted past the pairs its slot words can index.
+fn rejection_is_genuine(e: &PlanError) -> bool {
+    match e {
+        PlanError::TooManyPairs { pairs, .. } => *pairs > MAX_BUCKETED_PAIRS,
+        _ => {
+            let (slice_bits, pair_bits) = slice_too_small(e);
+            slice_bits < u64::from(pair_bits)
+        }
     }
 }
 
@@ -231,10 +243,9 @@ proptest! {
                 prop_assert!(slice_sum <= budget, "slices sum to {slice_sum}");
             }
             Err(e) => {
-                // An error must mean some slice is under one pair width.
-                let (slice_bits, pair_bits) = slice_too_small(&e);
-                prop_assert!(slice_bits < u64::from(pair_bits),
-                    "rejected a feasible slice: {e}");
+                // An error must mean some slice is under one pair width, or
+                // some store would outgrow its slot-word index.
+                prop_assert!(rejection_is_genuine(&e), "rejected a feasible plan: {e}");
             }
         }
     }
@@ -275,9 +286,7 @@ proptest! {
         let plan = match CachePlanner::new(budget).plan(&demands) {
             Ok(plan) => plan,
             Err(e) => {
-                let (slice_bits, pair_bits) = slice_too_small(&e);
-                prop_assert!(slice_bits < u64::from(pair_bits),
-                    "rejected a feasible slice: {e}");
+                prop_assert!(rejection_is_genuine(&e), "rejected a feasible plan: {e}");
                 return Ok(());
             }
         };

@@ -13,21 +13,27 @@
 //! `ways > 8` so multi-word tag buckets are exercised), the single-stream
 //! eviction protocol (Fig. 5's hit/eviction rates), the backing store's
 //! three absorption modes plus `remove`'s backward-shift delete, and the
-//! sharded `absorb_store` drain.
+//! sharded `absorb_store` drain. Keys that pack into the slot word (a hit
+//! decided there) and keys that do not (hash discriminant + arena confirm)
+//! give the same streams: `InlineKey`s under an exact and an all-64-bit
+//! layout, and `u128` keys on both sides of 2^104.
 
+use perfq_kvstore::hash::hash_key;
 use perfq_kvstore::policy::VictimRng;
 use perfq_kvstore::{
-    BackingStore, CacheGeometry, CounterOps, EvictionPolicy, MergeMode, SplitStore, SramCache,
+    BackingStore, CacheGeometry, CounterOps, EvictionPolicy, InlineKey, KeyLayout, MergeMode,
+    SlotKey, SplitStore, SramCache,
 };
 use perfq_packet::Nanos;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 // ---------------------------------------------------------------------------
 // Reference model 1: the previous BucketedCache (Vec<Vec<Slot>>), verbatim.
 // ---------------------------------------------------------------------------
 
-struct RefSlot {
-    key: u64,
+struct RefSlot<K> {
+    key: K,
     value: u64,
     first_seen: Nanos,
     last_seen: Nanos,
@@ -37,8 +43,8 @@ struct RefSlot {
     inserted: u64,
 }
 
-struct RefCache {
-    buckets: Vec<Vec<RefSlot>>,
+struct RefCache<K> {
+    buckets: Vec<Vec<RefSlot<K>>>,
     ways: usize,
     seed: u64,
     seq: u64,
@@ -48,9 +54,9 @@ struct RefCache {
 }
 
 /// `(hit, victim)` — the observable outcome of one upsert.
-type Outcome = (bool, Option<(u64, u64, Nanos, Nanos)>);
+type Outcome<K = u64> = (bool, Option<(K, u64, Nanos, Nanos)>);
 
-impl RefCache {
+impl<K: Clone + Eq + Hash + Ord> RefCache<K> {
     fn new(geometry: CacheGeometry, policy: EvictionPolicy, seed: u64) -> Self {
         assert!(geometry.buckets > 1, "bucketed path only");
         let rng_seed = match policy {
@@ -95,9 +101,9 @@ impl RefCache {
 
     /// The old closure-style upsert, specialized to `u64` values with an
     /// add update: hit → `value += delta`, miss → insert `delta`.
-    fn upsert_add(&mut self, key: u64, delta: u64, now: Nanos) -> Outcome {
+    fn upsert_add(&mut self, key: K, delta: u64, now: Nanos) -> Outcome<K> {
         let refresh = !matches!(self.policy, EvictionPolicy::Fifo);
-        let h = perfq_kvstore::hash::hash_key(self.seed, &key);
+        let h = hash_key(self.seed, &key);
         let b = (h % self.buckets.len() as u64) as usize;
         self.seq += 1;
         let seq = self.seq;
@@ -141,7 +147,7 @@ impl RefCache {
     }
 
     /// Empty the model, returning its entries sorted.
-    fn drain_sorted(&mut self) -> Vec<(u64, u64, Nanos, Nanos)> {
+    fn drain_sorted(&mut self) -> Vec<(K, u64, Nanos, Nanos)> {
         self.len = 0;
         let mut out: Vec<_> = self
             .buckets
@@ -155,7 +161,12 @@ impl RefCache {
 }
 
 /// Drive `SramCache` with the same add-upsert the reference uses.
-fn sram_upsert_add(cache: &mut SramCache<u64, u64>, key: u64, delta: u64, now: Nanos) -> Outcome {
+fn sram_upsert_add<K: Clone + Eq + Hash + SlotKey>(
+    cache: &mut SramCache<K, u64>,
+    key: K,
+    delta: u64,
+    now: Nanos,
+) -> Outcome<K> {
     let (slot, outcome) = cache.upsert_slot(key, now, || 0);
     *cache.slot_value_mut(slot) += delta;
     (
@@ -232,7 +243,7 @@ fn remove_and_drain_match_reference() {
     /// `ops` upserts on both sides, outcome for outcome.
     fn churn(
         new: &mut SramCache<u64, u64>,
-        reference: &mut RefCache,
+        reference: &mut RefCache<u64>,
         rng: &mut Lcg,
         ops: std::ops::Range<u64>,
         geom: CacheGeometry,
@@ -269,6 +280,128 @@ fn remove_and_drain_match_reference() {
         // A drained cache carries on exactly like the drained reference.
         assert!(new.is_empty());
         churn(&mut new, &mut reference, &mut rng, 3000..4000, geom);
+    }
+}
+
+/// Run one key stream through caches that must agree op for op — each
+/// outcome, the length, and the drain in arena order — and through the
+/// reference, whose drain is compared sorted.
+fn agree<K: Clone + Eq + Hash + Ord + SlotKey + std::fmt::Debug>(
+    caches: &mut [SramCache<K, u64>],
+    reference: &mut RefCache<K>,
+    keys: &[K],
+    rng: &mut Lcg,
+    ops: u64,
+    what: &str,
+) {
+    for i in 0..ops {
+        let key = &keys[(rng.next() % keys.len() as u64) as usize];
+        let delta = rng.next() % 100;
+        let want = reference.upsert_add(key.clone(), delta, Nanos(i));
+        for (c, cache) in caches.iter_mut().enumerate() {
+            let got = sram_upsert_add(cache, key.clone(), delta, Nanos(i));
+            assert_eq!(got, want, "cache {c}, op {i}: key {key:?} under {what}");
+            assert_eq!(cache.len(), reference.len, "cache {c}, len after op {i}");
+        }
+    }
+    let mut drains = caches.iter_mut().map(|cache| {
+        let mut drained = Vec::new();
+        cache.drain_into(|e| drained.push((e.key, e.value, e.first_seen, e.last_seen)));
+        drained
+    });
+    let mut first = drains.next().expect("at least one cache");
+    for (c, drained) in drains.enumerate() {
+        assert_eq!(drained, first, "cache {} drain order under {what}", c + 1);
+    }
+    first.sort_unstable();
+    assert_eq!(
+        first,
+        reference.drain_sorted(),
+        "drained entries under {what}"
+    );
+}
+
+/// Two-word keys whose words fit 32 bits pack into the slot word under the
+/// `(srcip, dstip)` layout, and decide a hit there; keys with a word past
+/// 32 bits, and every key under the all-64-bit layout (128 bits > 104), take
+/// the hash discriminant and an arena confirm. Both caches must give the
+/// reference's hit, miss, eviction and drain streams byte for byte — also
+/// on keys built so that a packed key's high half equals an unpacked key's
+/// hash discriminant in the same bucket, where only the exact flag tells
+/// them apart.
+#[test]
+fn packed_and_unpacked_keys_give_identical_streams() {
+    for (buckets, ways) in GEOMETRIES {
+        for policy in POLICIES {
+            let geom = CacheGeometry::new(buckets, ways);
+            let what = format!("{geom} / {}", policy.name());
+            let mut rng = Lcg(0xe4ac ^ (buckets * 31 + ways) as u64);
+            let mut keys: Vec<InlineKey> = Vec::new();
+            for _ in 0..geom.capacity() * 2 {
+                let word = |rng: &mut Lcg| (rng.next() % 24) as i64;
+                let (a, b) = (word(&mut rng), word(&mut rng));
+                keys.push(InlineKey::from_slice(&[a, b]));
+            }
+            // Past the 32-bit width: a high bit, a negative word.
+            for i in 0..geom.capacity() as i64 {
+                keys.push(InlineKey::from_slice(&[1 << 32 | i, i]));
+                keys.push(InlineKey::from_slice(&[i, -1 - i]));
+            }
+            // Discriminant collisions: `e` packs to `u`'s hash, same bucket.
+            let mut collisions = 0;
+            for i in 0i64.. {
+                let u = InlineKey::from_slice(&[(i + 5) << 33, i]);
+                let h = hash_key(42, &u);
+                let e = InlineKey::from_slice(&[(h & 0xffff_ffff) as i64, (h >> 32) as i64]);
+                if hash_key(42, &e) % buckets as u64 == h % buckets as u64 {
+                    keys.extend([u, e]);
+                    collisions += 1;
+                    if collisions == 4 {
+                        break;
+                    }
+                }
+            }
+            let mut caches = [[32, 32], [64, 64]]
+                .map(|widths| SramCache::with_layout(geom, policy, 42, KeyLayout::new(&widths)));
+            let mut reference = RefCache::new(geom, policy, 42);
+            agree(&mut caches, &mut reference, &keys, &mut rng, 4000, &what);
+        }
+    }
+}
+
+/// `u128` keys (`FiveTuple::to_bits`) pack below 2^104 and take the hash
+/// path at or above it; the streams equal the reference's on both sides,
+/// including a packed key whose high half equals an unpacked key's hash in
+/// the same bucket.
+#[test]
+fn wide_keys_across_the_packing_edge_match_reference() {
+    for (buckets, ways) in GEOMETRIES {
+        for policy in POLICIES {
+            let geom = CacheGeometry::new(buckets, ways);
+            let what = format!("{geom} / {}", policy.name());
+            let mut rng = Lcg(0x1_0400 ^ (buckets * 31 + ways) as u64);
+            let edge = 1u128 << 104;
+            let mut keys: Vec<u128> = Vec::new();
+            for i in 0..geom.capacity() as u128 {
+                keys.extend([edge - 1 - i, edge + i, u128::MAX - i, i << 64 | i]);
+            }
+            let mut collisions = 0;
+            for i in 0u128.. {
+                let u = edge + (i << 70);
+                let h = hash_key(42, &u);
+                let e = u128::from(h);
+                if hash_key(42, &e) % buckets as u64 == h % buckets as u64 {
+                    keys.extend([u, e]);
+                    collisions += 1;
+                    if collisions == 4 {
+                        break;
+                    }
+                }
+            }
+            let mut caches = [SramCache::new(geom, policy, 42)];
+            let mut reference = RefCache::new(geom, policy, 42);
+            agree(&mut caches, &mut reference, &keys, &mut rng, 4000, &what);
+        }
     }
 }
 
@@ -452,7 +585,7 @@ fn backing_remove_backward_shift_preserves_probe_runs() {
 /// The previous full store: reference cache + reference backing, running the
 /// single-stream eviction protocol exactly as `SplitStore::observe` does.
 struct RefSplit {
-    cache: RefCache,
+    cache: RefCache<u64>,
     backing: RefBacking,
     packets: u64,
     hits: u64,
