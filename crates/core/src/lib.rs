@@ -147,8 +147,8 @@
 //! (`multi_polled`, three programs per record).
 //! Every workload's working set fits this box's L3. Overlapping the
 //! probes' loads has been tried twice and read no gain: a prefetch pass
-//! (CHANGES.md, PR 6) and a pass that touches every lane's bucket before
-//! the sweep (ROADMAP direction 7).
+//! (CHANGES.md, the vectorized-execution entry) and a pass that touches
+//! every lane's bucket before the sweep (ROADMAP direction 7).
 //! The vectorized GroupBy sweep
 //! coalesces equal-key *runs* — one `observe_run_first` probe per run,
 //! `observe_run_next` through the already-resolved handle for the rest —
