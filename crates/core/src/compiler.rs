@@ -15,7 +15,7 @@
 //! * streaming dataflow edges (query composition) are wired up.
 
 use crate::foldops::FoldOps;
-use perfq_kvstore::{CacheGeometry, EvictionPolicy, KeyLayout};
+use perfq_kvstore::{CacheGeometry, EvictionPolicy, InlineKey, KeyLayout, SplitStore};
 use perfq_lang::{QueryInput, ResolvedKind, ResolvedProgram};
 use perfq_switch::{AluReport, AluSpec, AluViolation};
 
@@ -84,6 +84,18 @@ impl StorePlan {
     #[must_use]
     pub fn pair_bits(&self) -> u32 {
         self.key_bits + self.value_bits
+    }
+
+    /// An empty store of this shape, its cache packing keys by the plan's
+    /// key layout.
+    pub(crate) fn build(&self) -> SplitStore<InlineKey, FoldOps> {
+        SplitStore::with_key_layout(
+            self.geometry,
+            self.policy,
+            self.hash_seed,
+            self.key_layout,
+            self.ops.clone(),
+        )
     }
 }
 

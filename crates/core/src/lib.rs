@@ -59,11 +59,9 @@
 //!    wider keys) and fold state lives in `foldops::StateVec` (two
 //!    variables inline in the cache slot), so the per-packet store update
 //!    touches no second heap line. The split store probes **once** per
-//!    packet: `SramCache::upsert_slot` resolves the key to a `SlotHandle`
-//!    and the fold mutates state *through the handle*
-//!    (`slot_value_mut`/`touch_slot`), so probe and fold share a single
-//!    hash + slot resolution (the fused upsert — the old probe-again-in-a-
-//!    closure shape is gone from the hot path).
+//!    packet: `SramCache::upsert` packs the key once, resolves it to its
+//!    slot and returns the slot's state for the fold to mutate in place,
+//!    so probe and fold share a single hash + slot resolution.
 //! 4. **Three merge tiers** — a linear fold merges exactly one of three
 //!    ways, decided structurally in `FoldOps::new`. Windowless fold bodies
 //!    of k statements, each `s_i ← [c_i·]s_i [± B_i]` over its own
@@ -136,12 +134,14 @@
 //! compiled key layout (`StorePlan::key_layout`, its key columns' wire
 //! widths): `(srcip, dstip)` and the 5-tuple pack into the slot word's
 //! 104-bit tag, so a hit is one tag compare that never loads the key
-//! arena, the run tracker compares packed words, and the placement hash
-//! skips its seed and length rounds. In this tree's profile of
-//! `multi_polled`, `upsert_slot` takes 39 % with no key compare and no
-//! `bcmp` under it: its hot lines are the tag compare and the state
-//! access — loads that miss, not instructions — and `locate` (hash and
-//! pack) is 8 %. One `--trace 1` run per side, parent → this tree:
+//! arena, and the placement hash skips its seed and length rounds. In the
+//! profile of `multi_polled` at `2afad91`, which made that change,
+//! `upsert_slot` takes 39 % with no key compare and no `bcmp` under it:
+//! its hot lines are the tag compare and the state access — loads that
+//! miss, not instructions — and `locate` (hash and pack) is 8 %. That tree
+//! packed each key twice, once in this crate's sweep to name flow runs and
+//! once for the probe tag; `SramCache::upsert` now packs it once for both.
+//! One `--trace 1` run per side, `2afad91`'s parent → `2afad91`:
 //! `core.ingest_ns_per_record` 92 → 82 (`resident_counters`), 174 → 154
 //! (`evict_counters`), 167 → 122 (`durable_spill`) and 629 → 611
 //! (`multi_polled`, three programs per record).
@@ -150,10 +150,12 @@
 //! (CHANGES.md, the vectorized-execution entry) and a pass that touches
 //! every lane's bucket before the sweep (ROADMAP direction 7).
 //! The vectorized GroupBy sweep
-//! coalesces equal-key *runs* — one `observe_run_first` probe per run,
-//! `observe_run_next` through the already-resolved handle for the rest —
-//! which wins 1.17–1.25× on locally-sorted traffic (mean run ≈ 5, the
-//! shape RSS steering + bursty flows produce; the `query_runtime_bursty`
+//! coalesces equal-key *runs*: it makes one `SplitStore::observe_run` call
+//! per row through one `perfq_kvstore::Run` per node sweep, and the store
+//! probes once per run and folds the rest into the held slot (a key equal
+//! to the held one by its packed word, or by the resident key when it does
+//! not pack). That wins 1.17–1.25× on locally-sorted traffic (mean run ≈
+//! 5, the shape RSS steering + bursty flows produce; the `query_runtime_bursty`
 //! guards of the `perfq-bench` `ratios` bin hold the ratio same-run),
 //! while on hash-ordered traffic runs barely exist (mean run 1.010 on the
 //! `ratios` bin's trace `test_small(7)`, 1.001 on the five `benchmark/`

@@ -25,14 +25,15 @@
 //! every query's final table from the backing stores, evaluates collect-time
 //! joins, and reports per-key validity.
 
-use crate::compiler::CompiledProgram;
+use crate::compiler::{CompiledProgram, StorePlan};
 use crate::durable::Durability;
 use crate::foldops::{FoldOps, FoldState};
 use crate::plan::{lane_mask, ExecPlan, NodeKind, RowSource, CHUNK, LANES};
 use crate::result::{value_key, ResultRow, ResultSet, ResultTable};
 use crate::Error;
 use perfq_kvstore::{
-    BackingStore, CacheGeometry, InlineKey, SplitStore, StoreSnapshot, StoreStats, INLINE_KEY_WORDS,
+    BackingStore, CacheGeometry, InlineKey, Run, SplitStore, StoreSnapshot, StoreStats,
+    INLINE_KEY_WORDS,
 };
 use perfq_lang::bytecode::EvalStack;
 use perfq_lang::ir::eval;
@@ -153,16 +154,7 @@ impl Runtime {
         let mut stores = Vec::with_capacity(n);
         let mut captures = Vec::with_capacity(n);
         for (idx, q) in compiled.program.queries.iter().enumerate() {
-            match &compiled.stores[idx] {
-                Some(plan) => stores.push(Some(SplitStore::with_key_layout(
-                    plan.geometry,
-                    plan.policy,
-                    plan.hash_seed,
-                    plan.key_layout,
-                    plan.ops.clone(),
-                ))),
-                None => stores.push(None),
-            }
+            stores.push(compiled.stores[idx].as_ref().map(StorePlan::build));
             captures.push(
                 matches!(
                     (&q.kind, &q.input),
@@ -478,19 +470,11 @@ impl Runtime {
                     if node.emits && out.len() < LANES * a {
                         out.resize(LANES * a, Value::Int(0));
                     }
-                    // Flow-run coalescing: traces are bursty (packet trains
-                    // per flow), so consecutive live lanes often carry the
-                    // same group key. The first packet of a run pays the
-                    // full probe and holds the slot ([`SlotHandle`]); the
-                    // rest of the run folds straight into the held slot.
-                    // Byte-identical to one probe per row — a run is never
-                    // interrupted by another key, so every post-first
-                    // packet is a guaranteed hit on an unmoved slot. A run
-                    // is named by its key packed under the store's layout
-                    // (one `u128` compare); a key that does not pack is
-                    // compared with the key resident in the held slot.
-                    let layout = *store.key_layout();
-                    let mut run: Option<(Option<u128>, perfq_kvstore::SlotHandle)> = None;
+                    // Flow-run coalescing: the store recognises a run of
+                    // equal-key rows and folds it into the held slot with
+                    // one probe ([`Run`]). A sweep starts a fresh run, and
+                    // with coalescing off every row does.
+                    let mut run = Run::default();
                     let mut live = mask;
                     let mut m = mask;
                     while m != 0 {
@@ -503,24 +487,11 @@ impl Runtime {
                                 continue;
                             }
                         }
+                        if !*coalesce {
+                            run = Run::default();
+                        }
                         let key = build_group_key(key_cols, input, key_buf);
-                        let packed = layout.pack(key.as_slice());
-                        let same_run = |(rpacked, handle)| match (rpacked, packed) {
-                            (Some(a), Some(b)) => a == b,
-                            (None, None) => *store.slot_key(handle) == key,
-                            _ => false,
-                        };
-                        let state = match run {
-                            Some(r @ (_, handle)) if *coalesce && same_run(r) => {
-                                store.observe_run_next(handle, input, nows[lane])
-                            }
-                            _ => {
-                                let (state, handle) =
-                                    store.observe_run_first(key, input, nows[lane]);
-                                run = Some((packed, handle));
-                                state
-                            }
-                        };
+                        let state = store.observe_run(&mut run, key, input, nows[lane]);
                         if node.emits {
                             for (j, o) in output.iter().enumerate() {
                                 out[lane * a + j] = match o {

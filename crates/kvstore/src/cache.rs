@@ -96,7 +96,7 @@ use std::hash::Hash;
 /// function of the key, so equal keys are both packed or both not.
 pub trait SlotKey: Hash {
     /// The compile-time layout a cache packs its keys by; the default is
-    /// what [`SramCache::new`] uses.
+    /// what [`SplitStore::new`](crate::SplitStore::new) uses.
     type Layout: Clone + std::fmt::Debug + Default;
 
     /// The key packed into at most 104 bits, or `None` when it does not fit
@@ -160,31 +160,26 @@ pub struct CacheSlotRef<'a, K, V> {
     pub last_seen: Nanos,
 }
 
-/// What a single-pass [`SramCache::upsert_slot`] did.
-#[derive(Debug)]
-pub struct UpsertOutcome<K, V> {
-    /// True when the key was already resident (the value was *not* freshly
-    /// initialized).
-    pub hit: bool,
-    /// The entry evicted to make room (miss into a full bucket only).
-    pub victim: Option<CacheEntry<K, V>>,
-}
-
-/// An opaque reference to a resident slot, returned by
-/// [`SramCache::upsert_slot`] — the probe-once primitive behind flow-run
-/// coalescing. Re-touching the slot through [`SramCache::touch_slot`] skips
-/// the hash and the bucket probe entirely while performing *exactly* the
-/// bookkeeping a hit through [`SramCache::upsert_slot`] would (recency
-/// refresh per policy, `last_seen` stamp), so a run of equal-key records
-/// costs one probe total and stays byte-identical to the probe-per-record
-/// path.
+/// A flow run in progress: the slot the last [`SramCache::upsert`] through
+/// this run resolved, named by that key's packed form (see [`SlotKey`]).
 ///
-/// Validity: the handle reads its key's slot until that key leaves the
-/// cache — as a victim or in a drain (which a migration is). After that the
-/// slot may hold another key. The vectorized sweep holds a handle only
-/// across a run of consecutive equal-key records within one node sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotHandle(usize);
+/// Traces are bursty (packet trains per flow), so consecutive records often
+/// carry the same key. An upsert whose key is the run's held key — equal
+/// packed words, or for a key that does not pack, equal to the key resident
+/// in the held slot — skips the hash and the bucket probe and touches the
+/// held slot exactly as a probed hit would (recency refresh per policy,
+/// `last_seen` stamp), so a run of equal-key records costs one probe and
+/// stays byte-identical to one probe per record. Any other key probes as
+/// usual and the run moves to its slot.
+///
+/// `Run::default()` holds nothing: an upsert through it is a plain probe.
+/// A run belongs to one cache, and its slot stays its key's until that key
+/// leaves the cache as a victim or in a drain (the module's residency rule). A
+/// caller that does not track victims holds a run only across consecutive
+/// upserts through it, and starts a fresh one after any other call on the
+/// cache.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Run(Option<(Option<u128>, usize)>);
 
 /// The on-chip cache: geometry + policy behind one interface.
 #[derive(Debug, Clone)]
@@ -193,6 +188,11 @@ pub struct SramCache<K: SlotKey, V> {
     policy: EvictionPolicy,
     rng: VictimRng,
     geometry: CacheGeometry,
+    /// Placement hash seed, kept so a migration rebuilds the cache
+    /// identically configured.
+    hash_seed: u64,
+    /// How keys pack into slot-word tags and name runs.
+    layout: K::Layout,
 }
 
 #[derive(Debug, Clone)]
@@ -202,13 +202,6 @@ enum Inner<K: SlotKey, V> {
 }
 
 impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
-    /// Create a cache with the given geometry, policy and hash seed, packing
-    /// keys by the key type's default layout.
-    #[must_use]
-    pub fn new(geometry: CacheGeometry, policy: EvictionPolicy, hash_seed: u64) -> Self {
-        Self::with_layout(geometry, policy, hash_seed, K::Layout::default())
-    }
-
     /// Create a cache that packs keys by `layout` (see [`SlotKey`]).
     ///
     /// # Panics
@@ -223,13 +216,15 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
         let inner = if geometry.buckets == 1 {
             Inner::Full(FullLruCache::new(geometry.ways))
         } else {
-            Inner::Bucketed(BucketedCache::new(geometry, hash_seed, layout))
+            Inner::Bucketed(BucketedCache::new(geometry, hash_seed))
         };
         SramCache {
             inner,
             policy,
             rng: victim_rng(policy),
             geometry,
+            hash_seed,
+            layout,
         }
     }
 
@@ -264,96 +259,119 @@ impl<K: Eq + Hash + Clone + SlotKey, V> SramCache<K, V> {
     #[must_use]
     pub fn contains(&self, key: &K) -> bool {
         match &self.inner {
-            Inner::Bucketed(c) => c.contains(key),
+            Inner::Bucketed(c) => c.contains(key, key.pack(&self.layout)),
             Inner::Full(c) => c.map.contains_key(key),
         }
     }
 
-    /// Insert a fully-formed entry that is **not** resident, preserving its
-    /// `first_seen`/`last_seen` timestamps — the rehash step of a live
-    /// geometry migration, where resident state moves into a differently
-    /// shaped cache without splitting any key's observed residency interval.
-    /// If the target bucket is full, the policy's victim is evicted and
-    /// returned.
+    /// Single-pass lookup-or-insert: the per-packet primitive, continuing
+    /// `run` (see [`Run`]).
     ///
-    /// # Panics
-    /// Panics (in debug builds) if the key is already resident.
-    pub fn insert_entry(&mut self, entry: CacheEntry<K, V>) -> Option<CacheEntry<K, V>> {
-        debug_assert!(!self.contains(&entry.key), "insert of a resident key");
-        let (policy, rng) = (self.policy, &mut self.rng);
-        match &mut self.inner {
-            Inner::Bucketed(c) => c.insert(entry, policy, rng),
-            Inner::Full(c) => c.insert(entry, policy, rng),
-        }
-    }
-
-    /// Single-pass lookup-or-insert: the per-packet primitive.
-    ///
+    /// The key is packed once under the cache's layout; that one word both
+    /// recognises the run's held key and, otherwise, becomes the probe tag.
     /// A hit refreshes recency (per policy); a miss initializes a new value
-    /// with `init`, inserting it and evicting the policy's victim when the
-    /// target bucket is full. Exactly one hash computation and one bucket
-    /// probe happen either way. Returns a [`SlotHandle`] to the
-    /// (now-resident) slot: the value is reached through
-    /// [`SramCache::slot_value_mut`], and immediately following touches of
-    /// the same key can skip the probe ([`SramCache::touch_slot`]).
-    pub fn upsert_slot(
+    /// with `init`, inserting it and handing the policy's victim to `evict`
+    /// when the target bucket is full — at most one hash and one bucket
+    /// probe either way, none on a run hit. Returns the (now-resident) key's
+    /// value and whether the key was resident already (a hit), and leaves
+    /// `run` holding its slot.
+    #[inline]
+    pub fn upsert(
         &mut self,
+        run: &mut Run,
         key: K,
         now: Nanos,
         init: impl FnOnce() -> V,
-    ) -> (SlotHandle, UpsertOutcome<K, V>) {
+        evict: impl FnOnce(CacheEntry<K, V>),
+    ) -> (&mut V, bool) {
+        let packed = key.pack(&self.layout);
+        let held = run.0.and_then(|(held, j)| {
+            let same = match (held, packed) {
+                (Some(a), Some(b)) => a == b,
+                (None, None) => *self.key_at(j) == key,
+                _ => false,
+            };
+            debug_assert!(!same || *self.key_at(j) == key, "a run outlived its key");
+            same.then_some(j)
+        });
         let refresh = !matches!(self.policy, EvictionPolicy::Fifo);
-        let (policy, rng) = (self.policy, &mut self.rng);
-        let (idx, outcome) = match &mut self.inner {
-            Inner::Bucketed(c) => c.upsert_slot(key, now, init, refresh, policy, rng),
-            Inner::Full(c) => c.upsert_slot(key, now, init, refresh, policy, rng),
+        let (j, hit) = match (&mut self.inner, held) {
+            (Inner::Bucketed(c), Some(j)) => (c.touch(j, now, refresh), true),
+            (Inner::Full(c), Some(j)) => (c.touch(j, now, refresh), true),
+            (_, None) => self.probe_upsert(key, packed, now, init, evict, refresh),
         };
-        (SlotHandle(idx), outcome)
+        *run = Run(Some((packed, j)));
+        let value = match &mut self.inner {
+            Inner::Bucketed(c) => &mut c.state[j].value,
+            Inner::Full(c) => &mut c.nodes[j].entry.value,
+        };
+        (value, hit)
     }
 
-    /// The key resident in a held slot.
-    #[must_use]
-    pub fn slot_key(&self, handle: SlotHandle) -> &K {
+    /// Lookup-or-insert of a key packed to `packed`, by one probe. Kept out
+    /// of line so a run hit in [`SramCache::upsert`] stays a few
+    /// instructions in its caller.
+    #[inline(never)]
+    fn probe_upsert(
+        &mut self,
+        key: K,
+        packed: Option<u128>,
+        now: Nanos,
+        init: impl FnOnce() -> V,
+        evict: impl FnOnce(CacheEntry<K, V>),
+        refresh: bool,
+    ) -> (usize, bool) {
+        let (policy, rng) = (self.policy, &mut self.rng);
+        let (j, hit, victim) = match &mut self.inner {
+            Inner::Bucketed(c) => c.upsert(key, packed, now, init, refresh, policy, rng),
+            Inner::Full(c) => c.upsert(key, now, init, refresh, policy, rng),
+        };
+        if let Some(victim) = victim {
+            evict(victim);
+        }
+        (j, hit)
+    }
+
+    /// The key resident at arena index `j`.
+    fn key_at(&self, j: usize) -> &K {
         match &self.inner {
-            Inner::Bucketed(c) => &c.keys[handle.0],
-            Inner::Full(c) => &c.nodes[handle.0].entry.key,
+            Inner::Bucketed(c) => &c.keys[j],
+            Inner::Full(c) => &c.nodes[j].entry.key,
         }
     }
 
-    /// The value behind a held slot, without recency side effects.
-    pub fn slot_value_mut(&mut self, handle: SlotHandle) -> &mut V {
-        match &mut self.inner {
-            Inner::Bucketed(c) => &mut c.state[handle.0].value,
-            Inner::Full(c) => &mut c.nodes[handle.0].entry.value,
-        }
+    /// Rehash every resident entry into a fresh cache at `geometry` (same
+    /// policy, hash seed and layout), in [`SramCache::drain_into`] order,
+    /// each keeping its `first_seen`/`last_seen` interval, and hand every
+    /// entry that no longer fits to `overflow` — the live-migration step of
+    /// online re-provisioning.
+    pub(crate) fn migrate(
+        &mut self,
+        geometry: CacheGeometry,
+        mut overflow: impl FnMut(CacheEntry<K, V>),
+    ) {
+        let mut next =
+            Self::with_layout(geometry, self.policy, self.hash_seed, self.layout.clone());
+        self.drain_into(|entry| {
+            if let Some(victim) = next.insert_entry(entry) {
+                overflow(victim);
+            }
+        });
+        *self = next;
     }
 
-    /// Touch a held slot as one hit-upsert of its key at `now` would, and
-    /// return the value — the fused re-touch of flow-run coalescing. End
-    /// state is byte-identical to a [`SramCache::upsert_slot`] hit: the
-    /// recency counter advances by one (refresh per policy), the LRU list
-    /// position refreshes, and `last_seen` takes the timestamp.
-    pub fn touch_slot(&mut self, handle: SlotHandle, now: Nanos) -> &mut V {
-        let refresh = !matches!(self.policy, EvictionPolicy::Fifo);
+    /// Insert a fully-formed entry that is **not** resident, preserving its
+    /// `first_seen`/`last_seen` timestamps. If the target bucket is full,
+    /// the policy's victim is evicted and returned.
+    fn insert_entry(&mut self, entry: CacheEntry<K, V>) -> Option<CacheEntry<K, V>> {
+        debug_assert!(!self.contains(&entry.key), "insert of a resident key");
+        let (policy, rng) = (self.policy, &mut self.rng);
         match &mut self.inner {
             Inner::Bucketed(c) => {
-                c.seq += 1;
-                let s = &mut c.state[handle.0];
-                if refresh {
-                    s.accessed = c.seq;
-                }
-                s.last_seen = now;
-                &mut s.value
+                let packed = entry.key.pack(&self.layout);
+                c.insert(entry, packed, policy, rng)
             }
-            Inner::Full(c) => {
-                if refresh {
-                    c.unlink(handle.0);
-                    c.push_front(handle.0);
-                }
-                let entry = &mut c.nodes[handle.0].entry;
-                entry.last_seen = now;
-                &mut entry.value
-            }
+            Inner::Full(c) => c.insert(entry, policy, rng),
         }
     }
 
@@ -490,13 +508,11 @@ struct BucketedCache<K: SlotKey, V> {
     ways: usize,
     /// The placement hash with its seed rounds precomputed.
     hash: PlacementHash,
-    /// How keys pack into the tags.
-    layout: K::Layout,
     seq: u64,
 }
 
 impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
-    fn new(geometry: CacheGeometry, seed: u64, layout: K::Layout) -> Self {
+    fn new(geometry: CacheGeometry, seed: u64) -> Self {
         let (buckets, ways) = (geometry.buckets, geometry.ways);
         assert!(
             geometry.is_buildable(),
@@ -519,7 +535,6 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
             bucket_mask: buckets.is_power_of_two().then(|| buckets as u64 - 1),
             ways,
             hash: PlacementHash::new(seed),
-            layout,
             seq: 0,
         }
     }
@@ -537,11 +552,12 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         }
     }
 
-    /// A key's bucket and slot-word tag: one placement hash, one pack.
+    /// A key's bucket and slot-word tag, given its packed form: one
+    /// placement hash.
     #[inline]
-    fn locate(&self, key: &K) -> (usize, u128) {
+    fn locate(&self, key: &K, packed: Option<u128>) -> (usize, u128) {
         let h = key.placement_hash(&self.hash);
-        (self.bucket_of(h), tag_of(key.pack(&self.layout), h))
+        (self.bucket_of(h), tag_of(packed, h))
     }
 
     /// The arena index behind an occupied slot.
@@ -575,8 +591,8 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         None
     }
 
-    fn contains(&self, key: &K) -> bool {
-        let (b, tag) = self.locate(key);
+    fn contains(&self, key: &K, packed: Option<u128>) -> bool {
+        let (b, tag) = self.locate(key, packed);
         self.probe(b, tag, key).is_some()
     }
 
@@ -641,10 +657,11 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
     fn insert(
         &mut self,
         entry: CacheEntry<K, V>,
+        packed: Option<u128>,
         policy: EvictionPolicy,
         rng: &mut VictimRng,
     ) -> Option<CacheEntry<K, V>> {
-        let (b, tag) = self.locate(&entry.key);
+        let (b, tag) = self.locate(&entry.key, packed);
         self.seq += 1;
         let seq = self.seq;
         let CacheEntry {
@@ -667,54 +684,45 @@ impl<K: Eq + Hash + Clone + SlotKey, V> BucketedCache<K, V> {
         Some(victim)
     }
 
-    /// Single-pass lookup-or-insert returning the arena index of the
-    /// (now-resident) entry — the index is the [`SlotHandle`] payload, and
-    /// it stays the key's until the key is a victim or the cache drains.
-    fn upsert_slot(
+    /// Touch the resident entry at arena index `j` as a hit: the recency
+    /// counter advances (stamped per policy) and `last_seen` takes `now`.
+    fn touch(&mut self, j: usize, now: Nanos, refresh: bool) -> usize {
+        self.seq += 1;
+        let s = &mut self.state[j];
+        if refresh {
+            s.accessed = self.seq;
+        }
+        s.last_seen = now;
+        j
+    }
+
+    /// Single-pass lookup-or-insert of a key packed to `packed`, returning
+    /// the arena index of the (now-resident) entry — it stays the key's
+    /// until the key is a victim or the cache drains —, whether it was a
+    /// hit, and the victim a miss into a full bucket evicted.
+    #[allow(clippy::too_many_arguments)]
+    fn upsert(
         &mut self,
         key: K,
+        packed: Option<u128>,
         now: Nanos,
         init: impl FnOnce() -> V,
         refresh: bool,
         policy: EvictionPolicy,
         rng: &mut VictimRng,
-    ) -> (usize, UpsertOutcome<K, V>) {
-        let (b, tag) = self.locate(&key);
+    ) -> (usize, bool, Option<CacheEntry<K, V>>) {
+        let (b, tag) = self.locate(&key, packed);
+        if let Some(j) = self.probe(b, tag, &key) {
+            return (self.touch(j, now, refresh), true, None);
+        }
         self.seq += 1;
         let seq = self.seq;
-        if let Some(j) = self.probe(b, tag, &key) {
-            let s = &mut self.state[j];
-            if refresh {
-                s.accessed = seq;
-            }
-            s.last_seen = now;
-            return (
-                j,
-                UpsertOutcome {
-                    hit: true,
-                    victim: None,
-                },
-            );
-        }
         if (self.lens[b] as usize) < self.ways {
-            let j = self.fill_slot(b, tag, key, init(), now, seq);
-            return (
-                j,
-                UpsertOutcome {
-                    hit: false,
-                    victim: None,
-                },
-            );
+            return (self.fill_slot(b, tag, key, init(), now, seq), false, None);
         }
         let victim_slot = self.pick_victim(b, policy, rng);
         let (j, victim) = self.replace_slot(b, victim_slot, tag, key, init(), now, seq);
-        (
-            j,
-            UpsertOutcome {
-                hit: false,
-                victim: Some(victim),
-            },
-        )
+        (j, false, Some(victim))
     }
 
     /// Empty the cache in arena order: the occupancy counts and slot words
@@ -871,10 +879,22 @@ impl<K: Eq + Hash + Clone, V> FullLruCache<K, V> {
         Some(victim)
     }
 
+    /// Touch the node at `idx` as a hit: relinked to the front (per
+    /// policy), `last_seen` stamped.
+    fn touch(&mut self, idx: usize, now: Nanos, refresh: bool) -> usize {
+        if refresh {
+            self.unlink(idx);
+            self.push_front(idx);
+        }
+        self.nodes[idx].entry.last_seen = now;
+        idx
+    }
+
     /// Single-pass lookup-or-insert returning the node index of the
     /// (now-resident) entry — stable across hit-path touches (the LRU list
-    /// relinks around a node without moving it).
-    fn upsert_slot(
+    /// relinks around a node without moving it) —, whether it was a hit,
+    /// and the victim a miss into a full cache evicted.
+    fn upsert(
         &mut self,
         key: K,
         now: Nanos,
@@ -882,20 +902,9 @@ impl<K: Eq + Hash + Clone, V> FullLruCache<K, V> {
         refresh: bool,
         policy: EvictionPolicy,
         rng: &mut VictimRng,
-    ) -> (usize, UpsertOutcome<K, V>) {
+    ) -> (usize, bool, Option<CacheEntry<K, V>>) {
         if let Some(&idx) = self.map.get(&key) {
-            if refresh {
-                self.unlink(idx);
-                self.push_front(idx);
-            }
-            self.nodes[idx].entry.last_seen = now;
-            return (
-                idx,
-                UpsertOutcome {
-                    hit: true,
-                    victim: None,
-                },
-            );
+            return (self.touch(idx, now, refresh), true, None);
         }
         let entry = CacheEntry {
             key,
@@ -904,7 +913,7 @@ impl<K: Eq + Hash + Clone, V> FullLruCache<K, V> {
             last_seen: now,
         };
         let victim = self.insert(entry, policy, rng);
-        (self.head, UpsertOutcome { hit: false, victim })
+        (self.head, false, victim)
     }
 
     /// Hand off every node in index order; later inserts refill the arena
@@ -922,18 +931,32 @@ mod tests {
     use super::*;
 
     fn cache(geom: CacheGeometry, policy: EvictionPolicy) -> SramCache<u64, u64> {
-        SramCache::new(geom, policy, 42)
+        SramCache::with_layout(geom, policy, 42, ())
+    }
+
+    /// What one upsert did: whether the key was resident, and the victim.
+    pub(super) struct Outcome {
+        pub(super) hit: bool,
+        pub(super) victim: Option<CacheEntry<u64, u64>>,
+    }
+
+    /// Upsert `k` at `now` through `run`, initializing a miss to `init`.
+    pub(super) fn upsert_in<'c>(
+        c: &'c mut SramCache<u64, u64>,
+        run: &mut Run,
+        k: u64,
+        now: u64,
+        init: u64,
+    ) -> (&'c mut u64, Outcome) {
+        let mut victim = None;
+        let (value, hit) = c.upsert(run, k, Nanos(now), || init, |e| victim = Some(e));
+        (value, Outcome { hit, victim })
     }
 
     /// Upsert `k` at `now` and set its value to `v`.
-    pub(super) fn put(
-        c: &mut SramCache<u64, u64>,
-        k: u64,
-        v: u64,
-        now: u64,
-    ) -> UpsertOutcome<u64, u64> {
-        let (slot, outcome) = c.upsert_slot(k, Nanos(now), || v);
-        *c.slot_value_mut(slot) = v;
+    pub(super) fn put(c: &mut SramCache<u64, u64>, k: u64, v: u64, now: u64) -> Outcome {
+        let (value, outcome) = upsert_in(c, &mut Run::default(), k, now, v);
+        *value = v;
         outcome
     }
 
@@ -944,21 +967,24 @@ mod tests {
         v: u64,
         now: u64,
     ) -> Option<CacheEntry<u64, u64>> {
-        c.upsert_slot(k, Nanos(now), || v).1.victim
+        upsert_in(c, &mut Run::default(), k, now, v).1.victim
     }
 
     #[test]
     fn hit_and_miss() {
         let mut c = cache(CacheGeometry::set_associative(8, 2), EvictionPolicy::Lru);
         assert!(!c.contains(&1));
-        let (slot, miss) = c.upsert_slot(1, Nanos(0), || 100);
+        let (v, miss) = upsert_in(&mut c, &mut Run::default(), 1, 0, 100);
+        assert_eq!(*v, 100);
         assert!(!miss.hit && miss.victim.is_none());
-        let (again, hit) = c.upsert_slot(1, Nanos(5), || 0);
+        // A probed hit, then a run hit on the slot it left the run holding.
+        let mut run = Run::default();
+        let (v, hit) = upsert_in(&mut c, &mut run, 1, 5, 0);
         assert!(hit.hit);
-        assert_eq!(again, slot);
-        assert_eq!(*c.slot_value_mut(slot), 100);
-        *c.touch_slot(slot, Nanos(6)) += 1;
-        assert_eq!(*c.touch_slot(slot, Nanos(7)), 101);
+        *v += 1;
+        let (v, again) = upsert_in(&mut c, &mut run, 1, 6, 0);
+        assert!(again.hit);
+        assert_eq!(*v, 101);
         assert_eq!(c.len(), 1);
     }
 
@@ -992,7 +1018,7 @@ mod tests {
     fn bucketed_lru_within_bucket() {
         // One bucket of 2 ways → behaves as a 2-entry LRU.
         let mut c: SramCache<u64, u64> =
-            SramCache::new(CacheGeometry::new(1, 2), EvictionPolicy::Lru, 7);
+            SramCache::with_layout(CacheGeometry::new(1, 2), EvictionPolicy::Lru, 7, ());
         upsert(&mut c, 10, 1, 1);
         upsert(&mut c, 20, 2, 2);
         upsert(&mut c, 10, 0, 3);
@@ -1022,10 +1048,10 @@ mod tests {
         let e = upsert(&mut c, 6, 60, 2).expect("5 is the victim");
         assert_eq!((e.key, e.value), (5, 50));
         assert!(!c.contains(&5));
-        let (slot, outcome) = c.upsert_slot(5, Nanos(3), || 51);
+        let (v, outcome) = upsert_in(&mut c, &mut Run::default(), 5, 3, 51);
+        assert_eq!(*v, 51);
         assert!(!outcome.hit);
         assert_eq!(outcome.victim.map(|v| v.key), Some(6));
-        assert_eq!(*c.slot_value_mut(slot), 51);
     }
 
     #[test]
@@ -1051,9 +1077,10 @@ mod tests {
     #[test]
     fn residency_timestamps_track_first_and_last() {
         let mut c = cache(CacheGeometry::fully_associative(4), EvictionPolicy::Lru);
-        let (slot, _) = c.upsert_slot(1, Nanos(10), || 0);
+        let mut run = Run::default();
+        upsert_in(&mut c, &mut run, 1, 10, 0);
         upsert(&mut c, 1, 0, 25);
-        c.touch_slot(slot, Nanos(40));
+        upsert_in(&mut c, &mut run, 1, 40, 0);
         let mut drained = Vec::new();
         c.drain_into(|e| drained.push(e));
         assert_eq!(drained[0].first_seen, Nanos(10));
@@ -1072,10 +1099,11 @@ mod tests {
     #[test]
     fn random_policy_is_deterministic() {
         let run = || {
-            let mut c: SramCache<u64, u64> = SramCache::new(
+            let mut c: SramCache<u64, u64> = SramCache::with_layout(
                 CacheGeometry::fully_associative(8),
                 EvictionPolicy::Random { seed: 5 },
                 42,
+                (),
             );
             let mut victims = Vec::new();
             for k in 0..100u64 {
@@ -1103,7 +1131,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::put;
+    use super::tests::{put, upsert_in};
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap as StdMap;
@@ -1144,7 +1172,7 @@ mod proptests {
         #[test]
         fn full_lru_matches_model(ops in prop::collection::vec((0u64..32, 0u64..1000), 1..400)) {
             let mut cache: SramCache<u64, u64> =
-                SramCache::new(CacheGeometry::fully_associative(8), EvictionPolicy::Lru, 3);
+                SramCache::with_layout(CacheGeometry::fully_associative(8), EvictionPolicy::Lru, 3, ());
             let mut model = ModelLru { cap: 8, map: StdMap::new(), order: Vec::new() };
             for (i, (k, v)) in ops.into_iter().enumerate() {
                 let now = i as u64;
@@ -1170,7 +1198,8 @@ mod proptests {
             ways in 1usize..5,
         ) {
             let geom = CacheGeometry::new(4, ways);
-            let mut cache: SramCache<u64, u64> = SramCache::new(geom, EvictionPolicy::Lru, 11);
+            let mut cache: SramCache<u64, u64> =
+                SramCache::with_layout(geom, EvictionPolicy::Lru, 11, ());
             let mut resident = std::collections::HashSet::new();
             for (i, (k, v)) in ops.into_iter().enumerate() {
                 let outcome = put(&mut cache, k, v, i as u64);
@@ -1189,11 +1218,13 @@ mod proptests {
         }
 
         /// The residency rule: a key leaves the cache only as a victim or
-        /// in a drain, so a handle from `upsert_slot` reads its own key's
-        /// value until that key comes back as a victim or the cache drains
-        /// — however many other keys are upserted or touched meanwhile. On
-        /// every shape (`buckets = 1` is the fully-associative cache) and
-        /// under every policy; values encode their key.
+        /// in a drain, so a [`Run`] left holding a key's slot still folds
+        /// into that key's value (with no probe) until the key comes back
+        /// as a victim or the cache drains — however many other keys are
+        /// upserted meanwhile. On every shape (`buckets = 1` is the
+        /// fully-associative cache) and under every policy; values encode
+        /// their key, and a run that outlived its key trips the
+        /// debug-build check in `upsert`.
         #[test]
         fn handles_hold_until_victim_or_drain(
             ops in prop::collection::vec((0u8..16, 0u64..40), 1..400),
@@ -1207,12 +1238,11 @@ mod proptests {
                 _ => EvictionPolicy::Random { seed: 11 },
             };
             let mut cache: SramCache<u64, u64> =
-                SramCache::new(CacheGeometry::new(buckets, ways), policy, 5);
+                SramCache::with_layout(CacheGeometry::new(buckets, ways), policy, 5, ());
             // Value = key << 32 | updates since (re)insertion.
-            let mut held: StdMap<u64, (SlotHandle, u64)> = StdMap::new();
+            let mut held: StdMap<u64, (Run, u64)> = StdMap::new();
             for (i, (op, k)) in ops.into_iter().enumerate() {
-                let now = Nanos(i as u64);
-                match (op, held.get(&k).copied()) {
+                let (mut run, n) = match (op, held.get(&k).copied()) {
                     (0, _) => {
                         let mut drained = 0;
                         cache.drain_into(|e| {
@@ -1221,30 +1251,27 @@ mod proptests {
                         });
                         prop_assert_eq!(drained, held.len());
                         held.clear();
+                        continue;
                     }
-                    (1..=5, Some((handle, n))) => {
-                        let v = cache.touch_slot(handle, now);
-                        prop_assert_eq!(*v, k << 32 | n, "touch of held key {}", k);
-                        *v += 1;
-                        held.insert(k, (handle, n + 1));
-                    }
-                    _ => {
-                        let (handle, outcome) = cache.upsert_slot(k, now, || k << 32);
-                        if let Some(victim) = outcome.victim {
-                            prop_assert_eq!(victim.value >> 32, victim.key);
-                            prop_assert!(held.remove(&victim.key).is_some());
-                        }
-                        let n = if outcome.hit { held[&k].1 } else { 0 };
-                        let v = cache.slot_value_mut(handle);
-                        prop_assert_eq!(*v, k << 32 | n);
-                        *v += 1;
-                        held.insert(k, (handle, n + 1));
-                    }
+                    (1..=5, Some(kept)) => kept,
+                    _ => (Run::default(), held.get(&k).map_or(0, |h| h.1)),
+                };
+                let (v, outcome) = upsert_in(&mut cache, &mut run, k, i as u64, k << 32);
+                prop_assert_eq!(outcome.hit, held.contains_key(&k), "key {}", k);
+                prop_assert_eq!(*v, k << 32 | n, "key {}", k);
+                *v += 1;
+                if let Some(victim) = outcome.victim {
+                    prop_assert_eq!(victim.value >> 32, victim.key);
+                    prop_assert!(held.remove(&victim.key).is_some());
                 }
-                prop_assert_eq!(cache.len(), held.len());
-                for (key, (handle, n)) in &held {
-                    prop_assert_eq!(*cache.slot_value_mut(*handle), key << 32 | n, "held key {}", key);
-                }
+                held.insert(k, (run, n + 1));
+                let mut resident = StdMap::new();
+                cache.for_each_slot(|slot| {
+                    resident.insert(*slot.key, *slot.value);
+                });
+                let want: StdMap<u64, u64> =
+                    held.iter().map(|(k, (_, n))| (*k, k << 32 | n)).collect();
+                prop_assert_eq!(resident, want);
             }
         }
     }

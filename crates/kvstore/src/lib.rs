@@ -236,7 +236,7 @@ pub use area::{
     AreaPlan, CachePlanner, PlanError, QueryAllocation, QueryDemand, StoreAllocation, StoreDemand,
 };
 pub use backing::{BackingEntry, BackingStore, Epoch, EpochList, MergeMode};
-pub use cache::{CacheEntry, CacheSlotRef, SlotHandle, SlotKey, SramCache};
+pub use cache::{CacheEntry, CacheSlotRef, Run, SlotKey, SramCache};
 pub use geometry::{CacheGeometry, MAX_BUCKETED_PAIRS};
 pub use key::{InlineKey, KeyLayout, INLINE_KEY_WORDS};
 pub use policy::EvictionPolicy;

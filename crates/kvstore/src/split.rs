@@ -16,7 +16,7 @@
 //! counter/sum ops used by the Fig. 5 benchmark and tests.
 
 use crate::backing::{BackingEntry, BackingStore, MergeMode};
-use crate::cache::{CacheEntry, SlotHandle, SlotKey, SramCache};
+use crate::cache::{CacheEntry, Run, SlotKey, SramCache};
 use crate::geometry::CacheGeometry;
 use crate::policy::EvictionPolicy;
 use crate::spill::{SpillConfig, SpillStats, SpillTier};
@@ -54,13 +54,6 @@ pub struct SplitStore<K: SlotKey, O: ValueOps> {
     backing: BackingStore<K, O::Value>,
     ops: O,
     stats: StoreStats,
-    /// Eviction policy, kept so a live geometry migration can rebuild the
-    /// cache identically configured.
-    policy: EvictionPolicy,
-    /// Placement hash seed, kept for the same reason.
-    hash_seed: u64,
-    /// Key layout, kept for the same reason.
-    key_layout: K::Layout,
     /// Optional durable spill tier ([`SpillTier`]): evictions of keys with
     /// no standing in-RAM record past the tier's high-water mark append to
     /// its WAL instead of growing the backing table. `None` (the default)
@@ -88,82 +81,59 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
     ) -> Self {
         let backing = BackingStore::new(ops.merge_mode());
         SplitStore {
-            cache: SramCache::with_layout(geometry, policy, hash_seed, key_layout.clone()),
+            cache: SramCache::with_layout(geometry, policy, hash_seed, key_layout),
             backing,
             ops,
             stats: StoreStats::default(),
-            policy,
-            hash_seed,
-            key_layout,
             spill: None,
         }
     }
 
-    /// The layout this store's cache packs keys by.
-    #[must_use]
-    pub fn key_layout(&self) -> &K::Layout {
-        &self.key_layout
-    }
-
-    /// The key resident in the slot `handle` holds (see [`SlotHandle`]).
-    #[must_use]
-    pub fn slot_key(&self, handle: SlotHandle) -> &K {
-        self.cache.slot_key(handle)
-    }
-
-    /// Observe one packet for `key` at time `now`.
+    /// Observe one packet for `key` at time `now`, as a run of its own.
     pub fn observe(&mut self, key: K, input: &O::Input, now: Nanos) {
-        self.observe_run_first(key, input, now);
+        self.observe_run(&mut Run::default(), key, input, now);
     }
 
-    /// Observe the first packet of a **run** of consecutive equal-key
-    /// packets — the per-packet protocol itself: one hash and one probe
-    /// (lookup-or-insert), hit/miss/eviction accounting, victim absorption,
-    /// fold update — plus a [`SlotHandle`] to the now-resident slot so the
-    /// rest of the run can re-touch it without re-probing.
-    ///
-    /// The handle reads this key's slot until the key leaves the cache (see
-    /// [`SlotHandle`]); the vectorized sweep holds it only for the rest of
-    /// the current run.
-    pub fn observe_run_first(
+    /// Observe one packet for `key` at time `now` — the per-packet protocol
+    /// itself: a lookup-or-insert continuing `run` ([`SramCache::upsert`]:
+    /// the key packed once, no hash and no probe when it is the run's held
+    /// key), hit/miss/eviction accounting, victim absorption, fold update.
+    /// Returns the key's folded state. Counters and state are byte-identical
+    /// to [`SplitStore::observe`] per packet; a caller that wants one probe
+    /// per packet passes a fresh [`Run`] each time.
+    #[inline]
+    pub fn observe_run(
         &mut self,
+        run: &mut Run,
         key: K,
         input: &O::Input,
         now: Nanos,
-    ) -> (&O::Value, SlotHandle) {
-        self.stats.packets += 1;
-        let ops = &self.ops;
-        let (handle, outcome) = self.cache.upsert_slot(key, now, || ops.init());
-        if outcome.hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-            if let Some(victim) = outcome.victim {
-                self.stats.evictions += 1;
-                self.stats.backing_writes += 1;
-                route_entry(&mut self.backing, &mut self.spill, ops, victim);
-            }
-        }
-        let value = self.cache.slot_value_mut(handle);
-        ops.update(value, input);
-        (value, handle)
-    }
-
-    /// Observe one more packet of a run on the slot held by `handle` — a
-    /// guaranteed hit, folded straight into the arena slot with no hash, no
-    /// probe, and no key construction. Accounting (packet/hit counters,
-    /// recency refresh per policy, `last_seen`) is byte-identical to a hit
-    /// through [`SplitStore::observe`].
-    pub fn observe_run_next(
-        &mut self,
-        handle: SlotHandle,
-        input: &O::Input,
-        now: Nanos,
     ) -> &O::Value {
-        self.stats.packets += 1;
-        self.stats.hits += 1;
-        let value = self.cache.touch_slot(handle, now);
-        self.ops.update(value, input);
+        let SplitStore {
+            cache,
+            backing,
+            ops,
+            stats,
+            spill,
+        } = self;
+        stats.packets += 1;
+        let (value, hit) = cache.upsert(
+            run,
+            key,
+            now,
+            || ops.init(),
+            |victim| {
+                stats.evictions += 1;
+                stats.backing_writes += 1;
+                route_entry(backing, spill, ops, victim);
+            },
+        );
+        if hit {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
+        }
+        ops.update(value, input);
         value
     }
 
@@ -213,28 +183,18 @@ impl<K: Eq + Hash + Clone + SlotKey, O: ValueOps> SplitStore<K, O> {
         if self.cache.geometry() == new_geometry {
             return;
         }
-        let mut next = SramCache::with_layout(
-            new_geometry,
-            self.policy,
-            self.hash_seed,
-            self.key_layout.clone(),
-        );
         let SplitStore {
             cache,
             backing,
             ops,
             stats,
             spill,
-            ..
         } = self;
-        cache.drain_into(|entry| {
-            if let Some(victim) = next.insert_entry(entry) {
-                stats.evictions += 1;
-                stats.backing_writes += 1;
-                route_entry(backing, spill, ops, victim);
-            }
+        cache.migrate(new_geometry, |victim| {
+            stats.evictions += 1;
+            stats.backing_writes += 1;
+            route_entry(backing, spill, ops, victim);
         });
-        self.cache = next;
     }
 
     /// Drain another store of the same configuration into this one — the
@@ -1090,6 +1050,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::key::{InlineKey, KeyLayout};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -1251,6 +1212,146 @@ mod proptests {
             for (k, want) in insertions {
                 let got = s.result(&k).unwrap().epochs.len() as u64;
                 prop_assert_eq!(got, want, "key {}", k);
+            }
+        }
+    }
+
+    /// One record of a run-equivalence script: the key's index in the pool,
+    /// whether the caller starts a fresh [`Run`] before it, and its time.
+    type Step = (usize, bool, Nanos);
+
+    /// Feed `script` to two identically built stores — one through
+    /// [`SplitStore::observe_run`] with a carried run, reset where the script
+    /// says, the other with one [`SplitStore::observe`] per record — and
+    /// require them equal after every record: the folded state returned,
+    /// the counters and the backing table in arena order (so every victim
+    /// is absorbed at the same record, in the same order), then the cache
+    /// in arena order, and both drains.
+    fn runs_match_per_record<K>(
+        pool: &[K],
+        layout: &K::Layout,
+        script: &[Step],
+        geom: CacheGeometry,
+        policy: EvictionPolicy,
+        mode: MergeMode,
+    ) -> Result<(), TestCaseError>
+    where
+        K: Eq + Hash + Clone + SlotKey + std::fmt::Debug,
+    {
+        let build = || SplitStore::with_key_layout(geom, policy, 9, layout.clone(), ModeOps(mode));
+        let (mut runs, mut fresh) = (build(), build());
+        let backing = |s: &SplitStore<K, ModeOps>| -> Vec<(K, BackingEntry<u64>)> {
+            s.backing()
+                .iter()
+                .map(|(k, e)| (k.clone(), e.clone()))
+                .collect()
+        };
+        let cache = |s: &SplitStore<K, ModeOps>| {
+            let mut slots = Vec::new();
+            s.cache().for_each_slot(|e| {
+                slots.push((e.key.clone(), *e.value, e.first_seen, e.last_seen));
+            });
+            slots
+        };
+        let mut run = Run::default();
+        for (i, &(k, reset, now)) in script.iter().enumerate() {
+            let (key, input) = (&pool[k], i as u64);
+            if reset {
+                run = Run::default();
+            }
+            let got = *runs.observe_run(&mut run, key.clone(), &input, now);
+            fresh.observe(key.clone(), &input, now);
+            let want = cache(&fresh).into_iter().find(|e| e.0 == *key).map(|e| e.1);
+            prop_assert_eq!(Some(got), want, "state of {:?} at record {}", key, i);
+            prop_assert_eq!(runs.stats(), fresh.stats(), "counters at record {}", i);
+            prop_assert_eq!(backing(&runs), backing(&fresh), "backing at record {}", i);
+        }
+        prop_assert_eq!(cache(&runs), cache(&fresh));
+        runs.flush();
+        fresh.flush();
+        prop_assert_eq!(runs.stats(), fresh.stats());
+        prop_assert_eq!(backing(&runs), backing(&fresh));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Flow-run coalescing is invisible: a stream of equal-key runs fed
+        /// through `observe_run` — with the run reset at random, as the
+        /// runtime does per row when coalescing is off — equals the stream
+        /// fed one `observe` per record. Keys: `u64`; `u128` on both sides
+        /// of 2^104; two-word `InlineKey`s under a layout they all fit, and
+        /// under one that half of them overflow (runs cross between packed
+        /// and unpacked keys). Every policy and absorption mode, on a
+        /// one-way, two bucketed (one with a set count that is not a power
+        /// of two) and a fully-associative cache; times that sit at 0 or
+        /// `u64::MAX` and that go backwards.
+        #[test]
+        fn observe_run_equals_one_observe_per_record(
+            groups in prop::collection::vec((0usize..12, 1usize..6, 0u8..3, 0u8..4, 0u64..=u64::MAX), 1..80),
+            family in 0u8..4,
+            shape in 0usize..4,
+            policy_sel in 0u8..3,
+            mode_sel in 0usize..3,
+        ) {
+            // A group is one key's run: `len` records, the run reset before
+            // every record (0), before the first (1) or never (2).
+            let mut script: Vec<Step> = Vec::new();
+            for (k, len, reset, clock, raw) in groups {
+                for r in 0..len {
+                    let now = match clock {
+                        0 => 0,
+                        1 => u64::MAX,
+                        2 => raw.wrapping_sub(r as u64),
+                        _ => raw.wrapping_add(r as u64),
+                    };
+                    script.push((k, reset == 0 || (reset == 1 && r == 0), Nanos(now)));
+                }
+            }
+            let geom = [(8, 1), (4, 2), (3, 4), (1, 6)][shape];
+            let geom = CacheGeometry::new(geom.0, geom.1);
+            let policy = match policy_sel {
+                0 => EvictionPolicy::Lru,
+                1 => EvictionPolicy::Fifo,
+                _ => EvictionPolicy::Random { seed: 13 },
+            };
+            let mode = [MergeMode::Merge, MergeMode::Overwrite, MergeMode::Epochs][mode_sel];
+            let edge = 1u128 << 104;
+            match family {
+                0 => {
+                    let pool: Vec<u64> = (0..12u64)
+                        .map(|i| [i, u64::MAX - i, i.wrapping_mul(0x9e37_79b9_7f4a_7c15)][i as usize % 3])
+                        .collect();
+                    runs_match_per_record(&pool, &(), &script, geom, policy, mode)?;
+                }
+                1 => {
+                    let pool: Vec<u128> = (0..12u128)
+                        .map(|i| [edge - 1 - i, edge + i, u128::MAX - i][i as usize % 3])
+                        .collect();
+                    runs_match_per_record(&pool, &(), &script, geom, policy, mode)?;
+                }
+                _ => {
+                    // Even keys fit 4-bit words. Odd keys sit at the top of
+                    // a 32-bit word under the layout they all fit (2), and
+                    // past 32 bits or negative under the 4-bit layout (3).
+                    let odd = |i: i64| match family {
+                        2 => [(1 << 32) - 1 - i, i],
+                        _ => [1 << 32 | i, -1 - i],
+                    };
+                    let pool: Vec<InlineKey> = (0..12i64)
+                        .map(|i| match i % 2 {
+                            0 => InlineKey::from_slice(&[i, 15 - i]),
+                            _ => InlineKey::from_slice(&odd(i)),
+                        })
+                        .collect();
+                    let layout = KeyLayout::new(if family == 2 { &[32, 32] } else { &[4, 4] });
+                    prop_assert_eq!(
+                        pool.iter().filter(|k| k.pack(&layout).is_some()).count(),
+                        if family == 2 { 12 } else { 6 }
+                    );
+                    runs_match_per_record(&pool, &layout, &script, geom, policy, mode)?;
+                }
             }
         }
     }

@@ -21,7 +21,7 @@
 use perfq_kvstore::hash::hash_key;
 use perfq_kvstore::policy::VictimRng;
 use perfq_kvstore::{
-    BackingStore, CacheGeometry, CounterOps, EvictionPolicy, InlineKey, KeyLayout, MergeMode,
+    BackingStore, CacheGeometry, CounterOps, EvictionPolicy, InlineKey, KeyLayout, MergeMode, Run,
     SlotKey, SplitStore, SramCache,
 };
 use perfq_packet::Nanos;
@@ -167,14 +167,18 @@ fn sram_upsert_add<K: Clone + Eq + Hash + SlotKey>(
     delta: u64,
     now: Nanos,
 ) -> Outcome<K> {
-    let (slot, outcome) = cache.upsert_slot(key, now, || 0);
-    *cache.slot_value_mut(slot) += delta;
-    (
-        outcome.hit,
-        outcome
-            .victim
-            .map(|v| (v.key, v.value, v.first_seen, v.last_seen)),
-    )
+    let mut victim = None;
+    let (value, hit) = cache.upsert(
+        &mut Run::default(),
+        key,
+        now,
+        || 0,
+        |v| {
+            victim = Some((v.key, v.value, v.first_seen, v.last_seen));
+        },
+    );
+    *value += delta;
+    (hit, victim)
 }
 
 /// Deterministic op-stream generator (xorshift64*).
@@ -207,7 +211,7 @@ fn upsert_streams_are_byte_identical() {
     for (buckets, ways) in GEOMETRIES {
         for policy in POLICIES {
             let geom = CacheGeometry::new(buckets, ways);
-            let mut new = SramCache::<u64, u64>::new(geom, policy, 42);
+            let mut new = SramCache::<u64, u64>::with_layout(geom, policy, 42, ());
             let mut reference = RefCache::new(geom, policy, 42);
             let mut rng = Lcg(0x5eed ^ (buckets * 31 + ways) as u64);
             // Key space ~2× capacity so hits, misses and evictions all occur.
@@ -260,7 +264,7 @@ fn remove_and_drain_match_reference() {
     }
     for (buckets, ways) in GEOMETRIES {
         let geom = CacheGeometry::new(buckets, ways);
-        let mut new = SramCache::<u64, u64>::new(geom, EvictionPolicy::Lru, 9);
+        let mut new = SramCache::<u64, u64>::with_layout(geom, EvictionPolicy::Lru, 9, ());
         let mut reference = RefCache::new(geom, EvictionPolicy::Lru, 9);
         let mut rng = Lcg(0xfeed + ways as u64);
         churn(&mut new, &mut reference, &mut rng, 0..3000, geom);
@@ -398,7 +402,7 @@ fn wide_keys_across_the_packing_edge_match_reference() {
                     }
                 }
             }
-            let mut caches = [SramCache::new(geom, policy, 42)];
+            let mut caches = [SramCache::with_layout(geom, policy, 42, ())];
             let mut reference = RefCache::new(geom, policy, 42);
             agree(&mut caches, &mut reference, &keys, &mut rng, 4000, &what);
         }
